@@ -56,10 +56,8 @@
 // coding into the scan, so predicates like "flow = 'X'" compare small
 // integer codes and rows they drop are never decompressed. "EXPLAIN
 // SELECT ..." marks batch-capable scan nodes with a trailing
-// "vectorized" annotation. Tuning (rarely needed): -batch-size sets the
-// rows-per-batch target (core.Options.BatchSize), -no-vectorize forces
-// the row-at-a-time path (core.Options.DisableVectorized) — useful for
-// comparing the two engines on the same data.
+// "vectorized" annotation. There is nothing to tune: the batch size is
+// fixed and every heap scan takes the batch path.
 //
 // # Durability & recovery
 //
@@ -129,10 +127,9 @@
 //     threshold; "\slow" prints the captured profiles. The capture is
 //     bounded (the newest 32) and costs nothing for fast statements.
 //
-// Counter-only instrumentation is always on and costs well under the
-// noise floor of a scan (the obs benchmark gates it at <3%);
-// "-no-instrument" (core.Options.DisableInstrumentation) removes even
-// that for A/B measurements.
+// Counter-only instrumentation is always on, with no switch: each
+// operator wrapper counts rows locally and flushes one atomic add per
+// 1024 rows.
 package main
 
 import (
@@ -155,20 +152,14 @@ func main() {
 	dbDir := flag.String("db", "genodb-data", "database directory")
 	exec := flag.String("e", "", "execute this SQL (semicolon-separated script) and exit")
 	dop := flag.Int("dop", 0, "degree of parallelism (default: all cores)")
-	batchSize := flag.Int("batch-size", 0, "vectorized batch size in rows (default: 1024)")
-	noVec := flag.Bool("no-vectorize", false, "disable batch-at-a-time execution (row engine only)")
 	verify := flag.Bool("verify", false, "scan all tables, report page-checksum failures, and exit")
 	metrics := flag.Bool("metrics", false, "print the engine metrics registry as JSON and exit")
 	slowQuery := flag.Duration("slow-query", 0, "capture full profiles of statements at or over this duration (e.g. 250ms; \\slow shows them)")
-	noInstr := flag.Bool("no-instrument", false, "disable always-on per-operator counters (A/B measurement only)")
 	flag.Parse()
 
 	db, err := core.Open(*dbDir, core.Options{
-		DOP:                    *dop,
-		BatchSize:              *batchSize,
-		DisableVectorized:      *noVec,
-		SlowQueryThreshold:     *slowQuery,
-		DisableInstrumentation: *noInstr,
+		DOP:                *dop,
+		SlowQueryThreshold: *slowQuery,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "genodb:", err)

@@ -102,10 +102,8 @@ func main() {
 	// operator call. On a PAGE-compressed table, sealed pages keep their
 	// dictionary coding into the scan, so the filter below compares
 	// integer codes — rows it drops are never decompressed. EXPLAIN marks
-	// batch-capable scans "vectorized". core.Options{BatchSize: n} tunes
-	// the batch size and core.Options{DisableVectorized: true} forces the
-	// row engine (both are off-by-default knobs; the planner picks the
-	// batch path on its own).
+	// batch-capable scans "vectorized". No option selects this: the
+	// planner takes the batch path for every heap scan.
 	mustExec(db, `CREATE TABLE tags (tag VARCHAR(24), lane INT)
 	              WITH (DATA_COMPRESSION = PAGE)`)
 	mustExec(db, `INSERT INTO tags VALUES ('CATG', 1), ('GATC', 1), ('CATG', 2), ('TTAA', 2)`)

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/fault"
+	"repro/internal/sqltypes"
 )
 
 // Access-path equivalence: the planner may answer a predicate through a
@@ -50,11 +51,13 @@ func fuzzSelect(t *testing.T, db *Database, query string) {
 // and sweeps randomized sargable (and some non-sargable) predicates
 // across all forced access paths at DOP 4.
 func TestAccessPathEquivalenceFuzz(t *testing.T) {
-	db, err := Open(t.TempDir(), Options{DOP: 4, ParallelThreshold: 64})
+	db, err := Open(t.TempDir(), Options{DOP: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db.Close()
+	db.threshold = 64 // DOP-4 scans over 3 000 rows
+	db.SetDOP(4)
 	defer func() { db.planner.ForcePath = "" }()
 
 	mustExec(t, db, `CREATE TABLE fz (a INT, b INT, s VARCHAR(16))`)
@@ -131,6 +134,85 @@ func TestAccessPathEquivalenceFuzz(t *testing.T) {
 	// Aggregates and ordering over each path.
 	fuzzSelect(t, db, `SELECT s, COUNT(*), SUM(b) FROM fz WHERE a >= 100 AND a < 300 GROUP BY s`)
 	fuzzSelect(t, db, `SELECT a, b FROM fz WHERE a > 450 ORDER BY a, b, s`)
+}
+
+// TestAccessPathCounterFloors holds what each access path is for, in
+// counters that do not depend on the clock: an index point lookup touches
+// at most a tenth of the pool pages of the full scan, a range over an
+// append-ordered column skips at least half the sealed pages by zone map,
+// and a warm scan verifies no checksums (only pool misses do).
+func TestAccessPathCounterFloors(t *testing.T) {
+	const rows = 20000
+	db, err := Open(t.TempDir(), Options{DOP: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	mustExec(t, db, `CREATE TABLE reads (id BIGINT, pos BIGINT, tag VARCHAR(8))`)
+	batch := make([]sqltypes.Row, rows)
+	for i, p := range rand.New(rand.NewSource(2009)).Perm(rows) {
+		// id ascends with insertion order; pos is a permutation of it.
+		batch[i] = sqltypes.Row{sqltypes.NewInt(int64(i)), sqltypes.NewInt(int64(p)), sqltypes.NewString(fmt.Sprintf("t%d", i%5))}
+	}
+	if err := db.InsertRows("reads", batch); err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, db, `CHECKPOINT`) // seal pages -> zone maps
+	mustExec(t, db, `CREATE INDEX idx_pos ON reads(pos)`)
+	mustExec(t, db, `ANALYZE`)
+	td, err := db.table("reads")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sealed := td.heap.SealedPages()
+	// Loading left every page in the pool (clean, after the checkpoint):
+	// drop them so the first scan is the cold one.
+	db.pool.DropFile(td.heap.File())
+
+	run := func(path, query string, want int64) map[string]int64 {
+		t.Helper()
+		db.planner.ForcePath = path
+		before := db.Metrics()
+		if got := mustExec(t, db, query).Rows[0][0].I; got != want {
+			t.Fatalf("path %q: %s = %d, want %d", path, query, got, want)
+		}
+		d := db.Metrics()
+		for name, v := range before {
+			d[name] -= v
+		}
+		return d
+	}
+	const scan = `SELECT COUNT(*) FROM reads WHERE tag = 't3'`
+	cold := run("full", scan, rows/5)
+	if cold["pool.misses"] < sealed || cold["integrity.pages_verified"] < sealed {
+		t.Fatalf("cold scan of %d sealed pages: %d misses, %d pages verified",
+			sealed, cold["pool.misses"], cold["integrity.pages_verified"])
+	}
+	warm := run("full", scan, rows/5)
+	if warm["pool.misses"] != 0 || warm["integrity.pages_verified"] != 0 {
+		t.Errorf("warm scan: %d misses, %d pages verified; checksums must cost nothing on pool hits",
+			warm["pool.misses"], warm["integrity.pages_verified"])
+	}
+
+	point := fmt.Sprintf(`SELECT COUNT(*) FROM reads WHERE pos = %d`, rows/2)
+	full := run("full", point, 1)
+	indexed := run("", point, 1)
+	if plan := mustExec(t, db, "EXPLAIN "+point).Plan; !strings.Contains(plan, "Index Scan") {
+		t.Fatalf("point lookup did not choose the index:\n%s", plan)
+	}
+	fullPages := full["pool.hits"] + full["pool.misses"]
+	idxPages := indexed["pool.hits"] + indexed["pool.misses"]
+	if idxPages == 0 || idxPages*10 > fullPages {
+		t.Errorf("index point lookup touched %d pool pages, full scan %d; want at most a tenth", idxPages, fullPages)
+	}
+
+	lo := int64(rows / 2)
+	rangeQ := fmt.Sprintf(`SELECT COUNT(*) FROM reads WHERE id >= %d AND id < %d`, lo, lo+rows/10)
+	skipped := run("", rangeQ, rows/10)["scan.zone_skipped_pages"]
+	if skipped*2 < sealed {
+		t.Errorf("range over the append-ordered column skipped %d of %d sealed pages; want at least half", skipped, sealed)
+	}
+	t.Logf("%d sealed pages: point lookup %d pool pages indexed vs %d scanned, range skipped %d", sealed, idxPages, fullPages, skipped)
 }
 
 const indexTortureRows = 500

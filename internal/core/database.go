@@ -36,16 +36,8 @@ import (
 type Options struct {
 	// BufferPoolPages caps the page cache (default 32768 pages = 256 MB).
 	BufferPoolPages int
-	// BufferPoolShards sets the pool's lock-shard count (rounded to a
-	// power of two; default 0 auto-sizes from GOMAXPROCS). More shards
-	// reduce latch contention for parallel scans.
-	BufferPoolShards int
 	// DOP is the degree of parallelism for queries (default NumCPU).
 	DOP int
-	// ParallelThreshold is the minimum estimated row count before the
-	// planner considers a parallel scan (default: the planner's, a few
-	// pages of rows).
-	ParallelThreshold int64
 	// JoinMemoryBudget caps the bytes of build-side rows a hash join may
 	// hold in memory before it spills whole partitions to temp files in
 	// <dir>/tmp (default 64 MB; negative disables spilling so joins of
@@ -53,10 +45,6 @@ type Options struct {
 	// budget still returns exactly the in-memory result — it pages
 	// through disk instead of growing the heap.
 	JoinMemoryBudget int64
-	// JoinPartitions is the hash fan-out of partitioned parallel joins
-	// (default 32). More partitions lower the per-partition memory need
-	// and sharpen spill granularity at the cost of smaller hash tables.
-	JoinPartitions int
 	// SortMemoryBudget caps the bytes a sort (ORDER BY, ROW_NUMBER) may
 	// buffer before spilling stably-sorted runs to temp files in
 	// <dir>/tmp and k-way merging them on output (default 64 MB;
@@ -69,40 +57,17 @@ type Options struct {
 	// partition on output (default 64 MB; negative disables spilling).
 	// Parallel plans divide it across their partial aggregates.
 	AggMemoryBudget int64
-	// DisableJoinBloom turns off the probe-side Bloom filters partitioned
-	// joins build over their build keys (used by A/B experiments; the
-	// planner already auto-disables a filter when statistics say nearly
-	// every probe row matches).
-	DisableJoinBloom bool
-	// BatchSize is the target rows per columnar batch for vectorized
-	// execution (default vec.DefaultBatchSize; page-backed scans batch
-	// one page at a time regardless).
-	BatchSize int
-	// DisableVectorized forces every plan back to row-at-a-time
-	// execution (used by A/B experiments and as an escape hatch).
-	DisableVectorized bool
 	// FaultInjector routes the database's storage I/O (heap and btree
 	// pages, WAL, spill files) through fault.Injector failpoints, and
 	// enables simulated power loss: all files buffer through the
 	// injector's FS shim and a crash discards unsynced writes. nil (the
 	// default) means direct OS I/O. Test/torture use only.
 	FaultInjector *fault.Injector
-	// DisablePageChecksums writes heap/columnar pages in the legacy
-	// (version-0, unchecksummed) format and skips verification — for the
-	// checksum-overhead benchmark and format-compatibility tests.
-	DisablePageChecksums bool
 	// SlowQueryThreshold enables the slow-query log: statements running at
 	// or over the threshold keep their full per-operator profile in
 	// Database.SlowQueries (0, the default, disables capture; the query
 	// history ring records every statement regardless).
 	SlowQueryThreshold time.Duration
-	// QueryHistorySize sets the query-history ring capacity (default 128).
-	QueryHistorySize int
-	// DisableInstrumentation turns off the always-on per-operator counters
-	// SELECTs accumulate (row counts, spill volume, Bloom and buffer-pool
-	// activity). EXPLAIN ANALYZE instruments its statement regardless. The
-	// obs overhead benchmark uses this for its A/B baseline.
-	DisableInstrumentation bool
 }
 
 // Database is an open engine instance rooted at a directory.
@@ -139,23 +104,28 @@ type Database struct {
 	vacuumDone chan struct{}
 
 	dop        int
-	threshold  int64 // planner ParallelThreshold override, 0 = default
 	joinBudget int64 // join memory budget (0 = unlimited)
-	joinParts  int   // join hash fan-out
 	sortBudget int64 // sort memory budget (0 = unlimited)
 	aggBudget  int64 // aggregate memory budget (0 = unlimited)
-	noBloom    bool  // disable join Bloom filters
-	batchSize  int   // vectorized batch size (0 = vec default)
-	noVec      bool  // disable vectorized execution
 	planner    *plan.Planner
 	spill      *storage.SpillManager
 	tstats     *stats.Store
 	execStats  exec.ExecStats
 	scanStats  storage.VecScanStats
 
-	inj         *fault.Injector            // fault-injection registry (nil in production)
-	integ       *storage.IntegrityCounters // shared page-checksum counters
-	noChecksums bool
+	inj   *fault.Injector            // fault-injection registry (nil in production)
+	integ *storage.IntegrityCounters // shared page-checksum counters
+
+	// No Options field reaches these four. In-package tests set them after
+	// Open to get the configuration they compare against: threshold and
+	// joinParts (then SetDOP, which rebuilds the planner) put DOP-4 plans
+	// on tables of a few thousand rows, noVec is the row engine the
+	// vectorized one must agree with, noChecksums makes tables created
+	// afterwards write the pre-checksum page format.
+	threshold   int64 // planner ParallelThreshold override, 0 = the planner's
+	joinParts   int   // join hash fan-out
+	noVec       bool  // plan row-at-a-time scans only
+	noChecksums bool  // new heaps write legacy (version-0) pages
 
 	// Observability surface: the named gauge registry behind Metrics(),
 	// the query history + slow-query log, engine-event counters, and the
@@ -166,7 +136,6 @@ type Database struct {
 	checkpoints atomic.Int64
 	vacuumRuns  atomic.Int64
 	pathPicks   plan.PathPickCounters
-	noInstr     bool
 }
 
 // tableData is the open storage behind one catalog table.
@@ -213,9 +182,6 @@ func Open(dir string, opts Options) (*Database, error) {
 	} else if opts.JoinMemoryBudget < 0 {
 		opts.JoinMemoryBudget = 0 // unlimited
 	}
-	if opts.JoinPartitions <= 0 {
-		opts.JoinPartitions = plan.DefaultJoinPartitions
-	}
 	if opts.SortMemoryBudget == 0 {
 		opts.SortMemoryBudget = plan.DefaultSortMemoryBudget
 	} else if opts.SortMemoryBudget < 0 {
@@ -248,7 +214,7 @@ func Open(dir string, opts Options) (*Database, error) {
 	db := &Database{
 		dir:        dir,
 		cat:        cat,
-		pool:       storage.NewBufferPoolSharded(opts.BufferPoolPages, opts.BufferPoolShards),
+		pool:       storage.NewBufferPool(opts.BufferPoolPages),
 		wal:        w,
 		blobs:      blobs,
 		tables:     map[uint32]*tableData{},
@@ -256,28 +222,17 @@ func Open(dir string, opts Options) (*Database, error) {
 		aggs:       map[string]exec.AggFactory{},
 		tvfs:       map[string]plan.TVF{},
 		dop:        opts.DOP,
-		threshold:  opts.ParallelThreshold,
 		joinBudget: opts.JoinMemoryBudget,
-		joinParts:  opts.JoinPartitions,
+		joinParts:  plan.DefaultJoinPartitions,
 		sortBudget: opts.SortMemoryBudget,
 		aggBudget:  opts.AggMemoryBudget,
-		noBloom:    opts.DisableJoinBloom,
-		batchSize:  opts.BatchSize,
-		noVec:      opts.DisableVectorized,
 		tstats:     tstats,
 		tm:         newTxnManager(),
 
-		inj:         opts.FaultInjector,
-		integ:       &storage.IntegrityCounters{},
-		noChecksums: opts.DisablePageChecksums,
-
-		noInstr: opts.DisableInstrumentation,
+		inj:   opts.FaultInjector,
+		integ: &storage.IntegrityCounters{},
 	}
-	histSize := opts.QueryHistorySize
-	if histSize <= 0 {
-		histSize = defaultQueryHistorySize
-	}
-	db.qlog = obs.NewQueryLog(histSize, defaultSlowLogSize, opts.SlowQueryThreshold)
+	db.qlog = obs.NewQueryLog(queryHistorySize, defaultSlowLogSize, opts.SlowQueryThreshold)
 	db.metrics = obs.NewRegistry()
 	db.registerMetrics()
 	db.defaultSess = db.NewSession()
@@ -348,11 +303,6 @@ func (db *Database) DOP() int { return db.dop }
 // per-query hit rates from deltas of this.
 func (db *Database) PoolStats() storage.PoolStats { return db.pool.Stats() }
 
-// WALSyncs returns the number of WAL fsyncs completed so far. With the
-// group-commit pipeline concurrently committing sessions share fsyncs, so
-// under multi-writer load this grows slower than the commit count.
-func (db *Database) WALSyncs() int64 { return db.wal.Syncs() }
-
 // newPlanner builds a planner honoring the database's threshold and join
 // overrides.
 func (db *Database) newPlanner(dop int) *plan.Planner {
@@ -364,7 +314,6 @@ func (db *Database) newPlanner(dop int) *plan.Planner {
 	pl.JoinPartitions = db.joinParts
 	pl.SortMemoryBudget = db.sortBudget
 	pl.AggMemoryBudget = db.aggBudget
-	pl.EnableJoinBloom = !db.noBloom
 	pl.PathPicks = &db.pathPicks
 	return pl
 }

@@ -293,12 +293,14 @@ func TestSpillENOSPCFailsOnlyQuery(t *testing.T) {
 func TestSpillEIOJoinFailsOnlyQuery(t *testing.T) {
 	inj := fault.New(&fault.Rule{Site: "spill", Op: fault.OpWrite, Kind: fault.KindErrIO})
 	db, err := Open(filepath.Join(t.TempDir(), "db"), Options{
-		DOP: 1, FaultInjector: inj, JoinMemoryBudget: 4 << 10, JoinPartitions: 4,
+		DOP: 1, FaultInjector: inj, JoinMemoryBudget: 4 << 10,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { db.Close() })
+	db.joinParts = 4 // 1 000 rows a partition: each spill fills pages and writes them
+	db.SetDOP(1)
 	mustExec(t, db, `CREATE TABLE t (a BIGINT, s VARCHAR(24))`)
 	mustExec(t, db, `CREATE TABLE u (a BIGINT, s VARCHAR(24))`)
 	batch := make([]sqltypes.Row, 0, 4000)

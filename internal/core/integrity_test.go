@@ -13,12 +13,13 @@ import (
 
 // loadTwoTables creates heap tables a and b with enough rows to seal
 // pages, checkpoints, and closes — leaving both durable on disk.
-func loadTwoTables(t *testing.T, dir string, opts Options) {
+func loadTwoTables(t *testing.T, dir string, legacyPages bool) {
 	t.Helper()
-	db, err := Open(dir, opts)
+	db, err := Open(dir, Options{DOP: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	db.noChecksums = legacyPages // read when CREATE TABLE opens the heap
 	for _, name := range []string{"a", "b"} {
 		mustExec(t, db, fmt.Sprintf(`CREATE TABLE %s (k BIGINT, s VARCHAR(24))`, name))
 		rows := make([]sqltypes.Row, 0, 2000)
@@ -68,7 +69,7 @@ func containsTableName(file, table string) bool {
 // scan normally, and Health stays nil.
 func TestCorruptPageFailsQueryNotDatabase(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "db")
-	loadTwoTables(t, dir, Options{DOP: 1})
+	loadTwoTables(t, dir, false)
 
 	// Flip one byte in the middle of table a's first sealed data page.
 	path := tableFile(t, dir, "a")
@@ -145,9 +146,9 @@ func TestCorruptPageFailsQueryNotDatabase(t *testing.T) {
 // a mixed-format file stays fully readable.
 func TestLegacyPagesOpenAndUpgrade(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "db")
-	// DisablePageChecksums writes the legacy (version-0) format — the
-	// same bytes a pre-checksum build produced.
-	loadTwoTables(t, dir, Options{DOP: 1, DisablePageChecksums: true})
+	// Legacy (version-0) pages: the same bytes a pre-checksum build
+	// produced.
+	loadTwoTables(t, dir, true)
 
 	db, err := Open(dir, Options{DOP: 1})
 	if err != nil {

@@ -55,16 +55,13 @@ func TestJoinSpillsAndMatchesInMemory(t *testing.T) {
 	const sql = `SELECT payload, tag FROM reads JOIN aligns ON reads.k = aligns.k WHERE aligns.k < 40`
 	run := func(budget int64) ([]string, *Database) {
 		dir := filepath.Join(t.TempDir(), "db")
-		db, err := Open(dir, Options{
-			DOP:               4,
-			ParallelThreshold: 256,
-			JoinMemoryBudget:  budget,
-			JoinPartitions:    8,
-		})
+		db, err := Open(dir, Options{DOP: 4, JoinMemoryBudget: budget})
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { db.Close() })
+		db.threshold, db.joinParts = 256, 8
+		db.SetDOP(4)
 		loadJoinTables(t, db, 3000, 2500, 500)
 		// The parallel partitioned join must actually be planned.
 		explain := mustExec(t, db, "EXPLAIN "+sql)
@@ -103,13 +100,13 @@ func TestJoinSpillsAndMatchesInMemory(t *testing.T) {
 // TestJoinStatsAccumulate checks the counters are cumulative across
 // queries and cheap to snapshot mid-stream.
 func TestJoinStatsAccumulate(t *testing.T) {
-	db, err := Open(filepath.Join(t.TempDir(), "db"), Options{
-		DOP: 2, ParallelThreshold: 256,
-	})
+	db, err := Open(filepath.Join(t.TempDir(), "db"), Options{DOP: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { db.Close() })
+	db.threshold = 256
+	db.SetDOP(2)
 	loadJoinTables(t, db, 1500, 1200, 100)
 	before := db.ExecStats()
 	mustExec(t, db, `SELECT payload FROM reads JOIN aligns ON reads.k = aligns.k WHERE aligns.k = 1`)

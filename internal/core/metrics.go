@@ -4,9 +4,8 @@ import (
 	"repro/internal/obs"
 )
 
-// defaultQueryHistorySize is the query-history ring capacity when
-// Options.QueryHistorySize is unset.
-const defaultQueryHistorySize = 128
+// queryHistorySize is the query-history ring capacity.
+const queryHistorySize = 128
 
 // defaultSlowLogSize bounds how many slow statements keep their full
 // profile.

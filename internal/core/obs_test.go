@@ -22,20 +22,16 @@ func openJoinDB(t *testing.T, opts Options) *Database {
 	if opts.DOP == 0 {
 		opts.DOP = 4
 	}
-	if opts.ParallelThreshold == 0 {
-		opts.ParallelThreshold = 256
-	}
 	if opts.JoinMemoryBudget == 0 {
 		opts.JoinMemoryBudget = 4 << 10
-	}
-	if opts.JoinPartitions == 0 {
-		opts.JoinPartitions = 8
 	}
 	db, err := Open(filepath.Join(t.TempDir(), "db"), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { db.Close() })
+	db.threshold, db.joinParts = 256, 8
+	db.SetDOP(db.dop)
 	loadJoinTables(t, db, 3000, 2500, 500)
 	return db
 }
@@ -244,7 +240,7 @@ func TestMetricsRegistrySnapshot(t *testing.T) {
 // with durations and spill volume; statements over the threshold keep
 // their full profile in the slow log.
 func TestQueryHistoryAndSlowLog(t *testing.T) {
-	db := openJoinDB(t, Options{SlowQueryThreshold: time.Nanosecond, QueryHistorySize: 4})
+	db := openJoinDB(t, Options{SlowQueryThreshold: time.Nanosecond})
 	mustExec(t, db, spillingJoinSQL)
 	mustExec(t, db, `SELECT COUNT(*) FROM reads`)
 
@@ -278,30 +274,11 @@ func TestQueryHistoryAndSlowLog(t *testing.T) {
 	}
 
 	// History ring respects its capacity.
-	for i := 0; i < 10; i++ {
+	for i := 0; i < queryHistorySize+10; i++ {
 		mustExec(t, db, `SELECT COUNT(*) FROM aligns`)
 	}
-	if got := len(db.QueryHistory()); got != 4 {
-		t.Errorf("ring holds %d records, capacity 4", got)
-	}
-}
-
-// TestDisableInstrumentation: with the knob set, plain SELECTs skip the
-// profile wrappers (no spill bytes in the history), but EXPLAIN ANALYZE
-// still instruments its statement.
-func TestDisableInstrumentation(t *testing.T) {
-	db := openJoinDB(t, Options{DisableInstrumentation: true})
-	mustExec(t, db, spillingJoinSQL)
-	hist := db.QueryHistory()
-	if len(hist) == 0 {
-		t.Fatal("no history")
-	}
-	if hist[0].SpillBytes != 0 {
-		t.Errorf("uninstrumented statement reported spill bytes: %+v", hist[0])
-	}
-	res := mustExec(t, db, "EXPLAIN ANALYZE "+spillingJoinSQL)
-	if !strings.Contains(res.Plan, "actual=") || !strings.Contains(res.Plan, "spill: ") {
-		t.Errorf("EXPLAIN ANALYZE lost instrumentation under the knob:\n%s", res.Plan)
+	if got := len(db.QueryHistory()); got != queryHistorySize {
+		t.Errorf("ring holds %d records, capacity %d", got, queryHistorySize)
 	}
 }
 

@@ -57,9 +57,6 @@ func (db *Database) ExecStmt(stmt sqlparse.Statement) (*Result, error) {
 	return db.defaultSess.ExecStmt(stmt)
 }
 
-// Query is a convenience for SELECT statements.
-func (db *Database) Query(sql string) (*Result, error) { return db.Exec(sql) }
-
 // Begin opens an explicit transaction on the default session.
 func (db *Database) Begin() error { return db.defaultSess.Begin() }
 
@@ -264,29 +261,20 @@ func (s *Session) statementSnapshot() (*Snapshot, func()) {
 // execContext builds the per-query execution context: the configured DOP,
 // the engine-wide operator counters, and the statement's snapshot.
 func (db *Database) execContext(snap *Snapshot) *exec.Context {
-	return &exec.Context{DOP: db.dop, Stats: &db.execStats, Snapshot: snap, BatchSize: db.batchSize}
-}
-
-// runSelect plans and executes a SELECT (callers hold db.mu in some
-// mode).
-func (db *Database) runSelect(sel *sqlparse.Select, snap *Snapshot) (*Result, error) {
-	res, _, err := db.runSelectProfiled(sel, snap, false)
-	return res, err
+	return &exec.Context{DOP: db.dop, Stats: &db.execStats, Snapshot: snap}
 }
 
 // runSelectProfiled plans, instruments and executes a SELECT, returning
 // the executed plan tree alongside the result so callers can read the
 // accumulated per-operator profiles. With timed set (EXPLAIN ANALYZE)
 // the profile wrappers also record wall time; otherwise only the cheap
-// always-on counters accrue (none at all under DisableInstrumentation).
+// always-on counters accrue. Callers hold db.mu in some mode.
 func (db *Database) runSelectProfiled(sel *sqlparse.Select, snap *Snapshot, timed bool) (*Result, *plan.Node, error) {
 	node, err := db.planner.PlanSelect(sel)
 	if err != nil {
 		return nil, nil, err
 	}
-	if timed || !db.noInstr {
-		node.Instrument(timed)
-	}
+	node.Instrument(timed)
 	op, err := node.Build()
 	if err != nil {
 		return nil, nil, err

@@ -35,15 +35,16 @@ func loadEventsTable(t *testing.T, db *Database, n, keySpace, groups int) {
 func openSortAggDB(t *testing.T, sortBudget, aggBudget int64, n int) *Database {
 	t.Helper()
 	db, err := Open(filepath.Join(t.TempDir(), "db"), Options{
-		DOP:               4,
-		ParallelThreshold: 256,
-		SortMemoryBudget:  sortBudget,
-		AggMemoryBudget:   aggBudget,
+		DOP:              4,
+		SortMemoryBudget: sortBudget,
+		AggMemoryBudget:  aggBudget,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { db.Close() })
+	db.threshold = 256
+	db.SetDOP(4)
 	loadEventsTable(t, db, n, 200, 400)
 	return db
 }

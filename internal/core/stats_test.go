@@ -229,44 +229,37 @@ func TestExplainBuildSideFlipsAfterAnalyze(t *testing.T) {
 
 // TestJoinBloomCountersThroughSQL: the Bloom filter engages on a skewed
 // SQL join (build keys are a small subset of probe keys) and its drops
-// surface in ExecStats; disabling it via Options removes them.
+// surface in ExecStats.
 func TestJoinBloomCountersThroughSQL(t *testing.T) {
-	run := func(disable bool) (int64, int64) {
-		db, err := Open(filepath.Join(t.TempDir(), "db"), Options{DOP: 2, DisableJoinBloom: disable})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer db.Close()
-		mustExec(t, db, `CREATE TABLE probe (k BIGINT, s VARCHAR(16))`)
-		mustExec(t, db, `CREATE TABLE build (k BIGINT, s VARCHAR(16))`)
-		rows := make([]sqltypes.Row, 0, 6000)
-		for i := 0; i < 6000; i++ {
-			rows = append(rows, sqltypes.Row{sqltypes.NewInt(int64(i)), sqltypes.NewString("p")})
-		}
-		if err := db.InsertRows("probe", rows); err != nil {
-			t.Fatal(err)
-		}
-		rows = rows[:0]
-		for i := 0; i < 3000; i++ {
-			rows = append(rows, sqltypes.Row{sqltypes.NewInt(int64(i % 300)), sqltypes.NewString("b")})
-		}
-		if err := db.InsertRows("build", rows); err != nil {
-			t.Fatal(err)
-		}
-		before := db.ExecStats()
-		res := mustExec(t, db, `SELECT COUNT(*) FROM probe JOIN build ON probe.k = build.k`)
-		if res.Rows[0][0].I != 3000 { // every build row matches exactly one probe row
-			t.Fatalf("join count = %v", res.Rows)
-		}
-		d := db.ExecStats().Sub(before)
-		return d.Join.BloomChecks, d.Join.BloomDrops
+	db, err := Open(filepath.Join(t.TempDir(), "db"), Options{DOP: 2})
+	if err != nil {
+		t.Fatal(err)
 	}
-	checks, drops := run(false)
-	if checks == 0 || drops == 0 {
-		t.Fatalf("expected bloom activity: checks=%d drops=%d", checks, drops)
+	defer db.Close()
+	mustExec(t, db, `CREATE TABLE probe (k BIGINT, s VARCHAR(16))`)
+	mustExec(t, db, `CREATE TABLE build (k BIGINT, s VARCHAR(16))`)
+	rows := make([]sqltypes.Row, 0, 6000)
+	for i := 0; i < 6000; i++ {
+		rows = append(rows, sqltypes.Row{sqltypes.NewInt(int64(i)), sqltypes.NewString("p")})
 	}
-	if checks2, drops2 := run(true); checks2 != 0 || drops2 != 0 {
-		t.Fatalf("DisableJoinBloom leaked bloom activity: checks=%d drops=%d", checks2, drops2)
+	if err := db.InsertRows("probe", rows); err != nil {
+		t.Fatal(err)
+	}
+	rows = rows[:0]
+	for i := 0; i < 3000; i++ {
+		rows = append(rows, sqltypes.Row{sqltypes.NewInt(int64(i % 300)), sqltypes.NewString("b")})
+	}
+	if err := db.InsertRows("build", rows); err != nil {
+		t.Fatal(err)
+	}
+	before := db.ExecStats()
+	res := mustExec(t, db, `SELECT COUNT(*) FROM probe JOIN build ON probe.k = build.k`)
+	if res.Rows[0][0].I != 3000 { // every build row matches exactly one probe row
+		t.Fatalf("join count = %v", res.Rows)
+	}
+	d := db.ExecStats().Sub(before).Join
+	if d.BloomChecks == 0 || d.BloomDrops == 0 {
+		t.Fatalf("expected bloom activity: checks=%d drops=%d", d.BloomChecks, d.BloomDrops)
 	}
 }
 
@@ -315,7 +308,7 @@ func TestAnalyzeConcurrentWithQueries(t *testing.T) {
 	go func() {
 		var err error
 		for i := 0; i < 20; i++ {
-			if _, err = db.Query(`SELECT COUNT(*) FROM big WHERE v < 4000`); err != nil {
+			if _, err = db.Exec(`SELECT COUNT(*) FROM big WHERE v < 4000`); err != nil {
 				break
 			}
 		}

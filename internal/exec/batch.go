@@ -12,9 +12,9 @@ import (
 // columnar batches. NextBatch returns (nil, nil) at end of stream;
 // returned batches are freshly allocated and owned by the caller (unlike
 // Next rows, they are safe to retain and to hand across goroutines).
-// Every batch operator also implements the row interface, so unmigrated
-// consumers (joins, aggregates, sorts) compose with vectorized subtrees
-// without caring which side of the transition they are on.
+// Every batch operator also implements the row interface, so the row
+// consumers (joins, aggregates, sorts) pull from vectorized subtrees
+// directly.
 type BatchOperator interface {
 	Operator
 	NextBatch() (*vec.Batch, error)
@@ -29,20 +29,18 @@ type BatchIterator interface {
 
 // NextBatch makes Source a BatchOperator: native when the factory's
 // iterator implements BatchIterator, otherwise rows are packed into
-// generic batches (the row-to-batch shim).
+// generic batches.
 func (s *Source) NextBatch() (*vec.Batch, error) {
 	if bi, ok := s.it.(BatchIterator); ok {
 		return bi.NextBatch()
 	}
-	return packRows(s.it.Next, s.batchSize)
+	return packRows(s.it.Next)
 }
 
-// packRows builds one generic batch of up to size rows from a row
-// stream.
-func packRows(next func() (sqltypes.Row, bool, error), size int) (*vec.Batch, error) {
-	if size <= 0 {
-		size = vec.DefaultBatchSize
-	}
+// packRows builds one generic batch of up to vec.DefaultBatchSize rows
+// from a row stream.
+func packRows(next func() (sqltypes.Row, bool, error)) (*vec.Batch, error) {
+	const size = vec.DefaultBatchSize
 	var cols []*vec.Vector
 	n := 0
 	for n < size {
@@ -112,53 +110,6 @@ func (c *batchToRow) next(src func() (*vec.Batch, error)) (sqltypes.Row, bool, e
 	c.row = row
 	return row, true, nil
 }
-
-// RowShim adapts a batch stream to the row interface for unmigrated
-// consumers. Returned rows are reused across calls.
-type RowShim struct {
-	Child BatchOperator
-	cur   batchToRow
-}
-
-// Open opens the child.
-func (r *RowShim) Open(ctx *Context) error {
-	r.cur.reset()
-	return r.Child.Open(ctx)
-}
-
-// Next serves the next selected row of the current batch.
-func (r *RowShim) Next() (sqltypes.Row, bool, error) {
-	return r.cur.next(r.Child.NextBatch)
-}
-
-// Close closes the child.
-func (r *RowShim) Close() error { return r.Child.Close() }
-
-// PruneColumns limits row materialization to the marked columns.
-func (r *RowShim) PruneColumns(needed []bool) { r.cur.needed = needed }
-
-// BatchShim adapts a row Operator to the batch interface by packing rows
-// into generic batches — the inverse of RowShim, for running a
-// batch-only consumer above an unmigrated subtree.
-type BatchShim struct {
-	Child Operator
-	size  int
-}
-
-// Open opens the child.
-func (b *BatchShim) Open(ctx *Context) error {
-	b.size = ctx.BatchSize
-	return b.Child.Open(ctx)
-}
-
-// Next forwards the child's rows.
-func (b *BatchShim) Next() (sqltypes.Row, bool, error) { return b.Child.Next() }
-
-// NextBatch packs the child's rows.
-func (b *BatchShim) NextBatch() (*vec.Batch, error) { return packRows(b.Child.Next, b.size) }
-
-// Close closes the child.
-func (b *BatchShim) Close() error { return b.Child.Close() }
 
 // VecFilter drops rows whose predicate is not TRUE by shrinking each
 // batch's selection vector in place — no rows are copied, and on

@@ -28,10 +28,6 @@ type Context struct {
 	// must thread the same Context down to their sources. nil means
 	// "latest committed" (recovery, TVF side scans).
 	Snapshot any
-	// BatchSize is the target rows per batch for row-to-batch shims;
-	// 0 means vec.DefaultBatchSize. Page-backed scans batch one page at
-	// a time regardless.
-	BatchSize int
 	// Prof, when non-nil, is the profile of the nearest enclosing
 	// instrumented plan operator. Instrument wrappers set it on the
 	// Context they pass to their child, so spill/Bloom/pool activity
@@ -63,8 +59,7 @@ type Source struct {
 	Label   string
 	Factory func(ctx *Context) (RowIterator, error)
 
-	it        RowIterator
-	batchSize int
+	it RowIterator
 }
 
 // Open creates the underlying iterator.
@@ -74,7 +69,6 @@ func (s *Source) Open(ctx *Context) error {
 		return err
 	}
 	s.it = it
-	s.batchSize = ctx.BatchSize
 	return nil
 }
 

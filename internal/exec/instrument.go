@@ -118,14 +118,6 @@ func (in *Instrument) Close() error {
 	return in.Child.Close()
 }
 
-// PruneColumns forwards pruning to row-path children that support it
-// (RowShim above a batch scan), so wrapping never hides the capability.
-func (in *Instrument) PruneColumns(needed []bool) {
-	if cp, ok := in.Child.(ColumnPruner); ok {
-		cp.PruneColumns(needed)
-	}
-}
-
 // VecInstrument is the batch-path profile wrapper. It implements
 // BatchOperator so batch pipelines stay batch pipelines when
 // instrumented, and forwards PruneColumns so column pruning below

@@ -25,9 +25,7 @@ func benchJoinRows(n, keySpace int, seed int64, side string) []sqltypes.Row {
 
 // BenchmarkPartitionedJoin measures the partitioned hash join at DOP
 // 1/2/4/8 over warm in-memory inputs, plus a forced-spill configuration
-// (budget far below the build side) at DOP 4. The bench harness
-// (cmd/experiments -run join) runs the same shape through SQL and writes
-// BENCH_join.json.
+// (budget far below the build side) at DOP 4.
 func BenchmarkPartitionedJoin(b *testing.B) {
 	const (
 		buildN   = 40_000

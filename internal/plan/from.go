@@ -144,7 +144,7 @@ func (pl *Planner) planNamedTable(t *sqlparse.NamedTable, conjuncts []sqlparse.E
 	// Vectorized scans deliver columnar batches; pushed predicates become
 	// selection-vector filters that evaluate dictionary-encoded columns
 	// once per distinct value. The operators still serve the row interface,
-	// so unmigrated consumers (joins, aggregates) compose unchanged.
+	// which is what joins, aggregates and sorts pull from.
 	vectorized := pl.Provider.VectorizedScan(tab)
 
 	scanOp := "Table Scan"
@@ -583,17 +583,15 @@ func (pl *Planner) partitionedJoinRelation(left, right *relation,
 
 	// Probe-side Bloom filter: skip it only when statistics say its pass
 	// rate would be ~1 (nearly every probe key exists on the build side).
-	bloom := pl.EnableJoinBloom
-	if bloom {
-		bNDV, pNDV := keysNDV(build, buildIdents), keysNDV(probe, probeIdents)
-		if bNDV > 0 && pNDV > 0 {
-			common := bNDV
-			if pNDV < common {
-				common = pNDV
-			}
-			if float64(common)/float64(pNDV) >= 0.75 {
-				bloom = false
-			}
+	bloom := true
+	bNDV, pNDV := keysNDV(build, buildIdents), keysNDV(probe, probeIdents)
+	if bNDV > 0 && pNDV > 0 {
+		common := bNDV
+		if pNDV < common {
+			common = pNDV
+		}
+		if float64(common)/float64(pNDV) >= 0.75 {
+			bloom = false
 		}
 	}
 

@@ -164,11 +164,6 @@ type Planner struct {
 	// aggregate may hold before partitions spill (0 = unlimited), divided
 	// across the partial aggregates of a parallel plan.
 	AggMemoryBudget int64
-	// EnableJoinBloom lets partitioned joins build a Bloom filter over
-	// their build keys and drop probe rows before routing/spilling. The
-	// planner auto-disables it per join when statistics estimate that
-	// nearly every probe row matches.
-	EnableJoinBloom bool
 	// ForcePath overrides base-table access-path costing for testing:
 	// "full" (heap scan, no zone filters, no index), "zonemap" (heap scan
 	// with zone filters) or "index" (index scan whenever one applies).
@@ -218,7 +213,6 @@ func NewPlanner(p Provider, dop int) *Planner {
 		JoinPartitions:    DefaultJoinPartitions,
 		SortMemoryBudget:  DefaultSortMemoryBudget,
 		AggMemoryBudget:   DefaultAggMemoryBudget,
-		EnableJoinBloom:   true,
 	}
 }
 

@@ -699,19 +699,14 @@ func TestPlanStatsBuildSideFlip(t *testing.T) {
 	}
 }
 
-// TestPlanJoinBloomDecision: the Bloom filter stays on by default, is
-// dropped when statistics say nearly every probe row matches, and obeys
-// the global switch.
+// TestPlanJoinBloomDecision: the Bloom filter stays on by default and is
+// dropped when statistics say nearly every probe row matches.
 func TestPlanJoinBloomDecision(t *testing.T) {
 	sql := "SELECT b, s FROM u JOIN t ON u.b = t.a"
-	fresh := func() (*fakeProvider, *Planner) {
-		p := newFakeProvider()
-		p.rowCounts["t"] = 10_000
-		p.rowCounts["u"] = 3_000
-		return p, NewPlanner(p, 4)
-	}
-
-	p, pl := fresh()
+	p := newFakeProvider()
+	p.rowCounts["t"] = 10_000
+	p.rowCounts["u"] = 3_000
+	pl := NewPlanner(p, 4)
 	if text := planQuery(t, pl, sql).Explain(); !strings.Contains(text, "BLOOM") {
 		t.Fatalf("bloom should default on without stats:\n%s", text)
 	}
@@ -730,12 +725,6 @@ func TestPlanJoinBloomDecision(t *testing.T) {
 	p.tstats["u"] = uniformIntStats(4, "u", "b", 3_000, 2_000)
 	if text := planQuery(t, pl, sql).Explain(); strings.Contains(text, "BLOOM") {
 		t.Fatalf("bloom should auto-disable at ~1 selectivity:\n%s", text)
-	}
-
-	_, pl2 := fresh()
-	pl2.EnableJoinBloom = false
-	if text := planQuery(t, pl2, sql).Explain(); strings.Contains(text, "BLOOM") {
-		t.Fatalf("bloom should honor the global switch:\n%s", text)
 	}
 }
 

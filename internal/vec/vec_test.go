@@ -1,0 +1,155 @@
+package vec_test
+
+import (
+	"fmt"
+	"sync/atomic"
+	"testing"
+
+	"repro/internal/expr"
+	"repro/internal/sqltypes"
+	"repro/internal/vec"
+)
+
+// lazyInts returns a lazy vector whose cell i decodes to the integer i,
+// counting every decode.
+func lazyInts(n int) (*vec.Vector, *atomic.Int64) {
+	decodes := new(atomic.Int64)
+	v := &vec.Vector{
+		Kind:    sqltypes.KindInt,
+		Imgs:    make([][]byte, n),
+		Decodes: decodes,
+		DecodeImg: func(img []byte) (sqltypes.Value, error) {
+			return sqltypes.NewInt(int64(img[0])), nil
+		},
+	}
+	for i := range v.Imgs {
+		v.Imgs[i] = []byte{byte(i)}
+	}
+	return v, decodes
+}
+
+// TestIsNullPastLazilyGrownBitmap: SetNull grows the bitmap only as far as
+// the last NULL row, so every later row must read as non-null instead of
+// indexing past the bitmap (the PR 7 fuzz found IsNull panicking there).
+func TestIsNullPastLazilyGrownBitmap(t *testing.T) {
+	v := vec.NewVector(sqltypes.KindInt, 200)
+	for i := 0; i < 200; i++ {
+		if i == 3 {
+			v.Append(sqltypes.Null)
+		} else {
+			v.Append(sqltypes.NewInt(int64(i)))
+		}
+	}
+	if len(v.Nulls) != 1 {
+		t.Fatalf("bitmap has %d words for a last NULL at row 3, want 1", len(v.Nulls))
+	}
+	if !v.IsNull(3) {
+		t.Error("row 3 should be NULL")
+	}
+	for _, i := range []int{0, 63, 64, 127, 199} {
+		if v.IsNull(i) {
+			t.Errorf("row %d reads as NULL past the bitmap", i)
+		}
+		val, err := v.Value(i)
+		if err != nil || val.I != int64(i) {
+			t.Errorf("Value(%d) = %v, %v", i, val, err)
+		}
+	}
+
+	v.SetNull(130)
+	if len(v.Nulls) != 3 {
+		t.Fatalf("bitmap has %d words after SetNull(130), want 3", len(v.Nulls))
+	}
+	if !v.IsNull(130) || v.IsNull(64) || v.IsNull(129) || v.IsNull(199) {
+		t.Error("SetNull(130) changed rows other than 130")
+	}
+}
+
+// TestSelectionShrinkInPlace: a filter compacts Sel inside its backing
+// array and reslices it. Len follows the selection, Rows stays physical,
+// nothing is copied, and rows that fell out of the selection are never
+// decoded.
+func TestSelectionShrinkInPlace(t *testing.T) {
+	ids := vec.NewVector(sqltypes.KindInt, 8)
+	for i := 0; i < 8; i++ {
+		ids.Append(sqltypes.NewInt(int64(i)))
+	}
+	payload, decodes := lazyInts(8)
+	b := vec.NewBatch([]*vec.Vector{ids, payload}, 8)
+	if b.Len() != 8 || b.Rows() != 8 {
+		t.Fatalf("fresh batch: Len %d Rows %d, want 8 and 8", b.Len(), b.Rows())
+	}
+	first := &b.Sel[0]
+
+	idAtLeast4 := &expr.Cmp{Op: expr.CmpGe, L: &expr.Col{Idx: 0}, R: &expr.Lit{V: sqltypes.NewInt(4)}}
+	if err := expr.CompileFilter(idAtLeast4).Apply(b); err != nil {
+		t.Fatal(err)
+	}
+
+	if b.Len() != 4 || b.Rows() != 8 {
+		t.Fatalf("after the filter: Len %d Rows %d, want 4 and 8", b.Len(), b.Rows())
+	}
+	if &b.Sel[0] != first {
+		t.Error("shrinking reallocated the selection vector")
+	}
+	var row sqltypes.Row
+	for i, s := range b.Sel {
+		var err error
+		row, err = b.ReadRow(s, row)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := int64(i + 4); row[0].I != want || row[1].I != want {
+			t.Errorf("selected row %d = %v, want [%d %d]", i, row, want, want)
+		}
+	}
+	if got := decodes.Load(); got != 4 {
+		t.Errorf("decoded %d payload cells for 4 selected rows", got)
+	}
+}
+
+// TestReadRowColsSkipsUnmarkedColumns: a column not marked in needed
+// comes back NULL and is not decoded; a needed slice shorter than the
+// batch leaves the columns past its end unmarked; nil means every column.
+func TestReadRowColsSkipsUnmarkedColumns(t *testing.T) {
+	ids := vec.NewVector(sqltypes.KindInt, 2)
+	ids.Append(sqltypes.NewInt(10))
+	ids.Append(sqltypes.NewInt(11))
+	lazy, decodes := lazyInts(2)
+	failing := &vec.Vector{
+		Kind: sqltypes.KindString,
+		Imgs: [][]byte{{0}, {1}},
+		DecodeImg: func([]byte) (sqltypes.Value, error) {
+			return sqltypes.Null, fmt.Errorf("decoded a column nobody asked for")
+		},
+	}
+	b := vec.NewBatch([]*vec.Vector{ids, lazy, failing}, 2)
+
+	dst := make(sqltypes.Row, 3)
+	for _, needed := range [][]bool{{true, false, false}, {true}} {
+		row, err := b.ReadRowCols(1, dst, needed)
+		if err != nil {
+			t.Fatalf("needed %v: %v", needed, err)
+		}
+		if &row[0] != &dst[0] {
+			t.Errorf("needed %v: a large enough dst was not reused", needed)
+		}
+		if row[0].I != 11 || !row[1].IsNull() || !row[2].IsNull() {
+			t.Errorf("needed %v: row = %v, want [11 NULL NULL]", needed, row)
+		}
+	}
+	if got := decodes.Load(); got != 0 {
+		t.Errorf("unmarked lazy column decoded %d cells", got)
+	}
+
+	row, err := b.ReadRowCols(1, nil, []bool{true, true, false})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if row[1].I != 1 || decodes.Load() != 1 {
+		t.Errorf("marked lazy column: value %v after %d decodes, want 1 after 1", row[1], decodes.Load())
+	}
+	if _, err := b.ReadRow(1, nil); err == nil {
+		t.Error("ReadRow (every column) did not reach the failing column")
+	}
+}
