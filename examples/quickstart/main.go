@@ -99,7 +99,9 @@ func main() {
 
 	// Vectorized execution: scans, filters and projections move ~1024-row
 	// columnar batches with selection vectors instead of one row per
-	// operator call. On a PAGE-compressed table, sealed pages keep their
+	// operator call, and a scan decodes only the columns the query reads
+	// (on any table: a column of a sealed page decodes the first time it
+	// is read). On a PAGE-compressed table, sealed pages also keep their
 	// dictionary coding into the scan, so the filter below compares
 	// integer codes — rows it drops are never decompressed. EXPLAIN marks
 	// batch-capable scans "vectorized". No option selects this: the

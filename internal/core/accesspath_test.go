@@ -215,6 +215,59 @@ func TestAccessPathCounterFloors(t *testing.T) {
 	t.Logf("%d sealed pages: point lookup %d pool pages indexed vs %d scanned, range skipped %d", sealed, idxPages, fullPages, skipped)
 }
 
+// TestScanDecodesOnlyTouchedColumns is the late-materialization floor: a
+// batch scan of an uncompressed (row-page) table decodes the columns the
+// query reads and no others. ValuesDecoded counts cells materialized, so
+// a two-column predicate over an 8-column table may cost at most 2 cells
+// per scanned row and a bare COUNT(*) none — where decoding rows and
+// transposing them cost 8.
+func TestScanDecodesOnlyTouchedColumns(t *testing.T) {
+	const rows = 6000
+	db, err := Open(t.TempDir(), Options{DOP: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	mustExec(t, db, `CREATE TABLE lane (r_id BIGINT, fc INT, a INT, b INT, x INT, y INT, s VARCHAR(40), q VARCHAR(40))`)
+	batch := make([]sqltypes.Row, rows)
+	for i := range batch {
+		n := int64(i)
+		batch[i] = sqltypes.Row{
+			sqltypes.NewInt(n), sqltypes.NewInt(7), sqltypes.NewInt(n % 10), sqltypes.NewInt(n % 100),
+			sqltypes.NewInt(n * 3), sqltypes.NewInt(n * 5),
+			sqltypes.NewString(fmt.Sprintf("ACGTACGTACGT%08d", i)), sqltypes.NewString("IIIIIIIIIIIIIIIIIIII"),
+		}
+	}
+	if err := db.InsertRows("lane", batch); err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, db, `CHECKPOINT`)
+
+	perRow := func(query string, want int64) (cells, scanned int64) {
+		t.Helper()
+		before := db.Metrics()
+		if got := mustExec(t, db, query).Rows[0][0].I; got != want {
+			t.Fatalf("%s = %d, want %d", query, got, want)
+		}
+		after := db.Metrics()
+		cells = after["scan.values_decoded"] - before["scan.values_decoded"]
+		scanned = after["scan.rows"] - before["scan.rows"]
+		if scanned != rows {
+			t.Fatalf("%s scanned %d rows in batches, want %d", query, scanned, rows)
+		}
+		return cells, scanned
+	}
+	if cells, scanned := perRow(`SELECT COUNT(*) FROM lane WHERE a = 3 AND b < 50`, rows/20); cells > 2*scanned {
+		t.Errorf("two-column predicate decoded %d cells for %d rows; want at most 2 a row", cells, scanned)
+	}
+	if cells, _ := perRow(`SELECT COUNT(*) FROM lane`, rows); cells != 0 {
+		t.Errorf("bare COUNT(*) decoded %d cells; it reads no column", cells)
+	}
+	if cells, scanned := perRow(`SELECT COUNT(*) FROM lane WHERE CHARINDEX('N', s) = 0`, rows); cells > scanned {
+		t.Errorf("fallback predicate over one column decoded %d cells for %d rows; want at most 1 a row", cells, scanned)
+	}
+}
+
 const indexTortureRows = 500
 
 // runIndexBuildWorkload loads a table, checkpoints, arms the injector,

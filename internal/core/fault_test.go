@@ -316,8 +316,12 @@ func TestSpillEIOJoinFailsOnlyQuery(t *testing.T) {
 	if err := db.InsertRows("u", batch); err != nil {
 		t.Fatal(err)
 	}
+	// s is a join key so that column pruning below COUNT(*) keeps it in
+	// the spilled rows: without the payload a partition's rows fit one
+	// page and the spill never writes.
+	const join = `SELECT COUNT(*) FROM t JOIN u ON t.a = u.a AND t.s = u.s`
 	inj.Arm()
-	_, qerr := db.Exec(`SELECT COUNT(*) FROM t JOIN u ON t.a = u.a`)
+	_, qerr := db.Exec(join)
 	if qerr == nil {
 		t.Fatal("spilling join succeeded with EIO injected on every spill write")
 	}
@@ -335,7 +339,7 @@ func TestSpillEIOJoinFailsOnlyQuery(t *testing.T) {
 	}
 	// The join still answers correctly once the fault clears.
 	inj.Disarm()
-	res, err := db.Exec(`SELECT COUNT(*) FROM t JOIN u ON t.a = u.a`)
+	res, err := db.Exec(join)
 	if err != nil {
 		t.Fatalf("join after fault cleared: %v", err)
 	}

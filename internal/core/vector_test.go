@@ -45,9 +45,10 @@ func runLength(gen func(r *rand.Rand) string) func(r *rand.Rand) string {
 
 var vecFuzzWords = []string{"'alpha'", "'beta'", "'gamma'", "'delta'", "'epsilon'", "'zeta'"}
 
-// randomVecSchema builds id BIGINT plus 3-5 random columns covering the
-// encodings under test: low-NDV strings (dictionary), run-heavy ints
-// (RLE), floats, and 2-bit packable sequences.
+// randomVecSchema builds id BIGINT plus, in random order, one column of
+// every storage kind — each with NULLs — and up to two repeats: low-NDV
+// strings (dictionary), run-heavy 4-byte INTs (RLE) beside wide BIGINTs,
+// floats, BITs and 2-bit packable sequences.
 func randomVecSchema(r *rand.Rand) []vecFuzzColumn {
 	cols := []vecFuzzColumn{{
 		name: "id", typ: "BIGINT",
@@ -57,7 +58,7 @@ func randomVecSchema(r *rand.Rand) []vecFuzzColumn {
 		func(i int) vecFuzzColumn {
 			return vecFuzzColumn{name: fmt.Sprintf("c%d", i), typ: "INT",
 				gen: nullable(0.15, runLength(func(r *rand.Rand) string {
-					return fmt.Sprintf("%d", r.Intn(20))
+					return fmt.Sprintf("%d", r.Intn(40)-20) // negatives: 4-byte cells sign-extend
 				}))}
 		},
 		func(i int) vecFuzzColumn {
@@ -89,10 +90,19 @@ func randomVecSchema(r *rand.Rand) []vecFuzzColumn {
 					return fmt.Sprintf("%d", r.Int63n(1<<40)-(1<<39))
 				})}
 		},
+		func(i int) vecFuzzColumn {
+			return vecFuzzColumn{name: fmt.Sprintf("c%d", i), typ: "BIT",
+				gen: nullable(0.1, func(r *rand.Rand) string {
+					return fmt.Sprintf("%d", r.Intn(2))
+				})}
+		},
 	}
-	n := 3 + r.Intn(3)
-	for i := 0; i < n; i++ {
-		cols = append(cols, kinds[r.Intn(len(kinds))](i))
+	picks := r.Perm(len(kinds))
+	for extra := r.Intn(3); extra > 0; extra-- {
+		picks = append(picks, r.Intn(len(kinds)))
+	}
+	for i, k := range picks {
+		cols = append(cols, kinds[k](i))
 	}
 	return cols
 }
@@ -153,7 +163,22 @@ func vecFuzzQueries(cols []vecFuzzColumn) []vecFuzzQuery {
 		add(`SELECT * FROM t WHERE %s = 'ACGT'`, c)
 		add(`SELECT * FROM t WHERE %s IS NULL`, c)
 		add(`SELECT %s FROM t WHERE %s LIKE 'AC%%'`, c, c)
+		add(`SELECT %s, COUNT(*) FROM t GROUP BY %s`, c, c) // unfiltered scan pruned to the packed column
 	}
+	if c := firstOfType(cols, "BIT"); c != "" {
+		add(`SELECT id, %s FROM t WHERE %s = 1`, c, c)
+	}
+	// Strict column subsets: what the query reads is less than what the
+	// page holds, in the filter, the projection, a fallback expression
+	// and below an aggregate.
+	i4, i8 := firstOfType(cols, "INT"), firstOfType(cols, "BIGINT")
+	str, flt := firstOfType(cols, "VARCHAR"), firstOfType(cols, "FLOAT")
+	add(`SELECT %s FROM t`, i8)
+	add(`SELECT COUNT(*) FROM t WHERE %s = 4 AND %s < 0`, i4, i8)
+	add(`SELECT %s FROM t WHERE %s < 10 AND id > 100`, str, i4)
+	add(`SELECT id, %s FROM t WHERE CHARINDEX('a', %s) = 2`, flt, str)
+	add(`SELECT %s + id FROM t WHERE %s > 12`, i8, i4)
+	add(`SELECT %s, COUNT(*), MIN(%s) FROM t WHERE %s > 50.0 GROUP BY %s`, i4, i8, flt, i4)
 	return qs
 }
 
@@ -177,8 +202,11 @@ func renderRows(res *Result) []string {
 // schemas, NULLs, dictionary/RLE/packed-friendly distributions) into a
 // vectorized and a row-only engine at DOP 1 and DOP 4, and asserts every
 // query in the battery returns the same multiset of rows on all four.
+// Seeds rotate over the three storage formats: NONE and ROW seal row
+// pages (the late-materializing kernel, fixed-width and varint cells),
+// PAGE seals compressed and columnar pages.
 func TestVectorizedRowEquivalenceFuzz(t *testing.T) {
-	for seed := int64(1); seed <= 3; seed++ {
+	for seed := int64(1); seed <= 6; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			r := rand.New(rand.NewSource(seed))
@@ -188,10 +216,11 @@ func TestVectorizedRowEquivalenceFuzz(t *testing.T) {
 			for i, c := range cols {
 				defs[i] = c.name + " " + c.typ
 			}
-			compression := ""
-			if seed%2 == 1 {
-				compression = " WITH (DATA_COMPRESSION = PAGE)"
-			}
+			compression := [...]string{
+				"",
+				" WITH (DATA_COMPRESSION = ROW)",
+				" WITH (DATA_COMPRESSION = PAGE)",
+			}[seed%3]
 			ddl := fmt.Sprintf("CREATE TABLE t (%s)%s", strings.Join(defs, ", "), compression)
 
 			const nRows = 3000

@@ -60,6 +60,10 @@ type Source struct {
 	Factory func(ctx *Context) (RowIterator, error)
 
 	it RowIterator
+	// pruned is it as a batch stream when PruneColumns was called and it
+	// can deliver batches; Next then serves rows through cur.
+	pruned BatchIterator
+	cur    batchToRow
 }
 
 // Open creates the underlying iterator.
@@ -69,13 +73,27 @@ func (s *Source) Open(ctx *Context) error {
 		return err
 	}
 	s.it = it
+	s.cur.reset()
+	s.pruned = nil
+	if s.cur.needed != nil {
+		s.pruned, _ = it.(BatchIterator)
+	}
 	return nil
 }
 
-// Next pulls from the iterator.
+// Next pulls from the iterator. A pruned source whose iterator can
+// deliver batches serves its rows from them instead, so the columns the
+// consumer never reads are never decoded.
 func (s *Source) Next() (sqltypes.Row, bool, error) {
+	if s.pruned != nil {
+		return s.cur.next(s.pruned.NextBatch)
+	}
 	return s.it.Next()
 }
+
+// PruneColumns limits row materialization to the marked columns. Like
+// every ColumnPruner it is called before Open.
+func (s *Source) PruneColumns(needed []bool) { s.cur.needed = needed }
 
 // Close releases the iterator.
 func (s *Source) Close() error {

@@ -118,6 +118,14 @@ func (in *Instrument) Close() error {
 	return in.Child.Close()
 }
 
+// PruneColumns forwards pruning to the child when it supports it (the
+// joins do).
+func (in *Instrument) PruneColumns(needed []bool) {
+	if cp, ok := in.Child.(ColumnPruner); ok {
+		cp.PruneColumns(needed)
+	}
+}
+
 // VecInstrument is the batch-path profile wrapper. It implements
 // BatchOperator so batch pipelines stay batch pipelines when
 // instrumented, and forwards PruneColumns so column pruning below

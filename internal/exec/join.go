@@ -13,12 +13,43 @@ type HashJoin struct {
 	RightKeys []expr.Expr
 	Left      Operator
 	Right     Operator
+	// LeftWidth is the column count of Left's rows; set, it lets column
+	// pruning pass through the join (see pruneJoinInputs).
+	LeftWidth int
 
 	table    map[string][]sqltypes.Row
 	pending  []sqltypes.Row
 	current  sqltypes.Row
 	out      sqltypes.Row
 	leftOpen bool
+}
+
+// pruneJoinInputs forwards column pruning through an equi-join whose
+// output is the left row followed by the right row: each side still has
+// to produce the needed output columns that come from it, plus its own
+// key columns. A join built without leftWidth prunes nothing.
+func pruneJoinInputs(needed []bool, leftWidth int, leftKeys, rightKeys []expr.Expr, left, right []Operator) {
+	if leftWidth <= 0 || leftWidth > len(needed) {
+		return
+	}
+	side := func(cols []bool, keys []expr.Expr, ops []Operator) {
+		mark := append([]bool(nil), cols...)
+		for _, k := range keys {
+			expr.MarkCols(k, mark)
+		}
+		for _, op := range ops {
+			if cp, ok := op.(ColumnPruner); ok {
+				cp.PruneColumns(mark)
+			}
+		}
+	}
+	side(needed[:leftWidth], leftKeys, left)
+	side(needed[leftWidth:], rightKeys, right)
+}
+
+// PruneColumns implements ColumnPruner.
+func (j *HashJoin) PruneColumns(needed []bool) {
+	pruneJoinInputs(needed, j.LeftWidth, j.LeftKeys, j.RightKeys, []Operator{j.Left}, []Operator{j.Right})
 }
 
 // Open builds the hash table from the right child, then opens the probe
@@ -131,6 +162,7 @@ type MergeJoin struct {
 	RightKeys []expr.Expr
 	Left      Operator
 	Right     Operator
+	LeftWidth int // as HashJoin.LeftWidth
 
 	leftRow  sqltypes.Row
 	leftKey  sqltypes.Row
@@ -143,6 +175,11 @@ type MergeJoin struct {
 	groupPos int
 	out      sqltypes.Row
 	opened   bool
+}
+
+// PruneColumns implements ColumnPruner.
+func (m *MergeJoin) PruneColumns(needed []bool) {
+	pruneJoinInputs(needed, m.LeftWidth, m.LeftKeys, m.RightKeys, []Operator{m.Left}, []Operator{m.Right})
 }
 
 // Open opens both children and primes the streams. If priming fails the

@@ -122,6 +122,7 @@ type PartitionedHashJoin struct {
 	// instead and Left/Right may be nil.
 	Left, Right           Operator
 	LeftParts, RightParts []Operator
+	LeftWidth             int // as HashJoin.LeftWidth
 	// BuildLeft selects the left side as the build (hashed) side; the
 	// planner picks the smaller estimated input. Output rows are always
 	// the left row's values followed by the right row's.
@@ -166,6 +167,18 @@ type PartitionedHashJoin struct {
 	subProbe   SpillFile
 	subIdx     int
 	opened     bool
+}
+
+// PruneColumns implements ColumnPruner.
+func (j *PartitionedHashJoin) PruneColumns(needed []bool) {
+	left, right := j.LeftParts, j.RightParts
+	if len(left) == 0 {
+		left = []Operator{j.Left}
+	}
+	if len(right) == 0 {
+		right = []Operator{j.Right}
+	}
+	pruneJoinInputs(needed, j.LeftWidth, j.LeftKeys, j.RightKeys, left, right)
 }
 
 // buildInputs returns the build-side chains and key expressions.

@@ -93,7 +93,7 @@ func compileMask(e Expr) maskEval {
 			return &likeMask{col: c.Idx, pattern: t.Pattern}
 		}
 	}
-	return &genericMask{e: e}
+	return &genericMask{rowEval{e: e}}
 }
 
 // colLitCmp recognizes column-vs-literal comparisons in either operand
@@ -561,21 +561,34 @@ func (m *likeMask) mask(b *vec.Batch, sel []int, out []uint8) error {
 	return nil
 }
 
-// genericMask is the row-at-a-time fallback: it materializes only the
-// selected rows and reuses one scratch row across calls.
-type genericMask struct {
-	e   Expr
-	row sqltypes.Row
+// rowEval is the row-at-a-time fallback shared by predicates and
+// projections with no vector kernel: it boxes only the selected rows,
+// and of those only the columns the expression reads, into one scratch
+// row reused across calls.
+type rowEval struct {
+	e      Expr
+	row    sqltypes.Row
+	needed []bool // columns e reads, marked at the first batch
 }
+
+func (g *rowEval) eval(b *vec.Batch, s int) (sqltypes.Value, error) {
+	if len(g.needed) != len(b.Cols) {
+		g.needed = make([]bool, len(b.Cols))
+		MarkCols(g.e, g.needed)
+	}
+	row, err := b.ReadRowCols(s, g.row, g.needed)
+	if err != nil {
+		return sqltypes.Null, err
+	}
+	g.row = row
+	return g.e.Eval(row)
+}
+
+type genericMask struct{ rowEval }
 
 func (m *genericMask) mask(b *vec.Batch, sel []int, out []uint8) error {
 	for i, s := range sel {
-		row, err := b.ReadRow(s, m.row)
-		if err != nil {
-			return err
-		}
-		m.row = row
-		v, err := m.e.Eval(row)
+		v, err := m.eval(b, s)
 		if err != nil {
 			return err
 		}
@@ -621,7 +634,7 @@ func CompileProjection(exprs []Expr) *Projection {
 		case *Lit:
 			p.evals[i] = &litEval{v: t.V}
 		default:
-			p.evals[i] = &genericEval{e: e}
+			p.evals[i] = &genericEval{row: rowEval{e: e}}
 		}
 	}
 	return p
@@ -675,20 +688,12 @@ func (l *litEval) eval(b *vec.Batch) (*vec.Vector, error) {
 	return out, nil
 }
 
-type genericEval struct {
-	e   Expr
-	row sqltypes.Row
-}
+type genericEval struct{ row rowEval }
 
 func (g *genericEval) eval(b *vec.Batch) (*vec.Vector, error) {
 	out := &vec.Vector{Kind: sqltypes.KindNull, Vals: make([]sqltypes.Value, b.Rows())}
 	for _, s := range b.Sel {
-		row, err := b.ReadRow(s, g.row)
-		if err != nil {
-			return nil, err
-		}
-		g.row = row
-		v, err := g.e.Eval(row)
+		v, err := g.row.eval(b, s)
 		if err != nil {
 			return nil, err
 		}

@@ -454,7 +454,7 @@ func (pl *Planner) planJoin(j *sqlparse.JoinRef, conjuncts []sqlparse.Expr) (*re
 				}
 				return &exec.HashJoin{
 					LeftKeys: leftKeys, RightKeys: rightKeys,
-					Left: l, Right: r,
+					Left: l, Right: r, LeftWidth: len(left.cols),
 				}, nil
 			},
 		}
@@ -509,7 +509,7 @@ func (pl *Planner) orderedMergeJoin(left, right *relation,
 			}
 			return &exec.MergeJoin{
 				LeftKeys: leftKeys, RightKeys: rightKeys,
-				Left: l, Right: r,
+				Left: l, Right: r, LeftWidth: len(left.cols),
 			}, nil
 		},
 	}
@@ -611,6 +611,7 @@ func (pl *Planner) partitionedJoinRelation(left, right *relation,
 		j := &exec.PartitionedHashJoin{
 			LeftKeys:          leftKeys,
 			RightKeys:         rightKeys,
+			LeftWidth:         len(left.cols),
 			BuildLeft:         buildLeft,
 			Partitions:        partitions,
 			MemoryBudget:      pl.JoinMemoryBudget,
@@ -827,7 +828,7 @@ func (pl *Planner) tryMergeJoin(j *sqlparse.JoinRef, left, right *relation,
 			}
 			var mj exec.Operator = &exec.MergeJoin{
 				LeftKeys: leftKeys, RightKeys: rightKeys,
-				Left: lop, Right: rop,
+				Left: lop, Right: rop, LeftWidth: len(left.cols),
 			}
 			if mjNode.Prof != nil {
 				mj = exec.InstrumentOp(mj, mjNode.Prof)

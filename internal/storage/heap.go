@@ -446,11 +446,25 @@ func (h *Heap) VerifyChecksums() (checked, skipped int64, failures []error) {
 	return checked, skipped, failures
 }
 
+// pagePayload returns the row count and payload of a data page image.
+// The used-bytes field is only covered by a checksum on version-1 pages,
+// so it is checked against the page before it is used to slice.
+func pagePayload(page []byte) (n int, payload []byte, err error) {
+	n = int(binary.LittleEndian.Uint16(page[2:]))
+	used := int(binary.LittleEndian.Uint16(page[4:]))
+	if heapHeaderSize+used > len(page) {
+		return 0, nil, fmt.Errorf("storage: page header claims %d payload bytes, a page holds %d: %w",
+			used, len(page)-heapHeaderSize, ErrCorruptPage)
+	}
+	return n, page[heapHeaderSize : heapHeaderSize+used], nil
+}
+
 // decodePage extracts all rows from a data page image.
 func (h *Heap) decodePage(page []byte, dst []sqltypes.Row) ([]sqltypes.Row, error) {
-	n := int(binary.LittleEndian.Uint16(page[2:]))
-	used := int(binary.LittleEndian.Uint16(page[4:]))
-	payload := page[heapHeaderSize : heapHeaderSize+used]
+	n, payload, err := pagePayload(page)
+	if err != nil {
+		return nil, err
+	}
 	switch page[0] {
 	case pageTypeRows:
 		pos := 0

@@ -39,11 +39,12 @@ const (
 // castagnoli is the CRC32C table; hardware-accelerated on amd64/arm64.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// ErrCorruptPage is the class of on-disk page corruption detected by
-// checksum verification. Match with errors.Is; the concrete error is a
-// *CorruptPageError naming the file and page. It fails the reading query
-// only — other tables, whose pages are intact, stay readable.
-var ErrCorruptPage = errors.New("storage: corrupt page (checksum mismatch)")
+// ErrCorruptPage is the class of on-disk page corruption: a checksum
+// mismatch (the concrete error is then a *CorruptPageError naming the
+// file and page) or a page header that cannot be true. Match with
+// errors.Is. It fails the reading query only — other tables, whose pages
+// are intact, stay readable.
+var ErrCorruptPage = errors.New("storage: corrupt page")
 
 // CorruptPageError reports a page whose stored CRC32C does not match its
 // contents.

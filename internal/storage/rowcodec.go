@@ -134,7 +134,7 @@ func (c *RowCodec) Decode(buf []byte, copyData bool) (sqltypes.Row, int, error) 
 func (c *RowCodec) DecodeInto(buf []byte, copyData bool, row sqltypes.Row) (int, error) {
 	nb := (len(c.Kinds) + 7) / 8
 	if len(buf) < nb {
-		return 0, fmt.Errorf("storage: row truncated in null bitmap")
+		return 0, errBitmapTruncated
 	}
 	pos := nb
 	for i, k := range c.Kinds {
@@ -185,7 +185,7 @@ func (c *RowCodec) DecodeInto(buf []byte, copyData bool, row sqltypes.Row) (int,
 				pos += 4
 			} else {
 				v, n := binary.Uvarint(buf[pos:])
-				if n <= 0 {
+				if n <= 0 || v > uint64(len(buf)) { // also keeps int(v) from wrapping negative
 					return 0, errTruncated(i)
 				}
 				ln = int(v)
@@ -210,6 +210,8 @@ func (c *RowCodec) DecodeInto(buf []byte, copyData bool, row sqltypes.Row) (int,
 	}
 	return pos, nil
 }
+
+var errBitmapTruncated = fmt.Errorf("storage: row truncated in null bitmap")
 
 func errTruncated(col int) error {
 	return fmt.Errorf("storage: row truncated in column %d", col)

@@ -58,22 +58,18 @@ func (s VecScanSnapshot) Sub(o VecScanSnapshot) VecScanSnapshot {
 
 var discardVecStats VecScanStats
 
-// decodePageBatch materializes one sealed page into column vectors,
-// preserving on-page dictionary/RLE coding as dictionary vectors.
+// decodePageBatch turns one sealed page into column vectors: row pages
+// become lazy columns (rowpage.go), compressed and columnar pages keep
+// their on-page dictionary/RLE coding as dictionary vectors.
 func (h *Heap) decodePageBatch(page []byte, stats *VecScanStats) ([]*vec.Vector, int, error) {
-	n := int(binaryLittleUint16(page[2:]))
-	used := int(binaryLittleUint16(page[4:]))
-	payload := page[heapHeaderSize : heapHeaderSize+used]
+	n, payload, err := pagePayload(page)
+	if err != nil {
+		return nil, 0, err
+	}
 	switch page[0] {
 	case pageTypeRows:
-		rows := make([]sqltypes.Row, 0, n)
-		rows, err := h.decodePage(page, rows)
-		if err != nil {
-			return nil, 0, err
-		}
-		cols := rowsToVectors(h.kinds, rows)
-		stats.ValuesDecoded.Add(int64(len(rows) * len(h.kinds)))
-		return cols, len(rows), nil
+		cols, err := h.codec.lazyPageBatch(payload, n, stats)
+		return cols, n, err
 	case pageTypeCompressed:
 		return decodeCompressedBatch(h.kinds, payload, stats)
 	case pageTypeColumnar:
@@ -82,11 +78,8 @@ func (h *Heap) decodePageBatch(page []byte, stats *VecScanStats) ([]*vec.Vector,
 	return nil, 0, fmt.Errorf("storage: unknown heap page type %d", page[0])
 }
 
-func binaryLittleUint16(b []byte) uint16 {
-	return uint16(b[0]) | uint16(b[1])<<8
-}
-
-// rowsToVectors transposes decoded rows into typed flat vectors.
+// rowsToVectors transposes the in-memory tail's rows into typed flat
+// vectors.
 func rowsToVectors(kinds []sqltypes.Kind, rows []sqltypes.Row) []*vec.Vector {
 	cols := make([]*vec.Vector, len(kinds))
 	for c, k := range kinds {
@@ -200,11 +193,11 @@ func decodeCompressedBatch(kinds []sqltypes.Kind, buf []byte, stats *VecScanStat
 }
 
 // decodeColumnarBatch converts a columnar (type 3) payload into vectors:
-// dict/RLE columns keep their codes, flat columns stay LAZY — the vector
-// holds raw cell images and decodes one only when the executor actually
-// reads it, so columns the query never touches (and rows the selection
-// vector drops) cost nothing past the structural walk. The payload is
-// copied once up front because lazy images outlive the page pin.
+// dict/RLE columns keep their codes, flat columns stay lazy — the vector
+// holds raw cell images and decodes them when the executor first reads
+// the column, so columns the query never touches cost nothing past the
+// structural walk. The payload is copied once up front because lazy
+// images outlive the page pin.
 func decodeColumnarBatch(kinds []sqltypes.Kind, buf []byte, stats *VecScanStats) ([]*vec.Vector, int, error) {
 	buf = append([]byte(nil), buf...)
 	cr, err := newColumnarReader(buf, len(kinds))
@@ -231,13 +224,7 @@ func decodeColumnarBatch(kinds []sqltypes.Kind, buf []byte, stats *VecScanStats)
 			stats.DictEntriesDecoded.Add(int64(len(dict)))
 			col = &vec.Vector{Kind: kinds[c], Codes: codes, Dict: vals}
 		} else {
-			kind := kinds[c]
-			col = &vec.Vector{
-				Kind:      kind,
-				Imgs:      flat,
-				DecodeImg: func(img []byte) (sqltypes.Value, error) { return cellFromImage(kind, img) },
-				Decodes:   &stats.ValuesDecoded,
-			}
+			col = &vec.Vector{Kind: kinds[c], Lazy: &flatColumn{kind: kinds[c], imgs: flat, stats: stats}}
 		}
 		if nulls != nil {
 			for r := 0; r < cr.nRows; r++ {
@@ -249,6 +236,38 @@ func decodeColumnarBatch(kinds []sqltypes.Kind, buf []byte, stats *VecScanStats)
 		cols[c] = col
 	}
 	return cols, cr.nRows, nil
+}
+
+// flatColumn is a flat column of a columnar page, still as cell images
+// (nil under a null bit): the lazy hook of its vector.
+type flatColumn struct {
+	kind  sqltypes.Kind
+	imgs  [][]byte
+	stats *VecScanStats
+}
+
+// Len returns the page's row count.
+func (f *flatColumn) Len() int { return len(f.imgs) }
+
+// Fill decodes every non-null image into v's typed array.
+func (f *flatColumn) Fill(v *vec.Vector) error {
+	flat := vec.NewVector(f.kind, len(f.imgs))
+	cells := int64(0)
+	for _, img := range f.imgs {
+		if img == nil {
+			flat.Append(sqltypes.Null)
+			continue
+		}
+		val, err := cellFromImage(f.kind, img)
+		if err != nil {
+			return err
+		}
+		flat.Append(val)
+		cells++
+	}
+	v.Ints, v.Floats, v.Strs, v.Byts = flat.Ints, flat.Floats, flat.Strs, flat.Byts
+	f.stats.ValuesDecoded.Add(cells)
+	return nil
 }
 
 // HeapBatchIterator scans sealed pages [loPage, hiPage) batch-at-a-time,

@@ -10,7 +10,6 @@ package vec
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/seq"
 	"repro/internal/sqltypes"
@@ -21,14 +20,16 @@ import (
 // set stays cache-resident.
 const DefaultBatchSize = 1024
 
-// Vector is one column of a batch in one of three physical encodings:
+// Vector is one column of a batch in one of four physical encodings:
 //
 //   - typed flat: the kind-matched array (Ints, Floats, Strs, Byts)
 //     holds one entry per row;
 //   - dictionary: Codes holds one small integer per row indexing Dict
 //     (run-length pages expand to codes on read — runs of equal codes);
 //   - generic: Vals holds boxed values (the row-shim fallback for
-//     streams whose column kinds are unknown).
+//     streams whose column kinds are unknown);
+//   - lazy: Lazy holds the still-encoded column of a scanned page, which
+//     becomes typed flat the first time a cell is read.
 //
 // Nulls, when non-nil, marks NULL rows; their array entries are
 // undefined. Packed marks a BYTES column (flat or dictionary) holding
@@ -53,14 +54,20 @@ type Vector struct {
 	// Generic boxed fallback.
 	Vals []sqltypes.Value
 
-	// Lazy flat encoding: Imgs[i] is row i's encoded cell image (nil
-	// under a null bit), decoded through DecodeImg on first access. A
-	// scan hands out lazy vectors so columns never touched by the query
-	// — and rows dropped by the selection vector — are never decoded.
-	Imgs      [][]byte
-	DecodeImg func(img []byte) (sqltypes.Value, error)
-	Decodes   *atomic.Int64    // optional decoded-cell counter
-	lazy      []sqltypes.Value // decode cache
+	// Lazy, when non-nil, is a flat column the scan has located on its
+	// page but not decoded: Nulls is already valid, the typed array is
+	// filled by the first Value or Materialize call. Columns a query
+	// never reads are never decoded.
+	Lazy LazyColumn
+}
+
+// LazyColumn is the still-encoded form of one flat column of one page.
+type LazyColumn interface {
+	// Len returns the physical row count.
+	Len() int
+	// Fill sets v's kind-matched typed array (Ints, Floats, Strs or Byts)
+	// to one entry per physical row; entries under a null bit are zero.
+	Fill(v *Vector) error
 }
 
 // NewVector returns an empty flat vector of the given kind with capacity
@@ -93,8 +100,8 @@ func (v *Vector) Len() int {
 	switch {
 	case v.Codes != nil:
 		return len(v.Codes)
-	case v.Imgs != nil:
-		return len(v.Imgs)
+	case v.Lazy != nil:
+		return v.Lazy.Len()
 	case v.Ints != nil:
 		return len(v.Ints)
 	case v.Floats != nil:
@@ -151,10 +158,16 @@ func (v *Vector) Append(val sqltypes.Value) {
 // Value boxes row i into the query-level representation: dictionary
 // codes resolve through the dictionary, and packed sequence bytes unpack
 // to their textual form. Only rows reached through the selection vector
-// are ever materialized, so filtered-out rows cost nothing here.
+// are ever boxed or unpacked; a lazy column decodes as a whole on the
+// first call.
 func (v *Vector) Value(i int) (sqltypes.Value, error) {
 	if v.IsNull(i) {
 		return sqltypes.Null, nil
+	}
+	if v.Lazy != nil { // checked here too: Materialize does not inline, Value runs per cell
+		if err := v.Materialize(); err != nil {
+			return sqltypes.Null, err
+		}
 	}
 	var val sqltypes.Value
 	switch {
@@ -164,23 +177,6 @@ func (v *Vector) Value(i int) (sqltypes.Value, error) {
 			return sqltypes.Null, fmt.Errorf("vec: dictionary code %d out of range (%d entries)", c, len(v.Dict))
 		}
 		val = v.Dict[c]
-	case v.Imgs != nil:
-		if v.lazy == nil {
-			v.lazy = make([]sqltypes.Value, len(v.Imgs))
-		}
-		if cached := v.lazy[i]; cached.K != sqltypes.KindNull {
-			val = cached
-		} else {
-			var err error
-			val, err = v.DecodeImg(v.Imgs[i])
-			if err != nil {
-				return sqltypes.Null, err
-			}
-			if v.Decodes != nil {
-				v.Decodes.Add(1)
-			}
-			v.lazy[i] = val
-		}
 	case v.Ints != nil:
 		if v.Kind == sqltypes.KindBool {
 			return sqltypes.NewBool(v.Ints[i] != 0), nil
@@ -201,33 +197,18 @@ func (v *Vector) Value(i int) (sqltypes.Value, error) {
 	return val, nil
 }
 
-// Materialize converts a lazy vector to its typed flat form, decoding
-// every non-null cell. Predicate kernels that want a typed array over
-// all physical rows call this; projections and row reads go through
-// Value and stay lazy.
+// Materialize decodes a lazy vector into its typed flat form, all
+// physical rows at once; on any other vector it does nothing. Predicate
+// kernels call it before reading the typed arrays, Value calls it on the
+// first cell read.
 func (v *Vector) Materialize() error {
-	if v.Imgs == nil {
+	if v.Lazy == nil {
 		return nil
 	}
-	nv := NewVector(v.Kind, len(v.Imgs))
-	decoded := int64(0)
-	for i, img := range v.Imgs {
-		if v.IsNull(i) {
-			nv.Append(sqltypes.Null)
-			continue
-		}
-		val, err := v.DecodeImg(img)
-		if err != nil {
-			return err
-		}
-		nv.Append(val)
-		decoded++
+	if err := v.Lazy.Fill(v); err != nil {
+		return err
 	}
-	if v.Decodes != nil {
-		v.Decodes.Add(decoded)
-	}
-	v.Ints, v.Floats, v.Strs, v.Byts, v.Vals = nv.Ints, nv.Floats, nv.Strs, nv.Byts, nv.Vals
-	v.Imgs, v.DecodeImg, v.lazy = nil, nil, nil
+	v.Lazy = nil
 	return nil
 }
 

@@ -2,7 +2,6 @@ package vec_test
 
 import (
 	"fmt"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/expr"
@@ -10,22 +9,31 @@ import (
 	"repro/internal/vec"
 )
 
-// lazyInts returns a lazy vector whose cell i decodes to the integer i,
-// counting every decode.
-func lazyInts(n int) (*vec.Vector, *atomic.Int64) {
-	decodes := new(atomic.Int64)
-	v := &vec.Vector{
-		Kind:    sqltypes.KindInt,
-		Imgs:    make([][]byte, n),
-		Decodes: decodes,
-		DecodeImg: func(img []byte) (sqltypes.Value, error) {
-			return sqltypes.NewInt(int64(img[0])), nil
-		},
+// lazyInts is a LazyColumn whose cell i decodes to the integer i,
+// counting the cells it decodes; with fail set, Fill errors instead.
+type lazyInts struct {
+	n       int
+	decodes int
+	fail    error
+}
+
+func (l *lazyInts) Len() int { return l.n }
+
+func (l *lazyInts) Fill(v *vec.Vector) error {
+	if l.fail != nil {
+		return l.fail
 	}
-	for i := range v.Imgs {
-		v.Imgs[i] = []byte{byte(i)}
+	v.Ints = make([]int64, l.n)
+	for i := range v.Ints {
+		v.Ints[i] = int64(i)
 	}
-	return v, decodes
+	l.decodes += l.n
+	return nil
+}
+
+func lazyIntVector(n int) (*vec.Vector, *lazyInts) {
+	l := &lazyInts{n: n}
+	return &vec.Vector{Kind: sqltypes.KindInt, Lazy: l}, l
 }
 
 // TestIsNullPastLazilyGrownBitmap: SetNull grows the bitmap only as far as
@@ -67,14 +75,14 @@ func TestIsNullPastLazilyGrownBitmap(t *testing.T) {
 
 // TestSelectionShrinkInPlace: a filter compacts Sel inside its backing
 // array and reslices it. Len follows the selection, Rows stays physical,
-// nothing is copied, and rows that fell out of the selection are never
-// decoded.
+// nothing is copied, and a lazy column the filter does not read stays
+// encoded until a selected row is read, when it decodes once.
 func TestSelectionShrinkInPlace(t *testing.T) {
 	ids := vec.NewVector(sqltypes.KindInt, 8)
 	for i := 0; i < 8; i++ {
 		ids.Append(sqltypes.NewInt(int64(i)))
 	}
-	payload, decodes := lazyInts(8)
+	payload, lazy := lazyIntVector(8)
 	b := vec.NewBatch([]*vec.Vector{ids, payload}, 8)
 	if b.Len() != 8 || b.Rows() != 8 {
 		t.Fatalf("fresh batch: Len %d Rows %d, want 8 and 8", b.Len(), b.Rows())
@@ -88,6 +96,9 @@ func TestSelectionShrinkInPlace(t *testing.T) {
 
 	if b.Len() != 4 || b.Rows() != 8 {
 		t.Fatalf("after the filter: Len %d Rows %d, want 4 and 8", b.Len(), b.Rows())
+	}
+	if lazy.decodes != 0 || payload.Lazy == nil {
+		t.Errorf("the filter on column 0 decoded %d cells of column 1", lazy.decodes)
 	}
 	if &b.Sel[0] != first {
 		t.Error("shrinking reallocated the selection vector")
@@ -103,8 +114,8 @@ func TestSelectionShrinkInPlace(t *testing.T) {
 			t.Errorf("selected row %d = %v, want [%d %d]", i, row, want, want)
 		}
 	}
-	if got := decodes.Load(); got != 4 {
-		t.Errorf("decoded %d payload cells for 4 selected rows", got)
+	if lazy.decodes != 8 || payload.Lazy != nil {
+		t.Errorf("reading 4 selected rows decoded %d payload cells, want the column's 8 once", lazy.decodes)
 	}
 }
 
@@ -115,13 +126,10 @@ func TestReadRowColsSkipsUnmarkedColumns(t *testing.T) {
 	ids := vec.NewVector(sqltypes.KindInt, 2)
 	ids.Append(sqltypes.NewInt(10))
 	ids.Append(sqltypes.NewInt(11))
-	lazy, decodes := lazyInts(2)
+	lazy, hook := lazyIntVector(2)
 	failing := &vec.Vector{
-		Kind: sqltypes.KindString,
-		Imgs: [][]byte{{0}, {1}},
-		DecodeImg: func([]byte) (sqltypes.Value, error) {
-			return sqltypes.Null, fmt.Errorf("decoded a column nobody asked for")
-		},
+		Kind: sqltypes.KindInt,
+		Lazy: &lazyInts{n: 2, fail: fmt.Errorf("decoded a column nobody asked for")},
 	}
 	b := vec.NewBatch([]*vec.Vector{ids, lazy, failing}, 2)
 
@@ -138,18 +146,21 @@ func TestReadRowColsSkipsUnmarkedColumns(t *testing.T) {
 			t.Errorf("needed %v: row = %v, want [11 NULL NULL]", needed, row)
 		}
 	}
-	if got := decodes.Load(); got != 0 {
-		t.Errorf("unmarked lazy column decoded %d cells", got)
+	if hook.decodes != 0 {
+		t.Errorf("unmarked lazy column decoded %d cells", hook.decodes)
 	}
 
 	row, err := b.ReadRowCols(1, nil, []bool{true, true, false})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if row[1].I != 1 || decodes.Load() != 1 {
-		t.Errorf("marked lazy column: value %v after %d decodes, want 1 after 1", row[1], decodes.Load())
+	if row[1].I != 1 || hook.decodes != 2 {
+		t.Errorf("marked lazy column: value %v after %d decodes, want 1 after the column's 2", row[1], hook.decodes)
 	}
 	if _, err := b.ReadRow(1, nil); err == nil {
 		t.Error("ReadRow (every column) did not reach the failing column")
+	}
+	if _, err := b.ReadRow(0, nil); err == nil {
+		t.Error("a column whose decode failed served a cell on the next read")
 	}
 }
