@@ -97,15 +97,17 @@ func main() {
 	fmt.Println("\nplan with statistics (note the est=N rows annotations):")
 	fmt.Print(res.Plan)
 
-	// Vectorized execution: scans, filters and projections move ~1024-row
-	// columnar batches with selection vectors instead of one row per
-	// operator call, and a scan decodes only the columns the query reads
+	// Vectorized execution: scans, filters, projections, the hash join and
+	// COUNT(*)-style aggregates move ~1024-row columnar batches with
+	// selection vectors instead of one row per operator call (a COUNT(*)
+	// over a join never builds a row), and a scan decodes only the columns
+	// the query reads
 	// (on any table: a column of a sealed page decodes the first time it
 	// is read). On a PAGE-compressed table, sealed pages also keep their
 	// dictionary coding into the scan, so the filter below compares
 	// integer codes — rows it drops are never decompressed. EXPLAIN marks
-	// batch-capable scans "vectorized". No option selects this: the
-	// planner takes the batch path for every heap scan.
+	// batch-capable nodes "vectorized". No option selects this: the
+	// planner takes the batch path for every heap scan and hash join.
 	mustExec(db, `CREATE TABLE tags (tag VARCHAR(24), lane INT)
 	              WITH (DATA_COMPRESSION = PAGE)`)
 	mustExec(db, `INSERT INTO tags VALUES ('CATG', 1), ('GATC', 1), ('CATG', 2), ('TTAA', 2)`)

@@ -215,6 +215,72 @@ func TestAccessPathCounterFloors(t *testing.T) {
 	t.Logf("%d sealed pages: point lookup %d pool pages indexed vs %d scanned, range skipped %d", sealed, idxPages, fullPages, skipped)
 }
 
+// TestClusteredSeekCounterFloor: a predicate on the leading column of a
+// clustered key seeks instead of walking every leaf. Counted in pool
+// pages, from db.Metrics() deltas: a primary-key point lookup touches at
+// most 4 (root to leaf plus a neighbour), a leading-column range of a
+// composite key a fraction of the full walk; the pushed predicate still
+// filters, so bounds the seek cannot express exactly (<=, a string's upper
+// end, a second key column) return the same rows as before.
+func TestClusteredSeekCounterFloor(t *testing.T) {
+	const rows = 20000
+	db, err := Open(t.TempDir(), Options{DOP: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	mustExec(t, db, `CREATE TABLE r (r_id BIGINT NOT NULL PRIMARY KEY CLUSTERED, seq VARCHAR(40))`)
+	mustExec(t, db, `CREATE TABLE a (g INT NOT NULL, pos BIGINT NOT NULL, tag VARCHAR(8), PRIMARY KEY CLUSTERED (g, pos))`)
+	rBatch, aBatch := make([]sqltypes.Row, rows), make([]sqltypes.Row, rows)
+	for i := range rBatch {
+		rBatch[i] = sqltypes.Row{sqltypes.NewInt(int64(i + 1)), sqltypes.NewString(fmt.Sprintf("ACGT%016d", i))}
+		aBatch[i] = sqltypes.Row{sqltypes.NewInt(int64(i%8 + 1)), sqltypes.NewInt(int64(i)), sqltypes.NewString(fmt.Sprintf("t%d", i%5))}
+	}
+	if err := db.InsertRows("r", rBatch); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.InsertRows("a", aBatch); err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, db, `CHECKPOINT`)
+
+	pages := func(query string, want int64) int64 {
+		t.Helper()
+		before := db.Metrics()
+		res := mustExec(t, db, query)
+		if got := res.Rows[0][0].I; got != want {
+			t.Fatalf("%s = %d, want %d", query, got, want)
+		}
+		after := db.Metrics()
+		return after["pool.hits"] + after["pool.misses"] - before["pool.hits"] - before["pool.misses"]
+	}
+	walk := pages(`SELECT COUNT(*) FROM r WHERE seq <> ''`, rows)
+	point := pages(`SELECT COUNT(*) FROM r WHERE r_id = 12345`, 1)
+	if point > 4 {
+		t.Errorf("primary-key point lookup touched %d pool pages (full walk %d); want at most 4", point, walk)
+	}
+	if plan := mustExec(t, db, `EXPLAIN SELECT seq FROM r WHERE r_id = 12345`).Plan; !strings.Contains(plan, "SEEK:[12345..12346)") {
+		t.Errorf("EXPLAIN does not show the seek bound:\n%s", plan)
+	}
+	for query, want := range map[string]int64{
+		`SELECT COUNT(*) FROM r WHERE r_id <= 100`:                 100,
+		`SELECT COUNT(*) FROM r WHERE r_id > 19990`:                10,
+		`SELECT COUNT(*) FROM r WHERE r_id > 50 AND r_id < 40`:     0,
+		`SELECT COUNT(*) FROM r WHERE 7 = r_id`:                    1,
+		`SELECT COUNT(*) FROM r WHERE r_id >= 100 AND r_id <= 199`: 100,
+	} {
+		if got := pages(query, want); got*4 > walk {
+			t.Errorf("%s touched %d pool pages, the full walk %d", query, got, walk)
+		}
+	}
+	aWalk := pages(`SELECT COUNT(*) FROM a WHERE tag <> ''`, rows)
+	if got := pages(`SELECT COUNT(*) FROM a WHERE g = 3 AND pos < 10000`, rows/16); got*4 > aWalk {
+		t.Errorf("leading-column range of a composite key touched %d pool pages, the full walk %d", got, aWalk)
+	}
+	pages(`SELECT COUNT(*) FROM a WHERE pos < 10000`, rows/2) // no bound on the leading column: a full walk, still right
+	t.Logf("r: full walk %d pool pages, point lookup %d; a: full walk %d", walk, point, aWalk)
+}
+
 // TestScanDecodesOnlyTouchedColumns is the late-materialization floor: a
 // batch scan of an uncompressed (row-page) table decodes the columns the
 // query reads and no others. ValuesDecoded counts cells materialized, so

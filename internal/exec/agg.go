@@ -12,7 +12,8 @@ import (
 // for built-ins (COUNT, SUM, MIN, MAX, AVG) and user-defined aggregates,
 // which is what lets the engine parallelize UDAs "just like built-in
 // aggregates" (paper Section 2.3.4): partial states accumulate per worker
-// and Merge combines them.
+// and Merge combines them. Add must not keep args: the caller reuses the
+// slice for the next row.
 type AggState interface {
 	Add(args []sqltypes.Value) error
 	Merge(other AggState) error

@@ -80,6 +80,27 @@ func newAggTable(groupBy []expr.Expr, aggs []AggSpec, parts, level int, budget i
 	}
 }
 
+// partitionHash distributes a group-key encoding onto partitions; level
+// seeds the hash so recursive re-partitioning shuffles the keys that
+// collided at the previous level (FNV-1a with a level-salted offset basis).
+func partitionHash(key []byte, level int) uint64 {
+	h := uint64(14695981039346656037) ^ (uint64(level)+1)*0x9E3779B97F4A7C15
+	for _, b := range key {
+		h ^= uint64(b)
+		h *= 1099511628211
+	}
+	return h
+}
+
+// rowMemBytes approximates the retained size of a buffered row.
+func rowMemBytes(row sqltypes.Row) int64 {
+	n := int64(len(row)) * 48 // Value header
+	for _, v := range row {
+		n += int64(len(v.S)) + int64(len(v.B))
+	}
+	return n + 24 // slice header
+}
+
 // groupMemBytes approximates the retained size of one group entry.
 func groupMemBytes(vals sqltypes.Row, keyLen, nStates int) int64 {
 	return rowMemBytes(vals) + int64(keyLen) + int64(nStates)*64 + 48
@@ -429,10 +450,8 @@ type SpillableAggregate struct {
 	// Level seeds the partition hash (zero for planner-built nodes).
 	Level int
 
-	drain    *aggDrain
-	out      sqltypes.Row
-	sawGroup bool
-	emitted  bool
+	drain *aggDrain
+	out   sqltypes.Row
 }
 
 // Open drains the input(s) into budgeted partial tables and prepares the
@@ -444,8 +463,10 @@ func (a *SpillableAggregate) Open(ctx *Context) error {
 		parts = DefaultAggPartitions
 	}
 	a.drain = nil
-	a.sawGroup, a.emitted = false, false
 	a.out = make(sqltypes.Row, len(a.GroupBy)+len(a.Aggs))
+	if len(a.GroupBy) == 0 {
+		return a.openGlobal(ctx)
+	}
 
 	var tables []*aggTable
 	if len(a.Parts) > 0 {
@@ -495,6 +516,113 @@ func (a *SpillableAggregate) Open(ctx *Context) error {
 	return nil
 }
 
+// openGlobal evaluates an aggregate without GROUP BY: one set of states
+// per input, folded a batch at a time where the input delivers batches,
+// then merged. There is always exactly one result group, also over an
+// empty input.
+func (a *SpillableAggregate) openGlobal(ctx *Context) error {
+	inputs := a.Parts
+	if len(inputs) == 0 {
+		inputs = []Operator{a.Child}
+	}
+	partials := make([][]AggState, len(inputs))
+	for i := range partials {
+		partials[i] = newStates(a.Aggs)
+	}
+	errs := make([]error, len(inputs))
+	if len(inputs) == 1 {
+		errs[0] = foldGlobal(ctx, inputs[0], a.Aggs, partials[0])
+	} else {
+		var wg sync.WaitGroup
+		for i, in := range inputs {
+			wg.Add(1)
+			go func(i int, in Operator) {
+				defer wg.Done()
+				errs[i] = foldGlobal(ctx, in, a.Aggs, partials[i])
+			}(i, in)
+		}
+		wg.Wait()
+	}
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	for _, p := range partials[1:] {
+		for i, st := range p {
+			if err := partials[0][i].Merge(st); err != nil {
+				return err
+			}
+		}
+	}
+	a.drain = &aggDrain{mem: []*aggGroup{{states: partials[0]}}}
+	return nil
+}
+
+// foldGlobal opens a child, feeds everything it produces to states, and
+// closes it. A batch child is read through NextBatch and no row is built:
+// COUNT(*) adds the number of selected rows, an aggregate with arguments
+// reads them off the argument vectors. Other children are read row by row.
+func foldGlobal(ctx *Context, child Operator, aggs []AggSpec, states []AggState) error {
+	if err := child.Open(ctx); err != nil {
+		return err
+	}
+	defer child.Close()
+	args := make([][]sqltypes.Value, len(aggs))
+	for i, a := range aggs {
+		args[i] = make([]sqltypes.Value, len(a.Args))
+	}
+	bo, ok := child.(BatchOperator)
+	if !ok {
+		for {
+			row, ok, err := child.Next()
+			if err != nil || !ok {
+				return err
+			}
+			for i, a := range aggs {
+				for j, ae := range a.Args {
+					if args[i][j], err = ae.Eval(row); err != nil {
+						return err
+					}
+				}
+				if err := states[i].Add(args[i]); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	projs := make([]*expr.Projection, len(aggs))
+	for i, a := range aggs {
+		projs[i] = expr.CompileProjection(a.Args)
+	}
+	for {
+		b, err := bo.NextBatch()
+		if err != nil || b == nil {
+			return err
+		}
+		for i, st := range states {
+			if c, ok := st.(*countState); ok && len(args[i]) == 0 {
+				c.n += int64(b.Len())
+				continue
+			}
+			cols, err := projs[i].Eval(b)
+			if err != nil {
+				return err
+			}
+			for _, s := range b.Sel {
+				for j, c := range cols {
+					if args[i][j], err = c.Value(s); err != nil {
+						return err
+					}
+				}
+				if err := st.Add(args[i]); err != nil {
+					return err
+				}
+			}
+		}
+	}
+}
+
 // drainIntoTable opens a child, feeds every row to the table, and closes
 // it.
 func drainIntoTable(ctx *Context, child Operator, t *aggTable) error {
@@ -518,22 +646,14 @@ func drainIntoTable(ctx *Context, child Operator, t *aggTable) error {
 
 // Next emits one group.
 func (a *SpillableAggregate) Next() (sqltypes.Row, bool, error) {
-	if a.drain != nil {
-		g, ok, err := a.drain.next()
-		if err != nil {
-			return nil, false, err
-		}
-		if ok {
-			a.sawGroup = true
-			return renderGroup(a.out, g)
-		}
+	if a.drain == nil {
+		return nil, false, nil
 	}
-	// Global aggregate over an empty input still yields one row.
-	if len(a.GroupBy) == 0 && !a.sawGroup && !a.emitted {
-		a.emitted = true
-		return renderGroup(a.out, &aggGroup{states: newStates(a.Aggs)})
+	g, ok, err := a.drain.next()
+	if err != nil || !ok {
+		return nil, false, err
 	}
-	return nil, false, nil
+	return renderGroup(a.out, g)
 }
 
 // Close releases spill files and tables.

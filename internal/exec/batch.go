@@ -13,8 +13,8 @@ import (
 // returned batches are freshly allocated and owned by the caller (unlike
 // Next rows, they are safe to retain and to hand across goroutines).
 // Every batch operator also implements the row interface, so the row
-// consumers (joins, aggregates, sorts) pull from vectorized subtrees
-// directly.
+// consumers (grouped aggregates, sorts, merge joins) pull from vectorized
+// subtrees directly.
 type BatchOperator interface {
 	Operator
 	NextBatch() (*vec.Batch, error)
@@ -34,30 +34,50 @@ func (s *Source) NextBatch() (*vec.Batch, error) {
 	if bi, ok := s.it.(BatchIterator); ok {
 		return bi.NextBatch()
 	}
-	return packRows(s.it.Next)
+	return s.pack.next(s.it.Next, s.cur.needed)
 }
 
-// packRows builds one generic batch of up to vec.DefaultBatchSize rows
-// from a row stream.
-func packRows(next func() (sqltypes.Row, bool, error)) (*vec.Batch, error) {
+// rowPacker turns a row stream into generic batches. It remembers the end
+// of the stream: a row iterator need not survive a Next after its last.
+type rowPacker struct {
+	done bool
+	last int // rows in the previous batch: the next one's starting capacity
+}
+
+// next builds one batch of up to vec.DefaultBatchSize rows, copying only
+// the columns marked in needed (nil = all); the others are nullColumn.
+// Batches outlive the row they were read from, so byte values are copied
+// out of it.
+func (p *rowPacker) next(next func() (sqltypes.Row, bool, error), needed []bool) (*vec.Batch, error) {
 	const size = vec.DefaultBatchSize
 	var cols []*vec.Vector
 	n := 0
-	for n < size {
+	for n < size && !p.done {
 		row, ok, err := next()
 		if err != nil {
 			return nil, err
 		}
 		if !ok {
+			p.done = true
 			break
 		}
 		if cols == nil {
 			cols = make([]*vec.Vector, len(row))
 			for i := range cols {
-				cols[i] = vec.NewGenericVector(size)
+				if needed == nil || (i < len(needed) && needed[i]) {
+					cols[i] = vec.NewGenericVector(max(p.last, 64))
+				} else {
+					cols[i] = nullColumn
+				}
 			}
 		}
 		for i, v := range row {
+			if cols[i] == nullColumn {
+				continue
+			}
+			if v.K == sqltypes.KindBytes {
+				v.B = append([]byte(nil), v.B...)
+			}
 			cols[i].Append(v)
 		}
 		n++
@@ -65,8 +85,19 @@ func packRows(next func() (sqltypes.Row, bool, error)) (*vec.Batch, error) {
 	if n == 0 {
 		return nil, nil
 	}
+	p.last = n
 	return vec.NewBatch(cols, n), nil
 }
+
+// nullColumn stands in for every column of a batch that its consumer has
+// said it will not read (ColumnPruner). It is shared and never written.
+var nullColumn = func() *vec.Vector {
+	v := &vec.Vector{Kind: sqltypes.KindNull, Vals: make([]sqltypes.Value, vec.DefaultBatchSize)}
+	for i := range v.Vals {
+		v.SetNull(i)
+	}
+	return v
+}()
 
 // ColumnPruner is implemented by batch operators whose row interface
 // can skip materializing columns the consumer never reads. PruneColumns

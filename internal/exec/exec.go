@@ -64,6 +64,7 @@ type Source struct {
 	// can deliver batches; Next then serves rows through cur.
 	pruned BatchIterator
 	cur    batchToRow
+	pack   rowPacker // NextBatch over an iterator without batches
 }
 
 // Open creates the underlying iterator.
@@ -74,6 +75,7 @@ func (s *Source) Open(ctx *Context) error {
 	}
 	s.it = it
 	s.cur.reset()
+	s.pack = rowPacker{}
 	s.pruned = nil
 	if s.cur.needed != nil {
 		s.pruned, _ = it.(BatchIterator)

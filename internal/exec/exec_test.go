@@ -315,7 +315,7 @@ func TestHashJoin(t *testing.T) {
 		[]sqltypes.Value{sqltypes.Null, str("rnull")},
 		[]sqltypes.Value{i64(9), str("r9")},
 	))
-	rows := run(t, &HashJoin{
+	rows := run(t, &PartitionedHashJoin{
 		LeftKeys:  []expr.Expr{col(0)},
 		RightKeys: []expr.Expr{col(0)},
 		Left:      left,
@@ -353,7 +353,7 @@ func TestMergeJoinMatchesHashJoin(t *testing.T) {
 		Left:      NewValues(left),
 		Right:     NewValues(right),
 	})
-	hashRows := run(t, &HashJoin{
+	hashRows := run(t, &PartitionedHashJoin{
 		LeftKeys:  []expr.Expr{col(0)},
 		RightKeys: []expr.Expr{col(0)},
 		Left:      NewValues(left),

@@ -5,153 +5,6 @@ import (
 	"repro/internal/sqltypes"
 )
 
-// HashJoin is an inner equi-join: the right (build) side is materialized
-// into a hash table, the left (probe) side streams. Output rows are the
-// left row's values followed by the right row's.
-type HashJoin struct {
-	LeftKeys  []expr.Expr
-	RightKeys []expr.Expr
-	Left      Operator
-	Right     Operator
-	// LeftWidth is the column count of Left's rows; set, it lets column
-	// pruning pass through the join (see pruneJoinInputs).
-	LeftWidth int
-
-	table    map[string][]sqltypes.Row
-	pending  []sqltypes.Row
-	current  sqltypes.Row
-	out      sqltypes.Row
-	leftOpen bool
-}
-
-// pruneJoinInputs forwards column pruning through an equi-join whose
-// output is the left row followed by the right row: each side still has
-// to produce the needed output columns that come from it, plus its own
-// key columns. A join built without leftWidth prunes nothing.
-func pruneJoinInputs(needed []bool, leftWidth int, leftKeys, rightKeys []expr.Expr, left, right []Operator) {
-	if leftWidth <= 0 || leftWidth > len(needed) {
-		return
-	}
-	side := func(cols []bool, keys []expr.Expr, ops []Operator) {
-		mark := append([]bool(nil), cols...)
-		for _, k := range keys {
-			expr.MarkCols(k, mark)
-		}
-		for _, op := range ops {
-			if cp, ok := op.(ColumnPruner); ok {
-				cp.PruneColumns(mark)
-			}
-		}
-	}
-	side(needed[:leftWidth], leftKeys, left)
-	side(needed[leftWidth:], rightKeys, right)
-}
-
-// PruneColumns implements ColumnPruner.
-func (j *HashJoin) PruneColumns(needed []bool) {
-	pruneJoinInputs(needed, j.LeftWidth, j.LeftKeys, j.RightKeys, []Operator{j.Left}, []Operator{j.Right})
-}
-
-// Open builds the hash table from the right child, then opens the probe
-// child. The build child is closed exactly once on every path (including
-// build errors and a failed probe open), so Open never leaks a child.
-func (j *HashJoin) Open(ctx *Context) error {
-	if err := j.Right.Open(ctx); err != nil {
-		return err
-	}
-	if err := j.buildTable(); err != nil {
-		j.Right.Close()
-		return err
-	}
-	if err := j.Right.Close(); err != nil {
-		return err
-	}
-	j.leftOpen = true
-	if err := j.Left.Open(ctx); err != nil {
-		j.leftOpen = false
-		j.table = nil
-		return err
-	}
-	return nil
-}
-
-func (j *HashJoin) buildTable() error {
-	j.table = make(map[string][]sqltypes.Row)
-	keyVals := make(sqltypes.Row, len(j.RightKeys))
-	var keyBuf []byte
-	for {
-		row, ok, err := j.Right.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return nil
-		}
-		var null bool
-		keyBuf, null, err = appendJoinKey(keyBuf, j.RightKeys, keyVals, row)
-		if err != nil {
-			return err
-		}
-		if null {
-			continue // NULL keys never join
-		}
-		j.table[string(keyBuf)] = append(j.table[string(keyBuf)], row.Clone())
-	}
-}
-
-// Next probes the table with the next left rows.
-func (j *HashJoin) Next() (sqltypes.Row, bool, error) {
-	keyVals := make(sqltypes.Row, len(j.LeftKeys))
-	var keyBuf []byte
-	for {
-		if len(j.pending) > 0 {
-			right := j.pending[0]
-			j.pending = j.pending[1:]
-			return j.combine(j.current, right), true, nil
-		}
-		row, ok, err := j.Left.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		var null bool
-		keyBuf, null, err = appendJoinKey(keyBuf, j.LeftKeys, keyVals, row)
-		if err != nil {
-			return nil, false, err
-		}
-		if null {
-			continue
-		}
-		matches := j.table[string(keyBuf)]
-		if len(matches) == 0 {
-			continue
-		}
-		j.current = row.Clone()
-		j.pending = matches
-	}
-}
-
-func (j *HashJoin) combine(left, right sqltypes.Row) sqltypes.Row {
-	if cap(j.out) < len(left)+len(right) {
-		j.out = make(sqltypes.Row, len(left)+len(right))
-	}
-	j.out = j.out[:len(left)+len(right)]
-	copy(j.out, left)
-	copy(j.out[len(left):], right)
-	return j.out
-}
-
-// Close releases the probe child and the table (the build child was
-// already closed at the end of Open).
-func (j *HashJoin) Close() error {
-	j.table = nil
-	j.pending = nil
-	if !j.leftOpen {
-		return nil
-	}
-	j.leftOpen = false
-	return j.Left.Close()
-}
-
 // MergeJoin is an inner equi-join over two inputs already sorted by their
 // join keys — the plan the paper gets "in about 7 seconds ... about 1.6
 // million alignments per second" by clustering both tables on the join
@@ -162,7 +15,7 @@ type MergeJoin struct {
 	RightKeys []expr.Expr
 	Left      Operator
 	Right     Operator
-	LeftWidth int // as HashJoin.LeftWidth
+	LeftWidth int // as PartitionedHashJoin.LeftWidth
 
 	leftRow  sqltypes.Row
 	leftKey  sqltypes.Row
@@ -215,7 +68,9 @@ func (m *MergeJoin) advanceLeft() error {
 	if !ok {
 		return nil
 	}
-	m.leftRow = row.Clone()
+	// No clone: the row is only read until the next Left.Next(), which is
+	// as long as the child keeps it valid.
+	m.leftRow = row
 	m.leftKey, err = evalKeys(m.LeftKeys, row, m.leftKey)
 	return err
 }
@@ -229,7 +84,7 @@ func (m *MergeJoin) advanceRight() error {
 	if !ok {
 		return nil
 	}
-	m.rightRow = row.Clone()
+	m.rightRow = row // cloned only if it enters a duplicate-key group
 	m.rightKey, err = evalKeys(m.RightKeys, row, m.rightKey)
 	return err
 }
@@ -295,7 +150,7 @@ func (m *MergeJoin) Next() (sqltypes.Row, bool, error) {
 			m.groupKey = m.rightKey.Clone()
 			m.group = m.group[:0]
 			for m.rightOK && sqltypes.CompareRows(m.rightKey, m.groupKey) == 0 {
-				m.group = append(m.group, m.rightRow)
+				m.group = append(m.group, m.rightRow.Clone())
 				if err := m.advanceRight(); err != nil {
 					return nil, false, err
 				}

@@ -24,8 +24,9 @@ func benchJoinRows(n, keySpace int, seed int64, side string) []sqltypes.Row {
 }
 
 // BenchmarkPartitionedJoin measures the partitioned hash join at DOP
-// 1/2/4/8 over warm in-memory inputs, plus a forced-spill configuration
-// (budget far below the build side) at DOP 4.
+// 1/2/4/8 over warm in-memory row inputs, a forced-spill configuration
+// (budget far below the build side) at DOP 4, and batch inputs with typed
+// INT and VARCHAR keys.
 func BenchmarkPartitionedJoin(b *testing.B) {
 	const (
 		buildN   = 40_000
@@ -64,4 +65,53 @@ func BenchmarkPartitionedJoin(b *testing.B) {
 		b.Run(fmt.Sprintf("inmem/dop%d", dop), func(b *testing.B) { run(b, dop, 0) })
 	}
 	b.Run("spill/dop4", func(b *testing.B) { run(b, 4, 256<<10) })
+
+	// Batch sources at DOP 1: the typed kernels with no row boundary on
+	// either side. "pruned" is the COUNT(*) shape, where the build side
+	// keeps its keys and nothing else.
+	strKey := func(rows []sqltypes.Row) []sqltypes.Row {
+		out := make([]sqltypes.Row, len(rows))
+		for i, r := range rows {
+			out[i] = sqltypes.Row{str(fmt.Sprintf("read-%08d", r[0].I)), r[1]}
+		}
+		return out
+	}
+	forms := []colForm{formFlat, formFlat}
+	runBatches := func(b *testing.B, probe, build []sqltypes.Row, needed []bool) {
+		pb, bb := batchesOf(b, probe, forms, 1024), batchesOf(b, build, forms, 1024)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			j := &PartitionedHashJoin{
+				LeftKeys: []expr.Expr{col(0)}, RightKeys: []expr.Expr{col(0)}, LeftWidth: 2,
+				Left: batchSources(b, pb, 1)[0], Right: batchSources(b, bb, 1)[0],
+			}
+			if needed != nil {
+				j.PruneColumns(needed)
+			}
+			if err := j.Open(&Context{DOP: 1}); err != nil {
+				b.Fatal(err)
+			}
+			joined := 0
+			for {
+				out, err := j.NextBatch()
+				if err != nil {
+					b.Fatal(err)
+				}
+				if out == nil {
+					break
+				}
+				joined += out.Len()
+			}
+			if err := j.Close(); err != nil {
+				b.Fatal(err)
+			}
+			if joined == 0 {
+				b.Fatal("empty join result")
+			}
+		}
+	}
+	b.Run("batch/int-key", func(b *testing.B) { runBatches(b, probe, build, nil) })
+	b.Run("batch/string-key", func(b *testing.B) { runBatches(b, strKey(probe), strKey(build), nil) })
+	b.Run("batch/int-key-pruned", func(b *testing.B) { runBatches(b, probe, build, make([]bool, 4)) })
 }

@@ -1,13 +1,14 @@
 package exec
 
 import (
+	"bytes"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/expr"
 	"repro/internal/obs"
 	"repro/internal/sqltypes"
+	"repro/internal/vec"
 )
 
 // SpillFile is a temp row file used by joins whose build side exceeds the
@@ -104,25 +105,32 @@ const DefaultJoinPartitions = 32
 // which no hash can subdivide) is built fully in memory.
 const maxSpillDepth = 4
 
-// PartitionedHashJoin is a Grace-style parallel partitioned hash join:
-// both sides hash-partition on their equi-join keys, DOP workers build the
-// partition hash tables concurrently (each worker owns disjoint
-// partitions, so there is no shared-map locking), and probe streams match
-// against their partition's table through a Gather exchange. When the
-// in-memory build rows exceed MemoryBudget, whole partitions spill both
-// sides to temp files from Spill and are re-joined per partition after the
-// in-memory probe finishes — converting the dominant genomics query shape
-// (reads ⋈ alignments) from serial and memory-bound to parallel and
-// out-of-core.
+// PartitionedHashJoin is the engine's one hash join, a hybrid Grace join
+// through which batches flow, never rows. The build side is drained a
+// batch at a time: each row's key hashes once (joinhash.go), NULL keys
+// drop, and the columns the consumer reads are appended, typed, to one
+// columnar table chained through an open-addressed heads/next array
+// (joinTable). The hash also assigns every row a partition; when the
+// table outgrows MemoryBudget whole partitions leave for temp files from
+// Spill, take their probe rows with them, and are re-joined one at a time,
+// one level down, after the in-memory probe. The probe hashes a batch's
+// key vector, filters it through the Bloom filter, walks the chains
+// comparing hash then key, and gathers the matching (probe row, build
+// row) pairs column by column into output batches — inline when there is
+// one probe chain, under a VecGather exchange when the planner supplied
+// several.
 type PartitionedHashJoin struct {
 	LeftKeys  []expr.Expr
 	RightKeys []expr.Expr
 	// Left and Right are the single-stream inputs. When the planner has
 	// partitioned chains (parallel scans) it sets LeftParts/RightParts
-	// instead and Left/Right may be nil.
+	// instead and Left/Right may be nil. Row-only inputs are packed into
+	// generic batches at the boundary.
 	Left, Right           Operator
 	LeftParts, RightParts []Operator
-	LeftWidth             int // as HashJoin.LeftWidth
+	// LeftWidth is the column count of the left input's rows; set, it lets
+	// column pruning pass through the join (see pruneJoinInputs).
+	LeftWidth int
 	// BuildLeft selects the left side as the build (hashed) side; the
 	// planner picks the smaller estimated input. Output rows are always
 	// the left row's values followed by the right row's.
@@ -138,10 +146,10 @@ type PartitionedHashJoin struct {
 	// Level is the recursion depth (seeds the partition hash so re-spilled
 	// rows redistribute); zero for planner-built joins.
 	Level int
-	// Bloom builds a blocked Bloom filter over the build-side keys during
-	// partitioning and drops probe rows with no possible match before they
-	// are routed — and in particular before they are spilled. The planner
-	// disables it when statistics say nearly every probe row matches.
+	// Bloom builds a blocked Bloom filter over the build-side keys and
+	// drops probe rows with no possible match before they are routed — and
+	// in particular before they are spilled. The planner disables it when
+	// statistics say nearly every probe row matches.
 	Bloom bool
 	// BuildRowsEstimate sizes the Bloom filter (the planner's post-filter
 	// build-side cardinality estimate; 0 uses a default size).
@@ -152,120 +160,123 @@ type PartitionedHashJoin struct {
 	// buffering them and evicting mid-build. Requires Spill.
 	PrePartition int
 
+	needed     []bool // output columns the consumer reads; nil = all
 	ctx        *Context
 	stats      *JoinStats
 	prof       *obs.OpProfile
 	bloom      *BlockedBloom
-	tables     []map[string][]sqltypes.Row
+	table      joinTable
 	spilled    []bool
+	anySpilled bool
 	buildSpill []SpillFile
 	probeSpill []SpillFile
-	gather     *Gather
-	gatherDone bool
+	probe      BatchOperator // the in-memory probe; nil once drained
 	sub        *PartitionedHashJoin
 	subBuild   SpillFile
 	subProbe   SpillFile
 	subIdx     int
+	cur        batchToRow
 	opened     bool
 }
 
-// PruneColumns implements ColumnPruner.
+// PruneColumns implements ColumnPruner: the inputs produce, the table
+// stores and the output gathers only the marked columns (plus keys).
 func (j *PartitionedHashJoin) PruneColumns(needed []bool) {
-	left, right := j.LeftParts, j.RightParts
-	if len(left) == 0 {
-		left = []Operator{j.Left}
-	}
-	if len(right) == 0 {
-		right = []Operator{j.Right}
-	}
-	pruneJoinInputs(needed, j.LeftWidth, j.LeftKeys, j.RightKeys, left, right)
+	j.needed, j.cur.needed = needed, needed
+	pruneJoinInputs(needed, j.LeftWidth, j.LeftKeys, j.RightKeys, j.chains(true), j.chains(false))
 }
 
-// buildInputs returns the build-side chains and key expressions.
-func (j *PartitionedHashJoin) buildInputs() ([]Operator, []expr.Expr) {
-	if j.BuildLeft {
-		if len(j.LeftParts) > 0 {
-			return j.LeftParts, j.LeftKeys
+// pruneJoinInputs forwards column pruning through an equi-join whose
+// output is the left row followed by the right row: each side still has
+// to produce the needed output columns that come from it, plus its own
+// key columns. A join built without leftWidth prunes nothing.
+func pruneJoinInputs(needed []bool, leftWidth int, leftKeys, rightKeys []expr.Expr, left, right []Operator) {
+	if leftWidth <= 0 || leftWidth > len(needed) {
+		return
+	}
+	side := func(cols []bool, keys []expr.Expr, ops []Operator) {
+		mark := withKeyColumns(cols, keys)
+		for _, op := range ops {
+			if cp, ok := op.(ColumnPruner); ok {
+				cp.PruneColumns(mark)
+			}
 		}
-		return []Operator{j.Left}, j.LeftKeys
 	}
-	if len(j.RightParts) > 0 {
-		return j.RightParts, j.RightKeys
-	}
-	return []Operator{j.Right}, j.RightKeys
+	side(needed[:leftWidth], leftKeys, left)
+	side(needed[leftWidth:], rightKeys, right)
 }
 
-// probeInputs returns the probe-side chains and key expressions.
-func (j *PartitionedHashJoin) probeInputs() ([]Operator, []expr.Expr) {
-	if j.BuildLeft {
-		if len(j.RightParts) > 0 {
-			return j.RightParts, j.RightKeys
+// withKeyColumns returns cols with the columns the key expressions read
+// marked as well.
+func withKeyColumns(cols []bool, keys []expr.Expr) []bool {
+	mark := append([]bool(nil), cols...)
+	for _, k := range keys {
+		expr.MarkCols(k, mark)
+	}
+	return mark
+}
+
+// chains returns one side's input chains.
+func (j *PartitionedHashJoin) chains(left bool) []Operator {
+	parts, one := j.RightParts, j.Right
+	if left {
+		parts, one = j.LeftParts, j.Left
+	}
+	if len(parts) > 0 {
+		return parts
+	}
+	return []Operator{one}
+}
+
+// side returns one side's key expressions and the output columns the
+// consumer reads from it (nil = all).
+func (j *PartitionedHashJoin) side(left bool) (keys []expr.Expr, out []bool) {
+	pruned := j.needed != nil && j.LeftWidth > 0 && j.LeftWidth <= len(j.needed)
+	switch {
+	case !left && pruned:
+		return j.RightKeys, j.needed[j.LeftWidth:]
+	case !left:
+		return j.RightKeys, nil
+	case pruned:
+		return j.LeftKeys, j.needed[:j.LeftWidth]
+	}
+	return j.LeftKeys, nil
+}
+
+// rowBatches lets a row-only operator (a clustered scan under a row
+// filter, a merge join, a TVF) feed the join: its rows are packed into
+// generic batches.
+type rowBatches struct {
+	Operator
+	pack rowPacker
+}
+
+func (r *rowBatches) Open(ctx *Context) error {
+	r.pack = rowPacker{}
+	return r.Operator.Open(ctx)
+}
+
+func (r *rowBatches) NextBatch() (*vec.Batch, error) { return r.pack.next(r.Next, nil) }
+
+// batchInput presents one side's chains as a single batch stream: the
+// chain itself when there is one, an unordered exchange over several.
+func batchInput(chains []Operator) BatchOperator {
+	ops := make([]BatchOperator, len(chains))
+	for i, ch := range chains {
+		if bo, ok := ch.(BatchOperator); ok {
+			ops[i] = bo
+		} else {
+			ops[i] = &rowBatches{Operator: ch}
 		}
-		return []Operator{j.Right}, j.RightKeys
 	}
-	if len(j.LeftParts) > 0 {
-		return j.LeftParts, j.LeftKeys
+	if len(ops) == 1 {
+		return ops[0]
 	}
-	return []Operator{j.Left}, j.LeftKeys
+	return &VecGather{Children: ops}
 }
 
-// appendJoinKey evaluates the join-key expressions over row (into the
-// reusable keyVals scratch) and appends the comparable key encoding to
-// dst[:0]. null reports a NULL key, which never joins. Build routing,
-// probe routing and the serial hash join all share this, so the two sides
-// of a join can never disagree on key encoding or NULL semantics.
-func appendJoinKey(dst []byte, keys []expr.Expr, keyVals sqltypes.Row, row sqltypes.Row) (enc []byte, null bool, err error) {
-	for i, e := range keys {
-		v, err := e.Eval(row)
-		if err != nil {
-			return dst, false, err
-		}
-		if v.IsNull() {
-			return dst, true, nil
-		}
-		keyVals[i] = v
-	}
-	enc, err = appendGroupKey(dst[:0], keyVals)
-	return enc, false, err
-}
-
-// bloomKeyHash hashes a key encoding for the Bloom filter. It must be
-// independent of partitionHash (the filter's bit choices must not
-// correlate with partition routing), so it salts the FNV offset basis
-// with a constant outside the recursion-level range.
-func bloomKeyHash(key []byte) uint64 {
-	h := uint64(14695981039346656037) ^ 0xB10F_B10F_B10F_B10F
-	for _, b := range key {
-		h ^= uint64(b)
-		h *= 1099511628211
-	}
-	return h
-}
-
-// partitionHash distributes a key encoding onto partitions; level seeds
-// the hash so recursive re-partitioning shuffles the rows that collided at
-// the previous level (FNV-1a with a level-salted offset basis).
-func partitionHash(key []byte, level int) uint64 {
-	h := uint64(14695981039346656037) ^ (uint64(level)+1)*0x9E3779B97F4A7C15
-	for _, b := range key {
-		h ^= uint64(b)
-		h *= 1099511628211
-	}
-	return h
-}
-
-// rowMemBytes approximates the retained size of a buffered row.
-func rowMemBytes(row sqltypes.Row) int64 {
-	n := int64(len(row)) * 48 // Value header
-	for _, v := range row {
-		n += int64(len(v.S)) + int64(len(v.B))
-	}
-	return n + 24 // slice header
-}
-
-// Open partitions the build side (spilling over-budget partitions),
-// builds the in-memory partition tables with DOP workers, and starts the
-// parallel probe.
+// Open drains the build side into the hash table (spilling over-budget
+// partitions) and opens the probe.
 func (j *PartitionedHashJoin) Open(ctx *Context) error {
 	j.ctx = ctx
 	j.stats = &statsFrom(ctx).Join
@@ -274,14 +285,15 @@ func (j *PartitionedHashJoin) Open(ctx *Context) error {
 	if p < 1 {
 		p = DefaultJoinPartitions
 	}
-	j.tables = make([]map[string][]sqltypes.Row, p)
+	j.table = joinTable{}
 	j.spilled = make([]bool, p)
+	j.anySpilled = false
 	j.buildSpill = make([]SpillFile, p)
 	j.probeSpill = make([]SpillFile, p)
-	j.gather = nil
-	j.gatherDone = false
+	j.probe = nil
 	j.sub, j.subBuild, j.subProbe = nil, nil, nil
 	j.subIdx = 0
+	j.cur.reset()
 	j.opened = true
 	j.bloom = nil
 	if j.Bloom {
@@ -291,33 +303,41 @@ func (j *PartitionedHashJoin) Open(ctx *Context) error {
 		}
 		j.bloom = NewBlockedBloom(est)
 	}
+	err := j.open(ctx, p)
+	if err != nil {
+		j.releaseSpills()
+		j.table = joinTable{}
+	}
+	return err
+}
+
+func (j *PartitionedHashJoin) open(ctx *Context, p int) error {
 	if j.PrePartition > 0 && j.Spill != nil {
-		n := j.PrePartition
-		if n > p {
-			n = p
-		}
-		for i := 0; i < n; i++ {
+		for i := 0; i < j.PrePartition && i < p; i++ {
 			f, err := j.Spill.Create()
 			if err != nil {
-				j.releaseSpills()
 				return err
 			}
 			j.buildSpill[i] = f
-			j.spilled[i] = true
-			j.stats.SpilledPartitions.Add(1)
-			j.prof.AddSpill(0, 1, 0)
+			j.markSpilled(i, 0)
 		}
 	}
+	buildKeys, buildOut := j.side(j.BuildLeft)
+	probeKeys, probeOut := j.side(!j.BuildLeft)
 
-	partRows, partKeys, err := j.partitionBuildSide(ctx, p)
+	in := batchInput(j.chains(j.BuildLeft))
+	if err := in.Open(ctx); err != nil {
+		return err
+	}
+	err := j.drainBuild(in, buildKeys, buildOut, p)
+	if cerr := in.Close(); err == nil {
+		err = cerr
+	}
 	if err != nil {
-		j.releaseSpills()
 		return err
 	}
-	if err := j.buildTables(ctx, partRows, partKeys); err != nil {
-		j.releaseSpills()
-		return err
-	}
+	j.table.link()
+
 	// Spilled build partitions need their probe rows captured too.
 	for i, sp := range j.spilled {
 		if !sp {
@@ -325,212 +345,200 @@ func (j *PartitionedHashJoin) Open(ctx *Context) error {
 		}
 		f, err := j.Spill.Create()
 		if err != nil {
-			j.releaseSpills()
 			return err
 		}
 		j.probeSpill[i] = f
 	}
-	probeChains, probeKeys := j.probeInputs()
+	var carry []bool
+	if probeOut != nil {
+		carry = withKeyColumns(probeOut, probeKeys)
+	}
+	probeChains := j.chains(!j.BuildLeft)
 	workers := make([]Operator, len(probeChains))
 	for i, ch := range probeChains {
-		workers[i] = &phjProbe{j: j, child: ch, keys: probeKeys}
+		workers[i] = &phjProbe{
+			j: j, child: batchInput([]Operator{ch}), out: probeOut, carry: carry,
+			keys: keyHasher{proj: expr.CompileProjection(probeKeys)},
+		}
 	}
-	j.gather = &Gather{Children: workers}
-	return j.gather.Open(ctx)
+	probe := batchInput(workers)
+	if err := probe.Open(ctx); err != nil {
+		return err
+	}
+	j.probe = probe
+	return nil
 }
 
-// partitionBuildSide drains the build input (through an unordered Gather
-// when the planner supplied parallel chains, so the scan itself overlaps
-// I/O) and routes each row to its partition, spilling the largest
-// partitions whenever the buffered bytes exceed the budget.
-func (j *PartitionedHashJoin) partitionBuildSide(ctx *Context, p int) ([][]sqltypes.Row, [][]string, error) {
-	chains, keys := j.buildInputs()
-	var next func() (sqltypes.Row, bool, error)
-	var closeInput func() error
-	needClone := true
-	if len(chains) == 1 {
-		ch := chains[0]
-		if err := ch.Open(ctx); err != nil {
-			return nil, nil, err
-		}
-		next, closeInput = ch.Next, ch.Close
-	} else {
-		g := &Gather{Children: chains}
-		if err := g.Open(ctx); err != nil {
-			return nil, nil, err
-		}
-		next, closeInput = g.Next, g.Close
-		needClone = false // gather already clones into fresh rows
-	}
+// markSpilled records that partition pt left memory with rows build rows.
+func (j *PartitionedHashJoin) markSpilled(pt int, rows int64) {
+	j.spilled[pt] = true
+	j.anySpilled = true
+	j.stats.SpilledPartitions.Add(1)
+	j.stats.SpilledBuildRows.Add(rows)
+	j.prof.AddSpill(0, 1, rows)
+}
 
-	partRows := make([][]sqltypes.Row, p)
-	partKeys := make([][]string, p)
+// drainBuild pulls the build input a batch at a time, hashes the keys and
+// appends the rows of in-memory partitions to the table; rows of spilled
+// partitions go to their files. After each batch the largest partitions
+// are evicted until the table fits the budget again.
+func (j *PartitionedHashJoin) drainBuild(in BatchOperator, keys []expr.Expr, out []bool, p int) error {
+	t := &j.table
+	kh := keyHasher{proj: expr.CompileProjection(keys)}
+	var carry []bool
+	if out != nil {
+		carry = withKeyColumns(out, keys)
+	}
 	partBytes := make([]int64, p)
 	var memBytes int64
-	keyVals := make(sqltypes.Row, len(keys))
-	var keyBuf []byte
-	fail := func(err error) ([][]sqltypes.Row, [][]string, error) {
-		closeInput()
-		return nil, nil, err
-	}
+	var pts []int
+	var row sqltypes.Row
 	for {
-		row, ok, err := next()
+		b, err := in.NextBatch()
 		if err != nil {
-			return fail(err)
+			return err
 		}
-		if !ok {
-			break
+		if b == nil {
+			return nil
 		}
-		var null bool
-		keyBuf, null, err = appendJoinKey(keyBuf, keys, keyVals, row)
+		rows, hashes, err := kh.hash(b)
 		if err != nil {
-			return fail(err)
+			return err
 		}
-		if null {
+		if len(rows) == 0 {
 			continue
 		}
-		j.stats.BuildRows.Add(1)
-		if j.bloom != nil {
-			j.bloom.Add(bloomKeyHash(keyBuf))
+		j.stats.BuildRows.Add(int64(len(rows)))
+		if t.keys == nil {
+			t.init(len(b.Cols), keys, out)
 		}
-		pt := int(partitionHash(keyBuf, j.Level) % uint64(p))
-		if j.spilled[pt] {
-			if err := j.buildSpill[pt].Append(row); err != nil {
-				return fail(err)
+		n := 0
+		pts = pts[:0]
+		for k, r := range rows {
+			h := hashes[k]
+			if j.bloom != nil {
+				j.bloom.Add(h)
 			}
-			j.stats.SpilledBuildRows.Add(1)
-			j.prof.AddSpill(0, 0, 1)
+			pt := joinPartition(h, j.Level, p)
+			if j.spilled[pt] {
+				if row, err = b.ReadRowCols(r, row, carry); err != nil {
+					return err
+				}
+				if err := j.buildSpill[pt].Append(row); err != nil {
+					return err
+				}
+				continue
+			}
+			rows[n], hashes[n] = r, h
+			pts = append(pts, pt)
+			n++
+		}
+		if d := int64(len(rows) - n); d > 0 {
+			j.stats.SpilledBuildRows.Add(d)
+			j.prof.AddSpill(0, 0, d)
+		}
+		base := len(t.hashes)
+		if err := t.append(b, kh.cols, rows[:n], hashes[:n]); err != nil {
+			return err
+		}
+		if j.MemoryBudget <= 0 {
 			continue
 		}
-		if needClone {
-			row = row.Clone()
+		for k, pt := range pts {
+			sz := t.rowBytes(base + k)
+			partBytes[pt] += sz
+			memBytes += sz
 		}
-		partRows[pt] = append(partRows[pt], row)
-		partKeys[pt] = append(partKeys[pt], string(keyBuf))
-		sz := rowMemBytes(row) + int64(len(keyBuf))
-		partBytes[pt] += sz
-		memBytes += sz
-		for j.MemoryBudget > 0 && memBytes > j.MemoryBudget {
+		for memBytes > j.MemoryBudget {
 			victim := -1
-			for i := range partBytes {
-				if !j.spilled[i] && len(partRows[i]) > 0 &&
-					(victim < 0 || partBytes[i] > partBytes[victim]) {
+			for i, sz := range partBytes {
+				if sz > 0 && (victim < 0 || sz > partBytes[victim]) {
 					victim = i
 				}
 			}
 			if victim < 0 {
 				break // nothing left to evict
 			}
-			if j.Spill == nil {
-				return fail(fmt.Errorf("exec: join memory budget %d exceeded and no spill store configured", j.MemoryBudget))
+			if err := j.evict(victim, p); err != nil {
+				return err
 			}
-			f, err := j.Spill.Create()
-			if err != nil {
-				return fail(err)
-			}
-			for _, r := range partRows[victim] {
-				if err := f.Append(r); err != nil {
-					f.Release()
-					return fail(err)
-				}
-			}
-			j.stats.SpilledPartitions.Add(1)
-			j.stats.SpilledBuildRows.Add(int64(len(partRows[victim])))
-			j.prof.AddSpill(0, 1, int64(len(partRows[victim])))
-			j.buildSpill[victim] = f
-			j.spilled[victim] = true
 			memBytes -= partBytes[victim]
 			partBytes[victim] = 0
-			partRows[victim] = nil
-			partKeys[victim] = nil
 		}
 	}
-	if err := closeInput(); err != nil {
-		return nil, nil, err
-	}
-	return partRows, partKeys, nil
 }
 
-// buildTables constructs the in-memory partition hash tables with up to
-// DOP workers; worker w owns partitions w, w+DOP, ... so no table is
-// shared between goroutines.
-func (j *PartitionedHashJoin) buildTables(ctx *Context, partRows [][]sqltypes.Row, partKeys [][]string) error {
-	p := len(partRows)
-	workers := ctx.DOP
-	if workers < 1 {
-		workers = 1
+// evict moves the table's rows of one partition to a new spill file.
+func (j *PartitionedHashJoin) evict(victim, p int) error {
+	if j.Spill == nil {
+		return fmt.Errorf("exec: join memory budget %d exceeded and no spill store configured", j.MemoryBudget)
 	}
-	if workers > p {
-		workers = p
+	f, err := j.Spill.Create()
+	if err != nil {
+		return err
 	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < p; i += workers {
-				if j.spilled[i] || len(partRows[i]) == 0 {
-					continue
-				}
-				m := make(map[string][]sqltypes.Row, len(partRows[i]))
-				for r, row := range partRows[i] {
-					k := partKeys[i][r]
-					m[k] = append(m[k], row)
-				}
-				j.tables[i] = m
-			}
-		}(w)
+	j.buildSpill[victim] = f
+	t := &j.table
+	keep := make([]int, 0, len(t.hashes))
+	var row sqltypes.Row
+	for i, h := range t.hashes {
+		if joinPartition(h, j.Level, p) != victim {
+			keep = append(keep, i)
+			continue
+		}
+		if row, err = t.row(i, row); err != nil {
+			return err
+		}
+		if err := f.Append(row); err != nil {
+			return err
+		}
 	}
-	wg.Wait()
-	return nil
+	j.markSpilled(victim, int64(len(t.hashes)-len(keep)))
+	return t.compact(keep)
 }
 
-// Next returns joined rows: first the streamed in-memory matches from the
-// probe gather, then — once every probe worker has finished routing — the
-// recursive joins of the spilled partitions, one partition at a time.
-func (j *PartitionedHashJoin) Next() (sqltypes.Row, bool, error) {
+// NextBatch returns joined batches: first the in-memory matches of the
+// probe, then — once every probe row has been routed — the recursive
+// joins of the spilled partitions, one partition at a time.
+func (j *PartitionedHashJoin) NextBatch() (*vec.Batch, error) {
 	for {
-		if !j.gatherDone {
-			row, ok, err := j.gather.Next()
+		if j.probe != nil {
+			b, err := j.probe.NextBatch()
+			if err != nil || b != nil {
+				return b, err
+			}
+			err = j.probe.Close()
+			j.probe = nil
+			// The table is dead weight from here on: the spilled-partition
+			// recursion re-reads both sides from disk, and each recursion
+			// level builds its own budget-sized table. Freeing it keeps
+			// resident build memory near one budget instead of one per
+			// level.
+			j.table = joinTable{}
 			if err != nil {
-				return nil, false, err
+				return nil, err
 			}
-			if ok {
-				return row, true, nil
-			}
-			j.gatherDone = true
-			if err := j.gather.Close(); err != nil {
-				return nil, false, err
-			}
-			j.gather = nil
-			// The in-memory tables are dead weight from here on: the
-			// spilled-partition recursion re-reads both sides from disk,
-			// and each recursion level builds its own budget-sized tables.
-			// Freeing them keeps resident build memory near one budget
-			// instead of one per recursion level.
-			j.tables = nil
 		}
 		if j.sub != nil {
-			row, ok, err := j.sub.Next()
-			if err != nil {
-				return nil, false, err
-			}
-			if ok {
-				return row, true, nil
+			b, err := j.sub.NextBatch()
+			if err != nil || b != nil {
+				return b, err
 			}
 			if err := j.finishSub(); err != nil {
-				return nil, false, err
+				return nil, err
 			}
 			continue
 		}
 		started, err := j.startNextSpilled()
-		if err != nil {
-			return nil, false, err
-		}
-		if !started {
-			return nil, false, nil
+		if err != nil || !started {
+			return nil, err
 		}
 	}
+}
+
+// Next serves rows from joined batches.
+func (j *PartitionedHashJoin) Next() (sqltypes.Row, bool, error) {
+	return j.cur.next(j.NextBatch)
 }
 
 // startNextSpilled opens the recursive join over the next non-empty
@@ -559,10 +567,12 @@ func (j *PartitionedHashJoin) startNextSpilled() (bool, error) {
 		sub := &PartitionedHashJoin{
 			LeftKeys:   j.LeftKeys,
 			RightKeys:  j.RightKeys,
+			LeftWidth:  j.LeftWidth,
 			BuildLeft:  j.BuildLeft,
 			Partitions: j.Partitions,
 			Spill:      j.Spill,
 			Level:      j.Level + 1,
+			needed:     j.needed,
 		}
 		// Past maxSpillDepth the partition cannot be subdivided further
 		// (all rows share a key); build it in memory regardless of budget.
@@ -622,16 +632,16 @@ func (j *PartitionedHashJoin) releaseSpills() {
 	}
 }
 
-// Close stops the probe, releases spill files and frees the tables.
+// Close stops the probe, releases spill files and frees the table.
 func (j *PartitionedHashJoin) Close() error {
 	if !j.opened {
 		return nil
 	}
 	j.opened = false
 	var err error
-	if j.gather != nil {
-		err = j.gather.Close()
-		j.gather = nil
+	if j.probe != nil {
+		err = j.probe.Close()
+		j.probe = nil
 	}
 	if j.sub != nil {
 		if serr := j.finishSub(); err == nil {
@@ -639,108 +649,451 @@ func (j *PartitionedHashJoin) Close() error {
 		}
 	}
 	j.releaseSpills()
-	j.tables = nil
+	j.table = joinTable{}
 	j.bloom = nil
 	return err
 }
 
-// phjProbe is one probe worker: it streams its chain, matches rows whose
-// partition is in memory (the tables are read-only by now, so lookups are
-// lock-free) and routes rows of spilled partitions to the partition's
-// probe file (SpillFile.Append is concurrency-safe).
+// keyHasher turns a batch into the rows that can join and their key
+// hashes. Its slices are scratch, valid until the next call.
+type keyHasher struct {
+	proj   *expr.Projection
+	cols   []*vec.Vector // the batch's key columns in key form
+	hashes []uint64
+}
+
+// hash evaluates the key columns of b, drops the selected rows whose key
+// holds a NULL (they never join) and hashes the rest: hashes[k] belongs to
+// physical row rows[k]. rows reuses b.Sel.
+func (kh *keyHasher) hash(b *vec.Batch) (rows []int, hashes []uint64, err error) {
+	cols, err := kh.proj.Eval(b)
+	if err != nil {
+		return nil, nil, err
+	}
+	rows = b.Sel
+	for _, c := range cols {
+		if c.Nulls == nil && c.Vals == nil {
+			continue
+		}
+		n := 0
+		for _, r := range rows {
+			if c.IsNull(r) || (c.Vals != nil && c.Vals[r].IsNull()) {
+				continue
+			}
+			rows[n] = r
+			n++
+		}
+		rows = rows[:n]
+	}
+	if cap(kh.hashes) < len(rows) {
+		kh.hashes = make([]uint64, max(len(rows), vec.DefaultBatchSize))
+	}
+	hashes = kh.hashes[:len(rows)]
+	for i, c := range cols {
+		if cols[i], err = hashKeyColumn(c, rows, hashes, i == 0); err != nil {
+			return nil, nil, err
+		}
+	}
+	kh.cols = cols
+	return rows, hashes, nil
+}
+
+// joinTable is the build side held in memory, column by column. Row i's
+// key hash is hashes[i]; heads[hash&mask] starts a chain through next of
+// the rows sharing that slot, in insertion order.
+type joinTable struct {
+	width   int           // columns of a build-side row
+	keys    []*vec.Vector // one flat column per key expression, in key form
+	keyCols []int         // the build column a key is a plain reference to, or -1
+	cols    []*vec.Vector // the stored build columns...
+	colIdx  []int         // ...and which build column each one holds
+	hashes  []uint64
+	heads   []int32
+	next    []int32
+	mask    uint64
+}
+
+// init sizes the table for build rows of the given width. Stored are the
+// columns the consumer reads (out; nil = all) and those a computed key
+// expression reads; a key that is a plain column reference is rebuilt
+// from keys when a row has to be written out.
+func (t *joinTable) init(width int, keys []expr.Expr, out []bool) {
+	t.width = width
+	t.keys = make([]*vec.Vector, len(keys))
+	t.keyCols = make([]int, len(keys))
+	stored := make([]bool, width)
+	for c := range stored {
+		stored[c] = out == nil || (c < len(out) && out[c])
+	}
+	for i, k := range keys {
+		t.keys[i] = &vec.Vector{}
+		t.keyCols[i] = -1
+		if c, ok := k.(*expr.Col); ok && c.Idx < width {
+			t.keyCols[i] = c.Idx
+		} else {
+			expr.MarkCols(k, stored)
+		}
+	}
+	for c, s := range stored {
+		if s {
+			t.cols = append(t.cols, &vec.Vector{})
+			t.colIdx = append(t.colIdx, c)
+		}
+	}
+}
+
+// append adds rows of batch b, whose key columns and hashes are given.
+func (t *joinTable) append(b *vec.Batch, keys []*vec.Vector, rows []int, hashes []uint64) error {
+	for i, k := range keys {
+		if err := t.keys[i].AppendRows(k, rows); err != nil {
+			return err
+		}
+	}
+	for i, c := range t.colIdx {
+		if err := t.cols[i].AppendRows(b.Cols[c], rows); err != nil {
+			return err
+		}
+	}
+	t.hashes = append(t.hashes, hashes...)
+	return nil
+}
+
+// rowBytes approximates the memory row i retains, from the lengths of the
+// vector entries that hold it plus its hash and chain links.
+func (t *joinTable) rowBytes(i int) int64 {
+	n := int64(8 + 4 + 8) // hash, next, two head slots
+	for _, set := range [2][]*vec.Vector{t.keys, t.cols} {
+		for _, v := range set {
+			switch {
+			case v.Strs != nil:
+				n += 16 + int64(len(v.Strs[i]))
+			case v.Byts != nil:
+				n += 24 + int64(len(v.Byts[i]))
+			case v.Vals != nil:
+				n += 64 + int64(len(v.Vals[i].S)+len(v.Vals[i].B))
+			default:
+				n += 8
+			}
+		}
+	}
+	return n
+}
+
+// row rebuilds build row i as far as the table holds it; the other cells
+// are NULL, as they were when the pruned input delivered them.
+func (t *joinTable) row(i int, dst sqltypes.Row) (sqltypes.Row, error) {
+	if cap(dst) < t.width {
+		dst = make(sqltypes.Row, t.width)
+	}
+	dst = dst[:t.width]
+	for c := range dst {
+		dst[c] = sqltypes.Null
+	}
+	var err error
+	for k, c := range t.keyCols {
+		if c >= 0 {
+			if dst[c], err = t.keys[k].Value(i); err != nil {
+				return nil, err
+			}
+		}
+	}
+	for k, c := range t.colIdx {
+		if dst[c], err = t.cols[k].Value(i); err != nil {
+			return nil, err
+		}
+	}
+	return dst, nil
+}
+
+// compact keeps only the given rows (ascending).
+func (t *joinTable) compact(keep []int) error {
+	for _, set := range [2][]*vec.Vector{t.keys, t.cols} {
+		for i, v := range set {
+			g, err := v.Gather(keep)
+			if err != nil {
+				return err
+			}
+			set[i] = g
+		}
+	}
+	for i, r := range keep {
+		t.hashes[i] = t.hashes[r]
+	}
+	t.hashes = t.hashes[:len(keep)]
+	return nil
+}
+
+// link builds the chains over the finished table. Slots are at most half
+// full; rows enter back to front so every chain runs in insertion order.
+func (t *joinTable) link() {
+	size := 1
+	for size < 2*len(t.hashes) {
+		size <<= 1
+	}
+	t.mask = uint64(size - 1)
+	t.heads = make([]int32, size)
+	for i := range t.heads {
+		t.heads[i] = -1
+	}
+	t.next = make([]int32, len(t.hashes))
+	for i := len(t.hashes) - 1; i >= 0; i-- {
+		slot := t.hashes[i] & t.mask
+		t.next[i] = t.heads[slot]
+		t.heads[slot] = int32(i)
+	}
+}
+
+// chainStart says the probe's current row has not entered its chain yet.
+const chainStart = -2
+
+// phjProbe is one probe worker: it pulls batches from its chain, matches
+// the rows whose partition is in memory against the table (read-only by
+// now, so workers share it without locks) and writes the rows of spilled
+// partitions to the partition's probe file (SpillFile.Append is
+// concurrency-safe). Counters are added once per batch.
 type phjProbe struct {
 	j     *PartitionedHashJoin
-	child Operator
-	keys  []expr.Expr
+	child BatchOperator
+	keys  keyHasher
+	out   []bool // probe columns the consumer reads; nil = all
+	carry []bool // out plus the key columns: what a spilled row keeps
 
-	pending []sqltypes.Row
-	current sqltypes.Row
-	keyVals sqltypes.Row
-	keyBuf  []byte
-	out     sqltypes.Row
+	b      *vec.Batch // the batch being probed; nil = pull the next one
+	rows   []int      // its rows still to match, with their hashes
+	hashes []uint64
+	pos    int   // next of rows to probe
+	chain  int32 // where in its chain rows[pos] resumes
+	err    error // a key comparison failed
+
+	probeIdx, buildIdx []int // the matched pairs of the batch being built
+	row                sqltypes.Row
+	keyBuf             [2][]byte
+	cur                batchToRow
 }
 
 // Open opens the worker's probe chain.
 func (w *phjProbe) Open(ctx *Context) error {
-	w.keyVals = make(sqltypes.Row, len(w.keys))
-	w.pending, w.current = nil, nil
+	w.b = nil
+	w.cur.reset()
 	return w.child.Open(ctx)
 }
 
-// Next produces the worker's next matched row.
-func (w *phjProbe) Next() (sqltypes.Row, bool, error) {
-	j := w.j
-	p := len(j.spilled)
+// NextBatch produces the worker's next batch of joined rows: at most
+// vec.DefaultBatchSize, so a probe row with many matches may continue in
+// the following batch.
+func (w *phjProbe) NextBatch() (*vec.Batch, error) {
+	if w.probeIdx == nil {
+		w.probeIdx = make([]int, 0, vec.DefaultBatchSize)
+		w.buildIdx = make([]int, 0, vec.DefaultBatchSize)
+	}
 	for {
-		if len(w.pending) > 0 {
-			build := w.pending[0]
-			w.pending = w.pending[1:]
-			return w.combine(w.current, build), true, nil
-		}
-		row, ok, err := w.child.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		var null bool
-		w.keyBuf, null, err = appendJoinKey(w.keyBuf, w.keys, w.keyVals, row)
-		if err != nil {
-			return nil, false, err
-		}
-		if null {
-			continue
-		}
-		j.stats.ProbeRows.Add(1)
-		// The Bloom check runs before any routing: a dropped row is never
-		// partitioned and — the expensive case — never spilled. Dropped
-		// rows still attribute to the partition they would have routed to,
-		// so monitoring can see which partitions the filter spared.
-		if j.bloom != nil {
-			j.stats.BloomChecks.Add(1)
-			j.prof.AddBloom(1, 0)
-			if !j.bloom.MayContain(bloomKeyHash(w.keyBuf)) {
-				j.stats.BloomDrops.Add(1)
-				j.prof.AddBloom(0, 1)
-				pt := int(partitionHash(w.keyBuf, j.Level) % uint64(p))
-				j.stats.BloomDropsByPart[pt%DefaultJoinPartitions].Add(1)
-				continue
+		if w.b == nil {
+			if err := w.load(); err != nil || w.b == nil {
+				return nil, err
 			}
 		}
-		pt := int(partitionHash(w.keyBuf, j.Level) % uint64(p))
-		if j.spilled[pt] {
-			if err := j.probeSpill[pt].Append(row); err != nil {
-				return nil, false, err
-			}
-			j.stats.SpilledProbeRows.Add(1)
-			j.prof.AddSpill(0, 0, 1)
-			continue
+		w.match()
+		if w.err != nil {
+			return nil, w.err
 		}
-		tab := j.tables[pt]
-		if tab == nil {
-			continue
+		b := w.b
+		if w.pos >= len(w.rows) {
+			w.b = nil
 		}
-		matches := tab[string(w.keyBuf)]
-		if len(matches) == 0 {
-			continue
+		if len(w.probeIdx) > 0 {
+			return w.emit(b)
 		}
-		w.current = row.Clone()
-		w.pending = matches
 	}
 }
 
-// combine renders probe+build in left-then-right output order.
-func (w *phjProbe) combine(probe, build sqltypes.Row) sqltypes.Row {
-	left, right := probe, build
-	if w.j.BuildLeft {
-		left, right = build, probe
+// load pulls probe batches until one has rows to match: it hashes the
+// keys, drops what the Bloom filter rules out and sets aside the rows of
+// spilled partitions. The Bloom check runs before any routing: a dropped
+// row is never spilled, and it still counts for the partition it would
+// have gone to, so monitoring can see which partitions the filter spared.
+func (w *phjProbe) load() error {
+	j := w.j
+	p := len(j.spilled)
+	for {
+		b, err := w.child.NextBatch()
+		if err != nil || b == nil {
+			return err
+		}
+		rows, hashes, err := w.keys.hash(b)
+		if err != nil {
+			return err
+		}
+		var dropsByPart [DefaultJoinPartitions]int64
+		n := 0
+		for k, r := range rows {
+			h := hashes[k]
+			if j.bloom != nil && !j.bloom.MayContain(h) {
+				dropsByPart[joinPartition(h, j.Level, p)%DefaultJoinPartitions]++
+				continue
+			}
+			rows[n], hashes[n] = r, h
+			n++
+		}
+		j.stats.ProbeRows.Add(int64(len(rows)))
+		if j.bloom != nil {
+			drops := int64(len(rows) - n)
+			j.stats.BloomChecks.Add(int64(len(rows)))
+			j.stats.BloomDrops.Add(drops)
+			j.prof.AddBloom(int64(len(rows)), drops)
+			for pt, d := range dropsByPart {
+				if d > 0 {
+					j.stats.BloomDropsByPart[pt].Add(d)
+				}
+			}
+		}
+		rows, hashes = rows[:n], hashes[:n]
+		if j.anySpilled {
+			n = 0
+			for k, r := range rows {
+				pt := joinPartition(hashes[k], j.Level, p)
+				if !j.spilled[pt] {
+					rows[n], hashes[n] = r, hashes[k]
+					n++
+					continue
+				}
+				if w.row, err = b.ReadRowCols(r, w.row, w.carry); err != nil {
+					return err
+				}
+				if err := j.probeSpill[pt].Append(w.row); err != nil {
+					return err
+				}
+			}
+			if d := int64(len(rows) - n); d > 0 {
+				j.stats.SpilledProbeRows.Add(d)
+				j.prof.AddSpill(0, 0, d)
+			}
+			rows, hashes = rows[:n], hashes[:n]
+		}
+		if len(rows) > 0 && len(j.table.hashes) > 0 {
+			w.b, w.rows, w.hashes, w.pos, w.chain = b, rows, hashes, 0, chainStart
+			return nil
+		}
 	}
-	if cap(w.out) < len(left)+len(right) {
-		w.out = make(sqltypes.Row, len(left)+len(right))
-	}
-	w.out = w.out[:len(left)+len(right)]
-	copy(w.out, left)
-	copy(w.out[len(left):], right)
-	return w.out
 }
+
+// match walks the chains of the current batch's rows from where the last
+// call stopped, collecting (probe row, build row) pairs until the rows or
+// the output batch run out.
+func (w *phjProbe) match() {
+	t := &w.j.table
+	pi, bi := w.probeIdx[:0], w.buildIdx[:0]
+	e := w.chain
+	// The common join — one key, INT on both sides — compares inline.
+	var pInts, bInts []int64
+	if len(t.keys) == 1 {
+		pInts, bInts = w.keys.cols[0].Ints, t.keys[0].Ints
+	}
+	intKey := pInts != nil && bInts != nil
+scan:
+	for ; w.pos < len(w.rows); w.pos++ {
+		r, h := w.rows[w.pos], w.hashes[w.pos]
+		if e == chainStart {
+			e = t.heads[h&t.mask]
+		}
+		for ; e >= 0; e = t.next[e] {
+			if t.hashes[e] != h {
+				continue
+			}
+			if intKey {
+				if pInts[r] != bInts[e] {
+					continue
+				}
+			} else if !w.keysEqual(r, int(e)) {
+				continue
+			}
+			if len(pi) == cap(pi) {
+				break scan // batch full: this pair opens the next one
+			}
+			pi, bi = append(pi, r), append(bi, int(e))
+		}
+		e = chainStart
+	}
+	w.chain = e
+	w.probeIdx, w.buildIdx = pi, bi
+}
+
+// keysEqual compares probe row r's key with build row e's, column by
+// column: typed when both sides hold the column in the same typed array,
+// otherwise on the group-key encoding (appendGroupKey) of both values —
+// the encoding the hash agrees with, so mixed-kind and boxed columns
+// match exactly the rows the typed path would.
+func (w *phjProbe) keysEqual(r, e int) bool {
+	for i, pk := range w.keys.cols {
+		bk := w.j.table.keys[i]
+		switch {
+		case pk.Ints != nil && bk.Ints != nil:
+			if pk.Ints[r] != bk.Ints[e] {
+				return false
+			}
+		case pk.Strs != nil && bk.Strs != nil:
+			if pk.Strs[r] != bk.Strs[e] {
+				return false
+			}
+		case pk.Byts != nil && bk.Byts != nil:
+			if !bytes.Equal(pk.Byts[r], bk.Byts[e]) {
+				return false
+			}
+		default:
+			var err error
+			if w.keyBuf[0], err = encodedKey(w.keyBuf[0], pk, r); err == nil {
+				w.keyBuf[1], err = encodedKey(w.keyBuf[1], bk, e)
+			}
+			if err != nil {
+				w.err = err
+				return false
+			}
+			if !bytes.Equal(w.keyBuf[0], w.keyBuf[1]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// encodedKey renders row i of a key column in the group-key encoding.
+func encodedKey(buf []byte, col *vec.Vector, i int) ([]byte, error) {
+	v, err := col.Value(i)
+	if err != nil {
+		return buf, err
+	}
+	return appendGroupKey(buf[:0], sqltypes.Row{v})
+}
+
+// emit gathers the matched pairs into an output batch: the left input's
+// columns, then the right's; columns nobody reads are nullColumn.
+func (w *phjProbe) emit(b *vec.Batch) (*vec.Batch, error) {
+	t := &w.j.table
+	cols := make([]*vec.Vector, len(b.Cols)+t.width)
+	for i := range cols {
+		cols[i] = nullColumn
+	}
+	probeAt, buildAt := 0, len(b.Cols)
+	if w.j.BuildLeft {
+		probeAt, buildAt = t.width, 0
+	}
+	var err error
+	for c, v := range b.Cols {
+		if w.out == nil || (c < len(w.out) && w.out[c]) {
+			if cols[probeAt+c], err = v.Gather(w.probeIdx); err != nil {
+				return nil, err
+			}
+		}
+	}
+	for i, c := range t.colIdx {
+		if cols[buildAt+c], err = t.cols[i].Gather(w.buildIdx); err != nil {
+			return nil, err
+		}
+	}
+	return vec.NewBatch(cols, len(w.probeIdx)), nil
+}
+
+// Next serves rows from the worker's batches.
+func (w *phjProbe) Next() (sqltypes.Row, bool, error) { return w.cur.next(w.NextBatch) }
 
 // Close closes the probe chain.
 func (w *phjProbe) Close() error { return w.child.Close() }

@@ -132,9 +132,13 @@ func randomJoinInput(rng *rand.Rand, n, keySpace int, side string) []sqltypes.Ro
 }
 
 // TestPartitionedJoinEquivalence fuzzes the partitioned join against the
-// nested-loop reference: duplicate keys, NULL keys, mixed key kinds, with
-// and without forced spill, serial and DOP-4 partitioned inputs.
+// nested-loop reference. Row sources first — boxed key columns that mix
+// INT and VARCHAR values, so every comparison takes the encoded-key path:
+// duplicate keys, NULL keys, with and without forced spill, serial and
+// DOP-4 partitioned inputs — then batch sources in every typed form
+// (joinbatch_test.go).
 func TestPartitionedJoinEquivalence(t *testing.T) {
+	t.Run("batches", testTypedJoinEquivalence)
 	rng := rand.New(rand.NewSource(1234))
 	configs := []struct {
 		name   string
@@ -315,9 +319,6 @@ func TestOperatorsCloseChildrenOnError(t *testing.T) {
 		name  string
 		build func(l, r *trackedOp) Operator
 	}{
-		{"HashJoin", func(l, r *trackedOp) Operator {
-			return &HashJoin{LeftKeys: []expr.Expr{col(0)}, RightKeys: []expr.Expr{col(0)}, Left: l, Right: r}
-		}},
 		{"MergeJoin", func(l, r *trackedOp) Operator {
 			return &MergeJoin{LeftKeys: []expr.Expr{col(0)}, RightKeys: []expr.Expr{col(0)}, Left: l, Right: r}
 		}},

@@ -28,9 +28,6 @@ func TestJoinsForwardColumnPruning(t *testing.T) {
 	wantLeft, wantRight := []bool{true, true, false}, []bool{false, true}
 	prof := &obs.OpProfile{}
 	for name, build := range map[string]func(l, r Operator, width int) ColumnPruner{
-		"hash": func(l, r Operator, w int) ColumnPruner {
-			return &HashJoin{LeftKeys: leftKeys, RightKeys: rightKeys, Left: l, Right: r, LeftWidth: w}
-		},
 		"merge": func(l, r Operator, w int) ColumnPruner {
 			return &MergeJoin{LeftKeys: leftKeys, RightKeys: rightKeys, Left: l, Right: r, LeftWidth: w}
 		},
@@ -42,7 +39,7 @@ func TestJoinsForwardColumnPruning(t *testing.T) {
 				LeftParts: []Operator{l}, RightParts: []Operator{r}, LeftWidth: w}
 		},
 		"instrumented": func(l, r Operator, w int) ColumnPruner {
-			j := &HashJoin{LeftKeys: leftKeys, RightKeys: rightKeys,
+			j := &PartitionedHashJoin{LeftKeys: leftKeys, RightKeys: rightKeys,
 				Left: InstrumentOp(l, prof), Right: InstrumentOp(r, prof), LeftWidth: w}
 			return InstrumentOp(j, prof).(ColumnPruner)
 		},

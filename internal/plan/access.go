@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -174,6 +175,56 @@ func zoneFiltersFrom(ranges map[int]*sargRange) []storage.ZoneFilter {
 		out = append(out, f)
 	}
 	return out
+}
+
+// clusteredSeekBounds turns the sargable range on a clustered table's
+// leading key column into the half-open [lo, hi) an ordered scan takes.
+// The result may be wider than the range, never narrower — an exclusive
+// lower bound stays inclusive, an inclusive upper bound becomes v+1 for an
+// integer and stays open for any other kind — which is safe because the
+// whole pushed predicate still filters every row the scan returns.
+func clusteredSeekBounds(r *sargRange) (lo, hi *sqltypes.Value) {
+	lo = r.lo
+	switch {
+	case r.hi == nil:
+	case !r.hiInc:
+		hi = r.hi
+	case r.hi.K == sqltypes.KindInt && r.hi.I < math.MaxInt64:
+		v := sqltypes.NewInt(r.hi.I + 1)
+		hi = &v
+	}
+	return lo, hi
+}
+
+// clusteredSeekScans returns the ordered scans of a clustered table
+// restricted to [lo, hi) on the leading key column: the table's key
+// ranges (one per partition, contiguous, so an ordered gather keeps the
+// key order) each intersected with the bound, the empty ones dropped.
+func (pl *Planner) clusteredSeekScans(tab *catalog.Table, parts int, lo, hi *sqltypes.Value) ([]exec.Operator, error) {
+	ranges, err := pl.Provider.KeyRanges(tab, parts)
+	if err != nil {
+		return nil, err
+	}
+	var ops []exec.Operator
+	for i, rg := range ranges {
+		from, to := rg[0], rg[1]
+		if lo != nil && (from == nil || sqltypes.Compare(*lo, *from) > 0) {
+			from = lo
+		}
+		if hi != nil && (to == nil || sqltypes.Compare(*hi, *to) < 0) {
+			to = hi
+		}
+		empty := from != nil && to != nil && sqltypes.Compare(*from, *to) >= 0
+		if empty && (len(ops) > 0 || i < len(ranges)-1) {
+			continue // keep one scan even when the bound is empty
+		}
+		op, err := pl.Provider.OrderedScanRange(tab, from, to)
+		if err != nil {
+			return nil, err
+		}
+		ops = append(ops, op)
+	}
+	return ops, nil
 }
 
 // indexChoice is a candidate secondary index with the sargable range on

@@ -97,10 +97,19 @@ func (pl *Planner) planNamedTable(t *sqlparse.NamedTable, conjuncts []sqlparse.E
 	// estimated page I/O against the full scan.
 	var zoneFilters []storage.ZoneFilter
 	var idxCand *indexChoice
+	// seekLo/seekHi bound a clustered scan to [lo, hi) on the leading key
+	// column; seekSel is the share of the table inside the bound.
+	var seekLo, seekHi *sqltypes.Value
+	seek, seekSel := false, 1.0
+	ranges := sargableRanges(sc, tab, ts, pushed)
 	if !tab.Clustered {
-		ranges := sargableRanges(sc, tab, ts, pushed)
 		zoneFilters = zoneFiltersFrom(ranges)
 		idxCand = pickIndex(tab, ranges)
+	} else if r := ranges[tab.PrimaryKey[0]]; r != nil {
+		seekLo, seekHi = clusteredSeekBounds(r)
+		if seek = seekLo != nil || seekHi != nil; seek {
+			seekSel = r.sel
+		}
 	}
 	keptPages, totalPages := int64(0), int64(0)
 	if len(zoneFilters) > 0 {
@@ -136,15 +145,16 @@ func (pl *Planner) planNamedTable(t *sqlparse.NamedTable, conjuncts []sqlparse.E
 	// actually reads — the raw table size shrunk by zone pruning — NOT the
 	// post-filter output estimate: a selective unindexed predicate still
 	// reads every page, and those reads are what parallelism amortizes.
-	scanBasis := rawEst
+	scanBasis := scaleEst(rawEst, seekSel)
 	if totalPages > 0 && keptPages < totalPages {
 		scanBasis = rawEst * keptPages / totalPages
 	}
 	partsN := pl.partitionCount(scanBasis)
 	// Vectorized scans deliver columnar batches; pushed predicates become
 	// selection-vector filters that evaluate dictionary-encoded columns
-	// once per distinct value. The operators still serve the row interface,
-	// which is what joins, aggregates and sorts pull from.
+	// once per distinct value. The hash join and aggregates without GROUP
+	// BY pull the batches; the operators still serve the row interface,
+	// which is what grouped aggregates, sorts and merge joins pull from.
 	vectorized := pl.Provider.VectorizedScan(tab)
 
 	scanOp := "Table Scan"
@@ -167,13 +177,22 @@ func (pl *Planner) planNamedTable(t *sqlparse.NamedTable, conjuncts []sqlparse.E
 	} else if idxCand != nil {
 		detail += " full scan"
 	}
+	if seek {
+		detail += fmt.Sprintf(" SEEK:[%s..%s)", boundStr(seekLo), boundStr(seekHi))
+	}
 	// The leaf is declared before the parts closure so parts can read its
 	// profile at build time: consumers that take the partition chains
 	// directly (exchanges, partitioned joins) bypass the leaf's Build, so
 	// this is where the chains bind to the node that displays them.
 	scanLeaf := &Node{Op: scanOp, Detail: detail, Cols: cols, Est: est, Vec: vectorized}
 	parts := func() ([]exec.Operator, error) {
-		ops, err := pl.Provider.ScanPartitionsPruned(tab, partsN, zoneFilters)
+		var ops []exec.Operator
+		var err error
+		if seek {
+			ops, err = pl.clusteredSeekScans(tab, partsN, seekLo, seekHi)
+		} else {
+			ops, err = pl.Provider.ScanPartitionsPruned(tab, partsN, zoneFilters)
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -365,7 +384,7 @@ func (pl *Planner) planApply(left *relation, fn *sqlparse.FuncRef) (*relation, e
 
 // planJoin plans an inner join, preferring a (possibly parallel,
 // range-partitioned) merge join when both sides are clustered on the join
-// key — the paper's Figure 10 plan — and falling back to hash join.
+// key — the paper's Figure 10 plan — and falling back to the hash join.
 func (pl *Planner) planJoin(j *sqlparse.JoinRef, conjuncts []sqlparse.Expr) (*relation, []sqlparse.Expr, error) {
 	left, remaining, err := pl.planFrom(j.Left, conjuncts)
 	if err != nil {
@@ -427,38 +446,8 @@ func (pl *Planner) planJoin(j *sqlparse.JoinRef, conjuncts []sqlparse.Expr) (*re
 		remaining = mj.leftoverConjuncts
 	} else if omj := pl.orderedMergeJoin(left, right, leftKeyIdents, rightKeyIdents, leftKeys, rightKeys, combined); omj != nil {
 		rel = omj
-	} else if left.est >= pl.ParallelThreshold || right.est >= pl.ParallelThreshold {
-		// Either input is past the parallel threshold: Grace-style
-		// partitioned hash join, building on the smaller estimated side,
-		// spilling partitions past the join memory budget. Chosen even at
-		// DOP 1 — the spill path is what keeps large joins out-of-core
-		// rather than OOM.
-		rel = pl.partitionedJoinRelation(left, right, leftKeyIdents, rightKeyIdents, leftKeys, rightKeys, combined)
 	} else {
-		est := joinOutputEstimate(left, right, leftKeyIdents, rightKeyIdents)
-		leftNode, rightNode := left.node, right.node
-		node := &Node{
-			Op:       "Hash Match (Inner Join)",
-			Detail:   fmt.Sprintf("HASH:[%s]=[%s]", describeExprs(leftKeys), describeExprs(rightKeys)),
-			Children: []*Node{leftNode, rightNode},
-			Cols:     combined,
-			Est:      est,
-			Build: func() (exec.Operator, error) {
-				l, err := buildChild(leftNode)
-				if err != nil {
-					return nil, err
-				}
-				r, err := buildChild(rightNode)
-				if err != nil {
-					return nil, err
-				}
-				return &exec.HashJoin{
-					LeftKeys: leftKeys, RightKeys: rightKeys,
-					Left: l, Right: r, LeftWidth: len(left.cols),
-				}, nil
-			},
-		}
-		rel = &relation{node: node, cols: combined, est: est}
+		rel = pl.partitionedJoinRelation(left, right, leftKeyIdents, rightKeyIdents, leftKeys, rightKeys, combined)
 	}
 	rel.cols = combined
 
@@ -526,20 +515,23 @@ func joinOutputEstimate(left, right *relation, leftKeyIdents, rightKeyIdents []*
 		keysNDV(left, leftKeyIdents), keysNDV(right, rightKeyIdents))
 }
 
-// partitionedJoinRelation plans the Grace-style parallel partitioned hash
-// join: both sides hash-partition, DOP workers own disjoint partitions,
-// and partitions whose build side exceeds the planner's JoinMemoryBudget
-// spill to the engine's spill store and are re-joined per partition.
-// Statistics steer every physical knob: the build side comes from the
-// post-filter estimates, the fan-out and spill pre-partitioning from the
-// estimated build footprint, and the probe-side Bloom filter is dropped
-// when nearly every probe row would pass it anyway.
+// partitionedJoinRelation plans the hash join, the one operator for every
+// equi-join the merge joins do not take, small or large: batches in,
+// batches out, the build side in one columnar table, partitions whose
+// build side exceeds the planner's JoinMemoryBudget spilled to the
+// engine's spill store and re-joined per partition. Partitions cost
+// nothing until they spill, so a join of a few rows takes the same
+// fan-out rule as a large one. Statistics steer every physical knob: the
+// build side comes from the post-filter estimates, the fan-out and spill
+// pre-partitioning from the estimated build footprint, and the probe-side
+// Bloom filter is dropped when nearly every probe row would pass it
+// anyway.
 func (pl *Planner) partitionedJoinRelation(left, right *relation,
 	leftKeyIdents, rightKeyIdents []*sqlparse.Ident,
 	leftKeys, rightKeys []expr.Expr, combined []ColMeta) *relation {
 
 	// Build on the smaller estimated input; ties (and two unknowns) keep
-	// the right side, matching the serial hash join's convention.
+	// the right side.
 	buildLeft := left.est < right.est
 	buildSide := "right"
 	build, probe := right, left
@@ -597,14 +589,15 @@ func (pl *Planner) partitionedJoinRelation(left, right *relation,
 
 	buildEst := build.est
 	leftNode, rightNode := left.node, right.node
-	// Declared before buildOp: under DOP > 1 the Build factory lives on
-	// the gather node above, so the closure binds the join operator to
-	// this display node's profile (spill and Bloom activity then renders
-	// on the join line, not the exchange line).
+	// Declared before buildOp: over a partitioned probe side the Build
+	// factory lives on the gather node above, so the closure binds the join
+	// operator to this display node's profile (spill and Bloom activity
+	// then renders on the join line, not the exchange line).
 	inner := &Node{
 		Op:      "Hash Match (Partitioned Inner Join)",
 		Cols:    combined,
 		Est:     outEst,
+		Vec:     true,
 		OwnProf: true,
 	}
 	buildOp := func() (exec.Operator, error) {
@@ -662,18 +655,20 @@ func (pl *Planner) partitionedJoinRelation(left, right *relation,
 	inner.Detail = detail
 	inner.Children = []*Node{leftNode, rightNode}
 	node := inner
-	if pl.DOP > 1 {
+	if probe.parts != nil && probe.partsN > 1 {
+		// The operator probes its partitioned side with one worker per
+		// chain and gathers their batches itself; the exchange is shown
+		// where it happens.
 		node = &Node{
 			Op:       "Parallelism (Gather Streams)",
-			Detail:   fmt.Sprintf("DOP %d", pl.DOP),
+			Detail:   fmt.Sprintf("DOP %d", probe.partsN),
 			Children: []*Node{inner},
 			Cols:     combined,
 			Est:      outEst,
+			Vec:      true,
 			Build:    buildOp,
 		}
 	} else {
-		// Serial DOP still uses the partitioned operator: partitioning is
-		// what lets an over-budget build side spill instead of OOM.
 		inner.Build = buildOp
 	}
 	return &relation{node: node, cols: combined, est: outEst}

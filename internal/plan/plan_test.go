@@ -308,7 +308,7 @@ func TestPlanHashJoinFallback(t *testing.T) {
 	// Heap table on one side: no merge join possible.
 	node := planQuery(t, pl, "SELECT s, rv FROM t JOIN right_t ON a = rid")
 	text := node.Explain()
-	if !strings.Contains(text, "Hash Match (Inner Join)") {
+	if !strings.Contains(text, "Hash Match (Partitioned Inner Join)") {
 		t.Fatalf("expected hash join:\n%s", text)
 	}
 	rows := runPlan(t, node)
@@ -447,13 +447,23 @@ func TestPlanPartitionedJoin(t *testing.T) {
 	}
 }
 
-// TestPlanPartitionedJoinBelowThreshold keeps small joins on the serial
-// hash join (no exchange overhead for a few pages of rows).
+// TestPlanPartitionedJoinBelowThreshold: a join of a few rows runs the
+// same vectorized operator as a large one, without an exchange (its
+// inputs are not partitioned, so the probe runs inline).
 func TestPlanPartitionedJoinBelowThreshold(t *testing.T) {
 	pl := NewPlanner(newFakeProvider(), 4) // default threshold 2048 >> 10 rows
 	node := planQuery(t, pl, "SELECT b, s FROM u JOIN t ON u.b = t.a")
-	if text := node.Explain(); !strings.Contains(text, "Hash Match (Inner Join)") {
-		t.Errorf("expected serial hash join below threshold:\n%s", text)
+	text := node.Explain()
+	if !strings.Contains(text, "Hash Match (Partitioned Inner Join)") || strings.Contains(text, "Parallelism") {
+		t.Errorf("expected the hash join without an exchange below the threshold:\n%s", text)
+	}
+	for _, line := range strings.Split(text, "\n") {
+		if strings.Contains(line, "Hash Match") && !strings.HasSuffix(line, "vectorized") {
+			t.Errorf("join not marked vectorized: %s", line)
+		}
+	}
+	if rows := runPlan(t, node); len(rows) == 0 {
+		t.Error("join returned no rows")
 	}
 }
 

@@ -164,3 +164,88 @@ func TestReadRowColsSkipsUnmarkedColumns(t *testing.T) {
 		t.Error("a column whose decode failed served a cell on the next read")
 	}
 }
+
+// TestAppendRowsAndGather: the join's two copy kernels against the boxed
+// reading of the same cells. A column grown from a lazy typed page, a
+// dictionary page and a packed-sequence page of one kind stays typed; a
+// boxed batch (an in-memory tail, a row source) turns it generic without
+// changing a value. Gather keeps the encoding it is given.
+func TestAppendRowsAndGather(t *testing.T) {
+	lazy, _ := lazyIntVector(6)
+	flat := vec.NewVector(sqltypes.KindInt, 4)
+	for _, v := range []sqltypes.Value{sqltypes.NewInt(40), sqltypes.Null, sqltypes.NewInt(42), sqltypes.NewInt(43)} {
+		flat.Append(v)
+	}
+	dict := &vec.Vector{Kind: sqltypes.KindInt, Codes: []int32{1, 0, 1, 0},
+		Dict: []sqltypes.Value{sqltypes.NewInt(7), sqltypes.NewInt(9)}}
+	dict.SetNull(3)
+	boxed := vec.NewGenericVector(2)
+	boxed.Append(sqltypes.NewString("tail"))
+	boxed.Append(sqltypes.Null)
+
+	var want []sqltypes.Value
+	store := &vec.Vector{}
+	add := func(src *vec.Vector, rows []int) {
+		t.Helper()
+		if err := store.AppendRows(src, rows); err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range rows {
+			v, err := src.Value(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, v)
+		}
+	}
+	check := func(v *vec.Vector, want []sqltypes.Value) {
+		t.Helper()
+		if v.Len() != len(want) {
+			t.Fatalf("%d rows, want %d", v.Len(), len(want))
+		}
+		for i, w := range want {
+			if got, err := v.Value(i); err != nil || fmt.Sprint(got) != fmt.Sprint(w) || got.K != w.K {
+				t.Errorf("row %d = %v (%v), want %v", i, got, err, w)
+			}
+		}
+	}
+	add(lazy, []int{5, 1})
+	add(flat, []int{0, 1, 3})
+	add(dict, []int{0, 1, 3})
+	check(store, want)
+	if store.Ints == nil || store.Vals != nil {
+		t.Error("a column grown from INT pages only should be a typed array")
+	}
+	add(boxed, []int{0, 1})
+	add(flat, []int{2})
+	check(store, want)
+	if store.Vals == nil {
+		t.Error("a boxed batch should turn the column generic")
+	}
+
+	idx := []int{3, 0, 3, 1}
+	for name, src := range map[string]*vec.Vector{"flat": flat, "dict": dict, "generic": store} {
+		got, err := src.Gather(idx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []sqltypes.Value
+		for _, r := range idx {
+			v, _ := src.Value(r)
+			want = append(want, v)
+		}
+		check(got, want)
+		if name == "dict" && (got.Codes == nil || len(got.Dict) != 2) {
+			t.Error("gathering a dictionary vector should gather codes")
+		}
+	}
+
+	packed := &vec.Vector{Kind: sqltypes.KindBytes, Packed: true, Dict: []sqltypes.Value{sqltypes.NewBytes([]byte{0xFF})}, Codes: []int32{0}}
+	seqs := &vec.Vector{}
+	if err := seqs.AppendRows(packed, []int{0}); err != nil {
+		t.Fatal(err)
+	}
+	if !seqs.Packed || len(seqs.Byts) != 1 {
+		t.Errorf("packed sequences should stay packed bytes, got %+v", seqs)
+	}
+}
