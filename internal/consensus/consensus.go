@@ -11,6 +11,7 @@ package consensus
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/seq"
@@ -21,7 +22,7 @@ type AlignedRead struct {
 	Chrom string
 	Pos   int // 0-based start on the chromosome
 	Seq   string
-	Qual  string // Phred+33, same length as Seq
+	Qual  string // Phred+33, same length as Seq; empty = Phred 30 on every base
 }
 
 // posAccumulator collects quality-weighted votes for one position.
@@ -44,31 +45,36 @@ func (p *posAccumulator) add(base byte, qual byte) {
 	p.cover++
 }
 
-// call picks the consensus base: the base with the largest quality mass;
-// its quality is the margin over the runner-up (the standard consensus
-// confidence), clamped to the Phred range. Uncovered or all-N positions
-// call 'N'.
-func (p *posAccumulator) call() (byte, seq.Quality) {
-	best, second := -1, -1
-	for c := 0; c < 4; c++ {
-		if best < 0 || p.score[c] > p.score[best] {
-			second = best
-			best = c
-		} else if second < 0 || p.score[c] > p.score[second] {
-			second = c
-		}
+// call picks the consensus base of the position.
+func (p *posAccumulator) call() (byte, seq.Quality) { return callScores(&p.score) }
+
+// callScores picks the consensus base from the quality mass per base code:
+// the base with the largest mass; its quality is the margin over the
+// runner-up (the standard consensus confidence), clamped to the Phred
+// range. Uncovered or all-N positions call 'N'.
+func callScores(score *[4]int32) (byte, seq.Quality) {
+	// Two pairs, each ordered, then the pairs against each other: the
+	// winner is the first of the largest masses, the runner-up the largest
+	// of the other three. Written as selects, not branches: which base wins
+	// a position is as good as random to a branch predictor.
+	s0, s1, s2, s3 := score[0], score[1], score[2], score[3]
+	hi1, lo1, hi2, lo2 := max(s0, s1), min(s0, s1), max(s2, s3), min(s2, s3)
+	i1, i2 := 0, 2
+	if s1 > s0 {
+		i1 = 1
 	}
-	if best < 0 || p.score[best] == 0 {
+	if s3 > s2 {
+		i2 = 3
+	}
+	best, top := i1, max(hi1, hi2)
+	if hi2 > hi1 {
+		best = i2
+	}
+	if top == 0 {
 		return 'N', 0
 	}
-	margin := p.score[best]
-	if second >= 0 {
-		margin -= p.score[second]
-	}
-	if margin > seq.MaxQuality {
-		margin = seq.MaxQuality
-	}
-	return seq.SymbolOf(byte(best)), seq.Quality(margin)
+	second := max(min(hi1, hi2), lo1, lo2)
+	return seq.SymbolOf(byte(best)), seq.Quality(min(top-second, seq.MaxQuality))
 }
 
 // BaseAccumulator is the exported per-position accumulator behind the
@@ -102,7 +108,7 @@ func (b *BaseAccumulator) Call() (byte, seq.Quality) { return b.acc.call() }
 func CallBase(bases []byte, quals []byte) (byte, seq.Quality) {
 	var acc posAccumulator
 	for i := range bases {
-		q := byte(seq.PhredOffset + 30)
+		q := byte(seq.PhredOffset + missingQual)
 		if i < len(quals) {
 			q = quals[i]
 		}
@@ -141,7 +147,7 @@ func CallPivot(reads []AlignedRead) ([]Result, error) {
 	var chromNames []string
 	var tuples []pivotEntry
 	for _, r := range reads {
-		if len(r.Qual) != len(r.Seq) {
+		if len(r.Qual) != len(r.Seq) && len(r.Qual) != 0 {
 			return nil, fmt.Errorf("consensus: read at %s:%d has qual length %d != seq %d",
 				r.Chrom, r.Pos, len(r.Qual), len(r.Seq))
 		}
@@ -152,9 +158,11 @@ func CallPivot(reads []AlignedRead) ([]Result, error) {
 			chromNames = append(chromNames, r.Chrom)
 		}
 		for i := 0; i < len(r.Seq); i++ {
-			tuples = append(tuples, pivotEntry{
-				chrom: ci, pos: int32(r.Pos + i), base: r.Seq[i], qual: r.Qual[i],
-			})
+			qual := byte(seq.PhredOffset + missingQual) // a read without qualities
+			if r.Qual != "" {
+				qual = r.Qual[i]
+			}
+			tuples = append(tuples, pivotEntry{chrom: ci, pos: int32(r.Pos + i), base: r.Seq[i], qual: qual})
 		}
 	}
 	// Group by (chrom, pos): sort the intermediate (the pivot plan's
@@ -214,28 +222,62 @@ func CallPivot(reads []AlignedRead) ([]Result, error) {
 // paper's proposed AssembleConsensus UDA ("a sliding window processing
 // technique ... scan over the alignments in order of their starting
 // position").
+//
+// The window is a ring of per-position vote counters whose length is a
+// power of two: positions below the newest read's start are called and
+// leave at the head, the read's bases vote into the slots after it, and
+// nothing is re-sliced or reallocated unless a read is longer than the
+// ring. Every slot outside the window is zero.
 type SlidingCaller struct {
+	quals    bool // results carry per-position qualities
 	curChrom string
-	start    int // reference position of window[0]
-	window   []posAccumulator
-	out      []Result
 	cur      *Result
+	out      []Result
+	start    int        // reference position of ring[head]
+	ring     [][4]int32 // quality mass per base code
+	head, n  int        // the window is ring[head], ..., n slots, wrapping
 	lastPos  int
 }
 
-// NewSlidingCaller returns an empty caller.
-func NewSlidingCaller() *SlidingCaller {
-	return &SlidingCaller{lastPos: -1}
-}
+// NewSlidingCaller returns an empty caller whose results carry the called
+// bases and their qualities.
+func NewSlidingCaller() *SlidingCaller { return &SlidingCaller{quals: true} }
+
+// NewSequenceCaller returns an empty caller whose results carry the called
+// bases only (Result.Quals stays nil), for consumers that assemble the
+// sequence and never read a confidence.
+func NewSequenceCaller() *SlidingCaller { return &SlidingCaller{} }
+
+// baseCode maps a symbol to its 2-bit code, noCode for everything but
+// A, C, G, T in either case (seq.CodeOf, as a table).
+var baseCode = func() (t [256]uint8) {
+	for i := range t {
+		t[i] = noCode
+		if c, ok := seq.CodeOf(byte(i)); ok {
+			t[i] = c
+		}
+	}
+	return t
+}()
+
+const noCode = 4
+
+// missingQual is the Phred score of a base whose read came without
+// qualities, as in CallBase.
+const missingQual = 30
 
 // Add consumes one alignment. Alignments must arrive sorted by
-// (chromosome, position); out-of-order input is an error.
+// (chromosome, position); out-of-order input is an error. A read without
+// qualities (empty Qual) votes with Phred 30 on every base.
 func (s *SlidingCaller) Add(r AlignedRead) error {
-	if len(r.Qual) != len(r.Seq) {
-		return fmt.Errorf("consensus: qual/seq length mismatch at %s:%d", r.Chrom, r.Pos)
+	if len(r.Qual) != len(r.Seq) && len(r.Qual) != 0 {
+		return fmt.Errorf("consensus: qual length %d != seq length %d at %s", len(r.Qual), len(r.Seq), where(r.Chrom, r.Pos))
 	}
-	if r.Chrom != s.curChrom {
-		if s.curChrom != "" && r.Chrom < s.curChrom {
+	if len(r.Seq) == 0 {
+		return nil // covers no position
+	}
+	if s.cur == nil || r.Chrom != s.curChrom {
+		if s.cur != nil && r.Chrom < s.curChrom {
 			return fmt.Errorf("consensus: chromosome %q after %q; input must be sorted", r.Chrom, s.curChrom)
 		}
 		s.flushAll()
@@ -245,47 +287,150 @@ func (s *SlidingCaller) Add(r AlignedRead) error {
 		s.lastPos = r.Pos
 	}
 	if r.Pos < s.lastPos {
-		return fmt.Errorf("consensus: position %d after %d on %s; input must be sorted", r.Pos, s.lastPos, r.Chrom)
+		return fmt.Errorf("consensus: position %d after %d; input must be sorted", r.Pos, s.lastPos)
 	}
 	s.lastPos = r.Pos
-	// Positions before r.Pos are final: no later read can cover them.
+	// Positions before r.Pos are final: no later read can cover them. After
+	// this the window starts at r.Pos.
 	s.flushBefore(r.Pos)
-	// Grow the window to cover the read.
-	for s.start+len(s.window) < r.Pos+len(r.Seq) {
-		s.window = append(s.window, posAccumulator{})
+	if len(r.Seq) > len(s.ring) {
+		s.grow(len(r.Seq))
 	}
-	off := r.Pos - s.start
-	for i := 0; i < len(r.Seq); i++ {
-		s.window[off+i].add(r.Seq[i], r.Qual[i])
+	if len(r.Seq) > s.n {
+		s.n = len(r.Seq)
+	}
+	// The read's slots are ring[head:] and, past the end, ring[:...].
+	first := len(s.ring) - s.head
+	if first > len(r.Seq) {
+		first = len(r.Seq)
+	}
+	if len(r.Qual) == 0 {
+		vote(s.ring[s.head:], r.Seq[:first], "")
+		vote(s.ring, r.Seq[first:], "")
+	} else {
+		vote(s.ring[s.head:], r.Seq[:first], r.Qual[:first])
+		vote(s.ring, r.Seq[first:], r.Qual[first:])
 	}
 	return nil
 }
 
-// flushBefore finalizes window positions below pos.
-func (s *SlidingCaller) flushBefore(pos int) {
-	n := pos - s.start
-	if n <= 0 {
+// where names a read's place for an error message; a caller fed one
+// unnamed chromosome (the UDA, whose group the executor names) has only
+// the position.
+func where(chrom string, pos int) string {
+	if chrom == "" {
+		return fmt.Sprintf("position %d", pos)
+	}
+	return fmt.Sprintf("%s:%d", chrom, pos)
+}
+
+// vote adds bases[i] with quality quals[i] to slots[i]; empty quals means
+// missingQual throughout. N and any other non-base symbol count for
+// nothing: an all-N position calls 'N' either way.
+func vote(slots [][4]int32, bases, quals string) {
+	slots = slots[:len(bases)]
+	if quals == "" {
+		for i := range slots {
+			if c := baseCode[bases[i]]; c != noCode {
+				slots[i][c] += missingQual
+			}
+		}
 		return
 	}
-	if n > len(s.window) {
-		n = len(s.window)
-	}
-	for i := 0; i < n; i++ {
-		b, q := s.window[i].call()
-		if s.window[i].cover == 0 {
-			b, q = 'N', 0
+	quals = quals[:len(bases)]
+	for i := range slots {
+		if c := baseCode[bases[i]]; c != noCode {
+			slots[i][c] += max(int32(quals[i])-seq.PhredOffset, 1)
 		}
-		s.cur.Seq = append(s.cur.Seq, b)
-		s.cur.Quals = append(s.cur.Quals, q)
 	}
-	s.window = s.window[n:]
-	s.start += n
-	// An uncovered gap up to pos: emit N placeholders so coordinates stay
-	// dense within the result span.
-	for s.start < pos {
-		s.cur.Seq = append(s.cur.Seq, 'N')
-		s.cur.Quals = append(s.cur.Quals, 0)
-		s.start++
+}
+
+// grow replaces the ring by one of the next power of two holding n slots,
+// with the window moved to its front.
+func (s *SlidingCaller) grow(n int) {
+	size := 64
+	for size < n {
+		size <<= 1
+	}
+	ring := make([][4]int32, size)
+	for i := 0; i < s.n; i++ {
+		ring[i] = s.ring[(s.head+i)&(len(s.ring)-1)]
+	}
+	s.ring, s.head = ring, 0
+}
+
+// callHead calls the window's first k positions into the result and
+// clears their slots.
+func (s *SlidingCaller) callHead(k int) {
+	if k <= 0 {
+		return
+	}
+	at := s.reserve(k)
+	first := min(k, len(s.ring)-s.head) // the slots up to the ring's end, then the wrapped ones
+	s.call(s.ring[s.head:s.head+first], at)
+	s.call(s.ring[:k-first], at+first)
+	s.head = (s.head + k) & (len(s.ring) - 1)
+	s.n -= k
+	s.start += k
+}
+
+// call writes the calls of slots to the result from index at on, and
+// zeroes them.
+func (s *SlidingCaller) call(slots [][4]int32, at int) {
+	bases := s.cur.Seq[at : at+len(slots)]
+	var quals []seq.Quality
+	if s.quals {
+		quals = s.cur.Quals[at : at+len(slots)]
+	}
+	for i := range slots {
+		b, q := callScores(&slots[i])
+		slots[i] = [4]int32{}
+		bases[i] = b
+		if quals != nil {
+			quals[i] = q
+		}
+	}
+}
+
+// reserve extends the result by k positions, zeroed, and returns the index
+// of the first. A full buffer doubles, so a chromosome's result is copied
+// once on average however long it gets.
+func (s *SlidingCaller) reserve(k int) int {
+	at := len(s.cur.Seq)
+	s.cur.Seq = extend(s.cur.Seq, k)
+	if s.quals {
+		s.cur.Quals = extend(s.cur.Quals, k)
+	}
+	return at
+}
+
+// extend lengthens buf by k zero elements (nothing is ever written past a
+// buffer's length, so the spare capacity is still as allocated).
+func extend[T any](buf []T, k int) []T {
+	if cap(buf)-len(buf) < k {
+		buf = slices.Grow(buf, max(k, len(buf)))
+	}
+	return buf[:len(buf)+k]
+}
+
+// flushBefore finalizes window positions below pos.
+func (s *SlidingCaller) flushBefore(pos int) {
+	k := pos - s.start
+	if k <= 0 {
+		return
+	}
+	if k > s.n {
+		k = s.n
+	}
+	s.callHead(k)
+	// An uncovered gap up to pos: N placeholders, so coordinates stay dense
+	// within the result span.
+	if gap := pos - s.start; gap > 0 {
+		at := s.reserve(gap)
+		for i := range s.cur.Seq[at:] {
+			s.cur.Seq[at+i] = 'N'
+		}
+		s.start = pos
 	}
 }
 
@@ -293,19 +438,9 @@ func (s *SlidingCaller) flushAll() {
 	if s.cur == nil {
 		return
 	}
-	for i := range s.window {
-		b, q := s.window[i].call()
-		if s.window[i].cover == 0 {
-			b, q = 'N', 0
-		}
-		s.cur.Seq = append(s.cur.Seq, b)
-		s.cur.Quals = append(s.cur.Quals, q)
-	}
-	s.window = s.window[:0]
+	s.callHead(s.n)
 	s.out = append(s.out, *s.cur)
 	s.cur = nil
-	s.curChrom = ""
-	s.lastPos = -1
 }
 
 // Finish flushes remaining state and returns per-chromosome results.
@@ -318,7 +453,7 @@ func (s *SlidingCaller) Finish() []Result {
 
 // WindowSize exposes the current window length (tests assert bounded
 // state).
-func (s *SlidingCaller) WindowSize() int { return len(s.window) }
+func (s *SlidingCaller) WindowSize() int { return s.n }
 
 // SNP is one difference between consensus and reference.
 type SNP struct {

@@ -1,6 +1,7 @@
 package consensus
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"strings"
@@ -154,6 +155,129 @@ func TestSlidingWindowBounded(t *testing.T) {
 	if maxWindow > 3*36 {
 		t.Errorf("window grew to %d positions; not bounded by read length", maxWindow)
 	}
+}
+
+// TestSlidingWindowWithinLongestRead: the window never holds more
+// positions than the longest read seen so far, and the ring behind it is
+// that length rounded up to a power of two (64 at least) — it grows for a
+// longer read and for nothing else.
+func TestSlidingWindowWithinLongestRead(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	ref := genRef(rng, 30_000)
+	var reads []AlignedRead
+	for _, readLen := range []int{36, 36, 100, 36, 300} {
+		reads = append(reads, sampleReads(rng, ref, 800, readLen, 0.01)...)
+	}
+	sortReads(reads)
+	c := NewSlidingCaller()
+	longest := 0
+	for _, r := range reads {
+		if err := c.Add(r); err != nil {
+			t.Fatal(err)
+		}
+		longest = max(longest, len(r.Seq))
+		pow2 := 64
+		for pow2 < longest {
+			pow2 <<= 1
+		}
+		if w := c.WindowSize(); w > longest || len(c.ring) != pow2 {
+			t.Fatalf("after a read of %d at %d: window %d, ring %d; longest read so far %d (ring want %d)",
+				len(r.Seq), r.Pos, w, len(c.ring), longest, pow2)
+		}
+	}
+}
+
+// fuzzReads turns fuzzer bytes into reads sorted by (chromosome,
+// position): per read a position step (steps past the previous read leave
+// a gap), a length up to 255 (past the 64-slot ring it has to grow), a
+// flag byte (next chromosome, no qualities) and one byte per base giving
+// the symbol — bases of either case, N, and a symbol that is no base —
+// and its quality.
+func fuzzReads(data []byte) []AlignedRead {
+	const symbols = "ACGTNacgtn*"
+	var reads []AlignedRead
+	chrom, pos := 0, 0
+	for len(data) >= 3 {
+		step, ln, flags := int(data[0]), int(data[1]), data[2]
+		data = data[3:]
+		if ln > len(data) {
+			ln = len(data)
+		}
+		if flags&0x80 != 0 {
+			chrom++
+			pos = 0
+		}
+		pos += step % 80
+		bases, quals := make([]byte, ln), make([]byte, ln)
+		for i, b := range data[:ln] {
+			bases[i] = symbols[int(b)%len(symbols)]
+			quals[i] = seq.PhredOffset - 2 + b%70 // from below Phred 1 to past MaxQuality's margin
+		}
+		data = data[ln:]
+		r := AlignedRead{Chrom: fmt.Sprintf("c%05d", chrom), Pos: pos, Seq: string(bases)}
+		if flags&0x40 == 0 {
+			r.Qual = string(quals)
+		}
+		reads = append(reads, r)
+	}
+	return reads
+}
+
+// FuzzSlidingCaller: on any sorted input the sliding window calls what the
+// pivot calls — spans, bases and qualities.
+func FuzzSlidingCaller(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte("\x00\x05\x00ACGTA\x02\x05\x00GTACG\x03\x05\x00CGTAC"))
+	f.Add([]byte("\x05\x04\x00AAAA\x0a\x04\x40CCCC\x00\x02\x80GG"))
+	rng := rand.New(rand.NewSource(3))
+	long := []byte{0, 200, 0}
+	for i := 0; i < 200; i++ {
+		long = append(long, byte(rng.Intn(256)))
+	}
+	f.Add(append(long, long...))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		reads := fuzzReads(data)
+		want, err := CallPivot(reads)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := NewSlidingCaller()
+		for _, r := range reads {
+			if err := c.Add(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got := c.Finish()
+		if len(got) != len(want) {
+			t.Fatalf("%d spans, the pivot has %d", len(got), len(want))
+		}
+		for i := range want {
+			g, w := got[i], want[i]
+			if g.Chrom != w.Chrom || g.Start != w.Start || string(g.Seq) != string(w.Seq) {
+				t.Fatalf("span %d: %s:%d %q, the pivot has %s:%d %q", i, g.Chrom, g.Start, g.Seq, w.Chrom, w.Start, w.Seq)
+			}
+			if len(g.Quals) != len(w.Quals) {
+				t.Fatalf("span %d: %d qualities, the pivot has %d", i, len(g.Quals), len(w.Quals))
+			}
+			for j := range w.Quals {
+				if g.Quals[j] != w.Quals[j] {
+					t.Fatalf("span %d quality %d: %d, the pivot has %d", i, j, g.Quals[j], w.Quals[j])
+				}
+			}
+		}
+		// Sequence-only results are the same bases without qualities.
+		sc := NewSequenceCaller()
+		for _, r := range reads {
+			if err := sc.Add(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i, r := range sc.Finish() {
+			if string(r.Seq) != string(want[i].Seq) || r.Quals != nil {
+				t.Fatalf("sequence caller span %d: %q with %d qualities, want %q with none", i, r.Seq, len(r.Quals), want[i].Seq)
+			}
+		}
+	})
 }
 
 func TestSlidingCallerRejectsUnsorted(t *testing.T) {

@@ -1,0 +1,106 @@
+package core_test
+
+import (
+	"math/rand"
+	"regexp"
+	"runtime"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/sqltypes"
+	"repro/internal/udf"
+)
+
+// allocsPerRun measures what one call of f allocates, in objects and
+// bytes, as the smaller of a few runs (the first fills caches).
+func allocsPerRun(f func()) (objects, bytes uint64) {
+	var before, after runtime.MemStats
+	objects, bytes = ^uint64(0), ^uint64(0)
+	for i := 0; i < 4; i++ {
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		objects = min(objects, after.Mallocs-before.Mallocs)
+		bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
+	}
+	return objects, bytes
+}
+
+// TestAggregationAllocationFloors holds the batch-fed aggregates' cost
+// without a clock, per input row of the statement: the benchmark's Query 3
+// (clustered scan, stream aggregate, AssembleConsensus over 10 000
+// alignments in 8 groups) and a hash aggregate counting the groups of an
+// INT key. Fed a row at a time the consensus statement made 6.8
+// allocations and about 1.6 KB a row. What is left is, per row, one copy of
+// the stored row (the lazy columns keep it), the two 36-byte strings with
+// their headers, and the consensus growing by doubling.
+func TestAggregationAllocationFloors(t *testing.T) {
+	const rows = 10_000
+	db, err := core.Open(t.TempDir(), core.Options{DOP: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	udf.RegisterAll(db)
+	exec := func(sql string) *core.Result {
+		t.Helper()
+		res, err := db.Exec(sql)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		return res
+	}
+	exec(`CREATE TABLE AlignmentSorted (a_g_id INT NOT NULL, a_pos BIGINT NOT NULL, a_id BIGINT NOT NULL,
+	    seq VARCHAR(300), quals VARCHAR(300), PRIMARY KEY CLUSTERED (a_g_id, a_pos, a_id))`)
+	exec(`CREATE TABLE AlignHeap (a_r_id BIGINT, a_g_id INT, a_pos BIGINT)`)
+	rng := rand.New(rand.NewSource(15))
+	sorted, heap := make([]sqltypes.Row, rows), make([]sqltypes.Row, rows)
+	for i := range sorted {
+		read := make([]byte, 36)
+		for j := range read {
+			read[j] = "ACGT"[rng.Intn(4)]
+		}
+		g, pos := int64(i%8+1), int64(i/8*20+rng.Intn(20))
+		sorted[i] = sqltypes.Row{
+			sqltypes.NewInt(g), sqltypes.NewInt(pos), sqltypes.NewInt(int64(i)),
+			sqltypes.NewString(string(read)), sqltypes.NewString("IIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIII"),
+		}
+		heap[i] = sqltypes.Row{sqltypes.NewInt(int64(i)), sqltypes.NewInt(int64(i % 50)), sqltypes.NewInt(pos)}
+	}
+	if err := db.InsertRows("AlignmentSorted", sorted); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.InsertRows("AlignHeap", heap); err != nil {
+		t.Fatal(err)
+	}
+	exec(`CHECKPOINT`)
+
+	for _, c := range []struct {
+		sql               string
+		groups            int
+		objects, bytesRow float64 // allowed per input row
+	}{
+		{`SELECT a_g_id, AssembleConsensus(a_pos, seq, quals) FROM AlignmentSorted GROUP BY a_g_id`, 8, 0.1, 384},
+		{`SELECT a_g_id, COUNT(*) FROM AlignHeap GROUP BY a_g_id`, 50, 0.05, 64},
+	} {
+		var got int
+		objects, bytes := allocsPerRun(func() { got = len(exec(c.sql).Rows) })
+		if got != c.groups {
+			t.Fatalf("%s: %d groups, want %d", c.sql, got, c.groups)
+		}
+		perRow, bytesRow := float64(objects)/rows, float64(bytes)/rows
+		t.Logf("%s: %.3f allocations and %.0f bytes per input row", c.sql, perRow, bytesRow)
+		if perRow > c.objects || bytesRow > c.bytesRow {
+			t.Errorf("%s: %.3f allocations and %.0f bytes per input row, want at most %v and %v",
+				c.sql, perRow, bytesRow, c.objects, c.bytesRow)
+		}
+	}
+	// Both lines of Query 3's plan work on batches, and EXPLAIN says so.
+	plan := exec(`EXPLAIN SELECT a_g_id, AssembleConsensus(a_pos, seq, quals) FROM AlignmentSorted GROUP BY a_g_id`).Plan
+	for _, op := range []string{"Stream Aggregate", "Clustered Index Scan"} {
+		if !regexp.MustCompile(regexp.QuoteMeta(op) + `.* vectorized\n`).MatchString(plan) {
+			t.Errorf("EXPLAIN does not mark %s vectorized:\n%s", op, plan)
+		}
+	}
+}

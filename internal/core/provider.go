@@ -192,11 +192,10 @@ func (db *Database) wrapIterator(def *catalog.Table, it exec.RowIterator) exec.R
 }
 
 // VectorizedScan reports whether the table's scan partitions deliver
-// columnar batches: heap tables only (clustered scans are key-ordered
-// row streams), unless vectorized execution is disabled.
+// columnar batches: every table, heap or clustered, unless vectorized
+// execution is disabled.
 func (db *Database) VectorizedScan(t *catalog.Table) bool {
-	td := db.tables[t.ID]
-	return !db.noVec && td != nil && td.heap != nil
+	return !db.noVec && db.tables[t.ID] != nil
 }
 
 // visibleHeapIterator filters an indexed heap scan down to the rows a
@@ -293,6 +292,18 @@ func (v *visibleBatchIterator) Close() error {
 	return berr
 }
 
+// sequenceColumns lists the columns of the SEQUENCE type: stored packed,
+// marked Packed on the batches that carry them.
+func sequenceColumns(def *catalog.Table) []int {
+	var cols []int
+	for i := range def.Columns {
+		if def.Columns[i].Type.Name == catalog.TypeSequence {
+			cols = append(cols, i)
+		}
+	}
+	return cols
+}
+
 // HeapPageStats prices a zone-map-pruned scan: how many sealed pages
 // survive the filters, and the total. (0, 0) means "no information" (not
 // an open heap table) and the planner falls back to cardinality costing.
@@ -334,12 +345,7 @@ func (db *Database) ScanPartitionsPruned(t *catalog.Table, parts int, filters []
 		if sealed == 0 {
 			parts = 1
 		}
-		var seqCols []int
-		for i := range td.def.Columns {
-			if td.def.Columns[i].Type.Name == catalog.TypeSequence {
-				seqCols = append(seqCols, i)
-			}
-		}
+		seqCols := sequenceColumns(td.def)
 		vectorized := !db.noVec
 		ops := make([]exec.Operator, 0, parts)
 		for i := 0; i < parts; i++ {
@@ -393,32 +399,99 @@ func (db *Database) ScanPartitionsPruned(t *catalog.Table, parts int, filters []
 	return ops, nil
 }
 
-// treeIterator adapts a btree range scan to rows, hiding keys the scan's
-// snapshot cannot see. The btree iterator walks leaf pages unlatched, so
-// the scan holds the table's write latch shared for its duration —
-// writers to this clustered table wait for the scan, but scans never
-// wait behind an open transaction (only behind individual row inserts).
+// treeIterator adapts a btree range scan to rows and to batches, hiding
+// keys the scan's snapshot cannot see. The btree iterator walks leaf pages
+// unlatched, so the scan holds the table's write latch shared for its
+// duration — writers to this clustered table wait for the scan, but scans
+// never wait behind an open transaction (only behind individual row
+// inserts). A scan is pulled through one of the two interfaces, never
+// both: they share the cursor.
 type treeIterator struct {
-	it     *btree.Iterator
-	td     *tableData
-	snap   *Snapshot
-	locked bool
+	it      *btree.Iterator
+	td      *tableData
+	snap    *Snapshot
+	stats   *storage.VecScanStats
+	seqCols []int
+	locked  bool
+
+	held     bool // the cursor's entry did not fit the last batch: it opens the next
+	ends     []int
+	sizeHint int // bytes of the last batch
+}
+
+// advance moves the cursor to the next visible entry.
+func (ti *treeIterator) advance() (bool, error) {
+	for ti.it.Next() {
+		if ti.td.versions.keyVisible(ti.it.Key(), ti.snap) {
+			return true, nil
+		}
+	}
+	return false, ti.it.Err()
 }
 
 func (ti *treeIterator) Next() (sqltypes.Row, bool, error) {
-	for {
-		if !ti.it.Next() {
-			return nil, false, ti.it.Err()
-		}
-		if !ti.td.versions.keyVisible(ti.it.Key(), ti.snap) {
-			continue
-		}
-		row, _, err := ti.td.walCodec.Decode(ti.it.Value(), true)
-		if err != nil {
+	ok, err := ti.advance()
+	if err != nil || !ok {
+		return nil, false, err
+	}
+	row, _, err := ti.td.walCodec.Decode(ti.it.Value(), true)
+	if err != nil {
+		return nil, false, err
+	}
+	if len(ti.seqCols) > 0 {
+		if row, err = ti.td.def.FromStorageRow(row); err != nil {
 			return nil, false, err
 		}
-		return row, true, nil
 	}
+	return row, true, nil
+}
+
+// NextBatch gathers the values of up to vec.DefaultBatchSize visible leaf
+// entries, in key order, into one buffer and hands it to the row-page
+// kernel: a value is a row in the page's own format, so the columns come
+// back lazy and a cell is decoded only if the query reads its column.
+func (ti *treeIterator) NextBatch() (*vec.Batch, error) {
+	var payload []byte // the batch keeps it: sized like the one before, not reused
+	ti.ends = ti.ends[:0]
+	for len(ti.ends) < vec.DefaultBatchSize {
+		if !ti.held {
+			ok, err := ti.advance()
+			if err != nil {
+				return nil, err
+			}
+			if !ok {
+				break
+			}
+		}
+		val := ti.it.Value()
+		if ti.held = len(ti.ends) > 0 && len(payload)+len(val) > storage.MaxLazyRowsBytes; ti.held {
+			break
+		}
+		if payload == nil {
+			// As long as the batch before plus an eighth: batches of one scan
+			// differ by a few rows' bytes, and outgrowing the buffer by one
+			// of them would copy it into another twice its size.
+			payload = make([]byte, 0, max(min(ti.sizeHint+ti.sizeHint/8, storage.MaxLazyRowsBytes), len(val)))
+		}
+		payload = append(payload, val...)
+		ti.ends = append(ti.ends, len(payload))
+	}
+	n := len(ti.ends)
+	if n == 0 {
+		return nil, nil
+	}
+	ti.sizeHint = len(payload)
+	cols, err := ti.td.walCodec.LazyRows(payload, n, ti.ends, ti.stats)
+	if err != nil {
+		return nil, err
+	}
+	// SEQUENCE columns stay in packed storage form, as on heap pages.
+	for _, c := range ti.seqCols {
+		cols[c].Packed = true
+	}
+	ti.stats.Batches.Add(1)
+	ti.stats.Rows.Add(int64(n))
+	return vec.NewBatch(cols, n), nil
 }
 
 func (ti *treeIterator) Close() error {
@@ -429,6 +502,10 @@ func (ti *treeIterator) Close() error {
 	}
 	return nil
 }
+
+// rowsOnly hides the batch interface of an iterator: the row engine
+// (noVec) packs rows instead.
+type rowsOnly struct{ exec.RowIterator }
 
 // OrderedScanRange scans a clustered table in key order over [lo, hi) of
 // the first key column.
@@ -451,7 +528,7 @@ func (db *Database) OrderedScanRange(t *catalog.Table, lo, hi *sqltypes.Value) (
 			return nil, err
 		}
 	}
-	def := td.def
+	seqCols := sequenceColumns(td.def)
 	return &exec.Source{
 		Label: fmt.Sprintf("%s ordered", t.Name),
 		Factory: func(ctx *exec.Context) (exec.RowIterator, error) {
@@ -465,7 +542,11 @@ func (db *Database) OrderedScanRange(t *catalog.Table, lo, hi *sqltypes.Value) (
 				td.writeMu.RUnlock()
 				return nil, err
 			}
-			return db.wrapIterator(def, &treeIterator{it: it, td: td, snap: snap, locked: true}), nil
+			ti := &treeIterator{it: it, td: td, snap: snap, stats: &db.scanStats, seqCols: seqCols, locked: true}
+			if db.noVec {
+				return rowsOnly{ti}, nil
+			}
+			return ti, nil
 		},
 	}, nil
 }

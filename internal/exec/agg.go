@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/expr"
 	"repro/internal/sqltypes"
+	"repro/internal/vec"
 )
 
 // AggState is the accumulation contract of aggregate functions — identical
@@ -13,11 +14,27 @@ import (
 // which is what lets the engine parallelize UDAs "just like built-in
 // aggregates" (paper Section 2.3.4): partial states accumulate per worker
 // and Merge combines them. Add must not keep args: the caller reuses the
-// slice for the next row.
+// slice for the next row. Result does not change the state: it may be
+// called more than once, and a Merge of a fresh state in between changes
+// nothing.
+//
+// A state may also implement BatchAdder; the executor then feeds it whole
+// vectors and never boxes a cell.
 type AggState interface {
 	Add(args []sqltypes.Value) error
 	Merge(other AggState) error
 	Result() (sqltypes.Value, error)
+}
+
+// BatchAdder is the optional vector form of AggState.Add. AddBatch must
+// leave the state exactly as calling Add once per entry of rows, in order,
+// with the cells of args at that physical row would (an error may come
+// after some of the rows were added; the statement fails either way). args
+// holds one vector per argument in any form but lazy — typed, dictionary,
+// packed or generic, Vector.Value reads them all — and belongs to the
+// executor: neither the vectors nor rows may be kept after the call.
+type BatchAdder interface {
+	AddBatch(args []*vec.Vector, rows []int) error
 }
 
 // AggFactory creates a fresh accumulator.
@@ -62,35 +79,50 @@ func (s *sumState) Add(args []sqltypes.Value) error {
 	if v.IsNull() {
 		return nil
 	}
-	s.seen = true
 	if v.K == sqltypes.KindFloat || s.isFloat {
-		if !s.isFloat {
-			s.isFloat = true
-			s.f = float64(s.i)
-		}
 		f, err := v.AsFloat()
 		if err != nil {
 			return err
 		}
-		s.f += f
+		s.addFloat(f)
 		return nil
 	}
 	n, err := v.AsInt()
 	if err != nil {
 		return err
 	}
-	s.i += n
+	s.addInt(n)
 	return nil
 }
+
+func (s *sumState) addInt(n int64) {
+	s.seen = true
+	if s.isFloat {
+		s.f += float64(n)
+	} else {
+		s.i += n
+	}
+}
+
+func (s *sumState) addFloat(f float64) {
+	s.seen = true
+	if !s.isFloat {
+		s.isFloat = true
+		s.f = float64(s.i)
+	}
+	s.f += f
+}
+
 func (s *sumState) Merge(o AggState) error {
 	other := o.(*sumState)
-	if !other.seen {
-		return nil
+	switch {
+	case !other.seen:
+	case other.isFloat:
+		s.addFloat(other.f)
+	default:
+		s.addInt(other.i)
 	}
-	if other.isFloat {
-		return s.Add([]sqltypes.Value{sqltypes.NewFloat(other.f)})
-	}
-	return s.Add([]sqltypes.Value{sqltypes.NewInt(other.i)})
+	return nil
 }
 func (s *sumState) Result() (sqltypes.Value, error) {
 	if !s.seen {
@@ -190,216 +222,539 @@ func BuiltinAggregate(name string) AggFactory {
 	return nil
 }
 
-// --- Hash aggregation ---
+// --- Grouped states: one aggregate, every group of a table ---
 
-type aggGroup struct {
-	vals   sqltypes.Row // group-by values
-	states []AggState
+// groupedAgg holds the states of one aggregate for all groups of a table,
+// indexed by group id, and updates them a vector at a time. The built-ins
+// keep their states by value in one array and read typed argument arrays
+// directly; any other aggregate keeps one AggState per group.
+type groupedAgg interface {
+	// grow adds fresh states until there are n.
+	grow(n int)
+	// reset makes group g's state fresh again.
+	reset(g int32)
+	// state is group g's state, for Merge and Result.
+	state(g int32) AggState
+	// update adds the cells of args at physical row rows[k] to group
+	// gids[k], for every k in order; when gids is nil every row belongs to
+	// group one. args are not lazy.
+	update(gids []int32, one int32, args []*vec.Vector, rows []int) error
 }
 
-// HashAggregate evaluates GROUP BY with aggregate functions by building an
-// in-memory hash table. Output rows are the group-by values followed by
-// the aggregate results. With no group-by expressions it produces the
-// single global aggregate row.
-type HashAggregate struct {
-	GroupBy []expr.Expr
-	Aggs    []AggSpec
-	Child   Operator
-
-	groups map[string]*aggGroup
-	order  []string
-	pos    int
-	out    sqltypes.Row
+// newGroupedAgg picks the grouped form of an aggregate from the state its
+// factory makes.
+func newGroupedAgg(spec AggSpec) groupedAgg {
+	switch proto := spec.Factory().(type) {
+	case *countState:
+		return &countAgg{}
+	case *sumState:
+		return &sumAgg{}
+	case *minmaxState:
+		return &minmaxAgg{stateArray[minmaxState, *minmaxState]{proto: *proto}}
+	case *avgState:
+		return &avgAgg{}
+	}
+	return &udaAgg{factory: spec.Factory}
 }
 
-// Open drains the child and builds the hash table.
-func (h *HashAggregate) Open(ctx *Context) error {
-	if err := h.Child.Open(ctx); err != nil {
-		return err
+// groupOf is the group of the k-th row of an update.
+func groupOf(gids []int32, one int32, k int) int32 {
+	if gids == nil {
+		return one
 	}
-	defer h.Child.Close()
-	h.groups = make(map[string]*aggGroup)
-	h.order = h.order[:0]
-	h.pos = 0
-	if err := accumulate(h.Child, h.GroupBy, h.Aggs, h.groups, &h.order); err != nil {
-		return err
-	}
-	if len(h.GroupBy) == 0 && len(h.groups) == 0 {
-		// Global aggregate over an empty input still yields one row.
-		g := &aggGroup{states: newStates(h.Aggs)}
-		h.groups[""] = g
-		h.order = append(h.order, "")
-	}
-	h.out = make(sqltypes.Row, len(h.GroupBy)+len(h.Aggs))
-	return nil
+	return gids[k]
 }
 
-func newStates(aggs []AggSpec) []AggState {
-	states := make([]AggState, len(aggs))
-	for i, a := range aggs {
-		states[i] = a.Factory()
-	}
-	return states
+// stateArray is the states of a built-in, by value: no allocation and no
+// interface per group.
+type stateArray[S any, P interface {
+	*S
+	AggState
+}] struct {
+	proto  S // a fresh state
+	states []S
 }
 
-// accumulate drains an operator into a group table.
-func accumulate(child Operator, groupBy []expr.Expr, aggs []AggSpec, groups map[string]*aggGroup, order *[]string) error {
-	gvals := make(sqltypes.Row, len(groupBy))
-	var keyBuf []byte
-	for {
-		row, ok, err := child.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return nil
-		}
-		for i, e := range groupBy {
-			v, err := e.Eval(row)
+func (a *stateArray[S, P]) grow(n int) {
+	for len(a.states) < n {
+		a.states = append(a.states, a.proto)
+	}
+}
+func (a *stateArray[S, P]) reset(g int32)          { a.states[g] = a.proto }
+func (a *stateArray[S, P]) state(g int32) AggState { return P(&a.states[g]) }
+
+// addBoxed is the update every kernel falls back to for argument vectors
+// it has no typed loop for: the cells are boxed (not allocated) into one
+// scratch slice and go through AggState.Add.
+func addBoxed(a groupedAgg, gids []int32, one int32, args []*vec.Vector, rows []int, scratch *[]sqltypes.Value) error {
+	if cap(*scratch) < len(args) {
+		*scratch = make([]sqltypes.Value, len(args))
+	}
+	vals := (*scratch)[:len(args)]
+	for k, r := range rows {
+		for i, c := range args {
+			v, err := c.Value(r)
 			if err != nil {
 				return err
 			}
-			gvals[i] = v
+			vals[i] = v
 		}
-		keyBuf, err = appendGroupKey(keyBuf[:0], gvals)
+		if err := a.state(groupOf(gids, one, k)).Add(vals); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// flatNumbers reports whether v is a flat INT or FLOAT column, the forms
+// the numeric kernels read without boxing.
+func flatNumbers(args []*vec.Vector) (ints []int64, floats []float64) {
+	if len(args) != 1 {
+		return nil, nil
+	}
+	v := args[0]
+	if v.Codes != nil || v.Vals != nil {
+		return nil, nil
+	}
+	if v.Kind == sqltypes.KindInt {
+		return v.Ints, nil
+	}
+	return nil, v.Floats
+}
+
+type countAgg struct {
+	stateArray[countState, *countState]
+	scratch []sqltypes.Value
+}
+
+func (a *countAgg) update(gids []int32, one int32, args []*vec.Vector, rows []int) error {
+	switch {
+	case len(args) == 0 && gids == nil: // COUNT(*) of one group: the batch's length
+		a.states[one].n += int64(len(rows))
+	case len(args) == 0:
+		for _, g := range gids {
+			a.states[g].n++
+		}
+	case args[0].Vals == nil: // COUNT(x): the null bitmap decides
+		v := args[0]
+		for k, r := range rows {
+			if !v.IsNull(r) {
+				a.states[groupOf(gids, one, k)].n++
+			}
+		}
+	default:
+		return addBoxed(a, gids, one, args, rows, &a.scratch)
+	}
+	return nil
+}
+
+type sumAgg struct {
+	stateArray[sumState, *sumState]
+	scratch []sqltypes.Value
+}
+
+func (a *sumAgg) update(gids []int32, one int32, args []*vec.Vector, rows []int) error {
+	ints, floats := flatNumbers(args)
+	switch {
+	case ints != nil:
+		v := args[0]
+		for k, r := range rows {
+			if !v.IsNull(r) {
+				a.states[groupOf(gids, one, k)].addInt(ints[r])
+			}
+		}
+	case floats != nil:
+		v := args[0]
+		for k, r := range rows {
+			if !v.IsNull(r) {
+				a.states[groupOf(gids, one, k)].addFloat(floats[r])
+			}
+		}
+	default:
+		return addBoxed(a, gids, one, args, rows, &a.scratch)
+	}
+	return nil
+}
+
+type avgAgg struct {
+	stateArray[avgState, *avgState]
+	scratch []sqltypes.Value
+}
+
+func (a *avgAgg) update(gids []int32, one int32, args []*vec.Vector, rows []int) error {
+	ints, floats := flatNumbers(args)
+	if ints == nil && floats == nil {
+		return addBoxed(a, gids, one, args, rows, &a.scratch)
+	}
+	v := args[0]
+	for k, r := range rows {
+		if v.IsNull(r) {
+			continue
+		}
+		s := &a.states[groupOf(gids, one, k)]
+		if ints != nil {
+			s.sum += float64(ints[r])
+		} else {
+			s.sum += floats[r]
+		}
+		s.n++
+	}
+	return nil
+}
+
+type minmaxAgg struct {
+	stateArray[minmaxState, *minmaxState]
+}
+
+// update compares INT cells with an INT best in place and boxes everything
+// else: MIN and MAX order values of any kind (sqltypes.Compare).
+func (a *minmaxAgg) update(gids []int32, one int32, args []*vec.Vector, rows []int) error {
+	if len(args) != 1 {
+		return fmt.Errorf("exec: MIN/MAX take one argument")
+	}
+	v := args[0]
+	ints, _ := flatNumbers(args)
+	var box [1]sqltypes.Value
+	for k, r := range rows {
+		if v.IsNull(r) {
+			continue
+		}
+		s := &a.states[groupOf(gids, one, k)]
+		if ints != nil && s.seen && s.best.K == sqltypes.KindInt {
+			if x := ints[r]; (s.max && x > s.best.I) || (!s.max && x < s.best.I) {
+				s.best.I = x
+			}
+			continue
+		}
+		val, err := v.Value(r)
 		if err != nil {
 			return err
 		}
-		g, okg := groups[string(keyBuf)]
-		if !okg {
-			g = &aggGroup{vals: gvals.Clone(), states: newStates(aggs)}
-			groups[string(keyBuf)] = g
-			if order != nil {
-				*order = append(*order, string(keyBuf))
-			}
-		}
-		for i, a := range aggs {
-			args := make([]sqltypes.Value, len(a.Args))
-			for j, ae := range a.Args {
-				v, err := ae.Eval(row)
-				if err != nil {
-					return err
-				}
-				args[j] = v
-			}
-			if err := g.states[i].Add(args); err != nil {
-				return err
-			}
+		box[0] = val
+		if err := s.Add(box[:]); err != nil {
+			return err
 		}
 	}
-}
-
-// Next emits one group.
-func (h *HashAggregate) Next() (sqltypes.Row, bool, error) {
-	if h.pos >= len(h.order) {
-		return nil, false, nil
-	}
-	g := h.groups[h.order[h.pos]]
-	h.pos++
-	return renderGroup(h.out, g)
-}
-
-func renderGroup(out sqltypes.Row, g *aggGroup) (sqltypes.Row, bool, error) {
-	copy(out, g.vals)
-	for i, st := range g.states {
-		v, err := st.Result()
-		if err != nil {
-			return nil, false, err
-		}
-		out[len(g.vals)+i] = v
-	}
-	return out, true, nil
-}
-
-// Close releases the hash table.
-func (h *HashAggregate) Close() error {
-	h.groups = nil
-	h.order = nil
 	return nil
 }
+
+// udaAgg holds one AggState per group: user-defined aggregates, and any
+// state the kernels above do not know. A state that implements BatchAdder
+// takes each run of consecutive rows of one group as one call.
+type udaAgg struct {
+	factory AggFactory
+	states  []AggState
+	scratch []sqltypes.Value
+}
+
+func (a *udaAgg) grow(n int) {
+	for len(a.states) < n {
+		a.states = append(a.states, a.factory())
+	}
+}
+func (a *udaAgg) reset(g int32)          { a.states[g] = a.factory() }
+func (a *udaAgg) state(g int32) AggState { return a.states[g] }
+
+func (a *udaAgg) update(gids []int32, one int32, args []*vec.Vector, rows []int) error {
+	for lo := 0; lo < len(rows); {
+		g, hi := groupOf(gids, one, lo), len(rows)
+		if gids != nil {
+			for hi = lo + 1; hi < len(rows) && gids[hi] == g; hi++ {
+			}
+		}
+		var err error
+		if ba, ok := a.states[g].(BatchAdder); ok {
+			err = ba.AddBatch(args, rows[lo:hi])
+		} else {
+			err = addBoxed(a, nil, g, args, rows[lo:hi], &a.scratch)
+		}
+		if err != nil {
+			return &groupError{g: g, err: err}
+		}
+		lo = hi
+	}
+	return nil
+}
+
+// groupError is a user-defined state's error with the group it came from
+// and, once the feed has seen it, the aggregate's name: the operator
+// reports both, the group by its key.
+type groupError struct {
+	agg string
+	g   int32
+	err error
+}
+
+func (e *groupError) Error() string { return e.err.Error() }
+func (e *groupError) Unwrap() error { return e.err }
+
+// --- The feed: batches in, key and argument vectors out ---
+
+// aggFeed is what the hash, stream and global aggregates share: the
+// compiled group-key and argument expressions of one input chain and the
+// grouped states they update. Row-only children cross into batches once,
+// at the input (batchInput).
+type aggFeed struct {
+	groupBy []expr.Expr
+	specs   []AggSpec
+	keyProj *expr.Projection
+	argProj []*expr.Projection
+	aggs    []groupedAgg
+	args    [][]*vec.Vector // evalArgs' result: the current batch's argument vectors
+}
+
+func newAggFeed(groupBy []expr.Expr, specs []AggSpec) aggFeed {
+	f := aggFeed{
+		groupBy: groupBy,
+		specs:   specs,
+		keyProj: expr.CompileProjection(groupBy),
+		argProj: make([]*expr.Projection, len(specs)),
+		aggs:    make([]groupedAgg, len(specs)),
+		args:    make([][]*vec.Vector, len(specs)),
+	}
+	for i, s := range specs {
+		f.argProj[i] = expr.CompileProjection(s.Args)
+		f.aggs[i] = newGroupedAgg(s)
+	}
+	return f
+}
+
+// markCols marks the input columns the group-by and argument expressions
+// read: what a row-only input packs and a spilled row keeps.
+func (f *aggFeed) markCols(cols []bool) {
+	for _, e := range f.groupBy {
+		expr.MarkCols(e, cols)
+	}
+	for _, s := range f.specs {
+		for _, e := range s.Args {
+			expr.MarkCols(e, cols)
+		}
+	}
+}
+
+// grow adds fresh states to every aggregate until there are n groups.
+func (f *aggFeed) grow(n int) {
+	for _, a := range f.aggs {
+		a.grow(n)
+	}
+}
+
+// keys evaluates the group-key columns of b, decoded if they were lazy.
+func (f *aggFeed) keys(b *vec.Batch) ([]*vec.Vector, error) {
+	return evalDecoded(f.keyProj, b)
+}
+
+// evalArgs evaluates every aggregate's argument columns over b's selected
+// rows, for the updates that follow.
+func (f *aggFeed) evalArgs(b *vec.Batch) (err error) {
+	for i, p := range f.argProj {
+		if f.args[i], err = evalDecoded(p, b); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func evalDecoded(p *expr.Projection, b *vec.Batch) ([]*vec.Vector, error) {
+	cols, err := p.Eval(b)
+	if err != nil {
+		return nil, err
+	}
+	for _, c := range cols {
+		if err := c.Materialize(); err != nil {
+			return nil, err
+		}
+	}
+	return cols, nil
+}
+
+// update adds the evaluated arguments at the given rows: row rows[k] to
+// group gids[k], or all to group one when gids is nil. A user-defined
+// state's error comes back as a *groupError.
+func (f *aggFeed) update(gids []int32, one int32, rows []int) error {
+	for i, a := range f.aggs {
+		if err := a.update(gids, one, f.args[i], rows); err != nil {
+			if ge, ok := err.(*groupError); ok {
+				ge.agg = f.specs[i].Name
+			}
+			return err
+		}
+	}
+	return nil
+}
+
+// render writes group g's aggregate results to out.
+func (f *aggFeed) render(g int32, out []sqltypes.Value) error {
+	for i, a := range f.aggs {
+		v, err := a.state(g).Result()
+		if err != nil {
+			return err
+		}
+		out[i] = v
+	}
+	return nil
+}
+
+// named gives a state's error the context the state does not have: which
+// aggregate, fed which group (key renders a group's key).
+func named(err error, key func(g int32) string) error {
+	if ge, ok := err.(*groupError); ok {
+		return fmt.Errorf("exec: %s over group %s: %w", ge.agg, key(ge.g), ge.err)
+	}
+	return err
+}
+
+// --- Stream aggregation ---
 
 // StreamAggregate evaluates GROUP BY over input already sorted by the
 // group-by expressions, emitting each group as soon as it completes — the
 // non-blocking aggregation strategy the paper's consensus pipeline needs
 // ("the database needs to use a non-blocking, parallelized query plan and
-// to process the alignments in order", Section 5.3.3).
+// to process the alignments in order", Section 5.3.3). It works a batch at
+// a time: a group boundary is a row whose key differs from its
+// predecessor's, each run of equal keys is one update of the open group's
+// states, and the groups a batch completes are served before the next
+// batch is pulled.
 type StreamAggregate struct {
 	GroupBy []expr.Expr
 	Aggs    []AggSpec
 	Child   Operator
 
-	cur     *aggGroup
-	curKey  []byte
+	in      BatchOperator
+	feed    aggFeed
+	open    bool          // a group is accumulating in state 0
+	openKey sqltypes.Row  // its key, boxed for output
+	lastKey []*vec.Vector // the key of the last row seen, one row per column
+	keyBuf  [2][]byte
+	pending []sqltypes.Value // completed groups, width values each
+	pos     int
 	done    bool
-	out     sqltypes.Row
-	pending sqltypes.Row
 }
 
 // Open opens the child.
 func (s *StreamAggregate) Open(ctx *Context) error {
-	s.cur, s.curKey, s.done, s.pending = nil, nil, false, nil
-	s.out = make(sqltypes.Row, len(s.GroupBy)+len(s.Aggs))
-	return s.Child.Open(ctx)
+	s.feed = newAggFeed(s.GroupBy, s.Aggs)
+	s.in = batchInput([]Operator{s.Child}, s.feed.markCols)
+	s.feed.grow(1)
+	s.open, s.done = false, false
+	s.openKey = make(sqltypes.Row, len(s.GroupBy))
+	s.lastKey = nil
+	s.pending, s.pos = s.pending[:0], 0
+	return s.in.Open(ctx)
 }
 
 // Next emits the next completed group.
 func (s *StreamAggregate) Next() (sqltypes.Row, bool, error) {
-	if s.done {
-		return nil, false, nil
-	}
-	gvals := make(sqltypes.Row, len(s.GroupBy))
+	width := len(s.GroupBy) + len(s.Aggs)
 	for {
-		row, ok, err := s.Child.Next()
-		if err != nil {
-			return nil, false, err
+		if s.pos < len(s.pending) {
+			row := s.pending[s.pos : s.pos+width]
+			s.pos += width
+			return row, true, nil
 		}
-		if !ok {
-			s.done = true
-			if s.cur != nil {
-				g := s.cur
-				s.cur = nil
-				return renderGroup(s.out, g)
-			}
-			if len(s.GroupBy) == 0 {
-				return renderGroup(s.out, &aggGroup{states: newStates(s.Aggs)})
-			}
+		if s.done {
 			return nil, false, nil
 		}
-		for i, e := range s.GroupBy {
-			v, err := e.Eval(row)
-			if err != nil {
-				return nil, false, err
-			}
-			gvals[i] = v
-		}
-		key, err := appendGroupKey(nil, gvals)
+		s.pending, s.pos = s.pending[:0], 0
+		b, err := s.in.NextBatch()
 		if err != nil {
 			return nil, false, err
 		}
-		var completed *aggGroup
-		if s.cur == nil || string(key) != string(s.curKey) {
-			completed = s.cur
-			s.cur = &aggGroup{vals: gvals.Clone(), states: newStates(s.Aggs)}
-			s.curKey = key
-		}
-		for i, a := range s.Aggs {
-			args := make([]sqltypes.Value, len(a.Args))
-			for j, ae := range a.Args {
-				v, err := ae.Eval(row)
-				if err != nil {
-					return nil, false, err
-				}
-				args[j] = v
+		if b == nil {
+			s.done = true
+			// Without GROUP BY there is one group, also over no rows.
+			if s.open || len(s.GroupBy) == 0 {
+				err = s.finish()
 			}
-			if err := s.cur.states[i].Add(args); err != nil {
-				return nil, false, err
-			}
+		} else if b.Len() > 0 {
+			err = s.consume(b)
 		}
-		if completed != nil {
-			return renderGroup(s.out, completed)
+		if err != nil {
+			return nil, false, err
 		}
 	}
 }
 
+// consume folds one batch: runs of equal keys update the open group, a
+// boundary completes it.
+func (s *StreamAggregate) consume(b *vec.Batch) error {
+	rows := b.Sel
+	keys, err := s.feed.keys(b)
+	if err == nil {
+		err = s.feed.evalArgs(b)
+	}
+	if err != nil {
+		return err
+	}
+	lo := 0
+	for lo < len(rows) {
+		// The run of rows[lo] ends before the first row with another key.
+		hi := lo + 1
+		for ; hi < len(rows); hi++ {
+			if eq, err := keysEqual(keys, rows[hi-1], keys, rows[hi], &s.keyBuf); err != nil {
+				return err
+			} else if !eq {
+				break
+			}
+		}
+		continues := false
+		if lo == 0 && s.open {
+			if continues, err = keysEqual(s.lastKey, 0, keys, rows[0], &s.keyBuf); err != nil {
+				return err
+			}
+		}
+		if !continues {
+			if s.open {
+				if err := s.finish(); err != nil {
+					return err
+				}
+			}
+			s.open = true
+			for i, c := range keys {
+				if s.openKey[i], err = c.Value(rows[lo]); err != nil {
+					return err
+				}
+			}
+		}
+		if err := s.feed.update(nil, 0, rows[lo:hi]); err != nil {
+			return named(err, func(int32) string { return fmt.Sprint(s.openKey) })
+		}
+		lo = hi
+	}
+	// The next batch's first row is compared with this one's last.
+	if s.lastKey == nil {
+		s.lastKey = make([]*vec.Vector, len(keys))
+	}
+	for i, c := range keys {
+		s.lastKey[i] = &vec.Vector{}
+		if err := s.lastKey[i].AppendRows(c, rows[len(rows)-1:]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// finish renders the open group to pending and frees its states.
+func (s *StreamAggregate) finish() error {
+	n := len(s.pending)
+	s.pending = append(s.pending, s.openKey...)
+	for range s.Aggs {
+		s.pending = append(s.pending, sqltypes.Null)
+	}
+	if err := s.feed.render(0, s.pending[n+len(s.openKey):]); err != nil {
+		return err
+	}
+	for _, a := range s.feed.aggs {
+		a.reset(0)
+	}
+	s.open = false
+	return nil
+}
+
 // Close closes the child.
-func (s *StreamAggregate) Close() error { return s.Child.Close() }
+func (s *StreamAggregate) Close() error {
+	if s.in == nil {
+		return nil // never opened
+	}
+	return s.in.Close()
+}

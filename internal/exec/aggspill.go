@@ -7,20 +7,24 @@ import (
 	"repro/internal/expr"
 	"repro/internal/obs"
 	"repro/internal/sqltypes"
+	"repro/internal/vec"
 )
 
 // Spillable hash aggregation: the two-phase GROUP BY operator the
-// planner now emits. Each input (one per worker in the parallel plan)
-// accumulates into an aggTable whose groups are hash-partitioned; when
-// the table exceeds its memory budget, whole partitions freeze — new
-// keys for a frozen partition append their raw input rows to a temp run
-// file instead of growing the table, while the partition's existing
+// planner emits. Each input (one per worker in the parallel plan) is
+// pulled a batch at a time into an aggTable: the group keys hash once per
+// row (joinhash.go), live column by column in the table, and every
+// aggregate updates its grouped states from the batch's argument vectors.
+// Groups are hash-partitioned; when the table exceeds its memory budget,
+// whole partitions freeze — rows of a frozen partition go raw to a temp
+// run file instead of growing the table, while the partition's existing
 // states stay resident and stop growing. Draining emits the in-memory
 // groups first, then re-aggregates each frozen partition from disk
 // (level-seeded re-partitioning, depth-capped like the join) and merges
 // the retained states back in via AggState.Merge — so user-defined
 // aggregates spill exactly like COUNT and SUM, without requiring states
-// to be serializable.
+// to be serializable. An aggregate without GROUP BY is the same table with
+// no key columns: one group, made before the first row.
 
 // DefaultAggPartitions is the spill fan-out when the caller does not set
 // one (the planner's default aliases this).
@@ -31,151 +35,250 @@ const DefaultAggPartitions = 32
 // subdivide) is aggregated fully in memory.
 const maxAggSpillDepth = 4
 
-// keyedGroup pairs a group with its encoded key so retained states can
-// be merged into a re-aggregation table at the next level.
-type keyedGroup struct {
-	key string
-	g   *aggGroup
-}
-
 // aggTable is one worker's partial-aggregate hash table with
-// budget-triggered partition freezing.
+// budget-triggered partition freezing. Group g is row g of the key columns
+// and state g of every aggregate; ids are handed out in first-seen order.
 type aggTable struct {
-	groupBy []expr.Expr
-	aggs    []AggSpec
-	parts   int
-	level   int
-	budget  int64 // 0 = unlimited
-	spill   SpillStore
-	stats   *AggStats
-	prof    *obs.OpProfile
+	feed   aggFeed
+	parts  int
+	level  int
+	budget int64 // 0 = unlimited
+	spill  SpillStore
+	stats  *AggStats
+	prof   *obs.OpProfile
 
-	groups    map[string]*aggGroup
-	order     []string
+	keys   []*vec.Vector // one flat column per group-by expression
+	hashes []uint64      // the key hash of every group
+	heads  []int32       // heads[hash&mask] starts a chain through next
+	next   []int32
+	mask   uint64
+
 	partBytes []int64
 	bytes     int64
 	frozen    []bool
 	files     []SpillFile
 	nFrozen   int
 
-	gvals  sqltypes.Row
-	keyBuf []byte
+	// Scratch, valid within one consume.
+	rowHash []uint64
+	gids    []int32
+	one     [1]int
+	needed  []bool // the input columns a spilled row keeps
+	row     sqltypes.Row
+	keyBuf  [2][]byte
 }
 
 func newAggTable(groupBy []expr.Expr, aggs []AggSpec, parts, level int, budget int64, spill SpillStore, stats *AggStats, prof *obs.OpProfile) *aggTable {
-	return &aggTable{
-		groupBy:   groupBy,
-		aggs:      aggs,
+	t := &aggTable{
+		feed:      newAggFeed(groupBy, aggs),
 		parts:     parts,
 		level:     level,
 		budget:    budget,
 		spill:     spill,
 		stats:     stats,
 		prof:      prof,
-		groups:    make(map[string]*aggGroup),
+		keys:      make([]*vec.Vector, len(groupBy)),
 		partBytes: make([]int64, parts),
 		frozen:    make([]bool, parts),
 		files:     make([]SpillFile, parts),
-		gvals:     make(sqltypes.Row, len(groupBy)),
 	}
-}
-
-// partitionHash distributes a group-key encoding onto partitions; level
-// seeds the hash so recursive re-partitioning shuffles the keys that
-// collided at the previous level (FNV-1a with a level-salted offset basis).
-func partitionHash(key []byte, level int) uint64 {
-	h := uint64(14695981039346656037) ^ (uint64(level)+1)*0x9E3779B97F4A7C15
-	for _, b := range key {
-		h ^= uint64(b)
-		h *= 1099511628211
+	for i := range t.keys {
+		t.keys[i] = &vec.Vector{}
 	}
-	return h
-}
-
-// rowMemBytes approximates the retained size of a buffered row.
-func rowMemBytes(row sqltypes.Row) int64 {
-	n := int64(len(row)) * 48 // Value header
-	for _, v := range row {
-		n += int64(len(v.S)) + int64(len(v.B))
+	if len(groupBy) == 0 {
+		// The global aggregate's one group exists before any row arrives,
+		// and still does over an empty input.
+		t.insert(0)
 	}
-	return n + 24 // slice header
+	return t
 }
 
-// groupMemBytes approximates the retained size of one group entry.
-func groupMemBytes(vals sqltypes.Row, keyLen, nStates int) int64 {
-	return rowMemBytes(vals) + int64(keyLen) + int64(nStates)*64 + 48
-}
+// groups returns the number of groups.
+func (t *aggTable) groups() int { return len(t.hashes) }
 
-// add routes one input row: to the in-memory table, or — when its
-// partition is frozen — raw to the partition's spill file.
-func (t *aggTable) add(row sqltypes.Row) error {
-	for i, e := range t.groupBy {
-		v, err := e.Eval(row)
-		if err != nil {
-			return err
+// lookup finds the group whose key is row r of cols, or -1.
+func (t *aggTable) lookup(h uint64, cols []*vec.Vector, r int) (int32, error) {
+	if t.heads == nil {
+		return -1, nil
+	}
+	for e := t.heads[h&t.mask]; e >= 0; e = t.next[e] {
+		if t.hashes[e] != h {
+			continue
 		}
-		t.gvals[i] = v
-	}
-	var err error
-	t.keyBuf, err = appendGroupKey(t.keyBuf[:0], t.gvals)
-	if err != nil {
-		return err
-	}
-	if t.nFrozen > 0 {
-		p := int(partitionHash(t.keyBuf, t.level) % uint64(t.parts))
-		if t.frozen[p] {
-			if err := t.files[p].Append(row); err != nil {
-				return err
-			}
-			t.stats.SpilledRows.Add(1)
-			t.prof.AddSpill(0, 0, 1)
-			return nil
+		if eq, err := keysEqual(cols, r, t.keys, int(e), &t.keyBuf); eq || err != nil {
+			return e, err
 		}
 	}
-	g, ok := t.groups[string(t.keyBuf)]
-	if !ok {
-		g = &aggGroup{vals: t.gvals.Clone(), states: newStates(t.aggs)}
-		key := string(t.keyBuf)
-		t.groups[key] = g
-		t.order = append(t.order, key)
-		p := int(partitionHash(t.keyBuf, t.level) % uint64(t.parts))
-		sz := groupMemBytes(g.vals, len(key), len(t.aggs))
-		t.partBytes[p] += sz
-		t.bytes += sz
-		// Growth comes from new groups, so the budget check lives on the
-		// insert path: each over-budget insert freezes one more partition
-		// until every future new key streams to disk.
-		if t.budget > 0 && t.bytes > t.budget {
-			if err := t.freezeLargest(); err != nil {
-				return err
-			}
-		}
-	}
-	return t.accumulate(g, row)
+	return -1, nil
 }
 
-// accumulate evaluates the aggregate arguments and feeds the states.
-func (t *aggTable) accumulate(g *aggGroup, row sqltypes.Row) error {
-	for i, a := range t.aggs {
-		args := make([]sqltypes.Value, len(a.Args))
-		for j, ae := range a.Args {
-			v, err := ae.Eval(row)
-			if err != nil {
-				return err
-			}
-			args[j] = v
+// insert makes the next group id for a key of hash h (the caller appends
+// the key itself) and links it into its chain. Slots stay at most half
+// full.
+func (t *aggTable) insert(h uint64) int32 {
+	g := int32(len(t.hashes))
+	t.hashes = append(t.hashes, h)
+	t.next = append(t.next, -1)
+	t.feed.grow(len(t.hashes))
+	if 2*len(t.hashes) > len(t.heads) {
+		size := max(64, 2*len(t.heads))
+		t.mask = uint64(size - 1)
+		t.heads = make([]int32, size)
+		for i := range t.heads {
+			t.heads[i] = -1
 		}
-		if err := g.states[i].Add(args); err != nil {
+		for e, eh := range t.hashes[:g] {
+			t.link(int32(e), eh)
+		}
+	}
+	t.link(g, h)
+	return g
+}
+
+func (t *aggTable) link(g int32, h uint64) {
+	slot := h & t.mask
+	t.next[g] = t.heads[slot]
+	t.heads[slot] = g
+}
+
+// addKey appends row r of cols as the key of a group just inserted.
+func (t *aggTable) addKey(cols []*vec.Vector, r int) error {
+	t.one[0] = r
+	for i, c := range cols {
+		if err := t.keys[i].AppendRows(c, t.one[:]); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
+// groupBytes approximates what group g retains: its key cells, its hash
+// and chain link, the head slots it accounts for (slots are between a
+// half and a quarter full: four at worst) and its states.
+func (t *aggTable) groupBytes(g int32) int64 {
+	return 8 + 4 + 16 + vectorRowBytes(t.keys, int(g)) + 64*int64(len(t.feed.aggs))
+}
+
+// consume folds one batch into the table: every selected row finds or
+// makes its group, then each aggregate updates from its argument vectors.
+// Rows whose partition is frozen go raw to the partition's file instead.
+func (t *aggTable) consume(b *vec.Batch) error {
+	rows := b.Sel
+	if len(rows) == 0 {
+		return nil
+	}
+	if len(t.feed.groupBy) == 0 {
+		if err := t.feed.evalArgs(b); err != nil {
+			return err
+		}
+		return t.named(t.feed.update(nil, 0, rows))
+	}
+	cols, err := t.feed.keys(b)
+	if err != nil {
+		return err
+	}
+	if cap(t.rowHash) < len(rows) {
+		t.rowHash = make([]uint64, max(len(rows), vec.DefaultBatchSize))
+		t.gids = make([]int32, cap(t.rowHash))
+	}
+	hashes, gids := t.rowHash[:len(rows)], t.gids[:len(rows)]
+	for i, c := range cols {
+		if cols[i], err = hashKeyColumn(c, rows, hashes, i == 0); err != nil {
+			return err
+		}
+	}
+	n := 0
+	for k, r := range rows {
+		h := hashes[k]
+		if t.nFrozen > 0 {
+			if p := joinPartition(h, t.level, t.parts); t.frozen[p] {
+				if err := t.spillRow(b, r, p); err != nil {
+					return err
+				}
+				continue
+			}
+		}
+		g, err := t.lookup(h, cols, r)
+		if err != nil {
+			return err
+		}
+		if g < 0 {
+			g = t.insert(h)
+			if err := t.addKey(cols, r); err != nil {
+				return err
+			}
+			// Growth comes from new groups, so the budget check lives on
+			// the insert path: each over-budget insert freezes one more
+			// partition until every future row streams to disk.
+			if t.budget > 0 {
+				sz := t.groupBytes(g)
+				t.partBytes[joinPartition(h, t.level, t.parts)] += sz
+				if t.bytes += sz; t.bytes > t.budget {
+					if err := t.freezeLargest(); err != nil {
+						return err
+					}
+				}
+			}
+		}
+		rows[n], gids[n] = r, g
+		n++
+	}
+	if d := int64(len(rows) - n); d > 0 {
+		t.stats.SpilledRows.Add(d)
+		t.prof.AddSpill(0, 0, d)
+	}
+	if n == 0 {
+		return nil
+	}
+	b.Sel = rows[:n] // argument expressions see the rows that stayed
+	if err := t.feed.evalArgs(b); err != nil {
+		return err
+	}
+	return t.named(t.feed.update(gids[:n], 0, b.Sel))
+}
+
+// named names the group of a state's error by its key.
+func (t *aggTable) named(err error) error {
+	if err == nil {
+		return nil
+	}
+	return named(err, func(g int32) string {
+		key := make(sqltypes.Row, len(t.keys))
+		if kerr := t.key(g, key); kerr != nil {
+			return kerr.Error()
+		}
+		return fmt.Sprint(key)
+	})
+}
+
+// key boxes group g's key into the first cells of dst.
+func (t *aggTable) key(g int32, dst sqltypes.Row) (err error) {
+	for i, c := range t.keys {
+		if dst[i], err = c.Value(int(g)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// spillRow writes row r of b, as far as the aggregate reads it, to frozen
+// partition p's file.
+func (t *aggTable) spillRow(b *vec.Batch, r, p int) error {
+	if len(t.needed) != len(b.Cols) {
+		t.needed = make([]bool, len(b.Cols))
+		t.feed.markCols(t.needed)
+	}
+	var err error
+	if t.row, err = b.ReadRowCols(r, t.row, t.needed); err != nil {
+		return err
+	}
+	return t.files[p].Append(t.row)
+}
+
 // freezeLargest freezes the biggest unfrozen partition: from here on its
-// new keys spill raw rows to a run file. Existing states stay resident
-// (the Merge-only AggState contract cannot serialize them) but stop
-// growing, so memory is bounded near the budget at first overflow.
+// rows spill raw to a run file. Existing states stay resident (the
+// Merge-only AggState contract cannot serialize them) but stop growing, so
+// memory is bounded near the budget at first overflow.
 func (t *aggTable) freezeLargest() error {
 	victim := -1
 	for i := range t.partBytes {
@@ -201,19 +304,24 @@ func (t *aggTable) freezeLargest() error {
 	return nil
 }
 
-// mergeGroup folds a retained group from the previous level into this
-// table (used during re-aggregation). Adopted groups always stay in
-// memory: a frozen target partition's file holds only raw rows, and the
-// drain merges resident states regardless.
-func (t *aggTable) mergeGroup(key string, g *aggGroup) error {
-	tgt, ok := t.groups[key]
-	if !ok {
-		t.groups[key] = g
-		t.order = append(t.order, key)
-		return nil
+// absorb merges group g of src into this table's group of the same key,
+// making it first if need be. Absorbed groups always stay in memory: a
+// frozen partition's file holds only raw rows, and the drain merges
+// resident states regardless.
+func (t *aggTable) absorb(src *aggTable, g int32) error {
+	h := src.hashes[g]
+	e, err := t.lookup(h, src.keys, int(g))
+	if err != nil {
+		return err
 	}
-	for i := range tgt.states {
-		if err := tgt.states[i].Merge(g.states[i]); err != nil {
+	if e < 0 {
+		e = t.insert(h)
+		if err := t.addKey(src.keys, int(g)); err != nil {
+			return err
+		}
+	}
+	for i, a := range t.feed.aggs {
+		if err := a.state(e).Merge(src.feed.aggs[i].state(g)); err != nil {
 			return err
 		}
 	}
@@ -230,12 +338,18 @@ func (t *aggTable) release() {
 	}
 }
 
+// groupRef names one group of one table.
+type groupRef struct {
+	t *aggTable
+	g int32
+}
+
 // spilledPart gathers one partition's overflow across all workers: the
 // raw-row files plus the states that were already resident when the
 // partition froze (or that live in workers which never froze it).
 type spilledPart struct {
 	files    []SpillFile
-	retained []keyedGroup
+	retained []groupRef
 }
 
 // aggDrain streams the merged result of one or more worker tables:
@@ -243,80 +357,63 @@ type spilledPart struct {
 // partition re-aggregated from disk (recursively — a re-aggregation can
 // itself freeze and spill at the next level).
 type aggDrain struct {
-	base     *aggTable // prototype for re-aggregation tables
-	mem      []*aggGroup
+	mem      *aggTable // holds the in-memory groups; prototype for re-aggregation tables
+	memIDs   []int32   // which of its groups to emit; nil = all, in id order
 	memPos   int
 	spilled  []spilledPart
 	spillPos int
 	sub      *aggDrain
 }
 
-// drainTables merges worker tables into a drain plan. A partition
-// counts as spilled if any worker froze it; its resident groups from
-// every worker become retained states merged during re-aggregation.
+// drainTables merges worker tables into a drain plan. A partition counts
+// as spilled if any worker froze it; its resident groups from every worker
+// become retained states merged during re-aggregation. The groups of the
+// other partitions merge into the first table, in first-seen order table
+// by table.
 func drainTables(tables []*aggTable) (*aggDrain, error) {
 	base := tables[0]
-	d := &aggDrain{base: base}
-	spilledOverall := make([]bool, base.parts)
-	any := false
-	for _, t := range tables {
-		for p, fr := range t.frozen {
-			if fr {
-				spilledOverall[p] = true
-				any = true
+	d := &aggDrain{mem: base}
+	spIdx := make([]int, base.parts) // partition -> index in d.spilled, -1 = in memory
+	for p := range spIdx {
+		spIdx[p] = -1
+		for _, t := range tables {
+			if t.frozen[p] {
+				spIdx[p] = len(d.spilled)
+				d.spilled = append(d.spilled, spilledPart{})
+				break
 			}
 		}
 	}
-	if !any && len(tables) == 1 {
-		d.mem = make([]*aggGroup, len(base.order))
-		for i, key := range base.order {
-			d.mem[i] = base.groups[key]
-		}
+	if len(d.spilled) == 0 && len(tables) == 1 {
 		return d, nil
 	}
-	spIdx := make(map[int]int)
-	for p, sp := range spilledOverall {
-		if sp {
-			spIdx[p] = len(d.spilled)
-			d.spilled = append(d.spilled, spilledPart{})
-		}
-	}
-	fail := func(err error) (*aggDrain, error) {
-		// Files already adopted by the drain are no longer owned by any
-		// table; free them here so the caller's table cleanup suffices.
-		for i := range d.spilled {
-			for _, f := range d.spilled[i].files {
-				f.Release()
-			}
-		}
-		return nil, err
-	}
-	merged := make(map[string]*aggGroup)
 	for _, t := range tables {
-		for _, key := range t.order {
-			g := t.groups[key]
-			p := int(partitionHash([]byte(key), base.level) % uint64(base.parts))
-			if spilledOverall[p] {
-				part := &d.spilled[spIdx[p]]
-				part.retained = append(part.retained, keyedGroup{key: key, g: g})
-				continue
+		for p, f := range t.files {
+			if f != nil {
+				d.spilled[spIdx[p]].files = append(d.spilled[spIdx[p]].files, f)
+				t.files[p] = nil // ownership moves to the drain
 			}
-			tgt, ok := merged[key]
-			if !ok {
-				merged[key] = g
-				d.mem = append(d.mem, g)
-				continue
-			}
-			for i := range tgt.states {
-				if err := tgt.states[i].Merge(g.states[i]); err != nil {
-					return fail(err)
+		}
+	}
+	for ti, t := range tables { // base comes first: it has only its own groups yet
+		for g := int32(0); int(g) < t.groups(); g++ {
+			sp := spIdx[joinPartition(t.hashes[g], base.level, base.parts)]
+			switch {
+			case sp >= 0:
+				d.spilled[sp].retained = append(d.spilled[sp].retained, groupRef{t, g})
+			case ti > 0:
+				if err := base.absorb(t, g); err != nil {
+					d.release()
+					return nil, err
 				}
 			}
 		}
-		for p, fr := range t.frozen {
-			if fr && t.files[p] != nil {
-				d.spilled[spIdx[p]].files = append(d.spilled[spIdx[p]].files, t.files[p])
-				t.files[p] = nil // ownership moves to the drain
+	}
+	if len(d.spilled) > 0 {
+		d.memIDs = make([]int32, 0, base.groups())
+		for g := int32(0); int(g) < base.groups(); g++ {
+			if spIdx[joinPartition(base.hashes[g], base.level, base.parts)] < 0 {
+				d.memIDs = append(d.memIDs, g)
 			}
 		}
 	}
@@ -324,31 +421,32 @@ func drainTables(tables []*aggTable) (*aggDrain, error) {
 }
 
 // next yields the next finished group.
-func (d *aggDrain) next() (*aggGroup, bool, error) {
+func (d *aggDrain) next() (groupRef, bool, error) {
 	for {
-		if d.memPos < len(d.mem) {
-			g := d.mem[d.memPos]
+		if d.memIDs == nil && d.memPos < d.mem.groups() {
 			d.memPos++
-			return g, true, nil
+			return groupRef{d.mem, int32(d.memPos - 1)}, true, nil
+		}
+		if d.memPos < len(d.memIDs) {
+			d.memPos++
+			return groupRef{d.mem, d.memIDs[d.memPos-1]}, true, nil
 		}
 		if d.sub != nil {
-			g, ok, err := d.sub.next()
-			if err != nil {
-				return nil, false, err
-			}
-			if ok {
-				return g, true, nil
+			ref, ok, err := d.sub.next()
+			if err != nil || ok {
+				return ref, ok, err
 			}
 			d.sub = nil
 		}
 		if d.spillPos >= len(d.spilled) {
-			return nil, false, nil
+			return groupRef{}, false, nil
 		}
 		part := d.spilled[d.spillPos]
+		d.spilled[d.spillPos].files = nil // reaggregate owns them now
 		d.spillPos++
-		sub, err := d.base.reaggregate(part)
+		sub, err := d.mem.reaggregate(part)
 		if err != nil {
-			return nil, false, err
+			return groupRef{}, false, err
 		}
 		d.sub = sub
 	}
@@ -364,7 +462,7 @@ func (t *aggTable) reaggregate(part spilledPart) (*aggDrain, error) {
 	if t.level+1 >= maxAggSpillDepth {
 		budget = 0
 	}
-	sub := newAggTable(t.groupBy, t.aggs, t.parts, t.level+1, budget, t.spill, t.stats, t.prof)
+	sub := newAggTable(t.feed.groupBy, t.feed.specs, t.parts, t.level+1, budget, t.spill, t.stats, t.prof)
 	fail := func(err error) (*aggDrain, error) {
 		for _, f := range part.files {
 			if f != nil {
@@ -381,23 +479,24 @@ func (t *aggTable) reaggregate(part spilledPart) (*aggDrain, error) {
 		if err != nil {
 			return fail(err)
 		}
+		var pack rowPacker
 		for {
-			row, ok, err := it.Next()
+			b, err := pack.next(it.Next)
+			if err == nil && b != nil {
+				err = sub.consume(b)
+			}
 			if err != nil {
 				return fail(err)
 			}
-			if !ok {
+			if b == nil {
 				break
-			}
-			if err := sub.add(row); err != nil {
-				return fail(err)
 			}
 		}
 		f.Release()
 		part.files[fi] = nil
 	}
-	for _, kg := range part.retained {
-		if err := sub.mergeGroup(kg.key, kg.g); err != nil {
+	for _, ref := range part.retained {
+		if err := sub.absorb(ref.t, ref.g); err != nil {
 			return fail(err)
 		}
 	}
@@ -408,9 +507,7 @@ func (t *aggTable) reaggregate(part spilledPart) (*aggDrain, error) {
 func (d *aggDrain) release() {
 	for i := d.spillPos; i < len(d.spilled); i++ {
 		for _, f := range d.spilled[i].files {
-			if f != nil {
-				f.Release()
-			}
+			f.Release()
 		}
 		d.spilled[i].files = nil
 	}
@@ -418,9 +515,7 @@ func (d *aggDrain) release() {
 		d.sub.release()
 		d.sub = nil
 	}
-	if d.base != nil {
-		d.base.release()
-	}
+	d.mem.release()
 }
 
 // SpillableAggregate evaluates GROUP BY with aggregate functions under a
@@ -428,9 +523,10 @@ func (d *aggDrain) release() {
 // out-of-core: one partial aggregate per worker below the exchange, a
 // final AggState.Merge pass above it, and budget-triggered partition
 // spilling inside each partial. With Child set it runs the same table
-// serially. Output rows are the group-by values followed by the
-// aggregate results; with no group-by expressions it produces the single
-// global aggregate row.
+// serially. Inputs are pulled as batches; a row-only input is packed into
+// generic batches at the boundary. Output rows are the group-by values
+// followed by the aggregate results; with no group-by expressions it
+// produces the single global aggregate row.
 type SpillableAggregate struct {
 	GroupBy []expr.Expr
 	Aggs    []AggSpec
@@ -464,181 +560,61 @@ func (a *SpillableAggregate) Open(ctx *Context) error {
 	}
 	a.drain = nil
 	a.out = make(sqltypes.Row, len(a.GroupBy)+len(a.Aggs))
-	if len(a.GroupBy) == 0 {
-		return a.openGlobal(ctx)
-	}
-
-	var tables []*aggTable
-	if len(a.Parts) > 0 {
-		perBudget := a.MemoryBudget
-		if perBudget > 0 {
-			perBudget /= int64(len(a.Parts))
-			if perBudget < 1 {
-				perBudget = 1
-			}
-		}
-		tables = make([]*aggTable, len(a.Parts))
-		errs := make([]error, len(a.Parts))
-		var wg sync.WaitGroup
-		for i, part := range a.Parts {
-			tables[i] = newAggTable(a.GroupBy, a.Aggs, parts, a.Level, perBudget, a.Spill, stats, profFrom(ctx))
-			wg.Add(1)
-			go func(i int, child Operator) {
-				defer wg.Done()
-				errs[i] = drainIntoTable(ctx, child, tables[i])
-			}(i, part)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				for _, t := range tables {
-					t.release()
-				}
-				return err
-			}
-		}
-	} else {
-		t := newAggTable(a.GroupBy, a.Aggs, parts, a.Level, a.MemoryBudget, a.Spill, stats, profFrom(ctx))
-		if err := drainIntoTable(ctx, a.Child, t); err != nil {
-			t.release()
-			return err
-		}
-		tables = []*aggTable{t}
-	}
-	d, err := drainTables(tables)
-	if err != nil {
-		for _, t := range tables {
-			t.release()
-		}
-		return err
-	}
-	a.drain = d
-	return nil
-}
-
-// openGlobal evaluates an aggregate without GROUP BY: one set of states
-// per input, folded a batch at a time where the input delivers batches,
-// then merged. There is always exactly one result group, also over an
-// empty input.
-func (a *SpillableAggregate) openGlobal(ctx *Context) error {
 	inputs := a.Parts
 	if len(inputs) == 0 {
 		inputs = []Operator{a.Child}
 	}
-	partials := make([][]AggState, len(inputs))
-	for i := range partials {
-		partials[i] = newStates(a.Aggs)
+	budget := a.MemoryBudget
+	if budget > 0 {
+		budget = max(1, budget/int64(len(inputs)))
 	}
+	tables := make([]*aggTable, len(inputs))
 	errs := make([]error, len(inputs))
-	if len(inputs) == 1 {
-		errs[0] = foldGlobal(ctx, inputs[0], a.Aggs, partials[0])
-	} else {
-		var wg sync.WaitGroup
-		for i, in := range inputs {
-			wg.Add(1)
-			go func(i int, in Operator) {
-				defer wg.Done()
-				errs[i] = foldGlobal(ctx, in, a.Aggs, partials[i])
-			}(i, in)
+	var wg sync.WaitGroup
+	for i, in := range inputs {
+		tables[i] = newAggTable(a.GroupBy, a.Aggs, parts, a.Level, budget, a.Spill, stats, profFrom(ctx))
+		if len(inputs) == 1 {
+			errs[i] = drainIntoTable(ctx, in, tables[i])
+			break
 		}
-		wg.Wait()
+		wg.Add(1)
+		go func(i int, in Operator) {
+			defer wg.Done()
+			errs[i] = drainIntoTable(ctx, in, tables[i])
+		}(i, in)
 	}
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	for _, p := range partials[1:] {
-		for i, st := range p {
-			if err := partials[0][i].Merge(st); err != nil {
-				return err
-			}
+	wg.Wait()
+	var err error
+	for _, e := range errs {
+		if err == nil {
+			err = e
 		}
 	}
-	a.drain = &aggDrain{mem: []*aggGroup{{states: partials[0]}}}
-	return nil
+	if err == nil {
+		a.drain, err = drainTables(tables)
+	}
+	if err != nil {
+		for _, t := range tables {
+			t.release()
+		}
+	}
+	return err
 }
 
-// foldGlobal opens a child, feeds everything it produces to states, and
-// closes it. A batch child is read through NextBatch and no row is built:
-// COUNT(*) adds the number of selected rows, an aggregate with arguments
-// reads them off the argument vectors. Other children are read row by row.
-func foldGlobal(ctx *Context, child Operator, aggs []AggSpec, states []AggState) error {
-	if err := child.Open(ctx); err != nil {
+// drainIntoTable opens a child, folds every batch it produces into the
+// table, and closes it.
+func drainIntoTable(ctx *Context, child Operator, t *aggTable) error {
+	in := batchInput([]Operator{child}, t.feed.markCols)
+	if err := in.Open(ctx); err != nil {
 		return err
 	}
-	defer child.Close()
-	args := make([][]sqltypes.Value, len(aggs))
-	for i, a := range aggs {
-		args[i] = make([]sqltypes.Value, len(a.Args))
-	}
-	bo, ok := child.(BatchOperator)
-	if !ok {
-		for {
-			row, ok, err := child.Next()
-			if err != nil || !ok {
-				return err
-			}
-			for i, a := range aggs {
-				for j, ae := range a.Args {
-					if args[i][j], err = ae.Eval(row); err != nil {
-						return err
-					}
-				}
-				if err := states[i].Add(args[i]); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	projs := make([]*expr.Projection, len(aggs))
-	for i, a := range aggs {
-		projs[i] = expr.CompileProjection(a.Args)
-	}
+	defer in.Close()
 	for {
-		b, err := bo.NextBatch()
+		b, err := in.NextBatch()
 		if err != nil || b == nil {
 			return err
 		}
-		for i, st := range states {
-			if c, ok := st.(*countState); ok && len(args[i]) == 0 {
-				c.n += int64(b.Len())
-				continue
-			}
-			cols, err := projs[i].Eval(b)
-			if err != nil {
-				return err
-			}
-			for _, s := range b.Sel {
-				for j, c := range cols {
-					if args[i][j], err = c.Value(s); err != nil {
-						return err
-					}
-				}
-				if err := st.Add(args[i]); err != nil {
-					return err
-				}
-			}
-		}
-	}
-}
-
-// drainIntoTable opens a child, feeds every row to the table, and closes
-// it.
-func drainIntoTable(ctx *Context, child Operator, t *aggTable) error {
-	if err := child.Open(ctx); err != nil {
-		return err
-	}
-	defer child.Close()
-	for {
-		row, ok, err := child.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return nil
-		}
-		if err := t.add(row); err != nil {
+		if err := t.consume(b); err != nil {
 			return err
 		}
 	}
@@ -649,11 +625,14 @@ func (a *SpillableAggregate) Next() (sqltypes.Row, bool, error) {
 	if a.drain == nil {
 		return nil, false, nil
 	}
-	g, ok, err := a.drain.next()
+	ref, ok, err := a.drain.next()
 	if err != nil || !ok {
 		return nil, false, err
 	}
-	return renderGroup(a.out, g)
+	if err = ref.t.key(ref.g, a.out); err == nil {
+		err = ref.t.feed.render(ref.g, a.out[len(a.GroupBy):])
+	}
+	return a.out, err == nil, err
 }
 
 // Close releases spill files and tables.

@@ -34,21 +34,24 @@ func (s *Source) NextBatch() (*vec.Batch, error) {
 	if bi, ok := s.it.(BatchIterator); ok {
 		return bi.NextBatch()
 	}
-	return s.pack.next(s.it.Next, s.cur.needed)
+	return s.pack.next(s.it.Next)
 }
 
 // rowPacker turns a row stream into generic batches. It remembers the end
 // of the stream: a row iterator need not survive a Next after its last.
 type rowPacker struct {
-	done bool
-	last int // rows in the previous batch: the next one's starting capacity
+	// mark, when set, marks the columns the consumer reads in a slice as
+	// wide as the rows; the others are not copied. nil copies every column.
+	mark   func(cols []bool)
+	needed []bool
+	done   bool
+	last   int // rows in the previous batch: the next one's starting capacity
 }
 
 // next builds one batch of up to vec.DefaultBatchSize rows, copying only
-// the columns marked in needed (nil = all); the others are nullColumn.
-// Batches outlive the row they were read from, so byte values are copied
-// out of it.
-func (p *rowPacker) next(next func() (sqltypes.Row, bool, error), needed []bool) (*vec.Batch, error) {
+// the marked columns; the others are nullColumn. Batches outlive the row
+// they were read from, so byte values are copied out of it.
+func (p *rowPacker) next(next func() (sqltypes.Row, bool, error)) (*vec.Batch, error) {
 	const size = vec.DefaultBatchSize
 	var cols []*vec.Vector
 	n := 0
@@ -62,9 +65,13 @@ func (p *rowPacker) next(next func() (sqltypes.Row, bool, error), needed []bool)
 			break
 		}
 		if cols == nil {
+			if p.mark != nil && len(p.needed) != len(row) {
+				p.needed = make([]bool, len(row))
+				p.mark(p.needed)
+			}
 			cols = make([]*vec.Vector, len(row))
 			for i := range cols {
-				if needed == nil || (i < len(needed) && needed[i]) {
+				if p.mark == nil || p.needed[i] {
 					cols[i] = vec.NewGenericVector(max(p.last, 64))
 				} else {
 					cols[i] = nullColumn
@@ -87,6 +94,41 @@ func (p *rowPacker) next(next func() (sqltypes.Row, bool, error), needed []bool)
 	}
 	p.last = n
 	return vec.NewBatch(cols, n), nil
+}
+
+// rowBatches lets a row-only operator (a merge join, a CROSS APPLY, the
+// row engine's scans) feed a batch consumer: its rows are packed into
+// generic batches holding the columns the consumer marks.
+type rowBatches struct {
+	Operator
+	mark func(cols []bool)
+	pack rowPacker
+}
+
+func (r *rowBatches) Open(ctx *Context) error {
+	r.pack = rowPacker{mark: r.mark}
+	return r.Operator.Open(ctx)
+}
+
+func (r *rowBatches) NextBatch() (*vec.Batch, error) { return r.pack.next(r.Next) }
+
+// batchInput presents one side's chains as a single batch stream: the
+// chain itself when there is one, an unordered exchange over several.
+// mark names the columns the consumer reads, for the chains that have to
+// be packed from rows; nil means all.
+func batchInput(chains []Operator, mark func(cols []bool)) BatchOperator {
+	ops := make([]BatchOperator, len(chains))
+	for i, ch := range chains {
+		if bo, ok := ch.(BatchOperator); ok {
+			ops[i] = bo
+		} else {
+			ops[i] = &rowBatches{Operator: ch, mark: mark}
+		}
+	}
+	if len(ops) == 1 {
+		return ops[0]
+	}
+	return &VecGather{Children: ops}
 }
 
 // nullColumn stands in for every column of a batch that its consumer has
@@ -305,14 +347,19 @@ func (l *VecLimit) Close() error { return l.Child.Close() }
 // PruneColumns limits row materialization to the marked columns.
 func (l *VecLimit) PruneColumns(needed []bool) { l.cur.needed = needed }
 
-// VecGather is the unordered exchange for batch streams. Because batches
-// are caller-owned (fresh allocations, never reused by the producer), no
+// VecGather is the exchange for batch streams. Because batches are
+// caller-owned (fresh allocations, never reused by the producer), no
 // per-row cloning happens on the channel — one send moves up to a full
-// page of rows.
+// page of rows. Unordered, batches arrive as produced; Ordered, the
+// children are drained in index order (range-partitioned clustered scans:
+// the ranges are contiguous, so key order survives), all of them still
+// producing concurrently into their own bounded buffers.
 type VecGather struct {
 	Children []BatchOperator
+	Ordered  bool
 
-	batches chan vecGatherMsg
+	out     []chan vecGatherMsg // one per child when Ordered, else one shared
+	current int                 // the channel being drained
 	done    chan struct{}
 	wg      sync.WaitGroup
 	cur     batchToRow
@@ -331,41 +378,57 @@ const vecGatherBuffer = 8
 func (g *VecGather) Open(ctx *Context) error {
 	g.cur.reset()
 	g.done = make(chan struct{})
-	g.batches = make(chan vecGatherMsg, vecGatherBuffer)
-	for _, child := range g.Children {
+	g.current = 0
+	g.out = make([]chan vecGatherMsg, 1)
+	if g.Ordered {
+		g.out = make([]chan vecGatherMsg, len(g.Children))
+	}
+	for i := range g.out {
+		g.out[i] = make(chan vecGatherMsg, vecGatherBuffer)
+	}
+	for i, child := range g.Children {
+		out := g.out[0]
+		if g.Ordered {
+			out = g.out[i]
+		}
 		g.wg.Add(1)
 		go func(child BatchOperator) {
 			defer g.wg.Done()
+			if g.Ordered {
+				defer close(out) // its only sender
+			}
 			if err := child.Open(ctx); err != nil {
-				g.send(vecGatherMsg{err: err})
+				g.send(out, vecGatherMsg{err: err})
 				return
 			}
 			defer child.Close()
 			for {
 				b, err := child.NextBatch()
 				if err != nil {
-					g.send(vecGatherMsg{err: err})
+					g.send(out, vecGatherMsg{err: err})
 					return
 				}
 				if b == nil {
 					return
 				}
-				if !g.send(vecGatherMsg{b: b}) {
+				if !g.send(out, vecGatherMsg{b: b}) {
 					return // consumer gone
 				}
 			}
 		}(child)
 	}
-	go func() {
-		g.wg.Wait()
-		close(g.batches)
-	}()
+	if !g.Ordered {
+		go func() {
+			g.wg.Wait()
+			close(g.out[0])
+		}()
+	}
 	return nil
 }
 
-func (g *VecGather) send(msg vecGatherMsg) bool {
+func (g *VecGather) send(out chan vecGatherMsg, msg vecGatherMsg) bool {
 	select {
-	case g.batches <- msg:
+	case out <- msg:
 		return true
 	case <-g.done:
 		return false
@@ -374,11 +437,14 @@ func (g *VecGather) send(msg vecGatherMsg) bool {
 
 // NextBatch returns the next gathered batch.
 func (g *VecGather) NextBatch() (*vec.Batch, error) {
-	msg, ok := <-g.batches
-	if !ok {
-		return nil, nil
+	for g.current < len(g.out) {
+		msg, ok := <-g.out[g.current]
+		if ok {
+			return msg.b, msg.err
+		}
+		g.current++
 	}
-	return msg.b, msg.err
+	return nil, nil
 }
 
 // Next serves rows from gathered batches.
@@ -396,7 +462,10 @@ func (g *VecGather) Close() error {
 	default:
 		close(g.done)
 	}
-	for range g.batches {
+	// Drain so producers blocked on a send can observe done.
+	for _, ch := range g.out {
+		for range ch {
+		}
 	}
 	g.wg.Wait()
 	return nil

@@ -77,8 +77,9 @@ func (s *Source) Open(ctx *Context) error {
 	s.cur.reset()
 	s.pack = rowPacker{}
 	s.pruned = nil
-	if s.cur.needed != nil {
+	if needed := s.cur.needed; needed != nil {
 		s.pruned, _ = it.(BatchIterator)
+		s.pack.mark = func(cols []bool) { copy(cols, needed) }
 	}
 	return nil
 }
@@ -280,37 +281,38 @@ func Run(ctx *Context, op Operator) ([]sqltypes.Row, error) {
 	return rows, err
 }
 
-// groupKey renders group-by values into a comparable map key.
-func groupKey(vals sqltypes.Row) (string, error) {
-	key, err := appendGroupKey(nil, vals)
-	if err != nil {
-		return "", err
+// appendGroupKey renders group-by values into a comparable key: equal
+// keys are equal groups.
+func appendGroupKey(dst []byte, vals sqltypes.Row) ([]byte, error) {
+	var err error
+	for _, v := range vals {
+		if dst, err = appendValueKey(dst, v); err != nil {
+			return nil, err
+		}
 	}
-	return string(key), nil
+	return dst, nil
 }
 
-func appendGroupKey(dst []byte, vals sqltypes.Row) ([]byte, error) {
-	for _, v := range vals {
-		switch v.K {
-		case sqltypes.KindNull:
-			dst = append(dst, 0)
-		case sqltypes.KindInt, sqltypes.KindBool:
-			dst = append(dst, 1)
-			for i := 0; i < 8; i++ {
-				dst = append(dst, byte(uint64(v.I)>>(8*i)))
-			}
-		case sqltypes.KindFloat:
-			dst = append(dst, 2)
-			dst = appendFloatKey(dst, v.F)
-		case sqltypes.KindString:
-			dst = append(dst, 3)
-			dst = appendLenPrefixed(dst, v.S)
-		case sqltypes.KindBytes:
-			dst = append(dst, 4)
-			dst = appendLenPrefixed(dst, string(v.B))
-		default:
-			return nil, fmt.Errorf("exec: cannot group on kind %s", v.K)
+func appendValueKey(dst []byte, v sqltypes.Value) ([]byte, error) {
+	switch v.K {
+	case sqltypes.KindNull:
+		dst = append(dst, 0)
+	case sqltypes.KindInt, sqltypes.KindBool:
+		dst = append(dst, 1)
+		for i := 0; i < 8; i++ {
+			dst = append(dst, byte(uint64(v.I)>>(8*i)))
 		}
+	case sqltypes.KindFloat:
+		dst = append(dst, 2)
+		dst = appendFloatKey(dst, v.F)
+	case sqltypes.KindString:
+		dst = append(dst, 3)
+		dst = appendLenPrefixed(dst, v.S)
+	case sqltypes.KindBytes:
+		dst = append(dst, 4)
+		dst = appendLenPrefixed(dst, string(v.B))
+	default:
+		return nil, fmt.Errorf("exec: cannot group on kind %s", v.K)
 	}
 	return dst, nil
 }

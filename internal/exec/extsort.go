@@ -56,6 +56,15 @@ func singleColKey(by []SortKey) (int, bool) {
 	return c.Idx, true
 }
 
+// rowMemBytes approximates the retained size of a buffered row.
+func rowMemBytes(row sqltypes.Row) int64 {
+	n := int64(len(row)) * 48 // Value header
+	for _, v := range row {
+		n += int64(len(v.S)) + int64(len(v.B))
+	}
+	return n + 24 // slice header
+}
+
 // createRun picks the run-flavored file when the store offers one.
 func createRun(store SpillStore) (SpillFile, error) {
 	if rs, ok := store.(RunStore); ok {

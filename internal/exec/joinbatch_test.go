@@ -22,7 +22,18 @@ const (
 	formDict                      // codes into a per-batch dictionary
 	formPacked                    // 2-bit packed sequences (flat BYTES, Packed)
 	formPackedDict                // packed sequences behind a dictionary
+	formLazy                      // the typed array, not decoded until first read
 )
+
+// lazyOf is a typed flat column that decodes on demand, as a scanned row
+// page's columns do.
+type lazyOf struct{ flat *vec.Vector }
+
+func (l lazyOf) Len() int { return l.flat.Len() }
+func (l lazyOf) Fill(v *vec.Vector) error {
+	v.Ints, v.Floats, v.Strs, v.Byts = l.flat.Ints, l.flat.Floats, l.flat.Strs, l.flat.Byts
+	return nil
+}
 
 // formVector renders one column of rows[from:to] in the given form. Row 0
 // of the vector is a decoy the selection vector leaves out: a copy of the
@@ -58,6 +69,12 @@ func formVector(t testing.TB, rows []sqltypes.Row, c int, form colForm) *vec.Vec
 			v.Append(val)
 		}
 		return v
+	case formLazy:
+		flat := formVector(t, rows, c, formFlat)
+		if flat.Vals != nil {
+			return flat // a column of NULLs has no typed array to defer
+		}
+		return &vec.Vector{Kind: flat.Kind, Nulls: flat.Nulls, Lazy: lazyOf{flat}}
 	case formPacked:
 		v := vec.NewVector(sqltypes.KindBytes, len(vals))
 		v.Packed = true
@@ -113,8 +130,14 @@ func (s *batchSlice) NextBatch() (*vec.Batch, error) {
 	}
 	b := s.batches[s.pos]
 	s.pos++
-	// Batches belong to the caller, who may shrink Sel in place.
-	return &vec.Batch{Cols: b.Cols, Sel: append([]int(nil), b.Sel...)}, nil
+	// Batches belong to the caller, who may shrink Sel in place and decode
+	// lazy columns: it gets its own selection and its own vector headers.
+	cols := make([]*vec.Vector, len(b.Cols))
+	for i, c := range b.Cols {
+		cp := *c
+		cols[i] = &cp
+	}
+	return &vec.Batch{Cols: cols, Sel: append([]int(nil), b.Sel...)}, nil
 }
 
 func (s *batchSlice) Close() error { return nil }

@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"bytes"
 	"fmt"
 	"sync/atomic"
 
@@ -243,38 +242,6 @@ func (j *PartitionedHashJoin) side(left bool) (keys []expr.Expr, out []bool) {
 	return j.LeftKeys, nil
 }
 
-// rowBatches lets a row-only operator (a clustered scan under a row
-// filter, a merge join, a TVF) feed the join: its rows are packed into
-// generic batches.
-type rowBatches struct {
-	Operator
-	pack rowPacker
-}
-
-func (r *rowBatches) Open(ctx *Context) error {
-	r.pack = rowPacker{}
-	return r.Operator.Open(ctx)
-}
-
-func (r *rowBatches) NextBatch() (*vec.Batch, error) { return r.pack.next(r.Next, nil) }
-
-// batchInput presents one side's chains as a single batch stream: the
-// chain itself when there is one, an unordered exchange over several.
-func batchInput(chains []Operator) BatchOperator {
-	ops := make([]BatchOperator, len(chains))
-	for i, ch := range chains {
-		if bo, ok := ch.(BatchOperator); ok {
-			ops[i] = bo
-		} else {
-			ops[i] = &rowBatches{Operator: ch}
-		}
-	}
-	if len(ops) == 1 {
-		return ops[0]
-	}
-	return &VecGather{Children: ops}
-}
-
 // Open drains the build side into the hash table (spilling over-budget
 // partitions) and opens the probe.
 func (j *PartitionedHashJoin) Open(ctx *Context) error {
@@ -325,7 +292,7 @@ func (j *PartitionedHashJoin) open(ctx *Context, p int) error {
 	buildKeys, buildOut := j.side(j.BuildLeft)
 	probeKeys, probeOut := j.side(!j.BuildLeft)
 
-	in := batchInput(j.chains(j.BuildLeft))
+	in := batchInput(j.chains(j.BuildLeft), nil)
 	if err := in.Open(ctx); err != nil {
 		return err
 	}
@@ -357,11 +324,11 @@ func (j *PartitionedHashJoin) open(ctx *Context, p int) error {
 	workers := make([]Operator, len(probeChains))
 	for i, ch := range probeChains {
 		workers[i] = &phjProbe{
-			j: j, child: batchInput([]Operator{ch}), out: probeOut, carry: carry,
+			j: j, child: batchInput([]Operator{ch}, nil), out: probeOut, carry: carry,
 			keys: keyHasher{proj: expr.CompileProjection(probeKeys)},
 		}
 	}
-	probe := batchInput(workers)
+	probe := batchInput(workers, nil)
 	if err := probe.Open(ctx); err != nil {
 		return err
 	}
@@ -758,25 +725,10 @@ func (t *joinTable) append(b *vec.Batch, keys []*vec.Vector, rows []int, hashes 
 	return nil
 }
 
-// rowBytes approximates the memory row i retains, from the lengths of the
-// vector entries that hold it plus its hash and chain links.
+// rowBytes approximates the memory row i retains: its cells, its hash, its
+// chain link and two head slots.
 func (t *joinTable) rowBytes(i int) int64 {
-	n := int64(8 + 4 + 8) // hash, next, two head slots
-	for _, set := range [2][]*vec.Vector{t.keys, t.cols} {
-		for _, v := range set {
-			switch {
-			case v.Strs != nil:
-				n += 16 + int64(len(v.Strs[i]))
-			case v.Byts != nil:
-				n += 24 + int64(len(v.Byts[i]))
-			case v.Vals != nil:
-				n += 64 + int64(len(v.Vals[i].S)+len(v.Vals[i].B))
-			default:
-				n += 8
-			}
-		}
-	}
-	return n
+	return 8 + 4 + 8 + vectorRowBytes(t.keys, i) + vectorRowBytes(t.cols, i)
 }
 
 // row rebuilds build row i as far as the table holds it; the other cells
@@ -1003,7 +955,10 @@ scan:
 				if pInts[r] != bInts[e] {
 					continue
 				}
-			} else if !w.keysEqual(r, int(e)) {
+			} else if eq, err := keysEqual(w.keys.cols, r, t.keys, int(e), &w.keyBuf); !eq {
+				if err != nil {
+					w.err = err
+				}
 				continue
 			}
 			if len(pi) == cap(pi) {
@@ -1015,53 +970,6 @@ scan:
 	}
 	w.chain = e
 	w.probeIdx, w.buildIdx = pi, bi
-}
-
-// keysEqual compares probe row r's key with build row e's, column by
-// column: typed when both sides hold the column in the same typed array,
-// otherwise on the group-key encoding (appendGroupKey) of both values —
-// the encoding the hash agrees with, so mixed-kind and boxed columns
-// match exactly the rows the typed path would.
-func (w *phjProbe) keysEqual(r, e int) bool {
-	for i, pk := range w.keys.cols {
-		bk := w.j.table.keys[i]
-		switch {
-		case pk.Ints != nil && bk.Ints != nil:
-			if pk.Ints[r] != bk.Ints[e] {
-				return false
-			}
-		case pk.Strs != nil && bk.Strs != nil:
-			if pk.Strs[r] != bk.Strs[e] {
-				return false
-			}
-		case pk.Byts != nil && bk.Byts != nil:
-			if !bytes.Equal(pk.Byts[r], bk.Byts[e]) {
-				return false
-			}
-		default:
-			var err error
-			if w.keyBuf[0], err = encodedKey(w.keyBuf[0], pk, r); err == nil {
-				w.keyBuf[1], err = encodedKey(w.keyBuf[1], bk, e)
-			}
-			if err != nil {
-				w.err = err
-				return false
-			}
-			if !bytes.Equal(w.keyBuf[0], w.keyBuf[1]) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// encodedKey renders row i of a key column in the group-key encoding.
-func encodedKey(buf []byte, col *vec.Vector, i int) ([]byte, error) {
-	v, err := col.Value(i)
-	if err != nil {
-		return buf, err
-	}
-	return appendGroupKey(buf[:0], sqltypes.Row{v})
 }
 
 // emit gathers the matched pairs into an output batch: the left input's

@@ -88,6 +88,9 @@ func compileMask(e Expr) maskEval {
 			}
 			return &cmpMask{op: op, col: col, lit: lit}
 		}
+		if m := compileCallCmp(t); m != nil {
+			return m
+		}
 	case *Like:
 		if c, ok := t.X.(*Col); ok {
 			return &likeMask{col: c.Idx, pattern: t.Pattern}
@@ -431,9 +434,13 @@ func (m *cmpMask) ensurePackedLit() {
 	m.packedLit = p.Encode()
 }
 
-func (m *cmpMask) verdictCmp(cmp int) uint8 {
+func (m *cmpMask) verdictCmp(cmp int) uint8 { return cmpVerdict(m.op, cmp) }
+
+// cmpVerdict is the mask value of a comparison whose operands compared as
+// cmp (neither NULL).
+func cmpVerdict(op CmpOp, cmp int) uint8 {
 	var out bool
-	switch m.op {
+	switch op {
 	case CmpEq:
 		out = cmp == 0
 	case CmpNe:
@@ -557,6 +564,128 @@ func (m *likeMask) mask(b *vec.Batch, sel []int, out []uint8) error {
 		} else {
 			out[i] = kFalse
 		}
+	}
+	return nil
+}
+
+// callCmpMask is fn(..., column, ...) <op> literal: a scalar function of
+// one column and constants, compared with a constant — Query 1's
+// CHARINDEX('N', short_read_seq) = 0. The function is called on the
+// column's cells where they lie, NULLs included, exactly as the row path
+// calls it; over a dictionary vector once per entry the selection reaches,
+// which takes the function to depend on its arguments alone.
+type callCmpMask struct {
+	fn   ScalarFunc
+	args []sqltypes.Value // the call's arguments; args[at] is the column's cell
+	at   int
+	col  int
+	op   CmpOp
+	lit  sqltypes.Value
+
+	verdict []uint8 // per dictionary entry; kUnset until a row needs it
+}
+
+const kUnset uint8 = 0xFF
+
+// compileCallCmp recognizes the shape in either operand order.
+func compileCallCmp(c *Cmp) maskEval {
+	call, okc := c.L.(*Call)
+	lit, okl := c.R.(*Lit)
+	op := c.Op
+	if !okc || !okl {
+		if call, okc = c.R.(*Call); !okc {
+			return nil
+		}
+		if lit, okl = c.L.(*Lit); !okl {
+			return nil
+		}
+		op = flipCmp(op)
+	}
+	m := &callCmpMask{fn: call.Fn, args: make([]sqltypes.Value, len(call.Args)), at: -1, op: op, lit: lit.V}
+	for i, a := range call.Args {
+		switch t := a.(type) {
+		case *Lit:
+			m.args[i] = t.V
+		case *Col:
+			if m.at >= 0 {
+				return nil // two columns: no single vector to walk
+			}
+			m.at, m.col = i, t.Idx
+		default:
+			return nil
+		}
+	}
+	if m.at < 0 {
+		return nil
+	}
+	return m
+}
+
+// eval is the predicate's value for one cell of the column.
+func (m *callCmpMask) eval(cell sqltypes.Value) (uint8, error) {
+	m.args[m.at] = cell
+	res, err := m.fn(m.args)
+	if err != nil {
+		return kNull, err
+	}
+	if res.IsNull() || m.lit.IsNull() {
+		return kNull, nil
+	}
+	return cmpVerdict(m.op, sqltypes.Compare(res, m.lit)), nil
+}
+
+func (m *callCmpMask) mask(b *vec.Batch, sel []int, out []uint8) (err error) {
+	v := b.Cols[m.col]
+	if err := v.Materialize(); err != nil {
+		return err
+	}
+	if v.Codes == nil {
+		for i, s := range sel {
+			cell, err := v.Value(s) // boxes without allocating; NULL for a NULL row
+			if err != nil {
+				return err
+			}
+			if out[i], err = m.eval(cell); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	nd := len(v.Dict)
+	if cap(m.verdict) < nd {
+		m.verdict = make([]uint8, nd)
+	}
+	verdict := m.verdict[:nd]
+	for d := range verdict {
+		verdict[d] = kUnset
+	}
+	null := kUnset
+	for i, s := range sel {
+		if v.IsNull(s) {
+			if null == kUnset {
+				if null, err = m.eval(sqltypes.Null); err != nil {
+					return err
+				}
+			}
+			out[i] = null
+			continue
+		}
+		c := v.Codes[s]
+		if c < 0 || int(c) >= nd {
+			return errDictCode(c, nd)
+		}
+		if verdict[c] == kUnset {
+			dv := v.Dict[c]
+			if v.Packed && dv.K == sqltypes.KindBytes {
+				if dv, err = vec.UnpackValue(dv); err != nil {
+					return err
+				}
+			}
+			if verdict[c], err = m.eval(dv); err != nil {
+				return err
+			}
+		}
+		out[i] = verdict[c]
 	}
 	return nil
 }

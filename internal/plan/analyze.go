@@ -101,7 +101,7 @@ func (n *Node) explainAnalyze(sb *strings.Builder, depth int, inherited *obs.OpP
 	} else if n.Est > 0 {
 		fmt.Fprintf(sb, " (est=%d rows)", n.Est)
 	}
-	if n.Vec {
+	if n.Vec || n.BatchFed {
 		sb.WriteString(" vectorized")
 	}
 	if owns && p.Timed {

@@ -152,9 +152,9 @@ func (pl *Planner) planNamedTable(t *sqlparse.NamedTable, conjuncts []sqlparse.E
 	partsN := pl.partitionCount(scanBasis)
 	// Vectorized scans deliver columnar batches; pushed predicates become
 	// selection-vector filters that evaluate dictionary-encoded columns
-	// once per distinct value. The hash join and aggregates without GROUP
-	// BY pull the batches; the operators still serve the row interface,
-	// which is what grouped aggregates, sorts and merge joins pull from.
+	// once per distinct value. The hash join and the aggregates pull the
+	// batches; the operators still serve the row interface, which is what
+	// sorts and merge joins pull from.
 	vectorized := pl.Provider.VectorizedScan(tab)
 
 	scanOp := "Table Scan"
@@ -242,16 +242,16 @@ func (pl *Planner) planNamedTable(t *sqlparse.NamedTable, conjuncts []sqlparse.E
 			Children: []*Node{scanLeaf},
 			Cols:     cols,
 			Est:      est,
-			// The batch exchange is unordered; clustered scans keep the
-			// row exchange so the merge-preserved key order survives.
-			Vec: vectorized && !tab.Clustered,
+			// Clustered partitions are contiguous key ranges: drained in
+			// order, the exchange keeps the key order.
+			Vec: vectorized,
 			Build: func() (exec.Operator, error) {
-				if vectorized && !tab.Clustered {
+				if vectorized {
 					bops, err := batchParts()
 					if err != nil {
 						return nil, err
 					}
-					return &exec.VecGather{Children: bops}, nil
+					return &exec.VecGather{Children: bops, Ordered: tab.Clustered}, nil
 				}
 				ops, err := parts()
 				if err != nil {
@@ -776,8 +776,8 @@ func (pl *Planner) tryMergeJoin(j *sqlparse.JoinRef, left, right *relation,
 	// bind the per-range scan and join chains to them at build time
 	// (OwnProf makes Instrument allocate profiles although only the root
 	// node carries a Build factory).
-	lleaf := &Node{Op: "Clustered Index Scan", Detail: scanDetail(ltab, leftPred), Est: lest, OwnProf: true}
-	rleaf := &Node{Op: "Clustered Index Scan", Detail: scanDetail(rtab, rightPred), Est: rest, OwnProf: true}
+	lleaf := &Node{Op: "Clustered Index Scan", Detail: scanDetail(ltab, leftPred), Est: lest, OwnProf: true, BatchFed: pl.Provider.VectorizedScan(ltab)}
+	rleaf := &Node{Op: "Clustered Index Scan", Detail: scanDetail(rtab, rightPred), Est: rest, OwnProf: true, BatchFed: pl.Provider.VectorizedScan(rtab)}
 	mjNode := &Node{
 		Op:       "Merge Join (Inner Join)",
 		Detail:   mjDetail,

@@ -101,8 +101,13 @@ type Node struct {
 	Est int64
 	// Vec marks a node whose Build returns an exec.BatchOperator —
 	// EXPLAIN renders it and vectorized parents compose batch-to-batch.
-	Vec   bool
-	Build func() (exec.Operator, error)
+	Vec bool
+	// BatchFed marks a node that works on batches below a row interface —
+	// an aggregate pulling NextBatch from its input, a clustered scan whose
+	// rows a merge join reads off lazily decoded batches. EXPLAIN renders
+	// it like Vec; parents still pull rows.
+	BatchFed bool
+	Build    func() (exec.Operator, error)
 	// Prof is the node's execution profile, allocated by Instrument
 	// before the plan builds. Planner closures that construct operators
 	// outside the Build chain (per-partition chains handed to exchanges)
@@ -134,7 +139,7 @@ func (n *Node) explain(sb *strings.Builder, depth int) {
 	if n.Est > 0 {
 		fmt.Fprintf(sb, " (est=%d rows)", n.Est)
 	}
-	if n.Vec {
+	if n.Vec || n.BatchFed {
 		sb.WriteString(" vectorized")
 	}
 	sb.WriteString("\n")

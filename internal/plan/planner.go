@@ -326,9 +326,10 @@ func (pl *Planner) planAggregate(sel *sqlparse.Select, rel *relation,
 	}
 
 	// The aggregate touches only its grouping and argument columns, so
-	// input rows served through a batch-to-row shim can leave every other
-	// column unmaterialized — on lazy columnar scans those cells are never
-	// decoded at all (COUNT(*) over a filtered scan decodes nothing).
+	// its inputs can leave every other column unmaterialized — on lazy
+	// columnar scans those cells are never decoded at all (COUNT(*) over a
+	// filtered scan decodes nothing), and a row-only input packs only these
+	// columns into the batches the aggregate pulls.
 	aggNeeds := make([]bool, len(rel.cols))
 	for _, g := range groupExprs {
 		expr.MarkCols(g, aggNeeds)
@@ -372,6 +373,7 @@ func (pl *Planner) planAggregate(sel *sqlparse.Select, rel *relation,
 			Children: []*Node{child},
 			Cols:     outCols,
 			Est:      estGroups,
+			BatchFed: true,
 			Build: func() (exec.Operator, error) {
 				c, err := buildChild(child)
 				if err != nil {
@@ -403,6 +405,7 @@ func (pl *Planner) planAggregate(sel *sqlparse.Select, rel *relation,
 					Detail:   fmt.Sprintf("GROUP BY:[%s] BUDGET:%d", groupDesc, pl.AggMemoryBudget),
 					Children: scanChildren,
 					Cols:     outCols,
+					BatchFed: true,
 				}},
 				Cols: outCols,
 			}},
@@ -434,6 +437,7 @@ func (pl *Planner) planAggregate(sel *sqlparse.Select, rel *relation,
 		Children: []*Node{child},
 		Cols:     outCols,
 		Est:      estGroups,
+		BatchFed: true,
 		Build: func() (exec.Operator, error) {
 			c, err := buildChild(child)
 			if err != nil {

@@ -24,7 +24,7 @@ import (
 // rowPage is one walked row page.
 type rowPage struct {
 	codec   *RowCodec
-	payload []byte // private copy: lazy columns outlive the page pin
+	payload []byte // private: lazy columns outlive the page pin
 	n       int
 	// offs[c*n+r] is the payload offset of cell (r, c), at its length
 	// prefix for text; unset under a null bit. Payloads are shorter than
@@ -70,14 +70,33 @@ func (c *RowCodec) cellShape(col int) int {
 }
 
 // lazyPageBatch walks a row-page payload of n rows and returns one lazy
-// vector per column with its null bitmap set. Every offset the columns
-// will later read is bounds-checked here, against bytes that cannot
-// change afterwards, so Fill cannot fail or read out of range.
+// vector per column with its null bitmap set.
 func (c *RowCodec) lazyPageBatch(payload []byte, n int, stats *VecScanStats) ([]*vec.Vector, error) {
+	return c.LazyRows(append([]byte(nil), payload...), n, nil, stats)
+}
+
+// MaxLazyRowsBytes is the longest payload LazyRows takes: cell offsets are
+// kept in 16 bits. A heap page is shorter by construction.
+const MaxLazyRowsBytes = 1 << 16
+
+// LazyRows is the late-materializing kernel over n encoded rows laid end
+// to end in payload, which the returned vectors keep: a sealed row page,
+// or the values of clustered-index leaf entries appended one after the
+// other. ends, when non-nil, gives the offset at which each row must end
+// (rows that were stored apart must not run into each other). Every offset
+// the columns will later read is bounds-checked here, against bytes that
+// cannot change afterwards, so Fill cannot fail or read out of range.
+func (c *RowCodec) LazyRows(payload []byte, n int, ends []int, stats *VecScanStats) ([]*vec.Vector, error) {
 	nCols := len(c.Kinds)
 	nb := (nCols + 7) / 8
 	if n*nb > len(payload) {
 		return nil, fmt.Errorf("storage: page header claims %d rows in %d payload bytes: %w", n, len(payload), ErrCorruptPage)
+	}
+	if ends != nil && len(ends) != n {
+		return nil, fmt.Errorf("storage: %d row ends for %d rows", len(ends), n)
+	}
+	if len(payload) > MaxLazyRowsBytes {
+		return nil, fmt.Errorf("storage: %d bytes of rows exceed the %d a batch can address", len(payload), MaxLazyRowsBytes)
 	}
 	var shapeBuf [32]int
 	shapes := shapeBuf[:0]
@@ -90,19 +109,21 @@ func (c *RowCodec) lazyPageBatch(payload []byte, n int, stats *VecScanStats) ([]
 	}
 	pg := &rowPage{
 		codec:   c,
-		payload: append([]byte(nil), payload...),
+		payload: payload,
 		n:       n,
 		offs:    make([]uint16, nCols*n),
 		stats:   stats,
 	}
-	vecs := make([]vec.Vector, nCols)
-	hooks := make([]rowPageCol, nCols)
+	lazy := make([]struct {
+		vec  vec.Vector
+		hook rowPageCol
+	}, nCols)
 	cols := make([]*vec.Vector, nCols)
-	for i := range vecs {
-		hooks[i] = rowPageCol{pg: pg, c: i}
-		vecs[i].Kind = c.Kinds[i]
-		vecs[i].Lazy = &hooks[i]
-		cols[i] = &vecs[i]
+	for i := range lazy {
+		lazy[i].hook = rowPageCol{pg: pg, c: i}
+		lazy[i].vec.Kind = c.Kinds[i]
+		lazy[i].vec.Lazy = &lazy[i].hook
+		cols[i] = &lazy[i].vec
 	}
 	buf := pg.payload
 	pos := 0
@@ -147,6 +168,9 @@ func (c *RowCodec) lazyPageBatch(payload []byte, n int, stats *VecScanStats) ([]
 				return nil, errTruncated(i)
 			}
 			pos += size
+		}
+		if ends != nil && pos != ends[r] {
+			return nil, fmt.Errorf("storage: row %d ends at byte %d of its batch, stored up to %d: %w", r, pos, ends[r], ErrCorruptPage)
 		}
 	}
 	return cols, nil

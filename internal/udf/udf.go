@@ -17,6 +17,7 @@ import (
 	"repro/internal/fastq"
 	"repro/internal/seq"
 	"repro/internal/sqltypes"
+	"repro/internal/vec"
 )
 
 // RegisterAll installs every function of this package into the engine.
@@ -384,7 +385,9 @@ func (a *AssembleSequenceAgg) Result() (sqltypes.Value, error) {
 	if len(a.entries) == 0 {
 		return sqltypes.Null, nil
 	}
-	sort.Slice(a.entries, func(i, j int) bool { return a.entries[i].pos < a.entries[j].pos })
+	// Stable: of two bases at one position the first one added wins, on
+	// every call.
+	sort.SliceStable(a.entries, func(i, j int) bool { return a.entries[i].pos < a.entries[j].pos })
 	var sb strings.Builder
 	prev := a.entries[0].pos - 1
 	for _, e := range a.entries {
@@ -406,15 +409,19 @@ func (a *AssembleSequenceAgg) Result() (sqltypes.Value, error) {
 // order and builds the consensus with a sliding window, avoiding the
 // pivot plan's "large intermediate result". It requires ordered input per
 // group — the planner provides it via a stream aggregate over a clustered
-// scan.
+// scan. A row whose pos or seq is NULL is skipped; NULL or empty quals
+// vote with Phred 30 on every base, as CallBase does for a missing
+// quality.
 type AssembleConsensusAgg struct {
 	caller *consensus.SlidingCaller
 	any    bool
+	done   bool // the first Result flushed the window into result
+	result sqltypes.Value
 }
 
 // NewAssembleConsensusAgg returns an empty state.
 func NewAssembleConsensusAgg() *AssembleConsensusAgg {
-	return &AssembleConsensusAgg{caller: consensus.NewSlidingCaller()}
+	return &AssembleConsensusAgg{caller: consensus.NewSequenceCaller()}
 }
 
 // Add consumes one alignment (pos, seq, quals).
@@ -429,13 +436,54 @@ func (a *AssembleConsensusAgg) Add(args []sqltypes.Value) error {
 	if err != nil {
 		return err
 	}
+	return a.add(pos, args[1].AsString(), args[2].AsString()) // AsString of NULL is ""
+}
+
+func (a *AssembleConsensusAgg) add(pos int64, seq, quals string) error {
+	if a.done {
+		return fmt.Errorf("udf: ASSEMBLECONSENSUS fed after its result was read")
+	}
 	a.any = true
-	return a.caller.Add(consensus.AlignedRead{
-		Chrom: "group",
-		Pos:   int(pos),
-		Seq:   args[1].AsString(),
-		Qual:  args[2].AsString(),
-	})
+	return a.caller.Add(consensus.AlignedRead{Pos: int(pos), Seq: seq, Qual: quals})
+}
+
+// AddBatch is Add over argument vectors (exec.BatchAdder): flat BIGINT
+// positions and flat strings, what a scan delivers, are read in place;
+// any other form goes through Add a row at a time.
+func (a *AssembleConsensusAgg) AddBatch(args []*vec.Vector, rows []int) error {
+	if len(args) != 3 {
+		return fmt.Errorf("udf: ASSEMBLECONSENSUS takes (pos, seq, quals)")
+	}
+	pos, seqs, quals := args[0], args[1], args[2]
+	if pos.Ints == nil || pos.Kind != sqltypes.KindInt || seqs.Strs == nil || quals.Strs == nil {
+		var boxed [3]sqltypes.Value
+		for _, r := range rows {
+			for i, c := range args {
+				v, err := c.Value(r)
+				if err != nil {
+					return err
+				}
+				boxed[i] = v
+			}
+			if err := a.Add(boxed[:]); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	for _, r := range rows {
+		if pos.IsNull(r) || seqs.IsNull(r) {
+			continue
+		}
+		q := quals.Strs[r]
+		if quals.IsNull(r) {
+			q = ""
+		}
+		if err := a.add(pos.Ints[r], seqs.Strs[r], q); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Merge rejects non-trivial merges: a sliding window cannot be merged out
@@ -453,14 +501,21 @@ func (a *AssembleConsensusAgg) Merge(o exec.AggState) error {
 	return fmt.Errorf("udf: ASSEMBLECONSENSUS cannot merge partial windows; group input must be ordered and unpartitioned")
 }
 
-// Result finalizes the window into the consensus string.
+// Result finalizes the window into the consensus string. The first call
+// flushes the window; later calls return the same string.
 func (a *AssembleConsensusAgg) Result() (sqltypes.Value, error) {
 	if !a.any {
 		return sqltypes.Null, nil
 	}
-	res := a.caller.Finish()
-	if len(res) != 1 {
-		return sqltypes.Null, fmt.Errorf("udf: ASSEMBLECONSENSUS produced %d spans", len(res))
+	if !a.done {
+		res := a.caller.Finish()
+		if len(res) > 1 {
+			return sqltypes.Null, fmt.Errorf("udf: ASSEMBLECONSENSUS produced %d spans", len(res))
+		}
+		a.done, a.result = true, sqltypes.NewString("") // only empty reads: nothing covered
+		if len(res) == 1 {
+			a.result = sqltypes.NewString(string(res[0].Seq))
+		}
 	}
-	return sqltypes.NewString(string(res[0].Seq)), nil
+	return a.result, nil
 }

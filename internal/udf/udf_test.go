@@ -374,3 +374,110 @@ func TestCallBaseQ30Encoding(t *testing.T) {
 		t.Fatalf("'?' = Q%d", q)
 	}
 }
+
+// TestAssembleConsensusMissingQualities: a NULL or empty quals votes with
+// Phred 30 on every base (what CallBase does for a missing quality) and
+// does not fail the statement; a row without pos or seq is skipped.
+func TestAssembleConsensusMissingQualities(t *testing.T) {
+	db := openTestDB(t)
+	mustExec(t, db, `CREATE TABLE Alignment (
+	    a_g_id INT NOT NULL, a_pos BIGINT NOT NULL, a_id BIGINT NOT NULL,
+	    seq VARCHAR(100), quals VARCHAR(100),
+	    PRIMARY KEY CLUSTERED (a_g_id, a_pos, a_id))`)
+	// At position 2 a 'T' without qualities (Phred 30) outvotes two Phred-2
+	// 'G's ('#'), and in group 2 loses to a Phred-40 'G' ('I').
+	mustExec(t, db, `INSERT INTO Alignment VALUES
+	  (1, 0, 1, 'ACGTA', '??#??'),
+	  (1, 2, 2, 'TTACG', NULL),
+	  (1, 2, 3, 'G', '#'),
+	  (1, 5, 4, 'CGTAC', ''),
+	  (1, 6, 5, NULL, '???'),
+	  (2, 0, 6, 'ACT', NULL),
+	  (2, 2, 7, 'G', 'I')`)
+	res := mustExec(t, db, `SELECT a_g_id, AssembleConsensus(a_pos, seq, quals) FROM Alignment GROUP BY a_g_id ORDER BY a_g_id`)
+	if len(res.Rows) != 2 || res.Rows[0][1].S != "ACTTACGTAC" || res.Rows[1][1].S != "ACG" {
+		t.Fatalf("consensus with missing qualities = %v", res.Rows)
+	}
+}
+
+// TestAssembleConsensusErrorsNameTheGroup: a read the window cannot take
+// fails the statement with the group's key, not a placeholder.
+func TestAssembleConsensusErrorsNameTheGroup(t *testing.T) {
+	db := openTestDB(t)
+	mustExec(t, db, `CREATE TABLE Alignment (
+	    a_g_id INT NOT NULL, a_pos BIGINT NOT NULL, a_id BIGINT NOT NULL,
+	    seq VARCHAR(100), quals VARCHAR(100),
+	    PRIMARY KEY CLUSTERED (a_g_id, a_pos, a_id))`)
+	mustExec(t, db, `INSERT INTO Alignment VALUES (1, 0, 1, 'ACGTA', '?????'), (7, 3, 2, 'ACGT', '??')`)
+	_, err := db.Exec(`SELECT a_g_id, AssembleConsensus(a_pos, seq, quals) FROM Alignment GROUP BY a_g_id`)
+	if err == nil || !strings.Contains(err.Error(), "ASSEMBLECONSENSUS over group [7]") || !strings.Contains(err.Error(), "qual length 2 != seq length 4") {
+		t.Errorf("length mismatch in group 7: error %v", err)
+	}
+	// A heap delivers the rows of a group in insertion order: unsorted.
+	mustExec(t, db, `CREATE TABLE Loose (g VARCHAR(8), pos BIGINT, seq VARCHAR(100), quals VARCHAR(100))`)
+	mustExec(t, db, `INSERT INTO Loose VALUES ('chrX', 10, 'ACGT', '????'), ('chrY', 1, 'AC', '??'), ('chrX', 5, 'ACGT', '????')`)
+	_, err = db.Exec(`SELECT g, AssembleConsensus(pos, seq, quals) FROM Loose GROUP BY g`)
+	if err == nil || !strings.Contains(err.Error(), "over group [chrX]") || !strings.Contains(err.Error(), "position 5 after 10") {
+		t.Errorf("out-of-order read in group chrX: error %v", err)
+	}
+	if err != nil && strings.Contains(err.Error(), `"group"`) {
+		t.Errorf("error still carries the placeholder group name: %v", err)
+	}
+}
+
+// TestAggregateResultIsIdempotent: for every built-in and every aggregate
+// this package registers, reading the result does not change the state —
+// a second read and a read after merging in a fresh state return the same
+// value.
+func TestAggregateResultIsIdempotent(t *testing.T) {
+	db := openTestDB(t)
+	ints := func(vals ...int64) [][]sqltypes.Value {
+		var rows [][]sqltypes.Value
+		for _, v := range vals {
+			rows = append(rows, []sqltypes.Value{sqltypes.NewInt(v)})
+		}
+		return append(rows, []sqltypes.Value{sqltypes.Null})
+	}
+	s := sqltypes.NewString
+	for name, rows := range map[string][][]sqltypes.Value{
+		"count": ints(4, 9, 2),
+		"sum":   ints(4, 9, 2),
+		"min":   ints(4, 9, 2),
+		"max":   ints(4, 9, 2),
+		"avg":   ints(4, 9, 2),
+		"CallBase": {
+			{s("A"), sqltypes.NewInt(30)}, {s("C"), sqltypes.NewInt(12)}, {s("A"), sqltypes.NewInt(2)},
+		},
+		"AssembleSequence": {
+			{sqltypes.NewInt(7), s("T")}, {sqltypes.NewInt(3), s("G")}, {sqltypes.NewInt(3), s("C")}, {sqltypes.NewInt(5), s("A")},
+		},
+		"AssembleConsensus": {
+			{sqltypes.NewInt(0), s("ACGTA"), s("?????")}, {sqltypes.NewInt(2), s("GTACG"), sqltypes.Null}, {sqltypes.NewInt(9), s("TT"), s("??")},
+		},
+	} {
+		factory, ok := db.Agg(name)
+		if !ok {
+			t.Errorf("%s is not registered", name)
+			continue
+		}
+		state := factory()
+		for _, args := range rows {
+			if err := state.Add(args); err != nil {
+				t.Fatalf("%s: Add(%v): %v", name, args, err)
+			}
+		}
+		first, err := state.Result()
+		if err != nil || first.IsNull() {
+			t.Fatalf("%s: Result = %v, %v", name, first, err)
+		}
+		if again, err := state.Result(); err != nil || fmt.Sprint(again) != fmt.Sprint(first) {
+			t.Errorf("%s: second Result = %v, %v; the first was %v", name, again, err, first)
+		}
+		if err := state.Merge(factory()); err != nil {
+			t.Errorf("%s: merging a fresh state: %v", name, err)
+		}
+		if after, err := state.Result(); err != nil || fmt.Sprint(after) != fmt.Sprint(first) {
+			t.Errorf("%s: Result after merging a fresh state = %v, %v; the first was %v", name, after, err, first)
+		}
+	}
+}
