@@ -425,9 +425,10 @@ func (m *cmpMask) ensurePackedLit() {
 	}
 	m.packedLitInit = true
 	p, err := seq.Pack(m.lit.S)
-	if err != nil {
-		// A literal that is not a valid sequence can never equal any
-		// stored (packable) sequence value.
+	if err != nil || p.Unpack() != m.lit.S {
+		// A literal that is not a valid sequence, or not the text its
+		// packing reads back as ('acgt' packs like 'ACGT'), can never
+		// equal any stored sequence value.
 		m.packedLitBad = true
 		return
 	}
