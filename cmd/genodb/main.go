@@ -49,10 +49,10 @@
 //
 // # Vectorized execution
 //
-// Scans, filters, projections, TOP, the exchange, the hash join and
-// aggregates without GROUP BY run batch-at-a-time by default: ~1024-row
-// columnar batches with selection vectors instead of one row per operator
-// call. A scan decodes only the columns the query
+// Every operator hands its parent ~1024-row columnar batches with
+// selection vectors, never one row per call; rows exist only where a row
+// source enters a plan (a table-valued function, an index scan) and where
+// the result leaves it. A scan decodes only the columns the query
 // reads: on uncompressed and ROW-compressed tables it locates the cells
 // of a sealed page in one pass and decodes a column, typed and a page at
 // a time, the first time a filter, projection, join key or aggregate
@@ -71,10 +71,13 @@
 // re-joins them one at a time. A predicate on the leading column of a
 // clustered key ("WHERE r_id = 7") seeks: EXPLAIN shows the key range
 // read as SEEK:[7..8).
-// "EXPLAIN SELECT ..." marks batch-capable nodes with a trailing
-// "vectorized" annotation. There is nothing to tune: the batch size is
-// fixed, every heap scan takes the batch path and every hash join is this
-// one. GROUP BY, ORDER BY and the merge join still read rows.
+// "EXPLAIN SELECT ..." marks the nodes that compute on typed vectors with
+// a trailing "vectorized": table scans, filters, computed columns, TOP,
+// the exchanges, the hash join, the aggregates. The unmarked ones still
+// work a row at a time inside, between a batch in and a batch out — ORDER
+// BY, TOP n ORDER BY, ROW_NUMBER, the merge join, CROSS APPLY — or read a
+// row source. There is nothing to tune: the batch size is fixed and there
+// is one of each operator.
 //
 // # Durability & recovery
 //

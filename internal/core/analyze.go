@@ -143,8 +143,9 @@ func (db *Database) analyzeTable(def *catalog.Table, snap *Snapshot) (*stats.Tab
 				return
 			}
 			defer op.Close()
+			rows := exec.RowCursor{Op: op}
 			for {
-				row, ok, err := op.Next()
+				row, ok, err := rows.Next()
 				if err != nil {
 					errs[i] = err
 					return

@@ -110,8 +110,14 @@ func TestClusteredBatchScanEquivalence(t *testing.T) {
 	compare("loaded")
 	plan := mustExec(t, engines[2].db, `EXPLAIN SELECT g, COUNT(*) FROM c GROUP BY g`).Plan
 	if !strings.Contains(plan, "Stream Aggregate") || !strings.Contains(plan, "Parallelism (Gather Streams) DOP") ||
-		strings.Count(plan, "vectorized") != 3 {
-		t.Errorf("DOP-4 plan over the clustered table: want a stream aggregate over a vectorized exchange of vectorized scans:\n%s", plan)
+		strings.Count(plan, "vectorized") != 4 {
+		t.Errorf("DOP-4 plan over the clustered table: want every line vectorized, a stream aggregate over an exchange of batch-native scans:\n%s", plan)
+	}
+	// The row-decoding reference engine runs the same operators; only its
+	// scan leaf packs rows, and EXPLAIN says so.
+	if plan := mustExec(t, engines[0].db, `EXPLAIN SELECT g, COUNT(*) FROM c GROUP BY g`).Plan; strings.Count(plan, "vectorized") != 2 ||
+		strings.Contains(plan, "[c] (est=3000 rows) vectorized") {
+		t.Errorf("row-engine plan: want the aggregate and compute scalar vectorized, the scan not:\n%s", plan)
 	}
 	if st := engines[1].db.ExecStats(); st.Scan.Batches == 0 {
 		t.Error("the vectorized engine scanned the clustered table without batches")

@@ -12,11 +12,13 @@ import (
 )
 
 // allocsPerRun measures what one call of f allocates, in objects and
-// bytes, as the smaller of a few runs (the first fills caches).
+// bytes, as the smallest of several runs (the first fills caches; a
+// statement's maps are seeded afresh each run, and their overflow buckets
+// come and go by a few allocations).
 func allocsPerRun(f func()) (objects, bytes uint64) {
 	var before, after runtime.MemStats
 	objects, bytes = ^uint64(0), ^uint64(0)
-	for i := 0; i < 4; i++ {
+	for i := 0; i < 64; i++ {
 		runtime.GC()
 		runtime.ReadMemStats(&before)
 		f()
@@ -104,3 +106,74 @@ func TestAggregationAllocationFloors(t *testing.T) {
 		}
 	}
 }
+
+// TestPointLookupAllocationFloors holds the two statements that are all
+// per-statement overhead — the benchmark's pk_lookup (a seek on a clustered
+// key) and idx_lookup (COUNT(*) through a secondary index, the pushed
+// predicate re-checked on the one fetched row) — to the allocations they
+// made when rows still flowed between operators, parse and plan included.
+func TestPointLookupAllocationFloors(t *testing.T) {
+	const rows = 4096
+	db, err := core.Open(t.TempDir(), core.Options{DOP: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	exec := func(sql string) *core.Result {
+		t.Helper()
+		res, err := db.Exec(sql)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		return res
+	}
+	exec(`CREATE TABLE ReseqRead (r_id BIGINT NOT NULL PRIMARY KEY CLUSTERED, short_read_seq VARCHAR(300), quals VARCHAR(300))`)
+	exec(`CREATE TABLE AlignHeap (a_r_id BIGINT, a_g_id INT, a_pos BIGINT, a_strand BIT, a_mapq INT)`)
+	reads, aligns := make([]sqltypes.Row, rows), make([]sqltypes.Row, rows)
+	for i := range reads {
+		reads[i] = sqltypes.Row{sqltypes.NewInt(int64(i + 1)), sqltypes.NewString("ACGTACGTACGTACGTACGTACGTACGTACGTACGT"),
+			sqltypes.NewString("IIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIII")}
+		aligns[i] = sqltypes.Row{sqltypes.NewInt(int64(i + 1)), sqltypes.NewInt(int64(i % 8)), sqltypes.NewInt(int64(i * 7919 % rows * 3)), // scattered: no zone map helps
+			sqltypes.NewBool(i%2 == 0), sqltypes.NewInt(int64(i % 60))}
+	}
+	if err := db.InsertRows("ReseqRead", reads); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.InsertRows("AlignHeap", aligns); err != nil {
+		t.Fatal(err)
+	}
+	exec(`CHECKPOINT`)
+	exec(`CREATE INDEX idx_apos ON AlignHeap(a_pos)`)
+	exec(`ANALYZE`)
+
+	for _, c := range []struct {
+		sql, path string
+		objects   uint64 // allowed per statement: what the parent commit made
+	}{
+		{`SELECT short_read_seq FROM ReseqRead WHERE r_id = 2049`, "SEEK:[2049..2050)", pkLookupAllocs},
+		{`SELECT COUNT(*) FROM AlignHeap WHERE a_pos = 3000`, "Index Scan [AlignHeap] idx_apos", idxLookupAllocs},
+	} {
+		if plan := exec("EXPLAIN " + c.sql).Plan; !regexp.MustCompile(regexp.QuoteMeta(c.path)).MatchString(plan) {
+			t.Fatalf("%s does not take the path %q:\n%s", c.sql, c.path, plan)
+		}
+		var got int
+		objects, bytes := allocsPerRun(func() { got = len(exec(c.sql).Rows) })
+		if got != 1 {
+			t.Fatalf("%s: %d rows, want 1", c.sql, got)
+		}
+		t.Logf("%s: %d allocations, %d bytes", c.sql, objects, bytes)
+		if objects > c.objects && !raceBuild {
+			t.Errorf("%s: %d allocations a statement, want at most %d", c.sql, objects, c.objects)
+		}
+	}
+}
+
+// Allocations of one point lookup at the commit before operators exchanged
+// only batches (Go 1.24, linux/amd64), as the smallest of 64 runs.
+const (
+	pkLookupAllocs  = 116
+	idxLookupAllocs = 481
+)
+
+// raceBuild is set under -race (floors_race_test.go).
+var raceBuild bool

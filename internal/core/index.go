@@ -225,7 +225,6 @@ func (db *Database) runCreateIndex(s *Session, ci *sqlparse.CreateIndex) (*Resul
 		hi := sealed * (i + 1) / parts
 		includeTail := i == parts-1
 		src := &exec.Source{
-			Label: fmt.Sprintf("%s index entries [%d,%d)", def.Name, lo, hi),
 			Factory: func(*exec.Context) (exec.RowIterator, error) {
 				return &indexEntryIterator{
 					it:   td.heap.NewVersionIterator(lo, hi, includeTail),
@@ -327,8 +326,10 @@ func (db *Database) runCreateIndex(s *Session, ci *sqlparse.CreateIndex) (*Resul
 	building := path + ".building"
 	_ = fault.Remove(db.inj, building)
 	heads := make([][]byte, len(sorts))
+	runs := make([]exec.RowCursor, len(sorts))
 	for i, so := range sorts {
-		row, ok, err := so.Next()
+		runs[i].Op = so
+		row, ok, err := runs[i].Next()
 		if err != nil {
 			return nil, err
 		}
@@ -346,7 +347,7 @@ func (db *Database) runCreateIndex(s *Session, ci *sqlparse.CreateIndex) (*Resul
 		}
 		if best >= 0 && (di >= len(delta) || bytes.Compare(heads[best], delta[di]) < 0) {
 			key := heads[best]
-			row, ok, err := sorts[best].Next()
+			row, ok, err := runs[best].Next()
 			if err != nil {
 				return nil, nil, false, err
 			}
@@ -574,7 +575,7 @@ func (x *indexScanIterator) Close() error {
 // inclusive bounds), emitting heap rows in index-key order. The scan holds
 // the table's write latch shared for its duration, exactly like clustered
 // scans — the btree iterator walks pages unlatched.
-func (db *Database) IndexScan(t *catalog.Table, idxName string, lo, hi *sqltypes.Value, loInc, hiInc bool) (exec.Operator, error) {
+func (db *Database) IndexScan(t *catalog.Table, idxName string, lo, hi *sqltypes.Value, loInc, hiInc bool) (*exec.Source, error) {
 	td := db.tables[t.ID]
 	if td == nil || td.heap == nil {
 		return nil, fmt.Errorf("core: %s has no heap storage for an index scan", t.Name)
@@ -595,7 +596,6 @@ func (db *Database) IndexScan(t *catalog.Table, idxName string, lo, hi *sqltypes
 	}
 	def := td.def
 	return &exec.Source{
-		Label: fmt.Sprintf("%s index %s", t.Name, idxName),
 		Factory: func(ctx *exec.Context) (exec.RowIterator, error) {
 			var snap *Snapshot
 			if ctx != nil {

@@ -191,9 +191,9 @@ func (db *Database) wrapIterator(def *catalog.Table, it exec.RowIterator) exec.R
 	return it
 }
 
-// VectorizedScan reports whether the table's scan partitions deliver
-// columnar batches: every table, heap or clustered, unless vectorized
-// execution is disabled.
+// VectorizedScan reports whether the table's scan partitions decode
+// columnar batches themselves: every table, heap or clustered, unless the
+// row-decoding reference scans are switched on (noVec).
 func (db *Database) VectorizedScan(t *catalog.Table) bool {
 	return !db.noVec && db.tables[t.ID] != nil
 }
@@ -228,22 +228,15 @@ func (v *visibleHeapIterator) Next() (sqltypes.Row, bool, error) {
 
 func (v *visibleHeapIterator) Close() error { return v.it.Close() }
 
-// visibleBatchIterator is the batch-capable heap scan source: the row
-// interface delegates to the version-filtered row iterator, while
-// NextBatch serves columnar page batches with MVCC visibility applied as
-// a selection-vector intersection — invisible rows are deselected, never
-// decoded. Only one of the two interfaces is pulled per execution (the
-// parent operator is either a row or a batch consumer), so nothing is
-// read twice.
+// visibleBatchIterator is the heap scan: NextBatch serves columnar page
+// batches with MVCC visibility applied as a selection-vector intersection
+// — invisible rows are deselected, never decoded.
 type visibleBatchIterator struct {
-	rows    exec.RowIterator
 	bi      *storage.HeapBatchIterator
 	ranges  []rowRange
 	ri      int
 	seqCols []int
 }
-
-func (v *visibleBatchIterator) Next() (sqltypes.Row, bool, error) { return v.rows.Next() }
 
 // NextBatch intersects the next page batch's selection with the visible
 // ranges. Batch row s is global row Base+s; ranges are sorted and
@@ -271,7 +264,7 @@ func (v *visibleBatchIterator) NextBatch() (*vec.Batch, error) {
 		b.Sel = sel
 		// SEQUENCE columns stay in packed storage form; the Packed mark
 		// makes value materialization unpack them to the query
-		// representation (what FromStorageRow does on the row path).
+		// representation (what FromStorageRow does for a row source).
 		for _, c := range v.seqCols {
 			b.Cols[c].Packed = true
 		}
@@ -284,13 +277,7 @@ func (v *visibleBatchIterator) NextBatch() (*vec.Batch, error) {
 	}
 }
 
-func (v *visibleBatchIterator) Close() error {
-	berr := v.bi.Close()
-	if err := v.rows.Close(); err != nil {
-		return err
-	}
-	return berr
-}
+func (v *visibleBatchIterator) Close() error { return v.bi.Close() }
 
 // sequenceColumns lists the columns of the SEQUENCE type: stored packed,
 // marked Packed on the batches that carry them.
@@ -354,31 +341,27 @@ func (db *Database) ScanPartitionsPruned(t *catalog.Table, parts int, filters []
 			includeTail := i == parts-1
 			tdc := td
 			def := td.def
-			ops = append(ops, &exec.Source{
-				Label: fmt.Sprintf("%s pages [%d,%d)", t.Name, lo, hi),
-				Factory: func(ctx *exec.Context) (exec.RowIterator, error) {
+			// The tail partition re-captures the sealed-page count at open
+			// ("extend"): pages sealed since planning stay covered, and the
+			// visibility filter hides whatever the snapshot should not see.
+			if !vectorized {
+				ops = append(ops, &exec.Source{Factory: func(ctx *exec.Context) (exec.RowIterator, error) {
 					snap, _ := ctx.Snapshot.(*Snapshot)
-					tally := poolTallyFrom(ctx)
-					// The tail partition re-captures the sealed-page count
-					// at open ("extend"): pages sealed since planning stay
-					// covered, and the visibility filter hides whatever
-					// the snapshot should not see.
-					ranges := tdc.versions.visibleRanges(snap)
 					it := tdc.heap.NewVersionIterator(lo, hi, includeTail).
-						SetZoneFilters(filters, &db.scanStats).SetPoolTally(tally)
-					rows := db.wrapIterator(def, &visibleHeapIterator{it: it, ranges: ranges})
-					if !vectorized {
-						return rows, nil
-					}
-					return &visibleBatchIterator{
-						rows: rows,
-						bi: tdc.heap.NewBatchIterator(lo, hi, includeTail, &db.scanStats).
-							SetZoneFilters(filters).SetPoolTally(tally),
-						ranges:  ranges,
-						seqCols: seqCols,
-					}, nil
-				},
-			})
+						SetZoneFilters(filters, &db.scanStats).SetPoolTally(poolTallyFrom(ctx))
+					return db.wrapIterator(def, &visibleHeapIterator{it: it, ranges: tdc.versions.visibleRanges(snap)}), nil
+				}})
+				continue
+			}
+			ops = append(ops, &exec.Scan{Factory: func(ctx *exec.Context) (exec.BatchIterator, error) {
+				snap, _ := ctx.Snapshot.(*Snapshot)
+				return &visibleBatchIterator{
+					bi: tdc.heap.NewBatchIterator(lo, hi, includeTail, &db.scanStats).
+						SetZoneFilters(filters).SetPoolTally(poolTallyFrom(ctx)),
+					ranges:  tdc.versions.visibleRanges(snap),
+					seqCols: seqCols,
+				}, nil
+			}})
 		}
 		return ops, nil
 	}
@@ -399,8 +382,9 @@ func (db *Database) ScanPartitionsPruned(t *catalog.Table, parts int, filters []
 	return ops, nil
 }
 
-// treeIterator adapts a btree range scan to rows and to batches, hiding
-// keys the scan's snapshot cannot see. The btree iterator walks leaf pages
+// treeIterator adapts a btree range scan to batches and — the reference
+// decoder, under noVec — to rows, hiding keys the scan's snapshot cannot
+// see. The btree iterator walks leaf pages
 // unlatched, so the scan holds the table's write latch shared for its
 // duration — writers to this clustered table wait for the scan, but scans
 // never wait behind an open transaction (only behind individual row
@@ -503,10 +487,6 @@ func (ti *treeIterator) Close() error {
 	return nil
 }
 
-// rowsOnly hides the batch interface of an iterator: the row engine
-// (noVec) packs rows instead.
-type rowsOnly struct{ exec.RowIterator }
-
 // OrderedScanRange scans a clustered table in key order over [lo, hi) of
 // the first key column.
 func (db *Database) OrderedScanRange(t *catalog.Table, lo, hi *sqltypes.Value) (exec.Operator, error) {
@@ -529,26 +509,23 @@ func (db *Database) OrderedScanRange(t *catalog.Table, lo, hi *sqltypes.Value) (
 		}
 	}
 	seqCols := sequenceColumns(td.def)
-	return &exec.Source{
-		Label: fmt.Sprintf("%s ordered", t.Name),
-		Factory: func(ctx *exec.Context) (exec.RowIterator, error) {
-			var snap *Snapshot
-			if ctx != nil {
-				snap, _ = ctx.Snapshot.(*Snapshot)
-			}
-			td.writeMu.RLock()
-			it, err := td.tree.Seek(startKey, endKey)
-			if err != nil {
-				td.writeMu.RUnlock()
-				return nil, err
-			}
-			ti := &treeIterator{it: it, td: td, snap: snap, stats: &db.scanStats, seqCols: seqCols, locked: true}
-			if db.noVec {
-				return rowsOnly{ti}, nil
-			}
-			return ti, nil
-		},
-	}, nil
+	open := func(ctx *exec.Context) (*treeIterator, error) {
+		var snap *Snapshot
+		if ctx != nil {
+			snap, _ = ctx.Snapshot.(*Snapshot)
+		}
+		td.writeMu.RLock()
+		it, err := td.tree.Seek(startKey, endKey)
+		if err != nil {
+			td.writeMu.RUnlock()
+			return nil, err
+		}
+		return &treeIterator{it: it, td: td, snap: snap, stats: &db.scanStats, seqCols: seqCols, locked: true}, nil
+	}
+	if db.noVec {
+		return &exec.Source{Factory: func(ctx *exec.Context) (exec.RowIterator, error) { return open(ctx) }}, nil
+	}
+	return &exec.Scan{Factory: func(ctx *exec.Context) (exec.BatchIterator, error) { return open(ctx) }}, nil
 }
 
 // KeyRanges splits the first (integer) clustered key column into up to

@@ -721,8 +721,9 @@ func (db *Database) ScanTableNoLock(table string, fn func(sqltypes.Row) error) e
 		return err
 	}
 	defer op.Close()
+	rows := exec.RowCursor{Op: op}
 	for {
-		row, ok, err := op.Next()
+		row, ok, err := rows.Next()
 		if err != nil {
 			return err
 		}

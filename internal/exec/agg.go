@@ -492,8 +492,7 @@ func (e *groupError) Unwrap() error { return e.err }
 
 // aggFeed is what the hash, stream and global aggregates share: the
 // compiled group-key and argument expressions of one input chain and the
-// grouped states they update. Row-only children cross into batches once,
-// at the input (batchInput).
+// grouped states they update.
 type aggFeed struct {
 	groupBy []expr.Expr
 	specs   []AggSpec
@@ -520,7 +519,7 @@ func newAggFeed(groupBy []expr.Expr, specs []AggSpec) aggFeed {
 }
 
 // markCols marks the input columns the group-by and argument expressions
-// read: what a row-only input packs and a spilled row keeps.
+// read: what a spilled row keeps.
 func (f *aggFeed) markCols(cols []bool) {
 	for _, e := range f.groupBy {
 		expr.MarkCols(e, cols)
@@ -613,14 +612,13 @@ func named(err error, key func(g int32) string) error {
 // to process the alignments in order", Section 5.3.3). It works a batch at
 // a time: a group boundary is a row whose key differs from its
 // predecessor's, each run of equal keys is one update of the open group's
-// states, and the groups a batch completes are served before the next
+// states, and the groups a batch completes are packed before the next
 // batch is pulled.
 type StreamAggregate struct {
 	GroupBy []expr.Expr
 	Aggs    []AggSpec
 	Child   Operator
 
-	in      BatchOperator
 	feed    aggFeed
 	open    bool          // a group is accumulating in state 0
 	openKey sqltypes.Row  // its key, boxed for output
@@ -629,36 +627,33 @@ type StreamAggregate struct {
 	pending []sqltypes.Value // completed groups, width values each
 	pos     int
 	done    bool
+	out     rowPacker
 }
 
 // Open opens the child.
 func (s *StreamAggregate) Open(ctx *Context) error {
 	s.feed = newAggFeed(s.GroupBy, s.Aggs)
-	s.in = batchInput([]Operator{s.Child}, s.feed.markCols)
 	s.feed.grow(1)
+	s.out.reset()
 	s.open, s.done = false, false
 	s.openKey = make(sqltypes.Row, len(s.GroupBy))
 	s.lastKey = nil
 	s.pending, s.pos = s.pending[:0], 0
-	return s.in.Open(ctx)
+	return s.Child.Open(ctx)
 }
 
-// Next emits the next completed group.
-func (s *StreamAggregate) Next() (sqltypes.Row, bool, error) {
-	width := len(s.GroupBy) + len(s.Aggs)
-	for {
-		if s.pos < len(s.pending) {
-			row := s.pending[s.pos : s.pos+width]
-			s.pos += width
-			return row, true, nil
-		}
+// NextBatch packs the groups the input has completed so far: it pulls input
+// batches until one completes a group, so the consumer works on finished
+// groups while later ones are still to come.
+func (s *StreamAggregate) NextBatch() (*vec.Batch, error) {
+	for s.pos >= len(s.pending) {
 		if s.done {
-			return nil, false, nil
+			return nil, nil
 		}
 		s.pending, s.pos = s.pending[:0], 0
-		b, err := s.in.NextBatch()
+		b, err := s.Child.NextBatch()
 		if err != nil {
-			return nil, false, err
+			return nil, err
 		}
 		if b == nil {
 			s.done = true
@@ -670,10 +665,25 @@ func (s *StreamAggregate) Next() (sqltypes.Row, bool, error) {
 			err = s.consume(b)
 		}
 		if err != nil {
-			return nil, false, err
+			return nil, err
 		}
 	}
+	s.out.done = false // the last batch ended where pending did, not the stream
+	return s.out.next(s.nextPending)
 }
+
+// nextPending serves the next completed group.
+func (s *StreamAggregate) nextPending() (sqltypes.Row, bool, error) {
+	if s.pos >= len(s.pending) {
+		return nil, false, nil
+	}
+	s.pos += len(s.GroupBy) + len(s.Aggs)
+	return s.pending[s.pos-len(s.GroupBy)-len(s.Aggs) : s.pos], true, nil
+}
+
+// PruneColumns does not reach the child: the aggregate reads the columns
+// of its own expressions whatever its consumer reads.
+func (s *StreamAggregate) PruneColumns(needed []bool) { s.out.needed = needed }
 
 // consume folds one batch: runs of equal keys update the open group, a
 // boundary completes it.
@@ -752,9 +762,4 @@ func (s *StreamAggregate) finish() error {
 }
 
 // Close closes the child.
-func (s *StreamAggregate) Close() error {
-	if s.in == nil {
-		return nil // never opened
-	}
-	return s.in.Close()
-}
+func (s *StreamAggregate) Close() error { return s.Child.Close() }

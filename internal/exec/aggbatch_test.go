@@ -301,8 +301,8 @@ func TestGroupedCountAllocsPerRow(t *testing.T) {
 }
 
 // TestCallCmpMaskMatchesFilter: the predicate kernel for fn(column) <op>
-// literal selects the rows the row-at-a-time Filter selects, and fails
-// where it fails, over every form a column arrives in.
+// literal selects the rows per-row Eval selects, and fails where it fails,
+// over every form a column arrives in.
 func TestCallCmpMaskMatchesFilter(t *testing.T) {
 	reg := expr.NewRegistry()
 	charindex, _ := reg.Lookup("charindex")
@@ -349,19 +349,30 @@ func TestCallCmpMaskMatchesFilter(t *testing.T) {
 	for _, withGGG := range []bool{false, true} {
 		rows := mk(withGGG)
 		for name, pred := range preds {
-			want, wantErr := Run(&Context{}, &Filter{Pred: pred, Child: NewValues(rows)})
+			var want []sqltypes.Row
+			var wantErr error
+			for _, row := range rows {
+				v, err := pred.Eval(row)
+				if err != nil {
+					want, wantErr = nil, err
+					break
+				}
+				if expr.Truthy(v) {
+					want = append(want, row)
+				}
+			}
 			for formName, form := range map[string]colForm{
 				"flat": formFlat, "dict": formDict, "lazy": formLazy, "generic": formGeneric,
 				"packed": formPacked, "packed-dict": formPackedDict,
 			} {
-				src := batchSources(t, batchesOf(t, rows, []colForm{formFlat, form}, 256), 1)[0].(BatchOperator)
-				got, err := Run(&Context{}, &VecFilter{Pred: pred, Child: src})
+				src := batchSources(t, batchesOf(t, rows, []colForm{formFlat, form}, 256), 1)[0]
+				got, err := Run(&Context{}, &Filter{Pred: pred, Child: src})
 				label := fmt.Sprintf("%s/%s/ggg=%v", name, formName, withGGG)
 				if (err == nil) != (wantErr == nil) {
-					t.Fatalf("%s: error %v, the row filter's %v", label, err, wantErr)
+					t.Fatalf("%s: error %v, Eval's %v", label, err, wantErr)
 				}
 				if err == nil && !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s: %d rows, the row filter keeps %d", label, len(got), len(want))
+					t.Fatalf("%s: %d rows, Eval keeps %d", label, len(got), len(want))
 				}
 			}
 		}

@@ -523,10 +523,9 @@ func (d *aggDrain) release() {
 // out-of-core: one partial aggregate per worker below the exchange, a
 // final AggState.Merge pass above it, and budget-triggered partition
 // spilling inside each partial. With Child set it runs the same table
-// serially. Inputs are pulled as batches; a row-only input is packed into
-// generic batches at the boundary. Output rows are the group-by values
-// followed by the aggregate results; with no group-by expressions it
-// produces the single global aggregate row.
+// serially. Output rows are the group-by values followed by the aggregate
+// results, packed into batches on the way out; with no group-by
+// expressions it produces the single global aggregate row.
 type SpillableAggregate struct {
 	GroupBy []expr.Expr
 	Aggs    []AggSpec
@@ -547,7 +546,8 @@ type SpillableAggregate struct {
 	Level int
 
 	drain *aggDrain
-	out   sqltypes.Row
+	row   sqltypes.Row
+	out   rowPacker
 }
 
 // Open drains the input(s) into budgeted partial tables and prepares the
@@ -559,7 +559,8 @@ func (a *SpillableAggregate) Open(ctx *Context) error {
 		parts = DefaultAggPartitions
 	}
 	a.drain = nil
-	a.out = make(sqltypes.Row, len(a.GroupBy)+len(a.Aggs))
+	a.row = make(sqltypes.Row, len(a.GroupBy)+len(a.Aggs))
+	a.out.reset()
 	inputs := a.Parts
 	if len(inputs) == 0 {
 		inputs = []Operator{a.Child}
@@ -603,8 +604,7 @@ func (a *SpillableAggregate) Open(ctx *Context) error {
 
 // drainIntoTable opens a child, folds every batch it produces into the
 // table, and closes it.
-func drainIntoTable(ctx *Context, child Operator, t *aggTable) error {
-	in := batchInput([]Operator{child}, t.feed.markCols)
+func drainIntoTable(ctx *Context, in Operator, t *aggTable) error {
 	if err := in.Open(ctx); err != nil {
 		return err
 	}
@@ -620,8 +620,15 @@ func drainIntoTable(ctx *Context, child Operator, t *aggTable) error {
 	}
 }
 
-// Next emits one group.
-func (a *SpillableAggregate) Next() (sqltypes.Row, bool, error) {
+// NextBatch packs the next groups.
+func (a *SpillableAggregate) NextBatch() (*vec.Batch, error) { return a.out.next(a.next) }
+
+// PruneColumns does not reach the inputs: the aggregate reads the columns
+// of its own expressions whatever its consumer reads.
+func (a *SpillableAggregate) PruneColumns(needed []bool) { a.out.needed = needed }
+
+// next emits one group.
+func (a *SpillableAggregate) next() (sqltypes.Row, bool, error) {
 	if a.drain == nil {
 		return nil, false, nil
 	}
@@ -629,10 +636,10 @@ func (a *SpillableAggregate) Next() (sqltypes.Row, bool, error) {
 	if err != nil || !ok {
 		return nil, false, err
 	}
-	if err = ref.t.key(ref.g, a.out); err == nil {
-		err = ref.t.feed.render(ref.g, a.out[len(a.GroupBy):])
+	if err = ref.t.key(ref.g, a.row); err == nil {
+		err = ref.t.feed.render(ref.g, a.row[len(a.GroupBy):])
 	}
-	return a.out, err == nil, err
+	return a.row, err == nil, err
 }
 
 // Close releases spill files and tables.

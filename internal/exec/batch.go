@@ -8,54 +8,61 @@ import (
 	"repro/internal/vec"
 )
 
-// BatchOperator is an Operator that can also deliver its stream as
-// columnar batches. NextBatch returns (nil, nil) at end of stream;
-// returned batches are freshly allocated and owned by the caller (unlike
-// Next rows, they are safe to retain and to hand across goroutines).
-// Every batch operator also implements the row interface, so the row
-// consumers (grouped aggregates, sorts, merge joins) pull from vectorized
-// subtrees directly.
-type BatchOperator interface {
-	Operator
+// The contract every operator implements and every operator consumes.
+//
+// Stream. Open, then NextBatch until it returns (nil, nil) — the end of the
+// stream — or an error, then Close. Close is called once after a successful
+// Open, on every path, and is harmless when repeated. An Open that fails
+// leaves nothing open: the operator closes what it had opened and is not
+// closed again by its caller.
+//
+// Ownership. A returned batch belongs to the caller: the producer never
+// touches it again, so it may be kept, changed in place and handed to
+// another goroutine (the Gather exchange sends batches, never copies). A
+// vector, though, may be shared with other batches — a projected column is
+// its input's vector, a pruned column is nullColumn — so consumers change a
+// batch's Sel and its Cols slice, never a vector's cells.
+//
+// Selection. Sel lists the live physical rows in ascending order. Filters
+// and limits shrink it in place; operators walk Sel, never 0..n, and a
+// vector's entries outside Sel are unspecified. A batch may reach a consumer
+// with an empty Sel.
+//
+// Pruning. Before Open, a consumer may say which of the operator's output
+// columns it reads (PruneColumns; never called, or nil, means all). The
+// operator adds the columns its own expressions read and passes the call
+// down. Unmarked columns may arrive as nullColumn; a lazily decoded scan
+// column simply stays encoded, which is why scans ignore the call.
+//
+// Rows. An operator may work a row at a time inside — read its child
+// through a RowCursor, keep rows, emit them through a rowPacker — but rows
+// never cross an operator boundary.
+type Operator interface {
+	Open(ctx *Context) error
 	NextBatch() (*vec.Batch, error)
-}
-
-// BatchIterator is a batch stream produced by a Source factory (table
-// scans), mirroring RowIterator.
-type BatchIterator interface {
-	NextBatch() (*vec.Batch, error)
+	PruneColumns(needed []bool)
 	Close() error
 }
 
-// NextBatch makes Source a BatchOperator: native when the factory's
-// iterator implements BatchIterator, otherwise rows are packed into
-// generic batches.
-func (s *Source) NextBatch() (*vec.Batch, error) {
-	if bi, ok := s.it.(BatchIterator); ok {
-		return bi.NextBatch()
-	}
-	return s.pack.next(s.it.Next)
-}
-
-// rowPacker turns a row stream into generic batches. It remembers the end
-// of the stream: a row iterator need not survive a Next after its last.
+// rowPacker is the one rows-to-batches adapter: a Source packs its
+// iterator's rows with it, a row-internal operator the rows it emits. It
+// remembers the end of the stream, so the row function is not called again
+// after its last row.
 type rowPacker struct {
-	// mark, when set, marks the columns the consumer reads in a slice as
-	// wide as the rows; the others are not copied. nil copies every column.
-	mark   func(cols []bool)
-	needed []bool
+	needed []bool // output columns the consumer reads; nil = all
 	done   bool
 	last   int // rows in the previous batch: the next one's starting capacity
 }
 
+func (p *rowPacker) reset() { p.done, p.last = false, 0 }
+
 // next builds one batch of up to vec.DefaultBatchSize rows, copying only
-// the marked columns; the others are nullColumn. Batches outlive the row
+// the needed columns; the others are nullColumn. Batches outlive the row
 // they were read from, so byte values are copied out of it.
 func (p *rowPacker) next(next func() (sqltypes.Row, bool, error)) (*vec.Batch, error) {
-	const size = vec.DefaultBatchSize
 	var cols []*vec.Vector
 	n := 0
-	for n < size && !p.done {
+	for n < vec.DefaultBatchSize && !p.done {
 		row, ok, err := next()
 		if err != nil {
 			return nil, err
@@ -65,14 +72,10 @@ func (p *rowPacker) next(next func() (sqltypes.Row, bool, error)) (*vec.Batch, e
 			break
 		}
 		if cols == nil {
-			if p.mark != nil && len(p.needed) != len(row) {
-				p.needed = make([]bool, len(row))
-				p.mark(p.needed)
-			}
 			cols = make([]*vec.Vector, len(row))
 			for i := range cols {
-				if p.mark == nil || p.needed[i] {
-					cols[i] = vec.NewGenericVector(max(p.last, 64))
+				if p.needed == nil || (i < len(p.needed) && p.needed[i]) {
+					cols[i] = vec.NewGenericVector(max(p.last, 8))
 				} else {
 					cols[i] = nullColumn
 				}
@@ -96,81 +99,28 @@ func (p *rowPacker) next(next func() (sqltypes.Row, bool, error)) (*vec.Batch, e
 	return vec.NewBatch(cols, n), nil
 }
 
-// rowBatches lets a row-only operator (a merge join, a CROSS APPLY, the
-// row engine's scans) feed a batch consumer: its rows are packed into
-// generic batches holding the columns the consumer marks.
-type rowBatches struct {
-	Operator
-	mark func(cols []bool)
-	pack rowPacker
-}
-
-func (r *rowBatches) Open(ctx *Context) error {
-	r.pack = rowPacker{mark: r.mark}
-	return r.Operator.Open(ctx)
-}
-
-func (r *rowBatches) NextBatch() (*vec.Batch, error) { return r.pack.next(r.Next) }
-
-// batchInput presents one side's chains as a single batch stream: the
-// chain itself when there is one, an unordered exchange over several.
-// mark names the columns the consumer reads, for the chains that have to
-// be packed from rows; nil means all.
-func batchInput(chains []Operator, mark func(cols []bool)) BatchOperator {
-	ops := make([]BatchOperator, len(chains))
-	for i, ch := range chains {
-		if bo, ok := ch.(BatchOperator); ok {
-			ops[i] = bo
-		} else {
-			ops[i] = &rowBatches{Operator: ch, mark: mark}
-		}
-	}
-	if len(ops) == 1 {
-		return ops[0]
-	}
-	return &VecGather{Children: ops}
-}
-
-// nullColumn stands in for every column of a batch that its consumer has
-// said it will not read (ColumnPruner). It is shared and never written.
-var nullColumn = func() *vec.Vector {
-	v := &vec.Vector{Kind: sqltypes.KindNull, Vals: make([]sqltypes.Value, vec.DefaultBatchSize)}
-	for i := range v.Vals {
-		v.SetNull(i)
-	}
-	return v
-}()
-
-// ColumnPruner is implemented by batch operators whose row interface
-// can skip materializing columns the consumer never reads. PruneColumns
-// promises that rows served through Next will only have the marked
-// columns inspected; unmarked cells come back NULL without being
-// decoded. Predicate and projection evaluation inside the operator is
-// unaffected — it runs on the batch vectors before rows are built.
-type ColumnPruner interface {
-	PruneColumns(needed []bool)
-}
-
-// batchToRow is the embeddable batch-to-row cursor every batch operator
-// uses to serve its row interface. When needed is non-nil, only the
-// marked columns are materialized.
-type batchToRow struct {
-	b      *vec.Batch
-	pos    int
-	row    sqltypes.Row
+// RowCursor is the one batches-to-rows adapter: it reads the batches of an
+// opened operator a row at a time. Run and Drain use it at the result
+// boundary, the row-internal operators to read their children, and the
+// engine for the scans it consumes itself (ANALYZE, index builds). The
+// returned row is reused by the next call.
+type RowCursor struct {
+	Op Operator
+	// needed marks the columns to materialize (nil = all); the others come
+	// back NULL without being decoded.
 	needed []bool
+
+	b   *vec.Batch
+	pos int
+	row sqltypes.Row
 }
 
-func (c *batchToRow) reset() { c.b, c.pos = nil, 0 }
-
-func (c *batchToRow) next(src func() (*vec.Batch, error)) (sqltypes.Row, bool, error) {
+// Next returns the operator's next selected row.
+func (c *RowCursor) Next() (sqltypes.Row, bool, error) {
 	for c.b == nil || c.pos >= c.b.Len() {
-		b, err := src()
-		if err != nil {
+		b, err := c.Op.NextBatch()
+		if err != nil || b == nil {
 			return nil, false, err
-		}
-		if b == nil {
-			return nil, false, nil
 		}
 		c.b, c.pos = b, 0
 	}
@@ -184,23 +134,55 @@ func (c *batchToRow) next(src func() (*vec.Batch, error)) (sqltypes.Row, bool, e
 	return row, true, nil
 }
 
-// VecFilter drops rows whose predicate is not TRUE by shrinking each
-// batch's selection vector in place — no rows are copied, and on
-// dictionary-encoded columns the predicate is evaluated once per
-// distinct value rather than once per row.
-type VecFilter struct {
+// gatherChains presents one side's chains as a single stream: the chain
+// itself when there is one, an unordered exchange over several.
+func gatherChains(chains []Operator) Operator {
+	if len(chains) == 1 {
+		return chains[0]
+	}
+	return &Gather{Children: chains}
+}
+
+// withExprColumns returns needed with the columns the expressions read
+// marked as well; nil (all columns) stays nil.
+func withExprColumns(needed []bool, exprs ...expr.Expr) []bool {
+	if needed == nil {
+		return nil
+	}
+	mark := make([]bool, len(needed))
+	copy(mark, needed)
+	for _, e := range exprs {
+		expr.MarkCols(e, mark)
+	}
+	return mark
+}
+
+// nullColumn stands in for every column of a batch that its consumer has
+// said it will not read (PruneColumns). It is shared and never written.
+var nullColumn = func() *vec.Vector {
+	v := &vec.Vector{Kind: sqltypes.KindNull, Vals: make([]sqltypes.Value, vec.DefaultBatchSize)}
+	for i := range v.Vals {
+		v.SetNull(i)
+	}
+	return v
+}()
+
+// Filter drops rows whose predicate is not TRUE (three-valued logic: NULL
+// fails the filter) by shrinking each batch's selection vector in place —
+// no rows are copied, and on dictionary-encoded columns the predicate is
+// evaluated once per distinct value rather than once per row. Constant
+// conjuncts left behind by predicate pushdown are folded once at Open.
+type Filter struct {
 	Pred  expr.Expr
-	Child BatchOperator
+	Child Operator
 
 	eval  *expr.FilterEval
 	pass  bool // constant-TRUE predicate: pass batches through
 	empty bool // constant non-TRUE predicate: empty stream
-	cur   batchToRow
 }
 
 // Open folds constant predicates and compiles the rest.
-func (f *VecFilter) Open(ctx *Context) error {
-	f.cur.reset()
+func (f *Filter) Open(ctx *Context) error {
 	f.eval, f.pass, f.empty = nil, false, false
 	p := expr.FoldConstants(f.Pred)
 	if lit, ok := p.(*expr.Lit); ok {
@@ -216,7 +198,7 @@ func (f *VecFilter) Open(ctx *Context) error {
 }
 
 // NextBatch filters the next non-empty batch.
-func (f *VecFilter) NextBatch() (*vec.Batch, error) {
+func (f *Filter) NextBatch() (*vec.Batch, error) {
 	if f.empty {
 		return nil, nil
 	}
@@ -236,44 +218,36 @@ func (f *VecFilter) NextBatch() (*vec.Batch, error) {
 	}
 }
 
-// Next serves rows from filtered batches.
-func (f *VecFilter) Next() (sqltypes.Row, bool, error) {
-	return f.cur.next(f.NextBatch)
+// PruneColumns asks the child for the marked columns and the predicate's.
+func (f *Filter) PruneColumns(needed []bool) {
+	f.Child.PruneColumns(withExprColumns(needed, f.Pred))
 }
 
 // Close closes the child.
-func (f *VecFilter) Close() error { return f.Child.Close() }
+func (f *Filter) Close() error { return f.Child.Close() }
 
-// PruneColumns limits row materialization to the marked columns. The
-// predicate still sees every column: it evaluates on the batch vectors,
-// not on served rows.
-func (f *VecFilter) PruneColumns(needed []bool) { f.cur.needed = needed }
-
-// VecProject computes output expressions batch-at-a-time: column
-// references pass their input vector through unchanged (preserving
-// dictionary encoding), other expressions evaluate over selected rows
-// only.
-type VecProject struct {
+// Project computes output expressions batch-at-a-time: column references
+// pass their input vector through unchanged (preserving dictionary
+// encoding), other expressions evaluate over selected rows only.
+type Project struct {
 	Exprs []expr.Expr
-	Child BatchOperator
+	Child Operator
+	// InputWidth is the column count of the child's rows; set, it lets
+	// column pruning pass through the projection (as LeftWidth does for a
+	// join).
+	InputWidth int
 
 	proj *expr.Projection
-	cur  batchToRow
 }
 
 // Open compiles the projection.
-func (p *VecProject) Open(ctx *Context) error {
-	p.cur.reset()
-	folded := make([]expr.Expr, len(p.Exprs))
-	for i, e := range p.Exprs {
-		folded[i] = expr.FoldConstants(e)
-	}
-	p.proj = expr.CompileProjection(folded)
+func (p *Project) Open(ctx *Context) error {
+	p.proj = expr.CompileProjection(p.Exprs)
 	return p.Child.Open(ctx)
 }
 
 // NextBatch projects the next batch.
-func (p *VecProject) NextBatch() (*vec.Batch, error) {
+func (p *Project) NextBatch() (*vec.Batch, error) {
 	b, err := p.Child.NextBatch()
 	if err != nil || b == nil {
 		return nil, err
@@ -282,39 +256,46 @@ func (p *VecProject) NextBatch() (*vec.Batch, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &vec.Batch{Cols: cols, Sel: b.Sel, Base: b.Base}, nil
+	b.Cols = cols // the batch is ours: its selection, the projected columns
+	return b, nil
 }
 
-// Next serves rows from projected batches.
-func (p *VecProject) Next() (sqltypes.Row, bool, error) {
-	return p.cur.next(p.NextBatch)
+// PruneColumns asks the child for the columns the marked expressions read.
+// This is where pruning starts for a statement: the result boundary reads
+// every output column, and the projection knows what that takes.
+func (p *Project) PruneColumns(needed []bool) {
+	if p.InputWidth <= 0 {
+		return
+	}
+	mark := make([]bool, p.InputWidth)
+	for i, e := range p.Exprs {
+		if needed == nil || (i < len(needed) && needed[i]) {
+			expr.MarkCols(e, mark)
+		}
+	}
+	p.Child.PruneColumns(mark)
 }
 
 // Close closes the child.
-func (p *VecProject) Close() error { return p.Child.Close() }
+func (p *Project) Close() error { return p.Child.Close() }
 
-// PruneColumns limits row materialization to the marked output columns.
-func (p *VecProject) PruneColumns(needed []bool) { p.cur.needed = needed }
-
-// VecLimit stops after N selected rows, truncating the final batch's
+// Limit stops after N selected rows (TOP n), truncating the final batch's
 // selection vector.
-type VecLimit struct {
+type Limit struct {
 	N     int64
-	Child BatchOperator
+	Child Operator
 
 	seen int64
-	cur  batchToRow
 }
 
 // Open opens the child.
-func (l *VecLimit) Open(ctx *Context) error {
-	l.cur.reset()
+func (l *Limit) Open(ctx *Context) error {
 	l.seen = 0
 	return l.Child.Open(ctx)
 }
 
 // NextBatch forwards batches until N rows have been emitted.
-func (l *VecLimit) NextBatch() (*vec.Batch, error) {
+func (l *Limit) NextBatch() (*vec.Batch, error) {
 	if l.seen >= l.N {
 		return nil, nil
 	}
@@ -336,55 +317,49 @@ func (l *VecLimit) NextBatch() (*vec.Batch, error) {
 	}
 }
 
-// Next serves rows from limited batches.
-func (l *VecLimit) Next() (sqltypes.Row, bool, error) {
-	return l.cur.next(l.NextBatch)
-}
+// PruneColumns passes the call down.
+func (l *Limit) PruneColumns(needed []bool) { l.Child.PruneColumns(needed) }
 
 // Close closes the child.
-func (l *VecLimit) Close() error { return l.Child.Close() }
+func (l *Limit) Close() error { return l.Child.Close() }
 
-// PruneColumns limits row materialization to the marked columns.
-func (l *VecLimit) PruneColumns(needed []bool) { l.cur.needed = needed }
-
-// VecGather is the exchange for batch streams. Because batches are
-// caller-owned (fresh allocations, never reused by the producer), no
-// per-row cloning happens on the channel — one send moves up to a full
-// page of rows. Unordered, batches arrive as produced; Ordered, the
-// children are drained in index order (range-partitioned clustered scans:
-// the ranges are contiguous, so key order survives), all of them still
-// producing concurrently into their own bounded buffers.
-type VecGather struct {
-	Children []BatchOperator
+// Gather is the exchange operator that merges partitioned parallel streams
+// — "Gather Streams" in the paper's Figure 9/10 plans. Each child runs in
+// its own goroutine. Because batches are caller-owned, nothing is cloned on
+// the channel — one send moves up to a full page of rows. Unordered,
+// batches arrive as produced; Ordered, the children are drained in index
+// order (range-partitioned clustered scans and merge joins: the ranges are
+// contiguous, so key order survives), all of them still producing
+// concurrently into their own bounded buffers.
+type Gather struct {
+	Children []Operator
 	Ordered  bool
 
-	out     []chan vecGatherMsg // one per child when Ordered, else one shared
-	current int                 // the channel being drained
+	out     []chan gatherMsg // one per child when Ordered, else one shared
+	current int              // the channel being drained
 	done    chan struct{}
 	wg      sync.WaitGroup
-	cur     batchToRow
 }
 
-type vecGatherMsg struct {
+type gatherMsg struct {
 	b   *vec.Batch
 	err error
 }
 
-// vecGatherBuffer is sized in batches, not rows: a handful of in-flight
+// gatherBuffer is sized in batches, not rows: a handful of in-flight
 // pages per exchange keeps producers busy without buffering the table.
-const vecGatherBuffer = 8
+const gatherBuffer = 8
 
 // Open starts one producer goroutine per child.
-func (g *VecGather) Open(ctx *Context) error {
-	g.cur.reset()
+func (g *Gather) Open(ctx *Context) error {
 	g.done = make(chan struct{})
 	g.current = 0
-	g.out = make([]chan vecGatherMsg, 1)
+	g.out = make([]chan gatherMsg, 1)
 	if g.Ordered {
-		g.out = make([]chan vecGatherMsg, len(g.Children))
+		g.out = make([]chan gatherMsg, len(g.Children))
 	}
 	for i := range g.out {
-		g.out[i] = make(chan vecGatherMsg, vecGatherBuffer)
+		g.out[i] = make(chan gatherMsg, gatherBuffer)
 	}
 	for i, child := range g.Children {
 		out := g.out[0]
@@ -392,26 +367,26 @@ func (g *VecGather) Open(ctx *Context) error {
 			out = g.out[i]
 		}
 		g.wg.Add(1)
-		go func(child BatchOperator) {
+		go func(child Operator) {
 			defer g.wg.Done()
 			if g.Ordered {
 				defer close(out) // its only sender
 			}
 			if err := child.Open(ctx); err != nil {
-				g.send(out, vecGatherMsg{err: err})
+				g.send(out, gatherMsg{err: err})
 				return
 			}
 			defer child.Close()
 			for {
 				b, err := child.NextBatch()
 				if err != nil {
-					g.send(out, vecGatherMsg{err: err})
+					g.send(out, gatherMsg{err: err})
 					return
 				}
 				if b == nil {
 					return
 				}
-				if !g.send(out, vecGatherMsg{b: b}) {
+				if !g.send(out, gatherMsg{b: b}) {
 					return // consumer gone
 				}
 			}
@@ -426,7 +401,7 @@ func (g *VecGather) Open(ctx *Context) error {
 	return nil
 }
 
-func (g *VecGather) send(out chan vecGatherMsg, msg vecGatherMsg) bool {
+func (g *Gather) send(out chan gatherMsg, msg gatherMsg) bool {
 	select {
 	case out <- msg:
 		return true
@@ -436,7 +411,7 @@ func (g *VecGather) send(out chan vecGatherMsg, msg vecGatherMsg) bool {
 }
 
 // NextBatch returns the next gathered batch.
-func (g *VecGather) NextBatch() (*vec.Batch, error) {
+func (g *Gather) NextBatch() (*vec.Batch, error) {
 	for g.current < len(g.out) {
 		msg, ok := <-g.out[g.current]
 		if ok {
@@ -447,16 +422,18 @@ func (g *VecGather) NextBatch() (*vec.Batch, error) {
 	return nil, nil
 }
 
-// Next serves rows from gathered batches.
-func (g *VecGather) Next() (sqltypes.Row, bool, error) {
-	return g.cur.next(g.NextBatch)
+// PruneColumns passes the call to every child.
+func (g *Gather) PruneColumns(needed []bool) {
+	for _, c := range g.Children {
+		c.PruneColumns(needed)
+	}
 }
 
-// PruneColumns limits row materialization to the marked columns.
-func (g *VecGather) PruneColumns(needed []bool) { g.cur.needed = needed }
-
 // Close stops producers and waits for them.
-func (g *VecGather) Close() error {
+func (g *Gather) Close() error {
+	if g.done == nil {
+		return nil // never opened
+	}
 	select {
 	case <-g.done:
 	default:
@@ -471,26 +448,31 @@ func (g *VecGather) Close() error {
 	return nil
 }
 
-// VecTopN keeps the first N rows under the sort order from a batch
-// child. Sort keys are evaluated as vectors (dictionary columns resolve
-// each distinct key once), and once N rows are buffered, rows whose key
-// is >= the current Nth key are rejected before being materialized —
-// stable top-N keeps the earliest row among equals, so a later row with
-// an equal key can never displace a kept one.
-type VecTopN struct {
+// TopN keeps the first N rows under the sort order; a fused Sort+Limit
+// that never holds more than 2N rows. Sort keys are evaluated as vectors
+// (dictionary columns resolve each distinct key once), and once N rows are
+// buffered, rows whose key is >= the current Nth key are rejected before
+// being materialized — stable top-N keeps the earliest row among equals, so
+// a later row with an equal key can never displace a kept one.
+type TopN struct {
 	N     int64
 	Keys  []SortKey
-	Child BatchOperator
+	Child Operator
 
 	rows   []sqltypes.Row
 	keys   []sqltypes.Row
 	pos    int
 	sorter rowSorter
+	out    rowPacker
 }
 
-// Open drains the child keeping the N smallest rows.
-func (t *VecTopN) Open(ctx *Context) error {
+// Open drains the child keeping the N smallest rows. TOP 0 short-circuits
+// without opening the child: it can produce no rows, so there is nothing
+// to materialize (and a Sort or Gather child would otherwise do its full
+// work during Open).
+func (t *TopN) Open(ctx *Context) error {
 	t.rows, t.keys, t.pos = nil, nil, 0
+	t.out.reset()
 	if t.N <= 0 {
 		return nil
 	}
@@ -498,11 +480,7 @@ func (t *VecTopN) Open(ctx *Context) error {
 		return err
 	}
 	defer t.Child.Close()
-	exprs := make([]expr.Expr, len(t.Keys))
-	for i, k := range t.Keys {
-		exprs[i] = k.Expr
-	}
-	keyProj := expr.CompileProjection(exprs)
+	keyProj := expr.CompileProjection(sortKeyExprs(t.Keys))
 	keyScratch := make(sqltypes.Row, len(t.Keys))
 	var bound sqltypes.Row
 	for {
@@ -528,7 +506,7 @@ func (t *VecTopN) Open(ctx *Context) error {
 			if bound != nil && compareKeyRows(keyScratch, bound, t.Keys) >= 0 {
 				continue
 			}
-			row, err := b.ReadRow(s, nil)
+			row, err := b.ReadRowCols(s, nil, t.out.needed)
 			if err != nil {
 				return err
 			}
@@ -544,7 +522,7 @@ func (t *VecTopN) Open(ctx *Context) error {
 	return nil
 }
 
-func (t *VecTopN) trim() {
+func (t *TopN) trim() {
 	t.sorter.sortStable(t.rows, t.keys, t.Keys)
 	if int64(len(t.rows)) > t.N {
 		t.rows = t.rows[:t.N]
@@ -552,18 +530,27 @@ func (t *VecTopN) trim() {
 	}
 }
 
-// Next emits the next kept row.
-func (t *VecTopN) Next() (sqltypes.Row, bool, error) {
+// next emits the next kept row.
+func (t *TopN) next() (sqltypes.Row, bool, error) {
 	if t.pos >= len(t.rows) {
 		return nil, false, nil
 	}
-	r := t.rows[t.pos]
 	t.pos++
-	return r, true, nil
+	return t.rows[t.pos-1], true, nil
+}
+
+// NextBatch packs the kept rows.
+func (t *TopN) NextBatch() (*vec.Batch, error) { return t.out.next(t.next) }
+
+// PruneColumns keeps only the marked columns of a row; the keys are read
+// off the child's vectors.
+func (t *TopN) PruneColumns(needed []bool) {
+	t.out.needed = needed
+	t.Child.PruneColumns(withExprColumns(needed, sortKeyExprs(t.Keys)...))
 }
 
 // Close releases buffers.
-func (t *VecTopN) Close() error {
+func (t *TopN) Close() error {
 	t.rows, t.keys = nil, nil
 	return nil
 }

@@ -1,18 +1,33 @@
-// Package exec implements the physical query operators of the engine as
-// Volcano-style pull iterators — the same iterator contract the paper's
-// table-valued functions plug into ("The API for providing TVFs follows
-// the standard iterator interface of a relational query engine", Section
-// 4.1). It includes the parallel operators (gather exchange, parallel hash
-// aggregation, partitioned merge join) that reproduce the paper's
+// Package exec implements the physical query operators of the engine. There
+// is one operator interface and it exchanges batches: Open, a stream of
+// NextBatch calls, Close (batch.go states the contract). Rows exist only at
+// the two edges of a plan, each with one adapter:
+//
+//   - rows in: Source packs a RowIterator — a table-valued function, an index
+//     scan, a spill file, the row-decoding reference scans — into batches
+//     (rowPacker). RowIterator is the paper's extension contract ("The API
+//     for providing TVFs follows the standard iterator interface of a
+//     relational query engine", Section 4.1) and stays as it is. The
+//     operators whose insides still work a row at a time (Sort, RowNumber,
+//     MergeSorted, TopN, MergeJoin, Apply, the aggregates' group output) emit
+//     through the same packer.
+//   - rows out: RowCursor reads an operator's batches a row at a time. Run
+//     and Drain use it at the result boundary, the row-internal operators to
+//     read their children.
+//
+// Everything between the edges — scans off pages and leaves, Filter, Project,
+// Limit, the Gather exchange, the hash join, the three aggregates' input —
+// computes on typed vectors. The parallel operators (Gather, the partial and
+// final aggregate, the partitioned merge join) reproduce the paper's
 // "parallelism for free" results (Figures 8-10).
 package exec
 
 import (
 	"fmt"
 
-	"repro/internal/expr"
 	"repro/internal/obs"
 	"repro/internal/sqltypes"
+	"repro/internal/vec"
 )
 
 // Context carries per-query execution state.
@@ -36,35 +51,28 @@ type Context struct {
 	Prof *obs.OpProfile
 }
 
-// Operator is a Volcano iterator: Open, a stream of Next calls, Close.
-type Operator interface {
-	Open(ctx *Context) error
-	// Next returns the next row. ok=false signals the end of the stream.
-	// Returned rows may be reused by the operator on subsequent calls;
-	// callers that retain rows must Clone them.
-	Next() (row sqltypes.Row, ok bool, err error)
-	Close() error
-}
-
-// RowIterator is a minimal row stream used by Source factories (table
-// scans, TVFs) so that storage-facing code does not depend on Operator.
+// RowIterator is a row stream: what a table-valued function, an index scan
+// or a spill file hands to a Source. A returned row may be reused by the
+// next call; an iterator need not survive a Next after its last row.
 type RowIterator interface {
 	Next() (sqltypes.Row, bool, error)
 	Close() error
 }
 
-// Source adapts a RowIterator factory into an Operator. The factory runs
-// at Open time, so sources are re-openable.
+// BatchIterator is a batch stream produced by a Scan factory (table
+// scans), mirroring RowIterator.
+type BatchIterator interface {
+	NextBatch() (*vec.Batch, error)
+	Close() error
+}
+
+// Source is the rows-in edge: it packs the rows of a RowIterator into
+// batches. The factory runs at Open time, so sources are re-openable.
 type Source struct {
-	Label   string
 	Factory func(ctx *Context) (RowIterator, error)
 
-	it RowIterator
-	// pruned is it as a batch stream when PruneColumns was called and it
-	// can deliver batches; Next then serves rows through cur.
-	pruned BatchIterator
-	cur    batchToRow
-	pack   rowPacker // NextBatch over an iterator without batches
+	it   RowIterator
+	pack rowPacker
 }
 
 // Open creates the underlying iterator.
@@ -74,32 +82,48 @@ func (s *Source) Open(ctx *Context) error {
 		return err
 	}
 	s.it = it
-	s.cur.reset()
-	s.pack = rowPacker{}
-	s.pruned = nil
-	if needed := s.cur.needed; needed != nil {
-		s.pruned, _ = it.(BatchIterator)
-		s.pack.mark = func(cols []bool) { copy(cols, needed) }
-	}
+	s.pack.reset()
 	return nil
 }
 
-// Next pulls from the iterator. A pruned source whose iterator can
-// deliver batches serves its rows from them instead, so the columns the
-// consumer never reads are never decoded.
-func (s *Source) Next() (sqltypes.Row, bool, error) {
-	if s.pruned != nil {
-		return s.cur.next(s.pruned.NextBatch)
-	}
-	return s.it.Next()
-}
+// NextBatch packs the iterator's next rows.
+func (s *Source) NextBatch() (*vec.Batch, error) { return s.pack.next(s.it.Next) }
 
-// PruneColumns limits row materialization to the marked columns. Like
-// every ColumnPruner it is called before Open.
-func (s *Source) PruneColumns(needed []bool) { s.cur.needed = needed }
+// PruneColumns keeps the packer from copying the unmarked columns.
+func (s *Source) PruneColumns(needed []bool) { s.pack.needed = needed }
 
 // Close releases the iterator.
 func (s *Source) Close() error {
+	if s.it == nil {
+		return nil
+	}
+	err := s.it.Close()
+	s.it = nil
+	return err
+}
+
+// Scan is a leaf whose iterator delivers batches itself: heap pages and
+// clustered leaves decoded a column at a time.
+type Scan struct {
+	Factory func(ctx *Context) (BatchIterator, error)
+
+	it BatchIterator
+}
+
+// Open creates the underlying iterator.
+func (s *Scan) Open(ctx *Context) (err error) {
+	s.it, err = s.Factory(ctx)
+	return err
+}
+
+// NextBatch returns the iterator's next batch.
+func (s *Scan) NextBatch() (*vec.Batch, error) { return s.it.NextBatch() }
+
+// PruneColumns does nothing: a scanned column is decoded when first read.
+func (s *Scan) PruneColumns([]bool) {}
+
+// Close releases the iterator.
+func (s *Scan) Close() error {
 	if s.it == nil {
 		return nil
 	}
@@ -130,147 +154,32 @@ func (s *SliceIterator) Close() error { return nil }
 
 // NewValues returns an operator yielding the given rows.
 func NewValues(rows []sqltypes.Row) *Source {
-	return &Source{
-		Label: "Constant Scan",
-		Factory: func(*Context) (RowIterator, error) {
-			return &SliceIterator{Rows: rows}, nil
-		},
-	}
+	return &Source{Factory: func(*Context) (RowIterator, error) { return &SliceIterator{Rows: rows}, nil }}
 }
 
-// Filter drops rows whose predicate is not TRUE (three-valued logic: NULL
-// fails the filter). Constant conjuncts left behind by predicate pushdown
-// are folded once at Open: a constant-TRUE predicate passes rows through
-// untested, a constant non-TRUE predicate short-circuits the stream.
-type Filter struct {
-	Pred  expr.Expr
-	Child Operator
-
-	pred  expr.Expr
-	pass  bool
-	empty bool
-}
-
-// Open folds the predicate and opens the child.
-func (f *Filter) Open(ctx *Context) error {
-	f.pred = expr.FoldConstants(f.Pred)
-	f.pass, f.empty = false, false
-	if lit, ok := f.pred.(*expr.Lit); ok {
-		if expr.Truthy(lit.V) {
-			f.pass = true
-		} else {
-			f.empty = true
-		}
-	}
-	return f.Child.Open(ctx)
-}
-
-// Next pulls until a row passes.
-func (f *Filter) Next() (sqltypes.Row, bool, error) {
-	if f.empty {
-		return nil, false, nil
-	}
-	for {
-		row, ok, err := f.Child.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		if f.pass {
-			return row, true, nil
-		}
-		v, err := f.pred.Eval(row)
-		if err != nil {
-			return nil, false, err
-		}
-		if expr.Truthy(v) {
-			return row, true, nil
-		}
-	}
-}
-
-// Close closes the child.
-func (f *Filter) Close() error { return f.Child.Close() }
-
-// Project computes output expressions over each input row.
-type Project struct {
-	Exprs []expr.Expr
-	Child Operator
-
-	out sqltypes.Row
-}
-
-// Open opens the child.
-func (p *Project) Open(ctx *Context) error {
-	p.out = make(sqltypes.Row, len(p.Exprs))
-	return p.Child.Open(ctx)
-}
-
-// Next evaluates the projection.
-func (p *Project) Next() (sqltypes.Row, bool, error) {
-	row, ok, err := p.Child.Next()
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	for i, e := range p.Exprs {
-		v, err := e.Eval(row)
-		if err != nil {
-			return nil, false, err
-		}
-		p.out[i] = v
-	}
-	return p.out, true, nil
-}
-
-// Close closes the child.
-func (p *Project) Close() error { return p.Child.Close() }
-
-// Limit stops after N rows (TOP n).
-type Limit struct {
-	N     int64
-	Child Operator
-	seen  int64
-}
-
-// Open opens the child.
-func (l *Limit) Open(ctx *Context) error {
-	l.seen = 0
-	return l.Child.Open(ctx)
-}
-
-// Next forwards up to N rows.
-func (l *Limit) Next() (sqltypes.Row, bool, error) {
-	if l.seen >= l.N {
-		return nil, false, nil
-	}
-	row, ok, err := l.Child.Next()
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	l.seen++
-	return row, true, nil
-}
-
-// Close closes the child.
-func (l *Limit) Close() error { return l.Child.Close() }
-
-// Drain pulls every row from an operator (already opened), cloning them.
-// Test and utility helper.
+// Drain pulls every row from an operator (already opened). The rows are the
+// caller's: each is read into a slice of its own, and its cells point into
+// batches nobody else holds any more.
 func Drain(op Operator) ([]sqltypes.Row, error) {
 	var out []sqltypes.Row
+	cur := RowCursor{Op: op}
 	for {
-		row, ok, err := op.Next()
+		row, ok, err := cur.Next()
 		if err != nil {
 			return nil, err
 		}
 		if !ok {
 			return out, nil
 		}
-		out = append(out, row.Clone())
+		out = append(out, row)
+		cur.row = nil // kept: the next row gets a slice of its own
 	}
 }
 
-// Run opens, drains and closes an operator.
+// Run opens, drains and closes an operator: the result boundary. It reads
+// every output column, and says so, which is what starts column pruning.
 func Run(ctx *Context, op Operator) ([]sqltypes.Row, error) {
+	op.PruneColumns(nil)
 	if err := op.Open(ctx); err != nil {
 		return nil, err
 	}

@@ -4,11 +4,13 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 
 	"repro/internal/expr"
 	"repro/internal/sqltypes"
+	"repro/internal/vec"
 )
 
 func i64(v int64) sqltypes.Value     { return sqltypes.NewInt(v) }
@@ -71,14 +73,55 @@ func TestFilterNullFails(t *testing.T) {
 	}
 }
 
-func TestLimit(t *testing.T) {
-	src := NewValues(rowsOf(
-		[]sqltypes.Value{i64(1)}, []sqltypes.Value{i64(2)}, []sqltypes.Value{i64(3)},
-	))
-	rows := run(t, &Limit{N: 2, Child: src})
-	if len(rows) != 2 {
-		t.Errorf("limit kept %d rows", len(rows))
+// countRows is n one-column rows 0..n-1.
+func countRows(n int) []sqltypes.Row {
+	rows := make([]sqltypes.Row, n)
+	for i := range rows {
+		rows[i] = sqltypes.Row{i64(int64(i))}
 	}
+	return rows
+}
+
+// TestLimit: the first N rows in input order, whether N falls inside a
+// batch, on a batch boundary, past the input or at zero; after the limit
+// no further batch is pulled.
+func TestLimit(t *testing.T) {
+	const size = vec.DefaultBatchSize
+	input := countRows(2*size + 10)
+	for _, n := range []int{0, 2, size - 1, size, size + 1, 2 * size, len(input), len(input) + 5} {
+		src := &countBatches{Operator: NewValues(input)}
+		rows := run(t, &Limit{N: int64(n), Child: src})
+		if want := min(n, len(input)); len(rows) != want {
+			t.Fatalf("TOP %d kept %d rows, want %d", n, len(rows), want)
+		}
+		for i, r := range rows {
+			if r[0].I != int64(i) {
+				t.Fatalf("TOP %d: row %d = %v", n, i, r)
+			}
+		}
+		if want := min((n+size-1)/size, 3); src.batches > want {
+			t.Errorf("TOP %d pulled %d batches, want at most %d", n, src.batches, want)
+		}
+	}
+	// A filter below may leave batches the limit must step over.
+	odd := &Filter{Pred: &expr.Cmp{Op: expr.CmpEq, L: &expr.Arith{Op: expr.OpMod, L: col(0), R: lit(i64(2))}, R: lit(i64(1))}, Child: NewValues(input)}
+	if rows := run(t, &Limit{N: 600, Child: odd}); len(rows) != 600 || rows[599][0].I != 1199 {
+		t.Errorf("TOP 600 of the odd rows: %d rows ending %v", len(rows), rows[len(rows)-1])
+	}
+}
+
+// countBatches counts the non-nil batches pulled through it.
+type countBatches struct {
+	Operator
+	batches int
+}
+
+func (c *countBatches) NextBatch() (*vec.Batch, error) {
+	b, err := c.Operator.NextBatch()
+	if b != nil {
+		c.batches++
+	}
+	return b, err
 }
 
 func TestHashAggregate(t *testing.T) {
@@ -156,33 +199,36 @@ func TestStreamAggregateMatchesHash(t *testing.T) {
 }
 
 func TestStreamAggregateEmitsEagerly(t *testing.T) {
-	// The stream aggregate must emit group g0 before consuming all of g1.
+	// The stream aggregate must emit group g0 before consuming all of g1:
+	// its first batch goes out after the input batch that completes g0.
 	rows := rowsOf(
 		[]sqltypes.Value{str("g0"), i64(1)},
 		[]sqltypes.Value{str("g1"), i64(2)},
 		[]sqltypes.Value{str("g1"), i64(3)},
+		[]sqltypes.Value{str("g1"), i64(4)},
 	)
+	src := &countBatches{Operator: batchSources(t, batchesOf(t, rows, []colForm{formFlat, formFlat}, 2), 1)[0]}
 	op := &StreamAggregate{
 		GroupBy: []expr.Expr{col(0)},
 		Aggs:    []AggSpec{{Name: "SUM", Factory: BuiltinAggregate("sum"), Args: []expr.Expr{col(1)}}},
-		Child:   NewValues(rows),
+		Child:   src,
 	}
 	if err := op.Open(&Context{}); err != nil {
 		t.Fatal(err)
 	}
 	defer op.Close()
-	first, ok, err := op.Next()
-	if err != nil || !ok {
-		t.Fatal(err)
+	first, err := op.NextBatch()
+	if err != nil || first == nil {
+		t.Fatal(first, err)
 	}
-	if first[0].S != "g0" || first[1].I != 1 {
-		t.Errorf("first group = %v", first)
+	if row, _ := first.ReadRow(first.Sel[0], nil); first.Len() != 1 || row[0].S != "g0" || row[1].I != 1 || src.batches != 1 {
+		t.Errorf("first batch = %d groups starting %v after %d input batches, want g0 alone after 1", first.Len(), row, src.batches)
 	}
-	second, ok, _ := op.Next()
-	if !ok || second[0].S != "g1" || second[1].I != 5 {
-		t.Errorf("second group = %v", second)
+	second, _ := op.NextBatch()
+	if row, _ := second.ReadRow(second.Sel[0], nil); second.Len() != 1 || row[0].S != "g1" || row[1].I != 9 {
+		t.Errorf("second batch = %d groups starting %v", second.Len(), row)
 	}
-	if _, ok, _ := op.Next(); ok {
+	if b, _ := op.NextBatch(); b != nil {
 		t.Error("extra group")
 	}
 }
@@ -297,6 +343,42 @@ func TestTopN(t *testing.T) {
 	for i, r := range rows {
 		if r[0].I != int64(i) {
 			t.Errorf("topn[%d] = %v", i, r)
+		}
+	}
+}
+
+// TestTopNEqualsSortThenLimit: over keys with many ties (the second column
+// tells tied rows apart), TOP N is the stable Sort's first N rows — for
+// N = 0, N inside the input, N past it, ascending and descending — and the
+// planner's parallel shape (per-partition TopN, Gather, final TopN) over
+// contiguous partitions returns the same rows as the serial one.
+func TestTopNEqualsSortThenLimit(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	input := make([]sqltypes.Row, 3000)
+	for i := range input {
+		input[i] = sqltypes.Row{i64(int64(rng.Intn(12))), i64(int64(i))}
+	}
+	for _, keys := range [][]SortKey{{{Expr: col(0)}}, {{Expr: col(0), Desc: true}}} {
+		sorted := run(t, &Sort{Keys: keys, Child: NewValues(input)})
+		for _, n := range []int{0, 1, 7, 1500, len(input), len(input) + 9} {
+			want := sorted[:min(n, len(input))]
+			serial := run(t, &TopN{N: int64(n), Keys: keys, Child: NewValues(input)})
+			if len(want) == 0 {
+				want, serial = nil, append([]sqltypes.Row(nil), serial...)
+			}
+			if !reflect.DeepEqual(serial, want) {
+				t.Fatalf("TOP %d (desc=%v) differs from Sort + first %d", n, keys[0].Desc, n)
+			}
+			parts := make([]Operator, 4)
+			for p := range parts {
+				lo, hi := len(input)*p/4, len(input)*(p+1)/4
+				parts[p] = &TopN{N: int64(n), Keys: keys, Child: NewValues(input[lo:hi])}
+			}
+			// Ordered: partition order is input order, which ties fall back on.
+			merged := run(t, &TopN{N: int64(n), Keys: keys, Child: &Gather{Children: parts, Ordered: true}})
+			if len(merged) != len(serial) || (len(serial) > 0 && !reflect.DeepEqual(merged, serial)) {
+				t.Fatalf("TOP %d (desc=%v): per-partition-then-merge differs from serial", n, keys[0].Desc)
+			}
 		}
 	}
 }
@@ -463,24 +545,62 @@ func TestGatherPropagatesError(t *testing.T) {
 	bad := &Source{Factory: func(*Context) (RowIterator, error) {
 		return nil, fmt.Errorf("boom")
 	}}
-	op := &Gather{Children: []Operator{bad, NewValues(nil)}}
-	if _, err := Run(&Context{}, op); err == nil {
-		t.Error("gather swallowed child error")
+	for _, ordered := range []bool{false, true} {
+		op := &Gather{Children: []Operator{bad, NewValues(nil)}, Ordered: ordered}
+		if _, err := Run(&Context{}, op); err == nil {
+			t.Errorf("gather (ordered=%v) swallowed child error", ordered)
+		}
 	}
 }
 
+// failNthBatch fails its nth NextBatch.
+type failNthBatch struct {
+	Operator
+	n int
+}
+
+func (f *failNthBatch) NextBatch() (*vec.Batch, error) {
+	if f.n--; f.n < 0 {
+		return nil, fmt.Errorf("late boom")
+	}
+	return f.Operator.NextBatch()
+}
+
+// TestGatherErrorFromLateChild: a child that fails after the others have
+// long finished, several batches into its own stream, still fails the
+// exchange, in both modes, and Close returns with every producer gone.
+func TestGatherErrorFromLateChild(t *testing.T) {
+	for _, ordered := range []bool{false, true} {
+		late := &failNthBatch{Operator: NewValues(countRows(5 * vec.DefaultBatchSize)), n: 3}
+		op := &Gather{Children: []Operator{NewValues(countRows(10)), NewValues(nil), late}, Ordered: ordered}
+		rows, err := Run(&Context{}, op)
+		if err == nil || err.Error() != "late boom" {
+			t.Errorf("ordered=%v: %d rows and error %v, want the late child's", ordered, len(rows), err)
+		}
+	}
+}
+
+// TestGatherEarlyClose: closing an exchange before draining it must not
+// deadlock producers that are blocked on a full buffer — each child here
+// has more batches than the buffer holds — in either mode, with Close
+// called twice.
 func TestGatherEarlyClose(t *testing.T) {
-	// Closing a gather before draining must not deadlock producers.
-	var rows []sqltypes.Row
-	for i := 0; i < 10_000; i++ {
-		rows = append(rows, sqltypes.Row{i64(int64(i))})
-	}
-	op := &Gather{Children: []Operator{NewValues(rows), NewValues(rows)}}
-	if err := op.Open(&Context{}); err != nil {
-		t.Fatal(err)
-	}
-	op.Next()
-	if err := op.Close(); err != nil {
-		t.Fatal(err)
+	rows := countRows((gatherBuffer + 4) * vec.DefaultBatchSize)
+	for _, ordered := range []bool{false, true} {
+		op := &Gather{Children: []Operator{NewValues(rows), NewValues(rows), NewValues(rows)}, Ordered: ordered}
+		if err := op.Open(&Context{}); err != nil {
+			t.Fatal(err)
+		}
+		if b, err := op.NextBatch(); err != nil || b == nil {
+			t.Fatal(b, err)
+		}
+		for len(op.out[len(op.out)-1]) < gatherBuffer { // the last producer has filled its buffer
+			runtime.Gosched()
+		}
+		for i := 0; i < 2; i++ {
+			if err := op.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 }

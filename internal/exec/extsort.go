@@ -9,11 +9,12 @@ import (
 	"repro/internal/expr"
 	"repro/internal/obs"
 	"repro/internal/sqltypes"
+	"repro/internal/vec"
 )
 
 // External merge sort: Sort and RowNumber buffer rows up to a memory
 // budget, spill stably-sorted runs to temp files, and k-way merge the
-// runs with a loser tree on Next(). Runs are cut from consecutive input
+// runs with a loser tree as they emit. Runs are cut from consecutive input
 // spans and the merge breaks key ties by run index, so ORDER BY stays
 // stable for equal keys even when runs spill — the same observable order
 // as the in-memory stable sort.
@@ -220,7 +221,7 @@ func (s *extSorter) sortBuffer() {
 // keys, so a merge exchange stacked on top never re-evaluates key
 // expressions. Sort and both extSorter iterators implement it.
 type keyedSource interface {
-	NextKeyed() (row, key sqltypes.Row, ok bool, err error)
+	nextKeyed() (row, key sqltypes.Row, ok bool, err error)
 }
 
 // keyedSliceIterator is the in-memory sorted result with its keys.
@@ -230,11 +231,11 @@ type keyedSliceIterator struct {
 }
 
 func (it *keyedSliceIterator) Next() (sqltypes.Row, bool, error) {
-	row, _, ok, err := it.NextKeyed()
+	row, _, ok, err := it.nextKeyed()
 	return row, ok, err
 }
 
-func (it *keyedSliceIterator) NextKeyed() (sqltypes.Row, sqltypes.Row, bool, error) {
+func (it *keyedSliceIterator) nextKeyed() (sqltypes.Row, sqltypes.Row, bool, error) {
 	if it.pos >= len(it.rows) {
 		return nil, nil, false, nil
 	}
@@ -290,7 +291,7 @@ func (s *extSorter) Release() {
 
 // mergeCursor is one sorted input of a loser-tree merge. Cursors are
 // advanced lazily — the previous winner's row stays valid until the next
-// pull — so sources may reuse their row buffers per the Operator
+// pull — so sources may reuse their row buffers per the RowIterator
 // contract.
 type mergeCursor interface {
 	// advance steps to the next row; the cursor reports done once the
@@ -351,7 +352,7 @@ type keyedCursor struct {
 }
 
 func (c *keyedCursor) advance() error {
-	row, key, ok, err := c.src.NextKeyed()
+	row, key, ok, err := c.src.nextKeyed()
 	if err != nil {
 		return err
 	}
@@ -444,12 +445,12 @@ func (t *loserTree) replay(i int) {
 // Next pulls the merged stream. The previous winner advances lazily so
 // its returned row stayed valid across the last pull.
 func (t *loserTree) Next() (sqltypes.Row, bool, error) {
-	row, _, ok, err := t.NextKeyed()
+	row, _, ok, err := t.nextKeyed()
 	return row, ok, err
 }
 
-// NextKeyed pulls the merged stream with the winner's sort key.
-func (t *loserTree) NextKeyed() (sqltypes.Row, sqltypes.Row, bool, error) {
+// nextKeyed pulls the merged stream with the winner's sort key.
+func (t *loserTree) nextKeyed() (sqltypes.Row, sqltypes.Row, bool, error) {
 	if !t.started {
 		t.started = true
 		for i := 1; i < len(t.node); i++ {
@@ -489,15 +490,17 @@ func (t *loserTree) Close() error { return nil }
 // sequential page-range partitions emits equal keys in table order —
 // identical to the serial stable sort.
 //
-// A child that sorted fully in memory hands its (rows, keys) buffers to
-// the merge, which then indexes the arrays directly; children with
-// spilled runs stream through their own run merge.
+// The sorts and their merge are one row-internal unit: a child that sorted
+// fully in memory hands its (rows, keys) buffers to the merge, which then
+// indexes the arrays directly; children with spilled runs stream through
+// their own run merge. Rows become batches once, on the way out.
 type MergeSorted struct {
 	Keys     []SortKey
-	Children []Operator
+	Children []*Sort
 
 	it     RowIterator
 	opened []bool
+	out    rowPacker
 }
 
 // Open opens all children in parallel and builds the merge tree. On a
@@ -505,6 +508,7 @@ type MergeSorted struct {
 // CPU-bound, so goroutines could only add scheduling latency and cache
 // interleave.
 func (m *MergeSorted) Open(ctx *Context) error {
+	m.out.reset()
 	m.opened = make([]bool, len(m.Children))
 	errs := make([]error, len(m.Children))
 	if runtime.GOMAXPROCS(0) == 1 {
@@ -515,7 +519,7 @@ func (m *MergeSorted) Open(ctx *Context) error {
 		var wg sync.WaitGroup
 		for i, ch := range m.Children {
 			wg.Add(1)
-			go func(i int, ch Operator) {
+			go func(i int, ch *Sort) {
 				defer wg.Done()
 				errs[i] = ch.Open(ctx)
 			}(i, ch)
@@ -536,40 +540,32 @@ func (m *MergeSorted) Open(ctx *Context) error {
 	}
 	cursors := make([]mergeCursor, len(m.Children))
 	for i, ch := range m.Children {
-		// Buffer fast path: a child that sorted fully in memory hands its
-		// (rows, keys) arrays over, so merging indexes slices directly
-		// instead of calling down the child's iterator chain per row.
-		if s, ok := ch.(*Sort); ok {
-			if rows, keys, ok := s.sortedBuffers(); ok {
-				cursors[i] = &memCursor{rows: rows, keys: keys}
-				continue
-			}
-		}
-		if ks, ok := ch.(keyedSource); ok {
-			cursors[i] = &keyedCursor{src: ks}
+		if rows, keys, ok := ch.sortedBuffers(); ok {
+			cursors[i] = &memCursor{rows: rows, keys: keys}
 		} else {
-			cursors[i] = &streamCursor{next: ch.Next, by: m.Keys}
+			cursors[i] = &keyedCursor{src: ch}
 		}
 	}
 	m.it = newLoserTree(cursors, m.Keys, &statsFrom(ctx).Sort)
 	return nil
 }
 
-// Next returns the next globally ordered row.
-func (m *MergeSorted) Next() (sqltypes.Row, bool, error) {
+// NextBatch packs the next globally ordered rows.
+func (m *MergeSorted) NextBatch() (*vec.Batch, error) { return m.out.next(m.next) }
+
+func (m *MergeSorted) next() (sqltypes.Row, bool, error) {
 	if m.it == nil {
 		return nil, false, nil
 	}
 	return m.it.Next()
 }
 
-// NextKeyed implements keyedSource for operators stacked above (a
-// streaming RowNumber never re-evaluates the window ordering).
-func (m *MergeSorted) NextKeyed() (sqltypes.Row, sqltypes.Row, bool, error) {
-	if m.it == nil {
-		return nil, nil, false, nil
+// PruneColumns passes the call to every sort.
+func (m *MergeSorted) PruneColumns(needed []bool) {
+	m.out.needed = needed
+	for _, ch := range m.Children {
+		ch.PruneColumns(needed)
 	}
-	return m.it.(keyedSource).NextKeyed()
 }
 
 func (m *MergeSorted) closeChildren() error {

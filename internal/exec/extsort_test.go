@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/sqltypes"
 	"repro/internal/storage"
+	"repro/internal/vec"
 )
 
 // randomSortInput builds rows of (key INT or NULL, tag STRING, seq INT)
@@ -92,7 +93,7 @@ func TestMergeSortedParallelEquivalence(t *testing.T) {
 
 	for _, budget := range []int64{0, 8 << 10} {
 		chains := splitSpans(input, 4)
-		sorts := make([]Operator, len(chains))
+		sorts := make([]*Sort, len(chains))
 		var spill SpillStore
 		if budget > 0 {
 			spill = newTestSpillStore(t)
@@ -177,7 +178,7 @@ func TestRowNumberSpillEquivalence(t *testing.T) {
 	}
 
 	chains := splitSpans(input, 3)
-	sorts := make([]Operator, len(chains))
+	sorts := make([]*Sort, len(chains))
 	for i, ch := range chains {
 		sorts[i] = &Sort{Keys: keys, Child: ch}
 	}
@@ -195,10 +196,11 @@ func TestRowNumberSpillEquivalence(t *testing.T) {
 type failOnOpen struct{}
 
 func (f *failOnOpen) Open(*Context) error { return fmt.Errorf("must not open") }
-func (f *failOnOpen) Next() (sqltypes.Row, bool, error) {
-	return nil, false, fmt.Errorf("must not pull")
+func (f *failOnOpen) NextBatch() (*vec.Batch, error) {
+	return nil, fmt.Errorf("must not pull")
 }
-func (f *failOnOpen) Close() error { return nil }
+func (f *failOnOpen) PruneColumns([]bool) {}
+func (f *failOnOpen) Close() error        { return nil }
 
 // TestTopNZeroShortCircuits: TOP 0 can produce no rows, so it must not
 // open (let alone drain) its child.
@@ -228,7 +230,7 @@ func TestTopNStillTrims(t *testing.T) {
 	if len(op.rows) != 5 {
 		t.Fatalf("kept %d rows, want 5", len(op.rows))
 	}
-	row, ok, err := op.Next()
+	row, ok, err := op.next()
 	if err != nil || !ok || row[0].I != 1 {
 		t.Fatalf("first = %v ok=%v err=%v", row, ok, err)
 	}
@@ -241,7 +243,6 @@ type failAfter struct {
 	seen int
 }
 
-func (f *failAfter) Open(*Context) error { f.seen = 0; return nil }
 func (f *failAfter) Next() (sqltypes.Row, bool, error) {
 	if f.seen >= f.n {
 		return nil, false, fmt.Errorf("synthetic mid-drain failure")
@@ -258,7 +259,7 @@ func TestSortOpenErrorReleasesRuns(t *testing.T) {
 	store := storageSpillStore{storage.NewSpillManager(dir, storage.NewBufferPool(64))}
 	s := &Sort{
 		Keys:  []SortKey{{Expr: col(0)}},
-		Child: &failAfter{n: 500},
+		Child: &Source{Factory: func(*Context) (RowIterator, error) { return &failAfter{n: 500}, nil }},
 		// ~1 KB budget: plenty of runs spill before the failure.
 		MemoryBudget: 1 << 10,
 		Spill:        store,

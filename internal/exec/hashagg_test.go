@@ -3,6 +3,7 @@ package exec
 import (
 	"repro/internal/expr"
 	"repro/internal/sqltypes"
+	"repro/internal/vec"
 )
 
 // HashAggregate is the reference aggregation of the tests: a row at a
@@ -11,7 +12,8 @@ import (
 // operators (SpillableAggregate, StreamAggregate) must agree with. Output
 // rows are the group-by values followed by the aggregate results, groups in
 // first-seen order; with no group-by expressions it produces the single
-// global aggregate row.
+// global aggregate row. Like every row-internal operator it reads its child
+// through a RowCursor and emits through a rowPacker.
 type HashAggregate struct {
 	GroupBy []expr.Expr
 	Aggs    []AggSpec
@@ -21,6 +23,7 @@ type HashAggregate struct {
 	order  []string
 	pos    int
 	out    sqltypes.Row
+	pack   rowPacker
 }
 
 type aggGroup struct {
@@ -45,6 +48,7 @@ func (h *HashAggregate) Open(ctx *Context) error {
 	h.groups = make(map[string]*aggGroup)
 	h.order = h.order[:0]
 	h.pos = 0
+	h.pack.reset()
 	h.out = make(sqltypes.Row, len(h.GroupBy)+len(h.Aggs))
 	if len(h.GroupBy) == 0 {
 		// Global aggregate over an empty input still yields one row.
@@ -52,8 +56,9 @@ func (h *HashAggregate) Open(ctx *Context) error {
 		h.order = append(h.order, "")
 	}
 	gvals := make(sqltypes.Row, len(h.GroupBy))
+	in := RowCursor{Op: h.Child}
 	for {
-		row, ok, err := h.Child.Next()
+		row, ok, err := in.Next()
 		if err != nil || !ok {
 			return err
 		}
@@ -86,8 +91,11 @@ func (h *HashAggregate) Open(ctx *Context) error {
 	}
 }
 
-// Next emits one group.
-func (h *HashAggregate) Next() (sqltypes.Row, bool, error) {
+func (h *HashAggregate) NextBatch() (*vec.Batch, error) { return h.pack.next(h.next) }
+func (h *HashAggregate) PruneColumns([]bool)            {}
+
+// next emits one group.
+func (h *HashAggregate) next() (sqltypes.Row, bool, error) {
 	if h.pos >= len(h.order) {
 		return nil, false, nil
 	}

@@ -3,13 +3,16 @@ package exec
 import (
 	"repro/internal/expr"
 	"repro/internal/sqltypes"
+	"repro/internal/vec"
 )
 
 // MergeJoin is an inner equi-join over two inputs already sorted by their
 // join keys — the plan the paper gets "in about 7 seconds ... about 1.6
 // million alignments per second" by clustering both tables on the join
 // column (Section 5.3.3, Figure 10). Duplicate keys on the right side are
-// buffered per group.
+// buffered per group. Row-internal: both inputs are read through RowCursors
+// (off lazily decoded batches only the needed columns are decoded) and the
+// joined rows leave through a rowPacker.
 type MergeJoin struct {
 	LeftKeys  []expr.Expr
 	RightKeys []expr.Expr
@@ -17,22 +20,26 @@ type MergeJoin struct {
 	Right     Operator
 	LeftWidth int // as PartitionedHashJoin.LeftWidth
 
-	leftRow  sqltypes.Row
-	leftKey  sqltypes.Row
-	leftOK   bool
-	rightRow sqltypes.Row
-	rightKey sqltypes.Row
-	rightOK  bool
-	group    []sqltypes.Row // buffered right rows with the current key
-	groupKey sqltypes.Row
-	groupPos int
-	out      sqltypes.Row
-	opened   bool
+	left, right RowCursor
+	leftRow     sqltypes.Row
+	leftKey     sqltypes.Row
+	leftOK      bool
+	rightRow    sqltypes.Row
+	rightKey    sqltypes.Row
+	rightOK     bool
+	group       []sqltypes.Row // buffered right rows with the current key
+	groupKey    sqltypes.Row
+	groupPos    int
+	row         sqltypes.Row
+	out         rowPacker
+	opened      bool
 }
 
-// PruneColumns implements ColumnPruner.
+// PruneColumns reads from each input the marked columns that come from it
+// and its key columns, and asks the inputs for the same.
 func (m *MergeJoin) PruneColumns(needed []bool) {
-	pruneJoinInputs(needed, m.LeftWidth, m.LeftKeys, m.RightKeys, []Operator{m.Left}, []Operator{m.Right})
+	m.out.needed = needed
+	m.left.needed, m.right.needed = pruneJoinInputs(needed, m.LeftWidth, m.LeftKeys, m.RightKeys, []Operator{m.Left}, []Operator{m.Right})
 }
 
 // Open opens both children and primes the streams. If priming fails the
@@ -45,6 +52,9 @@ func (m *MergeJoin) Open(ctx *Context) error {
 		m.Left.Close()
 		return err
 	}
+	m.left = RowCursor{Op: m.Left, needed: m.left.needed}
+	m.right = RowCursor{Op: m.Right, needed: m.right.needed}
+	m.out.reset()
 	m.opened = true
 	m.group = nil
 	m.groupPos = 0
@@ -60,7 +70,7 @@ func (m *MergeJoin) Open(ctx *Context) error {
 }
 
 func (m *MergeJoin) advanceLeft() error {
-	row, ok, err := m.Left.Next()
+	row, ok, err := m.left.Next()
 	if err != nil {
 		return err
 	}
@@ -68,15 +78,15 @@ func (m *MergeJoin) advanceLeft() error {
 	if !ok {
 		return nil
 	}
-	// No clone: the row is only read until the next Left.Next(), which is
-	// as long as the child keeps it valid.
+	// No clone: the row is only read until the cursor's next call, which
+	// is as long as it stays valid.
 	m.leftRow = row
 	m.leftKey, err = evalKeys(m.LeftKeys, row, m.leftKey)
 	return err
 }
 
 func (m *MergeJoin) advanceRight() error {
-	row, ok, err := m.Right.Next()
+	row, ok, err := m.right.Next()
 	if err != nil {
 		return err
 	}
@@ -104,8 +114,11 @@ func evalKeys(keys []expr.Expr, row sqltypes.Row, dst sqltypes.Row) (sqltypes.Ro
 	return dst, nil
 }
 
-// Next produces the next joined row.
-func (m *MergeJoin) Next() (sqltypes.Row, bool, error) {
+// NextBatch packs the next joined rows.
+func (m *MergeJoin) NextBatch() (*vec.Batch, error) { return m.out.next(m.next) }
+
+// next produces the next joined row.
+func (m *MergeJoin) next() (sqltypes.Row, bool, error) {
 	for {
 		// Emit from the buffered right group.
 		if m.groupPos < len(m.group) {
@@ -170,13 +183,8 @@ func hasNullKey(key sqltypes.Row) bool {
 }
 
 func (m *MergeJoin) combine(left, right sqltypes.Row) sqltypes.Row {
-	if cap(m.out) < len(left)+len(right) {
-		m.out = make(sqltypes.Row, len(left)+len(right))
-	}
-	m.out = m.out[:len(left)+len(right)]
-	copy(m.out, left)
-	copy(m.out[len(left):], right)
-	return m.out
+	m.row = append(append(m.row[:0], left...), right...)
+	return m.row
 }
 
 // Close closes both children (idempotent: a second Close is a no-op).
@@ -196,26 +204,34 @@ func (m *MergeJoin) Close() error {
 // Apply implements CROSS APPLY: for every outer row an inner row stream is
 // created by Inner (typically a table-valued function over the outer row's
 // columns — the paper's PivotAlignment in Query 3). Output rows are the
-// outer values followed by the inner values.
+// outer values followed by the inner values. Row-internal: the inner
+// streams are RowIterators, the paper's TVF contract.
 type Apply struct {
 	Child Operator
 	// Inner creates the per-row iterator.
 	Inner func(ctx *Context, outer sqltypes.Row) (RowIterator, error)
 
 	ctx   *Context
+	in    RowCursor
 	outer sqltypes.Row
 	inner RowIterator
-	out   sqltypes.Row
+	row   sqltypes.Row
+	out   rowPacker
 }
 
 // Open opens the outer child.
 func (a *Apply) Open(ctx *Context) error {
 	a.ctx = ctx
+	a.in = RowCursor{Op: a.Child}
+	a.out.reset()
 	return a.Child.Open(ctx)
 }
 
-// Next produces the next outer x inner combination.
-func (a *Apply) Next() (sqltypes.Row, bool, error) {
+// NextBatch packs the next combinations.
+func (a *Apply) NextBatch() (*vec.Batch, error) { return a.out.next(a.next) }
+
+// next produces the next outer x inner combination.
+func (a *Apply) next() (sqltypes.Row, bool, error) {
 	for {
 		if a.inner != nil {
 			row, ok, err := a.inner.Next()
@@ -223,20 +239,15 @@ func (a *Apply) Next() (sqltypes.Row, bool, error) {
 				return nil, false, err
 			}
 			if ok {
-				if cap(a.out) < len(a.outer)+len(row) {
-					a.out = make(sqltypes.Row, len(a.outer)+len(row))
-				}
-				a.out = a.out[:len(a.outer)+len(row)]
-				copy(a.out, a.outer)
-				copy(a.out[len(a.outer):], row)
-				return a.out, true, nil
+				a.row = append(append(a.row[:0], a.outer...), row...)
+				return a.row, true, nil
 			}
 			if err := a.inner.Close(); err != nil {
 				return nil, false, err
 			}
 			a.inner = nil
 		}
-		row, ok, err := a.Child.Next()
+		row, ok, err := a.in.Next()
 		if err != nil || !ok {
 			return nil, false, err
 		}
@@ -248,6 +259,9 @@ func (a *Apply) Next() (sqltypes.Row, bool, error) {
 		a.inner = inner
 	}
 }
+
+// PruneColumns stops at the outer child: Inner may read any of its columns.
+func (a *Apply) PruneColumns(needed []bool) { a.out.needed = needed }
 
 // Close closes any open inner iterator and the outer child.
 func (a *Apply) Close() error {

@@ -111,17 +111,10 @@ func formVector(t testing.TB, rows []sqltypes.Row, c int, form colForm) *vec.Vec
 	return v
 }
 
-// batchSlice serves pre-built batches; pulling a row from it fails the
-// test, so a join fed by it proves it never built one.
+// batchSlice serves pre-built batches, as a native scan would.
 type batchSlice struct {
-	t       testing.TB
 	batches []*vec.Batch
 	pos     int
-}
-
-func (s *batchSlice) Next() (sqltypes.Row, bool, error) {
-	s.t.Error("a row was pulled from a batch source")
-	return nil, false, nil
 }
 
 func (s *batchSlice) NextBatch() (*vec.Batch, error) {
@@ -168,8 +161,8 @@ func batchSources(t testing.TB, batches []*vec.Batch, n int) []Operator {
 		for k := i; k < len(batches); k += n {
 			mine = append(mine, batches[k])
 		}
-		ops[i] = &Source{Label: "batches", Factory: func(*Context) (RowIterator, error) {
-			return &batchSlice{t: t, batches: mine}, nil
+		ops[i] = &Scan{Factory: func(*Context) (BatchIterator, error) {
+			return &batchSlice{batches: mine}, nil
 		}}
 	}
 	return ops
@@ -353,19 +346,10 @@ func testTypedJoinEquivalence(t *testing.T) {
 	}
 }
 
-// batchOnly hides an operator's row interface behind a failing one.
-type batchOnly struct {
-	BatchOperator
-	t testing.TB
-}
-
-func (b batchOnly) Next() (sqltypes.Row, bool, error) {
-	b.t.Error("a row was pulled from the join")
-	return nil, false, nil
-}
-
 // TestCountOverJoinBuildsNoRow: COUNT(*) over a join folds batches into
-// the count; neither the join's inputs nor the join are asked for a row.
+// the count. Neither the join nor its inputs have a row interface to be
+// asked through; what the aggregate's pruning leaves of the join's output
+// is the selection alone — every column is the shared nullColumn.
 func TestCountOverJoinBuildsNoRow(t *testing.T) {
 	left := benchJoinRows(5000, 700, 1, "l")
 	right := benchJoinRows(4000, 700, 2, "r")
@@ -380,13 +364,29 @@ func TestCountOverJoinBuildsNoRow(t *testing.T) {
 		j.PruneColumns(make([]bool, 4))
 		agg := &SpillableAggregate{
 			Aggs:  []AggSpec{{Name: "COUNT", Factory: BuiltinAggregate("count")}},
-			Child: batchOnly{j, t},
+			Child: &gatherNothing{Operator: j, t: t},
 		}
 		rows := run(t, agg)
 		if len(rows) != 1 || rows[0][0].I != want {
 			t.Fatalf("DOP %d: COUNT(*) = %v, want %d", dop, rows, want)
 		}
 	}
+}
+
+// gatherNothing fails the test when a batch carries a column of its own.
+type gatherNothing struct {
+	Operator
+	t testing.TB
+}
+
+func (g *gatherNothing) NextBatch() (*vec.Batch, error) {
+	b, err := g.Operator.NextBatch()
+	for c := 0; b != nil && c < len(b.Cols); c++ {
+		if b.Cols[c] != nullColumn {
+			g.t.Errorf("the join gathered column %d for a consumer that reads none", c)
+		}
+	}
+	return b, err
 }
 
 // TestHashJoinAllocsPerRow holds the join's cost without a clock: a

@@ -116,15 +116,14 @@ const maxSpillDepth = 4
 // key vector, filters it through the Bloom filter, walks the chains
 // comparing hash then key, and gathers the matching (probe row, build
 // row) pairs column by column into output batches — inline when there is
-// one probe chain, under a VecGather exchange when the planner supplied
+// one probe chain, under a Gather exchange when the planner supplied
 // several.
 type PartitionedHashJoin struct {
 	LeftKeys  []expr.Expr
 	RightKeys []expr.Expr
 	// Left and Right are the single-stream inputs. When the planner has
 	// partitioned chains (parallel scans) it sets LeftParts/RightParts
-	// instead and Left/Right may be nil. Row-only inputs are packed into
-	// generic batches at the boundary.
+	// instead and Left/Right may be nil.
 	Left, Right           Operator
 	LeftParts, RightParts []Operator
 	// LeftWidth is the column count of the left input's rows; set, it lets
@@ -169,50 +168,39 @@ type PartitionedHashJoin struct {
 	anySpilled bool
 	buildSpill []SpillFile
 	probeSpill []SpillFile
-	probe      BatchOperator // the in-memory probe; nil once drained
+	probe      Operator // the in-memory probe; nil once drained
 	sub        *PartitionedHashJoin
 	subBuild   SpillFile
 	subProbe   SpillFile
 	subIdx     int
-	cur        batchToRow
 	opened     bool
 }
 
-// PruneColumns implements ColumnPruner: the inputs produce, the table
-// stores and the output gathers only the marked columns (plus keys).
+// PruneColumns makes the inputs produce, the table store and the output
+// gather only the marked columns (plus keys).
 func (j *PartitionedHashJoin) PruneColumns(needed []bool) {
-	j.needed, j.cur.needed = needed, needed
+	j.needed = needed
 	pruneJoinInputs(needed, j.LeftWidth, j.LeftKeys, j.RightKeys, j.chains(true), j.chains(false))
 }
 
 // pruneJoinInputs forwards column pruning through an equi-join whose
 // output is the left row followed by the right row: each side still has
 // to produce the needed output columns that come from it, plus its own
-// key columns. A join built without leftWidth prunes nothing.
-func pruneJoinInputs(needed []bool, leftWidth int, leftKeys, rightKeys []expr.Expr, left, right []Operator) {
+// key columns. It returns what it asked of each side. A join built without
+// leftWidth prunes nothing.
+func pruneJoinInputs(needed []bool, leftWidth int, leftKeys, rightKeys []expr.Expr, left, right []Operator) (l, r []bool) {
 	if leftWidth <= 0 || leftWidth > len(needed) {
-		return
+		return nil, nil
 	}
-	side := func(cols []bool, keys []expr.Expr, ops []Operator) {
-		mark := withKeyColumns(cols, keys)
-		for _, op := range ops {
-			if cp, ok := op.(ColumnPruner); ok {
-				cp.PruneColumns(mark)
-			}
-		}
+	l = withExprColumns(needed[:leftWidth], leftKeys...)
+	r = withExprColumns(needed[leftWidth:], rightKeys...)
+	for _, op := range left {
+		op.PruneColumns(l)
 	}
-	side(needed[:leftWidth], leftKeys, left)
-	side(needed[leftWidth:], rightKeys, right)
-}
-
-// withKeyColumns returns cols with the columns the key expressions read
-// marked as well.
-func withKeyColumns(cols []bool, keys []expr.Expr) []bool {
-	mark := append([]bool(nil), cols...)
-	for _, k := range keys {
-		expr.MarkCols(k, mark)
+	for _, op := range right {
+		op.PruneColumns(r)
 	}
-	return mark
+	return l, r
 }
 
 // chains returns one side's input chains.
@@ -260,7 +248,6 @@ func (j *PartitionedHashJoin) Open(ctx *Context) error {
 	j.probe = nil
 	j.sub, j.subBuild, j.subProbe = nil, nil, nil
 	j.subIdx = 0
-	j.cur.reset()
 	j.opened = true
 	j.bloom = nil
 	if j.Bloom {
@@ -292,7 +279,7 @@ func (j *PartitionedHashJoin) open(ctx *Context, p int) error {
 	buildKeys, buildOut := j.side(j.BuildLeft)
 	probeKeys, probeOut := j.side(!j.BuildLeft)
 
-	in := batchInput(j.chains(j.BuildLeft), nil)
+	in := gatherChains(j.chains(j.BuildLeft))
 	if err := in.Open(ctx); err != nil {
 		return err
 	}
@@ -318,17 +305,17 @@ func (j *PartitionedHashJoin) open(ctx *Context, p int) error {
 	}
 	var carry []bool
 	if probeOut != nil {
-		carry = withKeyColumns(probeOut, probeKeys)
+		carry = withExprColumns(probeOut, probeKeys...)
 	}
 	probeChains := j.chains(!j.BuildLeft)
 	workers := make([]Operator, len(probeChains))
 	for i, ch := range probeChains {
 		workers[i] = &phjProbe{
-			j: j, child: batchInput([]Operator{ch}, nil), out: probeOut, carry: carry,
+			j: j, child: ch, out: probeOut, carry: carry,
 			keys: keyHasher{proj: expr.CompileProjection(probeKeys)},
 		}
 	}
-	probe := batchInput(workers, nil)
+	probe := gatherChains(workers)
 	if err := probe.Open(ctx); err != nil {
 		return err
 	}
@@ -349,12 +336,12 @@ func (j *PartitionedHashJoin) markSpilled(pt int, rows int64) {
 // appends the rows of in-memory partitions to the table; rows of spilled
 // partitions go to their files. After each batch the largest partitions
 // are evicted until the table fits the budget again.
-func (j *PartitionedHashJoin) drainBuild(in BatchOperator, keys []expr.Expr, out []bool, p int) error {
+func (j *PartitionedHashJoin) drainBuild(in Operator, keys []expr.Expr, out []bool, p int) error {
 	t := &j.table
 	kh := keyHasher{proj: expr.CompileProjection(keys)}
 	var carry []bool
 	if out != nil {
-		carry = withKeyColumns(out, keys)
+		carry = withExprColumns(out, keys...)
 	}
 	partBytes := make([]int64, p)
 	var memBytes int64
@@ -503,11 +490,6 @@ func (j *PartitionedHashJoin) NextBatch() (*vec.Batch, error) {
 	}
 }
 
-// Next serves rows from joined batches.
-func (j *PartitionedHashJoin) Next() (sqltypes.Row, bool, error) {
-	return j.cur.next(j.NextBatch)
-}
-
 // startNextSpilled opens the recursive join over the next non-empty
 // spilled partition; returns false when none remain.
 func (j *PartitionedHashJoin) startNextSpilled() (bool, error) {
@@ -577,12 +559,7 @@ func (j *PartitionedHashJoin) finishSub() error {
 
 // spillSource adapts a spill file into a re-openable scan operator.
 func spillSource(f SpillFile) *Source {
-	return &Source{
-		Label: "Spill Scan",
-		Factory: func(*Context) (RowIterator, error) {
-			return f.Iter()
-		},
-	}
+	return &Source{Factory: func(*Context) (RowIterator, error) { return f.Iter() }}
 }
 
 // releaseSpills frees every live spill file (error paths and Close).
@@ -805,7 +782,7 @@ const chainStart = -2
 // concurrency-safe). Counters are added once per batch.
 type phjProbe struct {
 	j     *PartitionedHashJoin
-	child BatchOperator
+	child Operator
 	keys  keyHasher
 	out   []bool // probe columns the consumer reads; nil = all
 	carry []bool // out plus the key columns: what a spilled row keeps
@@ -820,13 +797,11 @@ type phjProbe struct {
 	probeIdx, buildIdx []int // the matched pairs of the batch being built
 	row                sqltypes.Row
 	keyBuf             [2][]byte
-	cur                batchToRow
 }
 
 // Open opens the worker's probe chain.
 func (w *phjProbe) Open(ctx *Context) error {
 	w.b = nil
-	w.cur.reset()
 	return w.child.Open(ctx)
 }
 
@@ -1000,8 +975,8 @@ func (w *phjProbe) emit(b *vec.Batch) (*vec.Batch, error) {
 	return vec.NewBatch(cols, len(w.probeIdx)), nil
 }
 
-// Next serves rows from the worker's batches.
-func (w *phjProbe) Next() (sqltypes.Row, bool, error) { return w.cur.next(w.NextBatch) }
+// PruneColumns does nothing: the join has already asked its chains.
+func (w *phjProbe) PruneColumns([]bool) {}
 
 // Close closes the probe chain.
 func (w *phjProbe) Close() error { return w.child.Close() }

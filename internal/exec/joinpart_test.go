@@ -9,8 +9,10 @@ import (
 	"testing"
 
 	"repro/internal/expr"
+	"repro/internal/obs"
 	"repro/internal/sqltypes"
 	"repro/internal/storage"
+	"repro/internal/vec"
 )
 
 // storageSpillStore adapts storage's spill manager to the exec interface
@@ -254,16 +256,18 @@ func TestPartitionedJoinBudgetWithoutStore(t *testing.T) {
 
 // --- Open/Close pairing audit ---
 
-// trackedOp wraps an operator, counting opens/closes and optionally
+// trackedOp wraps an operator, recording whether it is open and optionally
 // failing on demand.
 type trackedOp struct {
-	inner    Operator
-	openErr  error
-	nextErr  error
-	failAt   int // fail Next after this many rows when nextErr set
+	Operator
+	openErr error
+	nextErr error
+	failAt  int // fail NextBatch after this many batches when nextErr set
+
 	mu       sync.Mutex
+	open     bool
 	opens    int
-	closes   int
+	stray    int // Close calls before any successful Open
 	returned int
 }
 
@@ -273,33 +277,33 @@ func (o *trackedOp) Open(ctx *Context) error {
 	if o.openErr != nil {
 		return o.openErr
 	}
+	o.open = true
 	o.opens++
-	return o.inner.Open(ctx)
+	return o.Operator.Open(ctx)
 }
 
-func (o *trackedOp) Next() (sqltypes.Row, bool, error) {
+func (o *trackedOp) NextBatch() (*vec.Batch, error) {
 	o.mu.Lock()
 	if o.nextErr != nil && o.returned >= o.failAt {
 		err := o.nextErr
 		o.mu.Unlock()
-		return nil, false, err
+		return nil, err
 	}
 	o.returned++
 	o.mu.Unlock()
-	return o.inner.Next()
+	return o.Operator.NextBatch()
 }
 
+// Close may come more than once after an Open (a pass-through parent closed
+// twice forwards both), never before one.
 func (o *trackedOp) Close() error {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	o.closes++
-	return o.inner.Close()
-}
-
-func (o *trackedOp) balanced() bool {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.opens == o.closes
+	if o.opens == 0 {
+		o.stray++
+	}
+	o.open = false
+	return o.Operator.Close()
 }
 
 func someRows(n int) []sqltypes.Row {
@@ -310,23 +314,54 @@ func someRows(n int) []sqltypes.Row {
 	return rows
 }
 
-// TestOperatorsCloseChildrenOnError audits that every child an operator
-// opens is closed again, on happy paths and on error paths (a failed Open
-// must not leak children the operator itself opened).
+// TestOperatorsCloseChildrenOnError walks every operator type through one
+// table: whatever a child does — open, fail to open, fail mid-stream —
+// every child the operator opened is closed again (a failed Open leaves
+// nothing open and is not followed by a Close), no child is closed that was
+// never opened, and a second Close is harmless.
 func TestOperatorsCloseChildrenOnError(t *testing.T) {
 	boom := fmt.Errorf("boom")
+	keys := []expr.Expr{col(0)}
+	order := []SortKey{{Expr: col(0)}}
+	count := []AggSpec{{Name: "COUNT", Factory: BuiltinAggregate("count")}}
 	cases := []struct {
 		name  string
-		build func(l, r *trackedOp) Operator
+		build func(l, r Operator) Operator
 	}{
-		{"MergeJoin", func(l, r *trackedOp) Operator {
-			return &MergeJoin{LeftKeys: []expr.Expr{col(0)}, RightKeys: []expr.Expr{col(0)}, Left: l, Right: r}
+		{"Filter", func(l, r Operator) Operator {
+			return &Filter{Pred: &expr.Cmp{Op: expr.CmpGt, L: col(0), R: lit(i64(2))}, Child: l}
 		}},
-		{"PartitionedHashJoin", func(l, r *trackedOp) Operator {
-			return &PartitionedHashJoin{
-				LeftKeys: []expr.Expr{col(0)}, RightKeys: []expr.Expr{col(0)},
-				Left: l, Right: r, Partitions: 4, Spill: newTestSpillStore(t),
-			}
+		{"Project", func(l, r Operator) Operator { return &Project{Exprs: []expr.Expr{col(1)}, Child: l} }},
+		{"Limit", func(l, r Operator) Operator { return &Limit{N: 20, Child: l} }},
+		{"TopN", func(l, r Operator) Operator { return &TopN{N: 5, Keys: order, Child: l} }},
+		{"Gather", func(l, r Operator) Operator { return &Gather{Children: []Operator{l, r}} }},
+		{"Gather/ordered", func(l, r Operator) Operator { return &Gather{Children: []Operator{l, r}, Ordered: true} }},
+		{"Instrument", func(l, r Operator) Operator { return InstrumentOp(l, &obs.OpProfile{Timed: true}) }},
+		{"Sort", func(l, r Operator) Operator { return &Sort{Keys: order, Child: l} }},
+		{"RowNumber", func(l, r Operator) Operator { return &RowNumber{OrderBy: order, Child: l} }},
+		{"RowNumber/streaming", func(l, r Operator) Operator { return &RowNumber{OrderBy: order, Child: l, InputSorted: true} }},
+		{"MergeSorted", func(l, r Operator) Operator {
+			return &MergeSorted{Keys: order, Children: []*Sort{{Keys: order, Child: l}, {Keys: order, Child: r}}}
+		}},
+		{"MergeJoin", func(l, r Operator) Operator {
+			return &MergeJoin{LeftKeys: keys, RightKeys: keys, Left: l, Right: r}
+		}},
+		{"PartitionedHashJoin", func(l, r Operator) Operator {
+			return &PartitionedHashJoin{LeftKeys: keys, RightKeys: keys, Left: l, Right: r, Partitions: 4, Spill: newTestSpillStore(t)}
+		}},
+		{"PartitionedHashJoin/parts", func(l, r Operator) Operator {
+			return &PartitionedHashJoin{LeftKeys: keys, RightKeys: keys,
+				LeftParts: []Operator{l, NewValues(someRows(9))}, RightParts: []Operator{r, NewValues(someRows(9))}}
+		}},
+		{"Apply", func(l, r Operator) Operator {
+			return &Apply{Child: l, Inner: func(*Context, sqltypes.Row) (RowIterator, error) {
+				return &SliceIterator{Rows: someRows(2)}, nil
+			}}
+		}},
+		{"StreamAggregate", func(l, r Operator) Operator { return &StreamAggregate{GroupBy: keys, Aggs: count, Child: l} }},
+		{"SpillableAggregate", func(l, r Operator) Operator { return &SpillableAggregate{GroupBy: keys, Aggs: count, Child: l} }},
+		{"SpillableAggregate/parts", func(l, r Operator) Operator {
+			return &SpillableAggregate{GroupBy: keys, Aggs: count, Parts: []Operator{l, r}}
 		}},
 	}
 	scenarios := []struct {
@@ -340,25 +375,27 @@ func TestOperatorsCloseChildrenOnError(t *testing.T) {
 		{"right-next-fails", func(l, r *trackedOp) { r.nextErr = boom; r.failAt = 3 }},
 		{"both-next-fail-immediately", func(l, r *trackedOp) { l.nextErr = boom; r.nextErr = boom }},
 	}
+	forms := []colForm{formFlat, formFlat}
 	for _, c := range cases {
 		for _, sc := range scenarios {
 			t.Run(c.name+"/"+sc.name, func(t *testing.T) {
-				l := &trackedOp{inner: NewValues(someRows(50))}
-				r := &trackedOp{inner: NewValues(someRows(60))}
+				// Seven and eight batches a side: mid-stream is mid-stream.
+				l := &trackedOp{Operator: batchSources(t, batchesOf(t, someRows(50), forms, 8), 1)[0]}
+				r := &trackedOp{Operator: batchSources(t, batchesOf(t, someRows(60), forms, 8), 1)[0]}
 				sc.mut(l, r)
 				op := c.build(l, r)
 				if err := op.Open(&Context{DOP: 2}); err == nil {
-					_, drainErr := Drain(op)
-					if cerr := op.Close(); cerr != nil && drainErr == nil {
-						drainErr = cerr
+					_, _ = Drain(op) // the scenario's error, or none
+					for i := 0; i < 2; i++ {
+						if cerr := op.Close(); cerr != nil {
+							t.Errorf("Close %d: %v", i+1, cerr)
+						}
 					}
-					_ = drainErr
 				}
-				if !l.balanced() {
-					t.Errorf("left child opens=%d closes=%d", l.opens, l.closes)
-				}
-				if !r.balanced() {
-					t.Errorf("right child opens=%d closes=%d", r.opens, r.closes)
+				for side, child := range map[string]*trackedOp{"left": l, "right": r} {
+					if child.open || child.stray > 0 {
+						t.Errorf("%s child: open=%v after %d opens, %d closes before any open", side, child.open, child.opens, child.stray)
+					}
 				}
 			})
 		}

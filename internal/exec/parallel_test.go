@@ -20,7 +20,6 @@ func partitionedHeapScan(h *storage.Heap, parts int) []Operator {
 		hi := sealed * int64(i+1) / int64(parts)
 		includeTail := i == parts-1
 		ops = append(ops, &Source{
-			Label: fmt.Sprintf("pages [%d,%d)", lo, hi),
 			Factory: func(*Context) (RowIterator, error) {
 				return h.NewIterator(lo, hi, includeTail), nil
 			},

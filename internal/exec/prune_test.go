@@ -7,10 +7,9 @@ import (
 	"repro/internal/expr"
 	"repro/internal/obs"
 	"repro/internal/sqltypes"
-	"repro/internal/vec"
 )
 
-// pruneSpy is a join input that records the columns it was asked for.
+// pruneSpy is an input that records the columns it was asked for.
 type pruneSpy struct {
 	Operator
 	got []bool
@@ -20,28 +19,28 @@ func (p *pruneSpy) PruneColumns(needed []bool) { p.got = needed }
 
 // TestJoinsForwardColumnPruning: every join maps the needed output
 // columns (left row, then right row) back to its inputs, adds each
-// side's own key columns, and reaches inputs behind a row Instrument; a
+// side's own key columns, and reaches inputs behind an Instrument; a
 // join built without LeftWidth prunes nothing.
 func TestJoinsForwardColumnPruning(t *testing.T) {
 	leftKeys, rightKeys := []expr.Expr{col(0)}, []expr.Expr{col(1)}
 	needed := []bool{false, true, false /* right: */, false, false}
 	wantLeft, wantRight := []bool{true, true, false}, []bool{false, true}
 	prof := &obs.OpProfile{}
-	for name, build := range map[string]func(l, r Operator, width int) ColumnPruner{
-		"merge": func(l, r Operator, w int) ColumnPruner {
+	for name, build := range map[string]func(l, r Operator, width int) Operator{
+		"merge": func(l, r Operator, w int) Operator {
 			return &MergeJoin{LeftKeys: leftKeys, RightKeys: rightKeys, Left: l, Right: r, LeftWidth: w}
 		},
-		"partitioned": func(l, r Operator, w int) ColumnPruner {
+		"partitioned": func(l, r Operator, w int) Operator {
 			return &PartitionedHashJoin{LeftKeys: leftKeys, RightKeys: rightKeys, Left: l, Right: r, LeftWidth: w}
 		},
-		"partitioned-parts": func(l, r Operator, w int) ColumnPruner {
+		"partitioned-parts": func(l, r Operator, w int) Operator {
 			return &PartitionedHashJoin{LeftKeys: leftKeys, RightKeys: rightKeys,
 				LeftParts: []Operator{l}, RightParts: []Operator{r}, LeftWidth: w}
 		},
-		"instrumented": func(l, r Operator, w int) ColumnPruner {
+		"instrumented": func(l, r Operator, w int) Operator {
 			j := &PartitionedHashJoin{LeftKeys: leftKeys, RightKeys: rightKeys,
 				Left: InstrumentOp(l, prof), Right: InstrumentOp(r, prof), LeftWidth: w}
-			return InstrumentOp(j, prof).(ColumnPruner)
+			return InstrumentOp(j, prof)
 		},
 	} {
 		l, r := &pruneSpy{Operator: NewValues(nil)}, &pruneSpy{Operator: NewValues(nil)}
@@ -60,54 +59,86 @@ func TestJoinsForwardColumnPruning(t *testing.T) {
 	}
 }
 
-// batchRows is a scan iterator with both interfaces; it counts which
-// one served.
-type batchRows struct {
-	rowCalls, batchCalls int
-	done                 bool
+// TestOperatorsForwardColumnPruning: the one downward call. Each operator
+// passes on the columns its consumer marked plus the ones its own
+// expressions read (column 2 here); an operator that reads every input
+// column, or cannot know which, stops the call. A nil call (all columns, as
+// the result boundary makes it) passes through as nil, except that a
+// projection turns it into the columns its expressions read.
+func TestOperatorsForwardColumnPruning(t *testing.T) {
+	needed := []bool{false, true, false, false}
+	same, plusOwn := needed, []bool{false, true, true, false}
+	order := []SortKey{{Expr: col(2)}}
+	for name, c := range map[string]struct {
+		build func(child Operator) Operator
+		want  []bool
+	}{
+		"Filter": {func(c Operator) Operator {
+			return &Filter{Pred: &expr.Cmp{Op: expr.CmpEq, L: col(2), R: lit(i64(1))}, Child: c}
+		}, plusOwn},
+		"Limit":      {func(c Operator) Operator { return &Limit{N: 1, Child: c} }, same},
+		"Gather":     {func(c Operator) Operator { return &Gather{Children: []Operator{c}} }, same},
+		"Instrument": {func(c Operator) Operator { return InstrumentOp(c, &obs.OpProfile{}) }, same},
+		"TopN":       {func(c Operator) Operator { return &TopN{N: 1, Keys: order, Child: c} }, plusOwn},
+		"Sort":       {func(c Operator) Operator { return &Sort{Keys: order, Child: c} }, plusOwn},
+		"MergeSorted": {func(c Operator) Operator {
+			return &MergeSorted{Keys: order, Children: []*Sort{{Keys: order, Child: c}}}
+		}, plusOwn},
+		// ROW_NUMBER's output is its input plus the number: five columns.
+		"RowNumber": {func(c Operator) Operator { return &RowNumber{OrderBy: order, Child: c} }, plusOwn},
+		// A projection maps its marked outputs back to the inputs they read...
+		"Project": {func(c Operator) Operator {
+			return &Project{Exprs: []expr.Expr{col(3), &expr.Arith{Op: expr.OpAdd, L: col(1), R: col(2)}, col(0)}, Child: c, InputWidth: 4}
+		}, plusOwn},
+		// ...and stops the call when it was not told how wide they are.
+		"Project/unsized": {func(c Operator) Operator { return &Project{Exprs: []expr.Expr{col(3)}, Child: c} }, nil},
+		"Apply":           {func(c Operator) Operator { return &Apply{Child: c} }, nil},
+		"StreamAggregate": {func(c Operator) Operator {
+			return &StreamAggregate{GroupBy: []expr.Expr{col(2)}, Child: c}
+		}, nil},
+		"SpillableAggregate": {func(c Operator) Operator {
+			return &SpillableAggregate{GroupBy: []expr.Expr{col(2)}, Child: c}
+		}, nil},
+	} {
+		spy := &pruneSpy{Operator: NewValues(nil)}
+		asked := needed
+		if name == "RowNumber" {
+			asked = append(append([]bool(nil), needed...), true)
+		}
+		c.build(spy).PruneColumns(asked)
+		if !reflect.DeepEqual(spy.got, c.want) {
+			t.Errorf("%s asked its child for %v, want %v", name, spy.got, c.want)
+		}
+	}
+	if needed[2] {
+		t.Error("pruning wrote into the caller's needed slice")
+	}
+	spy := &pruneSpy{Operator: NewValues(nil)}
+	root := &Project{Exprs: []expr.Expr{col(1)}, InputWidth: 3,
+		Child: &Limit{N: 1, Child: &Filter{Pred: &expr.Cmp{Op: expr.CmpEq, L: col(2), R: lit(i64(1))}, Child: spy}}}
+	if _, err := Run(&Context{}, root); err != nil || !reflect.DeepEqual(spy.got, []bool{false, true, true}) {
+		t.Errorf("Run asked the leaf for %v (%v), want columns 1 and 2", spy.got, err)
+	}
 }
 
-func (b *batchRows) Next() (sqltypes.Row, bool, error) {
-	b.rowCalls++
-	if b.done {
-		return nil, false, nil
-	}
-	b.done = true
-	return sqltypes.Row{i64(1), str("row path")}, true, nil
-}
-
-func (b *batchRows) NextBatch() (*vec.Batch, error) {
-	b.batchCalls++
-	if b.done {
-		return nil, nil
-	}
-	b.done = true
-	ids, tags := vec.NewVector(sqltypes.KindInt, 1), vec.NewVector(sqltypes.KindString, 1)
-	ids.Append(i64(1))
-	tags.Append(str("batch path"))
-	return vec.NewBatch([]*vec.Vector{ids, tags}, 1), nil
-}
-
-func (b *batchRows) Close() error { return nil }
-
-// TestPrunedSourceServesRowsFromBatches: Next on an unpruned source uses
-// the iterator's row interface; once pruned, a batch-capable iterator
-// serves the rows through its batches with unneeded cells NULL, and an
-// iterator without batches keeps its row interface.
-func TestPrunedSourceServesRowsFromBatches(t *testing.T) {
-	it := &batchRows{}
-	src := &Source{Factory: func(*Context) (RowIterator, error) { return it, nil }}
-	if got := run(t, src); len(got) != 1 || got[0][1].S != "row path" || it.batchCalls != 0 {
-		t.Fatalf("unpruned source: rows %v after %d batch calls", got, it.batchCalls)
-	}
-	*it = batchRows{}
+// TestPrunedSourcePacksOnlyMarkedColumns: a row source copies the marked
+// columns into its batches and stands the shared nullColumn in for the
+// rest; a cursor reading the batch sees NULL there.
+func TestPrunedSourcePacksOnlyMarkedColumns(t *testing.T) {
+	src := NewValues(rowsOf([]sqltypes.Value{i64(7), str("dropped")}, []sqltypes.Value{i64(8), str("dropped")}))
 	src.PruneColumns([]bool{true, false})
-	if got := run(t, src); len(got) != 1 || got[0][0].I != 1 || !got[0][1].IsNull() || it.rowCalls != 0 {
-		t.Fatalf("pruned source: rows %v after %d row calls", got, it.rowCalls)
+	if err := src.Open(&Context{}); err != nil {
+		t.Fatal(err)
 	}
-	vals := NewValues(rowsOf([]sqltypes.Value{i64(7), str("kept")}))
-	vals.PruneColumns([]bool{true, false})
-	if got := run(t, vals); len(got) != 1 || got[0][1].S != "kept" {
-		t.Fatalf("pruned row-only source: %v", got)
+	defer src.Close()
+	b, err := src.NextBatch()
+	if err != nil || b == nil || b.Len() != 2 {
+		t.Fatal(b, err)
+	}
+	if b.Cols[0] == nullColumn || b.Cols[1] != nullColumn {
+		t.Errorf("columns packed: %v", []bool{b.Cols[0] != nullColumn, b.Cols[1] != nullColumn})
+	}
+	if row, err := b.ReadRow(1, nil); err != nil || row[0].I != 8 || !row[1].IsNull() {
+		t.Errorf("row 1 = %v, %v", row, err)
 	}
 }

@@ -5,12 +5,22 @@ import (
 
 	"repro/internal/expr"
 	"repro/internal/sqltypes"
+	"repro/internal/vec"
 )
 
 // SortKey is one ORDER BY term.
 type SortKey struct {
 	Expr expr.Expr
 	Desc bool
+}
+
+// sortKeyExprs lists the key expressions of the sort terms.
+func sortKeyExprs(keys []SortKey) []expr.Expr {
+	exprs := make([]expr.Expr, len(keys))
+	for i, k := range keys {
+		exprs[i] = k.Expr
+	}
+	return exprs
 }
 
 // compareKeyRows orders two precomputed key rows under the sort terms:
@@ -62,9 +72,11 @@ func sortRows(rows, keys []sqltypes.Row, by []SortKey) {
 
 // Sort emits its input ordered by the keys. It is an external merge
 // sort: rows buffer up to MemoryBudget, overflowing spans spill as
-// stably-sorted runs through Spill, and Next() streams either the
+// stably-sorted runs through Spill, and the output streams either the
 // in-memory buffer or a loser-tree merge of the runs. Equal keys stay in
-// input order even when runs spill (merge ties break by run index).
+// input order even when runs spill (merge ties break by run index). It
+// works a row at a time inside: the child is read through a RowCursor and
+// the sorted rows leave through a rowPacker.
 type Sort struct {
 	Keys  []SortKey
 	Child Operator
@@ -77,59 +89,67 @@ type Sort struct {
 
 	sorter *extSorter
 	it     RowIterator
+	needed []bool // child columns the consumer or the keys read; nil = all
+	out    rowPacker
 }
 
 // Open drains and sorts the child, spilling runs past the budget.
-func (s *Sort) Open(ctx *Context) error {
-	if err := s.Child.Open(ctx); err != nil {
-		return err
+func (s *Sort) Open(ctx *Context) (err error) {
+	s.out.reset()
+	s.sorter, s.it, err = sortChild(ctx, s.Child, s.needed, s.Keys, s.MemoryBudget, s.Spill)
+	return err
+}
+
+// sortChild opens child, feeds its rows to an external sorter and closes
+// it again: the blocking phase of Sort and RowNumber. Callers do not Close
+// an operator whose Open failed, so the error paths release any spilled
+// runs here.
+func sortChild(ctx *Context, child Operator, needed []bool, keys []SortKey, budget int64, spill SpillStore) (*extSorter, RowIterator, error) {
+	if err := child.Open(ctx); err != nil {
+		return nil, nil, err
 	}
-	defer s.Child.Close()
-	// Callers (exec.Run, MergeSorted) do not Close an operator whose Open
-	// failed, so error paths must release any spilled runs here.
-	es := newExtSorter(s.Keys, s.MemoryBudget, s.Spill, &statsFrom(ctx).Sort, profFrom(ctx))
-	s.sorter = es
-	fail := func(err error) error {
-		es.Release()
-		s.sorter = nil
-		return err
-	}
+	defer child.Close()
+	es := newExtSorter(keys, budget, spill, &statsFrom(ctx).Sort, profFrom(ctx))
+	in := RowCursor{Op: child, needed: needed}
 	for {
-		row, ok, err := s.Child.Next()
+		row, ok, err := in.Next()
+		if err == nil && ok {
+			err = es.Add(row)
+		}
 		if err != nil {
-			return fail(err)
+			es.Release()
+			return nil, nil, err
 		}
 		if !ok {
 			break
 		}
-		if err := es.Add(row); err != nil {
-			return fail(err)
-		}
 	}
 	it, err := es.Finish()
 	if err != nil {
-		return fail(err)
+		es.Release()
+		return nil, nil, err
 	}
-	s.it = it
-	return nil
+	return es, it, nil
 }
 
-// Next emits the next sorted row.
-func (s *Sort) Next() (sqltypes.Row, bool, error) {
+// NextBatch packs the next sorted rows.
+func (s *Sort) NextBatch() (*vec.Batch, error) { return s.out.next(s.next) }
+
+func (s *Sort) next() (sqltypes.Row, bool, error) {
 	if s.it == nil {
 		return nil, false, nil
 	}
 	return s.it.Next()
 }
 
-// NextKeyed implements keyedSource: both sorted-stream shapes (in-memory
-// buffer and loser-tree merge) carry the precomputed sort keys, so a
-// merge exchange above per-partition sorts reuses them for free.
-func (s *Sort) NextKeyed() (sqltypes.Row, sqltypes.Row, bool, error) {
+// nextKeyed is the sorted stream with its precomputed sort keys: both
+// shapes (in-memory buffer and loser-tree merge) carry them, so a merge
+// exchange above per-partition sorts reuses them for free.
+func (s *Sort) nextKeyed() (sqltypes.Row, sqltypes.Row, bool, error) {
 	if s.it == nil {
 		return nil, nil, false, nil
 	}
-	return s.it.(keyedSource).NextKeyed()
+	return s.it.(keyedSource).nextKeyed()
 }
 
 // sortedBuffers hands the fully in-memory sorted result (rows plus
@@ -143,6 +163,13 @@ func (s *Sort) sortedBuffers() (rows, keys []sqltypes.Row, ok bool) {
 		return nil, nil, false
 	}
 	return it.rows, it.keys, true
+}
+
+// PruneColumns reads, keeps and emits only the marked columns and the keys'.
+func (s *Sort) PruneColumns(needed []bool) {
+	s.needed = withExprColumns(needed, sortKeyExprs(s.Keys)...)
+	s.out.needed = needed
+	s.Child.PruneColumns(s.needed)
 }
 
 // Close releases the buffered rows and any spilled runs.
@@ -162,7 +189,7 @@ func (s *Sort) Close() error {
 // sort is external (same budget/spill machinery as Sort); when the
 // planner already ordered the input (per-partition sorts under a
 // MergeSorted exchange) InputSorted skips the sort and the operator
-// streams, numbering rows as they arrive.
+// streams, numbering rows as they arrive. Row-internal, like Sort.
 type RowNumber struct {
 	OrderBy      []SortKey
 	Child        Operator
@@ -170,77 +197,57 @@ type RowNumber struct {
 	Spill        SpillStore
 	InputSorted  bool
 
-	sorter    *extSorter
-	it        RowIterator
-	childOpen bool
-	n         int64
-	out       sqltypes.Row
+	sorter *extSorter
+	it     RowIterator // the sorted rows...
+	in     RowCursor   // ...or the ordered child, open while in.Op is set
+	needed []bool      // child columns the consumer or the ordering read; nil = all
+	n      int64
+	row    sqltypes.Row
+	out    rowPacker
 }
 
 // Open materializes and sorts (or, for pre-sorted input, just opens).
-func (r *RowNumber) Open(ctx *Context) error {
+func (r *RowNumber) Open(ctx *Context) (err error) {
 	r.n = 0
+	r.out.reset()
+	if !r.InputSorted {
+		r.sorter, r.it, err = sortChild(ctx, r.Child, r.needed, r.OrderBy, r.MemoryBudget, r.Spill)
+		return err
+	}
 	if err := r.Child.Open(ctx); err != nil {
 		return err
 	}
-	if r.InputSorted {
-		r.childOpen = true
-		return nil
-	}
-	defer r.Child.Close()
-	// As in Sort.Open: a failed Open never gets a Close, so release any
-	// spilled runs on the way out.
-	es := newExtSorter(r.OrderBy, r.MemoryBudget, r.Spill, &statsFrom(ctx).Sort, profFrom(ctx))
-	r.sorter = es
-	fail := func(err error) error {
-		es.Release()
-		r.sorter = nil
-		return err
-	}
-	for {
-		row, ok, err := r.Child.Next()
-		if err != nil {
-			return fail(err)
-		}
-		if !ok {
-			break
-		}
-		if err := es.Add(row); err != nil {
-			return fail(err)
-		}
-	}
-	it, err := es.Finish()
-	if err != nil {
-		return fail(err)
-	}
-	r.it = it
+	r.in = RowCursor{Op: r.Child, needed: r.needed}
 	return nil
 }
 
-// Next emits the next row with its number appended.
-func (r *RowNumber) Next() (sqltypes.Row, bool, error) {
-	var row sqltypes.Row
-	var ok bool
-	var err error
-	if r.InputSorted {
-		row, ok, err = r.Child.Next()
-	} else {
-		if r.it == nil {
-			return nil, false, nil
-		}
+// next emits the next row with its number appended.
+func (r *RowNumber) next() (row sqltypes.Row, ok bool, err error) {
+	switch {
+	case r.in.Op != nil:
+		row, ok, err = r.in.Next()
+	case r.it != nil:
 		row, ok, err = r.it.Next()
 	}
 	if err != nil || !ok {
 		return nil, false, err
 	}
 	r.n++
-	if cap(r.out) < len(row)+1 {
-		r.out = make(sqltypes.Row, len(row)+1)
+	r.row = append(append(r.row[:0], row...), sqltypes.NewInt(r.n))
+	return r.row, true, nil
+}
+
+// NextBatch packs the next numbered rows.
+func (r *RowNumber) NextBatch() (*vec.Batch, error) { return r.out.next(r.next) }
+
+// PruneColumns reads the marked input columns and the ordering's; the
+// number is the last output column.
+func (r *RowNumber) PruneColumns(needed []bool) {
+	r.out.needed = needed
+	if len(needed) > 0 {
+		r.needed = withExprColumns(needed[:len(needed)-1], sortKeyExprs(r.OrderBy)...)
 	}
-	r.out = r.out[:len(row)+1]
-	copy(r.out, row)
-	r.out[len(row)] = sqltypes.NewInt(r.n)
-	return r.out, true, nil
+	r.Child.PruneColumns(r.needed)
 }
 
 // Close releases buffered rows, runs, and the streaming child.
@@ -250,88 +257,9 @@ func (r *RowNumber) Close() error {
 		r.sorter = nil
 	}
 	r.it = nil
-	var err error
-	if r.childOpen {
-		r.childOpen = false
-		err = r.Child.Close()
+	if r.in.Op != nil {
+		r.in.Op = nil
+		return r.Child.Close()
 	}
-	return err
-}
-
-// TopN keeps only the first N rows under the sort order; a fused
-// Sort+Limit that avoids materializing more than 2N rows.
-type TopN struct {
-	N     int64
-	Keys  []SortKey
-	Child Operator
-
-	rows   []sqltypes.Row
-	keys   []sqltypes.Row
-	pos    int
-	sorter rowSorter
-}
-
-// Open drains the child keeping the N smallest rows. TOP 0 short-
-// circuits without opening the child: it can produce no rows, so there
-// is nothing to materialize (and a Sort or Gather child would otherwise
-// do its full work during Open).
-func (t *TopN) Open(ctx *Context) error {
-	t.rows, t.keys, t.pos = nil, nil, 0
-	if t.N <= 0 {
-		return nil
-	}
-	if err := t.Child.Open(ctx); err != nil {
-		return err
-	}
-	defer t.Child.Close()
-	for {
-		row, ok, err := t.Child.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		clone := row.Clone()
-		key := make(sqltypes.Row, len(t.Keys))
-		for i, k := range t.Keys {
-			v, err := k.Expr.Eval(clone)
-			if err != nil {
-				return err
-			}
-			key[i] = v
-		}
-		t.rows = append(t.rows, clone)
-		t.keys = append(t.keys, key)
-		// Lazy trim: allow 2N buffered, then cut back to N.
-		if int64(len(t.rows)) >= 2*t.N {
-			t.trim()
-		}
-	}
-	t.trim()
-	return nil
-}
-
-func (t *TopN) trim() {
-	t.sorter.sortStable(t.rows, t.keys, t.Keys)
-	if int64(len(t.rows)) > t.N {
-		t.rows = t.rows[:t.N]
-		t.keys = t.keys[:t.N]
-	}
-}
-
-// Next emits the next of the kept rows.
-func (t *TopN) Next() (sqltypes.Row, bool, error) {
-	if t.pos >= len(t.rows) {
-		return nil, false, nil
-	}
-	r := t.rows[t.pos]
-	t.pos++
-	return r, true, nil
-}
-
-// Close releases buffers.
-func (t *TopN) Close() error {
-	t.rows, t.keys = nil, nil
 	return nil
 }

@@ -98,7 +98,7 @@ func BenchmarkExternalSort(b *testing.B) {
 					op = &Sort{Keys: keys, Child: NewValues(input), MemoryBudget: cfg.budget, Spill: spill}
 				} else {
 					chains := spans(cfg.dop)
-					sorts := make([]Operator, len(chains))
+					sorts := make([]*Sort, len(chains))
 					per := cfg.budget
 					if per > 0 {
 						per /= int64(cfg.dop)

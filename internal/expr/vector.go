@@ -130,9 +130,9 @@ func flipCmp(op CmpOp) CmpOp {
 }
 
 // classify maps a scalar predicate result to its mask value, matching
-// the row path exactly: NULL is unknown, and a non-null value passes iff
-// Value.Bool() — so a non-boolean value classifies as false, just as the
-// row path's Truthy/Bool coercion does.
+// Eval exactly: NULL is unknown, and a non-null value passes iff
+// Value.Bool() — so a non-boolean value classifies as false, just as
+// Truthy's coercion of an Eval result does.
 func classify(v sqltypes.Value) uint8 {
 	if v.IsNull() {
 		return kNull
@@ -154,7 +154,7 @@ func (m *constMask) mask(_ *vec.Batch, sel []int, out []uint8) error {
 
 // logicMask is Kleene AND/OR. The right side is evaluated only for rows
 // the left side did not decide (false for AND, true for OR) — the
-// vectorized equivalent of the row path's short-circuit, so rows whose
+// vectorized equivalent of Logic.Eval's short-circuit, so rows whose
 // right operand would error are skipped in exactly the same cases.
 type logicMask struct {
 	and  bool
@@ -572,7 +572,7 @@ func (m *likeMask) mask(b *vec.Batch, sel []int, out []uint8) error {
 // callCmpMask is fn(..., column, ...) <op> literal: a scalar function of
 // one column and constants, compared with a constant — Query 1's
 // CHARINDEX('N', short_read_seq) = 0. The function is called on the
-// column's cells where they lie, NULLs included, exactly as the row path
+// column's cells where they lie, NULLs included, exactly as Call.Eval
 // calls it; over a dictionary vector once per entry the selection reaches,
 // which takes the function to depend on its arguments alone.
 type callCmpMask struct {
@@ -760,7 +760,7 @@ func CompileProjection(exprs []Expr) *Projection {
 	for i, e := range exprs {
 		switch t := e.(type) {
 		case *Col:
-			p.evals[i] = &colEval{idx: t.Idx}
+			p.evals[i] = colEval(t.Idx)
 		case *Lit:
 			p.evals[i] = &litEval{v: t.V}
 		default:
@@ -785,11 +785,11 @@ func (p *Projection) Eval(b *vec.Batch) ([]*vec.Vector, error) {
 	return out, nil
 }
 
-type colEval struct{ idx int }
+// colEval is a column reference, by value: an interface holds a small
+// index without allocating.
+type colEval int
 
-func (c *colEval) eval(b *vec.Batch) (*vec.Vector, error) {
-	return b.Cols[c.idx], nil
-}
+func (c colEval) eval(b *vec.Batch) (*vec.Vector, error) { return b.Cols[c], nil }
 
 // litEval produces a constant column as a one-entry dictionary over a
 // shared all-zero code array (read-only, safe to share across batches).

@@ -326,10 +326,34 @@ func orderedOnIdent(rel *relation, id *sqlparse.Ident) bool {
 	return id.Qualifier == "" || strings.EqualFold(c.Qual, id.Qualifier)
 }
 
+// recheckIterator drops the rows an index scan fetched that fail the full
+// pushed predicate. It belongs to the access path, like the heap fetch it
+// follows: one Eval on the row in hand, not an operator over a batch of one.
+type recheckIterator struct {
+	exec.RowIterator
+	pred expr.Expr
+}
+
+func (r *recheckIterator) Next() (sqltypes.Row, bool, error) {
+	for {
+		row, ok, err := r.RowIterator.Next()
+		if err != nil || !ok {
+			return nil, false, err
+		}
+		v, err := r.pred.Eval(row)
+		if err != nil {
+			return nil, false, err
+		}
+		if expr.Truthy(v) {
+			return row, true, nil
+		}
+	}
+}
+
 // indexScanNode builds the serial index-path relation: an index range
-// scan (rows arrive in index-key order) under a re-checking filter for
-// the full pushed predicate — bounds only constrain the first index
-// column, and re-checking keeps the operator correct even where bound
+// scan (rows arrive in index-key order) that re-checks the full pushed
+// predicate on every fetched row — bounds only constrain the first index
+// column, and re-checking keeps the scan correct even where bound
 // arithmetic and filter semantics could drift.
 func (pl *Planner) indexScanNode(tab *catalog.Table, qual string, cols []ColMeta,
 	choice *indexChoice, pred expr.Expr, est int64, ts *stats.TableStats) *relation {
@@ -347,14 +371,20 @@ func (pl *Planner) indexScanNode(tab *catalog.Table, qual string, cols []ColMeta
 		Cols:   cols,
 		Est:    est,
 		Build: func() (exec.Operator, error) {
-			op, err := pl.Provider.IndexScan(tab, idxName, lo, hi, loInc, hiInc)
+			src, err := pl.Provider.IndexScan(tab, idxName, lo, hi, loInc, hiInc)
 			if err != nil {
 				return nil, err
 			}
-			if pred != nil {
-				op = &exec.Filter{Pred: pred, Child: op}
+			if fetch := src.Factory; pred != nil {
+				src.Factory = func(ctx *exec.Context) (exec.RowIterator, error) {
+					it, err := fetch(ctx)
+					if err != nil {
+						return nil, err
+					}
+					return &recheckIterator{RowIterator: it, pred: pred}, nil
+				}
 			}
-			return op, nil
+			return src, nil
 		},
 	}
 	ordered := make([]ColMeta, 0, len(choice.idx.Columns))

@@ -12,11 +12,10 @@ import (
 
 // Instrument prepares the plan for profiled execution: every executable
 // node gets a fresh obs.OpProfile and its Build factory is replaced
-// with one that wraps the built operator in an exec profile wrapper
-// (row or batch, matching what the operator actually implements). With
-// timed set, wrappers also record wall time per node — the EXPLAIN
-// ANALYZE mode; without it only counters accrue, cheap enough to stay
-// on for every query.
+// with one that wraps the built operator in exec.Instrument. With timed
+// set, wrappers also record wall time per node — the EXPLAIN ANALYZE
+// mode; without it only counters accrue, cheap enough to stay on for
+// every query.
 //
 // Plan trees are built fresh per statement, so mutating Build in place
 // is safe; planner closures that construct per-partition operator
@@ -101,7 +100,7 @@ func (n *Node) explainAnalyze(sb *strings.Builder, depth int, inherited *obs.OpP
 	} else if n.Est > 0 {
 		fmt.Fprintf(sb, " (est=%d rows)", n.Est)
 	}
-	if n.Vec || n.BatchFed {
+	if n.vectorized() {
 		sb.WriteString(" vectorized")
 	}
 	if owns && p.Timed {

@@ -33,17 +33,28 @@ func intRows(n int) []sqltypes.Row {
 	return out
 }
 
+// slowClose is an operator whose Close takes a while, as an exchange
+// draining its producers does.
+type slowClose struct{ exec.Operator }
+
+func (s slowClose) Close() error {
+	time.Sleep(2 * time.Millisecond)
+	return s.Operator.Close()
+}
+
 // TestInstrumentWalk: the walk gives every buildable node a fresh
-// profile, the wrapped operator counts its rows into it, and display
-// -only nodes (no Build, no OwnProf) stay profile-less.
+// profile, the one wrapper counts the operator's batches and their
+// selected rows into it and, timed, the wall time of Close as well as of
+// Open and NextBatch; display-only nodes (no Build, no OwnProf) stay
+// profile-less.
 func TestInstrumentWalk(t *testing.T) {
 	display := &Node{Op: "Partial Thing", Est: 10}
 	root := &Node{
 		Op: "Scan", Est: 5, Children: []*Node{display},
 		Build: func() (exec.Operator, error) {
-			return &exec.Source{Label: "s", Factory: func(*exec.Context) (exec.RowIterator, error) {
+			return slowClose{&exec.Source{Factory: func(*exec.Context) (exec.RowIterator, error) {
 				return &sliceIter{rows: intRows(40)}, nil
-			}}, nil
+			}}}, nil
 		},
 	}
 	root.Instrument(false)
@@ -60,17 +71,28 @@ func TestInstrumentWalk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	switch op.(type) {
-	case *exec.Instrument, *exec.VecInstrument:
-	default:
+	if _, ok := op.(*exec.Instrument); !ok {
 		t.Fatalf("built operator is %T, want instrumented", op)
 	}
 	rows, err := exec.Run(&exec.Context{DOP: 1}, op)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := root.Prof.Rows.Load(); got != int64(len(rows)) || got != 40 {
-		t.Fatalf("profile rows = %d, want 40", got)
+	if got := root.Prof.Rows.Load(); got != int64(len(rows)) || got != 40 || root.Prof.Batches.Load() != 1 {
+		t.Fatalf("profile = %d rows in %d batches, want 40 in 1", got, root.Prof.Batches.Load())
+	}
+	if root.Prof.WallNS.Load() != 0 {
+		t.Fatal("untimed instrumentation read the clock")
+	}
+	root.Instrument(true)
+	if op, err = root.Build(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := exec.Run(&exec.Context{DOP: 1}, op); err != nil {
+		t.Fatal(err)
+	}
+	if wall := time.Duration(root.Prof.WallNS.Load()); wall < 2*time.Millisecond {
+		t.Fatalf("timed profile holds %v: the 2ms Close is attributed to nobody", wall)
 	}
 
 	// OwnProf forces a profile even without Build (planner closures wrap
@@ -197,7 +219,7 @@ func TestPathPickCountersNilSafe(t *testing.T) {
 func TestInstrumentOpIdempotent(t *testing.T) {
 	p1 := &obs.OpProfile{}
 	p2 := &obs.OpProfile{}
-	base := &exec.Source{Label: "s", Factory: func(*exec.Context) (exec.RowIterator, error) {
+	base := &exec.Source{Factory: func(*exec.Context) (exec.RowIterator, error) {
 		return &sliceIter{}, nil
 	}}
 	w1 := exec.InstrumentOp(base, p1)

@@ -150,12 +150,6 @@ func (pl *Planner) planNamedTable(t *sqlparse.NamedTable, conjuncts []sqlparse.E
 		scanBasis = rawEst * keptPages / totalPages
 	}
 	partsN := pl.partitionCount(scanBasis)
-	// Vectorized scans deliver columnar batches; pushed predicates become
-	// selection-vector filters that evaluate dictionary-encoded columns
-	// once per distinct value. The hash join and the aggregates pull the
-	// batches; the operators still serve the row interface, which is what
-	// sorts and merge joins pull from.
-	vectorized := pl.Provider.VectorizedScan(tab)
 
 	scanOp := "Table Scan"
 	var ordered []ColMeta
@@ -184,7 +178,7 @@ func (pl *Planner) planNamedTable(t *sqlparse.NamedTable, conjuncts []sqlparse.E
 	// profile at build time: consumers that take the partition chains
 	// directly (exchanges, partitioned joins) bypass the leaf's Build, so
 	// this is where the chains bind to the node that displays them.
-	scanLeaf := &Node{Op: scanOp, Detail: detail, Cols: cols, Est: est, Vec: vectorized}
+	scanLeaf := &Node{Op: scanOp, Detail: detail, Cols: cols, Est: est, rowScan: !pl.Provider.VectorizedScan(tab)}
 	parts := func() ([]exec.Operator, error) {
 		var ops []exec.Operator
 		var err error
@@ -196,13 +190,11 @@ func (pl *Planner) planNamedTable(t *sqlparse.NamedTable, conjuncts []sqlparse.E
 		if err != nil {
 			return nil, err
 		}
+		// The pushed predicate is a selection-vector filter: dictionary-
+		// encoded columns evaluate it once per distinct value.
 		if pred != nil {
 			for i := range ops {
-				if bo, ok := ops[i].(exec.BatchOperator); ok && vectorized {
-					ops[i] = &exec.VecFilter{Pred: pred, Child: bo}
-				} else {
-					ops[i] = &exec.Filter{Pred: pred, Child: ops[i]}
-				}
+				ops[i] = &exec.Filter{Pred: pred, Child: ops[i]}
 			}
 		}
 		if scanLeaf.Prof != nil {
@@ -211,21 +203,6 @@ func (pl *Planner) planNamedTable(t *sqlparse.NamedTable, conjuncts []sqlparse.E
 			}
 		}
 		return ops, nil
-	}
-	batchParts := func() ([]exec.BatchOperator, error) {
-		ops, err := parts()
-		if err != nil {
-			return nil, err
-		}
-		bops := make([]exec.BatchOperator, len(ops))
-		for i, op := range ops {
-			bo, ok := op.(exec.BatchOperator)
-			if !ok {
-				return nil, fmt.Errorf("plan: scan partition %d of %s is not batch-capable", i, tab.Name)
-			}
-			bops[i] = bo
-		}
-		return bops, nil
 	}
 	var node *Node
 	scanLeaf.Build = func() (exec.Operator, error) {
@@ -242,21 +219,13 @@ func (pl *Planner) planNamedTable(t *sqlparse.NamedTable, conjuncts []sqlparse.E
 			Children: []*Node{scanLeaf},
 			Cols:     cols,
 			Est:      est,
-			// Clustered partitions are contiguous key ranges: drained in
-			// order, the exchange keeps the key order.
-			Vec: vectorized,
 			Build: func() (exec.Operator, error) {
-				if vectorized {
-					bops, err := batchParts()
-					if err != nil {
-						return nil, err
-					}
-					return &exec.VecGather{Children: bops, Ordered: tab.Clustered}, nil
-				}
 				ops, err := parts()
 				if err != nil {
 					return nil, err
 				}
+				// Clustered partitions are contiguous key ranges: drained
+				// in order, the exchange keeps the key order.
 				return &exec.Gather{Children: ops, Ordered: tab.Clustered}, nil
 			},
 		}
@@ -316,12 +285,7 @@ func (pl *Planner) planTVF(fn *sqlparse.FuncRef, outer *scope) (*relation, error
 				}
 				vals[i] = v
 			}
-			return &exec.Source{
-				Label: fn.Name,
-				Factory: func(*exec.Context) (exec.RowIterator, error) {
-					return tvf.Iterator(vals)
-				},
-			}, nil
+			return &exec.Source{Factory: func(*exec.Context) (exec.RowIterator, error) { return tvf.Iterator(vals) }}, nil
 		},
 	}
 	return &relation{node: node, cols: cols}, nil
@@ -597,7 +561,6 @@ func (pl *Planner) partitionedJoinRelation(left, right *relation,
 		Op:      "Hash Match (Partitioned Inner Join)",
 		Cols:    combined,
 		Est:     outEst,
-		Vec:     true,
 		OwnProf: true,
 	}
 	buildOp := func() (exec.Operator, error) {
@@ -665,7 +628,6 @@ func (pl *Planner) partitionedJoinRelation(left, right *relation,
 			Children: []*Node{inner},
 			Cols:     combined,
 			Est:      outEst,
-			Vec:      true,
 			Build:    buildOp,
 		}
 	} else {
@@ -776,8 +738,8 @@ func (pl *Planner) tryMergeJoin(j *sqlparse.JoinRef, left, right *relation,
 	// bind the per-range scan and join chains to them at build time
 	// (OwnProf makes Instrument allocate profiles although only the root
 	// node carries a Build factory).
-	lleaf := &Node{Op: "Clustered Index Scan", Detail: scanDetail(ltab, leftPred), Est: lest, OwnProf: true, BatchFed: pl.Provider.VectorizedScan(ltab)}
-	rleaf := &Node{Op: "Clustered Index Scan", Detail: scanDetail(rtab, rightPred), Est: rest, OwnProf: true, BatchFed: pl.Provider.VectorizedScan(rtab)}
+	lleaf := &Node{Op: "Clustered Index Scan", Detail: scanDetail(ltab, leftPred), Est: lest, OwnProf: true, rowScan: !pl.Provider.VectorizedScan(ltab)}
+	rleaf := &Node{Op: "Clustered Index Scan", Detail: scanDetail(rtab, rightPred), Est: rest, OwnProf: true, rowScan: !pl.Provider.VectorizedScan(rtab)}
 	mjNode := &Node{
 		Op:       "Merge Join (Inner Join)",
 		Detail:   mjDetail,

@@ -53,11 +53,11 @@ type Provider interface {
 	// "no information" and the planner falls back to cardinality-based
 	// page costing.
 	HeapPageStats(t *catalog.Table, filters []storage.ZoneFilter) (kept, total int64)
-	// IndexScan returns a serial operator scanning a named secondary
+	// IndexScan returns a serial row source scanning a named secondary
 	// index over [lo, hi] bounds on its first key column (nil = open,
 	// loInc/hiInc select inclusive bounds), emitting heap rows in
 	// index-key order.
-	IndexScan(t *catalog.Table, idxName string, lo, hi *sqltypes.Value, loInc, hiInc bool) (exec.Operator, error)
+	IndexScan(t *catalog.Table, idxName string, lo, hi *sqltypes.Value, loInc, hiInc bool) (*exec.Source, error)
 	// OrderedScanRange returns an operator scanning a clustered table in
 	// primary-key order restricted to [lo, hi) on the first key column;
 	// nil bounds are unbounded.
@@ -76,9 +76,10 @@ type Provider interface {
 	// budget; may return nil when the engine cannot spill (joins then fail
 	// rather than exceed the budget).
 	SpillStore() exec.SpillStore
-	// VectorizedScan reports whether the table's scan partitions can
-	// deliver columnar batches (exec.BatchIterator), letting the planner
-	// run filters and projections above them as vectorized tight loops.
+	// VectorizedScan reports whether the table's scan partitions decode
+	// pages and leaves into columnar batches themselves (exec.Scan) rather
+	// than packing decoded rows (exec.Source); EXPLAIN marks only the
+	// former "vectorized".
 	VectorizedScan(t *catalog.Table) bool
 }
 
@@ -99,15 +100,10 @@ type Node struct {
 	// Est is the planner's estimated output cardinality (0 = unknown);
 	// EXPLAIN renders it so estimate quality is visible and testable.
 	Est int64
-	// Vec marks a node whose Build returns an exec.BatchOperator —
-	// EXPLAIN renders it and vectorized parents compose batch-to-batch.
-	Vec bool
-	// BatchFed marks a node that works on batches below a row interface —
-	// an aggregate pulling NextBatch from its input, a clustered scan whose
-	// rows a merge join reads off lazily decoded batches. EXPLAIN renders
-	// it like Vec; parents still pull rows.
-	BatchFed bool
-	Build    func() (exec.Operator, error)
+	// rowScan marks a table scan leaf whose source decodes rows and packs
+	// them (Provider.VectorizedScan said no); see vectorized.
+	rowScan bool
+	Build   func() (exec.Operator, error)
 	// Prof is the node's execution profile, allocated by Instrument
 	// before the plan builds. Planner closures that construct operators
 	// outside the Build chain (per-partition chains handed to exchanges)
@@ -139,7 +135,7 @@ func (n *Node) explain(sb *strings.Builder, depth int) {
 	if n.Est > 0 {
 		fmt.Fprintf(sb, " (est=%d rows)", n.Est)
 	}
-	if n.Vec || n.BatchFed {
+	if n.vectorized() {
 		sb.WriteString(" vectorized")
 	}
 	sb.WriteString("\n")
@@ -147,6 +143,30 @@ func (n *Node) explain(sb *strings.Builder, depth int) {
 		c.explain(sb, depth+1)
 	}
 }
+
+// rowInternal names the nodes whose operator still works a row at a time
+// inside — the sort family, the merge join, the apply — or packs the rows
+// of a row source (a TVF, an index scan, VALUES).
+var rowInternal = map[string]bool{
+	"Sort":                                true,
+	"Parallelism (Merge Gather, ordered)": true,
+	"Sequence Project (ROW_NUMBER)":       true,
+	"Top N Sort":                          true,
+	"Top N Sort (per-partition)":          true,
+	"Merge Join (Inner Join)":             true,
+	"Nested Loops (Cross Apply)":          true,
+	"Table-valued Function":               true,
+	"Index Scan":                          true,
+	"Constant Scan":                       true,
+}
+
+// vectorized is the one rule behind EXPLAIN's "vectorized" annotation: a
+// node carries it when the operator it shows computes on typed vectors —
+// batch-native scan leaves, filters, projections, TOP, exchanges, the hash
+// join, the aggregates. Every operator exchanges batches, so what the
+// annotation leaves unmarked is the work still to be done inside operators
+// (ROADMAP item 2), not a second engine.
+func (n *Node) vectorized() bool { return !n.rowScan && !rowInternal[n.Op] }
 
 // Planner turns SELECT ASTs into physical plans.
 type Planner struct {
@@ -248,86 +268,48 @@ func buildChild(n *Node) (exec.Operator, error) {
 	return n.Build()
 }
 
-// buildBatchChild builds a Vec-marked child and asserts its batch
-// interface.
-func buildBatchChild(n *Node) (exec.BatchOperator, error) {
-	op, err := buildChild(n)
-	if err != nil {
-		return nil, err
-	}
-	bo, ok := op.(exec.BatchOperator)
-	if !ok {
-		return nil, fmt.Errorf("plan: node %q marked vectorized but built %T", n.Op, op)
-	}
-	return bo, nil
-}
-
-// newFilterNode wraps a child with a predicate filter — vectorized
-// (selection-vector updates over columnar batches) above a vectorized
-// child, row-at-a-time otherwise. The filter's selectivity is unknown at
+// newFilterNode wraps a child with a predicate filter (selection-vector
+// updates over columnar batches). The filter's selectivity is unknown at
 // this level (estimable predicates were pushed into scans), so the child
 // estimate carries through unreduced.
 func newFilterNode(pred expr.Expr, child *Node) *Node {
-	n := &Node{
+	return &Node{
 		Op:       "Filter",
 		Detail:   fmt.Sprintf("WHERE:(%s)", pred),
 		Children: []*Node{child},
 		Cols:     child.Cols,
 		Est:      child.Est,
-		Vec:      child.Vec,
-	}
-	if child.Vec {
-		n.Build = func() (exec.Operator, error) {
-			c, err := buildBatchChild(child)
-			if err != nil {
-				return nil, err
-			}
-			return &exec.VecFilter{Pred: pred, Child: c}, nil
-		}
-	} else {
-		n.Build = func() (exec.Operator, error) {
+		Build: func() (exec.Operator, error) {
 			c, err := buildChild(child)
 			if err != nil {
 				return nil, err
 			}
 			return &exec.Filter{Pred: pred, Child: c}, nil
-		}
+		},
 	}
-	return n
 }
 
-// newProjectNode wraps a child with computed output expressions —
-// batch-at-a-time (column references pass vectors through unchanged,
-// preserving dictionary encoding) above a vectorized child.
+// newProjectNode wraps a child with computed output expressions,
+// evaluated batch-at-a-time (column references pass vectors through
+// unchanged, preserving dictionary encoding).
 func newProjectNode(exprs []expr.Expr, cols []ColMeta, child *Node) *Node {
 	parts := make([]string, len(exprs))
 	for i, e := range exprs {
 		parts[i] = e.String()
+		exprs[i] = expr.FoldConstants(e) // constant subtrees evaluate once, here
 	}
-	n := &Node{
+	return &Node{
 		Op:       "Compute Scalar",
 		Detail:   fmt.Sprintf("DEFINE:[%s]", strings.Join(parts, ", ")),
 		Children: []*Node{child},
 		Cols:     cols,
 		Est:      child.Est,
-		Vec:      child.Vec,
-	}
-	if child.Vec {
-		n.Build = func() (exec.Operator, error) {
-			c, err := buildBatchChild(child)
-			if err != nil {
-				return nil, err
-			}
-			return &exec.VecProject{Exprs: exprs, Child: c}, nil
-		}
-	} else {
-		n.Build = func() (exec.Operator, error) {
+		Build: func() (exec.Operator, error) {
 			c, err := buildChild(child)
 			if err != nil {
 				return nil, err
 			}
-			return &exec.Project{Exprs: exprs, Child: c}, nil
-		}
+			return &exec.Project{Exprs: exprs, Child: c, InputWidth: len(child.Cols)}, nil
+		},
 	}
-	return n
 }

@@ -28,6 +28,8 @@ type fakeProvider struct {
 	// slice stands in for a much larger table.
 	tstats    map[string]*stats.TableStats
 	rowCounts map[string]int64
+	// nativeScans is VectorizedScan's answer.
+	nativeScans bool
 	// pageStats, when set, answers HeapPageStats; nil = (0, 0) ("no
 	// information", the planner's cardinality fallback).
 	pageStats func(t *catalog.Table, filters []storage.ZoneFilter) (kept, total int64)
@@ -127,7 +129,7 @@ func (p *fakeProvider) HeapPageStats(t *catalog.Table, filters []storage.ZoneFil
 // IndexScan serves rows whose first-index-column value falls in the
 // bounds, sorted by that column — the same contract as the engine's
 // B-tree-backed scan (NULLs never match a bound).
-func (p *fakeProvider) IndexScan(t *catalog.Table, name string, lo, hi *sqltypes.Value, loInc, hiInc bool) (exec.Operator, error) {
+func (p *fakeProvider) IndexScan(t *catalog.Table, name string, lo, hi *sqltypes.Value, loInc, hiInc bool) (*exec.Source, error) {
 	ix := t.IndexByName(name)
 	if ix == nil {
 		return nil, fmt.Errorf("fake: no index %q on %s", name, t.Name)
@@ -215,10 +217,9 @@ func (f *memSpillFile) Release() error { return nil }
 
 func (p *fakeProvider) SpillStore() exec.SpillStore { return memSpillStore{} }
 
-// The fake's scan partitions are row slices, not page-backed batch
-// sources, so plans stay row-at-a-time (row-to-batch shims would only
-// add overhead here).
-func (p *fakeProvider) VectorizedScan(*catalog.Table) bool { return false }
+// The fake's scan partitions are row slices packed by exec.Source, not
+// page-backed batch scans — unless a test says otherwise.
+func (p *fakeProvider) VectorizedScan(*catalog.Table) bool { return p.nativeScans }
 
 func planQuery(t *testing.T, pl *Planner, sql string) *Node {
 	t.Helper()
@@ -444,6 +445,78 @@ func TestPlanPartitionedJoin(t *testing.T) {
 	}
 	if gs, ws := canon(got), canon(want); !reflect.DeepEqual(gs, ws) {
 		t.Errorf("partitioned join rows %v, serial %v", gs, ws)
+	}
+}
+
+// TestExplainVectorizedAnnotation: one rule, by the operator a node shows.
+// Nodes that compute on typed vectors carry "vectorized" — filter, compute
+// scalar, TOP, the exchanges, the hash join, the aggregates, a batch-native
+// scan leaf; the row-internal ones do not — the sort family, merge join, a
+// row-decoded scan leaf, an index scan.
+func TestExplainVectorizedAnnotation(t *testing.T) {
+	p := newFakeProvider()
+	p.rowCounts["t"] = 100_000
+	p.tables["t"].Indexes = []catalog.Index{{Name: "idx_a", Columns: []int{0}}}
+	p.tstats["t"] = uniformIntStats(1, "t", "a", 100_000, 50_000)
+	pl := NewPlanner(p, 4)
+	marked := map[string]bool{
+		"Compute Scalar": true, "Filter": true, "Top": true, "Parallelism (Gather Streams)": true,
+		"Parallelism (Gather Streams, ordered)": true, "Hash Match (Partitioned Inner Join)": true,
+		"Hash Match (Aggregate)": true, "Stream Aggregate": true,
+		"Hash Match (Final Aggregate, merge partials)": true, "Hash Match (Partial Aggregate, spillable)": true,
+		"Sort": false, "Parallelism (Merge Gather, ordered)": false, "Sequence Project (ROW_NUMBER)": false,
+		"Top N Sort": false, "Top N Sort (per-partition)": false, "Merge Join (Inner Join)": false,
+		"Index Scan": false, "Constant Scan": false,
+	}
+	seen := map[string]bool{}
+	check := func(sql string, leaves bool) {
+		t.Helper()
+		p.nativeScans = leaves
+		marked["Table Scan"], marked["Clustered Index Scan"] = leaves, leaves
+		text := planQuery(t, pl, sql).Explain()
+		for _, line := range strings.Split(strings.TrimRight(text, "\n"), "\n") {
+			line = strings.TrimLeft(line, " |-")
+			op := ""
+			for name := range marked {
+				if strings.HasPrefix(line, name+" ") || line == name {
+					if len(name) > len(op) {
+						op = name
+					}
+				}
+			}
+			want, known := marked[op]
+			if !known {
+				t.Fatalf("%s: no expectation for node %q", sql, line)
+			}
+			seen[op] = true
+			if strings.HasSuffix(line, " vectorized") != want {
+				t.Errorf("%s: %q: vectorized=%v, want %v\n%s", sql, line, !want, want, text)
+			}
+		}
+	}
+	for _, leaves := range []bool{true, false} {
+		check("SELECT TOP 3 s FROM t WHERE a > 2", leaves)
+		check("SELECT s, COUNT(*) FROM t GROUP BY s HAVING COUNT(*) > 1", leaves)
+		check("SELECT s FROM t ORDER BY a", leaves)
+		check("SELECT TOP 2 s FROM t ORDER BY a", leaves)
+		check("SELECT s, ROW_NUMBER() OVER (ORDER BY a) FROM t", leaves)
+		check("SELECT a FROM t WHERE a = 3", leaves)
+		check("SELECT s, v FROM t JOIN u ON a = b", leaves)
+		check("SELECT lv, rv FROM left JOIN right_t ON id = rid", leaves)
+		check("SELECT id, COUNT(*) FROM left GROUP BY id", leaves)
+		check("SELECT 1", leaves)
+	}
+	pl.ParallelThreshold = 5
+	p.rowCounts["t"] = 0
+	p.tables["t"].Indexes = nil
+	check("SELECT s, COUNT(*) FROM t GROUP BY s", true)
+	check("SELECT TOP 2 s FROM t ORDER BY a", true)
+	check("SELECT s FROM t ORDER BY a", false)
+	check("SELECT lv, rv FROM left JOIN right_t ON id = rid", true)
+	for op := range marked {
+		if !seen[op] {
+			t.Errorf("no plan showed a %q node", op)
+		}
 	}
 }
 

@@ -203,25 +203,13 @@ func (pl *Planner) PlanSelect(sel *sqlparse.Select) (*Node, error) {
 			Op: "Top", Detail: fmt.Sprintf("TOP %d", sel.Top),
 			Children: []*Node{child}, Cols: child.Cols,
 			Est: limitEst(sel.Top, child.Est),
-			Vec: child.Vec,
-		}
-		if child.Vec {
-			top := sel.Top
-			node.Build = func() (exec.Operator, error) {
-				c, err := buildBatchChild(child)
-				if err != nil {
-					return nil, err
-				}
-				return &exec.VecLimit{N: top, Child: c}, nil
-			}
-		} else {
-			node.Build = func() (exec.Operator, error) {
+			Build: func() (exec.Operator, error) {
 				c, err := buildChild(child)
 				if err != nil {
 					return nil, err
 				}
 				return &exec.Limit{N: sel.Top, Child: c}, nil
-			}
+			},
 		}
 	}
 	return newProjectNode(outExprs, outCols, node), nil
@@ -328,8 +316,9 @@ func (pl *Planner) planAggregate(sel *sqlparse.Select, rel *relation,
 	// The aggregate touches only its grouping and argument columns, so
 	// its inputs can leave every other column unmaterialized — on lazy
 	// columnar scans those cells are never decoded at all (COUNT(*) over a
-	// filtered scan decodes nothing), and a row-only input packs only these
-	// columns into the batches the aggregate pulls.
+	// filtered scan decodes nothing), a row source packs only these columns
+	// into the batches the aggregate pulls, and a join below stores only
+	// these on its build side.
 	aggNeeds := make([]bool, len(rel.cols))
 	for _, g := range groupExprs {
 		expr.MarkCols(g, aggNeeds)
@@ -337,13 +326,6 @@ func (pl *Planner) planAggregate(sel *sqlparse.Select, rel *relation,
 	for _, spec := range aggSpecs {
 		for _, a := range spec.Args {
 			expr.MarkCols(a, aggNeeds)
-		}
-	}
-	pruneCols := func(ops ...exec.Operator) {
-		for _, op := range ops {
-			if cp, ok := op.(exec.ColumnPruner); ok {
-				cp.PruneColumns(aggNeeds)
-			}
 		}
 	}
 
@@ -373,13 +355,12 @@ func (pl *Planner) planAggregate(sel *sqlparse.Select, rel *relation,
 			Children: []*Node{child},
 			Cols:     outCols,
 			Est:      estGroups,
-			BatchFed: true,
 			Build: func() (exec.Operator, error) {
 				c, err := buildChild(child)
 				if err != nil {
 					return nil, err
 				}
-				pruneCols(c)
+				c.PruneColumns(aggNeeds)
 				return &exec.StreamAggregate{GroupBy: groupExprs, Aggs: aggSpecs, Child: c}, nil
 			},
 		}
@@ -405,7 +386,6 @@ func (pl *Planner) planAggregate(sel *sqlparse.Select, rel *relation,
 					Detail:   fmt.Sprintf("GROUP BY:[%s] BUDGET:%d", groupDesc, pl.AggMemoryBudget),
 					Children: scanChildren,
 					Cols:     outCols,
-					BatchFed: true,
 				}},
 				Cols: outCols,
 			}},
@@ -416,7 +396,9 @@ func (pl *Planner) planAggregate(sel *sqlparse.Select, rel *relation,
 				if err != nil {
 					return nil, err
 				}
-				pruneCols(children...)
+				for _, c := range children {
+					c.PruneColumns(aggNeeds)
+				}
 				return &exec.SpillableAggregate{
 					GroupBy:      groupExprs,
 					Aggs:         aggSpecs,
@@ -437,13 +419,12 @@ func (pl *Planner) planAggregate(sel *sqlparse.Select, rel *relation,
 		Children: []*Node{child},
 		Cols:     outCols,
 		Est:      estGroups,
-		BatchFed: true,
 		Build: func() (exec.Operator, error) {
 			c, err := buildChild(child)
 			if err != nil {
 				return nil, err
 			}
-			pruneCols(c)
+			c.PruneColumns(aggNeeds)
 			return &exec.SpillableAggregate{
 				GroupBy:      groupExprs,
 				Aggs:         aggSpecs,
@@ -526,7 +507,6 @@ func filterRelation(rel *relation, pred expr.Expr) *relation {
 	out := &relation{node: node, cols: rel.cols, ordered: rel.ordered, est: rel.est, stats: rel.stats}
 	if rel.parts != nil {
 		inner := rel.parts
-		vec := rel.node.Vec
 		out.partsN = rel.partsN
 		out.parts = func() ([]exec.Operator, error) {
 			children, err := inner()
@@ -534,11 +514,7 @@ func filterRelation(rel *relation, pred expr.Expr) *relation {
 				return nil, err
 			}
 			for i := range children {
-				if bo, ok := children[i].(exec.BatchOperator); ok && vec {
-					children[i] = &exec.VecFilter{Pred: pred, Child: bo}
-				} else {
-					children[i] = &exec.Filter{Pred: pred, Child: children[i]}
-				}
+				children[i] = &exec.Filter{Pred: pred, Child: children[i]}
 				if node.Prof != nil {
 					children[i] = exec.InstrumentOp(children[i], node.Prof)
 				}
@@ -691,7 +667,7 @@ func (pl *Planner) buildParallelSort(keys []exec.SortKey, rel *relation) (*exec.
 		}
 	}
 	spill := pl.Provider.SpillStore()
-	sorts := make([]exec.Operator, len(ops))
+	sorts := make([]*exec.Sort, len(ops))
 	for i, op := range ops {
 		sorts[i] = &exec.Sort{
 			Keys:         keys,
@@ -729,7 +705,6 @@ func (pl *Planner) topNNode(n int64, keys []exec.SortKey, rel *relation) *Node {
 					Children: below,
 					Cols:     child.Cols,
 					Est:      limitEst(n, child.Est),
-					Vec:      child.Vec,
 				}},
 				Cols: child.Cols,
 			}},
@@ -742,40 +717,25 @@ func (pl *Planner) topNNode(n int64, keys []exec.SortKey, rel *relation) *Node {
 				}
 				tops := make([]exec.Operator, len(ops))
 				for i, op := range ops {
-					if bo, ok := op.(exec.BatchOperator); ok && child.Vec {
-						tops[i] = &exec.VecTopN{N: n, Keys: keys, Child: bo}
-					} else {
-						tops[i] = &exec.TopN{N: n, Keys: keys, Child: op}
-					}
+					tops[i] = &exec.TopN{N: n, Keys: keys, Child: op}
 				}
 				g := &exec.Gather{Children: tops}
 				return &exec.TopN{N: n, Keys: keys, Child: g}, nil
 			},
 		}
 	}
-	node := &Node{
+	return &Node{
 		Op:       "Top N Sort",
 		Detail:   fmt.Sprintf("TOP %d ORDER BY:[%s]", n, describeSortKeys(keys)),
 		Children: []*Node{child},
 		Cols:     child.Cols,
 		Est:      limitEst(n, child.Est),
-	}
-	if child.Vec {
-		node.Build = func() (exec.Operator, error) {
-			c, err := buildBatchChild(child)
-			if err != nil {
-				return nil, err
-			}
-			return &exec.VecTopN{N: n, Keys: keys, Child: c}, nil
-		}
-	} else {
-		node.Build = func() (exec.Operator, error) {
+		Build: func() (exec.Operator, error) {
 			c, err := buildChild(child)
 			if err != nil {
 				return nil, err
 			}
 			return &exec.TopN{N: n, Keys: keys, Child: c}, nil
-		}
+		},
 	}
-	return node
 }

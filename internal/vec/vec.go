@@ -26,8 +26,8 @@ const DefaultBatchSize = 1024
 //     holds one entry per row;
 //   - dictionary: Codes holds one small integer per row indexing Dict
 //     (run-length pages expand to codes on read — runs of equal codes);
-//   - generic: Vals holds boxed values (the row-shim fallback for
-//     streams whose column kinds are unknown);
+//   - generic: Vals holds boxed values (what a row source is packed
+//     into: its column kinds are unknown);
 //   - lazy: Lazy holds the still-encoded column of a scanned page, which
 //     becomes typed flat the first time a cell is read.
 //
@@ -89,8 +89,8 @@ func NewVector(kind sqltypes.Kind, n int) *Vector {
 	return v
 }
 
-// NewGenericVector returns an empty boxed-value vector (used by the
-// row-to-batch shim where column kinds are unknown).
+// NewGenericVector returns an empty boxed-value vector (what rows are
+// packed into: their column kinds are unknown).
 func NewGenericVector(n int) *Vector {
 	return &Vector{Kind: sqltypes.KindNull, Vals: make([]sqltypes.Value, 0, n)}
 }
@@ -246,12 +246,16 @@ func NewBatch(cols []*Vector, n int) *Batch {
 // Len returns the number of selected rows.
 func (b *Batch) Len() int { return len(b.Sel) }
 
-// Rows returns the physical row count (selected or not).
+// Rows returns the physical row count (selected or not). A batch without
+// columns (SELECT 1: rows, no cells) has as many as its selection reaches.
 func (b *Batch) Rows() int {
-	if len(b.Cols) == 0 {
+	if len(b.Cols) > 0 {
+		return b.Cols[0].Len()
+	}
+	if len(b.Sel) == 0 {
 		return 0
 	}
-	return b.Cols[0].Len()
+	return b.Sel[len(b.Sel)-1] + 1
 }
 
 // ReadRow materializes physical row i into dst (grown as needed),
