@@ -103,9 +103,9 @@
 //   - Every sealed data page carries a CRC32C checksum, verified when
 //     the page is read from disk into the buffer pool. A corrupt page
 //     fails the query that touches it with storage.ErrCorruptPage and
-//     is counted in ExecStats().Integrity; other tables (and other
-//     pages of the same table) remain fully usable, and the database
-//     stays open. Databases written by pre-checksum builds open and
+//     is counted in integrity.checksum_failures (\stats); other tables
+//     (and other pages of the same table) remain fully usable, and the
+//     database stays open. Databases written by pre-checksum builds open and
 //     scan normally — verification keys off each page's version byte.
 //
 // "genodb -db DIR -verify" scans every table's sealed pages offline and
@@ -128,18 +128,24 @@
 // Every node reports its actual row count against the planner's
 // estimate (the "off by Kx under/over" ratio is how far the estimate
 // missed — large ratios explain bad plans); nodes that did physical
-// work add spill, Bloom-filter and buffer-pool detail lines. "time=" is
-// cumulative over the node's subtree; "(self ...)" subtracts the
-// children. Plain SELECTs always collect the (cheap, atomic) counters —
-// only EXPLAIN ANALYZE adds the clocks.
+// work add spill, Bloom-filter and buffer-pool detail lines — the pool
+// line counts every page the node had read on its behalf: heap pages,
+// btree descents and leaf walks, the re-read of spilled join partitions.
+// "time=" is cumulative over the node's subtree; "(self ...)" subtracts
+// the children. Plain SELECTs always collect the (cheap, atomic) counters
+// — only EXPLAIN ANALYZE adds the clocks.
 //
-// The engine-wide view:
+// The engine-wide view counts the same events: each is written once, to
+// the engine's counter set and to the profile of the plan node it
+// happened under (exec.pool.hits and exec.pool.misses are the share of
+// pool.hits and pool.misses that statements' operators caused).
 //
-//   - "genodb -db DIR -metrics" prints every registered engine counter
-//     as JSON and exits: buffer-pool traffic, WAL fsyncs, per-operator
-//     spill totals, Bloom activity, checksum verifications, checkpoint
-//     and vacuum runs, planner access-path picks, query counts.
-//   - In the shell, "\stats" prints the same registry as a table, and
+//   - "genodb -db DIR -metrics" prints every engine metric as JSON and
+//     exits: the whole counter vocabulary (join, sort and aggregate
+//     spill, Bloom activity, scan decode work, checksum verifications,
+//     checkpoint and vacuum runs, planner access-path picks) plus the
+//     buffer pool's own traffic, WAL fsyncs and query counts.
+//   - In the shell, "\stats" prints the same metrics as a table, and
 //     "\hist" shows the recent-query ring (duration, rows, spill bytes
 //     per statement).
 //   - core.Options.SlowQueryThreshold (flag "-slow-query DURATION")

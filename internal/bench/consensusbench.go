@@ -96,11 +96,11 @@ func ConsensusExperiment(ds *ResequencingDataset, workDir string, dop int) (*Con
 	if _, err := db.Exec(joinSQL); err != nil { // warm the pool
 		return nil, err
 	}
-	poolBefore := db.PoolStats()
+	pool := poolTraffic(db)
 	start := time.Now()
 	jr, err := db.Exec(joinSQL)
 	res.MergeJoinElapsed = time.Since(start)
-	res.MergeJoinPoolStats = db.PoolStats().Sub(poolBefore)
+	res.MergeJoinPoolStats = pool()
 	if err != nil {
 		return nil, err
 	}

@@ -123,11 +123,11 @@ func Query1Experiment(ds *DGEDataset, workDir string, dop int) (*Query1Result, e
 	}
 
 	sampler = StartCPUSampler(50 * time.Millisecond)
-	poolBefore := db.PoolStats()
+	pool := poolTraffic(db)
 	start := time.Now()
 	qres, err := db.Exec(Query1SQL)
 	res.SQLElapsed = time.Since(start)
-	res.SQLPoolStats = db.PoolStats().Sub(poolBefore)
+	res.SQLPoolStats = pool()
 	res.SQLCPU = sampler.Stop()
 	if err != nil {
 		return nil, err
@@ -166,4 +166,14 @@ func Query1DOPAblation(ds *DGEDataset, workDir string, dops []int) (map[int]time
 		out[dop] = time.Since(start)
 	}
 	return out, nil
+}
+
+// poolTraffic starts measuring buffer-pool traffic: the returned function
+// reports the hits and misses since, from the engine's metrics.
+func poolTraffic(db *core.Database) func() storage.PoolStats {
+	before := db.Metrics()
+	return func() storage.PoolStats {
+		now := db.Metrics()
+		return storage.PoolStats{Hits: now["pool.hits"] - before["pool.hits"], Misses: now["pool.misses"] - before["pool.misses"]}
+	}
 }

@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"repro/internal/fault"
+	"repro/internal/obs"
 	"repro/internal/storage"
 )
 
@@ -358,10 +359,10 @@ func (t *BTree) Delete(key []byte) (bool, error) {
 }
 
 // leftmostLeaf returns the page id of the smallest-keyed leaf.
-func (t *BTree) leftmostLeaf() (int64, error) {
+func (t *BTree) leftmostLeaf(sink obs.Sink) (int64, error) {
 	pid := t.root
 	for {
-		fr, err := t.pool.Get(t.file, storage.PageID(pid))
+		fr, err := t.pool.GetT(t.file, storage.PageID(pid), sink)
 		if err != nil {
 			return 0, err
 		}
@@ -376,10 +377,10 @@ func (t *BTree) leftmostLeaf() (int64, error) {
 }
 
 // leafFor returns the page id of the leaf that would contain key.
-func (t *BTree) leafFor(key []byte) (int64, error) {
+func (t *BTree) leafFor(key []byte, sink obs.Sink) (int64, error) {
 	pid := t.root
 	for {
-		fr, err := t.pool.Get(t.file, storage.PageID(pid))
+		fr, err := t.pool.GetT(t.file, storage.PageID(pid), sink)
 		if err != nil {
 			return 0, err
 		}
@@ -456,7 +457,7 @@ func (t *BTree) Checkpoint() error {
 
 // scanAllLocked iterates every key/value in order via the sibling chain.
 func (t *BTree) scanAllLocked(fn func(key, val []byte) error) error {
-	pid, err := t.leftmostLeaf()
+	pid, err := t.leftmostLeaf(obs.Sink{})
 	if err != nil {
 		return err
 	}
@@ -485,7 +486,7 @@ func (t *BTree) scanAllLocked(fn func(key, val []byte) error) error {
 func (t *BTree) MinKey() ([]byte, bool, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	pid, err := t.leftmostLeaf()
+	pid, err := t.leftmostLeaf(obs.Sink{})
 	if err != nil {
 		return nil, false, err
 	}

@@ -3,6 +3,7 @@ package btree
 import (
 	"bytes"
 
+	"repro/internal/obs"
 	"repro/internal/storage"
 )
 
@@ -11,7 +12,8 @@ import (
 // the engine's table locks, not by the iterator.
 type Iterator struct {
 	t    *BTree
-	pid  int64 // current leaf page; 0 when exhausted
+	sink obs.Sink // the descent's and the leaf walk's pool traffic counts here
+	pid  int64    // current leaf page; 0 when exhausted
 	idx  int
 	end  []byte // exclusive upper bound; nil = unbounded
 	key  []byte
@@ -31,15 +33,21 @@ type pinnedFrame struct {
 // Seek positions an iterator at the first key >= start (or the tree
 // minimum when start is nil), bounded by end (exclusive; nil = none).
 func (t *BTree) Seek(start, end []byte) (*Iterator, error) {
+	return t.SeekT(start, end, obs.Sink{})
+}
+
+// SeekT is Seek on behalf of a plan operator: the buffer-pool traffic of
+// the descent and of the leaf walk is also written to sink.
+func (t *BTree) SeekT(start, end []byte, sink obs.Sink) (*Iterator, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	it := &Iterator{t: t, end: end}
+	it := &Iterator{t: t, end: end, sink: sink}
 	var pid int64
 	var err error
 	if start == nil {
-		pid, err = t.leftmostLeaf()
+		pid, err = t.leftmostLeaf(sink)
 	} else {
-		pid, err = t.leafFor(start)
+		pid, err = t.leafFor(start, sink)
 	}
 	if err != nil {
 		return nil, err
@@ -57,7 +65,7 @@ func (t *BTree) Seek(start, end []byte) (*Iterator, error) {
 }
 
 func (it *Iterator) pin() error {
-	fr, err := it.t.pool.Get(it.t.file, storage.PageID(it.pid))
+	fr, err := it.t.pool.GetT(it.t.file, storage.PageID(it.pid), it.sink)
 	if err != nil {
 		return err
 	}

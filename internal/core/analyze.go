@@ -138,7 +138,7 @@ func (db *Database) analyzeTable(def *catalog.Table, snap *Snapshot) (*stats.Tab
 			// wobble between runs over unchanged data.
 			c := stats.NewCollector(names, stats.DefaultSampleSize, int64(i+1)*104729)
 			collectors[i] = c
-			if err := op.Open(&exec.Context{DOP: 1, Stats: &db.execStats, Snapshot: snap}); err != nil {
+			if err := op.Open(&exec.Context{DOP: 1, Sink: db.sink, Snapshot: snap}); err != nil {
 				errs[i] = err
 				return
 			}

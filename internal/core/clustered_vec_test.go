@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // TestClusteredBatchScanEquivalence: a clustered table scanned as batches
@@ -119,10 +121,10 @@ func TestClusteredBatchScanEquivalence(t *testing.T) {
 		strings.Contains(plan, "[c] (est=3000 rows) vectorized") {
 		t.Errorf("row-engine plan: want the aggregate and compute scalar vectorized, the scan not:\n%s", plan)
 	}
-	if st := engines[1].db.ExecStats(); st.Scan.Batches == 0 {
+	if st := engineCounters(engines[1].db); st[obs.ScanBatches] == 0 {
 		t.Error("the vectorized engine scanned the clustered table without batches")
 	}
-	if st := engines[0].db.ExecStats(); st.Scan.Batches != 0 {
+	if st := engineCounters(engines[0].db); st[obs.ScanBatches] != 0 {
 		t.Error("the row engine scanned in batches")
 	}
 	// Rows of an open transaction are visible to it alone.

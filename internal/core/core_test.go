@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/exec"
+	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/sqltypes"
 )
@@ -22,6 +23,10 @@ func openTestDB(t *testing.T) *Database {
 	t.Cleanup(func() { db.Close() })
 	return db
 }
+
+// engineCounters reads the engine-wide counter set; tests assert on
+// named counters of one reading or of the Sub of two.
+func engineCounters(db *Database) obs.Snapshot { return db.sink.Engine.Snapshot() }
 
 func mustExec(t *testing.T, db *Database, sql string) *Result {
 	t.Helper()

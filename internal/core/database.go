@@ -110,11 +110,8 @@ type Database struct {
 	planner    *plan.Planner
 	spill      *storage.SpillManager
 	tstats     *stats.Store
-	execStats  exec.ExecStats
-	scanStats  storage.VecScanStats
 
-	inj   *fault.Injector            // fault-injection registry (nil in production)
-	integ *storage.IntegrityCounters // shared page-checksum counters
+	inj *fault.Injector // fault-injection registry (nil in production)
 
 	// No Options field reaches these four. In-package tests set them after
 	// Open to get the configuration they compare against: threshold and
@@ -128,15 +125,13 @@ type Database struct {
 	noVec       bool  // table scans decode rows and pack them
 	noChecksums bool  // new heaps write legacy (version-0) pages
 
-	// Observability surface: the named gauge registry behind Metrics(),
-	// the query history + slow-query log, engine-event counters, and the
-	// planner's access-path pick counts (one long-lived instance shared
-	// across SetDOP planner rebuilds so the counts stay monotonic).
-	metrics     *obs.Registry
-	qlog        *obs.QueryLog
-	checkpoints atomic.Int64
-	vacuumRuns  atomic.Int64
-	pathPicks   plan.PathPickCounters
+	// Observability surface: sink carries the engine-wide counter set
+	// every layer writes to (statements add their operators' profiles to
+	// it), metrics is the registry over that set behind Metrics(), qlog
+	// the query history + slow-query log.
+	sink    obs.Sink
+	metrics *obs.Registry
+	qlog    *obs.QueryLog
 }
 
 // tableData is the open storage behind one catalog table.
@@ -230,11 +225,11 @@ func Open(dir string, opts Options) (*Database, error) {
 		tstats:     tstats,
 		tm:         newTxnManager(),
 
-		inj:   opts.FaultInjector,
-		integ: &storage.IntegrityCounters{},
+		inj:  opts.FaultInjector,
+		sink: obs.Sink{Engine: new(obs.Counters)},
 	}
 	db.qlog = obs.NewQueryLog(queryHistorySize, defaultSlowLogSize, opts.SlowQueryThreshold)
-	db.metrics = obs.NewRegistry()
+	db.metrics = obs.NewRegistry(db.sink.Engine)
 	db.registerMetrics()
 	db.defaultSess = db.NewSession()
 	db.spill = storage.NewSpillManagerFault(filepath.Join(dir, "tmp"), db.pool, db.inj)
@@ -299,11 +294,6 @@ func (db *Database) Catalog() *catalog.Catalog { return db.cat }
 // DOP returns the configured degree of parallelism.
 func (db *Database) DOP() int { return db.dop }
 
-// PoolStats snapshots the buffer pool counters; safe to call during
-// concurrent queries (the counters are atomics). The benchmarks report
-// per-query hit rates from deltas of this.
-func (db *Database) PoolStats() storage.PoolStats { return db.pool.Stats() }
-
 // newPlanner builds a planner honoring the database's threshold and join
 // overrides.
 func (db *Database) newPlanner(dop int) *plan.Planner {
@@ -315,44 +305,8 @@ func (db *Database) newPlanner(dop int) *plan.Planner {
 	pl.JoinPartitions = db.joinParts
 	pl.SortMemoryBudget = db.sortBudget
 	pl.AggMemoryBudget = db.aggBudget
-	pl.PathPicks = &db.pathPicks
+	pl.Sink = db.sink
 	return pl
-}
-
-// ExecStatsSnapshot is the engine's unified monitoring block: buffer
-// pool counters plus every operator family's spill activity (join
-// partitions, sort runs, aggregate partitions), captured at one instant.
-type ExecStatsSnapshot struct {
-	Pool      storage.PoolStats
-	Join      exec.JoinStatsSnapshot
-	Sort      exec.SortStatsSnapshot
-	Agg       exec.AggStatsSnapshot
-	Scan      storage.VecScanSnapshot
-	Integrity storage.IntegrityStats
-}
-
-// Sub returns the counter deltas since an earlier snapshot.
-func (s ExecStatsSnapshot) Sub(earlier ExecStatsSnapshot) ExecStatsSnapshot {
-	return ExecStatsSnapshot{
-		Pool:      s.Pool.Sub(earlier.Pool),
-		Join:      s.Join.Sub(earlier.Join),
-		Sort:      s.Sort.Sub(earlier.Sort),
-		Agg:       s.Agg.Sub(earlier.Agg),
-		Scan:      s.Scan.Sub(earlier.Scan),
-		Integrity: s.Integrity.Sub(earlier.Integrity),
-	}
-}
-
-// ExecStats snapshots all operator counters and the buffer pool; safe to
-// call during concurrent queries (every counter is an atomic). Benches
-// and tests observe join, sort, aggregate spill and vectorized-scan
-// decode behavior through this single surface.
-func (db *Database) ExecStats() ExecStatsSnapshot {
-	op := db.execStats.Snapshot()
-	return ExecStatsSnapshot{
-		Pool: db.pool.Stats(), Join: op.Join, Sort: op.Sort, Agg: op.Agg,
-		Scan: db.scanStats.Snapshot(), Integrity: db.integ.Snapshot(),
-	}
 }
 
 // TableIntegrity is one table's result from VerifyIntegrity.
@@ -445,7 +399,7 @@ func (db *Database) openTableStorage(def *catalog.Table) error {
 		td.insertSeq = tree.Count()
 	} else {
 		h, err := storage.OpenHeapEnv(db.tablePath(def), def.StorageKinds(), def.StorageWidths(), def.Compression, db.pool,
-			storage.HeapEnv{Injector: db.inj, Integrity: db.integ, DisableChecksums: db.noChecksums})
+			storage.HeapEnv{Injector: db.inj, Sink: db.sink, DisableChecksums: db.noChecksums})
 		if err != nil {
 			return err
 		}
@@ -623,7 +577,7 @@ func (db *Database) checkpointLocked() error {
 			td.insertSeq = td.heap.RowCount()
 		}
 	}
-	db.checkpoints.Add(1)
+	db.sink.Add(obs.Checkpoints, 1)
 	return nil
 }
 
@@ -640,7 +594,7 @@ func (db *Database) compactHeapLocked(td *tableData) error {
 	}
 	live := td.versions.visibleRanges(nil) // all spans resolved: nil = committed
 	var keep []sqltypes.Row
-	it := td.heap.NewVersionIterator(0, 0, true)
+	it := td.heap.NewVersionIterator(0, 0, true, obs.Sink{})
 	ri := 0
 	for {
 		row, idx, ok, err := it.Next()

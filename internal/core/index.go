@@ -14,6 +14,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/expr"
 	"repro/internal/fault"
+	"repro/internal/obs"
 	"repro/internal/sqlparse"
 	"repro/internal/sqltypes"
 	"repro/internal/storage"
@@ -227,7 +228,7 @@ func (db *Database) runCreateIndex(s *Session, ci *sqlparse.CreateIndex) (*Resul
 		src := &exec.Source{
 			Factory: func(*exec.Context) (exec.RowIterator, error) {
 				return &indexEntryIterator{
-					it:   td.heap.NewVersionIterator(lo, hi, includeTail),
+					it:   td.heap.NewVersionIterator(lo, hi, includeTail, obs.Sink{}),
 					cols: cols,
 					cut:  n0,
 				}, nil
@@ -244,7 +245,7 @@ func (db *Database) runCreateIndex(s *Session, ci *sqlparse.CreateIndex) (*Resul
 			defer wg.Done()
 			// Sort.Open drains the partition scan completely, spilling runs
 			// past the budget; phase 2 only streams the merge.
-			errs[i] = sorts[i].Open(&exec.Context{DOP: 1, Stats: &db.execStats})
+			errs[i] = sorts[i].Open(&exec.Context{DOP: 1, Sink: db.sink})
 		}(i)
 	}
 	wg.Wait()
@@ -293,7 +294,7 @@ func (db *Database) runCreateIndex(s *Session, ci *sqlparse.CreateIndex) (*Resul
 	// Delta: rows appended while phase 1 ran. Sorted in memory — the window
 	// is one statement's worth of concurrent inserts.
 	m := td.heap.RowCount()
-	cache := storage.NewHeapFetchCache()
+	cache := storage.NewHeapFetchCache(obs.Sink{})
 	delta := make([][]byte, 0, m-n0)
 	for idx := n0; idx < m; idx++ {
 		row, err := td.heap.FetchRowCached(idx, cache)
@@ -435,7 +436,7 @@ func (db *Database) runDropIndex(di *sqlparse.DropIndex) (*Result, error) {
 // single-threaded recovery.
 func (db *Database) rebuildIndexLocked(td *tableData, ix *indexData) error {
 	var entries [][]byte
-	it := td.heap.NewVersionIterator(0, 0, true)
+	it := td.heap.NewVersionIterator(0, 0, true, obs.Sink{})
 	for {
 		row, idx, ok, err := it.Next()
 		if err != nil {
@@ -597,12 +598,9 @@ func (db *Database) IndexScan(t *catalog.Table, idxName string, lo, hi *sqltypes
 	def := td.def
 	return &exec.Source{
 		Factory: func(ctx *exec.Context) (exec.RowIterator, error) {
-			var snap *Snapshot
-			if ctx != nil {
-				snap, _ = ctx.Snapshot.(*Snapshot)
-			}
+			snap, _ := ctx.Snapshot.(*Snapshot)
 			td.writeMu.RLock()
-			it, err := ix.tree.Seek(startKey, endKey)
+			it, err := ix.tree.SeekT(startKey, endKey, ctx.Sink)
 			if err != nil {
 				td.writeMu.RUnlock()
 				return nil, err
@@ -611,7 +609,7 @@ func (db *Database) IndexScan(t *catalog.Table, idxName string, lo, hi *sqltypes
 				it:     it,
 				td:     td,
 				ranges: td.versions.visibleRanges(snap),
-				cache:  storage.NewHeapFetchCache().SetPoolTally(poolTallyFrom(ctx)),
+				cache:  storage.NewHeapFetchCache(ctx.Sink),
 				locked: true,
 			}), nil
 		},

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/sqltypes"
 	"repro/internal/storage"
 )
@@ -102,7 +103,7 @@ func TestCorruptPageFailsQueryNotDatabase(t *testing.T) {
 	if !errors.Is(qerr, storage.ErrCorruptPage) {
 		t.Fatalf("scan error = %v, want wrapped ErrCorruptPage", qerr)
 	}
-	if n := db.ExecStats().Integrity.ChecksumFailures; n == 0 {
+	if n := engineCounters(db)[obs.ChecksumFailures]; n == 0 {
 		t.Error("checksum failure did not increment the integrity counter")
 	}
 
@@ -162,7 +163,7 @@ func TestLegacyPagesOpenAndUpgrade(t *testing.T) {
 	if res.Rows[0][0].I != 2000 {
 		t.Fatalf("legacy scan count = %d", res.Rows[0][0].I)
 	}
-	if n := db.ExecStats().Integrity.ChecksumFailures; n != 0 {
+	if n := engineCounters(db)[obs.ChecksumFailures]; n != 0 {
 		t.Fatalf("legacy pages reported %d checksum failures", n)
 	}
 

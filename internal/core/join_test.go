@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/sqltypes"
 )
 
@@ -50,7 +51,7 @@ func canonResult(res *Result) []string {
 // TestJoinSpillsAndMatchesInMemory is the end-to-end acceptance check: the
 // same SQL join run with an ample budget and with a budget far smaller
 // than the build side must return identical rows, with spill counters
-// reported via Database.ExecStats, and the temp spill files cleaned up.
+// reported in the engine counters, and the temp spill files cleaned up.
 func TestJoinSpillsAndMatchesInMemory(t *testing.T) {
 	const sql = `SELECT payload, tag FROM reads JOIN aligns ON reads.k = aligns.k WHERE aligns.k < 40`
 	run := func(budget int64) ([]string, *Database) {
@@ -72,16 +73,16 @@ func TestJoinSpillsAndMatchesInMemory(t *testing.T) {
 	}
 
 	inMem, memDB := run(-1) // negative = unlimited
-	if s := memDB.ExecStats().Join; s.SpilledPartitions != 0 {
+	if s := engineCounters(memDB); s[obs.JoinSpilledPartitions] != 0 {
 		t.Fatalf("unlimited budget spilled: %+v", s)
 	}
 
 	spilled, spillDB := run(4 << 10) // 4 KB budget << the ~28 KB build side
-	s := spillDB.ExecStats().Join
-	if s.SpilledPartitions == 0 || s.SpilledBuildRows == 0 || s.SpilledProbeRows == 0 {
+	s := engineCounters(spillDB)
+	if s[obs.JoinSpilledPartitions] == 0 || s[obs.JoinSpilledBuildRows] == 0 || s[obs.JoinSpilledProbeRows] == 0 {
 		t.Fatalf("expected spill activity with 4 KB budget, got %+v", s)
 	}
-	if s.SpillRecursions == 0 {
+	if s[obs.JoinSpillRecursions] == 0 {
 		t.Fatalf("expected spilled partitions to be re-joined, got %+v", s)
 	}
 	if !reflect.DeepEqual(inMem, spilled) {
@@ -108,10 +109,10 @@ func TestJoinStatsAccumulate(t *testing.T) {
 	db.threshold = 256
 	db.SetDOP(2)
 	loadJoinTables(t, db, 1500, 1200, 100)
-	before := db.ExecStats()
+	before := engineCounters(db)
 	mustExec(t, db, `SELECT payload FROM reads JOIN aligns ON reads.k = aligns.k WHERE aligns.k = 1`)
-	delta := db.ExecStats().Sub(before).Join
-	if delta.BuildRows == 0 || delta.ProbeRows == 0 {
+	delta := engineCounters(db).Sub(before)
+	if delta[obs.JoinBuildRows] == 0 || delta[obs.JoinProbeRows] == 0 {
 		t.Fatalf("join counters did not advance: %+v", delta)
 	}
 }

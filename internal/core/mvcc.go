@@ -4,6 +4,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // Multi-version concurrency control.
@@ -442,7 +444,7 @@ func (db *Database) vacuumLoop(stop <-chan struct{}) {
 // all-visible floor. Exposed for tests and benchmarks; the background
 // loop calls it continuously.
 func (db *Database) Vacuum() {
-	db.vacuumRuns.Add(1)
+	db.sink.Add(obs.VacuumRuns, 1)
 	horizon := db.tm.horizon()
 	db.mu.RLock()
 	tds := make([]*tableData, 0, len(db.tables))

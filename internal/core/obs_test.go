@@ -3,15 +3,16 @@ package core
 import (
 	"fmt"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/sqlparse"
+	"repro/internal/sqltypes"
 )
 
 // openJoinDB opens a database tuned so the standard join workload runs
@@ -142,63 +143,6 @@ func TestExplainAnalyzeNonSelect(t *testing.T) {
 	}
 }
 
-// assertZeroStruct recursively checks every numeric field of a struct
-// is zero, naming offenders by path.
-func assertZeroStruct(t *testing.T, v reflect.Value, path string) {
-	t.Helper()
-	switch v.Kind() {
-	case reflect.Struct:
-		for i := 0; i < v.NumField(); i++ {
-			assertZeroStruct(t, v.Field(i), path+"."+v.Type().Field(i).Name)
-		}
-	case reflect.Int, reflect.Int64, reflect.Uint64, reflect.Float64:
-		if v.Convert(reflect.TypeOf(float64(0))).Float() != 0 {
-			t.Errorf("field %s = %v, want 0", path, v)
-		}
-	case reflect.Array, reflect.Slice:
-		for i := 0; i < v.Len(); i++ {
-			assertZeroStruct(t, v.Index(i), fmt.Sprintf("%s[%d]", path, i))
-		}
-	}
-}
-
-// TestExecStatsSnapshotSubComplete is the Sub-audit regression test: on
-// a database whose counters have all been driven (joins, sorts,
-// aggregates, vectorized scans, spills), a snapshot minus itself must
-// zero every field — a field Sub copies instead of subtracting shows up
-// as nonzero — and a warm-minus-cold delta across a no-op window is
-// likewise all zeros.
-func TestExecStatsSnapshotSubComplete(t *testing.T) {
-	db := openJoinDB(t, Options{
-		SortMemoryBudget: 4 << 10,
-		AggMemoryBudget:  4 << 10,
-	})
-	// Drive every operator family, with spills.
-	mustExec(t, db, spillingJoinSQL)
-	mustExec(t, db, `SELECT payload FROM reads ORDER BY payload`)
-	mustExec(t, db, `SELECT k, COUNT(*) FROM reads GROUP BY k`)
-
-	snap := db.ExecStats()
-	if snap.Join.SpilledBuildRows == 0 || snap.Sort.SpilledRows == 0 || snap.Agg.SpilledRows == 0 {
-		t.Fatalf("workload did not drive spill counters: %+v", snap)
-	}
-	if snap.Scan.Rows == 0 || snap.Pool.Hits == 0 {
-		t.Fatalf("workload did not drive scan/pool counters: %+v", snap)
-	}
-	assertZeroStruct(t, reflect.ValueOf(snap.Sub(snap)), "self-delta")
-
-	// Sub against a zero snapshot must reproduce the snapshot exactly —
-	// a field missing from Sub would read back as zero.
-	if got := snap.Sub(ExecStatsSnapshot{}); !reflect.DeepEqual(got, snap) {
-		t.Errorf("Sub(zero) altered the snapshot:\n got %+v\nwant %+v", got, snap)
-	}
-
-	// Warm-minus-cold across a no-op window.
-	a := db.ExecStats()
-	b := db.ExecStats()
-	assertZeroStruct(t, reflect.ValueOf(b.Sub(a)), "noop-delta")
-}
-
 // TestMetricsRegistrySnapshot: the registry exposes the engine counters
 // under stable names and tracks the live values.
 func TestMetricsRegistrySnapshot(t *testing.T) {
@@ -230,9 +174,8 @@ func TestMetricsRegistrySnapshot(t *testing.T) {
 	if m["planner.path_picks.full"] == 0 {
 		t.Error("planner path picks not counted")
 	}
-	stats := db.ExecStats()
-	if m2 := db.Metrics(); m2["exec.join.build_rows"] != stats.Join.BuildRows {
-		t.Errorf("metrics (%d) disagree with ExecStats (%d)", m2["exec.join.build_rows"], stats.Join.BuildRows)
+	if got, want := db.Metrics()["exec.join.build_rows"], engineCounters(db)[obs.JoinBuildRows]; got != want {
+		t.Errorf("metrics (%d) disagree with the engine counters (%d)", got, want)
 	}
 }
 
@@ -282,16 +225,15 @@ func TestQueryHistoryAndSlowLog(t *testing.T) {
 	}
 }
 
-// TestProfilesReconcileWithExecStats is the satellite-3 reconciliation
-// check plus the concurrency soak: N writer sessions and M EXPLAIN
-// ANALYZE readers run together (race-detector clean), registry counters
-// stay monotonic throughout, and on a quiet database the per-operator
-// profile totals of one instrumented query equal the global ExecStats
-// deltas it produced.
-func TestProfilesReconcileWithExecStats(t *testing.T) {
+// TestMetricsMonotonicUnderLoad is the concurrency soak: N writer sessions
+// and M EXPLAIN ANALYZE readers run together (race-detector clean) while a
+// poller checks the registry never goes backwards; then one snapshot is
+// taken while a DOP-4 spilling join is held mid-probe — the build input
+// counted in full, the probe input in part — and must not exceed the final
+// reading.
+func TestMetricsMonotonicUnderLoad(t *testing.T) {
 	db := openJoinDB(t, Options{})
 
-	// Concurrency soak: 3 writers, 2 analyze readers, 1 metrics poller.
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for w := 0; w < 3; w++ {
@@ -347,40 +289,122 @@ func TestProfilesReconcileWithExecStats(t *testing.T) {
 	close(stop)
 	pollWG.Wait()
 
-	// Quiet reconciliation: one instrumented query's profiles must sum to
-	// exactly the ExecStats movement it caused.
-	before := db.ExecStats()
-	res, node := profiledQuery(t, db, spillingJoinSQL, true)
-	delta := db.ExecStats().Sub(before)
+	// hold() passes its argument through; its 1500th call, on one of the
+	// probe-side scan chains, reports and waits, and so does every call
+	// after it until the snapshot is taken.
+	var calls atomic.Int64
+	reached, release := make(chan struct{}), make(chan struct{})
+	db.RegisterScalar("hold", func(args []sqltypes.Value) (sqltypes.Value, error) {
+		if n := calls.Add(1); n == 1500 {
+			close(reached)
+		} else if n < 1500 {
+			return args[0], nil
+		}
+		<-release
+		return args[0], nil
+	})
+	before := db.Metrics()
+	done := make(chan error, 1) // the one send must not block if the test has failed
+	go func() {
+		_, err := db.NewSession().Exec(spillingJoinSQL + ` AND hold(reads.k) >= 0`)
+		done <- err
+	}()
+	<-reached
+	mid := db.Metrics()
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	end := db.Metrics()
+	moved := func(m map[string]int64, name string) int64 { return m[name] - before[name] }
+	// 200 rows of aligns have k < 40; the re-joins of spilled partitions,
+	// which build again, come after the probe.
+	if got := moved(mid, "exec.join.build_rows"); got != 200 {
+		t.Errorf("mid-probe: %d build rows counted, want the build input's 200", got)
+	}
+	if got, all := moved(mid, "exec.join.probe_rows"), moved(end, "exec.join.probe_rows"); got <= 0 || got >= all {
+		t.Errorf("mid-probe: %d of %d probe rows counted, want some and not all", got, all)
+	}
+	for name, v := range mid {
+		if v > end[name] {
+			t.Errorf("metric %s read %d mid-probe and %d afterwards", name, v, end[name])
+		}
+	}
+}
 
-	var rows, spillRows, spillRuns, bloomChecks, bloomDrops int64
-	for _, p := range collectProfiles(node) {
-		rows += p.Rows.Load()
-		spillRows += p.SpillRows.Load()
-		spillRuns += p.SpillRuns.Load()
-		bloomChecks += p.BloomChecks.Load()
-		bloomDrops += p.BloomDrops.Load()
+// TestProfilesAccountForPoolTraffic: on a quiet database the profiles of a
+// statement's plan add up to the buffer-pool traffic it caused — btree
+// descents and leaf walks, heap fetches behind an index and the re-read of
+// spilled join partitions included — and the nodes that did the reading say
+// so in EXPLAIN ANALYZE.
+func TestProfilesAccountForPoolTraffic(t *testing.T) {
+	db, err := Open(filepath.Join(t.TempDir(), "db"), Options{DOP: 1, JoinMemoryBudget: 4 << 10})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if rows == 0 {
-		t.Fatal("no profile rows recorded")
+	t.Cleanup(func() { db.Close() })
+	db.joinParts = 2 // spilled partitions of several pages: their re-read goes through the pool
+	db.SetDOP(1)
+	loadJoinTables(t, db, 3000, 2500, 500)
+	mustExec(t, db, `CREATE TABLE lreads (r_id BIGINT NOT NULL PRIMARY KEY CLUSTERED, seq VARCHAR(40))`)
+	mustExec(t, db, `CREATE TABLE laligns (a_r_id BIGINT NOT NULL, a_id BIGINT NOT NULL, a_pos BIGINT, PRIMARY KEY CLUSTERED (a_r_id, a_id))`)
+	mustExec(t, db, `CREATE TABLE hits (h_pos BIGINT, h_tag VARCHAR(20))`)
+	const n = 4096
+	lreads, laligns, hits := make([]sqltypes.Row, n), make([]sqltypes.Row, n), make([]sqltypes.Row, n)
+	for i := range lreads {
+		lreads[i] = sqltypes.Row{sqltypes.NewInt(int64(i)), sqltypes.NewString("ACGTACGTACGTACGTACGT")}
+		laligns[i] = sqltypes.Row{sqltypes.NewInt(int64(i)), sqltypes.NewInt(int64(i)), sqltypes.NewInt(int64(i * 3))}
+		hits[i] = sqltypes.Row{sqltypes.NewInt(int64(i * 7919 % n * 3)), sqltypes.NewString(fmt.Sprintf("hit-%d", i))}
 	}
-	if root := node.Prof; root == nil || root.Rows.Load() != int64(len(res.Rows)) {
-		t.Errorf("root profile rows != result rows (%d)", len(res.Rows))
+	for i, rows := range [][]sqltypes.Row{lreads, laligns, hits} {
+		if err := db.InsertRows([]string{"lreads", "laligns", "hits"}[i], rows); err != nil {
+			t.Fatal(err)
+		}
 	}
-	wantSpillRows := delta.Join.SpilledBuildRows + delta.Join.SpilledProbeRows +
-		delta.Sort.SpilledRows + delta.Agg.SpilledRows
-	if spillRows != wantSpillRows {
-		t.Errorf("profile spill rows = %d, ExecStats delta = %d", spillRows, wantSpillRows)
-	}
-	wantRuns := delta.Join.SpilledPartitions + delta.Sort.Runs + delta.Agg.SpilledPartitions
-	if spillRuns != wantRuns {
-		t.Errorf("profile spill runs = %d, ExecStats delta = %d", spillRuns, wantRuns)
-	}
-	if bloomChecks != delta.Join.BloomChecks || bloomDrops != delta.Join.BloomDrops {
-		t.Errorf("profile bloom %d/%d, ExecStats delta %d/%d",
-			bloomChecks, bloomDrops, delta.Join.BloomChecks, delta.Join.BloomDrops)
-	}
-	if spillRows == 0 || bloomChecks == 0 {
-		t.Errorf("query did not exercise spill (%d) / bloom (%d)", spillRows, bloomChecks)
+	mustExec(t, db, `CHECKPOINT`)
+	mustExec(t, db, `CREATE INDEX idx_hpos ON hits(h_pos)`)
+	mustExec(t, db, `ANALYZE TABLE hits`)
+
+	for _, c := range []struct {
+		sql   string
+		nodes []string // plan lines that must carry a pool: detail line
+	}{
+		{`SELECT COUNT(*) FROM lreads JOIN laligns ON lreads.r_id = laligns.a_r_id`, []string{"Clustered Index Scan"}},
+		{`SELECT COUNT(*) FROM hits WHERE h_pos = 3000`, []string{"Index Scan"}},
+		{`SELECT payload, tag FROM reads JOIN aligns ON reads.k = aligns.k`, []string{"Hash Match (Partitioned Inner Join)", "Table Scan"}},
+	} {
+		if c.nodes[0] == "Clustered Index Scan" {
+			if plan := mustExec(t, db, "EXPLAIN "+c.sql).Plan; !strings.Contains(plan, "Merge Join") {
+				t.Fatalf("%s is not a merge join:\n%s", c.sql, plan)
+			}
+		}
+		before := db.Metrics()
+		res, node := profiledQuery(t, db, c.sql, false)
+		after := db.Metrics()
+		var attributed int64
+		for _, p := range collectProfiles(node) {
+			attributed += p.Get(obs.PoolHits) + p.Get(obs.PoolMisses)
+		}
+		caused := after["pool.hits"] + after["pool.misses"] - before["pool.hits"] - before["pool.misses"]
+		if attributed != caused || caused == 0 {
+			t.Errorf("%s: profiles account for %d pool reads, the statement caused %d", c.sql, attributed, caused)
+		}
+		lines := strings.Split(node.ExplainAnalyze(0, int64(len(res.Rows))), "\n")
+		for _, op := range c.nodes {
+			found := false
+			for i, line := range lines[:len(lines)-1] {
+				if strings.Contains(line, "|--"+op) {
+					for _, detail := range lines[i+1:] {
+						if strings.Contains(detail, "|--") {
+							break
+						}
+						found = found || strings.Contains(detail, "pool: ")
+					}
+				}
+			}
+			if !found {
+				t.Errorf("%s: no pool: line under %s:\n%s", c.sql, op, strings.Join(lines, "\n"))
+			}
+		}
 	}
 }

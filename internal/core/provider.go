@@ -7,6 +7,7 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/exec"
 	"repro/internal/expr"
+	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/sqltypes"
 	"repro/internal/stats"
@@ -111,17 +112,6 @@ func (db *Database) TableStatistics(name string) *stats.TableStats {
 	return db.Stats(def)
 }
 
-// poolTallyFrom builds the buffer-pool attribution tally for the
-// profile of the query operator the context belongs to (nil when the
-// statement runs uninstrumented — pool reads then count only in the
-// global pool stats).
-func poolTallyFrom(ctx *exec.Context) *storage.PoolTally {
-	if ctx == nil || ctx.Prof == nil {
-		return nil
-	}
-	return &storage.PoolTally{Hits: &ctx.Prof.PoolHits, Misses: &ctx.Prof.PoolMisses}
-}
-
 // spillStore adapts the storage spill manager to the operator-layer
 // contract (exec names the interfaces, storage owns the file lifecycle).
 type spillStore struct{ m *storage.SpillManager }
@@ -147,7 +137,7 @@ func (s spillStore) CreateRun() (exec.SpillFile, error) {
 	return spillFile{f}, nil
 }
 
-func (f spillFile) Iter() (exec.RowIterator, error) { return f.NewIterator(), nil }
+func (f spillFile) Iter(sink obs.Sink) (exec.RowIterator, error) { return f.NewIterator(sink), nil }
 
 // SealRun and IterRun satisfy exec.MultiRunFile: the external sort packs
 // every run of one operator into a single temp file.
@@ -347,8 +337,7 @@ func (db *Database) ScanPartitionsPruned(t *catalog.Table, parts int, filters []
 			if !vectorized {
 				ops = append(ops, &exec.Source{Factory: func(ctx *exec.Context) (exec.RowIterator, error) {
 					snap, _ := ctx.Snapshot.(*Snapshot)
-					it := tdc.heap.NewVersionIterator(lo, hi, includeTail).
-						SetZoneFilters(filters, &db.scanStats).SetPoolTally(poolTallyFrom(ctx))
+					it := tdc.heap.NewVersionIterator(lo, hi, includeTail, ctx.Sink).SetZoneFilters(filters)
 					return db.wrapIterator(def, &visibleHeapIterator{it: it, ranges: tdc.versions.visibleRanges(snap)}), nil
 				}})
 				continue
@@ -356,8 +345,7 @@ func (db *Database) ScanPartitionsPruned(t *catalog.Table, parts int, filters []
 			ops = append(ops, &exec.Scan{Factory: func(ctx *exec.Context) (exec.BatchIterator, error) {
 				snap, _ := ctx.Snapshot.(*Snapshot)
 				return &visibleBatchIterator{
-					bi: tdc.heap.NewBatchIterator(lo, hi, includeTail, &db.scanStats).
-						SetZoneFilters(filters).SetPoolTally(poolTallyFrom(ctx)),
+					bi:      tdc.heap.NewBatchIterator(lo, hi, includeTail, ctx.Sink).SetZoneFilters(filters),
 					ranges:  tdc.versions.visibleRanges(snap),
 					seqCols: seqCols,
 				}, nil
@@ -394,7 +382,7 @@ type treeIterator struct {
 	it      *btree.Iterator
 	td      *tableData
 	snap    *Snapshot
-	stats   *storage.VecScanStats
+	sink    obs.Sink
 	seqCols []int
 	locked  bool
 
@@ -465,7 +453,7 @@ func (ti *treeIterator) NextBatch() (*vec.Batch, error) {
 		return nil, nil
 	}
 	ti.sizeHint = len(payload)
-	cols, err := ti.td.walCodec.LazyRows(payload, n, ti.ends, ti.stats)
+	cols, err := ti.td.walCodec.LazyRows(payload, n, ti.ends, ti.sink)
 	if err != nil {
 		return nil, err
 	}
@@ -473,8 +461,8 @@ func (ti *treeIterator) NextBatch() (*vec.Batch, error) {
 	for _, c := range ti.seqCols {
 		cols[c].Packed = true
 	}
-	ti.stats.Batches.Add(1)
-	ti.stats.Rows.Add(int64(n))
+	ti.sink.Add(obs.ScanBatches, 1)
+	ti.sink.Add(obs.ScanRows, int64(n))
 	return vec.NewBatch(cols, n), nil
 }
 
@@ -510,17 +498,14 @@ func (db *Database) OrderedScanRange(t *catalog.Table, lo, hi *sqltypes.Value) (
 	}
 	seqCols := sequenceColumns(td.def)
 	open := func(ctx *exec.Context) (*treeIterator, error) {
-		var snap *Snapshot
-		if ctx != nil {
-			snap, _ = ctx.Snapshot.(*Snapshot)
-		}
+		snap, _ := ctx.Snapshot.(*Snapshot)
 		td.writeMu.RLock()
-		it, err := td.tree.Seek(startKey, endKey)
+		it, err := td.tree.SeekT(startKey, endKey, ctx.Sink)
 		if err != nil {
 			td.writeMu.RUnlock()
 			return nil, err
 		}
-		return &treeIterator{it: it, td: td, snap: snap, stats: &db.scanStats, seqCols: seqCols, locked: true}, nil
+		return &treeIterator{it: it, td: td, snap: snap, sink: ctx.Sink, seqCols: seqCols, locked: true}, nil
 	}
 	if db.noVec {
 		return &exec.Source{Factory: func(ctx *exec.Context) (exec.RowIterator, error) { return open(ctx) }}, nil

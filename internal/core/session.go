@@ -261,7 +261,7 @@ func (s *Session) statementSnapshot() (*Snapshot, func()) {
 // execContext builds the per-query execution context: the configured DOP,
 // the engine-wide operator counters, and the statement's snapshot.
 func (db *Database) execContext(snap *Snapshot) *exec.Context {
-	return &exec.Context{DOP: db.dop, Stats: &db.execStats, Snapshot: snap}
+	return &exec.Context{DOP: db.dop, Sink: db.sink, Snapshot: snap}
 }
 
 // runSelectProfiled plans, instruments and executes a SELECT, returning
@@ -717,7 +717,7 @@ func (db *Database) ScanTableNoLock(table string, fn func(sqltypes.Row) error) e
 		return err
 	}
 	op := ops[0]
-	if err := op.Open(&exec.Context{DOP: 1, Stats: &db.execStats}); err != nil {
+	if err := op.Open(&exec.Context{DOP: 1, Sink: db.sink}); err != nil {
 		return err
 	}
 	defer op.Close()

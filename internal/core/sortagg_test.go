@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/sqltypes"
 )
 
@@ -72,15 +73,15 @@ func TestSortSpillsAndMatchesInMemory(t *testing.T) {
 		t.Fatalf("expected parallel sort plan:\n%s", explain.Plan)
 	}
 	inMem := ordered(mustExec(t, inMemDB, sql))
-	if s := inMemDB.ExecStats().Sort; s.Runs != 0 {
+	if s := engineCounters(inMemDB); s[obs.SortRuns] != 0 {
 		t.Fatalf("unlimited budget spilled runs: %+v", s)
 	}
 
 	spillDB := openSortAggDB(t, 8<<10, -1, 6000)
 	spilledRes := mustExec(t, spillDB, sql)
 	spilled := ordered(spilledRes)
-	s := spillDB.ExecStats().Sort
-	if s.Runs == 0 || s.SpilledRows == 0 || s.SpilledBytes == 0 {
+	s := engineCounters(spillDB)
+	if s[obs.SortRuns] == 0 || s[obs.SortSpilledRows] == 0 || s[obs.SortSpilledBytes] == 0 {
 		t.Fatalf("8 KB sort budget did not spill: %+v", s)
 	}
 	if !reflect.DeepEqual(inMem, spilled) {
@@ -120,14 +121,14 @@ func TestAggregateSpillsAndMatchesInMemory(t *testing.T) {
 		t.Fatalf("expected partial/final aggregate plan:\n%s", explain.Plan)
 	}
 	inMem := canonResult(mustExec(t, inMemDB, sql))
-	if s := inMemDB.ExecStats().Agg; s.SpilledPartitions != 0 {
+	if s := engineCounters(inMemDB); s[obs.AggSpilledPartitions] != 0 {
 		t.Fatalf("unlimited budget spilled: %+v", s)
 	}
 
 	spillDB := openSortAggDB(t, -1, 4<<10, 6000)
 	spilled := canonResult(mustExec(t, spillDB, sql))
-	s := spillDB.ExecStats().Agg
-	if s.SpilledPartitions == 0 || s.SpilledRows == 0 || s.SpillRecursions == 0 {
+	s := engineCounters(spillDB)
+	if s[obs.AggSpilledPartitions] == 0 || s[obs.AggSpilledRows] == 0 || s[obs.AggSpillRecursions] == 0 {
 		t.Fatalf("4 KB agg budget did not spill: %+v", s)
 	}
 	if !reflect.DeepEqual(inMem, spilled) {
@@ -145,7 +146,7 @@ func TestAggregateSpillsAndMatchesInMemory(t *testing.T) {
 	if !reflect.DeepEqual(inMem, serial) {
 		t.Fatal("DOP 1 spilled aggregate differs from in-memory")
 	}
-	if s := serialDB.ExecStats().Agg; s.SpilledPartitions == 0 {
+	if s := engineCounters(serialDB); s[obs.AggSpilledPartitions] == 0 {
 		t.Fatalf("DOP 1 aggregate did not spill: %+v", s)
 	}
 }
@@ -159,7 +160,7 @@ func TestRowNumberSpillsAndMatches(t *testing.T) {
 
 	spillDB := openSortAggDB(t, 8<<10, -1, 4000)
 	spilled := ordered(mustExec(t, spillDB, sql))
-	if s := spillDB.ExecStats().Sort; s.Runs == 0 {
+	if s := engineCounters(spillDB); s[obs.SortRuns] == 0 {
 		t.Fatalf("row-number sort did not spill: %+v", s)
 	}
 	if !reflect.DeepEqual(inMem, spilled) {
@@ -167,21 +168,21 @@ func TestRowNumberSpillsAndMatches(t *testing.T) {
 	}
 }
 
-// TestExecStatsUnifiedSurface: one snapshot covers pool, join, sort and
+// TestCountersUnifiedSurface: one snapshot covers pool, join, sort and
 // aggregate counters, and deltas accumulate across queries.
-func TestExecStatsUnifiedSurface(t *testing.T) {
+func TestCountersUnifiedSurface(t *testing.T) {
 	db := openSortAggDB(t, 8<<10, 4<<10, 6000)
-	before := db.ExecStats()
+	before := engineCounters(db)
 	mustExec(t, db, `SELECT k FROM events ORDER BY k`)
 	mustExec(t, db, `SELECT grp, COUNT(*) FROM events GROUP BY grp`)
-	d := db.ExecStats().Sub(before)
-	if d.Sort.Sorts == 0 || d.Sort.Runs == 0 {
-		t.Fatalf("sort counters did not advance: %+v", d.Sort)
+	d := engineCounters(db).Sub(before)
+	if d[obs.SortSorts] == 0 || d[obs.SortRuns] == 0 {
+		t.Fatalf("sort counters did not advance: %+v", d)
 	}
-	if d.Agg.SpilledPartitions == 0 {
-		t.Fatalf("agg counters did not advance: %+v", d.Agg)
+	if d[obs.AggSpilledPartitions] == 0 {
+		t.Fatalf("agg counters did not advance: %+v", d)
 	}
-	if d.Pool.Hits+d.Pool.Misses == 0 {
-		t.Fatalf("pool counters did not advance: %+v", d.Pool)
+	if d[obs.PoolHits]+d[obs.PoolMisses] == 0 {
+		t.Fatalf("pool counters did not advance: %+v", d)
 	}
 }

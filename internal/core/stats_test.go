@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/sqltypes"
 )
 
@@ -229,7 +230,7 @@ func TestExplainBuildSideFlipsAfterAnalyze(t *testing.T) {
 
 // TestJoinBloomCountersThroughSQL: the Bloom filter engages on a skewed
 // SQL join (build keys are a small subset of probe keys) and its drops
-// surface in ExecStats.
+// surface in the engine counters.
 func TestJoinBloomCountersThroughSQL(t *testing.T) {
 	db, err := Open(filepath.Join(t.TempDir(), "db"), Options{DOP: 2})
 	if err != nil {
@@ -252,14 +253,14 @@ func TestJoinBloomCountersThroughSQL(t *testing.T) {
 	if err := db.InsertRows("build", rows); err != nil {
 		t.Fatal(err)
 	}
-	before := db.ExecStats()
+	before := engineCounters(db)
 	res := mustExec(t, db, `SELECT COUNT(*) FROM probe JOIN build ON probe.k = build.k`)
 	if res.Rows[0][0].I != 3000 { // every build row matches exactly one probe row
 		t.Fatalf("join count = %v", res.Rows)
 	}
-	d := db.ExecStats().Sub(before).Join
-	if d.BloomChecks == 0 || d.BloomDrops == 0 {
-		t.Fatalf("expected bloom activity: checks=%d drops=%d", d.BloomChecks, d.BloomDrops)
+	d := engineCounters(db).Sub(before)
+	if d[obs.JoinBloomChecks] == 0 || d[obs.JoinBloomDrops] == 0 {
+		t.Fatalf("expected bloom activity: checks=%d drops=%d", d[obs.JoinBloomChecks], d[obs.JoinBloomDrops])
 	}
 }
 

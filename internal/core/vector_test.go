@@ -7,6 +7,8 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // vecFuzzColumn is one randomly-generated column of the fuzz schema.
@@ -311,10 +313,10 @@ func TestVectorizedRowEquivalenceFuzz(t *testing.T) {
 			}
 
 			// The vectorized engines actually ran the batch path.
-			if st := engines[0].db.ExecStats(); st.Scan.Batches == 0 {
+			if st := engineCounters(engines[0].db); st[obs.ScanBatches] == 0 {
 				t.Fatal("vectorized engine processed no batches")
 			}
-			if st := engines[2].db.ExecStats(); st.Scan.Batches != 0 {
+			if st := engineCounters(engines[2].db); st[obs.ScanBatches] != 0 {
 				t.Fatal("row-only engine processed batches")
 			}
 		})
@@ -357,25 +359,25 @@ func TestVectorizedExplainAndScanStats(t *testing.T) {
 		}
 	}
 
-	before := db.ExecStats()
+	before := engineCounters(db)
 	out := mustExec(t, db, `SELECT COUNT(*) FROM reads WHERE flow = 'run_b'`)
 	if got := out.Rows[0][0].I; got != int64(n/len(flows)) {
 		t.Fatalf("count = %d, want %d", got, n/len(flows))
 	}
-	d := db.ExecStats().Sub(before)
-	if d.Scan.Batches == 0 || d.Scan.Rows == 0 {
-		t.Fatalf("no vectorized scan activity: %+v", d.Scan)
+	d := engineCounters(db).Sub(before)
+	if d[obs.ScanBatches] == 0 || d[obs.ScanRows] == 0 {
+		t.Fatalf("no vectorized scan activity: %+v", d)
 	}
 	// The flow column is dictionary-encoded on sealed pages: it costs
 	// O(dictionary entries) per page, never a per-row decode. The row path
 	// decodes every cell (3·rows); here only the two non-dictionary
 	// columns plus the in-memory tail decode per-cell, so total cell
 	// decodes must stay well under 3·rows.
-	if d.Scan.ValuesDecoded+d.Scan.DictEntriesDecoded >= d.Scan.Rows*5/2 {
+	if d[obs.ScanValuesDecoded]+d[obs.ScanDictEntriesDecoded] >= d[obs.ScanRows]*5/2 {
 		t.Fatalf("decoded %d values + %d dict entries for %d scanned rows — the dictionary column was decompressed per-row",
-			d.Scan.ValuesDecoded, d.Scan.DictEntriesDecoded, d.Scan.Rows)
+			d[obs.ScanValuesDecoded], d[obs.ScanDictEntriesDecoded], d[obs.ScanRows])
 	}
-	if d.Scan.DictEntriesDecoded == 0 {
+	if d[obs.ScanDictEntriesDecoded] == 0 {
 		t.Fatal("no dictionary entries decoded — pages were not dictionary-encoded")
 	}
 }

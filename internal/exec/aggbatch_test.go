@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/expr"
+	"repro/internal/obs"
 	"repro/internal/sqltypes"
 	"repro/internal/vec"
 )
@@ -167,10 +168,10 @@ func TestAggregationMatchesOracle(t *testing.T) {
 				return out
 			}
 			t.Run(keyName+"/"+formName, func(t *testing.T) {
-				check := func(name string, op Operator, want []sqltypes.Row, ordered bool, dop int) *ExecStats {
+				check := func(name string, op Operator, want []sqltypes.Row, ordered bool, dop int) *obs.Counters {
 					t.Helper()
-					stats := &ExecStats{}
-					got, err := Run(&Context{DOP: dop, Stats: stats}, op)
+					stats := new(obs.Counters)
+					got, err := Run(&Context{DOP: dop, Sink: obs.Sink{Engine: stats}}, op)
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}
@@ -200,7 +201,7 @@ func TestAggregationMatchesOracle(t *testing.T) {
 						grouped := len(groupBy) > 0
 						// One byte of budget freezes all 4 partitions of every
 						// worker's table, and more at the levels below.
-						if spilled := stats.Agg.SpilledPartitions.Load(); grouped && budget > 0 && spilled < int64(4*dop) {
+						if spilled := stats.Get(obs.AggSpilledPartitions); grouped && budget > 0 && spilled < int64(4*dop) {
 							t.Errorf("%s: %d partitions frozen, want at least all %d of the first level", name, spilled, 4*dop)
 						} else if (!grouped || budget == 0) && spilled != 0 {
 							t.Errorf("%s: %d partitions frozen without a budget to exceed", name, spilled)

@@ -44,8 +44,7 @@ type aggTable struct {
 	level  int
 	budget int64 // 0 = unlimited
 	spill  SpillStore
-	stats  *AggStats
-	prof   *obs.OpProfile
+	sink   obs.Sink
 
 	keys   []*vec.Vector // one flat column per group-by expression
 	hashes []uint64      // the key hash of every group
@@ -68,15 +67,14 @@ type aggTable struct {
 	keyBuf  [2][]byte
 }
 
-func newAggTable(groupBy []expr.Expr, aggs []AggSpec, parts, level int, budget int64, spill SpillStore, stats *AggStats, prof *obs.OpProfile) *aggTable {
+func newAggTable(groupBy []expr.Expr, aggs []AggSpec, parts, level int, budget int64, spill SpillStore, sink obs.Sink) *aggTable {
 	t := &aggTable{
 		feed:      newAggFeed(groupBy, aggs),
 		parts:     parts,
 		level:     level,
 		budget:    budget,
 		spill:     spill,
-		stats:     stats,
-		prof:      prof,
+		sink:      sink,
 		keys:      make([]*vec.Vector, len(groupBy)),
 		partBytes: make([]int64, parts),
 		frozen:    make([]bool, parts),
@@ -223,10 +221,7 @@ func (t *aggTable) consume(b *vec.Batch) error {
 		rows[n], gids[n] = r, g
 		n++
 	}
-	if d := int64(len(rows) - n); d > 0 {
-		t.stats.SpilledRows.Add(d)
-		t.prof.AddSpill(0, 0, d)
-	}
+	t.sink.Add(obs.AggSpilledRows, int64(len(rows)-n))
 	if n == 0 {
 		return nil
 	}
@@ -299,8 +294,7 @@ func (t *aggTable) freezeLargest() error {
 	t.files[victim] = f
 	t.frozen[victim] = true
 	t.nFrozen++
-	t.stats.SpilledPartitions.Add(1)
-	t.prof.AddSpill(0, 1, 0)
+	t.sink.Add(obs.AggSpilledPartitions, 1)
 	return nil
 }
 
@@ -457,12 +451,12 @@ func (d *aggDrain) next() (groupRef, bool, error) {
 // then the retained states merge in. Past the depth cap the table runs
 // unbudgeted — all remaining rows share keys no hash can split.
 func (t *aggTable) reaggregate(part spilledPart) (*aggDrain, error) {
-	t.stats.SpillRecursions.Add(1)
+	t.sink.Add(obs.AggSpillRecursions, 1)
 	budget := t.budget
 	if t.level+1 >= maxAggSpillDepth {
 		budget = 0
 	}
-	sub := newAggTable(t.feed.groupBy, t.feed.specs, t.parts, t.level+1, budget, t.spill, t.stats, t.prof)
+	sub := newAggTable(t.feed.groupBy, t.feed.specs, t.parts, t.level+1, budget, t.spill, t.sink)
 	fail := func(err error) (*aggDrain, error) {
 		for _, f := range part.files {
 			if f != nil {
@@ -473,9 +467,8 @@ func (t *aggTable) reaggregate(part spilledPart) (*aggDrain, error) {
 		return nil, err
 	}
 	for fi, f := range part.files {
-		t.stats.SpilledBytes.Add(f.Bytes())
-		t.prof.AddSpill(f.Bytes(), 0, 0)
-		it, err := f.Iter()
+		t.sink.Add(obs.AggSpilledBytes, f.Bytes())
+		it, err := f.Iter(t.sink)
 		if err != nil {
 			return fail(err)
 		}
@@ -553,7 +546,6 @@ type SpillableAggregate struct {
 // Open drains the input(s) into budgeted partial tables and prepares the
 // merged drain.
 func (a *SpillableAggregate) Open(ctx *Context) error {
-	stats := &statsFrom(ctx).Agg
 	parts := a.Partitions
 	if parts < 1 {
 		parts = DefaultAggPartitions
@@ -573,7 +565,7 @@ func (a *SpillableAggregate) Open(ctx *Context) error {
 	errs := make([]error, len(inputs))
 	var wg sync.WaitGroup
 	for i, in := range inputs {
-		tables[i] = newAggTable(a.GroupBy, a.Aggs, parts, a.Level, budget, a.Spill, stats, profFrom(ctx))
+		tables[i] = newAggTable(a.GroupBy, a.Aggs, parts, a.Level, budget, a.Spill, ctx.Sink)
 		if len(inputs) == 1 {
 			errs[i] = drainIntoTable(ctx, in, tables[i])
 			break

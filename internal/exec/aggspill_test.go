@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/expr"
+	"repro/internal/obs"
 	"repro/internal/sqltypes"
 )
 
@@ -72,23 +73,23 @@ func TestSpillableAggregateMatchesHashAggregate(t *testing.T) {
 			} else {
 				a.Child = NewValues(input)
 			}
-			stats := &ExecStats{}
-			rows, err := Run(&Context{DOP: 4, Stats: stats}, a)
+			stats := new(obs.Counters)
+			rows, err := Run(&Context{DOP: 4, Sink: obs.Sink{Engine: stats}}, a)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got := canonRows(rows); !reflect.DeepEqual(got, want) {
 				t.Fatalf("result differs from HashAggregate: %d vs %d groups", len(got), len(want))
 			}
-			spilledParts := stats.Agg.SpilledPartitions.Load()
+			spilledParts := stats.Get(obs.AggSpilledPartitions)
 			if tc.wantSpill && spilledParts == 0 {
 				t.Fatalf("budget %d did not spill any partitions", tc.budget)
 			}
 			if !tc.wantSpill && spilledParts != 0 {
 				t.Fatalf("unlimited budget spilled %d partitions", spilledParts)
 			}
-			if tc.wantSpill && (stats.Agg.SpilledRows.Load() == 0 || stats.Agg.SpillRecursions.Load() == 0) {
-				t.Fatalf("spill counters did not advance: %+v", stats.Agg.Snapshot())
+			if tc.wantSpill && (stats.Get(obs.AggSpilledRows) == 0 || stats.Get(obs.AggSpillRecursions) == 0) {
+				t.Fatalf("spill counters did not advance: %+v", stats.Snapshot())
 			}
 		})
 	}
@@ -106,7 +107,7 @@ func TestSpillableAggregateSkewDepthCap(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		input = append(input, sqltypes.Row{i64(int64(100 + i)), i64(1), str("y")})
 	}
-	stats := &ExecStats{}
+	stats := new(obs.Counters)
 	a := &SpillableAggregate{
 		GroupBy:      []expr.Expr{col(0)},
 		Aggs:         []AggSpec{{Name: "COUNT", Factory: BuiltinAggregate("count")}},
@@ -115,7 +116,7 @@ func TestSpillableAggregateSkewDepthCap(t *testing.T) {
 		MemoryBudget: 1, // freeze immediately: everything spills
 		Spill:        newTestSpillStore(t),
 	}
-	rows, err := Run(&Context{DOP: 1, Stats: stats}, a)
+	rows, err := Run(&Context{DOP: 1, Sink: obs.Sink{Engine: stats}}, a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,8 +128,8 @@ func TestSpillableAggregateSkewDepthCap(t *testing.T) {
 			t.Fatalf("hot key count = %d, want 3000", r[1].I)
 		}
 	}
-	if stats.Agg.SpillRecursions.Load() == 0 {
-		t.Fatalf("expected recursive re-aggregation, got %+v", stats.Agg.Snapshot())
+	if stats.Get(obs.AggSpillRecursions) == 0 {
+		t.Fatalf("expected recursive re-aggregation, got %+v", stats.Snapshot())
 	}
 }
 

@@ -34,21 +34,20 @@ import (
 type Context struct {
 	// DOP is the degree of parallelism granted to parallel operators.
 	DOP int
-	// Stats, when non-nil, accumulates operator counters (join, sort and
-	// aggregate spill activity) for the engine's monitoring surface.
-	Stats *ExecStats
+	// Sink is where operators, and the scans, fetches, seeks and spill
+	// reads below them, write their events (obs states the contract):
+	// Sink.Engine is the engine-wide counter set the session layer put
+	// there, Sink.Prof the profile of the nearest enclosing instrumented
+	// plan operator — Instrument swaps it on the Context it hands its
+	// child, so work deep inside a subtree counts on the right plan node.
+	// Either may be nil; the zero Sink counts nothing.
+	Sink obs.Sink
 	// Snapshot is the engine's opaque MVCC visibility token. The session
 	// layer sets it when a statement runs under snapshot isolation; scan
 	// factories type-assert it back to filter row versions. Operators
 	// must thread the same Context down to their sources. nil means
 	// "latest committed" (recovery, TVF side scans).
 	Snapshot any
-	// Prof, when non-nil, is the profile of the nearest enclosing
-	// instrumented plan operator. Instrument wrappers set it on the
-	// Context they pass to their child, so spill/Bloom/pool activity
-	// deep inside an operator subtree attributes to the right plan node.
-	// All obs.OpProfile methods are nil-safe; tee sites use profFrom.
-	Prof *obs.OpProfile
 }
 
 // RowIterator is a row stream: what a table-valued function, an index scan

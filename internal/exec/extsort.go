@@ -82,8 +82,7 @@ type extSorter struct {
 	by     []SortKey
 	budget int64
 	spill  SpillStore
-	stats  *SortStats
-	prof   *obs.OpProfile
+	sink   obs.Sink
 
 	rows   []sqltypes.Row
 	keys   []sqltypes.Row
@@ -121,8 +120,8 @@ func (s *runSorter) Less(i, j int) bool {
 	return s.seqs[i] < s.seqs[j]
 }
 
-func newExtSorter(by []SortKey, budget int64, spill SpillStore, stats *SortStats, prof *obs.OpProfile) *extSorter {
-	return &extSorter{by: by, budget: budget, spill: spill, stats: stats, prof: prof}
+func newExtSorter(by []SortKey, budget int64, spill SpillStore, sink obs.Sink) *extSorter {
+	return &extSorter{by: by, budget: budget, spill: spill, sink: sink}
 }
 
 // Add buffers one row (cloned) with its evaluated sort key, spilling a
@@ -199,10 +198,9 @@ func (s *extSorter) spillRun() error {
 		s.runs = append(s.runs, f)
 		runBytes = f.Bytes()
 	}
-	s.stats.SpilledBytes.Add(runBytes)
-	s.stats.Runs.Add(1)
-	s.stats.SpilledRows.Add(int64(len(s.rows)))
-	s.prof.AddSpill(runBytes, 1, int64(len(s.rows)))
+	s.sink.Add(obs.SortSpilledBytes, runBytes)
+	s.sink.Add(obs.SortRuns, 1)
+	s.sink.Add(obs.SortSpilledRows, int64(len(s.rows)))
 	for i := range s.rows {
 		s.rows[i], s.keys[i] = nil, nil // release references, keep capacity
 	}
@@ -250,7 +248,7 @@ func (it *keyedSliceIterator) Close() error { return nil }
 // over the runs plus the sorted in-memory tail (which holds the latest
 // input rows and therefore merges with the highest tie-break index).
 func (s *extSorter) Finish() (RowIterator, error) {
-	s.stats.Sorts.Add(1)
+	s.sink.Add(obs.SortSorts, 1)
 	s.sortBuffer()
 	if len(s.runs) == 0 && len(s.spans) == 0 {
 		return &keyedSliceIterator{rows: s.rows, keys: s.keys}, nil
@@ -264,7 +262,7 @@ func (s *extSorter) Finish() (RowIterator, error) {
 		cursors = append(cursors, &streamCursor{next: it.Next, by: s.by})
 	}
 	for _, f := range s.runs {
-		it, err := f.Iter()
+		it, err := f.Iter(s.sink)
 		if err != nil {
 			return nil, err
 		}
@@ -273,7 +271,7 @@ func (s *extSorter) Finish() (RowIterator, error) {
 	if len(s.rows) > 0 {
 		cursors = append(cursors, &memCursor{rows: s.rows, keys: s.keys})
 	}
-	return newLoserTree(cursors, s.by, s.stats), nil
+	return newLoserTree(cursors, s.by, s.sink), nil
 }
 
 // Release frees every spilled run (Close and error paths).
@@ -399,12 +397,13 @@ type loserTree struct {
 	cursors []mergeCursor
 	by      []SortKey
 	node    []int // node[0] winner; node[1..k-1] subtree losers
-	stats   *SortStats
+	sink    obs.Sink
+	merged  int64 // rows emitted and not yet written to sink
 	started bool
 }
 
-func newLoserTree(cursors []mergeCursor, by []SortKey, stats *SortStats) *loserTree {
-	return &loserTree{cursors: cursors, by: by, node: make([]int, len(cursors)), stats: stats}
+func newLoserTree(cursors []mergeCursor, by []SortKey, sink obs.Sink) *loserTree {
+	return &loserTree{cursors: cursors, by: by, node: make([]int, len(cursors)), sink: sink}
 }
 
 // beats reports whether cursor a's current row sorts before cursor b's.
@@ -473,15 +472,26 @@ func (t *loserTree) nextKeyed() (sqltypes.Row, sqltypes.Row, bool, error) {
 	}
 	w := t.node[0]
 	if t.cursors[w].done() {
+		t.flush()
 		return nil, nil, false, nil
 	}
 	row, key := t.cursors[w].cur()
-	t.stats.MergeRows.Add(1)
+	t.merged++
 	return row, key, true, nil
 }
 
+// flush writes the merged-row count: once when the merge runs dry, and at
+// Close for a consumer that stopped early.
+func (t *loserTree) flush() {
+	t.sink.Add(obs.SortMergeRows, t.merged)
+	t.merged = 0
+}
+
 // Close satisfies RowIterator; run files are released by their owner.
-func (t *loserTree) Close() error { return nil }
+func (t *loserTree) Close() error {
+	t.flush()
+	return nil
+}
 
 // MergeSorted is the order-preserving exchange above per-partition
 // sorts: children Open concurrently (each per-partition Sort drains and
@@ -546,7 +556,7 @@ func (m *MergeSorted) Open(ctx *Context) error {
 			cursors[i] = &keyedCursor{src: ch}
 		}
 	}
-	m.it = newLoserTree(cursors, m.Keys, &statsFrom(ctx).Sort)
+	m.it = newLoserTree(cursors, m.Keys, ctx.Sink)
 	return nil
 }
 
@@ -582,8 +592,11 @@ func (m *MergeSorted) closeChildren() error {
 	return firstErr
 }
 
-// Close closes the children.
+// Close closes the merge and the children.
 func (m *MergeSorted) Close() error {
-	m.it = nil
+	if m.it != nil {
+		m.it.Close()
+		m.it = nil
+	}
 	return m.closeChildren()
 }

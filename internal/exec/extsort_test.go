@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/sqltypes"
 	"repro/internal/storage"
 	"repro/internal/vec"
@@ -39,9 +40,9 @@ func splitSpans(rows []sqltypes.Row, n int) []Operator {
 	return ops
 }
 
-func runStats(t *testing.T, op Operator, stats *ExecStats) []sqltypes.Row {
+func runStats(t *testing.T, op Operator, stats *obs.Counters) []sqltypes.Row {
 	t.Helper()
-	rows, err := Run(&Context{DOP: 4, Stats: stats}, op)
+	rows, err := Run(&Context{DOP: 4, Sink: obs.Sink{Engine: stats}}, op)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,18 +57,18 @@ func TestExternalSortSpillEquivalence(t *testing.T) {
 	input := randomSortInput(rng, 5000, 40)
 	keys := []SortKey{{Expr: col(0)}, {Expr: col(1), Desc: true}}
 
-	inMem := runStats(t, &Sort{Keys: keys, Child: NewValues(input)}, &ExecStats{})
+	inMem := runStats(t, &Sort{Keys: keys, Child: NewValues(input)}, new(obs.Counters))
 
-	stats := &ExecStats{}
+	stats := new(obs.Counters)
 	spilled := runStats(t, &Sort{
 		Keys: keys, Child: NewValues(input),
 		MemoryBudget: 16 << 10, Spill: newTestSpillStore(t),
 	}, stats)
-	if stats.Sort.Runs.Load() == 0 {
+	if stats.Get(obs.SortRuns) == 0 {
 		t.Fatal("16 KB budget over ~5000 rows did not spill any runs")
 	}
-	if stats.Sort.SpilledRows.Load() == 0 || stats.Sort.SpilledBytes.Load() == 0 {
-		t.Fatalf("spill counters did not advance: %+v", stats.Sort.Snapshot())
+	if stats.Get(obs.SortSpilledRows) == 0 || stats.Get(obs.SortSpilledBytes) == 0 {
+		t.Fatalf("spill counters did not advance: %+v", stats.Snapshot())
 	}
 	if !reflect.DeepEqual(inMem, spilled) {
 		t.Fatalf("spilled sort differs from in-memory (%d vs %d rows)", len(spilled), len(inMem))
@@ -89,7 +90,7 @@ func TestMergeSortedParallelEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	input := randomSortInput(rng, 3000, 25)
 	keys := []SortKey{{Expr: col(0)}}
-	want := runStats(t, &Sort{Keys: keys, Child: NewValues(input)}, &ExecStats{})
+	want := runStats(t, &Sort{Keys: keys, Child: NewValues(input)}, new(obs.Counters))
 
 	for _, budget := range []int64{0, 8 << 10} {
 		chains := splitSpans(input, 4)
@@ -101,13 +102,13 @@ func TestMergeSortedParallelEquivalence(t *testing.T) {
 		for i, ch := range chains {
 			sorts[i] = &Sort{Keys: keys, Child: ch, MemoryBudget: budget, Spill: spill}
 		}
-		stats := &ExecStats{}
+		stats := new(obs.Counters)
 		got := runStats(t, &MergeSorted{Keys: keys, Children: sorts}, stats)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("budget %d: parallel merge sort differs from serial (%d vs %d rows)",
 				budget, len(got), len(want))
 		}
-		if budget > 0 && stats.Sort.Runs.Load() == 0 {
+		if budget > 0 && stats.Get(obs.SortRuns) == 0 {
 			t.Fatalf("budget %d: expected spilled runs", budget)
 		}
 	}
@@ -117,7 +118,7 @@ func TestMergeSortedParallelEquivalence(t *testing.T) {
 // and an input that spills everything leaving an empty in-memory tail.
 func TestExternalSortEmptyAndSingleRun(t *testing.T) {
 	keys := []SortKey{{Expr: col(0)}}
-	rows := runStats(t, &Sort{Keys: keys, Child: NewValues(nil)}, &ExecStats{})
+	rows := runStats(t, &Sort{Keys: keys, Child: NewValues(nil)}, new(obs.Counters))
 	if len(rows) != 0 {
 		t.Fatalf("empty input sorted to %d rows", len(rows))
 	}
@@ -125,7 +126,7 @@ func TestExternalSortEmptyAndSingleRun(t *testing.T) {
 	input := rowsOf(
 		[]sqltypes.Value{i64(3)}, []sqltypes.Value{i64(1)}, []sqltypes.Value{i64(2)},
 	)
-	stats := &ExecStats{}
+	stats := new(obs.Counters)
 	rows = runStats(t, &Sort{
 		Keys: keys, Child: NewValues(input),
 		MemoryBudget: 1, Spill: newTestSpillStore(t),
@@ -139,7 +140,7 @@ func TestExternalSortEmptyAndSingleRun(t *testing.T) {
 			t.Fatalf("rows = %v", rows)
 		}
 	}
-	if stats.Sort.Runs.Load() == 0 {
+	if stats.Get(obs.SortRuns) == 0 {
 		t.Fatal("1-byte budget did not spill")
 	}
 }
@@ -164,13 +165,13 @@ func TestRowNumberSpillEquivalence(t *testing.T) {
 	input := randomSortInput(rng, 2000, 30)
 	keys := []SortKey{{Expr: col(0), Desc: true}}
 
-	inMem := runStats(t, &RowNumber{OrderBy: keys, Child: NewValues(input)}, &ExecStats{})
-	stats := &ExecStats{}
+	inMem := runStats(t, &RowNumber{OrderBy: keys, Child: NewValues(input)}, new(obs.Counters))
+	stats := new(obs.Counters)
 	spilled := runStats(t, &RowNumber{
 		OrderBy: keys, Child: NewValues(input),
 		MemoryBudget: 8 << 10, Spill: newTestSpillStore(t),
 	}, stats)
-	if stats.Sort.Runs.Load() == 0 {
+	if stats.Get(obs.SortRuns) == 0 {
 		t.Fatal("row-number sort did not spill")
 	}
 	if !reflect.DeepEqual(inMem, spilled) {
@@ -186,7 +187,7 @@ func TestRowNumberSpillEquivalence(t *testing.T) {
 		OrderBy:     keys,
 		Child:       &MergeSorted{Keys: keys, Children: sorts},
 		InputSorted: true,
-	}, &ExecStats{})
+	}, new(obs.Counters))
 	if !reflect.DeepEqual(inMem, streamed) {
 		t.Fatal("streaming ROW_NUMBER over MergeSorted differs from in-memory")
 	}

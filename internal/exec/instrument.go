@@ -14,19 +14,9 @@ import (
 // cost of row counting to roughly one atomic add per thousand rows.
 const instrumentFlushEvery = 1024
 
-// profFrom returns the profile of the nearest enclosing instrumented
-// operator (nil when the query runs uninstrumented; obs.OpProfile
-// methods are nil-safe).
-func profFrom(ctx *Context) *obs.OpProfile {
-	if ctx == nil {
-		return nil
-	}
-	return ctx.Prof
-}
-
 // InstrumentOp wraps op so its output batches and their selected rows
-// count into prof, and so everything below it attributes spill/Bloom/pool
-// work to prof through the Context. Wrapping is idempotent per profile: an
+// count into prof, and so everything below it writes its events to prof
+// through the Context's Sink. Wrapping is idempotent per profile: an
 // op already instrumented for prof is returned unchanged (partition chains
 // are wrapped inside the planner's parts closures, and the plan-level
 // walk must not wrap them again).
@@ -47,8 +37,8 @@ type Instrument struct {
 	Prof  *obs.OpProfile
 
 	// childCtx is the Context handed to Child: a copy of the parent's
-	// with Prof swapped in. It must outlive Open — children retain the
-	// pointer — so it lives on the wrapper, not on Open's stack.
+	// with Prof swapped into its Sink. It must outlive Open — children
+	// retain the pointer — so it lives on the wrapper, not on Open's stack.
 	childCtx Context
 	local    int64
 }
@@ -72,7 +62,7 @@ func (in *Instrument) stop(t0 time.Time) {
 func (in *Instrument) Open(ctx *Context) error {
 	in.local = 0
 	in.childCtx = *ctx
-	in.childCtx.Prof = in.Prof
+	in.childCtx.Sink.Prof = in.Prof
 	defer in.stop(in.start())
 	return in.Child.Open(&in.childCtx)
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/expr"
+	"repro/internal/obs"
 	"repro/internal/sqltypes"
 )
 
@@ -48,15 +49,15 @@ func BenchmarkPartitionedJoin(b *testing.B) {
 				MemoryBudget: budget,
 				Spill:        spill,
 			}
-			stats := &ExecStats{}
-			rows, err := Run(&Context{DOP: dop, Stats: stats}, j)
+			stats := new(obs.Counters)
+			rows, err := Run(&Context{DOP: dop, Sink: obs.Sink{Engine: stats}}, j)
 			if err != nil {
 				b.Fatal(err)
 			}
 			if len(rows) == 0 {
 				b.Fatal("empty join result")
 			}
-			if budget > 0 && stats.Join.SpilledPartitions.Load() == 0 {
+			if budget > 0 && stats.Get(obs.JoinSpilledPartitions) == 0 {
 				b.Fatal("spill benchmark did not spill")
 			}
 		}

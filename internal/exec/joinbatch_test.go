@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/expr"
+	"repro/internal/obs"
 	"repro/internal/seq"
 	"repro/internal/sqltypes"
 	"repro/internal/vec"
@@ -187,10 +188,10 @@ func (f *memSpillFile) Append(row sqltypes.Row) error {
 	return nil
 }
 
-func (f *memSpillFile) Rows() int64                { return int64(len(f.rows)) }
-func (f *memSpillFile) Bytes() int64               { return int64(len(f.rows)) }
-func (f *memSpillFile) Iter() (RowIterator, error) { return &SliceIterator{Rows: f.rows}, nil }
-func (f *memSpillFile) Release() error             { return nil }
+func (f *memSpillFile) Rows() int64                        { return int64(len(f.rows)) }
+func (f *memSpillFile) Bytes() int64                       { return int64(len(f.rows)) }
+func (f *memSpillFile) Iter(obs.Sink) (RowIterator, error) { return &SliceIterator{Rows: f.rows}, nil }
+func (f *memSpillFile) Release() error                     { return nil }
 
 // joinCase is one shape of typed join input.
 type joinCase struct {
@@ -313,7 +314,7 @@ func testTypedJoinEquivalence(t *testing.T) {
 					}
 					for _, buildLeft := range sides {
 						name := fmt.Sprintf("needed=%v/%s/buildLeft=%v", needed, cfg.name, buildLeft)
-						stats := &ExecStats{}
+						stats := new(obs.Counters)
 						j := &PartitionedHashJoin{
 							LeftKeys: c.lk, RightKeys: c.rk, LeftWidth: lw,
 							LeftParts:  batchSources(t, lb, cfg.chains),
@@ -322,7 +323,7 @@ func testTypedJoinEquivalence(t *testing.T) {
 							MemoryBudget: cfg.budget, Spill: spill, Bloom: subset%2 == 0, BuildRowsEstimate: 256,
 						}
 						j.PruneColumns(needed)
-						rows, err := Run(&Context{DOP: cfg.chains, Stats: stats}, j)
+						rows, err := Run(&Context{DOP: cfg.chains, Sink: obs.Sink{Engine: stats}}, j)
 						if err != nil {
 							t.Fatalf("%s: %v", name, err)
 						}
@@ -333,11 +334,11 @@ func testTypedJoinEquivalence(t *testing.T) {
 						if buildLeft {
 							build = c.left
 						}
-						if cfg.budget > 0 && len(build) > 60 && stats.Join.SpilledPartitions.Load() == 0 {
+						if cfg.budget > 0 && len(build) > 60 && stats.Get(obs.JoinSpilledPartitions) == 0 {
 							t.Errorf("%s: budget %d but nothing spilled", name, cfg.budget)
 						}
-						if cfg.budget == 1 && len(full) > 0 && stats.Join.SpillRecursions.Load() < 2 {
-							t.Errorf("%s: %d spill recursions", name, stats.Join.SpillRecursions.Load())
+						if cfg.budget == 1 && len(full) > 0 && stats.Get(obs.JoinSpillRecursions) < 2 {
+							t.Errorf("%s: %d spill recursions", name, stats.Get(obs.JoinSpillRecursions))
 						}
 					}
 				}

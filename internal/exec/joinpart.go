@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/expr"
 	"repro/internal/obs"
@@ -18,81 +17,14 @@ type SpillFile interface {
 	Append(row sqltypes.Row) error
 	Rows() int64
 	Bytes() int64
-	Iter() (RowIterator, error)
+	// Iter reads the rows back; pooled page reads count on sink.
+	Iter(sink obs.Sink) (RowIterator, error)
 	Release() error
 }
 
 // SpillStore creates spill files; provided to the planner by the engine.
 type SpillStore interface {
 	Create() (SpillFile, error)
-}
-
-// JoinStats accumulates partitioned-join counters across queries. All
-// fields are atomics: parallel probe workers update them concurrently and
-// monitoring can snapshot mid-query.
-type JoinStats struct {
-	BuildRows         atomic.Int64 // rows routed on the build side
-	ProbeRows         atomic.Int64 // rows routed on the probe side
-	SpilledPartitions atomic.Int64 // partitions that exceeded the budget
-	SpilledBuildRows  atomic.Int64 // build rows written to spill files
-	SpilledProbeRows  atomic.Int64 // probe rows written to spill files
-	SpillRecursions   atomic.Int64 // spilled partitions re-joined from disk
-	BloomChecks       atomic.Int64 // probe rows tested against a build Bloom filter
-	BloomDrops        atomic.Int64 // probe rows dropped by the Bloom filter
-	// BloomDropsByPart resolves the drops per hash partition (the filter
-	// runs below the exchange, so these show which partitions the early
-	// drops spared — spilled partitions in particular). Joins widened past
-	// DefaultJoinPartitions fold counts modulo the array size.
-	BloomDropsByPart [DefaultJoinPartitions]atomic.Int64
-}
-
-// JoinStatsSnapshot is a point-in-time copy of JoinStats.
-type JoinStatsSnapshot struct {
-	BuildRows         int64
-	ProbeRows         int64
-	SpilledPartitions int64
-	SpilledBuildRows  int64
-	SpilledProbeRows  int64
-	SpillRecursions   int64
-	BloomChecks       int64
-	BloomDrops        int64
-	BloomDropsByPart  [DefaultJoinPartitions]int64
-}
-
-// Snapshot reads the counters; safe to call during queries.
-func (s *JoinStats) Snapshot() JoinStatsSnapshot {
-	out := JoinStatsSnapshot{
-		BuildRows:         s.BuildRows.Load(),
-		ProbeRows:         s.ProbeRows.Load(),
-		SpilledPartitions: s.SpilledPartitions.Load(),
-		SpilledBuildRows:  s.SpilledBuildRows.Load(),
-		SpilledProbeRows:  s.SpilledProbeRows.Load(),
-		SpillRecursions:   s.SpillRecursions.Load(),
-		BloomChecks:       s.BloomChecks.Load(),
-		BloomDrops:        s.BloomDrops.Load(),
-	}
-	for i := range s.BloomDropsByPart {
-		out.BloomDropsByPart[i] = s.BloomDropsByPart[i].Load()
-	}
-	return out
-}
-
-// Sub returns the counter deltas since an earlier snapshot.
-func (s JoinStatsSnapshot) Sub(earlier JoinStatsSnapshot) JoinStatsSnapshot {
-	out := JoinStatsSnapshot{
-		BuildRows:         s.BuildRows - earlier.BuildRows,
-		ProbeRows:         s.ProbeRows - earlier.ProbeRows,
-		SpilledPartitions: s.SpilledPartitions - earlier.SpilledPartitions,
-		SpilledBuildRows:  s.SpilledBuildRows - earlier.SpilledBuildRows,
-		SpilledProbeRows:  s.SpilledProbeRows - earlier.SpilledProbeRows,
-		SpillRecursions:   s.SpillRecursions - earlier.SpillRecursions,
-		BloomChecks:       s.BloomChecks - earlier.BloomChecks,
-		BloomDrops:        s.BloomDrops - earlier.BloomDrops,
-	}
-	for i := range s.BloomDropsByPart {
-		out.BloomDropsByPart[i] = s.BloomDropsByPart[i] - earlier.BloomDropsByPart[i]
-	}
-	return out
 }
 
 // DefaultJoinPartitions is the fan-out when the caller does not set one
@@ -160,8 +92,7 @@ type PartitionedHashJoin struct {
 
 	needed     []bool // output columns the consumer reads; nil = all
 	ctx        *Context
-	stats      *JoinStats
-	prof       *obs.OpProfile
+	sink       obs.Sink
 	bloom      *BlockedBloom
 	table      joinTable
 	spilled    []bool
@@ -234,8 +165,7 @@ func (j *PartitionedHashJoin) side(left bool) (keys []expr.Expr, out []bool) {
 // partitions) and opens the probe.
 func (j *PartitionedHashJoin) Open(ctx *Context) error {
 	j.ctx = ctx
-	j.stats = &statsFrom(ctx).Join
-	j.prof = profFrom(ctx)
+	j.sink = ctx.Sink
 	p := j.Partitions
 	if p < 1 {
 		p = DefaultJoinPartitions
@@ -327,9 +257,8 @@ func (j *PartitionedHashJoin) open(ctx *Context, p int) error {
 func (j *PartitionedHashJoin) markSpilled(pt int, rows int64) {
 	j.spilled[pt] = true
 	j.anySpilled = true
-	j.stats.SpilledPartitions.Add(1)
-	j.stats.SpilledBuildRows.Add(rows)
-	j.prof.AddSpill(0, 1, rows)
+	j.sink.Add(obs.JoinSpilledPartitions, 1)
+	j.sink.Add(obs.JoinSpilledBuildRows, rows)
 }
 
 // drainBuild pulls the build input a batch at a time, hashes the keys and
@@ -362,7 +291,7 @@ func (j *PartitionedHashJoin) drainBuild(in Operator, keys []expr.Expr, out []bo
 		if len(rows) == 0 {
 			continue
 		}
-		j.stats.BuildRows.Add(int64(len(rows)))
+		j.sink.Add(obs.JoinBuildRows, int64(len(rows)))
 		if t.keys == nil {
 			t.init(len(b.Cols), keys, out)
 		}
@@ -387,10 +316,7 @@ func (j *PartitionedHashJoin) drainBuild(in Operator, keys []expr.Expr, out []bo
 			pts = append(pts, pt)
 			n++
 		}
-		if d := int64(len(rows) - n); d > 0 {
-			j.stats.SpilledBuildRows.Add(d)
-			j.prof.AddSpill(0, 0, d)
-		}
+		j.sink.Add(obs.JoinSpilledBuildRows, int64(len(rows)-n))
 		base := len(t.hashes)
 		if err := t.append(b, kh.cols, rows[:n], hashes[:n]); err != nil {
 			return err
@@ -504,13 +430,13 @@ func (j *PartitionedHashJoin) startNextSpilled() (bool, error) {
 		// Spill volume is accounted when the partition's files retire:
 		// every spilled partition passes through here exactly once (error
 		// paths release without retiring, and never produce a profile).
-		j.prof.AddSpill(bf.Bytes()+pf.Bytes(), 0, 0)
+		j.sink.Add(obs.JoinSpilledBytes, bf.Bytes()+pf.Bytes())
 		if bf.Rows() == 0 || pf.Rows() == 0 {
 			bf.Release()
 			pf.Release()
 			continue
 		}
-		j.stats.SpillRecursions.Add(1)
+		j.sink.Add(obs.JoinSpillRecursions, 1)
 		buildSrc := spillSource(bf)
 		probeSrc := spillSource(pf)
 		sub := &PartitionedHashJoin{
@@ -559,7 +485,7 @@ func (j *PartitionedHashJoin) finishSub() error {
 
 // spillSource adapts a spill file into a re-openable scan operator.
 func spillSource(f SpillFile) *Source {
-	return &Source{Factory: func(*Context) (RowIterator, error) { return f.Iter() }}
+	return &Source{Factory: func(ctx *Context) (RowIterator, error) { return f.Iter(ctx.Sink) }}
 }
 
 // releaseSpills frees every live spill file (error paths and Close).
@@ -836,8 +762,7 @@ func (w *phjProbe) NextBatch() (*vec.Batch, error) {
 // load pulls probe batches until one has rows to match: it hashes the
 // keys, drops what the Bloom filter rules out and sets aside the rows of
 // spilled partitions. The Bloom check runs before any routing: a dropped
-// row is never spilled, and it still counts for the partition it would
-// have gone to, so monitoring can see which partitions the filter spared.
+// row is never spilled. Counters are written once per batch.
 func (w *phjProbe) load() error {
 	j := w.j
 	p := len(j.spilled)
@@ -850,28 +775,19 @@ func (w *phjProbe) load() error {
 		if err != nil {
 			return err
 		}
-		var dropsByPart [DefaultJoinPartitions]int64
 		n := 0
 		for k, r := range rows {
 			h := hashes[k]
 			if j.bloom != nil && !j.bloom.MayContain(h) {
-				dropsByPart[joinPartition(h, j.Level, p)%DefaultJoinPartitions]++
 				continue
 			}
 			rows[n], hashes[n] = r, h
 			n++
 		}
-		j.stats.ProbeRows.Add(int64(len(rows)))
+		j.sink.Add(obs.JoinProbeRows, int64(len(rows)))
 		if j.bloom != nil {
-			drops := int64(len(rows) - n)
-			j.stats.BloomChecks.Add(int64(len(rows)))
-			j.stats.BloomDrops.Add(drops)
-			j.prof.AddBloom(int64(len(rows)), drops)
-			for pt, d := range dropsByPart {
-				if d > 0 {
-					j.stats.BloomDropsByPart[pt].Add(d)
-				}
-			}
+			j.sink.Add(obs.JoinBloomChecks, int64(len(rows)))
+			j.sink.Add(obs.JoinBloomDrops, int64(len(rows)-n))
 		}
 		rows, hashes = rows[:n], hashes[:n]
 		if j.anySpilled {
@@ -890,10 +806,7 @@ func (w *phjProbe) load() error {
 					return err
 				}
 			}
-			if d := int64(len(rows) - n); d > 0 {
-				j.stats.SpilledProbeRows.Add(d)
-				j.prof.AddSpill(0, 0, d)
-			}
+			j.sink.Add(obs.JoinSpilledProbeRows, int64(len(rows)-n))
 			rows, hashes = rows[:n], hashes[:n]
 		}
 		if len(rows) > 0 && len(j.table.hashes) > 0 {

@@ -29,7 +29,9 @@ func (s storageSpillStore) Create() (SpillFile, error) {
 	return storageSpillFile{f}, nil
 }
 
-func (f storageSpillFile) Iter() (RowIterator, error) { return f.NewIterator(), nil }
+func (f storageSpillFile) Iter(sink obs.Sink) (RowIterator, error) {
+	return f.NewIterator(sink), nil
+}
 
 // CreateRun, SealRun and IterRun mirror core's production adapter so the
 // exec tests exercise the sequential run path and multi-run files.
@@ -167,7 +169,7 @@ func TestPartitionedJoinEquivalence(t *testing.T) {
 		for _, cfg := range configs {
 			for _, buildLeft := range []bool{false, true} {
 				name := fmt.Sprintf("trial%d/%s/buildLeft=%v", trial, cfg.name, buildLeft)
-				stats := &ExecStats{}
+				stats := new(obs.Counters)
 				j := &PartitionedHashJoin{
 					LeftKeys: lk, RightKeys: rk,
 					BuildLeft:    buildLeft,
@@ -182,7 +184,7 @@ func TestPartitionedJoinEquivalence(t *testing.T) {
 					j.Left = NewValues(left)
 					j.Right = NewValues(right)
 				}
-				rows, err := Run(&Context{DOP: cfg.dop, Stats: stats}, j)
+				rows, err := Run(&Context{DOP: cfg.dop, Sink: obs.Sink{Engine: stats}}, j)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
@@ -190,7 +192,7 @@ func TestPartitionedJoinEquivalence(t *testing.T) {
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("%s: %d rows, reference %d rows", name, len(got), len(want))
 				}
-				if cfg.budget > 0 && cfg.budget < 1024 && stats.Join.SpilledPartitions.Load() == 0 && len(left) > 0 {
+				if cfg.budget > 0 && cfg.budget < 1024 && stats.Get(obs.JoinSpilledPartitions) == 0 && len(left) > 0 {
 					t.Errorf("%s: tiny budget but nothing spilled", name)
 				}
 			}
@@ -210,26 +212,26 @@ func TestPartitionedJoinSpillMatchesInMemory(t *testing.T) {
 	for i := 0; i < 3000; i++ {
 		right = append(right, sqltypes.Row{i64(int64(rng.Intn(500))), str(fmt.Sprintf("payload-right-%d", i))})
 	}
-	runJoin := func(budget int64, stats *ExecStats) []string {
+	runJoin := func(budget int64, stats *obs.Counters) []string {
 		j := &PartitionedHashJoin{
 			LeftKeys: []expr.Expr{col(0)}, RightKeys: []expr.Expr{col(0)},
 			LeftParts: splitRows(left, 4), RightParts: splitRows(right, 4),
 			Partitions: 8, MemoryBudget: budget, Spill: newTestSpillStore(t),
 		}
-		rows, err := Run(&Context{DOP: 4, Stats: stats}, j)
+		rows, err := Run(&Context{DOP: 4, Sink: obs.Sink{Engine: stats}}, j)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return canonRows(rows)
 	}
-	inMem := runJoin(0, &ExecStats{})
-	spillStats := &ExecStats{}
+	inMem := runJoin(0, new(obs.Counters))
+	spillStats := new(obs.Counters)
 	spilled := runJoin(16<<10, spillStats) // ~16 KB budget << build side
-	if spillStats.Join.SpilledPartitions.Load() == 0 {
+	if spillStats.Get(obs.JoinSpilledPartitions) == 0 {
 		t.Fatal("expected spilled partitions with a 16 KB budget")
 	}
-	if spillStats.Join.SpilledBuildRows.Load() == 0 || spillStats.Join.SpilledProbeRows.Load() == 0 {
-		t.Fatalf("expected spilled rows on both sides, got %+v", spillStats.Join.Snapshot())
+	if spillStats.Get(obs.JoinSpilledBuildRows) == 0 || spillStats.Get(obs.JoinSpilledProbeRows) == 0 {
+		t.Fatalf("expected spilled rows on both sides, got %+v", spillStats.Snapshot())
 	}
 	if !reflect.DeepEqual(inMem, spilled) {
 		t.Fatalf("spilled join differs from in-memory: %d vs %d rows", len(spilled), len(inMem))

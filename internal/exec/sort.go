@@ -109,7 +109,7 @@ func sortChild(ctx *Context, child Operator, needed []bool, keys []SortKey, budg
 		return nil, nil, err
 	}
 	defer child.Close()
-	es := newExtSorter(keys, budget, spill, &statsFrom(ctx).Sort, profFrom(ctx))
+	es := newExtSorter(keys, budget, spill, ctx.Sink)
 	in := RowCursor{Op: child, needed: needed}
 	for {
 		row, ok, err := in.Next()
@@ -174,11 +174,14 @@ func (s *Sort) PruneColumns(needed []bool) {
 
 // Close releases the buffered rows and any spilled runs.
 func (s *Sort) Close() error {
+	if s.it != nil {
+		s.it.Close() // a slice or a run merge: flushes a counter, cannot fail
+		s.it = nil
+	}
 	if s.sorter != nil {
 		s.sorter.Release()
 		s.sorter = nil
 	}
-	s.it = nil
 	return nil
 }
 
@@ -252,11 +255,14 @@ func (r *RowNumber) PruneColumns(needed []bool) {
 
 // Close releases buffered rows, runs, and the streaming child.
 func (r *RowNumber) Close() error {
+	if r.it != nil {
+		r.it.Close() // as in Sort.Close
+		r.it = nil
+	}
 	if r.sorter != nil {
 		r.sorter.Release()
 		r.sorter = nil
 	}
-	r.it = nil
 	if r.in.Op != nil {
 		r.in.Op = nil
 		return r.Child.Close()

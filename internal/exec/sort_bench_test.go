@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/sqltypes"
 )
 
@@ -108,15 +109,15 @@ func BenchmarkExternalSort(b *testing.B) {
 					}
 					op = &MergeSorted{Keys: keys, Children: sorts}
 				}
-				stats := &ExecStats{}
-				rows, err := Run(&Context{DOP: cfg.dop, Stats: stats}, op)
+				stats := new(obs.Counters)
+				rows, err := Run(&Context{DOP: cfg.dop, Sink: obs.Sink{Engine: stats}}, op)
 				if err != nil {
 					b.Fatal(err)
 				}
 				if len(rows) != n {
 					b.Fatalf("got %d rows", len(rows))
 				}
-				if cfg.budget > 0 && stats.Sort.Runs.Load() == 0 {
+				if cfg.budget > 0 && stats.Get(obs.SortRuns) == 0 {
 					b.Fatal("expected spilled runs")
 				}
 			}

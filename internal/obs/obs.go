@@ -1,11 +1,23 @@
-// Package obs is the engine's observability substrate: per-operator
-// execution profiles (the numbers behind EXPLAIN ANALYZE), a named
-// metrics registry snapshotable as JSON, and a ring-buffer query log
-// with a threshold-based slow-query capture.
+// Package obs is the engine's observability substrate: the one counter
+// vocabulary every layer counts events in, per-operator execution profiles
+// (the numbers behind EXPLAIN ANALYZE), a metrics registry snapshotable as
+// JSON, and a ring-buffer query log with a threshold-based slow-query
+// capture.
 //
 // The package is a dependency leaf — it imports only the standard
-// library — so every layer of the engine (exec, storage, plan, core)
-// can attribute work to a profile without import cycles.
+// library — so every layer of the engine (exec, storage, btree, plan,
+// core) writes to the same Sink without import cycles.
+//
+// The counting contract. An engine event has exactly one Counter and is
+// written exactly once, at its site, with Sink.Add: that call credits the
+// engine-wide set and, when the statement is instrumented, the profile of
+// the plan operator the work was done for, so the two views cannot
+// disagree. To add a counter, add one row to the table below (the constant
+// and its name); it then appears in the registry (Database.Metrics,
+// genodb -metrics, the shell's \stats) and on every profile, with Snapshot
+// and Sub already correct for it. A counter is never written per row or per
+// cell: count in a local and Add once per batch, page or exhausted cursor —
+// the sets are shared by every parallel worker of every session.
 package obs
 
 import (
@@ -15,25 +27,143 @@ import (
 	"time"
 )
 
-// OpProfile accumulates one plan operator's actual execution counters.
-// All counter fields are atomics: parallel partition workers under an
-// exchange share the display node's profile and update it concurrently.
-//
-// Every method is safe on a nil receiver (a no-op), so hot paths tee
-// into "the current profile" without a nil branch at each call site.
+// Counter names one kind of engine event.
+type Counter uint8
+
+// The vocabulary. Spill counters keep one family per spilling operator;
+// EXPLAIN ANALYZE's "spill:" line is their sum (OpProfile.Spill).
+const (
+	JoinBuildRows          Counter = iota // rows routed on a hash join's build side
+	JoinProbeRows                         // rows routed on the probe side
+	JoinSpilledPartitions                 // partitions that exceeded the join budget
+	JoinSpilledBuildRows                  // build rows written to spill files
+	JoinSpilledProbeRows                  // probe rows written to spill files
+	JoinSpilledBytes                      // bytes of retired join spill files
+	JoinSpillRecursions                   // spilled partitions re-joined from disk
+	JoinBloomChecks                       // probe rows tested against a build Bloom filter
+	JoinBloomDrops                        // probe rows the filter dropped
+	SortSorts                             // sort / row-number operators that drained their input
+	SortRuns                              // sorted runs spilled
+	SortSpilledRows                       // rows written to spilled runs
+	SortSpilledBytes                      // bytes written to spilled runs
+	SortMergeRows                         // rows emitted by k-way run merges
+	AggSpilledPartitions                  // aggregate partitions frozen past the budget
+	AggSpilledRows                        // raw input rows written to partition files
+	AggSpilledBytes                       // bytes of re-aggregated partition files
+	AggSpillRecursions                    // spilled partitions re-aggregated from disk
+	ScanBatches                           // batches produced by table scans (heap pages, tail, clustered leaves)
+	ScanRows                              // rows in those batches
+	ScanValuesDecoded                     // cells materialized while building or reading them
+	ScanDictEntriesDecoded                // page-dictionary entries decoded
+	ScanZoneSkippedPages                  // sealed heap pages a zone map ruled out
+	PoolHits                              // buffer-pool hits caused by plan operators
+	PoolMisses                            // buffer-pool misses caused by plan operators
+	PagesVerified                         // pages whose checksum was checked
+	ChecksumFailures                      // pages whose checksum did not match
+	Checkpoints                           // completed checkpoints
+	VacuumRuns                            // completed version-vacuum passes
+	PathPickIndex                         // base-table access paths the planner chose: index
+	PathPickZoneMap                       // ... zone-map-pruned heap scan
+	PathPickFull                          // ... full scan
+	NumCounters
+)
+
+var counterNames = [NumCounters]string{
+	JoinBuildRows:          "exec.join.build_rows",
+	JoinProbeRows:          "exec.join.probe_rows",
+	JoinSpilledPartitions:  "exec.join.spilled_partitions",
+	JoinSpilledBuildRows:   "exec.join.spilled_build_rows",
+	JoinSpilledProbeRows:   "exec.join.spilled_probe_rows",
+	JoinSpilledBytes:       "exec.join.spilled_bytes",
+	JoinSpillRecursions:    "exec.join.spill_recursions",
+	JoinBloomChecks:        "exec.join.bloom_checks",
+	JoinBloomDrops:         "exec.join.bloom_drops",
+	SortSorts:              "exec.sort.sorts",
+	SortRuns:               "exec.sort.runs",
+	SortSpilledRows:        "exec.sort.spilled_rows",
+	SortSpilledBytes:       "exec.sort.spilled_bytes",
+	SortMergeRows:          "exec.sort.merge_rows",
+	AggSpilledPartitions:   "exec.agg.spilled_partitions",
+	AggSpilledRows:         "exec.agg.spilled_rows",
+	AggSpilledBytes:        "exec.agg.spilled_bytes",
+	AggSpillRecursions:     "exec.agg.spill_recursions",
+	ScanBatches:            "scan.batches",
+	ScanRows:               "scan.rows",
+	ScanValuesDecoded:      "scan.values_decoded",
+	ScanDictEntriesDecoded: "scan.dict_entries_decoded",
+	ScanZoneSkippedPages:   "scan.zone_skipped_pages",
+	PoolHits:               "exec.pool.hits",
+	PoolMisses:             "exec.pool.misses",
+	PagesVerified:          "integrity.pages_verified",
+	ChecksumFailures:       "integrity.checksum_failures",
+	Checkpoints:            "checkpoint.count",
+	VacuumRuns:             "vacuum.runs",
+	PathPickIndex:          "planner.path_picks.index",
+	PathPickZoneMap:        "planner.path_picks.zonemap",
+	PathPickFull:           "planner.path_picks.full",
+}
+
+// String returns the counter's registry name.
+func (c Counter) String() string { return counterNames[c] }
+
+// Counters is one atomic cell per Counter: the engine owns one set and
+// every profile carries one. Safe for concurrent writers and readers.
+type Counters [NumCounters]atomic.Int64
+
+// Get reads one counter.
+func (cs *Counters) Get(c Counter) int64 { return cs[c].Load() }
+
+// Snapshot copies the set; safe to call while queries run.
+func (cs *Counters) Snapshot() (s Snapshot) {
+	for c := range cs {
+		s[c] = cs[c].Load()
+	}
+	return s
+}
+
+// Snapshot is a point-in-time copy of a Counters set, indexed by Counter.
+type Snapshot [NumCounters]int64
+
+// Sub returns the counter deltas since an earlier snapshot.
+func (s Snapshot) Sub(earlier Snapshot) Snapshot {
+	for c := range s {
+		s[c] -= earlier[c]
+	}
+	return s
+}
+
+// Sink is where an event is written: the engine's set and, when the
+// statement is instrumented, the profile of the plan operator the work is
+// done for. exec.Context carries the current one and hands it to whatever
+// works below an operator (scans, the heap-fetch cache, btree seeks, spill
+// readers). The zero Sink is valid and counts nothing.
+type Sink struct {
+	Engine *Counters
+	Prof   *OpProfile
+}
+
+// Add credits n events of kind c, once, to both views.
+func (s Sink) Add(c Counter, n int64) {
+	if n == 0 {
+		return
+	}
+	if s.Engine != nil {
+		s.Engine[c].Add(n)
+	}
+	if s.Prof != nil {
+		s.Prof.Counters[c].Add(n)
+	}
+}
+
+// OpProfile accumulates one plan operator's actual execution: the events
+// written through a Sink while work was done for it, and the rows and
+// batches it produced. All fields are atomics: parallel partition workers
+// under an exchange share the display node's profile.
 type OpProfile struct {
+	Counters
+
 	Rows    atomic.Int64 // rows returned by the operator
-	Batches atomic.Int64 // batches returned (vectorized path)
-
-	SpillBytes atomic.Int64 // bytes written to spill files by this operator
-	SpillRuns  atomic.Int64 // spill runs / spilled partitions
-	SpillRows  atomic.Int64 // rows written to spill files
-
-	BloomChecks atomic.Int64 // probe rows tested against a Bloom filter
-	BloomDrops  atomic.Int64 // probe rows dropped by the Bloom filter
-
-	PoolHits   atomic.Int64 // buffer-pool hits attributed to this operator
-	PoolMisses atomic.Int64 // buffer-pool misses (page reads from disk)
+	Batches atomic.Int64 // batches returned
 
 	// WallNS is cumulative wall time spent inside the operator subtree,
 	// summed across parallel workers sharing the profile. Only recorded
@@ -57,66 +187,30 @@ func (p *OpProfile) AddBatches(n int64) {
 	}
 }
 
-// AddSpill records a spill write of bytes/runs/rows; nil-safe.
-func (p *OpProfile) AddSpill(bytes, runs, rows int64) {
-	if p == nil {
-		return
-	}
-	if bytes != 0 {
-		p.SpillBytes.Add(bytes)
-	}
-	if runs != 0 {
-		p.SpillRuns.Add(runs)
-	}
-	if rows != 0 {
-		p.SpillRows.Add(rows)
-	}
+// Spill sums what the operator wrote to spill files, whichever of join,
+// sort and aggregate it is: bytes, runs (spilled partitions count as runs)
+// and rows.
+func (p *OpProfile) Spill() (bytes, runs, rows int64) {
+	return p.Get(JoinSpilledBytes) + p.Get(SortSpilledBytes) + p.Get(AggSpilledBytes),
+		p.Get(JoinSpilledPartitions) + p.Get(SortRuns) + p.Get(AggSpilledPartitions),
+		p.Get(JoinSpilledBuildRows) + p.Get(JoinSpilledProbeRows) + p.Get(SortSpilledRows) + p.Get(AggSpilledRows)
 }
 
-// AddBloom records Bloom-filter activity; nil-safe.
-func (p *OpProfile) AddBloom(checks, drops int64) {
-	if p == nil {
-		return
-	}
-	if checks != 0 {
-		p.BloomChecks.Add(checks)
-	}
-	if drops != 0 {
-		p.BloomDrops.Add(drops)
-	}
-}
-
-// AddWall adds wall time; nil-safe (callers gate on Timed themselves to
-// avoid the clock reads, but the add is harmless either way).
-func (p *OpProfile) AddWall(d time.Duration) {
-	if p != nil {
-		p.WallNS.Add(int64(d))
-	}
-}
-
-// HasDetail reports whether the profile recorded any spill, Bloom or
-// buffer-pool activity worth a detail line.
-func (p *OpProfile) HasDetail() bool {
-	if p == nil {
-		return false
-	}
-	return p.SpillBytes.Load() != 0 || p.SpillRuns.Load() != 0 || p.SpillRows.Load() != 0 ||
-		p.BloomChecks.Load() != 0 || p.PoolHits.Load() != 0 || p.PoolMisses.Load() != 0
-}
-
-// Registry is a named gauge registry: engine subsystems register
-// functions that read their live counters, and Snapshot evaluates them
-// all into a plain map (JSON-marshalable, sorted by Names). Reads never
-// lock the underlying counters — every gauge is expected to be an
-// atomic load.
+// Registry names every metric of the engine: the counter vocabulary,
+// enumerated from one snapshot of the engine's set, plus the few gauges
+// that live elsewhere (the buffer pool's own counters, WAL syncs, the query
+// log), which subsystems register as functions. Snapshot evaluates all of
+// it into a plain map (JSON-marshalable). Reads never lock the underlying
+// counters — every gauge is expected to be an atomic load.
 type Registry struct {
-	mu     sync.RWMutex
-	gauges map[string]func() int64
+	counters *Counters
+	mu       sync.RWMutex
+	gauges   map[string]func() int64
 }
 
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{gauges: make(map[string]func() int64)}
+// NewRegistry returns a registry over the engine's counter set.
+func NewRegistry(counters *Counters) *Registry {
+	return &Registry{counters: counters, gauges: make(map[string]func() int64)}
 }
 
 // RegisterFunc installs (or replaces) a named gauge.
@@ -126,22 +220,25 @@ func (r *Registry) RegisterFunc(name string, fn func() int64) {
 	r.mu.Unlock()
 }
 
-// Snapshot evaluates every gauge into a fresh map.
+// Snapshot evaluates every counter and gauge into a fresh map.
 func (r *Registry) Snapshot() map[string]int64 {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	out := make(map[string]int64, len(r.gauges))
+	out := make(map[string]int64, int(NumCounters)+len(r.gauges))
+	for c, v := range r.counters.Snapshot() {
+		out[Counter(c).String()] = v
+	}
 	for name, fn := range r.gauges {
 		out[name] = fn()
 	}
 	return out
 }
 
-// Names returns the registered gauge names, sorted.
+// Names returns the metric names, sorted.
 func (r *Registry) Names() []string {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	names := make([]string, 0, len(r.gauges))
+	names := append(make([]string, 0, int(NumCounters)+len(r.gauges)), counterNames[:]...)
 	for name := range r.gauges {
 		names = append(names, name)
 	}

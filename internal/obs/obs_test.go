@@ -2,6 +2,7 @@ package obs
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -11,58 +12,108 @@ func TestOpProfileNilSafe(t *testing.T) {
 	var p *OpProfile
 	p.AddRows(5)
 	p.AddBatches(1)
-	p.AddSpill(100, 1, 10)
-	p.AddBloom(4, 2)
-	p.AddWall(time.Millisecond)
-	if p.HasDetail() {
-		t.Fatal("nil profile reported detail")
-	}
 }
 
-func TestOpProfileCounters(t *testing.T) {
-	p := &OpProfile{}
+// TestCounterVocabulary holds the spine to its contract: every counter
+// has one non-empty name of its own, Snapshot and Sub are right for every
+// counter (a set with each counter driven to a different value minus itself
+// is zero, minus zero is itself), a Sink credits the engine's set and the
+// profile alike and the zero Sink nothing, and writers and a snapshotting
+// reader may run together.
+func TestCounterVocabulary(t *testing.T) {
+	seen := map[string]Counter{}
+	for c := Counter(0); c < NumCounters; c++ {
+		name := c.String()
+		if name == "" {
+			t.Errorf("counter %d has no name", c)
+		}
+		if prev, dup := seen[name]; dup {
+			t.Errorf("counters %d and %d share the name %q", prev, c, name)
+		}
+		seen[name] = c
+	}
+
+	var engine Counters
+	prof := &OpProfile{}
+	sink := Sink{Engine: &engine, Prof: prof}
+	for c := Counter(0); c < NumCounters; c++ {
+		sink.Add(c, int64(c)+1)
+		Sink{}.Add(c, 1)
+	}
+	snap := engine.Snapshot()
+	for c := Counter(0); c < NumCounters; c++ {
+		if snap[c] != int64(c)+1 || prof.Get(c) != int64(c)+1 {
+			t.Errorf("%s: engine %d, profile %d, want %d", c, snap[c], prof.Get(c), int64(c)+1)
+		}
+	}
+	if snap.Sub(snap) != (Snapshot{}) {
+		t.Errorf("s.Sub(s) = %v, want zero", snap.Sub(snap))
+	}
+	if snap.Sub(Snapshot{}) != snap {
+		t.Errorf("s.Sub(zero) = %v, want %v", snap.Sub(Snapshot{}), snap)
+	}
+	sum := func(cs ...Counter) (n int64) {
+		for _, c := range cs {
+			n += snap[c]
+		}
+		return n
+	}
+	if b, r, rows := prof.Spill(); b != sum(JoinSpilledBytes, SortSpilledBytes, AggSpilledBytes) ||
+		r != sum(JoinSpilledPartitions, SortRuns, AggSpilledPartitions) ||
+		rows != sum(JoinSpilledBuildRows, JoinSpilledProbeRows, SortSpilledRows, AggSpilledRows) {
+		t.Errorf("Spill() = %d, %d, %d: not the sum of the join, sort and aggregate families", b, r, rows)
+	}
+
+	const writers, adds = 8, 1000
 	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
+	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				p.AddRows(1)
-				p.AddSpill(2, 0, 1)
-				p.AddBloom(1, 0)
+			for i := 0; i < adds; i++ {
+				sink.Add(Counter(i)%NumCounters, 1)
 			}
 		}()
 	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		var prev Snapshot
+		for i := 0; i < 100; i++ {
+			now := engine.Snapshot()
+			for c, v := range now.Sub(prev) {
+				if v < 0 {
+					t.Errorf("%s went backwards by %d", Counter(c), -v)
+				}
+			}
+			prev = now
+		}
+	}()
 	wg.Wait()
-	if got := p.Rows.Load(); got != 8000 {
-		t.Fatalf("rows = %d, want 8000", got)
+	<-done
+	var total int64
+	for _, v := range engine.Snapshot().Sub(snap) {
+		total += v
 	}
-	if got := p.SpillBytes.Load(); got != 16000 {
-		t.Fatalf("spill bytes = %d, want 16000", got)
-	}
-	if got := p.SpillRows.Load(); got != 8000 {
-		t.Fatalf("spill rows = %d, want 8000", got)
-	}
-	if got := p.BloomChecks.Load(); got != 8000 {
-		t.Fatalf("bloom checks = %d, want 8000", got)
-	}
-	if !p.HasDetail() {
-		t.Fatal("profile with spill activity reported no detail")
+	if total != writers*adds {
+		t.Errorf("concurrent writers added %d events, want %d", total, writers*adds)
 	}
 }
 
 func TestRegistrySnapshot(t *testing.T) {
-	r := NewRegistry()
+	var counters Counters
+	r := NewRegistry(&counters)
 	var v int64
 	r.RegisterFunc("a.count", func() int64 { return v })
 	r.RegisterFunc("b.count", func() int64 { return 7 })
 	v = 3
+	counters[ScanRows].Add(5)
 	snap := r.Snapshot()
-	if snap["a.count"] != 3 || snap["b.count"] != 7 {
+	if snap["a.count"] != 3 || snap["b.count"] != 7 || snap["scan.rows"] != 5 {
 		t.Fatalf("snapshot = %v", snap)
 	}
 	names := r.Names()
-	if len(names) != 2 || names[0] != "a.count" || names[1] != "b.count" {
+	if len(names) != int(NumCounters)+2 || names[0] != "a.count" || names[1] != "b.count" || !sort.StringsAreSorted(names) {
 		t.Fatalf("names = %v", names)
 	}
 	// Re-registering replaces.

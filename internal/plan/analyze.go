@@ -3,7 +3,6 @@ package plan
 import (
 	"fmt"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/exec"
@@ -53,7 +52,7 @@ func (n *Node) SpillBytes() int64 {
 	}
 	var total int64
 	if n.Prof != nil {
-		total = n.Prof.SpillBytes.Load()
+		total, _, _ = n.Prof.Spill()
 	}
 	for _, c := range n.Children {
 		total += c.SpillBytes()
@@ -112,15 +111,15 @@ func (n *Node) explainAnalyze(sb *strings.Builder, depth int, inherited *obs.OpP
 		fmt.Fprintf(sb, " time=%s (self %s)", fmtDuration(cum), fmtDuration(self))
 	}
 	sb.WriteString("\n")
-	if owns && p.HasDetail() {
+	if owns {
 		pad := strings.Repeat("   ", depth+1) + "   "
-		if b, r, rows := p.SpillBytes.Load(), p.SpillRuns.Load(), p.SpillRows.Load(); b != 0 || r != 0 || rows != 0 {
+		if b, r, rows := p.Spill(); b != 0 || r != 0 || rows != 0 {
 			fmt.Fprintf(sb, "%sspill: %s in %d runs (%d rows)\n", pad, fmtBytes(b), r, rows)
 		}
-		if c, d := p.BloomChecks.Load(), p.BloomDrops.Load(); c != 0 {
+		if c, d := p.Get(obs.JoinBloomChecks), p.Get(obs.JoinBloomDrops); c != 0 {
 			fmt.Fprintf(sb, "%sbloom: %d checked, %d dropped (%.1f%%)\n", pad, c, d, 100*float64(d)/float64(c))
 		}
-		if h, m := p.PoolHits.Load(), p.PoolMisses.Load(); h != 0 || m != 0 {
+		if h, m := p.Get(obs.PoolHits), p.Get(obs.PoolMisses); h != 0 || m != 0 {
 			fmt.Fprintf(sb, "%spool: %d hits, %d misses\n", pad, h, m)
 		}
 	}
@@ -197,34 +196,5 @@ func fmtBytes(b int64) string {
 		return fmt.Sprintf("%.1f KB", float64(b)/(1<<10))
 	default:
 		return fmt.Sprintf("%d B", b)
-	}
-}
-
-// PathPickCounters counts which access path the planner chose for base
-// -table scans — the registry exposes them so estimate-driven path
-// flips are observable in production, not just under EXPLAIN. The
-// engine owns one instance; planners share it across rebuilds (SetDOP)
-// so the counts are monotonic for the database's lifetime.
-type PathPickCounters struct {
-	Index   atomic.Int64
-	ZoneMap atomic.Int64
-	Full    atomic.Int64
-}
-
-func (c *PathPickCounters) pickIndex() {
-	if c != nil {
-		c.Index.Add(1)
-	}
-}
-
-func (c *PathPickCounters) pickZoneMap() {
-	if c != nil {
-		c.ZoneMap.Add(1)
-	}
-}
-
-func (c *PathPickCounters) pickFull() {
-	if c != nil {
-		c.Full.Add(1)
 	}
 }

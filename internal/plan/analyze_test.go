@@ -114,12 +114,16 @@ func TestExplainAnalyzeRender(t *testing.T) {
 	root.Instrument(true)
 
 	child.Prof.AddRows(400)
-	child.Prof.AddWall(30 * time.Millisecond)
-	child.Prof.PoolHits.Add(7)
-	child.Prof.PoolMisses.Add(3)
+	child.Prof.WallNS.Add(int64(30 * time.Millisecond))
+	scan := obs.Sink{Prof: child.Prof}
+	scan.Add(obs.PoolHits, 7)
+	scan.Add(obs.PoolMisses, 3)
 	root.Prof.AddRows(10)
-	root.Prof.AddWall(50 * time.Millisecond)
-	root.Prof.AddSpill(2048, 2, 400)
+	root.Prof.WallNS.Add(int64(50 * time.Millisecond))
+	sort := obs.Sink{Prof: root.Prof}
+	sort.Add(obs.SortSpilledBytes, 2048)
+	sort.Add(obs.SortRuns, 2)
+	sort.Add(obs.SortSpilledRows, 400)
 
 	text := root.ExplainAnalyze(60*time.Millisecond, 10)
 	if !strings.HasPrefix(text, "EXPLAIN ANALYZE (total 60.0ms, 10 rows returned)") {
@@ -188,28 +192,14 @@ func TestSpillBytesSum(t *testing.T) {
 	b := &Node{OwnProf: true}
 	root := &Node{OwnProf: true, Children: []*Node{a, b}}
 	root.Instrument(false)
-	a.Prof.AddSpill(100, 0, 0)
-	b.Prof.AddSpill(200, 0, 0)
+	obs.Sink{Prof: a.Prof}.Add(obs.JoinSpilledBytes, 100)
+	obs.Sink{Prof: b.Prof}.Add(obs.AggSpilledBytes, 200)
 	if got := root.SpillBytes(); got != 300 {
 		t.Fatalf("SpillBytes = %d, want 300", got)
 	}
 	var nilNode *Node
 	if nilNode.SpillBytes() != 0 {
 		t.Fatal("nil node spill")
-	}
-}
-
-func TestPathPickCountersNilSafe(t *testing.T) {
-	var c *PathPickCounters
-	c.pickIndex()
-	c.pickZoneMap()
-	c.pickFull()
-	real := &PathPickCounters{}
-	real.pickIndex()
-	real.pickIndex()
-	real.pickFull()
-	if real.Index.Load() != 2 || real.Full.Load() != 1 || real.ZoneMap.Load() != 0 {
-		t.Fatalf("counts: %d/%d/%d", real.Index.Load(), real.ZoneMap.Load(), real.Full.Load())
 	}
 }
 

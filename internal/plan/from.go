@@ -7,6 +7,7 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/exec"
 	"repro/internal/expr"
+	"repro/internal/obs"
 	"repro/internal/sqlparse"
 	"repro/internal/sqltypes"
 	"repro/internal/stats"
@@ -131,11 +132,11 @@ func (pl *Planner) planNamedTable(t *sqlparse.NamedTable, conjuncts []sqlparse.E
 	}
 	switch {
 	case useIndex:
-		pl.PathPicks.pickIndex()
+		pl.Sink.Add(obs.PathPickIndex, 1)
 	case len(zoneFilters) > 0:
-		pl.PathPicks.pickZoneMap()
+		pl.Sink.Add(obs.PathPickZoneMap, 1)
 	default:
-		pl.PathPicks.pickFull()
+		pl.Sink.Add(obs.PathPickFull, 1)
 	}
 	if useIndex {
 		return pl.indexScanNode(tab, qual, cols, idxCand, pred, est, ts), remaining, nil

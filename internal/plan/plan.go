@@ -195,10 +195,9 @@ type Planner struct {
 	// Empty selects by estimated page I/O. A forced path that does not
 	// apply (no sargable index, no filters) degrades to the full scan.
 	ForcePath string
-	// PathPicks, when non-nil, counts the access path chosen for each
-	// planned base-table scan. The engine passes one long-lived instance
-	// so the counts survive planner rebuilds.
-	PathPicks *PathPickCounters
+	// Sink counts the access path chosen for each planned base-table scan
+	// (the engine passes its own, so the counts survive planner rebuilds).
+	Sink obs.Sink
 }
 
 // Default join knobs: a 64 MB build budget keeps even DOP-wide joins

@@ -11,6 +11,7 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/exec"
 	"repro/internal/expr"
+	"repro/internal/obs"
 	"repro/internal/sqlparse"
 	"repro/internal/sqltypes"
 	"repro/internal/stats"
@@ -210,7 +211,7 @@ func (f *memSpillFile) Append(r sqltypes.Row) error {
 }
 func (f *memSpillFile) Rows() int64  { f.mu.Lock(); defer f.mu.Unlock(); return int64(len(f.rows)) }
 func (f *memSpillFile) Bytes() int64 { f.mu.Lock(); defer f.mu.Unlock(); return f.size }
-func (f *memSpillFile) Iter() (exec.RowIterator, error) {
+func (f *memSpillFile) Iter(obs.Sink) (exec.RowIterator, error) {
 	return &exec.SliceIterator{Rows: f.rows}, nil
 }
 func (f *memSpillFile) Release() error { return nil }

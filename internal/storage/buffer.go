@@ -6,6 +6,8 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/obs"
 )
 
 // frameKey identifies a cached page across files.
@@ -146,27 +148,6 @@ type BufferPool struct {
 	hits, misses, evictions atomic.Int64
 }
 
-// PoolTally attributes buffer-pool traffic to one consumer — typically
-// a plan operator's profile. The fields point directly at the
-// consumer's own atomic counters (storage stays ignorant of who owns
-// them), incremented alongside the pool's global counters by GetT. A
-// nil *PoolTally is valid and counts nothing.
-type PoolTally struct {
-	Hits, Misses *atomic.Int64
-}
-
-func (t *PoolTally) hit() {
-	if t != nil {
-		t.Hits.Add(1)
-	}
-}
-
-func (t *PoolTally) miss() {
-	if t != nil {
-		t.Misses.Add(1)
-	}
-}
-
 // PoolStats is a point-in-time snapshot of the pool's counters.
 type PoolStats struct {
 	Hits, Misses, Evictions int64
@@ -179,15 +160,6 @@ func (s PoolStats) HitRate() float64 {
 		return 0
 	}
 	return float64(s.Hits) / float64(total)
-}
-
-// Sub returns the counter deltas since an earlier snapshot.
-func (s PoolStats) Sub(earlier PoolStats) PoolStats {
-	return PoolStats{
-		Hits:      s.Hits - earlier.Hits,
-		Misses:    s.Misses - earlier.Misses,
-		Evictions: s.Evictions - earlier.Evictions,
-	}
 }
 
 // NewBufferPool returns a pool caching up to capacity pages, with a
@@ -272,18 +244,18 @@ func (bp *BufferPool) shard(key frameKey) *poolShard {
 // with a fill latch first, so concurrent getters of the same page block
 // on the latch (not on the shard), and getters of other pages proceed.
 func (bp *BufferPool) Get(f *PagedFile, id PageID) (*frame, error) {
-	return bp.GetT(f, id, nil)
+	return bp.GetT(f, id, obs.Sink{})
 }
 
-// GetT is Get with per-consumer accounting: when tally is non-nil its
-// counters increment alongside the pool's global hit/miss counters, so
-// a scan operator's profile can report the pool traffic it caused.
-func (bp *BufferPool) GetT(f *PagedFile, id PageID, tally *PoolTally) (*frame, error) {
+// GetT is Get on behalf of a consumer: the hit or miss is also written to
+// sink, alongside the pool's own counters, so a plan operator's profile
+// reports the pool traffic it caused.
+func (bp *BufferPool) GetT(f *PagedFile, id PageID, sink obs.Sink) (*frame, error) {
 	key := frameKey{f, id}
 	sh := bp.shard(key)
 	if m := sh.snap.Load(); m != nil {
 		if fr, ok := (*m)[key]; ok && fr.tryPin(key) {
-			return bp.pinned(fr, tally)
+			return bp.pinned(fr, sink)
 		}
 	}
 	sh.mu.Lock()
@@ -296,7 +268,7 @@ func (bp *BufferPool) GetT(f *PagedFile, id PageID, tally *PoolTally) (*frame, e
 				panic("storage: mapped frame rejected pin under shard lock")
 			}
 			sh.mu.Unlock()
-			return bp.pinned(fr, tally)
+			return bp.pinned(fr, sink)
 		}
 		fr := sh.allocLocked(bp)
 		if fr == nil {
@@ -308,7 +280,7 @@ func (bp *BufferPool) GetT(f *PagedFile, id PageID, tally *PoolTally) (*frame, e
 			continue // re-check: the page may have been cached meanwhile
 		}
 		bp.misses.Add(1)
-		tally.miss()
+		sink.Add(obs.PoolMisses, 1)
 		latch := &fillLatch{done: make(chan struct{})}
 		sh.installLocked(fr, key, false, latch)
 		sh.mu.Unlock()
@@ -343,11 +315,11 @@ func (bp *BufferPool) GetT(f *PagedFile, id PageID, tally *PoolTally) (*frame, e
 
 // pinned finishes a successful pin: account a hit, or wait out a pending
 // fill.
-func (bp *BufferPool) pinned(fr *frame, tally *PoolTally) (*frame, error) {
+func (bp *BufferPool) pinned(fr *frame, sink obs.Sink) (*frame, error) {
 	latch := fr.latch.Load()
 	if latch == nil {
 		bp.hits.Add(1)
-		tally.hit()
+		sink.Add(obs.PoolHits, 1)
 		fr.used.Store(true)
 		return fr, nil
 	}
@@ -355,7 +327,7 @@ func (bp *BufferPool) pinned(fr *frame, tally *PoolTally) (*frame, error) {
 	// counts as a miss, keeping the reported hit rate honest about how
 	// many accesses were served from memory.
 	bp.misses.Add(1)
-	tally.miss()
+	sink.Add(obs.PoolMisses, 1)
 	<-latch.done
 	// The pin keeps the frame from being recycled, so latch.err still
 	// belongs to the fill we waited for.

@@ -101,9 +101,6 @@ func TestBufferPoolShardedBasics(t *testing.T) {
 	if st.Evictions == 0 {
 		t.Error("no evictions with 128 pages in 64 frames")
 	}
-	if got := st.Sub(PoolStats{Misses: 28}).Misses; got != 100 {
-		t.Errorf("Sub misses = %d", got)
-	}
 	checkPoolInvariants(t, bp)
 }
 

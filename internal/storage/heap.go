@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"repro/internal/fault"
+	"repro/internal/obs"
 	"repro/internal/sqltypes"
 )
 
@@ -53,8 +54,8 @@ type Heap struct {
 	// zonemap.go.
 	zones [][]ZoneEntry
 
-	checksums bool               // stamp CRC32C on sealed pages
-	integ     *IntegrityCounters // shared verification counters (may be nil)
+	checksums bool     // stamp CRC32C on sealed pages
+	sink      obs.Sink // page verifications count here
 
 	// In-memory tail.
 	tailRows  []sqltypes.Row // retained for CompressPage mode and truncation
@@ -78,28 +79,24 @@ func OpenHeapWidths(path string, kinds []sqltypes.Kind, widths []uint8, comp Com
 }
 
 // HeapEnv carries cross-cutting wiring into a heap: fault injection,
-// shared integrity counters, and the checksum switch. The zero value
-// means no injection, no shared counters, checksums on.
+// where page verifications are counted, and the checksum switch. The zero
+// value means no injection, no counting, checksums on.
 type HeapEnv struct {
 	// Injector routes the heap's file I/O through failpoints; nil means
 	// direct OS I/O.
 	Injector *fault.Injector
-	// Integrity receives verification counts; nil allocates a private set.
-	Integrity *IntegrityCounters
+	// Sink receives the page-verification counts.
+	Sink obs.Sink
 	// DisableChecksums writes legacy (version-0) pages and skips all
 	// verification — for format-compatibility tests and A/B benchmarks.
 	DisableChecksums bool
 }
 
-// OpenHeapEnv is OpenHeapWidths with fault-injection and integrity wiring.
+// OpenHeapEnv is OpenHeapWidths with fault-injection and counter wiring.
 func OpenHeapEnv(path string, kinds []sqltypes.Kind, widths []uint8, comp Compression, pool *BufferPool, env HeapEnv) (*Heap, error) {
 	f, err := OpenPagedFileFault(path, env.Injector, "heap")
 	if err != nil {
 		return nil, err
-	}
-	integ := env.Integrity
-	if integ == nil {
-		integ = &IntegrityCounters{}
 	}
 	h := &Heap{
 		file:      f,
@@ -109,7 +106,7 @@ func OpenHeapEnv(path string, kinds []sqltypes.Kind, widths []uint8, comp Compre
 		codec:     RowCodec{Kinds: kinds, Mode: rowMode(comp), Widths: widths},
 		pageCum:   []int64{0},
 		checksums: !env.DisableChecksums,
-		integ:     integ,
+		sink:      env.Sink,
 	}
 	if h.checksums {
 		// Verify data pages on every read that comes from disk (the
@@ -403,15 +400,15 @@ func (h *Heap) buildTailPageLocked() ([]byte, int, error) {
 }
 
 // verifyDataPage checks a sealed data page's CRC32C (version-1 pages;
-// legacy version-0 pages pass unverified) and maintains the integrity
-// counters. Returns a *CorruptPageError on mismatch.
+// legacy version-0 pages pass unverified) and counts the
+// verification. Returns a *CorruptPageError on mismatch.
 func (h *Heap) verifyDataPage(id PageID, data []byte) error {
 	checked, err := checkPageChecksum(h.file.Path(), id, data)
 	if checked {
-		h.integ.verified.Add(1)
+		h.sink.Add(obs.PagesVerified, 1)
 	}
 	if err != nil {
-		h.integ.failed.Add(1)
+		h.sink.Add(obs.ChecksumFailures, 1)
 	}
 	return err
 }
@@ -437,9 +434,9 @@ func (h *Heap) VerifyChecksums() (checked, skipped int64, failures []error) {
 			continue
 		}
 		checked++
-		h.integ.verified.Add(1)
+		h.sink.Add(obs.PagesVerified, 1)
 		if err != nil {
-			h.integ.failed.Add(1)
+			h.sink.Add(obs.ChecksumFailures, 1)
 			failures = append(failures, err)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/obs"
 	"repro/internal/sqltypes"
 )
 
@@ -11,21 +12,15 @@ import (
 // fetches hitting the same page (the common case for index range scans over
 // mildly clustered data) decodes it once. It is single-goroutine state.
 type HeapFetchCache struct {
-	page  int64 // sealed page index, -1 = empty
-	rows  []sqltypes.Row
-	tally *PoolTally
+	page int64 // sealed page index, -1 = empty
+	rows []sqltypes.Row
+	sink obs.Sink
 }
 
-// NewHeapFetchCache returns an empty fetch cache.
-func NewHeapFetchCache() *HeapFetchCache {
-	return &HeapFetchCache{page: -1}
-}
-
-// SetPoolTally attributes the fetches' buffer-pool traffic to tally
-// (nil is valid). Returns the cache for chaining.
-func (c *HeapFetchCache) SetPoolTally(t *PoolTally) *HeapFetchCache {
-	c.tally = t
-	return c
+// NewHeapFetchCache returns an empty fetch cache whose fetches count their
+// buffer-pool traffic on sink.
+func NewHeapFetchCache(sink obs.Sink) *HeapFetchCache {
+	return &HeapFetchCache{page: -1, sink: sink}
 }
 
 // FetchRow returns the row at insertion position idx (storage format).
@@ -61,11 +56,11 @@ func (h *Heap) FetchRowCached(idx int64, c *HeapFetchCache) (sqltypes.Row, error
 	if c != nil && c.page == int64(p) {
 		return append(sqltypes.Row(nil), c.rows[off]...), nil
 	}
-	var tally *PoolTally
+	var sink obs.Sink
 	if c != nil {
-		tally = c.tally
+		sink = c.sink
 	}
-	fr, err := h.pool.GetT(h.file, PageID(p+1), tally)
+	fr, err := h.pool.GetT(h.file, PageID(p+1), sink)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,9 @@
 package storage
 
-import "repro/internal/sqltypes"
+import (
+	"repro/internal/obs"
+	"repro/internal/sqltypes"
+)
 
 // HeapIterator is a pull-based scan over a range of sealed heap pages,
 // optionally followed by a snapshot of the in-memory tail. It is the
@@ -98,38 +101,26 @@ type HeapVersionIterator struct {
 	tailAt  int64 // global index of tail[0]
 	tailOn  bool
 	zf      []ZoneFilter
-	stats   *VecScanStats
-	tally   *PoolTally
-}
-
-// SetPoolTally attributes the iterator's buffer-pool traffic to tally
-// (nil is valid). Returns the iterator for chaining.
-func (it *HeapVersionIterator) SetPoolTally(t *PoolTally) *HeapVersionIterator {
-	it.tally = t
-	return it
+	sink    obs.Sink
 }
 
 // SetZoneFilters makes the iterator skip sealed pages whose zone-map
 // range cannot satisfy the filters (conservative: pages without entries
-// are read). Skipped pages are counted in stats (may be nil). Returns
-// the iterator for chaining.
-func (it *HeapVersionIterator) SetZoneFilters(fs []ZoneFilter, stats *VecScanStats) *HeapVersionIterator {
+// are read). Returns the iterator for chaining.
+func (it *HeapVersionIterator) SetZoneFilters(fs []ZoneFilter) *HeapVersionIterator {
 	it.zf = fs
-	if stats == nil {
-		stats = &discardVecStats
-	}
-	it.stats = stats
 	return it
 }
 
 // NewVersionIterator returns an indexed iterator over sealed pages
 // [loPage, hiPage). With extend=true the upper bound and the tail are
 // captured atomically at call time instead (hiPage is ignored): the
-// iterator covers every row physically present at creation.
-func (h *Heap) NewVersionIterator(loPage, hiPage int64, extend bool) *HeapVersionIterator {
+// iterator covers every row physically present at creation. Skipped pages
+// and buffer-pool traffic count on sink.
+func (h *Heap) NewVersionIterator(loPage, hiPage int64, extend bool, sink obs.Sink) *HeapVersionIterator {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
-	it := &HeapVersionIterator{h: h, page: loPage, hiPage: hiPage, cum: h.pageCum}
+	it := &HeapVersionIterator{h: h, page: loPage, hiPage: hiPage, cum: h.pageCum, sink: sink}
 	if extend {
 		it.hiPage = int64(len(h.pageRows))
 		it.tail = snapshotTail(h.tailRows)
@@ -153,11 +144,11 @@ func (it *HeapVersionIterator) Next() (sqltypes.Row, int64, bool, error) {
 		}
 		if it.page < it.hiPage {
 			if len(it.zf) > 0 && it.h.ZoneSkip(it.page, it.zf) {
-				it.stats.ZoneSkippedPages.Add(1)
+				it.sink.Add(obs.ScanZoneSkippedPages, 1)
 				it.page++
 				continue
 			}
-			fr, err := it.h.pool.GetT(it.h.file, PageID(it.page+1), it.tally)
+			fr, err := it.h.pool.GetT(it.h.file, PageID(it.page+1), it.sink)
 			if err != nil {
 				return nil, 0, false, err
 			}

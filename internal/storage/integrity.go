@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"sync/atomic"
 )
 
 // Page integrity. Heap and columnar data pages carry a format-version
@@ -97,37 +96,5 @@ func checkPageChecksum(path string, id PageID, page []byte) (checked bool, err e
 	default:
 		return true, fmt.Errorf("storage: page %d of %s: unknown page format version %d: %w",
 			id, path, page[pageVerOff], ErrCorruptPage)
-	}
-}
-
-// IntegrityCounters aggregates checksum-verification activity across a
-// database's heaps. Snapshot in Database.ExecStats.
-type IntegrityCounters struct {
-	verified atomic.Int64
-	failed   atomic.Int64
-}
-
-// Snapshot returns the current counter values.
-func (c *IntegrityCounters) Snapshot() IntegrityStats {
-	if c == nil {
-		return IntegrityStats{}
-	}
-	return IntegrityStats{
-		PagesVerified:    c.verified.Load(),
-		ChecksumFailures: c.failed.Load(),
-	}
-}
-
-// IntegrityStats is a point-in-time view of IntegrityCounters.
-type IntegrityStats struct {
-	PagesVerified    int64 // pages whose CRC32C was checked and matched or not
-	ChecksumFailures int64 // pages whose CRC32C did not match
-}
-
-// Sub returns the per-interval delta c - o.
-func (c IntegrityStats) Sub(o IntegrityStats) IntegrityStats {
-	return IntegrityStats{
-		PagesVerified:    c.PagesVerified - o.PagesVerified,
-		ChecksumFailures: c.ChecksumFailures - o.ChecksumFailures,
 	}
 }

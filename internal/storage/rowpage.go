@@ -6,6 +6,7 @@ import (
 	"math"
 	"strings"
 
+	"repro/internal/obs"
 	"repro/internal/sqltypes"
 	"repro/internal/vec"
 )
@@ -29,8 +30,8 @@ type rowPage struct {
 	// offs[c*n+r] is the payload offset of cell (r, c), at its length
 	// prefix for text; unset under a null bit. Payloads are shorter than
 	// 64 KB (heapCapacity), so 16 bits do.
-	offs  []uint16
-	stats *VecScanStats
+	offs []uint16
+	sink obs.Sink
 }
 
 // rowPageCol is column c of a rowPage, as the lazy hook of its vector.
@@ -71,8 +72,8 @@ func (c *RowCodec) cellShape(col int) int {
 
 // lazyPageBatch walks a row-page payload of n rows and returns one lazy
 // vector per column with its null bitmap set.
-func (c *RowCodec) lazyPageBatch(payload []byte, n int, stats *VecScanStats) ([]*vec.Vector, error) {
-	return c.LazyRows(append([]byte(nil), payload...), n, nil, stats)
+func (c *RowCodec) lazyPageBatch(payload []byte, n int, sink obs.Sink) ([]*vec.Vector, error) {
+	return c.LazyRows(append([]byte(nil), payload...), n, nil, sink)
 }
 
 // MaxLazyRowsBytes is the longest payload LazyRows takes: cell offsets are
@@ -85,8 +86,9 @@ const MaxLazyRowsBytes = 1 << 16
 // other. ends, when non-nil, gives the offset at which each row must end
 // (rows that were stored apart must not run into each other). Every offset
 // the columns will later read is bounds-checked here, against bytes that
-// cannot change afterwards, so Fill cannot fail or read out of range.
-func (c *RowCodec) LazyRows(payload []byte, n int, ends []int, stats *VecScanStats) ([]*vec.Vector, error) {
+// cannot change afterwards, so Fill cannot fail or read out of range. A
+// column's cells count on sink when it is first read.
+func (c *RowCodec) LazyRows(payload []byte, n int, ends []int, sink obs.Sink) ([]*vec.Vector, error) {
 	nCols := len(c.Kinds)
 	nb := (nCols + 7) / 8
 	if n*nb > len(payload) {
@@ -112,7 +114,7 @@ func (c *RowCodec) LazyRows(payload []byte, n int, ends []int, stats *VecScanSta
 		payload: payload,
 		n:       n,
 		offs:    make([]uint16, nCols*n),
-		stats:   stats,
+		sink:    sink,
 	}
 	lazy := make([]struct {
 		vec  vec.Vector
@@ -284,6 +286,6 @@ func (rc *rowPageCol) Fill(v *vec.Vector) error {
 		}
 		v.Byts = out
 	}
-	pg.stats.ValuesDecoded.Add(int64(cells))
+	pg.sink.Add(obs.ScanValuesDecoded, int64(cells))
 	return nil
 }

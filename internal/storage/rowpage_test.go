@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/sqltypes"
 	"repro/internal/vec"
 )
@@ -100,8 +101,8 @@ func TestRowPageColumnSubsets(t *testing.T) {
 		}
 		nCols := len(codec.Kinds)
 		for subset := 0; subset < 1<<nCols; subset++ {
-			var stats VecScanStats
-			cols, err := codec.lazyPageBatch(payload, n, &stats)
+			stats := obs.Sink{Engine: new(obs.Counters)}
+			cols, err := codec.lazyPageBatch(payload, n, stats)
 			if err != nil {
 				t.Fatalf("%s: %v", mode, err)
 			}
@@ -125,7 +126,7 @@ func TestRowPageColumnSubsets(t *testing.T) {
 					t.Fatalf("%s subset %06b: column %d touched=%v but lazy=%v", mode, subset, c, touched, cols[c].Lazy != nil)
 				}
 			}
-			if got := stats.ValuesDecoded.Load(); got != cells {
+			if got := stats.Engine.Get(obs.ScanValuesDecoded); got != cells {
 				t.Fatalf("%s subset %06b: counted %d decoded cells, read %d", mode, subset, got, cells)
 			}
 		}
@@ -140,8 +141,8 @@ func TestRowPageTextOwnsItsBytes(t *testing.T) {
 	const n, strCol = 40, 4
 	codec := pageTestCodec(CompressNone)
 	frame := encodeTestPage(t, codec, n)
-	var stats VecScanStats
-	cols, err := codec.lazyPageBatch(frame, n, &stats)
+	stats := obs.Sink{Engine: new(obs.Counters)}
+	cols, err := codec.lazyPageBatch(frame, n, stats)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +161,7 @@ func TestRowPageTextOwnsItsBytes(t *testing.T) {
 
 	payload := encodeTestPage(t, codec, n)
 	allocs := testing.AllocsPerRun(20, func() {
-		cols, err := codec.lazyPageBatch(payload, n, &stats)
+		cols, err := codec.lazyPageBatch(payload, n, stats)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -203,8 +204,8 @@ func TestCorruptLegacyPageHeader(t *testing.T) {
 	if page[pageVerOff] != PageVerLegacy {
 		t.Fatalf("page version %d, want legacy", page[pageVerOff])
 	}
-	var stats VecScanStats
-	if _, n, err := h.decodePageBatch(page[:], &stats); err != nil || n != 50 {
+	stats := obs.Sink{Engine: new(obs.Counters)}
+	if _, n, err := h.decodePageBatch(page[:], stats); err != nil || n != 50 {
 		t.Fatalf("undamaged page: %d rows, %v", n, err)
 	}
 
@@ -213,7 +214,7 @@ func TestCorruptLegacyPageHeader(t *testing.T) {
 	if _, err := h.decodePage(damaged[:], nil); !errors.Is(err, ErrCorruptPage) {
 		t.Errorf("row decoder, used > capacity: %v, want ErrCorruptPage", err)
 	}
-	if _, _, err := h.decodePageBatch(damaged[:], &stats); !errors.Is(err, ErrCorruptPage) {
+	if _, _, err := h.decodePageBatch(damaged[:], stats); !errors.Is(err, ErrCorruptPage) {
 		t.Errorf("batch decoder, used > capacity: %v, want ErrCorruptPage", err)
 	}
 
@@ -222,7 +223,7 @@ func TestCorruptLegacyPageHeader(t *testing.T) {
 	if _, err := h.decodePage(damaged[:], nil); err == nil {
 		t.Error("row decoder accepted 65535 rows in one page")
 	}
-	if _, _, err := h.decodePageBatch(damaged[:], &stats); !errors.Is(err, ErrCorruptPage) {
+	if _, _, err := h.decodePageBatch(damaged[:], stats); !errors.Is(err, ErrCorruptPage) {
 		t.Errorf("batch decoder, 65535 rows: %v, want ErrCorruptPage", err)
 	}
 
@@ -232,7 +233,7 @@ func TestCorruptLegacyPageHeader(t *testing.T) {
 		t.Fatal(err)
 	}
 	pool.DropFile(h.file)
-	if _, err := h.NewBatchIterator(0, 1, false, nil).NextBatch(); !errors.Is(err, ErrCorruptPage) {
+	if _, err := h.NewBatchIterator(0, 1, false, obs.Sink{}).NextBatch(); !errors.Is(err, ErrCorruptPage) {
 		t.Errorf("batch scan of the damaged page: %v, want ErrCorruptPage", err)
 	}
 	if err := h.ScanPages(0, 1, func(sqltypes.Row) error { return nil }); !errors.Is(err, ErrCorruptPage) {
@@ -263,8 +264,8 @@ func FuzzRowPageBatch(f *testing.F) {
 			mode = CompressRow
 		}
 		codec := pageTestCodec(mode)
-		var stats VecScanStats
-		cols, err := codec.lazyPageBatch(payload, int(n), &stats)
+		stats := obs.Sink{Engine: new(obs.Counters)}
+		cols, err := codec.lazyPageBatch(payload, int(n), stats)
 		want, refErr := decodeReference(codec, payload, int(n))
 		if err != nil {
 			if refErr == nil {
@@ -312,11 +313,11 @@ func BenchmarkRowPageBatch(b *testing.B) {
 		}
 		for _, touch := range [][]int{{}, {3, 4}, {0, 1, 2, 3, 4, 5, 6, 7}} {
 			b.Run(fmt.Sprintf("%s/touch%d", mode, len(touch)), func(b *testing.B) {
-				var stats VecScanStats
+				stats := obs.Sink{Engine: new(obs.Counters)}
 				b.SetBytes(int64(len(payload)))
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					cols, err := codec.lazyPageBatch(payload, n, &stats)
+					cols, err := codec.lazyPageBatch(payload, n, stats)
 					if err != nil {
 						b.Fatal(err)
 					}

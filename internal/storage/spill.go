@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/fault"
+	"repro/internal/obs"
 	"repro/internal/sqltypes"
 )
 
@@ -230,13 +231,15 @@ func (s *SpillFile) Bytes() int64 {
 	return s.bytes
 }
 
-// NewIterator returns an iterator over all appended rows, in order. The
-// caller must not Append while iterating.
-func (s *SpillFile) NewIterator() *SpillIterator {
+// NewIterator returns an iterator over all appended rows, in order; its
+// buffer-pool traffic counts on sink. The caller must not Append while
+// iterating.
+func (s *SpillFile) NewIterator(sink obs.Sink) *SpillIterator {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return &SpillIterator{
 		f:        s,
+		sink:     sink,
 		hiPage:   s.pages,
 		rowsLeft: s.rows,
 		tail:     append([]byte(nil), s.tail...),
@@ -265,6 +268,7 @@ func (s *SpillFile) Release() error {
 // small carry buffer reassembles rows that span page boundaries.
 type SpillIterator struct {
 	f        *SpillFile
+	sink     obs.Sink
 	page     int64
 	hiPage   int64
 	rowsLeft int64
@@ -327,7 +331,7 @@ func (it *SpillIterator) refill() (bool, error) {
 			}
 			data = it.pageBuf
 		} else {
-			fr, err := it.f.pool.Get(it.f.file, PageID(it.page))
+			fr, err := it.f.pool.GetT(it.f.file, PageID(it.page), it.sink)
 			if err != nil {
 				return false, err
 			}

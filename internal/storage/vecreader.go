@@ -2,78 +2,32 @@ package storage
 
 import (
 	"fmt"
-	"sync/atomic"
 
+	"repro/internal/obs"
 	"repro/internal/sqltypes"
 	"repro/internal/vec"
 )
 
-// VecScanStats counts vectorized-scan work. ValuesDecoded is the number
-// of individual cell values materialized while building batches — for a
-// dictionary- or RLE-encoded column only the per-page dictionary entries
-// are ever decoded (counted separately in DictEntriesDecoded), so a
-// filter over such a column decodes O(distinct values) per page no
-// matter how many rows it drops. The row path decodes every cell of
-// every row before the predicate runs.
-type VecScanStats struct {
-	Batches            atomic.Int64
-	Rows               atomic.Int64
-	ValuesDecoded      atomic.Int64
-	DictEntriesDecoded atomic.Int64
-	// ZoneSkippedPages counts sealed pages a scan skipped entirely
-	// because their zone-map range could not satisfy the predicate.
-	ZoneSkippedPages atomic.Int64
-}
-
-// VecScanSnapshot is a point-in-time copy of VecScanStats.
-type VecScanSnapshot struct {
-	Batches            int64
-	Rows               int64
-	ValuesDecoded      int64
-	DictEntriesDecoded int64
-	ZoneSkippedPages   int64
-}
-
-// Snapshot returns the current counter values.
-func (s *VecScanStats) Snapshot() VecScanSnapshot {
-	return VecScanSnapshot{
-		Batches:            s.Batches.Load(),
-		Rows:               s.Rows.Load(),
-		ValuesDecoded:      s.ValuesDecoded.Load(),
-		DictEntriesDecoded: s.DictEntriesDecoded.Load(),
-		ZoneSkippedPages:   s.ZoneSkippedPages.Load(),
-	}
-}
-
-// Sub returns s - o, counter-wise.
-func (s VecScanSnapshot) Sub(o VecScanSnapshot) VecScanSnapshot {
-	return VecScanSnapshot{
-		Batches:            s.Batches - o.Batches,
-		Rows:               s.Rows - o.Rows,
-		ValuesDecoded:      s.ValuesDecoded - o.ValuesDecoded,
-		DictEntriesDecoded: s.DictEntriesDecoded - o.DictEntriesDecoded,
-		ZoneSkippedPages:   s.ZoneSkippedPages - o.ZoneSkippedPages,
-	}
-}
-
-var discardVecStats VecScanStats
-
 // decodePageBatch turns one sealed page into column vectors: row pages
 // become lazy columns (rowpage.go), compressed and columnar pages keep
-// their on-page dictionary/RLE coding as dictionary vectors.
-func (h *Heap) decodePageBatch(page []byte, stats *VecScanStats) ([]*vec.Vector, int, error) {
+// their on-page dictionary/RLE coding as dictionary vectors. Decoded cells
+// and dictionary entries count on sink: for a dictionary- or RLE-encoded
+// column only the per-page dictionary entries are ever decoded, so a filter
+// over such a column decodes O(distinct values) per page no matter how many
+// rows it drops.
+func (h *Heap) decodePageBatch(page []byte, sink obs.Sink) ([]*vec.Vector, int, error) {
 	n, payload, err := pagePayload(page)
 	if err != nil {
 		return nil, 0, err
 	}
 	switch page[0] {
 	case pageTypeRows:
-		cols, err := h.codec.lazyPageBatch(payload, n, stats)
+		cols, err := h.codec.lazyPageBatch(payload, n, sink)
 		return cols, n, err
 	case pageTypeCompressed:
-		return decodeCompressedBatch(h.kinds, payload, stats)
+		return decodeCompressedBatch(h.kinds, payload, sink)
 	case pageTypeColumnar:
-		return decodeColumnarBatch(h.kinds, payload, stats)
+		return decodeColumnarBatch(h.kinds, payload, sink)
 	}
 	return nil, 0, fmt.Errorf("storage: unknown heap page type %d", page[0])
 }
@@ -96,7 +50,7 @@ func rowsToVectors(kinds []sqltypes.Kind, rows []sqltypes.Row) []*vec.Vector {
 // dictionary vectors without materializing dropped rows: page-dictionary
 // entries decode at most once per column, inline cells are appended to
 // the column dictionary as singleton entries.
-func decodeCompressedBatch(kinds []sqltypes.Kind, buf []byte, stats *VecScanStats) ([]*vec.Vector, int, error) {
+func decodeCompressedBatch(kinds []sqltypes.Kind, buf []byte, sink obs.Sink) ([]*vec.Vector, int, error) {
 	rd := pageReader{buf: buf}
 	nCols := int(rd.uvarint())
 	nRows := int(rd.uvarint())
@@ -128,6 +82,7 @@ func decodeCompressedBatch(kinds []sqltypes.Kind, buf []byte, stats *VecScanStat
 	}
 	nb := (nCols + 7) / 8
 	var scratch []byte
+	var dictEntries, values int64 // written to sink once, after the page
 	for r := 0; r < nRows; r++ {
 		nullBM := rd.bytes(nb)
 		dictBM := rd.bytes(nb)
@@ -183,12 +138,14 @@ func decodeCompressedBatch(kinds []sqltypes.Kind, buf []byte, stats *VecScanStat
 			col.Codes[r] = code
 			if fromDict {
 				dictMap[c][dictRef] = code
-				stats.DictEntriesDecoded.Add(1)
+				dictEntries++
 			} else {
-				stats.ValuesDecoded.Add(1)
+				values++
 			}
 		}
 	}
+	sink.Add(obs.ScanDictEntriesDecoded, dictEntries)
+	sink.Add(obs.ScanValuesDecoded, values)
 	return cols, nRows, nil
 }
 
@@ -198,7 +155,7 @@ func decodeCompressedBatch(kinds []sqltypes.Kind, buf []byte, stats *VecScanStat
 // the column, so columns the query never touches cost nothing past the
 // structural walk. The payload is copied once up front because lazy
 // images outlive the page pin.
-func decodeColumnarBatch(kinds []sqltypes.Kind, buf []byte, stats *VecScanStats) ([]*vec.Vector, int, error) {
+func decodeColumnarBatch(kinds []sqltypes.Kind, buf []byte, sink obs.Sink) ([]*vec.Vector, int, error) {
 	buf = append([]byte(nil), buf...)
 	cr, err := newColumnarReader(buf, len(kinds))
 	if err != nil {
@@ -221,10 +178,10 @@ func decodeColumnarBatch(kinds []sqltypes.Kind, buf []byte, stats *VecScanStats)
 				}
 				vals[i] = v
 			}
-			stats.DictEntriesDecoded.Add(int64(len(dict)))
+			sink.Add(obs.ScanDictEntriesDecoded, int64(len(dict)))
 			col = &vec.Vector{Kind: kinds[c], Codes: codes, Dict: vals}
 		} else {
-			col = &vec.Vector{Kind: kinds[c], Lazy: &flatColumn{kind: kinds[c], imgs: flat, stats: stats}}
+			col = &vec.Vector{Kind: kinds[c], Lazy: &flatColumn{kind: kinds[c], imgs: flat, sink: sink}}
 		}
 		if nulls != nil {
 			for r := 0; r < cr.nRows; r++ {
@@ -241,9 +198,9 @@ func decodeColumnarBatch(kinds []sqltypes.Kind, buf []byte, stats *VecScanStats)
 // flatColumn is a flat column of a columnar page, still as cell images
 // (nil under a null bit): the lazy hook of its vector.
 type flatColumn struct {
-	kind  sqltypes.Kind
-	imgs  [][]byte
-	stats *VecScanStats
+	kind sqltypes.Kind
+	imgs [][]byte
+	sink obs.Sink
 }
 
 // Len returns the page's row count.
@@ -266,7 +223,7 @@ func (f *flatColumn) Fill(v *vec.Vector) error {
 		cells++
 	}
 	v.Ints, v.Floats, v.Strs, v.Byts = flat.Ints, flat.Floats, flat.Strs, flat.Byts
-	f.stats.ValuesDecoded.Add(cells)
+	f.sink.Add(obs.ScanValuesDecoded, cells)
 	return nil
 }
 
@@ -283,29 +240,19 @@ type HeapBatchIterator struct {
 	tail   []sqltypes.Row
 	tailAt int64
 	tailOn bool
-	stats  *VecScanStats
+	sink   obs.Sink
 	zf     []ZoneFilter
-	tally  *PoolTally
-}
-
-// SetPoolTally attributes the iterator's buffer-pool traffic to tally
-// (nil is valid). Returns the iterator for chaining.
-func (it *HeapBatchIterator) SetPoolTally(t *PoolTally) *HeapBatchIterator {
-	it.tally = t
-	return it
 }
 
 // NewBatchIterator returns a batch iterator over sealed pages
 // [loPage, hiPage). With extend=true the upper bound and the tail are
 // captured atomically at call time instead (hiPage is ignored), covering
-// every row physically present at creation. stats may be nil.
-func (h *Heap) NewBatchIterator(loPage, hiPage int64, extend bool, stats *VecScanStats) *HeapBatchIterator {
-	if stats == nil {
-		stats = &discardVecStats
-	}
+// every row physically present at creation. Scan work, skipped pages and
+// buffer-pool traffic count on sink.
+func (h *Heap) NewBatchIterator(loPage, hiPage int64, extend bool, sink obs.Sink) *HeapBatchIterator {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
-	it := &HeapBatchIterator{h: h, page: loPage, hiPage: hiPage, cum: h.pageCum, stats: stats}
+	it := &HeapBatchIterator{h: h, page: loPage, hiPage: hiPage, cum: h.pageCum, sink: sink}
 	if extend {
 		it.hiPage = int64(len(h.pageRows))
 		it.tail = make([]sqltypes.Row, len(h.tailRows))
@@ -332,15 +279,15 @@ func (it *HeapBatchIterator) SetZoneFilters(fs []ZoneFilter) *HeapBatchIterator 
 func (it *HeapBatchIterator) NextBatch() (*vec.Batch, error) {
 	for it.page < it.hiPage {
 		if len(it.zf) > 0 && it.h.ZoneSkip(it.page, it.zf) {
-			it.stats.ZoneSkippedPages.Add(1)
+			it.sink.Add(obs.ScanZoneSkippedPages, 1)
 			it.page++
 			continue
 		}
-		fr, err := it.h.pool.GetT(it.h.file, PageID(it.page+1), it.tally)
+		fr, err := it.h.pool.GetT(it.h.file, PageID(it.page+1), it.sink)
 		if err != nil {
 			return nil, err
 		}
-		cols, n, err := it.h.decodePageBatch(fr.Data(), it.stats)
+		cols, n, err := it.h.decodePageBatch(fr.Data(), it.sink)
 		it.h.pool.Unpin(fr, false)
 		if err != nil {
 			return nil, err
@@ -352,8 +299,8 @@ func (it *HeapBatchIterator) NextBatch() (*vec.Batch, error) {
 		}
 		b := vec.NewBatch(cols, n)
 		b.Base = base
-		it.stats.Batches.Add(1)
-		it.stats.Rows.Add(int64(n))
+		it.sink.Add(obs.ScanBatches, 1)
+		it.sink.Add(obs.ScanRows, int64(n))
 		return b, nil
 	}
 	if it.tailOn {
@@ -362,11 +309,11 @@ func (it *HeapBatchIterator) NextBatch() (*vec.Batch, error) {
 		it.tail = nil
 		if len(rows) > 0 {
 			cols := rowsToVectors(it.h.kinds, rows)
-			it.stats.ValuesDecoded.Add(int64(len(rows) * len(it.h.kinds)))
+			it.sink.Add(obs.ScanValuesDecoded, int64(len(rows)*len(it.h.kinds)))
 			b := vec.NewBatch(cols, len(rows))
 			b.Base = it.tailAt
-			it.stats.Batches.Add(1)
-			it.stats.Rows.Add(int64(len(rows)))
+			it.sink.Add(obs.ScanBatches, 1)
+			it.sink.Add(obs.ScanRows, int64(len(rows)))
 			return b, nil
 		}
 	}
