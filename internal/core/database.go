@@ -113,16 +113,13 @@ type Database struct {
 
 	inj *fault.Injector // fault-injection registry (nil in production)
 
-	// No Options field reaches these four. In-package tests set them after
+	// No Options field reaches these three. In-package tests set them after
 	// Open to get the configuration they compare against: threshold and
 	// joinParts (then SetDOP, which rebuilds the planner) put DOP-4 plans
-	// on tables of a few thousand rows, noVec makes table scans decode rows
-	// (the reference decoders the batch kernels must agree with) and pack
-	// them, noChecksums makes tables created afterwards write the
-	// pre-checksum page format.
+	// on tables of a few thousand rows, noChecksums makes tables created
+	// afterwards write the pre-checksum page format.
 	threshold   int64 // planner ParallelThreshold override, 0 = the planner's
 	joinParts   int   // join hash fan-out
-	noVec       bool  // table scans decode rows and pack them
 	noChecksums bool  // new heaps write legacy (version-0) pages
 
 	// Observability surface: sink carries the engine-wide counter set

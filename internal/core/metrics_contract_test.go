@@ -163,6 +163,7 @@ var contractCounters = map[string]int64{
 	"scan.rows":                    19943,
 	"scan.values_decoded":          29588,
 	"scan.zone_skipped_pages":      14,
+	"scan.zone_considered_pages":   23, // added with the counter: the lanes range scan's pages and the flows scan's
 	"vacuum.runs":                  moved,
 	"wal.syncs":                    moved,
 }

@@ -181,43 +181,6 @@ func (db *Database) wrapIterator(def *catalog.Table, it exec.RowIterator) exec.R
 	return it
 }
 
-// VectorizedScan reports whether the table's scan partitions decode
-// columnar batches themselves: every table, heap or clustered, unless the
-// row-decoding reference scans are switched on (noVec).
-func (db *Database) VectorizedScan(t *catalog.Table) bool {
-	return !db.noVec && db.tables[t.ID] != nil
-}
-
-// visibleHeapIterator filters an indexed heap scan down to the rows a
-// snapshot may see. The visible set is rendered once at open as sorted
-// disjoint index ranges; row indexes arrive in increasing order, so the
-// filter is a monotonic pointer walk with early exit past the last range.
-type visibleHeapIterator struct {
-	it     *storage.HeapVersionIterator
-	ranges []rowRange
-	ri     int
-}
-
-func (v *visibleHeapIterator) Next() (sqltypes.Row, bool, error) {
-	for {
-		row, idx, ok, err := v.it.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		for v.ri < len(v.ranges) && idx >= v.ranges[v.ri].end {
-			v.ri++
-		}
-		if v.ri >= len(v.ranges) {
-			return nil, false, nil // nothing visible beyond this index
-		}
-		if idx >= v.ranges[v.ri].start {
-			return row, true, nil
-		}
-	}
-}
-
-func (v *visibleHeapIterator) Close() error { return v.it.Close() }
-
 // visibleBatchIterator is the heap scan: NextBatch serves columnar page
 // batches with MVCC visibility applied as a selection-vector intersection
 // — invisible rows are deselected, never decoded.
@@ -323,30 +286,19 @@ func (db *Database) ScanPartitionsPruned(t *catalog.Table, parts int, filters []
 			parts = 1
 		}
 		seqCols := sequenceColumns(td.def)
-		vectorized := !db.noVec
 		ops := make([]exec.Operator, 0, parts)
 		for i := 0; i < parts; i++ {
 			lo := sealed * int64(i) / int64(parts)
 			hi := sealed * int64(i+1) / int64(parts)
-			includeTail := i == parts-1
-			tdc := td
-			def := td.def
 			// The tail partition re-captures the sealed-page count at open
 			// ("extend"): pages sealed since planning stay covered, and the
 			// visibility filter hides whatever the snapshot should not see.
-			if !vectorized {
-				ops = append(ops, &exec.Source{Factory: func(ctx *exec.Context) (exec.RowIterator, error) {
-					snap, _ := ctx.Snapshot.(*Snapshot)
-					it := tdc.heap.NewVersionIterator(lo, hi, includeTail, ctx.Sink).SetZoneFilters(filters)
-					return db.wrapIterator(def, &visibleHeapIterator{it: it, ranges: tdc.versions.visibleRanges(snap)}), nil
-				}})
-				continue
-			}
+			includeTail := i == parts-1
 			ops = append(ops, &exec.Scan{Factory: func(ctx *exec.Context) (exec.BatchIterator, error) {
 				snap, _ := ctx.Snapshot.(*Snapshot)
 				return &visibleBatchIterator{
-					bi:      tdc.heap.NewBatchIterator(lo, hi, includeTail, ctx.Sink).SetZoneFilters(filters),
-					ranges:  tdc.versions.visibleRanges(snap),
+					bi:      td.heap.NewBatchIterator(lo, hi, includeTail, ctx.Sink).SetZoneFilters(filters),
+					ranges:  td.versions.visibleRanges(snap),
 					seqCols: seqCols,
 				}, nil
 			}})
@@ -370,14 +322,12 @@ func (db *Database) ScanPartitionsPruned(t *catalog.Table, parts int, filters []
 	return ops, nil
 }
 
-// treeIterator adapts a btree range scan to batches and — the reference
-// decoder, under noVec — to rows, hiding keys the scan's snapshot cannot
-// see. The btree iterator walks leaf pages
-// unlatched, so the scan holds the table's write latch shared for its
-// duration — writers to this clustered table wait for the scan, but scans
-// never wait behind an open transaction (only behind individual row
-// inserts). A scan is pulled through one of the two interfaces, never
-// both: they share the cursor.
+// treeIterator is the clustered scan: it adapts a btree range scan to
+// batches, hiding keys the scan's snapshot cannot see. The btree iterator
+// walks leaf pages unlatched, so the scan holds the table's write latch
+// shared for its duration — writers to this clustered table wait for the
+// scan, but scans never wait behind an open transaction (only behind
+// individual row inserts).
 type treeIterator struct {
 	it      *btree.Iterator
 	td      *tableData
@@ -399,23 +349,6 @@ func (ti *treeIterator) advance() (bool, error) {
 		}
 	}
 	return false, ti.it.Err()
-}
-
-func (ti *treeIterator) Next() (sqltypes.Row, bool, error) {
-	ok, err := ti.advance()
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	row, _, err := ti.td.walCodec.Decode(ti.it.Value(), true)
-	if err != nil {
-		return nil, false, err
-	}
-	if len(ti.seqCols) > 0 {
-		if row, err = ti.td.def.FromStorageRow(row); err != nil {
-			return nil, false, err
-		}
-	}
-	return row, true, nil
 }
 
 // NextBatch gathers the values of up to vec.DefaultBatchSize visible leaf
@@ -497,7 +430,7 @@ func (db *Database) OrderedScanRange(t *catalog.Table, lo, hi *sqltypes.Value) (
 		}
 	}
 	seqCols := sequenceColumns(td.def)
-	open := func(ctx *exec.Context) (*treeIterator, error) {
+	return &exec.Scan{Factory: func(ctx *exec.Context) (exec.BatchIterator, error) {
 		snap, _ := ctx.Snapshot.(*Snapshot)
 		td.writeMu.RLock()
 		it, err := td.tree.SeekT(startKey, endKey, ctx.Sink)
@@ -506,11 +439,7 @@ func (db *Database) OrderedScanRange(t *catalog.Table, lo, hi *sqltypes.Value) (
 			return nil, err
 		}
 		return &treeIterator{it: it, td: td, snap: snap, sink: ctx.Sink, seqCols: seqCols, locked: true}, nil
-	}
-	if db.noVec {
-		return &exec.Source{Factory: func(ctx *exec.Context) (exec.RowIterator, error) { return open(ctx) }}, nil
-	}
-	return &exec.Scan{Factory: func(ctx *exec.Context) (exec.BatchIterator, error) { return open(ctx) }}, nil
+	}}, nil
 }
 
 // KeyRanges splits the first (integer) clustered key column into up to

@@ -2,29 +2,96 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
+	"repro/internal/catalog"
+	"repro/internal/exec"
 	"repro/internal/obs"
+	"repro/internal/sqltypes"
 )
+
+// writtenRows serves the rows a test wrote, in their query form, as a
+// table-valued function. It is the reference of the scan equivalence
+// tests: the expected answer to a statement over a table is the same
+// statement over the generator's own rows, which enter the plan through
+// exec.Source — the path ListShortReads takes — and through no page or
+// leaf decoder.
+type writtenRows struct {
+	cols []catalog.Column
+	rows []sqltypes.Row
+}
+
+func (w writtenRows) Schema([]sqltypes.Value) ([]catalog.Column, error) { return w.cols, nil }
+
+func (w writtenRows) Iterator([]sqltypes.Value) (exec.RowIterator, error) {
+	return &exec.SliceIterator{Rows: w.rows}, nil
+}
+
+// registerWritten installs rows as the TVF written(), its columns named
+// like the table's.
+func registerWritten(db *Database, names []string, rows []sqltypes.Row) {
+	cols := make([]catalog.Column, len(names))
+	for i, n := range names {
+		cols[i] = catalog.Column{Name: n}
+	}
+	db.RegisterTVF("written", writtenRows{cols: cols, rows: rows})
+}
+
+// insertStatements renders rows as multi-row INSERTs of perStmt rows.
+func insertStatements(table string, rows []sqltypes.Row, perStmt int) []string {
+	var out []string
+	var sb strings.Builder
+	for i, row := range rows {
+		if sb.Len() == 0 {
+			sb.WriteString("INSERT INTO " + table + " VALUES ")
+		} else {
+			sb.WriteString(", ")
+		}
+		sb.WriteString("(")
+		for j, v := range row {
+			if j > 0 {
+				sb.WriteString(", ")
+			}
+			switch v.K {
+			case sqltypes.KindNull:
+				sb.WriteString("NULL")
+			case sqltypes.KindString:
+				sb.WriteString("'" + v.S + "'")
+			case sqltypes.KindFloat:
+				sb.WriteString(strconv.FormatFloat(v.F, 'f', -1, 64))
+			default: // INT, and BIT as 0/1
+				fmt.Fprintf(&sb, "%d", v.I)
+			}
+		}
+		sb.WriteString(")")
+		if (i+1)%perStmt == 0 || i == len(rows)-1 {
+			out = append(out, sb.String())
+			sb.Reset()
+		}
+	}
+	return out
+}
 
 // vecFuzzColumn is one randomly-generated column of the fuzz schema.
 type vecFuzzColumn struct {
 	name string
 	typ  string // SQL type
-	gen  func(r *rand.Rand) string
+	gen  func(r *rand.Rand) sqltypes.Value
 }
 
 var seqAlphabet = []byte("ACGT")
 
 // nullable wraps a generator with a NULL probability.
-func nullable(p float64, gen func(r *rand.Rand) string) func(r *rand.Rand) string {
-	return func(r *rand.Rand) string {
+func nullable(p float64, gen func(r *rand.Rand) sqltypes.Value) func(r *rand.Rand) sqltypes.Value {
+	return func(r *rand.Rand) sqltypes.Value {
 		if r.Float64() < p {
-			return "NULL"
+			return sqltypes.Null
 		}
 		return gen(r)
 	}
@@ -32,10 +99,10 @@ func nullable(p float64, gen func(r *rand.Rand) string) func(r *rand.Rand) strin
 
 // runLength repeats a generator's value for short runs, producing the
 // repeated values RLE and dictionary page encodings compress.
-func runLength(gen func(r *rand.Rand) string) func(r *rand.Rand) string {
-	var cur string
+func runLength(gen func(r *rand.Rand) sqltypes.Value) func(r *rand.Rand) sqltypes.Value {
+	var cur sqltypes.Value
 	var left int
-	return func(r *rand.Rand) string {
+	return func(r *rand.Rand) sqltypes.Value {
 		if left == 0 {
 			cur = gen(r)
 			left = 1 + r.Intn(8)
@@ -45,57 +112,72 @@ func runLength(gen func(r *rand.Rand) string) func(r *rand.Rand) string {
 	}
 }
 
-var vecFuzzWords = []string{"'alpha'", "'beta'", "'gamma'", "'delta'", "'epsilon'", "'zeta'"}
+var vecFuzzWords = []string{"alpha", "beta", "gamma", "delta", "epsilon", "zeta"}
+
+// vecFuzzRows is the size of the fuzz table.
+const vecFuzzRows = 3000
 
 // randomVecSchema builds id BIGINT plus, in random order, one column of
 // every storage kind — each with NULLs — and up to two repeats: low-NDV
-// strings (dictionary), run-heavy 4-byte INTs (RLE) beside wide BIGINTs,
-// floats, BITs and 2-bit packable sequences.
+// strings (dictionary), prefixed distinct strings (PAGE prefix compression),
+// run-heavy 4-byte INTs (RLE) beside wide BIGINTs, floats, BITs and 2-bit
+// packable sequences.
 func randomVecSchema(r *rand.Rand) []vecFuzzColumn {
-	cols := []vecFuzzColumn{{
-		name: "id", typ: "BIGINT",
-		gen: func(*rand.Rand) string { return "" }, // filled by row counter
-	}}
+	cols := []vecFuzzColumn{{name: "id", typ: "BIGINT"}} // filled by row counter
 	kinds := []func(i int) vecFuzzColumn{
 		func(i int) vecFuzzColumn {
 			return vecFuzzColumn{name: fmt.Sprintf("c%d", i), typ: "INT",
-				gen: nullable(0.15, runLength(func(r *rand.Rand) string {
-					return fmt.Sprintf("%d", r.Intn(40)-20) // negatives: 4-byte cells sign-extend
+				gen: nullable(0.15, runLength(func(r *rand.Rand) sqltypes.Value {
+					return sqltypes.NewInt(int64(r.Intn(40) - 20)) // negatives: 4-byte cells sign-extend
 				}))}
 		},
 		func(i int) vecFuzzColumn {
 			return vecFuzzColumn{name: fmt.Sprintf("c%d", i), typ: "VARCHAR(16)",
-				gen: nullable(0.1, runLength(func(r *rand.Rand) string {
-					return vecFuzzWords[r.Intn(len(vecFuzzWords))]
+				gen: nullable(0.1, runLength(func(r *rand.Rand) sqltypes.Value {
+					return sqltypes.NewString(vecFuzzWords[r.Intn(len(vecFuzzWords))])
 				}))}
 		},
 		func(i int) vecFuzzColumn {
 			return vecFuzzColumn{name: fmt.Sprintf("c%d", i), typ: "FLOAT",
-				gen: nullable(0.1, func(r *rand.Rand) string {
-					return fmt.Sprintf("%.4f", r.Float64()*100)
+				gen: nullable(0.1, func(r *rand.Rand) sqltypes.Value {
+					return sqltypes.NewFloat(math.Round(r.Float64()*1e6) / 1e4)
 				})}
 		},
 		func(i int) vecFuzzColumn {
 			return vecFuzzColumn{name: fmt.Sprintf("c%d", i), typ: "SEQUENCE",
-				gen: nullable(0.1, func(r *rand.Rand) string {
+				gen: nullable(0.1, func(r *rand.Rand) sqltypes.Value {
 					n := 4 + r.Intn(12)
 					b := make([]byte, n)
 					for j := range b {
 						b[j] = seqAlphabet[r.Intn(4)]
 					}
-					return "'" + string(b) + "'"
+					return sqltypes.NewString(string(b))
 				})}
 		},
 		func(i int) vecFuzzColumn {
 			return vecFuzzColumn{name: fmt.Sprintf("c%d", i), typ: "BIGINT",
-				gen: nullable(0.2, func(r *rand.Rand) string {
-					return fmt.Sprintf("%d", r.Int63n(1<<40)-(1<<39))
+				gen: nullable(0.2, func(r *rand.Rand) sqltypes.Value {
+					return sqltypes.NewInt(r.Int63n(1<<40) - (1 << 39))
+				})}
+		},
+		func(i int) vecFuzzColumn {
+			// Distinct values behind one long prefix in the first half of the
+			// table, a few words after it: PAGE compression seals the first as
+			// compressed pages (the prefix is stored once), the second as
+			// columnar ones (a dictionary).
+			calls := 0
+			return vecFuzzColumn{name: fmt.Sprintf("c%d", i), typ: "VARCHAR(40)",
+				gen: nullable(0.1, func(r *rand.Rand) sqltypes.Value {
+					if calls++; calls < vecFuzzRows/2 {
+						return sqltypes.NewString(fmt.Sprintf("flowcell-HX7:lane3:%d", r.Intn(1<<20)))
+					}
+					return sqltypes.NewString(vecFuzzWords[r.Intn(len(vecFuzzWords))])
 				})}
 		},
 		func(i int) vecFuzzColumn {
 			return vecFuzzColumn{name: fmt.Sprintf("c%d", i), typ: "BIT",
-				gen: nullable(0.1, func(r *rand.Rand) string {
-					return fmt.Sprintf("%d", r.Intn(2))
+				gen: nullable(0.1, func(r *rand.Rand) sqltypes.Value {
+					return sqltypes.NewBool(r.Intn(2) == 1)
 				})}
 		},
 	}
@@ -127,7 +209,7 @@ func firstOfType(cols []vecFuzzColumn, typ string) string {
 type vecFuzzQuery struct {
 	sql string
 	// countOnly: TOP without ORDER BY returns an arbitrary subset, so only
-	// cardinality is comparable across engines.
+	// cardinality is comparable with the reference.
 	countOnly bool
 }
 
@@ -186,7 +268,7 @@ func vecFuzzQueries(cols []vecFuzzColumn) []vecFuzzQuery {
 
 // renderRows canonicalizes a result as a sorted multiset of row strings,
 // so equivalence is order-insensitive (parallel gathers interleave
-// nondeterministically on both paths).
+// nondeterministically).
 func renderRows(res *Result) []string {
 	out := make([]string, len(res.Rows))
 	for i, r := range res.Rows {
@@ -200,13 +282,15 @@ func renderRows(res *Result) []string {
 	return out
 }
 
-// TestVectorizedRowEquivalenceFuzz loads identical random data (random
-// schemas, NULLs, dictionary/RLE/packed-friendly distributions) into a
-// vectorized and a row-only engine at DOP 1 and DOP 4, and asserts every
-// query in the battery returns the same multiset of rows on all four.
-// Seeds rotate over the three storage formats: NONE and ROW seal row
-// pages (the late-materializing kernel, fixed-width and varint cells),
-// PAGE seals compressed and columnar pages.
+// TestVectorizedRowEquivalenceFuzz loads random data (random schemas,
+// NULLs, dictionary/RLE/packed-friendly distributions) into an engine at
+// DOP 1 and one at DOP 4 and asserts that every query of the battery over
+// the table returns the multiset of rows the same query returns over the
+// rows that were written (writtenRows) — while the table is sealed pages
+// plus an in-memory tail, and again after CHECKPOINT has sealed the tail.
+// Seeds rotate over the three storage formats: NONE and ROW seal row pages
+// (the late-materializing kernel, fixed-width and varint cells), PAGE seals
+// compressed and columnar pages.
 func TestVectorizedRowEquivalenceFuzz(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		seed := seed
@@ -214,9 +298,9 @@ func TestVectorizedRowEquivalenceFuzz(t *testing.T) {
 			r := rand.New(rand.NewSource(seed))
 			cols := randomVecSchema(r)
 
-			defs := make([]string, len(cols))
+			defs, names := make([]string, len(cols)), make([]string, len(cols))
 			for i, c := range cols {
-				defs[i] = c.name + " " + c.typ
+				defs[i], names[i] = c.name+" "+c.typ, c.name
 			}
 			compression := [...]string{
 				"",
@@ -225,99 +309,69 @@ func TestVectorizedRowEquivalenceFuzz(t *testing.T) {
 			}[seed%3]
 			ddl := fmt.Sprintf("CREATE TABLE t (%s)%s", strings.Join(defs, ", "), compression)
 
-			const nRows = 3000
-			var inserts []string
-			var sb strings.Builder
-			for i := 0; i < nRows; i++ {
-				if sb.Len() == 0 {
-					sb.WriteString("INSERT INTO t VALUES ")
-				} else {
-					sb.WriteString(", ")
-				}
-				sb.WriteString("(")
-				for j, c := range cols {
-					if j > 0 {
-						sb.WriteString(", ")
-					}
-					if j == 0 {
-						fmt.Fprintf(&sb, "%d", i)
-					} else {
-						sb.WriteString(c.gen(r))
-					}
-				}
-				sb.WriteString(")")
-				if (i+1)%200 == 0 {
-					inserts = append(inserts, sb.String())
-					sb.Reset()
+			written := make([]sqltypes.Row, vecFuzzRows)
+			for i := range written {
+				written[i] = make(sqltypes.Row, len(cols))
+				written[i][0] = sqltypes.NewInt(int64(i))
+				for j, c := range cols[1:] {
+					written[i][j+1] = c.gen(r)
 				}
 			}
-			if sb.Len() > 0 {
-				inserts = append(inserts, sb.String())
-			}
+			inserts := insertStatements("t", written, 200)
 
 			type engine struct {
 				name string
 				db   *Database
 			}
 			var engines []engine
-			for _, cfg := range []struct {
-				name  string
-				dop   int
-				noVec bool
-			}{
-				{"vec-dop1", 1, false},
-				{"vec-dop4", 4, false},
-				{"row-dop1", 1, true},
-				{"row-dop4", 4, true},
-			} {
-				db, err := Open(filepath.Join(t.TempDir(), cfg.name), Options{DOP: cfg.dop})
+			for _, dop := range []int{1, 4} {
+				name := fmt.Sprintf("dop%d", dop)
+				db, err := Open(filepath.Join(t.TempDir(), name), Options{DOP: dop})
 				if err != nil {
 					t.Fatal(err)
 				}
 				t.Cleanup(func() { db.Close() })
-				db.noVec = cfg.noVec
 				db.threshold = 64 // DOP-4 scans over 3 000 rows
-				db.SetDOP(cfg.dop)
+				db.SetDOP(dop)
 				mustExec(t, db, ddl)
 				for _, ins := range inserts {
 					mustExec(t, db, ins)
 				}
-				engines = append(engines, engine{cfg.name, db})
+				engines = append(engines, engine{name, db})
 			}
+			registerWritten(engines[0].db, names, written)
 
-			for _, q := range vecFuzzQueries(cols) {
-				run := func(e engine) []string {
-					res, err := e.db.Exec(q.sql)
-					if err != nil {
-						t.Fatalf("%s: Exec(%q): %v", e.name, q.sql, err)
+			for _, stage := range []string{"loaded", "checkpointed"} {
+				if stage == "checkpointed" {
+					for _, e := range engines {
+						mustExec(t, e.db, `CHECKPOINT`)
 					}
-					return renderRows(res)
 				}
-				baseline := run(engines[0])
-				for _, e := range engines[1:] {
-					got := run(e)
-					if len(got) != len(baseline) {
-						t.Fatalf("%s: %q returned %d rows, %s returned %d",
-							e.name, q.sql, len(got), engines[0].name, len(baseline))
-					}
-					if q.countOnly {
-						continue
-					}
-					for i := range got {
-						if got[i] != baseline[i] {
-							t.Fatalf("%s: %q row %d = %q, %s has %q",
-								e.name, q.sql, i, got[i], engines[0].name, baseline[i])
+				for _, q := range vecFuzzQueries(cols) {
+					ref := strings.Replace(q.sql, "FROM t", "FROM written()", 1)
+					want := renderRows(mustExec(t, engines[0].db, ref))
+					for _, e := range engines {
+						got := renderRows(mustExec(t, e.db, q.sql))
+						if len(got) != len(want) {
+							t.Fatalf("%s, %s: %q returned %d rows, %d of the written rows qualify",
+								stage, e.name, q.sql, len(got), len(want))
+						}
+						if q.countOnly {
+							continue
+						}
+						for i := range got {
+							if got[i] != want[i] {
+								t.Fatalf("%s, %s: %q row %d = %q, over the written rows %q",
+									stage, e.name, q.sql, i, got[i], want[i])
+							}
 						}
 					}
 				}
 			}
 
-			// The vectorized engines actually ran the batch path.
-			if st := engineCounters(engines[0].db); st[obs.ScanBatches] == 0 {
-				t.Fatal("vectorized engine processed no batches")
-			}
-			if st := engineCounters(engines[2].db); st[obs.ScanBatches] != 0 {
-				t.Fatal("row-only engine processed batches")
+			// The table statements ran the batch scan.
+			if st := engineCounters(engines[1].db); st[obs.ScanBatches] == 0 {
+				t.Fatal("the engine processed no batches")
 			}
 		})
 	}

@@ -4,8 +4,8 @@
 // the two edges of a plan, each with one adapter:
 //
 //   - rows in: Source packs a RowIterator — a table-valued function, an index
-//     scan, a spill file, the row-decoding reference scans — into batches
-//     (rowPacker). RowIterator is the paper's extension contract ("The API
+//     scan, a spill file — into batches (rowPacker); a table scan is never
+//     one, its leaf (Scan) reads batches off pages. RowIterator is the paper's extension contract ("The API
 //     for providing TVFs follows the standard iterator interface of a
 //     relational query engine", Section 4.1) and stays as it is. The
 //     operators whose insides still work a row at a time (Sort, RowNumber,

@@ -10,7 +10,7 @@ import (
 	"repro/internal/storage"
 )
 
-// partitionedHeapScan builds one Source per sealed-page range of h, the
+// partitionedHeapScan builds one Scan per sealed-page range of h, the
 // same partitioning the engine's parallel table scans use.
 func partitionedHeapScan(h *storage.Heap, parts int) []Operator {
 	sealed := h.SealedPages()
@@ -19,9 +19,9 @@ func partitionedHeapScan(h *storage.Heap, parts int) []Operator {
 		lo := sealed * int64(i) / int64(parts)
 		hi := sealed * int64(i+1) / int64(parts)
 		includeTail := i == parts-1
-		ops = append(ops, &Source{
-			Factory: func(*Context) (RowIterator, error) {
-				return h.NewIterator(lo, hi, includeTail), nil
+		ops = append(ops, &Scan{
+			Factory: func(ctx *Context) (BatchIterator, error) {
+				return h.NewBatchIterator(lo, hi, includeTail, ctx.Sink), nil
 			},
 		})
 	}

@@ -56,6 +56,7 @@ const (
 	ScanValuesDecoded                     // cells materialized while building or reading them
 	ScanDictEntriesDecoded                // page-dictionary entries decoded
 	ScanZoneSkippedPages                  // sealed heap pages a zone map ruled out
+	ScanZoneConsidered                    // sealed heap pages a scan carrying zone filters came to, skipped or read
 	PoolHits                              // buffer-pool hits caused by plan operators
 	PoolMisses                            // buffer-pool misses caused by plan operators
 	PagesVerified                         // pages whose checksum was checked
@@ -92,6 +93,7 @@ var counterNames = [NumCounters]string{
 	ScanValuesDecoded:      "scan.values_decoded",
 	ScanDictEntriesDecoded: "scan.dict_entries_decoded",
 	ScanZoneSkippedPages:   "scan.zone_skipped_pages",
+	ScanZoneConsidered:     "scan.zone_considered_pages",
 	PoolHits:               "exec.pool.hits",
 	PoolMisses:             "exec.pool.misses",
 	PagesVerified:          "integrity.pages_verified",

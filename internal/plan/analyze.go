@@ -63,7 +63,7 @@ func (n *Node) SpillBytes() int64 {
 // ExplainAnalyze renders the executed plan in the EXPLAIN format
 // annotated with each node's actual row count, the estimate ratio, per
 // -operator wall time (cumulative and self), and detail lines for
-// spill, Bloom and buffer-pool activity. total is the statement's
+// spill, Bloom, zone-map and buffer-pool activity. total is the statement's
 // end-to-end wall time, rows the count it returned.
 //
 // Display-only nodes without their own profile (synthetic exchange and
@@ -118,6 +118,9 @@ func (n *Node) explainAnalyze(sb *strings.Builder, depth int, inherited *obs.OpP
 		}
 		if c, d := p.Get(obs.JoinBloomChecks), p.Get(obs.JoinBloomDrops); c != 0 {
 			fmt.Fprintf(sb, "%sbloom: %d checked, %d dropped (%.1f%%)\n", pad, c, d, 100*float64(d)/float64(c))
+		}
+		if c := p.Get(obs.ScanZoneConsidered); c != 0 {
+			fmt.Fprintf(sb, "%szone: %d/%d pages skipped\n", pad, p.Get(obs.ScanZoneSkippedPages), c)
 		}
 		if h, m := p.Get(obs.PoolHits), p.Get(obs.PoolMisses); h != 0 || m != 0 {
 			fmt.Fprintf(sb, "%spool: %d hits, %d misses\n", pad, h, m)

@@ -118,6 +118,8 @@ func TestExplainAnalyzeRender(t *testing.T) {
 	scan := obs.Sink{Prof: child.Prof}
 	scan.Add(obs.PoolHits, 7)
 	scan.Add(obs.PoolMisses, 3)
+	scan.Add(obs.ScanZoneConsidered, 16)
+	scan.Add(obs.ScanZoneSkippedPages, 6)
 	root.Prof.AddRows(10)
 	root.Prof.WallNS.Add(int64(50 * time.Millisecond))
 	sort := obs.Sink{Prof: root.Prof}
@@ -165,6 +167,9 @@ func TestExplainAnalyzeRender(t *testing.T) {
 	}
 	if !strings.Contains(text, "pool: 7 hits, 3 misses") {
 		t.Errorf("pool detail:\n%s", text)
+	}
+	if !strings.Contains(text, "zone: 6/16 pages skipped") {
+		t.Errorf("zone detail:\n%s", text)
 	}
 }
 

@@ -179,7 +179,7 @@ func (pl *Planner) planNamedTable(t *sqlparse.NamedTable, conjuncts []sqlparse.E
 	// profile at build time: consumers that take the partition chains
 	// directly (exchanges, partitioned joins) bypass the leaf's Build, so
 	// this is where the chains bind to the node that displays them.
-	scanLeaf := &Node{Op: scanOp, Detail: detail, Cols: cols, Est: est, rowScan: !pl.Provider.VectorizedScan(tab)}
+	scanLeaf := &Node{Op: scanOp, Detail: detail, Cols: cols, Est: est}
 	parts := func() ([]exec.Operator, error) {
 		var ops []exec.Operator
 		var err error
@@ -739,8 +739,8 @@ func (pl *Planner) tryMergeJoin(j *sqlparse.JoinRef, left, right *relation,
 	// bind the per-range scan and join chains to them at build time
 	// (OwnProf makes Instrument allocate profiles although only the root
 	// node carries a Build factory).
-	lleaf := &Node{Op: "Clustered Index Scan", Detail: scanDetail(ltab, leftPred), Est: lest, OwnProf: true, rowScan: !pl.Provider.VectorizedScan(ltab)}
-	rleaf := &Node{Op: "Clustered Index Scan", Detail: scanDetail(rtab, rightPred), Est: rest, OwnProf: true, rowScan: !pl.Provider.VectorizedScan(rtab)}
+	lleaf := &Node{Op: "Clustered Index Scan", Detail: scanDetail(ltab, leftPred), Est: lest, OwnProf: true}
+	rleaf := &Node{Op: "Clustered Index Scan", Detail: scanDetail(rtab, rightPred), Est: rest, OwnProf: true}
 	mjNode := &Node{
 		Op:       "Merge Join (Inner Join)",
 		Detail:   mjDetail,

@@ -76,11 +76,6 @@ type Provider interface {
 	// budget; may return nil when the engine cannot spill (joins then fail
 	// rather than exceed the budget).
 	SpillStore() exec.SpillStore
-	// VectorizedScan reports whether the table's scan partitions decode
-	// pages and leaves into columnar batches themselves (exec.Scan) rather
-	// than packing decoded rows (exec.Source); EXPLAIN marks only the
-	// former "vectorized".
-	VectorizedScan(t *catalog.Table) bool
 }
 
 // ColMeta describes one output column of a plan node.
@@ -99,11 +94,8 @@ type Node struct {
 	Cols     []ColMeta
 	// Est is the planner's estimated output cardinality (0 = unknown);
 	// EXPLAIN renders it so estimate quality is visible and testable.
-	Est int64
-	// rowScan marks a table scan leaf whose source decodes rows and packs
-	// them (Provider.VectorizedScan said no); see vectorized.
-	rowScan bool
-	Build   func() (exec.Operator, error)
+	Est   int64
+	Build func() (exec.Operator, error)
 	// Prof is the node's execution profile, allocated by Instrument
 	// before the plan builds. Planner closures that construct operators
 	// outside the Build chain (per-partition chains handed to exchanges)
@@ -162,11 +154,11 @@ var rowInternal = map[string]bool{
 
 // vectorized is the one rule behind EXPLAIN's "vectorized" annotation: a
 // node carries it when the operator it shows computes on typed vectors —
-// batch-native scan leaves, filters, projections, TOP, exchanges, the hash
-// join, the aggregates. Every operator exchanges batches, so what the
+// table scan leaves (always exec.Scan), filters, projections, TOP,
+// exchanges, the hash join, the aggregates. Every operator exchanges batches, so what the
 // annotation leaves unmarked is the work still to be done inside operators
 // (ROADMAP item 2), not a second engine.
-func (n *Node) vectorized() bool { return !n.rowScan && !rowInternal[n.Op] }
+func (n *Node) vectorized() bool { return !rowInternal[n.Op] }
 
 // Planner turns SELECT ASTs into physical plans.
 type Planner struct {

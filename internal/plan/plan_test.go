@@ -29,8 +29,6 @@ type fakeProvider struct {
 	// slice stands in for a much larger table.
 	tstats    map[string]*stats.TableStats
 	rowCounts map[string]int64
-	// nativeScans is VectorizedScan's answer.
-	nativeScans bool
 	// pageStats, when set, answers HeapPageStats; nil = (0, 0) ("no
 	// information", the planner's cardinality fallback).
 	pageStats func(t *catalog.Table, filters []storage.ZoneFilter) (kept, total int64)
@@ -217,10 +215,6 @@ func (f *memSpillFile) Iter(obs.Sink) (exec.RowIterator, error) {
 func (f *memSpillFile) Release() error { return nil }
 
 func (p *fakeProvider) SpillStore() exec.SpillStore { return memSpillStore{} }
-
-// The fake's scan partitions are row slices packed by exec.Source, not
-// page-backed batch scans — unless a test says otherwise.
-func (p *fakeProvider) VectorizedScan(*catalog.Table) bool { return p.nativeScans }
 
 func planQuery(t *testing.T, pl *Planner, sql string) *Node {
 	t.Helper()
@@ -451,9 +445,9 @@ func TestPlanPartitionedJoin(t *testing.T) {
 
 // TestExplainVectorizedAnnotation: one rule, by the operator a node shows.
 // Nodes that compute on typed vectors carry "vectorized" — filter, compute
-// scalar, TOP, the exchanges, the hash join, the aggregates, a batch-native
-// scan leaf; the row-internal ones do not — the sort family, merge join, a
-// row-decoded scan leaf, an index scan.
+// scalar, TOP, the exchanges, the hash join, the aggregates, a table scan
+// leaf; the row-internal ones do not — the sort family, merge join, an
+// index scan.
 func TestExplainVectorizedAnnotation(t *testing.T) {
 	p := newFakeProvider()
 	p.rowCounts["t"] = 100_000
@@ -467,13 +461,11 @@ func TestExplainVectorizedAnnotation(t *testing.T) {
 		"Hash Match (Final Aggregate, merge partials)": true, "Hash Match (Partial Aggregate, spillable)": true,
 		"Sort": false, "Parallelism (Merge Gather, ordered)": false, "Sequence Project (ROW_NUMBER)": false,
 		"Top N Sort": false, "Top N Sort (per-partition)": false, "Merge Join (Inner Join)": false,
-		"Index Scan": false, "Constant Scan": false,
+		"Index Scan": false, "Constant Scan": false, "Table Scan": true, "Clustered Index Scan": true,
 	}
 	seen := map[string]bool{}
-	check := func(sql string, leaves bool) {
+	check := func(sql string) {
 		t.Helper()
-		p.nativeScans = leaves
-		marked["Table Scan"], marked["Clustered Index Scan"] = leaves, leaves
 		text := planQuery(t, pl, sql).Explain()
 		for _, line := range strings.Split(strings.TrimRight(text, "\n"), "\n") {
 			line = strings.TrimLeft(line, " |-")
@@ -495,25 +487,23 @@ func TestExplainVectorizedAnnotation(t *testing.T) {
 			}
 		}
 	}
-	for _, leaves := range []bool{true, false} {
-		check("SELECT TOP 3 s FROM t WHERE a > 2", leaves)
-		check("SELECT s, COUNT(*) FROM t GROUP BY s HAVING COUNT(*) > 1", leaves)
-		check("SELECT s FROM t ORDER BY a", leaves)
-		check("SELECT TOP 2 s FROM t ORDER BY a", leaves)
-		check("SELECT s, ROW_NUMBER() OVER (ORDER BY a) FROM t", leaves)
-		check("SELECT a FROM t WHERE a = 3", leaves)
-		check("SELECT s, v FROM t JOIN u ON a = b", leaves)
-		check("SELECT lv, rv FROM left JOIN right_t ON id = rid", leaves)
-		check("SELECT id, COUNT(*) FROM left GROUP BY id", leaves)
-		check("SELECT 1", leaves)
-	}
+	check("SELECT TOP 3 s FROM t WHERE a > 2")
+	check("SELECT s, COUNT(*) FROM t GROUP BY s HAVING COUNT(*) > 1")
+	check("SELECT s FROM t ORDER BY a")
+	check("SELECT TOP 2 s FROM t ORDER BY a")
+	check("SELECT s, ROW_NUMBER() OVER (ORDER BY a) FROM t")
+	check("SELECT a FROM t WHERE a = 3")
+	check("SELECT s, v FROM t JOIN u ON a = b")
+	check("SELECT lv, rv FROM left JOIN right_t ON id = rid")
+	check("SELECT id, COUNT(*) FROM left GROUP BY id")
+	check("SELECT 1")
 	pl.ParallelThreshold = 5
 	p.rowCounts["t"] = 0
 	p.tables["t"].Indexes = nil
-	check("SELECT s, COUNT(*) FROM t GROUP BY s", true)
-	check("SELECT TOP 2 s FROM t ORDER BY a", true)
-	check("SELECT s FROM t ORDER BY a", false)
-	check("SELECT lv, rv FROM left JOIN right_t ON id = rid", true)
+	check("SELECT s, COUNT(*) FROM t GROUP BY s")
+	check("SELECT TOP 2 s FROM t ORDER BY a")
+	check("SELECT s FROM t ORDER BY a")
+	check("SELECT lv, rv FROM left JOIN right_t ON id = rid")
 	for op := range marked {
 		if !seen[op] {
 			t.Errorf("no plan showed a %q node", op)

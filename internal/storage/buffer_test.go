@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/sqltypes"
 )
 
@@ -354,14 +355,24 @@ func scanParallel(b *testing.B, h *Heap, dop int) int64 {
 		wg.Add(1)
 		go func(w int, lo, hi int64) {
 			defer wg.Done()
-			n := int64(0)
-			if err := h.ScanPages(lo, hi, func(sqltypes.Row) error {
-				n++
-				return nil
-			}); err != nil {
-				b.Error(err)
+			it := h.NewBatchIterator(lo, hi, false, obs.Sink{})
+			for {
+				batch, err := it.NextBatch()
+				if err != nil {
+					b.Error(err)
+				}
+				if err != nil || batch == nil {
+					return
+				}
+				// Every cell, as the row scan this replaced decoded them.
+				for _, col := range batch.Cols {
+					if err := col.Materialize(); err != nil {
+						b.Error(err)
+						return
+					}
+				}
+				counts[w] += int64(batch.Len())
 			}
-			counts[w] = n
 		}(w, lo, hi)
 	}
 	wg.Wait()

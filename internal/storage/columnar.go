@@ -190,158 +190,117 @@ func uvarintLen(v uint64) int {
 	return n
 }
 
-// columnarReader walks a columnar page payload column by column; decode
-// callbacks receive raw images so row- and vector-materializing readers
-// share the traversal.
+// columnarReader walks a columnar page payload column by column, handing
+// out raw cell images.
 type columnarReader struct {
 	rd    pageReader
-	nCols int
 	nRows int
-	kind  sqltypes.Kind // kind of the column being decoded
 }
 
-func newColumnarReader(buf []byte, nCols int) (*columnarReader, error) {
-	cr := &columnarReader{rd: pageReader{buf: buf}}
-	cr.nCols = int(cr.rd.uvarint())
-	cr.nRows = int(cr.rd.uvarint())
-	if cr.rd.failed || cr.nCols != nCols {
-		return nil, fmt.Errorf("storage: columnar page has %d columns, schema has %d", cr.nCols, nCols)
+// newColumnarReader opens a payload that must hold nCols columns of nRows
+// rows, as the schema and the page header say.
+func newColumnarReader(buf []byte, nCols, nRows int) (*columnarReader, error) {
+	cr := &columnarReader{rd: pageReader{buf: buf}, nRows: nRows}
+	haveCols, haveRows := cr.rd.uvarint(), cr.rd.uvarint()
+	if cr.rd.failed || haveCols != uint64(nCols) || haveRows != uint64(nRows) {
+		return nil, fmt.Errorf("storage: columnar page holds %d columns of %d rows, schema and header say %d of %d: %w",
+			haveCols, haveRows, nCols, nRows, ErrCorruptPage)
 	}
 	return cr, nil
 }
 
-// column decodes the next column. nulls is nil when the column has no
-// nulls; codes/dict are nil for flat columns, in which case flat holds
-// one image per non-null row in row order.
-func (cr *columnarReader) column() (enc byte, nulls []byte, dict [][]byte, codes []int32, flat [][]byte, err error) {
+// column decodes the next column, of the given kind. nulls is nil when the
+// column has no nulls; codes/dict are nil for flat columns, in which case
+// flat holds one image per non-null row in row order. A code under a null
+// bit is filler; every other code indexes dict.
+func (cr *columnarReader) column(kind sqltypes.Kind) (nulls []byte, dict [][]byte, codes []int32, flat [][]byte, err error) {
 	rd := &cr.rd
 	encB := rd.bytes(1)
 	hasN := rd.bytes(1)
 	if rd.failed {
-		return 0, nil, nil, nil, nil, rd.err()
+		return nil, nil, nil, nil, rd.err()
 	}
-	enc = encB[0]
 	if hasN[0] != 0 {
-		nulls = rd.bytes((cr.nRows + 7) / 8)
+		if nulls = rd.bytes((cr.nRows + 7) / 8); rd.failed {
+			return nil, nil, nil, nil, rd.err()
+		}
 	}
 	isNull := func(r int) bool {
 		return nulls != nil && nulls[r/8]&(1<<uint(r%8)) != 0
 	}
-	switch enc {
+	bad := func(what string) error {
+		return fmt.Errorf("storage: %s: %w", what, ErrCorruptPage)
+	}
+	switch enc := encB[0]; enc {
 	case colEncFlat:
 		flat = make([][]byte, cr.nRows)
 		for r := 0; r < cr.nRows; r++ {
 			if isNull(r) {
 				continue
 			}
-			flat[r] = cr.readImage()
+			flat[r] = rd.image(kind)
 			if rd.failed {
-				return 0, nil, nil, nil, nil, rd.err()
+				return nil, nil, nil, nil, rd.err()
 			}
 		}
 	case colEncDict, colEncRLE:
-		nDict := int(rd.uvarint())
-		if rd.failed || nDict < 0 || nDict > cr.nRows {
-			return 0, nil, nil, nil, nil, fmt.Errorf("storage: bad columnar dictionary size")
+		nDict := rd.length()
+		if rd.failed || nDict > cr.nRows {
+			return nil, nil, nil, nil, bad("bad columnar dictionary size")
 		}
 		dict = make([][]byte, nDict)
 		for i := range dict {
-			dict[i] = rd.bytes(int(rd.uvarint()))
+			dict[i] = rd.bytes(rd.length())
 		}
 		codes = make([]int32, cr.nRows)
+		// filler reports whether rows [at, at+n) are all NULL: only there may
+		// a code miss the dictionary (it is stored as 0).
+		filler := func(at, n int) bool {
+			for r := at; r < at+n; r++ {
+				if !isNull(r) {
+					return false
+				}
+			}
+			return true
+		}
 		if enc == colEncDict {
 			for r := range codes {
-				codes[r] = int32(rd.uvarint())
+				code := rd.uvarint()
+				if code >= uint64(nDict) {
+					if !filler(r, 1) {
+						return nil, nil, nil, nil, bad("columnar code out of range")
+					}
+					code = 0
+				}
+				codes[r] = int32(code)
 			}
 		} else {
-			nRuns := int(rd.uvarint())
+			nRuns := rd.length()
 			at := 0
 			for i := 0; i < nRuns; i++ {
-				code := int32(rd.uvarint())
-				n := int(rd.uvarint())
-				if rd.failed || at+n > cr.nRows {
-					return 0, nil, nil, nil, nil, fmt.Errorf("storage: columnar runs exceed row count")
+				code, n := rd.uvarint(), rd.uvarint()
+				if rd.failed || n > uint64(cr.nRows-at) {
+					return nil, nil, nil, nil, bad("columnar runs exceed row count")
 				}
-				for j := 0; j < n; j++ {
-					codes[at+j] = code
+				if code >= uint64(nDict) {
+					if !filler(at, int(n)) {
+						return nil, nil, nil, nil, bad("columnar code out of range")
+					}
+					code = 0
 				}
-				at += n
+				for end := at + int(n); at < end; at++ {
+					codes[at] = int32(code)
+				}
 			}
 			if at != cr.nRows {
-				return 0, nil, nil, nil, nil, fmt.Errorf("storage: columnar runs cover %d of %d rows", at, cr.nRows)
-			}
-		}
-		for r := range codes {
-			if !isNull(r) && int(codes[r]) >= nDict {
-				return 0, nil, nil, nil, nil, fmt.Errorf("storage: columnar code out of range")
+				return nil, nil, nil, nil, bad(fmt.Sprintf("columnar runs cover %d of %d rows", at, cr.nRows))
 			}
 		}
 	default:
-		return 0, nil, nil, nil, nil, fmt.Errorf("storage: unknown column encoding %d", enc)
+		return nil, nil, nil, nil, bad(fmt.Sprintf("unknown column encoding %d", enc))
 	}
 	if rd.failed {
-		return 0, nil, nil, nil, nil, rd.err()
+		return nil, nil, nil, nil, rd.err()
 	}
-	return enc, nulls, dict, codes, flat, nil
-}
-
-// readImage consumes one flat cell image of the current column's kind
-// (cr.kind, set by the caller before each column pass).
-func (cr *columnarReader) readImage() []byte {
-	rd := &cr.rd
-	switch cr.kind {
-	case sqltypes.KindInt:
-		return rd.varintBytes()
-	case sqltypes.KindFloat:
-		return rd.bytes(8)
-	case sqltypes.KindBool:
-		return rd.bytes(1)
-	default:
-		return rd.bytes(int(rd.uvarint()))
-	}
-}
-
-// DecodeColumnarRows decodes a columnar page payload back into rows,
-// appending to dst — the row-path and recovery decoder.
-func DecodeColumnarRows(kinds []sqltypes.Kind, buf []byte, dst []sqltypes.Row) ([]sqltypes.Row, error) {
-	cr, err := newColumnarReader(buf, len(kinds))
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]sqltypes.Row, cr.nRows)
-	for r := range rows {
-		rows[r] = make(sqltypes.Row, cr.nCols)
-	}
-	for c := 0; c < cr.nCols; c++ {
-		cr.kind = kinds[c]
-		_, nulls, dict, codes, flat, err := cr.column()
-		if err != nil {
-			return nil, err
-		}
-		// Decode dictionary entries once per column.
-		vals := make([]sqltypes.Value, len(dict))
-		for i, img := range dict {
-			v, err := cellFromImage(kinds[c], img)
-			if err != nil {
-				return nil, err
-			}
-			vals[i] = v
-		}
-		for r := 0; r < cr.nRows; r++ {
-			if nulls != nil && nulls[r/8]&(1<<uint(r%8)) != 0 {
-				rows[r][c] = sqltypes.Null
-				continue
-			}
-			if codes != nil {
-				rows[r][c] = vals[codes[r]]
-				continue
-			}
-			v, err := cellFromImage(kinds[c], flat[r])
-			if err != nil {
-				return nil, err
-			}
-			rows[r][c] = v
-		}
-	}
-	return append(dst, rows...), nil
+	return nulls, dict, codes, flat, nil
 }

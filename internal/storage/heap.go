@@ -201,7 +201,7 @@ func (h *Heap) loadAndRecover() error {
 		if int64(h.pageRows[last-1]) < excess {
 			return fmt.Errorf("storage: %s inconsistent meta: excess %d rows beyond last page", h.file.Path(), excess)
 		}
-		rows, err := h.decodePage(buf[:], nil) // buf still holds the last page
+		rows, err := h.decodePage(buf[:]) // buf still holds the last page
 		if err != nil {
 			return err
 		}
@@ -456,81 +456,12 @@ func pagePayload(page []byte) (n int, payload []byte, err error) {
 	return n, page[heapHeaderSize : heapHeaderSize+used], nil
 }
 
-// decodePage extracts all rows from a data page image.
-func (h *Heap) decodePage(page []byte, dst []sqltypes.Row) ([]sqltypes.Row, error) {
-	n, payload, err := pagePayload(page)
-	if err != nil {
-		return nil, err
-	}
-	switch page[0] {
-	case pageTypeRows:
-		pos := 0
-		for i := 0; i < n; i++ {
-			row, consumed, err := h.codec.Decode(payload[pos:], true)
-			if err != nil {
-				return nil, err
-			}
-			pos += consumed
-			dst = append(dst, row)
-		}
-		return dst, nil
-	case pageTypeCompressed:
-		return DecompressPageRows(h.kinds, payload, dst)
-	case pageTypeColumnar:
-		return DecodeColumnarRows(h.kinds, payload, dst)
-	}
-	return nil, fmt.Errorf("storage: unknown heap page type %d", page[0])
-}
-
 // SealedPages returns the number of sealed data pages, the unit of
 // parallel scan partitioning.
 func (h *Heap) SealedPages() int64 {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
 	return int64(len(h.pageRows))
-}
-
-// ScanPages invokes fn for every row of sealed data pages in [lo, hi)
-// (0-based sealed-page indexes). fn must not retain the row.
-func (h *Heap) ScanPages(lo, hi int64, fn func(sqltypes.Row) error) error {
-	for p := lo; p < hi; p++ {
-		fr, err := h.pool.Get(h.file, PageID(p+1))
-		if err != nil {
-			return err
-		}
-		rows, err := h.decodePage(fr.Data(), nil)
-		h.pool.Unpin(fr, false)
-		if err != nil {
-			return err
-		}
-		for _, r := range rows {
-			if err := fn(r); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// ScanTail invokes fn for the unsealed tail rows.
-func (h *Heap) ScanTail(fn func(sqltypes.Row) error) error {
-	h.mu.RLock()
-	rows := h.tailRows
-	h.mu.RUnlock()
-	for _, r := range rows {
-		if err := fn(r); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Scan invokes fn for every row in insertion order.
-func (h *Heap) Scan(fn func(sqltypes.Row) error) error {
-	if err := h.ScanPages(0, h.SealedPages(), fn); err != nil {
-		return err
-	}
-	return h.ScanTail(fn)
 }
 
 // Checkpoint persists all rows (sealing the tail as a partial page), syncs
@@ -593,12 +524,7 @@ func (h *Heap) Truncate(n int64) error {
 		if last == 0 {
 			return fmt.Errorf("storage: truncate bookkeeping underflow")
 		}
-		fr, err := h.pool.Get(h.file, PageID(last))
-		if err != nil {
-			return err
-		}
-		rows, err := h.decodePage(fr.Data(), nil)
-		h.pool.Unpin(fr, false)
+		rows, err := h.sealedPageRows(last - 1)
 		if err != nil {
 			return err
 		}

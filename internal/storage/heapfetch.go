@@ -6,32 +6,30 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/sqltypes"
+	"repro/internal/vec"
 )
 
 // HeapFetchCache remembers the last decoded sealed page so a run of point
 // fetches hitting the same page (the common case for index range scans over
 // mildly clustered data) decodes it once. It is single-goroutine state.
 type HeapFetchCache struct {
-	page int64 // sealed page index, -1 = empty
-	rows []sqltypes.Row
+	page int64     // sealed page index, -1 = empty
+	b    vec.Batch // the page's vectors
 	sink obs.Sink
 }
 
 // NewHeapFetchCache returns an empty fetch cache whose fetches count their
-// buffer-pool traffic on sink.
+// buffer-pool traffic on sink. Decoding counts nowhere: the scan.* counters
+// are the work of table scans.
 func NewHeapFetchCache(sink obs.Sink) *HeapFetchCache {
 	return &HeapFetchCache{page: -1, sink: sink}
 }
 
-// FetchRow returns the row at insertion position idx (storage format).
-func (h *Heap) FetchRow(idx int64) (sqltypes.Row, error) {
-	return h.FetchRowCached(idx, nil)
-}
-
-// FetchRowCached is FetchRow with an optional page cache. The returned row
-// is a shallow copy and safe to hold until the next call with the same
-// cache; callers that unpack SEQUENCE columns in place must clone values
-// they mutate — FromStorageRow replaces elements, which is safe here.
+// FetchRowCached returns the row at insertion position idx (storage
+// format), read off the cached page's vectors when idx falls on the page
+// fetched last. The row is the caller's: a slice of its own whose byte
+// cells share the cached page, so callers that unpack SEQUENCE columns must
+// replace elements (FromStorageRow does), not write into them.
 func (h *Heap) FetchRowCached(idx int64, c *HeapFetchCache) (sqltypes.Row, error) {
 	if idx < 0 {
 		return nil, fmt.Errorf("storage: fetch negative row %d", idx)
@@ -53,28 +51,15 @@ func (h *Heap) FetchRowCached(idx int64, c *HeapFetchCache) (sqltypes.Row, error
 	off := idx - h.pageCum[p]
 	h.mu.RUnlock()
 
-	if c != nil && c.page == int64(p) {
-		return append(sqltypes.Row(nil), c.rows[off]...), nil
+	if c.page != int64(p) {
+		cols, _, err := h.sealedPage(int64(p), c.sink, obs.Sink{})
+		if err != nil {
+			return nil, err
+		}
+		c.page, c.b = int64(p), vec.Batch{Cols: cols}
 	}
-	var sink obs.Sink
-	if c != nil {
-		sink = c.sink
+	if off >= int64(c.b.Rows()) {
+		return nil, fmt.Errorf("storage: fetch row %d: page %d holds %d rows", idx, p, c.b.Rows())
 	}
-	fr, err := h.pool.GetT(h.file, PageID(p+1), sink)
-	if err != nil {
-		return nil, err
-	}
-	rows, err := h.decodePage(fr.Data(), nil)
-	h.pool.Unpin(fr, false)
-	if err != nil {
-		return nil, err
-	}
-	if off >= int64(len(rows)) {
-		return nil, fmt.Errorf("storage: fetch row %d: page %d holds %d rows", idx, p, len(rows))
-	}
-	if c != nil {
-		c.page, c.rows = int64(p), rows
-		return append(sqltypes.Row(nil), rows[off]...), nil
-	}
-	return rows[off], nil
+	return c.b.ReadRow(int(off), nil)
 }

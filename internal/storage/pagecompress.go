@@ -63,17 +63,17 @@ func cellFromImage(k sqltypes.Kind, img []byte) (sqltypes.Value, error) {
 	case sqltypes.KindInt:
 		v, n := binary.Varint(img)
 		if n <= 0 || n != len(img) {
-			return sqltypes.Null, fmt.Errorf("storage: bad int cell image")
+			return sqltypes.Null, fmt.Errorf("storage: bad int cell image: %w", ErrCorruptPage)
 		}
 		return sqltypes.NewInt(v), nil
 	case sqltypes.KindFloat:
 		if len(img) != 8 {
-			return sqltypes.Null, fmt.Errorf("storage: bad float cell image")
+			return sqltypes.Null, fmt.Errorf("storage: bad float cell image: %w", ErrCorruptPage)
 		}
 		return sqltypes.NewFloat(math.Float64frombits(binary.LittleEndian.Uint64(img))), nil
 	case sqltypes.KindBool:
 		if len(img) != 1 {
-			return sqltypes.Null, fmt.Errorf("storage: bad bool cell image")
+			return sqltypes.Null, fmt.Errorf("storage: bad bool cell image: %w", ErrCorruptPage)
 		}
 		return sqltypes.NewBool(img[0] != 0), nil
 	case sqltypes.KindString:
@@ -215,81 +215,6 @@ func CompressPageRows(kinds []sqltypes.Kind, rows []sqltypes.Row) ([]byte, error
 	return out, nil
 }
 
-// DecompressPageRows decodes the CompressPageRows format, appending the
-// decoded rows to dst and returning it.
-func DecompressPageRows(kinds []sqltypes.Kind, buf []byte, dst []sqltypes.Row) ([]sqltypes.Row, error) {
-	rd := pageReader{buf: buf}
-	nCols := int(rd.uvarint())
-	nRows := int(rd.uvarint())
-	if rd.failed || nCols != len(kinds) {
-		return nil, fmt.Errorf("storage: page has %d columns, schema has %d", nCols, len(kinds))
-	}
-	prefixes := make([][]byte, nCols)
-	for c := 0; c < nCols; c++ {
-		prefixes[c] = rd.bytes(int(rd.uvarint()))
-	}
-	nDict := int(rd.uvarint())
-	if rd.failed || nDict < 0 {
-		return nil, rd.err()
-	}
-	dict := make([][]byte, nDict)
-	for i := 0; i < nDict; i++ {
-		dict[i] = rd.bytes(int(rd.uvarint()))
-	}
-	nb := (nCols + 7) / 8
-	var scratch []byte
-	for r := 0; r < nRows; r++ {
-		nullBM := rd.bytes(nb)
-		dictBM := rd.bytes(nb)
-		if rd.failed {
-			return nil, rd.err()
-		}
-		row := make(sqltypes.Row, nCols)
-		for c := 0; c < nCols; c++ {
-			if nullBM[c/8]&(1<<uint(c%8)) != 0 {
-				row[c] = sqltypes.Null
-				continue
-			}
-			var sfx []byte
-			if dictBM[c/8]&(1<<uint(c%8)) != 0 {
-				idx := int(rd.uvarint())
-				if rd.failed || idx >= len(dict) {
-					return nil, fmt.Errorf("storage: dictionary index out of range")
-				}
-				sfx = dict[idx]
-			} else {
-				switch kinds[c] {
-				case sqltypes.KindInt:
-					sfx = rd.varintBytes()
-				case sqltypes.KindFloat:
-					sfx = rd.bytes(8)
-				case sqltypes.KindBool:
-					sfx = rd.bytes(1)
-				default:
-					sfx = rd.bytes(int(rd.uvarint()))
-				}
-			}
-			if rd.failed {
-				return nil, rd.err()
-			}
-			img := sfx
-			if len(prefixes[c]) > 0 {
-				scratch = scratch[:0]
-				scratch = append(scratch, prefixes[c]...)
-				scratch = append(scratch, sfx...)
-				img = scratch
-			}
-			v, err := cellFromImage(kinds[c], img)
-			if err != nil {
-				return nil, err
-			}
-			row[c] = v
-		}
-		dst = append(dst, row)
-	}
-	return dst, nil
-}
-
 // pageReader is a cursor with sticky error handling over a page payload.
 type pageReader struct {
 	buf    []byte
@@ -325,8 +250,20 @@ func (r *pageReader) varintBytes() []byte {
 	return b
 }
 
+// length consumes a uvarint that counts bytes or entries still ahead in
+// the payload: more than remain is a failure, so no length read from disk
+// sizes an allocation or a slice past the page.
+func (r *pageReader) length() int {
+	v := r.uvarint()
+	if v > uint64(len(r.buf)-r.pos) {
+		r.failed = true
+		return 0
+	}
+	return int(v)
+}
+
 func (r *pageReader) bytes(n int) []byte {
-	if r.failed || n < 0 || r.pos+n > len(r.buf) {
+	if r.failed || n < 0 || n > len(r.buf)-r.pos {
 		r.failed = true
 		return nil
 	}
@@ -335,9 +272,23 @@ func (r *pageReader) bytes(n int) []byte {
 	return b
 }
 
+// image consumes one inline cell image of the given kind.
+func (r *pageReader) image(k sqltypes.Kind) []byte {
+	switch k {
+	case sqltypes.KindInt:
+		return r.varintBytes()
+	case sqltypes.KindFloat:
+		return r.bytes(8)
+	case sqltypes.KindBool:
+		return r.bytes(1)
+	default:
+		return r.bytes(r.length())
+	}
+}
+
 func (r *pageReader) err() error {
 	if r.failed {
-		return fmt.Errorf("storage: truncated compressed page")
+		return fmt.Errorf("storage: truncated compressed page: %w", ErrCorruptPage)
 	}
 	return nil
 }

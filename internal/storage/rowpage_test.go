@@ -178,9 +178,8 @@ func TestRowPageTextOwnsItsBytes(t *testing.T) {
 }
 
 // TestCorruptLegacyPageHeader: a version-0 page carries no checksum, so
-// a damaged used-bytes or row-count field reaches the decoders; both the
-// row and the batch decoder must refuse it with ErrCorruptPage instead
-// of slicing past the page.
+// a damaged used-bytes or row-count field reaches the decoder, which must
+// refuse it with ErrCorruptPage instead of slicing past the page.
 func TestCorruptLegacyPageHeader(t *testing.T) {
 	pool := NewBufferPool(16)
 	h, err := OpenHeapEnv(filepath.Join(t.TempDir(), "legacy.dat"), sampleKinds(), nil, CompressNone, pool,
@@ -211,20 +210,14 @@ func TestCorruptLegacyPageHeader(t *testing.T) {
 
 	damaged := page
 	binary.LittleEndian.PutUint16(damaged[4:], heapCapacity+1)
-	if _, err := h.decodePage(damaged[:], nil); !errors.Is(err, ErrCorruptPage) {
-		t.Errorf("row decoder, used > capacity: %v, want ErrCorruptPage", err)
-	}
 	if _, _, err := h.decodePageBatch(damaged[:], stats); !errors.Is(err, ErrCorruptPage) {
-		t.Errorf("batch decoder, used > capacity: %v, want ErrCorruptPage", err)
+		t.Errorf("used > capacity: %v, want ErrCorruptPage", err)
 	}
 
 	damaged = page
 	binary.LittleEndian.PutUint16(damaged[2:], 0xffff)
-	if _, err := h.decodePage(damaged[:], nil); err == nil {
-		t.Error("row decoder accepted 65535 rows in one page")
-	}
 	if _, _, err := h.decodePageBatch(damaged[:], stats); !errors.Is(err, ErrCorruptPage) {
-		t.Errorf("batch decoder, 65535 rows: %v, want ErrCorruptPage", err)
+		t.Errorf("65535 rows: %v, want ErrCorruptPage", err)
 	}
 
 	// Through the scan path: the damaged page fails the scan, nothing panics.
@@ -236,8 +229,8 @@ func TestCorruptLegacyPageHeader(t *testing.T) {
 	if _, err := h.NewBatchIterator(0, 1, false, obs.Sink{}).NextBatch(); !errors.Is(err, ErrCorruptPage) {
 		t.Errorf("batch scan of the damaged page: %v, want ErrCorruptPage", err)
 	}
-	if err := h.ScanPages(0, 1, func(sqltypes.Row) error { return nil }); !errors.Is(err, ErrCorruptPage) {
-		t.Errorf("row scan of the damaged page: %v, want ErrCorruptPage", err)
+	if _, err := h.FetchRowCached(0, NewHeapFetchCache(obs.Sink{})); !errors.Is(err, ErrCorruptPage) {
+		t.Errorf("fetch from the damaged page: %v, want ErrCorruptPage", err)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/obs"
 	"repro/internal/sqltypes"
 )
 
@@ -284,16 +285,14 @@ func TestHeapWidthsRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	i := 0
-	h.Scan(func(r sqltypes.Row) error {
+	rows := readAll(t, h)
+	for i, r := range rows {
 		if r[0].I != int64(i-350) {
 			t.Fatalf("row %d = %v", i, r)
 		}
-		i++
-		return nil
-	})
-	if i != 700 {
-		t.Fatalf("scanned %d", i)
+	}
+	if len(rows) != 700 {
+		t.Fatalf("scanned %d", len(rows))
 	}
 }
 
@@ -359,7 +358,7 @@ func TestPageCompressionRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := DecompressPageRows(kinds, buf, nil)
+	dec, err := decompressRows(kinds, buf, len(rows))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,7 +438,7 @@ func TestPageCompressionQuick(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		dec, err := DecompressPageRows(kinds, buf, nil)
+		dec, err := decompressRows(kinds, buf, len(rows))
 		if err != nil || len(dec) != len(rows) {
 			return false
 		}
@@ -453,6 +452,49 @@ func TestPageCompressionQuick(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
 	}
+}
+
+// decompressRows decodes a CompressPageRows image of n rows through the
+// batch decoder and reads the rows off its vectors.
+func decompressRows(kinds []sqltypes.Kind, buf []byte, n int) ([]sqltypes.Row, error) {
+	cols, err := decodeCompressedBatch(kinds, buf, n, obs.Sink{})
+	if err != nil {
+		return nil, err
+	}
+	return vectorRows(cols, n)
+}
+
+// readRange returns the rows of sealed pages [lo, hi) — with tail, of
+// every sealed page from lo and the unsealed tail — read off the heap's
+// batch cursor, checking that row indexes run on from the range's first.
+func readRange(t testing.TB, h *Heap, lo, hi int64, tail bool) []sqltypes.Row {
+	t.Helper()
+	var rows []sqltypes.Row
+	it := h.NewVersionIterator(lo, hi, tail, obs.Sink{})
+	defer it.Close()
+	first := int64(-1)
+	for {
+		row, idx, ok, err := it.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			return rows
+		}
+		if first < 0 {
+			first = idx
+		}
+		if idx != first+int64(len(rows)) {
+			t.Fatalf("row %d of the range has index %d, the range starts at %d", len(rows), idx, first)
+		}
+		rows = append(rows, row)
+	}
+}
+
+// readAll returns every row of the heap in insertion order.
+func readAll(t testing.TB, h *Heap) []sqltypes.Row {
+	t.Helper()
+	return readRange(t, h, 0, 0, true)
 }
 
 func openTestHeap(t *testing.T, comp Compression) (*Heap, string) {
@@ -479,20 +521,85 @@ func TestHeapAppendScan(t *testing.T) {
 			if h.RowCount() != n {
 				t.Fatalf("RowCount = %d", h.RowCount())
 			}
-			i := 0
-			err := h.Scan(func(r sqltypes.Row) error {
-				want := sampleRow(i)
-				if !reflect.DeepEqual(r, want) {
-					return fmt.Errorf("row %d = %v, want %v", i, r, want)
+			rows := readAll(t, h)
+			for i, r := range rows {
+				if want := sampleRow(i); !reflect.DeepEqual(r, want) {
+					t.Fatalf("row %d = %v, want %v", i, r, want)
 				}
-				i++
-				return nil
-			})
-			if err != nil {
-				t.Fatal(err)
 			}
-			if i != n {
-				t.Fatalf("scanned %d rows", i)
+			if len(rows) != n {
+				t.Fatalf("scanned %d rows", len(rows))
+			}
+		})
+	}
+}
+
+// TestFetchRowCached: a run of point fetches landing on one sealed page
+// takes the page from the pool once and decodes it once, whatever their
+// order; the cache's sink is credited the pool traffic and nothing under
+// scan.* (those counters are the work of table scans); a tail row is the
+// caller's copy; a position past the heap's end is an error.
+func TestFetchRowCached(t *testing.T) {
+	for _, comp := range []Compression{CompressNone, CompressRow, CompressPage} {
+		t.Run(comp.String(), func(t *testing.T) {
+			h, _ := openTestHeap(t, comp)
+			defer h.Close()
+			const n = 2000
+			for i := 0; i < n; i++ {
+				if err := h.Append(sampleRow(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if len(h.pageRows) < 2 || len(h.tailRows) == 0 {
+				t.Fatalf("want sealed pages and a tail, have %d pages and %d tail rows", len(h.pageRows), len(h.tailRows))
+			}
+			sink := obs.Sink{Engine: new(obs.Counters)}
+			gets := func() int64 { return sink.Engine.Get(obs.PoolHits) + sink.Engine.Get(obs.PoolMisses) }
+			c := NewHeapFetchCache(sink)
+			fetch := func(idx int64) sqltypes.Row {
+				t.Helper()
+				row, err := h.FetchRowCached(idx, c)
+				if err != nil {
+					t.Fatalf("fetch %d: %v", idx, err)
+				}
+				if want := sampleRow(int(idx)); !reflect.DeepEqual(row, want) {
+					t.Fatalf("fetch %d = %v, want %v", idx, row, want)
+				}
+				return row
+			}
+
+			last := int64(h.pageRows[0]) - 1
+			fetch(last)
+			decoded := c.b.Cols[0]
+			for idx := last - 1; idx >= 0; idx-- {
+				fetch(idx)
+			}
+			if gets() != 1 {
+				t.Errorf("%d fetches on one page took it from the pool %d times", last+1, gets())
+			}
+			if c.b.Cols[0] != decoded {
+				t.Error("the cached page was decoded again")
+			}
+			fetch(last + 1) // the next page replaces it
+			if gets() != 2 || c.b.Cols[0] == decoded {
+				t.Errorf("a fetch on the next page: %d pool gets, cache replaced = %v", gets(), c.b.Cols[0] != decoded)
+			}
+			for _, counter := range []obs.Counter{obs.ScanBatches, obs.ScanRows, obs.ScanValuesDecoded, obs.ScanDictEntriesDecoded} {
+				if got := sink.Engine.Get(counter); got != 0 {
+					t.Errorf("fetches credited %d to %s, a table-scan counter", got, counter)
+				}
+			}
+
+			row := fetch(n - 1) // a tail row: no pool traffic, and the caller's to overwrite
+			row[0] = sqltypes.NewInt(-1)
+			fetch(n - 1)
+			if gets() != 2 {
+				t.Errorf("tail fetches went to the pool: %d gets", gets())
+			}
+			for _, idx := range []int64{n, -1} {
+				if _, err := h.FetchRowCached(idx, c); err == nil {
+					t.Errorf("fetch of row %d of %d succeeded", idx, n)
+				}
 			}
 		})
 	}
@@ -529,16 +636,10 @@ func TestHeapCheckpointRecovery(t *testing.T) {
 			if h2.RowCount() != durable {
 				t.Fatalf("recovered %d rows, want %d", h2.RowCount(), durable)
 			}
-			i := 0
-			err = h2.Scan(func(r sqltypes.Row) error {
+			for i, r := range readAll(t, h2) {
 				if !reflect.DeepEqual(r, sampleRow(i)) {
-					return fmt.Errorf("row %d mismatch after recovery", i)
+					t.Fatalf("row %d mismatch after recovery", i)
 				}
-				i++
-				return nil
-			})
-			if err != nil {
-				t.Fatal(err)
 			}
 		})
 	}
@@ -556,16 +657,14 @@ func TestHeapTruncateRollback(t *testing.T) {
 	if h.RowCount() != 1200 {
 		t.Fatalf("RowCount after truncate = %d", h.RowCount())
 	}
-	i := 0
-	h.Scan(func(r sqltypes.Row) error {
+	rows := readAll(t, h)
+	for i, r := range rows {
 		if !reflect.DeepEqual(r, sampleRow(i)) {
 			t.Fatalf("row %d mismatch after truncate", i)
 		}
-		i++
-		return nil
-	})
-	if i != 1200 {
-		t.Fatalf("scanned %d", i)
+	}
+	if len(rows) != 1200 {
+		t.Fatalf("scanned %d", len(rows))
 	}
 	// Appends after truncation continue cleanly.
 	if err := h.Append(sampleRow(1200)); err != nil {
@@ -652,13 +751,10 @@ func TestHeapScanPagesParallelPartitions(t *testing.T) {
 		t.Fatalf("only %d sealed pages", sealed)
 	}
 	mid := sealed / 2
-	count := 0
-	h.ScanPages(0, mid, func(sqltypes.Row) error { count++; return nil })
-	h.ScanPages(mid, sealed, func(sqltypes.Row) error { count++; return nil })
-	tail := 0
-	h.ScanTail(func(sqltypes.Row) error { tail++; return nil })
-	if count+tail != n {
-		t.Errorf("partitioned scan saw %d+%d rows, want %d", count, tail, n)
+	head := len(readRange(t, h, 0, mid, false))
+	rest := len(readRange(t, h, mid, sealed, true)) // the last partition owns the tail
+	if head+rest != n {
+		t.Errorf("partitioned scan saw %d+%d rows, want %d", head, rest, n)
 	}
 }
 

@@ -1,6 +1,10 @@
 package storage
 
-import "repro/internal/sqltypes"
+import (
+	"strings"
+
+	"repro/internal/sqltypes"
+)
 
 // Zone maps are per-sealed-page, per-column min/max summaries kept in
 // memory alongside the heap's page directory. A scan carrying a sargable
@@ -62,6 +66,11 @@ func buildZoneEntries(kinds []sqltypes.Kind, rows []sqltypes.Row) []ZoneEntry {
 				z.Max = v
 			}
 		}
+		if k == sqltypes.KindString {
+			// Rows read off a page cut their strings from one allocation a
+			// column (rowpage.go): keep the two, not the page's text.
+			z.Min.S, z.Max.S = strings.Clone(z.Min.S), strings.Clone(z.Max.S)
+		}
 		zs[c] = z
 	}
 	return zs
@@ -115,17 +124,12 @@ func (h *Heap) FillZoneMaps() error {
 		if h.zones[p] != nil {
 			continue
 		}
-		fr, err := h.pool.Get(h.file, PageID(p+1))
+		rows, err := h.sealedPageRows(int64(p))
 		if err != nil {
 			// Unreadable (e.g. corrupt) pages keep no entry: they are always
 			// read, so the query that touches them surfaces the error — zone
 			// collection must not turn bit rot into an open/checkpoint
 			// failure.
-			continue
-		}
-		rows, err := h.decodePage(fr.Data(), nil)
-		h.pool.Unpin(fr, false)
-		if err != nil {
 			continue
 		}
 		h.zones[p] = buildZoneEntries(h.kinds, rows)
