@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"fmt"
 	"math/rand"
 	"regexp"
 	"runtime"
@@ -164,6 +165,76 @@ func TestPointLookupAllocationFloors(t *testing.T) {
 		t.Logf("%s: %d allocations, %d bytes", c.sql, objects, bytes)
 		if objects > c.objects && !raceBuild {
 			t.Errorf("%s: %d allocations a statement, want at most %d", c.sql, objects, c.objects)
+		}
+	}
+}
+
+// TestSortAllocationFloors holds the sort family's cost without a clock, per
+// input row, at DOP 1: ORDER BY, the paper's Query 1 (ROW_NUMBER over COUNT(*)
+// of a GROUP BY) and TOP n ORDER BY, on a database whose sorts stay in memory
+// and on one whose 64 KB sort budget makes the first two spill runs. The
+// floors are what each statement allocated at the commit before ROW_NUMBER
+// became a counter over a Sort (Go 1.24, linux/amd64), as the smallest of 64
+// runs.
+func TestSortAllocationFloors(t *testing.T) {
+	const rows = 8192
+	rng := rand.New(rand.NewSource(21))
+	reads := make([]sqltypes.Row, rows)
+	groups := map[string]bool{}
+	for i := range reads {
+		seq := fmt.Sprintf("ACGTACGT%06d", rng.Intn(2048))
+		groups[seq] = true
+		reads[i] = sqltypes.Row{sqltypes.NewInt(int64(i)), sqltypes.NewString(seq), sqltypes.NewInt(int64(rng.Intn(1000)))}
+	}
+	const (
+		orderBy = `SELECT r_id, seq FROM reads ORDER BY seq, r_id`
+		query1  = `SELECT ROW_NUMBER() OVER (ORDER BY COUNT(*) DESC) AS rank, COUNT(*) AS freq, seq FROM reads GROUP BY seq`
+		topN    = `SELECT TOP 10 r_id, seq FROM reads ORDER BY qual DESC`
+	)
+	for _, db := range []struct {
+		budget int64
+		floors [3]uint64 // orderBy, query1, topN
+	}{
+		{0, [3]uint64{25138, 4730, 652}},
+		{64 << 10, [3]uint64{41688, 8620, 652}},
+	} {
+		d, err := core.Open(t.TempDir(), core.Options{DOP: 1, SortMemoryBudget: db.budget})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer d.Close()
+		if _, err := d.Exec(`CREATE TABLE reads (r_id BIGINT, seq VARCHAR(40), qual INT)`); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.InsertRows("reads", reads); err != nil {
+			t.Fatal(err)
+		}
+		for i, c := range []struct {
+			sql   string
+			out   int
+			spill bool // under the 64 KB budget
+		}{{orderBy, rows, true}, {query1, len(groups), true}, {topN, 10, false}} {
+			before := d.Metrics()["exec.sort.runs"]
+			var got int
+			objects, bytes := allocsPerRun(func() {
+				res, err := d.Exec(c.sql)
+				if err != nil {
+					t.Fatalf("%s: %v", c.sql, err)
+				}
+				got = len(res.Rows)
+			})
+			if got != c.out {
+				t.Fatalf("%s: %d rows, want %d", c.sql, got, c.out)
+			}
+			if spilled := d.Metrics()["exec.sort.runs"] > before; spilled != (c.spill && db.budget > 0) {
+				t.Fatalf("budget %d, %s: spilled = %v", db.budget, c.sql, spilled)
+			}
+			t.Logf("budget %d, %s: %d allocations; %.3f and %.0f bytes per input row",
+				db.budget, c.sql, objects, float64(objects)/rows, float64(bytes)/rows)
+			if floor := db.floors[i]; objects > floor && !raceBuild {
+				t.Errorf("budget %d, %s: %.3f allocations per input row, want at most %.3f",
+					db.budget, c.sql, float64(objects)/rows, float64(floor)/rows)
+			}
 		}
 	}
 }
