@@ -229,7 +229,7 @@ func Open(dir string, opts Options) (*Database, error) {
 	db.metrics = obs.NewRegistry(db.sink.Engine)
 	db.registerMetrics()
 	db.defaultSess = db.NewSession()
-	db.spill = storage.NewSpillManagerFault(filepath.Join(dir, "tmp"), db.pool, db.inj)
+	db.spill = storage.NewSpillManager(filepath.Join(dir, "tmp"), db.inj)
 	db.planner = db.newPlanner(db.dop)
 	db.registerEngineFunctions()
 	for _, name := range cat.List() {

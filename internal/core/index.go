@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/btree"
 	"repro/internal/catalog"
@@ -162,11 +161,12 @@ func (e *indexEntryIterator) Next() (sqltypes.Row, bool, error) {
 func (e *indexEntryIterator) Close() error { return e.it.Close() }
 
 // runCreateIndex executes CREATE INDEX in two phases. Phase 1, under the
-// SHARED structure lock, partitions the heap's sealed pages and runs one
-// external sort per partition over the encoded entries — concurrent
-// queries and writers keep flowing while the bulk of the work happens.
-// Phase 2, under the EXCLUSIVE lock, sorts the small delta of rows that
-// arrived during phase 1, merges everything into a bottom-up bulk load of
+// SHARED structure lock, partitions the heap's sealed pages and opens one
+// merge (exec.MergeSorted) of external sorts, one per partition, over the
+// encoded entries — concurrent queries and writers keep flowing while the
+// bulk of the work happens. Phase 2, under the EXCLUSIVE lock, sorts the
+// small delta of rows that arrived during phase 1, merges it with the
+// partitions' stream into a bottom-up bulk load of
 // a ".building" shadow file, logs durable intent to the WAL, renames the
 // file into place, and commits by adding the index to the catalog. A crash
 // at any point leaves either no index (orphan files are deleted at open)
@@ -201,26 +201,13 @@ func (db *Database) runCreateIndex(s *Session, ci *sqlparse.CreateIndex) (*Resul
 	n0 := td.heap.RowCount()
 	gen := td.compactGen
 	sealed := td.heap.SealedPages()
-	parts := int64(db.dop)
-	if parts < 1 {
-		parts = 1
-	}
-	if parts > sealed {
-		parts = sealed
-	}
-	if parts < 1 {
-		parts = 1
-	}
+	parts := max(min(int64(db.dop), sealed), 1)
 	budget := db.sortBudget
 	if budget > 0 {
-		budget /= parts
-		if budget < 1<<20 {
-			budget = 1 << 20
-		}
+		budget = max(budget/parts, 1<<20)
 	}
+	keys := []exec.SortKey{{Expr: &expr.Col{Idx: 0}}}
 	sorts := make([]*exec.Sort, parts)
-	errs := make([]error, parts)
-	var wg sync.WaitGroup
 	for i := int64(0); i < parts; i++ {
 		lo := sealed * i / parts
 		hi := sealed * (i + 1) / parts
@@ -234,40 +221,23 @@ func (db *Database) runCreateIndex(s *Session, ci *sqlparse.CreateIndex) (*Resul
 				}, nil
 			},
 		}
-		sorts[i] = &exec.Sort{
-			Keys:         []exec.SortKey{{Expr: &expr.Col{Idx: 0}}},
-			Child:        src,
-			MemoryBudget: budget,
-			Spill:        db.SpillStore(),
-		}
-		wg.Add(1)
-		go func(i int64) {
-			defer wg.Done()
-			// Sort.Open drains the partition scan completely, spilling runs
-			// past the budget; phase 2 only streams the merge.
-			errs[i] = sorts[i].Open(&exec.Context{DOP: 1, Sink: db.sink})
-		}(i)
+		sorts[i] = &exec.Sort{Keys: keys, Child: src, MemoryBudget: budget, Spill: db.SpillStore()}
 	}
-	wg.Wait()
+	// One merge of the partition sorts, in key order (sqltypes.Compare on
+	// BYTES is bytes.Compare, the btree's order). Its Open drains and sorts
+	// every partition scan, in parallel, spilling runs past the budget;
+	// phase 2 only streams.
+	merged := &exec.MergeSorted{Keys: keys, Children: sorts}
+	err = merged.Open(&exec.Context{DOP: 1, Sink: db.sink})
 	db.mu.RUnlock()
-	closeSorts := func() {
-		for i, so := range sorts {
-			if errs[i] == nil {
-				so.Close()
-			}
-		}
+	if err != nil {
+		return nil, err
 	}
-	for _, e := range errs {
-		if e != nil {
-			closeSorts()
-			return nil, e
-		}
-	}
+	defer merged.Close()
 
 	// ---- Phase 2: catch up, bulk load and commit under the exclusive lock.
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	defer closeSorts()
 	if err := db.healthErr(); err != nil {
 		return nil, err
 	}
@@ -326,43 +296,25 @@ func (db *Database) runCreateIndex(s *Session, ci *sqlparse.CreateIndex) (*Resul
 	path := db.indexPath(def, ci.Name)
 	building := path + ".building"
 	_ = fault.Remove(db.inj, building)
-	heads := make([][]byte, len(sorts))
-	runs := make([]exec.RowCursor, len(sorts))
-	for i, so := range sorts {
-		runs[i].Op = so
-		row, ok, err := runs[i].Next()
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			heads[i] = append([]byte(nil), row[0].B...)
-		}
+	// Phase 2 merges two sorted streams: the partitions' and the delta.
+	// A key stays valid after the cursor moves on: the merge copies each
+	// key's bytes into its batch.
+	sorted := exec.RowCursor{Op: merged}
+	head, more, err := sorted.Next()
+	if err != nil {
+		return nil, err
 	}
 	di := 0
 	next := func() ([]byte, []byte, bool, error) {
-		best := -1
-		for i, h := range heads {
-			if h != nil && (best < 0 || bytes.Compare(h, heads[best]) < 0) {
-				best = i
-			}
-		}
-		if best >= 0 && (di >= len(delta) || bytes.Compare(heads[best], delta[di]) < 0) {
-			key := heads[best]
-			row, ok, err := runs[best].Next()
-			if err != nil {
-				return nil, nil, false, err
-			}
-			if ok {
-				heads[best] = append([]byte(nil), row[0].B...)
-			} else {
-				heads[best] = nil
-			}
-			return key, nil, true, nil
+		if more && (di == len(delta) || bytes.Compare(head[0].B, delta[di]) < 0) {
+			key := head[0].B
+			var err error
+			head, more, err = sorted.Next()
+			return key, nil, err == nil, err
 		}
 		if di < len(delta) {
-			key := delta[di]
 			di++
-			return key, nil, true, nil
+			return delta[di-1], nil, true, nil
 		}
 		return nil, nil, false, nil
 	}

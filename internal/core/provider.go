@@ -126,21 +126,8 @@ func (s spillStore) Create() (exec.SpillFile, error) {
 	return spillFile{f}, nil
 }
 
-// CreateRun satisfies exec.RunStore: sorted runs and aggregate overflow
-// partitions are read exactly once, so their iterators stream pages
-// straight from disk instead of caching them in the buffer pool.
-func (s spillStore) CreateRun() (exec.SpillFile, error) {
-	f, err := s.m.CreateRun()
-	if err != nil {
-		return nil, err
-	}
-	return spillFile{f}, nil
-}
+func (f spillFile) Iter() (exec.RowIterator, error) { return f.NewIterator(), nil }
 
-func (f spillFile) Iter(sink obs.Sink) (exec.RowIterator, error) { return f.NewIterator(sink), nil }
-
-// SealRun and IterRun satisfy exec.MultiRunFile: the external sort packs
-// every run of one operator into a single temp file.
 func (f spillFile) SealRun() (exec.RunSpan, error) {
 	start, end, rows, bytes, err := f.SpillFile.SealRun()
 	return exec.RunSpan{Start: start, End: end, Rows: rows, Bytes: bytes}, err
@@ -150,8 +137,9 @@ func (f spillFile) IterRun(span exec.RunSpan) (exec.RowIterator, error) {
 	return f.NewRunIterator(span.Start, span.End, span.Rows), nil
 }
 
-// SpillStore exposes temp spill files (under <dir>/tmp, read through the
-// shared buffer pool) to the planner's partitioned joins.
+// SpillStore exposes temp spill files (under <dir>/tmp, written and read
+// straight to and from disk, never through the buffer pool) to the
+// planner's joins, aggregates and sorts, and to CREATE INDEX's sorts.
 func (db *Database) SpillStore() exec.SpillStore { return spillStore{db.spill} }
 
 // convertIterator unpacks SEQUENCE columns when the table uses the UDT.

@@ -16,8 +16,8 @@ import (
 // row (joinhash.go), live column by column in the table, and every
 // aggregate updates its grouped states from the batch's argument vectors.
 // Groups are hash-partitioned; when the table exceeds its memory budget,
-// whole partitions freeze — rows of a frozen partition go raw to a temp
-// run file instead of growing the table, while the partition's existing
+// whole partitions freeze — rows of a frozen partition go raw to a spill
+// file instead of growing the table, while the partition's existing
 // states stay resident and stop growing. Draining emits the in-memory
 // groups first, then re-aggregates each frozen partition from disk
 // (level-seeded re-partitioning, depth-capped like the join) and merges
@@ -271,7 +271,7 @@ func (t *aggTable) spillRow(b *vec.Batch, r, p int) error {
 }
 
 // freezeLargest freezes the biggest unfrozen partition: from here on its
-// rows spill raw to a run file. Existing states stay resident (the
+// rows spill raw to a spill file. Existing states stay resident (the
 // Merge-only AggState contract cannot serialize them) but stop growing, so
 // memory is bounded near the budget at first overflow.
 func (t *aggTable) freezeLargest() error {
@@ -287,7 +287,7 @@ func (t *aggTable) freezeLargest() error {
 	if t.spill == nil {
 		return fmt.Errorf("exec: aggregate memory budget %d exceeded and no spill store configured", t.budget)
 	}
-	f, err := createRun(t.spill)
+	f, err := t.spill.Create()
 	if err != nil {
 		return err
 	}
@@ -468,7 +468,7 @@ func (t *aggTable) reaggregate(part spilledPart) (*aggDrain, error) {
 	}
 	for fi, f := range part.files {
 		t.sink.Add(obs.AggSpilledBytes, f.Bytes())
-		it, err := f.Iter(t.sink)
+		it, err := f.Iter()
 		if err != nil {
 			return fail(err)
 		}

@@ -51,7 +51,7 @@ type Operator interface {
 type rowPacker struct {
 	needed []bool // output columns the consumer reads; nil = all
 	done   bool
-	last   int // rows in the previous batch: the next one's starting capacity
+	last   int // rows in the previous batch, or the expected first: the next one's starting capacity
 }
 
 func (p *rowPacker) reset() { p.done, p.last = false, 0 }
@@ -459,11 +459,9 @@ type TopN struct {
 	Keys  []SortKey
 	Child Operator
 
-	rows   []sqltypes.Row
-	keys   []sqltypes.Row
-	pos    int
-	sorter rowSorter
-	out    rowPacker
+	kept runSorter
+	pos  int
+	out  rowPacker
 }
 
 // Open drains the child keeping the N smallest rows. TOP 0 short-circuits
@@ -471,11 +469,14 @@ type TopN struct {
 // to materialize (and a Sort or Gather child would otherwise do its full
 // work during Open).
 func (t *TopN) Open(ctx *Context) error {
-	t.rows, t.keys, t.pos = nil, nil, 0
+	t.kept, t.pos = runSorter{}, 0
 	t.out.reset()
 	if t.N <= 0 {
 		return nil
 	}
+	// Room for the 2N rows kept between trims, up to a batch's worth.
+	n := int(min(2*t.N, vec.DefaultBatchSize))
+	t.kept = runSorter{rows: make([]sqltypes.Row, 0, n), keys: make([]sqltypes.Row, 0, n), seqs: make([]int32, 0, n), by: t.Keys}
 	if err := t.Child.Open(ctx); err != nil {
 		return err
 	}
@@ -510,11 +511,10 @@ func (t *TopN) Open(ctx *Context) error {
 			if err != nil {
 				return err
 			}
-			t.rows = append(t.rows, row)
-			t.keys = append(t.keys, keyScratch.Clone())
-			if int64(len(t.rows)) >= 2*t.N {
+			t.kept.add(row, keyScratch.Clone())
+			if int64(len(t.kept.rows)) >= 2*t.N {
 				t.trim()
-				bound = t.keys[len(t.keys)-1]
+				bound = t.kept.keys[len(t.kept.keys)-1]
 			}
 		}
 	}
@@ -522,21 +522,21 @@ func (t *TopN) Open(ctx *Context) error {
 	return nil
 }
 
+// trim sorts the kept rows and keeps the first N.
 func (t *TopN) trim() {
-	t.sorter.sortStable(t.rows, t.keys, t.Keys)
-	if int64(len(t.rows)) > t.N {
-		t.rows = t.rows[:t.N]
-		t.keys = t.keys[:t.N]
+	t.kept.sort()
+	if int64(len(t.kept.rows)) > t.N {
+		t.kept.truncate(int(t.N))
 	}
 }
 
 // next emits the next kept row.
 func (t *TopN) next() (sqltypes.Row, bool, error) {
-	if t.pos >= len(t.rows) {
+	if t.pos >= len(t.kept.rows) {
 		return nil, false, nil
 	}
 	t.pos++
-	return t.rows[t.pos-1], true, nil
+	return t.kept.rows[t.pos-1], true, nil
 }
 
 // NextBatch packs the kept rows.
@@ -551,6 +551,6 @@ func (t *TopN) PruneColumns(needed []bool) {
 
 // Close releases buffers.
 func (t *TopN) Close() error {
-	t.rows, t.keys = nil, nil
+	t.kept = runSorter{}
 	return nil
 }

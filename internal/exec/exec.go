@@ -8,18 +8,18 @@
 //     one, its leaf (Scan) reads batches off pages. RowIterator is the paper's extension contract ("The API
 //     for providing TVFs follows the standard iterator interface of a
 //     relational query engine", Section 4.1) and stays as it is. The
-//     operators whose insides still work a row at a time (Sort, RowNumber,
-//     MergeSorted, TopN, MergeJoin, Apply, the aggregates' group output) emit
-//     through the same packer.
+//     operators whose insides still work a row at a time (Sort, MergeSorted,
+//     TopN, MergeJoin, Apply, the aggregates' group output) emit through the
+//     same packer.
 //   - rows out: RowCursor reads an operator's batches a row at a time. Run
 //     and Drain use it at the result boundary, the row-internal operators to
 //     read their children.
 //
 // Everything between the edges — scans off pages and leaves, Filter, Project,
-// Limit, the Gather exchange, the hash join, the three aggregates' input —
-// computes on typed vectors. The parallel operators (Gather, the partial and
-// final aggregate, the partitioned merge join) reproduce the paper's
-// "parallelism for free" results (Figures 8-10).
+// Limit, the Gather exchange, the hash join, the three aggregates' input,
+// RowNumber's counter — computes on typed vectors. The parallel operators
+// (Gather, the partial and final aggregate, the partitioned merge join)
+// reproduce the paper's "parallelism for free" results (Figures 8-10).
 package exec
 
 import (

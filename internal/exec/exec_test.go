@@ -316,10 +316,7 @@ func TestRowNumber(t *testing.T) {
 		[]sqltypes.Value{str("high"), i64(9)},
 		[]sqltypes.Value{str("mid"), i64(5)},
 	))
-	rows := run(t, &RowNumber{
-		OrderBy: []SortKey{{Expr: col(1), Desc: true}},
-		Child:   src,
-	})
+	rows := run(t, &RowNumber{Child: &Sort{Keys: []SortKey{{Expr: col(1), Desc: true}}, Child: src}})
 	if len(rows) != 3 {
 		t.Fatalf("%d rows", len(rows))
 	}

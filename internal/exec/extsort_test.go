@@ -158,19 +158,19 @@ func TestSortBudgetWithoutStore(t *testing.T) {
 }
 
 // TestRowNumberSpillEquivalence: ROW_NUMBER over a spilled sort must
-// number the same rows in the same order as the in-memory path, and the
-// streaming (InputSorted) mode must match too.
+// number the same rows in the same order as over the in-memory sort, and
+// over a merge of per-partition sorts too.
 func TestRowNumberSpillEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	input := randomSortInput(rng, 2000, 30)
 	keys := []SortKey{{Expr: col(0), Desc: true}}
 
-	inMem := runStats(t, &RowNumber{OrderBy: keys, Child: NewValues(input)}, new(obs.Counters))
+	inMem := runStats(t, &RowNumber{Child: &Sort{Keys: keys, Child: NewValues(input)}}, new(obs.Counters))
 	stats := new(obs.Counters)
-	spilled := runStats(t, &RowNumber{
-		OrderBy: keys, Child: NewValues(input),
+	spilled := runStats(t, &RowNumber{Child: &Sort{
+		Keys: keys, Child: NewValues(input),
 		MemoryBudget: 8 << 10, Spill: newTestSpillStore(t),
-	}, stats)
+	}}, stats)
 	if stats.Get(obs.SortRuns) == 0 {
 		t.Fatal("row-number sort did not spill")
 	}
@@ -183,11 +183,7 @@ func TestRowNumberSpillEquivalence(t *testing.T) {
 	for i, ch := range chains {
 		sorts[i] = &Sort{Keys: keys, Child: ch}
 	}
-	streamed := runStats(t, &RowNumber{
-		OrderBy:     keys,
-		Child:       &MergeSorted{Keys: keys, Children: sorts},
-		InputSorted: true,
-	}, new(obs.Counters))
+	streamed := runStats(t, &RowNumber{Child: &MergeSorted{Keys: keys, Children: sorts}}, new(obs.Counters))
 	if !reflect.DeepEqual(inMem, streamed) {
 		t.Fatal("streaming ROW_NUMBER over MergeSorted differs from in-memory")
 	}
@@ -228,8 +224,8 @@ func TestTopNStillTrims(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer op.Close()
-	if len(op.rows) != 5 {
-		t.Fatalf("kept %d rows, want 5", len(op.rows))
+	if len(op.kept.rows) != 5 {
+		t.Fatalf("kept %d rows, want 5", len(op.kept.rows))
 	}
 	row, ok, err := op.next()
 	if err != nil || !ok || row[0].I != 1 {
@@ -257,7 +253,7 @@ func (f *failAfter) Close() error { return nil }
 // release the temp files even though callers never Close a failed Open.
 func TestSortOpenErrorReleasesRuns(t *testing.T) {
 	dir := t.TempDir()
-	store := storageSpillStore{storage.NewSpillManager(dir, storage.NewBufferPool(64))}
+	store := storageSpillStore{storage.NewSpillManager(dir, nil)}
 	s := &Sort{
 		Keys:  []SortKey{{Expr: col(0)}},
 		Child: &Source{Factory: func(*Context) (RowIterator, error) { return &failAfter{n: 500}, nil }},

@@ -175,8 +175,9 @@ func batchSources(t testing.TB, batches []*vec.Batch, n int) []Operator {
 type memSpillStore struct{}
 
 type memSpillFile struct {
-	mu   sync.Mutex
-	rows []sqltypes.Row
+	mu     sync.Mutex
+	rows   []sqltypes.Row
+	sealed int64 // rows in sealed runs
 }
 
 func (memSpillStore) Create() (SpillFile, error) { return &memSpillFile{}, nil }
@@ -188,10 +189,20 @@ func (f *memSpillFile) Append(row sqltypes.Row) error {
 	return nil
 }
 
-func (f *memSpillFile) Rows() int64                        { return int64(len(f.rows)) }
-func (f *memSpillFile) Bytes() int64                       { return int64(len(f.rows)) }
-func (f *memSpillFile) Iter(obs.Sink) (RowIterator, error) { return &SliceIterator{Rows: f.rows}, nil }
-func (f *memSpillFile) Release() error                     { return nil }
+func (f *memSpillFile) Rows() int64                { return int64(len(f.rows)) }
+func (f *memSpillFile) Bytes() int64               { return int64(len(f.rows)) }
+func (f *memSpillFile) Iter() (RowIterator, error) { return &SliceIterator{Rows: f.rows}, nil }
+func (f *memSpillFile) Release() error             { return nil }
+
+// SealRun and IterRun keep a run as a range of rows.
+func (f *memSpillFile) SealRun() (RunSpan, error) {
+	span := RunSpan{Start: f.sealed, End: int64(len(f.rows)), Rows: int64(len(f.rows)) - f.sealed}
+	f.sealed = span.End
+	return span, nil
+}
+func (f *memSpillFile) IterRun(s RunSpan) (RowIterator, error) {
+	return &SliceIterator{Rows: f.rows[s.Start:s.End]}, nil
+}
 
 // joinCase is one shape of typed join input.
 type joinCase struct {

@@ -9,17 +9,29 @@ import (
 	"repro/internal/vec"
 )
 
-// SpillFile is a temp row file used by joins whose build side exceeds the
-// memory budget. Implemented by package storage (paged temp files read
-// through the buffer pool); exec only sees this contract so the operator
-// layer stays storage-agnostic. Append must be safe for concurrent use.
+// SpillFile is a temp row file: a hash join's or an aggregate's spilled
+// partition, a sort's runs. Package storage implements it (paged temp
+// files written and read straight to and from disk); exec only sees this
+// contract so the operator layer stays storage-agnostic. Append must be
+// safe for concurrent use.
 type SpillFile interface {
 	Append(row sqltypes.Row) error
 	Rows() int64
 	Bytes() int64
-	// Iter reads the rows back; pooled page reads count on sink.
-	Iter(sink obs.Sink) (RowIterator, error)
+	// Iter reads every appended row back, in order.
+	Iter() (RowIterator, error)
+	// SealRun ends the run being appended and IterRun reads one sealed run
+	// back: a sort appends all its runs to one file.
+	SealRun() (RunSpan, error)
+	IterRun(RunSpan) (RowIterator, error)
 	Release() error
+}
+
+// RunSpan locates one sealed run inside a spill file.
+type RunSpan struct {
+	Start, End int64 // page range [Start, End)
+	Rows       int64
+	Bytes      int64 // encoded payload bytes
 }
 
 // SpillStore creates spill files; provided to the planner by the engine.
@@ -485,7 +497,7 @@ func (j *PartitionedHashJoin) finishSub() error {
 
 // spillSource adapts a spill file into a re-openable scan operator.
 func spillSource(f SpillFile) *Source {
-	return &Source{Factory: func(ctx *Context) (RowIterator, error) { return f.Iter(ctx.Sink) }}
+	return &Source{Factory: func(ctx *Context) (RowIterator, error) { return f.Iter() }}
 }
 
 // releaseSpills frees every live spill file (error paths and Close).

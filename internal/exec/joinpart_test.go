@@ -29,19 +29,7 @@ func (s storageSpillStore) Create() (SpillFile, error) {
 	return storageSpillFile{f}, nil
 }
 
-func (f storageSpillFile) Iter(sink obs.Sink) (RowIterator, error) {
-	return f.NewIterator(sink), nil
-}
-
-// CreateRun, SealRun and IterRun mirror core's production adapter so the
-// exec tests exercise the sequential run path and multi-run files.
-func (s storageSpillStore) CreateRun() (SpillFile, error) {
-	f, err := s.m.CreateRun()
-	if err != nil {
-		return nil, err
-	}
-	return storageSpillFile{f}, nil
-}
+func (f storageSpillFile) Iter() (RowIterator, error) { return f.NewIterator(), nil }
 
 func (f storageSpillFile) SealRun() (RunSpan, error) {
 	start, end, rows, bytes, err := f.SpillFile.SealRun()
@@ -54,7 +42,7 @@ func (f storageSpillFile) IterRun(span RunSpan) (RowIterator, error) {
 
 func newTestSpillStore(t testing.TB) SpillStore {
 	t.Helper()
-	return storageSpillStore{storage.NewSpillManager(t.TempDir(), storage.NewBufferPool(64))}
+	return storageSpillStore{storage.NewSpillManager(t.TempDir(), nil)}
 }
 
 // nestedLoopJoin is the trivially-correct reference: every left row against
@@ -340,8 +328,8 @@ func TestOperatorsCloseChildrenOnError(t *testing.T) {
 		{"Gather/ordered", func(l, r Operator) Operator { return &Gather{Children: []Operator{l, r}, Ordered: true} }},
 		{"Instrument", func(l, r Operator) Operator { return InstrumentOp(l, &obs.OpProfile{Timed: true}) }},
 		{"Sort", func(l, r Operator) Operator { return &Sort{Keys: order, Child: l} }},
-		{"RowNumber", func(l, r Operator) Operator { return &RowNumber{OrderBy: order, Child: l} }},
-		{"RowNumber/streaming", func(l, r Operator) Operator { return &RowNumber{OrderBy: order, Child: l, InputSorted: true} }},
+		{"RowNumber", func(l, r Operator) Operator { return &RowNumber{Child: &Sort{Keys: order, Child: l}} }},
+		{"RowNumber/streaming", func(l, r Operator) Operator { return &RowNumber{Child: l} }},
 		{"MergeSorted", func(l, r Operator) Operator {
 			return &MergeSorted{Keys: order, Children: []*Sort{{Keys: order, Child: l}, {Keys: order, Child: r}}}
 		}},

@@ -85,7 +85,7 @@ func TestOperatorsForwardColumnPruning(t *testing.T) {
 			return &MergeSorted{Keys: order, Children: []*Sort{{Keys: order, Child: c}}}
 		}, plusOwn},
 		// ROW_NUMBER's output is its input plus the number: five columns.
-		"RowNumber": {func(c Operator) Operator { return &RowNumber{OrderBy: order, Child: c} }, plusOwn},
+		"RowNumber": {func(c Operator) Operator { return &RowNumber{Child: &Sort{Keys: order, Child: c}} }, plusOwn},
 		// A projection maps its marked outputs back to the inputs they read...
 		"Project": {func(c Operator) Operator {
 			return &Project{Exprs: []expr.Expr{col(3), &expr.Arith{Op: expr.OpAdd, L: col(1), R: col(2)}, col(0)}, Child: c, InputWidth: 4}

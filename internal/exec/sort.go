@@ -8,6 +8,12 @@ import (
 	"repro/internal/vec"
 )
 
+// The sort family. Sort is the one operator that orders rows: ORDER BY, the
+// per-partition sorts under a MergeSorted exchange and CREATE INDEX's
+// partition sorts are Sorts, ROW_NUMBER is a counter over one, and TopN
+// keeps its N rows with the same kernel (runSorter). extsort.go holds the
+// external sort behind Sort and the loser tree behind MergeSorted.
+
 // SortKey is one ORDER BY term.
 type SortKey struct {
 	Expr expr.Expr
@@ -39,130 +45,113 @@ func compareKeyRows(a, b sqltypes.Row, by []SortKey) int {
 	return 0
 }
 
-// rowSorter stably sorts rows and their precomputed keys in place — no
-// permutation scratch slices, so repeated sorts (TopN's lazy trim, run
-// spilling) allocate nothing per call. Holders embed one and reuse it.
-type rowSorter struct {
+// runSorter is the sort kernel: rows with their precomputed keys, ordered
+// by pdqsort (sort.Sort) with each row's sequence — its position when
+// added — as the tie-break, which is the order of a stable sort at a
+// fraction of sort.Stable's element moves. Sort's run buffer and TopN's
+// kept rows are each one.
+type runSorter struct {
 	rows, keys []sqltypes.Row
+	seqs       []int32
 	by         []SortKey
 }
 
-func (s *rowSorter) Len() int { return len(s.rows) }
-func (s *rowSorter) Swap(i, j int) {
+func (s *runSorter) Len() int { return len(s.rows) }
+func (s *runSorter) Swap(i, j int) {
 	s.rows[i], s.rows[j] = s.rows[j], s.rows[i]
 	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
+	s.seqs[i], s.seqs[j] = s.seqs[j], s.seqs[i]
 }
-func (s *rowSorter) Less(i, j int) bool {
-	return compareKeyRows(s.keys[i], s.keys[j], s.by) < 0
-}
-
-// sortStable sorts rows (stably) by their keys, permuting both in place.
-func (s *rowSorter) sortStable(rows, keys []sqltypes.Row, by []SortKey) {
-	s.rows, s.keys, s.by = rows, keys, by
-	sort.Stable(s)
-	s.rows, s.keys = nil, nil // don't pin the slices between sorts
+func (s *runSorter) Less(i, j int) bool {
+	if c := compareKeyRows(s.keys[i], s.keys[j], s.by); c != 0 {
+		return c < 0
+	}
+	return s.seqs[i] < s.seqs[j]
 }
 
-// sortRows sorts rows (stably) by their precomputed keys, keeping the
-// keys aligned so callers can keep using them.
-func sortRows(rows, keys []sqltypes.Row, by []SortKey) {
-	var s rowSorter
-	s.sortStable(rows, keys, by)
+// add appends a row and its key.
+func (s *runSorter) add(row, key sqltypes.Row) {
+	s.rows = append(s.rows, row)
+	s.keys = append(s.keys, key)
+	s.seqs = append(s.seqs, int32(len(s.seqs)))
 }
 
-// Sort emits its input ordered by the keys. It is an external merge
-// sort: rows buffer up to MemoryBudget, overflowing spans spill as
-// stably-sorted runs through Spill, and the output streams either the
-// in-memory buffer or a loser-tree merge of the runs. Equal keys stay in
-// input order even when runs spill (merge ties break by run index). It
-// works a row at a time inside: the child is read through a RowCursor and
-// the sorted rows leave through a rowPacker.
+// sort orders the rows, then renumbers the sequences by position, so rows
+// added later still sort after the equal rows kept from before.
+func (s *runSorter) sort() {
+	sort.Sort(s)
+	for i := range s.seqs {
+		s.seqs[i] = int32(i)
+	}
+}
+
+// truncate keeps the first n rows: the rest are let go, the capacity kept.
+func (s *runSorter) truncate(n int) {
+	clear(s.rows[n:])
+	clear(s.keys[n:])
+	s.rows, s.keys, s.seqs = s.rows[:n], s.keys[:n], s.seqs[:n]
+}
+
+// Sort emits its input ordered by the keys. It is an external merge sort:
+// rows buffer up to MemoryBudget, overflowing spans spill as sorted runs
+// through Spill, and the output streams either the buffer or a loser-tree
+// merge of the runs and the buffer. Equal keys stay in input order even
+// when runs spill (merge ties break by run index). It works a row at a time
+// inside: the child is read through a RowCursor and the sorted rows leave
+// through a rowPacker.
 type Sort struct {
 	Keys  []SortKey
 	Child Operator
 	// MemoryBudget caps the bytes of buffered rows (0 = unlimited);
 	// exceeding it spills sorted runs through Spill.
 	MemoryBudget int64
-	// Spill creates temp run files. Required only when MemoryBudget can
-	// be exceeded.
+	// Spill creates the run file. Required only when MemoryBudget can be
+	// exceeded.
 	Spill SpillStore
 
 	sorter *extSorter
-	it     RowIterator
-	needed []bool // child columns the consumer or the keys read; nil = all
+	src    keyedSource // the sorted rows, with their keys (MergeSorted merges on them)
+	needed []bool      // child columns the consumer or the keys read; nil = all
 	out    rowPacker
 }
 
-// Open drains and sorts the child, spilling runs past the budget.
-func (s *Sort) Open(ctx *Context) (err error) {
+// Open drains and sorts the child, spilling runs past the budget, and
+// closes it again. Callers do not Close an operator whose Open failed, so
+// the error paths release any spilled runs here.
+func (s *Sort) Open(ctx *Context) error {
 	s.out.reset()
-	s.sorter, s.it, err = sortChild(ctx, s.Child, s.needed, s.Keys, s.MemoryBudget, s.Spill)
-	return err
-}
-
-// sortChild opens child, feeds its rows to an external sorter and closes
-// it again: the blocking phase of Sort and RowNumber. Callers do not Close
-// an operator whose Open failed, so the error paths release any spilled
-// runs here.
-func sortChild(ctx *Context, child Operator, needed []bool, keys []SortKey, budget int64, spill SpillStore) (*extSorter, RowIterator, error) {
-	if err := child.Open(ctx); err != nil {
-		return nil, nil, err
+	if err := s.Child.Open(ctx); err != nil {
+		return err
 	}
-	defer child.Close()
-	es := newExtSorter(keys, budget, spill, ctx.Sink)
-	in := RowCursor{Op: child, needed: needed}
+	defer s.Child.Close()
+	es := newExtSorter(s.Keys, s.MemoryBudget, s.Spill, ctx.Sink)
+	in := RowCursor{Op: s.Child, needed: s.needed}
 	for {
 		row, ok, err := in.Next()
-		if err == nil && ok {
-			err = es.Add(row)
+		switch {
+		case err == nil && ok:
+			err = es.add(row)
+		case err == nil:
+			s.src, err = es.finish()
 		}
 		if err != nil {
-			es.Release()
-			return nil, nil, err
+			es.release()
+			return err
 		}
 		if !ok {
-			break
+			s.sorter = es
+			s.out.last = min(es.n, vec.DefaultBatchSize) // the first batch's size
+			return nil
 		}
 	}
-	it, err := es.Finish()
-	if err != nil {
-		es.Release()
-		return nil, nil, err
-	}
-	return es, it, nil
 }
 
 // NextBatch packs the next sorted rows.
 func (s *Sort) NextBatch() (*vec.Batch, error) { return s.out.next(s.next) }
 
 func (s *Sort) next() (sqltypes.Row, bool, error) {
-	if s.it == nil {
-		return nil, false, nil
-	}
-	return s.it.Next()
-}
-
-// nextKeyed is the sorted stream with its precomputed sort keys: both
-// shapes (in-memory buffer and loser-tree merge) carry them, so a merge
-// exchange above per-partition sorts reuses them for free.
-func (s *Sort) nextKeyed() (sqltypes.Row, sqltypes.Row, bool, error) {
-	if s.it == nil {
-		return nil, nil, false, nil
-	}
-	return s.it.(keyedSource).nextKeyed()
-}
-
-// sortedBuffers hands the fully in-memory sorted result (rows plus
-// keys) to a merge exchange, which then merges arrays in tight loops
-// instead of streaming row-at-a-time. Returns ok=false when runs
-// spilled (the result must stream through the loser tree) or the sort
-// is not open.
-func (s *Sort) sortedBuffers() (rows, keys []sqltypes.Row, ok bool) {
-	it, isMem := s.it.(*keyedSliceIterator)
-	if !isMem || it.pos != 0 {
-		return nil, nil, false
-	}
-	return it.rows, it.keys, true
+	row, _, ok, err := s.src.nextKeyed()
+	return row, ok, err
 }
 
 // PruneColumns reads, keeps and emits only the marked columns and the keys'.
@@ -174,98 +163,56 @@ func (s *Sort) PruneColumns(needed []bool) {
 
 // Close releases the buffered rows and any spilled runs.
 func (s *Sort) Close() error {
-	if s.it != nil {
-		s.it.Close() // a slice or a run merge: flushes a counter, cannot fail
-		s.it = nil
-	}
+	s.src = nil
 	if s.sorter != nil {
-		s.sorter.Release()
+		s.sorter.release()
 		s.sorter = nil
 	}
 	return nil
 }
 
-// RowNumber implements ROW_NUMBER() OVER (ORDER BY ...): it orders its
-// input by the window ordering and appends the 1-based row number as an
-// extra trailing column (projections then place it wherever the SELECT
-// list wants it). This is the paper's Query 1 ranking construct. The
-// sort is external (same budget/spill machinery as Sort); when the
-// planner already ordered the input (per-partition sorts under a
-// MergeSorted exchange) InputSorted skips the sort and the operator
-// streams, numbering rows as they arrive. Row-internal, like Sort.
+// RowNumber implements ROW_NUMBER() OVER (ORDER BY ...), the paper's Query 1
+// ranking construct, over a child that already delivers its rows in the
+// window order (a Sort, a MergeSorted, or a scan in index order): it
+// appends the 1-based row number as an extra trailing INT column, numbering
+// each batch's selected rows in Sel order (projections then place it
+// wherever the SELECT list wants it).
 type RowNumber struct {
-	OrderBy      []SortKey
-	Child        Operator
-	MemoryBudget int64
-	Spill        SpillStore
-	InputSorted  bool
+	Child Operator
 
-	sorter *extSorter
-	it     RowIterator // the sorted rows...
-	in     RowCursor   // ...or the ordered child, open while in.Op is set
-	needed []bool      // child columns the consumer or the ordering read; nil = all
-	n      int64
-	row    sqltypes.Row
-	out    rowPacker
+	n int64
 }
 
-// Open materializes and sorts (or, for pre-sorted input, just opens).
-func (r *RowNumber) Open(ctx *Context) (err error) {
+// Open opens the child and restarts the count.
+func (r *RowNumber) Open(ctx *Context) error {
 	r.n = 0
-	r.out.reset()
-	if !r.InputSorted {
-		r.sorter, r.it, err = sortChild(ctx, r.Child, r.needed, r.OrderBy, r.MemoryBudget, r.Spill)
-		return err
-	}
-	if err := r.Child.Open(ctx); err != nil {
-		return err
-	}
-	r.in = RowCursor{Op: r.Child, needed: r.needed}
-	return nil
+	return r.Child.Open(ctx)
 }
 
-// next emits the next row with its number appended.
-func (r *RowNumber) next() (row sqltypes.Row, ok bool, err error) {
-	switch {
-	case r.in.Op != nil:
-		row, ok, err = r.in.Next()
-	case r.it != nil:
-		row, ok, err = r.it.Next()
+// NextBatch numbers the next batch's selected rows.
+func (r *RowNumber) NextBatch() (*vec.Batch, error) {
+	b, err := r.Child.NextBatch()
+	if err != nil || b == nil {
+		return nil, err
 	}
-	if err != nil || !ok {
-		return nil, false, err
+	num := &vec.Vector{Kind: sqltypes.KindInt, Ints: make([]int64, b.Rows())}
+	for _, i := range b.Sel {
+		r.n++
+		num.Ints[i] = r.n
 	}
-	r.n++
-	r.row = append(append(r.row[:0], row...), sqltypes.NewInt(r.n))
-	return r.row, true, nil
+	b.Cols = append(b.Cols[:len(b.Cols):len(b.Cols)], num) // a Cols array of its own
+	return b, nil
 }
 
-// NextBatch packs the next numbered rows.
-func (r *RowNumber) NextBatch() (*vec.Batch, error) { return r.out.next(r.next) }
-
-// PruneColumns reads the marked input columns and the ordering's; the
-// number is the last output column.
+// PruneColumns asks the child for the marked columns but the last, which
+// is the number.
 func (r *RowNumber) PruneColumns(needed []bool) {
-	r.out.needed = needed
+	var in []bool // nil = all
 	if len(needed) > 0 {
-		r.needed = withExprColumns(needed[:len(needed)-1], sortKeyExprs(r.OrderBy)...)
+		in = needed[:len(needed)-1]
 	}
-	r.Child.PruneColumns(r.needed)
+	r.Child.PruneColumns(in)
 }
 
-// Close releases buffered rows, runs, and the streaming child.
-func (r *RowNumber) Close() error {
-	if r.it != nil {
-		r.it.Close() // as in Sort.Close
-		r.it = nil
-	}
-	if r.sorter != nil {
-		r.sorter.Release()
-		r.sorter = nil
-	}
-	if r.in.Op != nil {
-		r.in.Op = nil
-		return r.Child.Close()
-	}
-	return nil
-}
+// Close closes the child.
+func (r *RowNumber) Close() error { return r.Child.Close() }

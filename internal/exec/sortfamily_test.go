@@ -102,10 +102,10 @@ func TestSortFamilyMatchesOracle(t *testing.T) {
 		{"Sort", func(k []SortKey, rows []sqltypes.Row, b int64) Operator { return sortOf(k, src(rows), b) },
 			func(s []sqltypes.Row) []sqltypes.Row { return s }},
 		{"ROW_NUMBER", func(k []SortKey, rows []sqltypes.Row, b int64) Operator {
-			return &RowNumber{OrderBy: k, Child: src(rows), MemoryBudget: b, Spill: store}
+			return &RowNumber{Child: sortOf(k, src(rows), b)}
 		}, numbered},
 		{"ROW_NUMBER/MergeSorted4", func(k []SortKey, rows []sqltypes.Row, b int64) Operator {
-			return &RowNumber{OrderBy: k, Child: mergeOf(k, rows, 4, b), InputSorted: true}
+			return &RowNumber{Child: mergeOf(k, rows, 4, b)}
 		}, numbered},
 		{"MergeSorted1", func(k []SortKey, rows []sqltypes.Row, b int64) Operator { return mergeOf(k, rows, 1, b) },
 			func(s []sqltypes.Row) []sqltypes.Row { return s }},

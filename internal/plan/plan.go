@@ -142,7 +142,6 @@ func (n *Node) explain(sb *strings.Builder, depth int) {
 var rowInternal = map[string]bool{
 	"Sort":                                true,
 	"Parallelism (Merge Gather, ordered)": true,
-	"Sequence Project (ROW_NUMBER)":       true,
 	"Top N Sort":                          true,
 	"Top N Sort (per-partition)":          true,
 	"Merge Join (Inner Join)":             true,

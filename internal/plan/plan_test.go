@@ -11,7 +11,6 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/exec"
 	"repro/internal/expr"
-	"repro/internal/obs"
 	"repro/internal/sqlparse"
 	"repro/internal/sqltypes"
 	"repro/internal/stats"
@@ -193,9 +192,10 @@ func (p *fakeProvider) Stats(t *catalog.Table) *stats.TableStats {
 type memSpillStore struct{}
 
 type memSpillFile struct {
-	mu   sync.Mutex
-	rows []sqltypes.Row
-	size int64
+	mu     sync.Mutex
+	rows   []sqltypes.Row
+	size   int64
+	sealed int64 // rows in sealed runs
 }
 
 func (memSpillStore) Create() (exec.SpillFile, error) { return &memSpillFile{}, nil }
@@ -209,8 +209,20 @@ func (f *memSpillFile) Append(r sqltypes.Row) error {
 }
 func (f *memSpillFile) Rows() int64  { f.mu.Lock(); defer f.mu.Unlock(); return int64(len(f.rows)) }
 func (f *memSpillFile) Bytes() int64 { f.mu.Lock(); defer f.mu.Unlock(); return f.size }
-func (f *memSpillFile) Iter(obs.Sink) (exec.RowIterator, error) {
+func (f *memSpillFile) Iter() (exec.RowIterator, error) {
 	return &exec.SliceIterator{Rows: f.rows}, nil
+}
+
+// SealRun and IterRun keep a run as a range of rows.
+func (f *memSpillFile) SealRun() (exec.RunSpan, error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	span := exec.RunSpan{Start: f.sealed, End: int64(len(f.rows)), Rows: int64(len(f.rows)) - f.sealed}
+	f.sealed = span.End
+	return span, nil
+}
+func (f *memSpillFile) IterRun(s exec.RunSpan) (exec.RowIterator, error) {
+	return &exec.SliceIterator{Rows: f.rows[s.Start:s.End]}, nil
 }
 func (f *memSpillFile) Release() error { return nil }
 
@@ -459,7 +471,7 @@ func TestExplainVectorizedAnnotation(t *testing.T) {
 		"Parallelism (Gather Streams, ordered)": true, "Hash Match (Partitioned Inner Join)": true,
 		"Hash Match (Aggregate)": true, "Stream Aggregate": true,
 		"Hash Match (Final Aggregate, merge partials)": true, "Hash Match (Partial Aggregate, spillable)": true,
-		"Sort": false, "Parallelism (Merge Gather, ordered)": false, "Sequence Project (ROW_NUMBER)": false,
+		"Sort": false, "Parallelism (Merge Gather, ordered)": false, "Sequence Project (ROW_NUMBER)": true,
 		"Top N Sort": false, "Top N Sort (per-partition)": false, "Merge Join (Inner Join)": false,
 		"Index Scan": false, "Constant Scan": false, "Table Scan": true, "Clustered Index Scan": true,
 	}

@@ -137,7 +137,7 @@ func (pl *Planner) PlanSelect(sel *sqlparse.Select) (*Node, error) {
 		if grouped {
 			appendAt = groupedWidth(subst)
 		}
-		rel = pl.windowRelation(rel, keys, grouped)
+		rel = pl.windowRelation(rel, keys)
 		subst[exprKey(windowCall)] = appendAt
 	}
 
@@ -525,38 +525,17 @@ func filterRelation(rel *relation, pred expr.Expr) *relation {
 	return out
 }
 
-// windowRelation plans ROW_NUMBER() OVER (ORDER BY ...). Over a
-// partitionable input the ordering comes from per-partition external
-// sorts merged by an order-preserving exchange, and the numbering
-// streams; otherwise the operator sorts its input itself (externally,
-// under the sort memory budget).
-func (pl *Planner) windowRelation(rel *relation, keys []exec.SortKey, grouped bool) *relation {
+// windowRelation plans ROW_NUMBER() OVER (ORDER BY ...): a counter over
+// the input in window order, which sortNode provides — a Sort, a merge of
+// per-partition sorts (EXPLAIN shows the order there), or nothing when the
+// input already streams in that order (index or clustered scans). A
+// grouped input has neither partitions nor an order, so it is sorted whole.
+func (pl *Planner) windowRelation(rel *relation, keys []exec.SortKey) *relation {
 	cols := append(append([]ColMeta{}, rel.cols...), ColMeta{Name: "row_number"})
-	if !grouped && rel.parts != nil && rel.partsN > 1 {
-		node := &Node{
-			Op:       "Sequence Project (ROW_NUMBER)",
-			Detail:   fmt.Sprintf("ORDER BY:[%s]", describeSortKeys(keys)),
-			Children: []*Node{pl.parallelSortNode(keys, rel)},
-			Cols:     cols,
-			Est:      rel.est,
-			Build: func() (exec.Operator, error) {
-				ms, err := pl.buildParallelSort(keys, rel)
-				if err != nil {
-					return nil, err
-				}
-				return &exec.RowNumber{OrderBy: keys, Child: ms, InputSorted: true}, nil
-			},
-		}
-		return &relation{node: node, cols: cols, est: rel.est}
-	}
-	child := rel.node
-	// Interesting order: when the input already streams in the window
-	// order (index or clustered scans), the numbering is a pure pass-
-	// through counter — no sort, no buffering.
-	inputSorted := !grouped && sortKeysCoveredBy(rel, keys)
-	detail := fmt.Sprintf("ORDER BY:[%s]", describeSortKeys(keys))
-	if inputSorted {
-		detail += " (input ordered)"
+	child := pl.sortNode(keys, rel)
+	detail := ""
+	if child == rel.node {
+		detail = fmt.Sprintf("ORDER BY:[%s] (input ordered)", describeSortKeys(keys))
 	}
 	node := &Node{
 		Op:       "Sequence Project (ROW_NUMBER)",
@@ -569,13 +548,7 @@ func (pl *Planner) windowRelation(rel *relation, keys []exec.SortKey, grouped bo
 			if err != nil {
 				return nil, err
 			}
-			return &exec.RowNumber{
-				OrderBy:      keys,
-				Child:        c,
-				MemoryBudget: pl.SortMemoryBudget,
-				Spill:        pl.Provider.SpillStore(),
-				InputSorted:  inputSorted,
-			}, nil
+			return &exec.RowNumber{Child: c}, nil
 		},
 	}
 	return &relation{node: node, cols: cols, est: rel.est}
@@ -647,36 +620,21 @@ func (pl *Planner) parallelSortNode(keys []exec.SortKey, rel *relation) *Node {
 		Cols:     rel.node.Cols,
 		Est:      rel.est,
 		Build: func() (exec.Operator, error) {
-			return pl.buildParallelSort(keys, rel)
+			ops, err := rel.parts()
+			if err != nil {
+				return nil, err
+			}
+			perBudget := pl.SortMemoryBudget
+			if perBudget > 0 && len(ops) > 1 {
+				perBudget = max(perBudget/int64(len(ops)), 1)
+			}
+			sorts := make([]*exec.Sort, len(ops))
+			for i, op := range ops {
+				sorts[i] = &exec.Sort{Keys: keys, Child: op, MemoryBudget: perBudget, Spill: pl.Provider.SpillStore()}
+			}
+			return &exec.MergeSorted{Keys: keys, Children: sorts}, nil
 		},
 	}
-}
-
-// buildParallelSort instantiates the per-partition sorts and their merge
-// exchange.
-func (pl *Planner) buildParallelSort(keys []exec.SortKey, rel *relation) (*exec.MergeSorted, error) {
-	ops, err := rel.parts()
-	if err != nil {
-		return nil, err
-	}
-	perBudget := pl.SortMemoryBudget
-	if perBudget > 0 && len(ops) > 1 {
-		perBudget /= int64(len(ops))
-		if perBudget < 1 {
-			perBudget = 1
-		}
-	}
-	spill := pl.Provider.SpillStore()
-	sorts := make([]*exec.Sort, len(ops))
-	for i, op := range ops {
-		sorts[i] = &exec.Sort{
-			Keys:         keys,
-			Child:        op,
-			MemoryBudget: perBudget,
-			Spill:        spill,
-		}
-	}
-	return &exec.MergeSorted{Keys: keys, Children: sorts}, nil
 }
 
 // topNNode plans TOP n ORDER BY. Over an unordered partitionable input

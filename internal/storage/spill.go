@@ -10,18 +10,19 @@ import (
 	"sync/atomic"
 
 	"repro/internal/fault"
-	"repro/internal/obs"
 	"repro/internal/sqltypes"
 )
 
-// Spill files hold intermediate query state (hash-join partitions that
-// exceed the join memory budget) in the engine's paged format rather than
-// ad-hoc temp files: rows are encoded with a self-describing variant of
-// the row codec, packed into standard 8 KB pages, and read back through
-// the sharded buffer pool so re-probes of a recently spilled partition hit
-// memory. Pages are written straight to disk when sealed (spill data is
-// transient, so it must not occupy the pool's no-steal dirty frames), and
-// Release drops any cached pages and removes the file.
+// Spill files hold a query's temporary state — a hash join's or an
+// aggregate's spilled partitions, a sort's runs — in the engine's paged
+// format rather than ad-hoc temp files: rows are encoded with a
+// self-describing variant of the row codec and packed into standard 8 KB
+// pages. Spilled bytes are written once and read back once or twice, in
+// order, so they bypass the buffer pool both ways: a page is written
+// straight to disk when it fills (spill data is transient, so it must not
+// occupy the pool's no-steal dirty frames) and read back straight from
+// disk into the iterator's own page buffer (caching it would only evict the
+// workload's pages). Release removes the file.
 //
 // The payload is a byte stream of length-prefixed rows chunked across
 // pages — a row larger than one page simply spans pages, so anything the
@@ -38,25 +39,18 @@ const (
 	spillCapacity   = PageSize - spillHeaderSize
 )
 
-// SpillManager creates temp spill files under one directory, sharing the
-// engine's buffer pool for reads.
+// SpillManager creates temp spill files under one directory; their I/O is
+// routed through inj (site "spill", nil injects nothing).
 type SpillManager struct {
 	dir   string
-	pool  *BufferPool
 	inj   *fault.Injector
 	seq   atomic.Uint64
 	sweep sync.Once
 }
 
 // NewSpillManager returns a manager rooted at dir (created on first use).
-func NewSpillManager(dir string, pool *BufferPool) *SpillManager {
-	return NewSpillManagerFault(dir, pool, nil)
-}
-
-// NewSpillManagerFault is NewSpillManager with fault-injection routing
-// for spill-file I/O (site "spill").
-func NewSpillManagerFault(dir string, pool *BufferPool, inj *fault.Injector) *SpillManager {
-	return &SpillManager{dir: dir, pool: pool, inj: inj}
+func NewSpillManager(dir string, inj *fault.Injector) *SpillManager {
+	return &SpillManager{dir: dir, inj: inj}
 }
 
 // Create opens a fresh spill file. The first Create sweeps spill files a
@@ -79,23 +73,7 @@ func (m *SpillManager) Create() (*SpillFile, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &SpillFile{file: f, pool: m.pool, inj: m.inj}, nil
-}
-
-// CreateRun opens a spill file tuned for sorted runs: the external merge
-// sort writes each run once, in order, and reads it back exactly once
-// during the k-way merge. Its iterators therefore stream pages straight
-// from disk with a private one-page buffer instead of going through the
-// buffer pool — a wide merge fan-in must not evict the workload's hot
-// pages for bytes that will never be read again. Writes already bypass
-// the pool (see sealTailLocked), so a run performs zero pool traffic.
-func (m *SpillManager) CreateRun() (*SpillFile, error) {
-	f, err := m.Create()
-	if err != nil {
-		return nil, err
-	}
-	f.sequential = true
-	return f, nil
+	return &SpillFile{file: f, inj: m.inj}, nil
 }
 
 // SpillFile is an append-then-iterate temp row file. Append is safe for
@@ -105,7 +83,6 @@ func (m *SpillManager) CreateRun() (*SpillFile, error) {
 type SpillFile struct {
 	mu       sync.Mutex
 	file     *PagedFile
-	pool     *BufferPool
 	inj      *fault.Injector
 	tail     []byte
 	pages    int64 // sealed data pages
@@ -113,9 +90,6 @@ type SpillFile struct {
 	bytes    int64
 	scratch  []byte
 	released bool
-	// sequential marks a sorted-run file (CreateRun): iterators read pages
-	// directly instead of caching them in the buffer pool.
-	sequential bool
 	// Run boundaries (SealRun): start of the currently open run.
 	runStartPage  int64
 	runStartRows  int64
@@ -168,9 +142,7 @@ func (s *SpillFile) writeStreamLocked(b []byte) error {
 	return nil
 }
 
-// sealTailLocked writes the tail as a new page, bypassing the pool: dirty
-// frames are never evicted (no-steal), so buffering spill writes in the
-// pool would pin it full. Reads go through the pool and cache normally.
+// sealTailLocked writes the tail as a new page, straight to disk.
 func (s *SpillFile) sealTailLocked() error {
 	if len(s.tail) == 0 {
 		return nil
@@ -231,23 +203,15 @@ func (s *SpillFile) Bytes() int64 {
 	return s.bytes
 }
 
-// NewIterator returns an iterator over all appended rows, in order; its
-// buffer-pool traffic counts on sink. The caller must not Append while
-// iterating.
-func (s *SpillFile) NewIterator(sink obs.Sink) *SpillIterator {
+// NewIterator returns an iterator over all appended rows, in order. The
+// caller must not Append while iterating.
+func (s *SpillFile) NewIterator() *SpillIterator {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return &SpillIterator{
-		f:        s,
-		sink:     sink,
-		hiPage:   s.pages,
-		rowsLeft: s.rows,
-		tail:     append([]byte(nil), s.tail...),
-	}
+	return &SpillIterator{f: s, hiPage: s.pages, rowsLeft: s.rows, tail: append([]byte(nil), s.tail...)}
 }
 
-// Release drops cached pages, closes and removes the file. Safe to call
-// more than once.
+// Release closes and removes the file. Safe to call more than once.
 func (s *SpillFile) Release() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -255,7 +219,6 @@ func (s *SpillFile) Release() error {
 		return nil
 	}
 	s.released = true
-	s.pool.DropFile(s.file)
 	err := s.file.Close()
 	if rmErr := fault.Remove(s.inj, s.file.Path()); err == nil {
 		err = rmErr
@@ -263,12 +226,11 @@ func (s *SpillFile) Release() error {
 	return err
 }
 
-// SpillIterator streams a SpillFile's rows: sealed pages (read through the
-// buffer pool, unpinned eagerly) followed by a snapshot of the tail. A
-// small carry buffer reassembles rows that span page boundaries.
+// SpillIterator streams a SpillFile's rows: sealed pages, read into its own
+// page buffer, followed by a snapshot of the tail. A small carry buffer
+// reassembles rows that span page boundaries.
 type SpillIterator struct {
 	f        *SpillFile
-	sink     obs.Sink
 	page     int64
 	hiPage   int64
 	rowsLeft int64
@@ -276,10 +238,11 @@ type SpillIterator struct {
 	tailDone bool
 	buf      []byte
 	pos      int
-	pageBuf  []byte // private page buffer for sequential (run) files
+	pageBuf  []byte
 }
 
-// Next returns the next row. Rows are safe to retain.
+// Next returns the next row. Rows are safe to retain. Lengths read from
+// the file are bounded by the bytes left, so corrupt bytes give an error.
 func (it *SpillIterator) Next() (sqltypes.Row, bool, error) {
 	if it.rowsLeft == 0 {
 		return nil, false, nil
@@ -289,7 +252,7 @@ func (it *SpillIterator) Next() (sqltypes.Row, bool, error) {
 		if n < 0 {
 			return nil, false, fmt.Errorf("storage: corrupt spill row length")
 		}
-		if n > 0 && it.pos+n+int(ln) <= len(it.buf) {
+		if n > 0 && ln <= uint64(len(it.buf)-it.pos-n) { // the whole frame is buffered
 			frame := it.buf[it.pos+n : it.pos+n+int(ln)]
 			row, consumed, err := DecodeAnyRow(frame)
 			if err != nil {
@@ -320,29 +283,17 @@ func (it *SpillIterator) refill() (bool, error) {
 		it.pos = 0
 	}
 	if it.page < it.hiPage {
-		var data []byte
-		if it.f.sequential {
-			// Sorted-run page: read once, straight from disk, no caching.
-			if it.pageBuf == nil {
-				it.pageBuf = make([]byte, PageSize)
-			}
-			if err := it.f.file.ReadPage(PageID(it.page), it.pageBuf); err != nil {
-				return false, err
-			}
-			data = it.pageBuf
-		} else {
-			fr, err := it.f.pool.GetT(it.f.file, PageID(it.page), it.sink)
-			if err != nil {
-				return false, err
-			}
-			data = fr.Data()
-			defer it.f.pool.Unpin(fr, false)
+		if it.pageBuf == nil {
+			it.pageBuf = make([]byte, PageSize)
 		}
-		used := int(binary.LittleEndian.Uint16(data[0:]))
+		if err := it.f.file.ReadPage(PageID(it.page), it.pageBuf); err != nil {
+			return false, err
+		}
+		used := int(binary.LittleEndian.Uint16(it.pageBuf[0:]))
 		if used > spillCapacity {
 			return false, fmt.Errorf("storage: corrupt spill page (used=%d)", used)
 		}
-		it.buf = append(it.buf, data[spillHeaderSize:spillHeaderSize+used]...)
+		it.buf = append(it.buf, it.pageBuf[spillHeaderSize:spillHeaderSize+used]...)
 		it.page++
 		return true, nil
 	}
@@ -357,7 +308,8 @@ func (it *SpillIterator) refill() (bool, error) {
 	return false, nil
 }
 
-// Close satisfies the row-iterator contract (pages are unpinned eagerly).
+// Close satisfies the row-iterator contract; the iterator holds nothing
+// to release.
 func (it *SpillIterator) Close() error { return nil }
 
 // AppendAnyRow appends a self-describing encoding of row to dst: unlike
@@ -394,7 +346,7 @@ func AppendAnyRow(dst []byte, row sqltypes.Row) ([]byte, error) {
 // consumed. Decoded values do not alias buf.
 func DecodeAnyRow(buf []byte) (sqltypes.Row, int, error) {
 	cols, pos := binary.Uvarint(buf)
-	if pos <= 0 {
+	if pos <= 0 || cols > uint64(len(buf)-pos) { // every value has a kind byte
 		return nil, 0, fmt.Errorf("storage: truncated spill row header")
 	}
 	row := make(sqltypes.Row, cols)
@@ -426,7 +378,7 @@ func DecodeAnyRow(buf []byte) (sqltypes.Row, int, error) {
 				return nil, 0, errTruncated(i)
 			}
 			pos += n
-			if pos+int(ln) > len(buf) {
+			if ln > uint64(len(buf)-pos) {
 				return nil, 0, errTruncated(i)
 			}
 			data := buf[pos : pos+int(ln)]

@@ -1,6 +1,8 @@
 package storage
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -9,7 +11,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/obs"
 	"repro/internal/sqltypes"
 )
 
@@ -49,10 +50,69 @@ func TestAnyRowCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// FuzzSpillRowDecode feeds arbitrary bytes to the two readers of spill
+// bytes from disk: DecodeAnyRow on a row, SpillIterator on a stream of
+// length-prefixed rows. Either returns an error or rows that re-encode to
+// themselves — never a panic, whatever a count or a length claims.
+func FuzzSpillRowDecode(f *testing.F) {
+	rows := []sqltypes.Row{
+		anyRow(sqltypes.Null, sqltypes.NewInt(-42), sqltypes.NewBool(true), sqltypes.NewFloat(3.25)),
+		anyRow(sqltypes.NewString("ACGT"), sqltypes.NewBytes([]byte{0, 1, 2}), sqltypes.NewString("")),
+		anyRow(),
+	}
+	var stream []byte
+	for _, r := range rows {
+		enc, err := AppendAnyRow(nil, r)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(enc)
+		f.Add(enc[:len(enc)/2])
+		stream = binary.AppendUvarint(stream, uint64(len(enc)))
+		stream = append(stream, enc...)
+	}
+	f.Add(stream)
+	f.Add(stream[:len(stream)-1])
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if row, n, err := DecodeAnyRow(data); err == nil {
+			if n > len(data) {
+				t.Fatalf("consumed %d of %d bytes", n, len(data))
+			}
+			checkAnyRowRoundTrip(t, row)
+		}
+		// The bytes as a spill file's unsealed tail; every row takes at least
+		// one byte, so the stream cannot hold more rows than it has bytes.
+		it := &SpillIterator{rowsLeft: int64(len(data)) + 1, tail: data}
+		for {
+			row, ok, err := it.Next()
+			if err != nil || !ok {
+				return
+			}
+			checkAnyRowRoundTrip(t, row)
+		}
+	})
+}
+
+// checkAnyRowRoundTrip asserts a decoded row encodes to bytes that decode
+// to the same encoding (bytes, not values: NaN is not equal to itself).
+func checkAnyRowRoundTrip(t *testing.T, row sqltypes.Row) {
+	t.Helper()
+	enc, err := AppendAnyRow(nil, row)
+	if err != nil {
+		t.Fatalf("decoded row %v does not encode: %v", row, err)
+	}
+	again, n, err := DecodeAnyRow(enc)
+	if err != nil || n != len(enc) {
+		t.Fatalf("re-encoded row does not decode: %d of %d bytes, %v", n, len(enc), err)
+	}
+	if enc2, _ := AppendAnyRow(nil, again); !bytes.Equal(enc, enc2) {
+		t.Fatalf("row %v round-trips to %v", row, again)
+	}
+}
+
 func TestSpillFileRoundTripAndRelease(t *testing.T) {
 	dir := t.TempDir()
-	pool := NewBufferPool(64)
-	mgr := NewSpillManager(dir, pool)
+	mgr := NewSpillManager(dir, nil)
 	f, err := mgr.Create()
 	if err != nil {
 		t.Fatal(err)
@@ -74,7 +134,7 @@ func TestSpillFileRoundTripAndRelease(t *testing.T) {
 	}
 	// Two full iterations (a re-probe re-reads the same file).
 	for pass := 0; pass < 2; pass++ {
-		it := f.NewIterator(obs.Sink{})
+		it := f.NewIterator()
 		var got []sqltypes.Row
 		for {
 			r, ok, err := it.Next()
@@ -103,8 +163,7 @@ func TestSpillFileRoundTripAndRelease(t *testing.T) {
 }
 
 func TestSpillFileConcurrentAppend(t *testing.T) {
-	pool := NewBufferPool(32)
-	mgr := NewSpillManager(t.TempDir(), pool)
+	mgr := NewSpillManager(t.TempDir(), nil)
 	f, err := mgr.Create()
 	if err != nil {
 		t.Fatal(err)
@@ -132,7 +191,7 @@ func TestSpillFileConcurrentAppend(t *testing.T) {
 		t.Fatal(err)
 	}
 	seen := map[string]bool{}
-	it := f.NewIterator(obs.Sink{})
+	it := f.NewIterator()
 	for {
 		r, ok, err := it.Next()
 		if err != nil {
@@ -150,7 +209,7 @@ func TestSpillFileConcurrentAppend(t *testing.T) {
 
 func TestSpillManagerSeparateFiles(t *testing.T) {
 	dir := t.TempDir()
-	mgr := NewSpillManager(filepath.Join(dir, "tmp"), NewBufferPool(16))
+	mgr := NewSpillManager(filepath.Join(dir, "tmp"), nil)
 	a, err := mgr.Create()
 	if err != nil {
 		t.Fatal(err)
@@ -170,7 +229,7 @@ func TestSpillManagerSeparateFiles(t *testing.T) {
 // across pages and round-trip exactly — anything the in-memory join holds
 // (e.g. unpacked SEQUENCE strings > 8 KB) must also spill.
 func TestSpillLargeRowSpansPages(t *testing.T) {
-	mgr := NewSpillManager(t.TempDir(), NewBufferPool(16))
+	mgr := NewSpillManager(t.TempDir(), nil)
 	f, err := mgr.Create()
 	if err != nil {
 		t.Fatal(err)
@@ -193,7 +252,7 @@ func TestSpillLargeRowSpansPages(t *testing.T) {
 	if f.file.NumPages() < 3 {
 		t.Fatalf("big rows sealed only %d pages", f.file.NumPages())
 	}
-	it := f.NewIterator(obs.Sink{})
+	it := f.NewIterator()
 	var got []sqltypes.Row
 	for {
 		r, ok, err := it.Next()
@@ -215,9 +274,8 @@ func TestSpillLargeRowSpansPages(t *testing.T) {
 // new manager's spill files.
 func TestSpillManagerSweepsStaleFiles(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "tmp")
-	pool := NewBufferPool(16)
 
-	crashed := NewSpillManager(dir, pool)
+	crashed := NewSpillManager(dir, nil)
 	f, err := crashed.Create()
 	if err != nil {
 		t.Fatal(err)
@@ -233,7 +291,7 @@ func TestSpillManagerSweepsStaleFiles(t *testing.T) {
 		t.Fatalf("stale file missing: %v", err)
 	}
 
-	fresh := NewSpillManager(dir, NewBufferPool(16))
+	fresh := NewSpillManager(dir, nil)
 	g, err := fresh.Create() // same seq → same path as the stale file
 	if err != nil {
 		t.Fatal(err)
@@ -245,7 +303,7 @@ func TestSpillManagerSweepsStaleFiles(t *testing.T) {
 	if err := g.Append(anyRow(sqltypes.NewString("fresh"))); err != nil {
 		t.Fatal(err)
 	}
-	it := g.NewIterator(obs.Sink{})
+	it := g.NewIterator()
 	r, ok, err := it.Next()
 	if err != nil || !ok || r[0].S != "fresh" {
 		t.Fatalf("fresh file replayed stale rows: %v %v %v", r, ok, err)
@@ -255,53 +313,55 @@ func TestSpillManagerSweepsStaleFiles(t *testing.T) {
 	}
 }
 
-// TestSpillRunSequentialRead: a sorted-run file (CreateRun) must round-
-// trip its rows in order while performing zero buffer-pool traffic —
-// runs are read exactly once, so caching their pages would only evict
-// hot data.
+// TestSpillRunSequentialRead: runs sealed back to back in one file read
+// back independently, each in order, and the whole file reads as their
+// concatenation.
 func TestSpillRunSequentialRead(t *testing.T) {
-	pool := NewBufferPool(16)
-	m := NewSpillManager(t.TempDir(), pool)
-	f, err := m.CreateRun()
+	f, err := NewSpillManager(t.TempDir(), nil).Create()
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Release()
-	var want []sqltypes.Row
-	for i := 0; i < 5000; i++ {
-		r := anyRow(sqltypes.NewInt(int64(i)), sqltypes.NewString(fmt.Sprintf("run-row-%06d", i)))
-		want = append(want, r)
-		if err := f.Append(r); err != nil {
-			t.Fatal(err)
+	var all [][]sqltypes.Row
+	var spans [][4]int64
+	for run := 0; run < 3; run++ {
+		var want []sqltypes.Row
+		for i := 0; i < 2000*run+1; i++ { // one row, then several pages
+			r := anyRow(sqltypes.NewInt(int64(i)), sqltypes.NewString(fmt.Sprintf("run-%d-row-%06d", run, i)))
+			want = append(want, r)
+			if err := f.Append(r); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	if f.Rows() != 5000 {
-		t.Fatalf("Rows() = %d", f.Rows())
-	}
-	before := pool.Stats()
-	it := f.NewIterator(obs.Sink{})
-	var got []sqltypes.Row
-	for {
-		r, ok, err := it.Next()
+		start, end, rows, bytes, err := f.SealRun()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !ok {
-			break
+		if rows != int64(len(want)) || bytes <= 0 {
+			t.Fatalf("run %d sealed %d rows, %d bytes", run, rows, bytes)
 		}
-		got = append(got, r)
+		all, spans = append(all, want), append(spans, [4]int64{start, end, rows})
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("run round-trip mismatch: %d vs %d rows", len(got), len(want))
+	drain := func(it *SpillIterator) []sqltypes.Row {
+		var got []sqltypes.Row
+		for {
+			r, ok, err := it.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				return got
+			}
+			got = append(got, r)
+		}
 	}
-	if after := pool.Stats(); after != before {
-		t.Fatalf("sequential run read touched the buffer pool: %+v -> %+v", before, after)
+	for run := len(spans) - 1; run >= 0; run-- {
+		sp := spans[run]
+		if got := drain(f.NewRunIterator(sp[0], sp[1], sp[2])); !reflect.DeepEqual(got, all[run]) {
+			t.Fatalf("run %d: %d rows back, %d written", run, len(got), len(all[run]))
+		}
 	}
-	// A second iterator re-reads the same rows (extsort re-merges never
-	// need this, but the contract should hold).
-	it2 := f.NewIterator(obs.Sink{})
-	r, ok, err := it2.Next()
-	if err != nil || !ok || !reflect.DeepEqual(r, want[0]) {
-		t.Fatalf("second iterator: %v %v %v", r, ok, err)
+	if got := drain(f.NewIterator()); !reflect.DeepEqual(got, append(append(all[0], all[1]...), all[2]...)) {
+		t.Fatalf("whole file: %d rows back", len(got))
 	}
 }
