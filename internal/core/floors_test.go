@@ -37,47 +37,58 @@ func allocsPerRun(f func()) (objects, bytes uint64) {
 // INT key. Fed a row at a time the consensus statement made 6.8
 // allocations and about 1.6 KB a row. What is left is, per row, one copy of
 // the stored row (the lazy columns keep it), the two 36-byte strings with
-// their headers, and the consensus growing by doubling.
+// their headers, and the consensus growing by doubling. Under 64 KB
+// operator budgets a hash aggregate over ~8 700 groups freezes partitions
+// and a 10 000-row hash join spills; those two are held, in the
+// TestSortAllocationFloors idiom, to what they allocated at the commit
+// before the join and the aggregate shared one hash table (Go 1.24,
+// linux/amd64), as the smallest of 64 runs.
 func TestAggregationAllocationFloors(t *testing.T) {
 	const rows = 10_000
-	db, err := core.Open(t.TempDir(), core.Options{DOP: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	udf.RegisterAll(db)
-	exec := func(sql string) *core.Result {
-		t.Helper()
-		res, err := db.Exec(sql)
-		if err != nil {
-			t.Fatalf("%s: %v", sql, err)
-		}
-		return res
-	}
-	exec(`CREATE TABLE AlignmentSorted (a_g_id INT NOT NULL, a_pos BIGINT NOT NULL, a_id BIGINT NOT NULL,
-	    seq VARCHAR(300), quals VARCHAR(300), PRIMARY KEY CLUSTERED (a_g_id, a_pos, a_id))`)
-	exec(`CREATE TABLE AlignHeap (a_r_id BIGINT, a_g_id INT, a_pos BIGINT)`)
 	rng := rand.New(rand.NewSource(15))
 	sorted, heap := make([]sqltypes.Row, rows), make([]sqltypes.Row, rows)
+	positions := map[int64]bool{}
 	for i := range sorted {
 		read := make([]byte, 36)
 		for j := range read {
 			read[j] = "ACGT"[rng.Intn(4)]
 		}
 		g, pos := int64(i%8+1), int64(i/8*20+rng.Intn(20))
+		positions[pos] = true
 		sorted[i] = sqltypes.Row{
 			sqltypes.NewInt(g), sqltypes.NewInt(pos), sqltypes.NewInt(int64(i)),
 			sqltypes.NewString(string(read)), sqltypes.NewString("IIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIIII"),
 		}
 		heap[i] = sqltypes.Row{sqltypes.NewInt(int64(i)), sqltypes.NewInt(int64(i % 50)), sqltypes.NewInt(pos)}
 	}
-	if err := db.InsertRows("AlignmentSorted", sorted); err != nil {
-		t.Fatal(err)
+	open := func(opts core.Options) (*core.Database, func(string) *core.Result) {
+		db, err := core.Open(t.TempDir(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { db.Close() })
+		udf.RegisterAll(db)
+		exec := func(sql string) *core.Result {
+			t.Helper()
+			res, err := db.Exec(sql)
+			if err != nil {
+				t.Fatalf("%s: %v", sql, err)
+			}
+			return res
+		}
+		exec(`CREATE TABLE AlignmentSorted (a_g_id INT NOT NULL, a_pos BIGINT NOT NULL, a_id BIGINT NOT NULL,
+		    seq VARCHAR(300), quals VARCHAR(300), PRIMARY KEY CLUSTERED (a_g_id, a_pos, a_id))`)
+		exec(`CREATE TABLE AlignHeap (a_r_id BIGINT, a_g_id INT, a_pos BIGINT)`)
+		if err := db.InsertRows("AlignmentSorted", sorted); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.InsertRows("AlignHeap", heap); err != nil {
+			t.Fatal(err)
+		}
+		exec(`CHECKPOINT`)
+		return db, exec
 	}
-	if err := db.InsertRows("AlignHeap", heap); err != nil {
-		t.Fatal(err)
-	}
-	exec(`CHECKPOINT`)
+	_, exec := open(core.Options{DOP: 1})
 
 	for _, c := range []struct {
 		sql               string
@@ -106,7 +117,53 @@ func TestAggregationAllocationFloors(t *testing.T) {
 			t.Errorf("EXPLAIN does not mark %s vectorized:\n%s", op, plan)
 		}
 	}
+
+	for _, c := range []struct {
+		sql, op, spilled string
+		out              int
+		floor            uint64 // allocations a statement
+	}{
+		{`SELECT a_pos, COUNT(*) FROM AlignHeap GROUP BY a_pos`, "Hash Match (Aggregate)", "exec.agg.spilled_partitions",
+			len(positions), spillingGroupByAllocs},
+		{`SELECT COUNT(*) FROM AlignHeap h JOIN AlignmentSorted s ON h.a_r_id = s.a_id`, "Hash Match (Partitioned Inner Join)",
+			"exec.join.spilled_partitions", 1, spillingJoinAllocs},
+	} {
+		// A database each: what one statement left behind does not count
+		// against the other.
+		spillDB, spillExec := open(core.Options{DOP: 1, AggMemoryBudget: 64 << 10, JoinMemoryBudget: 64 << 10})
+		if plan := spillExec("EXPLAIN " + c.sql).Plan; !regexp.MustCompile(regexp.QuoteMeta(c.op)).MatchString(plan) {
+			t.Fatalf("%s does not plan as %q:\n%s", c.sql, c.op, plan)
+		}
+		before := spillDB.Metrics()[c.spilled]
+		var res *core.Result
+		objects, bytes := allocsPerRun(func() { res = spillExec(c.sql) })
+		if len(res.Rows) != c.out {
+			t.Fatalf("%s: %d rows, want %d", c.sql, len(res.Rows), c.out)
+		}
+		if c.out == 1 && res.Rows[0][0].I != rows {
+			t.Fatalf("%s: %v, want %d", c.sql, res.Rows[0], rows)
+		}
+		if spillDB.Metrics()[c.spilled] == before {
+			t.Fatalf("%s: %s did not move under a 64 KB budget", c.sql, c.spilled)
+		}
+		t.Logf("budget 64 KB, %s: %d allocations; %.3f and %.0f bytes per input row",
+			c.sql, objects, float64(objects)/rows, float64(bytes)/rows)
+		if objects > c.floor && !raceBuild {
+			t.Errorf("budget 64 KB, %s: %.3f allocations per input row, want at most %.3f",
+				c.sql, float64(objects)/rows, float64(c.floor)/rows)
+		}
+	}
 }
+
+// Allocations of the two spilling statements of
+// TestAggregationAllocationFloors at the commit before the hash join and
+// the hash aggregate shared one hash table (Go 1.24, linux/amd64), as the
+// smallest of 64 runs; the largest such reading of five, since the
+// smallest of 64 still moves by a few allocations from run to run.
+const (
+	spillingGroupByAllocs = 22318
+	spillingJoinAllocs    = 22034
+)
 
 // TestPointLookupAllocationFloors holds the two statements that are all
 // per-statement overhead — the benchmark's pk_lookup (a seek on a clustered

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -441,5 +442,41 @@ func TestHashJoinAllocsPerRow(t *testing.T) {
 	}
 	if perRow := allocs / (2 * n); perRow > 0.05 {
 		t.Errorf("%.0f allocations for %d input rows (%d joined): %.3f a row, want at most 0.05", allocs, 2*n, joined, perRow)
+	}
+}
+
+// TestHashTablesCompareKeysOnEqualHash: two keys whose hashes agree on all
+// 64 bits are still two keys. hashFloat of a non-integral float is mix64
+// of its bits salted with hashSeedFloat and hashInt is mix64 of the
+// integer, so the INT below and 0.5 collide by construction; only the key
+// compare after an equal hash tells them apart, in the aggregate's table
+// and in the join's.
+func TestHashTablesCompareKeysOnEqualHash(t *testing.T) {
+	f := 0.5
+	n := int64(math.Float64bits(f) ^ hashSeedFloat)
+	if hashValue(sqltypes.NewInt(n)) != hashValue(sqltypes.NewFloat(f)) {
+		t.Fatalf("%d and %v no longer hash alike: pick another pair", n, f)
+	}
+	ints := []sqltypes.Row{{i64(n)}, {i64(n)}}
+	floats := []sqltypes.Row{{sqltypes.NewFloat(f)}}
+
+	// One generic column holding both values: two groups.
+	groups := run(t, &SpillableAggregate{
+		GroupBy: []expr.Expr{col(0)},
+		Aggs:    []AggSpec{{Name: "COUNT", Factory: BuiltinAggregate("count")}},
+		Child:   NewValues(append(append([]sqltypes.Row{}, ints...), floats...)),
+	})
+	if got := canonRows(groups); !reflect.DeepEqual(got, canonRows([]sqltypes.Row{{i64(n), i64(2)}, {sqltypes.NewFloat(f), i64(1)}})) {
+		t.Errorf("GROUP BY over %d, %d, %v: groups %v, want 2", n, n, f, got)
+	}
+	// An INT column against a FLOAT column: nothing joins, either side built.
+	for _, buildLeft := range []bool{false, true} {
+		j := &PartitionedHashJoin{
+			LeftKeys: []expr.Expr{col(0)}, RightKeys: []expr.Expr{col(0)}, LeftWidth: 1,
+			Left: NewValues(ints), Right: NewValues(floats), BuildLeft: buildLeft, Bloom: true,
+		}
+		if rows := run(t, j); len(rows) != 0 {
+			t.Errorf("buildLeft=%v: %d = %v joined %d rows, want 0", buildLeft, n, f, len(rows))
+		}
 	}
 }
