@@ -216,7 +216,6 @@ func Open(dir string, opts Options) (*Database, error) {
 		tvfs:       map[string]plan.TVF{},
 		dop:        opts.DOP,
 		joinBudget: opts.JoinMemoryBudget,
-		joinParts:  plan.DefaultJoinPartitions,
 		sortBudget: opts.SortMemoryBudget,
 		aggBudget:  opts.AggMemoryBudget,
 		tstats:     tstats,

@@ -538,11 +538,6 @@ func (f *aggFeed) grow(n int) {
 	}
 }
 
-// keys evaluates the group-key columns of b, decoded if they were lazy.
-func (f *aggFeed) keys(b *vec.Batch) ([]*vec.Vector, error) {
-	return evalDecoded(f.keyProj, b)
-}
-
 // evalArgs evaluates every aggregate's argument columns over b's selected
 // rows, for the updates that follow.
 func (f *aggFeed) evalArgs(b *vec.Batch) (err error) {
@@ -689,7 +684,7 @@ func (s *StreamAggregate) PruneColumns(needed []bool) { s.out.needed = needed }
 // boundary completes it.
 func (s *StreamAggregate) consume(b *vec.Batch) error {
 	rows := b.Sel
-	keys, err := s.feed.keys(b)
+	keys, err := evalDecoded(s.feed.keyProj, b)
 	if err == nil {
 		err = s.feed.evalArgs(b)
 	}

@@ -13,80 +13,53 @@ import (
 // Spillable hash aggregation: the two-phase GROUP BY operator the
 // planner emits. Each input (one per worker in the parallel plan) is
 // pulled a batch at a time into an aggTable: the group keys hash once per
-// row (joinhash.go), live column by column in the table, and every
+// row, live column by column in the key table (joinhash.go), and every
 // aggregate updates its grouped states from the batch's argument vectors.
-// Groups are hash-partitioned; when the table exceeds its memory budget,
-// whole partitions freeze — rows of a frozen partition go raw to a spill
-// file instead of growing the table, while the partition's existing
-// states stay resident and stop growing. Draining emits the in-memory
-// groups first, then re-aggregates each frozen partition from disk
-// (level-seeded re-partitioning, depth-capped like the join) and merges
-// the retained states back in via AggState.Merge — so user-defined
-// aggregates spill exactly like COUNT and SUM, without requiring states
-// to be serializable. An aggregate without GROUP BY is the same table with
-// no key columns: one group, made before the first row.
-
-// DefaultAggPartitions is the spill fan-out when the caller does not set
-// one (the planner's default aliases this).
-const DefaultAggPartitions = 32
-
-// maxAggSpillDepth bounds recursion: a partition still over budget after
-// this many re-partitionings (e.g. one giant group that no hash can
-// subdivide) is aggregated fully in memory.
-const maxAggSpillDepth = 4
+// Groups are hash-partitioned (partLedger); when the table exceeds its
+// memory budget, whole partitions freeze — rows of a frozen partition go
+// raw to a spill file, opened at the first of them, instead of growing the
+// table, while the partition's existing states stay resident and stop
+// growing. Draining emits the in-memory groups first, then re-aggregates
+// each frozen partition from disk (level-seeded re-partitioning,
+// depth-capped like the join) and merges the retained states back in via
+// AggState.Merge — so user-defined aggregates spill exactly like COUNT and
+// SUM, without requiring states to be serializable. An aggregate without
+// GROUP BY is the same table with no key columns: one group, made before
+// the first row.
 
 // aggTable is one worker's partial-aggregate hash table with
-// budget-triggered partition freezing. Group g is row g of the key columns
+// budget-triggered partition freezing. Group g is entry g of the key table
 // and state g of every aggregate; ids are handed out in first-seen order.
 type aggTable struct {
+	keyTable
 	feed   aggFeed
-	parts  int
-	level  int
-	budget int64 // 0 = unlimited
+	kh     keyHasher
+	ledger partLedger
 	spill  SpillStore
 	sink   obs.Sink
-
-	keys   []*vec.Vector // one flat column per group-by expression
-	hashes []uint64      // the key hash of every group
-	heads  []int32       // heads[hash&mask] starts a chain through next
-	next   []int32
-	mask   uint64
-
-	partBytes []int64
-	bytes     int64
-	frozen    []bool
-	files     []SpillFile
-	nFrozen   int
+	files  []SpillFile // a frozen partition's file, once a row spilled to it; nil until a freeze
 
 	// Scratch, valid within one consume.
-	rowHash []uint64
-	gids    []int32
-	one     [1]int
-	needed  []bool // the input columns a spilled row keeps
-	row     sqltypes.Row
-	keyBuf  [2][]byte
+	gids   []int32
+	one    [1]int
+	needed []bool // the input columns a spilled row keeps
+	row    sqltypes.Row
+	keyBuf [2][]byte
 }
 
 func newAggTable(groupBy []expr.Expr, aggs []AggSpec, parts, level int, budget int64, spill SpillStore, sink obs.Sink) *aggTable {
 	t := &aggTable{
-		feed:      newAggFeed(groupBy, aggs),
-		parts:     parts,
-		level:     level,
-		budget:    budget,
-		spill:     spill,
-		sink:      sink,
-		keys:      make([]*vec.Vector, len(groupBy)),
-		partBytes: make([]int64, parts),
-		frozen:    make([]bool, parts),
-		files:     make([]SpillFile, parts),
+		keyTable: newKeyTable(len(groupBy)),
+		feed:     newAggFeed(groupBy, aggs),
+		ledger:   newPartLedger(parts, level, budget),
+		spill:    spill,
+		sink:     sink,
 	}
-	for i := range t.keys {
-		t.keys[i] = &vec.Vector{}
-	}
+	t.kh.proj = t.feed.keyProj
 	if len(groupBy) == 0 {
 		// The global aggregate's one group exists before any row arrives,
 		// and still does over an empty input.
-		t.insert(0)
+		t.insert(nil, 0, 0)
 	}
 	return t
 }
@@ -94,67 +67,16 @@ func newAggTable(groupBy []expr.Expr, aggs []AggSpec, parts, level int, budget i
 // groups returns the number of groups.
 func (t *aggTable) groups() int { return len(t.hashes) }
 
-// lookup finds the group whose key is row r of cols, or -1.
-func (t *aggTable) lookup(h uint64, cols []*vec.Vector, r int) (int32, error) {
-	if t.heads == nil {
-		return -1, nil
-	}
-	for e := t.heads[h&t.mask]; e >= 0; e = t.next[e] {
-		if t.hashes[e] != h {
-			continue
-		}
-		if eq, err := keysEqual(cols, r, t.keys, int(e), &t.keyBuf); eq || err != nil {
-			return e, err
-		}
-	}
-	return -1, nil
-}
-
-// insert makes the next group id for a key of hash h (the caller appends
-// the key itself) and links it into its chain. Slots stay at most half
-// full.
-func (t *aggTable) insert(h uint64) int32 {
-	g := int32(len(t.hashes))
-	t.hashes = append(t.hashes, h)
-	t.next = append(t.next, -1)
-	t.feed.grow(len(t.hashes))
-	if 2*len(t.hashes) > len(t.heads) {
-		size := max(64, 2*len(t.heads))
-		t.mask = uint64(size - 1)
-		t.heads = make([]int32, size)
-		for i := range t.heads {
-			t.heads[i] = -1
-		}
-		for e, eh := range t.hashes[:g] {
-			t.link(int32(e), eh)
-		}
-	}
-	t.link(g, h)
-	return g
-}
-
-func (t *aggTable) link(g int32, h uint64) {
-	slot := h & t.mask
-	t.next[g] = t.heads[slot]
-	t.heads[slot] = g
-}
-
-// addKey appends row r of cols as the key of a group just inserted.
-func (t *aggTable) addKey(cols []*vec.Vector, r int) error {
+// insert makes the next group id for the key in row r of cols, of hash h,
+// and links it into its chain.
+func (t *aggTable) insert(cols []*vec.Vector, r int, h uint64) (int32, error) {
 	t.one[0] = r
-	for i, c := range cols {
-		if err := t.keys[i].AppendRows(c, t.one[:]); err != nil {
-			return err
-		}
+	if err := t.add(cols, t.one[:], []uint64{h}); err != nil {
+		return -1, err
 	}
-	return nil
-}
-
-// groupBytes approximates what group g retains: its key cells, its hash
-// and chain link, the head slots it accounts for (slots are between a
-// half and a quarter full: four at worst) and its states.
-func (t *aggTable) groupBytes(g int32) int64 {
-	return 8 + 4 + 16 + vectorRowBytes(t.keys, int(g)) + 64*int64(len(t.feed.aggs))
+	t.feed.grow(len(t.hashes))
+	t.link()
+	return int32(len(t.hashes) - 1), nil
 }
 
 // consume folds one batch into the table: every selected row finds or
@@ -171,51 +93,46 @@ func (t *aggTable) consume(b *vec.Batch) error {
 		}
 		return t.named(t.feed.update(nil, 0, rows))
 	}
-	cols, err := t.feed.keys(b)
+	if err := t.kh.eval(b); err != nil {
+		return err
+	}
+	hashes, err := t.kh.hash(rows)
 	if err != nil {
 		return err
 	}
-	if cap(t.rowHash) < len(rows) {
-		t.rowHash = make([]uint64, max(len(rows), vec.DefaultBatchSize))
-		t.gids = make([]int32, cap(t.rowHash))
+	cols, l := t.kh.cols, &t.ledger
+	if cap(t.gids) < len(rows) {
+		t.gids = make([]int32, max(len(rows), vec.DefaultBatchSize))
 	}
-	hashes, gids := t.rowHash[:len(rows)], t.gids[:len(rows)]
-	for i, c := range cols {
-		if cols[i], err = hashKeyColumn(c, rows, hashes, i == 0); err != nil {
-			return err
-		}
-	}
+	gids := t.gids[:len(rows)]
 	n := 0
 	for k, r := range rows {
 		h := hashes[k]
-		if t.nFrozen > 0 {
-			if p := joinPartition(h, t.level, t.parts); t.frozen[p] {
+		if l.nOut > 0 {
+			if p := l.route(h); l.parts[p].out {
 				if err := t.spillRow(b, r, p); err != nil {
 					return err
 				}
 				continue
 			}
 		}
-		g, err := t.lookup(h, cols, r)
+		g, err := t.find(chainStart, h, cols, r, &t.keyBuf)
 		if err != nil {
 			return err
 		}
 		if g < 0 {
-			g = t.insert(h)
-			if err := t.addKey(cols, r); err != nil {
+			if g, err = t.insert(cols, r, h); err != nil {
 				return err
 			}
 			// Growth comes from new groups, so the budget check lives on
 			// the insert path: each over-budget insert freezes one more
-			// partition until every future row streams to disk.
-			if t.budget > 0 {
-				sz := t.groupBytes(g)
-				t.partBytes[joinPartition(h, t.level, t.parts)] += sz
-				if t.bytes += sz; t.bytes > t.budget {
-					if err := t.freezeLargest(); err != nil {
-						return err
-					}
-				}
+			// partition until every future row streams to disk. A group
+			// is charged its key entry, the head slots it accounts for
+			// (between a half and a quarter full: four at worst) and its
+			// states.
+			l.charge(l.route(h), t.entryBytes(int(g), 4)+64*int64(len(t.feed.aggs)))
+			if err := t.freeze(l.victim()); err != nil {
+				return err
 			}
 		}
 		rows[n], gids[n] = r, g
@@ -257,8 +174,15 @@ func (t *aggTable) key(g int32, dst sqltypes.Row) (err error) {
 }
 
 // spillRow writes row r of b, as far as the aggregate reads it, to frozen
-// partition p's file.
+// partition p's file, opening it at the partition's first spilled row.
 func (t *aggTable) spillRow(b *vec.Batch, r, p int) error {
+	if t.files[p] == nil {
+		f, err := t.spill.Create()
+		if err != nil {
+			return err
+		}
+		t.files[p] = f
+	}
 	if len(t.needed) != len(b.Cols) {
 		t.needed = make([]bool, len(b.Cols))
 		t.feed.markCols(t.needed)
@@ -270,30 +194,21 @@ func (t *aggTable) spillRow(b *vec.Batch, r, p int) error {
 	return t.files[p].Append(t.row)
 }
 
-// freezeLargest freezes the biggest unfrozen partition: from here on its
-// rows spill raw to a spill file. Existing states stay resident (the
-// Merge-only AggState contract cannot serialize them) but stop growing, so
-// memory is bounded near the budget at first overflow.
-func (t *aggTable) freezeLargest() error {
-	victim := -1
-	for i := range t.partBytes {
-		if !t.frozen[i] && (victim < 0 || t.partBytes[i] > t.partBytes[victim]) {
-			victim = i
-		}
-	}
-	if victim < 0 {
-		return nil // everything frozen already; no further growth possible
+// freeze freezes partition p, the ledger's victim: from here on its rows
+// spill raw. Existing states stay resident (the Merge-only AggState
+// contract cannot serialize them) but stop growing, so memory is bounded
+// near the budget at first overflow.
+func (t *aggTable) freeze(p int) error {
+	if p < 0 {
+		return nil // within budget, or everything frozen already
 	}
 	if t.spill == nil {
-		return fmt.Errorf("exec: aggregate memory budget %d exceeded and no spill store configured", t.budget)
+		return fmt.Errorf("exec: aggregate memory budget %d exceeded and no spill store configured", t.ledger.budget)
 	}
-	f, err := t.spill.Create()
-	if err != nil {
-		return err
+	if t.files == nil {
+		t.files = make([]SpillFile, len(t.ledger.parts))
 	}
-	t.files[victim] = f
-	t.frozen[victim] = true
-	t.nFrozen++
+	t.ledger.markOut(p, false)
 	t.sink.Add(obs.AggSpilledPartitions, 1)
 	return nil
 }
@@ -304,13 +219,12 @@ func (t *aggTable) freezeLargest() error {
 // resident states regardless.
 func (t *aggTable) absorb(src *aggTable, g int32) error {
 	h := src.hashes[g]
-	e, err := t.lookup(h, src.keys, int(g))
+	e, err := t.find(chainStart, h, src.keys, int(g), &t.keyBuf)
 	if err != nil {
 		return err
 	}
 	if e < 0 {
-		e = t.insert(h)
-		if err := t.addKey(src.keys, int(g)); err != nil {
+		if e, err = t.insert(src.keys, int(g), h); err != nil {
 			return err
 		}
 	}
@@ -367,11 +281,11 @@ type aggDrain struct {
 func drainTables(tables []*aggTable) (*aggDrain, error) {
 	base := tables[0]
 	d := &aggDrain{mem: base}
-	spIdx := make([]int, base.parts) // partition -> index in d.spilled, -1 = in memory
+	spIdx := make([]int, len(base.ledger.parts)) // partition -> index in d.spilled, -1 = in memory
 	for p := range spIdx {
 		spIdx[p] = -1
 		for _, t := range tables {
-			if t.frozen[p] {
+			if t.ledger.parts[p].out {
 				spIdx[p] = len(d.spilled)
 				d.spilled = append(d.spilled, spilledPart{})
 				break
@@ -391,7 +305,7 @@ func drainTables(tables []*aggTable) (*aggDrain, error) {
 	}
 	for ti, t := range tables { // base comes first: it has only its own groups yet
 		for g := int32(0); int(g) < t.groups(); g++ {
-			sp := spIdx[joinPartition(t.hashes[g], base.level, base.parts)]
+			sp := spIdx[base.ledger.route(t.hashes[g])]
 			switch {
 			case sp >= 0:
 				d.spilled[sp].retained = append(d.spilled[sp].retained, groupRef{t, g})
@@ -406,7 +320,7 @@ func drainTables(tables []*aggTable) (*aggDrain, error) {
 	if len(d.spilled) > 0 {
 		d.memIDs = make([]int32, 0, base.groups())
 		for g := int32(0); int(g) < base.groups(); g++ {
-			if spIdx[joinPartition(base.hashes[g], base.level, base.parts)] < 0 {
+			if spIdx[base.ledger.route(base.hashes[g])] < 0 {
 				d.memIDs = append(d.memIDs, g)
 			}
 		}
@@ -452,11 +366,7 @@ func (d *aggDrain) next() (groupRef, bool, error) {
 // unbudgeted — all remaining rows share keys no hash can split.
 func (t *aggTable) reaggregate(part spilledPart) (*aggDrain, error) {
 	t.sink.Add(obs.AggSpillRecursions, 1)
-	budget := t.budget
-	if t.level+1 >= maxAggSpillDepth {
-		budget = 0
-	}
-	sub := newAggTable(t.feed.groupBy, t.feed.specs, t.parts, t.level+1, budget, t.spill, t.sink)
+	sub := newAggTable(t.feed.groupBy, t.feed.specs, len(t.ledger.parts), t.ledger.level+1, t.ledger.subBudget(), t.spill, t.sink)
 	fail := func(err error) (*aggDrain, error) {
 		for _, f := range part.files {
 			if f != nil {
@@ -526,7 +436,7 @@ type SpillableAggregate struct {
 	// inputs (set one or the other).
 	Child Operator
 	Parts []Operator
-	// Partitions is the spill hash fan-out (default 32).
+	// Partitions is the spill hash fan-out (default SpillPartitions).
 	Partitions int
 	// MemoryBudget caps the bytes of resident group state across all
 	// workers; 0 means unlimited. Exceeding it freezes partitions, which
@@ -546,10 +456,6 @@ type SpillableAggregate struct {
 // Open drains the input(s) into budgeted partial tables and prepares the
 // merged drain.
 func (a *SpillableAggregate) Open(ctx *Context) error {
-	parts := a.Partitions
-	if parts < 1 {
-		parts = DefaultAggPartitions
-	}
 	a.drain = nil
 	a.row = make(sqltypes.Row, len(a.GroupBy)+len(a.Aggs))
 	a.out.reset()
@@ -565,7 +471,7 @@ func (a *SpillableAggregate) Open(ctx *Context) error {
 	errs := make([]error, len(inputs))
 	var wg sync.WaitGroup
 	for i, in := range inputs {
-		tables[i] = newAggTable(a.GroupBy, a.Aggs, parts, a.Level, budget, a.Spill, ctx.Sink)
+		tables[i] = newAggTable(a.GroupBy, a.Aggs, a.Partitions, a.Level, budget, a.Spill, ctx.Sink)
 		if len(inputs) == 1 {
 			errs[i] = drainIntoTable(ctx, in, tables[i])
 			break

@@ -182,3 +182,62 @@ func TestSpillableAggregateBudgetWithoutStore(t *testing.T) {
 	}
 	a.Close()
 }
+
+// countingSpillStore records every file an operator creates.
+type countingSpillStore struct {
+	SpillStore
+	files []SpillFile
+}
+
+func (s *countingSpillStore) Create() (SpillFile, error) {
+	f, err := s.SpillStore.Create()
+	if err == nil {
+		s.files = append(s.files, f)
+	}
+	return f, err
+}
+
+// TestFrozenPartitionOpensItsFileAtItsFirstRow: a frozen partition opens
+// its spill file when the first row spills to it, so a partition no row
+// comes to after it froze has none. The budget here runs out with the last
+// ten of 1 000 distinct keys, which freeze ten partitions; 40 repeated keys
+// follow, and only the frozen partitions they route to get a file.
+func TestFrozenPartitionOpensItsFileAtItsFirstRow(t *testing.T) {
+	const keys = 1000
+	input := make([]sqltypes.Row, keys+40)
+	for i := range input {
+		input[i] = sqltypes.Row{i64(int64(i % keys))}
+	}
+	stats := new(obs.Counters)
+	store := &countingSpillStore{SpillStore: memSpillStore{}}
+	a := &SpillableAggregate{
+		GroupBy: []expr.Expr{col(0)},
+		Aggs:    []AggSpec{{Name: "COUNT", Factory: BuiltinAggregate("count")}},
+		Child:   NewValues(input),
+		// A group of one INT key and one COUNT is charged 100 bytes.
+		MemoryBudget: (keys - 10) * 100,
+		Spill:        store,
+	}
+	rows, err := Run(&Context{DOP: 1, Sink: obs.Sink{Engine: stats}}, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != keys {
+		t.Fatalf("%d groups, want %d", len(rows), keys)
+	}
+	var spilled int64
+	for _, f := range store.files {
+		if f.Rows() == 0 {
+			t.Errorf("a spill file was created for a partition no row spilled to")
+		}
+		spilled += f.Rows()
+	}
+	if want := stats.Get(obs.AggSpilledRows); spilled != want {
+		t.Errorf("the files hold %d rows, %d spilled", spilled, want)
+	}
+	frozen := stats.Get(obs.AggSpilledPartitions)
+	if int64(len(store.files)) >= frozen || stats.Get(obs.AggSpillRecursions) != frozen {
+		t.Errorf("%d files, %d partitions frozen, %d re-aggregated: want fewer files than frozen partitions, each frozen partition re-aggregated",
+			len(store.files), frozen, stats.Get(obs.AggSpillRecursions))
+	}
+}

@@ -17,7 +17,9 @@
 //
 // Everything between the edges — scans off pages and leaves, Filter, Project,
 // Limit, the Gather exchange, the hash join, the three aggregates' input,
-// RowNumber's counter — computes on typed vectors. The parallel operators
+// RowNumber's counter — computes on typed vectors. The hash join and the hash
+// aggregate share one key hasher, one chained key table and one partition
+// ledger (joinhash.go). The parallel operators
 // (Gather, the partial and final aggregate, the partitioned merge join)
 // reproduce the paper's "parallelism for free" results (Figures 8-10).
 package exec

@@ -6,18 +6,22 @@ import (
 	"math"
 	"math/bits"
 
+	"repro/internal/expr"
 	"repro/internal/sqltypes"
 	"repro/internal/vec"
 )
 
-// Join-key hashing. A row's key hashes once, to 64 bits, and everything
-// the join needs comes from that value: the Bloom filter's block and bits,
-// the level-salted partition and the hash-table slot. The hash is a
-// function of the key's query-level value, not of the vector it arrived
-// in, and agrees with the encoded-key equality of appendGroupKey: an INT
-// column, a dictionary column, a boxed row-source column and an integral
-// FLOAT holding the same number all hash alike, so the two sides of a join
-// may arrive in any mix of forms.
+// The one hash table under the hash join and GROUP BY. A key hashes once,
+// to 64 bits (keyHasher), and everything the operators need comes from
+// that value: the Bloom filter's block and bits, the partition (partLedger)
+// and the table slot (keyTable). The hash is a function of the key's
+// query-level value, not of the vector it arrived in, and agrees with the
+// encoded-key equality of appendGroupKey: an INT column, a dictionary
+// column, a boxed row-source column and an integral FLOAT holding the same
+// number all hash alike, so the two sides of a join may arrive in any mix
+// of forms. Keys that hash alike are still compared. The join's build side
+// is a keyTable plus its stored columns, linked once after the build; the
+// aggregate's groups are a keyTable that links each group as it comes.
 
 const (
 	hashMul       = 0x9E3779B97F4A7C15
@@ -83,15 +87,6 @@ func hashValue(v sqltypes.Value) uint64 {
 // combineHash folds the hash of a further key column into h.
 func combineHash(h, col uint64) uint64 {
 	return (bits.RotateLeft64(h, 5) ^ col) * hashMul
-}
-
-// joinPartition maps a key hash onto p partitions. level salts the remix
-// so that the rows of a spilled partition spread over all p again when it
-// is re-joined one level down, and so that the choice shares no bits with
-// the Bloom filter's or the table's use of h.
-func joinPartition(h uint64, level, p int) int {
-	x := mix64(h ^ uint64(level+1)*hashMul)
-	return int((x >> 32) * uint64(p) >> 32)
 }
 
 // hashNull is the hash of a NULL key. Only GROUP BY hashes one: it is a
@@ -331,4 +326,224 @@ func vectorRowBytes(cols []*vec.Vector, i int) int64 {
 		}
 	}
 	return n
+}
+
+// keyHasher evaluates a batch's key expressions and hashes the keys of the
+// rows asked for. Its slices are scratch, valid until the next call.
+type keyHasher struct {
+	proj   *expr.Projection
+	cols   []*vec.Vector // the batch's key columns; in key form once hashed
+	hashes []uint64
+}
+
+// eval evaluates the key columns of b into cols.
+func (kh *keyHasher) eval(b *vec.Batch) (err error) {
+	kh.cols, err = kh.proj.Eval(b)
+	return err
+}
+
+// hash hashes the keys at the given physical rows, a NULL like any other
+// value, and puts cols in key form: hashes[k] belongs to rows[k].
+func (kh *keyHasher) hash(rows []int) ([]uint64, error) {
+	if cap(kh.hashes) < len(rows) {
+		kh.hashes = make([]uint64, max(len(rows), vec.DefaultBatchSize))
+	}
+	hashes := kh.hashes[:len(rows)]
+	for i, c := range kh.cols {
+		var err error
+		if kh.cols[i], err = hashKeyColumn(c, rows, hashes, i == 0); err != nil {
+			return nil, err
+		}
+	}
+	return hashes, nil
+}
+
+// keyTable is the chained hash table. Entry i's key is row i of keys, in
+// key form, and its hash is hashes[i]; heads[hash&mask] starts a chain
+// through next of the entries sharing that slot.
+type keyTable struct {
+	keys   []*vec.Vector
+	hashes []uint64
+	heads  []int32
+	next   []int32 // the entries from len(next) on are in no chain yet
+	mask   uint64
+}
+
+func newKeyTable(nkeys int) keyTable {
+	t := keyTable{keys: make([]*vec.Vector, nkeys)}
+	for i := range t.keys {
+		t.keys[i] = &vec.Vector{}
+	}
+	return t
+}
+
+// add appends the keys at the given rows of cols, with their hashes, as
+// entries in no chain yet.
+func (t *keyTable) add(cols []*vec.Vector, rows []int, hashes []uint64) error {
+	for i, c := range cols {
+		if err := t.keys[i].AppendRows(c, rows); err != nil {
+			return err
+		}
+	}
+	t.hashes = append(t.hashes, hashes...)
+	return nil
+}
+
+// link chains the entries in no chain yet. Slots stay at most half full
+// (so next, sized with them, never grows): past that, link doubles them
+// and chains every entry afresh, back to front, so a table linked in one
+// go has its chains in insertion order.
+func (t *keyTable) link() {
+	n, from := len(t.hashes), len(t.next)
+	if 2*n > len(t.heads) {
+		size := 64
+		for size < 2*n {
+			size <<= 1
+		}
+		t.mask = uint64(size - 1)
+		t.heads = make([]int32, size)
+		for i := range t.heads {
+			t.heads[i] = -1
+		}
+		t.next, from = make([]int32, 0, size/2), 0
+	}
+	t.next = t.next[:n]
+	for i := n - 1; i >= from; i-- {
+		slot := t.hashes[i] & t.mask
+		t.next[i] = t.heads[slot]
+		t.heads[slot] = int32(i)
+	}
+}
+
+// chainStart says a chain walk has not entered its chain yet.
+const chainStart = -2
+
+// find returns the first entry from e on (chainStart: the head of h's
+// slot) whose hash is h and whose key equals row r of cols, or -1. buf is
+// the caller's scratch: the join's probe workers share one table.
+func (t *keyTable) find(e int32, h uint64, cols []*vec.Vector, r int, buf *[2][]byte) (int32, error) {
+	if e == chainStart {
+		if len(t.heads) == 0 {
+			return -1, nil
+		}
+		e = t.heads[h&t.mask]
+	}
+	for ; e >= 0; e = t.next[e] {
+		if t.hashes[e] != h {
+			continue
+		}
+		if eq, err := keysEqual(cols, r, t.keys, int(e), buf); err != nil {
+			return -1, err
+		} else if eq {
+			return e, nil
+		}
+	}
+	return -1, nil
+}
+
+// compact keeps only the given entries (ascending), and those rows of the
+// columns stored beside the keys. The table must not be linked yet.
+func (t *keyTable) compact(keep []int, beside []*vec.Vector) error {
+	for i, r := range keep {
+		t.hashes[i] = t.hashes[r]
+	}
+	t.hashes = t.hashes[:len(keep)]
+	for _, set := range [2][]*vec.Vector{t.keys, beside} {
+		for i, v := range set {
+			g, err := v.Gather(keep)
+			if err != nil {
+				return err
+			}
+			set[i] = g
+		}
+	}
+	return nil
+}
+
+// entryBytes approximates the memory entry i retains: its key cells, its
+// hash, its chain link and the given number of head slots.
+func (t *keyTable) entryBytes(i, slots int) int64 {
+	return 8 + 4 + 4*int64(slots) + vectorRowBytes(t.keys, i)
+}
+
+// SpillPartitions is the default hash fan-out of a spilling join or
+// aggregate: at the default 64 MB budgets one recursion re-runs any spilled
+// partition. maxSpillDepth is how many times a partition is re-partitioned
+// before it runs with no budget (one giant key no hash can subdivide).
+const (
+	SpillPartitions = 32
+	maxSpillDepth   = 4
+)
+
+// partLedger is one operator's spill bookkeeping at one recursion level;
+// once written, it is read (route, parts[p].out) by concurrent workers.
+type partLedger struct {
+	level  int
+	budget int64 // 0 = unlimited
+	parts  []ledgerPart
+	total  int64 // resident bytes of all partitions
+	nOut   int
+}
+
+type ledgerPart struct {
+	bytes int64 // resident
+	out   bool  // its new rows go to disk
+}
+
+func newPartLedger(parts, level int, budget int64) partLedger {
+	if parts < 1 {
+		parts = SpillPartitions
+	}
+	return partLedger{level: level, budget: budget, parts: make([]ledgerPart, parts)}
+}
+
+// route maps a key hash onto a partition. The level salts the remix so
+// that the rows of a spilled partition spread over all partitions again
+// one level down, and so that the choice shares no bits with the Bloom
+// filter's or the table's use of h.
+func (l *partLedger) route(h uint64) int {
+	x := mix64(h ^ uint64(l.level+1)*hashMul)
+	return int((x >> 32) * uint64(len(l.parts)) >> 32)
+}
+
+// charge adds n resident bytes to partition p.
+func (l *partLedger) charge(p int, n int64) {
+	l.parts[p].bytes += n
+	l.total += n
+}
+
+// victim is the partition to send out next while the resident bytes
+// exceed a set budget: the largest still resident, the first on a tie; -1
+// within the budget or when all are out.
+func (l *partLedger) victim() int {
+	v := -1
+	if l.budget <= 0 || l.total <= l.budget {
+		return v
+	}
+	for i, p := range l.parts {
+		if !p.out && (v < 0 || p.bytes > l.parts[v].bytes) {
+			v = i
+		}
+	}
+	return v
+}
+
+// markOut records that partition p is out; freed, that its resident bytes
+// left with it (a join's evicted rows), not stayed (an aggregate's states).
+func (l *partLedger) markOut(p int, freed bool) {
+	l.parts[p].out = true
+	l.nOut++
+	if freed {
+		l.total -= l.parts[p].bytes
+		l.parts[p].bytes = 0
+	}
+}
+
+// subBudget is the budget of a spilled partition's re-run one level down:
+// none past maxSpillDepth.
+func (l *partLedger) subBudget() int64 {
+	if l.level+1 >= maxSpillDepth {
+		return 0
+	}
+	return l.budget
 }

@@ -39,24 +39,15 @@ type SpillStore interface {
 	Create() (SpillFile, error)
 }
 
-// DefaultJoinPartitions is the fan-out when the caller does not set one
-// (the planner's default aliases this, so plans and operators agree).
-const DefaultJoinPartitions = 32
-
-// maxSpillDepth bounds recursion: a partition that still exceeds the
-// budget after this many re-partitionings (e.g. one giant duplicate key,
-// which no hash can subdivide) is built fully in memory.
-const maxSpillDepth = 4
-
 // PartitionedHashJoin is the engine's one hash join, a hybrid Grace join
 // through which batches flow, never rows. The build side is drained a
-// batch at a time: each row's key hashes once (joinhash.go), NULL keys
-// drop, and the columns the consumer reads are appended, typed, to one
-// columnar table chained through an open-addressed heads/next array
-// (joinTable). The hash also assigns every row a partition; when the
-// table outgrows MemoryBudget whole partitions leave for temp files from
-// Spill, take their probe rows with them, and are re-joined one at a time,
-// one level down, after the in-memory probe. The probe hashes a batch's
+// batch at a time: NULL keys drop, each remaining row's key hashes once
+// (joinhash.go), and the columns the consumer reads are appended, typed,
+// to the key table (joinTable), which is chained once the build is done.
+// The hash also routes every row to a partition (partLedger); when the
+// table outgrows MemoryBudget the largest partitions leave for temp files
+// from Spill, take their probe rows with them, and are re-joined one at a
+// time, one level down, after the in-memory probe. The probe hashes a batch's
 // key vector, filters it through the Bloom filter, walks the chains
 // comparing hash then key, and gathers the matching (probe row, build
 // row) pairs column by column into output batches — inline when there is
@@ -77,7 +68,7 @@ type PartitionedHashJoin struct {
 	// planner picks the smaller estimated input. Output rows are always
 	// the left row's values followed by the right row's.
 	BuildLeft bool
-	// Partitions is the hash fan-out P (default 32).
+	// Partitions is the hash fan-out (default SpillPartitions).
 	Partitions int
 	// MemoryBudget caps the bytes of build rows held in memory; 0 means
 	// unlimited. Exceeding it spills partitions through Spill.
@@ -107,8 +98,7 @@ type PartitionedHashJoin struct {
 	sink       obs.Sink
 	bloom      *BlockedBloom
 	table      joinTable
-	spilled    []bool
-	anySpilled bool
+	ledger     partLedger
 	buildSpill []SpillFile
 	probeSpill []SpillFile
 	probe      Operator // the in-memory probe; nil once drained
@@ -178,15 +168,10 @@ func (j *PartitionedHashJoin) side(left bool) (keys []expr.Expr, out []bool) {
 func (j *PartitionedHashJoin) Open(ctx *Context) error {
 	j.ctx = ctx
 	j.sink = ctx.Sink
-	p := j.Partitions
-	if p < 1 {
-		p = DefaultJoinPartitions
-	}
 	j.table = joinTable{}
-	j.spilled = make([]bool, p)
-	j.anySpilled = false
-	j.buildSpill = make([]SpillFile, p)
-	j.probeSpill = make([]SpillFile, p)
+	j.ledger = newPartLedger(j.Partitions, j.Level, j.MemoryBudget)
+	j.buildSpill = make([]SpillFile, len(j.ledger.parts))
+	j.probeSpill = make([]SpillFile, len(j.ledger.parts))
 	j.probe = nil
 	j.sub, j.subBuild, j.subProbe = nil, nil, nil
 	j.subIdx = 0
@@ -199,7 +184,7 @@ func (j *PartitionedHashJoin) Open(ctx *Context) error {
 		}
 		j.bloom = NewBlockedBloom(est)
 	}
-	err := j.open(ctx, p)
+	err := j.open(ctx)
 	if err != nil {
 		j.releaseSpills()
 		j.table = joinTable{}
@@ -207,9 +192,9 @@ func (j *PartitionedHashJoin) Open(ctx *Context) error {
 	return err
 }
 
-func (j *PartitionedHashJoin) open(ctx *Context, p int) error {
+func (j *PartitionedHashJoin) open(ctx *Context) error {
 	if j.PrePartition > 0 && j.Spill != nil {
-		for i := 0; i < j.PrePartition && i < p; i++ {
+		for i := 0; i < j.PrePartition && i < len(j.buildSpill); i++ {
 			f, err := j.Spill.Create()
 			if err != nil {
 				return err
@@ -225,7 +210,7 @@ func (j *PartitionedHashJoin) open(ctx *Context, p int) error {
 	if err := in.Open(ctx); err != nil {
 		return err
 	}
-	err := j.drainBuild(in, buildKeys, buildOut, p)
+	err := j.drainBuild(in, buildKeys, buildOut)
 	if cerr := in.Close(); err == nil {
 		err = cerr
 	}
@@ -235,8 +220,8 @@ func (j *PartitionedHashJoin) open(ctx *Context, p int) error {
 	j.table.link()
 
 	// Spilled build partitions need their probe rows captured too.
-	for i, sp := range j.spilled {
-		if !sp {
+	for i, pt := range j.ledger.parts {
+		if !pt.out {
 			continue
 		}
 		f, err := j.Spill.Create()
@@ -267,25 +252,22 @@ func (j *PartitionedHashJoin) open(ctx *Context, p int) error {
 
 // markSpilled records that partition pt left memory with rows build rows.
 func (j *PartitionedHashJoin) markSpilled(pt int, rows int64) {
-	j.spilled[pt] = true
-	j.anySpilled = true
+	j.ledger.markOut(pt, true)
 	j.sink.Add(obs.JoinSpilledPartitions, 1)
 	j.sink.Add(obs.JoinSpilledBuildRows, rows)
 }
 
 // drainBuild pulls the build input a batch at a time, hashes the keys and
 // appends the rows of in-memory partitions to the table; rows of spilled
-// partitions go to their files. After each batch the largest partitions
-// are evicted until the table fits the budget again.
-func (j *PartitionedHashJoin) drainBuild(in Operator, keys []expr.Expr, out []bool, p int) error {
-	t := &j.table
+// partitions go to their files. After each batch the ledger's victims are
+// evicted until the table fits the budget again.
+func (j *PartitionedHashJoin) drainBuild(in Operator, keys []expr.Expr, out []bool) error {
+	t, l := &j.table, &j.ledger
 	kh := keyHasher{proj: expr.CompileProjection(keys)}
 	var carry []bool
 	if out != nil {
 		carry = withExprColumns(out, keys...)
 	}
-	partBytes := make([]int64, p)
-	var memBytes int64
 	var pts []int
 	var row sqltypes.Row
 	for {
@@ -296,7 +278,7 @@ func (j *PartitionedHashJoin) drainBuild(in Operator, keys []expr.Expr, out []bo
 		if b == nil {
 			return nil
 		}
-		rows, hashes, err := kh.hash(b)
+		rows, hashes, err := joinKeys(&kh, b)
 		if err != nil {
 			return err
 		}
@@ -314,8 +296,8 @@ func (j *PartitionedHashJoin) drainBuild(in Operator, keys []expr.Expr, out []bo
 			if j.bloom != nil {
 				j.bloom.Add(h)
 			}
-			pt := joinPartition(h, j.Level, p)
-			if j.spilled[pt] {
+			pt := l.route(h)
+			if l.parts[pt].out {
 				if row, err = b.ReadRowCols(r, row, carry); err != nil {
 					return err
 				}
@@ -337,31 +319,18 @@ func (j *PartitionedHashJoin) drainBuild(in Operator, keys []expr.Expr, out []bo
 			continue
 		}
 		for k, pt := range pts {
-			sz := t.rowBytes(base + k)
-			partBytes[pt] += sz
-			memBytes += sz
+			l.charge(pt, t.rowBytes(base+k))
 		}
-		for memBytes > j.MemoryBudget {
-			victim := -1
-			for i, sz := range partBytes {
-				if sz > 0 && (victim < 0 || sz > partBytes[victim]) {
-					victim = i
-				}
-			}
-			if victim < 0 {
-				break // nothing left to evict
-			}
-			if err := j.evict(victim, p); err != nil {
+		for v := l.victim(); v >= 0; v = l.victim() {
+			if err := j.evict(v); err != nil {
 				return err
 			}
-			memBytes -= partBytes[victim]
-			partBytes[victim] = 0
 		}
 	}
 }
 
 // evict moves the table's rows of one partition to a new spill file.
-func (j *PartitionedHashJoin) evict(victim, p int) error {
+func (j *PartitionedHashJoin) evict(victim int) error {
 	if j.Spill == nil {
 		return fmt.Errorf("exec: join memory budget %d exceeded and no spill store configured", j.MemoryBudget)
 	}
@@ -374,7 +343,7 @@ func (j *PartitionedHashJoin) evict(victim, p int) error {
 	keep := make([]int, 0, len(t.hashes))
 	var row sqltypes.Row
 	for i, h := range t.hashes {
-		if joinPartition(h, j.Level, p) != victim {
+		if j.ledger.route(h) != victim {
 			keep = append(keep, i)
 			continue
 		}
@@ -386,7 +355,7 @@ func (j *PartitionedHashJoin) evict(victim, p int) error {
 		}
 	}
 	j.markSpilled(victim, int64(len(t.hashes)-len(keep)))
-	return t.compact(keep)
+	return t.compact(keep, t.cols)
 }
 
 // NextBatch returns joined batches: first the in-memory matches of the
@@ -431,10 +400,10 @@ func (j *PartitionedHashJoin) NextBatch() (*vec.Batch, error) {
 // startNextSpilled opens the recursive join over the next non-empty
 // spilled partition; returns false when none remain.
 func (j *PartitionedHashJoin) startNextSpilled() (bool, error) {
-	for j.subIdx < len(j.spilled) {
+	for j.subIdx < len(j.ledger.parts) {
 		i := j.subIdx
 		j.subIdx++
-		if !j.spilled[i] {
+		if !j.ledger.parts[i].out {
 			continue
 		}
 		bf, pf := j.buildSpill[i], j.probeSpill[i]
@@ -452,19 +421,15 @@ func (j *PartitionedHashJoin) startNextSpilled() (bool, error) {
 		buildSrc := spillSource(bf)
 		probeSrc := spillSource(pf)
 		sub := &PartitionedHashJoin{
-			LeftKeys:   j.LeftKeys,
-			RightKeys:  j.RightKeys,
-			LeftWidth:  j.LeftWidth,
-			BuildLeft:  j.BuildLeft,
-			Partitions: j.Partitions,
-			Spill:      j.Spill,
-			Level:      j.Level + 1,
-			needed:     j.needed,
-		}
-		// Past maxSpillDepth the partition cannot be subdivided further
-		// (all rows share a key); build it in memory regardless of budget.
-		if j.Level+1 < maxSpillDepth {
-			sub.MemoryBudget = j.MemoryBudget
+			LeftKeys:     j.LeftKeys,
+			RightKeys:    j.RightKeys,
+			LeftWidth:    j.LeftWidth,
+			BuildLeft:    j.BuildLeft,
+			Partitions:   j.Partitions,
+			MemoryBudget: j.ledger.subBudget(),
+			Spill:        j.Spill,
+			Level:        j.Level + 1,
+			needed:       j.needed,
 		}
 		if j.BuildLeft {
 			sub.Left, sub.Right = buildSrc, probeSrc
@@ -536,24 +501,15 @@ func (j *PartitionedHashJoin) Close() error {
 	return err
 }
 
-// keyHasher turns a batch into the rows that can join and their key
-// hashes. Its slices are scratch, valid until the next call.
-type keyHasher struct {
-	proj   *expr.Projection
-	cols   []*vec.Vector // the batch's key columns in key form
-	hashes []uint64
-}
-
-// hash evaluates the key columns of b, drops the selected rows whose key
+// joinKeys evaluates the join keys of b, drops the selected rows whose key
 // holds a NULL (they never join) and hashes the rest: hashes[k] belongs to
 // physical row rows[k]. rows reuses b.Sel.
-func (kh *keyHasher) hash(b *vec.Batch) (rows []int, hashes []uint64, err error) {
-	cols, err := kh.proj.Eval(b)
-	if err != nil {
+func joinKeys(kh *keyHasher, b *vec.Batch) (rows []int, hashes []uint64, err error) {
+	if err := kh.eval(b); err != nil {
 		return nil, nil, err
 	}
 	rows = b.Sel
-	for _, c := range cols {
+	for _, c := range kh.cols {
 		if c.Nulls == nil && c.Vals == nil {
 			continue
 		}
@@ -567,32 +523,19 @@ func (kh *keyHasher) hash(b *vec.Batch) (rows []int, hashes []uint64, err error)
 		}
 		rows = rows[:n]
 	}
-	if cap(kh.hashes) < len(rows) {
-		kh.hashes = make([]uint64, max(len(rows), vec.DefaultBatchSize))
-	}
-	hashes = kh.hashes[:len(rows)]
-	for i, c := range cols {
-		if cols[i], err = hashKeyColumn(c, rows, hashes, i == 0); err != nil {
-			return nil, nil, err
-		}
-	}
-	kh.cols = cols
-	return rows, hashes, nil
+	hashes, err = kh.hash(rows)
+	return rows, hashes, err
 }
 
-// joinTable is the build side held in memory, column by column. Row i's
-// key hash is hashes[i]; heads[hash&mask] starts a chain through next of
-// the rows sharing that slot, in insertion order.
+// joinTable is the build side held in memory: the key table plus the
+// stored build columns. It is linked once, after the build, so every chain
+// runs in insertion order.
 type joinTable struct {
+	keyTable
 	width   int           // columns of a build-side row
-	keys    []*vec.Vector // one flat column per key expression, in key form
 	keyCols []int         // the build column a key is a plain reference to, or -1
 	cols    []*vec.Vector // the stored build columns...
 	colIdx  []int         // ...and which build column each one holds
-	hashes  []uint64
-	heads   []int32
-	next    []int32
-	mask    uint64
 }
 
 // init sizes the table for build rows of the given width. Stored are the
@@ -600,15 +543,14 @@ type joinTable struct {
 // expression reads; a key that is a plain column reference is rebuilt
 // from keys when a row has to be written out.
 func (t *joinTable) init(width int, keys []expr.Expr, out []bool) {
+	t.keyTable = newKeyTable(len(keys))
 	t.width = width
-	t.keys = make([]*vec.Vector, len(keys))
 	t.keyCols = make([]int, len(keys))
 	stored := make([]bool, width)
 	for c := range stored {
 		stored[c] = out == nil || (c < len(out) && out[c])
 	}
 	for i, k := range keys {
-		t.keys[i] = &vec.Vector{}
 		t.keyCols[i] = -1
 		if c, ok := k.(*expr.Col); ok && c.Idx < width {
 			t.keyCols[i] = c.Idx
@@ -626,24 +568,21 @@ func (t *joinTable) init(width int, keys []expr.Expr, out []bool) {
 
 // append adds rows of batch b, whose key columns and hashes are given.
 func (t *joinTable) append(b *vec.Batch, keys []*vec.Vector, rows []int, hashes []uint64) error {
-	for i, k := range keys {
-		if err := t.keys[i].AppendRows(k, rows); err != nil {
-			return err
-		}
+	if err := t.add(keys, rows, hashes); err != nil {
+		return err
 	}
 	for i, c := range t.colIdx {
 		if err := t.cols[i].AppendRows(b.Cols[c], rows); err != nil {
 			return err
 		}
 	}
-	t.hashes = append(t.hashes, hashes...)
 	return nil
 }
 
 // rowBytes approximates the memory row i retains: its cells, its hash, its
 // chain link and two head slots.
 func (t *joinTable) rowBytes(i int) int64 {
-	return 8 + 4 + 8 + vectorRowBytes(t.keys, i) + vectorRowBytes(t.cols, i)
+	return t.entryBytes(i, 2) + vectorRowBytes(t.cols, i)
 }
 
 // row rebuilds build row i as far as the table holds it; the other cells
@@ -671,47 +610,6 @@ func (t *joinTable) row(i int, dst sqltypes.Row) (sqltypes.Row, error) {
 	}
 	return dst, nil
 }
-
-// compact keeps only the given rows (ascending).
-func (t *joinTable) compact(keep []int) error {
-	for _, set := range [2][]*vec.Vector{t.keys, t.cols} {
-		for i, v := range set {
-			g, err := v.Gather(keep)
-			if err != nil {
-				return err
-			}
-			set[i] = g
-		}
-	}
-	for i, r := range keep {
-		t.hashes[i] = t.hashes[r]
-	}
-	t.hashes = t.hashes[:len(keep)]
-	return nil
-}
-
-// link builds the chains over the finished table. Slots are at most half
-// full; rows enter back to front so every chain runs in insertion order.
-func (t *joinTable) link() {
-	size := 1
-	for size < 2*len(t.hashes) {
-		size <<= 1
-	}
-	t.mask = uint64(size - 1)
-	t.heads = make([]int32, size)
-	for i := range t.heads {
-		t.heads[i] = -1
-	}
-	t.next = make([]int32, len(t.hashes))
-	for i := len(t.hashes) - 1; i >= 0; i-- {
-		slot := t.hashes[i] & t.mask
-		t.next[i] = t.heads[slot]
-		t.heads[slot] = int32(i)
-	}
-}
-
-// chainStart says the probe's current row has not entered its chain yet.
-const chainStart = -2
 
 // phjProbe is one probe worker: it pulls batches from its chain, matches
 // the rows whose partition is in memory against the table (read-only by
@@ -777,13 +675,13 @@ func (w *phjProbe) NextBatch() (*vec.Batch, error) {
 // row is never spilled. Counters are written once per batch.
 func (w *phjProbe) load() error {
 	j := w.j
-	p := len(j.spilled)
+	l := &j.ledger
 	for {
 		b, err := w.child.NextBatch()
 		if err != nil || b == nil {
 			return err
 		}
-		rows, hashes, err := w.keys.hash(b)
+		rows, hashes, err := joinKeys(&w.keys, b)
 		if err != nil {
 			return err
 		}
@@ -802,11 +700,11 @@ func (w *phjProbe) load() error {
 			j.sink.Add(obs.JoinBloomDrops, int64(len(rows)-n))
 		}
 		rows, hashes = rows[:n], hashes[:n]
-		if j.anySpilled {
+		if l.nOut > 0 {
 			n = 0
 			for k, r := range rows {
-				pt := joinPartition(hashes[k], j.Level, p)
-				if !j.spilled[pt] {
+				pt := l.route(hashes[k])
+				if !l.parts[pt].out {
 					rows[n], hashes[n] = r, hashes[k]
 					n++
 					continue
@@ -842,24 +740,18 @@ func (w *phjProbe) match() {
 	}
 	intKey := pInts != nil && bInts != nil
 scan:
-	for ; w.pos < len(w.rows); w.pos++ {
+	for ; w.pos < len(w.rows) && w.err == nil; w.pos++ {
 		r, h := w.rows[w.pos], w.hashes[w.pos]
 		if e == chainStart {
 			e = t.heads[h&t.mask]
 		}
 		for ; e >= 0; e = t.next[e] {
-			if t.hashes[e] != h {
-				continue
-			}
 			if intKey {
-				if pInts[r] != bInts[e] {
+				if t.hashes[e] != h || pInts[r] != bInts[e] {
 					continue
 				}
-			} else if eq, err := keysEqual(w.keys.cols, r, t.keys, int(e), &w.keyBuf); !eq {
-				if err != nil {
-					w.err = err
-				}
-				continue
+			} else if e, w.err = t.find(e, h, w.keys.cols, r, &w.keyBuf); e < 0 {
+				break
 			}
 			if len(pi) == cap(pi) {
 				break scan // batch full: this pair opens the next one

@@ -513,7 +513,7 @@ func (pl *Planner) partitionedJoinRelation(left, right *relation,
 	// partition's build side still fits comfortably.
 	partitions := pl.JoinPartitions
 	if partitions <= 0 {
-		partitions = DefaultJoinPartitions
+		partitions = exec.SpillPartitions
 	}
 	prePartition := 0
 	var buildBytes int64

@@ -170,7 +170,8 @@ type Planner struct {
 	// JoinMemoryBudget caps the bytes of build-side rows a hash join may
 	// hold in memory before partitions spill to disk (0 = unlimited).
 	JoinMemoryBudget int64
-	// JoinPartitions is the hash fan-out of partitioned joins.
+	// JoinPartitions is the hash fan-out of partitioned joins (0:
+	// exec.SpillPartitions).
 	JoinPartitions int
 	// SortMemoryBudget caps the bytes a sort (ORDER BY, ROW_NUMBER) may
 	// buffer before spilling sorted runs to disk (0 = unlimited). A
@@ -191,23 +192,14 @@ type Planner struct {
 	Sink obs.Sink
 }
 
-// Default join knobs: a 64 MB build budget keeps even DOP-wide joins
-// inside a fraction of the default buffer pool, and the operator's
-// default fan-out (32 partitions) keeps every spilled partition
-// re-joinable in one recursion at that budget.
-const (
-	DefaultJoinMemoryBudget = 64 << 20
-	DefaultJoinPartitions   = exec.DefaultJoinPartitions
-)
-
-// Default sort/aggregate budgets: like the join budget, 64 MB keeps the
+// Default operator budgets: 64 MB keeps even DOP-wide joins and the
 // blocking operators inside a fraction of the default buffer pool while
 // staying far above anything the paper's queries buffer in memory —
 // spilling is the out-of-core escape hatch, not the common path.
 const (
+	DefaultJoinMemoryBudget = 64 << 20
 	DefaultSortMemoryBudget = 64 << 20
 	DefaultAggMemoryBudget  = 64 << 20
-	DefaultAggPartitions    = exec.DefaultAggPartitions
 )
 
 // NewPlanner returns a planner with the given provider and DOP.
@@ -225,7 +217,6 @@ func NewPlanner(p Provider, dop int) *Planner {
 		DOP:               dop,
 		ParallelThreshold: 2_048,
 		JoinMemoryBudget:  DefaultJoinMemoryBudget,
-		JoinPartitions:    DefaultJoinPartitions,
 		SortMemoryBudget:  DefaultSortMemoryBudget,
 		AggMemoryBudget:   DefaultAggMemoryBudget,
 	}

@@ -403,7 +403,6 @@ func (pl *Planner) planAggregate(sel *sqlparse.Select, rel *relation,
 					GroupBy:      groupExprs,
 					Aggs:         aggSpecs,
 					Parts:        children,
-					Partitions:   DefaultAggPartitions,
 					MemoryBudget: pl.AggMemoryBudget,
 					Spill:        pl.Provider.SpillStore(),
 				}, nil
@@ -429,7 +428,6 @@ func (pl *Planner) planAggregate(sel *sqlparse.Select, rel *relation,
 				GroupBy:      groupExprs,
 				Aggs:         aggSpecs,
 				Child:        c,
-				Partitions:   DefaultAggPartitions,
 				MemoryBudget: pl.AggMemoryBudget,
 				Spill:        pl.Provider.SpillStore(),
 			}, nil
