@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -376,6 +377,73 @@ func TestClusteredTableAndMergeJoin(t *testing.T) {
 	res2 := mustExec(t, db, `SELECT COUNT(*) FROM aligns JOIN reads_h ON a_r_id = r_id`)
 	if res2.Rows[0][0].I != 1000 {
 		t.Errorf("hash join count = %v", res2.Rows)
+	}
+}
+
+// TestKeyRangesOverWideKeySpans: the key ranges that partition a parallel
+// clustered scan and a range-partitioned merge join stay disjoint when the
+// key span passes 2^63/parts — once it overflowed the boundary arithmetic
+// and the overlapping ranges counted rows twice.
+func TestKeyRangesOverWideKeySpans(t *testing.T) {
+	const n = 64
+	for _, c := range []struct {
+		name string
+		key  func(i int64) int64
+	}{
+		{"2^62", func(i int64) int64 { return i << 56 }},
+		{"int64", func(i int64) int64 {
+			if i == n-1 {
+				return math.MaxInt64
+			}
+			return math.MinInt64 + i<<58
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			db, err := Open(filepath.Join(t.TempDir(), "db"), Options{DOP: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { db.Close() })
+			db.threshold = 16 // DOP-4 plans over 64 rows
+			db.SetDOP(4)
+			for _, table := range []string{"kl", "kr"} {
+				mustExec(t, db, `CREATE TABLE `+table+` (k BIGINT PRIMARY KEY CLUSTERED, v INT)`)
+				rows := make([]sqltypes.Row, n)
+				for i := range rows {
+					rows[i] = sqltypes.Row{sqltypes.NewInt(c.key(int64(i))), sqltypes.NewInt(int64(i))}
+				}
+				if err := db.InsertRows(table, rows); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Four ranges, cut at increasing boundaries, even over the whole
+			// int64 domain.
+			ranges, err := db.KeyRanges(db.Table("kl"), 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(ranges) != 4 || ranges[0][0] != nil || ranges[3][1] != nil {
+				t.Fatalf("%d ranges, want four covering the key column", len(ranges))
+			}
+			for i := 1; i < 4; i++ {
+				lo := ranges[i][0].I
+				if lo != ranges[i-1][1].I || i > 1 && lo <= ranges[i-1][0].I {
+					t.Fatalf("range %d starts at %d: not where range %d ends, or not above its start", i, lo, i-1)
+				}
+			}
+			for _, q := range []struct{ sql, plan string }{
+				{`SELECT COUNT(*) FROM kl`, "Parallelism (Gather Streams) DOP 4"},
+				{`SELECT COUNT(*) FROM kl JOIN kr ON kl.k = kr.k`, "Merge Join"},
+				{`SELECT COUNT(v) FROM (SELECT kl.v FROM kl JOIN kr ON kl.k = kr.k) j`, "range-partitioned"},
+			} {
+				if plan := mustExec(t, db, "EXPLAIN "+q.sql).Plan; !strings.Contains(plan, q.plan) {
+					t.Fatalf("%s: no %q in the plan:\n%s", q.sql, q.plan, plan)
+				}
+				if got := mustExec(t, db, q.sql).Rows[0][0].I; got != n {
+					t.Errorf("%s = %d, want %d", q.sql, got, n)
+				}
+			}
+		})
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/btree"
 	"repro/internal/catalog"
@@ -451,20 +452,31 @@ func (db *Database) KeyRanges(t *catalog.Table, parts int) ([][2]*sqltypes.Value
 	}
 	lo, ok1 := btree.DecodeIntKeyPrefix(minKey)
 	hi, ok2 := btree.DecodeIntKeyPrefix(maxKey)
-	if !ok1 || !ok2 || hi-lo+1 < int64(parts) {
+	if !ok1 || !ok2 {
 		return full, nil
 	}
-	span := hi - lo + 1
+	// The span hi-lo+1 overflows int64 past 2^63 keys and uint64 over the
+	// whole domain, so boundary i is lo + span·i/parts in 128 bits, with
+	// span-1 held unsigned.
+	spanM1 := uint64(hi) - uint64(lo)
+	if spanM1 < uint64(parts-1) {
+		return full, nil
+	}
+	boundary := func(i int) *sqltypes.Value {
+		h, l := bits.Mul64(spanM1, uint64(i))
+		l, carry := bits.Add64(l, uint64(i), 0)
+		q, _ := bits.Div64(h+carry, l, uint64(parts))
+		v := sqltypes.NewInt(int64(uint64(lo) + q))
+		return &v
+	}
 	out := make([][2]*sqltypes.Value, 0, parts)
 	for i := 0; i < parts; i++ {
 		var lb, ub *sqltypes.Value
 		if i > 0 {
-			v := sqltypes.NewInt(lo + span*int64(i)/int64(parts))
-			lb = &v
+			lb = boundary(i)
 		}
 		if i < parts-1 {
-			v := sqltypes.NewInt(lo + span*int64(i+1)/int64(parts))
-			ub = &v
+			ub = boundary(i + 1)
 		}
 		out = append(out, [2]*sqltypes.Value{lb, ub})
 	}

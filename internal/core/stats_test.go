@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -266,24 +267,54 @@ func TestJoinBloomCountersThroughSQL(t *testing.T) {
 
 // TestMergeJoinWherePushdown guards the merge-join predicate fix through
 // the full SQL stack: a filtered clustered-key join must honor its WHERE
-// (it used to return the unfiltered join).
+// (it used to return the unfiltered join). It runs serial and at DOP 4,
+// where the join is range-partitioned, over two sides on different key
+// spans — dense, and with keys out at ±2^62 — and checks every answer
+// against the same join over heap copies, which the hash join takes.
 func TestMergeJoinWherePushdown(t *testing.T) {
-	db := openTestDB(t)
+	spans := []struct {
+		name       string
+		lfar, rfar []int64 // keys beyond ml's 0..199 and mr's -100..399
+	}{
+		{name: "dense"},
+		{name: "wide", lfar: []int64{1 << 62}, rfar: []int64{-1 << 62, 1 << 62}},
+	}
+	for _, dop := range []int{1, 4} {
+		for _, span := range spans {
+			t.Run(fmt.Sprintf("dop%d/%s", dop, span.name), func(t *testing.T) {
+				db, err := Open(filepath.Join(t.TempDir(), "db"), Options{DOP: dop})
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { db.Close() })
+				db.threshold = 50 // DOP-4 range-partitioned merge joins over 200 rows
+				db.SetDOP(dop)
+				testMergeJoinWherePushdown(t, db, span.lfar, span.rfar)
+			})
+		}
+	}
+}
+
+func testMergeJoinWherePushdown(t *testing.T, db *Database, lfar, rfar []int64) {
 	mustExec(t, db, `CREATE TABLE ml (id BIGINT PRIMARY KEY CLUSTERED, lv VARCHAR(16))`)
 	mustExec(t, db, `CREATE TABLE mr (id BIGINT PRIMARY KEY CLUSTERED, rv VARCHAR(16))`)
-	rows := make([]sqltypes.Row, 0, 200)
-	for i := 0; i < 200; i++ {
-		rows = append(rows, sqltypes.Row{sqltypes.NewInt(int64(i)), sqltypes.NewString(fmt.Sprintf("L%d", i))})
+	load := func(table, prefix string, from, to int64, far []int64) {
+		var rows []sqltypes.Row
+		for i := from; i < to; i++ {
+			rows = append(rows, sqltypes.Row{sqltypes.NewInt(i), sqltypes.NewString(fmt.Sprintf("%s%d", prefix, i))})
+		}
+		for _, k := range far {
+			rows = append(rows, sqltypes.Row{sqltypes.NewInt(k), sqltypes.NewString(prefix + "far")})
+		}
+		if err := db.InsertRows(table, rows); err != nil {
+			t.Fatal(err)
+		}
+		mustExec(t, db, fmt.Sprintf(`CREATE TABLE %sh (id BIGINT, %sv VARCHAR(16))`, table, strings.ToLower(prefix)))
+		mustExec(t, db, fmt.Sprintf(`INSERT INTO %sh SELECT * FROM %s`, table, table))
 	}
-	if err := db.InsertRows("ml", rows); err != nil {
-		t.Fatal(err)
-	}
-	for i := range rows {
-		rows[i][1] = sqltypes.NewString(fmt.Sprintf("R%d", i))
-	}
-	if err := db.InsertRows("mr", rows); err != nil {
-		t.Fatal(err)
-	}
+	load("ml", "L", 0, 200, lfar)
+	load("mr", "R", -100, 400, rfar)
+
 	plan := mustExec(t, db, `EXPLAIN SELECT lv, rv FROM ml JOIN mr ON ml.id = mr.id WHERE ml.id = 17`)
 	if !strings.Contains(plan.Plan, "Merge Join") {
 		t.Fatalf("expected merge join:\n%s", plan.Plan)
@@ -296,6 +327,52 @@ func TestMergeJoinWherePushdown(t *testing.T) {
 	res = mustExec(t, db, `SELECT COUNT(*) FROM ml JOIN mr ON ml.id = mr.id WHERE ml.id >= 10 AND mr.id < 20`)
 	if res.Rows[0][0].I != 10 {
 		t.Fatalf("two-sided WHERE count = %v", res.Rows)
+	}
+
+	// Every shape matches the hash join over the heap copies, and the
+	// clustered side a WHERE bounds on its key seeks to the bound.
+	for _, c := range []struct {
+		where        string
+		seekL, seekR string // "" = the side shows no SEEK
+	}{
+		{"", "", ""},
+		{"WHERE ml.id = 17", "SEEK:[17..18)", ""},
+		{"WHERE ml.id >= 10 AND mr.id < 20", "SEEK:[10..)", "SEEK:[..20)"},
+		{"WHERE mr.id >= 150", "", "SEEK:[150..)"},
+		{"WHERE ml.id > 190 AND mr.id <= 195", "SEEK:[190..)", "SEEK:[..196)"},
+		{"WHERE lv <> 'L5' AND rv <> 'R6'", "", ""},
+		{"WHERE ml.id < 120 AND rv <> 'R100'", "SEEK:[..120)", ""},
+		{"WHERE ml.id > 300", "SEEK:[300..)", ""},
+		{"WHERE mr.id < -50", "", "SEEK:[..-50)"},
+	} {
+		q := `SELECT ml.id, lv, rv FROM ml JOIN mr ON ml.id = mr.id ` + c.where
+		heap := strings.NewReplacer("ml", "mlh", "mr", "mrh").Replace(q)
+		if got, want := canonResult(mustExec(t, db, q)), canonResult(mustExec(t, db, heap)); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: merge join %d rows, hash join %d rows", c.where, len(got), len(want))
+		}
+		explained := mustExec(t, db, "EXPLAIN "+q).Plan
+		if !strings.Contains(explained, "Merge Join") {
+			t.Errorf("%s: no merge join:\n%s", c.where, explained)
+		}
+		for _, line := range strings.Split(explained, "\n") {
+			seek := ""
+			switch {
+			case strings.Contains(line, "Clustered Index Scan [ml]"):
+				seek = c.seekL
+			case strings.Contains(line, "Clustered Index Scan [mr]"):
+				seek = c.seekR
+			default:
+				continue
+			}
+			if seek == "" && strings.Contains(line, "SEEK:") || !strings.Contains(line, seek) {
+				t.Errorf("%s: scan line %q, want %q", c.where, strings.TrimSpace(line), seek)
+			}
+		}
+	}
+	if db.DOP() > 1 {
+		if explained := mustExec(t, db, `EXPLAIN SELECT lv, rv FROM ml JOIN mr ON ml.id = mr.id`).Plan; !strings.Contains(explained, "range-partitioned") {
+			t.Errorf("DOP %d merge join is not range-partitioned:\n%s", db.DOP(), explained)
+		}
 	}
 }
 

@@ -499,6 +499,32 @@ func TestApply(t *testing.T) {
 	}
 }
 
+// failingClose is a row iterator whose Close fails.
+type failingClose struct{ SliceIterator }
+
+func (*failingClose) Close() error { return fmt.Errorf("inner close") }
+
+// TestApplyCloseReturnsInnerError: a consumer that stops in the middle of
+// an inner stream (TOP over CROSS APPLY) closes the apply with the inner
+// iterator still open; the iterator's Close error reaches the caller.
+func TestApplyCloseReturnsInnerError(t *testing.T) {
+	op := &Apply{
+		Child: NewValues(countRows(1)),
+		Inner: func(*Context, sqltypes.Row) (RowIterator, error) {
+			return &failingClose{SliceIterator{Rows: countRows(vec.DefaultBatchSize + 1)}}, nil
+		},
+	}
+	if err := op.Open(&Context{}); err != nil {
+		t.Fatal(err)
+	}
+	if b, err := op.NextBatch(); err != nil || b == nil || b.Len() != vec.DefaultBatchSize {
+		t.Fatalf("first batch = %v, %v; want a full batch", b, err)
+	}
+	if err := op.Close(); err == nil || err.Error() != "inner close" {
+		t.Fatalf("Close = %v, want the inner iterator's error", err)
+	}
+}
+
 func TestGatherUnordered(t *testing.T) {
 	parts := make([]Operator, 4)
 	total := 0

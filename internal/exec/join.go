@@ -263,11 +263,16 @@ func (a *Apply) next() (sqltypes.Row, bool, error) {
 // PruneColumns stops at the outer child: Inner may read any of its columns.
 func (a *Apply) PruneColumns(needed []bool) { a.out.needed = needed }
 
-// Close closes any open inner iterator and the outer child.
+// Close closes any open inner iterator and the outer child, returning the
+// first error.
 func (a *Apply) Close() error {
+	var err error
 	if a.inner != nil {
-		a.inner.Close()
+		err = a.inner.Close()
 		a.inner = nil
 	}
-	return a.Child.Close()
+	if cerr := a.Child.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

@@ -196,37 +196,6 @@ func clusteredSeekBounds(r *sargRange) (lo, hi *sqltypes.Value) {
 	return lo, hi
 }
 
-// clusteredSeekScans returns the ordered scans of a clustered table
-// restricted to [lo, hi) on the leading key column: the table's key
-// ranges (one per partition, contiguous, so an ordered gather keeps the
-// key order) each intersected with the bound, the empty ones dropped.
-func (pl *Planner) clusteredSeekScans(tab *catalog.Table, parts int, lo, hi *sqltypes.Value) ([]exec.Operator, error) {
-	ranges, err := pl.Provider.KeyRanges(tab, parts)
-	if err != nil {
-		return nil, err
-	}
-	var ops []exec.Operator
-	for i, rg := range ranges {
-		from, to := rg[0], rg[1]
-		if lo != nil && (from == nil || sqltypes.Compare(*lo, *from) > 0) {
-			from = lo
-		}
-		if hi != nil && (to == nil || sqltypes.Compare(*hi, *to) < 0) {
-			to = hi
-		}
-		empty := from != nil && to != nil && sqltypes.Compare(*from, *to) >= 0
-		if empty && (len(ops) > 0 || i < len(ranges)-1) {
-			continue // keep one scan even when the bound is empty
-		}
-		op, err := pl.Provider.OrderedScanRange(tab, from, to)
-		if err != nil {
-			return nil, err
-		}
-		ops = append(ops, op)
-	}
-	return ops, nil
-}
-
 // indexChoice is a candidate secondary index with the sargable range on
 // its first key column.
 type indexChoice struct {

@@ -2,9 +2,8 @@ package plan
 
 import (
 	"fmt"
-	"strings"
+	"slices"
 
-	"repro/internal/catalog"
 	"repro/internal/exec"
 	"repro/internal/expr"
 	"repro/internal/obs"
@@ -175,33 +174,68 @@ func (pl *Planner) planNamedTable(t *sqlparse.NamedTable, conjuncts []sqlparse.E
 	if seek {
 		detail += fmt.Sprintf(" SEEK:[%s..%s)", boundStr(seekLo), boundStr(seekHi))
 	}
-	// The leaf is declared before the parts closure so parts can read its
-	// profile at build time: consumers that take the partition chains
-	// directly (exchanges, partitioned joins) bypass the leaf's Build, so
-	// this is where the chains bind to the node that displays them.
+	// The leaf is declared before the chain builders so they can read its
+	// profile at build time: consumers that take the chains directly
+	// (exchanges, partitioned joins, a range-partitioned merge join) bypass
+	// the leaf's Build, so this is where the chains bind to the node that
+	// displays them.
 	scanLeaf := &Node{Op: scanOp, Detail: detail, Cols: cols, Est: est}
-	parts := func() ([]exec.Operator, error) {
-		var ops []exec.Operator
-		var err error
-		if seek {
-			ops, err = pl.clusteredSeekScans(tab, partsN, seekLo, seekHi)
-		} else {
-			ops, err = pl.Provider.ScanPartitionsPruned(tab, partsN, zoneFilters)
+	// chain finishes one scan chain: the pushed predicate as a
+	// selection-vector filter (dictionary-encoded columns evaluate it once
+	// per distinct value), then the leaf's profile.
+	chain := func(op exec.Operator) exec.Operator {
+		if pred != nil {
+			op = &exec.Filter{Pred: pred, Child: op}
 		}
+		if scanLeaf.Prof != nil {
+			op = exec.InstrumentOp(op, scanLeaf.Prof)
+		}
+		return op
+	}
+	// A clustered scan is built over key ranges of its leading key column,
+	// each intersected with the seek bound [seekLo, seekHi).
+	var keyed *keyedScan
+	if tab.Clustered {
+		keyed = &keyedScan{tab: tab, leaf: scanLeaf, chains: func(ranges [][2]*sqltypes.Value) ([]exec.Operator, error) {
+			ops := make([]exec.Operator, len(ranges))
+			for i, rg := range ranges {
+				from, to := rg[0], rg[1]
+				if seekLo != nil && (from == nil || sqltypes.Compare(*seekLo, *from) > 0) {
+					from = seekLo
+				}
+				if seekHi != nil && (to == nil || sqltypes.Compare(*seekHi, *to) < 0) {
+					to = seekHi
+				}
+				if from != nil && to != nil && sqltypes.Compare(*from, *to) >= 0 {
+					continue
+				}
+				op, err := pl.Provider.OrderedScanRange(tab, from, to)
+				if err != nil {
+					return nil, err
+				}
+				ops[i] = chain(op)
+			}
+			return ops, nil
+		}}
+	}
+	parts := func() ([]exec.Operator, error) {
+		if keyed != nil {
+			ranges, err := pl.Provider.KeyRanges(tab, partsN)
+			if err != nil {
+				return nil, err
+			}
+			ops, err := keyed.chains(ranges)
+			if err != nil {
+				return nil, err
+			}
+			return liveChains(ops), nil
+		}
+		ops, err := pl.Provider.ScanPartitionsPruned(tab, partsN, zoneFilters)
 		if err != nil {
 			return nil, err
 		}
-		// The pushed predicate is a selection-vector filter: dictionary-
-		// encoded columns evaluate it once per distinct value.
-		if pred != nil {
-			for i := range ops {
-				ops[i] = &exec.Filter{Pred: pred, Child: ops[i]}
-			}
-		}
-		if scanLeaf.Prof != nil {
-			for i := range ops {
-				ops[i] = exec.InstrumentOp(ops[i], scanLeaf.Prof)
-			}
+		for i := range ops {
+			ops[i] = chain(ops[i])
 		}
 		return ops, nil
 	}
@@ -233,7 +267,7 @@ func (pl *Planner) planNamedTable(t *sqlparse.NamedTable, conjuncts []sqlparse.E
 	} else {
 		node = scanLeaf
 	}
-	rel := &relation{node: node, cols: cols, ordered: ordered, est: est, stats: ts}
+	rel := &relation{node: node, cols: cols, ordered: ordered, est: est, stats: ts, keyed: keyed}
 	if partsN > 1 {
 		rel.parts = parts
 		rel.partsN = partsN
@@ -347,9 +381,10 @@ func (pl *Planner) planApply(left *relation, fn *sqlparse.FuncRef) (*relation, e
 	return &relation{node: node, cols: cols, ordered: left.ordered}, nil
 }
 
-// planJoin plans an inner join, preferring a (possibly parallel,
-// range-partitioned) merge join when both sides are clustered on the join
-// key — the paper's Figure 10 plan — and falling back to the hash join.
+// planJoin plans an inner join over the relations planFrom built for its
+// sides, preferring a merge join when both arrive ordered on the join key
+// — range-partitioned over two clustered scans, the paper's Figure 10 plan
+// — and falling back to the hash join.
 func (pl *Planner) planJoin(j *sqlparse.JoinRef, conjuncts []sqlparse.Expr) (*relation, []sqlparse.Expr, error) {
 	left, remaining, err := pl.planFrom(j.Left, conjuncts)
 	if err != nil {
@@ -399,22 +434,10 @@ func (pl *Planner) planJoin(j *sqlparse.JoinRef, conjuncts []sqlparse.Expr) (*re
 		return nil, nil, err
 	}
 
-	var rel *relation
-	// tryMergeJoin discards the generic scan plans (and the predicates
-	// planFrom pushed into them) and builds its own ordered range scans,
-	// so it must re-push from the ORIGINAL conjunct list — not from
-	// `remaining`, which no longer holds the terms the generic scans
-	// consumed.
-	if mj := pl.tryMergeJoin(j, left, right, leftKeyIdents, rightKeyIdents, leftKeys, rightKeys, conjuncts); mj != nil {
-		rel = &mj.relation
-		// tryMergeJoin consumed the pushable conjuncts itself.
-		remaining = mj.leftoverConjuncts
-	} else if omj := pl.orderedMergeJoin(left, right, leftKeyIdents, rightKeyIdents, leftKeys, rightKeys, combined); omj != nil {
-		rel = omj
-	} else {
+	rel := pl.mergeJoinRelation(left, right, leftKeyIdents, rightKeyIdents, leftKeys, rightKeys, combined)
+	if rel == nil {
 		rel = pl.partitionedJoinRelation(left, right, leftKeyIdents, rightKeyIdents, leftKeys, rightKeys, combined)
 	}
-	rel.cols = combined
 
 	if len(residual) > 0 {
 		b := &binder{pl: pl, scope: &scope{cols: combined}}
@@ -427,32 +450,46 @@ func (pl *Planner) planJoin(j *sqlparse.JoinRef, conjuncts []sqlparse.Expr) (*re
 	return rel, remaining, nil
 }
 
-// orderedMergeJoin exploits interesting orders: when both serial inputs
-// already stream in join-key order — index scans, whose key order the
-// relation advertises, or clustered scans — a merge join consumes them
-// directly: no hash table, no sort, and the key order survives for
-// consumers above. Both sides may hold duplicate keys (the operator
-// buffers right groups and replays them), and NULL keys never join on
-// either the hash or the merge path, so results are identical.
-func (pl *Planner) orderedMergeJoin(left, right *relation,
+// mergeJoinRelation exploits interesting orders: when both inputs already
+// stream in order on the single join key — clustered scans, index scans,
+// another merge join — a merge join consumes them directly: no hash
+// table, no sort, and the key order survives for consumers above. Both
+// sides may hold duplicate keys (the operator buffers right groups and
+// replays them), and NULL keys never join on either the hash or the merge
+// path, so results are identical.
+//
+// Serial inputs make one merge join over the two nodes. When either input
+// is a partitioned clustered scan and both are clustered scans, both sides
+// are cut at the same key ranges of the left table and each range is
+// merge-joined on its own chain: the ordered gather above keeps the key
+// order, and a partial aggregate can take the chains instead. Any other
+// partitioned input is left to the hash join.
+func (pl *Planner) mergeJoinRelation(left, right *relation,
 	leftKeyIdents, rightKeyIdents []*sqlparse.Ident,
 	leftKeys, rightKeys []expr.Expr, combined []ColMeta) *relation {
 
-	if len(leftKeyIdents) != 1 || left.parts != nil || right.parts != nil {
+	if len(leftKeyIdents) != 1 || !orderedOnIdent(left, leftKeyIdents[0]) || !orderedOnIdent(right, rightKeyIdents[0]) {
 		return nil
 	}
-	if !orderedOnIdent(left, leftKeyIdents[0]) || !orderedOnIdent(right, rightKeyIdents[0]) {
+	partitioned := left.parts != nil || right.parts != nil
+	if partitioned && (left.keyed == nil || right.keyed == nil) {
 		return nil
 	}
 	est := joinOutputEstimate(left, right, leftKeyIdents, rightKeyIdents)
-	leftNode, rightNode := left.node, right.node
 	node := &Node{
-		Op:       "Merge Join (Inner Join)",
-		Detail:   fmt.Sprintf("MERGE:[%s]=[%s] (interesting order)", describeExprs(leftKeys), describeExprs(rightKeys)),
-		Children: []*Node{leftNode, rightNode},
-		Cols:     combined,
-		Est:      est,
-		Build: func() (exec.Operator, error) {
+		Op:     "Merge Join (Inner Join)",
+		Detail: fmt.Sprintf("MERGE:[%s]=[%s] (interesting order)", describeExprs(leftKeys), describeExprs(rightKeys)),
+		Cols:   combined,
+		Est:    est,
+	}
+	rel := &relation{node: node, cols: combined, ordered: left.ordered[:1], est: est}
+	mergeJoin := func(l, r exec.Operator) exec.Operator {
+		return &exec.MergeJoin{LeftKeys: leftKeys, RightKeys: rightKeys, Left: l, Right: r, LeftWidth: len(left.cols)}
+	}
+	if !partitioned {
+		leftNode, rightNode := left.node, right.node
+		node.Children = []*Node{leftNode, rightNode}
+		node.Build = func() (exec.Operator, error) {
 			l, err := buildChild(leftNode)
 			if err != nil {
 				return nil, err
@@ -461,13 +498,70 @@ func (pl *Planner) orderedMergeJoin(left, right *relation,
 			if err != nil {
 				return nil, err
 			}
-			return &exec.MergeJoin{
-				LeftKeys: leftKeys, RightKeys: rightKeys,
-				Left: l, Right: r, LeftWidth: len(left.cols),
-			}, nil
+			return mergeJoin(l, r), nil
+		}
+		return rel
+	}
+
+	// The range chains bypass every Build below the gather, so the join
+	// node owns a profile the chains bind to, as the scan leaves do.
+	lscan, rscan := left.keyed, right.keyed
+	partsN := max(left.partsN, right.partsN)
+	node.Children = []*Node{lscan.leaf, rscan.leaf}
+	node.OwnProf = true
+	parts := func() ([]exec.Operator, error) {
+		ranges, err := pl.Provider.KeyRanges(lscan.tab, partsN)
+		if err != nil {
+			return nil, err
+		}
+		ls, err := lscan.chains(ranges)
+		if err != nil {
+			return nil, err
+		}
+		rs, err := rscan.chains(ranges)
+		if err != nil {
+			return nil, err
+		}
+		var ops []exec.Operator
+		for i := range ranges {
+			if ls[i] == nil || rs[i] == nil {
+				continue // a seek bound emptied the range: it joins nothing
+			}
+			op := mergeJoin(ls[i], rs[i])
+			if node.Prof != nil {
+				op = exec.InstrumentOp(op, node.Prof)
+			}
+			ops = append(ops, op)
+		}
+		return liveChains(ops), nil
+	}
+	rel.parts, rel.partsN = parts, partsN
+	rel.node = &Node{
+		Op:       "Parallelism (Gather Streams, ordered)",
+		Detail:   fmt.Sprintf("DOP %d, range-partitioned on %s", partsN, describeExprs(leftKeys)),
+		Children: []*Node{node},
+		Cols:     combined,
+		Est:      est,
+		Build: func() (exec.Operator, error) {
+			ops, err := parts()
+			if err != nil {
+				return nil, err
+			}
+			return &exec.Gather{Children: ops, Ordered: true}, nil
 		},
 	}
-	return &relation{node: node, cols: combined, ordered: left.ordered[:1], est: est}
+	return rel
+}
+
+// liveChains drops the nil chains of key ranges a seek bound emptied. A
+// relation has at least one chain, so when none is left it keeps one that
+// yields no rows.
+func liveChains(ops []exec.Operator) []exec.Operator {
+	ops = slices.DeleteFunc(ops, func(op exec.Operator) bool { return op == nil })
+	if len(ops) == 0 {
+		ops = append(ops, exec.NewValues(nil))
+	}
+	return ops
 }
 
 // joinOutputEstimate estimates an equi-join's output cardinality from
@@ -643,228 +737,4 @@ func identExprs(ids []*sqlparse.Ident) []sqlparse.Expr {
 		out[i] = id
 	}
 	return out
-}
-
-// tryMergeJoin returns a merge-join relation when both join inputs are
-// base tables clustered on their single join key column; otherwise nil.
-func (pl *Planner) tryMergeJoin(j *sqlparse.JoinRef, left, right *relation,
-	leftKeyIdents, rightKeyIdents []*sqlparse.Ident,
-	leftKeys, rightKeys []expr.Expr, conjuncts []sqlparse.Expr) *relationWithLeftovers {
-
-	if len(leftKeyIdents) != 1 {
-		return nil
-	}
-	lt, lok := j.Left.(*sqlparse.NamedTable)
-	rt, rok := j.Right.(*sqlparse.NamedTable)
-	if !lok || !rok {
-		return nil
-	}
-	ltab, rtab := pl.Provider.Table(lt.Name), pl.Provider.Table(rt.Name)
-	if ltab == nil || rtab == nil || !ltab.Clustered || !rtab.Clustered {
-		return nil
-	}
-	if !clusteredOnKey(ltab, leftKeyIdents[0].Name) || !clusteredOnKey(rtab, rightKeyIdents[0].Name) {
-		return nil
-	}
-	if keyType(ltab) != catalog.TypeInt && keyType(ltab) != catalog.TypeBigInt {
-		return nil
-	}
-
-	// Pushdown into either side, tracking each side's estimated
-	// selectivity for the post-filter input cardinalities.
-	lqual := tableQual(lt)
-	rqual := tableQual(rt)
-	lts, rts := pl.Provider.Stats(ltab), pl.Provider.Stats(rtab)
-	leftScope := &scope{cols: left.cols}
-	rightScope := &scope{cols: right.cols}
-	var leftPred, rightPred expr.Expr
-	var leftovers []sqlparse.Expr
-	selL, selR := 1.0, 1.0
-	for _, c := range conjuncts {
-		switch {
-		case refsResolvableIn(c, leftScope):
-			b := &binder{pl: pl, scope: leftScope}
-			p, err := b.bind(c)
-			if err != nil {
-				return nil
-			}
-			leftPred = andExpr(leftPred, p)
-			selL *= conjunctSelectivity(lts, c)
-		case refsResolvableIn(c, rightScope):
-			b := &binder{pl: pl, scope: rightScope}
-			p, err := b.bind(c)
-			if err != nil {
-				return nil
-			}
-			rightPred = andExpr(rightPred, p)
-			selR *= conjunctSelectivity(rts, c)
-		default:
-			leftovers = append(leftovers, c)
-		}
-	}
-
-	lest := scaleEst(pl.Provider.RowCountEstimate(ltab), selL)
-	rest := scaleEst(pl.Provider.RowCountEstimate(rtab), selR)
-	// The post-filter estimates price the join output, but parallelism
-	// follows the raw scan sizes: a merge join reads its full key ranges
-	// even when the pushed filters drop most rows.
-	scanRows := pl.Provider.RowCountEstimate(ltab)
-	if r := pl.Provider.RowCountEstimate(rtab); r > scanRows {
-		scanRows = r
-	}
-	partsN := pl.partitionCount(scanRows)
-	colNDV := func(ts *stats.TableStats, name string, capRows int64) int64 {
-		if ts == nil {
-			return 0
-		}
-		n := ts.ColumnNDV(name)
-		if n > 0 && capRows > 0 && n > capRows {
-			n = capRows
-		}
-		return n
-	}
-	est := stats.JoinCardinality(lest, rest,
-		colNDV(lts, leftKeyIdents[0].Name, lest), colNDV(rts, rightKeyIdents[0].Name, rest))
-
-	combined := append(append([]ColMeta{}, left.cols...), right.cols...)
-	mjDetail := fmt.Sprintf("MERGE:[%s.%s]=[%s.%s]", lqual, leftKeyIdents[0].Name, rqual, rightKeyIdents[0].Name)
-	scanDetail := func(tab *catalog.Table, pred expr.Expr) string {
-		d := fmt.Sprintf("[%s] (ordered)", tab.Name)
-		if pred != nil {
-			d += fmt.Sprintf(" WHERE:(%s)", pred)
-		}
-		return d
-	}
-	// The display nodes are declared before buildParts so the closure can
-	// bind the per-range scan and join chains to them at build time
-	// (OwnProf makes Instrument allocate profiles although only the root
-	// node carries a Build factory).
-	lleaf := &Node{Op: "Clustered Index Scan", Detail: scanDetail(ltab, leftPred), Est: lest, OwnProf: true}
-	rleaf := &Node{Op: "Clustered Index Scan", Detail: scanDetail(rtab, rightPred), Est: rest, OwnProf: true}
-	mjNode := &Node{
-		Op:       "Merge Join (Inner Join)",
-		Detail:   mjDetail,
-		Children: []*Node{lleaf, rleaf},
-		Cols:     combined,
-		Est:      est,
-		OwnProf:  true,
-	}
-	buildParts := func() ([]exec.Operator, error) {
-		var ranges [][2]*sqltypes.Value
-		if partsN > 1 {
-			var err error
-			ranges, err = pl.Provider.KeyRanges(ltab, partsN)
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			ranges = [][2]*sqltypes.Value{{nil, nil}}
-		}
-		ops := make([]exec.Operator, 0, len(ranges))
-		for _, rg := range ranges {
-			lscan, err := pl.Provider.OrderedScanRange(ltab, rg[0], rg[1])
-			if err != nil {
-				return nil, err
-			}
-			rscan, err := pl.Provider.OrderedScanRange(rtab, rg[0], rg[1])
-			if err != nil {
-				return nil, err
-			}
-			var lop exec.Operator = lscan
-			if leftPred != nil {
-				lop = &exec.Filter{Pred: leftPred, Child: lop}
-			}
-			var rop exec.Operator = rscan
-			if rightPred != nil {
-				rop = &exec.Filter{Pred: rightPred, Child: rop}
-			}
-			if lleaf.Prof != nil {
-				lop = exec.InstrumentOp(lop, lleaf.Prof)
-			}
-			if rleaf.Prof != nil {
-				rop = exec.InstrumentOp(rop, rleaf.Prof)
-			}
-			var mj exec.Operator = &exec.MergeJoin{
-				LeftKeys: leftKeys, RightKeys: rightKeys,
-				Left: lop, Right: rop, LeftWidth: len(left.cols),
-			}
-			if mjNode.Prof != nil {
-				mj = exec.InstrumentOp(mj, mjNode.Prof)
-			}
-			ops = append(ops, mj)
-		}
-		return ops, nil
-	}
-	var node *Node
-	if partsN > 1 {
-		node = &Node{
-			Op:       "Parallelism (Gather Streams, ordered)",
-			Detail:   fmt.Sprintf("DOP %d, range-partitioned on %s.%s", partsN, lqual, leftKeyIdents[0].Name),
-			Children: []*Node{mjNode},
-			Cols:     combined,
-			Est:      est,
-			Build: func() (exec.Operator, error) {
-				ops, err := buildParts()
-				if err != nil {
-					return nil, err
-				}
-				return &exec.Gather{Children: ops, Ordered: true}, nil
-			},
-		}
-	} else {
-		node = mjNode
-		mjNode.Build = func() (exec.Operator, error) {
-			ops, err := buildParts()
-			if err != nil {
-				return nil, err
-			}
-			return ops[0], nil
-		}
-	}
-	rel := &relationWithLeftovers{
-		relation: relation{
-			node: node,
-			cols: combined,
-			// Output is ordered by the join key.
-			ordered: []ColMeta{{Qual: lqual, Name: leftKeyIdents[0].Name}},
-			est:     est,
-		},
-		leftoverConjuncts: leftovers,
-	}
-	if partsN > 1 {
-		rel.parts = buildParts
-		rel.partsN = partsN
-	}
-	return rel
-}
-
-// relationWithLeftovers carries unpushed conjuncts out of tryMergeJoin.
-type relationWithLeftovers struct {
-	relation
-	leftoverConjuncts []sqlparse.Expr
-}
-
-func clusteredOnKey(t *catalog.Table, col string) bool {
-	if len(t.PrimaryKey) == 0 {
-		return false
-	}
-	return strings.EqualFold(t.Columns[t.PrimaryKey[0]].Name, col)
-}
-
-func keyType(t *catalog.Table) catalog.TypeName {
-	return t.Columns[t.PrimaryKey[0]].Type.Name
-}
-
-func tableQual(t *sqlparse.NamedTable) string {
-	if t.Alias != "" {
-		return t.Alias
-	}
-	return t.Name
-}
-
-func andExpr(a, b expr.Expr) expr.Expr {
-	if a == nil {
-		return b
-	}
-	return &expr.Logic{And: true, L: a, R: b}
 }

@@ -2,8 +2,9 @@
 // plans: operator trees that execute via package exec and render as the
 // indented plan text of the paper's Figures 9 and 10. The planner makes
 // the same physical decisions the paper highlights — predicate pushdown,
-// hash vs merge join based on clustered keys, parallel hash aggregation
-// with partial/final merge, and parallel range-partitioned merge joins.
+// hash vs merge join on inputs ordered by the join key, parallel hash
+// aggregation with partial/final merge, and parallel range-partitioned
+// merge joins.
 package plan
 
 import (
@@ -38,15 +39,12 @@ type Provider interface {
 	Agg(name string) (exec.AggFactory, bool)
 	// TVF resolves a table-valued function.
 	TVF(name string) (TVF, bool)
-	// ScanPartitions returns `parts` independent operators that together
-	// scan the whole table exactly once (heap page ranges, or a single
-	// full scan when parts == 1).
-	ScanPartitions(t *catalog.Table, parts int) ([]exec.Operator, error)
-	// ScanPartitionsPruned is ScanPartitions with zone-map filters: sealed
-	// heap pages whose min/max summaries provably cannot satisfy every
-	// filter are skipped without a read. Filters are advisory (engines
-	// without zone maps may ignore them) and strictly conservative, so a
-	// pruned scan returns exactly the rows the full scan would.
+	// ScanPartitionsPruned returns `parts` independent operators that
+	// together scan a heap table exactly once (page ranges, or a single full
+	// scan when parts == 1), skipping sealed pages whose zone-map min/max
+	// summaries provably cannot satisfy every filter. Filters are advisory
+	// (engines without zone maps may ignore them) and strictly conservative,
+	// so a pruned scan returns exactly the rows the full scan would.
 	ScanPartitionsPruned(t *catalog.Table, parts int, filters []storage.ZoneFilter) ([]exec.Operator, error)
 	// HeapPageStats prices a zone-map-pruned heap scan: how many sealed
 	// pages survive the filters, and the total page count. (0, 0) means
@@ -63,7 +61,8 @@ type Provider interface {
 	// nil bounds are unbounded.
 	OrderedScanRange(t *catalog.Table, lo, hi *sqltypes.Value) (exec.Operator, error)
 	// KeyRanges splits a clustered table's first (integer) key column
-	// into up to `parts` contiguous ranges for partitioned merge joins.
+	// into up to `parts` contiguous ranges: the partitions of a clustered
+	// scan and of a range-partitioned merge join.
 	KeyRanges(t *catalog.Table, parts int) ([][2]*sqltypes.Value, error)
 	// RowCountEstimate guides parallelism decisions.
 	RowCountEstimate(t *catalog.Table) int64

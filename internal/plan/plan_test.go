@@ -861,9 +861,9 @@ func TestPlanInExpression(t *testing.T) {
 }
 
 // TestPlanMergeJoinKeepsPushedPredicates is the regression test for a
-// dropped-WHERE bug: tryMergeJoin rebuilds its own ordered scans, so it
-// must re-push the single-table conjuncts that the discarded generic
-// scan plans had already consumed.
+// dropped-WHERE bug, from when the clustered merge join planned its scans
+// a second time: the merge join runs over the scans planFrom built, with
+// the single-table conjuncts they consumed still filtering them.
 func TestPlanMergeJoinKeepsPushedPredicates(t *testing.T) {
 	pl := NewPlanner(newFakeProvider(), 1)
 	node := planQuery(t, pl, "SELECT lv, rv FROM left JOIN right_t ON id = rid WHERE id = 4")

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/catalog"
 	"repro/internal/exec"
 	"repro/internal/expr"
 	"repro/internal/sqlparse"
@@ -17,13 +18,19 @@ import (
 type relation struct {
 	node *Node
 	cols []ColMeta
-	// parts builds n independent partition chains that together produce
-	// the relation exactly once; nil when the relation cannot be
-	// partitioned.
+	// parts builds up to partsN independent partition chains that
+	// together produce the relation exactly once (a partitioned scan, a
+	// range-partitioned merge join, a filter over either); nil when the
+	// relation is not partitioned.
 	parts  func() ([]exec.Operator, error)
 	partsN int
-	// ordered is the prefix column ordering of the output, if any.
+	// ordered is the prefix column ordering of the output, if any: a
+	// clustered or index scan's key, a merge join's left key.
 	ordered []ColMeta
+	// keyed is set on a clustered-table scan, partitioned or not: a merge
+	// join with a partitioned side cuts both of its clustered sides at the
+	// same key ranges through it.
+	keyed *keyedScan
 	// est is the estimated output cardinality (0 = unknown), post-filter
 	// when predicates were pushed; join planning uses it to pick the
 	// build side and decide on a parallel join.
@@ -32,6 +39,19 @@ type relation struct {
 	// a (possibly filtered) base-table scan; join estimation reads key
 	// NDVs and average row widths from it.
 	stats *stats.TableStats
+}
+
+// keyedScan is a clustered-table scan as a range-partitioned merge join
+// takes it: the table whose KeyRanges cut the join, the leaf that displays
+// the scan, and the scan's one chain builder over key ranges of its leading
+// key column (planNamedTable's own partitions come from it too).
+type keyedScan struct {
+	tab  *catalog.Table
+	leaf *Node
+	// chains returns one chain per range, clipped to the scan's seek bound,
+	// filtered by its pushed predicate and bound to the leaf's profile; a
+	// range the clip empties gives a nil chain.
+	chains func(ranges [][2]*sqltypes.Value) ([]exec.Operator, error)
 }
 
 // PlanSelect plans a SELECT into a physical plan tree.
