@@ -335,10 +335,12 @@ type Gather struct {
 	Children []Operator
 	Ordered  bool
 
-	out     []chan gatherMsg // one per child when Ordered, else one shared
-	current int              // the channel being drained
-	done    chan struct{}
-	wg      sync.WaitGroup
+	out      []chan gatherMsg // one per child when Ordered, else one shared
+	current  int              // the channel being drained
+	done     chan struct{}
+	wg       sync.WaitGroup
+	mu       sync.Mutex
+	closeErr error // the first error a child's Close returned
 }
 
 type gatherMsg struct {
@@ -354,6 +356,7 @@ const gatherBuffer = 8
 func (g *Gather) Open(ctx *Context) error {
 	g.done = make(chan struct{})
 	g.current = 0
+	g.closeErr = nil
 	g.out = make([]chan gatherMsg, 1)
 	if g.Ordered {
 		g.out = make([]chan gatherMsg, len(g.Children))
@@ -376,7 +379,7 @@ func (g *Gather) Open(ctx *Context) error {
 				g.send(out, gatherMsg{err: err})
 				return
 			}
-			defer child.Close()
+			defer g.closeChild(child)
 			for {
 				b, err := child.NextBatch()
 				if err != nil {
@@ -399,6 +402,17 @@ func (g *Gather) Open(ctx *Context) error {
 		}()
 	}
 	return nil
+}
+
+// closeChild closes a producer's child, keeping the first Close error for
+// Gather.Close.
+func (g *Gather) closeChild(child Operator) {
+	err := child.Close()
+	g.mu.Lock()
+	if g.closeErr == nil {
+		g.closeErr = err
+	}
+	g.mu.Unlock()
 }
 
 func (g *Gather) send(out chan gatherMsg, msg gatherMsg) bool {
@@ -429,7 +443,8 @@ func (g *Gather) PruneColumns(needed []bool) {
 	}
 }
 
-// Close stops producers and waits for them.
+// Close stops producers, waits for them and returns the first error their
+// children's Close returned.
 func (g *Gather) Close() error {
 	if g.done == nil {
 		return nil // never opened
@@ -445,7 +460,7 @@ func (g *Gather) Close() error {
 		}
 	}
 	g.wg.Wait()
-	return nil
+	return g.closeErr
 }
 
 // TopN keeps the first N rows under the sort order; a fused Sort+Limit

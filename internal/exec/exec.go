@@ -9,17 +9,17 @@
 //     for providing TVFs follows the standard iterator interface of a
 //     relational query engine", Section 4.1) and stays as it is. The
 //     operators whose insides still work a row at a time (Sort, MergeSorted,
-//     TopN, MergeJoin, Apply, the aggregates' group output) emit through the
-//     same packer.
+//     TopN, Apply, the aggregates' group output) emit through the same
+//     packer.
 //   - rows out: RowCursor reads an operator's batches a row at a time. Run
 //     and Drain use it at the result boundary, the row-internal operators to
 //     read their children.
 //
 // Everything between the edges — scans off pages and leaves, Filter, Project,
-// Limit, the Gather exchange, the hash join, the three aggregates' input,
-// RowNumber's counter — computes on typed vectors. The hash join and the hash
-// aggregate share one key hasher, one chained key table and one partition
-// ledger (joinhash.go). The parallel operators
+// Limit, the Gather exchange, the hash and merge joins, the three
+// aggregates' input, RowNumber's counter — computes on typed vectors. The
+// hash join and the hash aggregate share one key hasher, one chained key
+// table and one partition ledger (joinhash.go). The parallel operators
 // (Gather, the partial and final aggregate, the partitioned merge join)
 // reproduce the paper's "parallelism for free" results (Figures 8-10).
 package exec

@@ -525,6 +525,21 @@ func TestApplyCloseReturnsInnerError(t *testing.T) {
 	}
 }
 
+// TestGatherCloseReturnsChildError: each producer closes its chain when the
+// chain ends or the consumer leaves; the first error such a Close returns
+// reaches the caller through Gather.Close, ordered or not.
+func TestGatherCloseReturnsChildError(t *testing.T) {
+	for _, ordered := range []bool{false, true} {
+		failing := &Source{Factory: func(*Context) (RowIterator, error) {
+			return &failingClose{SliceIterator{Rows: countRows(3)}}, nil
+		}}
+		g := &Gather{Children: []Operator{NewValues(countRows(5)), failing}, Ordered: ordered}
+		if rows, err := Run(&Context{DOP: 2}, g); err == nil || err.Error() != "inner close" || len(rows) != 8 {
+			t.Errorf("ordered=%v: Run = %d rows, %v; want all 8 and the chain's Close error", ordered, len(rows), err)
+		}
+	}
+}
+
 func TestGatherUnordered(t *testing.T) {
 	parts := make([]Operator, 4)
 	total := 0

@@ -359,21 +359,32 @@ func testTypedJoinEquivalence(t *testing.T) {
 	}
 }
 
-// TestCountOverJoinBuildsNoRow: COUNT(*) over a join folds batches into
-// the count. Neither the join nor its inputs have a row interface to be
-// asked through; what the aggregate's pruning leaves of the join's output
-// is the selection alone — every column is the shared nullColumn.
+// TestCountOverJoinBuildsNoRow: COUNT(*) over a join — the hash join at
+// DOP 1 and 4, the merge join — folds batches into the count. Neither the
+// join nor its inputs have a row interface to be asked through; what the
+// aggregate's pruning leaves of the join's output is the selection alone —
+// every column is the shared nullColumn.
 func TestCountOverJoinBuildsNoRow(t *testing.T) {
 	left := benchJoinRows(5000, 700, 1, "l")
 	right := benchJoinRows(4000, 700, 2, "r")
 	want := int64(len(nestedLoopJoin(t, left, right, []expr.Expr{col(0)}, []expr.Expr{col(0)})))
 	forms := []colForm{formFlat, formFlat}
+	keys := []expr.Expr{col(0)}
+	joins := map[string]Operator{
+		// The merge join takes the same rows in key order.
+		"merge join": &MergeJoin{LeftKeys: keys, RightKeys: keys, LeftWidth: 2,
+			Left:  batchSources(t, batchesOf(t, sortedOnKey(left), forms, 1000), 1)[0],
+			Right: batchSources(t, batchesOf(t, sortedOnKey(right), forms, 1000), 1)[0],
+		},
+	}
 	for _, dop := range []int{1, 4} {
-		j := &PartitionedHashJoin{
-			LeftKeys: []expr.Expr{col(0)}, RightKeys: []expr.Expr{col(0)}, LeftWidth: 2,
+		joins[fmt.Sprintf("hash join at DOP %d", dop)] = &PartitionedHashJoin{
+			LeftKeys: keys, RightKeys: keys, LeftWidth: 2,
 			LeftParts:  batchSources(t, batchesOf(t, left, forms, 1000), dop),
 			RightParts: batchSources(t, batchesOf(t, right, forms, 1000), dop),
 		}
+	}
+	for name, j := range joins {
 		j.PruneColumns(make([]bool, 4))
 		agg := &SpillableAggregate{
 			Aggs:  []AggSpec{{Name: "COUNT", Factory: BuiltinAggregate("count")}},
@@ -381,7 +392,7 @@ func TestCountOverJoinBuildsNoRow(t *testing.T) {
 		}
 		rows := run(t, agg)
 		if len(rows) != 1 || rows[0][0].I != want {
-			t.Fatalf("DOP %d: COUNT(*) = %v, want %d", dop, rows, want)
+			t.Fatalf("%s: COUNT(*) = %v, want %d", name, rows, want)
 		}
 	}
 }

@@ -508,8 +508,15 @@ func joinKeys(kh *keyHasher, b *vec.Batch) (rows []int, hashes []uint64, err err
 	if err := kh.eval(b); err != nil {
 		return nil, nil, err
 	}
-	rows = b.Sel
-	for _, c := range kh.cols {
+	rows = dropNullKeys(kh.cols, b.Sel)
+	hashes, err = kh.hash(rows)
+	return rows, hashes, err
+}
+
+// dropNullKeys keeps, in place, the rows whose key holds no NULL: a NULL
+// key never joins.
+func dropNullKeys(keys []*vec.Vector, rows []int) []int {
+	for _, c := range keys {
 		if c.Nulls == nil && c.Vals == nil {
 			continue
 		}
@@ -523,8 +530,7 @@ func joinKeys(kh *keyHasher, b *vec.Batch) (rows []int, hashes []uint64, err err
 		}
 		rows = rows[:n]
 	}
-	hashes, err = kh.hash(rows)
-	return rows, hashes, err
+	return rows
 }
 
 // joinTable is the build side held in memory: the key table plus the

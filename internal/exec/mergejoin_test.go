@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/expr"
 	"repro/internal/sqltypes"
+	"repro/internal/vec"
 )
 
 // mergeInput builds n rows sorted on their key as Compare orders it (NULLs
@@ -31,43 +32,68 @@ func mergeInput(rng *rand.Rand, n, keySpace int, strKeys bool, nullPct, dupPct i
 		}
 		rows = append(rows, sqltypes.Row{key, str(fmt.Sprintf("%s%d", side, len(rows)))})
 	}
+	return sortedOnKey(rows)
+}
+
+// sortedOnKey sorts rows on column 0, stably, as Compare orders it.
+func sortedOnKey(rows []sqltypes.Row) []sqltypes.Row {
 	sort.SliceStable(rows, func(i, j int) bool { return sqltypes.Compare(rows[i][0], rows[j][0]) < 0 })
 	return rows
 }
 
-// rowStrings renders rows in order, the columns a pruned consumer promised
-// not to read blanked (needed nil = all read).
-func rowStrings(rows []sqltypes.Row, needed []bool) []string {
-	if needed != nil {
-		rows = maskRows(rows, needed)
+// firstDiff returns the first position at which got and want hold
+// different rows — a cell of another kind or value, among the columns
+// needed marks (nil = all) — or -1 when they are the same rows in the same
+// order.
+func firstDiff(got, want []sqltypes.Row, needed []bool) int {
+	for i := range max(len(got), len(want)) {
+		if i >= len(got) || i >= len(want) || len(got[i]) != len(want[i]) {
+			return i
+		}
+		for c, v := range got[i] {
+			if (needed == nil || needed[c]) && (v.K != want[i][c].K || sqltypes.Compare(v, want[i][c]) != 0) {
+				return i
+			}
+		}
 	}
-	out := make([]string, len(rows))
-	for i, r := range rows {
-		out[i] = fmt.Sprint(r)
+	return -1
+}
+
+// formMixed, as a key form, cuts a side into batches whose keys take each
+// of mergeKeyForms in turn: the key compare and the right columns' append
+// change form between batches.
+const formMixed colForm = -1
+
+var (
+	mergeKeyForms   = []colForm{formFlat, formDict, formLazy, formGeneric}
+	mergeBatchSizes = []int{1, 2, 7, 1024}
+)
+
+// mergeBatches cuts rows (key, payload) into batches of size rows with the
+// key in its form and the payload flat.
+func mergeBatches(t testing.TB, rows []sqltypes.Row, form colForm, size int) []*vec.Batch {
+	if form != formMixed {
+		return batchesOf(t, rows, []colForm{form, formFlat}, size)
+	}
+	var out []*vec.Batch
+	for from, k := 0, 0; from < len(rows); from, k = from+size, k+1 {
+		part := rows[from:min(from+size, len(rows))]
+		out = append(out, batchesOf(t, part, []colForm{mergeKeyForms[k%len(mergeKeyForms)], formFlat}, size)...)
 	}
 	return out
 }
 
-// mergeJoinSide is one input of a merge join under test: its rows, the form
-// of its key column and the size its batches are cut to.
-type mergeJoinSide struct {
-	rows []sqltypes.Row
-	form colForm
-	size int
-}
-
-// checkMergeJoin merge-joins left and right on column 0, both cut into
-// batches of their own size with the key in its form, and compares the
-// output, in order, with the nested-loop reference: for each left row, the
-// right rows with its key in their order. With needed set the join is
-// pruned first, as a parent above it would, then opened and drained.
-func checkMergeJoin(t *testing.T, name string, left, right mergeJoinSide, needed []bool, want []string) {
+// checkMergeJoin merge-joins two inputs of (key, payload) batches on the
+// key and compares the output, in order, with want — the nested-loop
+// reference's: for each left row, the right rows with its key in their
+// order. With needed set the join is pruned first, as a parent above it
+// would, then opened and drained, and only the needed columns compare.
+func checkMergeJoin(t *testing.T, name string, left, right []*vec.Batch, needed []bool, want []sqltypes.Row) {
 	t.Helper()
 	keys := []expr.Expr{col(0)}
 	j := &MergeJoin{
 		LeftKeys: keys, RightKeys: keys, LeftWidth: 2,
-		Left:  batchSources(t, batchesOf(t, left.rows, []colForm{left.form, formFlat}, left.size), 1)[0],
-		Right: batchSources(t, batchesOf(t, right.rows, []colForm{right.form, formFlat}, right.size), 1)[0],
+		Left: batchSources(t, left, 1)[0], Right: batchSources(t, right, 1)[0],
 	}
 	j.PruneColumns(needed)
 	if err := j.Open(&Context{DOP: 1}); err != nil {
@@ -80,15 +106,11 @@ func checkMergeJoin(t *testing.T, name string, left, right mergeJoinSide, needed
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
-	if got := rowStrings(rows, needed); !reflect.DeepEqual(got, want) {
-		t.Fatalf("%s: %d rows, reference %d rows\n got %.300v\nwant %.300v", name, len(got), len(want), got, want)
+	if i := firstDiff(rows, want, needed); i >= 0 {
+		t.Fatalf("%s: %d rows, reference %d rows; first difference at row %d:\n got %v\nwant %v",
+			name, len(rows), len(want), i, rows[min(i, len(rows)):min(i+3, len(rows))], want[min(i, len(want)):min(i+3, len(want))])
 	}
 }
-
-var (
-	mergeKeyForms   = []colForm{formFlat, formDict, formLazy, formGeneric}
-	mergeBatchSizes = []int{1, 2, 7, 1024}
-)
 
 // TestMergeJoinMatchesNestedLoop holds the merge join to the nested-loop
 // reference over INT and VARCHAR keys from key spaces of 3, 50 and 5 000
@@ -123,6 +145,22 @@ func TestMergeJoinMatchesNestedLoop(t *testing.T) {
 		if len(d.left) > 0 && len(d.right) > 0 && len(full) == 0 {
 			t.Fatalf("%s: the reference joins nothing; pick another seed", d.name)
 		}
+		type cut struct {
+			left bool
+			form colForm
+			size int
+		}
+		cuts := map[cut][]*vec.Batch{}
+		batches := func(c cut) []*vec.Batch {
+			if _, ok := cuts[c]; !ok {
+				rows := d.right
+				if c.left {
+					rows = d.left
+				}
+				cuts[c] = mergeBatches(t, rows, c.form, c.size)
+			}
+			return cuts[c]
+		}
 		trial := 0
 		for _, lf := range mergeKeyForms {
 			for _, rf := range mergeKeyForms {
@@ -137,7 +175,7 @@ func TestMergeJoinMatchesNestedLoop(t *testing.T) {
 						}
 						trial++
 						name := fmt.Sprintf("%s/forms=%d,%d/sizes=%d,%d/needed=%v", d.name, lf, rf, ls, rs, needed)
-						checkMergeJoin(t, name, mergeJoinSide{d.left, lf, ls}, mergeJoinSide{d.right, rf, rs}, needed, rowStrings(full, needed))
+						checkMergeJoin(t, name, batches(cut{true, lf, ls}), batches(cut{false, rf, rs}), needed, full)
 					}
 				}
 			}
@@ -158,12 +196,91 @@ func TestMergeJoinMatchesNestedLoop(t *testing.T) {
 	for _, forms := range [][2]colForm{{formFlat, formFlat}, {formGeneric, formDict}, {formLazy, formGeneric}} {
 		for _, sizes := range [][2]int{{1, 1}, {2, 7}, {1024, 1}} {
 			mergeRows := run(t, &MergeJoin{LeftKeys: keys, RightKeys: keys, LeftWidth: 2,
-				Left:  batchSources(t, batchesOf(t, ints, []colForm{forms[0], formFlat}, sizes[0]), 1)[0],
-				Right: batchSources(t, batchesOf(t, floats, []colForm{forms[1], formFlat}, sizes[1]), 1)[0],
+				Left:  batchSources(t, mergeBatches(t, ints, forms[0], sizes[0]), 1)[0],
+				Right: batchSources(t, mergeBatches(t, floats, forms[1], sizes[1]), 1)[0],
 			})
 			if got, want := canonRows(mergeRows), canonRows(hashRows); !reflect.DeepEqual(got, want) {
 				t.Errorf("INT vs FLOAT keys, forms %v, sizes %v: merge join %v, hash join %v", forms, sizes, got, want)
 			}
 		}
+	}
+}
+
+// FuzzMergeJoinMatchesNestedLoop derives a merge join from the fuzz bytes —
+// key kind, key space, NULL and duplicate rates, each side's length, key
+// form (one of four, or all four batch by batch) and batch size, the output
+// columns read — and holds it to the nested-loop reference.
+func FuzzMergeJoinMatchesNestedLoop(f *testing.F) {
+	f.Add([]byte{0, 1, 10, 40, 60, 70, 0, 1, 0, 2, 0x00, 1})
+	f.Add([]byte{1, 7, 5, 30, 120, 90, 4, 3, 3, 7, 0x15, 2})
+	f.Add([]byte{0, 200, 20, 10, 150, 190, 2, 4, 7, 1, 0x1f, 3})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		at := func(i int) int {
+			if i < len(data) {
+				return int(data[i])
+			}
+			return 0
+		}
+		forms := append([]colForm{formMixed}, mergeKeyForms...)
+		sizes := []int{1, 2, 3, 5, 7, 64, 1000, 1024}
+		strKeys := at(0)&1 == 1
+		space := 1 + at(1)*at(1)/8 // 1 to 8 129
+		nullPct, dupPct := at(2)%60, at(3)%95
+		rng := rand.New(rand.NewSource(int64(at(11))<<8 | int64(at(12))))
+		left := mergeInput(rng, at(4)%200, space, strKeys, nullPct, dupPct, "l")
+		right := mergeInput(rng, at(5)%200, space, strKeys, nullPct, dupPct, "r")
+		var needed []bool
+		if m := at(10); m&0x10 != 0 {
+			needed = []bool{m&1 != 0, m&2 != 0, m&4 != 0, m&8 != 0}
+		}
+		keys := []expr.Expr{col(0)}
+		want := nestedLoopJoin(t, left, right, keys, keys)
+		checkMergeJoin(t, fmt.Sprintf("%v", data),
+			mergeBatches(t, left, forms[at(6)%len(forms)], sizes[at(8)%len(sizes)]),
+			mergeBatches(t, right, forms[at(7)%len(forms)], sizes[at(9)%len(sizes)]), needed, want)
+	})
+}
+
+// TestMergeJoinAllocsPerRow holds the merge join's cost without a clock,
+// as TestHashJoinAllocsPerRow does the hash join's: 10 000 x 10 000 sorted
+// INT keys and a consumer that reads no column (COUNT(*)) allocate per
+// batch, not per row — at most 0.05 allocations an input row, where reading
+// both inputs a row at a time, cloning every right row into its group and
+// packing joined rows cost 0.84.
+func TestMergeJoinAllocsPerRow(t *testing.T) {
+	const n = 10_000
+	forms := []colForm{formFlat, formFlat}
+	lb := batchesOf(t, sortedOnKey(benchJoinRows(n, n, 1, "l")), forms, 1024)
+	rb := batchesOf(t, sortedOnKey(benchJoinRows(n, n, 2, "r")), forms, 1024)
+	var joined int
+	allocs := testing.AllocsPerRun(5, func() {
+		j := &MergeJoin{
+			LeftKeys: []expr.Expr{col(0)}, RightKeys: []expr.Expr{col(0)}, LeftWidth: 2,
+			Left: batchSources(t, lb, 1)[0], Right: batchSources(t, rb, 1)[0],
+		}
+		j.PruneColumns(make([]bool, 4))
+		if err := j.Open(&Context{DOP: 1}); err != nil {
+			t.Fatal(err)
+		}
+		joined = 0
+		for {
+			b, err := j.NextBatch()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b == nil {
+				break
+			}
+			joined += b.Len()
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if joined == 0 {
+		t.Fatal("join produced nothing")
+	}
+	if perRow := allocs / (2 * n); perRow > 0.05 {
+		t.Errorf("%.0f allocations for %d input rows (%d joined): %.3f a row, want at most 0.05", allocs, 2*n, joined, perRow)
 	}
 }

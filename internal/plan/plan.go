@@ -136,14 +136,13 @@ func (n *Node) explain(sb *strings.Builder, depth int) {
 }
 
 // rowInternal names the nodes whose operator still works a row at a time
-// inside — the sort family, the merge join, the apply — or packs the rows
-// of a row source (a TVF, an index scan, VALUES).
+// inside — the sort family, the apply — or packs the rows of a row source
+// (a TVF, an index scan, VALUES).
 var rowInternal = map[string]bool{
 	"Sort":                                true,
 	"Parallelism (Merge Gather, ordered)": true,
 	"Top N Sort":                          true,
 	"Top N Sort (per-partition)":          true,
-	"Merge Join (Inner Join)":             true,
 	"Nested Loops (Cross Apply)":          true,
 	"Table-valued Function":               true,
 	"Index Scan":                          true,
@@ -153,7 +152,7 @@ var rowInternal = map[string]bool{
 // vectorized is the one rule behind EXPLAIN's "vectorized" annotation: a
 // node carries it when the operator it shows computes on typed vectors —
 // table scan leaves (always exec.Scan), filters, projections, TOP,
-// exchanges, the hash join, the aggregates. Every operator exchanges batches, so what the
+// exchanges, the hash and merge joins, the aggregates. Every operator exchanges batches, so what the
 // annotation leaves unmarked is the work still to be done inside operators
 // (ROADMAP item 2), not a second engine.
 func (n *Node) vectorized() bool { return !rowInternal[n.Op] }

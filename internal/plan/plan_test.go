@@ -472,7 +472,7 @@ func TestExplainVectorizedAnnotation(t *testing.T) {
 		"Hash Match (Aggregate)": true, "Stream Aggregate": true,
 		"Hash Match (Final Aggregate, merge partials)": true, "Hash Match (Partial Aggregate, spillable)": true,
 		"Sort": false, "Parallelism (Merge Gather, ordered)": false, "Sequence Project (ROW_NUMBER)": true,
-		"Top N Sort": false, "Top N Sort (per-partition)": false, "Merge Join (Inner Join)": false,
+		"Top N Sort": false, "Top N Sort (per-partition)": false, "Merge Join (Inner Join)": true,
 		"Index Scan": false, "Constant Scan": false, "Table Scan": true, "Clustered Index Scan": true,
 	}
 	seen := map[string]bool{}
