@@ -13,9 +13,9 @@ import (
 // million alignments per second" by clustering both tables on the join
 // column (Section 5.3.3, Figure 10). It joins a batch at a time. Each input
 // batch's keys are evaluated once, as vectors, and its NULL-key rows leave
-// its selection. A single INT key on both sides compares as int64, and the
-// side that is behind gallops over its selection; any other key is boxed
-// into reused scratch rows and compared. The right rows with the current
+// its selection. A single INT key on both sides compares as int64; any
+// other key is boxed into reused scratch rows and compared. The side that
+// is behind steps one row. The right rows with the current
 // key are the group: runs of right batches' selections, across batches,
 // copied nowhere. Every left row with that key replays the group as
 // positions, and an output batch gathers the left columns and appends the
@@ -145,9 +145,9 @@ func (m *MergeJoin) NextBatch() (*vec.Batch, error) {
 		case err != nil:
 			return nil, err
 		case c < 0:
-			l.skip(&r.keys, r.row())
+			l.pos++
 		case c > 0:
-			r.skip(&l.keys, l.row())
+			r.pos++
 		default:
 			if err := m.collectGroup(); err != nil {
 				return nil, err
@@ -324,32 +324,6 @@ func (c *mergeCursor) load() (bool, error) {
 		return true, nil
 	}
 	return false, nil
-}
-
-// skip moves past the current row, whose key is below row j of keys k. On
-// INT keys it gallops to the first row whose key is not: an exponential
-// search for a bound, then a binary search below it.
-func (c *mergeCursor) skip(k *mergeKeys, j int) {
-	if c.keys.ints == nil || k.ints == nil {
-		c.pos++
-		return
-	}
-	ints, sel, key := c.keys.ints, c.b.Sel, k.ints[j]
-	lo, step := c.pos, 1 // the rows up to lo are below key
-	for lo+step < len(sel) && ints[sel[lo+step]] < key {
-		lo += step
-		step <<= 1
-	}
-	hi := min(lo+step, len(sel))
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if ints[sel[mid]] < key {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	c.pos = lo
 }
 
 // Close closes both children (idempotent: a second Close is a no-op).

@@ -119,21 +119,19 @@ func (j *PartitionedHashJoin) PruneColumns(needed []bool) {
 // pruneJoinInputs forwards column pruning through an equi-join whose
 // output is the left row followed by the right row: each side still has
 // to produce the needed output columns that come from it, plus its own
-// key columns. It returns what it asked of each side. A join built without
-// leftWidth prunes nothing.
-func pruneJoinInputs(needed []bool, leftWidth int, leftKeys, rightKeys []expr.Expr, left, right []Operator) (l, r []bool) {
+// key columns. A join built without leftWidth prunes nothing.
+func pruneJoinInputs(needed []bool, leftWidth int, leftKeys, rightKeys []expr.Expr, left, right []Operator) {
 	if leftWidth <= 0 || leftWidth > len(needed) {
-		return nil, nil
+		return
 	}
-	l = withExprColumns(needed[:leftWidth], leftKeys...)
-	r = withExprColumns(needed[leftWidth:], rightKeys...)
+	l := withExprColumns(needed[:leftWidth], leftKeys...)
+	r := withExprColumns(needed[leftWidth:], rightKeys...)
 	for _, op := range left {
 		op.PruneColumns(l)
 	}
 	for _, op := range right {
 		op.PruneColumns(r)
 	}
-	return l, r
 }
 
 // chains returns one side's input chains.
