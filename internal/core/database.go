@@ -121,6 +121,9 @@ type Database struct {
 	threshold   int64 // planner ParallelThreshold override, 0 = the planner's
 	joinParts   int   // join hash fan-out
 	noChecksums bool  // new heaps write legacy (version-0) pages
+	// betweenIndexPhases, when a test sets it, runs after CREATE INDEX
+	// releases the shared lock and before it takes the exclusive one.
+	betweenIndexPhases func()
 
 	// Observability surface: sink carries the engine-wide counter set
 	// every layer writes to (statements add their operators' profiles to

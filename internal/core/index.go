@@ -234,6 +234,9 @@ func (db *Database) runCreateIndex(s *Session, ci *sqlparse.CreateIndex) (*Resul
 		return nil, err
 	}
 	defer merged.Close()
+	if db.betweenIndexPhases != nil {
+		db.betweenIndexPhases()
+	}
 
 	// ---- Phase 2: catch up, bulk load and commit under the exclusive lock.
 	db.mu.Lock()
