@@ -295,7 +295,7 @@ func (rangeTVF) Schema(args []sqltypes.Value) ([]catalog.Column, error) {
 	return []catalog.Column{{Name: "n", Type: it}}, nil
 }
 
-func (rangeTVF) Iterator(args []sqltypes.Value) (exec.RowIterator, error) {
+func (rangeTVF) Iterator(_ *exec.Context, args []sqltypes.Value) (exec.RowIterator, error) {
 	if len(args) != 1 {
 		return nil, fmt.Errorf("range takes 1 arg")
 	}

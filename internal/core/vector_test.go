@@ -29,7 +29,7 @@ type writtenRows struct {
 
 func (w writtenRows) Schema([]sqltypes.Value) ([]catalog.Column, error) { return w.cols, nil }
 
-func (w writtenRows) Iterator([]sqltypes.Value) (exec.RowIterator, error) {
+func (w writtenRows) Iterator(*exec.Context, []sqltypes.Value) (exec.RowIterator, error) {
 	return &exec.SliceIterator{Rows: w.rows}, nil
 }
 

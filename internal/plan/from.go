@@ -320,7 +320,7 @@ func (pl *Planner) planTVF(fn *sqlparse.FuncRef, outer *scope) (*relation, error
 				}
 				vals[i] = v
 			}
-			return &exec.Source{Factory: func(*exec.Context) (exec.RowIterator, error) { return tvf.Iterator(vals) }}, nil
+			return &exec.Source{Factory: func(ctx *exec.Context) (exec.RowIterator, error) { return tvf.Iterator(ctx, vals) }}, nil
 		},
 	}
 	return &relation{node: node, cols: cols}, nil
@@ -372,7 +372,7 @@ func (pl *Planner) planApply(left *relation, fn *sqlparse.FuncRef) (*relation, e
 						}
 						vals[i] = v
 					}
-					return tvf.Iterator(vals)
+					return tvf.Iterator(ctx, vals)
 				},
 			}, nil
 		},

@@ -22,10 +22,11 @@ import (
 
 // TVF is a table-valued function — the pull-model extension of the paper's
 // Section 4.1. Schema must tolerate nil argument values (CROSS APPLY binds
-// arguments per row).
+// arguments per row). Iterator gets the statement's context: a function
+// that reads a table reads it under the statement's snapshot.
 type TVF interface {
 	Schema(args []sqltypes.Value) ([]catalog.Column, error)
-	Iterator(args []sqltypes.Value) (exec.RowIterator, error)
+	Iterator(ctx *exec.Context, args []sqltypes.Value) (exec.RowIterator, error)
 }
 
 // Provider supplies catalog lookups and physical access paths; implemented

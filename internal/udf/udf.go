@@ -89,8 +89,9 @@ func (l *ListShortReads) Schema(args []sqltypes.Value) ([]catalog.Column, error)
 	return cols, nil
 }
 
-// Iterator resolves the blob and opens the streaming parser.
-func (l *ListShortReads) Iterator(args []sqltypes.Value) (exec.RowIterator, error) {
+// Iterator resolves the blob, under the statement's snapshot, and opens the
+// streaming parser.
+func (l *ListShortReads) Iterator(ctx *exec.Context, args []sqltypes.Value) (exec.RowIterator, error) {
 	if len(args) != 3 {
 		return nil, fmt.Errorf("udf: ListShortReads(sample, lane, format) takes 3 arguments")
 	}
@@ -118,22 +119,18 @@ func (l *ListShortReads) Iterator(args []sqltypes.Value) (exec.RowIterator, erro
 	if sampleIdx < 0 || laneIdx < 0 || readsIdx < 0 {
 		return nil, fmt.Errorf("udf: %s needs sample, lane and reads columns", l.table())
 	}
-	var guid string
-	err = l.DB.ScanTableNoLock(l.table(), func(row sqltypes.Row) error {
+	row, err := l.lookup(ctx, def, func(row sqltypes.Row) bool {
 		s, _ := row[sampleIdx].AsInt()
 		ln, _ := row[laneIdx].AsInt()
-		if s == sample && ln == lane && guid == "" {
-			guid = row[readsIdx].AsString()
-		}
-		return nil
+		return s == sample && ln == lane
 	})
 	if err != nil {
 		return nil, err
 	}
-	if guid == "" {
+	if row == nil {
 		return nil, fmt.Errorf("udf: no FileStream registered for sample %d lane %d", sample, lane)
 	}
-	stream, err := l.DB.OpenBlob(guid)
+	stream, err := l.DB.OpenBlob(row[readsIdx].AsString())
 	if err != nil {
 		return nil, err
 	}
@@ -145,6 +142,31 @@ func (l *ListShortReads) Iterator(args []sqltypes.Value) (exec.RowIterator, erro
 		return newSRFBlobIterator(stream), nil
 	}
 	return newFastqBlobIterator(stream), nil
+}
+
+// lookup returns the first metadata row match accepts, or nil when none
+// does. It scans under ctx's snapshot, so it sees the rows the statement
+// around it sees.
+func (l *ListShortReads) lookup(ctx *exec.Context, def *catalog.Table, match func(sqltypes.Row) bool) (sqltypes.Row, error) {
+	ops, err := l.DB.ScanPartitionsPruned(def, 1, nil)
+	if err != nil {
+		return nil, err
+	}
+	scan := ops[0]
+	if err := scan.Open(ctx); err != nil {
+		return nil, err
+	}
+	defer scan.Close()
+	rows := exec.RowCursor{Op: scan}
+	for {
+		row, ok, err := rows.Next()
+		if err != nil || !ok {
+			return nil, err
+		}
+		if match(row) {
+			return row, nil
+		}
+	}
 }
 
 // srfBlobIterator streams SRF records (with intensities) out of a blob.
@@ -267,7 +289,7 @@ func (PivotAlignment) Schema(args []sqltypes.Value) ([]catalog.Column, error) {
 }
 
 // Iterator expands the alignment.
-func (PivotAlignment) Iterator(args []sqltypes.Value) (exec.RowIterator, error) {
+func (PivotAlignment) Iterator(_ *exec.Context, args []sqltypes.Value) (exec.RowIterator, error) {
 	if len(args) != 3 {
 		return nil, fmt.Errorf("udf: PivotAlignment(pos, seq, quals) takes 3 arguments")
 	}

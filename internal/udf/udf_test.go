@@ -85,6 +85,69 @@ func TestListShortReadsTVF(t *testing.T) {
 	}
 }
 
+// TestListShortReadsSeesStatementSnapshot: the TVF resolves its blob under
+// the snapshot of the statement it runs in, like a plain SELECT of the
+// metadata table does — inside the transaction that imported the lane, and
+// not in a transaction opened before another session's import.
+func TestListShortReadsSeesStatementSnapshot(t *testing.T) {
+	db := openTestDB(t)
+	mustExec(t, db, `CREATE TABLE ShortReadFiles (
+	    guid UNIQUEIDENTIFIER, sample INT, lane INT,
+	    reads VARBINARY(MAX) FILESTREAM)`)
+	src := filepath.Join(t.TempDir(), "lane.fastq")
+	f, _ := os.Create(src)
+	w := fastq.NewWriter(f)
+	for i := 0; i < 10; i++ {
+		w.Write(fastq.Record{Name: fmt.Sprintf("r%d", i), Seq: "ACGTACGT", Qual: "IIIIIIII"})
+	}
+	w.Flush()
+	f.Close()
+	lane := func(sample int64) map[string]sqltypes.Value {
+		return map[string]sqltypes.Value{"sample": sqltypes.NewInt(sample), "lane": sqltypes.NewInt(1)}
+	}
+	count := func(s *core.Session, sql string) (int64, error) {
+		res, err := s.Exec(sql)
+		if err != nil {
+			return 0, err
+		}
+		return res.Rows[0][0].I, nil
+	}
+
+	// Inside the importing transaction both see the new lane.
+	writer := db.NewSession()
+	if err := writer.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := writer.ImportFileStream("ShortReadFiles", src, lane(1)); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := count(writer, `SELECT COUNT(*) FROM ShortReadFiles WHERE sample = 1`); err != nil || n != 1 {
+		t.Fatalf("SELECT in the importing transaction: %d rows, %v", n, err)
+	}
+	if n, err := count(writer, `SELECT COUNT(*) FROM ListShortReads(1, 1, 'FastQ')`); err != nil || n != 10 {
+		t.Fatalf("ListShortReads in the importing transaction: %d reads, %v", n, err)
+	}
+	if err := writer.Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	// A transaction opened before another session's import sees neither.
+	reader := db.NewSession()
+	if err := reader.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	defer reader.Rollback()
+	if _, err := db.NewSession().ImportFileStream("ShortReadFiles", src, lane(2)); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := count(reader, `SELECT COUNT(*) FROM ShortReadFiles WHERE sample = 2`); err != nil || n != 0 {
+		t.Fatalf("SELECT in the older transaction: %d rows, %v", n, err)
+	}
+	if n, err := count(reader, `SELECT COUNT(*) FROM ListShortReads(2, 1, 'FastQ')`); err == nil {
+		t.Fatalf("ListShortReads in the older transaction streamed %d reads of a lane it cannot see", n)
+	}
+}
+
 func TestListShortReadsFasta(t *testing.T) {
 	db := openTestDB(t)
 	mustExec(t, db, `CREATE TABLE ShortReadFiles (
