@@ -4,61 +4,38 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/catalog"
 	"repro/internal/exec"
+	"repro/internal/expr"
+	"repro/internal/plan"
 	"repro/internal/sqlparse"
 	"repro/internal/sqltypes"
 	"repro/internal/stats"
 	"repro/internal/wal"
 )
 
-// runAnalyze executes ANALYZE [TABLE t]: a sampled parallel scan of each
-// target table (reusing the partitioned scan machinery, one collector
-// per partition) whose merged per-column statistics — row count, null
-// fraction, min/max, HyperLogLog NDV, equi-depth histogram and
-// most-common values — persist in the stats store and are WAL-logged so
-// they survive a crash before the next file write.
+// runAnalyze executes ANALYZE [TABLE t]: for each target table one global
+// aggregate over its partitioned scan whose state is a stats.Collector
+// (analyzeTable), run and recorded like a query, then the merged
+// per-column statistics — row count, null fraction, min/max, HyperLogLog
+// NDV, equi-depth histogram and most-common values — persist in the stats
+// store and are WAL-logged so they survive a crash before the next file
+// write.
 //
 // Statistics are advisory, so the long collection scans run under the
 // SHARED structure lock and an MVCC read snapshot: concurrent SELECTs
 // and writers both keep flowing, and every partition of the scan sees
 // the same committed version of each table. Only the short WAL-log +
 // persist phase takes the exclusive lock.
-func (db *Database) runAnalyze(s *Session, a *sqlparse.Analyze) (*Result, error) {
+func (db *Database) runAnalyze(s *Session, a *sqlparse.Analyze, sql string) (*Result, error) {
 	if s.txn != nil {
 		return nil, fmt.Errorf("core: ANALYZE inside a transaction is not supported")
 	}
-	db.mu.RLock()
-	var defs []*catalog.Table
-	if a.Table != "" {
-		def := db.cat.Get(a.Table)
-		if def == nil {
-			db.mu.RUnlock()
-			return nil, fmt.Errorf("core: unknown table %q", a.Table)
-		}
-		defs = append(defs, def)
-	} else {
-		names := db.cat.List()
-		sort.Strings(names)
-		for _, n := range names {
-			defs = append(defs, db.cat.Get(n))
-		}
+	collected, err := db.collectStats(a.Table, sql)
+	if err != nil {
+		return nil, err
 	}
-	snap := db.tm.readSnapshot()
-	collected := make([]*stats.TableStats, 0, len(defs))
-	for _, def := range defs {
-		ts, err := db.analyzeTable(def, snap)
-		if err != nil {
-			db.tm.releaseSnapshot(snap)
-			db.mu.RUnlock()
-			return nil, err
-		}
-		collected = append(collected, ts)
-	}
-	db.tm.releaseSnapshot(snap)
-	db.mu.RUnlock()
 
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -99,9 +76,40 @@ func (db *Database) runAnalyze(s *Session, a *sqlparse.Analyze) (*Result, error)
 	return res, nil
 }
 
-// analyzeTable scans one table under snap with up to DOP partition
-// collectors and merges them into the table's statistics.
-func (db *Database) analyzeTable(def *catalog.Table, snap *Snapshot) (*stats.TableStats, error) {
+// collectStats runs analyzeTable over the named table, or over every table
+// when the name is empty, under the shared lock and one snapshot.
+func (db *Database) collectStats(table, sql string) ([]*stats.TableStats, error) {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	names := []string{table}
+	if table == "" {
+		names = db.cat.List()
+		sort.Strings(names)
+	}
+	snap := db.tm.readSnapshot()
+	defer db.tm.releaseSnapshot(snap)
+	collected := make([]*stats.TableStats, 0, len(names))
+	for _, name := range names {
+		def := db.cat.Get(name)
+		if def == nil {
+			return nil, fmt.Errorf("core: unknown table %q", name)
+		}
+		ts, err := db.analyzeTable(def, snap, sql)
+		if err != nil {
+			return nil, err
+		}
+		collected = append(collected, ts)
+	}
+	return collected, nil
+}
+
+// analyzeTable collects one table's statistics under snap: the plan
+// STATISTICS(*) over the table's scan partitions, a global aggregate on the
+// aggregation core's parallel path (paper Section 2.3.4: UDAs parallelize
+// like built-ins). The core makes one collector per partition, in
+// partition order, seeded by that order so ANALYZE does not wobble between
+// runs over unchanged data, and merges them in the same order.
+func (db *Database) analyzeTable(def *catalog.Table, snap *Snapshot, sql string) (*stats.TableStats, error) {
 	td := db.tables[def.ID]
 	if td == nil {
 		return nil, fmt.Errorf("core: no storage for table %s", def.Name)
@@ -115,57 +123,66 @@ func (db *Database) analyzeTable(def *catalog.Table, snap *Snapshot) (*stats.Tab
 		}
 	}
 	modCount := td.modCount.Load()
-	parts := db.dop
-	if parts < 1 {
-		parts = 1
-	}
-	ops, err := db.ScanPartitions(def, parts)
-	if err != nil {
-		return nil, err
-	}
 	names := make([]string, len(def.Columns))
+	args := make([]expr.Expr, len(def.Columns))
 	for i := range def.Columns {
 		names[i] = def.Columns[i].Name
+		args[i] = &expr.Col{Idx: i}
 	}
-	collectors := make([]*stats.Collector, len(ops))
-	errs := make([]error, len(ops))
-	var wg sync.WaitGroup
-	for i := range ops {
-		wg.Add(1)
-		go func(i int, op exec.Operator) {
-			defer wg.Done()
-			// Deterministic per-partition seed: ANALYZE output should not
-			// wobble between runs over unchanged data.
-			c := stats.NewCollector(names, stats.DefaultSampleSize, int64(i+1)*104729)
-			collectors[i] = c
-			if err := op.Open(&exec.Context{DOP: 1, Sink: db.sink, Snapshot: snap}); err != nil {
-				errs[i] = err
-				return
-			}
-			defer op.Close()
-			rows := exec.RowCursor{Op: op}
-			for {
-				row, ok, err := rows.Next()
-				if err != nil {
-					errs[i] = err
-					return
-				}
-				if !ok {
-					return
-				}
-				c.Add(row)
-			}
-		}(i, ops[i])
+	var ts *stats.TableStats
+	seed := int64(0)
+	collector := func() exec.AggState {
+		seed += 104729
+		return &collectorState{c: stats.NewCollector(names, stats.DefaultSampleSize, seed), done: func(c *stats.Collector) {
+			ts = c.Finalize(def.ID, def.Name, modCount, stats.DefaultHistogramBuckets, stats.DefaultMCVs)
+		}}
 	}
-	wg.Wait()
-	for _, err := range errs {
+	_, _, err := db.runPlan(queryLabel(sql, "ANALYZE"), snap, false, func() (*plan.Node, error) {
+		parts, err := db.ScanPartitionsPruned(def, db.dop, nil)
 		if err != nil {
 			return nil, err
 		}
+		scan := &plan.Node{Op: "Table Scan", Detail: fmt.Sprintf("[%s]", def.Name), OwnProf: true, Est: td.rowCount()}
+		return &plan.Node{
+			Op:       "Hash Match (Aggregate)",
+			Detail:   fmt.Sprintf("AGG:[STATISTICS(*)] PARTITIONS:%d", len(parts)),
+			Children: []*plan.Node{scan},
+			Cols:     []plan.ColMeta{{Name: "rows"}},
+			Est:      1,
+			Build: func() (exec.Operator, error) {
+				for i := range parts {
+					parts[i] = exec.InstrumentOp(parts[i], scan.Prof)
+				}
+				spec := exec.AggSpec{Name: "STATISTICS", Factory: collector, Args: args}
+				return &exec.SpillableAggregate{Aggs: []exec.AggSpec{spec}, Parts: parts}, nil
+			},
+		}, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	merged := collectors[0]
-	for _, c := range collectors[1:] {
-		merged.Merge(c)
-	}
-	return merged.Finalize(def.ID, def.Name, modCount, stats.DefaultHistogramBuckets, stats.DefaultMCVs), nil
+	return ts, nil
+}
+
+// collectorState is a stats.Collector behind exec.AggState: one partition's
+// sample and sketches, merged above the exchange. Its result is the row
+// count; the statistics go to done.
+type collectorState struct {
+	c    *stats.Collector
+	done func(*stats.Collector)
+}
+
+func (s *collectorState) Add(args []sqltypes.Value) error {
+	s.c.Add(args)
+	return nil
+}
+
+func (s *collectorState) Merge(o exec.AggState) error {
+	s.c.Merge(o.(*collectorState).c)
+	return nil
+}
+
+func (s *collectorState) Result() (sqltypes.Value, error) {
+	s.done(s.c)
+	return sqltypes.NewInt(s.c.Rows()), nil
 }

@@ -581,11 +581,14 @@ func (db *Database) checkpointLocked() error {
 }
 
 // compactHeapLocked rewrites a heap's suffix so rows of rolled-back
-// transactions disappear physically. Called only from checkpointLocked
-// (quiescent, db.mu exclusive). The first dead row is always at or above
-// the durable row count — dead rows can never be durable, because the
-// previous checkpoint also compacted before flushing — so the truncate
-// never cuts into checkpointed pages.
+// transactions disappear physically: it reads the batches from the page
+// holding the first dead row, keeps the committed rows, truncates and
+// re-appends them, then rebuilds every secondary index (rebuildIndexLocked,
+// under the sort budget). Called only from checkpointLocked (quiescent,
+// db.mu exclusive). The first dead row is always at or above the durable
+// row count — dead rows can never be durable, because the previous
+// checkpoint also compacted before flushing — so the truncate never cuts
+// into checkpointed pages.
 func (db *Database) compactHeapLocked(td *tableData) error {
 	first := td.versions.firstDead()
 	if first < 0 {
@@ -593,24 +596,23 @@ func (db *Database) compactHeapLocked(td *tableData) error {
 	}
 	live := td.versions.visibleRanges(nil) // all spans resolved: nil = committed
 	var keep []sqltypes.Row
-	it := td.heap.NewVersionIterator(0, 0, true, obs.Sink{})
-	ri := 0
+	it := td.heap.NewBatchIterator(td.heap.PageOf(first), 0, true, obs.Sink{})
 	for {
-		row, idx, ok, err := it.Next()
+		b, err := it.NextBatch()
 		if err != nil {
 			return err
 		}
-		if !ok {
+		if b == nil {
 			break
 		}
-		if idx < first {
-			continue
-		}
-		for ri < len(live) && idx >= live[ri].end {
-			ri++
-		}
-		if ri < len(live) && idx >= live[ri].start {
-			keep = append(keep, row)
+		for r := max(first-b.Base, 0); r < int64(b.Rows()); r++ {
+			if rowIdxVisible(live, b.Base+r) {
+				row, err := b.ReadRow(int(r), nil)
+				if err != nil {
+					return err
+				}
+				keep = append(keep, row)
+			}
 		}
 	}
 	if err := td.heap.Truncate(first); err != nil {

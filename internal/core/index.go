@@ -1,12 +1,12 @@
 package core
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"path/filepath"
 	"sort"
 	"strings"
+	"time"
 
 	"repro/internal/btree"
 	"repro/internal/catalog"
@@ -17,6 +17,7 @@ import (
 	"repro/internal/sqlparse"
 	"repro/internal/sqltypes"
 	"repro/internal/storage"
+	"repro/internal/vec"
 	"repro/internal/wal"
 )
 
@@ -131,53 +132,136 @@ type ddlPayload struct {
 	Index string `json:"index,omitempty"`
 }
 
-// indexEntryIterator streams one page partition's index entries (as
-// single-column byte rows) for the parallel sort feeding a bulk load. Rows
-// at or past the cut belong to the delta merged in under the exclusive
-// lock.
-type indexEntryIterator struct {
-	it   *storage.HeapVersionIterator
-	cols []int
-	cut  int64
+// indexEntryOrder sorts single-column rows of entry keys: sqltypes.Compare
+// on BYTES is bytes.Compare, the btree's order.
+var indexEntryOrder = []exec.SortKey{{Expr: &expr.Col{Idx: 0}}}
+
+// indexSorts returns the sorts of the entries of heap rows [lo, hi), one
+// per partition of the sealed pages from the page holding row lo; the last
+// partition reads on through the pages sealed since and the tail. Each
+// sorts its share under the sort budget (at least 1 MB a partition, so a
+// small budget does not cut a build into runs of a few rows), spilling
+// runs past it; exec.MergeSorted over them is the index in key order. The
+// scans count nowhere: the scan.* counters are the work of queries.
+func (db *Database) indexSorts(td *tableData, cols []int, lo, hi, parts int64) []*exec.Sort {
+	first, sealed := td.heap.PageOf(lo), td.heap.SealedPages()
+	parts = max(min(parts, sealed-first), 1)
+	budget := db.sortBudget
+	if budget > 0 {
+		budget = max(budget/parts, 1<<20)
+	}
+	needed := make([]bool, len(td.def.Columns))
+	for _, c := range cols {
+		needed[c] = true
+	}
+	sorts := make([]*exec.Sort, parts)
+	for i := range sorts {
+		from := first + (sealed-first)*int64(i)/parts
+		to := first + (sealed-first)*int64(i+1)/parts
+		tail := i == len(sorts)-1
+		scan := &exec.Scan{Factory: func(*exec.Context) (exec.BatchIterator, error) {
+			return &entryBatches{bi: td.heap.NewBatchIterator(from, to, tail, obs.Sink{}), cols: cols, needed: needed, lo: lo, hi: hi}, nil
+		}}
+		sorts[i] = &exec.Sort{Keys: indexEntryOrder, Child: scan, MemoryBudget: budget, Spill: db.SpillStore()}
+	}
+	return sorts
 }
 
-func (e *indexEntryIterator) Next() (sqltypes.Row, bool, error) {
+// entryBatches reads heap batches as one-column batches of the entry keys
+// of rows [lo, hi). Physical row r of a heap batch is heap row Base+r.
+type entryBatches struct {
+	bi     *storage.HeapBatchIterator
+	cols   []int
+	needed []bool // the index columns, the only cells read
+	lo, hi int64
+	row    sqltypes.Row
+}
+
+func (e *entryBatches) NextBatch() (*vec.Batch, error) {
 	for {
-		row, idx, ok, err := e.it.Next()
-		if err != nil || !ok {
-			return nil, false, err
+		b, err := e.bi.NextBatch()
+		if err != nil || b == nil {
+			return nil, err
 		}
-		if idx >= e.cut {
-			continue
+		keys := &vec.Vector{Kind: sqltypes.KindBytes}
+		for r := max(e.lo-b.Base, 0); r < min(e.hi-b.Base, int64(b.Rows())); r++ {
+			if e.row, err = b.ReadRowCols(int(r), e.row, e.needed); err != nil {
+				return nil, err
+			}
+			key, err := indexEntryKey(e.cols, e.row, b.Base+r)
+			if err != nil {
+				return nil, err
+			}
+			keys.Byts = append(keys.Byts, key)
 		}
-		key, err := indexEntryKey(e.cols, row, idx)
-		if err != nil {
-			return nil, false, err
+		if n := len(keys.Byts); n > 0 {
+			return vec.NewBatch([]*vec.Vector{keys}, n), nil
 		}
-		return sqltypes.Row{sqltypes.NewBytes(key)}, true, nil
 	}
 }
 
-func (e *indexEntryIterator) Close() error { return e.it.Close() }
+func (e *entryBatches) Close() error { return e.bi.Close() }
+
+// writeIndexFile bulk-loads an open stream of sorted entry keys into
+// path's ".building" shadow, renames the shadow over path and opens it: a
+// crash leaves the old file (or none) or the whole new one, never a part.
+func (db *Database) writeIndexFile(path string, entries exec.Operator) (*btree.BTree, error) {
+	building := path + ".building"
+	_ = fault.Remove(db.inj, building)
+	var b *vec.Batch
+	at := 0
+	tree, err := btree.BulkLoadFault(building, db.pool, db.inj, func() ([]byte, []byte, bool, error) {
+		for b == nil || at == len(b.Sel) {
+			var err error
+			if b, err = entries.NextBatch(); err != nil || b == nil {
+				return nil, nil, false, err
+			}
+			at = 0
+		}
+		key, err := b.Cols[0].Value(b.Sel[at])
+		at++
+		return key.B, nil, err == nil, err
+	})
+	// Close before the rename: the tree's shadow checkpoints write through
+	// its opening path, which is about to stop existing.
+	if err == nil {
+		err = tree.Close()
+	}
+	if err == nil {
+		err = fault.Rename(db.inj, building, path)
+	}
+	if err != nil {
+		_ = fault.Remove(db.inj, building)
+		return nil, err
+	}
+	return btree.OpenFault(path, db.pool, db.inj)
+}
 
 // runCreateIndex executes CREATE INDEX in two phases. Phase 1, under the
-// SHARED structure lock, partitions the heap's sealed pages and opens one
-// merge (exec.MergeSorted) of external sorts, one per partition, over the
-// encoded entries — concurrent queries and writers keep flowing while the
-// bulk of the work happens. Phase 2, under the EXCLUSIVE lock, sorts the
-// small delta of rows that arrived during phase 1, merges it with the
-// partitions' stream into a bottom-up bulk load of
-// a ".building" shadow file, logs durable intent to the WAL, renames the
-// file into place, and commits by adding the index to the catalog. A crash
-// at any point leaves either no index (orphan files are deleted at open)
-// or a complete one (recovery rebuilds it if WAL replay shifts heap
-// positions).
-func (db *Database) runCreateIndex(s *Session, ci *sqlparse.CreateIndex) (*Result, error) {
+// SHARED structure lock, sorts the entries of the rows the heap holds, one
+// budgeted Sort per page partition opened in parallel by exec.MergeSorted
+// (indexSorts) — concurrent queries and writers keep flowing while the
+// bulk of the work happens. Phase 2, under the EXCLUSIVE lock, opens the
+// merge again with one more Sort over the rows that arrived during phase 1,
+// logs durable intent to the WAL, bulk-loads the merged stream into the
+// index file (writeIndexFile), and commits by adding the index to the
+// catalog. A crash at any point leaves either no index (orphan files are
+// deleted at open) or a complete one (recovery rebuilds it if WAL replay
+// shifts heap positions). RowsAffected is the entries written.
+func (db *Database) runCreateIndex(s *Session, ci *sqlparse.CreateIndex, sql string) (res *Result, err error) {
+	start := time.Now()
+	defer func() {
+		var rows int64
+		if res != nil {
+			rows = res.RowsAffected
+		}
+		db.record(queryLabel(sql, "CREATE INDEX"), start, rows, nil, err, false)
+	}()
 	if err := s.refuseDDLInTxn(); err != nil {
 		return nil, err
 	}
 
-	// ---- Phase 1: validate and build sorted entry runs under the shared lock.
+	// ---- Phase 1: validate and sort the entries under the shared lock.
 	db.mu.RLock()
 	td, err := db.table(ci.Table)
 	if err != nil {
@@ -200,35 +284,9 @@ func (db *Database) runCreateIndex(s *Session, ci *sqlparse.CreateIndex) (*Resul
 	}
 	n0 := td.heap.RowCount()
 	gen := td.compactGen
-	sealed := td.heap.SealedPages()
-	parts := max(min(int64(db.dop), sealed), 1)
-	budget := db.sortBudget
-	if budget > 0 {
-		budget = max(budget/parts, 1<<20)
-	}
-	keys := []exec.SortKey{{Expr: &expr.Col{Idx: 0}}}
-	sorts := make([]*exec.Sort, parts)
-	for i := int64(0); i < parts; i++ {
-		lo := sealed * i / parts
-		hi := sealed * (i + 1) / parts
-		includeTail := i == parts-1
-		src := &exec.Source{
-			Factory: func(*exec.Context) (exec.RowIterator, error) {
-				return &indexEntryIterator{
-					it:   td.heap.NewVersionIterator(lo, hi, includeTail, obs.Sink{}),
-					cols: cols,
-					cut:  n0,
-				}, nil
-			},
-		}
-		sorts[i] = &exec.Sort{Keys: keys, Child: src, MemoryBudget: budget, Spill: db.SpillStore()}
-	}
-	// One merge of the partition sorts, in key order (sqltypes.Compare on
-	// BYTES is bytes.Compare, the btree's order). Its Open drains and sorts
-	// every partition scan, in parallel, spilling runs past the budget;
-	// phase 2 only streams.
-	merged := &exec.MergeSorted{Keys: keys, Children: sorts}
-	err = merged.Open(&exec.Context{DOP: 1, Sink: db.sink})
+	ctx := &exec.Context{DOP: 1, Sink: db.sink}
+	merged := &exec.MergeSorted{Keys: indexEntryOrder, Children: db.indexSorts(td, cols, 0, n0, int64(db.dop))}
+	err = merged.Open(ctx)
 	db.mu.RUnlock()
 	if err != nil {
 		return nil, err
@@ -264,23 +322,14 @@ func (db *Database) runCreateIndex(s *Session, ci *sqlparse.CreateIndex) (*Resul
 		// the phase-1 positions are stale. Rare enough to just retry.
 		return nil, fmt.Errorf("core: heap %s was compacted during CREATE INDEX; retry", def.Name)
 	}
-	// Delta: rows appended while phase 1 ran. Sorted in memory — the window
-	// is one statement's worth of concurrent inserts.
+	// The delta: rows appended while phase 1 ran.
 	m := td.heap.RowCount()
-	cache := storage.NewHeapFetchCache(obs.Sink{})
-	delta := make([][]byte, 0, m-n0)
-	for idx := n0; idx < m; idx++ {
-		row, err := td.heap.FetchRowCached(idx, cache)
-		if err != nil {
+	if m > n0 {
+		merged.Children = append(merged.Children, db.indexSorts(td, cols, n0, m, 1)...)
+		if err := merged.Open(ctx); err != nil {
 			return nil, err
 		}
-		key, err := indexEntryKey(cols, row, idx)
-		if err != nil {
-			return nil, err
-		}
-		delta = append(delta, key)
 	}
-	sort.Slice(delta, func(i, j int) bool { return bytes.Compare(delta[i], delta[j]) < 0 })
 
 	// Durable intent BEFORE the file exists: if replay later compacts
 	// aborted rows out of this table, the baked positions are stale and
@@ -295,56 +344,16 @@ func (db *Database) runCreateIndex(s *Session, ci *sqlparse.CreateIndex) (*Resul
 	if err := db.wal.Flush(); err != nil {
 		return nil, err
 	}
-
 	path := db.indexPath(def, ci.Name)
-	building := path + ".building"
-	_ = fault.Remove(db.inj, building)
-	// Phase 2 merges two sorted streams: the partitions' and the delta.
-	// A key stays valid after the cursor moves on: the merge copies each
-	// key's bytes into its batch.
-	sorted := exec.RowCursor{Op: merged}
-	head, more, err := sorted.Next()
+	tree, err := db.writeIndexFile(path, merged)
 	if err != nil {
-		return nil, err
-	}
-	di := 0
-	next := func() ([]byte, []byte, bool, error) {
-		if more && (di == len(delta) || bytes.Compare(head[0].B, delta[di]) < 0) {
-			key := head[0].B
-			var err error
-			head, more, err = sorted.Next()
-			return key, nil, err == nil, err
-		}
-		if di < len(delta) {
-			di++
-			return delta[di-1], nil, true, nil
-		}
-		return nil, nil, false, nil
-	}
-	tree, err := btree.BulkLoadFault(building, db.pool, db.inj, next)
-	if err != nil {
-		_ = fault.Remove(db.inj, building)
-		return nil, err
-	}
-	// Close before the rename: the tree's shadow checkpoints write through
-	// its opening path, which is about to stop existing.
-	if err := tree.Close(); err != nil {
-		_ = fault.Remove(db.inj, building)
-		return nil, err
-	}
-	if err := fault.Rename(db.inj, building, path); err != nil {
-		_ = fault.Remove(db.inj, building)
 		return nil, err
 	}
 	// The commit point: once the catalog names the index, every later open
 	// keeps the file; before, it is an orphan deleted at open.
 	if err := db.cat.AddIndex(def.Name, catalog.Index{Name: ci.Name, Columns: cols}); err != nil {
+		_ = tree.Close()
 		_ = fault.Remove(db.inj, path)
-		return nil, err
-	}
-	tree, err = btree.OpenFault(path, db.pool, db.inj)
-	if err != nil {
-		db.poison(fmt.Errorf("core: committed index %s is unopenable: %w", ci.Name, err))
 		return nil, err
 	}
 	td.indexes = append(td.indexes, &indexData{name: ci.Name, cols: cols, tree: tree, path: path})
@@ -353,7 +362,7 @@ func (db *Database) runCreateIndex(s *Session, ci *sqlparse.CreateIndex) (*Resul
 	if err := db.checkpointLocked(); err != nil {
 		return nil, err
 	}
-	return &Result{}, nil
+	return &Result{RowsAffected: m}, nil
 }
 
 // runDropIndex executes DROP INDEX name ON table. Callers hold db.mu
@@ -386,65 +395,23 @@ func (db *Database) runDropIndex(di *sqlparse.DropIndex) (*Result, error) {
 }
 
 // rebuildIndexLocked rebuilds one index from the heap's current physical
-// contents with the shadow protocol (bulk to ".building", rename, reopen).
+// contents: every row, in one serial partition, through writeIndexFile.
 // Called under the exclusive structure lock (checkpoint compaction) or
 // single-threaded recovery.
 func (db *Database) rebuildIndexLocked(td *tableData, ix *indexData) error {
-	var entries [][]byte
-	it := td.heap.NewVersionIterator(0, 0, true, obs.Sink{})
-	for {
-		row, idx, ok, err := it.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		key, err := indexEntryKey(ix.cols, row, idx)
-		if err != nil {
-			return err
-		}
-		entries = append(entries, key)
+	entries := &exec.MergeSorted{Keys: indexEntryOrder, Children: db.indexSorts(td, ix.cols, 0, td.heap.RowCount(), 1)}
+	if err := entries.Open(&exec.Context{DOP: 1, Sink: db.sink}); err != nil {
+		return err
 	}
-	sort.Slice(entries, func(i, j int) bool { return bytes.Compare(entries[i], entries[j]) < 0 })
+	defer entries.Close()
 	if ix.tree != nil {
 		if err := ix.tree.Close(); err != nil {
 			return err
 		}
-		ix.tree = nil
 	}
-	building := ix.path + ".building"
-	_ = fault.Remove(db.inj, building)
-	pos := 0
-	tree, err := btree.BulkLoadFault(building, db.pool, db.inj, func() ([]byte, []byte, bool, error) {
-		if pos >= len(entries) {
-			return nil, nil, false, nil
-		}
-		k := entries[pos]
-		pos++
-		return k, nil, true, nil
-	})
-	if err != nil {
-		_ = fault.Remove(db.inj, building)
-		return err
-	}
-	if err := tree.Close(); err != nil {
-		return err
-	}
-	// A crash between these two steps leaves the file missing; recovery's
-	// entry-count check catches that and rebuilds again.
-	if err := fault.Remove(db.inj, ix.path); err != nil {
-		return err
-	}
-	if err := fault.Rename(db.inj, building, ix.path); err != nil {
-		return err
-	}
-	t2, err := btree.OpenFault(ix.path, db.pool, db.inj)
-	if err != nil {
-		return err
-	}
-	ix.tree = t2
-	return nil
+	tree, err := db.writeIndexFile(ix.path, entries)
+	ix.tree = tree
+	return err
 }
 
 // rowIdxVisible reports whether a heap position is visible under the

@@ -304,3 +304,27 @@ func TestAnalyzeStatsPinned(t *testing.T) {
 		t.Errorf("NDV differs between DOP 1 %v and DOP 4 %v", ndv1, ndv4)
 	}
 }
+
+// TestIndexRebuildHonoursSortBudget: the rebuild a checkpoint runs after
+// compacting a rolled-back transaction out of a 20 000-row indexed heap
+// sorts under the sort budget — it writes sorted runs instead of holding
+// every entry in memory — and still produces the oracle's entries.
+func TestIndexRebuildHonoursSortBudget(t *testing.T) {
+	db, err := Open(filepath.Join(t.TempDir(), "db"), Options{DOP: 2, SortMemoryBudget: 16 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	mustExec(t, db, `CREATE TABLE t (a INT, b VARCHAR(8), c INT)`)
+	if err := db.InsertRows("t", indexFixtureRows(0, 20_000)); err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, db, `CREATE INDEX ix ON t(a, b)`)
+	rollBackRows(t, db, 30_000, 500)
+	before := engineCounters(db)
+	mustExec(t, db, `CHECKPOINT`)
+	if runs := engineCounters(db).Sub(before)[obs.SortRuns]; runs == 0 {
+		t.Error("the rebuild after compaction wrote no sort runs under a 16 KB budget")
+	}
+	assertIndexMatchesOracle(t, db, "rebuild")
+}

@@ -55,7 +55,11 @@ func profiledQuery(t *testing.T, db *Database, sql string, timed bool) (*Result,
 	defer db.mu.RUnlock()
 	snap := db.tm.readSnapshot()
 	defer db.tm.releaseSnapshot(snap)
-	res, node, err := db.runSelectProfiled(sel, snap, timed)
+	var node *plan.Node
+	res, _, err := db.runPlan(sql, snap, timed, func() (*plan.Node, error) {
+		node, err = db.planner.PlanSelect(sel)
+		return node, err
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,6 +226,45 @@ func TestQueryHistoryAndSlowLog(t *testing.T) {
 	}
 	if got := len(db.QueryHistory()); got != queryHistorySize {
 		t.Errorf("ring holds %d records, capacity %d", got, queryHistorySize)
+	}
+}
+
+// TestEveryRowStatementIsRecorded: INSERT ... SELECT, ANALYZE and CREATE
+// INDEX each leave a query-history record with their text and duration,
+// and a slow ANALYZE keeps its plan's profile like a slow SELECT does.
+func TestEveryRowStatementIsRecorded(t *testing.T) {
+	db := openJoinDB(t, Options{SlowQueryThreshold: time.Nanosecond})
+	mustExec(t, db, `CREATE TABLE copies (k BIGINT, payload VARCHAR(40))`)
+	stmts := []string{
+		`INSERT INTO copies SELECT k, payload FROM reads WHERE k < 100`,
+		`ANALYZE TABLE reads`,
+		`CREATE INDEX idx_k ON copies(k)`,
+	}
+	for _, sql := range stmts {
+		mustExec(t, db, sql)
+	}
+	recorded := map[string]obs.QueryRecord{}
+	for _, rec := range db.QueryHistory() {
+		recorded[rec.SQL] = rec
+	}
+	for _, sql := range stmts {
+		rec, ok := recorded[sql]
+		if !ok {
+			t.Errorf("no history record for %q", sql)
+			continue
+		}
+		if rec.Duration <= 0 || rec.Err != "" {
+			t.Errorf("record for %q not filled: %+v", sql, rec)
+		}
+	}
+	var analyze *obs.QueryRecord
+	for _, rec := range db.SlowQueries() {
+		if rec.SQL == stmts[1] {
+			analyze = &rec
+		}
+	}
+	if analyze == nil || !strings.Contains(analyze.Profile, "actual=") {
+		t.Errorf("slow ANALYZE kept no profile: %+v", analyze)
 	}
 }
 

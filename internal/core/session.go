@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/exec"
+	"repro/internal/expr"
 	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/sqlparse"
@@ -115,20 +116,20 @@ func (s *Session) execStmt(stmt sqlparse.Statement, sql string) (*Result, error)
 		defer db.mu.RUnlock()
 		snap, release := s.statementSnapshot()
 		defer release()
-		return db.runSelectLogged(t, snap, sql)
+		res, _, err := db.runPlan(queryLabel(sql, "SELECT"), snap, false, func() (*plan.Node, error) {
+			return db.planner.PlanSelect(t)
+		})
+		return res, err
 	case *sqlparse.Explain:
 		db.mu.RLock()
 		defer db.mu.RUnlock()
-		if t.Analyze {
-			snap, release := s.statementSnapshot()
-			defer release()
-			return db.explainAnalyze(t.Stmt, snap, sql)
-		}
-		return db.explain(t.Stmt)
+		snap, release := s.statementSnapshot()
+		defer release()
+		return db.explain(t, snap, sql)
 	case *sqlparse.Insert:
 		db.mu.RLock()
 		defer db.mu.RUnlock()
-		return s.runInsert(t)
+		return s.runInsert(t, sql)
 	case *sqlparse.CreateTable:
 		db.mu.Lock()
 		defer db.mu.Unlock()
@@ -146,7 +147,7 @@ func (s *Session) execStmt(stmt sqlparse.Statement, sql string) (*Result, error)
 	case *sqlparse.CreateIndex:
 		// Takes its own locks: the parallel entry build runs under the
 		// shared lock, only the catch-up + commit phase is exclusive.
-		return db.runCreateIndex(s, t)
+		return db.runCreateIndex(s, t, sql)
 	case *sqlparse.DropIndex:
 		db.mu.Lock()
 		defer db.mu.Unlock()
@@ -164,7 +165,7 @@ func (s *Session) execStmt(stmt sqlparse.Statement, sql string) (*Result, error)
 		return &Result{}, db.Checkpoint()
 	case *sqlparse.Analyze:
 		// Takes its own locks: collection under RLock, persist under Lock.
-		return db.runAnalyze(s, t)
+		return db.runAnalyze(s, t, sql)
 	}
 	return nil, fmt.Errorf("core: unsupported statement %T", stmt)
 }
@@ -264,58 +265,61 @@ func (db *Database) execContext(snap *Snapshot) *exec.Context {
 	return &exec.Context{DOP: db.dop, Sink: db.sink, Snapshot: snap}
 }
 
-// runSelectProfiled plans, instruments and executes a SELECT, returning
-// the executed plan tree alongside the result so callers can read the
-// accumulated per-operator profiles. With timed set (EXPLAIN ANALYZE)
-// the profile wrappers also record wall time; otherwise only the cheap
-// always-on counters accrue. Callers hold db.mu in some mode.
-func (db *Database) runSelectProfiled(sel *sqlparse.Select, snap *Snapshot, timed bool) (*Result, *plan.Node, error) {
-	node, err := db.planner.PlanSelect(sel)
+// runPlan is how a statement that moves rows runs: planFn plans it, the
+// plan is instrumented, built and run to completion under snap, and the
+// statement is recorded as sql in the query history (record), a planning
+// error included. With timed set — EXPLAIN ANALYZE — the profiles also
+// take wall time and the rendered profile is returned; otherwise only the
+// cheap always-on counters accrue. Callers hold db.mu in some mode.
+func (db *Database) runPlan(sql string, snap *Snapshot, timed bool, planFn func() (*plan.Node, error)) (*Result, string, error) {
+	start := time.Now()
+	res := &Result{}
+	node, err := planFn()
+	if err == nil {
+		node.Instrument(timed)
+		var op exec.Operator
+		if op, err = node.Build(); err == nil {
+			res.Rows, err = exec.Run(db.execContext(snap), op)
+		}
+		for _, c := range node.Cols {
+			res.Cols = append(res.Cols, c.Name)
+		}
+	}
+	profile := db.record(sql, start, int64(len(res.Rows)), node, err, timed)
 	if err != nil {
-		return nil, nil, err
+		return nil, "", err
 	}
-	node.Instrument(timed)
-	op, err := node.Build()
-	if err != nil {
-		return nil, nil, err
-	}
-	rows, err := exec.Run(db.execContext(snap), op)
-	if err != nil {
-		return nil, node, err
-	}
-	cols := make([]string, len(node.Cols))
-	for i, c := range node.Cols {
-		cols[i] = c.Name
-	}
-	return &Result{Cols: cols, Rows: rows}, node, nil
+	return res, profile, nil
 }
 
-// runSelectLogged is the statement-path SELECT: it profiles the
-// execution, records it in the query history, and — when the statement
-// ran at or over the slow threshold — captures the full rendered
-// profile in the slow-query log.
-func (db *Database) runSelectLogged(sel *sqlparse.Select, snap *Snapshot, sql string) (*Result, error) {
-	start := time.Now()
-	res, node, err := db.runSelectProfiled(sel, snap, false)
+// record writes a statement's query-history record: its text, start,
+// duration, rows and error, and the spill volume of the plan it ran (nil
+// for a statement that runs none). It returns the plan's rendered profile
+// when explain asks for it; a statement that ran at or over the slow
+// threshold keeps that profile in the slow-query log.
+func (db *Database) record(sql string, start time.Time, rows int64, node *plan.Node, err error, explain bool) string {
 	total := time.Since(start)
-	rec := obs.QueryRecord{SQL: queryLabel(sql, "SELECT"), Start: start, Duration: total}
+	rec := obs.QueryRecord{SQL: sql, Start: start, Duration: total, Rows: rows}
 	if err != nil {
 		rec.Err = err.Error()
-	} else {
-		rec.Rows = int64(len(res.Rows))
 	}
+	var profile string
 	if node != nil {
 		rec.SpillBytes = node.SpillBytes()
-		if err == nil && db.qlog.Threshold() > 0 && total >= db.qlog.Threshold() {
-			rec.Profile = node.ExplainAnalyze(total, rec.Rows)
+		slow := err == nil && db.qlog.Threshold() > 0 && total >= db.qlog.Threshold()
+		if explain || slow {
+			profile = node.ExplainAnalyze(total, rows)
+		}
+		if slow {
+			rec.Profile = profile
 		}
 	}
 	db.qlog.Record(rec)
-	return res, err
+	return profile
 }
 
 // queryLabel returns the history label for a statement: its SQL text
-// when the caller supplied one, a placeholder for pre-parsed statements.
+// when the caller had one, a placeholder for pre-parsed statements.
 func queryLabel(sql, kind string) string {
 	if sql != "" {
 		return sql
@@ -323,69 +327,51 @@ func queryLabel(sql, kind string) string {
 	return "(" + kind + " via ExecStmt)"
 }
 
-// explainAnalyze executes EXPLAIN ANALYZE <select>: the statement runs
-// to completion with timed per-operator instrumentation, then the plan
-// tree is rendered with actual row counts, estimate ratios, wall time
-// and spill/Bloom/pool detail per node. The row results are discarded —
-// the rendered plan is the statement's output.
-func (db *Database) explainAnalyze(stmt sqlparse.Statement, snap *Snapshot, sql string) (*Result, error) {
-	sel, ok := stmt.(*sqlparse.Select)
-	if !ok {
+// explain executes EXPLAIN [ANALYZE]: the plan of a SELECT, or of an
+// INSERT ... SELECT's query, in the indented format of the paper's plan
+// figures. With ANALYZE the SELECT first runs to completion through
+// runPlan with timed per-operator instrumentation, and the plan renders
+// with actual row counts, estimate ratios, wall time and spill/Bloom/pool
+// detail per node; the rows are discarded, the plan is the output.
+func (db *Database) explain(e *sqlparse.Explain, snap *Snapshot, sql string) (*Result, error) {
+	sel, ok := e.Stmt.(*sqlparse.Select)
+	if ins, isInsert := e.Stmt.(*sqlparse.Insert); isInsert && ins.Query != nil && !e.Analyze {
+		sel, ok = ins.Query, true
+	}
+	switch {
+	case !ok && e.Analyze:
 		return nil, fmt.Errorf("core: EXPLAIN ANALYZE supports SELECT only")
-	}
-	start := time.Now()
-	res, node, err := db.runSelectProfiled(sel, snap, true)
-	total := time.Since(start)
-	rec := obs.QueryRecord{SQL: queryLabel(sql, "EXPLAIN ANALYZE"), Start: start, Duration: total}
-	if node != nil {
-		rec.SpillBytes = node.SpillBytes()
-	}
-	if err != nil {
-		rec.Err = err.Error()
-		db.qlog.Record(rec)
-		return nil, err
-	}
-	rec.Rows = int64(len(res.Rows))
-	text := node.ExplainAnalyze(total, rec.Rows)
-	if db.qlog.Threshold() > 0 && total >= db.qlog.Threshold() {
-		rec.Profile = text
-	}
-	db.qlog.Record(rec)
-	out := &Result{Cols: []string{"plan"}, Plan: text}
-	for _, line := range strings.Split(strings.TrimRight(text, "\n"), "\n") {
-		out.Rows = append(out.Rows, sqltypes.Row{sqltypes.NewString(line)})
-	}
-	return out, nil
-}
-
-func (db *Database) explain(stmt sqlparse.Statement) (*Result, error) {
-	var sel *sqlparse.Select
-	switch t := stmt.(type) {
-	case *sqlparse.Select:
-		sel = t
-	case *sqlparse.Insert:
-		if t.Query == nil {
-			return nil, fmt.Errorf("core: EXPLAIN supports SELECT and INSERT ... SELECT")
-		}
-		sel = t.Query
-	default:
+	case !ok:
 		return nil, fmt.Errorf("core: EXPLAIN supports SELECT and INSERT ... SELECT")
 	}
-	node, err := db.planner.PlanSelect(sel)
+	planFn := func() (*plan.Node, error) { return db.planner.PlanSelect(sel) }
+	if e.Analyze {
+		_, text, err := db.runPlan(queryLabel(sql, "EXPLAIN ANALYZE"), snap, true, planFn)
+		if err != nil {
+			return nil, err
+		}
+		return planResult(text), nil
+	}
+	node, err := planFn()
 	if err != nil {
 		return nil, err
 	}
-	text := node.Explain()
+	return planResult(node.Explain()), nil
+}
+
+// planResult is the result of an EXPLAIN: the rendered plan, one row a
+// line.
+func planResult(text string) *Result {
 	res := &Result{Cols: []string{"plan"}, Plan: text}
 	for _, line := range strings.Split(strings.TrimRight(text, "\n"), "\n") {
 		res.Rows = append(res.Rows, sqltypes.Row{sqltypes.NewString(line)})
 	}
-	return res, nil
+	return res
 }
 
 // runInsert executes INSERT under the shared structure lock; row-level
 // write synchronization happens in insertRow via the table write latch.
-func (s *Session) runInsert(ins *sqlparse.Insert) (*Result, error) {
+func (s *Session) runInsert(ins *sqlparse.Insert, sql string) (*Result, error) {
 	db := s.db
 	td, err := db.table(ins.Table)
 	if err != nil {
@@ -406,10 +392,47 @@ func (s *Session) runInsert(ins *sqlparse.Insert) (*Result, error) {
 	}
 
 	t := s.currentTxn()
+	var rows []sqltypes.Row
+	switch {
+	case ins.Rows != nil:
+	values:
+		for _, astRow := range ins.Rows {
+			vals := make(sqltypes.Row, len(astRow))
+			rows = append(rows, vals)
+			for i, e := range astRow {
+				var bound expr.Expr
+				if bound, err = db.planner.BindConstant(e); err == nil {
+					vals[i], err = bound.Eval(nil)
+				}
+				if err != nil {
+					break values
+				}
+			}
+		}
+	case ins.Query != nil:
+		// The SELECT runs under the inserting transaction's snapshot, and is
+		// fully materialized before the first insert: the source row set
+		// is fixed (no Halloween self-chasing), and scan latches — a
+		// clustered source holds its table's write latch shared — are
+		// released before insertRow needs them exclusively. Its record in
+		// the query history is the statement's.
+		var sel *Result
+		if sel, _, err = db.runPlan(queryLabel(sql, "INSERT"), t.snap, false, func() (*plan.Node, error) {
+			return db.planner.PlanSelect(ins.Query)
+		}); err == nil {
+			rows = sel.Rows
+		}
+	default:
+		err = fmt.Errorf("core: INSERT requires VALUES or SELECT")
+	}
 	var n int64
-	insertOne := func(vals sqltypes.Row) error {
+	for _, vals := range rows {
+		if err != nil {
+			break
+		}
 		if len(vals) != width {
-			return fmt.Errorf("core: INSERT expects %d values, got %d", width, len(vals))
+			err = fmt.Errorf("core: INSERT expects %d values, got %d", width, len(vals))
+			break
 		}
 		row := make(sqltypes.Row, len(td.def.Columns))
 		if len(colIdx) > 0 {
@@ -419,68 +442,11 @@ func (s *Session) runInsert(ins *sqlparse.Insert) (*Result, error) {
 		} else {
 			copy(row, vals)
 		}
-		if err := db.insertRow(t, td, row); err != nil {
-			return err
+		if err = db.insertRow(t, td, row); err == nil {
+			n++
 		}
-		n++
-		return nil
 	}
-
-	var execErr error
-	switch {
-	case ins.Rows != nil:
-		for _, astRow := range ins.Rows {
-			vals := make(sqltypes.Row, len(astRow))
-			for i, e := range astRow {
-				bound, err := db.planner.BindConstant(e)
-				if err != nil {
-					execErr = err
-					break
-				}
-				v, err := bound.Eval(nil)
-				if err != nil {
-					execErr = err
-					break
-				}
-				vals[i] = v
-			}
-			if execErr == nil {
-				execErr = insertOne(vals)
-			}
-			if execErr != nil {
-				break
-			}
-		}
-	case ins.Query != nil:
-		planned, err := db.planner.PlanSelect(ins.Query)
-		if err != nil {
-			execErr = err
-			break
-		}
-		op, err := planned.Build()
-		if err != nil {
-			execErr = err
-			break
-		}
-		// The scan runs under the inserting transaction's snapshot, and is
-		// fully materialized before the first insert: the source row set
-		// is fixed (no Halloween self-chasing), and scan latches — a
-		// clustered source holds its table's write latch shared — are
-		// released before insertRow needs them exclusively.
-		rows, err := exec.Run(db.execContext(t.snap), op)
-		if err != nil {
-			execErr = err
-			break
-		}
-		for _, row := range rows {
-			if execErr = insertOne(row); execErr != nil {
-				break
-			}
-		}
-	default:
-		execErr = fmt.Errorf("core: INSERT requires VALUES or SELECT")
-	}
-	if err := db.finishAuto(t, execErr); err != nil {
+	if err := db.finishAuto(t, err); err != nil {
 		return nil, err
 	}
 	return &Result{RowsAffected: n}, nil
@@ -703,10 +669,11 @@ func (db *Database) TableUsedBytes(table string) (int64, error) {
 }
 
 // ScanTableNoLock iterates every row of a table WITHOUT acquiring the
-// structure lock. It exists for table-valued functions that execute
-// inside a query (which already holds the lock; re-acquiring could
-// deadlock against a waiting DDL). The scan sees the latest committed
-// rows. Callers must not run DDL concurrently.
+// structure lock, for callers that already hold it (re-acquiring could
+// deadlock against a waiting DDL): provenance lookups and scan probes. The
+// scan sees the latest committed rows; a table-valued function that looks
+// rows up scans under its statement's snapshot instead (exec.Context).
+// Callers must not run DDL concurrently.
 func (db *Database) ScanTableNoLock(table string, fn func(sqltypes.Row) error) error {
 	def := db.cat.Get(table)
 	if def == nil {

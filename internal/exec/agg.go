@@ -253,8 +253,11 @@ func newGroupedAgg(spec AggSpec) groupedAgg {
 		return &minmaxAgg{stateArray[minmaxState, *minmaxState]{proto: *proto}}
 	case *avgState:
 		return &avgAgg{}
+	default:
+		// The prototype is the first group's state, so a global aggregate
+		// makes one state per input, in input order.
+		return &udaAgg{factory: spec.Factory, states: []AggState{proto}}
 	}
-	return &udaAgg{factory: spec.Factory}
 }
 
 // groupOf is the group of the k-th row of an update.

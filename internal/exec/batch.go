@@ -102,8 +102,8 @@ func (p *rowPacker) next(next func() (sqltypes.Row, bool, error)) (*vec.Batch, e
 // RowCursor is the one batches-to-rows adapter: it reads the batches of an
 // opened operator a row at a time. Run and Drain use it at the result
 // boundary, the row-internal operators to read their children, and the
-// engine for the scans it consumes itself (ANALYZE, index builds). The
-// returned row is reused by the next call.
+// side scans of a table-valued function's lookup or the engine's
+// ScanTableNoLock. The returned row is reused by the next call.
 type RowCursor struct {
 	Op Operator
 	// needed marks the columns to materialize (nil = all); the others come

@@ -13,7 +13,10 @@
 //     packer.
 //   - rows out: RowCursor reads an operator's batches a row at a time. Run
 //     and Drain use it at the result boundary, the row-internal operators to
-//     read their children.
+//     read their children. The engine's own pipelines are plans of these
+//     operators too: ANALYZE is a global aggregate whose state is a
+//     statistics collector, an index build is partition Sorts under one
+//     MergeSorted, and neither has a row loop of its own.
 //
 // Everything between the edges — scans off pages and leaves, Filter, Project,
 // Limit, the Gather exchange, the hash and merge joins, the three

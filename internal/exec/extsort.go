@@ -334,26 +334,28 @@ type MergeSorted struct {
 // Open opens all children in parallel and builds the merge tree. On a
 // single-P runtime the opens run sequentially instead: the sorts are
 // CPU-bound, so goroutines could only add scheduling latency and cache
-// interleave.
+// interleave. A child still open from an earlier Open is merged as it
+// stands: CREATE INDEX sorts its partitions under one lock and opens the
+// merge again, its delta's sort added, under the next.
 func (m *MergeSorted) Open(ctx *Context) error {
 	m.out.reset()
 	m.opened = make([]bool, len(m.Children))
 	errs := make([]error, len(m.Children))
-	if runtime.GOMAXPROCS(0) == 1 {
-		for i, ch := range m.Children {
+	var wg sync.WaitGroup
+	for i, ch := range m.Children {
+		switch {
+		case ch.src != nil:
+		case runtime.GOMAXPROCS(0) == 1:
 			errs[i] = ch.Open(ctx)
-		}
-	} else {
-		var wg sync.WaitGroup
-		for i, ch := range m.Children {
+		default:
 			wg.Add(1)
-			go func(i int, ch *Sort) {
+			go func() {
 				defer wg.Done()
 				errs[i] = ch.Open(ctx)
-			}(i, ch)
+			}()
 		}
-		wg.Wait()
 	}
+	wg.Wait()
 	var firstErr error
 	for i, err := range errs {
 		if err == nil {

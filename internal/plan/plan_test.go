@@ -457,8 +457,8 @@ func TestPlanPartitionedJoin(t *testing.T) {
 
 // TestExplainVectorizedAnnotation: one rule, by the operator a node shows.
 // Nodes that compute on typed vectors carry "vectorized" — filter, compute
-// scalar, TOP, the exchanges, the hash join, the aggregates, a table scan
-// leaf; the row-internal ones do not — the sort family, merge join, an
+// scalar, TOP, the exchanges, the hash and merge joins, the aggregates, a
+// table scan leaf; the row-internal ones do not — the sort family, an
 // index scan.
 func TestExplainVectorizedAnnotation(t *testing.T) {
 	p := newFakeProvider()

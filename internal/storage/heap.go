@@ -3,6 +3,7 @@ package storage
 import (
 	"encoding/binary"
 	"fmt"
+	"sort"
 	"sync"
 
 	"repro/internal/fault"
@@ -462,6 +463,16 @@ func (h *Heap) SealedPages() int64 {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
 	return int64(len(h.pageRows))
+}
+
+// PageOf returns the sealed page holding row idx, or the sealed page
+// count when the row is in the tail: the first page a scan of the rows
+// from idx on reads. Rows never move pages, so the answer stays a valid
+// start while the heap grows.
+func (h *Heap) PageOf(idx int64) int64 {
+	h.mu.RLock()
+	defer h.mu.RUnlock()
+	return int64(sort.Search(len(h.pageRows), func(i int) bool { return h.pageCum[i+1] > idx }))
 }
 
 // Checkpoint persists all rows (sealing the tail as a partial page), syncs

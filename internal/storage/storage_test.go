@@ -470,24 +470,30 @@ func decompressRows(kinds []sqltypes.Kind, buf []byte, n int) ([]sqltypes.Row, e
 func readRange(t testing.TB, h *Heap, lo, hi int64, tail bool) []sqltypes.Row {
 	t.Helper()
 	var rows []sqltypes.Row
-	it := h.NewVersionIterator(lo, hi, tail, obs.Sink{})
+	it := h.NewBatchIterator(lo, hi, tail, obs.Sink{})
 	defer it.Close()
 	first := int64(-1)
 	for {
-		row, idx, ok, err := it.Next()
+		b, err := it.NextBatch()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !ok {
+		if b == nil {
 			return rows
 		}
 		if first < 0 {
-			first = idx
+			first = b.Base
 		}
-		if idx != first+int64(len(rows)) {
-			t.Fatalf("row %d of the range has index %d, the range starts at %d", len(rows), idx, first)
+		if b.Base != first+int64(len(rows)) {
+			t.Fatalf("row %d of the range has index %d, the range starts at %d", len(rows), b.Base, first)
 		}
-		rows = append(rows, row)
+		for r := 0; r < b.Rows(); r++ {
+			row, err := b.ReadRow(r, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows = append(rows, row)
+		}
 	}
 }
 

@@ -272,8 +272,8 @@ func (f *flatColumn) Fill(v *vec.Vector) error {
 // [loPage, hiPage) batch-at-a-time, one page per batch, optionally followed
 // by a snapshot of the in-memory tail. Each batch's Base is the global row
 // index of its first physical row, the coordinate MVCC visibility ranges
-// are expressed in; a consumer that wants rows reads them off the batch
-// (HeapVersionIterator).
+// are expressed in, so physical row r of a batch is the heap's row Base+r;
+// a consumer that wants rows reads them off the batch.
 type HeapBatchIterator struct {
 	h      *Heap
 	page   int64
@@ -364,41 +364,3 @@ func (it *HeapBatchIterator) batch(cols []*vec.Vector, n int, base int64) *vec.B
 
 // Close satisfies the iterator contract.
 func (it *HeapBatchIterator) Close() error { return nil }
-
-// HeapVersionIterator reads a batch scan a row at a time, reporting each
-// row's global row index — the coordinate the MVCC layer stamps versions
-// with. Index builds and heap compaction, which work on whole stored rows,
-// read the heap through it.
-type HeapVersionIterator struct {
-	bi  *HeapBatchIterator
-	b   *vec.Batch
-	pos int
-}
-
-// NewVersionIterator returns a row view over NewBatchIterator with the
-// same arguments.
-func (h *Heap) NewVersionIterator(loPage, hiPage int64, extend bool, sink obs.Sink) *HeapVersionIterator {
-	return &HeapVersionIterator{bi: h.NewBatchIterator(loPage, hiPage, extend, sink)}
-}
-
-// Next returns the next row (storage form, the caller's to keep) and its
-// global row index.
-func (it *HeapVersionIterator) Next() (sqltypes.Row, int64, bool, error) {
-	for it.b == nil || it.pos >= it.b.Rows() {
-		b, err := it.bi.NextBatch()
-		if err != nil || b == nil {
-			return nil, 0, false, err
-		}
-		it.b, it.pos = b, 0
-	}
-	row, err := it.b.ReadRow(it.pos, nil)
-	if err != nil {
-		return nil, 0, false, err
-	}
-	idx := it.b.Base + int64(it.pos)
-	it.pos++
-	return row, idx, true, nil
-}
-
-// Close satisfies the iterator contract.
-func (it *HeapVersionIterator) Close() error { return it.bi.Close() }
