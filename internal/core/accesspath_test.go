@@ -416,7 +416,7 @@ func verifyIndexTorture(t *testing.T, dir, label string) {
 	}
 	defer db.Close()
 	defer func() { db.planner.ForcePath = "" }()
-	if err := db.Health(); err != nil {
+	if err := db.healthErr(); err != nil {
 		t.Errorf("%s: recovered database unhealthy: %v", label, err)
 	}
 	if leftovers, _ := filepath.Glob(filepath.Join(dir, "*.building")); len(leftovers) != 0 {

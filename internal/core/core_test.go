@@ -784,10 +784,10 @@ func TestTableAccessors(t *testing.T) {
 	db := openTestDB(t)
 	mustExec(t, db, `CREATE TABLE t (v INT)`)
 	mustExec(t, db, `INSERT INTO t VALUES (1), (2)`)
-	if n, err := db.TableRowCount("t"); err != nil || n != 2 {
+	if n, err := db.tableRowCount("t"); err != nil || n != 2 {
 		t.Errorf("TableRowCount = %d, %v", n, err)
 	}
-	if _, err := db.TableRowCount("nope"); err == nil {
+	if _, err := db.tableRowCount("nope"); err == nil {
 		t.Error("unknown table accepted")
 	}
 	mustExec(t, db, `CHECKPOINT`)
@@ -795,7 +795,7 @@ func TestTableAccessors(t *testing.T) {
 	if err != nil || sz <= 0 {
 		t.Errorf("TableSizeBytes = %d, %v", sz, err)
 	}
-	used, err := db.TableUsedBytes("t")
+	used, err := db.tableUsedBytes("t")
 	if err != nil || used <= 0 || used > sz {
 		t.Errorf("TableUsedBytes = %d (alloc %d), %v", used, sz, err)
 	}
@@ -829,7 +829,7 @@ func TestPlanProviderInterface(t *testing.T) {
 	if len(ranges) != 2 {
 		t.Errorf("ranges = %v", ranges)
 	}
-	ops, err := db.ScanPartitions(tab, 2)
+	ops, err := db.ScanPartitionsPruned(tab, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -273,25 +273,11 @@ func (db *Database) healthErr() error {
 	return nil
 }
 
-// Health returns the error that poisoned the database, or nil while it is
-// healthy.
-func (db *Database) Health() error {
-	db.fatalMu.Lock()
-	defer db.fatalMu.Unlock()
-	return db.fatalErr
-}
-
-// Dir returns the database directory.
-func (db *Database) Dir() string { return db.dir }
-
 // Blobs exposes the FileStream store (dual access for external tools).
 func (db *Database) Blobs() *blob.Store { return db.blobs }
 
 // Catalog exposes table metadata.
 func (db *Database) Catalog() *catalog.Catalog { return db.cat }
-
-// DOP returns the configured degree of parallelism.
-func (db *Database) DOP() int { return db.dop }
 
 // newPlanner builds a planner honoring the database's threshold and join
 // overrides.

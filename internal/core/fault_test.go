@@ -46,7 +46,7 @@ func openFaultDB(t *testing.T, inj *fault.Injector, rows int) *Database {
 // failures do not replace it.
 func assertPoisoned(t *testing.T, db *Database, base error, wantSubstr string) {
 	t.Helper()
-	herr := db.Health()
+	herr := db.healthErr()
 	if herr == nil {
 		t.Fatal("database not poisoned")
 	}
@@ -68,7 +68,7 @@ func assertPoisoned(t *testing.T, db *Database, base error, wantSubstr string) {
 			t.Fatalf("blocked statement error = %v, want wrapped %v", err, base)
 		}
 	}
-	if now := db.Health().Error(); now != first {
+	if now := db.healthErr().Error(); now != first {
 		t.Fatalf("poison error changed: %q -> %q (must poison exactly once)", first, now)
 	}
 }
@@ -93,7 +93,7 @@ func TestIndexInsertFaultFailsStatementOnly(t *testing.T) {
 	if !errors.Is(err, fault.ErrInjectedIO) {
 		t.Fatalf("error = %v, want injected IO", err)
 	}
-	if herr := db.Health(); herr != nil {
+	if herr := db.healthErr(); herr != nil {
 		t.Fatalf("statement failure poisoned the database: %v", herr)
 	}
 
@@ -124,7 +124,7 @@ func TestIndexInsertFaultInTxnForcesRollback(t *testing.T) {
 	mustExec(t, db, `CREATE INDEX ix_a ON t (a)`)
 	before := mustExec(t, db, `SELECT COUNT(*) FROM t`).Rows[0][0].I
 
-	if err := db.Begin(); err != nil {
+	if err := db.defaultSess.Begin(); err != nil {
 		t.Fatal(err)
 	}
 	inj.Arm()
@@ -136,12 +136,12 @@ func TestIndexInsertFaultInTxnForcesRollback(t *testing.T) {
 	// The transaction survives for more statements...
 	mustExec(t, db, `INSERT INTO t VALUES (888889, 'sibling')`)
 	// ...but commit must refuse and roll back instead.
-	if err := db.Commit(); err == nil {
+	if err := db.defaultSess.Commit(); err == nil {
 		t.Fatal("COMMIT succeeded on an abort-only transaction")
 	} else if !strings.Contains(err.Error(), "rolled back") {
 		t.Fatalf("commit error = %v, want rollback notice", err)
 	}
-	if herr := db.Health(); herr != nil {
+	if herr := db.healthErr(); herr != nil {
 		t.Fatalf("abort-only commit poisoned the database: %v", herr)
 	}
 	if n := mustExec(t, db, `SELECT COUNT(*) FROM t`).Rows[0][0].I; n != before {
@@ -167,11 +167,11 @@ func TestCommitAppendFailurePoisons(t *testing.T) {
 	inj := fault.New(&fault.Rule{Site: "wal.append", Nth: 3, Kind: fault.KindErrIO})
 	db := openFaultDB(t, inj, 10)
 	inj.Arm()
-	if err := db.Begin(); err != nil {
+	if err := db.defaultSess.Begin(); err != nil {
 		t.Fatal(err)
 	}
 	mustExec(t, db, `INSERT INTO t VALUES (999, 'doomed')`)
-	err := db.Commit()
+	err := db.defaultSess.Commit()
 	if err == nil {
 		t.Fatal("commit succeeded past injected append failure")
 	}
@@ -188,11 +188,11 @@ func TestCommitFsyncFailurePoisons(t *testing.T) {
 	inj := fault.New(&fault.Rule{Site: "wal", Op: fault.OpSync, Nth: 1, Kind: fault.KindErrIO})
 	db := openFaultDB(t, inj, 10)
 	inj.Arm()
-	if err := db.Begin(); err != nil {
+	if err := db.defaultSess.Begin(); err != nil {
 		t.Fatal(err)
 	}
 	mustExec(t, db, `INSERT INTO t VALUES (999, 'doomed')`)
-	err := db.Commit()
+	err := db.defaultSess.Commit()
 	if err == nil {
 		t.Fatal("commit succeeded past injected fsync failure")
 	}
@@ -215,11 +215,11 @@ func TestRollbackMidUndoPoisons(t *testing.T) {
 	mustExec(t, db, `CREATE TABLE t (a BIGINT PRIMARY KEY CLUSTERED, s VARCHAR(24))`)
 	mustExec(t, db, `INSERT INTO t VALUES (1, 'keep')`)
 	inj.Arm()
-	if err := db.Begin(); err != nil {
+	if err := db.defaultSess.Begin(); err != nil {
 		t.Fatal(err)
 	}
 	mustExec(t, db, `INSERT INTO t VALUES (2, 'undoomed')`)
-	rbErr := db.Rollback()
+	rbErr := db.defaultSess.Rollback()
 	if rbErr == nil {
 		t.Fatal("rollback succeeded past injected undo failure")
 	}
@@ -232,7 +232,7 @@ func TestRollbackMidUndoPoisons(t *testing.T) {
 // tmpFiles lists the spill directory's contents on the real filesystem.
 func tmpFiles(t *testing.T, db *Database) []string {
 	t.Helper()
-	ents, err := os.ReadDir(filepath.Join(db.Dir(), "tmp"))
+	ents, err := os.ReadDir(filepath.Join(db.dir, "tmp"))
 	if err != nil {
 		if os.IsNotExist(err) {
 			return nil
@@ -264,7 +264,7 @@ func TestSpillENOSPCFailsOnlyQuery(t *testing.T) {
 	if !strings.Contains(err.Error(), "spilling query temp state") {
 		t.Fatalf("query error %q does not explain the spill failure", err)
 	}
-	if herr := db.Health(); herr != nil {
+	if herr := db.healthErr(); herr != nil {
 		t.Fatalf("spill failure poisoned the database: %v", herr)
 	}
 	if left := tmpFiles(t, db); len(left) != 0 {
@@ -331,7 +331,7 @@ func TestSpillEIOJoinFailsOnlyQuery(t *testing.T) {
 	if !strings.Contains(qerr.Error(), "spilling query temp state") {
 		t.Fatalf("query error %q does not explain the spill failure", qerr)
 	}
-	if herr := db.Health(); herr != nil {
+	if herr := db.healthErr(); herr != nil {
 		t.Fatalf("spill failure poisoned the database: %v", herr)
 	}
 	if left := tmpFiles(t, db); len(left) != 0 {

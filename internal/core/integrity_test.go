@@ -115,7 +115,7 @@ func TestCorruptPageFailsQueryNotDatabase(t *testing.T) {
 	if res.Rows[0][0].I != 2000 {
 		t.Fatalf("healthy table count = %d", res.Rows[0][0].I)
 	}
-	if herr := db.Health(); herr != nil {
+	if herr := db.healthErr(); herr != nil {
 		t.Fatalf("corrupt page poisoned the database: %v", herr)
 	}
 

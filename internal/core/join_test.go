@@ -92,7 +92,7 @@ func TestJoinSpillsAndMatchesInMemory(t *testing.T) {
 		t.Fatal("join returned no rows")
 	}
 	// Spill temp files are released once the query finishes.
-	tmpDir := filepath.Join(spillDB.Dir(), "tmp")
+	tmpDir := filepath.Join(spillDB.dir, "tmp")
 	if entries, err := os.ReadDir(tmpDir); err == nil && len(entries) > 0 {
 		t.Errorf("%d spill files left behind in %s", len(entries), tmpDir)
 	}

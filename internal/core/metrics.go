@@ -31,9 +31,6 @@ func (db *Database) registerMetrics() {
 // concurrent queries.
 func (db *Database) Metrics() map[string]int64 { return db.metrics.Snapshot() }
 
-// MetricNames returns the metric names, sorted.
-func (db *Database) MetricNames() []string { return db.metrics.Names() }
-
 // QueryHistory returns the recent-statement ring, newest first.
 func (db *Database) QueryHistory() []obs.QueryRecord { return db.qlog.Recent() }
 

@@ -73,7 +73,7 @@ func TestMetricsContract(t *testing.T) {
 
 	// (a) The registry's names.
 	have := map[string]bool{}
-	for _, name := range db.MetricNames() {
+	for _, name := range db.metrics.Names() {
 		have[name] = true
 	}
 	m := db.Metrics()

@@ -434,16 +434,16 @@ func (db *Database) vacuumLoop(stop <-chan struct{}) {
 		case <-stop:
 			return
 		case <-t.C:
-			db.Vacuum()
+			db.vacuum()
 		}
 	}
 }
 
-// Vacuum runs one synchronous vacuum pass: spans and clustered-key
+// vacuum runs one synchronous vacuum pass: spans and clustered-key
 // entries older than the oldest live snapshot fold into each table's
-// all-visible floor. Exposed for tests and benchmarks; the background
-// loop calls it continuously.
-func (db *Database) Vacuum() {
+// all-visible floor. The background loop calls it continuously; tests
+// call it to run a pass now.
+func (db *Database) vacuum() {
 	db.sink.Add(obs.VacuumRuns, 1)
 	horizon := db.tm.horizon()
 	db.mu.RLock()

@@ -142,7 +142,7 @@ func TestExplainAnalyzeNonSelect(t *testing.T) {
 	}
 	ex := stmt.(*sqlparse.Explain)
 	ex.Stmt = &sqlparse.Checkpoint{}
-	if _, err := db.ExecStmt(ex); err == nil {
+	if _, err := db.defaultSess.ExecStmt(ex); err == nil {
 		t.Fatal("EXPLAIN ANALYZE of a non-SELECT succeeded")
 	}
 }

@@ -100,10 +100,9 @@ func (db *Database) Stats(t *catalog.Table) *stats.TableStats {
 	return ts
 }
 
-// TableStatistics returns the (non-stale) collected statistics for a
-// table by name, or nil; the external mirror of the Provider method for
-// tests and benchmarks.
-func (db *Database) TableStatistics(name string) *stats.TableStats {
+// tableStatistics returns the (non-stale) collected statistics for a
+// table by name, or nil.
+func (db *Database) tableStatistics(name string) *stats.TableStats {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	def := db.cat.Get(name)
@@ -244,20 +243,14 @@ func (db *Database) HeapPageStats(t *catalog.Table, filters []storage.ZoneFilter
 	return td.heap.ZonePrunedPages(filters)
 }
 
-// ScanPartitions returns `parts` operators that together scan the table
-// once: heap tables partition by sealed-page ranges (the tail rides with
-// the last partition); clustered tables partition by key range. Each
+// ScanPartitionsPruned returns `parts` operators that together scan the
+// table once: heap tables partition by sealed-page ranges (the tail rides
+// with the last partition); clustered tables partition by key range. Each
 // partition filters rows against the snapshot in the exec context its
 // factory runs under — scans read a consistent version of the table
-// while writers keep appending.
-func (db *Database) ScanPartitions(t *catalog.Table, parts int) ([]exec.Operator, error) {
-	return db.ScanPartitionsPruned(t, parts, nil)
-}
-
-// ScanPartitionsPruned is ScanPartitions with zone-map filters: sealed
-// heap pages whose min/max ranges provably cannot satisfy every filter
-// are skipped without a buffer-pool read. Filters are ignored for
-// clustered tables.
+// while writers keep appending. Sealed heap pages whose zone-map min/max
+// ranges provably cannot satisfy every filter are skipped without a
+// buffer-pool read; filters are ignored for clustered tables.
 func (db *Database) ScanPartitionsPruned(t *catalog.Table, parts int, filters []storage.ZoneFilter) ([]exec.Operator, error) {
 	td := db.tables[t.ID]
 	if td == nil {

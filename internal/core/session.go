@@ -53,20 +53,6 @@ func (db *Database) Exec(sql string) (*Result, error) { return db.defaultSess.Ex
 // session, returning the last statement's result.
 func (db *Database) ExecScript(sql string) (*Result, error) { return db.defaultSess.ExecScript(sql) }
 
-// ExecStmt executes a parsed statement on the default session.
-func (db *Database) ExecStmt(stmt sqlparse.Statement) (*Result, error) {
-	return db.defaultSess.ExecStmt(stmt)
-}
-
-// Begin opens an explicit transaction on the default session.
-func (db *Database) Begin() error { return db.defaultSess.Begin() }
-
-// Commit commits the default session's open transaction.
-func (db *Database) Commit() error { return db.defaultSess.Commit() }
-
-// Rollback aborts the default session's open transaction.
-func (db *Database) Rollback() error { return db.defaultSess.Rollback() }
-
 // Exec parses and executes one SQL statement.
 func (s *Session) Exec(sql string) (*Result, error) {
 	stmt, err := sqlparse.Parse(sql)
@@ -653,9 +639,9 @@ func (db *Database) TableSizeBytes(table string) (int64, error) {
 	return td.tree.SizeBytes(), nil
 }
 
-// TableUsedBytes returns the payload bytes of a heap table (page-internal
+// tableUsedBytes returns the payload bytes of a heap table (page-internal
 // accounting used by the storage experiments).
-func (db *Database) TableUsedBytes(table string) (int64, error) {
+func (db *Database) tableUsedBytes(table string) (int64, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	td, err := db.table(table)
@@ -679,7 +665,7 @@ func (db *Database) ScanTableNoLock(table string, fn func(sqltypes.Row) error) e
 	if def == nil {
 		return fmt.Errorf("core: unknown table %q", table)
 	}
-	ops, err := db.ScanPartitions(def, 1)
+	ops, err := db.ScanPartitionsPruned(def, 1, nil)
 	if err != nil {
 		return err
 	}
@@ -703,9 +689,9 @@ func (db *Database) ScanTableNoLock(table string, fn func(sqltypes.Row) error) e
 	}
 }
 
-// TableRowCount returns a table's committed row count under a fresh read
+// tableRowCount returns a table's committed row count under a fresh read
 // snapshot (in-flight transactions are not counted).
-func (db *Database) TableRowCount(table string) (int64, error) {
+func (db *Database) tableRowCount(table string) (int64, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	td, err := db.table(table)

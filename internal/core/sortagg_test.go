@@ -96,7 +96,7 @@ func TestSortSpillsAndMatchesInMemory(t *testing.T) {
 		}
 	}
 	// Temp files are gone once queries finish.
-	tmpDir := filepath.Join(spillDB.Dir(), "tmp")
+	tmpDir := filepath.Join(spillDB.dir, "tmp")
 	if entries, err := os.ReadDir(tmpDir); err == nil && len(entries) > 0 {
 		t.Errorf("%d spill files left behind in %s", len(entries), tmpDir)
 	}
@@ -134,7 +134,7 @@ func TestAggregateSpillsAndMatchesInMemory(t *testing.T) {
 	if !reflect.DeepEqual(inMem, spilled) {
 		t.Fatalf("spilled GROUP BY differs from in-memory (%d vs %d groups)", len(spilled), len(inMem))
 	}
-	tmpDir := filepath.Join(spillDB.Dir(), "tmp")
+	tmpDir := filepath.Join(spillDB.dir, "tmp")
 	if entries, err := os.ReadDir(tmpDir); err == nil && len(entries) > 0 {
 		t.Errorf("%d spill files left behind in %s", len(entries), tmpDir)
 	}

@@ -58,7 +58,7 @@ func TestAnalyzeCollectsAndPersists(t *testing.T) {
 	if len(res.Rows) != 2 {
 		t.Fatalf("ANALYZE result rows = %v", res.Rows)
 	}
-	ts := db.TableStatistics("big")
+	ts := db.tableStatistics("big")
 	if ts == nil {
 		t.Fatal("no stats for big after ANALYZE")
 	}
@@ -86,14 +86,14 @@ func TestAnalyzeCollectsAndPersists(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db2.Close()
-	ts2 := db2.TableStatistics("big")
+	ts2 := db2.tableStatistics("big")
 	if ts2 == nil {
 		t.Fatal("stats lost across reopen")
 	}
 	if ts2.RowCount != ts.RowCount || ts2.ColumnNDV("k") != ts.ColumnNDV("k") {
 		t.Errorf("stats changed across reopen: %+v vs %+v", ts2, ts)
 	}
-	if db2.TableStatistics("dim") == nil {
+	if db2.tableStatistics("dim") == nil {
 		t.Error("dim stats lost across reopen")
 	}
 }
@@ -115,7 +115,7 @@ func TestAnalyzeWALRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustExec(t, db, "ANALYZE TABLE t")
-	want := db.TableStatistics("t")
+	want := db.tableStatistics("t")
 	if want == nil {
 		t.Fatal("no stats after ANALYZE")
 	}
@@ -132,7 +132,7 @@ func TestAnalyzeWALRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db2.Close()
-	got := db2.TableStatistics("t")
+	got := db2.tableStatistics("t")
 	if got == nil {
 		t.Fatal("stats not recovered from WAL")
 	}
@@ -149,7 +149,7 @@ func TestAnalyzeWALRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db3.Close()
-	if db3.TableStatistics("t") == nil {
+	if db3.tableStatistics("t") == nil {
 		t.Error("stats lost after recovery re-save")
 	}
 }
@@ -167,26 +167,26 @@ func TestStaleStatsInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustExec(t, db, "ANALYZE TABLE t")
-	if db.TableStatistics("t") == nil {
+	if db.tableStatistics("t") == nil {
 		t.Fatal("no stats after ANALYZE")
 	}
 	// Below the drift limit (max(64, 1000/5) = 200): still served.
 	if err := db.InsertRows("t", rows[:150]); err != nil {
 		t.Fatal(err)
 	}
-	if db.TableStatistics("t") == nil {
+	if db.tableStatistics("t") == nil {
 		t.Fatal("stats invalidated below the drift limit")
 	}
 	// Past the limit: stale, planner falls back to defaults.
 	if err := db.InsertRows("t", rows[:100]); err != nil {
 		t.Fatal(err)
 	}
-	if db.TableStatistics("t") != nil {
+	if db.tableStatistics("t") != nil {
 		t.Fatal("stale stats still served after 25% growth")
 	}
 	// Re-ANALYZE restores service.
 	mustExec(t, db, "ANALYZE TABLE t")
-	if ts := db.TableStatistics("t"); ts == nil || ts.RowCount != 1250 {
+	if ts := db.tableStatistics("t"); ts == nil || ts.RowCount != 1250 {
 		t.Fatalf("re-ANALYZE did not refresh stats: %+v", ts)
 	}
 }
@@ -369,9 +369,9 @@ func testMergeJoinWherePushdown(t *testing.T, db *Database, lfar, rfar []int64) 
 			}
 		}
 	}
-	if db.DOP() > 1 {
+	if db.dop > 1 {
 		if explained := mustExec(t, db, `EXPLAIN SELECT lv, rv FROM ml JOIN mr ON ml.id = mr.id`).Plan; !strings.Contains(explained, "range-partitioned") {
-			t.Errorf("DOP %d merge join is not range-partitioned:\n%s", db.DOP(), explained)
+			t.Errorf("DOP %d merge join is not range-partitioned:\n%s", db.dop, explained)
 		}
 	}
 }
@@ -398,7 +398,7 @@ func TestAnalyzeConcurrentWithQueries(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	if db.TableStatistics("big") == nil {
+	if db.tableStatistics("big") == nil {
 		t.Fatal("no stats after concurrent ANALYZE")
 	}
 }
@@ -428,12 +428,12 @@ func TestCorruptStatsFileDoesNotBlockOpen(t *testing.T) {
 		t.Fatalf("corrupt stats file blocked open: %v", err)
 	}
 	defer db2.Close()
-	if db2.TableStatistics("t") != nil {
+	if db2.tableStatistics("t") != nil {
 		t.Error("corrupt stats served as valid")
 	}
 	// The engine is fully usable and re-ANALYZE restores stats.
 	mustExec(t, db2, "ANALYZE")
-	if db2.TableStatistics("t") == nil {
+	if db2.tableStatistics("t") == nil {
 		t.Error("re-ANALYZE after corruption failed to restore stats")
 	}
 	if _, err := os.Stat(filepath.Join(dir, "stats.json.corrupt")); err != nil {

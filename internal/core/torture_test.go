@@ -171,7 +171,7 @@ func verifyTortureInvariants(t *testing.T, dir, label string, out *tortureOutcom
 		t.Fatalf("%s: reopen after crash failed: %v", label, err)
 	}
 	defer db.Close()
-	if err := db.Health(); err != nil {
+	if err := db.healthErr(); err != nil {
 		t.Errorf("%s: recovered database unhealthy: %v", label, err)
 	}
 

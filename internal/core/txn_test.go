@@ -54,7 +54,7 @@ func TestDuplicatePKPreservesExistingRow(t *testing.T) {
 	}
 	defer db2.Close()
 	check(db2, "after WAL recovery")
-	if n, _ := db2.TableRowCount("c"); n != 2 {
+	if n, _ := db2.tableRowCount("c"); n != 2 {
 		t.Fatalf("row count after recovery = %d, want 2", n)
 	}
 }
@@ -73,28 +73,28 @@ func TestRollbackDoesNotInflateStatsStaleness(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustExec(t, db, "ANALYZE TABLE t")
-	if db.TableStatistics("t") == nil {
+	if db.tableStatistics("t") == nil {
 		t.Fatal("no stats after ANALYZE")
 	}
 	// Insert far more than the staleness limit (rowCount/5 = 400), then
 	// roll every row back.
-	if err := db.Begin(); err != nil {
+	if err := db.defaultSess.Begin(); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.InsertRows("t", rows[:1000]); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Rollback(); err != nil {
+	if err := db.defaultSess.Rollback(); err != nil {
 		t.Fatal(err)
 	}
-	if db.TableStatistics("t") == nil {
+	if db.tableStatistics("t") == nil {
 		t.Fatal("stats went stale from a rolled-back insert")
 	}
 	// The same volume committed must trip the staleness check.
 	if err := db.InsertRows("t", rows[:1000]); err != nil {
 		t.Fatal(err)
 	}
-	if db.TableStatistics("t") != nil {
+	if db.tableStatistics("t") != nil {
 		t.Fatal("stats still fresh after large committed insert")
 	}
 }
@@ -105,7 +105,7 @@ func TestRollbackDoesNotInflateStatsStaleness(t *testing.T) {
 func TestFailedUndoPoisonsDatabase(t *testing.T) {
 	db := openTestDB(t)
 	mustExec(t, db, `CREATE TABLE c (id BIGINT PRIMARY KEY CLUSTERED, v VARCHAR(20))`)
-	if err := db.Begin(); err != nil {
+	if err := db.defaultSess.Begin(); err != nil {
 		t.Fatal(err)
 	}
 	mustExec(t, db, `INSERT INTO c VALUES (1, 'x')`)
@@ -116,16 +116,16 @@ func TestFailedUndoPoisonsDatabase(t *testing.T) {
 		t.Fatal(err)
 	}
 	td.tree.Close()
-	if err := db.Rollback(); err == nil {
+	if err := db.defaultSess.Rollback(); err == nil {
 		t.Fatal("rollback succeeded over a closed tree")
 	}
-	if db.Health() == nil {
+	if db.healthErr() == nil {
 		t.Fatal("database not poisoned after failed undo")
 	}
 	if _, err := db.Exec(`SELECT COUNT(*) FROM c`); err == nil {
 		t.Fatal("poisoned database accepted a statement")
 	}
-	if err := db.Begin(); err == nil {
+	if err := db.defaultSess.Begin(); err == nil {
 		t.Fatal("poisoned database opened a transaction")
 	}
 }
@@ -184,11 +184,11 @@ func TestCheckpointCompactsDeadRows(t *testing.T) {
 	}
 	mustExec(t, db, `CREATE TABLE t (a BIGINT)`)
 	mustExec(t, db, `INSERT INTO t VALUES (1), (2)`)
-	if err := db.Begin(); err != nil {
+	if err := db.defaultSess.Begin(); err != nil {
 		t.Fatal(err)
 	}
 	mustExec(t, db, `INSERT INTO t VALUES (10), (11), (12)`)
-	if err := db.Rollback(); err != nil {
+	if err := db.defaultSess.Rollback(); err != nil {
 		t.Fatal(err)
 	}
 	mustExec(t, db, `INSERT INTO t VALUES (3)`)
@@ -215,7 +215,7 @@ func TestCheckpointCompactsDeadRows(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db2.Close()
-	if n, _ := db2.TableRowCount("t"); n != 3 {
+	if n, _ := db2.tableRowCount("t"); n != 3 {
 		t.Fatalf("rows after reopen = %d, want 3", n)
 	}
 }
@@ -312,7 +312,7 @@ func TestConcurrentTransactionStress(t *testing.T) {
 	for _, c := range committed {
 		want += c
 	}
-	if n, _ := db.TableRowCount("t"); n != want {
+	if n, _ := db.tableRowCount("t"); n != want {
 		t.Fatalf("committed rows = %d, want %d", n, want)
 	}
 	// Crash-style reopen (no checkpoint): recovery must rebuild exactly
@@ -325,7 +325,7 @@ func TestConcurrentTransactionStress(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db2.Close()
-	if n, _ := db2.TableRowCount("t"); n != want {
+	if n, _ := db2.tableRowCount("t"); n != want {
 		t.Fatalf("rows after recovery = %d, want %d", n, want)
 	}
 }
