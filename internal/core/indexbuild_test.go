@@ -151,12 +151,13 @@ func assertIndexMatchesOracle(t *testing.T, db *Database, label string) {
 // and the rebuild recovery runs at reopen all produce the oracle's entries.
 func TestIndexBuildsAgree(t *testing.T) {
 	for _, c := range []struct {
-		name string
-		opts Options
+		name  string
+		opts  Options
+		spill bool // the build writes sorted runs
 	}{
-		{"dop1", Options{DOP: 1}},
-		{"dop4", Options{DOP: 4}},
-		{"sort-budget-4KB", Options{DOP: 4, SortMemoryBudget: 4 << 10}},
+		{"dop1", Options{DOP: 1}, false},
+		{"dop4", Options{DOP: 4}, false},
+		{"sort-budget-4KB", Options{DOP: 1, SortMemoryBudget: 4 << 10}, true},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			db, err := Open(filepath.Join(t.TempDir(), "db"), c.opts)
@@ -165,7 +166,11 @@ func TestIndexBuildsAgree(t *testing.T) {
 			}
 			defer db.Close()
 			loadIndexFixture(t, db)
+			before := engineCounters(db)
 			mustExec(t, db, `CREATE INDEX ix ON t(a, b)`)
+			if runs := engineCounters(db).Sub(before)[obs.SortRuns]; (runs > 0) != c.spill {
+				t.Errorf("%s: the build wrote %d sort runs", c.name, runs)
+			}
 			assertIndexMatchesOracle(t, db, c.name)
 		})
 	}
