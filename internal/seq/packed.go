@@ -94,6 +94,11 @@ func Decode(b []byte) (Packed, error) {
 		return Packed{}, errors.New("seq: truncated packed sequence header")
 	}
 	b = b[k:]
+	if n > 4*uint64(len(b)) {
+		// Four bases a byte: a length the rest cannot hold is corrupt (and
+		// would overflow int below).
+		return Packed{}, fmt.Errorf("seq: packed length %d exceeds the %d bytes that follow", n, len(b))
+	}
 	nn, k := readUvarint(b)
 	if k <= 0 {
 		return Packed{}, errors.New("seq: truncated packed exception count")

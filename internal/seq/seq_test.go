@@ -309,3 +309,13 @@ func randomReadForBench(n int) string {
 	}
 	return string(buf)
 }
+
+func TestDecodeRejectsImpossibleLength(t *testing.T) {
+	for _, n := range []uint64{1 << 63, 1<<64 - 1, 1 << 40, 9} {
+		b := appendUvarint(nil, n)
+		b = append(b, 0, 0xAB) // no exceptions, one payload byte
+		if _, err := Decode(b); err == nil {
+			t.Errorf("length %d over 2 bytes decoded", n)
+		}
+	}
+}

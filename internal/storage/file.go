@@ -42,8 +42,8 @@ type PagedFile struct {
 // pagedFileSeq hands out process-unique PagedFile ids.
 var pagedFileSeq atomic.Uint64
 
-// OpenPagedFile opens (creating if necessary) a paged file. The file size
-// must be a multiple of PageSize.
+// OpenPagedFile opens (creating if necessary) a paged file. A partial
+// last page is cut off.
 func OpenPagedFile(path string) (*PagedFile, error) {
 	return OpenPagedFileFault(path, nil, "file")
 }
@@ -62,8 +62,15 @@ func OpenPagedFileFault(path string, inj *fault.Injector, site string) (*PagedFi
 		return nil, err
 	}
 	if size%PageSize != 0 {
-		f.Close()
-		return nil, fmt.Errorf("storage: %s size %d not a multiple of page size", path, size)
+		// Every write is a whole page at a page boundary, so a partial
+		// last page is an extension torn by a crash. No meta page counts
+		// it (a checkpoint syncs its pages before the meta that counts
+		// them), so it is cut off, as a torn WAL tail is.
+		size -= size % PageSize
+		if err := f.Truncate(size); err != nil {
+			f.Close()
+			return nil, fmt.Errorf("storage: cut torn last page of %s: %w", path, err)
+		}
 	}
 	return &PagedFile{f: f, pages: size / PageSize, path: path, id: pagedFileSeq.Add(1), inj: inj}, nil
 }

@@ -3,6 +3,7 @@ package storage
 import (
 	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -76,6 +77,33 @@ func TestPagedFileReopen(t *testing.T) {
 	}
 	if err := f2.Truncate(5); err == nil {
 		t.Error("growing truncate succeeded")
+	}
+}
+
+// TestPagedFileCutsTornLastPage: a crash that tears a write extending the
+// file leaves a partial last page; the file opens with its whole pages.
+func TestPagedFileCutsTornLastPage(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "t.dat")
+	f, _ := OpenPagedFile(path)
+	f.Allocate()
+	f.Allocate()
+	f.Close()
+	fh, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fh.Write(make([]byte, PageSize*6/10))
+	fh.Close()
+	f2, err := OpenPagedFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f2.Close()
+	if f2.NumPages() != 2 {
+		t.Errorf("opened with %d pages, want 2", f2.NumPages())
+	}
+	if fi, err := os.Stat(path); err != nil || fi.Size() != 2*PageSize {
+		t.Errorf("file size after open = %v (%v), want %d", fi.Size(), err, 2*PageSize)
 	}
 }
 
