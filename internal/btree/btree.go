@@ -3,8 +3,10 @@ package btree
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
+	"sort"
 	"sync"
 
 	"repro/internal/fault"
@@ -109,160 +111,372 @@ func (t *BTree) DurableCount() int64 {
 	return t.durableCount
 }
 
+// InsertMode says what InsertSorted does with a key the tree already
+// holds.
+type InsertMode uint8
+
+const (
+	// Unique refuses a key the tree already holds with ErrDuplicateKey.
+	Unique InsertMode = iota
+	// Upsert replaces the key's value, which makes WAL redo idempotent.
+	Upsert
+)
+
+// ErrDuplicateKey is InsertSorted's refusal of a key in Unique mode.
+var ErrDuplicateKey = errors.New("btree: duplicate key")
+
 // Insert upserts a key. Replacing an existing key's value returns
-// replaced=true; this makes WAL redo idempotent.
+// replaced=true.
 func (t *BTree) Insert(key, val []byte) (replaced bool, err error) {
+	n, err := t.InsertSorted([][]byte{key}, [][]byte{val}, Upsert)
+	return n > 0, err
+}
+
+// InsertSorted inserts keys[i] with value vals[i] (an empty value for
+// every key when vals is nil); keys must be strictly ascending. It
+// descends once per leaf the keys land in and appends every entry bound
+// for that leaf. A leaf that overflows while every entry still bound for
+// it sorts after its last key is left as it is, and the entries go to new
+// leaves filled to bulkFillLimit (each writer appending at its own edge of
+// the key space fills whole leaves); any other overflow splits the leaf in
+// two by bytes. It returns how many keys replaced an existing one (always
+// 0 in Unique mode). On error, entries bound for earlier leaves stay
+// inserted: callers that need all-or-nothing probe with FirstPresent first.
+func (t *BTree) InsertSorted(keys, vals [][]byte, mode InsertMode) (replaced int, err error) {
+	for i := 1; i < len(keys); i++ {
+		if bytes.Compare(keys[i-1], keys[i]) >= 0 {
+			return 0, fmt.Errorf("btree: InsertSorted keys not strictly ascending at %d", i)
+		}
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	split, sepKey, right, replaced, err := t.insertRec(t.root, key, val)
-	if err != nil {
-		return false, err
-	}
-	if split {
-		// Grow a new root.
-		id, err := t.file.Allocate()
-		if err != nil {
-			return false, err
+	for len(keys) > 0 {
+		done, news, rep, err := t.insertRec(t.root, nil, keys, vals, mode)
+		replaced += rep
+		t.count += int64(done - rep)
+		if gerr := t.growRoot(news); err == nil {
+			err = gerr
 		}
-		fr, err := t.pool.NewPage(t.file, id)
 		if err != nil {
-			return false, err
+			return replaced, err
 		}
-		n := initNode(fr.Data(), nodeInternal, t.root)
-		n.appendEntry(0, encodeInternalEntry(nil, sepKey, right))
-		t.pool.Unpin(fr, true)
-		t.root = int64(id)
-	}
-	if !replaced {
-		t.count++
+		keys = keys[done:]
+		if vals != nil {
+			vals = vals[done:]
+		}
 	}
 	return replaced, nil
 }
 
-// insertRec descends from page id, returning split information.
-func (t *BTree) insertRec(pid int64, key, val []byte) (split bool, sepKey []byte, right int64, replaced bool, err error) {
+// growRoot puts new root nodes above the tree until the children the old
+// root split into hang off one node.
+func (t *BTree) growRoot(news []childRef) error {
+	for len(news) > 0 {
+		id, err := t.file.Allocate()
+		if err != nil {
+			return err
+		}
+		fr, err := t.pool.NewPage(t.file, id)
+		if err != nil {
+			return err
+		}
+		n := initNode(fr.Data(), nodeInternal, t.root)
+		t.root = int64(id)
+		news, err = t.insertInternal(n, news)
+		t.pool.Unpin(fr, true)
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// insertRec descends from page pid, whose keys all sort below upper (nil:
+// no bound), to the leaf for keys[0] and inserts the prefix of keys bound
+// for that leaf. It returns how many keys it consumed, and the children
+// pid split into (each after pid, in key order) for its parent to add.
+func (t *BTree) insertRec(pid int64, upper []byte, keys, vals [][]byte, mode InsertMode) (done int, news []childRef, replaced int, err error) {
 	fr, err := t.pool.Get(t.file, storage.PageID(pid))
 	if err != nil {
-		return false, nil, 0, false, err
+		return 0, nil, 0, err
 	}
 	n := node{fr.Data()}
 	switch n.typ() {
 	case nodeLeaf:
-		split, sepKey, right, replaced, err = t.insertLeaf(n, key, val)
-		t.pool.Unpin(fr, err == nil)
-		return split, sepKey, right, replaced, err
-	case nodeInternal:
-		child := n.childFor(key)
-		cSplit, cSep, cRight, rep, err := t.insertRec(child, key, val)
-		if err != nil || !cSplit {
-			t.pool.Unpin(fr, false)
-			return false, nil, 0, rep, err
+		m := len(keys)
+		if upper != nil {
+			m = sort.Search(len(keys), func(i int) bool { return bytes.Compare(keys[i], upper) >= 0 })
 		}
-		split, sepKey, right, err = t.insertInternal(n, cSep, cRight)
-		t.pool.Unpin(fr, err == nil)
-		return split, sepKey, right, rep, err
+		if vals != nil {
+			vals = vals[:m]
+		}
+		done, news, replaced, err = t.insertLeaf(n, keys[:m], vals, mode)
+		t.pool.Unpin(fr, true)
+		return done, news, replaced, err
+	case nodeInternal:
+		child, next := n.route(keys[0])
+		if next != nil {
+			upper = next
+		}
+		var cNews []childRef
+		done, cNews, replaced, err = t.insertRec(child, upper, keys, vals, mode)
+		if len(cNews) == 0 {
+			t.pool.Unpin(fr, false)
+			return done, nil, replaced, err
+		}
+		// A child that failed part-way still hangs the leaves it made
+		// under this node, so that every leaf stays reachable.
+		news, ierr := t.insertInternal(n, cNews)
+		t.pool.Unpin(fr, true)
+		if err == nil {
+			err = ierr
+		}
+		return done, news, replaced, err
 	}
 	t.pool.Unpin(fr, false)
-	return false, nil, 0, false, fmt.Errorf("btree: page %d has bad node type %d", pid, n.typ())
+	return 0, nil, 0, fmt.Errorf("btree: page %d has bad node type %d", pid, n.typ())
 }
 
-func (t *BTree) insertLeaf(n node, key, val []byte) (split bool, sepKey []byte, right int64, replaced bool, err error) {
+// insertLeaf appends keys (all bound for leaf n) to it: the one leaf-insert
+// routine. It returns how many keys it consumed; after a two-way split it
+// stops, and the caller descends again for the rest.
+func (t *BTree) insertLeaf(n node, keys, vals [][]byte, mode InsertMode) (done int, news []childRef, replaced int, err error) {
 	// Failpoint covering every leaf write, split or not — the in-place
 	// append path that "btree.split" cannot reach.
 	if err := t.inj.Point("btree.append"); err != nil {
-		return false, nil, 0, false, err
+		return 0, nil, 0, err
 	}
-	pos, found := n.search(key)
-	entry := encodeLeafEntry(nil, key, val)
-	if len(entry)+2 > storage.PageSize-nodeHeaderSize {
-		return false, nil, 0, false, fmt.Errorf("btree: entry of %d bytes exceeds page capacity", len(entry))
-	}
-	if found {
-		// Replace: drop the old slot, then fall through to insertion.
-		n.removeSlot(pos)
-		replaced = true
-	}
-	if len(entry)+2 <= n.freeSpace() {
-		n.appendEntry(pos, entry)
-		return false, nil, 0, replaced, nil
-	}
-	// Try compaction: dead bytes from replacements may be reclaimable.
-	if n.liveBytes()+len(entry)+2*(n.count()+1) <= storage.PageSize-nodeHeaderSize {
-		if err := n.rebuild(n.decodeEntries()); err != nil {
-			return false, nil, 0, false, err
+	var entry []byte
+	var cut []childRef // the leaf a run into a gap cut off n
+	for i, key := range keys {
+		var val []byte
+		if vals != nil {
+			val = vals[i]
 		}
-		n.appendEntry(pos, entry)
-		return false, nil, 0, replaced, nil
+		entry = encodeLeafEntry(entry[:0], key, val)
+		if len(entry)+2 > storage.PageSize-nodeHeaderSize {
+			return i, cut, replaced, fmt.Errorf("btree: entry of %d bytes exceeds page capacity", len(entry))
+		}
+		pos, found := n.search(key)
+		if found {
+			if mode == Unique {
+				return i, cut, replaced, ErrDuplicateKey
+			}
+			// Replace: drop the old slot, then fall through to insertion.
+			n.removeSlot(pos)
+			replaced++
+		}
+		// Past its last key a leaf takes entries up to bulkFillLimit, like
+		// a bulk-loaded one, so that later inserts between its keys do not
+		// split it at once.
+		full := pos == n.count() && n.count() > 0 && n.usedEnd()+len(entry)+2*(n.count()+1) > bulkFillLimit
+		if !full && len(entry)+2 <= n.freeSpace() {
+			n.appendEntry(pos, entry)
+			continue
+		}
+		if !full && n.liveBytes()+len(entry)+2*(n.count()+1) <= storage.PageSize-nodeHeaderSize {
+			// Compaction: dead bytes from replacements may be reclaimable.
+			if err := n.rebuild(n.decodeEntries()); err != nil {
+				return i, cut, replaced, err
+			}
+			n.appendEntry(pos, entry)
+			continue
+		}
+		if err := t.inj.Point("btree.split"); err != nil {
+			return i, cut, replaced, err
+		}
+		if pos < n.count() && i+1 < len(keys) && bytes.Compare(keys[len(keys)-1], n.key(pos)) < 0 {
+			// The keys left are a run into the gap before slot pos (a
+			// writer appending at its edge of a leaf it shares): cut the
+			// leaf there, so that the run sorts after its last key.
+			if cut, err = t.cutLeaf(n, pos); err != nil {
+				return i, cut, replaced, err
+			}
+			if n.usedEnd()+len(entry)+2*(n.count()+1) <= bulkFillLimit {
+				n.appendEntry(pos, entry)
+				continue
+			}
+		}
+		if pos == n.count() {
+			// Every key left sorts after the leaf's last one: keep the
+			// leaf whole and fill new leaves to its right.
+			var rest [][]byte
+			if vals != nil {
+				rest = vals[i:]
+			}
+			news, err = t.fillLeaves(n, keys[i:], rest)
+			if err != nil {
+				return i, cut, replaced, err
+			}
+			return len(keys), append(news, cut...), replaced, nil
+		}
+		entries := n.decodeEntries()
+		entries = insertPair(entries, pos, entryPair{key: append([]byte(nil), key...), val: append([]byte(nil), val...)})
+		leftEntries, rightEntries := splitByBytes(entries, true)
+		rightID, err := t.file.Allocate()
+		if err != nil {
+			return i, cut, replaced, err
+		}
+		rf, err := t.pool.NewPage(t.file, storage.PageID(rightID))
+		if err != nil {
+			return i, cut, replaced, err
+		}
+		rn := initNode(rf.Data(), nodeLeaf, n.aux()) // inherit right sibling
+		if err := rn.rebuild(rightEntries); err != nil {
+			t.pool.Unpin(rf, false)
+			return i, cut, replaced, err
+		}
+		t.pool.Unpin(rf, true)
+		if err := n.rebuild(leftEntries); err != nil {
+			return i, cut, replaced, err
+		}
+		n.setAux(int64(rightID) + 1) // sibling pointers store id+1; 0 = none
+		sep := append([]byte(nil), rightEntries[0].key...)
+		return i + 1, append([]childRef{{firstKey: sep, pid: int64(rightID)}}, cut...), replaced, nil
 	}
-	// Split.
-	if err := t.inj.Point("btree.split"); err != nil {
-		return false, nil, 0, false, err
-	}
-	entries := n.decodeEntries()
-	entries = insertPair(entries, pos, entryPair{key: append([]byte(nil), key...), val: append([]byte(nil), val...)})
-	leftEntries, rightEntries := splitByBytes(entries, true)
-	rightID, err := t.file.Allocate()
-	if err != nil {
-		return false, nil, 0, false, err
-	}
-	rf, err := t.pool.NewPage(t.file, storage.PageID(rightID))
-	if err != nil {
-		return false, nil, 0, false, err
-	}
-	rn := initNode(rf.Data(), nodeLeaf, n.aux()) // inherit right sibling
-	if err := rn.rebuild(rightEntries); err != nil {
-		t.pool.Unpin(rf, false)
-		return false, nil, 0, false, err
-	}
-	t.pool.Unpin(rf, true)
-	if err := n.rebuild(leftEntries); err != nil {
-		return false, nil, 0, false, err
-	}
-	n.setAux(int64(rightID) + 1) // sibling pointers store id+1; 0 = none
-	sep := append([]byte(nil), rightEntries[0].key...)
-	return true, sep, int64(rightID), replaced, nil
+	return len(keys), cut, replaced, nil
 }
 
-func (t *BTree) insertInternal(n node, sepKey []byte, child int64) (split bool, outSep []byte, right int64, err error) {
-	pos, found := n.search(sepKey)
-	if found {
-		return false, nil, 0, fmt.Errorf("btree: duplicate separator key")
-	}
-	entry := encodeInternalEntry(nil, sepKey, child)
-	if len(entry)+2 <= n.freeSpace() {
-		n.appendEntry(pos, entry)
-		return false, nil, 0, nil
-	}
-	if err := t.inj.Point("btree.split"); err != nil {
-		return false, nil, 0, err
-	}
+// cutLeaf moves leaf n's entries from slot pos on to a new leaf, chained
+// in after n.
+func (t *BTree) cutLeaf(n node, pos int) ([]childRef, error) {
 	entries := n.decodeEntries()
-	var childImg [8]byte
-	binary.LittleEndian.PutUint64(childImg[:], uint64(child))
-	entries = insertPair(entries, pos, entryPair{key: append([]byte(nil), sepKey...), val: childImg[:]})
-	leftEntries, rightEntries := splitByBytes(entries, false)
-	// The middle key (first of the right half) moves up; its child becomes
-	// the right node's leftmost child.
-	mid := rightEntries[0]
-	rightEntries = rightEntries[1:]
 	rightID, err := t.file.Allocate()
 	if err != nil {
-		return false, nil, 0, err
+		return nil, err
 	}
 	rf, err := t.pool.NewPage(t.file, storage.PageID(rightID))
 	if err != nil {
-		return false, nil, 0, err
+		return nil, err
 	}
-	rn := initNode(rf.Data(), nodeInternal, int64(binary.LittleEndian.Uint64(mid.val)))
-	if err := rn.rebuild(rightEntries); err != nil {
+	rn := initNode(rf.Data(), nodeLeaf, n.aux())
+	if err := rn.rebuild(entries[pos:]); err != nil {
 		t.pool.Unpin(rf, false)
-		return false, nil, 0, err
+		return nil, err
 	}
 	t.pool.Unpin(rf, true)
-	if err := n.rebuild(leftEntries); err != nil {
-		return false, nil, 0, err
+	if err := n.rebuild(entries[:pos]); err != nil {
+		return nil, err
 	}
-	return true, mid.key, int64(rightID), nil
+	n.setAux(int64(rightID) + 1)
+	return []childRef{{firstKey: entries[pos].key, pid: int64(rightID)}}, nil
+}
+
+// fillLeaves writes keys, which all sort after the last key of leaf n, to
+// new leaves filled to bulkFillLimit and chained in after n. n's sibling
+// pointer changes only once every new leaf is written, so a failure leaves
+// the tree as it was.
+func (t *BTree) fillLeaves(n node, keys, vals [][]byte) ([]childRef, error) {
+	var entry []byte
+	// Cut the keys into leaves first, then write the leaves right to left
+	// so that each one's sibling is known when it is formatted.
+	var bounds []int
+	for i := 0; i < len(keys); {
+		bounds = append(bounds, i)
+		used, cnt := nodeHeaderSize, 0
+		for ; i < len(keys); i++ {
+			var val []byte
+			if vals != nil {
+				val = vals[i]
+			}
+			sz := len(encodeLeafEntry(entry[:0], keys[i], val))
+			if cnt > 0 && used+sz+2*(cnt+1) > bulkFillLimit {
+				break
+			}
+			used += sz
+			cnt++
+		}
+	}
+	bounds = append(bounds, len(keys))
+	news := make([]childRef, len(bounds)-1)
+	next := n.aux()
+	for b := len(bounds) - 2; b >= 0; b-- {
+		id, err := t.file.Allocate()
+		if err != nil {
+			return nil, err
+		}
+		fr, err := t.pool.NewPage(t.file, id)
+		if err != nil {
+			return nil, err
+		}
+		ln := initNode(fr.Data(), nodeLeaf, next)
+		for i := bounds[b]; i < bounds[b+1]; i++ {
+			var val []byte
+			if vals != nil {
+				val = vals[i]
+			}
+			entry = encodeLeafEntry(entry[:0], keys[i], val)
+			ln.appendEntry(ln.count(), entry)
+		}
+		t.pool.Unpin(fr, true)
+		next = int64(id) + 1
+		news[b] = childRef{firstKey: append([]byte(nil), keys[bounds[b]]...), pid: int64(id)}
+	}
+	n.setAux(next)
+	return news, nil
+}
+
+// insertInternal adds the children adds (in key order, each keyed by its
+// first key) to internal node n. When n overflows it is split into as many
+// nodes as the entries need; the nodes after n are returned for n's parent.
+func (t *BTree) insertInternal(n node, adds []childRef) ([]childRef, error) {
+	for i, a := range adds {
+		pos, found := n.search(a.firstKey)
+		if found {
+			return nil, fmt.Errorf("btree: duplicate separator key")
+		}
+		entry := encodeInternalEntry(nil, a.firstKey, a.pid)
+		if len(entry)+2 <= n.freeSpace() {
+			n.appendEntry(pos, entry)
+			continue
+		}
+		if err := t.inj.Point("btree.split"); err != nil {
+			return nil, err
+		}
+		entries := n.decodeEntries()
+		for _, a := range adds[i:] {
+			var childImg [8]byte
+			binary.LittleEndian.PutUint64(childImg[:], uint64(a.pid))
+			p := sort.Search(len(entries), func(j int) bool { return bytes.Compare(entries[j].key, a.firstKey) >= 0 })
+			if p < len(entries) && bytes.Equal(entries[p].key, a.firstKey) {
+				return nil, fmt.Errorf("btree: duplicate separator key")
+			}
+			entries = insertPair(entries, p, entryPair{key: a.firstKey, val: childImg[:]})
+		}
+		return t.splitInternal(n, entries)
+	}
+	return nil, nil
+}
+
+// splitInternal rewrites internal node n from entries, which overflow it:
+// n keeps the first part; each later part goes to a new node whose
+// leftmost child is the child of the part's first entry, and that entry's
+// key moves up.
+func (t *BTree) splitInternal(n node, entries []entryPair) ([]childRef, error) {
+	parts := splitInternalParts(entries, true)
+	var news []childRef
+	for _, part := range parts[1:] {
+		mid := part[0]
+		rightID, err := t.file.Allocate()
+		if err != nil {
+			return nil, err
+		}
+		rf, err := t.pool.NewPage(t.file, storage.PageID(rightID))
+		if err != nil {
+			return nil, err
+		}
+		rn := initNode(rf.Data(), nodeInternal, int64(binary.LittleEndian.Uint64(mid.val)))
+		if err := rn.rebuild(part[1:]); err != nil {
+			t.pool.Unpin(rf, false)
+			return nil, err
+		}
+		t.pool.Unpin(rf, true)
+		news = append(news, childRef{firstKey: mid.key, pid: int64(rightID)})
+	}
+	if err := n.rebuild(parts[0]); err != nil {
+		return nil, err
+	}
+	return news, nil
 }
 
 func insertPair(entries []entryPair, pos int, e entryPair) []entryPair {
@@ -302,6 +516,61 @@ func splitByBytes(entries []entryPair, leaf bool) (left, right []entryPair) {
 	return entries[:cut], entries[cut:]
 }
 
+// splitInternalParts halves an internal node's entries by bytes until
+// every part fits a page. A part that is not the first loses its first
+// entry to the level above, so that entry does not count against it.
+func splitInternalParts(entries []entryPair, first bool) [][]entryPair {
+	size := 0
+	for i, e := range entries {
+		if i > 0 || first {
+			var lenBuf [binary.MaxVarintLen64]byte
+			size += binary.PutUvarint(lenBuf[:], uint64(len(e.key))) + len(e.key) + 8 + 2
+		}
+	}
+	if size <= storage.PageSize-nodeHeaderSize {
+		return [][]entryPair{entries}
+	}
+	left, right := splitByBytes(entries, false)
+	return append(splitInternalParts(left, first), splitInternalParts(right, false)...)
+}
+
+// FirstPresent returns the index of the first of keys (strictly
+// ascending) that the tree holds, or -1 when it holds none. Like
+// InsertSorted it descends once per leaf the keys land in.
+func (t *BTree) FirstPresent(keys [][]byte) (int, error) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	var upper []byte
+	for i := 0; i < len(keys); {
+		pid, bounded := t.root, false
+		for {
+			fr, err := t.pool.Get(t.file, storage.PageID(pid))
+			if err != nil {
+				return 0, err
+			}
+			n := node{fr.Data()}
+			if n.typ() != nodeLeaf {
+				child, next := n.route(keys[i])
+				if next != nil {
+					upper, bounded = append(upper[:0], next...), true
+				}
+				t.pool.Unpin(fr, false)
+				pid = child
+				continue
+			}
+			for ; i < len(keys) && (!bounded || bytes.Compare(keys[i], upper) < 0); i++ {
+				if _, found := n.search(keys[i]); found {
+					t.pool.Unpin(fr, false)
+					return i, nil
+				}
+			}
+			t.pool.Unpin(fr, false)
+			break
+		}
+	}
+	return -1, nil
+}
+
 // Get returns a copy of the value stored under key.
 func (t *BTree) Get(key []byte) ([]byte, bool, error) {
 	t.mu.RLock()
@@ -314,7 +583,7 @@ func (t *BTree) Get(key []byte) ([]byte, bool, error) {
 		}
 		n := node{fr.Data()}
 		if n.typ() == nodeInternal {
-			pid = n.childFor(key)
+			pid, _ = n.route(key)
 			t.pool.Unpin(fr, false)
 			continue
 		}
@@ -342,7 +611,7 @@ func (t *BTree) Delete(key []byte) (bool, error) {
 		}
 		n := node{fr.Data()}
 		if n.typ() == nodeInternal {
-			pid = n.childFor(key)
+			pid, _ = n.route(key)
 			t.pool.Unpin(fr, false)
 			continue
 		}
@@ -389,7 +658,7 @@ func (t *BTree) leafFor(key []byte, sink obs.Sink) (int64, error) {
 			t.pool.Unpin(fr, false)
 			return pid, nil
 		}
-		pid = n.childFor(key)
+		pid, _ = n.route(key)
 		t.pool.Unpin(fr, false)
 	}
 }

@@ -2,6 +2,7 @@ package btree
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"path/filepath"
@@ -9,6 +10,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/obs"
 	"repro/internal/sqltypes"
 	"repro/internal/storage"
 )
@@ -465,5 +467,148 @@ func TestInsertQuickRandomOrder(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestInsertSortedMatchesOracle: sorted batches of random keys (appends,
+// keys between existing ones, runs past one writer's edge while another
+// writes further right, replacements) leave the tree equal to a map
+// oracle, in scan order and by Get; FirstPresent finds the first held key;
+// Unique mode refuses a held key.
+func TestInsertSortedMatchesOracle(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		tree, err := Open(filepath.Join(t.TempDir(), fmt.Sprintf("s%d.btree", seed)), storage.NewBufferPool(1024))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(seed))
+		oracle := map[string]string{}
+		edges := []int{0, 1_000_000} // two writers appending at their own edge
+		for round := 0; round < 60; round++ {
+			batch := map[string]string{}
+			n := 1 + rng.Intn(300)
+			for i := 0; i < n; i++ {
+				var k int
+				switch rng.Intn(3) {
+				case 0: // past a writer's edge
+					w := rng.Intn(len(edges))
+					edges[w] += 1 + rng.Intn(3)
+					k = edges[w]
+				case 1: // anywhere
+					k = rng.Intn(2_000_000)
+				default: // an existing key, when there is one
+					k = rng.Intn(2_000_000)
+					for s := range oracle {
+						fmt.Sscanf(s, "key-%d", &k)
+						break
+					}
+				}
+				batch[string(key(k))] = fmt.Sprintf("v%d-%d-%s", round, i, bytes.Repeat([]byte("x"), rng.Intn(40)))
+			}
+			keys := make([][]byte, 0, len(batch))
+			for k := range batch {
+				keys = append(keys, []byte(k))
+			}
+			sort.Slice(keys, func(i, j int) bool { return bytes.Compare(keys[i], keys[j]) < 0 })
+			vals := make([][]byte, len(keys))
+			wantFirst, wantReplaced := -1, 0
+			for i, k := range keys {
+				vals[i] = []byte(batch[string(k)])
+				if _, held := oracle[string(k)]; held {
+					wantReplaced++
+					if wantFirst < 0 {
+						wantFirst = i
+					}
+				}
+			}
+			first, err := tree.FirstPresent(keys)
+			if err != nil || first != wantFirst {
+				t.Fatalf("seed %d round %d: FirstPresent = %d, %v; want %d", seed, round, first, err, wantFirst)
+			}
+			if wantFirst >= 0 {
+				if _, err := tree.InsertSorted(keys[wantFirst:wantFirst+1], nil, Unique); !errors.Is(err, ErrDuplicateKey) {
+					t.Fatalf("seed %d round %d: Unique insert of a held key: %v", seed, round, err)
+				}
+			}
+			replaced, err := tree.InsertSorted(keys, vals, Upsert)
+			if err != nil || replaced != wantReplaced {
+				t.Fatalf("seed %d round %d: InsertSorted = %d, %v; want %d replaced", seed, round, replaced, err, wantReplaced)
+			}
+			for k, v := range batch {
+				oracle[k] = v
+			}
+		}
+		if tree.Count() != int64(len(oracle)) {
+			t.Fatalf("seed %d: Count = %d, oracle %d", seed, tree.Count(), len(oracle))
+		}
+		want := make([]string, 0, len(oracle))
+		for k := range oracle {
+			want = append(want, k)
+		}
+		sort.Strings(want)
+		it, err := tree.Seek(nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		i := 0
+		for ; it.Next(); i++ {
+			if i >= len(want) || string(it.Key()) != want[i] || string(it.Value()) != oracle[want[i]] {
+				t.Fatalf("seed %d: scan entry %d differs from the oracle", seed, i)
+			}
+		}
+		it.Close()
+		if i != len(want) || it.Err() != nil {
+			t.Fatalf("seed %d: scan gave %d of %d entries (%v)", seed, i, len(want), it.Err())
+		}
+		for _, k := range want {
+			if v, ok, err := tree.Get([]byte(k)); err != nil || !ok || string(v) != oracle[k] {
+				t.Fatalf("seed %d: Get(%s) = %q, %v, %v", seed, k, v, ok, err)
+			}
+		}
+		tree.Close()
+	}
+}
+
+// TestInsertSortedFillsLeavesPastTheEdge: ascending batches appended at
+// two edges of the key space leave leaves about as full as a bulk load,
+// not half full as two-way splits would.
+func TestInsertSortedFillsLeavesPastTheEdge(t *testing.T) {
+	tree := openTestTree(t)
+	const perBatch, batches = 64, 200
+	for b := 0; b < batches; b++ {
+		for _, base := range []int{0, 50_000_000} {
+			keys := make([][]byte, perBatch)
+			vals := make([][]byte, perBatch)
+			for i := range keys {
+				keys[i] = key(base + b*perBatch + i)
+				vals[i] = val(base + b*perBatch + i)
+			}
+			if _, err := tree.InsertSorted(keys, vals, Unique); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	var leaves, used int
+	pid, err := tree.leftmostLeaf(obs.Sink{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for {
+		fr, err := tree.pool.Get(tree.file, storage.PageID(pid))
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := node{fr.Data()}
+		leaves++
+		used += n.usedEnd() + 2*n.count()
+		next := n.aux()
+		tree.pool.Unpin(fr, false)
+		if next == 0 {
+			break
+		}
+		pid = next - 1
+	}
+	if fill := float64(used) / float64(leaves*storage.PageSize); fill < 0.85 {
+		t.Fatalf("%d leaves %.0f%% full on average, want >= 85%%", leaves, 100*fill)
 	}
 }

@@ -108,16 +108,22 @@ func (n node) search(k []byte) (pos int, found bool) {
 	return lo, false
 }
 
-// childFor returns the child page to descend into for key k.
-func (n node) childFor(k []byte) int64 {
+// route returns the child page to descend into for key k, and the key of
+// the next slot, below which every key of that child sorts (nil: the
+// child is the last).
+func (n node) route(k []byte) (child int64, next []byte) {
 	pos, found := n.search(k)
-	if found {
-		return n.child(pos)
+	if !found {
+		pos-- // the slot below k; -1 is the leftmost child
 	}
-	if pos == 0 {
-		return n.aux() // leftmost child
+	child = n.aux()
+	if pos >= 0 {
+		child = n.child(pos)
 	}
-	return n.child(pos - 1)
+	if pos+1 < n.count() {
+		next = n.key(pos + 1)
+	}
+	return child, next
 }
 
 // freeSpace returns the bytes available for a new entry plus its slot.

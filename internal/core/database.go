@@ -640,8 +640,10 @@ func (db *Database) recover() error {
 	// Logged row indexes count every insert since the last checkpoint,
 	// including ones whose transaction never committed. Those rows are
 	// not replayed, so each committed row's physical position is its
-	// logged index minus the non-committed inserts logged before it —
+	// logged index minus the non-committed rows logged before it —
 	// exactly the compaction a crash-free checkpoint would have applied.
+	// A record carries n >= 1 rows, the first at its RowIndex: redo
+	// writes them as one batch, and an uncommitted one skips n.
 	skipped := map[uint32]int64{}
 	staleIdx := map[*indexData]bool{}
 	statsReplayed := false
@@ -670,11 +672,16 @@ func (db *Database) recover() error {
 			if td == nil {
 				return nil // table was dropped
 			}
-			if committed[rec.Txn] {
-				return db.redoInsert(td, rec, skipped[rec.Table])
+			b, err := td.decodeRowBatch(rec.Data)
+			if err != nil {
+				return fmt.Errorf("core: recovery: %w", err)
 			}
-			skipped[rec.Table]++
-			return db.undoInsert(td, rec)
+			if committed[rec.Txn] {
+				_, err := db.writeRows(td, b, 0, len(b.rows), rec.RowIndex-skipped[rec.Table], btree.Upsert)
+				return err
+			}
+			skipped[rec.Table] += int64(len(b.rows))
+			return td.undoInsert(b)
 		case wal.RecBlobCreate:
 			if !committed[rec.Txn] {
 				return db.blobs.Delete(string(rec.Data))
@@ -729,63 +736,17 @@ func (db *Database) recover() error {
 	return db.checkpointLocked()
 }
 
-// redoInsert re-applies one committed insert. skipped is the number of
-// earlier non-committed inserts logged for the same table; subtracting it
-// turns the logged row index into the row's physical position.
-func (db *Database) redoInsert(td *tableData, rec wal.Record, skipped int64) error {
-	row, _, err := td.walCodec.Decode(rec.Data, true)
-	if err != nil {
-		return fmt.Errorf("core: recovery decode for %s: %w", td.def.Name, err)
-	}
-	if td.heap != nil {
-		pos := rec.RowIndex - skipped
-		if pos >= td.heap.RowCount() {
-			if err := td.heap.Append(row); err != nil {
-				return err
-			}
+// undoInsert removes an uncommitted record's clustered keys, which a
+// checkpoint may have made durable. Heap rows of uncommitted transactions
+// never reach disk (heaps only persist at transaction-boundary
+// checkpoints).
+func (td *tableData) undoInsert(b *rowBatch) error {
+	for _, key := range b.keys {
+		if _, err := td.tree.Delete(key); err != nil {
+			return err
 		}
-		// Index entries are upserted even for already-durable heap rows: a
-		// crash between the heap checkpoint and the index checkpoints
-		// leaves rows whose entries never reached the index files.
-		for _, ix := range td.indexes {
-			key, err := indexEntryKey(ix.cols, row, pos)
-			if err != nil {
-				return err
-			}
-			if _, err := ix.tree.Insert(key, nil); err != nil {
-				return err
-			}
-		}
-		return nil
 	}
-	key, err := td.pkKey(row)
-	if err != nil {
-		return err
-	}
-	val, err := td.walCodec.EncodeAppend(nil, row)
-	if err != nil {
-		return err
-	}
-	_, err = td.tree.Insert(key, val)
-	return err
-}
-
-func (db *Database) undoInsert(td *tableData, rec wal.Record) error {
-	if td.tree == nil {
-		// Heap rows of uncommitted transactions never reach disk (heaps
-		// only persist at transaction-boundary checkpoints).
-		return nil
-	}
-	row, _, err := td.walCodec.Decode(rec.Data, true)
-	if err != nil {
-		return err
-	}
-	key, err := td.pkKey(row)
-	if err != nil {
-		return err
-	}
-	_, err = td.tree.Delete(key)
-	return err
+	return nil
 }
 
 // pkKey encodes the primary-key values of a storage row.

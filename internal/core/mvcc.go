@@ -19,8 +19,8 @@ import (
 // whose creating transaction committed at or before that horizon, plus
 // its own uncommitted writes. Readers therefore never block behind
 // writers and writers never block behind readers; write-write conflicts
-// are limited to per-table latches held for the duration of one row
-// insert.
+// are limited to per-table latches held for the duration of one
+// statement's insert.
 //
 // Commit sequence numbers are assigned at the WAL append point (the only
 // serialized step of the commit pipeline); durability comes from the
@@ -83,30 +83,33 @@ func newTableVersions(rowCount int64) *tableVersions {
 	return &tableVersions{floor: rowCount, keys: map[string]*keyVer{}}
 }
 
-// noteInsert records one heap row appended by t at index idx, extending
-// the transaction's trailing span when the insert is contiguous. The
-// returned span is non-nil only when a new span was created (the caller
-// links it to the transaction for the commit/abort flip). Callers hold
-// the table's write latch, so appends arrive in index order.
-func (tv *tableVersions) noteInsert(txnID uint64, idx int64) *verSpan {
+// noteInsert records n heap rows appended by t from index idx on,
+// extending the transaction's trailing span when the insert is
+// contiguous. The returned span is non-nil only when a new span was
+// created (the caller links it to the transaction for the commit/abort
+// flip). Callers hold the table's write latch, so appends arrive in index
+// order.
+func (tv *tableVersions) noteInsert(txnID uint64, idx, n int64) *verSpan {
 	tv.mu.Lock()
 	defer tv.mu.Unlock()
-	if n := len(tv.spans); n > 0 {
-		last := tv.spans[n-1]
+	if k := len(tv.spans); k > 0 {
+		last := tv.spans[k-1]
 		if last.state == spanPending && last.txnID == txnID && last.end == idx {
-			last.end++
+			last.end += n
 			return nil
 		}
 	}
-	sp := &verSpan{start: idx, end: idx + 1, txnID: txnID, state: spanPending}
+	sp := &verSpan{start: idx, end: idx + n, txnID: txnID, state: spanPending}
 	tv.spans = append(tv.spans, sp)
 	return sp
 }
 
-// noteKey records a pending clustered-key insert.
-func (tv *tableVersions) noteKey(txnID uint64, key []byte) {
+// noteKeys records pending clustered-key inserts.
+func (tv *tableVersions) noteKeys(txnID uint64, keys [][]byte) {
 	tv.mu.Lock()
-	tv.keys[string(key)] = &keyVer{txnID: txnID, state: spanPending}
+	for _, key := range keys {
+		tv.keys[string(key)] = &keyVer{txnID: txnID, state: spanPending}
+	}
 	tv.keyCount.Store(int64(len(tv.keys)))
 	tv.mu.Unlock()
 }

@@ -229,9 +229,10 @@ func TestQueryHistoryAndSlowLog(t *testing.T) {
 	}
 }
 
-// TestEveryRowStatementIsRecorded: INSERT ... SELECT, ANALYZE and CREATE
-// INDEX each leave a query-history record with their text and duration,
-// and a slow ANALYZE keeps its plan's profile like a slow SELECT does.
+// TestEveryRowStatementIsRecorded: INSERT ... SELECT, INSERT ... VALUES,
+// ANALYZE and CREATE INDEX each leave one query-history record with their
+// text and duration, INSERT ... VALUES with its rows affected, and a slow
+// ANALYZE keeps its plan's profile like a slow SELECT does.
 func TestEveryRowStatementIsRecorded(t *testing.T) {
 	db := openJoinDB(t, Options{SlowQueryThreshold: time.Nanosecond})
 	mustExec(t, db, `CREATE TABLE copies (k BIGINT, payload VARCHAR(40))`)
@@ -239,13 +240,20 @@ func TestEveryRowStatementIsRecorded(t *testing.T) {
 		`INSERT INTO copies SELECT k, payload FROM reads WHERE k < 100`,
 		`ANALYZE TABLE reads`,
 		`CREATE INDEX idx_k ON copies(k)`,
+		`INSERT INTO copies VALUES (1000, 'a'), (1001, NULL), (1002, 'c')`,
 	}
 	for _, sql := range stmts {
 		mustExec(t, db, sql)
 	}
 	recorded := map[string]obs.QueryRecord{}
 	for _, rec := range db.QueryHistory() {
+		if _, twice := recorded[rec.SQL]; twice {
+			t.Errorf("two history records for %q", rec.SQL)
+		}
 		recorded[rec.SQL] = rec
+	}
+	if rec := recorded[stmts[3]]; rec.Rows != 3 {
+		t.Errorf("INSERT ... VALUES recorded %d rows, want 3", rec.Rows)
 	}
 	for _, sql := range stmts {
 		rec, ok := recorded[sql]

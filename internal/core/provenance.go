@@ -111,7 +111,7 @@ func (db *Database) recordProvenanceInTxn(t *Txn, rec ProvenanceRecord) (int64, 
 		rec.At = time.Now().UnixNano()
 	}
 	rec.ID = td.insertSeq + 1
-	err = db.insertRow(t, td, sqltypes.Row{
+	err = db.insertRows(t, td, []sqltypes.Row{{
 		sqltypes.NewInt(rec.ID),
 		sqltypes.NewString(rec.Entity),
 		sqltypes.NewString(rec.Activity),
@@ -119,7 +119,7 @@ func (db *Database) recordProvenanceInTxn(t *Txn, rec ProvenanceRecord) (int64, 
 		sqltypes.NewString(rec.Params),
 		sqltypes.NewString(rec.Inputs),
 		sqltypes.NewInt(rec.At),
-	})
+	}})
 	if err != nil {
 		return 0, err
 	}

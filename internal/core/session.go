@@ -355,9 +355,11 @@ func planResult(text string) *Result {
 	return res
 }
 
-// runInsert executes INSERT under the shared structure lock; row-level
-// write synchronization happens in insertRow via the table write latch.
+// runInsert executes INSERT under the shared structure lock: the
+// statement's rows are built in full, then written as one batch by
+// insertRows under the table's write latch.
 func (s *Session) runInsert(ins *sqlparse.Insert, sql string) (*Result, error) {
+	start := time.Now()
 	db := s.db
 	td, err := db.table(ins.Table)
 	if err != nil {
@@ -400,7 +402,7 @@ func (s *Session) runInsert(ins *sqlparse.Insert, sql string) (*Result, error) {
 		// fully materialized before the first insert: the source row set
 		// is fixed (no Halloween self-chasing), and scan latches — a
 		// clustered source holds its table's write latch shared — are
-		// released before insertRow needs them exclusively. Its record in
+		// released before insertRows needs them exclusively. Its record in
 		// the query history is the statement's.
 		var sel *Result
 		if sel, _, err = db.runPlan(queryLabel(sql, "INSERT"), t.snap, false, func() (*plan.Node, error) {
@@ -411,8 +413,11 @@ func (s *Session) runInsert(ins *sqlparse.Insert, sql string) (*Result, error) {
 	default:
 		err = fmt.Errorf("core: INSERT requires VALUES or SELECT")
 	}
-	var n int64
-	for _, vals := range rows {
+	full := rows
+	if len(colIdx) > 0 {
+		full = make([]sqltypes.Row, len(rows))
+	}
+	for i, vals := range rows {
 		if err != nil {
 			break
 		}
@@ -420,17 +425,23 @@ func (s *Session) runInsert(ins *sqlparse.Insert, sql string) (*Result, error) {
 			err = fmt.Errorf("core: INSERT expects %d values, got %d", width, len(vals))
 			break
 		}
-		row := make(sqltypes.Row, len(td.def.Columns))
 		if len(colIdx) > 0 {
-			for i, idx := range colIdx {
-				row[idx] = vals[i]
+			full[i] = make(sqltypes.Row, len(td.def.Columns))
+			for j, idx := range colIdx {
+				full[i][idx] = vals[j]
 			}
-		} else {
-			copy(row, vals)
 		}
-		if err = db.insertRow(t, td, row); err == nil {
-			n++
-		}
+	}
+	if err == nil {
+		err = db.insertRows(t, td, full)
+	}
+	var n int64
+	if err == nil {
+		n = int64(len(full))
+	}
+	if ins.Rows != nil {
+		// INSERT ... SELECT's record is its query's, written by runPlan.
+		db.record(queryLabel(sql, "INSERT"), start, n, nil, err, false)
 	}
 	if err := db.finishAuto(t, err); err != nil {
 		return nil, err
@@ -534,13 +545,7 @@ func (s *Session) InsertRows(table string, rows []sqltypes.Row) error {
 		return err
 	}
 	t := s.currentTxn()
-	var execErr error
-	for _, r := range rows {
-		if execErr = db.insertRow(t, td, r); execErr != nil {
-			break
-		}
-	}
-	return db.finishAuto(t, execErr)
+	return db.finishAuto(t, db.insertRows(t, td, rows))
 }
 
 // ImportFileStream imports a file as a FileStream blob and inserts a row
@@ -595,7 +600,7 @@ func (s *Session) ImportFileStream(table, srcPath string, values map[string]sqlt
 		row[fsCol] = sqltypes.NewBytes([]byte(guid))
 		// A FILESTREAM column stores the GUID; the catalog treats it as
 		// VARBINARY, so hand it the GUID bytes.
-		if err := db.insertRow(t, td, row); err != nil {
+		if err := db.insertRows(t, td, []sqltypes.Row{row}); err != nil {
 			return err
 		}
 		// Imports are automatically provenance-tracked (the paper's

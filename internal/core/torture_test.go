@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -127,10 +128,20 @@ func runTortureWorkload(t *testing.T, dir string, seed int64, inj *fault.Injecto
 			if rng.Intn(2) == 1 {
 				table, val = "torture_c", "'c'"
 			}
-			k := nextKey
-			nextKey++
-			ss.keys[table] = append(ss.keys[table], k)
-			if _, err := ss.s.Exec(fmt.Sprintf("INSERT INTO %s VALUES (%d, %s)", table, k, val)); err != nil {
+			// A third of the statements insert 2-8 rows, so that crash
+			// points land inside one statement's batch.
+			rows := 1
+			if rng.Intn(3) == 0 {
+				rows = 2 + rng.Intn(7)
+			}
+			values := make([]string, rows)
+			for r := range values {
+				k := nextKey
+				nextKey++
+				ss.keys[table] = append(ss.keys[table], k)
+				values[r] = fmt.Sprintf("(%d, %s)", k, val)
+			}
+			if _, err := ss.s.Exec(fmt.Sprintf("INSERT INTO %s VALUES %s", table, strings.Join(values, ", "))); err != nil {
 				insertErr = true
 				break
 			}

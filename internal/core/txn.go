@@ -1,8 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 
+	"repro/internal/btree"
 	"repro/internal/sqltypes"
 	"repro/internal/wal"
 )
@@ -254,95 +257,220 @@ func (db *Database) finishAuto(t *Txn, execErr error) error {
 	return db.commitTxn(t)
 }
 
-// insertRow validates, logs and applies one row insert within t. The
-// table's write latch serializes row appends (and the duplicate-key
-// probe) against other writers; readers never take it.
-func (db *Database) insertRow(t *Txn, td *tableData, row sqltypes.Row) error {
-	stored, err := td.def.ToStorageRow(row)
+// insertChunkRows is the most rows one RecInsert record carries.
+const insertChunkRows = 1024
+
+// insertRows is the one write path of table rows: INSERT ... VALUES and
+// ... SELECT, InsertRows, ImportFileStream and provenance records all come
+// through it. The whole statement is validated before anything is
+// written — every row converted and encoded, a clustered table's keys
+// sorted, refused when two are equal, and probed against the tree — so a
+// refused statement leaves nothing behind and an explicit transaction
+// stays usable. Then, under the table's write latch, the rows go out in
+// chunks of insertChunkRows: one RecInsert record, the version notes and
+// the storage writes per chunk. An error after the first record turns t
+// abort-only: part of the statement is in the log and in storage, all of
+// it undoable, and COMMIT would publish it.
+func (db *Database) insertRows(t *Txn, td *tableData, rows []sqltypes.Row) error {
+	if len(rows) == 0 {
+		return nil
+	}
+	b, err := td.newRowBatch(rows)
 	if err != nil {
 		return err
 	}
-	img, err := td.walCodec.EncodeAppend(nil, stored)
-	if err != nil {
-		return err
-	}
-	w := t.tableWrites(td)
 	td.writeMu.Lock()
 	defer td.writeMu.Unlock()
 	if td.tree != nil {
-		key, err := td.pkKey(stored)
-		if err != nil {
+		if i, err := td.tree.FirstPresent(b.keys); err != nil {
 			return err
-		}
-		// Probe before inserting: Insert upserts, so letting it run first
-		// would clobber the existing row image before the duplicate check
-		// could reject the statement.
-		if _, exists, err := td.tree.Get(key); err != nil {
-			return err
-		} else if exists {
+		} else if i >= 0 {
 			return fmt.Errorf("core: duplicate primary key in %s", td.def.Name)
 		}
-		if err := t.beginWAL(); err != nil {
-			return err
-		}
-		rowIdx := td.insertSeq
-		if err := db.wal.Append(wal.Record{
-			Type: wal.RecInsert, Txn: t.id, Table: td.def.ID,
-			RowIndex: rowIdx, Data: img,
-		}); err != nil {
-			return err
-		}
-		// Version entry before the physical insert: an absent entry means
-		// "visible to everyone", so the key must be masked first.
-		td.versions.noteKey(t.id, key)
-		w.keys = append(w.keys, key)
-		if _, err := td.tree.Insert(key, img); err != nil {
-			return err // rollback deletes the (absent) key and drops the mask
-		}
-		td.insertSeq = rowIdx + 1
-		w.rows++
-		return nil
 	}
 	if err := t.beginWAL(); err != nil {
 		return err
 	}
-	rowIdx := td.insertSeq
-	if err := db.wal.Append(wal.Record{
-		Type: wal.RecInsert, Txn: t.id, Table: td.def.ID,
-		RowIndex: rowIdx, Data: img,
-	}); err != nil {
-		return err
-	}
-	if sp := td.versions.noteInsert(t.id, rowIdx); sp != nil {
-		w.spans = append(w.spans, sp)
-	}
-	td.insertSeq = rowIdx + 1
-	w.rows++
-	if err := td.heap.Append(stored); err != nil {
-		// The span is recorded but the physical append failed: the heap
-		// position is burned and storage state is unknown. Poison.
-		db.poison(fmt.Errorf("core: heap append %s: %w", td.def.Name, err))
-		return err
-	}
-	// Maintain secondary indexes under the same write latch. Each
-	// successful entry is recorded in the undo list immediately, so a
-	// failure part-way is fully undoable: the statement fails, rollback
-	// (or the autocommit abort) deletes the entries already inserted and
-	// marks the heap span dead, and the database stays healthy. Inside an
-	// explicit transaction the handle flips to abort-only — COMMIT would
-	// otherwise publish a row missing from the failed index.
-	for _, ix := range td.indexes {
-		key, err := indexEntryKey(ix.cols, stored, rowIdx)
-		if err == nil {
-			_, err = ix.tree.Insert(key, nil)
+	w := t.tableWrites(td)
+	for lo := 0; lo < len(b.rows); lo += insertChunkRows {
+		hi := min(lo+insertChunkRows, len(b.rows))
+		first := td.insertSeq
+		if err := db.wal.Append(wal.Record{
+			Type: wal.RecInsert, Txn: t.id, Table: td.def.ID,
+			RowIndex: first, Data: b.imgs[b.start(lo):b.ends[hi-1]],
+		}); err != nil {
+			if lo > 0 {
+				t.abortOnly = err
+			}
+			return err
+		}
+		td.insertSeq += int64(hi - lo)
+		w.rows += int64(hi - lo)
+		// Version notes before the physical writes: a clustered key with
+		// no entry is visible to everyone, so it must be masked first.
+		// Every index entry the chunk meant to write goes on the undo
+		// list; rollback's delete of one that never landed finds nothing.
+		if td.tree != nil {
+			td.versions.noteKeys(t.id, b.keys[lo:hi])
+			w.keys = append(w.keys, b.keys[lo:hi]...)
+		} else if sp := td.versions.noteInsert(t.id, first, int64(hi-lo)); sp != nil {
+			w.spans = append(w.spans, sp)
+		}
+		ixKeys, err := db.writeRows(td, b, lo, hi, first, btree.Unique)
+		for i, keys := range ixKeys {
+			for _, k := range keys {
+				w.idxUndo = append(w.idxUndo, indexUndo{ix: td.indexes[i], key: k})
+			}
 		}
 		if err != nil {
-			err = fmt.Errorf("core: index %s maintenance on %s: %w", ix.name, td.def.Name, err)
 			t.abortOnly = err
 			return err
 		}
-		w.idxUndo = append(w.idxUndo, indexUndo{ix: ix, key: key})
 	}
+	return nil
+}
+
+// writeRows writes rows [lo, hi) of b, the first at heap position first,
+// to td's storage: a clustered table's keys and row images, or a heap's
+// rows and each index's entries for them, sorted. Live inserts write
+// Unique, recovery's redo Upsert. Redo skips heap rows the heap already
+// holds (durable at the last checkpoint) but still writes their entries:
+// a crash between the heap's checkpoint and an index's leaves durable rows
+// whose entries never reached the index file. It returns the index
+// entries it meant to write, one slice per index, written or not.
+func (db *Database) writeRows(td *tableData, b *rowBatch, lo, hi int, first int64, mode btree.InsertMode) ([][][]byte, error) {
+	if td.tree != nil {
+		vals := make([][]byte, hi-lo)
+		for i := range vals {
+			vals[i] = b.img(lo + i)
+		}
+		_, err := td.tree.InsertSorted(b.keys[lo:hi], vals, mode)
+		return nil, err
+	}
+	for i, row := range b.rows[lo:hi] {
+		if first+int64(i) < td.heap.RowCount() {
+			continue
+		}
+		if err := td.heap.Append(row); err != nil {
+			// The position is burned and storage state is unknown.
+			err = fmt.Errorf("core: heap append %s: %w", td.def.Name, err)
+			db.poison(err)
+			return nil, err
+		}
+	}
+	ixKeys := make([][][]byte, len(td.indexes))
+	for x, ix := range td.indexes {
+		keys := make([][]byte, hi-lo)
+		for i, row := range b.rows[lo:hi] {
+			key, err := indexEntryKey(ix.cols, row, first+int64(i))
+			if err != nil {
+				return ixKeys, err
+			}
+			keys[i] = key
+		}
+		slices.SortFunc(keys, bytes.Compare)
+		ixKeys[x] = keys
+		if _, err := ix.tree.InsertSorted(keys, nil, mode); err != nil {
+			return ixKeys, fmt.Errorf("core: index %s maintenance on %s: %w", ix.name, td.def.Name, err)
+		}
+	}
+	return ixKeys, nil
+}
+
+// rowBatch is rows ready to write to one table: storage rows, their WAL
+// images back to back, and, for a clustered table, their keys — rows,
+// images and keys in key order.
+type rowBatch struct {
+	rows []sqltypes.Row
+	imgs []byte
+	ends []int // row i's image is imgs[start(i):ends[i]]
+	keys [][]byte
+}
+
+func (b *rowBatch) start(i int) int {
+	if i == 0 {
+		return 0
+	}
+	return b.ends[i-1]
+}
+
+func (b *rowBatch) img(i int) []byte { return b.imgs[b.start(i):b.ends[i]] }
+
+// newRowBatch converts and encodes a statement's rows for td.
+func (td *tableData) newRowBatch(rows []sqltypes.Row) (*rowBatch, error) {
+	b := &rowBatch{rows: make([]sqltypes.Row, len(rows)), ends: make([]int, len(rows))}
+	for i, row := range rows {
+		stored, err := td.def.ToStorageRow(row)
+		if err != nil {
+			return nil, err
+		}
+		if b.imgs, err = td.walCodec.EncodeAppend(b.imgs, stored); err != nil {
+			return nil, err
+		}
+		if i == 0 {
+			// Size the image buffer from the first row's image.
+			b.imgs = append(make([]byte, 0, len(b.imgs)*len(rows)*5/4), b.imgs...)
+		}
+		b.rows[i], b.ends[i] = stored, len(b.imgs)
+	}
+	return b, td.keyBatch(b)
+}
+
+// decodeRowBatch decodes a RecInsert payload for td: n >= 1 row images
+// back to back (a record from before batching holds one). An arbitrary
+// payload decodes or fails; it never panics.
+func (td *tableData) decodeRowBatch(data []byte) (*rowBatch, error) {
+	if len(data) == 0 {
+		return nil, fmt.Errorf("core: empty insert record for %s", td.def.Name)
+	}
+	b := &rowBatch{imgs: data}
+	for off := 0; off < len(data); {
+		row, n, err := td.walCodec.Decode(data[off:], true)
+		if err != nil {
+			return nil, fmt.Errorf("core: insert record for %s, row %d: %w", td.def.Name, len(b.rows), err)
+		}
+		off += n
+		b.rows = append(b.rows, row)
+		b.ends = append(b.ends, off)
+	}
+	return b, td.keyBatch(b)
+}
+
+// keyBatch gives a clustered table's batch its keys and puts rows, images
+// and keys in key order, refusing two equal keys. Heap batches keep
+// statement order.
+func (td *tableData) keyBatch(b *rowBatch) error {
+	if td.tree == nil {
+		return nil
+	}
+	keys := make([][]byte, len(b.rows))
+	for i, row := range b.rows {
+		key, err := td.pkKey(row)
+		if err != nil {
+			return err
+		}
+		keys[i] = key
+	}
+	if !slices.IsSortedFunc(keys, bytes.Compare) {
+		perm := make([]int, len(keys))
+		for i := range perm {
+			perm[i] = i
+		}
+		slices.SortFunc(perm, func(i, j int) int { return bytes.Compare(keys[i], keys[j]) })
+		sorted := &rowBatch{rows: make([]sqltypes.Row, len(perm)), imgs: make([]byte, 0, len(b.imgs)), ends: make([]int, len(perm))}
+		sortedKeys := make([][]byte, len(perm))
+		for i, p := range perm {
+			sorted.imgs = append(sorted.imgs, b.img(p)...)
+			sorted.rows[i], sorted.ends[i], sortedKeys[i] = b.rows[p], len(sorted.imgs), keys[p]
+		}
+		*b, keys = *sorted, sortedKeys
+	}
+	for i := 1; i < len(keys); i++ {
+		if bytes.Equal(keys[i-1], keys[i]) {
+			return fmt.Errorf("core: duplicate primary key in %s", td.def.Name)
+		}
+	}
+	b.keys = keys
 	return nil
 }
 

@@ -359,3 +359,64 @@ func TestScanRunsDuringOpenTransaction(t *testing.T) {
 		t.Fatalf("scan after commit saw %d rows, want 5", n)
 	}
 }
+
+// TestFailedInsertLeavesNoRows: a multi-row INSERT refused inside an
+// explicit transaction — a duplicate key inside the statement, a row that
+// fails conversion after one that passes — leaves none of its rows, and
+// the transaction commits only its other statements, live and after
+// recovery.
+func TestFailedInsertLeavesNoRows(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "db")
+	db, err := Open(dir, Options{DOP: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, db, `CREATE TABLE c (id BIGINT PRIMARY KEY CLUSTERED, v INT)`)
+	mustExec(t, db, `CREATE TABLE h (a INT, s VARCHAR(4))`)
+	mustExec(t, db, `CREATE INDEX ix_a ON h(a)`)
+	s := db.NewSession()
+	if err := s.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	for _, sql := range []string{`INSERT INTO c VALUES (10, 10)`, `INSERT INTO h VALUES (1, 'one')`} {
+		if _, err := s.Exec(sql); err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+	}
+	for _, sql := range []string{
+		`INSERT INTO c VALUES (1, 1), (2, 2), (1, 3)`,
+		`INSERT INTO h VALUES (2, 'two'), (3, 'three')`,
+	} {
+		if _, err := s.Exec(sql); err == nil {
+			t.Fatalf("%s succeeded", sql)
+		}
+	}
+	if err := s.Commit(); err != nil {
+		t.Fatalf("commit after refused statements: %v", err)
+	}
+	check := func(db *Database, when string) {
+		for _, q := range []struct{ sql, want string }{
+			{`SELECT id, v FROM c`, "[[10 10]]"},
+			{`SELECT a, s FROM h`, "[[1 one]]"},
+			{`SELECT s FROM h WHERE a = 2`, "[]"},
+		} {
+			res, err := db.Exec(q.sql)
+			if err != nil {
+				t.Fatalf("%s: %s: %v", when, q.sql, err)
+			}
+			if got := fmt.Sprint(res.Rows); got != q.want {
+				t.Errorf("%s: %s = %s, want %s", when, q.sql, got, q.want)
+			}
+		}
+	}
+	check(db, "live")
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db2, err := Open(dir, Options{DOP: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db2.Close()
+	check(db2, "after recovery")
+}

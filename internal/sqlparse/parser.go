@@ -462,11 +462,12 @@ func (p *parser) insert() (Statement, error) {
 	}
 	if p.isKw("values") {
 		p.advance()
+		width := 0 // rows are sized by the one before them
 		for {
 			if err := p.expectPunct("("); err != nil {
 				return nil, err
 			}
-			var row []Expr
+			row := make([]Expr, 0, width)
 			for {
 				e, err := p.expr()
 				if err != nil {
@@ -481,6 +482,7 @@ func (p *parser) insert() (Statement, error) {
 				return nil, err
 			}
 			ins.Rows = append(ins.Rows, row)
+			width = len(row)
 			if !p.acceptPunct(",") {
 				break
 			}

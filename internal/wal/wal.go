@@ -31,7 +31,8 @@ type RecordType uint8
 
 // Log record kinds.
 const (
-	// RecInsert logs one row appended to a table (heap or clustered).
+	// RecInsert logs n >= 1 rows appended to a table (heap or clustered):
+	// their row images back to back, the first at RowIndex.
 	RecInsert RecordType = iota + 1
 	// RecCommit marks a transaction committed; its effects must be redone.
 	RecCommit
@@ -58,8 +59,8 @@ type Record struct {
 	Type     RecordType
 	Txn      uint64
 	Table    uint32 // table id for RecInsert
-	RowIndex int64  // position of the inserted row within its table
-	Data     []byte // row image, blob GUID, or DDL payload
+	RowIndex int64  // position of the first inserted row within its table
+	Data     []byte // row images, blob GUID, or DDL payload
 }
 
 // ErrCorruptLog reports damage inside committed log history: a record
