@@ -373,7 +373,13 @@ func (bp *BufferPool) NewPage(f *PagedFile, id PageID) (*frame, error) {
 // until installLocked. Called with sh.mu held.
 func (sh *poolShard) allocLocked(bp *BufferPool) *frame {
 	if len(sh.clock) < sh.budget {
+		// A fresh frame starts mid-recycle (odd generation), like an
+		// evicted one: installLocked publishes the frame in the snapshot
+		// before it stores the pinned state, and an even generation would
+		// let a lock-free getter pin it in between and lose that pin to
+		// the store.
 		fr := &frame{}
+		fr.state.Store(1 << 32)
 		sh.clock = append(sh.clock, fr)
 		return fr
 	}
