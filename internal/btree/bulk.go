@@ -9,8 +9,9 @@ import (
 	"repro/internal/storage"
 )
 
-// bulkFillLimit leaves head-room in bulk-loaded pages so a few later
-// inserts do not immediately split every page.
+// bulkFillLimit leaves head-room in bulk-loaded pages, and in the leaves
+// InsertSorted fills past a leaf's last key, so a few later inserts do not
+// immediately split every page.
 const bulkFillLimit = storage.PageSize - 512
 
 // bulkLoader builds a tree bottom-up from sorted input, writing pages
