@@ -137,15 +137,23 @@ func (t *BTree) Insert(key, val []byte) (replaced bool, err error) {
 // descends once per leaf the keys land in and appends every entry bound
 // for that leaf. A leaf that overflows while every entry still bound for
 // it sorts after its last key is left as it is, and the entries go to new
-// leaves filled to bulkFillLimit (each writer appending at its own edge of
-// the key space fills whole leaves); any other overflow splits the leaf in
-// two by bytes. It returns how many keys replaced an existing one (always
-// 0 in Unique mode). On error, entries bound for earlier leaves stay
-// inserted: callers that need all-or-nothing probe with FirstPresent first.
+// leaves filled to bulkFillLimit, as a bulk load fills them; any other
+// overflow splits the leaf in two by bytes. It returns how many keys replaced an existing one (always
+// 0 in Unique mode). An entry too large for a page (CheckEntry) fails the
+// call before anything is written; on any later error, entries bound for
+// earlier leaves stay inserted: callers that need all-or-nothing probe
+// with FirstPresent first.
 func (t *BTree) InsertSorted(keys, vals [][]byte, mode InsertMode) (replaced int, err error) {
-	for i := 1; i < len(keys); i++ {
-		if bytes.Compare(keys[i-1], keys[i]) >= 0 {
+	for i, key := range keys {
+		if i > 0 && bytes.Compare(keys[i-1], key) >= 0 {
 			return 0, fmt.Errorf("btree: InsertSorted keys not strictly ascending at %d", i)
+		}
+		var val []byte
+		if vals != nil {
+			val = vals[i]
+		}
+		if err := CheckEntry(key, val); err != nil {
+			return 0, err
 		}
 	}
 	t.mu.Lock()
@@ -166,6 +174,20 @@ func (t *BTree) InsertSorted(keys, vals [][]byte, mode InsertMode) (replaced int
 		}
 	}
 	return replaced, nil
+}
+
+// CheckEntry refuses a key and value that together do not fit one page,
+// as a leaf entry or as the internal entry (the key and an 8-byte child
+// id) a split copies the key into. InsertSorted and a bulk load refuse
+// such an entry before they write anything.
+func CheckEntry(key, val []byte) error {
+	var lens [binary.MaxVarintLen64]byte
+	n := len(binary.AppendUvarint(lens[:0], uint64(len(key)))) + len(key) +
+		max(len(binary.AppendUvarint(lens[:0], uint64(len(val))))+len(val), 8)
+	if n+2 > storage.PageSize-nodeHeaderSize {
+		return fmt.Errorf("btree: entry of %d bytes exceeds page capacity", n)
+	}
+	return nil
 }
 
 // growRoot puts new root nodes above the tree until the children the old
@@ -247,20 +269,16 @@ func (t *BTree) insertLeaf(n node, keys, vals [][]byte, mode InsertMode) (done i
 		return 0, nil, 0, err
 	}
 	var entry []byte
-	var cut []childRef // the leaf a run into a gap cut off n
 	for i, key := range keys {
 		var val []byte
 		if vals != nil {
 			val = vals[i]
 		}
 		entry = encodeLeafEntry(entry[:0], key, val)
-		if len(entry)+2 > storage.PageSize-nodeHeaderSize {
-			return i, cut, replaced, fmt.Errorf("btree: entry of %d bytes exceeds page capacity", len(entry))
-		}
 		pos, found := n.search(key)
 		if found {
 			if mode == Unique {
-				return i, cut, replaced, ErrDuplicateKey
+				return i, nil, replaced, ErrDuplicateKey
 			}
 			// Replace: drop the old slot, then fall through to insertion.
 			n.removeSlot(pos)
@@ -277,25 +295,13 @@ func (t *BTree) insertLeaf(n node, keys, vals [][]byte, mode InsertMode) (done i
 		if !full && n.liveBytes()+len(entry)+2*(n.count()+1) <= storage.PageSize-nodeHeaderSize {
 			// Compaction: dead bytes from replacements may be reclaimable.
 			if err := n.rebuild(n.decodeEntries()); err != nil {
-				return i, cut, replaced, err
+				return i, nil, replaced, err
 			}
 			n.appendEntry(pos, entry)
 			continue
 		}
 		if err := t.inj.Point("btree.split"); err != nil {
-			return i, cut, replaced, err
-		}
-		if pos < n.count() && i+1 < len(keys) && bytes.Compare(keys[len(keys)-1], n.key(pos)) < 0 {
-			// The keys left are a run into the gap before slot pos (a
-			// writer appending at its edge of a leaf it shares): cut the
-			// leaf there, so that the run sorts after its last key.
-			if cut, err = t.cutLeaf(n, pos); err != nil {
-				return i, cut, replaced, err
-			}
-			if n.usedEnd()+len(entry)+2*(n.count()+1) <= bulkFillLimit {
-				n.appendEntry(pos, entry)
-				continue
-			}
+			return i, nil, replaced, err
 		}
 		if pos == n.count() {
 			// Every key left sorts after the leaf's last one: keep the
@@ -306,60 +312,35 @@ func (t *BTree) insertLeaf(n node, keys, vals [][]byte, mode InsertMode) (done i
 			}
 			news, err = t.fillLeaves(n, keys[i:], rest)
 			if err != nil {
-				return i, cut, replaced, err
+				return i, nil, replaced, err
 			}
-			return len(keys), append(news, cut...), replaced, nil
+			return len(keys), news, replaced, nil
 		}
 		entries := n.decodeEntries()
 		entries = insertPair(entries, pos, entryPair{key: append([]byte(nil), key...), val: append([]byte(nil), val...)})
 		leftEntries, rightEntries := splitByBytes(entries, true)
 		rightID, err := t.file.Allocate()
 		if err != nil {
-			return i, cut, replaced, err
+			return i, nil, replaced, err
 		}
 		rf, err := t.pool.NewPage(t.file, storage.PageID(rightID))
 		if err != nil {
-			return i, cut, replaced, err
+			return i, nil, replaced, err
 		}
 		rn := initNode(rf.Data(), nodeLeaf, n.aux()) // inherit right sibling
 		if err := rn.rebuild(rightEntries); err != nil {
 			t.pool.Unpin(rf, false)
-			return i, cut, replaced, err
+			return i, nil, replaced, err
 		}
 		t.pool.Unpin(rf, true)
 		if err := n.rebuild(leftEntries); err != nil {
-			return i, cut, replaced, err
+			return i, nil, replaced, err
 		}
 		n.setAux(int64(rightID) + 1) // sibling pointers store id+1; 0 = none
 		sep := append([]byte(nil), rightEntries[0].key...)
-		return i + 1, append([]childRef{{firstKey: sep, pid: int64(rightID)}}, cut...), replaced, nil
+		return i + 1, []childRef{{firstKey: sep, pid: int64(rightID)}}, replaced, nil
 	}
-	return len(keys), cut, replaced, nil
-}
-
-// cutLeaf moves leaf n's entries from slot pos on to a new leaf, chained
-// in after n.
-func (t *BTree) cutLeaf(n node, pos int) ([]childRef, error) {
-	entries := n.decodeEntries()
-	rightID, err := t.file.Allocate()
-	if err != nil {
-		return nil, err
-	}
-	rf, err := t.pool.NewPage(t.file, storage.PageID(rightID))
-	if err != nil {
-		return nil, err
-	}
-	rn := initNode(rf.Data(), nodeLeaf, n.aux())
-	if err := rn.rebuild(entries[pos:]); err != nil {
-		t.pool.Unpin(rf, false)
-		return nil, err
-	}
-	t.pool.Unpin(rf, true)
-	if err := n.rebuild(entries[:pos]); err != nil {
-		return nil, err
-	}
-	n.setAux(int64(rightID) + 1)
-	return []childRef{{firstKey: entries[pos].key, pid: int64(rightID)}}, nil
+	return len(keys), nil, replaced, nil
 }
 
 // fillLeaves writes keys, which all sort after the last key of leaf n, to
@@ -368,6 +349,9 @@ func (t *BTree) cutLeaf(n node, pos int) ([]childRef, error) {
 // the tree as it was.
 func (t *BTree) fillLeaves(n node, keys, vals [][]byte) ([]childRef, error) {
 	var entry []byte
+	// Every entry fits a page alone (InsertSorted checked), so a leaf
+	// takes its first entry whatever its size.
+	//
 	// Cut the keys into leaves first, then write the leaves right to left
 	// so that each one's sibling is known when it is formatted.
 	var bounds []int

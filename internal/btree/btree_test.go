@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -569,23 +570,21 @@ func TestInsertSortedMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestInsertSortedFillsLeavesPastTheEdge: ascending batches appended at
-// two edges of the key space leave leaves about as full as a bulk load,
-// not half full as two-way splits would.
+// TestInsertSortedFillsLeavesPastTheEdge: ascending batches appended past
+// the tree's last key leave leaves about as full as a bulk load, not half
+// full as two-way splits would.
 func TestInsertSortedFillsLeavesPastTheEdge(t *testing.T) {
 	tree := openTestTree(t)
-	const perBatch, batches = 64, 200
+	const perBatch, batches = 64, 400
 	for b := 0; b < batches; b++ {
-		for _, base := range []int{0, 50_000_000} {
-			keys := make([][]byte, perBatch)
-			vals := make([][]byte, perBatch)
-			for i := range keys {
-				keys[i] = key(base + b*perBatch + i)
-				vals[i] = val(base + b*perBatch + i)
-			}
-			if _, err := tree.InsertSorted(keys, vals, Unique); err != nil {
-				t.Fatal(err)
-			}
+		keys := make([][]byte, perBatch)
+		vals := make([][]byte, perBatch)
+		for i := range keys {
+			keys[i] = key(b*perBatch + i)
+			vals[i] = val(b*perBatch + i)
+		}
+		if _, err := tree.InsertSorted(keys, vals, Unique); err != nil {
+			t.Fatal(err)
 		}
 	}
 	var leaves, used int
@@ -610,5 +609,46 @@ func TestInsertSortedFillsLeavesPastTheEdge(t *testing.T) {
 	}
 	if fill := float64(used) / float64(leaves*storage.PageSize); fill < 0.85 {
 		t.Fatalf("%d leaves %.0f%% full on average, want >= 85%%", leaves, 100*fill)
+	}
+}
+
+// TestInsertSortedRefusesOversizeEntry: a batch with an entry too large
+// for a page — bound for new leaves past a full leaf's last key, or for
+// the leaf itself — is refused before anything is written, and the tree
+// still reads back whole.
+func TestInsertSortedRefusesOversizeEntry(t *testing.T) {
+	tree := openTestTree(t)
+	// One leaf filled past bulkFillLimit, so later keys after its last one
+	// go to new leaves.
+	if _, err := tree.InsertSorted([][]byte{key(10)}, [][]byte{bytes.Repeat([]byte("v"), 7900)}, Unique); err != nil {
+		t.Fatal(err)
+	}
+	huge := bytes.Repeat([]byte("h"), storage.PageSize)
+	for _, batch := range [][][]byte{
+		{key(11), key(12)}, // past the last key: new leaves
+		{key(1), key(2)},   // before it: the leaf itself
+	} {
+		if _, err := tree.InsertSorted(batch, [][]byte{val(0), huge}, Unique); err == nil || !strings.Contains(err.Error(), "exceeds page capacity") {
+			t.Fatalf("oversize entry: err = %v", err)
+		}
+		if tree.Count() != 1 {
+			t.Fatalf("Count = %d after a refused batch, want 1", tree.Count())
+		}
+		if _, ok, err := tree.Get(batch[0]); ok || err != nil {
+			t.Fatalf("Get(%s) = %v, %v after a refused batch", batch[0], ok, err)
+		}
+	}
+	// A key that fits a leaf with an empty value but not an internal entry.
+	long := bytes.Repeat([]byte("k"), storage.PageSize-nodeHeaderSize-2-2-1)
+	if err := CheckEntry(long, nil); err == nil {
+		t.Fatalf("CheckEntry accepted a %d-byte key that no internal entry can hold", len(long))
+	}
+	it, err := tree.Seek(nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer it.Close()
+	if !it.Next() || !bytes.Equal(it.Key(), key(10)) || len(it.Value()) != 7900 || it.Next() || it.Err() != nil {
+		t.Fatalf("tree after refused batches does not read back its one entry (%v)", it.Err())
 	}
 }

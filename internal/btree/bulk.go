@@ -75,10 +75,10 @@ func (bl *bulkLoader) Add(key, val []byte) error {
 	if bl.lastKey != nil && bytes.Compare(key, bl.lastKey) <= 0 {
 		return fmt.Errorf("btree: bulk load keys out of order")
 	}
-	entry := encodeLeafEntry(nil, key, val)
-	if len(entry)+2 > storage.PageSize-nodeHeaderSize {
-		return fmt.Errorf("btree: entry of %d bytes exceeds page capacity", len(entry))
+	if err := CheckEntry(key, val); err != nil {
+		return err
 	}
+	entry := encodeLeafEntry(nil, key, val)
 	n := bl.pendingN
 	needsNew := n.usedEnd()+len(entry)+2*(n.count()+1) > bulkFillLimit && n.count() > 0
 	if needsNew {

@@ -677,8 +677,11 @@ func (db *Database) recover() error {
 				return fmt.Errorf("core: recovery: %w", err)
 			}
 			if committed[rec.Txn] {
-				_, err := db.writeRows(td, b, 0, len(b.rows), rec.RowIndex-skipped[rec.Table], btree.Upsert)
-				return err
+				first := rec.RowIndex - skipped[rec.Table]
+				if err := td.indexKeys(b, first); err != nil {
+					return fmt.Errorf("core: recovery: %w", err)
+				}
+				return db.writeRows(td, b, 0, len(b.rows), first, btree.Upsert)
 			}
 			skipped[rec.Table] += int64(len(b.rows))
 			return td.undoInsert(b)

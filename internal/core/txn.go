@@ -263,7 +263,8 @@ const insertChunkRows = 1024
 // insertRows is the one write path of table rows: INSERT ... VALUES and
 // ... SELECT, InsertRows, ImportFileStream and provenance records all come
 // through it. The whole statement is validated before anything is
-// written — every row converted and encoded, a clustered table's keys
+// written — every row converted and encoded, each heap row, clustered
+// entry and index entry checked to fit a page, a clustered table's keys
 // sorted, refused when two are equal, and probed against the tree — so a
 // refused statement leaves nothing behind and an explicit transaction
 // stays usable. Then, under the table's write latch, the rows go out in
@@ -287,6 +288,8 @@ func (db *Database) insertRows(t *Txn, td *tableData, rows []sqltypes.Row) error
 		} else if i >= 0 {
 			return fmt.Errorf("core: duplicate primary key in %s", td.def.Name)
 		}
+	} else if err := td.indexKeys(b, td.insertSeq); err != nil {
+		return err
 	}
 	if err := t.beginWAL(); err != nil {
 		return err
@@ -308,21 +311,20 @@ func (db *Database) insertRows(t *Txn, td *tableData, rows []sqltypes.Row) error
 		w.rows += int64(hi - lo)
 		// Version notes before the physical writes: a clustered key with
 		// no entry is visible to everyone, so it must be masked first.
-		// Every index entry the chunk meant to write goes on the undo
-		// list; rollback's delete of one that never landed finds nothing.
+		// Every index entry the chunk is to write goes on the undo list;
+		// rollback's delete of one that never landed finds nothing.
 		if td.tree != nil {
 			td.versions.noteKeys(t.id, b.keys[lo:hi])
 			w.keys = append(w.keys, b.keys[lo:hi]...)
 		} else if sp := td.versions.noteInsert(t.id, first, int64(hi-lo)); sp != nil {
 			w.spans = append(w.spans, sp)
 		}
-		ixKeys, err := db.writeRows(td, b, lo, hi, first, btree.Unique)
-		for i, keys := range ixKeys {
-			for _, k := range keys {
-				w.idxUndo = append(w.idxUndo, indexUndo{ix: td.indexes[i], key: k})
+		for x, ix := range td.indexes {
+			for _, k := range b.ixKeys[x][lo:hi] {
+				w.idxUndo = append(w.idxUndo, indexUndo{ix: ix, key: k})
 			}
 		}
-		if err != nil {
+		if err := db.writeRows(td, b, lo, hi, first, btree.Unique); err != nil {
 			t.abortOnly = err
 			return err
 		}
@@ -332,20 +334,19 @@ func (db *Database) insertRows(t *Txn, td *tableData, rows []sqltypes.Row) error
 
 // writeRows writes rows [lo, hi) of b, the first at heap position first,
 // to td's storage: a clustered table's keys and row images, or a heap's
-// rows and each index's entries for them, sorted. Live inserts write
-// Unique, recovery's redo Upsert. Redo skips heap rows the heap already
-// holds (durable at the last checkpoint) but still writes their entries:
-// a crash between the heap's checkpoint and an index's leaves durable rows
-// whose entries never reached the index file. It returns the index
-// entries it meant to write, one slice per index, written or not.
-func (db *Database) writeRows(td *tableData, b *rowBatch, lo, hi int, first int64, mode btree.InsertMode) ([][][]byte, error) {
+// rows and each index's entries for them (b.ixKeys), sorted. Live inserts
+// write Unique, recovery's redo Upsert. Redo skips heap rows the heap
+// already holds (durable at the last checkpoint) but still writes their
+// entries: a crash between the heap's checkpoint and an index's leaves
+// durable rows whose entries never reached the index file.
+func (db *Database) writeRows(td *tableData, b *rowBatch, lo, hi int, first int64, mode btree.InsertMode) error {
 	if td.tree != nil {
 		vals := make([][]byte, hi-lo)
 		for i := range vals {
 			vals[i] = b.img(lo + i)
 		}
 		_, err := td.tree.InsertSorted(b.keys[lo:hi], vals, mode)
-		return nil, err
+		return err
 	}
 	for i, row := range b.rows[lo:hi] {
 		if first+int64(i) < td.heap.RowCount() {
@@ -355,36 +356,28 @@ func (db *Database) writeRows(td *tableData, b *rowBatch, lo, hi int, first int6
 			// The position is burned and storage state is unknown.
 			err = fmt.Errorf("core: heap append %s: %w", td.def.Name, err)
 			db.poison(err)
-			return nil, err
+			return err
 		}
 	}
-	ixKeys := make([][][]byte, len(td.indexes))
 	for x, ix := range td.indexes {
-		keys := make([][]byte, hi-lo)
-		for i, row := range b.rows[lo:hi] {
-			key, err := indexEntryKey(ix.cols, row, first+int64(i))
-			if err != nil {
-				return ixKeys, err
-			}
-			keys[i] = key
-		}
+		keys := b.ixKeys[x][lo:hi]
 		slices.SortFunc(keys, bytes.Compare)
-		ixKeys[x] = keys
 		if _, err := ix.tree.InsertSorted(keys, nil, mode); err != nil {
-			return ixKeys, fmt.Errorf("core: index %s maintenance on %s: %w", ix.name, td.def.Name, err)
+			return fmt.Errorf("core: index %s maintenance on %s: %w", ix.name, td.def.Name, err)
 		}
 	}
-	return ixKeys, nil
+	return nil
 }
 
 // rowBatch is rows ready to write to one table: storage rows, their WAL
 // images back to back, and, for a clustered table, their keys — rows,
-// images and keys in key order.
+// images and keys in key order — or, for a heap, each index's entries.
 type rowBatch struct {
-	rows []sqltypes.Row
-	imgs []byte
-	ends []int // row i's image is imgs[start(i):ends[i]]
-	keys [][]byte
+	rows   []sqltypes.Row
+	imgs   []byte
+	ends   []int // row i's image is imgs[start(i):ends[i]]
+	keys   [][]byte
+	ixKeys [][][]byte // per index, row i's entry at [i]; writeRows sorts each chunk's
 }
 
 func (b *rowBatch) start(i int) int {
@@ -403,6 +396,11 @@ func (td *tableData) newRowBatch(rows []sqltypes.Row) (*rowBatch, error) {
 		stored, err := td.def.ToStorageRow(row)
 		if err != nil {
 			return nil, err
+		}
+		if td.heap != nil {
+			if err := td.heap.CheckRow(stored); err != nil {
+				return nil, fmt.Errorf("core: insert into %s: %w", td.def.Name, err)
+			}
 		}
 		if b.imgs, err = td.walCodec.EncodeAppend(b.imgs, stored); err != nil {
 			return nil, err
@@ -437,8 +435,8 @@ func (td *tableData) decodeRowBatch(data []byte) (*rowBatch, error) {
 }
 
 // keyBatch gives a clustered table's batch its keys and puts rows, images
-// and keys in key order, refusing two equal keys. Heap batches keep
-// statement order.
+// and keys in key order, refusing two equal keys and an entry too large
+// for a page. Heap batches keep statement order.
 func (td *tableData) keyBatch(b *rowBatch) error {
 	if td.tree == nil {
 		return nil
@@ -448,6 +446,9 @@ func (td *tableData) keyBatch(b *rowBatch) error {
 		key, err := td.pkKey(row)
 		if err != nil {
 			return err
+		}
+		if err := btree.CheckEntry(key, b.img(i)); err != nil {
+			return fmt.Errorf("core: insert into %s: %w", td.def.Name, err)
 		}
 		keys[i] = key
 	}
@@ -471,6 +472,27 @@ func (td *tableData) keyBatch(b *rowBatch) error {
 		}
 	}
 	b.keys = keys
+	return nil
+}
+
+// indexKeys gives a heap batch each index's entries, the batch's first
+// row at heap position first, refusing an entry too large for a page.
+func (td *tableData) indexKeys(b *rowBatch, first int64) error {
+	b.ixKeys = make([][][]byte, len(td.indexes))
+	for x, ix := range td.indexes {
+		keys := make([][]byte, len(b.rows))
+		for i, row := range b.rows {
+			key, err := indexEntryKey(ix.cols, row, first+int64(i))
+			if err == nil {
+				err = btree.CheckEntry(key, nil)
+			}
+			if err != nil {
+				return fmt.Errorf("core: index %s on %s: %w", ix.name, td.def.Name, err)
+			}
+			keys[i] = key
+		}
+		b.ixKeys[x] = keys
+	}
 	return nil
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -362,9 +363,9 @@ func TestScanRunsDuringOpenTransaction(t *testing.T) {
 
 // TestFailedInsertLeavesNoRows: a multi-row INSERT refused inside an
 // explicit transaction — a duplicate key inside the statement, a row that
-// fails conversion after one that passes — leaves none of its rows, and
-// the transaction commits only its other statements, live and after
-// recovery.
+// fails conversion after one that passes, a row or entry too large for a
+// page after one that fits — leaves none of its rows, and the transaction
+// commits only its other statements, live and after recovery.
 func TestFailedInsertLeavesNoRows(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "db")
 	db, err := Open(dir, Options{DOP: 1})
@@ -374,21 +375,36 @@ func TestFailedInsertLeavesNoRows(t *testing.T) {
 	mustExec(t, db, `CREATE TABLE c (id BIGINT PRIMARY KEY CLUSTERED, v INT)`)
 	mustExec(t, db, `CREATE TABLE h (a INT, s VARCHAR(4))`)
 	mustExec(t, db, `CREATE INDEX ix_a ON h(a)`)
+	mustExec(t, db, `CREATE TABLE cm (id BIGINT PRIMARY KEY CLUSTERED, s VARCHAR(MAX))`)
+	mustExec(t, db, `CREATE TABLE hm (a INT, s VARCHAR(MAX))`)
+	mustExec(t, db, `CREATE INDEX ix_s ON hm(s)`)
 	s := db.NewSession()
 	if err := s.Begin(); err != nil {
 		t.Fatal(err)
 	}
-	for _, sql := range []string{`INSERT INTO c VALUES (10, 10)`, `INSERT INTO h VALUES (1, 'one')`} {
+	// cm's one leaf ends past the fill limit, so the refused statement's
+	// keys, all after its last key, would go to new leaves.
+	big := func(n int) string { return "'" + strings.Repeat("x", n) + "'" }
+	for _, sql := range []string{
+		`INSERT INTO c VALUES (10, 10)`,
+		`INSERT INTO h VALUES (1, 'one')`,
+		`INSERT INTO cm VALUES (10, ` + big(7900) + `)`,
+		`INSERT INTO hm VALUES (1, 'one')`,
+	} {
 		if _, err := s.Exec(sql); err != nil {
-			t.Fatalf("%s: %v", sql, err)
+			t.Fatalf("%.60s: %v", sql, err)
 		}
 	}
-	for _, sql := range []string{
-		`INSERT INTO c VALUES (1, 1), (2, 2), (1, 3)`,
-		`INSERT INTO h VALUES (2, 'two'), (3, 'three')`,
+	for _, q := range []struct{ sql, wantErr string }{
+		{`INSERT INTO c VALUES (1, 1), (2, 2), (1, 3)`, "duplicate primary key"},
+		{`INSERT INTO h VALUES (2, 'two'), (3, 'three')`, ""},
+		{`INSERT INTO cm VALUES (11, 'a'), (12, ` + big(9000) + `)`, "exceeds page capacity"},
+		{`INSERT INTO hm VALUES (2, 'b'), (3, ` + big(9000) + `)`, "row of"},
+		// The row fits a heap page; its entry in ix_s does not.
+		{`INSERT INTO hm VALUES (2, 'b'), (3, ` + big(8160) + `)`, "index ix_s"},
 	} {
-		if _, err := s.Exec(sql); err == nil {
-			t.Fatalf("%s succeeded", sql)
+		if _, err := s.Exec(q.sql); err == nil || !strings.Contains(err.Error(), q.wantErr) {
+			t.Fatalf("%.60s: err = %v, want one naming %q", q.sql, err, q.wantErr)
 		}
 	}
 	if err := s.Commit(); err != nil {
@@ -399,6 +415,9 @@ func TestFailedInsertLeavesNoRows(t *testing.T) {
 			{`SELECT id, v FROM c`, "[[10 10]]"},
 			{`SELECT a, s FROM h`, "[[1 one]]"},
 			{`SELECT s FROM h WHERE a = 2`, "[]"},
+			{`SELECT id, LEN(s) FROM cm`, "[[10 7900]]"},
+			{`SELECT a, s FROM hm`, "[[1 one]]"},
+			{`SELECT a FROM hm WHERE s = 'b'`, "[]"},
 		} {
 			res, err := db.Exec(q.sql)
 			if err != nil {

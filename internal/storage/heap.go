@@ -251,16 +251,33 @@ func (h *Heap) Append(row sqltypes.Row) error {
 	return h.appendLocked(row)
 }
 
+// CheckRow refuses a row Append would refuse: one that does not encode,
+// or does not fit a page.
+func (h *Heap) CheckRow(row sqltypes.Row) error {
+	var buf [256]byte
+	enc, err := h.codec.EncodeAppend(buf[:0], row)
+	if err != nil {
+		return err
+	}
+	if len(enc) > heapCapacity {
+		return errRowTooLarge(len(enc))
+	}
+	return nil
+}
+
+func errRowTooLarge(n int) error {
+	return fmt.Errorf("storage: row of %d bytes exceeds page capacity %d", n, heapCapacity)
+}
+
 func (h *Heap) appendLocked(row sqltypes.Row) error {
 	start := len(h.tailBytes)
 	enc, err := h.codec.EncodeAppend(h.tailBytes, row)
 	if err != nil {
 		return err
 	}
-	rowLen := len(enc) - start
-	if rowLen > heapCapacity {
+	if rowLen := len(enc) - start; rowLen > heapCapacity {
 		h.tailBytes = h.tailBytes[:start]
-		return fmt.Errorf("storage: row of %d bytes exceeds page capacity %d", rowLen, heapCapacity)
+		return errRowTooLarge(rowLen)
 	}
 	h.tailBytes = enc
 	h.tailOffs = append(h.tailOffs, start)
