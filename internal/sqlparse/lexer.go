@@ -131,16 +131,8 @@ func (l *lexer) next() (token, error) {
 		}
 		return token{kind: tkNumber, text: l.src[start:l.pos], pos: start}, nil
 	case c == '\'':
-		l.pos++
-		// A literal without a doubled quote is a slice of the source, like
-		// identifiers and numbers; only one with an escape is rebuilt.
-		end := strings.IndexByte(l.src[l.pos:], '\'')
-		if end >= 0 && (l.pos+end+1 == len(l.src) || l.src[l.pos+end+1] != '\'') {
-			text := l.src[l.pos : l.pos+end]
-			l.pos += end + 1
-			return token{kind: tkString, text: text, pos: start}, nil
-		}
 		var sb strings.Builder
+		l.pos++
 		for l.pos < len(l.src) {
 			if l.src[l.pos] == '\'' {
 				if l.pos+1 < len(l.src) && l.src[l.pos+1] == '\'' {

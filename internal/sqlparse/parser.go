@@ -462,12 +462,11 @@ func (p *parser) insert() (Statement, error) {
 	}
 	if p.isKw("values") {
 		p.advance()
-		width := 0 // rows are sized by the one before them
 		for {
 			if err := p.expectPunct("("); err != nil {
 				return nil, err
 			}
-			row := make([]Expr, 0, width)
+			var row []Expr
 			for {
 				e, err := p.expr()
 				if err != nil {
@@ -482,7 +481,6 @@ func (p *parser) insert() (Statement, error) {
 				return nil, err
 			}
 			ins.Rows = append(ins.Rows, row)
-			width = len(row)
 			if !p.acceptPunct(",") {
 				break
 			}

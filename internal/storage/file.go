@@ -97,15 +97,13 @@ func (p *PagedFile) NumPages() int64 {
 // Path returns the backing file path.
 func (p *PagedFile) Path() string { return p.path }
 
-// zeroPage is the image Allocate writes; never modified.
-var zeroPage [PageSize]byte
-
 // Allocate extends the file by one zero page and returns its id.
 func (p *PagedFile) Allocate() (PageID, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	id := PageID(p.pages)
-	if _, err := p.f.WriteAt(zeroPage[:], int64(id)*PageSize); err != nil {
+	var zero [PageSize]byte
+	if _, err := p.f.WriteAt(zero[:], int64(id)*PageSize); err != nil {
 		return 0, fmt.Errorf("storage: allocate page %d in %s: %w", id, p.path, err)
 	}
 	p.pages++
