@@ -377,7 +377,7 @@ type rowBatch struct {
 	imgs   []byte
 	ends   []int // row i's image is imgs[start(i):ends[i]]
 	keys   [][]byte
-	ixKeys [][][]byte // per index, row i's entry at [i]; writeRows sorts each chunk's
+	ixKeys [][][]byte // a heap's entries, per index in row order; writeRows sorts each chunk's in place
 }
 
 func (b *rowBatch) start(i int) int {
@@ -411,7 +411,17 @@ func (td *tableData) newRowBatch(rows []sqltypes.Row) (*rowBatch, error) {
 		}
 		b.rows[i], b.ends[i] = stored, len(b.imgs)
 	}
-	return b, td.keyBatch(b)
+	if err := td.keyBatch(b); err != nil {
+		return nil, err
+	}
+	// Only here, not in decodeRowBatch: a log may hold an aborted insert
+	// of an entry this check refuses, and recovery must still read it.
+	for i, key := range b.keys {
+		if err := btree.CheckEntry(key, b.img(i)); err != nil {
+			return nil, fmt.Errorf("core: insert into %s: %w", td.def.Name, err)
+		}
+	}
+	return b, nil
 }
 
 // decodeRowBatch decodes a RecInsert payload for td: n >= 1 row images
@@ -435,8 +445,8 @@ func (td *tableData) decodeRowBatch(data []byte) (*rowBatch, error) {
 }
 
 // keyBatch gives a clustered table's batch its keys and puts rows, images
-// and keys in key order, refusing two equal keys and an entry too large
-// for a page. Heap batches keep statement order.
+// and keys in key order, refusing two equal keys. Heap batches keep
+// statement order.
 func (td *tableData) keyBatch(b *rowBatch) error {
 	if td.tree == nil {
 		return nil
@@ -446,9 +456,6 @@ func (td *tableData) keyBatch(b *rowBatch) error {
 		key, err := td.pkKey(row)
 		if err != nil {
 			return err
-		}
-		if err := btree.CheckEntry(key, b.img(i)); err != nil {
-			return fmt.Errorf("core: insert into %s: %w", td.def.Name, err)
 		}
 		keys[i] = key
 	}

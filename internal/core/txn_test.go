@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/sqltypes"
+	"repro/internal/wal"
 )
 
 // countRows runs SELECT COUNT(*) through a session (snapshot-visible).
@@ -438,4 +439,45 @@ func TestFailedInsertLeavesNoRows(t *testing.T) {
 	}
 	defer db2.Close()
 	check(db2, "after recovery")
+}
+
+// TestRecoveryReadsAbortedOversizeInsert: a log may hold an insert record
+// whose entry does not fit a page, written before such inserts were
+// refused up front and never committed. Recovery reads past it.
+func TestRecoveryReadsAbortedOversizeInsert(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "db")
+	db, err := Open(dir, Options{DOP: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	abandoned := db
+	defer func() { abandoned.Close() }()
+	mustExec(t, db, `CREATE TABLE cm (id BIGINT PRIMARY KEY CLUSTERED, s VARCHAR(MAX))`)
+	mustExec(t, db, `INSERT INTO cm VALUES (1, 'a')`)
+	def := db.cat.Get("cm")
+	td := db.tables[def.ID]
+	img, err := td.walCodec.EncodeAppend(nil, sqltypes.Row{sqltypes.NewInt(2), sqltypes.NewString(strings.Repeat("x", 9000))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	txn := db.newTxn(true)
+	if err := txn.beginWAL(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.wal.Append(wal.Record{Type: wal.RecInsert, Txn: txn.id, Table: def.ID, RowIndex: td.insertSeq, Data: img}); err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, db, `INSERT INTO cm VALUES (3, 'c')`) // its commit syncs the record above
+	db, err = Open(dir, Options{DOP: 1})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer db.Close()
+	res, err := db.Exec(`SELECT id, s FROM cm`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(res.Rows); got != "[[1 a] [3 c]]" {
+		t.Fatalf("after recovery cm = %s, want [[1 a] [3 c]]", got)
+	}
 }
