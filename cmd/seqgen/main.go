@@ -15,9 +15,9 @@ import (
 	"os"
 	"path/filepath"
 
-	"repro/internal/bench"
 	"repro/internal/fastq"
 	"repro/internal/gen"
+	"repro/internal/gen/lanes"
 )
 
 func main() {
@@ -32,25 +32,25 @@ func main() {
 	}
 	switch *mode {
 	case "dge":
-		ds, err := bench.BuildDGE(*reads, *seed)
+		ds, err := lanes.BuildDGE(*reads, *seed)
 		if err != nil {
 			fail(err)
 		}
 		writeFile(filepath.Join(*out, "lane.fastq"), ds.ReadsFASTQ)
 		writeFasta(filepath.Join(*out, "reference.fasta"), ds.Genome)
-		writeFile(filepath.Join(*out, "tags.txt"), bench.RenderTagsFile(ds.Tags))
-		writeFile(filepath.Join(*out, "alignments.txt"), bench.RenderAlignmentsFile(ds.Alignments))
-		writeFile(filepath.Join(*out, "expression.txt"), bench.RenderExpressionFile(ds.Expression))
+		writeFile(filepath.Join(*out, "tags.txt"), lanes.RenderTagsFile(ds.Tags))
+		writeFile(filepath.Join(*out, "alignments.txt"), lanes.RenderAlignmentsFile(ds.Alignments))
+		writeFile(filepath.Join(*out, "expression.txt"), lanes.RenderExpressionFile(ds.Expression))
 		fmt.Printf("dge dataset: %d reads, %d unique tags, %d alignments, %d expressed genes\n",
 			len(ds.Reads), len(ds.Tags), len(ds.Alignments), len(ds.Expression))
 	case "reseq":
-		ds, err := bench.Build1000G(*reads, *seed)
+		ds, err := lanes.Build1000G(*reads, *seed)
 		if err != nil {
 			fail(err)
 		}
 		writeFile(filepath.Join(*out, "lane.fastq"), ds.ReadsFASTQ)
 		writeFasta(filepath.Join(*out, "reference.fasta"), ds.Genome)
-		writeFile(filepath.Join(*out, "alignments.txt"), bench.RenderAlignmentsFile(ds.Alignments))
+		writeFile(filepath.Join(*out, "alignments.txt"), lanes.RenderAlignmentsFile(ds.Alignments))
 		fmt.Printf("reseq dataset: %d reads, %d alignments over %d bp reference\n",
 			len(ds.Reads), len(ds.Alignments), ds.Genome.TotalLength())
 	default:

@@ -2,6 +2,7 @@ package script
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 
@@ -16,34 +17,41 @@ func TestBinUniqueReadsMatchesExpectation(t *testing.T) {
 	}
 	w.Flush()
 
-	var out bytes.Buffer
-	trace, n, err := BinUniqueReads(&in, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 2 {
-		t.Errorf("unique tags = %d", n)
-	}
-	if len(trace.Phases) != 3 {
-		t.Errorf("phases = %+v", trace.Phases)
-	}
-	for i, want := range []string{"read", "process", "write"} {
-		if trace.Phases[i].Name != want {
-			t.Errorf("phase %d = %s", i, trace.Phases[i].Name)
+	// The interpreted script walks the file with CHARINDEX and SUBSTRING;
+	// it must bin exactly as the compiled one does.
+	for name, bin := range map[string]func(io.Reader, io.Writer) (Trace, int, error){
+		"compiled":    BinUniqueReads,
+		"interpreted": BinUniqueReadsInterpreted,
+	} {
+		var out bytes.Buffer
+		trace, n, err := bin(bytes.NewReader(in.Bytes()), &out)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	tags, err := fastq.ReadTags(&out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tags[0].Seq != "ACGT" || tags[0].Frequency != 3 {
-		t.Errorf("top = %+v", tags[0])
-	}
-	if trace.Total <= 0 {
-		t.Error("total duration not recorded")
-	}
-	if trace.String() == "" {
-		t.Error("empty trace string")
+		if n != 2 {
+			t.Errorf("%s: unique tags = %d", name, n)
+		}
+		if len(trace.Phases) != 3 {
+			t.Fatalf("%s: phases = %+v", name, trace.Phases)
+		}
+		for i, want := range []string{"read", "process", "write"} {
+			if trace.Phases[i].Name != want {
+				t.Errorf("%s: phase %d = %s", name, i, trace.Phases[i].Name)
+			}
+		}
+		tags, err := fastq.ReadTags(&out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(tags) != 2 || tags[0].Seq != "ACGT" || tags[0].Frequency != 3 || tags[1].Seq != "GGGG" || tags[1].Frequency != 1 {
+			t.Errorf("%s: tags = %+v", name, tags)
+		}
+		if trace.Total <= 0 {
+			t.Errorf("%s: total duration not recorded", name)
+		}
+		if trace.String() == "" {
+			t.Errorf("%s: empty trace string", name)
+		}
 	}
 }
 

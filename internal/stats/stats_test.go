@@ -6,7 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/bench"
+	"repro/internal/gen/lanes"
 	"repro/internal/sqltypes"
 	"repro/internal/stats"
 )
@@ -235,7 +235,7 @@ func TestDuplicateReadDatasetAccuracy(t *testing.T) {
 	if testing.Short() {
 		t.Skip("dataset generation is slow")
 	}
-	ds, err := bench.BuildDGE(20_000, 11)
+	ds, err := lanes.BuildDGE(20_000, 11)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package udf
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -82,6 +83,69 @@ func TestListShortReadsTVF(t *testing.T) {
 	}
 	if _, err := db.Exec(`SELECT * FROM ListShortReads(855, 1, 'SRF')`); err == nil {
 		t.Error("unknown format accepted")
+	}
+}
+
+// TestFileStreamAccessPathsAgree: the §5.2 ways of scanning a lane's
+// FileStream count the reads written, on a lane larger than one scan
+// chunk and one prefetch window: the blob paged by the chunked scanner,
+// the blob line by line, and the ListShortReads TVF under COUNT(*).
+func TestFileStreamAccessPathsAgree(t *testing.T) {
+	db := openTestDB(t)
+	mustExec(t, db, `CREATE TABLE ShortReadFiles (
+	    guid UNIQUEIDENTIFIER, sample INT, lane INT,
+	    reads VARBINARY(MAX) FILESTREAM)`)
+	templates := make([]string, 20_000)
+	for i := range templates {
+		templates[i] = "ACGTACGTTGCAAGCTAGCTTACGGATCCAGTCA"[i%7:]
+	}
+	reads, err := sequencer.NewInstrument("IL4", 27).Run(sequencer.DefaultFlowcell(1), 1, 855, templates, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lane bytes.Buffer
+	w := fastq.NewWriter(&lane)
+	for _, r := range reads {
+		w.Write(r)
+	}
+	w.Flush()
+	if lane.Len() <= fastq.DefaultChunkSize {
+		t.Fatalf("lane of %d bytes fits one scan chunk", lane.Len())
+	}
+	src := filepath.Join(t.TempDir(), "lane.fastq")
+	if err := os.WriteFile(src, lane.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	guid, err := db.ImportFileStream("ShortReadFiles", src, map[string]sqltypes.Value{
+		"sample": sqltypes.NewInt(855), "lane": sqltypes.NewInt(1),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream, err := db.OpenBlob(guid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stream.Close()
+	stream.SetSequential(true)
+	scan := func(entry fastq.EntryFunc) int64 {
+		sc := fastq.NewChunkedScanner(stream, entry, 0)
+		for sc.MoveNext() {
+		}
+		if sc.Err() != nil {
+			t.Fatal(sc.Err())
+		}
+		return sc.Entries
+	}
+	want := int64(len(reads))
+	for path, got := range map[string]int64{
+		"chunked scan of the blob":    scan(fastq.FASTQEntry),
+		"blob lines / 4":              scan(fastq.LineEntry) / 4,
+		"ListShortReads and COUNT(*)": mustExec(t, db, `SELECT COUNT(*) FROM ListShortReads(855, 1, 'FastQ')`).Rows[0][0].I,
+	} {
+		if got != want {
+			t.Errorf("%s counted %d reads, the file holds %d", path, got, want)
+		}
 	}
 }
 
