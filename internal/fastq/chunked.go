@@ -18,6 +18,9 @@ type ByteSource interface {
 // number of bytes consumed, which is 0 when data holds only an incomplete
 // entry and more input is needed. When atEOF is true no more data will
 // come: the function must either consume the remainder or return an error.
+// At the clean end of input it is called once more with no data and atEOF
+// set: it returns 0, nil, or an error when its format declared more (an
+// SRF container's record count).
 // Returning ErrSkipEntry with consumed > 0 advances past non-record bytes
 // (container headers) without yielding an entry.
 //
@@ -49,6 +52,7 @@ type ChunkedScanner struct {
 	bytesRead    int   // number of valid bytes in buf
 	bufferOffset int   // length of the carried-over incomplete entry
 	eof          bool
+	ended        bool // the parser has seen the end of input
 	err          error
 
 	// Entries counts successfully parsed entries; the Section 5.2
@@ -107,7 +111,7 @@ func (s *ChunkedScanner) MoveNext() bool {
 			if n == 0 {
 				s.eof = true
 				if s.bufferOffset == 0 {
-					return false
+					return s.end()
 				}
 				// Final partial entry: reparse what we carried with atEOF.
 				s.bytesRead = s.bufferOffset
@@ -118,7 +122,7 @@ func (s *ChunkedScanner) MoveNext() bool {
 			}
 		}
 		if s.bufferPos >= s.bytesRead {
-			return false
+			return s.end()
 		}
 		consumed, err := s.parse(s.buf[s.bufferPos:s.bytesRead], s.eof)
 		if err == ErrSkipEntry && consumed > 0 {
@@ -152,6 +156,18 @@ func (s *ChunkedScanner) MoveNext() bool {
 		}
 		s.bufferOffset = tail
 		s.bufferPos = s.bytesRead // forces readChunk on next loop
+	}
+	return s.end()
+}
+
+// end tells the parser, once, that the input ended cleanly, and returns
+// false.
+func (s *ChunkedScanner) end() bool {
+	if !s.ended {
+		s.ended = true
+		if _, err := s.parse(nil, true); err != nil {
+			s.err = err
+		}
 	}
 	return false
 }
@@ -191,6 +207,9 @@ func FASTQRecordEntry(rec *Record) EntryFunc {
 }
 
 func fastqEntrySpan(data []byte, atEOF bool, rec *Record) (int, error) {
+	if len(data) == 0 {
+		return 0, nil
+	}
 	pos := 0
 	var lines [4][2]int // start, end offsets of the four lines
 	for i := 0; i < 4; i++ {

@@ -122,18 +122,20 @@ func ReadSRF(r io.Reader) ([]SRFRecord, error) {
 		return nil, fmt.Errorf("srf: truncated header")
 	}
 	pos += n
-	out := make([]SRFRecord, 0, count)
+	// The declared count is not trusted for an allocation: each record
+	// takes at least two bytes, so the data bounds the loop.
+	var out []SRFRecord
 	var rec SRFRecord
 	for i := uint64(0); i < count; i++ {
 		consumed, err := srfEntry(data[pos:], true, &rec)
 		if err != nil {
 			return nil, err
 		}
-		if consumed == 0 {
-			return nil, fmt.Errorf("srf: truncated record %d", i)
-		}
 		pos += consumed
 		out = append(out, rec)
+	}
+	if pos != len(data) {
+		return nil, fmt.Errorf("srf: %d trailing bytes after final record", len(data)-pos)
 	}
 	return out, nil
 }
@@ -172,7 +174,7 @@ func SRFRecordEntry(rec *SRFRecord) EntryFunc {
 			if len(data) > 0 {
 				return 0, fmt.Errorf("srf: %d trailing bytes after final record", len(data))
 			}
-			return 0, fmt.Errorf("srf: read past declared record count")
+			return 0, nil // the end of input after the last record
 		}
 		consumed, err := srfEntry(data, atEOF, rec)
 		if err != nil || consumed == 0 {
@@ -183,34 +185,30 @@ func SRFRecordEntry(rec *SRFRecord) EntryFunc {
 	}
 }
 
-// srfEntry decodes one record; returns 0 when data is incomplete.
+// srfEntry decodes one record; returns 0 when data is incomplete. Each
+// declared length is checked against the bytes left before it is used, so
+// a corrupt length asks for more data (an error at EOF), never a slice
+// past the end.
 func srfEntry(data []byte, atEOF bool, rec *SRFRecord) (int, error) {
-	pos := 0
-	nameLen, n := binary.Uvarint(data[pos:])
-	if n <= 0 {
+	nameLen, n := binary.Uvarint(data)
+	if n <= 0 || nameLen > uint64(len(data)-n) {
 		return srfMore(atEOF)
 	}
-	pos += n
-	if pos+int(nameLen) > len(data) {
-		return srfMore(atEOF)
-	}
-	name := data[pos : pos+int(nameLen)]
-	pos += int(nameLen)
+	pos := n + int(nameLen)
+	name := data[n:pos]
 	seqLen, n := binary.Uvarint(data[pos:])
-	if n <= 0 {
+	// A base takes 10 bytes: itself, its quality and four 2-byte intensities.
+	if n <= 0 || seqLen > uint64(len(data)-pos-n)/10 {
 		return srfMore(atEOF)
 	}
 	pos += n
-	need := int(seqLen)*2 + int(seqLen)*8
-	if pos+need > len(data) {
-		return srfMore(atEOF)
-	}
-	seqB := data[pos : pos+int(seqLen)]
-	pos += int(seqLen)
-	qualB := data[pos : pos+int(seqLen)]
-	pos += int(seqLen)
-	intens := make([][4]uint16, seqLen)
-	for i := 0; i < int(seqLen); i++ {
+	bases := int(seqLen)
+	seqB := data[pos : pos+bases]
+	pos += bases
+	qualB := data[pos : pos+bases]
+	pos += bases
+	intens := make([][4]uint16, bases)
+	for i := range intens {
 		for c := 0; c < 4; c++ {
 			intens[i][c] = binary.LittleEndian.Uint16(data[pos:])
 			pos += 2

@@ -111,10 +111,9 @@ func TestSRFErrors(t *testing.T) {
 	var buf bytes.Buffer
 	WriteSRF(&buf, recs)
 	data := buf.Bytes()
-	// Mid-record truncations must be detected by both readers. (A cut at
-	// exactly the header boundary is undetectable for the streaming
-	// parser — it sees a well-formed empty stream — so cuts start at 7.)
-	for _, cut := range []int{len(data) - 1, len(data) / 2, 7} {
+	// Truncations must be detected by both readers, a cut right after the
+	// header (a container that declares records and holds none) too.
+	for _, cut := range []int{len(data) - 1, len(data) / 2, 7, 5} {
 		if _, err := ReadSRF(bytes.NewReader(data[:cut])); err == nil {
 			t.Errorf("ReadSRF accepted truncation at %d", cut)
 		}
@@ -126,15 +125,71 @@ func TestSRFErrors(t *testing.T) {
 			t.Errorf("scanner accepted truncation at %d", cut)
 		}
 	}
-	// Trailing garbage after the declared count: ReadSRF is count-driven
-	// and ignores it; the scanner rejects it.
+	// Trailing garbage after the declared count: both readers reject it.
+	trailing := append(append([]byte{}, data...), 0xFF)
+	if _, err := ReadSRF(bytes.NewReader(trailing)); err == nil {
+		t.Error("ReadSRF accepted trailing garbage")
+	}
 	var rec SRFRecord
-	sc := NewChunkedScanner(SourceFromReaderAt(bytes.NewReader(append(append([]byte{}, data...), 0xFF))), SRFRecordEntry(&rec), 64)
+	sc := NewChunkedScanner(SourceFromReaderAt(bytes.NewReader(trailing)), SRFRecordEntry(&rec), 64)
 	for sc.MoveNext() {
 	}
 	if sc.Err() == nil {
 		t.Error("scanner accepted trailing garbage")
 	}
+}
+
+// srfScan decodes data with the chunked scanner at the given chunk size.
+func srfScan(data []byte, chunk int) ([]SRFRecord, error) {
+	var out []SRFRecord
+	var rec SRFRecord
+	sc := NewChunkedScanner(SourceFromReaderAt(bytes.NewReader(data)), SRFRecordEntry(&rec), chunk)
+	for sc.MoveNext() {
+		out = append(out, rec)
+	}
+	return out, sc.Err()
+}
+
+// hostileSRF are containers that declare a length of 2^64-1: as the
+// record count, as a name length and as a sequence length.
+var hostileSRF = [][]byte{
+	[]byte("SRF1\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01"),
+	[]byte("SRF1\x01\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01"),
+	[]byte("SRF1\x01\x00\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01"),
+}
+
+func TestSRFHostileLengths(t *testing.T) {
+	for i, data := range hostileSRF {
+		if _, err := ReadSRF(bytes.NewReader(data)); err == nil {
+			t.Errorf("input %d: ReadSRF accepted it", i)
+		}
+		for _, chunk := range []int{8, 0} {
+			if _, err := srfScan(data, chunk); err == nil {
+				t.Errorf("input %d: the scanner at chunk %d accepted it", i, chunk)
+			}
+		}
+	}
+}
+
+// FuzzSRFDecode: on any bytes each SRF decoder returns records or an
+// error, never a panic, and the two agree: the whole-container ReadSRF
+// and the chunked scanner paging through 16-byte chunks.
+func FuzzSRFDecode(f *testing.F) {
+	var buf bytes.Buffer
+	WriteSRF(&buf, sampleSRF(3, 4))
+	f.Add(buf.Bytes())
+	f.Add([]byte(SRFMagic + "\x00"))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		want, wantErr := ReadSRF(bytes.NewReader(data))
+		got, err := srfScan(data, 16)
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("ReadSRF error %v, scanner error %v", wantErr, err)
+		}
+		if err == nil && !reflect.DeepEqual(got, want) {
+			t.Fatalf("scanner decoded %d records, ReadSRF %d, and they differ", len(got), len(want))
+		}
+	})
 }
 
 func TestSRFValidate(t *testing.T) {

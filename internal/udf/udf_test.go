@@ -279,6 +279,20 @@ func TestListShortReadsSRF(t *testing.T) {
 	if agg.Rows[0][1].I == 0 {
 		t.Error("no clean reads in SRF aggregate")
 	}
+	// A corrupt container, declaring a sequence of 2^64-1 bases, fails the
+	// query.
+	bad := filepath.Join(t.TempDir(), "bad.srf")
+	if err := os.WriteFile(bad, []byte("SRF1\x01\x00\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.ImportFileStream("ShortReadFiles", bad, map[string]sqltypes.Value{
+		"sample": sqltypes.NewInt(901), "lane": sqltypes.NewInt(1),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Exec(`SELECT COUNT(*) FROM ListShortReads(901, 1, 'SRF')`); err == nil {
+		t.Error("a corrupt SRF FileStream was counted without an error")
+	}
 	// RunSRF's reads must exactly match Run's for the same seed.
 	plain, err := ins.Run(sequencer.DefaultFlowcell(1), 1, 900,
 		[]string{"ACGTACGTACGT", "GGGGTTTTCCCC", "TTTTACGTAAAA"}, 5)
