@@ -117,11 +117,7 @@ func TestSRFErrors(t *testing.T) {
 		if _, err := ReadSRF(bytes.NewReader(data[:cut])); err == nil {
 			t.Errorf("ReadSRF accepted truncation at %d", cut)
 		}
-		var rec SRFRecord
-		sc := NewChunkedScanner(SourceFromReaderAt(bytes.NewReader(data[:cut])), SRFRecordEntry(&rec), 64)
-		for sc.MoveNext() {
-		}
-		if sc.Err() == nil {
+		if _, err := srfScan(data[:cut], 64); err == nil {
 			t.Errorf("scanner accepted truncation at %d", cut)
 		}
 	}
@@ -130,11 +126,7 @@ func TestSRFErrors(t *testing.T) {
 	if _, err := ReadSRF(bytes.NewReader(trailing)); err == nil {
 		t.Error("ReadSRF accepted trailing garbage")
 	}
-	var rec SRFRecord
-	sc := NewChunkedScanner(SourceFromReaderAt(bytes.NewReader(trailing)), SRFRecordEntry(&rec), 64)
-	for sc.MoveNext() {
-	}
-	if sc.Err() == nil {
+	if _, err := srfScan(trailing, 64); err == nil {
 		t.Error("scanner accepted trailing garbage")
 	}
 }

@@ -53,18 +53,9 @@ func BuildDGE(reads int, seed int64) (*DGEDataset, error) {
 		return nil, err
 	}
 	ds := &DGEDataset{Genome: genome, Genes: genes, Reads: recs}
-
-	var buf bytes.Buffer
-	w := fastq.NewWriter(&buf)
-	for _, r := range recs {
-		if err := w.Write(r); err != nil {
-			return nil, err
-		}
-	}
-	if err := w.Flush(); err != nil {
+	if ds.ReadsFASTQ, err = renderFASTQ(recs); err != nil {
 		return nil, err
 	}
-	ds.ReadsFASTQ = buf.Bytes()
 
 	// Unique-tag analysis (Query 1's output).
 	ds.Tags = dge.BinTags(recs)
@@ -158,18 +149,9 @@ func Build1000G(reads int, seed int64) (*ResequencingDataset, error) {
 		return nil, err
 	}
 	ds := &ResequencingDataset{Genome: genome, Reads: recs}
-
-	var buf bytes.Buffer
-	w := fastq.NewWriter(&buf)
-	for _, r := range recs {
-		if err := w.Write(r); err != nil {
-			return nil, err
-		}
-	}
-	if err := w.Flush(); err != nil {
+	if ds.ReadsFASTQ, err = renderFASTQ(recs); err != nil {
 		return nil, err
 	}
-	ds.ReadsFASTQ = buf.Bytes()
 
 	idx, err := align.BuildIndex(chromsOf(genome), 20)
 	if err != nil {
@@ -178,6 +160,19 @@ func Build1000G(reads int, seed int64) (*ResequencingDataset, error) {
 	aligner := align.NewAligner(idx)
 	ds.Alignments, _ = aligner.AlignAll(recs, 0)
 	return ds, nil
+}
+
+// renderFASTQ serializes reads as the lane's FASTQ file.
+func renderFASTQ(recs []fastq.Record) ([]byte, error) {
+	var buf bytes.Buffer
+	w := fastq.NewWriter(&buf)
+	for _, r := range recs {
+		if err := w.Write(r); err != nil {
+			return nil, err
+		}
+	}
+	err := w.Flush()
+	return buf.Bytes(), err
 }
 
 // RenderTagsFile serializes the unique-tag analysis as its text file.
