@@ -41,8 +41,9 @@ func normalizedReads(t *testing.T, reads []fastq.Record) []sqltypes.Row {
 
 // TestStorageShapes holds the storage shapes of the paper's Table 1 (a
 // DGE lane), Table 2 (a re-sequencing lane) and §5.1.2 (the SEQUENCE
-// type) as assertions about the engine: each case compares the bytes two
-// physical designs of the same data take after a checkpoint.
+// type) as assertions about the engine, one subtest each: each case
+// compares the bytes two physical designs of the same data take after a
+// checkpoint.
 func TestStorageShapes(t *testing.T) {
 	dge, err := dgeLane()
 	if err != nil {
@@ -119,24 +120,38 @@ func TestStorageShapes(t *testing.T) {
 	load("seq_varchar", "r_id BIGINT, seq VARCHAR(300)", "", seqs)
 	load("seq_sequence", "r_id BIGINT, seq SEQUENCE", "", seqs)
 
-	for _, c := range []struct {
-		shape        string
+	type shape struct {
+		what         string
 		small, large string
 		ratio        float64 // want small <= ratio * large
 		strict       bool    // want small < ratio * large
+	}
+	for _, table := range []struct {
+		name   string
+		shapes []shape
 	}{
-		{"Table 1: PAGE smaller than ROW on duplicated reads", "dge_page", "dge_row", 1, true},
-		{"Table 1: PAGE at most 0.8x the FASTQ file", "dge_page", "dge_fastq", 0.8, false},
-		{"Table 1: a 1:1 import larger than the FASTQ file", "dge_fastq", "dge_1to1", 1, true},
-		{"Table 1: normalized no larger than 1:1", "dge_none", "dge_1to1", 1, false},
-		{"Table 2: PAGE at least 0.5x ROW on unique reads", "reseq_row", "reseq_page", 2, false},
-		{"Table 2: normalized alignments at most 0.7x 1:1", "aligns_norm", "aligns_1to1", 0.7, false},
-		{"5.1.2: SEQUENCE smaller than VARCHAR", "seq_sequence", "seq_varchar", 1, true},
+		{"Table1_DGE", []shape{
+			{"PAGE smaller than ROW on duplicated reads", "dge_page", "dge_row", 1, true},
+			{"PAGE at most 0.8x the FASTQ file", "dge_page", "dge_fastq", 0.8, false},
+			{"a 1:1 import larger than the FASTQ file", "dge_fastq", "dge_1to1", 1, true},
+			{"normalized no larger than 1:1", "dge_none", "dge_1to1", 1, false},
+		}},
+		{"Table2_reseq", []shape{
+			{"PAGE at least 0.5x ROW on unique reads", "reseq_row", "reseq_page", 2, false},
+			{"normalized alignments at most 0.7x 1:1", "aligns_norm", "aligns_1to1", 0.7, false},
+		}},
+		{"SEQUENCE_type", []shape{
+			{"SEQUENCE smaller than VARCHAR", "seq_sequence", "seq_varchar", 1, true},
+		}},
 	} {
-		small, limit := float64(size[c.small]), c.ratio*float64(size[c.large])
-		if small > limit || c.strict && small == limit {
-			t.Errorf("%s: %s is %d B, %s is %d B", c.shape, c.small, size[c.small], c.large, size[c.large])
-		}
+		t.Run(table.name, func(t *testing.T) {
+			for _, c := range table.shapes {
+				small, limit := float64(size[c.small]), c.ratio*float64(size[c.large])
+				if small > limit || c.strict && small == limit {
+					t.Errorf("%s: %s is %d B, %s is %d B", c.what, c.small, size[c.small], c.large, size[c.large])
+				}
+			}
+		})
 	}
 }
 

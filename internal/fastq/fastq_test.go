@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"io"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -112,6 +114,38 @@ func TestChunkedScannerMatchesReader(t *testing.T) {
 		}
 		if sc.Entries != int64(len(want)) {
 			t.Errorf("chunk %d: Entries = %d", chunk, sc.Entries)
+		}
+	}
+}
+
+// TestFASTQEntryCountIndependentOfChunkSize counts the reads of a FASTQ
+// file on disk with the count-only FASTQEntry, as the §5.2 scan does:
+// the count must not depend on the scan's chunk size, whether the file
+// pages through many chunks or fits one.
+func TestFASTQEntryCountIndependentOfChunkSize(t *testing.T) {
+	data := genFastqData(t, 500)
+	want, err := ReadAll(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "lane.fastq")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	for _, chunk := range []int{100, 4096, 1 << 20} {
+		sc := NewChunkedScanner(SourceFromReaderAt(f), FASTQEntry, chunk)
+		for sc.MoveNext() {
+		}
+		if sc.Err() != nil {
+			t.Fatalf("chunk %d: %v", chunk, sc.Err())
+		}
+		if sc.Entries != int64(len(want)) {
+			t.Errorf("chunk %d: %d reads, want %d", chunk, sc.Entries, len(want))
 		}
 	}
 }

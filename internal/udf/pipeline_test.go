@@ -90,21 +90,23 @@ func TestEndToEndSNPPipeline(t *testing.T) {
 	}
 	// The pivot plan (Query 3 as written) calls the same consensus from
 	// sequencer reads with their errors.
-	pivot := mustExec(t, db, `
-	  SELECT a_g_id, AssembleSequence(position, b)
-	    FROM (SELECT a_g_id, position, CallBase(base, qual) AS b
-	            FROM Alignment
-	            CROSS APPLY PivotAlignment(a_pos, seq, quals) AS p
-	           GROUP BY a_g_id, position) t
-	   GROUP BY a_g_id ORDER BY a_g_id`)
-	if len(pivot.Rows) != len(res.Rows) {
-		t.Fatalf("pivot consensus rows = %d, sliding = %d", len(pivot.Rows), len(res.Rows))
-	}
-	for i, row := range pivot.Rows {
-		if row[1].S != res.Rows[i][1].S {
-			t.Errorf("pivot consensus of chromosome %v differs from the sliding window's", row[0])
+	t.Run("pivot_matches_sliding", func(t *testing.T) {
+		pivot := mustExec(t, db, `
+		  SELECT a_g_id, AssembleSequence(position, b)
+		    FROM (SELECT a_g_id, position, CallBase(base, qual) AS b
+		            FROM Alignment
+		            CROSS APPLY PivotAlignment(a_pos, seq, quals) AS p
+		           GROUP BY a_g_id, position) t
+		   GROUP BY a_g_id ORDER BY a_g_id`)
+		if len(pivot.Rows) != len(res.Rows) {
+			t.Fatalf("pivot consensus rows = %d, sliding = %d", len(pivot.Rows), len(res.Rows))
 		}
-	}
+		for i, row := range pivot.Rows {
+			if row[1].S != res.Rows[i][1].S {
+				t.Errorf("pivot consensus of chromosome %v differs from the sliding window's", row[0])
+			}
+		}
+	})
 
 	// Phase 3: SNP recovery against the reference.
 	refMap := map[string]string{}
