@@ -1,12 +1,15 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/exec"
 	"repro/internal/fault"
 	"repro/internal/sqltypes"
 )
@@ -134,6 +137,192 @@ func TestAccessPathEquivalenceFuzz(t *testing.T) {
 	// Aggregates and ordering over each path.
 	fuzzSelect(t, db, `SELECT s, COUNT(*), SUM(b) FROM fz WHERE a >= 100 AND a < 300 GROUP BY s`)
 	fuzzSelect(t, db, `SELECT a, b FROM fz WHERE a > 450 ORDER BY a, b, s`)
+
+	t.Run("page_sequence_tail", func(t *testing.T) { accessPathPageSequence(t) })
+}
+
+// accessPathPageSequence sweeps a DATA_COMPRESSION = PAGE table with a
+// SEQUENCE column whose last committed rows sit in the unsealed tail after
+// the CHECKPOINT, reachable through the index. id ascends with insertion,
+// so index order is (a, id). Each check names the fault it is there for:
+// an index path that drops tail rows or leaves SEQUENCE cells packed
+// disagrees with the full scan; one whose batches carry a page's positions
+// out of order breaks the selection contract the operator drain checks; one
+// that loses index order fails the row-for-row ORDER BY comparison.
+func accessPathPageSequence(t *testing.T) {
+	db, err := Open(t.TempDir(), Options{DOP: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	db.threshold = 64
+	db.SetDOP(4)
+	defer func() { db.planner.ForcePath = "" }()
+
+	mustExec(t, db, `CREATE TABLE fzp (id BIGINT, a INT, b INT, r SEQUENCE) WITH (DATA_COMPRESSION = PAGE)`)
+	rng := rand.New(rand.NewSource(2010))
+	var rows []sqltypes.Row
+	add := func(n int) {
+		batch := make([]sqltypes.Row, n)
+		for i := range batch {
+			id := int64(len(rows))
+			a := sqltypes.NewInt(int64(rng.Intn(3000)))
+			if id%13 == 0 {
+				a = sqltypes.Null
+			}
+			read := make([]byte, 20+rng.Intn(30))
+			for j := range read {
+				read[j] = "ACGT"[rng.Intn(4)]
+			}
+			batch[i] = sqltypes.Row{sqltypes.NewInt(id), a, sqltypes.NewInt(int64(rng.Intn(1000))), sqltypes.NewString(string(read))}
+			rows = append(rows, batch[i])
+		}
+		if err := db.InsertRows("fzp", batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	add(3000)
+	mustExec(t, db, `CREATE INDEX idx_pa ON fzp(a)`)
+	mustExec(t, db, `CHECKPOINT`)
+	mustExec(t, db, `ANALYZE`)
+	add(120) // committed, in the tail: no CHECKPOINT seals them
+	td, err := db.table("fzp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sealed := td.heap.SealedPages()
+	if td.heap.PageOf(int64(len(rows)-1)) != sealed || td.heap.PageOf(3000) != sealed {
+		t.Fatal("the rows loaded after the CHECKPOINT are not in the tail")
+	}
+
+	// inRange lists the rows with lo <= a <= hi in index order.
+	inRange := func(lo, hi int64) []sqltypes.Row {
+		var out []sqltypes.Row
+		for _, r := range rows {
+			if !r[1].IsNull() && r[1].I >= lo && r[1].I <= hi {
+				out = append(out, r)
+			}
+		}
+		slices.SortStableFunc(out, func(x, y sqltypes.Row) int { return cmp.Compare(x[1].I, y[1].I) })
+		return out
+	}
+
+	t.Run("paths_agree", func(t *testing.T) {
+		for i := 0; i < 24; i++ {
+			k := rng.Intn(3200) - 100
+			var pred string
+			switch i % 4 {
+			case 0:
+				pred = fmt.Sprintf("a = %d", k)
+			case 1:
+				pred = fmt.Sprintf("a >= %d AND a < %d", k, k+rng.Intn(600))
+			case 2:
+				pred = fmt.Sprintf("a > %d AND a <= %d AND b < %d", k, k+rng.Intn(600), rng.Intn(1000))
+			case 3:
+				pred = fmt.Sprintf("a <= %d AND r LIKE 'A%%'", k)
+			}
+			fuzzSelect(t, db, "SELECT id, a, b, r FROM fzp WHERE "+pred)
+		}
+		// A range holding only tail rows' ids still reaches them by index.
+		fuzzSelect(t, db, `SELECT id, r FROM fzp WHERE a >= 0 AND id >= 3000`)
+		fuzzSelect(t, db, `SELECT COUNT(*), SUM(b) FROM fzp WHERE a >= 400 AND a <= 900`)
+	})
+
+	t.Run("page_out_of_order", func(t *testing.T) {
+		lo, hi := sqltypes.NewInt(500), sqltypes.NewInt(1200)
+		want := inRange(lo.I, hi.I)
+		// The range must revisit a page at a lower position than the one
+		// before it, and reach the tail.
+		backwards, tail := false, false
+		for i := 1; i < len(want); i++ {
+			prev, cur := want[i-1][0].I, want[i][0].I
+			backwards = backwards || (cur < prev && td.heap.PageOf(cur) == td.heap.PageOf(prev) && td.heap.PageOf(cur) < sealed)
+			tail = tail || cur >= 3000
+		}
+		if !backwards || !tail {
+			t.Fatalf("range [%d, %d] does not revisit a sealed page backwards (%v) or reach the tail (%v); %d sealed pages", lo.I, hi.I, backwards, tail, sealed)
+		}
+		db.mu.RLock()
+		op, err := db.IndexScan(td.def, "idx_pa", &lo, &hi, true, true)
+		db.mu.RUnlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := drainSelAscending(t, db, op)
+		if len(got) != len(want) {
+			t.Fatalf("index scan returned %d rows, want %d", len(got), len(want))
+		}
+		for i := range want {
+			if !sameRow(got[i], want[i]) {
+				t.Fatalf("row %d in index order: got %v, want %v", i, got[i], want[i])
+			}
+		}
+	})
+
+	t.Run("index_order", func(t *testing.T) {
+		const q = `SELECT id, a, r FROM fzp WHERE a >= 200 AND a < 2000 ORDER BY a`
+		db.planner.ForcePath = "index"
+		defer func() { db.planner.ForcePath = "" }()
+		if plan := mustExec(t, db, "EXPLAIN "+q).Plan; !strings.Contains(plan, "Index Scan") || strings.Contains(plan, "Sort") {
+			t.Fatalf("forced index ORDER BY a should read index order without a Sort:\n%s", plan)
+		}
+		got := mustExec(t, db, q).Rows
+		want := inRange(200, 1999)
+		if len(got) != len(want) {
+			t.Fatalf("%d rows, want %d", len(got), len(want))
+		}
+		for i, w := range want {
+			if !sameRow(got[i], sqltypes.Row{w[0], w[1], w[3]}) {
+				t.Fatalf("row %d: got %v, want %v", i, got[i], sqltypes.Row{w[0], w[1], w[3]})
+			}
+		}
+	})
+}
+
+// drainSelAscending runs a serial operator to completion, failing if any
+// batch's selection is not strictly ascending (the batch contract), and
+// returns its rows in selection order.
+func drainSelAscending(t *testing.T, db *Database, op exec.Operator) []sqltypes.Row {
+	t.Helper()
+	snap := db.tm.readSnapshot()
+	defer db.tm.releaseSnapshot(snap)
+	if err := op.Open(db.execContext(snap)); err != nil {
+		t.Fatal(err)
+	}
+	defer op.Close()
+	var out []sqltypes.Row
+	for {
+		b, err := op.NextBatch()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b == nil {
+			return out
+		}
+		for i, s := range b.Sel {
+			if i > 0 && s <= b.Sel[i-1] {
+				t.Fatalf("batch selection not ascending: %v", b.Sel)
+			}
+			row, err := b.ReadRow(s, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, row)
+		}
+	}
+}
+
+// sameRow compares two rows cell by cell, kinds included.
+func sameRow(a, b sqltypes.Row) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].K != b[i].K || sqltypes.Compare(a[i], b[i]) != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // TestAccessPathCounterFloors holds what each access path is for, in
