@@ -166,16 +166,6 @@ func (t *Table) StorageWidths() []uint8 {
 	return out
 }
 
-// HasSequenceColumns reports whether any column uses the SEQUENCE UDT.
-func (t *Table) HasSequenceColumns() bool {
-	for i := range t.Columns {
-		if t.Columns[i].Type.Name == TypeSequence {
-			return true
-		}
-	}
-	return false
-}
-
 // ToStorageRow validates a query row against the schema and converts it to
 // the persisted representation (packing SEQUENCE columns). The input row
 // is not modified.

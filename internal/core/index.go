@@ -452,36 +452,74 @@ func indexScanBounds(lo, hi *sqltypes.Value, loInc, hiInc bool) (start, end []by
 	return start, end, nil
 }
 
-// indexScanIterator walks index entries in key order, filters each heap
-// position against the scan's snapshot, and fetches the row through the
-// buffer pool (a last-page cache makes runs over clustered values decode
-// each page once).
+// indexScanIterator is the secondary-index scan: it walks index entries in
+// key order, keeps the heap positions the scan's snapshot can see, and
+// hands out the fetch cache's vectors with the positions found on one page
+// as the selection. A batch ends where the next position lies on another
+// page or not past the last one (a selection ascends), or at
+// vec.DefaultBatchSize. The fetch cache decodes each page once per visit.
 type indexScanIterator struct {
-	it     *btree.Iterator
-	td     *tableData
-	ranges []rowRange
-	cache  *storage.HeapFetchCache
-	locked bool
+	it      *btree.Iterator
+	td      *tableData
+	ranges  []rowRange
+	cache   *storage.HeapFetchCache
+	seqCols []int
+	locked  bool
+
+	held bool          // the cursor's position did not fit the last batch: it opens the next
+	cols []*vec.Vector // the vectors holding the cursor's position
+	off  int           // and its row in them
 }
 
-func (x *indexScanIterator) Next() (sqltypes.Row, bool, error) {
-	for {
-		if !x.it.Next() {
-			return nil, false, x.it.Err()
-		}
+// advance moves the cursor to the next visible position and fetches the
+// vectors holding it.
+func (x *indexScanIterator) advance() (bool, error) {
+	for x.it.Next() {
 		idx, ok := indexEntryRowIdx(x.it.Key())
 		if !ok {
-			return nil, false, fmt.Errorf("core: malformed index entry in %s", x.td.def.Name)
+			return false, fmt.Errorf("core: malformed index entry in %s", x.td.def.Name)
 		}
 		if !rowIdxVisible(x.ranges, idx) {
 			continue
 		}
-		row, err := x.td.heap.FetchRowCached(idx, x.cache)
+		cols, off, err := x.td.heap.FetchRowCached(idx, x.cache)
 		if err != nil {
-			return nil, false, err
+			return false, err
 		}
-		return row, true, nil
+		// SEQUENCE columns stay in packed storage form, as on heap pages;
+		// the mark is set once, before any batch shares the vectors.
+		for _, c := range x.seqCols {
+			if !cols[c].Packed {
+				cols[c].Packed = true
+			}
+		}
+		x.cols, x.off = cols, off
+		return true, nil
 	}
+	return false, x.it.Err()
+}
+
+func (x *indexScanIterator) NextBatch() (*vec.Batch, error) {
+	var b *vec.Batch
+	for b == nil || len(b.Sel) < vec.DefaultBatchSize {
+		if !x.held {
+			ok, err := x.advance()
+			if err != nil {
+				return nil, err
+			}
+			if !ok {
+				break
+			}
+		}
+		if x.held = b != nil && (x.cols[0] != b.Cols[0] || x.off <= b.Sel[len(b.Sel)-1]); x.held {
+			break
+		}
+		if b == nil {
+			b = &vec.Batch{Cols: x.cols}
+		}
+		b.Sel = append(b.Sel, x.off)
+	}
+	return b, nil
 }
 
 func (x *indexScanIterator) Close() error {
@@ -497,8 +535,9 @@ func (x *indexScanIterator) Close() error {
 // over [lo, hi] bounds on its first column (nil = open; loInc/hiInc select
 // inclusive bounds), emitting heap rows in index-key order. The scan holds
 // the table's write latch shared for its duration, exactly like clustered
-// scans — the btree iterator walks pages unlatched.
-func (db *Database) IndexScan(t *catalog.Table, idxName string, lo, hi *sqltypes.Value, loInc, hiInc bool) (*exec.Source, error) {
+// scans — the btree iterator walks pages unlatched, and the tail the fetch
+// cache transposes cannot grow under it.
+func (db *Database) IndexScan(t *catalog.Table, idxName string, lo, hi *sqltypes.Value, loInc, hiInc bool) (exec.Operator, error) {
 	td := db.tables[t.ID]
 	if td == nil || td.heap == nil {
 		return nil, fmt.Errorf("core: %s has no heap storage for an index scan", t.Name)
@@ -517,23 +556,22 @@ func (db *Database) IndexScan(t *catalog.Table, idxName string, lo, hi *sqltypes
 	if err != nil {
 		return nil, err
 	}
-	def := td.def
-	return &exec.Source{
-		Factory: func(ctx *exec.Context) (exec.RowIterator, error) {
-			snap, _ := ctx.Snapshot.(*Snapshot)
-			td.writeMu.RLock()
-			it, err := ix.tree.SeekT(startKey, endKey, ctx.Sink)
-			if err != nil {
-				td.writeMu.RUnlock()
-				return nil, err
-			}
-			return db.wrapIterator(def, &indexScanIterator{
-				it:     it,
-				td:     td,
-				ranges: td.versions.visibleRanges(snap),
-				cache:  storage.NewHeapFetchCache(ctx.Sink),
-				locked: true,
-			}), nil
-		},
-	}, nil
+	seqCols := sequenceColumns(td.def)
+	return &exec.Scan{Factory: func(ctx *exec.Context) (exec.BatchIterator, error) {
+		snap, _ := ctx.Snapshot.(*Snapshot)
+		td.writeMu.RLock()
+		it, err := ix.tree.SeekT(startKey, endKey, ctx.Sink)
+		if err != nil {
+			td.writeMu.RUnlock()
+			return nil, err
+		}
+		return &indexScanIterator{
+			it:      it,
+			td:      td,
+			ranges:  td.versions.visibleRanges(snap),
+			cache:   storage.NewHeapFetchCache(ctx.Sink),
+			seqCols: seqCols,
+			locked:  true,
+		}, nil
+	}}, nil
 }

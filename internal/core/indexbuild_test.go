@@ -83,7 +83,7 @@ func indexOracle(t *testing.T, db *Database, table string, cols []int) [][]byte 
 	cache := storage.NewHeapFetchCache(obs.Sink{})
 	keys := make([][]byte, 0, td.heap.RowCount())
 	for idx := int64(0); idx < td.heap.RowCount(); idx++ {
-		row, err := td.heap.FetchRowCached(idx, cache)
+		row, err := heapRow(td, idx, cache)
 		if err != nil {
 			t.Fatal(err)
 		}

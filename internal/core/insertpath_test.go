@@ -293,7 +293,7 @@ func checkInsertTarget(t *testing.T, db *Database, label string, clustered bool,
 		if !rowIdxVisible(live, idx) {
 			continue
 		}
-		row, err := td.heap.FetchRowCached(idx, cache)
+		row, err := heapRow(td, idx, cache)
 		if err != nil {
 			t.Fatal(err)
 		}

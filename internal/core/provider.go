@@ -142,33 +142,6 @@ func (f spillFile) IterRun(span exec.RunSpan) (exec.RowIterator, error) {
 // planner's joins, aggregates and sorts, and to CREATE INDEX's sorts.
 func (db *Database) SpillStore() exec.SpillStore { return spillStore{db.spill} }
 
-// convertIterator unpacks SEQUENCE columns when the table uses the UDT.
-type convertIterator struct {
-	inner exec.RowIterator
-	def   *catalog.Table
-}
-
-func (c *convertIterator) Next() (sqltypes.Row, bool, error) {
-	row, ok, err := c.inner.Next()
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	out, err := c.def.FromStorageRow(row)
-	if err != nil {
-		return nil, false, err
-	}
-	return out, true, nil
-}
-
-func (c *convertIterator) Close() error { return c.inner.Close() }
-
-func (db *Database) wrapIterator(def *catalog.Table, it exec.RowIterator) exec.RowIterator {
-	if def.HasSequenceColumns() {
-		return &convertIterator{inner: it, def: def}
-	}
-	return it
-}
-
 // visibleBatchIterator is the heap scan: NextBatch serves columnar page
 // batches with MVCC visibility applied as a selection-vector intersection
 // — invisible rows are deselected, never decoded.
@@ -205,7 +178,7 @@ func (v *visibleBatchIterator) NextBatch() (*vec.Batch, error) {
 		b.Sel = sel
 		// SEQUENCE columns stay in packed storage form; the Packed mark
 		// makes value materialization unpack them to the query
-		// representation (what FromStorageRow does for a row source).
+		// representation.
 		for _, c := range v.seqCols {
 			b.Cols[c].Packed = true
 		}

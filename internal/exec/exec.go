@@ -3,11 +3,13 @@
 // NextBatch calls, Close (batch.go states the contract). Rows exist only at
 // the two edges of a plan, each with one adapter:
 //
-//   - rows in: Source packs a RowIterator — a table-valued function, an index
-//     scan, a spill file — into batches (rowPacker); a table scan is never
-//     one, its leaf (Scan) reads batches off pages. RowIterator is the paper's extension contract ("The API
-//     for providing TVFs follows the standard iterator interface of a
-//     relational query engine", Section 4.1) and stays as it is. The
+//   - rows in: Source packs a RowIterator — a table-valued function, a spill
+//     file — into batches (rowPacker); a base-table scan is never one, its
+//     leaf (Scan) reads batches off heap pages, clustered leaves or the
+//     pages an index points into. RowIterator is the paper's extension
+//     contract ("The API for providing TVFs follows the standard iterator
+//     interface of a relational query engine", Section 4.1) and stays as it
+//     is. The
 //     operators whose insides still work a row at a time (Sort, MergeSorted,
 //     TopN, Apply, the aggregates' group output) emit through the same
 //     packer.
@@ -55,16 +57,16 @@ type Context struct {
 	Snapshot any
 }
 
-// RowIterator is a row stream: what a table-valued function, an index scan
-// or a spill file hands to a Source. A returned row may be reused by the
+// RowIterator is a row stream: what a table-valued function or a spill file
+// hands to a Source. A returned row may be reused by the
 // next call; an iterator need not survive a Next after its last row.
 type RowIterator interface {
 	Next() (sqltypes.Row, bool, error)
 	Close() error
 }
 
-// BatchIterator is a batch stream produced by a Scan factory (table
-// scans), mirroring RowIterator.
+// BatchIterator is a batch stream produced by a Scan factory (the heap,
+// clustered and index scans), mirroring RowIterator.
 type BatchIterator interface {
 	NextBatch() (*vec.Batch, error)
 	Close() error
@@ -106,8 +108,9 @@ func (s *Source) Close() error {
 	return err
 }
 
-// Scan is a leaf whose iterator delivers batches itself: heap pages and
-// clustered leaves decoded a column at a time.
+// Scan is a leaf whose iterator delivers batches itself: heap pages,
+// clustered leaves and the heap pages an index scan fetches, decoded a
+// column at a time.
 type Scan struct {
 	Factory func(ctx *Context) (BatchIterator, error)
 

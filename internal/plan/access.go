@@ -1,7 +1,6 @@
 package plan
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"strings"
@@ -293,72 +292,4 @@ func orderedOnIdent(rel *relation, id *sqlparse.Ident) bool {
 		return false
 	}
 	return id.Qualifier == "" || strings.EqualFold(c.Qual, id.Qualifier)
-}
-
-// recheckIterator drops the rows an index scan fetched that fail the full
-// pushed predicate. It belongs to the access path, like the heap fetch it
-// follows: one Eval on the row in hand, not an operator over a batch of one.
-type recheckIterator struct {
-	exec.RowIterator
-	pred expr.Expr
-}
-
-func (r *recheckIterator) Next() (sqltypes.Row, bool, error) {
-	for {
-		row, ok, err := r.RowIterator.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		v, err := r.pred.Eval(row)
-		if err != nil {
-			return nil, false, err
-		}
-		if expr.Truthy(v) {
-			return row, true, nil
-		}
-	}
-}
-
-// indexScanNode builds the serial index-path relation: an index range
-// scan (rows arrive in index-key order) that re-checks the full pushed
-// predicate on every fetched row — bounds only constrain the first index
-// column, and re-checking keeps the scan correct even where bound
-// arithmetic and filter semantics could drift.
-func (pl *Planner) indexScanNode(tab *catalog.Table, qual string, cols []ColMeta,
-	choice *indexChoice, pred expr.Expr, est int64, ts *stats.TableStats) *relation {
-
-	idxName := choice.idx.Name
-	lo, hi := choice.rng.lo, choice.rng.hi
-	loInc, hiInc := choice.rng.loInc, choice.rng.hiInc
-	detail := fmt.Sprintf("[%s] %s (%s..%s)", tab.Name, idxName, boundStr(lo), boundStr(hi))
-	if pred != nil {
-		detail += fmt.Sprintf(" WHERE:(%s)", pred)
-	}
-	node := &Node{
-		Op:     "Index Scan",
-		Detail: detail,
-		Cols:   cols,
-		Est:    est,
-		Build: func() (exec.Operator, error) {
-			src, err := pl.Provider.IndexScan(tab, idxName, lo, hi, loInc, hiInc)
-			if err != nil {
-				return nil, err
-			}
-			if fetch := src.Factory; pred != nil {
-				src.Factory = func(ctx *exec.Context) (exec.RowIterator, error) {
-					it, err := fetch(ctx)
-					if err != nil {
-						return nil, err
-					}
-					return &recheckIterator{RowIterator: it, pred: pred}, nil
-				}
-			}
-			return src, nil
-		},
-	}
-	ordered := make([]ColMeta, 0, len(choice.idx.Columns))
-	for _, c := range choice.idx.Columns {
-		ordered = append(ordered, ColMeta{Qual: qual, Name: tab.Columns[c].Name})
-	}
-	return &relation{node: node, cols: cols, ordered: ordered, est: est, stats: ts}
 }

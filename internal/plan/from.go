@@ -137,38 +137,48 @@ func (pl *Planner) planNamedTable(t *sqlparse.NamedTable, conjuncts []sqlparse.E
 	default:
 		pl.Sink.Add(obs.PathPickFull, 1)
 	}
-	if useIndex {
-		return pl.indexScanNode(tab, qual, cols, idxCand, pred, est, ts), remaining, nil
+	// The partition count follows the pages the scan actually reads — the
+	// raw table size shrunk by zone pruning — NOT the post-filter output
+	// estimate: a selective unindexed predicate still reads every page, and
+	// those reads are what parallelism amortizes. An index scan is serial.
+	partsN := 1
+	if !useIndex {
+		scanBasis := scaleEst(rawEst, seekSel)
+		if totalPages > 0 && keptPages < totalPages {
+			scanBasis = rawEst * keptPages / totalPages
+		}
+		partsN = pl.partitionCount(scanBasis)
 	}
-
-	// Heap/clustered scan. The partition count follows the pages the scan
-	// actually reads — the raw table size shrunk by zone pruning — NOT the
-	// post-filter output estimate: a selective unindexed predicate still
-	// reads every page, and those reads are what parallelism amortizes.
-	scanBasis := scaleEst(rawEst, seekSel)
-	if totalPages > 0 && keptPages < totalPages {
-		scanBasis = rawEst * keptPages / totalPages
-	}
-	partsN := pl.partitionCount(scanBasis)
 
 	scanOp := "Table Scan"
 	var ordered []ColMeta
-	if tab.Clustered {
+	detail := fmt.Sprintf("[%s]", tab.Name)
+	switch {
+	case useIndex:
+		// Rows arrive in index-key order; the bounds only constrain the
+		// first index column, so the whole pushed predicate still filters.
+		scanOp = "Index Scan"
+		for _, c := range idxCand.idx.Columns {
+			ordered = append(ordered, ColMeta{Qual: qual, Name: tab.Columns[c].Name})
+		}
+		detail += fmt.Sprintf(" %s (%s..%s)", idxCand.idx.Name, boundStr(idxCand.rng.lo), boundStr(idxCand.rng.hi))
+	case tab.Clustered:
 		scanOp = "Clustered Index Scan"
 		for _, pk := range tab.PrimaryKey {
 			ordered = append(ordered, ColMeta{Qual: qual, Name: tab.Columns[pk].Name})
 		}
 	}
-	detail := fmt.Sprintf("[%s]", tab.Name)
 	if pred != nil {
 		detail += fmt.Sprintf(" WHERE:(%s)", pred)
 	}
 	// Annotate the access path whenever a choice was live: zone pruning
 	// with its exact page arithmetic, or an explicit "full scan" marker
 	// when an applicable index lost the cost race.
-	if totalPages > 0 && keptPages < totalPages {
+	switch {
+	case useIndex:
+	case totalPages > 0 && keptPages < totalPages:
 		detail += fmt.Sprintf(" zonemap-pruned(%d/%d pages)", keptPages, totalPages)
-	} else if idxCand != nil {
+	case idxCand != nil:
 		detail += " full scan"
 	}
 	if seek {
@@ -219,6 +229,14 @@ func (pl *Planner) planNamedTable(t *sqlparse.NamedTable, conjuncts []sqlparse.E
 		}}
 	}
 	parts := func() ([]exec.Operator, error) {
+		if useIndex {
+			r := idxCand.rng
+			op, err := pl.Provider.IndexScan(tab, idxCand.idx.Name, r.lo, r.hi, r.loInc, r.hiInc)
+			if err != nil {
+				return nil, err
+			}
+			return []exec.Operator{chain(op)}, nil
+		}
 		if keyed != nil {
 			ranges, err := pl.Provider.KeyRanges(tab, partsN)
 			if err != nil {

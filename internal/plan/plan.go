@@ -52,11 +52,11 @@ type Provider interface {
 	// "no information" and the planner falls back to cardinality-based
 	// page costing.
 	HeapPageStats(t *catalog.Table, filters []storage.ZoneFilter) (kept, total int64)
-	// IndexScan returns a serial row source scanning a named secondary
+	// IndexScan returns a serial operator scanning a named secondary
 	// index over [lo, hi] bounds on its first key column (nil = open,
 	// loInc/hiInc select inclusive bounds), emitting heap rows in
 	// index-key order.
-	IndexScan(t *catalog.Table, idxName string, lo, hi *sqltypes.Value, loInc, hiInc bool) (*exec.Source, error)
+	IndexScan(t *catalog.Table, idxName string, lo, hi *sqltypes.Value, loInc, hiInc bool) (exec.Operator, error)
 	// OrderedScanRange returns an operator scanning a clustered table in
 	// primary-key order restricted to [lo, hi) on the first key column;
 	// nil bounds are unbounded.
@@ -138,7 +138,7 @@ func (n *Node) explain(sb *strings.Builder, depth int) {
 
 // rowInternal names the nodes whose operator still works a row at a time
 // inside — the sort family, the apply — or packs the rows of a row source
-// (a TVF, an index scan, VALUES).
+// (a TVF, VALUES).
 var rowInternal = map[string]bool{
 	"Sort":                                true,
 	"Parallelism (Merge Gather, ordered)": true,
@@ -146,13 +146,12 @@ var rowInternal = map[string]bool{
 	"Top N Sort (per-partition)":          true,
 	"Nested Loops (Cross Apply)":          true,
 	"Table-valued Function":               true,
-	"Index Scan":                          true,
 	"Constant Scan":                       true,
 }
 
 // vectorized is the one rule behind EXPLAIN's "vectorized" annotation: a
 // node carries it when the operator it shows computes on typed vectors —
-// table scan leaves (always exec.Scan), filters, projections, TOP,
+// base-table leaves (always exec.Scan), filters, projections, TOP,
 // exchanges, the hash and merge joins, the aggregates. Every operator exchanges batches, so what the
 // annotation leaves unmarked is the work still to be done inside operators
 // (ROADMAP item 2), not a second engine.

@@ -99,7 +99,10 @@ func (p *fakeProvider) Agg(name string) (exec.AggFactory, bool) {
 	return nil, false
 }
 func (p *fakeProvider) TVF(string) (TVF, bool) { return nil, false }
-func (p *fakeProvider) ScanPartitions(t *catalog.Table, parts int) ([]exec.Operator, error) {
+func (p *fakeProvider) ScanPartitionsPruned(t *catalog.Table, parts int, filters []storage.ZoneFilter) ([]exec.Operator, error) {
+	if len(filters) > 0 {
+		p.prunedCalls++
+	}
 	rows := p.rows[strings.ToLower(t.Name)]
 	if parts < 1 {
 		parts = 1
@@ -111,12 +114,6 @@ func (p *fakeProvider) ScanPartitions(t *catalog.Table, parts int) ([]exec.Opera
 	}
 	return ops, nil
 }
-func (p *fakeProvider) ScanPartitionsPruned(t *catalog.Table, parts int, filters []storage.ZoneFilter) ([]exec.Operator, error) {
-	if len(filters) > 0 {
-		p.prunedCalls++
-	}
-	return p.ScanPartitions(t, parts)
-}
 func (p *fakeProvider) HeapPageStats(t *catalog.Table, filters []storage.ZoneFilter) (int64, int64) {
 	if p.pageStats == nil {
 		return 0, 0
@@ -127,7 +124,7 @@ func (p *fakeProvider) HeapPageStats(t *catalog.Table, filters []storage.ZoneFil
 // IndexScan serves rows whose first-index-column value falls in the
 // bounds, sorted by that column — the same contract as the engine's
 // B-tree-backed scan (NULLs never match a bound).
-func (p *fakeProvider) IndexScan(t *catalog.Table, name string, lo, hi *sqltypes.Value, loInc, hiInc bool) (*exec.Source, error) {
+func (p *fakeProvider) IndexScan(t *catalog.Table, name string, lo, hi *sqltypes.Value, loInc, hiInc bool) (exec.Operator, error) {
 	ix := t.IndexByName(name)
 	if ix == nil {
 		return nil, fmt.Errorf("fake: no index %q on %s", name, t.Name)
@@ -457,9 +454,9 @@ func TestPlanPartitionedJoin(t *testing.T) {
 
 // TestExplainVectorizedAnnotation: one rule, by the operator a node shows.
 // Nodes that compute on typed vectors carry "vectorized" — filter, compute
-// scalar, TOP, the exchanges, the hash and merge joins, the aggregates, a
-// table scan leaf; the row-internal ones do not — the sort family, an
-// index scan.
+// scalar, TOP, the exchanges, the hash and merge joins, the aggregates,
+// every base-table leaf (an index scan too); the row-internal ones do not —
+// the sort family.
 func TestExplainVectorizedAnnotation(t *testing.T) {
 	p := newFakeProvider()
 	p.rowCounts["t"] = 100_000
@@ -473,7 +470,7 @@ func TestExplainVectorizedAnnotation(t *testing.T) {
 		"Hash Match (Final Aggregate, merge partials)": true, "Hash Match (Partial Aggregate, spillable)": true,
 		"Sort": false, "Parallelism (Merge Gather, ordered)": false, "Sequence Project (ROW_NUMBER)": true,
 		"Top N Sort": false, "Top N Sort (per-partition)": false, "Merge Join (Inner Join)": true,
-		"Index Scan": false, "Constant Scan": false, "Table Scan": true, "Clustered Index Scan": true,
+		"Index Scan": true, "Constant Scan": false, "Table Scan": true, "Clustered Index Scan": true,
 	}
 	seen := map[string]bool{}
 	check := func(sql string) {

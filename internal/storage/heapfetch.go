@@ -5,17 +5,22 @@ import (
 	"sort"
 
 	"repro/internal/obs"
-	"repro/internal/sqltypes"
 	"repro/internal/vec"
 )
 
-// HeapFetchCache remembers the last decoded sealed page so a run of point
-// fetches hitting the same page (the common case for index range scans over
-// mildly clustered data) decodes it once. It is single-goroutine state.
+// HeapFetchCache holds the vectors a run of point fetches reads positions
+// off: the sealed page fetched last, so fetches hitting one page (the
+// common case for index range scans over mildly clustered data) decode it
+// once, and, from the first fetch past the sealed pages on, one snapshot of
+// the tail. It is single-goroutine state.
 type HeapFetchCache struct {
-	page int64     // sealed page index, -1 = empty
-	b    vec.Batch // the page's vectors
-	sink obs.Sink
+	page     int64         // sealed page index, -1 = empty
+	cols     []*vec.Vector // the page's vectors
+	rows     int           // and its row count
+	tail     []*vec.Vector // the tail snapshot, nil until a fetch reaches the tail
+	tailAt   int64         // global row index of the snapshot's first row
+	tailRows int           // rows in the snapshot
+	sink     obs.Sink
 }
 
 // NewHeapFetchCache returns an empty fetch cache whose fetches count their
@@ -25,41 +30,43 @@ func NewHeapFetchCache(sink obs.Sink) *HeapFetchCache {
 	return &HeapFetchCache{page: -1, sink: sink}
 }
 
-// FetchRowCached returns the row at insertion position idx (storage
-// format), read off the cached page's vectors when idx falls on the page
-// fetched last. The row is the caller's: a slice of its own whose byte
-// cells share the cached page, so callers that unpack SEQUENCE columns must
-// replace elements (FromStorageRow does), not write into them.
-func (h *Heap) FetchRowCached(idx int64, c *HeapFetchCache) (sqltypes.Row, error) {
+// FetchRowCached locates the row at insertion position idx: it returns the
+// vectors holding it (storage format: the cached sealed page's, or the tail
+// snapshot's) and its physical row in them. Fetches on one page return the
+// same vectors, so a caller reads them and never writes a cell.
+func (h *Heap) FetchRowCached(idx int64, c *HeapFetchCache) ([]*vec.Vector, int, error) {
 	if idx < 0 {
-		return nil, fmt.Errorf("storage: fetch negative row %d", idx)
+		return nil, 0, fmt.Errorf("storage: fetch negative row %d", idx)
+	}
+	if off := idx - c.tailAt; c.tail != nil && off >= 0 && off < int64(c.tailRows) {
+		return c.tail, int(off), nil
 	}
 	h.mu.RLock()
 	sealedRows := h.pageCum[len(h.pageCum)-1]
 	if idx >= sealedRows {
-		// Tail row: copy under the lock; the tail can be resliced by seals.
 		off := idx - sealedRows
 		if off >= int64(len(h.tailRows)) {
 			h.mu.RUnlock()
-			return nil, fmt.Errorf("storage: fetch row %d beyond heap end", idx)
+			return nil, 0, fmt.Errorf("storage: fetch row %d beyond heap end", idx)
 		}
-		row := append(sqltypes.Row(nil), h.tailRows[off]...)
+		// Transposed under the lock: seals reslice the tail.
+		c.tail, c.tailAt, c.tailRows = rowsToVectors(h.kinds, h.tailRows), sealedRows, len(h.tailRows)
 		h.mu.RUnlock()
-		return row, nil
+		return c.tail, int(off), nil
 	}
 	p := sort.Search(len(h.pageRows), func(i int) bool { return h.pageCum[i+1] > idx })
 	off := idx - h.pageCum[p]
 	h.mu.RUnlock()
 
 	if c.page != int64(p) {
-		cols, _, err := h.sealedPage(int64(p), c.sink, obs.Sink{})
+		cols, n, err := h.sealedPage(int64(p), c.sink, obs.Sink{})
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		c.page, c.b = int64(p), vec.Batch{Cols: cols}
+		c.page, c.cols, c.rows = int64(p), cols, n
 	}
-	if off >= int64(c.b.Rows()) {
-		return nil, fmt.Errorf("storage: fetch row %d: page %d holds %d rows", idx, p, c.b.Rows())
+	if off >= int64(c.rows) {
+		return nil, 0, fmt.Errorf("storage: fetch row %d: page %d holds %d rows", idx, p, c.rows)
 	}
-	return c.b.ReadRow(int(off), nil)
+	return c.cols, int(off), nil
 }

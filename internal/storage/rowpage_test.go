@@ -229,7 +229,7 @@ func TestCorruptLegacyPageHeader(t *testing.T) {
 	if _, err := h.NewBatchIterator(0, 1, false, obs.Sink{}).NextBatch(); !errors.Is(err, ErrCorruptPage) {
 		t.Errorf("batch scan of the damaged page: %v, want ErrCorruptPage", err)
 	}
-	if _, err := h.FetchRowCached(0, NewHeapFetchCache(obs.Sink{})); !errors.Is(err, ErrCorruptPage) {
+	if _, _, err := h.FetchRowCached(0, NewHeapFetchCache(obs.Sink{})); !errors.Is(err, ErrCorruptPage) {
 		t.Errorf("fetch from the damaged page: %v, want ErrCorruptPage", err)
 	}
 }

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/sqltypes"
+	"repro/internal/vec"
 )
 
 func TestPagedFileBasics(t *testing.T) {
@@ -571,8 +572,9 @@ func TestHeapAppendScan(t *testing.T) {
 // TestFetchRowCached: a run of point fetches landing on one sealed page
 // takes the page from the pool once and decodes it once, whatever their
 // order; the cache's sink is credited the pool traffic and nothing under
-// scan.* (those counters are the work of table scans); a tail row is the
-// caller's copy; a position past the heap's end is an error.
+// scan.* (those counters are the work of table scans); the tail is
+// transposed once, and a row read off it is the caller's copy; a position
+// past the heap's end is an error.
 func TestFetchRowCached(t *testing.T) {
 	for _, comp := range []Compression{CompressNone, CompressRow, CompressPage} {
 		t.Run(comp.String(), func(t *testing.T) {
@@ -590,33 +592,35 @@ func TestFetchRowCached(t *testing.T) {
 			sink := obs.Sink{Engine: new(obs.Counters)}
 			gets := func() int64 { return sink.Engine.Get(obs.PoolHits) + sink.Engine.Get(obs.PoolMisses) }
 			c := NewHeapFetchCache(sink)
-			fetch := func(idx int64) sqltypes.Row {
+			fetch := func(idx int64) (sqltypes.Row, []*vec.Vector) {
 				t.Helper()
-				row, err := h.FetchRowCached(idx, c)
+				cols, off, err := h.FetchRowCached(idx, c)
+				if err != nil {
+					t.Fatalf("fetch %d: %v", idx, err)
+				}
+				row, err := (&vec.Batch{Cols: cols}).ReadRow(off, nil)
 				if err != nil {
 					t.Fatalf("fetch %d: %v", idx, err)
 				}
 				if want := sampleRow(int(idx)); !reflect.DeepEqual(row, want) {
 					t.Fatalf("fetch %d = %v, want %v", idx, row, want)
 				}
-				return row
+				return row, cols
 			}
 
 			last := int64(h.pageRows[0]) - 1
-			fetch(last)
-			decoded := c.b.Cols[0]
+			_, decoded := fetch(last)
 			for idx := last - 1; idx >= 0; idx-- {
-				fetch(idx)
+				if _, cols := fetch(idx); cols[0] != decoded[0] {
+					t.Fatal("the cached page was decoded again")
+				}
 			}
 			if gets() != 1 {
 				t.Errorf("%d fetches on one page took it from the pool %d times", last+1, gets())
 			}
-			if c.b.Cols[0] != decoded {
-				t.Error("the cached page was decoded again")
-			}
-			fetch(last + 1) // the next page replaces it
-			if gets() != 2 || c.b.Cols[0] == decoded {
-				t.Errorf("a fetch on the next page: %d pool gets, cache replaced = %v", gets(), c.b.Cols[0] != decoded)
+			_, next := fetch(last + 1) // the next page replaces it
+			if gets() != 2 || next[0] == decoded[0] {
+				t.Errorf("a fetch on the next page: %d pool gets, cache replaced = %v", gets(), next[0] != decoded[0])
 			}
 			for _, counter := range []obs.Counter{obs.ScanBatches, obs.ScanRows, obs.ScanValuesDecoded, obs.ScanDictEntriesDecoded} {
 				if got := sink.Engine.Get(counter); got != 0 {
@@ -624,14 +628,17 @@ func TestFetchRowCached(t *testing.T) {
 				}
 			}
 
-			row := fetch(n - 1) // a tail row: no pool traffic, and the caller's to overwrite
+			row, tail := fetch(n - 1) // a tail row: no pool traffic, and the caller's to overwrite
 			row[0] = sqltypes.NewInt(-1)
+			if _, again := fetch(n - 2); again[0] != tail[0] {
+				t.Error("the tail was transposed again")
+			}
 			fetch(n - 1)
 			if gets() != 2 {
 				t.Errorf("tail fetches went to the pool: %d gets", gets())
 			}
 			for _, idx := range []int64{n, -1} {
-				if _, err := h.FetchRowCached(idx, c); err == nil {
+				if _, _, err := h.FetchRowCached(idx, c); err == nil {
 					t.Errorf("fetch of row %d of %d succeeded", idx, n)
 				}
 			}
