@@ -422,18 +422,6 @@ func (td *tableData) rowCount() int64 {
 	return td.tree.Count()
 }
 
-// visibleRowCount returns the table's cardinality under a snapshot.
-func (td *tableData) visibleRowCount(snap *Snapshot) int64 {
-	if td.heap != nil {
-		var n int64
-		for _, r := range td.versions.visibleRanges(snap) {
-			n += r.end - r.start
-		}
-		return n
-	}
-	return td.tree.Count() - td.versions.invisibleKeys(snap)
-}
-
 // Close releases all resources. It does NOT checkpoint; callers wanting a
 // clean shutdown should call Checkpoint first (recovery replays the WAL
 // otherwise).

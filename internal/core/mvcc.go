@@ -237,24 +237,6 @@ func (tv *tableVersions) keyVisible(key []byte, snap *Snapshot) bool {
 	return spanVisible(cp.state, cp.txnID, cp.cseq, snap)
 }
 
-// invisibleKeys counts recent clustered keys not visible under snap —
-// subtracted from the physical key count for a snapshot-consistent
-// cardinality.
-func (tv *tableVersions) invisibleKeys(snap *Snapshot) int64 {
-	if tv.keyCount.Load() == 0 {
-		return 0
-	}
-	tv.mu.Lock()
-	defer tv.mu.Unlock()
-	var n int64
-	for _, e := range tv.keys {
-		if !spanVisible(e.state, e.txnID, e.cseq, snap) {
-			n++
-		}
-	}
-	return n
-}
-
 // prune advances the all-visible floor over leading spans resolved at or
 // below horizon and drops key entries every live snapshot can see — the
 // vacuum step.

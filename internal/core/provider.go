@@ -100,18 +100,6 @@ func (db *Database) Stats(t *catalog.Table) *stats.TableStats {
 	return ts
 }
 
-// tableStatistics returns the (non-stale) collected statistics for a
-// table by name, or nil.
-func (db *Database) tableStatistics(name string) *stats.TableStats {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	def := db.cat.Get(name)
-	if def == nil {
-		return nil
-	}
-	return db.Stats(def)
-}
-
 // spillStore adapts the storage spill manager to the operator-layer
 // contract (exec names the interfaces, storage owns the file lifecycle).
 type spillStore struct{ m *storage.SpillManager }

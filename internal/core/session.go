@@ -644,21 +644,6 @@ func (db *Database) TableSizeBytes(table string) (int64, error) {
 	return td.tree.SizeBytes(), nil
 }
 
-// tableUsedBytes returns the payload bytes of a heap table (page-internal
-// accounting used by the storage experiments).
-func (db *Database) tableUsedBytes(table string) (int64, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	td, err := db.table(table)
-	if err != nil {
-		return 0, err
-	}
-	if td.heap == nil {
-		return td.tree.SizeBytes(), nil
-	}
-	return td.heap.UsedBytes()
-}
-
 // ScanTableNoLock iterates every row of a table WITHOUT acquiring the
 // structure lock, for callers that already hold it (re-acquiring could
 // deadlock against a waiting DDL): provenance lookups and scan probes. The
@@ -692,18 +677,4 @@ func (db *Database) ScanTableNoLock(table string, fn func(sqltypes.Row) error) e
 			return err
 		}
 	}
-}
-
-// tableRowCount returns a table's committed row count under a fresh read
-// snapshot (in-flight transactions are not counted).
-func (db *Database) tableRowCount(table string) (int64, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	td, err := db.table(table)
-	if err != nil {
-		return 0, err
-	}
-	snap := db.tm.readSnapshot()
-	defer db.tm.releaseSnapshot(snap)
-	return td.visibleRowCount(snap), nil
 }

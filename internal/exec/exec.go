@@ -197,18 +197,6 @@ func Run(ctx *Context, op Operator) ([]sqltypes.Row, error) {
 	return rows, err
 }
 
-// appendGroupKey renders group-by values into a comparable key: equal
-// keys are equal groups.
-func appendGroupKey(dst []byte, vals sqltypes.Row) ([]byte, error) {
-	var err error
-	for _, v := range vals {
-		if dst, err = appendValueKey(dst, v); err != nil {
-			return nil, err
-		}
-	}
-	return dst, nil
-}
-
 func appendValueKey(dst []byte, v sqltypes.Value) ([]byte, error) {
 	switch v.K {
 	case sqltypes.KindNull:

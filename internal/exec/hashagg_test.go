@@ -117,3 +117,15 @@ func (h *HashAggregate) Close() error {
 	h.groups, h.order = nil, nil
 	return nil
 }
+
+// appendGroupKey renders group-by values into a comparable key: equal
+// keys are equal groups.
+func appendGroupKey(dst []byte, vals sqltypes.Row) ([]byte, error) {
+	var err error
+	for _, v := range vals {
+		if dst, err = appendValueKey(dst, v); err != nil {
+			return nil, err
+		}
+	}
+	return dst, nil
+}

@@ -16,7 +16,7 @@ import (
 // that value: the Bloom filter's block and bits, the partition (partLedger)
 // and the table slot (keyTable). The hash is a function of the key's
 // query-level value, not of the vector it arrived in, and agrees with the
-// encoded-key equality of appendGroupKey: an INT column, a dictionary
+// encoded-key equality of appendValueKey: an INT column, a dictionary
 // column, a boxed row-source column and an integral FLOAT holding the same
 // number all hash alike, so the two sides of a join may arrive in any mix
 // of forms. Keys that hash alike are still compared. The join's build side
