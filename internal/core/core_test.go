@@ -13,6 +13,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/sqltypes"
+	"repro/internal/vec"
 )
 
 func openTestDB(t *testing.T) *Database {
@@ -295,19 +296,25 @@ func (rangeTVF) Schema(args []sqltypes.Value) ([]catalog.Column, error) {
 	return []catalog.Column{{Name: "n", Type: it}}, nil
 }
 
-func (rangeTVF) Iterator(_ *exec.Context, args []sqltypes.Value) (exec.RowIterator, error) {
+func (rangeTVF) Open(_ *exec.Context, args []*vec.Vector, sel []int, _ []bool) (exec.TableIterator, error) {
 	if len(args) != 1 {
 		return nil, fmt.Errorf("range takes 1 arg")
 	}
-	n, err := args[0].AsInt()
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]sqltypes.Row, n)
-	for i := range rows {
-		rows[i] = sqltypes.Row{sqltypes.NewInt(int64(i))}
-	}
-	return &exec.SliceIterator{Rows: rows}, nil
+	return &rowsTable{width: 1, sel: sel, expand: func(r int) ([]sqltypes.Row, error) {
+		v, err := args[0].Value(r)
+		if err != nil {
+			return nil, err
+		}
+		n, err := v.AsInt()
+		if err != nil {
+			return nil, err
+		}
+		rows := make([]sqltypes.Row, n)
+		for i := range rows {
+			rows[i] = sqltypes.Row{sqltypes.NewInt(int64(i))}
+		}
+		return rows, nil
+	}}, nil
 }
 
 func TestTVFInFrom(t *testing.T) {

@@ -159,7 +159,7 @@ func (db *Database) indexSorts(td *tableData, cols []int, lo, hi, parts int64) [
 		from := first + (sealed-first)*int64(i)/parts
 		to := first + (sealed-first)*int64(i+1)/parts
 		tail := i == len(sorts)-1
-		scan := &exec.Scan{Factory: func(*exec.Context) (exec.BatchIterator, error) {
+		scan := &exec.Scan{Factory: func(*exec.Context, []bool) (exec.BatchIterator, error) {
 			return &entryBatches{bi: td.heap.NewBatchIterator(from, to, tail, obs.Sink{}), cols: cols, needed: needed, lo: lo, hi: hi}, nil
 		}}
 		sorts[i] = &exec.Sort{Keys: indexEntryOrder, Child: scan, MemoryBudget: budget, Spill: db.SpillStore()}
@@ -557,7 +557,7 @@ func (db *Database) IndexScan(t *catalog.Table, idxName string, lo, hi *sqltypes
 		return nil, err
 	}
 	seqCols := sequenceColumns(td.def)
-	return &exec.Scan{Factory: func(ctx *exec.Context) (exec.BatchIterator, error) {
+	return &exec.Scan{Factory: func(ctx *exec.Context, _ []bool) (exec.BatchIterator, error) {
 		snap, _ := ctx.Snapshot.(*Snapshot)
 		td.writeMu.RLock()
 		it, err := ix.tree.SeekT(startKey, endKey, ctx.Sink)

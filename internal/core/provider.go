@@ -237,7 +237,7 @@ func (db *Database) ScanPartitionsPruned(t *catalog.Table, parts int, filters []
 			// ("extend"): pages sealed since planning stay covered, and the
 			// visibility filter hides whatever the snapshot should not see.
 			includeTail := i == parts-1
-			ops = append(ops, &exec.Scan{Factory: func(ctx *exec.Context) (exec.BatchIterator, error) {
+			ops = append(ops, &exec.Scan{Factory: func(ctx *exec.Context, _ []bool) (exec.BatchIterator, error) {
 				snap, _ := ctx.Snapshot.(*Snapshot)
 				return &visibleBatchIterator{
 					bi:      td.heap.NewBatchIterator(lo, hi, includeTail, ctx.Sink).SetZoneFilters(filters),
@@ -373,7 +373,7 @@ func (db *Database) OrderedScanRange(t *catalog.Table, lo, hi *sqltypes.Value) (
 		}
 	}
 	seqCols := sequenceColumns(td.def)
-	return &exec.Scan{Factory: func(ctx *exec.Context) (exec.BatchIterator, error) {
+	return &exec.Scan{Factory: func(ctx *exec.Context, _ []bool) (exec.BatchIterator, error) {
 		snap, _ := ctx.Snapshot.(*Snapshot)
 		td.writeMu.RLock()
 		it, err := td.tree.SeekT(startKey, endKey, ctx.Sink)

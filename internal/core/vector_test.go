@@ -14,14 +14,15 @@ import (
 	"repro/internal/exec"
 	"repro/internal/obs"
 	"repro/internal/sqltypes"
+	"repro/internal/vec"
 )
 
 // writtenRows serves the rows a test wrote, in their query form, as a
 // table-valued function. It is the reference of the scan equivalence
 // tests: the expected answer to a statement over a table is the same
-// statement over the generator's own rows, which enter the plan through
-// exec.Source — the path ListShortReads takes — and through no page or
-// leaf decoder.
+// statement over the generator's own rows, which enter the plan as boxed
+// vectors through the table-function leaf — the path ListShortReads
+// takes — and through no page or leaf decoder.
 type writtenRows struct {
 	cols []catalog.Column
 	rows []sqltypes.Row
@@ -29,9 +30,54 @@ type writtenRows struct {
 
 func (w writtenRows) Schema([]sqltypes.Value) ([]catalog.Column, error) { return w.cols, nil }
 
-func (w writtenRows) Iterator(*exec.Context, []sqltypes.Value) (exec.RowIterator, error) {
-	return &exec.SliceIterator{Rows: w.rows}, nil
+func (w writtenRows) Open(_ *exec.Context, _ []*vec.Vector, sel []int, _ []bool) (exec.TableIterator, error) {
+	return &rowsTable{width: len(w.cols), sel: sel, expand: func(int) ([]sqltypes.Row, error) { return w.rows, nil }}, nil
 }
+
+// rowsTable is the test functions' TableIterator: expand gives each outer
+// row's output rows, and they are boxed into generic vectors a batch at a
+// time.
+type rowsTable struct {
+	width  int
+	sel    []int
+	expand func(outer int) ([]sqltypes.Row, error)
+	k      int // rows of outer row sel[k-1] are pending
+	rows   []sqltypes.Row
+	outer  []int
+}
+
+func (t *rowsTable) NextBatch() (*vec.Batch, error) {
+	cols := make([]*vec.Vector, t.width)
+	for i := range cols {
+		cols[i] = vec.NewGenericVector(8)
+	}
+	t.outer = t.outer[:0]
+	for len(t.outer) < vec.DefaultBatchSize {
+		if len(t.rows) == 0 {
+			if t.k == len(t.sel) {
+				break
+			}
+			rows, err := t.expand(t.sel[t.k])
+			if err != nil {
+				return nil, err
+			}
+			t.rows, t.k = rows, t.k+1
+			continue
+		}
+		for i, v := range t.rows[0] {
+			cols[i].Append(v)
+		}
+		t.rows = t.rows[1:]
+		t.outer = append(t.outer, t.sel[t.k-1])
+	}
+	if len(t.outer) == 0 {
+		return nil, nil
+	}
+	return vec.NewBatch(cols, len(t.outer)), nil
+}
+
+func (t *rowsTable) Outer() []int { return t.outer }
+func (t *rowsTable) Close() error { return nil }
 
 // registerWritten installs rows as the TVF written(), its columns named
 // like the table's.

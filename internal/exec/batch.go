@@ -20,7 +20,7 @@ import (
 // touches it again, so it may be kept, changed in place and handed to
 // another goroutine (the Gather exchange sends batches, never copies). A
 // vector, though, may be shared with other batches — a projected column is
-// its input's vector, a pruned column is nullColumn — so consumers change a
+// its input's vector, a pruned column is NullColumn — so consumers change a
 // batch's Sel and its Cols slice, never a vector's cells.
 //
 // Selection. Sel lists the live physical rows in ascending order. Filters
@@ -31,8 +31,9 @@ import (
 // Pruning. Before Open, a consumer may say which of the operator's output
 // columns it reads (PruneColumns; never called, or nil, means all). The
 // operator adds the columns its own expressions read and passes the call
-// down. Unmarked columns may arrive as nullColumn; a lazily decoded scan
-// column simply stays encoded, which is why scans ignore the call.
+// down. Unmarked columns may arrive as NullColumn; a lazily decoded scan
+// column simply stays encoded, which is why table scans ignore the call (a
+// table-valued function fills only the marked columns).
 //
 // Rows. An operator may work a row at a time inside — read its child
 // through a RowCursor, keep rows, emit them through a rowPacker — but rows
@@ -57,7 +58,7 @@ type rowPacker struct {
 func (p *rowPacker) reset() { p.done, p.last = false, 0 }
 
 // next builds one batch of up to vec.DefaultBatchSize rows, copying only
-// the needed columns; the others are nullColumn. Batches outlive the row
+// the needed columns; the others are NullColumn. Batches outlive the row
 // they were read from, so byte values are copied out of it.
 func (p *rowPacker) next(next func() (sqltypes.Row, bool, error)) (*vec.Batch, error) {
 	var cols []*vec.Vector
@@ -74,15 +75,15 @@ func (p *rowPacker) next(next func() (sqltypes.Row, bool, error)) (*vec.Batch, e
 		if cols == nil {
 			cols = make([]*vec.Vector, len(row))
 			for i := range cols {
-				if p.needed == nil || (i < len(p.needed) && p.needed[i]) {
+				if Reads(p.needed, i) {
 					cols[i] = vec.NewGenericVector(max(p.last, 8))
 				} else {
-					cols[i] = nullColumn
+					cols[i] = NullColumn
 				}
 			}
 		}
 		for i, v := range row {
-			if cols[i] == nullColumn {
+			if cols[i] == NullColumn {
 				continue
 			}
 			if v.K == sqltypes.KindBytes {
@@ -157,9 +158,13 @@ func withExprColumns(needed []bool, exprs ...expr.Expr) []bool {
 	return mark
 }
 
-// nullColumn stands in for every column of a batch that its consumer has
+// Reads reports whether a consumer that marked needed (PruneColumns; nil =
+// all) reads column c.
+func Reads(needed []bool, c int) bool { return needed == nil || (c < len(needed) && needed[c]) }
+
+// NullColumn stands in for every column of a batch that its consumer has
 // said it will not read (PruneColumns). It is shared and never written.
-var nullColumn = func() *vec.Vector {
+var NullColumn = func() *vec.Vector {
 	v := &vec.Vector{Kind: sqltypes.KindNull, Vals: make([]sqltypes.Value, vec.DefaultBatchSize)}
 	for i := range v.Vals {
 		v.SetNull(i)
@@ -269,7 +274,7 @@ func (p *Project) PruneColumns(needed []bool) {
 	}
 	mark := make([]bool, p.InputWidth)
 	for i, e := range p.Exprs {
-		if needed == nil || (i < len(needed) && needed[i]) {
+		if Reads(needed, i) {
 			expr.MarkCols(e, mark)
 		}
 	}

@@ -3,16 +3,15 @@
 // NextBatch calls, Close (batch.go states the contract). Rows exist only at
 // the two edges of a plan, each with one adapter:
 //
-//   - rows in: Source packs a RowIterator — a table-valued function, a spill
-//     file — into batches (rowPacker); a base-table scan is never one, its
-//     leaf (Scan) reads batches off heap pages, clustered leaves or the
-//     pages an index points into. RowIterator is the paper's extension
-//     contract ("The API for providing TVFs follows the standard iterator
-//     interface of a relational query engine", Section 4.1) and stays as it
-//     is. The
-//     operators whose insides still work a row at a time (Sort, MergeSorted,
-//     TopN, Apply, the aggregates' group output) emit through the same
-//     packer.
+//   - rows in: Source packs a RowIterator — a spill file, a VALUES list —
+//     into batches (rowPacker). No scan is one: a base-table leaf (Scan)
+//     reads batches off heap pages, clustered leaves or the pages an index
+//     points into, and a table-valued function is a TableFunc that fills
+//     typed vectors itself — the leaf of a FROM-clause call is the same
+//     Scan, and CROSS APPLY (Apply) expands an outer batch at a time. The
+//     operators whose insides still work a row at a time (Sort,
+//     MergeSorted, TopN, the aggregates' group output) emit through the
+//     same packer.
 //   - rows out: RowCursor reads an operator's batches a row at a time. Run
 //     and Drain use it at the result boundary, the row-internal operators to
 //     read their children. The engine's own pipelines are plans of these
@@ -20,9 +19,10 @@
 //     statistics collector, an index build is partition Sorts under one
 //     MergeSorted, and neither has a row loop of its own.
 //
-// Everything between the edges — scans off pages and leaves, Filter, Project,
-// Limit, the Gather exchange, the hash and merge joins, the three
-// aggregates' input, RowNumber's counter — computes on typed vectors. The
+// Everything between the edges — scans off pages and leaves, table-valued
+// functions, Filter, Project, Limit, the Gather exchange, the lateral
+// Apply, the hash and merge joins, the three aggregates' input,
+// RowNumber's counter — computes on typed vectors. The
 // hash join and the hash aggregate share one key hasher, one chained key
 // table and one partition ledger (joinhash.go). The parallel operators
 // (Gather, the partial and final aggregate, the partitioned merge join)
@@ -57,8 +57,8 @@ type Context struct {
 	Snapshot any
 }
 
-// RowIterator is a row stream: what a table-valued function or a spill file
-// hands to a Source. A returned row may be reused by the
+// RowIterator is a row stream: what a spill file or a VALUES list hands to
+// a Source. A returned row may be reused by the
 // next call; an iterator need not survive a Next after its last row.
 type RowIterator interface {
 	Next() (sqltypes.Row, bool, error)
@@ -66,7 +66,8 @@ type RowIterator interface {
 }
 
 // BatchIterator is a batch stream produced by a Scan factory (the heap,
-// clustered and index scans), mirroring RowIterator.
+// clustered and index scans, a table-valued function), mirroring
+// RowIterator.
 type BatchIterator interface {
 	NextBatch() (*vec.Batch, error)
 	Close() error
@@ -108,26 +109,30 @@ func (s *Source) Close() error {
 	return err
 }
 
-// Scan is a leaf whose iterator delivers batches itself: heap pages,
+// Scan is the one leaf whose iterator delivers batches itself: heap pages,
 // clustered leaves and the heap pages an index scan fetches, decoded a
-// column at a time.
+// column at a time, and the batches of a table-valued function.
 type Scan struct {
-	Factory func(ctx *Context) (BatchIterator, error)
+	// Factory opens the iterator; needed is what PruneColumns was told. A
+	// table-valued function fills only the marked columns; the table scans
+	// ignore it, as a scanned column is decoded when first read.
+	Factory func(ctx *Context, needed []bool) (BatchIterator, error)
 
-	it BatchIterator
+	needed []bool
+	it     BatchIterator
 }
 
 // Open creates the underlying iterator.
 func (s *Scan) Open(ctx *Context) (err error) {
-	s.it, err = s.Factory(ctx)
+	s.it, err = s.Factory(ctx, s.needed)
 	return err
 }
 
 // NextBatch returns the iterator's next batch.
 func (s *Scan) NextBatch() (*vec.Batch, error) { return s.it.NextBatch() }
 
-// PruneColumns does nothing: a scanned column is decoded when first read.
-func (s *Scan) PruneColumns([]bool) {}
+// PruneColumns keeps the mask for the factory.
+func (s *Scan) PruneColumns(needed []bool) { s.needed = needed }
 
 // Close releases the iterator.
 func (s *Scan) Close() error {
@@ -139,8 +144,7 @@ func (s *Scan) Close() error {
 	return err
 }
 
-// SliceIterator serves rows from memory; used for VALUES lists, tests, and
-// materialized intermediates.
+// SliceIterator serves rows from memory: VALUES lists and tests.
 type SliceIterator struct {
 	Rows []sqltypes.Row
 	pos  int

@@ -480,15 +480,14 @@ func TestApply(t *testing.T) {
 	// Inner: yields n rows (0..n-1) for outer value n - like PivotAlignment
 	// yielding one row per base.
 	op := &Apply{
-		Child: src,
-		Inner: func(ctx *Context, outer sqltypes.Row) (RowIterator, error) {
-			n := outer[0].I
+		Child: src, Args: []expr.Expr{col(0)}, OuterWidth: 1,
+		Func: &rowFunc{width: 1, expand: func(args sqltypes.Row) ([]sqltypes.Row, error) {
 			var rows []sqltypes.Row
-			for i := int64(0); i < n; i++ {
+			for i := int64(0); i < args[0].I; i++ {
 				rows = append(rows, sqltypes.Row{i64(i)})
 			}
-			return &SliceIterator{Rows: rows}, nil
-		},
+			return rows, nil
+		}},
 	}
 	rows := run(t, op)
 	if len(rows) != 5 {
@@ -509,10 +508,10 @@ func (*failingClose) Close() error { return fmt.Errorf("inner close") }
 // iterator still open; the iterator's Close error reaches the caller.
 func TestApplyCloseReturnsInnerError(t *testing.T) {
 	op := &Apply{
-		Child: NewValues(countRows(1)),
-		Inner: func(*Context, sqltypes.Row) (RowIterator, error) {
-			return &failingClose{SliceIterator{Rows: countRows(vec.DefaultBatchSize + 1)}}, nil
-		},
+		Child: NewValues(countRows(1)), OuterWidth: 1,
+		Func: &rowFunc{width: 1, closeErr: fmt.Errorf("inner close"), expand: func(sqltypes.Row) ([]sqltypes.Row, error) {
+			return countRows(vec.DefaultBatchSize + 1), nil
+		}},
 	}
 	if err := op.Open(&Context{}); err != nil {
 		t.Fatal(err)

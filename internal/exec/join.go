@@ -225,14 +225,14 @@ func (m *MergeJoin) replayGroup() {
 
 // emit builds the output batch from the pairs: the left columns the
 // consumer reads gathered from the left batch, the right ones appended
-// from the chunks' batches, the rest nullColumn.
+// from the chunks' batches, the rest NullColumn.
 func (m *MergeJoin) emit() (*vec.Batch, error) {
 	lb := m.left.b
 	lw := len(lb.Cols)
 	cols := make([]*vec.Vector, lw+len(m.chunks[0].b.Cols))
 	for c := range cols {
-		cols[c] = nullColumn
-		if m.needed != nil && (c >= len(m.needed) || !m.needed[c]) {
+		cols[c] = NullColumn
+		if !Reads(m.needed, c) {
 			continue
 		}
 		if c < lw {
@@ -337,81 +337,5 @@ func (m *MergeJoin) Close() error {
 		err = cerr
 	}
 	m.left, m.right, m.group, m.gkey, m.chunks = mergeCursor{}, mergeCursor{}, nil, mergeKeys{}, nil
-	return err
-}
-
-// Apply implements CROSS APPLY: for every outer row an inner row stream is
-// created by Inner (typically a table-valued function over the outer row's
-// columns — the paper's PivotAlignment in Query 3). Output rows are the
-// outer values followed by the inner values. Row-internal: the inner
-// streams are RowIterators, the paper's TVF contract.
-type Apply struct {
-	Child Operator
-	// Inner creates the per-row iterator.
-	Inner func(ctx *Context, outer sqltypes.Row) (RowIterator, error)
-
-	ctx   *Context
-	in    RowCursor
-	outer sqltypes.Row
-	inner RowIterator
-	row   sqltypes.Row
-	out   rowPacker
-}
-
-// Open opens the outer child.
-func (a *Apply) Open(ctx *Context) error {
-	a.ctx = ctx
-	a.in = RowCursor{Op: a.Child}
-	a.out.reset()
-	return a.Child.Open(ctx)
-}
-
-// NextBatch packs the next combinations.
-func (a *Apply) NextBatch() (*vec.Batch, error) { return a.out.next(a.next) }
-
-// next produces the next outer x inner combination.
-func (a *Apply) next() (sqltypes.Row, bool, error) {
-	for {
-		if a.inner != nil {
-			row, ok, err := a.inner.Next()
-			if err != nil {
-				return nil, false, err
-			}
-			if ok {
-				a.row = append(append(a.row[:0], a.outer...), row...)
-				return a.row, true, nil
-			}
-			if err := a.inner.Close(); err != nil {
-				return nil, false, err
-			}
-			a.inner = nil
-		}
-		row, ok, err := a.in.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		a.outer = row.Clone()
-		inner, err := a.Inner(a.ctx, a.outer)
-		if err != nil {
-			return nil, false, err
-		}
-		a.inner = inner
-	}
-}
-
-// PruneColumns stops at the outer child: Inner may read any of its columns.
-func (a *Apply) PruneColumns(needed []bool) { a.out.needed = needed }
-
-// Close closes any open inner iterator and the outer child, returning the
-// first error.
-func (a *Apply) Close() error {
-	var err error
-	if a.inner != nil {
-		err = a.inner.Close()
-		a.inner = nil
-	}
-	if cerr := a.Child.Close(); err == nil {
-		err = cerr
-	}
 	return err
 }

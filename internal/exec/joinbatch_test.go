@@ -163,7 +163,7 @@ func batchSources(t testing.TB, batches []*vec.Batch, n int) []Operator {
 		for k := i; k < len(batches); k += n {
 			mine = append(mine, batches[k])
 		}
-		ops[i] = &Scan{Factory: func(*Context) (BatchIterator, error) {
+		ops[i] = &Scan{Factory: func(*Context, []bool) (BatchIterator, error) {
 			return &batchSlice{batches: mine}, nil
 		}}
 	}
@@ -363,7 +363,7 @@ func testTypedJoinEquivalence(t *testing.T) {
 // DOP 1 and 4, the merge join — folds batches into the count. Neither the
 // join nor its inputs have a row interface to be asked through; what the
 // aggregate's pruning leaves of the join's output is the selection alone —
-// every column is the shared nullColumn.
+// every column is the shared NullColumn.
 func TestCountOverJoinBuildsNoRow(t *testing.T) {
 	left := benchJoinRows(5000, 700, 1, "l")
 	right := benchJoinRows(4000, 700, 2, "r")
@@ -406,7 +406,7 @@ type gatherNothing struct {
 func (g *gatherNothing) NextBatch() (*vec.Batch, error) {
 	b, err := g.Operator.NextBatch()
 	for c := 0; b != nil && c < len(b.Cols); c++ {
-		if b.Cols[c] != nullColumn {
+		if b.Cols[c] != NullColumn {
 			g.t.Errorf("the join gathered column %d for a consumer that reads none", c)
 		}
 	}

@@ -769,12 +769,12 @@ scan:
 }
 
 // emit gathers the matched pairs into an output batch: the left input's
-// columns, then the right's; columns nobody reads are nullColumn.
+// columns, then the right's; columns nobody reads are NullColumn.
 func (w *phjProbe) emit(b *vec.Batch) (*vec.Batch, error) {
 	t := &w.j.table
 	cols := make([]*vec.Vector, len(b.Cols)+t.width)
 	for i := range cols {
-		cols[i] = nullColumn
+		cols[i] = NullColumn
 	}
 	probeAt, buildAt := 0, len(b.Cols)
 	if w.j.BuildLeft {

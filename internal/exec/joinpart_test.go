@@ -344,9 +344,9 @@ func TestOperatorsCloseChildrenOnError(t *testing.T) {
 				LeftParts: []Operator{l, NewValues(someRows(9))}, RightParts: []Operator{r, NewValues(someRows(9))}}
 		}},
 		{"Apply", func(l, r Operator) Operator {
-			return &Apply{Child: l, Inner: func(*Context, sqltypes.Row) (RowIterator, error) {
-				return &SliceIterator{Rows: someRows(2)}, nil
-			}}
+			return &Apply{Child: l, Args: keys, OuterWidth: 2, Func: &rowFunc{width: 2, expand: func(sqltypes.Row) ([]sqltypes.Row, error) {
+				return someRows(2), nil
+			}}}
 		}},
 		{"StreamAggregate", func(l, r Operator) Operator { return &StreamAggregate{GroupBy: keys, Aggs: count, Child: l} }},
 		{"SpillableAggregate", func(l, r Operator) Operator { return &SpillableAggregate{GroupBy: keys, Aggs: count, Child: l} }},

@@ -20,7 +20,7 @@ func partitionedHeapScan(h *storage.Heap, parts int) []Operator {
 		hi := sealed * int64(i+1) / int64(parts)
 		includeTail := i == parts-1
 		ops = append(ops, &Scan{
-			Factory: func(ctx *Context) (BatchIterator, error) {
+			Factory: func(ctx *Context, _ []bool) (BatchIterator, error) {
 				return h.NewBatchIterator(lo, hi, includeTail, ctx.Sink), nil
 			},
 		})

@@ -92,7 +92,10 @@ func TestOperatorsForwardColumnPruning(t *testing.T) {
 		}, plusOwn},
 		// ...and stops the call when it was not told how wide they are.
 		"Project/unsized": {func(c Operator) Operator { return &Project{Exprs: []expr.Expr{col(3)}, Child: c} }, nil},
-		"Apply":           {func(c Operator) Operator { return &Apply{Child: c} }, nil},
+		// The apply's output is its outer rows, then its function's.
+		"Apply": {func(c Operator) Operator {
+			return &Apply{Child: c, Args: []expr.Expr{col(2)}, Func: &rowFunc{width: 1}, OuterWidth: 4}
+		}, plusOwn},
 		"StreamAggregate": {func(c Operator) Operator {
 			return &StreamAggregate{GroupBy: []expr.Expr{col(2)}, Child: c}
 		}, nil},
@@ -122,7 +125,7 @@ func TestOperatorsForwardColumnPruning(t *testing.T) {
 }
 
 // TestPrunedSourcePacksOnlyMarkedColumns: a row source copies the marked
-// columns into its batches and stands the shared nullColumn in for the
+// columns into its batches and stands the shared NullColumn in for the
 // rest; a cursor reading the batch sees NULL there.
 func TestPrunedSourcePacksOnlyMarkedColumns(t *testing.T) {
 	src := NewValues(rowsOf([]sqltypes.Value{i64(7), str("dropped")}, []sqltypes.Value{i64(8), str("dropped")}))
@@ -135,8 +138,8 @@ func TestPrunedSourcePacksOnlyMarkedColumns(t *testing.T) {
 	if err != nil || b == nil || b.Len() != 2 {
 		t.Fatal(b, err)
 	}
-	if b.Cols[0] == nullColumn || b.Cols[1] != nullColumn {
-		t.Errorf("columns packed: %v", []bool{b.Cols[0] != nullColumn, b.Cols[1] != nullColumn})
+	if b.Cols[0] == NullColumn || b.Cols[1] != NullColumn {
+		t.Errorf("columns packed: %v", []bool{b.Cols[0] != NullColumn, b.Cols[1] != NullColumn})
 	}
 	if row, err := b.ReadRow(1, nil); err != nil || row[0].I != 8 || !row[1].IsNull() {
 		t.Errorf("row 1 = %v, %v", row, err)

@@ -1,6 +1,7 @@
 package fastq
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -89,9 +90,9 @@ func (s *ChunkedScanner) readChunk() (int, error) {
 
 // MoveNext advances to the next entry, following the paper's
 // Iterator::MoveNext() control flow. It returns false at end of input or on
-// error; check Err afterwards.
+// error, and on every call after; check Err afterwards.
 func (s *ChunkedScanner) MoveNext() bool {
-	if s.err != nil {
+	if s.err != nil || s.ended {
 		return false
 	}
 	if s.bytesRead == 0 && !s.eof && s.filePos == 0 && s.bufferPos == 0 {
@@ -190,11 +191,34 @@ func (s readerAtSource) GetBytes(off int64, buf []byte) (int, error) {
 	return n, err
 }
 
+// Spans is the entry an EntryFunc last parsed, as slices of the window it
+// was given: valid until the scanner's next MoveNext, so a reader that keeps
+// a field copies it out. A batch reader copies each field it needs into
+// its column's arena and nothing else.
+type Spans struct {
+	Name, Seq, Qual []byte
+	// Intensity is an SRF record's mean called-channel intensity
+	// (SRFRecord.AvgIntensity); 0 for the text formats.
+	Intensity float64
+}
+
 // FASTQEntry parses one 4-line FASTQ entry and reports its length in bytes.
-// It allocates nothing; use it for COUNT(*)-style scans. The record content
-// can be recovered by the caller from the same window if needed.
+// It allocates nothing; use it for COUNT(*)-style scans.
 func FASTQEntry(data []byte, atEOF bool) (int, error) {
-	return fastqEntrySpan(data, atEOF, nil)
+	n, _, err := fastqEntrySpan(data, atEOF)
+	return n, err
+}
+
+// FASTQSpanEntry returns an EntryFunc that points *sp at each entry's
+// fields in the scan buffer; it copies nothing.
+func FASTQSpanEntry(sp *Spans) EntryFunc {
+	return func(data []byte, atEOF bool) (int, error) {
+		n, f, err := fastqEntrySpan(data, atEOF)
+		if err == nil && n > 0 {
+			sp.Name, sp.Seq, sp.Qual = f.name, f.seq, f.qual
+		}
+		return n, err
+	}
 }
 
 // FASTQRecordEntry returns an EntryFunc that additionally decodes each
@@ -202,66 +226,132 @@ func FASTQEntry(data []byte, atEOF bool) (int, error) {
 // remain valid after the next MoveNext.
 func FASTQRecordEntry(rec *Record) EntryFunc {
 	return func(data []byte, atEOF bool) (int, error) {
-		return fastqEntrySpan(data, atEOF, rec)
+		n, f, err := fastqEntrySpan(data, atEOF)
+		if err == nil && n > 0 {
+			*rec = Record{Name: string(f.name), Seq: string(f.seq), Comment: string(f.comment), Qual: string(f.qual)}
+		}
+		return n, err
 	}
 }
 
-func fastqEntrySpan(data []byte, atEOF bool, rec *Record) (int, error) {
+// fastqFields are one FASTQ entry's fields as spans of the parsed window.
+type fastqFields struct{ name, seq, comment, qual []byte }
+
+// nextLine returns the line of data starting at pos without its terminator
+// ('\n' and the '\r's before it, as Reader trims them) and the position
+// after it. ok is false when data holds no '\n' past pos: the line is then
+// the rest of data, whole only at the end of input.
+func nextLine(data []byte, pos int) (line []byte, next int, ok bool) {
+	end, next := len(data), len(data)
+	if i := bytes.IndexByte(data[pos:], '\n'); i >= 0 {
+		end, next, ok = pos+i, pos+i+1, true
+	}
+	for end > pos && data[end-1] == '\r' {
+		end--
+	}
+	return data[pos:end], next, ok
+}
+
+// fastqEntrySpan parses the FASTQ entry at the start of data: four lines,
+// each mandatory and possibly empty, with Reader's checks. A blank line
+// before an entry is consumed on its own, with ErrSkipEntry, as Reader
+// skips it between records.
+func fastqEntrySpan(data []byte, atEOF bool) (int, fastqFields, error) {
+	var f fastqFields
 	if len(data) == 0 {
-		return 0, nil
+		return 0, f, nil
 	}
+	var lines [4][]byte
 	pos := 0
-	var lines [4][2]int // start, end offsets of the four lines
-	for i := 0; i < 4; i++ {
-		start := pos
-		for pos < len(data) && data[pos] != '\n' {
-			pos++
+	for i := range lines {
+		if i > 0 && pos == len(data) && atEOF {
+			return 0, f, fmt.Errorf("fastq: truncated entry: only %d of 4 lines", i)
 		}
-		if pos >= len(data) {
-			if !atEOF {
-				return 0, nil // incomplete entry: page in more data
+		line, next, ok := nextLine(data, pos)
+		if !ok && !atEOF {
+			return 0, f, nil // incomplete entry: page in more data
+		}
+		if i == 0 && len(line) == 0 {
+			return next, f, ErrSkipEntry // a blank line between records
+		}
+		lines[i], pos = line, next
+	}
+	name, seq, plus, qual := lines[0], lines[1], lines[2], lines[3]
+	if name[0] != '@' {
+		return 0, f, fmt.Errorf("fastq: entry does not start with '@': %q", name[:min(len(name), 20)])
+	}
+	if len(name) == 1 {
+		return 0, f, fmt.Errorf("fastq: record with empty name")
+	}
+	if len(plus) == 0 || plus[0] != '+' {
+		return 0, f, fmt.Errorf("fastq: missing '+' separator")
+	}
+	if len(seq) != len(qual) {
+		return 0, f, fmt.Errorf("fastq: sequence/quality length mismatch (%d vs %d)", len(seq), len(qual))
+	}
+	return pos, fastqFields{name: name[1:], seq: seq, comment: plus[1:], qual: qual}, nil
+}
+
+// FASTASpanEntry returns an EntryFunc that parses FASTA records as
+// FastaReader does — a '>' header, then every line up to the next '>' line
+// or the end of input, blank lines skipped — and points *sp at the name
+// (the header up to its first space) and the joined sequence. The sequence
+// is joined into a buffer the function reuses, so a record costs no
+// allocation once the buffer has grown to the longest one; Qual is empty.
+// A record is parsed once the scanner holds all of it and the first byte
+// of the next line, so the scanner's memory is one record, not the file.
+func FASTASpanEntry(sp *Spans) EntryFunc {
+	var seq []byte
+	return func(data []byte, atEOF bool) (int, error) {
+		if len(data) == 0 {
+			return 0, nil
+		}
+		header, pos, ok := nextLine(data, 0)
+		if !ok && !atEOF {
+			return 0, nil
+		}
+		if len(header) == 0 {
+			return pos, ErrSkipEntry // blank lines before the first header
+		}
+		if header[0] != '>' {
+			return 0, fmt.Errorf("fasta: expected '>' header, got %q", header[:min(len(header), 20)])
+		}
+		name := header[1:]
+		if i := bytes.IndexByte(name, ' '); i >= 0 {
+			name = name[:i]
+		}
+		if len(name) == 0 {
+			return 0, fmt.Errorf("fasta: record with empty name")
+		}
+		seq = seq[:0]
+		for {
+			if pos == len(data) {
+				if !atEOF {
+					return 0, nil // more body lines may follow
+				}
+				break
 			}
-			if i < 3 {
-				return 0, fmt.Errorf("fastq: truncated entry: only %d of 4 lines", i+1)
+			if data[pos] == '>' {
+				break
 			}
+			line, next, ok := nextLine(data, pos)
+			if !ok && !atEOF {
+				return 0, nil
+			}
+			seq = append(seq, line...)
+			pos = next
 		}
-		end := pos
-		if end > start && data[end-1] == '\r' {
-			end--
-		}
-		lines[i] = [2]int{start, end}
-		if pos < len(data) {
-			pos++ // consume '\n'
-		}
+		sp.Name, sp.Seq, sp.Qual = name, seq, nil
+		return pos, nil
 	}
-	nameL, seqL, plusL, qualL := lines[0], lines[1], lines[2], lines[3]
-	if nameL[1] == nameL[0] || data[nameL[0]] != '@' {
-		return 0, fmt.Errorf("fastq: entry does not start with '@': %q", data[nameL[0]:min(nameL[1], nameL[0]+20)])
-	}
-	if plusL[1] == plusL[0] || data[plusL[0]] != '+' {
-		return 0, fmt.Errorf("fastq: missing '+' separator")
-	}
-	if seqL[1]-seqL[0] != qualL[1]-qualL[0] {
-		return 0, fmt.Errorf("fastq: sequence/quality length mismatch (%d vs %d)",
-			seqL[1]-seqL[0], qualL[1]-qualL[0])
-	}
-	if rec != nil {
-		rec.Name = string(data[nameL[0]+1 : nameL[1]])
-		rec.Seq = string(data[seqL[0]:seqL[1]])
-		rec.Comment = string(data[plusL[0]+1 : plusL[1]])
-		rec.Qual = string(data[qualL[0]:qualL[1]])
-	}
-	return pos, nil
 }
 
 // LineEntry counts newline-terminated lines; the simplest EntryFunc, used
 // by FASTA scans that only need line counts (Section 5.2's experiment notes
 // "the function did not perform any record conversions").
 func LineEntry(data []byte, atEOF bool) (int, error) {
-	for i := 0; i < len(data); i++ {
-		if data[i] == '\n' {
-			return i + 1, nil
-		}
+	if i := bytes.IndexByte(data, '\n'); i >= 0 {
+		return i + 1, nil
 	}
 	if atEOF && len(data) > 0 {
 		return len(data), nil

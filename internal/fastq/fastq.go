@@ -46,13 +46,15 @@ func NewReader(r io.Reader) *Reader {
 	return &Reader{br: bufio.NewReaderSize(r, 64<<10)}
 }
 
-// Next returns the next record, or io.EOF after the last one.
+// Next returns the next record, or io.EOF after the last one. Blank lines
+// between records are skipped; the four lines of a record are all
+// mandatory, and the sequence and quality lines may be empty.
 func (r *Reader) Next() (Record, error) {
-	name, err := r.readLine()
+	name, err := r.readLine(true)
 	if err != nil {
 		return Record{}, err // io.EOF here means clean end of file
 	}
-	if len(name) == 0 || name[0] != '@' {
+	if name[0] != '@' {
 		return Record{}, fmt.Errorf("fastq: line %d: expected '@name', got %q", r.line, name)
 	}
 	seqLine, err := r.contentLine("sequence")
@@ -77,7 +79,10 @@ func (r *Reader) Next() (Record, error) {
 	return rec, nil
 }
 
-func (r *Reader) readLine() (string, error) {
+// readLine returns the next line without its terminator ('\n' and any '\r'
+// before it). Between records (blank set) it skips lines that are empty
+// once trimmed; a blank last line is the end of the file.
+func (r *Reader) readLine(blank bool) (string, error) {
 	for {
 		line, err := r.br.ReadString('\n')
 		if len(line) == 0 && err != nil {
@@ -85,8 +90,11 @@ func (r *Reader) readLine() (string, error) {
 		}
 		r.line++
 		line = strings.TrimRight(line, "\r\n")
-		if line == "" && err == nil {
-			continue // tolerate blank lines between records
+		if line == "" && blank {
+			if err != nil {
+				return "", err
+			}
+			continue
 		}
 		return line, nil
 	}
@@ -95,7 +103,7 @@ func (r *Reader) readLine() (string, error) {
 // contentLine reads a mandatory line mid-record, turning EOF into a
 // truncation error.
 func (r *Reader) contentLine(what string) (string, error) {
-	line, err := r.readLine()
+	line, err := r.readLine(false)
 	if err == io.EOF {
 		return "", fmt.Errorf("fastq: unexpected end of file, missing %s line", what)
 	}

@@ -2,10 +2,12 @@ package fastq
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -89,31 +91,152 @@ func TestChunkedScannerMatchesReader(t *testing.T) {
 	// Generate a file, then compare the chunked scanner against the
 	// line-oriented reader with several chunk sizes, including ones small
 	// enough to force the paging (buffer-wrap) path on every record.
-	data := genFastqData(t, 500)
-	want, err := ReadAll(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, chunk := range []int{16, 64, 256, 4096, 1 << 20} {
-		var rec Record
-		sc := NewChunkedScanner(SourceFromReaderAt(bytes.NewReader(data)), FASTQRecordEntry(&rec), chunk)
-		var got []Record
-		for sc.MoveNext() {
-			got = append(got, rec)
+	// Blank lines between records, and at the end, are skipped by both.
+	for _, data := range [][]byte{
+		genFastqData(t, 500),
+		[]byte("@a\nAC\n+\nII\n\n"),
+		[]byte("@a\nAC\n+\nII\n\n@b\nG\n+\nI\n"),
+	} {
+		want, err := ReadAll(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if sc.Err() != nil {
-			t.Fatalf("chunk %d: %v", chunk, sc.Err())
-		}
-		if len(got) != len(want) {
-			t.Fatalf("chunk %d: %d records, want %d", chunk, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("chunk %d: record %d = %+v, want %+v", chunk, i, got[i], want[i])
+		for _, chunk := range []int{1, 16, 64, 256, 4096, 1 << 20} {
+			var rec Record
+			sc := NewChunkedScanner(SourceFromReaderAt(bytes.NewReader(data)), FASTQRecordEntry(&rec), chunk)
+			var got []Record
+			for sc.MoveNext() {
+				got = append(got, rec)
+			}
+			if sc.Err() != nil {
+				t.Fatalf("chunk %d: %v", chunk, sc.Err())
+			}
+			if sc.MoveNext() { // a batch reader asks again after the end
+				t.Fatalf("chunk %d: MoveNext after the end returned true", chunk)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("chunk %d: %d records, want %d", chunk, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("chunk %d: record %d = %+v, want %+v", chunk, i, got[i], want[i])
+				}
+			}
+			if sc.Entries != int64(len(want)) {
+				t.Errorf("chunk %d: Entries = %d", chunk, sc.Entries)
 			}
 		}
-		if sc.Entries != int64(len(want)) {
-			t.Errorf("chunk %d: Entries = %d", chunk, sc.Entries)
+	}
+}
+
+// readerRecords reads data with Reader up to its first error.
+func readerRecords(data []byte) ([]Record, error) {
+	r := NewReader(bytes.NewReader(data))
+	var out []Record
+	for {
+		rec, err := r.Next()
+		if err == io.EOF {
+			return out, nil
+		}
+		if err != nil {
+			return out, err
+		}
+		out = append(out, rec)
+	}
+}
+
+// spanRecords scans data with the span parser at the given chunk size, up
+// to its first error, copying each entry's fields out.
+func spanRecords(data []byte, chunk int) ([]Record, error) {
+	var sp Spans
+	sc := NewChunkedScanner(SourceFromReaderAt(bytes.NewReader(data)), FASTQSpanEntry(&sp), chunk)
+	var out []Record
+	for sc.MoveNext() {
+		out = append(out, Record{Name: string(sp.Name), Seq: string(sp.Seq), Qual: string(sp.Qual)})
+	}
+	return out, sc.Err()
+}
+
+// FuzzFASTQChunkedMatchesReader holds the chunked span parser behind
+// ListShortReads to the line-oriented Reader: over FASTQ-like bytes (CRLF,
+// blank lines, truncated tails, '@' and '+' inside quality lines, empty
+// names), at chunk sizes down to one byte, both yield the same records up
+// to the same point and then both end or both fail; neither panics.
+func FuzzFASTQChunkedMatchesReader(f *testing.F) {
+	for _, seed := range []string{
+		paperExample,
+		"@a\nAC\n+\nII\n\n",
+		"@a\nAC\n+\nII\n\n\r\n@b\nG\n+b\n!\n",
+		"@a\r\nAC\r\n+\r\nII\r\n",
+		"@a\nAC\n+\nII",
+		"@a\nAC\n+\n",
+		"@\nA\n+\nI\n",
+		"@a\nAC\n+\n@+\n@b\nA\n+\n+\n",
+		"@a\n\n+\n\n",
+		"\n\r\n\r",
+	} {
+		f.Add([]byte(seed), uint8(0))
+		f.Add([]byte(seed), uint8(6))
+	}
+	f.Fuzz(func(t *testing.T, data []byte, chunk uint8) {
+		want, wantErr := readerRecords(data)
+		for i := range want {
+			want[i].Comment = ""
+		}
+		for _, size := range []int{int(chunk)%16 + 1, DefaultChunkSize} {
+			got, err := spanRecords(data, size)
+			if (err == nil) != (wantErr == nil) {
+				t.Fatalf("chunk %d: Reader error %v, chunked error %v", size, wantErr, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("chunk %d: chunked records %q, Reader's %q", size, got, want)
+			}
+		}
+	})
+}
+
+// TestFASTAChunkedMatchesReader: the chunked FASTA entry that streams
+// ListShortReads(..., 'Fasta') yields ReadAllFasta's names and sequences,
+// wrapped lines joined, blank and CRLF lines included, at any chunk size.
+func TestFASTAChunkedMatchesReader(t *testing.T) {
+	var buf bytes.Buffer
+	w := NewFastaWriter(&buf)
+	w.Wrap = 7
+	for i := 0; i < 50; i++ {
+		w.Write(FastaRecord{Name: fmt.Sprintf("chr%d", i), Desc: "d", Seq: strings.Repeat("ACGTN", i)})
+	}
+	w.Flush()
+	for _, data := range []string{buf.String(), "\n>a x\r\nAC\r\n\nGT\n>b\n>c\nA", ""} {
+		want, err := ReadAllFasta(strings.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, chunk := range []int{1, 5, 64, 1 << 20} {
+			var sp Spans
+			sc := NewChunkedScanner(SourceFromReaderAt(strings.NewReader(data)), FASTASpanEntry(&sp), chunk)
+			var got []FastaRecord
+			for sc.MoveNext() {
+				got = append(got, FastaRecord{Name: string(sp.Name), Seq: string(sp.Seq)})
+			}
+			if sc.Err() != nil {
+				t.Fatalf("chunk %d: %v", chunk, sc.Err())
+			}
+			if len(got) != len(want) {
+				t.Fatalf("chunk %d: %d records, want %d", chunk, len(got), len(want))
+			}
+			for i := range want {
+				if got[i].Name != want[i].Name || got[i].Seq != want[i].Seq {
+					t.Fatalf("chunk %d: record %d = %+v, want %+v", chunk, i, got[i], want[i])
+				}
+			}
+		}
+	}
+	for _, bad := range []string{"ACGT\n", ">\nAC\n", ">a\nAC\n> b\n"} {
+		sc := NewChunkedScanner(SourceFromReaderAt(strings.NewReader(bad)), FASTASpanEntry(&Spans{}), 4)
+		for sc.MoveNext() {
+		}
+		if _, err := ReadAllFasta(strings.NewReader(bad)); err == nil || sc.Err() == nil {
+			t.Errorf("%q: reader error %v, chunked error %v; want both", bad, err, sc.Err())
 		}
 	}
 }

@@ -55,20 +55,24 @@ func (r *SRFRecord) Validate() error {
 // AvgIntensity returns the mean called-channel intensity (in raw units,
 // 1.0 = nominal full signal) — a simple per-read signal summary.
 func (r *SRFRecord) AvgIntensity() float64 {
-	if len(r.Intensities) == 0 {
+	return avgIntensity(len(r.Intensities), func(i, c int) uint16 { return r.Intensities[i][c] })
+}
+
+// avgIntensity is the mean over n bases of the strongest of each base's
+// four channel values, in raw units.
+func avgIntensity(n int, channel func(base, c int) uint16) float64 {
+	if n == 0 {
 		return 0
 	}
 	total := 0.0
-	for _, tuple := range r.Intensities {
-		best := tuple[0]
-		for _, v := range tuple[1:] {
-			if v > best {
-				best = v
-			}
+	for i := 0; i < n; i++ {
+		best := channel(i, 0)
+		for c := 1; c < 4; c++ {
+			best = max(best, channel(i, c))
 		}
 		total += float64(best) / 1000
 	}
-	return total / float64(len(r.Intensities))
+	return total / float64(n)
 }
 
 // WriteSRF writes a complete container.
@@ -125,14 +129,13 @@ func ReadSRF(r io.Reader) ([]SRFRecord, error) {
 	// The declared count is not trusted for an allocation: each record
 	// takes at least two bytes, so the data bounds the loop.
 	var out []SRFRecord
-	var rec SRFRecord
 	for i := uint64(0); i < count; i++ {
-		consumed, err := srfEntry(data[pos:], true, &rec)
+		consumed, f, err := srfEntry(data[pos:], true)
 		if err != nil {
 			return nil, err
 		}
 		pos += consumed
-		out = append(out, rec)
+		out = append(out, f.record())
 	}
 	if pos != len(data) {
 		return nil, fmt.Errorf("srf: %d trailing bytes after final record", len(data)-pos)
@@ -146,6 +149,24 @@ func ReadSRF(r io.Reader) ([]SRFRecord, error) {
 // FileStreams (the paper: "our hybrid approach would naturally extend to
 // encapsulate SRF files as FileStreams too").
 func SRFRecordEntry(rec *SRFRecord) EntryFunc {
+	return srfContainer(func(f srfFields) { *rec = f.record() })
+}
+
+// SRFSpanEntry is SRFRecordEntry for a batch reader: it points *sp at each
+// record's name, bases and qualities in the scan buffer and sets its mean
+// intensity, decoding no intensity tuple into memory of its own.
+func SRFSpanEntry(sp *Spans) EntryFunc {
+	return srfContainer(func(f srfFields) {
+		sp.Name, sp.Seq, sp.Qual = f.name, f.seq, f.qual
+		sp.Intensity = avgIntensity(len(f.seq), func(i, c int) uint16 {
+			return binary.LittleEndian.Uint16(f.intens[8*i+2*c:])
+		})
+	})
+}
+
+// srfContainer returns the EntryFunc of an SRF container: it skips the
+// header, then hands each record's fields to emit.
+func srfContainer(emit func(srfFields)) EntryFunc {
 	headerDone := false
 	remaining := uint64(0)
 	return func(data []byte, atEOF bool) (int, error) {
@@ -176,26 +197,43 @@ func SRFRecordEntry(rec *SRFRecord) EntryFunc {
 			}
 			return 0, nil // the end of input after the last record
 		}
-		consumed, err := srfEntry(data, atEOF, rec)
+		consumed, f, err := srfEntry(data, atEOF)
 		if err != nil || consumed == 0 {
 			return 0, err
 		}
 		remaining--
+		emit(f)
 		return consumed, nil
 	}
+}
+
+// srfFields are one record's fields as spans of the parsed window; intens
+// holds the 4-channel tuples, 8 bytes a base.
+type srfFields struct{ name, seq, qual, intens []byte }
+
+// record copies the fields into a record of their own.
+func (f srfFields) record() SRFRecord {
+	intens := make([][4]uint16, len(f.seq))
+	for i := range intens {
+		for c := 0; c < 4; c++ {
+			intens[i][c] = binary.LittleEndian.Uint16(f.intens[8*i+2*c:])
+		}
+	}
+	return SRFRecord{Name: string(f.name), Seq: string(f.seq), Qual: string(f.qual), Intensities: intens}
 }
 
 // srfEntry decodes one record; returns 0 when data is incomplete. Each
 // declared length is checked against the bytes left before it is used, so
 // a corrupt length asks for more data (an error at EOF), never a slice
 // past the end.
-func srfEntry(data []byte, atEOF bool, rec *SRFRecord) (int, error) {
+func srfEntry(data []byte, atEOF bool) (int, srfFields, error) {
 	nameLen, n := binary.Uvarint(data)
 	if n <= 0 || nameLen > uint64(len(data)-n) {
 		return srfMore(atEOF)
 	}
 	pos := n + int(nameLen)
-	name := data[n:pos]
+	var f srfFields
+	f.name = data[n:pos]
 	seqLen, n := binary.Uvarint(data[pos:])
 	// A base takes 10 bytes: itself, its quality and four 2-byte intensities.
 	if n <= 0 || seqLen > uint64(len(data)-pos-n)/10 {
@@ -203,27 +241,17 @@ func srfEntry(data []byte, atEOF bool, rec *SRFRecord) (int, error) {
 	}
 	pos += n
 	bases := int(seqLen)
-	seqB := data[pos : pos+bases]
+	f.seq = data[pos : pos+bases]
 	pos += bases
-	qualB := data[pos : pos+bases]
+	f.qual = data[pos : pos+bases]
 	pos += bases
-	intens := make([][4]uint16, bases)
-	for i := range intens {
-		for c := 0; c < 4; c++ {
-			intens[i][c] = binary.LittleEndian.Uint16(data[pos:])
-			pos += 2
-		}
-	}
-	rec.Name = string(name)
-	rec.Seq = string(seqB)
-	rec.Qual = string(qualB)
-	rec.Intensities = intens
-	return pos, nil
+	f.intens = data[pos : pos+8*bases]
+	return pos + 8*bases, f, nil
 }
 
-func srfMore(atEOF bool) (int, error) {
+func srfMore(atEOF bool) (int, srfFields, error) {
 	if atEOF {
-		return 0, fmt.Errorf("srf: truncated record at end of file")
+		return 0, srfFields{}, fmt.Errorf("srf: truncated record at end of file")
 	}
-	return 0, nil
+	return 0, srfFields{}, nil
 }

@@ -11,6 +11,7 @@ import (
 	"repro/internal/sqltypes"
 	"repro/internal/stats"
 	"repro/internal/storage"
+	"repro/internal/vec"
 )
 
 // planFrom plans a FROM item. conjuncts are WHERE terms available for
@@ -329,16 +330,22 @@ func (pl *Planner) planTVF(fn *sqlparse.FuncRef, outer *scope) (*relation, error
 		Op:     "Table-valued Function",
 		Detail: fmt.Sprintf("[%s]", fn.Name),
 		Cols:   cols,
+		// The call is the one-row case of CROSS APPLY: the function
+		// expands one outer row of constants, under the leaf every scan
+		// is.
 		Build: func() (exec.Operator, error) {
-			vals := make([]sqltypes.Value, len(args))
+			vals := make([]*vec.Vector, len(args))
 			for i, a := range args {
 				v, err := a.Eval(nil)
 				if err != nil {
 					return nil, fmt.Errorf("plan: TVF %s argument %d: %w", fn.Name, i+1, err)
 				}
-				vals[i] = v
+				vals[i] = vec.NewGenericVector(1)
+				vals[i].Append(v)
 			}
-			return &exec.Source{Factory: func(ctx *exec.Context) (exec.RowIterator, error) { return tvf.Iterator(ctx, vals) }}, nil
+			return &exec.Scan{Factory: func(ctx *exec.Context, needed []bool) (exec.BatchIterator, error) {
+				return tvf.Open(ctx, vals, []int{0}, needed)
+			}}, nil
 		},
 	}
 	return &relation{node: node, cols: cols}, nil
@@ -379,20 +386,7 @@ func (pl *Planner) planApply(left *relation, fn *sqlparse.FuncRef) (*relation, e
 			if err != nil {
 				return nil, err
 			}
-			return &exec.Apply{
-				Child: c,
-				Inner: func(ctx *exec.Context, outer sqltypes.Row) (exec.RowIterator, error) {
-					vals := make([]sqltypes.Value, len(args))
-					for i, a := range args {
-						v, err := a.Eval(outer)
-						if err != nil {
-							return nil, err
-						}
-						vals[i] = v
-					}
-					return tvf.Iterator(ctx, vals)
-				},
-			}, nil
+			return &exec.Apply{Child: c, Args: args, Func: tvf, OuterWidth: len(left.cols)}, nil
 		},
 	}
 	// Ordering of the outer input is preserved by the nested-loops apply.

@@ -21,12 +21,13 @@ import (
 )
 
 // TVF is a table-valued function — the pull-model extension of the paper's
-// Section 4.1. Schema must tolerate nil argument values (CROSS APPLY binds
-// arguments per row). Iterator gets the statement's context: a function
-// that reads a table reads it under the statement's snapshot.
+// Section 4.1, filling batches (exec.TableFunc). Schema must tolerate nil
+// argument values (CROSS APPLY binds arguments per row). Open gets the
+// statement's context: a function that reads a table reads it under the
+// statement's snapshot.
 type TVF interface {
 	Schema(args []sqltypes.Value) ([]catalog.Column, error)
-	Iterator(ctx *exec.Context, args []sqltypes.Value) (exec.RowIterator, error)
+	exec.TableFunc
 }
 
 // Provider supplies catalog lookups and physical access paths; implemented
@@ -137,22 +138,20 @@ func (n *Node) explain(sb *strings.Builder, depth int) {
 }
 
 // rowInternal names the nodes whose operator still works a row at a time
-// inside — the sort family, the apply — or packs the rows of a row source
-// (a TVF, VALUES).
+// inside — the sort family — or packs the rows of VALUES.
 var rowInternal = map[string]bool{
 	"Sort":                                true,
 	"Parallelism (Merge Gather, ordered)": true,
 	"Top N Sort":                          true,
 	"Top N Sort (per-partition)":          true,
-	"Nested Loops (Cross Apply)":          true,
-	"Table-valued Function":               true,
 	"Constant Scan":                       true,
 }
 
 // vectorized is the one rule behind EXPLAIN's "vectorized" annotation: a
 // node carries it when the operator it shows computes on typed vectors —
-// base-table leaves (always exec.Scan), filters, projections, TOP,
-// exchanges, the hash and merge joins, the aggregates. Every operator exchanges batches, so what the
+// base-table leaves and table-valued functions (always exec.Scan),
+// filters, projections, TOP, exchanges, the cross apply, the hash and
+// merge joins, the aggregates. Every operator exchanges batches, so what the
 // annotation leaves unmarked is the work still to be done inside operators
 // (ROADMAP item 2), not a second engine.
 func (n *Node) vectorized() bool { return !rowInternal[n.Op] }

@@ -15,6 +15,7 @@ import (
 	"repro/internal/sqltypes"
 	"repro/internal/stats"
 	"repro/internal/storage"
+	"repro/internal/vec"
 )
 
 // fakeProvider serves two in-memory tables: a heap "t" and a clustered
@@ -98,7 +99,24 @@ func (p *fakeProvider) Agg(name string) (exec.AggFactory, bool) {
 	}
 	return nil, false
 }
-func (p *fakeProvider) TVF(string) (TVF, bool) { return nil, false }
+func (p *fakeProvider) TVF(name string) (TVF, bool) {
+	if strings.EqualFold(name, "series") {
+		return seriesTVF{}, true
+	}
+	return nil, false
+}
+
+// seriesTVF is series(n): a one-column table-valued function the planner
+// can place (its Schema); the plan tests never run it.
+type seriesTVF struct{}
+
+func (seriesTVF) Schema([]sqltypes.Value) ([]catalog.Column, error) {
+	return []catalog.Column{{Name: "n", Type: catalog.ColumnType{Name: catalog.TypeInt}}}, nil
+}
+
+func (seriesTVF) Open(*exec.Context, []*vec.Vector, []int, []bool) (exec.TableIterator, error) {
+	return nil, fmt.Errorf("series: not runnable in plan tests")
+}
 func (p *fakeProvider) ScanPartitionsPruned(t *catalog.Table, parts int, filters []storage.ZoneFilter) ([]exec.Operator, error) {
 	if len(filters) > 0 {
 		p.prunedCalls++
@@ -455,8 +473,8 @@ func TestPlanPartitionedJoin(t *testing.T) {
 // TestExplainVectorizedAnnotation: one rule, by the operator a node shows.
 // Nodes that compute on typed vectors carry "vectorized" — filter, compute
 // scalar, TOP, the exchanges, the hash and merge joins, the aggregates,
-// every base-table leaf (an index scan too); the row-internal ones do not —
-// the sort family.
+// every base-table leaf (an index scan too), a table-valued function and the
+// cross apply; the row-internal ones do not — the sort family.
 func TestExplainVectorizedAnnotation(t *testing.T) {
 	p := newFakeProvider()
 	p.rowCounts["t"] = 100_000
@@ -471,6 +489,7 @@ func TestExplainVectorizedAnnotation(t *testing.T) {
 		"Sort": false, "Parallelism (Merge Gather, ordered)": false, "Sequence Project (ROW_NUMBER)": true,
 		"Top N Sort": false, "Top N Sort (per-partition)": false, "Merge Join (Inner Join)": true,
 		"Index Scan": true, "Constant Scan": false, "Table Scan": true, "Clustered Index Scan": true,
+		"Table-valued Function": true, "Nested Loops (Cross Apply)": true,
 	}
 	seen := map[string]bool{}
 	check := func(sql string) {
@@ -506,6 +525,8 @@ func TestExplainVectorizedAnnotation(t *testing.T) {
 	check("SELECT lv, rv FROM left JOIN right_t ON id = rid")
 	check("SELECT id, COUNT(*) FROM left GROUP BY id")
 	check("SELECT 1")
+	check("SELECT n FROM series(3) WHERE n > 1")
+	check("SELECT s, n FROM t CROSS APPLY series(a) x")
 	pl.ParallelThreshold = 5
 	p.rowCounts["t"] = 0
 	p.tables["t"].Indexes = nil

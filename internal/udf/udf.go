@@ -89,23 +89,34 @@ func (l *ListShortReads) Schema(args []sqltypes.Value) ([]catalog.Column, error)
 	return cols, nil
 }
 
-// Iterator resolves the blob, under the statement's snapshot, and opens the
-// streaming parser.
-func (l *ListShortReads) Iterator(ctx *exec.Context, args []sqltypes.Value) (exec.RowIterator, error) {
+// Open streams, for each outer row in sel, the reads of the FileStream its
+// (sample, lane, format) names: a lane after another, each resolved under
+// the statement's snapshot when the one before it ends.
+func (l *ListShortReads) Open(ctx *exec.Context, args []*vec.Vector, sel []int, needed []bool) (exec.TableIterator, error) {
 	if len(args) != 3 {
 		return nil, fmt.Errorf("udf: ListShortReads(sample, lane, format) takes 3 arguments")
 	}
-	sample, err := args[0].AsInt()
+	return &readsIter{l: l, ctx: ctx, args: args, sel: sel, needed: needed}, nil
+}
+
+// openLane resolves one call's arguments to its FileStream and opens the
+// streaming parser of its format over it.
+func (l *ListShortReads) openLane(ctx *exec.Context, args []*vec.Vector, r int) (*laneScan, error) {
+	vals, err := (&vec.Batch{Cols: args}).ReadRow(r, nil)
 	if err != nil {
 		return nil, err
 	}
-	lane, err := args[1].AsInt()
+	sample, err := vals[0].AsInt()
 	if err != nil {
 		return nil, err
 	}
-	format := strings.ToLower(args[2].AsString())
+	lane, err := vals[1].AsInt()
+	if err != nil {
+		return nil, err
+	}
+	format := strings.ToLower(vals[2].AsString())
 	if format != "fastq" && format != "fasta" && format != "srf" {
-		return nil, fmt.Errorf("udf: unknown format %q (want FastQ, Fasta or SRF)", args[2].AsString())
+		return nil, fmt.Errorf("udf: unknown format %q (want FastQ, Fasta or SRF)", vals[2].AsString())
 	}
 
 	// Resolve (sample, lane) -> blob guid via the metadata table.
@@ -135,13 +146,16 @@ func (l *ListShortReads) Iterator(ctx *exec.Context, args []sqltypes.Value) (exe
 		return nil, err
 	}
 	stream.SetSequential(true) // the paper's SequentialAccess pre-fetching
+	ls := &laneScan{stream: stream, width: 3}
+	entry := fastq.FASTQSpanEntry(&ls.sp)
 	switch format {
 	case "fasta":
-		return newFastaBlobIterator(stream), nil
+		entry = fastq.FASTASpanEntry(&ls.sp)
 	case "srf":
-		return newSRFBlobIterator(stream), nil
+		entry, ls.width = fastq.SRFSpanEntry(&ls.sp), 4
 	}
-	return newFastqBlobIterator(stream), nil
+	ls.sc = fastq.NewChunkedScanner(stream, entry, 0)
+	return ls, nil
 }
 
 // lookup returns the first metadata row match accepts, or nil when none
@@ -169,107 +183,127 @@ func (l *ListShortReads) lookup(ctx *exec.Context, def *catalog.Table, match fun
 	}
 }
 
-// srfBlobIterator streams SRF records (with intensities) out of a blob.
-type srfBlobIterator struct {
+// laneScan is one FileStream under its format's chunked parser.
+type laneScan struct {
 	stream *core.BlobStream
 	sc     *fastq.ChunkedScanner
-	rec    fastq.SRFRecord
-	row    sqltypes.Row
+	sp     fastq.Spans // the entry sc last parsed
+	width  int         // output columns: 3, or 4 with SRF's avg_intensity
 }
 
-func newSRFBlobIterator(stream *core.BlobStream) *srfBlobIterator {
-	it := &srfBlobIterator{stream: stream, row: make(sqltypes.Row, 4)}
-	it.sc = fastq.NewChunkedScanner(stream, fastq.SRFRecordEntry(&it.rec), 0)
-	return it
+// readsIter is ListShortReads' output: batches of up to a batch's worth of
+// one lane's reads. Each read column is a STRING vector sliced from one
+// string per batch, copied once out of the scan buffer (which the scanner
+// reuses) through a scratch arena; a column nobody reads is NullColumn and
+// nothing is copied for it.
+type readsIter struct {
+	l      *ListShortReads
+	ctx    *exec.Context
+	args   []*vec.Vector
+	sel    []int
+	needed []bool
+	k      int       // the outer row being read: sel[k]
+	lane   *laneScan // its lane, nil before it is opened
+	outer  []int
+
+	arena [3][]byte // read_name, seq, quals of the batch being filled
+	ends  [3][]int  // each cell's end offset in its arena
 }
 
-func (it *srfBlobIterator) Next() (sqltypes.Row, bool, error) {
-	if !it.sc.MoveNext() {
-		return nil, false, it.sc.Err()
+// NextBatch fills the next batch, moving to the next outer row's lane when
+// one ends.
+func (it *readsIter) NextBatch() (*vec.Batch, error) {
+	for it.k < len(it.sel) {
+		if it.lane == nil {
+			lane, err := it.l.openLane(it.ctx, it.args, it.sel[it.k])
+			if err != nil {
+				return nil, err
+			}
+			it.lane = lane
+		}
+		if b, err := it.fill(); err != nil || b != nil {
+			return b, err
+		}
+		err := it.lane.stream.Close()
+		it.lane = nil
+		it.k++
+		if err != nil {
+			return nil, err
+		}
 	}
-	it.row[0] = sqltypes.NewString(it.rec.Name)
-	it.row[1] = sqltypes.NewString(it.rec.Seq)
-	it.row[2] = sqltypes.NewString(it.rec.Qual)
-	it.row[3] = sqltypes.NewFloat(it.rec.AvgIntensity())
-	return it.row, true, nil
+	return nil, nil
 }
 
-func (it *srfBlobIterator) Close() error { return it.stream.Close() }
-
-// fastqBlobIterator streams FASTQ records out of a blob.
-type fastqBlobIterator struct {
-	stream *core.BlobStream
-	sc     *fastq.ChunkedScanner
-	rec    fastq.Record
-	row    sqltypes.Row
-}
-
-func newFastqBlobIterator(stream *core.BlobStream) *fastqBlobIterator {
-	it := &fastqBlobIterator{stream: stream, row: make(sqltypes.Row, 3)}
-	it.sc = fastq.NewChunkedScanner(stream, fastq.FASTQRecordEntry(&it.rec), 0)
-	return it
-}
-
-// Next implements the pull-model MoveNext + FillRow contract.
-func (it *fastqBlobIterator) Next() (sqltypes.Row, bool, error) {
-	if !it.sc.MoveNext() {
-		return nil, false, it.sc.Err()
+// fill reads the current lane's next batch of reads, or returns nil at its
+// end.
+func (it *readsIter) fill() (*vec.Batch, error) {
+	ls := it.lane
+	var floats []float64
+	srf := ls.width == 4 && exec.Reads(it.needed, 3)
+	if srf {
+		floats = make([]float64, 0, vec.DefaultBatchSize)
 	}
-	it.row[0] = sqltypes.NewString(it.rec.Name)
-	it.row[1] = sqltypes.NewString(it.rec.Seq)
-	it.row[2] = sqltypes.NewString(it.rec.Qual)
-	return it.row, true, nil
-}
-
-func (it *fastqBlobIterator) Close() error { return it.stream.Close() }
-
-// fastaBlobIterator streams FASTA records (quals empty).
-type fastaBlobIterator struct {
-	stream *core.BlobStream
-	recs   []fastq.FastaRecord
-	pos    int
-	row    sqltypes.Row
-	err    error
-	loaded bool
-}
-
-func newFastaBlobIterator(stream *core.BlobStream) *fastaBlobIterator {
-	return &fastaBlobIterator{stream: stream, row: make(sqltypes.Row, 3)}
-}
-
-func (it *fastaBlobIterator) Next() (sqltypes.Row, bool, error) {
-	if !it.loaded {
-		it.loaded = true
-		// FASTA records span many lines; parse via the reader over a
-		// stream adapter.
-		it.recs, it.err = fastq.ReadAllFasta(&blobReader{stream: it.stream})
+	n := 0
+	for n < vec.DefaultBatchSize && ls.sc.MoveNext() {
+		for c, field := range [3][]byte{ls.sp.Name, ls.sp.Seq, ls.sp.Qual} {
+			if exec.Reads(it.needed, c) {
+				it.arena[c] = append(it.arena[c], field...)
+				it.ends[c] = append(it.ends[c], len(it.arena[c]))
+			}
+		}
+		if srf {
+			floats = append(floats, ls.sp.Intensity)
+		}
+		n++
 	}
-	if it.err != nil {
-		return nil, false, it.err
+	if err := ls.sc.Err(); err != nil || n == 0 {
+		return nil, err
 	}
-	if it.pos >= len(it.recs) {
-		return nil, false, nil
+	cols, vs := make([]*vec.Vector, ls.width), make([]vec.Vector, ls.width)
+	for c := range cols {
+		switch {
+		case !exec.Reads(it.needed, c):
+			cols[c] = exec.NullColumn
+			continue
+		case c == 3:
+			vs[c] = vec.Vector{Kind: sqltypes.KindFloat, Floats: floats}
+		default:
+			vs[c] = stringColumn(it.arena[c], it.ends[c])
+			it.arena[c], it.ends[c] = it.arena[c][:0], it.ends[c][:0]
+		}
+		cols[c] = &vs[c]
 	}
-	r := it.recs[it.pos]
-	it.pos++
-	it.row[0] = sqltypes.NewString(r.Name)
-	it.row[1] = sqltypes.NewString(r.Seq)
-	it.row[2] = sqltypes.NewString("")
-	return it.row, true, nil
+	it.outer = it.outer[:0]
+	for range n {
+		it.outer = append(it.outer, it.sel[it.k])
+	}
+	return vec.NewBatch(cols, n), nil
 }
 
-func (it *fastaBlobIterator) Close() error { return it.stream.Close() }
-
-// blobReader adapts a BlobStream to io.Reader.
-type blobReader struct {
-	stream *core.BlobStream
-	off    int64
+// stringColumn turns an arena of back-to-back cells into a STRING vector:
+// one string holds them all, and each cell is a slice of it.
+func stringColumn(arena []byte, ends []int) vec.Vector {
+	all := string(arena)
+	strs := make([]string, len(ends))
+	start := 0
+	for i, end := range ends {
+		strs[i] = all[start:end]
+		start = end
+	}
+	return vec.Vector{Kind: sqltypes.KindString, Strs: strs}
 }
 
-func (b *blobReader) Read(p []byte) (int, error) {
-	n, err := b.stream.GetBytes(b.off, p)
-	b.off += int64(n)
-	return n, err
+// Outer says which outer row the last batch's reads belong to.
+func (it *readsIter) Outer() []int { return it.outer }
+
+// Close closes the lane being read.
+func (it *readsIter) Close() error {
+	if it.lane == nil {
+		return nil
+	}
+	err := it.lane.stream.Close()
+	it.lane = nil
+	return err
 }
 
 // PivotAlignment is Query 3's TVF: PivotAlignment(pos, seq, quals)
@@ -288,34 +322,120 @@ func (PivotAlignment) Schema(args []sqltypes.Value) ([]catalog.Column, error) {
 	}, nil
 }
 
-// Iterator expands the alignment.
-func (PivotAlignment) Iterator(_ *exec.Context, args []sqltypes.Value) (exec.RowIterator, error) {
+// Open unnests the outer rows' alignments: row i of one expands to
+// position pos+i, base seq[i] (a one-byte slice of the outer string, not a
+// copy) and qual quals[i]-33 (clipped at 0; 30 past the end of quals). An
+// alignment whose pos or seq is NULL expands to no rows, as
+// AssembleConsensus skips it.
+func (PivotAlignment) Open(_ *exec.Context, args []*vec.Vector, sel []int, needed []bool) (exec.TableIterator, error) {
 	if len(args) != 3 {
 		return nil, fmt.Errorf("udf: PivotAlignment(pos, seq, quals) takes 3 arguments")
 	}
-	pos, err := args[0].AsInt()
+	return &pivotIter{args: args, sel: sel, needed: needed}, nil
+}
+
+// pivotIter fills batches across outer rows: a batch ends when it is full
+// or the outer rows are, an alignment may straddle two batches.
+type pivotIter struct {
+	args   []*vec.Vector
+	sel    []int
+	needed []bool
+	k      int // the outer row being expanded: sel[k]
+	off    int // its next base; 0 before it is read
+	pos    int64
+	seq    string
+	quals  string
+	vals   sqltypes.Row // its arguments
+	outer  []int
+}
+
+// load reads the arguments of outer row sel[k]; ok is false when pos or seq
+// is NULL.
+func (it *pivotIter) load() (ok bool, err error) {
+	vals, err := (&vec.Batch{Cols: it.args}).ReadRow(it.sel[it.k], it.vals[:0])
 	if err != nil {
-		return nil, err
+		return false, err
 	}
-	s := args[1].AsString()
-	q := args[2].AsString()
-	rows := make([]sqltypes.Row, len(s))
-	for i := 0; i < len(s); i++ {
-		qual := 30
-		if i < len(q) {
-			qual = int(q[i]) - seq.PhredOffset
-			if qual < 0 {
-				qual = 0
+	it.vals = vals
+	if vals[0].IsNull() || vals[1].IsNull() {
+		return false, nil
+	}
+	if it.pos, err = vals[0].AsInt(); err != nil {
+		return false, err
+	}
+	it.seq, it.quals = vals[1].AsString(), vals[2].AsString() // AsString of NULL is ""
+	return true, nil
+}
+
+// NextBatch expands the next bases.
+func (it *pivotIter) NextBatch() (*vec.Batch, error) {
+	var positions, quals []int64
+	var bases []string
+	if exec.Reads(it.needed, 0) {
+		positions = make([]int64, 0, vec.DefaultBatchSize)
+	}
+	if exec.Reads(it.needed, 1) {
+		bases = make([]string, 0, vec.DefaultBatchSize)
+	}
+	if exec.Reads(it.needed, 2) {
+		quals = make([]int64, 0, vec.DefaultBatchSize)
+	}
+	it.outer = it.outer[:0]
+	n := 0
+	for n < vec.DefaultBatchSize && it.k < len(it.sel) {
+		if it.off == 0 {
+			ok, err := it.load()
+			if err != nil {
+				return nil, err
+			}
+			if !ok {
+				it.k++
+				continue
 			}
 		}
-		rows[i] = sqltypes.Row{
-			sqltypes.NewInt(pos + int64(i)),
-			sqltypes.NewString(string(s[i])),
-			sqltypes.NewInt(int64(qual)),
+		end := min(len(it.seq), it.off+vec.DefaultBatchSize-n)
+		for i := it.off; i < end; i++ {
+			if positions != nil {
+				positions = append(positions, it.pos+int64(i))
+			}
+			if bases != nil {
+				bases = append(bases, it.seq[i:i+1])
+			}
+			if quals != nil {
+				q := int64(30)
+				if i < len(it.quals) {
+					q = max(int64(it.quals[i])-seq.PhredOffset, 0)
+				}
+				quals = append(quals, q)
+			}
+			it.outer = append(it.outer, it.sel[it.k])
+		}
+		n += end - it.off
+		if it.off = end; end == len(it.seq) {
+			it.k, it.off = it.k+1, 0
 		}
 	}
-	return &exec.SliceIterator{Rows: rows}, nil
+	if n == 0 {
+		return nil, nil
+	}
+	cols := []*vec.Vector{exec.NullColumn, exec.NullColumn, exec.NullColumn}
+	if positions != nil {
+		cols[0] = &vec.Vector{Kind: sqltypes.KindInt, Ints: positions}
+	}
+	if bases != nil {
+		cols[1] = &vec.Vector{Kind: sqltypes.KindString, Strs: bases}
+	}
+	if quals != nil {
+		cols[2] = &vec.Vector{Kind: sqltypes.KindInt, Ints: quals}
+	}
+	return vec.NewBatch(cols, n), nil
 }
+
+// Outer says which outer row each base of the last batch belongs to.
+func (it *pivotIter) Outer() []int { return it.outer }
+
+// Close is a no-op: the iterator holds only its outer batch's vectors.
+func (it *pivotIter) Close() error { return nil }
 
 // CallBaseAgg is the CallBase(base, qual) user-defined aggregate: the
 // quality-weighted consensus call for one position.

@@ -5,16 +5,19 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
 
 	"repro/internal/consensus"
 	"repro/internal/core"
+	"repro/internal/exec"
 	"repro/internal/fastq"
 	"repro/internal/seq"
 	"repro/internal/sequencer"
 	"repro/internal/sqltypes"
+	"repro/internal/vec"
 )
 
 func openTestDB(t *testing.T) *core.Database {
@@ -620,5 +623,134 @@ func TestAggregateResultIsIdempotent(t *testing.T) {
 		if after, err := state.Result(); err != nil || fmt.Sprint(after) != fmt.Sprint(first) {
 			t.Errorf("%s: Result after merging a fresh state = %v, %v; the first was %v", name, after, err, first)
 		}
+	}
+}
+
+// TestQuery3FormsSkipNullAlignments: an alignment whose position or
+// sequence is NULL counts in neither form of Query 3. AssembleConsensus
+// skips the row; PivotAlignment expands it to no rows, so the pivot plan
+// over the same table calls the same consensus.
+func TestQuery3FormsSkipNullAlignments(t *testing.T) {
+	db := openTestDB(t)
+	mustExec(t, db, `CREATE TABLE A (g INT, p BIGINT, s VARCHAR(20), q VARCHAR(20))`)
+	mustExec(t, db, `INSERT INTO A VALUES
+	  (1, 0, 'ACGTA', '?????'),
+	  (1, NULL, 'GGGGG', '?????'),
+	  (1, 2, 'GTACG', '?????'),
+	  (1, 3, NULL, NULL),
+	  (1, 5, 'CGTAC', NULL)`)
+	sliding := mustExec(t, db, `SELECT AssembleConsensus(p, s, q) FROM A GROUP BY g`)
+	pivot := mustExec(t, db, `
+	  SELECT AssembleSequence(position, b)
+	    FROM (SELECT position, CallBase(base, qual) AS b
+	            FROM A CROSS APPLY PivotAlignment(p, s, q) AS x
+	           GROUP BY position) t`)
+	if sliding.Rows[0][0].S != "ACGTACGTAC" || pivot.Rows[0][0].S != sliding.Rows[0][0].S {
+		t.Errorf("sliding consensus %v, pivot consensus %v; want ACGTACGTAC from both", sliding.Rows, pivot.Rows)
+	}
+	if n := mustExec(t, db, `SELECT COUNT(*) FROM A CROSS APPLY PivotAlignment(p, s, q)`).Rows[0][0].I; n != 15 {
+		t.Errorf("the pivot expanded %d bases, want the 15 of the three whole alignments", n)
+	}
+}
+
+// importLane writes n FASTQ reads as the lane (sample, 1) of db's
+// ShortReadFiles, creating the table on first use.
+func importLane(t *testing.T, db *core.Database, sample int64, n int) {
+	t.Helper()
+	if db.Catalog().Get("ShortReadFiles") == nil {
+		mustExec(t, db, `CREATE TABLE ShortReadFiles (guid UNIQUEIDENTIFIER, sample INT, lane INT, reads VARBINARY(MAX) FILESTREAM)`)
+	}
+	var lane bytes.Buffer
+	w := fastq.NewWriter(&lane)
+	for i := 0; i < n; i++ {
+		w.Write(fastq.Record{Name: fmt.Sprintf("IL4_%d:1:1:%d", sample, i), Seq: strings.Repeat("ACGT", 9), Qual: strings.Repeat("I", 36)})
+	}
+	w.Flush()
+	src := filepath.Join(t.TempDir(), "lane.fastq")
+	if err := os.WriteFile(src, lane.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.ImportFileStream("ShortReadFiles", src, map[string]sqltypes.Value{
+		"sample": sqltypes.NewInt(sample), "lane": sqltypes.NewInt(1),
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// allocsPerRun measures what one call of f allocates, in objects and
+// bytes, as the smallest of several runs.
+func allocsPerRun(f func()) (objects, bytes uint64) {
+	var before, after runtime.MemStats
+	objects, bytes = ^uint64(0), ^uint64(0)
+	for i := 0; i < 16; i++ {
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		objects = min(objects, after.Mallocs-before.Mallocs)
+		bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
+	}
+	return objects, bytes
+}
+
+// TestListShortReadsAllocationFloors pins the batch TVF's gain without a
+// clock. The §5.2 statement, COUNT(*) over a lane of N reads, allocates per
+// batch, not per read: under N/16 objects a statement, where packing each
+// read into a row of three fresh strings cost about three a read. And a
+// scan that reads every column copies each into one arena string per
+// batch: reading them all costs, over reading none, at most three objects
+// per column and batch (its arena, its string headers, and a share of the
+// vectors' headers; reading a column a row at a time cost a string a row). The
+// lane's own costs — its blob, its scan buffer, the arenas growing — are
+// the same either way, or the same on a lane of N and one of 2N, and cancel.
+func TestListShortReadsAllocationFloors(t *testing.T) {
+	const n = 8192
+	db := openTestDB(t)
+	importLane(t, db, 1, n)
+	importLane(t, db, 2, 2*n)
+	objects, bytes := allocsPerRun(func() {
+		if got := mustExec(t, db, `SELECT COUNT(*) FROM ListShortReads(1, 1, 'FastQ')`).Rows[0][0].I; got != n {
+			t.Fatalf("counted %d reads, want %d", got, n)
+		}
+	})
+	t.Logf("COUNT(*) over %d reads: %d allocations, %d bytes", n, objects, bytes)
+	if objects >= n/16 {
+		t.Errorf("COUNT(*) over %d reads: %d allocations, want under %d", n, objects, n/16)
+	}
+
+	// scan drains ListShortReads(sample, 1, 'FastQ') reading the needed
+	// columns.
+	scan := func(sample int64, needed []bool) uint64 {
+		objects, _ := allocsPerRun(func() {
+			arg := func(v sqltypes.Value) *vec.Vector {
+				c := vec.NewGenericVector(1)
+				c.Append(v)
+				return c
+			}
+			args := []*vec.Vector{arg(sqltypes.NewInt(sample)), arg(sqltypes.NewInt(1)), arg(sqltypes.NewString("FastQ"))}
+			it, err := (&ListShortReads{DB: db}).Open(&exec.Context{}, args, []int{0}, needed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer it.Close()
+			for {
+				b, err := it.NextBatch()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if b == nil {
+					return
+				}
+			}
+		})
+		return objects
+	}
+	none := make([]bool, 3)
+	columns := func(sample int64) uint64 { return scan(sample, nil) - scan(sample, none) }
+	c1, c2 := columns(1), columns(2)
+	per := float64(c2-c1) / float64(n/vec.DefaultBatchSize)
+	t.Logf("reading every column: %d more allocations over %d reads, %d over %d: %.1f a batch", c1, n, c2, 2*n, per)
+	if per > 3*3 {
+		t.Errorf("reading every column costs %.1f allocations a batch, want at most %d", per, 3*3)
 	}
 }
