@@ -13,13 +13,14 @@ const defaultSlowLogSize = 32
 
 // registerMetrics adds to the registry the gauges that live outside the
 // engine's counter set (obs enumerates that by itself): the buffer pool's
-// own counters, which also see traffic no statement caused, the WAL and
-// the query log.
+// own counters, which also see traffic no statement caused, the memory
+// the decoded pages on its frames hold, the WAL and the query log.
 func (db *Database) registerMetrics() {
 	r := db.metrics
 	r.RegisterFunc("pool.hits", func() int64 { return db.pool.Stats().Hits })
 	r.RegisterFunc("pool.misses", func() int64 { return db.pool.Stats().Misses })
 	r.RegisterFunc("pool.evictions", func() int64 { return db.pool.Stats().Evictions })
+	r.RegisterFunc("storage.decoded_bytes", func() int64 { return db.pool.Stats().DecodedBytes })
 	r.RegisterFunc("wal.syncs", db.wal.Syncs)
 	r.RegisterFunc("query.count", db.qlog.Total)
 	r.RegisterFunc("query.slow_count", db.qlog.SlowTotal)

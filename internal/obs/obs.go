@@ -55,6 +55,7 @@ const (
 	ScanRows                              // rows in those batches
 	ScanValuesDecoded                     // cells materialized while building or reading them
 	ScanDictEntriesDecoded                // page-dictionary entries decoded
+	ScanDecodedPageHits                   // sealed heap pages served from the decoded form their frame keeps
 	ScanZoneSkippedPages                  // sealed heap pages a zone map ruled out
 	ScanZoneConsidered                    // sealed heap pages a scan carrying zone filters came to, skipped or read
 	PoolHits                              // buffer-pool hits caused by plan operators
@@ -92,6 +93,7 @@ var counterNames = [NumCounters]string{
 	ScanRows:               "scan.rows",
 	ScanValuesDecoded:      "scan.values_decoded",
 	ScanDictEntriesDecoded: "scan.dict_entries_decoded",
+	ScanDecodedPageHits:    "scan.decoded_page_hits",
 	ScanZoneSkippedPages:   "scan.zone_skipped_pages",
 	ScanZoneConsidered:     "scan.zone_considered_pages",
 	PoolHits:               "exec.pool.hits",

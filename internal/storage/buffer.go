@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/obs"
+	"repro/internal/vec"
 )
 
 // frameKey identifies a cached page across files.
@@ -29,6 +30,10 @@ type fillLatch struct {
 
 // frame is one buffer-pool slot.
 //
+// form, when set, is the decoded form of the heap page the frame holds
+// (pageform.go), kept while the frame maps that page: every install and
+// recycle drops it, and so does a dirty Unpin, since the page changed.
+//
 // state packs generation<<32 | pins. The generation is even while the
 // frame's identity (key) is stable and odd while a recycle is in flight;
 // it increases by two per recycle, so a successful CAS on an unchanged
@@ -43,7 +48,16 @@ type frame struct {
 	latch atomic.Pointer[fillLatch]
 	dirty atomic.Bool
 	used  atomic.Bool // clock reference bit
+	form  atomic.Pointer[pageForm]
 	data  [PageSize]byte
+}
+
+// dropForm detaches the frame's decoded form, refunding its bytes. Scans
+// already holding vectors over it keep them.
+func (fr *frame) dropForm() {
+	if f := fr.form.Swap(nil); f != nil {
+		f.detach()
+	}
 }
 
 // tryPin takes a pin iff the frame currently maps key. Safe without any
@@ -117,6 +131,7 @@ func (sh *poolShard) installLocked(fr *frame, key frameKey, dirty bool, latch *f
 	fr.dirty.Store(dirty)
 	fr.used.Store(true)
 	fr.latch.Store(latch)
+	fr.dropForm()
 	k := key
 	fr.key.Store(&k)
 	sh.frames[key] = fr
@@ -140,17 +155,26 @@ func (sh *poolShard) installLocked(fr *frame, key frameKey, dirty bool, latch *f
 // a mutex. Misses, evictions and flushes serialize on the shard lock as
 // before; cache-miss disk reads happen outside it behind a per-frame
 // fill latch.
+//
+// A frame holding a sealed heap page may also carry the page's decoded
+// form, so a warm page is decoded once while it is resident, not once per
+// scan. Forms are charged to one budget as large as the frames themselves
+// (capacity × PageSize): a form that does not fit is not kept, and its
+// scan decodes the page for itself. The pool's memory is therefore at most
+// twice its configured size.
 type BufferPool struct {
 	shards   []poolShard
 	mask     uint64
 	capacity int
 
 	hits, misses, evictions atomic.Int64
+	decoded                 atomic.Int64 // bytes of the forms frames keep
 }
 
 // PoolStats is a point-in-time snapshot of the pool's counters.
+// DecodedBytes is the memory the decoded forms on frames hold.
 type PoolStats struct {
-	Hits, Misses, Evictions int64
+	Hits, Misses, Evictions, DecodedBytes int64
 }
 
 // HitRate returns hits / (hits + misses), or 0 with no traffic.
@@ -220,9 +244,40 @@ func (bp *BufferPool) ShardCount() int { return len(bp.shards) }
 // call concurrently with scans (counters are atomics).
 func (bp *BufferPool) Stats() PoolStats {
 	return PoolStats{
-		Hits:      bp.hits.Load(),
-		Misses:    bp.misses.Load(),
-		Evictions: bp.evictions.Load(),
+		Hits:         bp.hits.Load(),
+		Misses:       bp.misses.Load(),
+		Evictions:    bp.evictions.Load(),
+		DecodedBytes: bp.decoded.Load(),
+	}
+}
+
+// reserveDecoded charges size bytes to the decoded budget, or reports
+// that they do not fit.
+func (bp *BufferPool) reserveDecoded(size int64) bool {
+	limit := int64(bp.capacity) * PageSize
+	for {
+		d := bp.decoded.Load()
+		if d+size > limit {
+			return false
+		}
+		if bp.decoded.CompareAndSwap(d, d+size) {
+			return true
+		}
+	}
+}
+
+// keepForm keeps f, the form just decoded from pinned frame fr, on the
+// frame if the decoded budget takes it and no other scan kept one first.
+// A form not kept stays with the scan that decoded it.
+func (bp *BufferPool) keepForm(fr *frame, f *pageForm) {
+	if !bp.reserveDecoded(f.bytes) {
+		return
+	}
+	f.pool = bp
+	f.charged.Store(f.bytes)
+	if !fr.form.CompareAndSwap(nil, f) {
+		f.pool = nil
+		bp.decoded.Add(-f.bytes)
 	}
 }
 
@@ -359,7 +414,7 @@ func (bp *BufferPool) NewPage(f *PagedFile, id PageID) (*frame, error) {
 			sh.mu.Lock()
 			continue
 		}
-		clear(fr.data[:]) // before install: no reader can pin yet
+		clear(fr.data[:]) // before install: no reader can pin yet; install drops the form
 		sh.installLocked(fr, key, true, nil)
 		sh.mu.Unlock()
 		return fr, nil
@@ -415,6 +470,7 @@ func (sh *poolShard) evictLocked(bp *BufferPool) *frame {
 			fr.state.Store((s>>32 + 2) << 32) // abort: back to even, mapping intact
 			continue
 		}
+		fr.dropForm()
 		if k := fr.key.Load(); k != nil {
 			fr.key.Store(nil)
 			delete(sh.frames, *k)
@@ -549,9 +605,32 @@ func (sh *poolShard) removeFromClockLocked(fr *frame) {
 // frame, so the write can never be lost to a concurrent eviction.
 func (bp *BufferPool) Unpin(fr *frame, dirty bool) {
 	if dirty {
+		fr.dropForm()
 		fr.dirty.Store(true)
 	}
 	fr.unpin()
+}
+
+// EachDecodedColumn calls fn, under the frame's shard lock, with every
+// array-holding vector of every decoded form a frame keeps: each column's
+// template and its filled array. It is how a caller proves that scans
+// never write a shared page (checksum before and after).
+func (bp *BufferPool) EachDecodedColumn(fn func(*vec.Vector)) {
+	for i := range bp.shards {
+		sh := &bp.shards[i]
+		sh.mu.Lock()
+		for _, fr := range sh.frames {
+			if f := fr.form.Load(); f != nil {
+				for c := range f.cols {
+					fn(&f.cols[c].vec)
+					if filled := f.cols[c].filled.Load(); filled != nil {
+						fn(filled)
+					}
+				}
+			}
+		}
+		sh.mu.Unlock()
+	}
 }
 
 // Data exposes the page image of a pinned frame.
@@ -622,6 +701,7 @@ func (bp *BufferPool) DropFile(f *PagedFile) {
 					panic("storage: DropFile with pinned pages")
 				}
 				if fr.state.CompareAndSwap(s, (s>>32+1)<<32) {
+					fr.dropForm()
 					fr.dirty.Store(false)
 					fr.key.Store(nil)
 					delete(sh.frames, k)

@@ -10,9 +10,10 @@ import (
 
 // HeapFetchCache holds the vectors a run of point fetches reads positions
 // off: the sealed page fetched last, so fetches hitting one page (the
-// common case for index range scans over mildly clustered data) decode it
-// once, and, from the first fetch past the sealed pages on, one snapshot of
-// the tail. It is single-goroutine state.
+// common case for index range scans over mildly clustered data) take it
+// from the pool once — its frame keeps the decoded form, so a warm page is
+// not decoded at all — and, from the first fetch past the sealed pages on,
+// one snapshot of the tail. It is single-goroutine state.
 type HeapFetchCache struct {
 	page     int64         // sealed page index, -1 = empty
 	cols     []*vec.Vector // the page's vectors

@@ -13,6 +13,31 @@ import (
 	"repro/internal/vec"
 )
 
+// lazyPageBatch, decodeCompressedBatch and decodeColumnarBatch decode a
+// payload of one page format into its form and return one scan's vectors
+// over it, decoding counted on sink.
+func (c *RowCodec) lazyPageBatch(payload []byte, n int, sink obs.Sink) ([]*vec.Vector, error) {
+	f, err := c.rowForm(append([]byte(nil), payload...), n, nil)
+	return scanVectors(f, err, sink)
+}
+
+func decodeCompressedBatch(kinds []sqltypes.Kind, buf []byte, n int, sink obs.Sink) ([]*vec.Vector, error) {
+	f, err := compressedForm(kinds, buf, n, sink)
+	return scanVectors(f, err, sink)
+}
+
+func decodeColumnarBatch(kinds []sqltypes.Kind, buf []byte, n int, sink obs.Sink) ([]*vec.Vector, error) {
+	f, err := columnarForm(kinds, buf, n, sink)
+	return scanVectors(f, err, sink)
+}
+
+func scanVectors(f *pageForm, err error, sink obs.Sink) ([]*vec.Vector, error) {
+	if err != nil {
+		return nil, err
+	}
+	return f.vectors(sink), nil
+}
+
 // randomPage draws a schema of 1-8 columns of random kinds and n rows for
 // it. Every column has NULLs and one of three value distributions: a few
 // distinct values (dictionary), runs of one value (RLE), or a fresh value a

@@ -11,30 +11,30 @@ import (
 	"repro/internal/vec"
 )
 
-// Late materialization of sealed row pages (pageTypeRows). A batch scan
-// walks the page once to find where every cell lies — the row format has
+// Late materialization of sealed row pages (pageTypeRows). Decoding a
+// page walks it once to find where every cell lies — the row format has
 // no offset table, so a cell is only reachable through the cells before
-// it — and hands out lazy column vectors over a private copy of the
-// payload. A column decodes, typed and for the whole page at once, the
-// first time the executor reads one of its cells; a column the query never
-// reads costs its share of the walk and nothing else. This is the
-// field-wise access argument of Campagne et al. applied to the paper's
-// uncompressed and ROW-compressed tables: a reader pays for the fields
-// it uses.
+// it — and keeps the offsets, the null bitmaps and a copy of the payload
+// as the page's form (pageform.go), which the buffer pool keeps on the
+// page's frame while it is resident. A column decodes, typed and for the
+// whole page at once, the first time any scan reads one of its cells, and
+// every later scan of the page shares the array; a column no query reads
+// costs its share of the walk and nothing else. This is the field-wise
+// access argument of Campagne et al. applied to the paper's uncompressed
+// and ROW-compressed tables: a reader pays for the fields it uses, once.
 
 // rowPage is one walked row page.
 type rowPage struct {
 	codec   *RowCodec
-	payload []byte // private: lazy columns outlive the page pin
+	payload []byte // the form's own: it outlives the page pin
 	n       int
 	// offs[c*n+r] is the payload offset of cell (r, c), at its length
 	// prefix for text; unset under a null bit. Payloads are shorter than
 	// 64 KB (heapCapacity), so 16 bits do.
 	offs []uint16
-	sink obs.Sink
 }
 
-// rowPageCol is column c of a rowPage, as the lazy hook of its vector.
+// rowPageCol is column c of a rowPage, as the source of its form column.
 type rowPageCol struct {
 	pg *rowPage
 	c  int
@@ -70,25 +70,32 @@ func (c *RowCodec) cellShape(col int) int {
 	return 0
 }
 
-// lazyPageBatch walks a row-page payload of n rows and returns one lazy
-// vector per column with its null bitmap set.
-func (c *RowCodec) lazyPageBatch(payload []byte, n int, sink obs.Sink) ([]*vec.Vector, error) {
-	return c.LazyRows(append([]byte(nil), payload...), n, nil, sink)
-}
-
 // MaxLazyRowsBytes is the longest payload LazyRows takes: cell offsets are
 // kept in 16 bits. A heap page is shorter by construction.
 const MaxLazyRowsBytes = 1 << 16
 
 // LazyRows is the late-materializing kernel over n encoded rows laid end
-// to end in payload, which the returned vectors keep: a sealed row page,
-// or the values of clustered-index leaf entries appended one after the
-// other. ends, when non-nil, gives the offset at which each row must end
-// (rows that were stored apart must not run into each other). Every offset
-// the columns will later read is bounds-checked here, against bytes that
-// cannot change afterwards, so Fill cannot fail or read out of range. A
-// column's cells count on sink when it is first read.
+// to end in payload, which the returned vectors keep: the values of
+// clustered-index leaf entries appended one after the other. Their form
+// is the scan's own; a sealed row page's is kept on its frame
+// (Heap.sealedPage). A column's cells count on sink when it is first
+// read.
 func (c *RowCodec) LazyRows(payload []byte, n int, ends []int, sink obs.Sink) ([]*vec.Vector, error) {
+	f, err := c.rowForm(payload, n, ends)
+	if err != nil {
+		return nil, err
+	}
+	return f.vectors(sink), nil
+}
+
+// rowForm walks n encoded rows laid end to end in payload — a sealed row
+// page, or clustered-leaf values — into a form that keeps payload: one
+// lazy column per kind, null bitmaps set. ends, when non-nil, gives the
+// offset at which each row must end (rows that were stored apart must not
+// run into each other). Every offset the columns will later read is
+// bounds-checked here, against bytes that cannot change afterwards, so a
+// fill cannot fail or read out of range.
+func (c *RowCodec) rowForm(payload []byte, n int, ends []int) (*pageForm, error) {
 	nCols := len(c.Kinds)
 	nb := (nCols + 7) / 8
 	if n*nb > len(payload) {
@@ -114,18 +121,12 @@ func (c *RowCodec) LazyRows(payload []byte, n int, ends []int, sink obs.Sink) ([
 		payload: payload,
 		n:       n,
 		offs:    make([]uint16, nCols*n),
-		sink:    sink,
 	}
-	lazy := make([]struct {
-		vec  vec.Vector
-		hook rowPageCol
-	}, nCols)
-	cols := make([]*vec.Vector, nCols)
-	for i := range lazy {
-		lazy[i].hook = rowPageCol{pg: pg, c: i}
-		lazy[i].vec.Kind = c.Kinds[i]
-		lazy[i].vec.Lazy = &lazy[i].hook
-		cols[i] = &lazy[i].vec
+	f := newPageForm(c.Kinds, n)
+	srcs := make([]rowPageCol, nCols)
+	for i := range srcs {
+		srcs[i] = rowPageCol{pg: pg, c: i}
+		f.cols[i].src = &srcs[i]
 	}
 	buf := pg.payload
 	pos := 0
@@ -137,7 +138,7 @@ func (c *RowCodec) LazyRows(payload []byte, n int, ends []int, sink obs.Sink) ([
 		pos += nb
 		for i, shape := range shapes {
 			if bitmap[i>>3]&(1<<uint(i&7)) != 0 {
-				cols[i].SetNull(r)
+				f.cols[i].vec.SetNull(r)
 				continue
 			}
 			pg.offs[i*n+r] = uint16(pos)
@@ -175,11 +176,9 @@ func (c *RowCodec) LazyRows(payload []byte, n int, ends []int, sink obs.Sink) ([
 			return nil, fmt.Errorf("storage: row %d ends at byte %d of its batch, stored up to %d: %w", r, pos, ends[r], ErrCorruptPage)
 		}
 	}
-	return cols, nil
+	f.bytes = int64(len(payload) + 2*len(pg.offs))
+	return f.seal(), nil
 }
-
-// Len returns the page's row count.
-func (rc *rowPageCol) Len() int { return rc.pg.n }
 
 // text returns the bytes of the text cell at payload offset o.
 func (pg *rowPage) text(o uint16) []byte {
@@ -191,9 +190,9 @@ func (pg *rowPage) text(o uint16) []byte {
 	return buf[k : k+int(ln)]
 }
 
-// Fill decodes the column into v's typed array. Text columns share one
+// fill decodes the column into v's typed array. Text columns share one
 // backing allocation per page instead of one per cell.
-func (rc *rowPageCol) Fill(v *vec.Vector) error {
+func (rc *rowPageCol) fill(v *vec.Vector) (int64, error) {
 	pg, c := rc.pg, rc.pg.codec
 	n, buf := pg.n, pg.payload
 	offs := pg.offs[rc.c*n : (rc.c+1)*n]
@@ -286,6 +285,5 @@ func (rc *rowPageCol) Fill(v *vec.Vector) error {
 		}
 		v.Byts = out
 	}
-	pg.sink.Add(obs.ScanValuesDecoded, int64(cells))
-	return nil
+	return int64(cells), nil
 }

@@ -204,19 +204,19 @@ func TestCorruptLegacyPageHeader(t *testing.T) {
 		t.Fatalf("page version %d, want legacy", page[pageVerOff])
 	}
 	stats := obs.Sink{Engine: new(obs.Counters)}
-	if _, n, err := h.decodePageBatch(page[:], stats); err != nil || n != 50 {
-		t.Fatalf("undamaged page: %d rows, %v", n, err)
+	if f, err := h.decodePageBatch(page[:], stats); err != nil || f.n != 50 {
+		t.Fatalf("undamaged page: %v", err)
 	}
 
 	damaged := page
 	binary.LittleEndian.PutUint16(damaged[4:], heapCapacity+1)
-	if _, _, err := h.decodePageBatch(damaged[:], stats); !errors.Is(err, ErrCorruptPage) {
+	if _, err := h.decodePageBatch(damaged[:], stats); !errors.Is(err, ErrCorruptPage) {
 		t.Errorf("used > capacity: %v, want ErrCorruptPage", err)
 	}
 
 	damaged = page
 	binary.LittleEndian.PutUint16(damaged[2:], 0xffff)
-	if _, _, err := h.decodePageBatch(damaged[:], stats); !errors.Is(err, ErrCorruptPage) {
+	if _, err := h.decodePageBatch(damaged[:], stats); !errors.Is(err, ErrCorruptPage) {
 		t.Errorf("65535 rows: %v, want ErrCorruptPage", err)
 	}
 

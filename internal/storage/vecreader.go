@@ -2,37 +2,37 @@ package storage
 
 import (
 	"fmt"
+	"unsafe"
 
 	"repro/internal/obs"
 	"repro/internal/sqltypes"
 	"repro/internal/vec"
 )
 
-// decodePageBatch is the one decoder of sealed pages: row pages become lazy
-// columns (rowpage.go), compressed and columnar pages keep their on-page
-// dictionary/RLE coding as dictionary vectors. Every vector holds exactly
-// the header's row count; a payload that says otherwise is corrupt. Decoded
-// cells and dictionary entries count on sink: for a dictionary- or
-// RLE-encoded column only the per-page dictionary entries are ever decoded,
-// so a filter over such a column decodes O(distinct values) per page no
-// matter how many rows it drops.
-func (h *Heap) decodePageBatch(page []byte, sink obs.Sink) ([]*vec.Vector, int, error) {
+// decodePageBatch is the one decoder of sealed pages: it builds the page's
+// form (pageform.go), which every scan of the page shares. Row pages
+// become lazy columns over a copy of the payload (rowpage.go), compressed
+// and columnar pages keep their on-page dictionary/RLE coding as
+// dictionary vectors. Every column holds exactly the header's row count; a
+// payload that says otherwise is corrupt. Cells and dictionary entries
+// decoded while building count on sink: for a dictionary- or RLE-encoded
+// column only the per-page dictionary entries are ever decoded, so a
+// filter over such a column decodes O(distinct values) per page no matter
+// how many rows it drops.
+func (h *Heap) decodePageBatch(page []byte, sink obs.Sink) (*pageForm, error) {
 	n, payload, err := pagePayload(page)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	var cols []*vec.Vector
 	switch page[0] {
 	case pageTypeRows:
-		cols, err = h.codec.lazyPageBatch(payload, n, sink)
+		return h.codec.rowForm(append([]byte(nil), payload...), n, nil)
 	case pageTypeCompressed:
-		cols, err = decodeCompressedBatch(h.kinds, payload, n, sink)
+		return compressedForm(h.kinds, payload, n, sink)
 	case pageTypeColumnar:
-		cols, err = decodeColumnarBatch(h.kinds, payload, n, sink)
-	default:
-		err = fmt.Errorf("storage: unknown heap page type %d: %w", page[0], ErrCorruptPage)
+		return columnarForm(h.kinds, payload, n, sink)
 	}
-	return cols, n, err
+	return nil, fmt.Errorf("storage: unknown heap page type %d: %w", page[0], ErrCorruptPage)
 }
 
 // vectorRows reads the n rows (storage form) off a decoded page, into one
@@ -54,24 +54,37 @@ func vectorRows(cols []*vec.Vector, n int) ([]sqltypes.Row, error) {
 
 // decodePage extracts all rows from a data page image.
 func (h *Heap) decodePage(page []byte) ([]sqltypes.Row, error) {
-	cols, n, err := h.decodePageBatch(page, obs.Sink{})
+	f, err := h.decodePageBatch(page, obs.Sink{})
 	if err != nil {
 		return nil, err
 	}
-	return vectorRows(cols, n)
+	return vectorRows(f.vectors(obs.Sink{}), f.n)
 }
 
-// sealedPage pins sealed page p (0-based), decodes it and unpins it: the
-// one place heap data pages are taken from the buffer pool. Pool traffic
-// counts on pool, decoding on scan.
+// sealedPage pins sealed page p (0-based) and returns fresh vectors over
+// its form: the one place heap data pages are taken from the buffer pool.
+// The form the page's frame carries is reused; a frame without one has
+// the page decoded, and keeps the form if the pool's decoded budget
+// allows (BufferPool.keepForm). Either way the vectors are headers over
+// the form, so the caller may set their fields but never writes their
+// arrays. Pool traffic counts on pool, decoding and pages served from a
+// frame's form on scan.
 func (h *Heap) sealedPage(p int64, pool, scan obs.Sink) ([]*vec.Vector, int, error) {
 	fr, err := h.pool.GetT(h.file, PageID(p+1), pool)
 	if err != nil {
 		return nil, 0, err
 	}
-	cols, n, err := h.decodePageBatch(fr.Data(), scan)
+	f := fr.form.Load()
+	if f != nil {
+		scan.Add(obs.ScanDecodedPageHits, 1)
+	} else if f, err = h.decodePageBatch(fr.Data(), scan); err == nil {
+		h.pool.keepForm(fr, f)
+	}
 	h.pool.Unpin(fr, false)
-	return cols, n, err
+	if err != nil {
+		return nil, 0, err
+	}
+	return f.vectors(scan), f.n, nil
 }
 
 // sealedPageRows is sealedPage for the heap's own upkeep: rows, uncounted.
@@ -97,11 +110,11 @@ func rowsToVectors(kinds []sqltypes.Kind, rows []sqltypes.Row) []*vec.Vector {
 	return cols
 }
 
-// decodeCompressedBatch converts a page-compressed (type 2) payload of n
-// rows into dictionary vectors without materializing dropped rows:
+// compressedForm converts a page-compressed (type 2) payload of n rows
+// into dictionary columns without materializing dropped rows:
 // page-dictionary entries decode at most once per column, inline cells are
 // appended to the column dictionary as singleton entries.
-func decodeCompressedBatch(kinds []sqltypes.Kind, buf []byte, n int, sink obs.Sink) ([]*vec.Vector, error) {
+func compressedForm(kinds []sqltypes.Kind, buf []byte, n int, sink obs.Sink) (*pageForm, error) {
 	rd := pageReader{buf: buf}
 	nCols := rd.uvarint()
 	nRows := rd.uvarint()
@@ -123,12 +136,12 @@ func decodeCompressedBatch(kinds []sqltypes.Kind, buf []byte, n int, sink obs.Si
 	for i := range pageDict {
 		pageDict[i] = rd.bytes(rd.length())
 	}
-	cols := make([]*vec.Vector, len(kinds))
+	f := newPageForm(kinds, n)
 	// dictMap[c][i] is the column-dictionary code of page-dict entry i in
 	// column c, or -1 while undecoded.
 	dictMap := make([][]int32, len(kinds))
-	for c := range cols {
-		cols[c] = &vec.Vector{Kind: kinds[c], Codes: make([]int32, n)}
+	for c := range f.cols {
+		f.cols[c].vec.Codes = make([]int32, n)
 		dictMap[c] = make([]int32, nDict)
 		for i := range dictMap[c] {
 			dictMap[c][i] = -1
@@ -143,7 +156,8 @@ func decodeCompressedBatch(kinds []sqltypes.Kind, buf []byte, n int, sink obs.Si
 		if rd.failed {
 			return nil, rd.err()
 		}
-		for c, col := range cols {
+		for c := range f.cols {
+			col := &f.cols[c].vec
 			if nullBM[c/8]&(1<<uint(c%8)) != 0 {
 				col.SetNull(r)
 				continue
@@ -190,28 +204,29 @@ func decodeCompressedBatch(kinds []sqltypes.Kind, buf []byte, n int, sink obs.Si
 	}
 	sink.Add(obs.ScanDictEntriesDecoded, dictEntries)
 	sink.Add(obs.ScanValuesDecoded, values)
-	return cols, nil
+	return f.seal(), nil
 }
 
-// decodeColumnarBatch converts a columnar (type 3) payload of n rows into
-// vectors: dict/RLE columns keep their codes, flat columns stay lazy — the
-// vector holds raw cell images and decodes them when the executor first
-// reads the column, so columns the query never touches cost nothing past
-// the structural walk. The payload is copied once up front because lazy
-// images outlive the page pin.
-func decodeColumnarBatch(kinds []sqltypes.Kind, buf []byte, n int, sink obs.Sink) ([]*vec.Vector, error) {
+// columnarForm converts a columnar (type 3) payload of n rows into a
+// form: dict/RLE columns keep their codes, flat columns stay lazy — the
+// column holds raw cell images and decodes them when a scan first reads
+// it, so columns no query touches cost nothing past the structural walk.
+// The payload is copied once up front because the images outlive the
+// page pin.
+func columnarForm(kinds []sqltypes.Kind, buf []byte, n int, sink obs.Sink) (*pageForm, error) {
 	buf = append([]byte(nil), buf...)
 	cr, err := newColumnarReader(buf, len(kinds), n)
 	if err != nil {
 		return nil, err
 	}
-	cols := make([]*vec.Vector, len(kinds))
+	f := newPageForm(kinds, n)
+	f.bytes = int64(len(buf))
 	for c, kind := range kinds {
 		nulls, dict, codes, flat, err := cr.column(kind)
 		if err != nil {
 			return nil, err
 		}
-		var col *vec.Vector
+		col := &f.cols[c].vec
 		if codes != nil {
 			vals := make([]sqltypes.Value, len(dict))
 			for i, img := range dict {
@@ -220,9 +235,10 @@ func decodeColumnarBatch(kinds []sqltypes.Kind, buf []byte, n int, sink obs.Sink
 				}
 			}
 			sink.Add(obs.ScanDictEntriesDecoded, int64(len(dict)))
-			col = &vec.Vector{Kind: kind, Codes: codes, Dict: vals}
+			col.Codes, col.Dict = codes, vals
 		} else {
-			col = &vec.Vector{Kind: kind, Lazy: &flatColumn{kind: kind, imgs: flat, sink: sink}}
+			f.cols[c].src = &flatColumn{kind: kind, imgs: flat}
+			f.bytes += int64(unsafe.Sizeof([]byte(nil))) * int64(len(flat))
 		}
 		if nulls != nil {
 			for r := 0; r < n; r++ {
@@ -231,24 +247,19 @@ func decodeColumnarBatch(kinds []sqltypes.Kind, buf []byte, n int, sink obs.Sink
 				}
 			}
 		}
-		cols[c] = col
 	}
-	return cols, nil
+	return f.seal(), nil
 }
 
 // flatColumn is a flat column of a columnar page, still as cell images
-// (nil under a null bit): the lazy hook of its vector.
+// (nil under a null bit): the source of its form column.
 type flatColumn struct {
 	kind sqltypes.Kind
 	imgs [][]byte
-	sink obs.Sink
 }
 
-// Len returns the page's row count.
-func (f *flatColumn) Len() int { return len(f.imgs) }
-
-// Fill decodes every non-null image into v's typed array.
-func (f *flatColumn) Fill(v *vec.Vector) error {
+// fill decodes every non-null image into v's typed array.
+func (f *flatColumn) fill(v *vec.Vector) (int64, error) {
 	flat := vec.NewVector(f.kind, len(f.imgs))
 	cells := int64(0)
 	for _, img := range f.imgs {
@@ -258,14 +269,13 @@ func (f *flatColumn) Fill(v *vec.Vector) error {
 		}
 		val, err := cellFromImage(f.kind, img)
 		if err != nil {
-			return err
+			return 0, err
 		}
 		flat.Append(val)
 		cells++
 	}
-	v.Ints, v.Floats, v.Strs, v.Byts = flat.Ints, flat.Floats, flat.Strs, flat.Byts
-	f.sink.Add(obs.ScanValuesDecoded, cells)
-	return nil
+	setArrays(v, flat)
+	return cells, nil
 }
 
 // HeapBatchIterator is the heap's one page cursor: it scans sealed pages
