@@ -2,32 +2,39 @@ package btree
 
 import (
 	"bytes"
+	"slices"
 
 	"repro/internal/obs"
 	"repro/internal/storage"
+	"repro/internal/vec"
 )
 
-// Iterator walks leaf entries in key order. It pins one leaf page at a
-// time; Close must be called when done. Concurrent writers are excluded by
-// the engine's table locks, not by the iterator.
+// Iterator walks leaf entries in key order, an entry (Next) or a leaf
+// (NextLeaf) at a time. It pins one leaf page at a time; Close must be
+// called when done. Concurrent writers are excluded by the engine's table
+// locks, not by the iterator.
 type Iterator struct {
-	t    *BTree
-	sink obs.Sink // the descent's and the leaf walk's pool traffic counts here
-	pid  int64    // current leaf page; 0 when exhausted
-	idx  int
-	end  []byte // exclusive upper bound; nil = unbounded
-	key  []byte
-	val  []byte
-	err  error
-	fr   pinnedFrame
-	done bool
-}
+	t     *BTree
+	sink  obs.Sink // the descent's and the leaf walk's pool traffic counts here
+	pid   int64    // current leaf page; 0 when exhausted
+	idx   int
+	start []byte // the first key, until the walk has been positioned on its leaf
+	end   []byte // exclusive upper bound; nil = unbounded
+	key   []byte
+	val   []byte
+	err   error
+	fr    *storage.Frame // the pinned leaf; nil when none is
+	done  bool
 
-// pinnedFrame abstracts the pooled frame so the iterator can hold it.
-type pinnedFrame struct {
-	fr     interface{ Data() []byte }
-	unpin  func()
-	active bool
+	// The leaf walk (NextLeaf): the slots [lo, hi) of the last step, of
+	// which slot base is vector row 0; last says the end bound lies in the
+	// pinned leaf; lay is layLeaf, bound once; hdrs holds the walk's vector
+	// headers.
+	lo, hi, base int
+	last         bool
+	lay          func(kept bool) ([]byte, []int, bool, error)
+	spans        []int
+	hdrs         storage.Headers
 }
 
 // Seek positions an iterator at the first key >= start (or the tree
@@ -41,7 +48,7 @@ func (t *BTree) Seek(start, end []byte) (*Iterator, error) {
 func (t *BTree) SeekT(start, end []byte, sink obs.Sink) (*Iterator, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	it := &Iterator{t: t, end: end, sink: sink}
+	it := &Iterator{t: t, start: start, end: end, sink: sink}
 	var pid int64
 	var err error
 	if start == nil {
@@ -56,11 +63,6 @@ func (t *BTree) SeekT(start, end []byte, sink obs.Sink) (*Iterator, error) {
 	if err := it.pin(); err != nil {
 		return nil, err
 	}
-	if start != nil {
-		n := node{it.fr.fr.Data()}
-		pos, _ := n.search(start)
-		it.idx = pos
-	}
 	return it, nil
 }
 
@@ -69,19 +71,34 @@ func (it *Iterator) pin() error {
 	if err != nil {
 		return err
 	}
-	it.fr = pinnedFrame{
-		fr:     fr,
-		unpin:  func() { it.t.pool.Unpin(fr, false) },
-		active: true,
-	}
+	it.fr = fr
 	return nil
 }
 
 func (it *Iterator) unpin() {
-	if it.fr.active {
-		it.fr.unpin()
-		it.fr.active = false
+	if it.fr != nil {
+		it.t.pool.Unpin(it.fr, false)
+		it.fr = nil
 	}
+}
+
+// nextLeaf moves to the pinned leaf's right sibling, reporting false at
+// the tree's end or on an error.
+func (it *Iterator) nextLeaf(n node) bool {
+	next := n.aux()
+	it.unpin()
+	if next == 0 {
+		it.done = true
+		return false
+	}
+	it.pid = next - 1
+	it.idx = 0
+	if err := it.pin(); err != nil {
+		it.err = err
+		it.done = true
+		return false
+	}
+	return true
 }
 
 // Next advances to the next entry, returning false at the end bound or
@@ -91,7 +108,11 @@ func (it *Iterator) Next() bool {
 		return false
 	}
 	for {
-		n := node{it.fr.fr.Data()}
+		n := node{it.fr.Data()}
+		if it.start != nil {
+			it.idx, _ = n.search(it.start)
+			it.start = nil
+		}
 		if it.idx < n.count() {
 			key := n.key(it.idx)
 			if it.end != nil && bytes.Compare(key, it.end) >= 0 {
@@ -103,20 +124,99 @@ func (it *Iterator) Next() bool {
 			it.idx++
 			return true
 		}
-		next := n.aux()
-		it.unpin()
-		if next == 0 {
-			it.done = true
-			return false
-		}
-		it.pid = next - 1
-		it.idx = 0
-		if err := it.pin(); err != nil {
-			it.err = err
-			it.done = true
+		if !it.nextLeaf(n) {
 			return false
 		}
 	}
+}
+
+// NextLeaf is the leaf-at-a-time step over a tree whose values are rows in
+// c's format: it returns vectors over the values of the pinned leaf's
+// entries, of which rows [lo, hi) are the entries from the cursor to the
+// end bound, and moves the cursor past them. A step that covers the whole
+// leaf reads the form its frame keeps, or builds it and has the frame keep
+// it; a step that covers part of a leaf without one decodes just the
+// entries it covers, for the caller alone. Nil vectors end the walk. The
+// keys of the rows are LeafKey's until the next step.
+func (it *Iterator) NextLeaf(c *storage.RowCodec) (cols []*vec.Vector, lo, hi int, err error) {
+	if it.lay == nil {
+		it.lay = it.layLeaf
+	}
+	for !it.done && it.err == nil {
+		if it.last {
+			it.stop()
+			break
+		}
+		cols, err = it.fr.RowForm(it.t.pool, c, it.lay, &it.hdrs, it.sink)
+		if err != nil {
+			it.err = err
+			it.stop()
+			break
+		}
+		if it.lo < it.hi {
+			it.idx = it.hi
+			return cols, it.lo - it.base, it.hi - it.base, nil
+		}
+		if !it.last && !it.nextLeaf(node{it.fr.Data()}) {
+			break
+		}
+	}
+	return nil, 0, 0, it.err
+}
+
+// layLeaf is NextLeaf's lay function (storage's frame RowForm). It checks
+// a leaf whose frame keeps no form (a kept form proves the check was made
+// when it was built) and finds the step's slots. A whole leaf without a
+// form is copied as it is, its values where they lie; part of a leaf has
+// just the values it covers copied; a whole leaf with a form needs no
+// copy.
+func (it *Iterator) layLeaf(kept bool) ([]byte, []int, bool, error) {
+	n := node{it.fr.Data()}
+	spans := it.spans[:0]
+	if !kept {
+		var err error
+		if spans, err = n.checkLeaf(spans); err != nil {
+			return nil, nil, false, err
+		}
+		it.spans = spans
+	}
+	count := n.count()
+	lo, hi := it.idx, count
+	if it.start != nil {
+		lo, _ = n.search(it.start)
+		it.start = nil
+	}
+	if it.end != nil && count > 0 && bytes.Compare(n.key(count-1), it.end) >= 0 {
+		hi, _ = n.search(it.end)
+		it.last = true
+	}
+	hi = max(hi, lo)
+	whole := lo == 0 && hi == count
+	it.lo, it.hi, it.base = lo, hi, lo
+	if whole {
+		it.base = 0
+	}
+	switch {
+	case lo == hi || (whole && kept):
+		return nil, nil, whole, nil
+	case whole:
+		return slices.Clone(n.data[:n.usedEnd()]), spans, true, nil
+	case kept:
+		for i := lo; i < hi; i++ {
+			start, end := n.valueSpan(i)
+			spans = append(spans, start, end)
+		}
+		it.spans = spans
+	default:
+		spans = spans[2*lo : 2*hi]
+	}
+	return n.packValues(spans), spans, false, nil
+}
+
+// LeafKey returns the key of row r of the last NextLeaf step (a view into
+// the pinned page).
+func (it *Iterator) LeafKey(r int) []byte {
+	return node{it.fr.Data()}.key(r + it.base)
 }
 
 func (it *Iterator) stop() {

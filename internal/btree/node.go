@@ -75,11 +75,65 @@ func (n node) key(i int) []byte {
 
 // leafValue returns the value of leaf slot i (a view into the page).
 func (n node) leafValue(i int) []byte {
+	start, end := n.valueSpan(i)
+	return n.data[start:end]
+}
+
+// checkLeaf checks a leaf read from disk before anything slices it: its
+// type, its slot count, and every slot's entry — offset, key length and
+// value length — against the page, so that key and leafValue stay in
+// bounds on every slot. It appends where each slot's value starts and ends
+// on the page to spans.
+func (n node) checkLeaf(spans []int) ([]int, error) {
+	cnt, used := n.count(), n.usedEnd()
+	if n.typ() != nodeLeaf || used < nodeHeaderSize || used+2*cnt > storage.PageSize {
+		return nil, fmt.Errorf("btree: leaf of type %d with %d slots over %d bytes: %w", n.typ(), cnt, used, storage.ErrCorruptPage)
+	}
+	for i := 0; i < cnt; i++ {
+		off := n.slot(i)
+		ok := off >= nodeHeaderSize && off < used
+		if ok {
+			klen, m := binary.Uvarint(n.data[off:used])
+			ok = m > 0 && klen <= uint64(used-off-m)
+			off += m + int(klen)
+		}
+		if ok {
+			vlen, m := binary.Uvarint(n.data[off:used])
+			ok = m > 0 && vlen <= uint64(used-off-m)
+			spans = append(spans, off+m, off+m+int(vlen))
+		}
+		if !ok {
+			return nil, fmt.Errorf("btree: leaf slot %d runs past the page: %w", i, storage.ErrCorruptPage)
+		}
+	}
+	return spans, nil
+}
+
+// valueSpan returns where the value of leaf slot i starts and ends on the
+// page.
+func (n node) valueSpan(i int) (start, end int) {
 	off := n.slot(i)
 	klen, m := binary.Uvarint(n.data[off:])
 	off += m + int(klen)
 	vlen, m2 := binary.Uvarint(n.data[off:])
-	return n.data[off+m2 : off+m2+int(vlen)]
+	return off + m2, off + m2 + int(vlen)
+}
+
+// packValues copies the values at spans (page offsets, start and end
+// pairs) end to end into a new payload, and rewrites spans to their place
+// in it.
+func (n node) packValues(spans []int) []byte {
+	size := 0
+	for k := 0; k < len(spans); k += 2 {
+		size += spans[k+1] - spans[k]
+	}
+	payload := make([]byte, 0, size)
+	for k := 0; k < len(spans); k += 2 {
+		at := len(payload)
+		payload = append(payload, n.data[spans[k]:spans[k+1]]...)
+		spans[k], spans[k+1] = at, len(payload)
+	}
+	return payload
 }
 
 // child returns the child page id of internal slot i.

@@ -89,3 +89,19 @@ func heapRow(td *tableData, idx int64, c *storage.HeapFetchCache) (sqltypes.Row,
 	}
 	return (&vec.Batch{Cols: cols}).ReadRow(off, nil)
 }
+
+// Accessors tests outside the package use.
+
+// EachDecodedColumn visits the arrays of every decoded form the buffer
+// pool keeps (storage.BufferPool.EachDecodedColumn).
+func (db *Database) EachDecodedColumn(fn func(*vec.Vector)) { db.pool.EachDecodedColumn(fn) }
+
+// ForcePath forces the planner's access path; "" lets it choose.
+func (db *Database) ForcePath(path string) { db.planner.ForcePath = path }
+
+// SetParallelThreshold sets the row count above which the planner
+// partitions a scan, and rebuilds the planner at the current DOP.
+func (db *Database) SetParallelThreshold(rows int64) {
+	db.threshold = rows
+	db.SetDOP(db.dop)
+}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"repro/internal/btree"
 	"repro/internal/catalog"
@@ -265,80 +266,101 @@ func (db *Database) ScanPartitionsPruned(t *catalog.Table, parts int, filters []
 	return ops, nil
 }
 
-// treeIterator is the clustered scan: it adapts a btree range scan to
-// batches, hiding keys the scan's snapshot cannot see. The btree iterator
-// walks leaf pages unlatched, so the scan holds the table's write latch
-// shared for its duration — writers to this clustered table wait for the
-// scan, but scans never wait behind an open transaction (only behind
-// individual row inserts).
+// treeIterator is the clustered scan: it reads a btree range a leaf at a
+// time (btree.Iterator.NextLeaf, vectors over the leaf's decoded values)
+// and gathers the columns its consumer reads from consecutive leaves into
+// batches of up to vec.DefaultBatchSize rows, hiding keys the scan's
+// snapshot cannot see. The btree iterator walks leaf pages unlatched, so
+// the scan holds the table's write latch shared for its duration —
+// writers to this clustered table wait for the scan, but scans never wait
+// behind an open transaction (only behind individual row inserts).
 type treeIterator struct {
 	it      *btree.Iterator
 	td      *tableData
 	snap    *Snapshot
 	sink    obs.Sink
 	seqCols []int
+	needed  []bool // the columns the consumer reads (PruneColumns; nil = all)
 	locked  bool
 
-	held     bool // the cursor's entry did not fit the last batch: it opens the next
-	ends     []int
-	sizeHint int // bytes of the last batch
+	runs []leafRun // the leaf runs of the batch being gathered
+	pos  []int     // their rows
+	rest leafRun   // the rows of the last leaf step the last batch had no room for
 }
 
-// advance moves the cursor to the next visible entry.
-func (ti *treeIterator) advance() (bool, error) {
-	for ti.it.Next() {
-		if ti.td.versions.keyVisible(ti.it.Key(), ti.snap) {
-			return true, nil
-		}
-	}
-	return false, ti.it.Err()
+// leafRun is a run of visible rows sel of one leaf step's vectors cols.
+type leafRun struct {
+	cols []*vec.Vector
+	sel  []int
 }
 
-// NextBatch gathers the values of up to vec.DefaultBatchSize visible leaf
-// entries, in key order, into one buffer and hands it to the row-page
-// kernel: a value is a row in the page's own format, so the columns come
-// back lazy and a cell is decoded only if the query reads its column.
+// NextBatch gathers the visible rows of leaf steps, in key order, until
+// it has vec.DefaultBatchSize of them or the range ends. A run that makes
+// a batch alone is handed out as its leaf's vectors with the run as the
+// selection; any other batch gathers the read columns of its runs into
+// vectors of its own, and the unread ones are exec.NullColumn.
 func (ti *treeIterator) NextBatch() (*vec.Batch, error) {
-	var payload []byte // the batch keeps it: sized like the one before, not reused
-	ti.ends = ti.ends[:0]
-	for len(ti.ends) < vec.DefaultBatchSize {
-		if !ti.held {
-			ok, err := ti.advance()
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				break
-			}
+	runs, pos, n := ti.runs[:0], ti.pos[:0], 0
+	if len(ti.rest.sel) > 0 {
+		pos = append(pos, ti.rest.sel...)
+		runs = append(runs, leafRun{ti.rest.cols, pos})
+		n, ti.rest = len(pos), leafRun{}
+	}
+	for n < vec.DefaultBatchSize {
+		cols, lo, hi, err := ti.it.NextLeaf(&ti.td.walCodec)
+		if err != nil {
+			return nil, err
 		}
-		val := ti.it.Value()
-		if ti.held = len(ti.ends) > 0 && len(payload)+len(val) > storage.MaxLazyRowsBytes; ti.held {
+		if cols == nil {
 			break
 		}
-		if payload == nil {
-			// As long as the batch before plus an eighth: batches of one scan
-			// differ by a few rows' bytes, and outgrowing the buffer by one
-			// of them would copy it into another twice its size.
-			payload = make([]byte, 0, max(min(ti.sizeHint+ti.sizeHint/8, storage.MaxLazyRowsBytes), len(val)))
+		at := len(pos)
+		tracked := ti.td.versions.keyCount.Load() != 0
+		for r := lo; r < hi; r++ {
+			if !tracked || ti.td.versions.keyVisible(ti.it.LeafKey(r), ti.snap) {
+				pos = append(pos, r)
+			}
 		}
-		payload = append(payload, val...)
-		ti.ends = append(ti.ends, len(payload))
+		sel := pos[at:]
+		if len(sel) == 0 {
+			continue
+		}
+		// SEQUENCE columns stay in packed storage form, as on heap pages.
+		for _, c := range ti.seqCols {
+			cols[c].Packed = true
+		}
+		if room := vec.DefaultBatchSize - n; len(sel) > room {
+			ti.rest = leafRun{cols, sel[room:]}
+			sel = sel[:room]
+		}
+		runs = append(runs, leafRun{cols, sel})
+		n += len(sel)
 	}
-	n := len(ti.ends)
+	ti.runs, ti.pos = runs, pos
 	if n == 0 {
 		return nil, nil
 	}
-	ti.sizeHint = len(payload)
-	cols, err := ti.td.walCodec.LazyRows(payload, n, ti.ends, ti.sink)
-	if err != nil {
-		return nil, err
-	}
-	// SEQUENCE columns stay in packed storage form, as on heap pages.
-	for _, c := range ti.seqCols {
-		cols[c].Packed = true
-	}
 	ti.sink.Add(obs.ScanBatches, 1)
 	ti.sink.Add(obs.ScanRows, int64(n))
+	if len(runs) == 1 {
+		return &vec.Batch{Cols: runs[0].cols, Sel: slices.Clone(runs[0].sel)}, nil
+	}
+	cols := make([]*vec.Vector, len(runs[0].cols))
+	for c := range cols {
+		if !exec.Reads(ti.needed, c) {
+			cols[c] = exec.NullColumn
+			continue
+		}
+		src := runs[0].cols[c]
+		out := vec.NewVector(src.Kind, n)
+		out.Packed = src.Packed
+		for _, r := range runs {
+			if err := storage.GatherRows(out, r.cols[c], r.sel); err != nil {
+				return nil, err
+			}
+		}
+		cols[c] = out
+	}
 	return vec.NewBatch(cols, n), nil
 }
 
@@ -373,7 +395,7 @@ func (db *Database) OrderedScanRange(t *catalog.Table, lo, hi *sqltypes.Value) (
 		}
 	}
 	seqCols := sequenceColumns(td.def)
-	return &exec.Scan{Factory: func(ctx *exec.Context, _ []bool) (exec.BatchIterator, error) {
+	return &exec.Scan{Factory: func(ctx *exec.Context, needed []bool) (exec.BatchIterator, error) {
 		snap, _ := ctx.Snapshot.(*Snapshot)
 		td.writeMu.RLock()
 		it, err := td.tree.SeekT(startKey, endKey, ctx.Sink)
@@ -381,7 +403,7 @@ func (db *Database) OrderedScanRange(t *catalog.Table, lo, hi *sqltypes.Value) (
 			td.writeMu.RUnlock()
 			return nil, err
 		}
-		return &treeIterator{it: it, td: td, snap: snap, sink: ctx.Sink, seqCols: seqCols, locked: true}, nil
+		return &treeIterator{it: it, td: td, snap: snap, sink: ctx.Sink, seqCols: seqCols, needed: needed, locked: true}, nil
 	}}, nil
 }
 

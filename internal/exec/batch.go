@@ -32,8 +32,9 @@ import (
 // columns it reads (PruneColumns; never called, or nil, means all). The
 // operator adds the columns its own expressions read and passes the call
 // down. Unmarked columns may arrive as NullColumn; a lazily decoded scan
-// column simply stays encoded, which is why table scans ignore the call (a
-// table-valued function fills only the marked columns).
+// column simply stays encoded, which is why the heap and index scans ignore
+// the call (a table-valued function, and a clustered scan gathering leaves
+// into one batch, fill only the marked columns).
 //
 // Rows. An operator may work a row at a time inside — read its child
 // through a RowCursor, keep rows, emit them through a rowPacker — but rows

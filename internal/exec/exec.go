@@ -114,8 +114,9 @@ func (s *Source) Close() error {
 // column at a time, and the batches of a table-valued function.
 type Scan struct {
 	// Factory opens the iterator; needed is what PruneColumns was told. A
-	// table-valued function fills only the marked columns; the table scans
-	// ignore it, as a scanned column is decoded when first read.
+	// table-valued function fills only the marked columns, and so does the
+	// clustered scan when it gathers leaves into a batch; the heap and index
+	// scans ignore it, as a scanned column is decoded when first read.
 	Factory func(ctx *Context, needed []bool) (BatchIterator, error)
 
 	needed []bool

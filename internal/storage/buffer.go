@@ -30,9 +30,11 @@ type fillLatch struct {
 
 // frame is one buffer-pool slot.
 //
-// form, when set, is the decoded form of the heap page the frame holds
-// (pageform.go), kept while the frame maps that page: every install and
-// recycle drops it, and so does a dirty Unpin, since the page changed.
+// form, when set, is the decoded form of the page the frame holds — a
+// sealed heap page, or the values of a clustered btree leaf (pageform.go)
+// — kept while the frame maps that page: every install and recycle drops
+// it, and so does a dirty Unpin, since the page changed (every btree
+// insert, split and delete unpins its leaves dirty).
 //
 // state packs generation<<32 | pins. The generation is even while the
 // frame's identity (key) is stable and odd while a recycle is in flight;
@@ -51,6 +53,9 @@ type frame struct {
 	form  atomic.Pointer[pageForm]
 	data  [PageSize]byte
 }
+
+// Frame is a pinned page of the pool, as Get hands it out.
+type Frame = frame
 
 // dropForm detaches the frame's decoded form, refunding its bytes. Scans
 // already holding vectors over it keep them.
@@ -156,9 +161,9 @@ func (sh *poolShard) installLocked(fr *frame, key frameKey, dirty bool, latch *f
 // before; cache-miss disk reads happen outside it behind a per-frame
 // fill latch.
 //
-// A frame holding a sealed heap page may also carry the page's decoded
-// form, so a warm page is decoded once while it is resident, not once per
-// scan. Forms are charged to one budget as large as the frames themselves
+// A frame holding a sealed heap page or a clustered btree leaf may also
+// carry the page's decoded form, so a warm page is decoded once while it
+// is resident, not once per scan. Forms are charged to one budget as large as the frames themselves
 // (capacity × PageSize): a form that does not fit is not kept, and its
 // scan decodes the page for itself. The pool's memory is therefore at most
 // twice its configured size.

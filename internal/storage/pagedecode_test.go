@@ -35,7 +35,7 @@ func scanVectors(f *pageForm, err error, sink obs.Sink) ([]*vec.Vector, error) {
 	if err != nil {
 		return nil, err
 	}
-	return f.vectors(sink), nil
+	return f.vectors(sink, nil), nil
 }
 
 // randomPage draws a schema of 1-8 columns of random kinds and n rows for

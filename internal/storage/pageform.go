@@ -11,22 +11,25 @@ import (
 )
 
 // pageForm is the decoded form of one page of rows: a sealed heap page, or
-// the values of clustered-leaf entries laid end to end. Every scan of the
-// page shares it and gets fresh vector headers over it (vectors), so a
-// scan may set header fields (Packed, Lazy) but never writes an array. The
-// arrays are written once: eager columns (dictionary codes, null bitmaps)
-// when the form is built, a lazy column's typed array the first time any
-// scan reads the column (fill), after which every scan shares it.
+// the values of a clustered btree leaf's entries in slot order (or of a
+// run of them). Every scan of the page shares it and gets fresh vector
+// headers over it (vectors), so a scan may set header fields (Packed,
+// Lazy) but never writes an array. The arrays are written once: eager
+// columns (dictionary codes, null bitmaps) when the form is built, a lazy
+// column's typed array the first time any scan reads the column (fill),
+// after which every scan shares it.
 //
 // A form the buffer pool keeps on a frame (BufferPool.keepForm) is charged
 // to the pool's decoded budget, its filled columns as they fill, and is
 // refunded when the frame drops it; pool is nil for a form nobody keeps.
+// Only a form of every row of its page is kept.
 type pageForm struct {
 	n       int
 	cols    []formCol
 	pool    *BufferPool
 	charged atomic.Int64 // bytes charged to pool; -1 once the frame dropped the form
 	bytes   int64        // the form's size as built
+	reread  atomic.Bool  // a scan other than the one that built it read the form
 }
 
 // formCol is one column of a pageForm. vec is the template every header
@@ -40,17 +43,17 @@ type formCol struct {
 	filled atomic.Pointer[vec.Vector]
 }
 
-// columnSource is the still-encoded form of a lazy column: fill sets v's
-// typed array (v.Nulls is the column's bitmap) and returns the cells it
-// decoded.
+// columnSource is the still-encoded form of the lazy columns of a page:
+// fill sets v's typed array to column c's (v.Nulls is the column's bitmap)
+// and returns the cells it decoded.
 type columnSource interface {
-	fill(v *vec.Vector) (int64, error)
+	fill(c int, v *vec.Vector) (int64, error)
 }
 
-// newPageForm returns a form of n rows with one column per kind, the
-// columns still to be set up by the decoder that builds it.
-func newPageForm(kinds []sqltypes.Kind, n int) *pageForm {
-	f := &pageForm{n: n, cols: make([]formCol, len(kinds))}
+// init makes f a form of n rows with one column per kind, the columns still
+// to be set up by the decoder that builds it.
+func (f *pageForm) init(kinds []sqltypes.Kind, n int) *pageForm {
+	f.n, f.cols = n, make([]formCol, len(kinds))
 	for c, k := range kinds {
 		f.cols[c].vec.Kind = k
 	}
@@ -71,23 +74,19 @@ func (f *pageForm) seal() *pageForm {
 
 func clip[T any](s []T) []T { return s[:len(s):len(s)] }
 
-// vectors returns fresh headers over the form; a lazy column the query
-// later reads is filled through its header's hook, whose decoding counts
-// on sink.
-func (f *pageForm) vectors(sink obs.Sink) []*vec.Vector {
-	hs := make([]struct {
-		v    vec.Vector
-		hook formHook
-	}, len(f.cols))
-	cols := make([]*vec.Vector, len(f.cols))
+// vectors returns fresh headers over the form, taken from hs (nil: made
+// for them); a lazy column the query later reads is filled through its
+// header's hook, whose decoding counts on sink.
+func (f *pageForm) vectors(sink obs.Sink, hs *Headers) []*vec.Vector {
+	hdrs, cols := hs.take(len(f.cols))
 	for c := range f.cols {
-		fc, h := &f.cols[c], &hs[c]
+		fc, h := &f.cols[c], &hdrs[c]
 		h.v = fc.vec
 		if fc.src != nil {
 			if filled := fc.filled.Load(); filled != nil {
 				setArrays(&h.v, filled)
 			} else {
-				h.hook = formHook{f: f, c: fc, sink: sink}
+				h.hook = formHook{f: f, c: c, sink: sink}
 				h.v.Lazy = &h.hook
 			}
 		}
@@ -96,10 +95,103 @@ func (f *pageForm) vectors(sink obs.Sink) []*vec.Vector {
 	return cols
 }
 
-// formHook is the lazy hook of one scan's header over a form column.
+// formHeader is a scan's vector header over one form column, and its
+// lazy hook.
+type formHeader struct {
+	v    vec.Vector
+	hook formHook
+}
+
+// Headers is where a scan of many small forms — a clustered scan's leaves
+// — takes their vector headers from: blocks that double as the scan goes
+// on, up to 64 forms' worth, so the headers cost a few allocations a scan
+// instead of two a form. No header is handed out twice.
+type Headers struct {
+	hdrs  []formHeader
+	cols  []*vec.Vector
+	block int
+}
+
+// take returns k fresh headers and the column slice over them.
+func (hs *Headers) take(k int) ([]formHeader, []*vec.Vector) {
+	if hs == nil {
+		return make([]formHeader, k), make([]*vec.Vector, k)
+	}
+	if len(hs.hdrs) < k {
+		hs.block = min(max(2*hs.block, k), 64*k)
+		hs.hdrs, hs.cols = make([]formHeader, hs.block), make([]*vec.Vector, hs.block)
+	}
+	hdrs, cols := hs.hdrs[:k:k], hs.cols[:k:k]
+	hs.hdrs, hs.cols = hs.hdrs[k:], hs.cols[k:]
+	return hdrs, cols
+}
+
+// RowForm returns fresh vectors over a form of rows on pinned frame fr: the
+// values of a clustered btree leaf's entries, each a row in c's format.
+// lay, told whether the frame keeps a form, says which rows. whole asks
+// for every row of the page: they come from the kept form, or lay lays
+// them out and their form is kept on the frame if the pool's decoded
+// budget allows. Otherwise the form is of the rows lay laid out, for this
+// caller alone. lay copies the rows into payload, row r at
+// payload[spans[2r]:spans[2r+1]]; it need copy nothing for whole rows of a
+// kept form. No rows give no vectors. The vectors' headers come from hs. A
+// form served from the frame counts on sink as a decoded page hit, and
+// cells count on it as they are decoded.
+func (fr *frame) RowForm(bp *BufferPool, c *RowCodec, lay func(kept bool) (payload []byte, spans []int, whole bool, err error), hs *Headers, sink obs.Sink) ([]*vec.Vector, error) {
+	kept := fr.form.Load()
+	payload, spans, whole, err := lay(kept != nil)
+	if err != nil {
+		return nil, err
+	}
+	if whole && kept != nil {
+		sink.Add(obs.ScanDecodedPageHits, 1)
+		if !kept.reread.Load() {
+			kept.reread.Store(true)
+		}
+		return kept.vectors(sink, hs), nil
+	}
+	if len(spans) == 0 {
+		return nil, nil
+	}
+	f, err := c.rowForm(payload, len(spans)/2, spans)
+	if err != nil {
+		return nil, err
+	}
+	if whole {
+		bp.keepForm(fr, f)
+	}
+	return f.vectors(sink, hs), nil
+}
+
+// GatherRows appends rows of src, a column of vectors RowForm returned, to
+// dst, a flat vector of src's kind. A column that no scan has filled, of a
+// form no other scan has read since the one gathering built it — a leaf
+// read cold, likely evicted before anyone reads it again — is decoded for
+// those rows only, straight into dst; any other column is filled once and
+// copied.
+func GatherRows(dst, src *vec.Vector, rows []int) error {
+	h, ok := src.Lazy.(*formHook)
+	if !ok || h.f.reread.Load() || h.f.cols[h.c].filled.Load() != nil {
+		return dst.AppendRows(src, rows)
+	}
+	pg, ok := h.f.cols[h.c].src.(*rowPage)
+	if !ok {
+		return dst.AppendRows(src, rows)
+	}
+	base := dst.Len()
+	h.sink.Add(obs.ScanValuesDecoded, pg.cells(h.c, rows, dst))
+	for i, r := range rows {
+		if src.IsNull(r) {
+			dst.SetNull(base + i)
+		}
+	}
+	return nil
+}
+
+// formHook is the lazy hook of one scan's header over form column c.
 type formHook struct {
 	f    *pageForm
-	c    *formCol
+	c    int
 	sink obs.Sink
 }
 
@@ -121,7 +213,8 @@ func (h *formHook) Fill(v *vec.Vector) error {
 // sink) while later ones wait, then share the array. A fill the pool's
 // decoded budget cannot take stays with the scan that made it, and the
 // next reader decodes again.
-func (f *pageForm) fill(c *formCol, sink obs.Sink) (*vec.Vector, error) {
+func (f *pageForm) fill(col int, sink obs.Sink) (*vec.Vector, error) {
+	c := &f.cols[col]
 	if filled := c.filled.Load(); filled != nil {
 		return filled, nil
 	}
@@ -131,7 +224,7 @@ func (f *pageForm) fill(c *formCol, sink obs.Sink) (*vec.Vector, error) {
 		return filled, nil
 	}
 	v := &vec.Vector{Kind: c.vec.Kind, Nulls: c.vec.Nulls}
-	cells, err := c.src.fill(v)
+	cells, err := c.src.fill(col, v)
 	if err != nil {
 		return nil, err
 	}

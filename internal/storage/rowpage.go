@@ -4,40 +4,42 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"strings"
+	"slices"
+	"unsafe"
 
-	"repro/internal/obs"
 	"repro/internal/sqltypes"
 	"repro/internal/vec"
 )
 
-// Late materialization of sealed row pages (pageTypeRows). Decoding a
-// page walks it once to find where every cell lies — the row format has
-// no offset table, so a cell is only reachable through the cells before
-// it — and keeps the offsets, the null bitmaps and a copy of the payload
-// as the page's form (pageform.go), which the buffer pool keeps on the
-// page's frame while it is resident. A column decodes, typed and for the
-// whole page at once, the first time any scan reads one of its cells, and
-// every later scan of the page shares the array; a column no query reads
-// costs its share of the walk and nothing else. This is the field-wise
-// access argument of Campagne et al. applied to the paper's uncompressed
-// and ROW-compressed tables: a reader pays for the fields it uses, once.
+// Late materialization of rows in the row format: sealed row pages
+// (pageTypeRows) and the values of clustered btree leaves. Decoding a page
+// walks it once to find where every cell lies — the row format has no
+// offset table, so a cell is only reachable through the cells before it —
+// and keeps the offsets, the null bitmaps and a copy of the rows as the
+// page's form (pageform.go), which the buffer pool keeps on the page's
+// frame while it is resident. A column decodes, typed and for the whole
+// page at once, the first time any scan reads one of its cells, and every
+// later scan of the page shares the array; a column no query reads costs
+// its share of the walk and nothing else. This is the field-wise access
+// argument of Campagne et al. applied to the paper's uncompressed and
+// ROW-compressed tables: a reader pays for the fields it uses, once.
 
-// rowPage is one walked row page.
+// rowPage is one walked page of rows, and the source of its form's
+// columns.
 type rowPage struct {
 	codec   *RowCodec
 	payload []byte // the form's own: it outlives the page pin
 	n       int
 	// offs[c*n+r] is the payload offset of cell (r, c), at its length
 	// prefix for text; unset under a null bit. Payloads are shorter than
-	// 64 KB (heapCapacity), so 16 bits do.
+	// maxRowFormBytes, so 16 bits do.
 	offs []uint16
 }
 
-// rowPageCol is column c of a rowPage, as the source of its form column.
-type rowPageCol struct {
-	pg *rowPage
-	c  int
+// rowPageForm is a row page's form and its source, allocated together.
+type rowPageForm struct {
+	form pageForm
+	pg   rowPage
 }
 
 // Cell shapes of the walk: a positive shape is a fixed width in bytes.
@@ -70,42 +72,29 @@ func (c *RowCodec) cellShape(col int) int {
 	return 0
 }
 
-// MaxLazyRowsBytes is the longest payload LazyRows takes: cell offsets are
-// kept in 16 bits. A heap page is shorter by construction.
-const MaxLazyRowsBytes = 1 << 16
+// maxRowFormBytes is the longest payload rowForm takes: cell offsets are
+// kept in 16 bits. Heap pages and btree leaves are shorter by
+// construction.
+const maxRowFormBytes = 1 << 16
 
-// LazyRows is the late-materializing kernel over n encoded rows laid end
-// to end in payload, which the returned vectors keep: the values of
-// clustered-index leaf entries appended one after the other. Their form
-// is the scan's own; a sealed row page's is kept on its frame
-// (Heap.sealedPage). A column's cells count on sink when it is first
-// read.
-func (c *RowCodec) LazyRows(payload []byte, n int, ends []int, sink obs.Sink) ([]*vec.Vector, error) {
-	f, err := c.rowForm(payload, n, ends)
-	if err != nil {
-		return nil, err
-	}
-	return f.vectors(sink), nil
-}
-
-// rowForm walks n encoded rows laid end to end in payload — a sealed row
-// page, or clustered-leaf values — into a form that keeps payload: one
-// lazy column per kind, null bitmaps set. ends, when non-nil, gives the
-// offset at which each row must end (rows that were stored apart must not
-// run into each other). Every offset the columns will later read is
-// bounds-checked here, against bytes that cannot change afterwards, so a
-// fill cannot fail or read out of range.
-func (c *RowCodec) rowForm(payload []byte, n int, ends []int) (*pageForm, error) {
+// rowForm walks n encoded rows in payload — a sealed row page, or
+// clustered-leaf values — into a form that keeps payload: one lazy column
+// per kind, null bitmaps set. The rows lie end to end, or, when spans is
+// non-nil, row r lies at payload[spans[2r]:spans[2r+1]] (rows that were
+// stored apart must not run into each other). Every offset the columns
+// will later read is bounds-checked here, against bytes that cannot change
+// afterwards, so a fill cannot fail or read out of range.
+func (c *RowCodec) rowForm(payload []byte, n int, spans []int) (*pageForm, error) {
 	nCols := len(c.Kinds)
 	nb := (nCols + 7) / 8
 	if n*nb > len(payload) {
 		return nil, fmt.Errorf("storage: page header claims %d rows in %d payload bytes: %w", n, len(payload), ErrCorruptPage)
 	}
-	if ends != nil && len(ends) != n {
-		return nil, fmt.Errorf("storage: %d row ends for %d rows", len(ends), n)
+	if spans != nil && len(spans) != 2*n {
+		return nil, fmt.Errorf("storage: %d row spans for %d rows", len(spans)/2, n)
 	}
-	if len(payload) > MaxLazyRowsBytes {
-		return nil, fmt.Errorf("storage: %d bytes of rows exceed the %d a batch can address", len(payload), MaxLazyRowsBytes)
+	if len(payload) > maxRowFormBytes {
+		return nil, fmt.Errorf("storage: %d bytes of rows exceed the %d a form can address", len(payload), maxRowFormBytes)
 	}
 	var shapeBuf [32]int
 	shapes := shapeBuf[:0]
@@ -116,22 +105,18 @@ func (c *RowCodec) rowForm(payload []byte, n int, ends []int) (*pageForm, error)
 		}
 		shapes = append(shapes, s)
 	}
-	pg := &rowPage{
-		codec:   c,
-		payload: payload,
-		n:       n,
-		offs:    make([]uint16, nCols*n),
-	}
-	f := newPageForm(c.Kinds, n)
-	srcs := make([]rowPageCol, nCols)
-	for i := range srcs {
-		srcs[i] = rowPageCol{pg: pg, c: i}
-		f.cols[i].src = &srcs[i]
+	rf := &rowPageForm{pg: rowPage{codec: c, payload: payload, n: n, offs: make([]uint16, nCols*n)}}
+	pg, f := &rf.pg, rf.form.init(c.Kinds, n)
+	for i := range f.cols {
+		f.cols[i].src = pg
 	}
 	buf := pg.payload
 	pos := 0
 	for r := 0; r < n; r++ {
-		if len(buf)-pos < nb {
+		if spans != nil {
+			pos = spans[2*r]
+		}
+		if pos < 0 || len(buf)-pos < nb {
 			return nil, errBitmapTruncated
 		}
 		bitmap := buf[pos : pos+nb]
@@ -172,8 +157,8 @@ func (c *RowCodec) rowForm(payload []byte, n int, ends []int) (*pageForm, error)
 			}
 			pos += size
 		}
-		if ends != nil && pos != ends[r] {
-			return nil, fmt.Errorf("storage: row %d ends at byte %d of its batch, stored up to %d: %w", r, pos, ends[r], ErrCorruptPage)
+		if spans != nil && pos != spans[2*r+1] {
+			return nil, fmt.Errorf("storage: row %d ends at byte %d, stored up to %d: %w", r, pos, spans[2*r+1], ErrCorruptPage)
 		}
 	}
 	f.bytes = int64(len(payload) + 2*len(pg.offs))
@@ -190,100 +175,93 @@ func (pg *rowPage) text(o uint16) []byte {
 	return buf[k : k+int(ln)]
 }
 
-// fill decodes the column into v's typed array. Text columns share one
-// backing allocation per page instead of one per cell.
-func (rc *rowPageCol) fill(v *vec.Vector) (int64, error) {
-	pg, c := rc.pg, rc.pg.codec
-	n, buf := pg.n, pg.payload
-	offs := pg.offs[rc.c*n : (rc.c+1)*n]
-	cells := 0
-	switch c.Kinds[rc.c] {
-	case sqltypes.KindInt:
-		out := make([]int64, n)
-		shape := c.cellShape(rc.c)
-		for r, o := range offs {
-			if v.IsNull(r) {
+// fill decodes column col into v's typed array, one entry a row.
+func (pg *rowPage) fill(col int, v *vec.Vector) (int64, error) {
+	setArrays(v, vec.NewVector(pg.codec.Kinds[col], pg.n))
+	return pg.cells(col, nil, v), nil
+}
+
+// cells appends column col's cells of rows (nil: every row, in order) to
+// v's typed array, a zero entry for a NULL, and returns how many cells it
+// decoded. Text cells share one backing allocation instead of one each.
+// A NULL cell has offset 0, where a row's null bitmap lies, never a cell.
+func (pg *rowPage) cells(col int, rows []int, v *vec.Vector) int64 {
+	c, buf, offs := pg.codec, pg.payload, pg.offs[col*pg.n:(col+1)*pg.n]
+	m := pg.n
+	if rows != nil {
+		m = len(rows)
+	}
+	off := func(i int) uint16 {
+		if rows != nil {
+			return offs[rows[i]]
+		}
+		return offs[i]
+	}
+	cells := int64(0)
+	switch c.Kinds[col] {
+	case sqltypes.KindInt, sqltypes.KindBool:
+		base, shape := len(v.Ints), c.cellShape(col)
+		v.Ints = slices.Grow(v.Ints, m)[:base+m]
+		out := v.Ints[base:]
+		for i := range out {
+			o := off(i)
+			switch {
+			case o == 0:
+				out[i] = 0
 				continue
-			}
-			cells++
-			switch shape {
-			case 4:
-				out[r] = int64(int32(binary.LittleEndian.Uint32(buf[o:])))
-			case 8:
-				out[r] = int64(binary.LittleEndian.Uint64(buf[o:]))
+			case shape == 1:
+				out[i] = int64(min(buf[o], 1))
+			case shape == 4:
+				out[i] = int64(int32(binary.LittleEndian.Uint32(buf[o:])))
+			case shape == 8:
+				out[i] = int64(binary.LittleEndian.Uint64(buf[o:]))
 			default:
-				out[r], _ = binary.Varint(buf[o:])
-			}
-		}
-		v.Ints = out
-	case sqltypes.KindBool:
-		out := make([]int64, n)
-		for r, o := range offs {
-			if v.IsNull(r) {
-				continue
+				out[i], _ = binary.Varint(buf[o:])
 			}
 			cells++
-			if buf[o] != 0 {
-				out[r] = 1
-			}
 		}
-		v.Ints = out
 	case sqltypes.KindFloat:
-		out := make([]float64, n)
-		for r, o := range offs {
-			if v.IsNull(r) {
-				continue
+		base := len(v.Floats)
+		v.Floats = slices.Grow(v.Floats, m)[:base+m]
+		out := v.Floats[base:]
+		for i := range out {
+			out[i] = 0
+			if o := off(i); o != 0 {
+				out[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[o:]))
+				cells++
 			}
-			cells++
-			out[r] = math.Float64frombits(binary.LittleEndian.Uint64(buf[o:]))
 		}
-		v.Floats = out
-	case sqltypes.KindString:
+	case sqltypes.KindString, sqltypes.KindBytes:
 		total := 0
-		for r, o := range offs {
-			if !v.IsNull(r) {
+		for i := 0; i < m; i++ {
+			if o := off(i); o != 0 {
 				total += len(pg.text(o))
-			}
-		}
-		var sb strings.Builder
-		sb.Grow(total)
-		for r, o := range offs {
-			if !v.IsNull(r) {
-				sb.Write(pg.text(o))
-			}
-		}
-		all := sb.String()
-		out := make([]string, n)
-		at := 0
-		for r, o := range offs {
-			if v.IsNull(r) {
-				continue
-			}
-			cells++
-			ln := len(pg.text(o))
-			out[r] = all[at : at+ln]
-			at += ln
-		}
-		v.Strs = out
-	case sqltypes.KindBytes:
-		total := 0
-		for r, o := range offs {
-			if !v.IsNull(r) {
-				total += len(pg.text(o))
+				cells++
 			}
 		}
 		all := make([]byte, 0, total)
-		out := make([][]byte, n)
-		for r, o := range offs {
-			if v.IsNull(r) {
-				continue
+		for i := 0; i < m; i++ {
+			if o := off(i); o != 0 {
+				all = append(all, pg.text(o)...)
 			}
-			cells++
-			at := len(all)
-			all = append(all, pg.text(o)...)
-			out[r] = all[at:len(all):len(all)]
 		}
-		v.Byts = out
+		str := unsafe.String(unsafe.SliceData(all), len(all)) // all is never written again
+		at := 0
+		for i := 0; i < m; i++ {
+			o, ln := off(i), 0
+			if o != 0 {
+				ln = len(pg.text(o))
+			}
+			switch {
+			case c.Kinds[col] == sqltypes.KindString:
+				v.Strs = append(v.Strs, str[at:at+ln])
+			case o == 0:
+				v.Byts = append(v.Byts, nil)
+			default:
+				v.Byts = append(v.Byts, all[at:at+ln:at+ln])
+			}
+			at += ln
+		}
 	}
-	return int64(cells), nil
+	return cells
 }

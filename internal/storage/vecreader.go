@@ -58,7 +58,7 @@ func (h *Heap) decodePage(page []byte) ([]sqltypes.Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	return vectorRows(f.vectors(obs.Sink{}), f.n)
+	return vectorRows(f.vectors(obs.Sink{}, nil), f.n)
 }
 
 // sealedPage pins sealed page p (0-based) and returns fresh vectors over
@@ -84,7 +84,7 @@ func (h *Heap) sealedPage(p int64, pool, scan obs.Sink) ([]*vec.Vector, int, err
 	if err != nil {
 		return nil, 0, err
 	}
-	return f.vectors(scan), f.n, nil
+	return f.vectors(scan, nil), f.n, nil
 }
 
 // sealedPageRows is sealedPage for the heap's own upkeep: rows, uncounted.
@@ -136,7 +136,7 @@ func compressedForm(kinds []sqltypes.Kind, buf []byte, n int, sink obs.Sink) (*p
 	for i := range pageDict {
 		pageDict[i] = rd.bytes(rd.length())
 	}
-	f := newPageForm(kinds, n)
+	f := new(pageForm).init(kinds, n)
 	// dictMap[c][i] is the column-dictionary code of page-dict entry i in
 	// column c, or -1 while undecoded.
 	dictMap := make([][]int32, len(kinds))
@@ -219,7 +219,7 @@ func columnarForm(kinds []sqltypes.Kind, buf []byte, n int, sink obs.Sink) (*pag
 	if err != nil {
 		return nil, err
 	}
-	f := newPageForm(kinds, n)
+	f := new(pageForm).init(kinds, n)
 	f.bytes = int64(len(buf))
 	for c, kind := range kinds {
 		nulls, dict, codes, flat, err := cr.column(kind)
@@ -259,7 +259,7 @@ type flatColumn struct {
 }
 
 // fill decodes every non-null image into v's typed array.
-func (f *flatColumn) fill(v *vec.Vector) (int64, error) {
+func (f *flatColumn) fill(_ int, v *vec.Vector) (int64, error) {
 	flat := vec.NewVector(f.kind, len(f.imgs))
 	cells := int64(0)
 	for _, img := range f.imgs {
