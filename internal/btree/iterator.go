@@ -2,7 +2,6 @@ package btree
 
 import (
 	"bytes"
-	"slices"
 
 	"repro/internal/obs"
 	"repro/internal/storage"
@@ -166,10 +165,8 @@ func (it *Iterator) NextLeaf(c *storage.RowCodec) (cols []*vec.Vector, lo, hi in
 
 // layLeaf is NextLeaf's lay function (storage's frame RowForm). It checks
 // a leaf whose frame keeps no form (a kept form proves the check was made
-// when it was built) and finds the step's slots. A whole leaf without a
-// form is copied as it is, its values where they lie; part of a leaf has
-// just the values it covers copied; a whole leaf with a form needs no
-// copy.
+// when it was built), finds the step's slots and copies their values end
+// to end; a whole leaf with a form needs no copy.
 func (it *Iterator) layLeaf(kept bool) ([]byte, []int, bool, error) {
 	n := node{it.fr.Data()}
 	spans := it.spans[:0]
@@ -199,8 +196,6 @@ func (it *Iterator) layLeaf(kept bool) ([]byte, []int, bool, error) {
 	switch {
 	case lo == hi || (whole && kept):
 		return nil, nil, whole, nil
-	case whole:
-		return slices.Clone(n.data[:n.usedEnd()]), spans, true, nil
 	case kept:
 		for i := lo; i < hi; i++ {
 			start, end := n.valueSpan(i)
@@ -210,7 +205,7 @@ func (it *Iterator) layLeaf(kept bool) ([]byte, []int, bool, error) {
 	default:
 		spans = spans[2*lo : 2*hi]
 	}
-	return n.packValues(spans), spans, false, nil
+	return n.packValues(spans), spans, whole, nil
 }
 
 // LeafKey returns the key of row r of the last NextLeaf step (a view into

@@ -342,8 +342,8 @@ func (ti *treeIterator) NextBatch() (*vec.Batch, error) {
 	}
 	ti.sink.Add(obs.ScanBatches, 1)
 	ti.sink.Add(obs.ScanRows, int64(n))
-	if len(runs) == 1 {
-		return &vec.Batch{Cols: runs[0].cols, Sel: slices.Clone(runs[0].sel)}, nil
+	if len(runs) == 1 { // the batch is the caller's: the rest of its leaf keeps its own slices
+		return &vec.Batch{Cols: slices.Clone(runs[0].cols), Sel: slices.Clone(runs[0].sel)}, nil
 	}
 	cols := make([]*vec.Vector, len(runs[0].cols))
 	for c := range cols {

@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"unsafe"
+	"strings"
 
 	"repro/internal/sqltypes"
 	"repro/internal/vec"
@@ -239,13 +239,37 @@ func (pg *rowPage) cells(col int, rows []int, v *vec.Vector) int64 {
 				cells++
 			}
 		}
-		all := make([]byte, 0, total)
-		for i := 0; i < m; i++ {
-			if o := off(i); o != 0 {
-				all = append(all, pg.text(o)...)
+		isStr := c.Kinds[col] == sqltypes.KindString
+		var str string
+		var all []byte
+		if isStr {
+			var sb strings.Builder // unlike make, Grow does not zero what the copy overwrites
+			sb.Grow(total)
+			for i := 0; i < m; i++ {
+				if o := off(i); o != 0 {
+					sb.Write(pg.text(o))
+				}
+			}
+			str = sb.String()
+		} else {
+			all = make([]byte, 0, total)
+			for i := 0; i < m; i++ {
+				if o := off(i); o != 0 {
+					all = append(all, pg.text(o)...)
+				}
 			}
 		}
-		str := unsafe.String(unsafe.SliceData(all), len(all)) // all is never written again
+		var strs []string
+		var byts [][]byte
+		if isStr {
+			base := len(v.Strs)
+			v.Strs = slices.Grow(v.Strs, m)[:base+m]
+			strs = v.Strs[base:]
+		} else {
+			base := len(v.Byts)
+			v.Byts = slices.Grow(v.Byts, m)[:base+m]
+			byts = v.Byts[base:]
+		}
 		at := 0
 		for i := 0; i < m; i++ {
 			o, ln := off(i), 0
@@ -253,12 +277,12 @@ func (pg *rowPage) cells(col int, rows []int, v *vec.Vector) int64 {
 				ln = len(pg.text(o))
 			}
 			switch {
-			case c.Kinds[col] == sqltypes.KindString:
-				v.Strs = append(v.Strs, str[at:at+ln])
+			case isStr:
+				strs[i] = str[at : at+ln]
 			case o == 0:
-				v.Byts = append(v.Byts, nil)
+				byts[i] = nil
 			default:
-				v.Byts = append(v.Byts, all[at:at+ln:at+ln])
+				byts[i] = all[at : at+ln : at+ln]
 			}
 			at += ln
 		}
