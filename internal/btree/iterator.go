@@ -25,15 +25,14 @@ type Iterator struct {
 	fr    *storage.Frame // the pinned leaf; nil when none is
 	done  bool
 
-	// The leaf walk (NextLeaf): the slots [lo, hi) of the last step, of
-	// which slot base is vector row 0; last says the end bound lies in the
-	// pinned leaf; lay is layLeaf, bound once; hdrs holds the walk's vector
-	// headers.
-	lo, hi, base int
-	last         bool
-	lay          func(kept bool) ([]byte, []int, bool, error)
-	spans        []int
-	hdrs         storage.Headers
+	// The leaf walk (NextLeaf): the slots [lo, hi) of the last step; last
+	// says the end bound lies in the pinned leaf; lay is layLeaf, bound
+	// once; hdrs holds the walk's vector headers.
+	lo, hi int
+	last   bool
+	lay    func(kept bool) ([]byte, []int, bool, error)
+	spans  []int
+	hdrs   storage.Headers
 }
 
 // Seek positions an iterator at the first key >= start (or the tree
@@ -130,14 +129,14 @@ func (it *Iterator) Next() bool {
 }
 
 // NextLeaf is the leaf-at-a-time step over a tree whose values are rows in
-// c's format: it returns vectors over the values of the pinned leaf's
-// entries, of which rows [lo, hi) are the entries from the cursor to the
-// end bound, and moves the cursor past them. A step that covers the whole
-// leaf reads the form its frame keeps, or builds it and has the frame keep
-// it; a step that covers part of a leaf without one decodes just the
-// entries it covers, for the caller alone. Nil vectors end the walk. The
-// keys of the rows are LeafKey's until the next step.
-func (it *Iterator) NextLeaf(c *storage.RowCodec) (cols []*vec.Vector, lo, hi int, err error) {
+// c's format: it returns vectors over the values of the n entries from the
+// cursor to the end bound or the end of the pinned leaf, in key order, and
+// moves the cursor past them. A step that covers the whole leaf reads the
+// form its frame keeps, or builds it and has the frame keep it; a step
+// that covers part of a leaf decodes just the entries it covers, for the
+// caller alone. Nil vectors end the walk. The keys of the rows are
+// LeafKey's until the next step.
+func (it *Iterator) NextLeaf(c *storage.RowCodec) (cols []*vec.Vector, n int, err error) {
 	if it.lay == nil {
 		it.lay = it.layLeaf
 	}
@@ -154,13 +153,13 @@ func (it *Iterator) NextLeaf(c *storage.RowCodec) (cols []*vec.Vector, lo, hi in
 		}
 		if it.lo < it.hi {
 			it.idx = it.hi
-			return cols, it.lo - it.base, it.hi - it.base, nil
+			return cols, it.hi - it.lo, nil
 		}
 		if !it.last && !it.nextLeaf(node{it.fr.Data()}) {
 			break
 		}
 	}
-	return nil, 0, 0, it.err
+	return nil, 0, it.err
 }
 
 // layLeaf is NextLeaf's lay function (storage's frame RowForm). It checks
@@ -189,10 +188,7 @@ func (it *Iterator) layLeaf(kept bool) ([]byte, []int, bool, error) {
 	}
 	hi = max(hi, lo)
 	whole := lo == 0 && hi == count
-	it.lo, it.hi, it.base = lo, hi, lo
-	if whole {
-		it.base = 0
-	}
+	it.lo, it.hi = lo, hi
 	switch {
 	case lo == hi || (whole && kept):
 		return nil, nil, whole, nil
@@ -205,13 +201,14 @@ func (it *Iterator) layLeaf(kept bool) ([]byte, []int, bool, error) {
 	default:
 		spans = spans[2*lo : 2*hi]
 	}
-	return n.packValues(spans), spans, whole, nil
+	payload, ends := n.packValues(spans)
+	return payload, ends, whole, nil
 }
 
 // LeafKey returns the key of row r of the last NextLeaf step (a view into
 // the pinned page).
 func (it *Iterator) LeafKey(r int) []byte {
-	return node{it.fr.Data()}.key(r + it.base)
+	return node{it.fr.Data()}.key(it.lo + r)
 }
 
 func (it *Iterator) stop() {

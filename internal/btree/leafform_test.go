@@ -64,7 +64,7 @@ func leafWalk(tb testing.TB, tree *BTree, start, end []byte, sink obs.Sink) (key
 	}
 	defer it.Close()
 	for {
-		cols, lo, hi, err := it.NextLeaf(&leafCodec)
+		cols, n, err := it.NextLeaf(&leafCodec)
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -72,7 +72,7 @@ func leafWalk(tb testing.TB, tree *BTree, start, end []byte, sink obs.Sink) (key
 			return keys, rows
 		}
 		b := vec.Batch{Cols: cols}
-		for r := lo; r < hi; r++ {
+		for r := 0; r < n; r++ {
 			row, err := b.ReadRow(r, nil)
 			if err != nil {
 				tb.Fatal(err)
@@ -154,7 +154,7 @@ func warmLeafScan(tb testing.TB, tree *BTree) (leaves int) {
 	}
 	defer it.Close()
 	for {
-		cols, _, hi, err := it.NextLeaf(&leafCodec)
+		cols, n, err := it.NextLeaf(&leafCodec)
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -163,7 +163,7 @@ func warmLeafScan(tb testing.TB, tree *BTree) (leaves int) {
 		}
 		leaves++
 		for _, col := range cols {
-			if _, err := col.Value(hi - 1); err != nil {
+			if _, err := col.Value(n - 1); err != nil {
 				tb.Fatal(err)
 			}
 		}
@@ -254,7 +254,7 @@ func FuzzLeafForm(f *testing.F) {
 				t.Fatal(err)
 			}
 			for {
-				cols, lo, hi, err := it.NextLeaf(&leafCodec)
+				cols, n, err := it.NextLeaf(&leafCodec)
 				if err != nil {
 					if _, cerr := (node{data}).checkLeaf(nil); cerr != nil && !errors.Is(err, storage.ErrCorruptPage) {
 						t.Fatalf("a corrupt leaf directory gave %v, want ErrCorruptPage", err)
@@ -265,7 +265,7 @@ func FuzzLeafForm(f *testing.F) {
 					break
 				}
 				b := vec.Batch{Cols: cols}
-				for r := lo; r < hi; r++ {
+				for r := 0; r < n; r++ {
 					if _, err := b.ReadRow(r, nil); err != nil {
 						t.Fatalf("row %d of a checked form: %v", r, err)
 					}

@@ -120,20 +120,19 @@ func (n node) valueSpan(i int) (start, end int) {
 }
 
 // packValues copies the values at spans (page offsets, start and end
-// pairs) end to end into a new payload, and rewrites spans to their place
-// in it.
-func (n node) packValues(spans []int) []byte {
+// pairs) end to end into a new payload, and returns it with the offset at
+// which each value ends in it, written over the front of spans.
+func (n node) packValues(spans []int) ([]byte, []int) {
 	size := 0
 	for k := 0; k < len(spans); k += 2 {
 		size += spans[k+1] - spans[k]
 	}
 	payload := make([]byte, 0, size)
 	for k := 0; k < len(spans); k += 2 {
-		at := len(payload)
 		payload = append(payload, n.data[spans[k]:spans[k+1]]...)
-		spans[k], spans[k+1] = at, len(payload)
+		spans[k/2] = len(payload)
 	}
-	return payload
+	return payload, spans[:len(spans)/2]
 }
 
 // child returns the child page id of internal slot i.

@@ -307,7 +307,7 @@ func (ti *treeIterator) NextBatch() (*vec.Batch, error) {
 		n, ti.rest = len(pos), leafRun{}
 	}
 	for n < vec.DefaultBatchSize {
-		cols, lo, hi, err := ti.it.NextLeaf(&ti.td.walCodec)
+		cols, rows, err := ti.it.NextLeaf(&ti.td.walCodec)
 		if err != nil {
 			return nil, err
 		}
@@ -316,7 +316,7 @@ func (ti *treeIterator) NextBatch() (*vec.Batch, error) {
 		}
 		at := len(pos)
 		tracked := ti.td.versions.keyCount.Load() != 0
-		for r := lo; r < hi; r++ {
+		for r := 0; r < rows; r++ {
 			if !tracked || ti.td.versions.keyVisible(ti.it.LeafKey(r), ti.snap) {
 				pos = append(pos, r)
 			}

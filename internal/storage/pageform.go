@@ -132,14 +132,14 @@ func (hs *Headers) take(k int) ([]formHeader, []*vec.Vector) {
 // for every row of the page: they come from the kept form, or lay lays
 // them out and their form is kept on the frame if the pool's decoded
 // budget allows. Otherwise the form is of the rows lay laid out, for this
-// caller alone. lay copies the rows into payload, row r at
-// payload[spans[2r]:spans[2r+1]]; it need copy nothing for whole rows of a
-// kept form. No rows give no vectors. The vectors' headers come from hs. A
+// caller alone. lay copies the rows end to end into payload, row r ending
+// at ends[r]; it need copy nothing for whole rows of a kept form. No rows
+// give no vectors. The vectors' headers come from hs. A
 // form served from the frame counts on sink as a decoded page hit, and
 // cells count on it as they are decoded.
-func (fr *frame) RowForm(bp *BufferPool, c *RowCodec, lay func(kept bool) (payload []byte, spans []int, whole bool, err error), hs *Headers, sink obs.Sink) ([]*vec.Vector, error) {
+func (fr *frame) RowForm(bp *BufferPool, c *RowCodec, lay func(kept bool) (payload []byte, ends []int, whole bool, err error), hs *Headers, sink obs.Sink) ([]*vec.Vector, error) {
 	kept := fr.form.Load()
-	payload, spans, whole, err := lay(kept != nil)
+	payload, ends, whole, err := lay(kept != nil)
 	if err != nil {
 		return nil, err
 	}
@@ -150,10 +150,10 @@ func (fr *frame) RowForm(bp *BufferPool, c *RowCodec, lay func(kept bool) (paylo
 		}
 		return kept.vectors(sink, hs), nil
 	}
-	if len(spans) == 0 {
+	if len(ends) == 0 {
 		return nil, nil
 	}
-	f, err := c.rowForm(payload, len(spans)/2, spans)
+	f, err := c.rowForm(payload, len(ends), ends)
 	if err != nil {
 		return nil, err
 	}

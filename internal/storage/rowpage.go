@@ -77,21 +77,21 @@ func (c *RowCodec) cellShape(col int) int {
 // construction.
 const maxRowFormBytes = 1 << 16
 
-// rowForm walks n encoded rows in payload — a sealed row page, or
-// clustered-leaf values — into a form that keeps payload: one lazy column
-// per kind, null bitmaps set. The rows lie end to end, or, when spans is
-// non-nil, row r lies at payload[spans[2r]:spans[2r+1]] (rows that were
-// stored apart must not run into each other). Every offset the columns
-// will later read is bounds-checked here, against bytes that cannot change
-// afterwards, so a fill cannot fail or read out of range.
-func (c *RowCodec) rowForm(payload []byte, n int, spans []int) (*pageForm, error) {
+// rowForm walks n encoded rows laid end to end in payload — a sealed row
+// page, or clustered-leaf values — into a form that keeps payload: one
+// lazy column per kind, null bitmaps set. ends, when non-nil, gives the
+// offset at which each row must end (rows that were stored apart must not
+// run into each other). Every offset the columns will later read is
+// bounds-checked here, against bytes that cannot change afterwards, so a
+// fill cannot fail or read out of range.
+func (c *RowCodec) rowForm(payload []byte, n int, ends []int) (*pageForm, error) {
 	nCols := len(c.Kinds)
 	nb := (nCols + 7) / 8
 	if n*nb > len(payload) {
 		return nil, fmt.Errorf("storage: page header claims %d rows in %d payload bytes: %w", n, len(payload), ErrCorruptPage)
 	}
-	if spans != nil && len(spans) != 2*n {
-		return nil, fmt.Errorf("storage: %d row spans for %d rows", len(spans)/2, n)
+	if ends != nil && len(ends) != n {
+		return nil, fmt.Errorf("storage: %d row ends for %d rows", len(ends), n)
 	}
 	if len(payload) > maxRowFormBytes {
 		return nil, fmt.Errorf("storage: %d bytes of rows exceed the %d a form can address", len(payload), maxRowFormBytes)
@@ -113,10 +113,7 @@ func (c *RowCodec) rowForm(payload []byte, n int, spans []int) (*pageForm, error
 	buf := pg.payload
 	pos := 0
 	for r := 0; r < n; r++ {
-		if spans != nil {
-			pos = spans[2*r]
-		}
-		if pos < 0 || len(buf)-pos < nb {
+		if len(buf)-pos < nb {
 			return nil, errBitmapTruncated
 		}
 		bitmap := buf[pos : pos+nb]
@@ -157,8 +154,8 @@ func (c *RowCodec) rowForm(payload []byte, n int, spans []int) (*pageForm, error
 			}
 			pos += size
 		}
-		if spans != nil && pos != spans[2*r+1] {
-			return nil, fmt.Errorf("storage: row %d ends at byte %d, stored up to %d: %w", r, pos, spans[2*r+1], ErrCorruptPage)
+		if ends != nil && pos != ends[r] {
+			return nil, fmt.Errorf("storage: row %d ends at byte %d of its form, stored up to %d: %w", r, pos, ends[r], ErrCorruptPage)
 		}
 	}
 	f.bytes = int64(len(payload) + 2*len(pg.offs))
