@@ -163,10 +163,10 @@ func (sh *poolShard) installLocked(fr *frame, key frameKey, dirty bool, latch *f
 //
 // A frame holding a sealed heap page or a clustered btree leaf may also
 // carry the page's decoded form, so a warm page is decoded once while it
-// is resident, not once per scan. Forms are charged to one budget as large as the frames themselves
-// (capacity × PageSize): a form that does not fit is not kept, and its
-// scan decodes the page for itself. The pool's memory is therefore at most
-// twice its configured size.
+// is resident, not once per scan. Forms are charged to one budget as large
+// as the frames themselves (capacity × PageSize): a form that does not fit
+// is not kept, and its scan decodes the page for itself. The pool's memory
+// is therefore at most twice its configured size.
 type BufferPool struct {
 	shards   []poolShard
 	mask     uint64

@@ -134,9 +134,9 @@ func (hs *Headers) take(k int) ([]formHeader, []*vec.Vector) {
 // budget allows. Otherwise the form is of the rows lay laid out, for this
 // caller alone. lay copies the rows end to end into payload, row r ending
 // at ends[r]; it need copy nothing for whole rows of a kept form. No rows
-// give no vectors. The vectors' headers come from hs. A
-// form served from the frame counts on sink as a decoded page hit, and
-// cells count on it as they are decoded.
+// give no vectors. The vectors' headers come from hs. A form served from
+// the frame counts on sink as a decoded page hit, and cells count on it as
+// they are decoded.
 func (fr *frame) RowForm(bp *BufferPool, c *RowCodec, lay func(kept bool) (payload []byte, ends []int, whole bool, err error), hs *Headers, sink obs.Sink) ([]*vec.Vector, error) {
 	kept := fr.form.Load()
 	payload, ends, whole, err := lay(kept != nil)
