@@ -25,14 +25,13 @@ type Iterator struct {
 	fr    *storage.Frame // the pinned leaf; nil when none is
 	done  bool
 
-	// The leaf walk (NextLeaf): the slots [lo, hi) of the last step; last
-	// says the end bound lies in the pinned leaf; lay is layLeaf, bound
-	// once; hdrs holds the walk's vector headers.
-	lo, hi int
-	last   bool
-	lay    func(kept bool) ([]byte, []int, bool, error)
-	spans  []int
-	hdrs   storage.Headers
+	// The leaf walk (NextLeaf): lo is the first slot of the last step;
+	// last says the end bound lies in the pinned leaf; spans and hdrs are
+	// the walk's value spans and vector headers.
+	lo    int
+	last  bool
+	spans []int
+	hdrs  storage.Headers
 }
 
 // Seek positions an iterator at the first key >= start (or the tree
@@ -129,80 +128,74 @@ func (it *Iterator) Next() bool {
 }
 
 // NextLeaf is the leaf-at-a-time step over a tree whose values are rows in
-// c's format: it returns vectors over the values of the n entries from the
-// cursor to the end bound or the end of the pinned leaf, in key order, and
-// moves the cursor past them. A step that covers the whole leaf reads the
-// form its frame keeps, or builds it and has the frame keep it; a step
-// that covers part of a leaf decodes just the entries it covers, for the
-// caller alone. Nil vectors end the walk. The keys of the rows are
-// LeafKey's until the next step.
+// c's format: it returns vectors whose first n rows are the values of the n
+// entries from the cursor to the end bound or the end of the pinned leaf,
+// in key order, and moves the cursor past them. A step from a leaf's first
+// slot reads the form its frame keeps; a step over the whole leaf that
+// finds none builds one and has the frame keep it. Any other step (a seek
+// into a leaf) decodes just the entries it covers, for the caller alone.
+// Nil vectors end the walk. The keys of the rows are LeafKey's until the
+// next step.
 func (it *Iterator) NextLeaf(c *storage.RowCodec) (cols []*vec.Vector, n int, err error) {
-	if it.lay == nil {
-		it.lay = it.layLeaf
-	}
 	for !it.done && it.err == nil {
-		if it.last {
+		nd := node{it.fr.Data()}
+		switch {
+		case it.last:
 			it.stop()
-			break
-		}
-		cols, err = it.fr.RowForm(it.t.pool, c, it.lay, &it.hdrs, it.sink)
-		if err != nil {
-			it.err = err
-			it.stop()
-			break
-		}
-		if it.lo < it.hi {
-			it.idx = it.hi
-			return cols, it.hi - it.lo, nil
-		}
-		if !it.last && !it.nextLeaf(node{it.fr.Data()}) {
-			break
+		case it.start == nil && it.idx == nd.count(): // the cursor passed the leaf's last entry
+			it.nextLeaf(nd)
+		default:
+			if cols, n, err = it.step(nd, c); err != nil {
+				it.err = err
+				it.stop()
+			} else if n > 0 {
+				return cols, n, nil
+			}
 		}
 	}
 	return nil, 0, it.err
 }
 
-// layLeaf is NextLeaf's lay function (storage's frame RowForm). It checks
-// a leaf whose frame keeps no form (a kept form proves the check was made
-// when it was built), finds the step's slots and copies their values end
-// to end; a whole leaf with a form needs no copy.
-func (it *Iterator) layLeaf(kept bool) ([]byte, []int, bool, error) {
-	n := node{it.fr.Data()}
-	spans := it.spans[:0]
-	if !kept {
-		var err error
-		if spans, err = n.checkLeaf(spans); err != nil {
-			return nil, nil, false, err
+// step is NextLeaf's step on leaf nd. A leaf whose frame keeps no form is
+// checked before anything searches or slices it; a kept form proves the
+// check was made when it was built.
+func (it *Iterator) step(nd node, c *storage.RowCodec) ([]*vec.Vector, int, error) {
+	if it.idx == 0 && it.start == nil {
+		if cols := it.fr.KeptRowForm(&it.hdrs, it.sink); cols != nil {
+			it.lo, it.idx = 0, it.bound(nd, 0)
+			return cols, it.idx, nil
 		}
-		it.spans = spans
 	}
-	count := n.count()
-	lo, hi := it.idx, count
+	spans, err := nd.checkLeaf(it.spans[:0])
+	if err != nil {
+		return nil, 0, err
+	}
+	it.spans = spans
+	lo := it.idx
 	if it.start != nil {
-		lo, _ = n.search(it.start)
+		lo, _ = nd.search(it.start)
 		it.start = nil
 	}
-	if it.end != nil && count > 0 && bytes.Compare(n.key(count-1), it.end) >= 0 {
-		hi, _ = n.search(it.end)
-		it.last = true
+	hi := it.bound(nd, lo)
+	it.lo, it.idx = lo, hi
+	if lo == hi {
+		return nil, 0, nil
 	}
-	hi = max(hi, lo)
-	whole := lo == 0 && hi == count
-	it.lo, it.hi = lo, hi
-	switch {
-	case lo == hi || (whole && kept):
-		return nil, nil, whole, nil
-	case kept:
-		for i := lo; i < hi; i++ {
-			start, end := n.valueSpan(i)
-			spans = append(spans, start, end)
-		}
-		it.spans = spans
-	default:
-		spans = spans[2*lo : 2*hi]
+	payload, ends := nd.packValues(spans[2*lo : 2*hi])
+	cols, err := storage.RowFormOf(it.fr, it.t.pool, c, payload, ends, lo == 0 && hi == nd.count(), &it.hdrs, it.sink)
+	return cols, hi - lo, err
+}
+
+// bound returns where a step from slot lo of leaf nd ends: the leaf's end,
+// or the end bound when it lies in the leaf (it.last).
+func (it *Iterator) bound(nd node, lo int) int {
+	count := nd.count()
+	if it.end == nil || count == 0 || bytes.Compare(nd.key(count-1), it.end) < 0 {
+		return count
 	}
-	payload, ends := n.packValues(spans)
-	return payload, ends, whole, nil
+	it.last = true
+	hi, _ := nd.search(it.end)
+	return max(hi, lo)
 }
 
 // LeafKey returns the key of row r of the last NextLeaf step (a view into

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"repro/internal/storage"
 )
@@ -89,6 +90,7 @@ func (n node) checkLeaf(spans []int) ([]int, error) {
 	if n.typ() != nodeLeaf || used < nodeHeaderSize || used+2*cnt > storage.PageSize {
 		return nil, fmt.Errorf("btree: leaf of type %d with %d slots over %d bytes: %w", n.typ(), cnt, used, storage.ErrCorruptPage)
 	}
+	spans = slices.Grow(spans, 2*cnt)
 	for i := 0; i < cnt; i++ {
 		off := n.slot(i)
 		ok := off >= nodeHeaderSize && off < used

@@ -126,44 +126,42 @@ func (hs *Headers) take(k int) ([]formHeader, []*vec.Vector) {
 	return hdrs, cols
 }
 
-// RowForm returns fresh vectors over a form of rows on pinned frame fr: the
-// values of a clustered btree leaf's entries, each a row in c's format.
-// lay, told whether the frame keeps a form, says which rows. whole asks
-// for every row of the page: they come from the kept form, or lay lays
-// them out and their form is kept on the frame if the pool's decoded
-// budget allows. Otherwise the form is of the rows lay laid out, for this
-// caller alone. lay copies the rows end to end into payload, row r ending
-// at ends[r]; it need copy nothing for whole rows of a kept form. No rows
-// give no vectors. The vectors' headers come from hs. A form served from
-// the frame counts on sink as a decoded page hit, and cells count on it as
-// they are decoded.
-func (fr *frame) RowForm(bp *BufferPool, c *RowCodec, lay func(kept bool) (payload []byte, ends []int, whole bool, err error), hs *Headers, sink obs.Sink) ([]*vec.Vector, error) {
+// KeptRowForm returns fresh vectors over the form pinned frame fr keeps of
+// its clustered btree leaf's values, one row a slot, or nil when it keeps
+// none (RowFormOf builds one). Their headers come from hs; the form counts
+// on sink as a decoded page hit, and cells count on it as they are
+// decoded.
+func (fr *frame) KeptRowForm(hs *Headers, sink obs.Sink) []*vec.Vector {
 	kept := fr.form.Load()
-	payload, ends, whole, err := lay(kept != nil)
-	if err != nil {
-		return nil, err
+	if kept == nil {
+		return nil
 	}
-	if whole && kept != nil {
-		sink.Add(obs.ScanDecodedPageHits, 1)
-		if !kept.reread.Load() {
-			kept.reread.Store(true)
-		}
-		return kept.vectors(sink, hs), nil
+	sink.Add(obs.ScanDecodedPageHits, 1)
+	if !kept.reread.Load() {
+		kept.reread.Store(true)
 	}
-	if len(ends) == 0 {
-		return nil, nil
-	}
+	return kept.vectors(sink, hs)
+}
+
+// RowFormOf returns fresh vectors over a form of rows in c's format laid
+// end to end in payload, row r ending at ends[r]: values of the entries of
+// the clustered btree leaf on pinned frame fr. keep says they are the
+// values of every slot; the frame then keeps their form if the pool's
+// decoded budget allows. Otherwise the form is the caller's alone. Headers
+// and counts are as for KeptRowForm.
+func RowFormOf(fr *Frame, bp *BufferPool, c *RowCodec, payload []byte, ends []int, keep bool, hs *Headers, sink obs.Sink) ([]*vec.Vector, error) {
 	f, err := c.rowForm(payload, len(ends), ends)
 	if err != nil {
 		return nil, err
 	}
-	if whole {
+	if keep {
 		bp.keepForm(fr, f)
 	}
 	return f.vectors(sink, hs), nil
 }
 
-// GatherRows appends rows of src, a column of vectors RowForm returned, to
+// GatherRows appends rows of src, a column of vectors KeptRowForm or
+// RowFormOf returned, to
 // dst, a flat vector of src's kind. A column that no scan has filled, of a
 // form no other scan has read since the one gathering built it — a leaf
 // read cold, likely evicted before anyone reads it again — is decoded for
