@@ -160,6 +160,7 @@ var contractCounters = map[string]int64{
 	"query.slow_count":             present,
 	"scan.batches":                 42,
 	"scan.dict_entries_decoded":    20,
+	"scan.values_gathered":         400, // added with the counter: the clustered range's first read of sorted gathers id and seq of its 200 rows
 	"scan.rows":                    19943,
 	"scan.values_decoded":          19098, // 29588 before warm pages kept their decoded form: ANALYZE, ORDER BY, GROUP BY and the lanes range read columns an earlier statement had filled
 	"scan.decoded_page_hits":       27,    // added with the counter: lanes' 14 pages for ANALYZE, reads' 6 for ORDER BY and 6 for GROUP BY, 1 for the lanes range

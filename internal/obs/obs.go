@@ -54,6 +54,7 @@ const (
 	ScanBatches                           // batches produced by table scans (heap pages, tail, clustered leaves)
 	ScanRows                              // rows in those batches
 	ScanValuesDecoded                     // cells materialized while building or reading them
+	ScanValuesGathered                    // of those, cells a clustered scan decoded straight into its batch
 	ScanDictEntriesDecoded                // page-dictionary entries decoded
 	ScanDecodedPageHits                   // sealed heap pages served from the decoded form their frame keeps
 	ScanZoneSkippedPages                  // sealed heap pages a zone map ruled out
@@ -92,6 +93,7 @@ var counterNames = [NumCounters]string{
 	ScanBatches:            "scan.batches",
 	ScanRows:               "scan.rows",
 	ScanValuesDecoded:      "scan.values_decoded",
+	ScanValuesGathered:     "scan.values_gathered",
 	ScanDictEntriesDecoded: "scan.dict_entries_decoded",
 	ScanDecodedPageHits:    "scan.decoded_page_hits",
 	ScanZoneSkippedPages:   "scan.zone_skipped_pages",

@@ -161,12 +161,12 @@ func RowFormOf(fr *Frame, bp *BufferPool, c *RowCodec, payload []byte, ends []in
 }
 
 // GatherRows appends rows of src, a column of vectors KeptRowForm or
-// RowFormOf returned, to
-// dst, a flat vector of src's kind. A column that no scan has filled, of a
-// form no other scan has read since the one gathering built it — a leaf
-// read cold, likely evicted before anyone reads it again — is decoded for
-// those rows only, straight into dst; any other column is filled once and
-// copied.
+// RowFormOf returned, to dst, a flat vector of src's kind. The choice is
+// made per form from what the pool saw: a column that no scan has filled,
+// of a form no other scan has read since the one gathering built it — a
+// leaf read cold, likely evicted before anyone reads it again — is decoded
+// for those rows only, straight into dst (counted as values gathered);
+// any other column is filled once, for every later scan too, and copied.
 func GatherRows(dst, src *vec.Vector, rows []int) error {
 	h, ok := src.Lazy.(*formHook)
 	if !ok || h.f.reread.Load() || h.f.cols[h.c].filled.Load() != nil {
@@ -177,7 +177,9 @@ func GatherRows(dst, src *vec.Vector, rows []int) error {
 		return dst.AppendRows(src, rows)
 	}
 	base := dst.Len()
-	h.sink.Add(obs.ScanValuesDecoded, pg.cells(h.c, rows, dst))
+	cells := pg.cells(h.c, rows, dst)
+	h.sink.Add(obs.ScanValuesDecoded, cells)
+	h.sink.Add(obs.ScanValuesGathered, cells)
 	for i, r := range rows {
 		if src.IsNull(r) {
 			dst.SetNull(base + i)
