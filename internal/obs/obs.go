@@ -56,7 +56,7 @@ const (
 	ScanValuesDecoded                     // cells materialized while building or reading them
 	ScanValuesGathered                    // of those, cells a clustered scan decoded straight into its batch
 	ScanDictEntriesDecoded                // page-dictionary entries decoded
-	ScanDecodedPageHits                   // sealed heap pages served from the decoded form their frame keeps
+	ScanDecodedPageHits                   // sealed heap pages and clustered leaves served from the decoded form their frame keeps
 	ScanZoneSkippedPages                  // sealed heap pages a zone map ruled out
 	ScanZoneConsidered                    // sealed heap pages a scan carrying zone filters came to, skipped or read
 	PoolHits                              // buffer-pool hits caused by plan operators
