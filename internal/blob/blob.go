@@ -202,26 +202,34 @@ func (s *Store) Open(guid string) (*Stream, error) {
 // PrefetchChunk is the read-ahead window of SequentialAccess streams.
 const PrefetchChunk = 1 << 20
 
+// windows keeps read-ahead windows between streams, so a sequential read
+// does not allocate and zero a megabyte a window.
+var windows = sync.Pool{New: func() any { return new([PrefetchChunk]byte) }}
+
 // Stream is random access over one blob — the SqlBytes of the paper's TVF
 // wrapper. With SetSequential(true) it prefetches the next window in the
-// background while the caller parses the current one.
+// background while the caller parses the current one. Its windows go back
+// to the pool when the stream is done with them: when a later window
+// replaces one, and at SetSequential(false) and Close.
 type Stream struct {
 	f    *os.File
 	size int64
 
 	mu  sync.Mutex
 	seq bool
-	// Current prefetched window.
-	win    []byte
+	// Current prefetched window: win is its bytes, winOff their offset.
+	win    *[PrefetchChunk]byte
+	winLen int
 	winOff int64
 	// In-flight background fetch.
 	next chan fetchResult
 }
 
 type fetchResult struct {
-	off  int64
-	data []byte
-	err  error
+	off int64
+	win *[PrefetchChunk]byte
+	n   int
+	err error
 }
 
 // Size returns the blob length.
@@ -235,7 +243,7 @@ func (st *Stream) SetSequential(on bool) {
 	st.seq = on
 	if !on {
 		st.drainLocked()
-		st.win, st.winOff = nil, 0
+		st.setWindowLocked(fetchResult{})
 	}
 }
 
@@ -263,7 +271,7 @@ func (st *Stream) GetBytes(off int64, buf []byte) (int, error) {
 			return 0, err
 		}
 		rel := int(off - st.winOff)
-		n := copy(buf[total:], st.win[rel:])
+		n := copy(buf[total:], st.win[rel:st.winLen])
 		total += n
 		off += int64(n)
 	}
@@ -272,43 +280,58 @@ func (st *Stream) GetBytes(off int64, buf []byte) (int, error) {
 
 // ensureWindowLocked makes the prefetch window cover off.
 func (st *Stream) ensureWindowLocked(off int64) error {
-	if st.win != nil && off >= st.winOff && off < st.winOff+int64(len(st.win)) {
+	if st.win != nil && off >= st.winOff && off < st.winOff+int64(st.winLen) {
 		return nil
 	}
-	want := off
 	// Sequential continuation: the background fetch should hold it.
 	if st.next != nil {
 		res := <-st.next
 		st.next = nil
-		if res.err == nil && want >= res.off && want < res.off+int64(len(res.data)) {
-			st.win, st.winOff = res.data, res.off
-			st.startFetchLocked(res.off + int64(len(res.data)))
+		if res.err == nil && off >= res.off && off < res.off+int64(res.n) {
+			st.setWindowLocked(res)
+			st.startFetchLocked(res.off + int64(res.n))
 			return nil
 		}
 		// Mismatch (random access): discard and fetch synchronously.
+		release(res)
 	}
-	data, err := st.fetch(want)
-	if err != nil {
-		return err
+	res := st.fetch(off)
+	if res.err != nil {
+		return res.err
 	}
-	st.win, st.winOff = data, want
-	st.startFetchLocked(want + int64(len(data)))
+	st.setWindowLocked(res)
+	st.startFetchLocked(off + int64(res.n))
 	return nil
 }
 
-func (st *Stream) fetch(off int64) ([]byte, error) {
+// setWindowLocked makes res the current window, giving the one it replaces
+// back to the pool.
+func (st *Stream) setWindowLocked(res fetchResult) {
+	if st.win != nil {
+		windows.Put(st.win)
+	}
+	st.win, st.winLen, st.winOff = res.win, res.n, res.off
+}
+
+// fetch reads the window at off into a window from the pool.
+func (st *Stream) fetch(off int64) fetchResult {
 	if off >= st.size {
-		return nil, io.EOF
+		return fetchResult{off: off, err: io.EOF}
 	}
-	n := int64(PrefetchChunk)
-	if off+n > st.size {
-		n = st.size - off
+	n := int(min(PrefetchChunk, st.size-off))
+	win := windows.Get().(*[PrefetchChunk]byte)
+	if _, err := st.f.ReadAt(win[:n], off); err != nil {
+		windows.Put(win)
+		return fetchResult{off: off, err: err}
 	}
-	data := make([]byte, n)
-	if _, err := io.ReadFull(io.NewSectionReader(st.f, off, n), data); err != nil {
-		return nil, err
+	return fetchResult{off: off, win: win, n: n}
+}
+
+// release gives a fetched window nobody will read back to the pool.
+func release(res fetchResult) {
+	if res.win != nil {
+		windows.Put(res.win)
 	}
-	return data, nil
 }
 
 func (st *Stream) startFetchLocked(off int64) {
@@ -318,22 +341,23 @@ func (st *Stream) startFetchLocked(off int64) {
 	ch := make(chan fetchResult, 1)
 	st.next = ch
 	go func() {
-		data, err := st.fetch(off)
-		ch <- fetchResult{off: off, data: data, err: err}
+		ch <- st.fetch(off)
 	}()
 }
 
 func (st *Stream) drainLocked() {
 	if st.next != nil {
-		<-st.next
+		release(<-st.next)
 		st.next = nil
 	}
 }
 
-// Close releases the stream (draining any in-flight prefetch).
+// Close releases the stream (draining any in-flight prefetch) and its
+// windows.
 func (st *Stream) Close() error {
 	st.mu.Lock()
 	st.drainLocked()
+	st.setWindowLocked(fetchResult{})
 	st.mu.Unlock()
 	return st.f.Close()
 }

@@ -145,23 +145,55 @@ func readerRecords(data []byte) ([]Record, error) {
 	}
 }
 
-// spanRecords scans data with the span parser at the given chunk size, up
-// to its first error, copying each entry's fields out.
-func spanRecords(data []byte, chunk int) ([]Record, error) {
-	var sp Spans
-	sc := NewChunkedScanner(SourceFromReaderAt(bytes.NewReader(data)), FASTQSpanEntry(&sp), chunk)
-	var out []Record
-	for sc.MoveNext() {
-		out = append(out, Record{Name: string(sp.Name), Seq: string(sp.Seq), Qual: string(sp.Qual)})
+// windows calls fn with each entry's fields and the window they are spans
+// of, scanning data in the given format with the given chunk size and max
+// entries a window, up to the scanner's first error.
+func windows(data []byte, f Format, chunk, max int, fn func(win []byte, f *Fields)) error {
+	sc := NewFormatScanner(SourceFromReaderAt(bytes.NewReader(data)), f, chunk)
+	defer sc.Release()
+	fields := make([]Fields, max)
+	for {
+		win, n := sc.Next(max, fields)
+		if n == 0 {
+			return sc.Err()
+		}
+		for i := range fields[:n] {
+			fn(win, &fields[i])
+		}
 	}
-	return out, sc.Err()
 }
 
-// FuzzFASTQChunkedMatchesReader holds the chunked span parser behind
+// field is one of an entry's fields, copied out of its window.
+func field(win []byte, f *Fields, i int) string { return string(win[f[i].Start:f[i].End]) }
+
+// windowRecords scans FASTQ data through FASTQFormat's windows, copying
+// each entry out.
+func windowRecords(data []byte, chunk, max int) ([]Record, error) {
+	var out []Record
+	err := windows(data, FASTQFormat, chunk, max, func(win []byte, f *Fields) {
+		out = append(out, Record{Name: field(win, f, FieldName), Seq: field(win, f, FieldSeq),
+			Comment: field(win, f, FieldExtra), Qual: field(win, f, FieldQual)})
+	})
+	return out, err
+}
+
+// countEntries counts data's entries with MoveNext over parse, up to the
+// scanner's first error.
+func countEntries(data []byte, parse EntryFunc, chunk int) (int64, error) {
+	sc := NewChunkedScanner(SourceFromReaderAt(bytes.NewReader(data)), parse, chunk)
+	defer sc.Release()
+	for sc.MoveNext() {
+	}
+	return sc.Entries, sc.Err()
+}
+
+// FuzzFASTQChunkedMatchesReader holds the chunked FASTQ parser behind
 // ListShortReads to the line-oriented Reader: over FASTQ-like bytes (CRLF,
 // blank lines, truncated tails, '@' and '+' inside quality lines, empty
-// names), at chunk sizes down to one byte, both yield the same records up
-// to the same point and then both end or both fail; neither panics.
+// names), at chunk sizes down to one byte and windows of one entry and of
+// many, both yield the same records up to the same point and then both end
+// or both fail; neither panics. MoveNext over FASTQEntry counts the same
+// entries.
 func FuzzFASTQChunkedMatchesReader(f *testing.F) {
 	for _, seed := range []string{
 		paperExample,
@@ -180,25 +212,28 @@ func FuzzFASTQChunkedMatchesReader(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte, chunk uint8) {
 		want, wantErr := readerRecords(data)
-		for i := range want {
-			want[i].Comment = ""
-		}
 		for _, size := range []int{int(chunk)%16 + 1, DefaultChunkSize} {
-			got, err := spanRecords(data, size)
-			if (err == nil) != (wantErr == nil) {
-				t.Fatalf("chunk %d: Reader error %v, chunked error %v", size, wantErr, err)
+			for _, max := range []int{1, int(chunk)%5 + 2, 1024} {
+				got, err := windowRecords(data, size, max)
+				if (err == nil) != (wantErr == nil) {
+					t.Fatalf("chunk %d, window %d: Reader error %v, chunked error %v", size, max, wantErr, err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("chunk %d, window %d: chunked records %q, Reader's %q", size, max, got, want)
+				}
 			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("chunk %d: chunked records %q, Reader's %q", size, got, want)
+			n, err := countEntries(data, FASTQEntry, size)
+			if (err == nil) != (wantErr == nil) || n != int64(len(want)) {
+				t.Fatalf("chunk %d: MoveNext counted %d (error %v), Reader read %d (error %v)", size, n, err, len(want), wantErr)
 			}
 		}
 	})
 }
 
-// TestFASTAChunkedMatchesReader: the chunked FASTA entry that streams
-// ListShortReads(..., 'Fasta') yields ReadAllFasta's names and sequences,
-// wrapped lines joined, blank and CRLF lines included, at any chunk size.
-func TestFASTAChunkedMatchesReader(t *testing.T) {
+// fastaInputs are the FASTA inputs of the chunked parser's tests: wrapped
+// records, blank and CRLF lines, a header with no body and one with no
+// newline, an empty file, and three inputs the reader refuses.
+func fastaInputs() []string {
 	var buf bytes.Buffer
 	w := NewFastaWriter(&buf)
 	w.Wrap = 7
@@ -206,39 +241,87 @@ func TestFASTAChunkedMatchesReader(t *testing.T) {
 		w.Write(FastaRecord{Name: fmt.Sprintf("chr%d", i), Desc: "d", Seq: strings.Repeat("ACGTN", i)})
 	}
 	w.Flush()
-	for _, data := range []string{buf.String(), "\n>a x\r\nAC\r\n\nGT\n>b\n>c\nA", ""} {
-		want, err := ReadAllFasta(strings.NewReader(data))
-		if err != nil {
-			t.Fatal(err)
+	return []string{buf.String(), "\n>a x\r\nAC\r\n\nGT\n>b\n>c\nA", "", "ACGT\n", ">\nAC\n", ">a\nAC\n> b\n"}
+}
+
+// fastaReaderRecords reads data with FastaReader up to its first error.
+func fastaReaderRecords(data []byte) ([]FastaRecord, error) {
+	r := NewFastaReader(bytes.NewReader(data))
+	var out []FastaRecord
+	for {
+		rec, err := r.Next()
+		if err == io.EOF {
+			return out, nil
 		}
-		for _, chunk := range []int{1, 5, 64, 1 << 20} {
-			var sp Spans
-			sc := NewChunkedScanner(SourceFromReaderAt(strings.NewReader(data)), FASTASpanEntry(&sp), chunk)
-			var got []FastaRecord
-			for sc.MoveNext() {
-				got = append(got, FastaRecord{Name: string(sp.Name), Seq: string(sp.Seq)})
-			}
-			if sc.Err() != nil {
-				t.Fatalf("chunk %d: %v", chunk, sc.Err())
-			}
-			if len(got) != len(want) {
-				t.Fatalf("chunk %d: %d records, want %d", chunk, len(got), len(want))
-			}
-			for i := range want {
-				if got[i].Name != want[i].Name || got[i].Seq != want[i].Seq {
-					t.Fatalf("chunk %d: record %d = %+v, want %+v", chunk, i, got[i], want[i])
+		if err != nil {
+			return out, err
+		}
+		out = append(out, rec)
+	}
+}
+
+// fastaWindowRecords scans FASTA data through FASTAFormat's windows,
+// copying each record out.
+func fastaWindowRecords(data []byte, chunk, max int) ([]FastaRecord, error) {
+	var out []FastaRecord
+	err := windows(data, FASTAFormat, chunk, max, func(win []byte, f *Fields) {
+		out = append(out, FastaRecord{Name: field(win, f, FieldName), Desc: field(win, f, FieldExtra), Seq: field(win, f, FieldSeq)})
+	})
+	return out, err
+}
+
+// TestFASTAChunkedMatchesReader: the chunked FASTA parser that streams
+// ListShortReads(..., 'Fasta') yields FastaReader's names, descriptions and
+// sequences, wrapped lines joined, blank and CRLF lines included, at any
+// chunk size and window, and fails where the reader fails.
+func TestFASTAChunkedMatchesReader(t *testing.T) {
+	for _, data := range fastaInputs() {
+		want, wantErr := fastaReaderRecords([]byte(data))
+		for _, chunk := range []int{1, 4, 5, 64, 1 << 20} {
+			for _, max := range []int{1, 3, 1024} {
+				got, err := fastaWindowRecords([]byte(data), chunk, max)
+				if (err == nil) != (wantErr == nil) {
+					t.Fatalf("%q, chunk %d, window %d: reader error %v, chunked error %v", data, chunk, max, wantErr, err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%q, chunk %d, window %d: records %+v, want %+v", data, chunk, max, got, want)
 				}
 			}
 		}
 	}
-	for _, bad := range []string{"ACGT\n", ">\nAC\n", ">a\nAC\n> b\n"} {
-		sc := NewChunkedScanner(SourceFromReaderAt(strings.NewReader(bad)), FASTASpanEntry(&Spans{}), 4)
-		for sc.MoveNext() {
-		}
-		if _, err := ReadAllFasta(strings.NewReader(bad)); err == nil || sc.Err() == nil {
-			t.Errorf("%q: reader error %v, chunked error %v; want both", bad, err, sc.Err())
-		}
+}
+
+// FuzzFASTAChunkedMatchesReader holds FASTAFormat to FastaReader: over any
+// bytes, at chunk sizes down to one byte and windows of one record and of
+// many, both yield the same records up to the same point and then both end
+// or both fail; neither panics. MoveNext over the same parser counts the
+// same records.
+func FuzzFASTAChunkedMatchesReader(f *testing.F) {
+	for _, seed := range fastaInputs() {
+		f.Add([]byte(seed), uint8(0))
+		f.Add([]byte(seed), uint8(6))
 	}
+	f.Fuzz(func(t *testing.T, data []byte, chunk uint8) {
+		want, wantErr := fastaReaderRecords(data)
+		for _, size := range []int{int(chunk)%16 + 1, DefaultChunkSize} {
+			for _, max := range []int{1, int(chunk)%5 + 2, 1024} {
+				got, err := fastaWindowRecords(data, size, max)
+				if (err == nil) != (wantErr == nil) {
+					t.Fatalf("chunk %d, window %d: reader error %v, chunked error %v", size, max, wantErr, err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("chunk %d, window %d: chunked records %q, reader's %q", size, max, got, want)
+				}
+			}
+			sc := NewFormatScanner(SourceFromReaderAt(bytes.NewReader(data)), FASTAFormat, size)
+			defer sc.Release()
+			for sc.MoveNext() {
+			}
+			if (sc.Err() == nil) != (wantErr == nil) || sc.Entries != int64(len(want)) {
+				t.Fatalf("chunk %d: MoveNext counted %d (error %v), reader read %d (error %v)", size, sc.Entries, sc.Err(), len(want), wantErr)
+			}
+		}
+	})
 }
 
 // TestFASTQEntryCountIndependentOfChunkSize counts the reads of a FASTQ
@@ -526,17 +609,32 @@ func itoa(n int) string {
 	return string(b[i:])
 }
 
+// BenchmarkChunkedScanner counts a FASTQ file's entries an entry a call
+// (MoveNext over FASTQEntry) and a window a call (FASTQFormat, 1 024
+// entries at most, no fields recorded), each scanner giving its buffer back.
 func BenchmarkChunkedScanner(b *testing.B) {
 	data := genFastqBytes(7, 5000)
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		sc := NewChunkedScanner(SourceFromReaderAt(bytes.NewReader(data)), FASTQEntry, DefaultChunkSize)
-		for sc.MoveNext() {
-		}
-		if sc.Err() != nil {
-			b.Fatal(sc.Err())
-		}
+	for _, bc := range []struct {
+		name  string
+		count func(sc *ChunkedScanner) bool
+		f     Format
+	}{
+		{"entry", func(sc *ChunkedScanner) bool { return sc.MoveNext() }, EntryFunc(FASTQEntry).format},
+		{"window", func(sc *ChunkedScanner) bool { _, n := sc.Next(1024, nil); return n > 0 }, FASTQFormat},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.SetBytes(int64(len(data)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sc := NewFormatScanner(SourceFromReaderAt(bytes.NewReader(data)), bc.f, DefaultChunkSize)
+				for bc.count(sc) {
+				}
+				if sc.Err() != nil || sc.Entries != 5000 {
+					b.Fatal(sc.Err(), sc.Entries)
+				}
+				sc.Release()
+			}
+		})
 	}
 }
 

@@ -3,6 +3,7 @@ package fastq
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 )
@@ -53,26 +54,35 @@ func (r *SRFRecord) Validate() error {
 }
 
 // AvgIntensity returns the mean called-channel intensity (in raw units,
-// 1.0 = nominal full signal) — a simple per-read signal summary.
+// 1.0 = nominal full signal) — a simple per-read signal summary: the mean
+// over the bases of the strongest of each base's four channel values.
 func (r *SRFRecord) AvgIntensity() float64 {
-	return avgIntensity(len(r.Intensities), func(i, c int) uint16 { return r.Intensities[i][c] })
-}
-
-// avgIntensity is the mean over n bases of the strongest of each base's
-// four channel values, in raw units.
-func avgIntensity(n int, channel func(base, c int) uint16) float64 {
-	if n == 0 {
+	if len(r.Intensities) == 0 {
 		return 0
 	}
 	total := 0.0
-	for i := 0; i < n; i++ {
-		best := channel(i, 0)
-		for c := 1; c < 4; c++ {
-			best = max(best, channel(i, c))
-		}
+	for _, t := range r.Intensities {
+		total += float64(max(t[0], t[1], t[2], t[3])) / 1000
+	}
+	return total / float64(len(r.Intensities))
+}
+
+// SRFAvgIntensity is AvgIntensity over a record's intensity tuples as the
+// container stores them (its FieldExtra): 8 bytes a base, four
+// little-endian channel values.
+func SRFAvgIntensity(tuples []byte) float64 {
+	bases := len(tuples) / 8
+	if bases == 0 {
+		return 0
+	}
+	total := 0.0
+	for i := 0; i < 8*bases; i += 8 {
+		t := tuples[i : i+8]
+		best := max(binary.LittleEndian.Uint16(t), binary.LittleEndian.Uint16(t[2:]),
+			binary.LittleEndian.Uint16(t[4:]), binary.LittleEndian.Uint16(t[6:]))
 		total += float64(best) / 1000
 	}
-	return total / float64(n)
+	return total / float64(bases)
 }
 
 // WriteSRF writes a complete container.
@@ -130,12 +140,13 @@ func ReadSRF(r io.Reader) ([]SRFRecord, error) {
 	// takes at least two bytes, so the data bounds the loop.
 	var out []SRFRecord
 	for i := uint64(0); i < count; i++ {
-		consumed, f, err := srfEntry(data[pos:], true)
-		if err != nil {
-			return nil, err
+		var f Fields
+		end := srfRecordAt(data, pos, &f)
+		if end == 0 {
+			return nil, errSRFTruncated
 		}
-		pos += consumed
-		out = append(out, f.record())
+		out = append(out, srfRecordOf(data, &f))
+		pos = end
 	}
 	if pos != len(data) {
 		return nil, fmt.Errorf("srf: %d trailing bytes after final record", len(data)-pos)
@@ -149,109 +160,108 @@ func ReadSRF(r io.Reader) ([]SRFRecord, error) {
 // FileStreams (the paper: "our hybrid approach would naturally extend to
 // encapsulate SRF files as FileStreams too").
 func SRFRecordEntry(rec *SRFRecord) EntryFunc {
-	return srfContainer(func(f srfFields) { *rec = f.record() })
+	parse := SRFFormat()
+	return func(data []byte, atEOF bool) (int, error) {
+		var f [1]Fields
+		consumed, n, err := parse(data, atEOF, 1, f[:])
+		if n == 1 {
+			*rec = srfRecordOf(data, &f[0])
+		}
+		return entryOf(consumed, n, err)
+	}
 }
 
-// SRFSpanEntry is SRFRecordEntry for a batch reader: it points *sp at each
-// record's name, bases and qualities in the scan buffer and sets its mean
-// intensity, decoding no intensity tuple into memory of its own.
-func SRFSpanEntry(sp *Spans) EntryFunc {
-	return srfContainer(func(f srfFields) {
-		sp.Name, sp.Seq, sp.Qual = f.name, f.seq, f.qual
-		sp.Intensity = avgIntensity(len(f.seq), func(i, c int) uint16 {
-			return binary.LittleEndian.Uint16(f.intens[8*i+2*c:])
-		})
-	})
-}
-
-// srfContainer returns the EntryFunc of an SRF container: it skips the
-// header, then hands each record's fields to emit.
-func srfContainer(emit func(srfFields)) EntryFunc {
+// SRFFormat returns the Format of one SRF container: it skips the header,
+// then parses the records it declared, and fails on a container that ends
+// before them or holds bytes after them. A record's intensity tuples are
+// its FieldExtra, decoded only by a reader that asks for them.
+func SRFFormat() Format {
 	headerDone := false
 	remaining := uint64(0)
-	return func(data []byte, atEOF bool) (int, error) {
+	return func(data []byte, atEOF bool, max int, fields []Fields) (consumed, n int, err error) {
 		if !headerDone {
 			if len(data) < 5 {
 				if atEOF {
-					return 0, fmt.Errorf("srf: truncated header")
+					return 0, 0, fmt.Errorf("srf: truncated header")
 				}
-				return 0, nil
+				return 0, 0, nil
 			}
 			if string(data[:4]) != SRFMagic {
-				return 0, fmt.Errorf("srf: bad magic")
+				return 0, 0, fmt.Errorf("srf: bad magic")
 			}
-			count, n := binary.Uvarint(data[4:])
-			if n <= 0 {
+			count, k := binary.Uvarint(data[4:])
+			if k <= 0 {
 				if atEOF {
-					return 0, fmt.Errorf("srf: truncated header")
+					return 0, 0, fmt.Errorf("srf: truncated header")
 				}
-				return 0, nil
+				return 0, 0, nil
 			}
-			headerDone = true
-			remaining = count
-			return 4 + n, ErrSkipEntry
+			headerDone, remaining, consumed = true, count, 4+k
 		}
-		if remaining == 0 {
-			if len(data) > 0 {
-				return 0, fmt.Errorf("srf: %d trailing bytes after final record", len(data))
+		for n < max {
+			if remaining == 0 {
+				if consumed < len(data) {
+					return consumed, n, fmt.Errorf("srf: %d trailing bytes after final record", len(data)-consumed)
+				}
+				break // the end of input after the last record
 			}
-			return 0, nil // the end of input after the last record
+			var f Fields
+			end := srfRecordAt(data, consumed, &f)
+			if end == 0 {
+				if atEOF {
+					return consumed, n, errSRFTruncated
+				}
+				break
+			}
+			if fields != nil {
+				fields[n] = f
+			}
+			remaining--
+			consumed = end
+			n++
 		}
-		consumed, f, err := srfEntry(data, atEOF)
-		if err != nil || consumed == 0 {
-			return 0, err
-		}
-		remaining--
-		emit(f)
-		return consumed, nil
+		return consumed, n, nil
 	}
 }
 
-// srfFields are one record's fields as spans of the parsed window; intens
-// holds the 4-channel tuples, 8 bytes a base.
-type srfFields struct{ name, seq, qual, intens []byte }
+var errSRFTruncated = errors.New("srf: truncated record at end of file")
 
-// record copies the fields into a record of their own.
-func (f srfFields) record() SRFRecord {
-	intens := make([][4]uint16, len(f.seq))
+// srfRecordOf copies a record's fields out of data into a record of its
+// own.
+func srfRecordOf(data []byte, f *Fields) SRFRecord {
+	at := func(i int) []byte { return data[f[i].Start:f[i].End] }
+	tuples := at(FieldExtra)
+	intens := make([][4]uint16, len(tuples)/8)
 	for i := range intens {
 		for c := 0; c < 4; c++ {
-			intens[i][c] = binary.LittleEndian.Uint16(f.intens[8*i+2*c:])
+			intens[i][c] = binary.LittleEndian.Uint16(tuples[8*i+2*c:])
 		}
 	}
-	return SRFRecord{Name: string(f.name), Seq: string(f.seq), Qual: string(f.qual), Intensities: intens}
+	return SRFRecord{Name: string(at(FieldName)), Seq: string(at(FieldSeq)), Qual: string(at(FieldQual)), Intensities: intens}
 }
 
-// srfEntry decodes one record; returns 0 when data is incomplete. Each
-// declared length is checked against the bytes left before it is used, so
-// a corrupt length asks for more data (an error at EOF), never a slice
-// past the end.
-func srfEntry(data []byte, atEOF bool) (int, srfFields, error) {
-	nameLen, n := binary.Uvarint(data)
-	if n <= 0 || nameLen > uint64(len(data)-n) {
-		return srfMore(atEOF)
+// srfRecordAt parses the record at data[pos:] into *f and returns where it
+// ends; 0 when data holds only part of it. Each declared length is checked
+// against the bytes left before it is used, so a corrupt length asks for
+// more data (an error at EOF), never a slice past the end.
+func srfRecordAt(data []byte, pos int, f *Fields) (end int) {
+	nameLen, k := binary.Uvarint(data[pos:])
+	if k <= 0 || nameLen > uint64(len(data)-pos-k) {
+		return 0
 	}
-	pos := n + int(nameLen)
-	var f srfFields
-	f.name = data[n:pos]
-	seqLen, n := binary.Uvarint(data[pos:])
+	name := pos + k
+	pos = name + int(nameLen)
+	seqLen, k := binary.Uvarint(data[pos:])
 	// A base takes 10 bytes: itself, its quality and four 2-byte intensities.
-	if n <= 0 || seqLen > uint64(len(data)-pos-n)/10 {
-		return srfMore(atEOF)
+	if k <= 0 || seqLen > uint64(len(data)-pos-k)/10 {
+		return 0
 	}
-	pos += n
-	bases := int(seqLen)
-	f.seq = data[pos : pos+bases]
-	pos += bases
-	f.qual = data[pos : pos+bases]
-	pos += bases
-	f.intens = data[pos : pos+8*bases]
-	return pos + 8*bases, f, nil
-}
-
-func srfMore(atEOF bool) (int, srfFields, error) {
-	if atEOF {
-		return 0, srfFields{}, fmt.Errorf("srf: truncated record at end of file")
+	seq, bases := pos+k, int(seqLen)
+	*f = Fields{
+		FieldName:  {name, name + int(nameLen)},
+		FieldSeq:   {seq, seq + bases},
+		FieldQual:  {seq + bases, seq + 2*bases},
+		FieldExtra: {seq + 2*bases, seq + 10*bases},
 	}
-	return 0, srfFields{}, nil
+	return seq + 10*bases
 }

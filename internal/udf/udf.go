@@ -147,14 +147,14 @@ func (l *ListShortReads) openLane(ctx *exec.Context, args []*vec.Vector, r int) 
 	}
 	stream.SetSequential(true) // the paper's SequentialAccess pre-fetching
 	ls := &laneScan{stream: stream, width: 3}
-	entry := fastq.FASTQSpanEntry(&ls.sp)
+	parse := fastq.Format(fastq.FASTQFormat)
 	switch format {
 	case "fasta":
-		entry = fastq.FASTASpanEntry(&ls.sp)
+		parse = fastq.FASTAFormat
 	case "srf":
-		entry, ls.width = fastq.SRFSpanEntry(&ls.sp), 4
+		parse, ls.width = fastq.SRFFormat(), 4
 	}
-	ls.sc = fastq.NewChunkedScanner(stream, entry, 0)
+	ls.sc = fastq.NewFormatScanner(stream, parse, 0)
 	return ls, nil
 }
 
@@ -187,15 +187,22 @@ func (l *ListShortReads) lookup(ctx *exec.Context, def *catalog.Table, match fun
 type laneScan struct {
 	stream *core.BlobStream
 	sc     *fastq.ChunkedScanner
-	sp     fastq.Spans // the entry sc last parsed
-	width  int         // output columns: 3, or 4 with SRF's avg_intensity
+	width  int // output columns: 3, or 4 with SRF's avg_intensity
 }
 
-// readsIter is ListShortReads' output: batches of up to a batch's worth of
-// one lane's reads. Each read column is a STRING vector sliced from one
-// string per batch, copied once out of the scan buffer (which the scanner
-// reuses) through a scratch arena; a column nobody reads is NullColumn and
-// nothing is copied for it.
+// close gives the lane's scan buffer and read-ahead windows back and closes
+// its stream.
+func (ls *laneScan) close() error {
+	ls.sc.Release()
+	return ls.stream.Close()
+}
+
+// readsIter is ListShortReads' output: a batch a window of one lane's
+// reads, up to a batch's worth. Each read column is a STRING vector sliced
+// from one string per batch, copied once out of the scan buffer (which the
+// scanner reuses) through a scratch arena; a column nobody reads is
+// NullColumn and nothing is copied for it. When no column is read the
+// scanner only counts the reads.
 type readsIter struct {
 	l      *ListShortReads
 	ctx    *exec.Context
@@ -206,8 +213,9 @@ type readsIter struct {
 	lane   *laneScan // its lane, nil before it is opened
 	outer  []int
 
-	arena [3][]byte // read_name, seq, quals of the batch being filled
-	ends  [3][]int  // each cell's end offset in its arena
+	fields []fastq.Fields // the window's reads; nil when no column is read
+	arena  []byte         // the column being copied, cell after cell
+	ends   []int          // each cell's end offset in arena
 }
 
 // NextBatch fills the next batch, moving to the next outer row's lane when
@@ -220,11 +228,14 @@ func (it *readsIter) NextBatch() (*vec.Batch, error) {
 				return nil, err
 			}
 			it.lane = lane
+			if it.fields == nil && it.readsAColumn() {
+				it.fields = make([]fastq.Fields, vec.DefaultBatchSize)
+			}
 		}
 		if b, err := it.fill(); err != nil || b != nil {
 			return b, err
 		}
-		err := it.lane.stream.Close()
+		err := it.lane.close()
 		it.lane = nil
 		it.k++
 		if err != nil {
@@ -234,30 +245,23 @@ func (it *readsIter) NextBatch() (*vec.Batch, error) {
 	return nil, nil
 }
 
-// fill reads the current lane's next batch of reads, or returns nil at its
-// end.
+// readsAColumn says whether the statement reads any of the lane's columns.
+func (it *readsIter) readsAColumn() bool {
+	for c := range it.lane.width {
+		if exec.Reads(it.needed, c) {
+			return true
+		}
+	}
+	return false
+}
+
+// fill reads the current lane's next window of reads, or returns nil at
+// its end.
 func (it *readsIter) fill() (*vec.Batch, error) {
 	ls := it.lane
-	var floats []float64
-	srf := ls.width == 4 && exec.Reads(it.needed, 3)
-	if srf {
-		floats = make([]float64, 0, vec.DefaultBatchSize)
-	}
-	n := 0
-	for n < vec.DefaultBatchSize && ls.sc.MoveNext() {
-		for c, field := range [3][]byte{ls.sp.Name, ls.sp.Seq, ls.sp.Qual} {
-			if exec.Reads(it.needed, c) {
-				it.arena[c] = append(it.arena[c], field...)
-				it.ends[c] = append(it.ends[c], len(it.arena[c]))
-			}
-		}
-		if srf {
-			floats = append(floats, ls.sp.Intensity)
-		}
-		n++
-	}
-	if err := ls.sc.Err(); err != nil || n == 0 {
-		return nil, err
+	data, n := ls.sc.Next(vec.DefaultBatchSize, it.fields)
+	if n == 0 {
+		return nil, ls.sc.Err()
 	}
 	cols, vs := make([]*vec.Vector, ls.width), make([]vec.Vector, ls.width)
 	for c := range cols {
@@ -266,10 +270,18 @@ func (it *readsIter) fill() (*vec.Batch, error) {
 			cols[c] = exec.NullColumn
 			continue
 		case c == 3:
+			floats := make([]float64, n)
+			for i, f := range it.fields[:n] {
+				floats[i] = fastq.SRFAvgIntensity(data[f[fastq.FieldExtra].Start:f[fastq.FieldExtra].End])
+			}
 			vs[c] = vec.Vector{Kind: sqltypes.KindFloat, Floats: floats}
 		default:
-			vs[c] = stringColumn(it.arena[c], it.ends[c])
-			it.arena[c], it.ends[c] = it.arena[c][:0], it.ends[c][:0]
+			it.arena, it.ends = it.arena[:0], it.ends[:0]
+			for _, f := range it.fields[:n] {
+				it.arena = append(it.arena, data[f[c].Start:f[c].End]...)
+				it.ends = append(it.ends, len(it.arena))
+			}
+			vs[c] = stringColumn(it.arena, it.ends)
 		}
 		cols[c] = &vs[c]
 	}
@@ -301,7 +313,7 @@ func (it *readsIter) Close() error {
 	if it.lane == nil {
 		return nil
 	}
-	err := it.lane.stream.Close()
+	err := it.lane.close()
 	it.lane = nil
 	return err
 }

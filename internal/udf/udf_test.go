@@ -20,7 +20,7 @@ import (
 	"repro/internal/vec"
 )
 
-func openTestDB(t *testing.T) *core.Database {
+func openTestDB(t testing.TB) *core.Database {
 	t.Helper()
 	db, err := core.Open(filepath.Join(t.TempDir(), "db"), core.Options{DOP: 2})
 	if err != nil {
@@ -31,7 +31,7 @@ func openTestDB(t *testing.T) *core.Database {
 	return db
 }
 
-func mustExec(t *testing.T, db *core.Database, sql string) *core.Result {
+func mustExec(t testing.TB, db *core.Database, sql string) *core.Result {
 	t.Helper()
 	res, err := db.Exec(sql)
 	if err != nil {
@@ -271,8 +271,22 @@ func TestListShortReadsSRF(t *testing.T) {
 		if row[0].S != srfRecs[i].Name || row[1].S != srfRecs[i].Seq {
 			t.Errorf("row %d = %v, want %q/%q", i, row, srfRecs[i].Name, srfRecs[i].Seq)
 		}
-		if row[3].K != sqltypes.KindFloat || row[3].F <= 0 {
-			t.Errorf("row %d avg_intensity = %v", i, row[3])
+		if row[3].K != sqltypes.KindFloat || row[3].F <= 0 || row[3].F != srfRecs[i].AvgIntensity() {
+			t.Errorf("row %d avg_intensity = %v, want %v", i, row[3], srfRecs[i].AvgIntensity())
+		}
+	}
+	// A pruned scan reads no intensity: COUNT(*) counts the records, and
+	// read_name alone returns the names.
+	if got := mustExec(t, db, `SELECT COUNT(*) FROM ListShortReads(900, 1, 'SRF')`).Rows[0][0].I; got != int64(len(srfRecs)) {
+		t.Errorf("COUNT(*) over the SRF lane = %d, want %d", got, len(srfRecs))
+	}
+	names := mustExec(t, db, `SELECT read_name FROM ListShortReads(900, 1, 'SRF')`)
+	if len(names.Rows) != len(srfRecs) {
+		t.Fatalf("read_name rows = %v", names.Rows)
+	}
+	for i, row := range names.Rows {
+		if len(row) != 1 || row[0].S != srfRecs[i].Name {
+			t.Errorf("read_name row %d = %v, want %q", i, row, srfRecs[i].Name)
 		}
 	}
 	// SRF rows aggregate like any table: mean signal over the lane.
@@ -654,8 +668,9 @@ func TestQuery3FormsSkipNullAlignments(t *testing.T) {
 }
 
 // importLane writes n FASTQ reads as the lane (sample, 1) of db's
-// ShortReadFiles, creating the table on first use.
-func importLane(t *testing.T, db *core.Database, sample int64, n int) {
+// ShortReadFiles, creating the table on first use, and returns the lane's
+// size in bytes.
+func importLane(t testing.TB, db *core.Database, sample int64, n int) int {
 	t.Helper()
 	if db.Catalog().Get("ShortReadFiles") == nil {
 		mustExec(t, db, `CREATE TABLE ShortReadFiles (guid UNIQUEIDENTIFIER, sample INT, lane INT, reads VARBINARY(MAX) FILESTREAM)`)
@@ -675,6 +690,7 @@ func importLane(t *testing.T, db *core.Database, sample int64, n int) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	return lane.Len()
 }
 
 // allocsPerRun measures what one call of f allocates, in objects and
@@ -696,7 +712,9 @@ func allocsPerRun(f func()) (objects, bytes uint64) {
 // TestListShortReadsAllocationFloors pins the batch TVF's gain without a
 // clock. The §5.2 statement, COUNT(*) over a lane of N reads, allocates per
 // batch, not per read: under N/16 objects a statement, where packing each
-// read into a row of three fresh strings cost about three a read. And a
+// read into a row of three fresh strings cost about three a read. Its scan
+// buffer and read-ahead window are the ones earlier statements gave back:
+// under 256 KiB a statement, where a megabyte of each cost 1.9 MB. And a
 // scan that reads every column copies each into one arena string per
 // batch: reading them all costs, over reading none, at most three objects
 // per column and batch (its arena, its string headers, and a share of the
@@ -716,6 +734,9 @@ func TestListShortReadsAllocationFloors(t *testing.T) {
 	t.Logf("COUNT(*) over %d reads: %d allocations, %d bytes", n, objects, bytes)
 	if objects >= n/16 {
 		t.Errorf("COUNT(*) over %d reads: %d allocations, want under %d", n, objects, n/16)
+	}
+	if bytes >= 256<<10 {
+		t.Errorf("COUNT(*) over %d reads: %d bytes, want under %d", n, bytes, 256<<10)
 	}
 
 	// scan drains ListShortReads(sample, 1, 'FastQ') reading the needed
@@ -752,5 +773,25 @@ func TestListShortReadsAllocationFloors(t *testing.T) {
 	t.Logf("reading every column: %d more allocations over %d reads, %d over %d: %.1f a batch", c1, n, c2, 2*n, per)
 	if per > 3*3 {
 		t.Errorf("reading every column costs %.1f allocations a batch, want at most %d", per, 3*3)
+	}
+}
+
+// BenchmarkListShortReadsCount is the §5.2 statement, COUNT(*) through
+// ListShortReads, over a lane of more than two scan chunks, so that the
+// scan pages and the stream reads ahead.
+func BenchmarkListShortReadsCount(b *testing.B) {
+	const n = 32768
+	db := openTestDB(b)
+	size := importLane(b, db, 1, n)
+	if size <= 2*fastq.DefaultChunkSize {
+		b.Fatalf("a lane of %d bytes fits two scan chunks", size)
+	}
+	b.SetBytes(int64(size))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if got := mustExec(b, db, `SELECT COUNT(*) FROM ListShortReads(1, 1, 'FastQ')`).Rows[0][0].I; got != n {
+			b.Fatalf("counted %d reads, want %d", got, n)
+		}
 	}
 }
