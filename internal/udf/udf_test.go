@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/consensus"
@@ -774,6 +775,47 @@ func TestListShortReadsAllocationFloors(t *testing.T) {
 	if per > 3*3 {
 		t.Errorf("reading every column costs %.1f allocations a batch, want at most %d", per, 3*3)
 	}
+}
+
+// TestConcurrentScansShareNoBuffer: statements scanning lanes at once
+// each read their own reads, though every scan buffer and read-ahead
+// window is one an earlier scan gave back. Lanes of more than one chunk
+// page and read ahead while the other scans do.
+func TestConcurrentScansShareNoBuffer(t *testing.T) {
+	const n = 12000
+	db := openTestDB(t)
+	for sample := int64(1); sample <= 2; sample++ {
+		if size := importLane(t, db, sample, n); size <= fastq.DefaultChunkSize {
+			t.Fatalf("a lane of %d bytes fits one scan chunk", size)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(sample int64) {
+			defer wg.Done()
+			s := db.NewSession()
+			for i := 0; i < 3; i++ {
+				res, err := s.Exec(fmt.Sprintf(`SELECT COUNT(*) FROM ListShortReads(%d, 1, 'FastQ')`, sample))
+				if err != nil || res.Rows[0][0].I != n {
+					t.Errorf("lane %d: COUNT(*) = %v, %v; want %d", sample, res, err, n)
+					return
+				}
+				res, err = s.Exec(fmt.Sprintf(`SELECT read_name FROM ListShortReads(%d, 1, 'FastQ')`, sample))
+				if err != nil || len(res.Rows) != n {
+					t.Errorf("lane %d: read_name: %v", sample, err)
+					return
+				}
+				for r, row := range res.Rows {
+					if want := fmt.Sprintf("IL4_%d:1:1:%d", sample, r); row[0].S != want {
+						t.Errorf("lane %d: read %d is %q, want %q", sample, r, row[0].S, want)
+						return
+					}
+				}
+			}
+		}(int64(g%2 + 1))
+	}
+	wg.Wait()
 }
 
 // BenchmarkListShortReadsCount is the §5.2 statement, COUNT(*) through
