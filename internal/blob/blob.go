@@ -217,19 +217,23 @@ type Stream struct {
 
 	mu  sync.Mutex
 	seq bool
-	// Current prefetched window: win is its bytes, winOff their offset.
-	win    *[PrefetchChunk]byte
-	winLen int
-	winOff int64
+	cur fetchResult // current prefetched window
 	// In-flight background fetch.
 	next chan fetchResult
 }
 
+// fetchResult is a window of the blob, its n bytes at off in win, or the
+// error reading it.
 type fetchResult struct {
 	off int64
 	win *[PrefetchChunk]byte
 	n   int
 	err error
+}
+
+// covers says whether the window holds the byte at off.
+func (r fetchResult) covers(off int64) bool {
+	return r.win != nil && off >= r.off && off < r.off+int64(r.n)
 }
 
 // Size returns the blob length.
@@ -270,8 +274,7 @@ func (st *Stream) GetBytes(off int64, buf []byte) (int, error) {
 			}
 			return 0, err
 		}
-		rel := int(off - st.winOff)
-		n := copy(buf[total:], st.win[rel:st.winLen])
+		n := copy(buf[total:], st.cur.win[off-st.cur.off:st.cur.n])
 		total += n
 		off += int64(n)
 	}
@@ -280,14 +283,14 @@ func (st *Stream) GetBytes(off int64, buf []byte) (int, error) {
 
 // ensureWindowLocked makes the prefetch window cover off.
 func (st *Stream) ensureWindowLocked(off int64) error {
-	if st.win != nil && off >= st.winOff && off < st.winOff+int64(st.winLen) {
+	if st.cur.covers(off) {
 		return nil
 	}
 	// Sequential continuation: the background fetch should hold it.
 	if st.next != nil {
 		res := <-st.next
 		st.next = nil
-		if res.err == nil && off >= res.off && off < res.off+int64(res.n) {
+		if res.covers(off) {
 			st.setWindowLocked(res)
 			st.startFetchLocked(res.off + int64(res.n))
 			return nil
@@ -307,10 +310,8 @@ func (st *Stream) ensureWindowLocked(off int64) error {
 // setWindowLocked makes res the current window, giving the one it replaces
 // back to the pool.
 func (st *Stream) setWindowLocked(res fetchResult) {
-	if st.win != nil {
-		windows.Put(st.win)
-	}
-	st.win, st.winLen, st.winOff = res.win, res.n, res.off
+	release(st.cur)
+	st.cur = res
 }
 
 // fetch reads the window at off into a window from the pool.
