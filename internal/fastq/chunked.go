@@ -34,7 +34,7 @@ type EntryFunc func(data []byte, atEOF bool) (consumed int, err error)
 // record (e.g. a container header); the scanner advances and parses again.
 var ErrSkipEntry = errors.New("fastq: skip entry")
 
-// Format parses the complete entries at the start of data, at most max of
+// Format parses the complete entries at the start of data, at most limit of
 // them, and returns the bytes they took and how many it parsed. It stops
 // early at an entry data holds only part of, unless atEOF; bytes that form
 // no entry (blank lines, a container header) count as consumed. When fields
@@ -45,7 +45,7 @@ var ErrSkipEntry = errors.New("fastq: skip entry")
 //
 // FASTQFormat, FASTAFormat and SRFFormat are the formats of the file
 // wrapper; any EntryFunc is a Format of one entry a call.
-type Format func(data []byte, atEOF bool, max int, fields []Fields) (consumed, n int, err error)
+type Format func(data []byte, atEOF bool, limit int, fields []Fields) (consumed, n int, err error)
 
 // Span is the bytes [Start, End) of the data a Format parsed.
 type Span struct{ Start, End int }
@@ -122,27 +122,27 @@ func NewFormatScanner(src ByteSource, f Format, chunkSize int) *ChunkedScanner {
 	return s
 }
 
-// Next parses the next complete entries of the window, at most max, and
+// Next parses the next complete entries of the window, at most limit, and
 // returns the window's bytes and how many it parsed: 0 at the end of input
 // or on an error (see Err). When fields is not nil it receives each entry's
 // fields as spans of data, at most len(fields) of them. data is the
 // scanner's buffer, valid until the next call: a reader that keeps a field
 // copies it out. A window ends early where the buffer cuts an entry; the
 // next call pages in the rest.
-func (s *ChunkedScanner) Next(max int, fields []Fields) (data []byte, n int) {
+func (s *ChunkedScanner) Next(limit int, fields []Fields) (data []byte, n int) {
 	if fields != nil {
-		max = min(max, len(fields))
+		limit = min(limit, len(fields))
 	}
-	for s.err == nil && !s.ended && max > 0 {
+	for s.err == nil && !s.ended && limit > 0 {
 		if s.pos == s.end && s.eof {
 			// The clean end of input: the parser's last call.
 			s.ended = true
-			_, _, s.err = s.parse(nil, true, max, fields)
+			_, _, s.err = s.parse(nil, true, limit, fields)
 			break
 		}
 		if s.pos < s.end {
 			data = s.buf[s.pos:s.end]
-			consumed, n, err := s.parse(data, s.eof, max, fields)
+			consumed, n, err := s.parse(data, s.eof, limit, fields)
 			s.pos += consumed
 			s.Entries += int64(n)
 			s.err = err
@@ -207,12 +207,12 @@ func (s *ChunkedScanner) Release() {
 }
 
 // format is f as a Format: one call of f an entry.
-func (f EntryFunc) format(data []byte, atEOF bool, max int, _ []Fields) (consumed, n int, err error) {
+func (f EntryFunc) format(data []byte, atEOF bool, limit int, _ []Fields) (consumed, n int, err error) {
 	if len(data) == 0 {
 		_, err = f(data, atEOF)
 		return 0, 0, err
 	}
-	for n < max && consumed < len(data) {
+	for n < limit && consumed < len(data) {
 		c, err := f(data[consumed:], atEOF)
 		if err == ErrSkipEntry && c > 0 {
 			consumed += c
@@ -299,8 +299,8 @@ func trimCR(data []byte, pos, end int) int {
 // and possibly empty, with Reader's checks — a name line "@name" with a
 // name, a '+' line, a quality as long as the sequence. Blank lines between
 // entries are skipped, as Reader skips them.
-func FASTQFormat(data []byte, atEOF bool, max int, fields []Fields) (consumed, n int, err error) {
-	for n < max && consumed < len(data) {
+func FASTQFormat(data []byte, atEOF bool, limit int, fields []Fields) (consumed, n int, err error) {
+	for n < limit && consumed < len(data) {
 		name := consumed
 		nameEnd, pos, ok := lineAt(data, name)
 		if !ok && !atEOF {
@@ -352,8 +352,8 @@ func FASTQFormat(data []byte, atEOF bool, max int, fields []Fields) (consumed, n
 // record costs no copy of its own; FieldQual is empty. A record is parsed
 // once data holds all of it and the first byte of the next line, so the
 // scanner's memory is one record, not the file.
-func FASTAFormat(data []byte, atEOF bool, max int, fields []Fields) (consumed, n int, err error) {
-	for n < max && consumed < len(data) {
+func FASTAFormat(data []byte, atEOF bool, limit int, fields []Fields) (consumed, n int, err error) {
+	for n < limit && consumed < len(data) {
 		head := consumed
 		headEnd, body, ok := lineAt(data, head)
 		if !ok && !atEOF {

@@ -146,14 +146,14 @@ func readerRecords(data []byte) ([]Record, error) {
 }
 
 // windows calls fn with each entry's fields and the window they are spans
-// of, scanning data in the given format with the given chunk size and max
+// of, scanning data in the given format with the given chunk size and limit
 // entries a window, up to the scanner's first error.
-func windows(data []byte, f Format, chunk, max int, fn func(win []byte, f *Fields)) error {
+func windows(data []byte, f Format, chunk, limit int, fn func(win []byte, f *Fields)) error {
 	sc := NewFormatScanner(SourceFromReaderAt(bytes.NewReader(data)), f, chunk)
 	defer sc.Release()
-	fields := make([]Fields, max)
+	fields := make([]Fields, limit)
 	for {
-		win, n := sc.Next(max, fields)
+		win, n := sc.Next(limit, fields)
 		if n == 0 {
 			return sc.Err()
 		}
@@ -168,9 +168,9 @@ func field(win []byte, f *Fields, i int) string { return string(win[f[i].Start:f
 
 // windowRecords scans FASTQ data through FASTQFormat's windows, copying
 // each entry out.
-func windowRecords(data []byte, chunk, max int) ([]Record, error) {
+func windowRecords(data []byte, chunk, limit int) ([]Record, error) {
 	var out []Record
-	err := windows(data, FASTQFormat, chunk, max, func(win []byte, f *Fields) {
+	err := windows(data, FASTQFormat, chunk, limit, func(win []byte, f *Fields) {
 		out = append(out, Record{Name: field(win, f, FieldName), Seq: field(win, f, FieldSeq),
 			Comment: field(win, f, FieldExtra), Qual: field(win, f, FieldQual)})
 	})
@@ -213,13 +213,13 @@ func FuzzFASTQChunkedMatchesReader(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, chunk uint8) {
 		want, wantErr := readerRecords(data)
 		for _, size := range []int{int(chunk)%16 + 1, DefaultChunkSize} {
-			for _, max := range []int{1, int(chunk)%5 + 2, 1024} {
-				got, err := windowRecords(data, size, max)
+			for _, limit := range []int{1, int(chunk)%5 + 2, 1024} {
+				got, err := windowRecords(data, size, limit)
 				if (err == nil) != (wantErr == nil) {
-					t.Fatalf("chunk %d, window %d: Reader error %v, chunked error %v", size, max, wantErr, err)
+					t.Fatalf("chunk %d, window %d: Reader error %v, chunked error %v", size, limit, wantErr, err)
 				}
 				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("chunk %d, window %d: chunked records %q, Reader's %q", size, max, got, want)
+					t.Fatalf("chunk %d, window %d: chunked records %q, Reader's %q", size, limit, got, want)
 				}
 			}
 			n, err := countEntries(data, FASTQEntry, size)
@@ -230,10 +230,11 @@ func FuzzFASTQChunkedMatchesReader(f *testing.F) {
 	})
 }
 
-// fastaInputs are the FASTA inputs of the chunked parser's tests: wrapped
-// records, blank and CRLF lines, a header with no body and one with no
-// newline, an empty file, and three inputs the reader refuses.
-func fastaInputs() []string {
+// fastaInputs are the FASTA inputs of the chunked parser's tests: good
+// holds wrapped records, blank and CRLF lines, a header with no body and
+// one with no newline, and an empty file; bad holds three inputs the reader
+// refuses.
+func fastaInputs() (good, bad []string) {
 	var buf bytes.Buffer
 	w := NewFastaWriter(&buf)
 	w.Wrap = 7
@@ -241,7 +242,7 @@ func fastaInputs() []string {
 		w.Write(FastaRecord{Name: fmt.Sprintf("chr%d", i), Desc: "d", Seq: strings.Repeat("ACGTN", i)})
 	}
 	w.Flush()
-	return []string{buf.String(), "\n>a x\r\nAC\r\n\nGT\n>b\n>c\nA", "", "ACGT\n", ">\nAC\n", ">a\nAC\n> b\n"}
+	return []string{buf.String(), "\n>a x\r\nAC\r\n\nGT\n>b\n>c\nA", ""}, []string{"ACGT\n", ">\nAC\n", ">a\nAC\n> b\n"}
 }
 
 // fastaReaderRecords reads data with FastaReader up to its first error.
@@ -262,9 +263,9 @@ func fastaReaderRecords(data []byte) ([]FastaRecord, error) {
 
 // fastaWindowRecords scans FASTA data through FASTAFormat's windows,
 // copying each record out.
-func fastaWindowRecords(data []byte, chunk, max int) ([]FastaRecord, error) {
+func fastaWindowRecords(data []byte, chunk, limit int) ([]FastaRecord, error) {
 	var out []FastaRecord
-	err := windows(data, FASTAFormat, chunk, max, func(win []byte, f *Fields) {
+	err := windows(data, FASTAFormat, chunk, limit, func(win []byte, f *Fields) {
 		out = append(out, FastaRecord{Name: field(win, f, FieldName), Desc: field(win, f, FieldExtra), Seq: field(win, f, FieldSeq)})
 	})
 	return out, err
@@ -275,16 +276,20 @@ func fastaWindowRecords(data []byte, chunk, max int) ([]FastaRecord, error) {
 // sequences, wrapped lines joined, blank and CRLF lines included, at any
 // chunk size and window, and fails where the reader fails.
 func TestFASTAChunkedMatchesReader(t *testing.T) {
-	for _, data := range fastaInputs() {
+	good, bad := fastaInputs()
+	for i, data := range append(good, bad...) {
 		want, wantErr := fastaReaderRecords([]byte(data))
+		if (wantErr != nil) != (i >= len(good)) {
+			t.Fatalf("%q: reader error %v", data, wantErr)
+		}
 		for _, chunk := range []int{1, 4, 5, 64, 1 << 20} {
-			for _, max := range []int{1, 3, 1024} {
-				got, err := fastaWindowRecords([]byte(data), chunk, max)
+			for _, limit := range []int{1, 3, 1024} {
+				got, err := fastaWindowRecords([]byte(data), chunk, limit)
 				if (err == nil) != (wantErr == nil) {
-					t.Fatalf("%q, chunk %d, window %d: reader error %v, chunked error %v", data, chunk, max, wantErr, err)
+					t.Fatalf("%q, chunk %d, window %d: reader error %v, chunked error %v", data, chunk, limit, wantErr, err)
 				}
 				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%q, chunk %d, window %d: records %+v, want %+v", data, chunk, max, got, want)
+					t.Fatalf("%q, chunk %d, window %d: records %+v, want %+v", data, chunk, limit, got, want)
 				}
 			}
 		}
@@ -297,20 +302,21 @@ func TestFASTAChunkedMatchesReader(t *testing.T) {
 // or both fail; neither panics. MoveNext over the same parser counts the
 // same records.
 func FuzzFASTAChunkedMatchesReader(f *testing.F) {
-	for _, seed := range fastaInputs() {
+	good, bad := fastaInputs()
+	for _, seed := range append(good, bad...) {
 		f.Add([]byte(seed), uint8(0))
 		f.Add([]byte(seed), uint8(6))
 	}
 	f.Fuzz(func(t *testing.T, data []byte, chunk uint8) {
 		want, wantErr := fastaReaderRecords(data)
 		for _, size := range []int{int(chunk)%16 + 1, DefaultChunkSize} {
-			for _, max := range []int{1, int(chunk)%5 + 2, 1024} {
-				got, err := fastaWindowRecords(data, size, max)
+			for _, limit := range []int{1, int(chunk)%5 + 2, 1024} {
+				got, err := fastaWindowRecords(data, size, limit)
 				if (err == nil) != (wantErr == nil) {
-					t.Fatalf("chunk %d, window %d: reader error %v, chunked error %v", size, max, wantErr, err)
+					t.Fatalf("chunk %d, window %d: reader error %v, chunked error %v", size, limit, wantErr, err)
 				}
 				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("chunk %d, window %d: chunked records %q, reader's %q", size, max, got, want)
+					t.Fatalf("chunk %d, window %d: chunked records %q, reader's %q", size, limit, got, want)
 				}
 			}
 			sc := NewFormatScanner(SourceFromReaderAt(bytes.NewReader(data)), FASTAFormat, size)

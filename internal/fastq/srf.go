@@ -178,7 +178,7 @@ func SRFRecordEntry(rec *SRFRecord) EntryFunc {
 func SRFFormat() Format {
 	headerDone := false
 	remaining := uint64(0)
-	return func(data []byte, atEOF bool, max int, fields []Fields) (consumed, n int, err error) {
+	return func(data []byte, atEOF bool, limit int, fields []Fields) (consumed, n int, err error) {
 		if !headerDone {
 			if len(data) < 5 {
 				if atEOF {
@@ -198,7 +198,7 @@ func SRFFormat() Format {
 			}
 			headerDone, remaining, consumed = true, count, 4+k
 		}
-		for n < max {
+		for n < limit {
 			if remaining == 0 {
 				if consumed < len(data) {
 					return consumed, n, fmt.Errorf("srf: %d trailing bytes after final record", len(data)-consumed)
