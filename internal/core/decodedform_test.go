@@ -163,6 +163,15 @@ func TestSharedPagesAreNeverWritten(t *testing.T) {
 		{`SELECT short_read_seq, packed FROM ReseqRead WHERE r_id = 777`, "", 1, "SEEK"},
 		{`SELECT a_g_id, a_pos, a_id, seq FROM AlignmentSorted WHERE a_g_id = 2 ORDER BY a_g_id, a_pos, a_id`, "", 1, ""},
 		{`SELECT r_id, quals, packed FROM ReseqRead WHERE short_read_seq LIKE 'CGT%'`, "", 4, "DOP 4"},
+		// Text keys grown by AppendRows from kept forms: group keys of a
+		// heap's flat column, a PAGE heap's dictionary column and a leaf's
+		// column; the build keys of hash joins on a flat and a leaf column.
+		{`SELECT tag, COUNT(*), MAX(id) FROM reads WHERE q < 30 GROUP BY tag`, "", 1, "Aggregate"},
+		{`SELECT flow, COUNT(*), MIN(id) FROM flows GROUP BY flow`, "", 1, "Aggregate"},
+		{`SELECT short_read_seq, COUNT(*) FROM ReseqRead GROUP BY short_read_seq`, "", 1, "Aggregate"},
+		{`SELECT r.id, r2.id, r.tag FROM reads r JOIN reads r2 ON r.tag = r2.tag WHERE r.id < 40 AND r2.q = 3`, "", 1, "Hash Match"},
+		{`SELECT COUNT(*), MIN(x.r_id), MAX(a.a_id) FROM ReseqRead x JOIN AlignmentSorted a ON x.short_read_seq = a.seq
+		   WHERE x.r_id < 9 AND a.a_id < 9`, "", 1, "Hash Match"},
 	}
 	run := func() [][]string {
 		var out [][]string

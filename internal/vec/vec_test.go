@@ -249,3 +249,45 @@ func TestAppendRowsAndGather(t *testing.T) {
 		t.Errorf("packed sequences should stay packed bytes, got %+v", seqs)
 	}
 }
+
+// textColumn is a flat STRING vector of n 36-byte cells, each distinct.
+func textColumn(n int) *vec.Vector {
+	v := vec.NewVector(sqltypes.KindString, n)
+	for i := range n {
+		v.Append(sqltypes.NewString(fmt.Sprintf("ACGTACGTACGTACGTACGTACGTACGTAC%06d", i)))
+	}
+	return v
+}
+
+// BenchmarkGatherText gathers a whole 1 024-row batch of 36-byte text
+// cells in reverse order: the join's output copy.
+func BenchmarkGatherText(b *testing.B) {
+	v := textColumn(vec.DefaultBatchSize)
+	idx := make([]int, vec.DefaultBatchSize)
+	for i := range idx {
+		idx[i] = len(idx) - 1 - i
+	}
+	b.ReportAllocs()
+	for range b.N {
+		if _, err := v.Gather(idx); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkAppendRowsText appends every row of a 1 024-row batch of
+// 36-byte text cells to an empty column: the build side's copy.
+func BenchmarkAppendRowsText(b *testing.B) {
+	v := textColumn(vec.DefaultBatchSize)
+	rows := make([]int, vec.DefaultBatchSize)
+	for i := range rows {
+		rows[i] = i
+	}
+	b.ReportAllocs()
+	for range b.N {
+		var dst vec.Vector
+		if err := dst.AppendRows(v, rows); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
