@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"fmt"
+	"hash"
 	"hash/fnv"
 	"math"
 	"path/filepath"
@@ -17,41 +18,49 @@ import (
 )
 
 // decodedArrays hashes every array-holding vector of every decoded form
-// the buffer pool keeps, by vector, and counts which kinds of array it
-// saw.
+// the buffer pool keeps, its dictionary's arrays included, by vector, and
+// counts which kinds of array it saw.
 func decodedArrays(db *core.Database) (map[*vec.Vector]uint64, map[string]int) {
 	sums := map[*vec.Vector]uint64{}
 	seen := map[string]int{}
 	db.EachDecodedColumn(func(v *vec.Vector) {
 		h := fnv.New64a()
-		put := func(what string, n int, words func(i int) uint64) {
-			if n > 0 {
-				seen[what]++
+		var put func(prefix string, v *vec.Vector)
+		put = func(prefix string, v *vec.Vector) {
+			hashWords(h, seen, prefix+"Nulls", v.Nulls)
+			hashWords(h, seen, prefix+"Ints", v.Ints)
+			floats := make([]uint64, len(v.Floats))
+			for i, f := range v.Floats {
+				floats[i] = math.Float64bits(f)
 			}
-			var b [8]byte
-			for i := 0; i < n; i++ {
-				w := words(i)
-				for j := range b {
-					b[j] = byte(w >> (8 * j))
-				}
-				h.Write(b[:])
+			hashWords(h, seen, prefix+"Floats", floats)
+			hashWords(h, seen, prefix+"Codes", v.Codes)
+			hashWords(h, seen, prefix+"Offs", v.Offs)
+			hashWords(h, seen, prefix+"Data", v.Data)
+			if v.Dict != nil {
+				seen[prefix+"Dict"]++
+				put(prefix+"Dict", v.Dict)
 			}
 		}
-		put("Nulls", len(v.Nulls), func(i int) uint64 { return v.Nulls[i] })
-		put("Ints", len(v.Ints), func(i int) uint64 { return uint64(v.Ints[i]) })
-		put("Floats", len(v.Floats), func(i int) uint64 { return math.Float64bits(v.Floats[i]) })
-		put("Codes", len(v.Codes), func(i int) uint64 { return uint64(v.Codes[i]) })
-		put("Strs", len(v.Strs), func(i int) uint64 { h.Write([]byte(v.Strs[i])); return uint64(len(v.Strs[i])) })
-		put("Byts", len(v.Byts), func(i int) uint64 { h.Write(v.Byts[i]); return uint64(len(v.Byts[i])) })
-		put("Dict", len(v.Dict), func(i int) uint64 {
-			d := v.Dict[i]
-			h.Write([]byte(d.S))
-			h.Write(d.B)
-			return uint64(d.K)<<56 ^ uint64(d.I) ^ math.Float64bits(d.F)
-		})
+		put("", v)
 		sums[v] = h.Sum64()
 	})
 	return sums, seen
+}
+
+// hashWords writes every entry of s to h as 8 bytes, counting s in seen
+// under what when it is not empty.
+func hashWords[T ~int | ~int32 | ~int64 | ~uint64 | ~uint8](h hash.Hash64, seen map[string]int, what string, s []T) {
+	if len(s) > 0 {
+		seen[what]++
+	}
+	var b [8]byte
+	for _, w := range s {
+		for j := range b {
+			b[j] = byte(uint64(w) >> (8 * j))
+		}
+		h.Write(b[:])
+	}
 }
 
 func mustExec(t *testing.T, db *core.Database, sql string) *core.Result {
@@ -221,7 +230,7 @@ func TestSharedPagesAreNeverWritten(t *testing.T) {
 		}
 	}
 	_, seen := decodedArrays(db)
-	for _, what := range []string{"Nulls", "Ints", "Strs", "Byts", "Codes", "Dict"} {
+	for _, what := range []string{"Nulls", "Ints", "Offs", "Data", "Codes", "Dict", "DictOffs", "DictData"} {
 		if seen[what] == 0 {
 			t.Errorf("no kept form holds %s: the battery does not cover them", what)
 		}

@@ -192,9 +192,9 @@ func (e *entryBatches) NextBatch() (*vec.Batch, error) {
 			if err != nil {
 				return nil, err
 			}
-			keys.Byts = append(keys.Byts, key)
+			vec.AppendText(keys, key)
 		}
-		if n := len(keys.Byts); n > 0 {
+		if n := keys.Len(); n > 0 {
 			return vec.NewBatch([]*vec.Vector{keys}, n), nil
 		}
 	}

@@ -49,7 +49,7 @@ type rowsTable struct {
 func (t *rowsTable) NextBatch() (*vec.Batch, error) {
 	cols := make([]*vec.Vector, t.width)
 	for i := range cols {
-		cols[i] = vec.NewGenericVector(8)
+		cols[i] = vec.NewVector(sqltypes.KindNull, 8)
 	}
 	t.outer = t.outer[:0]
 	for len(t.outer) < vec.DefaultBatchSize {

@@ -21,7 +21,11 @@ import (
 // another goroutine (the Gather exchange sends batches, never copies). A
 // vector, though, may be shared with other batches — a projected column is
 // its input's vector, a pruned column is NullColumn — so consumers change a
-// batch's Sel and its Cols slice, never a vector's cells.
+// batch's Sel and its Cols slice, never a vector's cells. Nor does anyone
+// else: once a vector holds its arrays, neither its producer nor a kept
+// page form it is a header over writes them (vec.Vector), so a value
+// boxed from a text cell may alias the vector's bytes for as long as it
+// is held.
 //
 // Selection. Sel lists the live physical rows in ascending order. Filters
 // and limits shrink it in place; operators walk Sel, never 0..n, and a
@@ -77,7 +81,7 @@ func (p *rowPacker) next(next func() (sqltypes.Row, bool, error)) (*vec.Batch, e
 			cols = make([]*vec.Vector, len(row))
 			for i := range cols {
 				if Reads(p.needed, i) {
-					cols[i] = vec.NewGenericVector(max(p.last, 8))
+					cols[i] = vec.NewVector(sqltypes.KindNull, max(p.last, 8))
 				} else {
 					cols[i] = NullColumn
 				}

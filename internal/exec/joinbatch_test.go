@@ -33,7 +33,7 @@ type lazyOf struct{ flat *vec.Vector }
 
 func (l lazyOf) Len() int { return l.flat.Len() }
 func (l lazyOf) Fill(v *vec.Vector) error {
-	v.Ints, v.Floats, v.Strs, v.Byts = l.flat.Ints, l.flat.Floats, l.flat.Strs, l.flat.Byts
+	v.ShareArrays(l.flat)
 	return nil
 }
 
@@ -60,7 +60,7 @@ func formVector(t testing.TB, rows []sqltypes.Row, c int, form colForm) *vec.Vec
 	}
 	switch form {
 	case formGeneric:
-		v := vec.NewGenericVector(len(vals))
+		v := vec.NewVector(sqltypes.KindNull, len(vals))
 		for _, val := range vals {
 			v.Append(val)
 		}
@@ -92,6 +92,7 @@ func formVector(t testing.TB, rows []sqltypes.Row, c int, form colForm) *vec.Vec
 	if form == formPackedDict {
 		v.Kind, v.Packed = sqltypes.KindBytes, true
 	}
+	v.Dict = vec.NewVector(v.Kind, 0)
 	codes := map[string]int32{}
 	for i, val := range vals {
 		if val.IsNull() {
@@ -101,12 +102,12 @@ func formVector(t testing.TB, rows []sqltypes.Row, c int, form colForm) *vec.Vec
 		key := fmt.Sprint(val.K, val)
 		code, ok := codes[key]
 		if !ok {
-			code = int32(len(v.Dict))
+			code = int32(v.Dict.Len())
 			codes[key] = code
 			if form == formPackedDict {
 				val = pack(val)
 			}
-			v.Dict = append(v.Dict, val)
+			v.Dict.Append(val)
 		}
 		v.Codes[i] = code
 	}

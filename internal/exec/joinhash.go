@@ -99,7 +99,7 @@ const hashNull = 0x452821E638D01377
 // flat, typed where every value has one kind, sequences unpacked to their
 // text, defined at the hashed rows only, with a null bit on every NULL
 // row. A flat typed column is returned as it is; a dictionary column
-// hashes and unpacks each distinct entry once.
+// hashes (and unpacks) each distinct entry once.
 func hashKeyColumn(v *vec.Vector, rows []int, h []uint64, first bool) (*vec.Vector, error) {
 	if err := v.Materialize(); err != nil {
 		return nil, err
@@ -111,11 +111,17 @@ func hashKeyColumn(v *vec.Vector, rows []int, h []uint64, first bool) (*vec.Vect
 			h[k] = combineHash(h[k], x)
 		}
 	}
-	if v.Codes != nil || v.Vals != nil || (v.Byts != nil && v.Packed) {
-		return hashBoxedColumn(v, rows, set)
+	switch {
+	case v.Codes != nil && v.Dict.Len() > 0:
+		return hashDictColumn(v, rows, set)
+	case v.Codes != nil || v.Vals != nil || v.Packed:
+		var err error
+		if v, err = boxedKeys(v, rows); err != nil {
+			return nil, err
+		}
 	}
-	// A typed array has an entry under a null bit too: the loops run over
-	// every row, then the NULL rows are hashed over.
+	// An array has an entry under a null bit too: the loops run over every
+	// row, then the NULL rows are hashed over.
 	var before []uint64
 	if v.Nulls != nil && !first {
 		before = append(before, h...)
@@ -129,13 +135,17 @@ func hashKeyColumn(v *vec.Vector, rows []int, h []uint64, first bool) (*vec.Vect
 		for k, r := range rows {
 			set(k, hashFloat(v.Floats[r]))
 		}
-	case v.Strs != nil:
-		for k, r := range rows {
-			set(k, hashText(hashSeedStr, v.Strs[r]))
+	case v.Offs != nil:
+		seed := uint64(hashSeedStr)
+		if v.Kind == sqltypes.KindBytes {
+			seed = hashSeedBytes
 		}
-	case v.Byts != nil:
 		for k, r := range rows {
-			set(k, hashText(hashSeedBytes, v.Byts[r]))
+			set(k, hashText(seed, v.Bytes(r)))
+		}
+	case v.Vals != nil: // values of more than one kind
+		for k, r := range rows {
+			set(k, hashValue(v.Vals[r]))
 		}
 	default: // no array at all: a column of NULLs
 		for k := range rows {
@@ -157,98 +167,70 @@ func hashKeyColumn(v *vec.Vector, rows []int, h []uint64, first bool) (*vec.Vect
 	return v, nil
 }
 
-// hashBoxedColumn handles the columns whose values are boxed or packed:
-// dictionary entries (rows index them through v.Codes), generic values,
-// packed sequences. Packed sequences unpack here, once per dictionary
-// entry or per hashed row. The result is typed when the values met all
-// have one kind, generic otherwise.
-func hashBoxedColumn(v *vec.Vector, rows []int, set func(int, uint64)) (*vec.Vector, error) {
-	n := v.Len()
-	null := func(r int) bool { return v.IsNull(r) || (v.Vals != nil && v.Vals[r].IsNull()) }
-	at := func(r int) int { return r }
-	todo := rows // the entries of vals to hash
-	var vals []sqltypes.Value
-	switch {
-	case v.Codes != nil:
-		vals = v.Dict
-		if v.Packed {
-			vals = append([]sqltypes.Value(nil), vals...)
+// hashDictColumn hashes a dictionary column: its dictionary in key form
+// once, entry by entry, then each row by its code. The key form is the
+// dictionary's key form gathered by code.
+func hashDictColumn(v *vec.Vector, rows []int, set func(int, uint64)) (*vec.Vector, error) {
+	dict := *v.Dict
+	dict.Packed = v.Packed
+	all := make([]int, dict.Len())
+	for i := range all {
+		all[i] = i
+	}
+	hashes := make([]uint64, len(all))
+	keys, err := hashKeyColumn(&dict, all, hashes, true)
+	if err != nil {
+		return nil, err
+	}
+	at := make([]int, v.Len())
+	for k, r := range rows {
+		if v.IsNull(r) {
+			set(k, hashNull)
+			continue
 		}
-		at = func(r int) int { return int(v.Codes[r]) }
-		todo = make([]int, len(vals))
-		for i := range todo {
-			todo[i] = i
+		c := v.Codes[r]
+		if c < 0 || int(c) >= len(hashes) {
+			return nil, fmt.Errorf("exec: dictionary code %d out of range (%d entries)", c, len(hashes))
 		}
-		for _, r := range rows {
-			if c := v.Codes[r]; !null(r) && (c < 0 || int(c) >= len(vals)) {
-				return nil, fmt.Errorf("exec: dictionary code %d out of range (%d entries)", c, len(vals))
-			}
-		}
-	case v.Vals != nil:
-		vals = v.Vals
-	default: // flat packed sequences
-		vals = make([]sqltypes.Value, n)
-		for _, r := range rows {
-			if !null(r) {
-				vals[r] = sqltypes.NewBytes(v.Byts[r])
+		set(k, hashes[c])
+		at[r] = int(c)
+	}
+	out, err := keys.Gather(at)
+	if err == nil && v.Nulls != nil {
+		for r := range at {
+			if v.IsNull(r) {
+				out.SetNull(r)
 			}
 		}
 	}
-	hashes := make([]uint64, len(vals))
+	return out, err
+}
+
+// boxedKeys returns column v in key form, boxing it at the given rows (a
+// packed sequence unpacks once): typed when their values all have one
+// kind, generic otherwise, with a null bit on every NULL.
+func boxedKeys(v *vec.Vector, rows []int) (*vec.Vector, error) {
+	vals := make([]sqltypes.Value, v.Len()) // NULL where not hashed
 	kind, mixed := sqltypes.KindNull, false
-	for _, i := range todo {
-		val := vals[i]
-		if val.IsNull() {
-			continue // a NULL row, or a dictionary entry no hashed row uses
+	for _, r := range rows {
+		val, err := v.Value(r)
+		if err != nil {
+			return nil, err
 		}
-		if v.Packed && val.K == sqltypes.KindBytes {
-			var err error
-			if val, err = vec.UnpackValue(val); err != nil {
-				return nil, err
-			}
-			vals[i] = val
-		}
-		hashes[i] = hashValue(val)
-		if kind == sqltypes.KindNull {
+		switch vals[r] = val; {
+		case val.IsNull():
+		case kind == sqltypes.KindNull:
 			kind = val.K
-		} else if kind != val.K {
+		case kind != val.K:
 			mixed = true
 		}
 	}
-	out := &vec.Vector{Kind: kind}
-	switch {
-	case mixed || kind == sqltypes.KindNull:
-		out.Kind = sqltypes.KindNull
-		out.Vals = make([]sqltypes.Value, n)
-	case kind == sqltypes.KindInt || kind == sqltypes.KindBool:
-		out.Ints = make([]int64, n)
-	case kind == sqltypes.KindFloat:
-		out.Floats = make([]float64, n)
-	case kind == sqltypes.KindString:
-		out.Strs = make([]string, n)
-	default:
-		out.Byts = make([][]byte, n)
+	if mixed {
+		kind = sqltypes.KindNull
 	}
-	for k, r := range rows {
-		if null(r) {
-			set(k, hashNull)
-			out.SetNull(r)
-			continue
-		}
-		val := vals[at(r)]
-		set(k, hashes[at(r)])
-		switch {
-		case out.Vals != nil:
-			out.Vals[r] = val
-		case out.Ints != nil:
-			out.Ints[r] = val.I
-		case out.Floats != nil:
-			out.Floats[r] = val.F
-		case out.Strs != nil:
-			out.Strs[r] = val.S
-		default:
-			out.Byts[r] = val.B
-		}
+	out := vec.NewVector(kind, len(vals))
+	for _, val := range vals {
+		out.Append(val)
 	}
 	return out, nil
 }
@@ -274,12 +256,8 @@ func keysEqual(a []*vec.Vector, i int, b []*vec.Vector, j int, buf *[2][]byte) (
 			if x.Ints[i] != y.Ints[j] {
 				return false, nil
 			}
-		case x.Strs != nil && y.Strs != nil:
-			if x.Strs[i] != y.Strs[j] {
-				return false, nil
-			}
-		case x.Byts != nil && y.Byts != nil && x.Packed == y.Packed:
-			if !bytes.Equal(x.Byts[i], y.Byts[j]) {
+		case x.Offs != nil && y.Offs != nil && x.Kind == y.Kind && x.Packed == y.Packed:
+			if !bytes.Equal(x.Bytes(i), y.Bytes(j)) {
 				return false, nil
 			}
 		case x == y && x.Codes != nil && x.Codes[i] == y.Codes[j]:
@@ -315,10 +293,8 @@ func vectorRowBytes(cols []*vec.Vector, i int) int64 {
 	var n int64
 	for _, v := range cols {
 		switch {
-		case v.Strs != nil:
-			n += 16 + int64(len(v.Strs[i]))
-		case v.Byts != nil:
-			n += 24 + int64(len(v.Byts[i]))
+		case v.Offs != nil:
+			n += 8 + int64(len(v.Bytes(i)))
 		case v.Vals != nil:
 			n += 64 + int64(len(v.Vals[i].S)+len(v.Vals[i].B))
 		default:

@@ -47,7 +47,7 @@ func (it *rowFuncIter) NextBatch() (*vec.Batch, error) {
 	for c := range cols {
 		cols[c] = NullColumn
 		if it.needed == nil || (c < len(it.needed) && it.needed[c]) {
-			cols[c] = vec.NewGenericVector(size)
+			cols[c] = vec.NewVector(sqltypes.KindNull, size)
 		}
 	}
 	it.outer = it.outer[:0]

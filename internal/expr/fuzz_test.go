@@ -67,7 +67,7 @@ type lazyFill struct{ flat *vec.Vector }
 
 func (l *lazyFill) Len() int { return l.flat.Len() }
 func (l *lazyFill) Fill(v *vec.Vector) error {
-	v.Ints, v.Floats, v.Strs, v.Byts = l.flat.Ints, l.flat.Floats, l.flat.Strs, l.flat.Byts
+	v.ShareArrays(l.flat)
 	return nil
 }
 
@@ -100,27 +100,29 @@ func buildVector(t testing.TB, col, form int, cells []sqltypes.Value) *vec.Vecto
 		}
 		return &vec.Vector{Kind: kind, Nulls: flat.Nulls, Packed: packed, Lazy: &lazyFill{flat}}
 	case formDict:
-		v := &vec.Vector{Kind: kind, Packed: packed, Codes: make([]int32, len(stored))}
+		v := &vec.Vector{Kind: kind, Packed: packed, Codes: make([]int32, len(stored)), Dict: vec.NewVector(kind, 0)}
+		var entries []sqltypes.Value
 		for i, c := range stored {
 			if c.IsNull() {
 				v.SetNull(i)
 				continue
 			}
 			code := -1
-			for d, dv := range v.Dict {
+			for d, dv := range entries {
 				if dv.K == c.K && sqltypes.Compare(dv, c) == 0 {
 					code = d
 				}
 			}
 			if code < 0 {
-				code = len(v.Dict)
-				v.Dict = append(v.Dict, c)
+				code = len(entries)
+				entries = append(entries, c)
+				v.Dict.Append(c)
 			}
 			v.Codes[i] = int32(code)
 		}
 		return v
 	case formBoxed:
-		v := vec.NewGenericVector(len(stored))
+		v := vec.NewVector(sqltypes.KindNull, len(stored))
 		for _, c := range stored {
 			v.Append(c)
 		}

@@ -289,7 +289,7 @@ func (m *cmpMask) mask(b *vec.Batch, sel []int, out []uint8) error {
 	switch {
 	case v.Codes != nil:
 		return m.maskDict(v, sel, out)
-	case v.Packed && v.Byts != nil && (m.op == CmpEq || m.op == CmpNe) && m.lit.K == sqltypes.KindString:
+	case v.Packed && v.Offs != nil && (m.op == CmpEq || m.op == CmpNe) && m.lit.K == sqltypes.KindString:
 		return m.maskPackedBytes(v, sel, out)
 	case v.Ints != nil && v.Kind == sqltypes.KindInt && m.lit.K == sqltypes.KindInt:
 		lit := m.lit.I
@@ -324,14 +324,14 @@ func (m *cmpMask) mask(b *vec.Batch, sel []int, out []uint8) error {
 			out[i] = m.verdictCmp(compareFloat64(v.Floats[s], lit))
 		}
 		return nil
-	case v.Strs != nil && m.lit.K == sqltypes.KindString:
+	case v.Offs != nil && v.Kind == sqltypes.KindString && m.lit.K == sqltypes.KindString:
 		lit := m.lit.S
 		for i, s := range sel {
 			if v.IsNull(s) {
 				out[i] = kNull
 				continue
 			}
-			out[i] = m.verdictCmp(compareString(v.Strs[s], lit))
+			out[i] = m.verdictCmp(compareString(v.Str(s), lit))
 		}
 		return nil
 	}
@@ -357,33 +357,22 @@ func (m *cmpMask) mask(b *vec.Batch, sel []int, out []uint8) error {
 // seq.Pack is deterministic, so byte equality is string equality — and
 // nothing is ever unpacked.
 func (m *cmpMask) maskDict(v *vec.Vector, sel []int, out []uint8) error {
-	nd := len(v.Dict)
+	nd := v.Dict.Len()
 	if cap(m.verdict) < nd {
 		m.verdict = make([]uint8, nd)
 	}
 	verdict := m.verdict[:nd]
-	for d, dv := range v.Dict {
-		switch {
-		case v.Packed && dv.K == sqltypes.KindBytes && (m.op == CmpEq || m.op == CmpNe) && m.lit.K == sqltypes.KindString:
-			m.ensurePackedLit()
-			eq := !m.packedLitBad && bytes.Equal(dv.B, m.packedLit)
-			if m.op == CmpNe {
-				eq = !eq
-			}
-			if eq {
-				verdict[d] = kTrue
-			} else {
-				verdict[d] = kFalse
-			}
-		case v.Packed && dv.K == sqltypes.KindBytes:
-			uv, err := vec.UnpackValue(dv)
-			if err != nil {
-				return err
-			}
-			verdict[d] = m.verdictCmp(sqltypes.Compare(uv, m.lit))
-		default:
-			verdict[d] = m.verdictCmp(sqltypes.Compare(dv, m.lit))
+	packedEq := v.Packed && v.Dict.Offs != nil && (m.op == CmpEq || m.op == CmpNe) && m.lit.K == sqltypes.KindString
+	for d := range verdict {
+		if packedEq {
+			verdict[d] = m.packedVerdict(v.Dict.Bytes(d))
+			continue
 		}
+		dv, err := v.DictEntry(d)
+		if err != nil {
+			return err
+		}
+		verdict[d] = m.verdictCmp(sqltypes.Compare(dv, m.lit))
 	}
 	for i, s := range sel {
 		if v.IsNull(s) {
@@ -400,23 +389,28 @@ func (m *cmpMask) maskDict(v *vec.Vector, sel []int, out []uint8) error {
 }
 
 func (m *cmpMask) maskPackedBytes(v *vec.Vector, sel []int, out []uint8) error {
-	m.ensurePackedLit()
 	for i, s := range sel {
 		if v.IsNull(s) {
 			out[i] = kNull
 			continue
 		}
-		eq := !m.packedLitBad && bytes.Equal(v.Byts[s], m.packedLit)
-		if m.op == CmpNe {
-			eq = !eq
-		}
-		if eq {
-			out[i] = kTrue
-		} else {
-			out[i] = kFalse
-		}
+		out[i] = m.packedVerdict(v.Bytes(s))
 	}
 	return nil
+}
+
+// packedVerdict compares a packed sequence's wire bytes with the literal
+// (equality operators only).
+func (m *cmpMask) packedVerdict(b []byte) uint8 {
+	m.ensurePackedLit()
+	eq := !m.packedLitBad && bytes.Equal(b, m.packedLit)
+	if m.op == CmpNe {
+		eq = !eq
+	}
+	if eq {
+		return kTrue
+	}
+	return kFalse
 }
 
 func (m *cmpMask) ensurePackedLit() {
@@ -505,18 +499,15 @@ func (m *likeMask) mask(b *vec.Batch, sel []int, out []uint8) error {
 		return err
 	}
 	if v.Codes != nil {
-		nd := len(v.Dict)
+		nd := v.Dict.Len()
 		if cap(m.verdict) < nd {
 			m.verdict = make([]uint8, nd)
 		}
 		verdict := m.verdict[:nd]
-		for d, dv := range v.Dict {
-			if v.Packed && dv.K == sqltypes.KindBytes {
-				uv, err := vec.UnpackValue(dv)
-				if err != nil {
-					return err
-				}
-				dv = uv
+		for d := range verdict {
+			dv, err := v.DictEntry(d)
+			if err != nil {
+				return err
 			}
 			if likeMatch(dv.AsString(), m.pattern) {
 				verdict[d] = kTrue
@@ -537,13 +528,13 @@ func (m *likeMask) mask(b *vec.Batch, sel []int, out []uint8) error {
 		}
 		return nil
 	}
-	if v.Strs != nil {
+	if v.Offs != nil && v.Kind == sqltypes.KindString {
 		for i, s := range sel {
 			if v.IsNull(s) {
 				out[i] = kNull
 				continue
 			}
-			if likeMatch(v.Strs[s], m.pattern) {
+			if likeMatch(v.Str(s), m.pattern) {
 				out[i] = kTrue
 			} else {
 				out[i] = kFalse
@@ -652,7 +643,7 @@ func (m *callCmpMask) mask(b *vec.Batch, sel []int, out []uint8) (err error) {
 		}
 		return nil
 	}
-	nd := len(v.Dict)
+	nd := v.Dict.Len()
 	if cap(m.verdict) < nd {
 		m.verdict = make([]uint8, nd)
 	}
@@ -676,11 +667,9 @@ func (m *callCmpMask) mask(b *vec.Batch, sel []int, out []uint8) (err error) {
 			return errDictCode(c, nd)
 		}
 		if verdict[c] == kUnset {
-			dv := v.Dict[c]
-			if v.Packed && dv.K == sqltypes.KindBytes {
-				if dv, err = vec.UnpackValue(dv); err != nil {
-					return err
-				}
+			dv, err := v.DictEntry(int(c))
+			if err != nil {
+				return err
 			}
 			if verdict[c], err = m.eval(dv); err != nil {
 				return err
@@ -795,6 +784,7 @@ func (c colEval) eval(b *vec.Batch) (*vec.Vector, error) { return b.Cols[c], nil
 // shared all-zero code array (read-only, safe to share across batches).
 type litEval struct {
 	v     sqltypes.Value
+	dict  *vec.Vector
 	codes []int32
 	nulls []uint64
 }
@@ -804,7 +794,11 @@ func (l *litEval) eval(b *vec.Batch) (*vec.Vector, error) {
 	if cap(l.codes) < n {
 		l.codes = make([]int32, n)
 	}
-	out := &vec.Vector{Kind: l.v.K, Codes: l.codes[:n], Dict: []sqltypes.Value{l.v}}
+	if l.dict == nil {
+		l.dict = vec.NewVector(l.v.K, 1)
+		l.dict.Append(l.v)
+	}
+	out := &vec.Vector{Kind: l.v.K, Codes: l.codes[:n], Dict: l.dict}
 	if l.v.IsNull() {
 		words := (n + 63) / 64
 		if cap(l.nulls) < words {

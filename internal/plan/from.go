@@ -340,7 +340,7 @@ func (pl *Planner) planTVF(fn *sqlparse.FuncRef, outer *scope) (*relation, error
 				if err != nil {
 					return nil, fmt.Errorf("plan: TVF %s argument %d: %w", fn.Name, i+1, err)
 				}
-				vals[i] = vec.NewGenericVector(1)
+				vals[i] = vec.NewVector(sqltypes.KindNull, 1)
 				vals[i].Append(v)
 			}
 			return &exec.Scan{Factory: func(ctx *exec.Context, needed []bool) (exec.BatchIterator, error) {

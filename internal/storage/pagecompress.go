@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"repro/internal/sqltypes"
+	"repro/internal/vec"
 )
 
 // Page compression, modeled on SQL Server 2008 (paper Section 2.3.5 and
@@ -58,30 +59,31 @@ func isTextKind(k sqltypes.Kind) bool {
 	return k == sqltypes.KindString || k == sqltypes.KindBytes
 }
 
-func cellFromImage(k sqltypes.Kind, img []byte) (sqltypes.Value, error) {
+// appendImage appends the cell img encodes to v, a flat vector of kind k.
+func appendImage(v *vec.Vector, k sqltypes.Kind, img []byte) error {
 	switch k {
 	case sqltypes.KindInt:
-		v, n := binary.Varint(img)
+		x, n := binary.Varint(img)
 		if n <= 0 || n != len(img) {
-			return sqltypes.Null, fmt.Errorf("storage: bad int cell image: %w", ErrCorruptPage)
+			return fmt.Errorf("storage: bad int cell image: %w", ErrCorruptPage)
 		}
-		return sqltypes.NewInt(v), nil
+		v.Append(sqltypes.NewInt(x))
 	case sqltypes.KindFloat:
 		if len(img) != 8 {
-			return sqltypes.Null, fmt.Errorf("storage: bad float cell image: %w", ErrCorruptPage)
+			return fmt.Errorf("storage: bad float cell image: %w", ErrCorruptPage)
 		}
-		return sqltypes.NewFloat(math.Float64frombits(binary.LittleEndian.Uint64(img))), nil
+		v.Append(sqltypes.NewFloat(math.Float64frombits(binary.LittleEndian.Uint64(img))))
 	case sqltypes.KindBool:
 		if len(img) != 1 {
-			return sqltypes.Null, fmt.Errorf("storage: bad bool cell image: %w", ErrCorruptPage)
+			return fmt.Errorf("storage: bad bool cell image: %w", ErrCorruptPage)
 		}
-		return sqltypes.NewBool(img[0] != 0), nil
-	case sqltypes.KindString:
-		return sqltypes.NewString(string(img)), nil
-	case sqltypes.KindBytes:
-		return sqltypes.NewBytes(append([]byte(nil), img...)), nil
+		v.Append(sqltypes.NewBool(img[0] != 0))
+	case sqltypes.KindString, sqltypes.KindBytes:
+		vec.AppendText(v, img)
+	default:
+		return fmt.Errorf("storage: bad cell kind %s", k)
 	}
-	return sqltypes.Null, fmt.Errorf("storage: bad cell kind %s", k)
+	return nil
 }
 
 // commonPrefix returns the longest common prefix length of a and b.

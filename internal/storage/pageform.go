@@ -66,13 +66,11 @@ func (f *pageForm) init(kinds []sqltypes.Kind, n int) *pageForm {
 func (f *pageForm) seal() *pageForm {
 	for c := range f.cols {
 		v := &f.cols[c].vec
-		v.Nulls, v.Codes, v.Dict = clip(v.Nulls), clip(v.Codes), clip(v.Dict)
-		f.bytes += 8*int64(len(v.Nulls)) + arrayBytes(v) + int64(unsafe.Sizeof(f.cols[c]))
+		v.Clip()
+		f.bytes += 8*int64(len(v.Nulls)) + v.ArrayBytes() + int64(unsafe.Sizeof(f.cols[c]))
 	}
 	return f
 }
-
-func clip[T any](s []T) []T { return s[:len(s):len(s)] }
 
 // vectors returns fresh headers over the form, taken from hs (nil: made
 // for them); a lazy column the query later reads is filled through its
@@ -84,7 +82,7 @@ func (f *pageForm) vectors(sink obs.Sink, hs *Headers) []*vec.Vector {
 		h.v = fc.vec
 		if fc.src != nil {
 			if filled := fc.filled.Load(); filled != nil {
-				setArrays(&h.v, filled)
+				h.v.ShareArrays(filled)
 			} else {
 				h.hook = formHook{f: f, c: c, sink: sink}
 				h.v.Lazy = &h.hook
@@ -204,7 +202,7 @@ func (h *formHook) Fill(v *vec.Vector) error {
 	if err != nil {
 		return err
 	}
-	setArrays(v, filled)
+	v.ShareArrays(filled)
 	return nil
 }
 
@@ -229,15 +227,11 @@ func (f *pageForm) fill(col int, sink obs.Sink) (*vec.Vector, error) {
 		return nil, err
 	}
 	sink.Add(obs.ScanValuesDecoded, cells)
-	v.Ints, v.Floats, v.Strs, v.Byts = clip(v.Ints), clip(v.Floats), clip(v.Strs), clip(v.Byts)
-	if f.charge(arrayBytes(v)) {
+	v.Clip()
+	if f.charge(v.ArrayBytes()) {
 		c.filled.Store(v)
 	}
 	return v, nil
-}
-
-func setArrays(v, filled *vec.Vector) {
-	v.Ints, v.Floats, v.Strs, v.Byts = filled.Ints, filled.Floats, filled.Strs, filled.Byts
 }
 
 // charge reserves size more bytes of the pool's decoded budget for a kept
@@ -269,22 +263,4 @@ func (f *pageForm) detach() {
 	if c := f.charged.Swap(-1); c > 0 {
 		f.pool.decoded.Add(-c)
 	}
-}
-
-// arrayBytes estimates the memory v's value arrays hold (its null bitmap
-// aside).
-func arrayBytes(v *vec.Vector) int64 {
-	b := 8*int64(len(v.Ints)+len(v.Floats)) + 4*int64(len(v.Codes)) +
-		int64(unsafe.Sizeof(""))*int64(len(v.Strs)) + int64(unsafe.Sizeof([]byte(nil)))*int64(len(v.Byts)) +
-		int64(unsafe.Sizeof(sqltypes.Value{}))*int64(len(v.Dict))
-	for _, s := range v.Strs {
-		b += int64(len(s))
-	}
-	for _, s := range v.Byts {
-		b += int64(len(s))
-	}
-	for _, d := range v.Dict {
-		b += int64(len(d.S) + len(d.B))
-	}
-	return b
 }

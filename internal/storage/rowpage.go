@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"strings"
 
 	"repro/internal/sqltypes"
 	"repro/internal/vec"
@@ -174,13 +173,13 @@ func (pg *rowPage) text(o uint16) []byte {
 
 // fill decodes column col into v's typed array, one entry a row.
 func (pg *rowPage) fill(col int, v *vec.Vector) (int64, error) {
-	setArrays(v, vec.NewVector(pg.codec.Kinds[col], pg.n))
+	v.ShareArrays(vec.NewVector(pg.codec.Kinds[col], pg.n))
 	return pg.cells(col, nil, v), nil
 }
 
 // cells appends column col's cells of rows (nil: every row, in order) to
-// v's typed array, a zero entry for a NULL, and returns how many cells it
-// decoded. Text cells share one backing allocation instead of one each.
+// v's typed array, a zero entry (an empty cell) for a NULL, and returns
+// how many cells it decoded. Text cells are copied into v's byte run.
 // A NULL cell has offset 0, where a row's null bitmap lies, never a cell.
 func (pg *rowPage) cells(col int, rows []int, v *vec.Vector) int64 {
 	c, buf, offs := pg.codec, pg.payload, pg.offs[col*pg.n:(col+1)*pg.n]
@@ -229,59 +228,20 @@ func (pg *rowPage) cells(col int, rows []int, v *vec.Vector) int64 {
 			}
 		}
 	case sqltypes.KindString, sqltypes.KindBytes:
-		total := 0
+		size := 0
 		for i := 0; i < m; i++ {
 			if o := off(i); o != 0 {
-				total += len(pg.text(o))
+				size += len(pg.text(o))
 				cells++
 			}
 		}
-		isStr := c.Kinds[col] == sqltypes.KindString
-		var str string
-		var all []byte
-		if isStr {
-			var sb strings.Builder // unlike make, Grow does not zero what the copy overwrites
-			sb.Grow(total)
-			for i := 0; i < m; i++ {
-				if o := off(i); o != 0 {
-					sb.Write(pg.text(o))
-				}
-			}
-			str = sb.String()
-		} else {
-			all = make([]byte, 0, total)
-			for i := 0; i < m; i++ {
-				if o := off(i); o != 0 {
-					all = append(all, pg.text(o)...)
-				}
-			}
-		}
-		var strs []string
-		var byts [][]byte
-		if isStr {
-			base := len(v.Strs)
-			v.Strs = slices.Grow(v.Strs, m)[:base+m]
-			strs = v.Strs[base:]
-		} else {
-			base := len(v.Byts)
-			v.Byts = slices.Grow(v.Byts, m)[:base+m]
-			byts = v.Byts[base:]
-		}
-		at := 0
+		v.GrowText(m, size)
 		for i := 0; i < m; i++ {
-			o, ln := off(i), 0
-			if o != 0 {
-				ln = len(pg.text(o))
+			var cell []byte
+			if o := off(i); o != 0 {
+				cell = pg.text(o)
 			}
-			switch {
-			case isStr:
-				strs[i] = str[at : at+ln]
-			case o == 0:
-				byts[i] = nil
-			default:
-				byts[i] = all[at : at+ln : at+ln]
-			}
-			at += ln
+			vec.AppendText(v, cell)
 		}
 	}
 	return cells

@@ -142,6 +142,7 @@ func compressedForm(kinds []sqltypes.Kind, buf []byte, n int, sink obs.Sink) (*p
 	dictMap := make([][]int32, len(kinds))
 	for c := range f.cols {
 		f.cols[c].vec.Codes = make([]int32, n)
+		f.cols[c].vec.Dict = vec.NewVector(kinds[c], 0)
 		dictMap[c] = make([]int32, nDict)
 		for i := range dictMap[c] {
 			dictMap[c][i] = -1
@@ -187,12 +188,10 @@ func compressedForm(kinds []sqltypes.Kind, buf []byte, n int, sink obs.Sink) (*p
 				scratch = append(scratch, sfx...)
 				img = scratch
 			}
-			v, err := cellFromImage(kinds[c], img)
-			if err != nil {
+			if err := appendImage(col.Dict, kinds[c], img); err != nil {
 				return nil, err
 			}
-			code := int32(len(col.Dict))
-			col.Dict = append(col.Dict, v)
+			code := int32(col.Dict.Len() - 1)
 			col.Codes[r] = code
 			if fromDict {
 				dictMap[c][dictRef] = code
@@ -228,14 +227,14 @@ func columnarForm(kinds []sqltypes.Kind, buf []byte, n int, sink obs.Sink) (*pag
 		}
 		col := &f.cols[c].vec
 		if codes != nil {
-			vals := make([]sqltypes.Value, len(dict))
-			for i, img := range dict {
-				if vals[i], err = cellFromImage(kind, img); err != nil {
+			entries := vec.NewVector(kind, len(dict))
+			for _, img := range dict {
+				if err := appendImage(entries, kind, img); err != nil {
 					return nil, err
 				}
 			}
 			sink.Add(obs.ScanDictEntriesDecoded, int64(len(dict)))
-			col.Codes, col.Dict = codes, vals
+			col.Codes, col.Dict = codes, entries
 		} else {
 			f.cols[c].src = &flatColumn{kind: kind, imgs: flat}
 			f.bytes += int64(unsafe.Sizeof([]byte(nil))) * int64(len(flat))
@@ -267,14 +266,12 @@ func (f *flatColumn) fill(_ int, v *vec.Vector) (int64, error) {
 			flat.Append(sqltypes.Null)
 			continue
 		}
-		val, err := cellFromImage(f.kind, img)
-		if err != nil {
+		if err := appendImage(flat, f.kind, img); err != nil {
 			return 0, err
 		}
-		flat.Append(val)
 		cells++
 	}
-	setArrays(v, flat)
+	v.ShareArrays(flat)
 	return cells, nil
 }
 

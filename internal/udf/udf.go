@@ -198,11 +198,11 @@ func (ls *laneScan) close() error {
 }
 
 // readsIter is ListShortReads' output: a batch a window of one lane's
-// reads, up to a batch's worth. Each read column is a STRING vector sliced
-// from one string per batch, copied once out of the scan buffer (which the
-// scanner reuses) through a scratch arena; a column nobody reads is
-// NullColumn and nothing is copied for it. When no column is read the
-// scanner only counts the reads.
+// reads, up to a batch's worth. Each read column is a STRING vector whose
+// bytes are copied once out of the scan buffer (which the scanner reuses)
+// into the batch's own run; a column nobody reads is NullColumn and
+// nothing is copied for it. When no column is read the scanner only counts
+// the reads.
 type readsIter struct {
 	l      *ListShortReads
 	ctx    *exec.Context
@@ -214,8 +214,6 @@ type readsIter struct {
 	outer  []int
 
 	fields []fastq.Fields // the window's reads; nil when no column is read
-	arena  []byte         // the column being copied, cell after cell
-	ends   []int          // each cell's end offset in arena
 }
 
 // NextBatch fills the next batch, moving to the next outer row's lane when
@@ -276,12 +274,15 @@ func (it *readsIter) fill() (*vec.Batch, error) {
 			}
 			vs[c] = vec.Vector{Kind: sqltypes.KindFloat, Floats: floats}
 		default:
-			it.arena, it.ends = it.arena[:0], it.ends[:0]
+			size := 0
 			for _, f := range it.fields[:n] {
-				it.arena = append(it.arena, data[f[c].Start:f[c].End]...)
-				it.ends = append(it.ends, len(it.arena))
+				size += f[c].End - f[c].Start
 			}
-			vs[c] = stringColumn(it.arena, it.ends)
+			vs[c].Kind = sqltypes.KindString
+			vs[c].GrowText(n, size)
+			for _, f := range it.fields[:n] {
+				vec.AppendText(&vs[c], data[f[c].Start:f[c].End])
+			}
 		}
 		cols[c] = &vs[c]
 	}
@@ -290,19 +291,6 @@ func (it *readsIter) fill() (*vec.Batch, error) {
 		it.outer = append(it.outer, it.sel[it.k])
 	}
 	return vec.NewBatch(cols, n), nil
-}
-
-// stringColumn turns an arena of back-to-back cells into a STRING vector:
-// one string holds them all, and each cell is a slice of it.
-func stringColumn(arena []byte, ends []int) vec.Vector {
-	all := string(arena)
-	strs := make([]string, len(ends))
-	start := 0
-	for i, end := range ends {
-		strs[i] = all[start:end]
-		start = end
-	}
-	return vec.Vector{Kind: sqltypes.KindString, Strs: strs}
 }
 
 // Outer says which outer row the last batch's reads belong to.
@@ -335,8 +323,8 @@ func (PivotAlignment) Schema(args []sqltypes.Value) ([]catalog.Column, error) {
 }
 
 // Open unnests the outer rows' alignments: row i of one expands to
-// position pos+i, base seq[i] (a one-byte slice of the outer string, not a
-// copy) and qual quals[i]-33 (clipped at 0; 30 past the end of quals). An
+// position pos+i, base seq[i] (a one-byte cell of the batch's run of
+// bases) and qual quals[i]-33 (clipped at 0; 30 past the end of quals). An
 // alignment whose pos or seq is NULL expands to no rows, as
 // AssembleConsensus skips it.
 func (PivotAlignment) Open(_ *exec.Context, args []*vec.Vector, sel []int, needed []bool) (exec.TableIterator, error) {
@@ -382,12 +370,13 @@ func (it *pivotIter) load() (ok bool, err error) {
 // NextBatch expands the next bases.
 func (it *pivotIter) NextBatch() (*vec.Batch, error) {
 	var positions, quals []int64
-	var bases []string
+	var bases *vec.Vector
 	if exec.Reads(it.needed, 0) {
 		positions = make([]int64, 0, vec.DefaultBatchSize)
 	}
 	if exec.Reads(it.needed, 1) {
-		bases = make([]string, 0, vec.DefaultBatchSize)
+		bases = &vec.Vector{Kind: sqltypes.KindString}
+		bases.GrowText(vec.DefaultBatchSize, vec.DefaultBatchSize)
 	}
 	if exec.Reads(it.needed, 2) {
 		quals = make([]int64, 0, vec.DefaultBatchSize)
@@ -411,7 +400,7 @@ func (it *pivotIter) NextBatch() (*vec.Batch, error) {
 				positions = append(positions, it.pos+int64(i))
 			}
 			if bases != nil {
-				bases = append(bases, it.seq[i:i+1])
+				vec.AppendText(bases, it.seq[i:i+1])
 			}
 			if quals != nil {
 				q := int64(30)
@@ -435,7 +424,7 @@ func (it *pivotIter) NextBatch() (*vec.Batch, error) {
 		cols[0] = &vec.Vector{Kind: sqltypes.KindInt, Ints: positions}
 	}
 	if bases != nil {
-		cols[1] = &vec.Vector{Kind: sqltypes.KindString, Strs: bases}
+		cols[1] = bases
 	}
 	if quals != nil {
 		cols[2] = &vec.Vector{Kind: sqltypes.KindInt, Ints: quals}
@@ -609,7 +598,8 @@ func (a *AssembleConsensusAgg) AddBatch(args []*vec.Vector, rows []int) error {
 		return fmt.Errorf("udf: ASSEMBLECONSENSUS takes (pos, seq, quals)")
 	}
 	pos, seqs, quals := args[0], args[1], args[2]
-	if pos.Ints == nil || pos.Kind != sqltypes.KindInt || seqs.Strs == nil || quals.Strs == nil {
+	if pos.Ints == nil || pos.Kind != sqltypes.KindInt || seqs.Offs == nil || seqs.Kind != sqltypes.KindString ||
+		quals.Offs == nil || quals.Kind != sqltypes.KindString {
 		var boxed [3]sqltypes.Value
 		for _, r := range rows {
 			for i, c := range args {
@@ -629,11 +619,11 @@ func (a *AssembleConsensusAgg) AddBatch(args []*vec.Vector, rows []int) error {
 		if pos.IsNull(r) || seqs.IsNull(r) {
 			continue
 		}
-		q := quals.Strs[r]
-		if quals.IsNull(r) {
-			q = ""
+		q := ""
+		if !quals.IsNull(r) {
+			q = quals.Str(r)
 		}
-		if err := a.add(pos.Ints[r], seqs.Strs[r], q); err != nil {
+		if err := a.add(pos.Ints[r], seqs.Str(r), q); err != nil {
 			return err
 		}
 	}

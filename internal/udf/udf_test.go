@@ -745,7 +745,7 @@ func TestListShortReadsAllocationFloors(t *testing.T) {
 	scan := func(sample int64, needed []bool) uint64 {
 		objects, _ := allocsPerRun(func() {
 			arg := func(v sqltypes.Value) *vec.Vector {
-				c := vec.NewGenericVector(1)
+				c := vec.NewVector(sqltypes.KindNull, 1)
 				c.Append(v)
 				return c
 			}

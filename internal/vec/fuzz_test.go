@@ -68,14 +68,18 @@ type sharedArrays struct{ flat *vec.Vector }
 
 func (l *sharedArrays) Len() int { return l.flat.Len() }
 func (l *sharedArrays) Fill(v *vec.Vector) error {
-	v.Ints, v.Floats, v.Strs, v.Byts = l.flat.Ints, l.flat.Floats, l.flat.Strs, l.flat.Byts
+	v.ShareArrays(l.flat)
 	return nil
 }
 
 // dictionaryOf returns a dictionary vector of kind over entries, row i
 // taking entry codes[i] (ignored under a null bit).
 func dictionaryOf(kind sqltypes.Kind, entries []sqltypes.Value, codes []int32) *vec.Vector {
-	return &vec.Vector{Kind: kind, Codes: codes, Dict: entries}
+	dict := vec.NewVector(kind, len(entries))
+	for _, e := range entries {
+		dict.Append(e)
+	}
+	return &vec.Vector{Kind: kind, Codes: codes, Dict: dict}
 }
 
 // buildForm lays a column's query-level cells out in the given form. A
@@ -130,7 +134,7 @@ func buildForm(t testing.TB, k, form int, cells []sqltypes.Value) *vec.Vector {
 			v.SetNull(i)
 		}
 	default:
-		v = vec.NewGenericVector(len(stored))
+		v = vec.NewVector(sqltypes.KindNull, len(stored))
 		for _, c := range stored {
 			v.Append(c)
 		}

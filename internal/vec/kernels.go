@@ -1,15 +1,12 @@
 package vec
 
-import (
-	"fmt"
-
-	"repro/internal/sqltypes"
-)
+import "repro/internal/sqltypes"
 
 // Column-at-a-time copy kernels: AppendRows grows a flat column from
 // selected rows of batch columns (the build side of a hash join), Gather
 // picks rows of a column by index (the join's output). Both move typed
-// array entries; a cell is boxed only on the generic fallback.
+// array entries — text cells as bytes into one run; a cell is boxed only
+// on the generic fallback.
 
 // arrayClass names the array a vector's rows live in once it is flat.
 type arrayClass uint8
@@ -18,8 +15,7 @@ const (
 	classNone arrayClass = iota // no rows yet
 	classInts
 	classFloats
-	classStrs
-	classByts
+	classText
 	classVals
 )
 
@@ -29,32 +25,46 @@ func classOfKind(k sqltypes.Kind) arrayClass {
 		return classInts
 	case sqltypes.KindFloat:
 		return classFloats
-	case sqltypes.KindString:
-		return classStrs
-	case sqltypes.KindBytes:
-		return classByts
+	case sqltypes.KindString, sqltypes.KindBytes:
+		return classText
 	}
 	return classVals
 }
 
-// class reports where v's decoded rows live (a dictionary vector by the
-// kind of its entries). v must not be lazy.
+// class reports where v's decoded rows live (a dictionary vector's in its
+// dictionary). v must not be lazy.
 func (v *Vector) class() arrayClass {
 	switch {
 	case v.Codes != nil:
-		return classOfKind(v.Kind)
+		if v.Dict == nil {
+			return classNone
+		}
+		return v.Dict.class()
 	case v.Ints != nil:
 		return classInts
 	case v.Floats != nil:
 		return classFloats
-	case v.Strs != nil:
-		return classStrs
-	case v.Byts != nil:
-		return classByts
+	case v.Offs != nil:
+		return classText
 	case v.Vals != nil:
 		return classVals
 	}
 	return classNone
+}
+
+// makeArray gives v, which has none, an empty array of class c with room
+// for n rows.
+func (v *Vector) makeArray(c arrayClass, n int) {
+	switch c {
+	case classInts:
+		v.Ints = make([]int64, 0, n)
+	case classFloats:
+		v.Floats = make([]float64, 0, n)
+	case classText:
+		v.Offs = make([]int, 1, n+1)
+	default:
+		v.Vals = make([]sqltypes.Value, 0, n)
+	}
 }
 
 // AppendRows appends the given physical rows of src to v, a flat column
@@ -71,48 +81,33 @@ func (v *Vector) AppendRows(src *Vector, rows []int) error {
 		return err
 	}
 	sc := src.class()
-	if v.class() == classNone && sc != classVals {
+	if v.class() == classNone && sc != classVals && sc != classNone {
 		v.Kind, v.Packed = src.Kind, src.Packed
-	} else if v.class() != sc || v.Kind != src.Kind || v.Packed != src.Packed || sc == classVals {
+		v.makeArray(sc, len(rows))
+	} else if v.class() != sc || v.Kind != src.Kind || v.Packed != src.Packed || sc == classVals || sc == classNone {
 		return v.appendBoxed(src, rows)
 	}
 	base := v.Len()
 	if src.Codes != nil {
+		// Resolve codes to dictionary rows; a NULL row takes entry 0's
+		// cell (any will do under the null bit) unless there is none.
+		at := make([]int, len(rows))
 		for i, r := range rows {
 			if src.IsNull(r) {
-				v.SetNull(base + i)
-				v.appendTyped(sc, sqltypes.Value{})
 				continue
 			}
 			c := src.Codes[r]
-			if int(c) >= len(src.Dict) {
-				return fmt.Errorf("vec: dictionary code %d out of range (%d entries)", c, len(src.Dict))
+			if c < 0 || int(c) >= src.Dict.Len() {
+				return src.codeError(c)
 			}
-			dv := src.Dict[c]
-			if classOfKind(dv.K) != sc {
-				return fmt.Errorf("vec: dictionary entry of kind %s in a %s column", dv.K, src.Kind)
-			}
-			v.appendTyped(sc, dv)
+			at[i] = int(c)
 		}
-		return nil
-	}
-	switch sc {
-	case classInts:
-		for _, r := range rows {
-			v.Ints = append(v.Ints, src.Ints[r])
+		if src.Dict.Len() == 0 {
+			return v.appendBoxed(src, rows) // every row is NULL
 		}
-	case classFloats:
-		for _, r := range rows {
-			v.Floats = append(v.Floats, src.Floats[r])
-		}
-	case classStrs:
-		for _, r := range rows {
-			v.Strs = append(v.Strs, src.Strs[r])
-		}
-	case classByts:
-		for _, r := range rows {
-			v.Byts = append(v.Byts, src.Byts[r])
-		}
+		v.appendCells(sc, src.Dict, at)
+	} else {
+		v.appendCells(sc, src, rows)
 	}
 	if src.Nulls != nil {
 		for i, r := range rows {
@@ -124,16 +119,35 @@ func (v *Vector) AppendRows(src *Vector, rows []int) error {
 	return nil
 }
 
-func (v *Vector) appendTyped(c arrayClass, val sqltypes.Value) {
+// appendCells appends the entries of src's rows to v's array of class c,
+// which src's is too.
+func (v *Vector) appendCells(c arrayClass, src *Vector, rows []int) {
 	switch c {
 	case classInts:
-		v.Ints = append(v.Ints, val.I)
+		v.Ints = grow(v.Ints, len(rows))
+		for _, r := range rows {
+			v.Ints = append(v.Ints, src.Ints[r])
+		}
 	case classFloats:
-		v.Floats = append(v.Floats, val.F)
-	case classStrs:
-		v.Strs = append(v.Strs, val.S)
-	case classByts:
-		v.Byts = append(v.Byts, val.B)
+		v.Floats = grow(v.Floats, len(rows))
+		for _, r := range rows {
+			v.Floats = append(v.Floats, src.Floats[r])
+		}
+	case classText:
+		size := 0
+		for _, r := range rows {
+			size += src.Offs[r+1] - src.Offs[r]
+		}
+		v.GrowText(len(rows), size)
+		for _, r := range rows {
+			v.Data = append(v.Data, src.Data[src.Offs[r]:src.Offs[r+1]]...)
+			v.Offs = append(v.Offs, len(v.Data))
+		}
+	case classVals:
+		v.Vals = grow(v.Vals, len(rows))
+		for _, r := range rows {
+			v.Vals = append(v.Vals, src.Vals[r])
+		}
 	}
 }
 
@@ -170,37 +184,15 @@ func (v *Vector) Gather(idx []int) (*Vector, error) {
 		return nil, err
 	}
 	out := &Vector{Kind: v.Kind, Packed: v.Packed, Dict: v.Dict}
-	switch {
-	case v.Codes != nil:
+	if v.Codes != nil {
 		out.Codes = make([]int32, len(idx))
 		for i, r := range idx {
 			out.Codes[i] = v.Codes[r]
 		}
-	case v.Ints != nil:
-		out.Ints = make([]int64, len(idx))
-		for i, r := range idx {
-			out.Ints[i] = v.Ints[r]
-		}
-	case v.Floats != nil:
-		out.Floats = make([]float64, len(idx))
-		for i, r := range idx {
-			out.Floats[i] = v.Floats[r]
-		}
-	case v.Strs != nil:
-		out.Strs = make([]string, len(idx))
-		for i, r := range idx {
-			out.Strs[i] = v.Strs[r]
-		}
-	case v.Byts != nil:
-		out.Byts = make([][]byte, len(idx))
-		for i, r := range idx {
-			out.Byts[i] = v.Byts[r]
-		}
-	default:
-		out.Vals = make([]sqltypes.Value, len(idx))
-		for i, r := range idx {
-			out.Vals[i] = v.Vals[r]
-		}
+	} else {
+		c := v.class()
+		out.makeArray(c, len(idx))
+		out.appendCells(c, v, idx)
 	}
 	if v.Nulls != nil {
 		for i, r := range idx {

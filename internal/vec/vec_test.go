@@ -176,10 +176,9 @@ func TestAppendRowsAndGather(t *testing.T) {
 	for _, v := range []sqltypes.Value{sqltypes.NewInt(40), sqltypes.Null, sqltypes.NewInt(42), sqltypes.NewInt(43)} {
 		flat.Append(v)
 	}
-	dict := &vec.Vector{Kind: sqltypes.KindInt, Codes: []int32{1, 0, 1, 0},
-		Dict: []sqltypes.Value{sqltypes.NewInt(7), sqltypes.NewInt(9)}}
+	dict := dictionaryOf(sqltypes.KindInt, []sqltypes.Value{sqltypes.NewInt(7), sqltypes.NewInt(9)}, []int32{1, 0, 1, 0})
 	dict.SetNull(3)
-	boxed := vec.NewGenericVector(2)
+	boxed := vec.NewVector(sqltypes.KindNull, 2)
 	boxed.Append(sqltypes.NewString("tail"))
 	boxed.Append(sqltypes.Null)
 
@@ -235,17 +234,18 @@ func TestAppendRowsAndGather(t *testing.T) {
 			want = append(want, v)
 		}
 		check(got, want)
-		if name == "dict" && (got.Codes == nil || len(got.Dict) != 2) {
+		if name == "dict" && (got.Codes == nil || got.Dict.Len() != 2) {
 			t.Error("gathering a dictionary vector should gather codes")
 		}
 	}
 
-	packed := &vec.Vector{Kind: sqltypes.KindBytes, Packed: true, Dict: []sqltypes.Value{sqltypes.NewBytes([]byte{0xFF})}, Codes: []int32{0}}
+	packed := dictionaryOf(sqltypes.KindBytes, []sqltypes.Value{sqltypes.NewBytes([]byte{0xFF})}, []int32{0})
+	packed.Packed = true
 	seqs := &vec.Vector{}
 	if err := seqs.AppendRows(packed, []int{0}); err != nil {
 		t.Fatal(err)
 	}
-	if !seqs.Packed || len(seqs.Byts) != 1 {
+	if !seqs.Packed || seqs.Offs == nil || seqs.Len() != 1 {
 		t.Errorf("packed sequences should stay packed bytes, got %+v", seqs)
 	}
 }
@@ -289,5 +289,24 @@ func BenchmarkAppendRowsText(b *testing.B) {
 		if err := dst.AppendRows(v, rows); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestStringValueDoesNotAllocate: boxing a flat STRING cell is a string
+// header over the vector's bytes, not a copy (Query 1's CHARINDEX filter
+// boxes every selected cell).
+func TestStringValueDoesNotAllocate(t *testing.T) {
+	v := textColumn(64)
+	var sink sqltypes.Value
+	allocs := testing.AllocsPerRun(100, func() {
+		for i := range v.Len() {
+			sink, _ = v.Value(i)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Value on a flat STRING vector: %.1f allocations a run of 64 cells, want 0", allocs)
+	}
+	if sink.S != "ACGTACGTACGTACGTACGTACGTACGTAC000063" {
+		t.Errorf("last cell = %q", sink.S)
 	}
 }
