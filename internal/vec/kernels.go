@@ -36,9 +36,6 @@ func classOfKind(k sqltypes.Kind) arrayClass {
 func (v *Vector) class() arrayClass {
 	switch {
 	case v.Codes != nil:
-		if v.Dict == nil {
-			return classNone
-		}
 		return v.Dict.class()
 	case v.Ints != nil:
 		return classInts
@@ -124,27 +121,34 @@ func (v *Vector) AppendRows(src *Vector, rows []int) error {
 func (v *Vector) appendCells(c arrayClass, src *Vector, rows []int) {
 	switch c {
 	case classInts:
-		v.Ints = grow(v.Ints, len(rows))
 		for _, r := range rows {
 			v.Ints = append(v.Ints, src.Ints[r])
 		}
 	case classFloats:
-		v.Floats = grow(v.Floats, len(rows))
 		for _, r := range rows {
 			v.Floats = append(v.Floats, src.Floats[r])
 		}
 	case classText:
-		size := 0
-		for _, r := range rows {
+		size, run := 0, len(rows) > 0
+		for i, r := range rows {
 			size += src.Offs[r+1] - src.Offs[r]
+			run = run && r == rows[0]+i
 		}
 		v.GrowText(len(rows), size)
+		if run { // consecutive rows: one copy of their bytes, offsets shifted
+			lo, hi := rows[0], rows[len(rows)-1]+1
+			shift := len(v.Data) - src.Offs[lo]
+			v.Data = append(v.Data, src.Data[src.Offs[lo]:src.Offs[hi]]...)
+			for _, o := range src.Offs[lo+1 : hi+1] {
+				v.Offs = append(v.Offs, o+shift)
+			}
+			return
+		}
 		for _, r := range rows {
 			v.Data = append(v.Data, src.Data[src.Offs[r]:src.Offs[r+1]]...)
 			v.Offs = append(v.Offs, len(v.Data))
 		}
 	case classVals:
-		v.Vals = grow(v.Vals, len(rows))
 		for _, r := range rows {
 			v.Vals = append(v.Vals, src.Vals[r])
 		}

@@ -224,7 +224,7 @@ func (v *Vector) Value(i int) (sqltypes.Value, error) {
 	switch {
 	case v.Codes != nil:
 		c := v.Codes[i]
-		if v.Dict == nil || c < 0 || int(c) >= v.Dict.Len() {
+		if c < 0 || int(c) >= v.Dict.Len() {
 			return sqltypes.Null, v.codeError(c)
 		}
 		return v.DictEntry(int(c))
@@ -260,11 +260,7 @@ func (v *Vector) DictEntry(d int) (sqltypes.Value, error) {
 }
 
 func (v *Vector) codeError(c int32) error {
-	n := 0
-	if v.Dict != nil {
-		n = v.Dict.Len()
-	}
-	return fmt.Errorf("vec: dictionary code %d out of range (%d entries)", c, n)
+	return fmt.Errorf("vec: dictionary code %d out of range (%d entries)", c, v.Dict.Len())
 }
 
 // Materialize decodes a lazy vector into its typed flat form, all
