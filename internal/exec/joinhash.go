@@ -206,30 +206,32 @@ func hashDictColumn(v *vec.Vector, rows []int, set func(int, uint64)) (*vec.Vect
 	return out, err
 }
 
-// boxedKeys returns column v in key form, boxing it at the given rows (a
-// packed sequence unpacks once): typed when their values all have one
+// boxedKeys returns column v in key form, every row boxed (a packed
+// sequence unpacked): typed when the values at the given rows all have one
 // kind, generic otherwise, with a null bit on every NULL.
 func boxedKeys(v *vec.Vector, rows []int) (*vec.Vector, error) {
-	vals := make([]sqltypes.Value, v.Len()) // NULL where not hashed
-	kind, mixed := sqltypes.KindNull, false
-	for _, r := range rows {
-		val, err := v.Value(r)
-		if err != nil {
-			return nil, err
-		}
-		switch vals[r] = val; {
-		case val.IsNull():
-		case kind == sqltypes.KindNull:
-			kind = val.K
-		case kind != val.K:
-			mixed = true
+	kind, mixed := sqltypes.KindString, false // a packed sequence is text
+	if v.Vals != nil {
+		kind = sqltypes.KindNull
+		for _, r := range rows {
+			switch k := v.Vals[r].K; {
+			case v.IsNull(r) || k == sqltypes.KindNull:
+			case kind == sqltypes.KindNull:
+				kind = k
+			case kind != k:
+				mixed = true
+			}
 		}
 	}
 	if mixed {
 		kind = sqltypes.KindNull
 	}
-	out := vec.NewVector(kind, len(vals))
-	for _, val := range vals {
+	out := vec.NewVector(kind, v.Len())
+	for r := range v.Len() {
+		val, err := v.Value(r)
+		if err != nil {
+			return nil, err
+		}
 		out.Append(val)
 	}
 	return out, nil
