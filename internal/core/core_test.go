@@ -257,6 +257,53 @@ func TestUserDefinedScalar(t *testing.T) {
 	}
 }
 
+// TestScalarOverridesReachFiltersAndProjections: a function registered
+// under a built-in's name replaces the built-in wherever a statement calls
+// it — a WHERE over a flat column, one over a PAGE table's dictionary
+// column, and a SELECT list.
+func TestScalarOverridesReachFiltersAndProjections(t *testing.T) {
+	db := openTestDB(t)
+	mustExec(t, db, `CREATE TABLE flat (s VARCHAR(20))`)
+	mustExec(t, db, `CREATE TABLE dict (s VARCHAR(20)) WITH (DATA_COMPRESSION = PAGE)`)
+	var rows []sqltypes.Row
+	for i := 0; i < 3000; i++ {
+		rows = append(rows, sqltypes.Row{sqltypes.NewString([]string{"ACGT", "ACNT", "NNNN", "GG"}[i%4])})
+	}
+	for _, table := range []string{"flat", "dict"} {
+		if err := db.InsertRows(table, rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mustExec(t, db, `CHECKPOINT`)
+	// CHARINDEX becomes the length of its second argument, LEN a constant.
+	db.RegisterScalar("CHARINDEX", func(args []sqltypes.Value) (sqltypes.Value, error) {
+		return sqltypes.NewInt(int64(len(args[1].AsString()))), nil
+	})
+	db.RegisterScalar("len", func(args []sqltypes.Value) (sqltypes.Value, error) {
+		return sqltypes.NewInt(-7), nil
+	})
+	for _, table := range []string{"flat", "dict"} {
+		// The built-in finds no 'N' at position 2; the override keeps "GG".
+		res := mustExec(t, db, `SELECT COUNT(*) FROM `+table+` WHERE CHARINDEX('N', s) = 2`)
+		if got := res.Rows[0][0].I; got != 750 {
+			t.Errorf("%s: WHERE CHARINDEX('N', s) = 2 kept %d rows, the override keeps 750", table, got)
+		}
+		res = mustExec(t, db, `SELECT COUNT(*) FROM `+table+` WHERE LEN(s) < 0`)
+		if got := res.Rows[0][0].I; got != 3000 {
+			t.Errorf("%s: WHERE LEN(s) < 0 kept %d rows, the override keeps 3000", table, got)
+		}
+		res = mustExec(t, db, `SELECT CHARINDEX('N', s), LEN(s) FROM `+table+` WHERE s = 'ACNT'`)
+		if len(res.Rows) != 750 {
+			t.Fatalf("%s: %d rows, want 750", table, len(res.Rows))
+		}
+		for _, r := range res.Rows {
+			if r[0].I != 4 || r[1].I != -7 {
+				t.Fatalf("%s: SELECT CHARINDEX('N', s), LEN(s) = %v, the overrides give [4 -7]", table, r)
+			}
+		}
+	}
+}
+
 // sumSquares is a tiny UDA used to prove UDA registration + parallel merge.
 type sumSquares struct{ total int64 }
 

@@ -52,6 +52,14 @@ var fzLits = func() []sqltypes.Value {
 
 var fzPatterns = []string{"%", "a%", "%b", "_", "a_", "%CG%", "acgt", "", "%N%", "1_"}
 
+// fzNeedles are CHARINDEX's search texts: empty, one byte, the 'N' a
+// packed sequence keeps in its exception list, and several bytes.
+var fzNeedles = []sqltypes.Value{str(""), str("A"), str("N"), str("a"), str("CG"), str("GTN"), str("ab")}
+
+// fzCmpLits are the literals a function's result is compared with: NULL,
+// and FLOAT and STRING beside the INT its kernel computes.
+var fzCmpLits = []sqltypes.Value{sqltypes.Null, i64(0), i64(1), i64(3), f64(0), f64(1.5), f64(3), str("0"), str("AC"), str("")}
+
 // Vector forms.
 const (
 	formFlat = iota
@@ -145,7 +153,8 @@ func (g *fzInput) pick(n int) int {
 	return int(g.data[g.pos-1]) % n
 }
 
-func (g *fzInput) lit() Expr { return lit(fzLits[g.pick(len(fzLits))]) }
+func (g *fzInput) lit() Expr    { return lit(fzLits[g.pick(len(fzLits))]) }
+func (g *fzInput) needle() Expr { return lit(fzNeedles[g.pick(len(fzNeedles))]) }
 func (g *fzInput) cmpOp() CmpOp {
 	return CmpOp(g.pick(6))
 }
@@ -170,15 +179,42 @@ func (g *fzInput) scalar(depth int) Expr {
 		return &Arith{Op: op, L: g.scalar(depth - 1), R: g.scalar(depth - 1)}
 	case 3:
 		return fzCall("charindex", g.scalar(depth-1), g.scalar(depth-1))
-	case 4:
-		return fzCall("charindex", g.lit(), col(g.pick(fzCols)), g.scalar(depth-1))
+	case 4: // three arguments, the column searched or searched for
+		if g.pick(2) == 1 {
+			return fzCall("charindex", col(g.pick(fzCols)), g.needle(), g.scalar(depth-1))
+		}
+		return fzCall("charindex", g.needle(), col(g.pick(fzCols)), g.scalar(depth-1))
 	case 5:
 		return fzCall("substring", g.scalar(depth-1), g.scalar(depth-1), g.scalar(depth-1))
 	case 6:
-		name := []string{"len", "upper", "abs", "datalength", "reverse", "cast_int"}[g.pick(6)]
+		name := []string{"len", "upper", "lower", "abs", "datalength", "reverse", "cast_int", "cast_float"}[g.pick(8)]
 		return fzCall(name, g.scalar(depth-1))
+	case 7:
+		if g.pick(2) == 1 {
+			return fzCall("round", g.scalar(depth-1), g.scalar(depth-1))
+		}
 	}
 	return fzCall("coalesce", g.scalar(depth-1), g.scalar(depth-1))
+}
+
+// callOf draws fn(column, constants), the shape a call mask compiles.
+func (g *fzInput) callOf(c Expr) Expr {
+	switch g.pick(8) {
+	case 0:
+		return fzCall("charindex", g.needle(), c, g.lit())
+	case 1:
+		return fzCall("charindex", c, g.needle())
+	case 2:
+		return fzCall("substring", c, g.lit(), g.lit())
+	case 3:
+		name := []string{"len", "upper", "lower", "abs", "datalength", "reverse", "cast_int", "cast_float"}[g.pick(8)]
+		return fzCall(name, c)
+	case 4:
+		return fzCall("round", c, g.lit())
+	case 5:
+		return fzCall("coalesce", c, g.lit())
+	}
+	return fzCall("charindex", g.needle(), c)
 }
 
 // pred draws a boolean expression (TRUE, FALSE or NULL on every row).
@@ -204,14 +240,11 @@ func (g *fzInput) pred(depth int) Expr {
 		}
 		return in
 	case 5: // fn(column, constants) <op> literal, either way round
-		call := fzCall("charindex", g.lit(), c)
+		call, l := g.callOf(c), lit(fzCmpLits[g.pick(len(fzCmpLits))])
 		if g.pick(2) == 1 {
-			call = fzCall("substring", c, g.lit(), g.lit())
+			return &Cmp{Op: g.cmpOp(), L: l, R: call}
 		}
-		if g.pick(2) == 1 {
-			return &Cmp{Op: g.cmpOp(), L: g.lit(), R: call}
-		}
-		return &Cmp{Op: g.cmpOp(), L: call, R: g.lit()}
+		return &Cmp{Op: g.cmpOp(), L: call, R: l}
 	case 6:
 		return lit([]sqltypes.Value{sqltypes.NewBool(true), sqltypes.NewBool(false), sqltypes.Null}[g.pick(3)])
 	case 7, 8:
@@ -397,6 +430,19 @@ func TestCompiledExprMatchesEval(t *testing.T) {
 			scalars = append(scalars, &Arith{Op: OpAdd, L: x, R: lit(l)}, &Arith{Op: OpMod, L: lit(l), R: x},
 				fzCall("substring", x, lit(i64(2)), lit(l)), fzCall("coalesce", x, lit(l)))
 		}
+		for _, nd := range fzNeedles {
+			preds = append(preds,
+				&Cmp{Op: CmpEq, L: fzCall("charindex", lit(nd), x), R: lit(i64(0))},
+				&Cmp{Op: CmpGt, L: fzCall("charindex", lit(nd), x, lit(i64(2))), R: lit(i64(1))},
+				&Cmp{Op: CmpNe, L: lit(i64(0)), R: fzCall("charindex", x, lit(nd))})
+			scalars = append(scalars, fzCall("charindex", lit(nd), x), fzCall("charindex", x, lit(nd), lit(i64(2))))
+		}
+		for _, l := range fzCmpLits {
+			preds = append(preds,
+				&Cmp{Op: CmpLe, L: fzCall("charindex", lit(str("N")), x), R: lit(l)},
+				&Cmp{Op: CmpEq, L: fzCall("len", x), R: lit(l)},
+				&Cmp{Op: CmpGe, L: fzCall("upper", x), R: lit(l)})
+		}
 		for _, p := range fzPatterns {
 			preds = append(preds, &Like{X: x, Pattern: p}, &Not{X: &Like{X: x, Pattern: p}})
 		}
@@ -407,7 +453,9 @@ func TestCompiledExprMatchesEval(t *testing.T) {
 			&Logic{And: true, L: notNull, R: small}, &Logic{L: isNull, R: small},
 			&Logic{And: true, L: small, R: &Cmp{Op: CmpGt, L: &Arith{Op: OpDiv, L: lit(i64(1)), R: col(fzInt)}, R: lit(i64(0))}},
 			&Logic{L: &Not{X: small}, R: lit(sqltypes.Null)})
-		scalars = append(scalars, x, fzCall("len", x), fzCall("upper", x), &Arith{Op: OpMul, L: x, R: col(fzFloat)})
+		scalars = append(scalars, x, fzCall("len", x), fzCall("upper", x), &Arith{Op: OpMul, L: x, R: col(fzFloat)},
+			fzCall("lower", x), fzCall("reverse", x), fzCall("datalength", x), fzCall("abs", x),
+			fzCall("round", x, lit(i64(1))), fzCall("cast_int", x), fzCall("cast_float", x), fzCall("coalesce", x, lit(str("z"))))
 	}
 	scalars = append(scalars, lit(sqltypes.Null), lit(i64(5)), lit(str("x")))
 	for form := 0; form < forms; form++ {
