@@ -24,7 +24,7 @@ import (
 func (db *Database) Table(name string) *catalog.Table { return db.cat.Get(name) }
 
 // Scalar resolves a scalar function (built-in or registered UDF).
-func (db *Database) Scalar(name string) (expr.ScalarFunc, bool) {
+func (db *Database) Scalar(name string) (expr.Func, bool) {
 	return db.scalars.Lookup(name)
 }
 

@@ -11,7 +11,9 @@ import (
 )
 
 // RegisterScalar installs a scalar user-defined function — the engine's
-// counterpart of a CLR scalar UDF (paper Section 2.3.2).
+// counterpart of a CLR scalar UDF (paper Section 2.3.2) — in its boxed
+// form. A name that is a built-in's loses the built-in, kernel and all:
+// statements call fn, compiled through the boxed adapter.
 func (db *Database) RegisterScalar(name string, fn expr.ScalarFunc) {
 	db.scalars.Register(name, fn)
 }
@@ -31,7 +33,9 @@ func (db *Database) RegisterTVF(name string, tvf plan.TVF) {
 
 // registerEngineFunctions installs the engine-provided scalars that need
 // database state: NEWID() and the FileStream accessors standing in for the
-// paper's reads.PathName() / DATALENGTH(reads) column methods.
+// paper's reads.PathName() / DATALENGTH(reads) column methods. They are
+// boxed only: each call reaches the blob store or draws a GUID, which a
+// kernel would not make cheaper.
 func (db *Database) registerEngineFunctions() {
 	db.scalars.Register("newid", func(args []sqltypes.Value) (sqltypes.Value, error) {
 		if len(args) != 0 {

@@ -306,17 +306,17 @@ func TestGroupedCountAllocsPerRow(t *testing.T) {
 // over every form a column arrives in.
 func TestCallCmpMaskMatchesFilter(t *testing.T) {
 	reg := expr.NewRegistry()
-	charindex, _ := reg.Lookup("charindex")
-	length, _ := reg.Lookup("len")
-	if charindex == nil || length == nil {
+	charindex, ok1 := reg.Lookup("charindex")
+	length, ok2 := reg.Lookup("len")
+	if !ok1 || !ok2 {
 		t.Fatal("built-ins missing")
 	}
-	noGs := func(args []sqltypes.Value) (sqltypes.Value, error) {
+	noGs := expr.Func{Eval: func(args []sqltypes.Value) (sqltypes.Value, error) {
 		if strings.Contains(args[0].AsString(), "GGG") {
 			return sqltypes.Null, fmt.Errorf("nogs: %q", args[0].AsString())
 		}
 		return i64(int64(len(args[0].AsString()))), nil
-	}
+	}}
 	rng := rand.New(rand.NewSource(77))
 	mk := func(withGGG bool) []sqltypes.Row {
 		rows := make([]sqltypes.Row, 700)
@@ -336,7 +336,7 @@ func TestCallCmpMaskMatchesFilter(t *testing.T) {
 		}
 		return rows
 	}
-	call := func(name string, fn expr.ScalarFunc, args ...expr.Expr) expr.Expr {
+	call := func(name string, fn expr.Func, args ...expr.Expr) expr.Expr {
 		return &expr.Call{Name: name, Fn: fn, Args: args}
 	}
 	preds := map[string]expr.Expr{

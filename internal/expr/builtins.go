@@ -4,36 +4,52 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"unicode/utf8"
 
 	"repro/internal/sqltypes"
 )
 
-// ScalarFunc is the signature of scalar functions — both engine built-ins
-// and registered user-defined functions (the paper's CLR scalar UDFs).
+// ScalarFunc is the boxed form of a scalar function: one row's argument
+// values in, one value out. A user-defined function (the paper's CLR
+// scalar UDF) is registered in this form alone.
 type ScalarFunc func(args []sqltypes.Value) (sqltypes.Value, error)
+
+// Func is one registry entry: a scalar function in its two forms. Eval,
+// the boxed form, serves Call.Eval, evaluation of constant arguments and
+// the reference the compiled forms are fuzzed against. The vector form —
+// typed argument vectors and a selection in, a typed vector out — belongs
+// to the engine's built-ins; a function registered boxed (a user's, or
+// core's NEWID) compiles through the boxed adapter instead. A Call takes
+// both forms from the one entry, so registering a name replaces both and a
+// user's function is never paired with a built-in's kernel.
+type Func struct {
+	Eval   ScalarFunc
+	vector *kernel
+}
 
 // Registry resolves scalar function names case-insensitively.
 type Registry struct {
-	fns map[string]ScalarFunc
+	fns map[string]Func
 }
 
 // NewRegistry returns a registry pre-loaded with the T-SQL built-ins used
 // by the paper's queries.
 func NewRegistry() *Registry {
-	r := &Registry{fns: map[string]ScalarFunc{}}
+	r := &Registry{fns: map[string]Func{}}
 	for name, fn := range builtins {
 		r.fns[name] = fn
 	}
 	return r
 }
 
-// Register adds (or replaces) a scalar function.
+// Register adds (or replaces, both forms) a scalar function given in its
+// boxed form.
 func (r *Registry) Register(name string, fn ScalarFunc) {
-	r.fns[strings.ToLower(name)] = fn
+	r.fns[strings.ToLower(name)] = Func{Eval: fn}
 }
 
 // Lookup resolves a function by name.
-func (r *Registry) Lookup(name string) (ScalarFunc, bool) {
+func (r *Registry) Lookup(name string) (Func, bool) {
 	fn, ok := r.fns[strings.ToLower(name)]
 	return fn, ok
 }
@@ -45,63 +61,48 @@ func argCheck(name string, args []sqltypes.Value, want int) error {
 	return nil
 }
 
-var builtins = map[string]ScalarFunc{
+var builtins = map[string]Func{
 	// CHARINDEX(substring, string [, start]) — 1-based position, 0 when
-	// absent; the optional T-SQL start offset begins the search there.
-	// Query 1 uses CHARINDEX('N', short_read_seq) = 0 to skip uncertain
-	// reads.
-	"charindex": func(args []sqltypes.Value) (sqltypes.Value, error) {
+	// absent (an empty substring is never found, as in T-SQL); the optional
+	// start offset begins the search there. Query 1 uses
+	// CHARINDEX('N', short_read_seq) = 0 to skip uncertain reads.
+	"charindex": {Eval: func(args []sqltypes.Value) (sqltypes.Value, error) {
 		if len(args) != 2 && len(args) != 3 {
 			return sqltypes.Null, fmt.Errorf("expr: CHARINDEX expects 2 or 3 arguments, got %d", len(args))
 		}
 		if args[0].IsNull() || args[1].IsNull() {
 			return sqltypes.Null, nil
 		}
-		s := args[1].AsString()
 		from := int64(1)
 		if len(args) == 3 {
 			if args[2].IsNull() {
 				return sqltypes.Null, nil
 			}
 			var err error
-			from, err = args[2].AsInt()
-			if err != nil {
+			if from, err = args[2].AsInt(); err != nil {
 				return sqltypes.Null, err
 			}
-			if from < 1 {
-				from = 1
-			}
 		}
-		if from > int64(len(s)) {
-			return sqltypes.NewInt(0), nil
-		}
-		idx := strings.Index(s[from-1:], args[0].AsString())
-		if idx < 0 {
-			return sqltypes.NewInt(0), nil
-		}
-		return sqltypes.NewInt(from + int64(idx)), nil
-	},
+		return sqltypes.NewInt(charIndex(args[1].AsString(), args[0].AsString(), from)), nil
+	}, vector: &kernel{eval: charindexKernel, cmp: charindexMask}},
 	// DATALENGTH(x) — byte length of the value.
-	"datalength": func(args []sqltypes.Value) (sqltypes.Value, error) {
+	"datalength": {Eval: func(args []sqltypes.Value) (sqltypes.Value, error) {
 		if err := argCheck("DATALENGTH", args, 1); err != nil {
 			return sqltypes.Null, err
 		}
 		v := args[0]
+		if n, ok := dataLength(v.K); ok {
+			return sqltypes.NewInt(n), nil
+		}
 		switch v.K {
-		case sqltypes.KindNull:
-			return sqltypes.Null, nil
 		case sqltypes.KindString:
 			return sqltypes.NewInt(int64(len(v.S))), nil
 		case sqltypes.KindBytes:
 			return sqltypes.NewInt(int64(len(v.B))), nil
-		case sqltypes.KindInt, sqltypes.KindFloat:
-			return sqltypes.NewInt(8), nil
-		case sqltypes.KindBool:
-			return sqltypes.NewInt(1), nil
 		}
 		return sqltypes.Null, nil
-	},
-	"len": func(args []sqltypes.Value) (sqltypes.Value, error) {
+	}, vector: &kernel{eval: datalengthKernel}},
+	"len": {Eval: func(args []sqltypes.Value) (sqltypes.Value, error) {
 		if err := argCheck("LEN", args, 1); err != nil {
 			return sqltypes.Null, err
 		}
@@ -109,34 +110,17 @@ var builtins = map[string]ScalarFunc{
 			return sqltypes.Null, nil
 		}
 		return sqltypes.NewInt(int64(len(args[0].AsString()))), nil
-	},
-	"upper": func(args []sqltypes.Value) (sqltypes.Value, error) {
-		if err := argCheck("UPPER", args, 1); err != nil {
-			return sqltypes.Null, err
-		}
-		if args[0].IsNull() {
-			return sqltypes.Null, nil
-		}
-		return sqltypes.NewString(strings.ToUpper(args[0].AsString())), nil
-	},
-	"lower": func(args []sqltypes.Value) (sqltypes.Value, error) {
-		if err := argCheck("LOWER", args, 1); err != nil {
-			return sqltypes.Null, err
-		}
-		if args[0].IsNull() {
-			return sqltypes.Null, nil
-		}
-		return sqltypes.NewString(strings.ToLower(args[0].AsString())), nil
-	},
+	}, vector: &kernel{eval: lenKernel}},
+	"upper": textFunc("UPPER", func(dst []byte, s string) []byte { return appendCase(dst, s, true) }),
+	"lower": textFunc("LOWER", func(dst []byte, s string) []byte { return appendCase(dst, s, false) }),
 	// SUBSTRING(s, start, len) — 1-based start, T-SQL clamping.
-	"substring": func(args []sqltypes.Value) (sqltypes.Value, error) {
+	"substring": {Eval: func(args []sqltypes.Value) (sqltypes.Value, error) {
 		if err := argCheck("SUBSTRING", args, 3); err != nil {
 			return sqltypes.Null, err
 		}
 		if args[0].IsNull() || args[1].IsNull() || args[2].IsNull() {
 			return sqltypes.Null, nil
 		}
-		s := args[0].AsString()
 		start, err := args[1].AsInt()
 		if err != nil {
 			return sqltypes.Null, err
@@ -145,24 +129,13 @@ var builtins = map[string]ScalarFunc{
 		if err != nil {
 			return sqltypes.Null, err
 		}
-		if length < 0 {
-			return sqltypes.Null, fmt.Errorf("expr: SUBSTRING length must be non-negative")
+		s, err := substring(args[0].AsString(), start, length)
+		if err != nil {
+			return sqltypes.Null, err
 		}
-		lo := start - 1
-		if lo < 0 {
-			length += lo
-			lo = 0
-		}
-		if lo >= int64(len(s)) || length <= 0 {
-			return sqltypes.NewString(""), nil
-		}
-		hi := lo + length
-		if hi > int64(len(s)) {
-			hi = int64(len(s))
-		}
-		return sqltypes.NewString(s[lo:hi]), nil
-	},
-	"abs": func(args []sqltypes.Value) (sqltypes.Value, error) {
+		return sqltypes.NewString(s), nil
+	}, vector: &kernel{eval: substringKernel}},
+	"abs": {Eval: func(args []sqltypes.Value) (sqltypes.Value, error) {
 		if err := argCheck("ABS", args, 1); err != nil {
 			return sqltypes.Null, err
 		}
@@ -179,8 +152,8 @@ var builtins = map[string]ScalarFunc{
 			return sqltypes.NewFloat(math.Abs(v.F)), nil
 		}
 		return sqltypes.Null, fmt.Errorf("expr: ABS requires a number")
-	},
-	"round": func(args []sqltypes.Value) (sqltypes.Value, error) {
+	}, vector: &kernel{eval: absKernel}},
+	"round": {Eval: func(args []sqltypes.Value) (sqltypes.Value, error) {
 		if err := argCheck("ROUND", args, 2); err != nil {
 			return sqltypes.Null, err
 		}
@@ -195,32 +168,23 @@ var builtins = map[string]ScalarFunc{
 		if err != nil {
 			return sqltypes.Null, err
 		}
-		scale := math.Pow(10, float64(d))
-		return sqltypes.NewFloat(math.Round(f*scale) / scale), nil
-	},
-	"reverse": func(args []sqltypes.Value) (sqltypes.Value, error) {
-		if err := argCheck("REVERSE", args, 1); err != nil {
-			return sqltypes.Null, err
+		return sqltypes.NewFloat(roundTo(f, d)), nil
+	}, vector: &kernel{eval: roundKernel}},
+	"reverse": textFunc("REVERSE", func(dst []byte, s string) []byte {
+		for i := len(s) - 1; i >= 0; i-- {
+			dst = append(dst, s[i])
 		}
-		if args[0].IsNull() {
-			return sqltypes.Null, nil
-		}
-		s := args[0].AsString()
-		b := []byte(s)
-		for i, j := 0, len(b)-1; i < j; i, j = i+1, j-1 {
-			b[i], b[j] = b[j], b[i]
-		}
-		return sqltypes.NewString(string(b)), nil
-	},
-	"coalesce": func(args []sqltypes.Value) (sqltypes.Value, error) {
+		return dst
+	}),
+	"coalesce": {Eval: func(args []sqltypes.Value) (sqltypes.Value, error) {
 		for _, a := range args {
 			if !a.IsNull() {
 				return a, nil
 			}
 		}
 		return sqltypes.Null, nil
-	},
-	"cast_int": func(args []sqltypes.Value) (sqltypes.Value, error) {
+	}, vector: &kernel{eval: coalesceKernel}},
+	"cast_int": {Eval: func(args []sqltypes.Value) (sqltypes.Value, error) {
 		if err := argCheck("CAST_INT", args, 1); err != nil {
 			return sqltypes.Null, err
 		}
@@ -232,8 +196,8 @@ var builtins = map[string]ScalarFunc{
 			return sqltypes.Null, err
 		}
 		return sqltypes.NewInt(n), nil
-	},
-	"cast_float": func(args []sqltypes.Value) (sqltypes.Value, error) {
+	}, vector: &kernel{eval: castIntKernel}},
+	"cast_float": {Eval: func(args []sqltypes.Value) (sqltypes.Value, error) {
 		if err := argCheck("CAST_FLOAT", args, 1); err != nil {
 			return sqltypes.Null, err
 		}
@@ -245,5 +209,117 @@ var builtins = map[string]ScalarFunc{
 			return sqltypes.Null, err
 		}
 		return sqltypes.NewFloat(f), nil
-	},
+	}, vector: &kernel{eval: castFloatKernel}},
+}
+
+// The rules the two forms share.
+
+// charIndex is CHARINDEX over one cell: the 1-based position of needle in
+// hay at or after from, or 0.
+func charIndex(hay, needle string, from int64) int64 {
+	if from < 1 {
+		from = 1
+	}
+	if needle == "" || from > int64(len(hay)) {
+		return 0
+	}
+	var i int
+	if len(needle) == 1 {
+		i = strings.IndexByte(hay[from-1:], needle[0])
+	} else {
+		i = strings.Index(hay[from-1:], needle)
+	}
+	if i < 0 {
+		return 0
+	}
+	return from + int64(i)
+}
+
+// dataLength is DATALENGTH of a value of a fixed-width kind; false for
+// text, whose length is its own.
+func dataLength(k sqltypes.Kind) (int64, bool) {
+	switch k {
+	case sqltypes.KindInt, sqltypes.KindFloat:
+		return 8, true
+	case sqltypes.KindBool:
+		return 1, true
+	}
+	return 0, false
+}
+
+func substring(s string, start, length int64) (string, error) {
+	if length < 0 {
+		return "", fmt.Errorf("expr: SUBSTRING length must be non-negative")
+	}
+	lo := start - 1
+	if lo < 0 {
+		length += lo
+		lo = 0
+	}
+	if lo >= int64(len(s)) || length <= 0 {
+		return "", nil
+	}
+	return s[lo:min(lo+length, int64(len(s)))], nil
+}
+
+func roundTo(f float64, d int64) float64 {
+	scale := math.Pow(10, float64(d))
+	return math.Round(f*scale) / scale
+}
+
+// appendCase appends strings.ToUpper(s), or ToLower, to dst — byte by
+// byte when s is ASCII.
+func appendCase(dst []byte, s string, upper bool) []byte {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= utf8.RuneSelf {
+			if upper {
+				return append(dst, strings.ToUpper(s)...)
+			}
+			return append(dst, strings.ToLower(s)...)
+		}
+	}
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if upper && 'a' <= c && c <= 'z' {
+			c -= 'a' - 'A'
+		} else if !upper && 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		dst = append(dst, c)
+	}
+	return dst
+}
+
+// textFunc is a one-argument text-to-text built-in in both forms: f
+// appends the result for one argument's text.
+func textFunc(name string, f func(dst []byte, s string) []byte) Func {
+	return Func{Eval: func(args []sqltypes.Value) (sqltypes.Value, error) {
+		if err := argCheck(name, args, 1); err != nil {
+			return sqltypes.Null, err
+		}
+		if args[0].IsNull() {
+			return sqltypes.Null, nil
+		}
+		return sqltypes.NewString(string(f(nil, args[0].AsString()))), nil
+	}, vector: &kernel{eval: func(args []arg, sel []int, out *result) (bool, error) {
+		if len(args) != 1 {
+			return false, nil
+		}
+		a := &args[0]
+		out.start(sqltypes.KindString, a.textBytes())
+		for _, s := range sel {
+			if a.null(s) {
+				out.null(s)
+				continue
+			}
+			t, err := a.text(s)
+			if err != nil {
+				return true, err
+			}
+			out.begin(s)
+			out.v.Data = f(out.v.Data, t)
+			out.end(s)
+		}
+		return true, nil
+	}}}
 }

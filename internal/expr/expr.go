@@ -5,11 +5,13 @@
 // DATALENGTH, ...) and user-defined scalar functions — the engine's
 // equivalent of CLR scalar UDFs (paper Section 2.3.2).
 //
-// Expressions are interpreted by walking the tree, boxing every
-// intermediate into a Value. This is deliberately the "T-SQL interpreter"
-// cost model of the paper's Section 5.2: per-row interpretation is what
-// makes the T-SQL stored procedure orders of magnitude slower than the
-// compiled ("CLR") chunked scan.
+// Eval interprets an expression by walking the tree, boxing every
+// intermediate into a Value: the "T-SQL interpreter" cost model of the
+// paper's Section 5.2, where per-row interpretation is what makes the
+// T-SQL stored procedure orders of magnitude slower than the compiled
+// ("CLR") chunked scan. Operators run the compiled forms instead
+// (CompileFilter, CompileProjection: typed vector kernels); Eval stays as
+// their reference, for constants and for the script ablation.
 package expr
 
 import (
@@ -89,10 +91,15 @@ func (a *Arith) Eval(row sqltypes.Row) (sqltypes.Value, error) {
 	if err != nil {
 		return sqltypes.Null, err
 	}
+	return arith(a.Op, l, r)
+}
+
+// arith is l op r over two values.
+func arith(op BinOp, l, r sqltypes.Value) (sqltypes.Value, error) {
 	if l.IsNull() || r.IsNull() {
 		return sqltypes.Null, nil
 	}
-	if a.Op == OpAdd && (l.K == sqltypes.KindString || r.K == sqltypes.KindString) {
+	if op == OpAdd && (l.K == sqltypes.KindString || r.K == sqltypes.KindString) {
 		return sqltypes.NewString(l.AsString() + r.AsString()), nil
 	}
 	if l.K == sqltypes.KindFloat || r.K == sqltypes.KindFloat {
@@ -104,21 +111,11 @@ func (a *Arith) Eval(row sqltypes.Row) (sqltypes.Value, error) {
 		if err != nil {
 			return sqltypes.Null, err
 		}
-		switch a.Op {
-		case OpAdd:
-			return sqltypes.NewFloat(lf + rf), nil
-		case OpSub:
-			return sqltypes.NewFloat(lf - rf), nil
-		case OpMul:
-			return sqltypes.NewFloat(lf * rf), nil
-		case OpDiv:
-			if rf == 0 {
-				return sqltypes.Null, fmt.Errorf("expr: division by zero")
-			}
-			return sqltypes.NewFloat(lf / rf), nil
-		case OpMod:
-			return sqltypes.Null, fmt.Errorf("expr: %% requires integers")
+		f, err := floatArith(op, lf, rf)
+		if err != nil {
+			return sqltypes.Null, err
 		}
+		return sqltypes.NewFloat(f), nil
 	}
 	li, err := l.AsInt()
 	if err != nil {
@@ -128,25 +125,52 @@ func (a *Arith) Eval(row sqltypes.Row) (sqltypes.Value, error) {
 	if err != nil {
 		return sqltypes.Null, err
 	}
-	switch a.Op {
-	case OpAdd:
-		return sqltypes.NewInt(li + ri), nil
-	case OpSub:
-		return sqltypes.NewInt(li - ri), nil
-	case OpMul:
-		return sqltypes.NewInt(li * ri), nil
-	case OpDiv:
-		if ri == 0 {
-			return sqltypes.Null, fmt.Errorf("expr: division by zero")
-		}
-		return sqltypes.NewInt(li / ri), nil
-	case OpMod:
-		if ri == 0 {
-			return sqltypes.Null, fmt.Errorf("expr: modulo by zero")
-		}
-		return sqltypes.NewInt(li % ri), nil
+	n, err := intArith(op, li, ri)
+	if err != nil {
+		return sqltypes.Null, err
 	}
-	return sqltypes.Null, fmt.Errorf("expr: unknown operator %c", a.Op)
+	return sqltypes.NewInt(n), nil
+}
+
+func floatArith(op BinOp, l, r float64) (float64, error) {
+	switch op {
+	case OpAdd:
+		return l + r, nil
+	case OpSub:
+		return l - r, nil
+	case OpMul:
+		return l * r, nil
+	case OpDiv:
+		if r == 0 {
+			return 0, fmt.Errorf("expr: division by zero")
+		}
+		return l / r, nil
+	case OpMod:
+		return 0, fmt.Errorf("expr: %% requires integers")
+	}
+	return 0, fmt.Errorf("expr: unknown operator %c", op)
+}
+
+func intArith(op BinOp, l, r int64) (int64, error) {
+	switch op {
+	case OpAdd:
+		return l + r, nil
+	case OpSub:
+		return l - r, nil
+	case OpMul:
+		return l * r, nil
+	case OpDiv:
+		if r == 0 {
+			return 0, fmt.Errorf("expr: division by zero")
+		}
+		return l / r, nil
+	case OpMod:
+		if r == 0 {
+			return 0, fmt.Errorf("expr: modulo by zero")
+		}
+		return l % r, nil
+	}
+	return 0, fmt.Errorf("expr: unknown operator %c", op)
 }
 
 func (a *Arith) String() string {
@@ -360,14 +384,16 @@ func likeRec(s, p string) bool {
 	return len(s) == 0
 }
 
-// Call invokes a scalar function.
+// Call invokes a scalar function. Eval calls its boxed form; compiled
+// (CompileFilter, CompileProjection), it runs the vector form of the same
+// registry entry, or the boxed form through the adapter when it has none.
 type Call struct {
 	Name string
-	Fn   ScalarFunc
+	Fn   Func
 	Args []Expr
 }
 
-// Eval evaluates arguments then applies the function.
+// Eval evaluates arguments then applies the function's boxed form.
 func (c *Call) Eval(row sqltypes.Row) (sqltypes.Value, error) {
 	args := make([]sqltypes.Value, len(c.Args))
 	for i, a := range c.Args {
@@ -377,7 +403,7 @@ func (c *Call) Eval(row sqltypes.Row) (sqltypes.Value, error) {
 		}
 		args[i] = v
 	}
-	return c.Fn(args)
+	return c.Fn.Eval(args)
 }
 
 func (c *Call) String() string {

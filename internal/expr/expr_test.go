@@ -173,7 +173,7 @@ func TestBuiltins(t *testing.T) {
 		if !ok {
 			t.Fatalf("missing builtin %s", name)
 		}
-		v, err := fn(args)
+		v, err := fn.Eval(args)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -224,7 +224,7 @@ func TestRegistryUserFunctions(t *testing.T) {
 	if !ok {
 		t.Fatal("UDF not found case-insensitively")
 	}
-	v, _ := fn(nil)
+	v, _ := fn.Eval(nil)
 	if v.S != "TGCA" {
 		t.Error("UDF result wrong")
 	}

@@ -1,11 +1,13 @@
 // Vectorized expression evaluation: predicates compile to tri-state mask
 // evaluators that process a batch column-at-a-time and shrink the
 // selection vector, and projections compile to per-expression vector
-// builders. Dictionary-encoded columns evaluate a predicate once per
-// dictionary entry and then map codes through the verdict table, so rows
+// builders — column references, literals, and calls and arithmetic as
+// typed kernels (kernel.go). Dictionary-encoded columns evaluate a
+// predicate, or a call of one column, once per dictionary entry, so rows
 // dropped by the filter are never decompressed; packed 2-bit sequence
-// columns evaluate equality against the packed wire bytes without
-// unpacking a single base.
+// columns evaluate equality against the packed wire bytes, and
+// CHARINDEX('N', ...) against the exception list, without unpacking a
+// single base.
 package expr
 
 import (
@@ -38,8 +40,9 @@ type FilterEval struct {
 }
 
 // CompileFilter compiles a predicate for batch evaluation. Every
-// expression compiles: subtrees with no specialized kernel fall back to
-// row-at-a-time evaluation over the selected rows only.
+// expression compiles to vector kernels; the one row-at-a-time path left
+// is a scalar function without a kernel, called through the boxed adapter
+// at the selected rows only.
 func CompileFilter(e Expr) *FilterEval {
 	return &FilterEval{root: compileMask(e)}
 }
@@ -78,41 +81,37 @@ func compileMask(e Expr) maskEval {
 	case *Not:
 		return &notMask{child: compileMask(t.X)}
 	case *IsNull:
-		if c, ok := t.X.(*Col); ok {
-			return &isNullMask{col: c.Idx, negate: t.Negate}
-		}
-	case *Cmp:
-		if col, lit, op, ok := colLitCmp(t); ok {
-			if lit.IsNull() {
-				return &constMask{v: kNull}
-			}
-			return &cmpMask{op: op, col: col, lit: lit}
-		}
-		if m := compileCallCmp(t); m != nil {
-			return m
-		}
+		return &isNullMask{x: compileVec(t.X, false), negate: t.Negate}
 	case *Like:
-		if c, ok := t.X.(*Col); ok {
-			return &likeMask{col: c.Idx, pattern: t.Pattern}
+		return &likeMask{x: compileVec(t.X, false), pattern: t.Pattern}
+	case *Cmp:
+		x, lit, op, ok := exprLitCmp(t)
+		if !ok {
+			return &cmpVecMask{op: t.Op, l: compileVec(t.L, false), r: compileVec(t.R, false)}
 		}
+		if _, col := x.(*Col); col && lit.IsNull() {
+			return &constMask{v: kNull}
+		}
+		if call, ok := x.(*Call); ok && call.Fn.vector != nil && call.Fn.vector.cmp != nil {
+			if m := call.Fn.vector.cmp(call, op, lit); m != nil {
+				return m
+			}
+		}
+		return &cmpMask{op: op, x: compileVec(x, false), lit: lit}
 	}
-	return &genericMask{rowEval{e: e}}
+	return &truthMask{x: compileVec(e, false)}
 }
 
-// colLitCmp recognizes column-vs-literal comparisons in either operand
-// order, flipping the operator when the literal is on the left.
-func colLitCmp(c *Cmp) (col int, lit sqltypes.Value, op CmpOp, ok bool) {
-	if cl, o1 := c.L.(*Col); o1 {
-		if ll, o2 := c.R.(*Lit); o2 {
-			return cl.Idx, ll.V, c.Op, true
-		}
+// exprLitCmp recognizes expression-vs-literal comparisons in either
+// operand order, flipping the operator when the literal is on the left.
+func exprLitCmp(c *Cmp) (x Expr, lit sqltypes.Value, op CmpOp, ok bool) {
+	if ll, o := c.R.(*Lit); o {
+		return c.L, ll.V, c.Op, true
 	}
-	if ll, o1 := c.L.(*Lit); o1 {
-		if cl, o2 := c.R.(*Col); o2 {
-			return cl.Idx, ll.V, flipCmp(c.Op), true
-		}
+	if ll, o := c.L.(*Lit); o {
+		return c.R, ll.V, flipCmp(c.Op), true
 	}
-	return 0, sqltypes.Null, 0, false
+	return nil, sqltypes.Null, 0, false
 }
 
 func flipCmp(op CmpOp) CmpOp {
@@ -241,18 +240,17 @@ func (m *notMask) mask(b *vec.Batch, sel []int, out []uint8) error {
 }
 
 type isNullMask struct {
-	col    int
+	x      vecEval
 	negate bool
 }
 
 func (m *isNullMask) mask(b *vec.Batch, sel []int, out []uint8) error {
-	v := b.Cols[m.col]
+	v, err := m.x.eval(b, sel)
+	if err != nil {
+		return err
+	}
 	for i, s := range sel {
-		isNull := v.IsNull(s)
-		if !isNull && v.Vals != nil {
-			isNull = v.Vals[s].IsNull()
-		}
-		if isNull != m.negate {
+		if isNullCell(v, s) != m.negate {
 			out[i] = kTrue
 		} else {
 			out[i] = kFalse
@@ -261,14 +259,15 @@ func (m *isNullMask) mask(b *vec.Batch, sel []int, out []uint8) error {
 	return nil
 }
 
-// cmpMask is a column-vs-literal comparison with type-specialized
-// kernels for flat int/float/string vectors, a verdict-table kernel for
-// dictionary vectors, and a packed-bytes equality kernel for 2-bit
-// sequence columns. Anything else (cross-kind comparisons, generic
-// vectors) takes the boxed loop, which is still selection-driven.
+// cmpMask compares an expression's vector — a column's, or a kernel's
+// result — with a literal: type-specialized kernels for flat
+// int/float/string vectors, a verdict-table kernel for dictionary vectors,
+// and a packed-bytes equality kernel for 2-bit sequence columns. Anything
+// else (cross-kind comparisons, generic vectors) takes the boxed loop,
+// which is still selection-driven.
 type cmpMask struct {
 	op  CmpOp
-	col int
+	x   vecEval
 	lit sqltypes.Value
 
 	packedLit     []byte // encoded seq.Pack of a string literal
@@ -279,7 +278,10 @@ type cmpMask struct {
 }
 
 func (m *cmpMask) mask(b *vec.Batch, sel []int, out []uint8) error {
-	v := b.Cols[m.col]
+	v, err := m.x.eval(b, sel)
+	if err != nil {
+		return err
+	}
 	// A lazy column under a comparison is about to be read for every
 	// selected row — decode it once into its typed array so the tight
 	// loops below apply, instead of boxing cell by cell.
@@ -287,6 +289,11 @@ func (m *cmpMask) mask(b *vec.Batch, sel []int, out []uint8) error {
 		return err
 	}
 	switch {
+	case m.lit.IsNull(): // an expression that may fail, evaluated for its errors
+		for i := range sel {
+			out[i] = kNull
+		}
+		return nil
 	case v.Codes != nil:
 		return m.maskDict(v, sel, out)
 	case v.Packed && v.Offs != nil && (m.op == CmpEq || m.op == CmpNe) && m.lit.K == sqltypes.KindString:
@@ -485,16 +492,19 @@ func compareString(a, b string) int {
 	return 0
 }
 
-// likeMask evaluates LIKE against a string column; dictionary vectors
+// likeMask evaluates LIKE against a string vector; dictionary vectors
 // match the pattern once per distinct entry.
 type likeMask struct {
-	col     int
+	x       vecEval
 	pattern string
 	verdict []uint8
 }
 
 func (m *likeMask) mask(b *vec.Batch, sel []int, out []uint8) error {
-	v := b.Cols[m.col]
+	v, err := m.x.eval(b, sel)
+	if err != nil {
+		return err
+	}
 	if err := v.Materialize(); err != nil {
 		return err
 	}
@@ -560,158 +570,62 @@ func (m *likeMask) mask(b *vec.Batch, sel []int, out []uint8) error {
 	return nil
 }
 
-// callCmpMask is fn(..., column, ...) <op> literal: a scalar function of
-// one column and constants, compared with a constant — Query 1's
-// CHARINDEX('N', short_read_seq) = 0. The function is called on the
-// column's cells where they lie, NULLs included, exactly as Call.Eval
-// calls it; over a dictionary vector once per entry the selection reaches,
-// which takes the function to depend on its arguments alone.
-type callCmpMask struct {
-	fn   ScalarFunc
-	args []sqltypes.Value // the call's arguments; args[at] is the column's cell
-	at   int
-	col  int
+// cmpVecMask compares two expressions' vectors cell by cell.
+type cmpVecMask struct {
 	op   CmpOp
-	lit  sqltypes.Value
-
-	verdict []uint8 // per dictionary entry; kUnset until a row needs it
+	l, r vecEval
 }
 
-const kUnset uint8 = 0xFF
-
-// compileCallCmp recognizes the shape in either operand order.
-func compileCallCmp(c *Cmp) maskEval {
-	call, okc := c.L.(*Call)
-	lit, okl := c.R.(*Lit)
-	op := c.Op
-	if !okc || !okl {
-		if call, okc = c.R.(*Call); !okc {
-			return nil
-		}
-		if lit, okl = c.L.(*Lit); !okl {
-			return nil
-		}
-		op = flipCmp(op)
-	}
-	m := &callCmpMask{fn: call.Fn, args: make([]sqltypes.Value, len(call.Args)), at: -1, op: op, lit: lit.V}
-	for i, a := range call.Args {
-		switch t := a.(type) {
-		case *Lit:
-			m.args[i] = t.V
-		case *Col:
-			if m.at >= 0 {
-				return nil // two columns: no single vector to walk
-			}
-			m.at, m.col = i, t.Idx
-		default:
-			return nil
-		}
-	}
-	if m.at < 0 {
-		return nil
-	}
-	return m
-}
-
-// eval is the predicate's value for one cell of the column.
-func (m *callCmpMask) eval(cell sqltypes.Value) (uint8, error) {
-	m.args[m.at] = cell
-	res, err := m.fn(m.args)
+func (m *cmpVecMask) mask(b *vec.Batch, sel []int, out []uint8) error {
+	l, err := m.l.eval(b, sel)
 	if err != nil {
-		return kNull, err
-	}
-	if res.IsNull() || m.lit.IsNull() {
-		return kNull, nil
-	}
-	return cmpVerdict(m.op, sqltypes.Compare(res, m.lit)), nil
-}
-
-func (m *callCmpMask) mask(b *vec.Batch, sel []int, out []uint8) (err error) {
-	v := b.Cols[m.col]
-	if err := v.Materialize(); err != nil {
 		return err
 	}
-	if v.Codes == nil {
-		for i, s := range sel {
-			cell, err := v.Value(s) // boxes without allocating; NULL for a NULL row
-			if err != nil {
-				return err
-			}
-			if out[i], err = m.eval(cell); err != nil {
-				return err
-			}
-		}
-		return nil
+	r, err := m.r.eval(b, sel)
+	if err != nil {
+		return err
 	}
-	nd := v.Dict.Len()
-	if cap(m.verdict) < nd {
-		m.verdict = make([]uint8, nd)
-	}
-	verdict := m.verdict[:nd]
-	for d := range verdict {
-		verdict[d] = kUnset
-	}
-	null := kUnset
+	ints := l.Ints != nil && r.Ints != nil && l.Kind == sqltypes.KindInt && r.Kind == sqltypes.KindInt
 	for i, s := range sel {
-		if v.IsNull(s) {
-			if null == kUnset {
-				if null, err = m.eval(sqltypes.Null); err != nil {
-					return err
-				}
+		if ints {
+			if l.IsNull(s) || r.IsNull(s) {
+				out[i] = kNull
+			} else {
+				out[i] = cmpVerdict(m.op, compareInt64(l.Ints[s], r.Ints[s]))
 			}
-			out[i] = null
 			continue
 		}
-		c := v.Codes[s]
-		if c < 0 || int(c) >= nd {
-			return errDictCode(c, nd)
+		lv, err := l.Value(s)
+		if err != nil {
+			return err
 		}
-		if verdict[c] == kUnset {
-			dv, err := v.DictEntry(int(c))
-			if err != nil {
-				return err
-			}
-			if verdict[c], err = m.eval(dv); err != nil {
-				return err
-			}
+		rv, err := r.Value(s)
+		if err != nil {
+			return err
 		}
-		out[i] = verdict[c]
+		if lv.IsNull() || rv.IsNull() {
+			out[i] = kNull
+			continue
+		}
+		out[i] = cmpVerdict(m.op, sqltypes.Compare(lv, rv))
 	}
 	return nil
 }
 
-// rowEval is the row-at-a-time fallback shared by predicates and
-// projections with no vector kernel: it boxes only the selected rows,
-// and of those only the columns the expression reads, into one scratch
-// row reused across calls.
-type rowEval struct {
-	e      Expr
-	row    sqltypes.Row
-	needed []bool // columns e reads, marked at the first batch
-}
+// truthMask is a value used as a predicate: a column, call or arithmetic.
+type truthMask struct{ x vecEval }
 
-func (g *rowEval) eval(b *vec.Batch, s int) (sqltypes.Value, error) {
-	if len(g.needed) != len(b.Cols) {
-		g.needed = make([]bool, len(b.Cols))
-		MarkCols(g.e, g.needed)
-	}
-	row, err := b.ReadRowCols(s, g.row, g.needed)
+func (m *truthMask) mask(b *vec.Batch, sel []int, out []uint8) error {
+	v, err := m.x.eval(b, sel)
 	if err != nil {
-		return sqltypes.Null, err
+		return err
 	}
-	g.row = row
-	return g.e.Eval(row)
-}
-
-type genericMask struct{ rowEval }
-
-func (m *genericMask) mask(b *vec.Batch, sel []int, out []uint8) error {
 	for i, s := range sel {
-		v, err := m.eval(b, s)
+		val, err := v.Value(s)
 		if err != nil {
 			return err
 		}
-		out[i] = classify(v)
+		out[i] = classify(val)
 	}
 	return nil
 }
@@ -735,28 +649,40 @@ type Projection struct {
 	evals []vecEval
 }
 
+// vecEval evaluates an expression at the rows sel lists into a vector
+// defined at those rows.
 type vecEval interface {
-	eval(b *vec.Batch) (*vec.Vector, error)
+	eval(b *vec.Batch, sel []int) (*vec.Vector, error)
 }
 
 // CompileProjection compiles one vector builder per output expression:
 // column references pass the input vector through untouched (keeping its
 // encoding, so a projected dictionary column stays dictionary-encoded),
-// literals become a one-entry dictionary, and everything else evaluates
-// row-at-a-time over selected rows only.
+// literals become a one-entry dictionary, calls and arithmetic typed
+// kernels, and predicates their mask as a BOOL vector.
 func CompileProjection(exprs []Expr) *Projection {
 	p := &Projection{evals: make([]vecEval, len(exprs))}
 	for i, e := range exprs {
-		switch t := e.(type) {
-		case *Col:
-			p.evals[i] = colEval(t.Idx)
-		case *Lit:
-			p.evals[i] = &litEval{v: t.V}
-		default:
-			p.evals[i] = &genericEval{row: rowEval{e: e}}
-		}
+		p.evals[i] = compileVec(e, true)
 	}
 	return p
+}
+
+// compileVec compiles an expression to a vector builder. A fresh one
+// makes new arrays for every batch (its vectors leave the projection); a
+// scratch one, under a mask or as a call's argument, reuses its own.
+func compileVec(e Expr, fresh bool) vecEval {
+	switch t := e.(type) {
+	case *Col:
+		return colEval(t.Idx)
+	case *Lit:
+		return &litEval{v: t.V}
+	case *Call:
+		return newCallEval(t.Fn, t.Args, fresh)
+	case *Arith:
+		return newCallEval(arithFunc(t.Op), []Expr{t.L, t.R}, fresh)
+	}
+	return &predEval{m: compileMask(e), out: result{fresh: fresh}}
 }
 
 // Eval produces the projected column vectors for a batch. The output
@@ -765,7 +691,7 @@ func CompileProjection(exprs []Expr) *Projection {
 func (p *Projection) Eval(b *vec.Batch) ([]*vec.Vector, error) {
 	out := make([]*vec.Vector, len(p.evals))
 	for i, ev := range p.evals {
-		v, err := ev.eval(b)
+		v, err := ev.eval(b, b.Sel)
 		if err != nil {
 			return nil, err
 		}
@@ -778,7 +704,7 @@ func (p *Projection) Eval(b *vec.Batch) ([]*vec.Vector, error) {
 // index without allocating.
 type colEval int
 
-func (c colEval) eval(b *vec.Batch) (*vec.Vector, error) { return b.Cols[c], nil }
+func (c colEval) eval(b *vec.Batch, _ []int) (*vec.Vector, error) { return b.Cols[c], nil }
 
 // litEval produces a constant column as a one-entry dictionary over a
 // shared all-zero code array (read-only, safe to share across batches).
@@ -789,7 +715,7 @@ type litEval struct {
 	nulls []uint64
 }
 
-func (l *litEval) eval(b *vec.Batch) (*vec.Vector, error) {
+func (l *litEval) eval(b *vec.Batch, _ []int) (*vec.Vector, error) {
 	n := b.Rows()
 	if cap(l.codes) < n {
 		l.codes = make([]int32, n)
@@ -812,19 +738,29 @@ func (l *litEval) eval(b *vec.Batch) (*vec.Vector, error) {
 	return out, nil
 }
 
-type genericEval struct{ row rowEval }
+// predEval is a predicate as a value: its mask as a BOOL vector.
+type predEval struct {
+	m   maskEval
+	tri []uint8
+	out result
+}
 
-func (g *genericEval) eval(b *vec.Batch) (*vec.Vector, error) {
-	out := &vec.Vector{Kind: sqltypes.KindNull, Vals: make([]sqltypes.Value, b.Rows())}
-	for _, s := range b.Sel {
-		v, err := g.row.eval(b, s)
-		if err != nil {
-			return nil, err
-		}
-		out.Vals[s] = v
-		if v.IsNull() {
-			out.SetNull(s)
+func (p *predEval) eval(b *vec.Batch, sel []int) (*vec.Vector, error) {
+	p.tri = fit(p.tri, len(sel))
+	if err := p.m.mask(b, sel, p.tri); err != nil {
+		return nil, err
+	}
+	p.out.n = b.Rows()
+	p.out.start(sqltypes.KindBool, 0)
+	for i, s := range sel {
+		switch p.tri[i] {
+		case kNull:
+			p.out.null(s)
+		case kTrue:
+			p.out.v.Ints[s] = 1
+		default:
+			p.out.v.Ints[s] = 0
 		}
 	}
-	return out, nil
+	return p.out.finish(), nil
 }

@@ -36,7 +36,7 @@ type Provider interface {
 	// Table resolves a base table, or nil.
 	Table(name string) *catalog.Table
 	// Scalar resolves a scalar function (built-in or UDF).
-	Scalar(name string) (expr.ScalarFunc, bool)
+	Scalar(name string) (expr.Func, bool)
 	// Agg resolves an aggregate function (built-in or UDA).
 	Agg(name string) (exec.AggFactory, bool)
 	// TVF resolves a table-valued function.

@@ -92,7 +92,7 @@ func (p *fakeProvider) Table(name string) *catalog.Table {
 	}
 	return nil
 }
-func (p *fakeProvider) Scalar(name string) (expr.ScalarFunc, bool) { return p.scalars.Lookup(name) }
+func (p *fakeProvider) Scalar(name string) (expr.Func, bool) { return p.scalars.Lookup(name) }
 func (p *fakeProvider) Agg(name string) (exec.AggFactory, bool) {
 	if f := exec.BuiltinAggregate(name); f != nil {
 		return f, true

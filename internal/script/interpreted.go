@@ -35,7 +35,7 @@ func BinUniqueReadsInterpreted(in io.Reader, out io.Writer) (Trace, int, error) 
 	substringFn, _ := reg.Lookup("substring")
 	// Extracting a value in an interpreter copies it out of the buffer.
 	substringCopy := func(args []sqltypes.Value) (sqltypes.Value, error) {
-		v, err := substringFn(args)
+		v, err := substringFn.Eval(args)
 		if err != nil {
 			return v, err
 		}
@@ -66,7 +66,7 @@ func BinUniqueReadsInterpreted(in io.Reader, out io.Writer) (Trace, int, error) 
 		if idxV.I == 0 {
 			break
 		}
-		lineExpr := &expr.Call{Name: "SUBSTRING", Fn: expr.ScalarFunc(substringCopy), Args: []expr.Expr{
+		lineExpr := &expr.Call{Name: "SUBSTRING", Fn: expr.Func{Eval: substringCopy}, Args: []expr.Expr{
 			colContent, colOff,
 			&expr.Arith{Op: expr.OpSub, L: &expr.Lit{V: idxV}, R: colOff},
 		}}

@@ -89,44 +89,84 @@ func (p Packed) Encode() []byte {
 
 // Decode is the inverse of Encode.
 func Decode(b []byte) (Packed, error) {
-	n, k := readUvarint(b)
-	if k <= 0 {
-		return Packed{}, errors.New("seq: truncated packed sequence header")
+	n, nn, exc, payload, err := layout(b)
+	if err != nil {
+		return Packed{}, err
 	}
-	b = b[k:]
-	if n > 4*uint64(len(b)) {
-		// Four bases a byte: a length the rest cannot hold is corrupt (and
-		// would overflow int below).
-		return Packed{}, fmt.Errorf("seq: packed length %d exceeds the %d bytes that follow", n, len(b))
+	p := Packed{n: n}
+	var prev uint32
+	for i := 0; i < nn; i++ {
+		d, k := readUvarint(exc)
+		exc = exc[k:]
+		prev += uint32(d)
+		p.nified = append(p.nified, prev)
 	}
-	nn, k := readUvarint(b)
-	if k <= 0 {
-		return Packed{}, errors.New("seq: truncated packed exception count")
-	}
-	b = b[k:]
-	p := Packed{n: int(n)}
-	if nn > n {
-		return Packed{}, errors.New("seq: more N exceptions than bases")
+	p.data = append([]byte(nil), payload...)
+	return p, nil
+}
+
+// IndexN returns the 0-based position of the first 'N' at or after from in
+// an encoded packed sequence, or -1 when there is none, read from its
+// exception list without unpacking a base. It refuses exactly the
+// encodings Decode refuses, with Decode's errors.
+func IndexN(b []byte, from int) (int, error) {
+	_, nn, exc, _, err := layout(b)
+	if err != nil {
+		return -1, err
 	}
 	var prev uint32
-	for i := uint64(0); i < nn; i++ {
+	for i := 0; i < nn; i++ {
+		d, k := readUvarint(exc)
+		exc = exc[k:]
+		if prev += uint32(d); int(prev) >= from {
+			return int(prev), nil
+		}
+	}
+	return -1, nil
+}
+
+// layout checks an encoded packed sequence as Decode reads it and returns
+// its length in bases, its exception count, the bytes of its exception
+// list and its payload.
+func layout(b []byte) (n, nn int, exc, payload []byte, err error) {
+	n64, k := readUvarint(b)
+	if k <= 0 {
+		return 0, 0, nil, nil, errors.New("seq: truncated packed sequence header")
+	}
+	b = b[k:]
+	if n64 > 4*uint64(len(b)) {
+		// Four bases a byte: a length the rest cannot hold is corrupt (and
+		// would overflow int below).
+		return 0, 0, nil, nil, fmt.Errorf("seq: packed length %d exceeds the %d bytes that follow", n64, len(b))
+	}
+	nn64, k := readUvarint(b)
+	if k <= 0 {
+		return 0, 0, nil, nil, errors.New("seq: truncated packed exception count")
+	}
+	b = b[k:]
+	n = int(n64)
+	if nn64 > n64 {
+		return 0, 0, nil, nil, errors.New("seq: more N exceptions than bases")
+	}
+	exc = b
+	var prev uint32
+	for i := uint64(0); i < nn64; i++ {
 		d, k := readUvarint(b)
 		if k <= 0 {
-			return Packed{}, errors.New("seq: truncated packed exception list")
+			return 0, 0, nil, nil, errors.New("seq: truncated packed exception list")
 		}
 		b = b[k:]
 		prev += uint32(d)
-		if int(prev) >= p.n {
-			return Packed{}, errors.New("seq: N exception beyond sequence end")
+		if int(prev) >= n {
+			return 0, 0, nil, nil, errors.New("seq: N exception beyond sequence end")
 		}
-		p.nified = append(p.nified, prev)
 	}
-	want := (p.n + 3) / 4
+	exc = exc[:len(exc)-len(b)]
+	want := (n + 3) / 4
 	if len(b) < want {
-		return Packed{}, fmt.Errorf("seq: packed payload truncated: have %d bytes, want %d", len(b), want)
+		return 0, 0, nil, nil, fmt.Errorf("seq: packed payload truncated: have %d bytes, want %d", len(b), want)
 	}
-	p.data = append([]byte(nil), b[:want]...)
-	return p, nil
+	return n, int(nn64), exc, b[:want], nil
 }
 
 // PackedSize returns the encoded size in bytes of a sequence of n bases with

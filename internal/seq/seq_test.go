@@ -319,3 +319,42 @@ func TestDecodeRejectsImpossibleLength(t *testing.T) {
 		}
 	}
 }
+
+// TestIndexNMatchesUnpack: IndexN reads the exception list as Unpack
+// writes it, and refuses every encoding Decode refuses with its error.
+func TestIndexNMatchesUnpack(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 500; i++ {
+		b := make([]byte, rng.Intn(40))
+		for j := range b {
+			b[j] = "ACGTNn"[rng.Intn(6)]
+		}
+		p, err := Pack(string(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		enc, text := p.Encode(), p.Unpack()
+		for from := 0; from <= len(b)+1; from++ {
+			want := -1
+			if from <= len(text) {
+				if k := strings.IndexByte(text[from:], 'N'); k >= 0 {
+					want = from + k
+				}
+			}
+			if got, err := IndexN(enc, from); err != nil || got != want {
+				t.Fatalf("IndexN(%q, %d) = %d, %v; want %d", text, from, got, err, want)
+			}
+		}
+		for cut := 0; cut < len(enc); cut++ {
+			_, derr := Decode(enc[:cut])
+			_, ierr := IndexN(enc[:cut], 0)
+			if (derr == nil) != (ierr == nil) || derr != nil && derr.Error() != ierr.Error() {
+				t.Fatalf("%q cut at %d: Decode error %v, IndexN error %v", text, cut, derr, ierr)
+			}
+		}
+	}
+	bad := append(appendUvarint(nil, 4), 1, 9, 0) // an exception past the end
+	if _, err := IndexN(bad, 0); err == nil {
+		t.Error("IndexN accepted an exception beyond the sequence end")
+	}
+}
