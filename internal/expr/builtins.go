@@ -84,7 +84,25 @@ var builtins = map[string]Func{
 			}
 		}
 		return sqltypes.NewInt(charIndex(args[1].AsString(), args[0].AsString(), from)), nil
-	}, vector: &kernel{eval: charindexKernel, cmp: charindexMask}},
+	}, vector: &kernel{eval: perRow(2, 3, sqltypes.KindInt, func(a []arg, s int, out *result) (err error) {
+		from := int64(1)
+		if len(a) == 3 {
+			if from, err = a[2].int(s); err != nil {
+				return err
+			}
+		}
+		needle, err := a[0].text(s)
+		if err != nil {
+			return err
+		}
+		if hay := a[1].v; hay != nil && hay.Offs != nil {
+			out.v.Ints[s], err = searchCell(hay, s, needle, from)
+			return err
+		}
+		hay, err := a[1].text(s)
+		out.v.Ints[s] = charIndex(hay, needle, from)
+		return err
+	}), cmp: charindexMask}},
 	// DATALENGTH(x) — byte length of the value.
 	"datalength": {Eval: func(args []sqltypes.Value) (sqltypes.Value, error) {
 		if err := argCheck("DATALENGTH", args, 1); err != nil {
@@ -101,7 +119,27 @@ var builtins = map[string]Func{
 			return sqltypes.NewInt(int64(len(v.B))), nil
 		}
 		return sqltypes.Null, nil
-	}, vector: &kernel{eval: datalengthKernel}},
+	}, vector: &kernel{eval: perRow(1, 1, sqltypes.KindInt, func(a []arg, s int, out *result) error {
+		k, ok := a[0].kind()
+		if !ok { // a generic vector: this cell's kind
+			v, err := a[0].value(s)
+			if err != nil {
+				return err
+			}
+			k = v.K
+		}
+		if n, ok := dataLength(k); ok {
+			out.v.Ints[s] = n
+			return nil
+		}
+		if k != sqltypes.KindString && k != sqltypes.KindBytes {
+			out.null(s)
+			return nil
+		}
+		t, err := a[0].text(s)
+		out.v.Ints[s] = int64(len(t))
+		return err
+	})}},
 	"len": {Eval: func(args []sqltypes.Value) (sqltypes.Value, error) {
 		if err := argCheck("LEN", args, 1); err != nil {
 			return sqltypes.Null, err
@@ -110,7 +148,11 @@ var builtins = map[string]Func{
 			return sqltypes.Null, nil
 		}
 		return sqltypes.NewInt(int64(len(args[0].AsString()))), nil
-	}, vector: &kernel{eval: lenKernel}},
+	}, vector: &kernel{eval: perRow(1, 1, sqltypes.KindInt, func(a []arg, s int, out *result) error {
+		t, err := a[0].text(s)
+		out.v.Ints[s] = int64(len(t))
+		return err
+	})}},
 	"upper": textFunc("UPPER", func(dst []byte, s string) []byte { return appendCase(dst, s, true) }),
 	"lower": textFunc("LOWER", func(dst []byte, s string) []byte { return appendCase(dst, s, false) }),
 	// SUBSTRING(s, start, len) — 1-based start, T-SQL clamping.
@@ -134,7 +176,22 @@ var builtins = map[string]Func{
 			return sqltypes.Null, err
 		}
 		return sqltypes.NewString(s), nil
-	}, vector: &kernel{eval: substringKernel}},
+	}, vector: &kernel{eval: perRow(3, 3, sqltypes.KindString, func(a []arg, s int, out *result) error {
+		start, err := a[1].int(s)
+		if err != nil {
+			return err
+		}
+		length, err := a[2].int(s)
+		if err != nil {
+			return err
+		}
+		t, err := a[0].text(s)
+		if err == nil {
+			t, err = substring(t, start, length)
+		}
+		out.text(s, t)
+		return err
+	})}},
 	"abs": {Eval: func(args []sqltypes.Value) (sqltypes.Value, error) {
 		if err := argCheck("ABS", args, 1); err != nil {
 			return sqltypes.Null, err
@@ -152,7 +209,27 @@ var builtins = map[string]Func{
 			return sqltypes.NewFloat(math.Abs(v.F)), nil
 		}
 		return sqltypes.Null, fmt.Errorf("expr: ABS requires a number")
-	}, vector: &kernel{eval: absKernel}},
+	}, vector: &kernel{eval: func(args []arg, sel []int, out *result) (bool, error) {
+		// INT and FLOAT cells; any other kind is an error the boxed form reports.
+		if len(args) != 1 {
+			return false, nil
+		}
+		switch k, _ := args[0].kind(); k {
+		case sqltypes.KindInt:
+			return true, rows(args, sel, out, k, func(a []arg, s int, out *result) error {
+				n, err := a[0].int(s)
+				out.v.Ints[s] = max(n, -n)
+				return err
+			})
+		case sqltypes.KindFloat:
+			return true, rows(args, sel, out, k, func(a []arg, s int, out *result) error {
+				f, err := a[0].float(s)
+				out.v.Floats[s] = math.Abs(f)
+				return err
+			})
+		}
+		return false, nil
+	}}},
 	"round": {Eval: func(args []sqltypes.Value) (sqltypes.Value, error) {
 		if err := argCheck("ROUND", args, 2); err != nil {
 			return sqltypes.Null, err
@@ -169,7 +246,15 @@ var builtins = map[string]Func{
 			return sqltypes.Null, err
 		}
 		return sqltypes.NewFloat(roundTo(f, d)), nil
-	}, vector: &kernel{eval: roundKernel}},
+	}, vector: &kernel{eval: perRow(2, 2, sqltypes.KindFloat, func(a []arg, s int, out *result) error {
+		f, err := a[0].float(s)
+		if err != nil {
+			return err
+		}
+		d, err := a[1].int(s)
+		out.v.Floats[s] = roundTo(f, d)
+		return err
+	})}},
 	"reverse": textFunc("REVERSE", func(dst []byte, s string) []byte {
 		for i := len(s) - 1; i >= 0; i-- {
 			dst = append(dst, s[i])
@@ -183,7 +268,42 @@ var builtins = map[string]Func{
 			}
 		}
 		return sqltypes.Null, nil
-	}, vector: &kernel{eval: coalesceKernel}},
+	}, vector: &kernel{eval: func(args []arg, sel []int, out *result) (bool, error) {
+		// Arguments whose cells are of one kind, NULL constants aside.
+		kind := sqltypes.KindNull
+		for i := range args {
+			k, ok := args[i].kind()
+			if !ok || k != sqltypes.KindNull && kind != sqltypes.KindNull && k != kind {
+				return false, nil
+			}
+			kind = max(kind, k) // KindNull is the least kind
+		}
+		out.start(kind, 0)
+	next:
+		for _, s := range sel {
+			for i := range args {
+				if a := &args[i]; !a.null(s) {
+					var err error
+					switch kind {
+					case sqltypes.KindFloat:
+						out.v.Floats[s], err = a.float(s)
+					case sqltypes.KindInt, sqltypes.KindBool:
+						out.v.Ints[s], err = a.int(s)
+					default:
+						var t string
+						t, err = a.text(s)
+						out.text(s, t)
+					}
+					if err != nil {
+						return true, err
+					}
+					continue next
+				}
+			}
+			out.null(s)
+		}
+		return true, nil
+	}}},
 	"cast_int": {Eval: func(args []sqltypes.Value) (sqltypes.Value, error) {
 		if err := argCheck("CAST_INT", args, 1); err != nil {
 			return sqltypes.Null, err
@@ -196,7 +316,10 @@ var builtins = map[string]Func{
 			return sqltypes.Null, err
 		}
 		return sqltypes.NewInt(n), nil
-	}, vector: &kernel{eval: castIntKernel}},
+	}, vector: &kernel{eval: perRow(1, 1, sqltypes.KindInt, func(a []arg, s int, out *result) (err error) {
+		out.v.Ints[s], err = a[0].int(s)
+		return err
+	})}},
 	"cast_float": {Eval: func(args []sqltypes.Value) (sqltypes.Value, error) {
 		if err := argCheck("CAST_FLOAT", args, 1); err != nil {
 			return sqltypes.Null, err
@@ -209,7 +332,10 @@ var builtins = map[string]Func{
 			return sqltypes.Null, err
 		}
 		return sqltypes.NewFloat(f), nil
-	}, vector: &kernel{eval: castFloatKernel}},
+	}, vector: &kernel{eval: perRow(1, 1, sqltypes.KindFloat, func(a []arg, s int, out *result) (err error) {
+		out.v.Floats[s], err = a[0].float(s)
+		return err
+	})}},
 }
 
 // The rules the two forms share.
@@ -301,25 +427,11 @@ func textFunc(name string, f func(dst []byte, s string) []byte) Func {
 			return sqltypes.Null, nil
 		}
 		return sqltypes.NewString(string(f(nil, args[0].AsString()))), nil
-	}, vector: &kernel{eval: func(args []arg, sel []int, out *result) (bool, error) {
-		if len(args) != 1 {
-			return false, nil
-		}
-		a := &args[0]
-		out.start(sqltypes.KindString, a.textBytes())
-		for _, s := range sel {
-			if a.null(s) {
-				out.null(s)
-				continue
-			}
-			t, err := a.text(s)
-			if err != nil {
-				return true, err
-			}
-			out.begin(s)
-			out.v.Data = f(out.v.Data, t)
-			out.end(s)
-		}
-		return true, nil
-	}}}
+	}, vector: &kernel{eval: perRow(1, 1, sqltypes.KindString, func(a []arg, s int, out *result) error {
+		t, err := a[0].text(s)
+		out.begin(s)
+		out.v.Data = f(out.v.Data, t)
+		out.end(s)
+		return err
+	})}}
 }

@@ -3,7 +3,6 @@ package expr
 import (
 	"bytes"
 	"fmt"
-	"math"
 
 	"repro/internal/seq"
 	"repro/internal/sqltypes"
@@ -60,7 +59,7 @@ func (a *arg) kind() (sqltypes.Kind, bool) {
 	case a.v.Packed:
 		return sqltypes.KindString, true
 	}
-	return a.v.Kind, a.v.Kind != sqltypes.KindNull
+	return a.v.Kind, a.v.Kind != sqltypes.KindNull && a.v.Vals == nil
 }
 
 func (a *arg) null(s int) bool {
@@ -146,15 +145,8 @@ type result struct {
 	v     *vec.Vector
 	n     int
 	fresh bool
-	next  int // text: rows whose offsets are written
-
-	hdr    vec.Vector // a scratch result's vector
-	ints   []int64
-	floats []float64
-	offs   []int
-	data   []byte
-	vals   []sqltypes.Value
-	nulls  []uint64
+	next  int        // text: rows whose offsets are written
+	hdr   vec.Vector // a scratch result's vector
 }
 
 func fit[T any](s []T, n int) []T {
@@ -166,31 +158,30 @@ func fit[T any](s []T, n int) []T {
 
 // start begins a vector of the given kind; a text one reserves size bytes.
 func (r *result) start(kind sqltypes.Kind, size int) {
-	if r.fresh {
-		r.v = &vec.Vector{Kind: kind}
-	} else {
-		r.hdr = vec.Vector{Kind: kind}
-		r.v = &r.hdr
+	var old vec.Vector
+	if !r.fresh {
+		old = r.hdr
 	}
+	v := vec.Vector{Kind: kind, Nulls: old.Nulls[:0]}
 	switch kind {
 	case sqltypes.KindInt, sqltypes.KindBool:
-		r.ints = fit(r.ints, r.n)
-		r.v.Ints = r.ints
+		v.Ints = fit(old.Ints, r.n)
 	case sqltypes.KindFloat:
-		r.floats = fit(r.floats, r.n)
-		r.v.Floats = r.floats
+		v.Floats = fit(old.Floats, r.n)
 	case sqltypes.KindString, sqltypes.KindBytes:
-		r.offs = append(fit(r.offs, r.n+1)[:0], 0)
-		if cap(r.data) < size {
-			r.data = make([]byte, 0, size)
+		v.Offs, v.Data, r.next = append(fit(old.Offs, r.n+1)[:0], 0), old.Data[:0], 0
+		if cap(v.Data) < size {
+			v.Data = make([]byte, 0, size)
 		}
-		r.v.Offs, r.v.Data, r.next = r.offs, r.data[:0], 0
 	default:
-		r.vals = fit(r.vals, r.n)
-		r.v.Vals = r.vals
+		v.Vals = fit(old.Vals, r.n)
 	}
 	if r.fresh {
-		r.ints, r.floats, r.offs, r.data, r.vals, r.nulls = nil, nil, nil, nil, nil, nil
+		r.v = new(vec.Vector)
+		*r.v = v
+	} else {
+		r.hdr = v
+		r.v = &r.hdr
 	}
 }
 
@@ -198,12 +189,6 @@ func (r *result) start(kind sqltypes.Kind, size int) {
 func (r *result) finish() *vec.Vector {
 	if r.v.Offs != nil {
 		r.pad(r.n)
-		if !r.fresh {
-			r.offs, r.data = r.v.Offs, r.v.Data
-		}
-	}
-	if !r.fresh && r.v.Nulls != nil {
-		r.nulls = r.v.Nulls
 	}
 	return r.v
 }
@@ -237,7 +222,7 @@ func (r *result) null(s int) {
 		v.Vals[s] = sqltypes.Null
 	}
 	if v.Nulls == nil {
-		v.Nulls = fit(r.nulls, (r.n+63)/64)[:0]
+		v.Nulls = make([]uint64, 0, (r.n+63)/64)
 	}
 	v.SetNull(s)
 }
@@ -251,27 +236,22 @@ func (r *result) value(s int, val sqltypes.Value) {
 	r.v.Vals[s] = val
 }
 
-// put copies cell i of src, a flat or generic vector of r's kind, to row s.
-func (r *result) put(s int, src *vec.Vector, i int) {
+// put copies cell i of src to row s: a flat vector of r's kind, or any
+// vector when r is generic.
+func (r *result) put(s int, src *vec.Vector, i int) (err error) {
 	switch v := r.v; {
 	case isNullCell(src, i):
 		r.null(s)
+	case v.Vals != nil:
+		v.Vals[s], err = src.Value(i)
 	case v.Ints != nil:
 		v.Ints[s] = src.Ints[i]
 	case v.Floats != nil:
 		v.Floats[s] = src.Floats[i]
-	case v.Offs != nil:
-		r.text(s, src.Str(i))
 	default:
-		v.Vals[s] = src.Vals[i]
+		r.text(s, src.Str(i))
 	}
-}
-
-// sameClass reports whether put may copy src's cells into r.
-func (r *result) sameClass(src *vec.Vector) bool {
-	v := r.v
-	return (v.Ints != nil) == (src.Ints != nil) && (v.Floats != nil) == (src.Floats != nil) &&
-		(v.Offs != nil) == (src.Offs != nil) && (v.Vals != nil) == (src.Vals != nil)
+	return err
 }
 
 // callEval is a compiled call — or arithmetic operator, a call of two
@@ -335,9 +315,7 @@ func (c *callEval) eval(b *vec.Batch, sel []int) (*vec.Vector, error) {
 	}
 	c.out.n = b.Rows()
 	if c.at >= 0 && c.args[c.at].v.Codes != nil {
-		if done, err := c.perEntry(sel); done || err != nil {
-			return c.out.v, err
-		}
+		return c.out.v, c.perEntry(sel)
 	}
 	if err := c.run(c.args, sel, &c.out); err != nil {
 		return nil, err
@@ -377,10 +355,8 @@ func (c *callEval) adapt(args []arg, sel []int, out *result) error {
 
 // perEntry evaluates a call of one dictionary vector once per entry the
 // selection reaches and once for a NULL cell, and copies the results to
-// the rows. It reports false, having written nothing, when the NULL cell's
-// result is of another kind than the entries' (the rows then run as they
-// are).
-func (c *callEval) perEntry(sel []int) (bool, error) {
+// the rows.
+func (c *callEval) perEntry(sel []int) error {
 	a := &c.args[c.at]
 	v := a.v
 	nd := v.Dict.Len()
@@ -394,7 +370,7 @@ func (c *callEval) perEntry(sel []int) (bool, error) {
 		}
 		code := v.Codes[s]
 		if code < 0 || int(code) >= nd {
-			return true, errDictCode(code, nd)
+			return errDictCode(code, nd)
 		}
 		c.seen[code] = true
 	}
@@ -411,35 +387,74 @@ func (c *callEval) perEntry(sel []int) (bool, error) {
 	err := c.run(c.args, c.dsel, &c.entries)
 	a.v = v
 	if err != nil {
-		return true, err
+		return err
 	}
 	ent := c.entries.finish()
 	var null *vec.Vector
 	if hasNull {
 		c.nullRow.n = 1
 		if err := c.run(c.nullArgs, selZero, &c.nullRow); err != nil {
-			return true, err
+			return err
 		}
 		null = c.nullRow.finish()
 	}
-	out := &c.out
-	out.start(ent.Kind, len(ent.Data)*len(sel)/max(len(c.dsel), 1))
-	if null != nil && !isNullCell(null, 0) && !out.sameClass(null) {
-		return false, nil
+	kind := ent.Kind
+	if null != nil && !isNullCell(null, 0) && null.Kind != kind {
+		kind = sqltypes.KindNull // COALESCE(column, <literal of another kind>), say
 	}
+	out := &c.out
+	out.start(kind, len(ent.Data)*len(sel)/max(len(c.dsel), 1))
 	for _, s := range sel {
 		if v.IsNull(s) {
-			out.put(s, null, 0)
+			err = out.put(s, null, 0)
 		} else {
-			out.put(s, ent, int(v.Codes[s]))
+			err = out.put(s, ent, int(v.Codes[s]))
+		}
+		if err != nil {
+			return err
 		}
 	}
 	out.finish()
-	return true, nil
+	return nil
 }
 
-// The built-ins' kernels. Each reads its cells with arg's coercions, which
-// are Value's, so that it computes what the boxed form computes.
+// cellFunc writes a kernel's result at row s, where no argument is NULL.
+type cellFunc func(args []arg, s int, out *result) error
+
+// rows is most kernels' loop: NULL where an argument is NULL, f's cell
+// elsewhere. Cells are read with arg's coercions, which are Value's, so a
+// kernel computes what its boxed form computes.
+func rows(args []arg, sel []int, out *result, kind sqltypes.Kind, f cellFunc) error {
+	size := 0
+	for i := range args {
+		size += args[i].textBytes()
+	}
+	out.start(kind, size)
+next:
+	for _, s := range sel {
+		for i := range args {
+			if args[i].null(s) {
+				out.null(s)
+				continue next
+			}
+		}
+		if err := f(args, s, out); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// perRow is the kernel of a function of lo to hi arguments whose result
+// kind is fixed: rows of f.
+func perRow(lo, hi int, kind sqltypes.Kind, f cellFunc) func([]arg, []int, *result) (bool, error) {
+	return func(args []arg, sel []int, out *result) (bool, error) {
+		if len(args) < lo || len(args) > hi {
+			return false, nil
+		}
+		return true, rows(args, sel, out, kind, f)
+	}
+}
 
 // searchCell is CHARINDEX(needle, cell s, from) over a flat text vector:
 // a byte search, or over a packed sequence with needle 'N' a walk of the
@@ -457,43 +472,6 @@ func searchCell(v *vec.Vector, s int, needle string, from int64) (int64, error) 
 		return 0, fmt.Errorf("expr: bad packed sequence: %w", err)
 	}
 	return int64(p + 1), nil
-}
-
-func charindexKernel(args []arg, sel []int, out *result) (bool, error) {
-	if len(args) != 2 && len(args) != 3 {
-		return false, nil
-	}
-	out.start(sqltypes.KindInt, 0)
-	hay := &args[1]
-	flat := hay.v != nil && hay.v.Offs != nil
-	for _, s := range sel {
-		if args[0].null(s) || hay.null(s) || len(args) == 3 && args[2].null(s) {
-			out.null(s)
-			continue
-		}
-		from := int64(1)
-		if len(args) == 3 {
-			var err error
-			if from, err = args[2].int(s); err != nil {
-				return true, err
-			}
-		}
-		needle, err := args[0].text(s)
-		if err != nil {
-			return true, err
-		}
-		if flat {
-			out.v.Ints[s], err = searchCell(hay.v, s, needle, from)
-		} else {
-			var t string
-			t, err = hay.text(s)
-			out.v.Ints[s] = charIndex(t, needle, from)
-		}
-		if err != nil {
-			return true, err
-		}
-	}
-	return true, nil
 }
 
 // searchMask is CHARINDEX(<literal>, column) <op> <INT literal> fused:
@@ -552,315 +530,59 @@ func (m *searchMask) mask(b *vec.Batch, sel []int, out []uint8) error {
 	return nil
 }
 
-func lenKernel(args []arg, sel []int, out *result) (bool, error) {
-	if len(args) != 1 {
-		return false, nil
-	}
-	a := &args[0]
-	out.start(sqltypes.KindInt, 0)
-	flat := a.v != nil && a.v.Offs != nil && !a.v.Packed
-	for _, s := range sel {
-		if a.null(s) {
-			out.null(s)
-			continue
-		}
-		if flat {
-			out.v.Ints[s] = int64(a.v.Offs[s+1] - a.v.Offs[s])
-			continue
-		}
-		t, err := a.text(s)
-		if err != nil {
-			return true, err
-		}
-		out.v.Ints[s] = int64(len(t))
-	}
-	return true, nil
-}
-
-func datalengthKernel(args []arg, sel []int, out *result) (bool, error) {
-	if len(args) != 1 {
-		return false, nil
-	}
-	k, ok := args[0].kind()
-	if !ok {
-		return false, nil
-	}
-	if k == sqltypes.KindString || k == sqltypes.KindBytes {
-		return lenKernel(args, sel, out)
-	}
-	n, fixed := dataLength(k)
-	out.start(sqltypes.KindInt, 0)
-	for _, s := range sel {
-		if !fixed || args[0].null(s) {
-			out.null(s)
-			continue
-		}
-		out.v.Ints[s] = n
-	}
-	return true, nil
-}
-
-func substringKernel(args []arg, sel []int, out *result) (bool, error) {
-	if len(args) != 3 {
-		return false, nil
-	}
-	out.start(sqltypes.KindString, args[0].textBytes())
-	for _, s := range sel {
-		if args[0].null(s) || args[1].null(s) || args[2].null(s) {
-			out.null(s)
-			continue
-		}
-		start, err := args[1].int(s)
-		if err != nil {
-			return true, err
-		}
-		length, err := args[2].int(s)
-		if err != nil {
-			return true, err
-		}
-		t, err := args[0].text(s)
-		if err != nil {
-			return true, err
-		}
-		if t, err = substring(t, start, length); err != nil {
-			return true, err
-		}
-		out.text(s, t)
-	}
-	return true, nil
-}
-
-// absKernel covers INT and FLOAT arguments; any other kind is an error
-// the boxed form reports.
-func absKernel(args []arg, sel []int, out *result) (bool, error) {
-	if len(args) != 1 {
-		return false, nil
-	}
-	a := &args[0]
-	switch k, _ := a.kind(); k {
-	case sqltypes.KindInt:
-		out.start(sqltypes.KindInt, 0)
-		for _, s := range sel {
-			if a.null(s) {
-				out.null(s)
-				continue
-			}
-			n, err := a.int(s)
-			if err != nil {
-				return true, err
-			}
-			if n < 0 {
-				n = -n
-			}
-			out.v.Ints[s] = n
-		}
-		return true, nil
-	case sqltypes.KindFloat:
-		out.start(sqltypes.KindFloat, 0)
-		for _, s := range sel {
-			if a.null(s) {
-				out.null(s)
-				continue
-			}
-			f, err := a.float(s)
-			if err != nil {
-				return true, err
-			}
-			out.v.Floats[s] = math.Abs(f)
-		}
-		return true, nil
-	}
-	return false, nil
-}
-
-func roundKernel(args []arg, sel []int, out *result) (bool, error) {
-	if len(args) != 2 {
-		return false, nil
-	}
-	out.start(sqltypes.KindFloat, 0)
-	for _, s := range sel {
-		if args[0].null(s) || args[1].null(s) {
-			out.null(s)
-			continue
-		}
-		f, err := args[0].float(s)
-		if err != nil {
-			return true, err
-		}
-		d, err := args[1].int(s)
-		if err != nil {
-			return true, err
-		}
-		out.v.Floats[s] = roundTo(f, d)
-	}
-	return true, nil
-}
-
-func castIntKernel(args []arg, sel []int, out *result) (bool, error) {
-	if len(args) != 1 {
-		return false, nil
-	}
-	out.start(sqltypes.KindInt, 0)
-	for _, s := range sel {
-		if args[0].null(s) {
-			out.null(s)
-			continue
-		}
-		n, err := args[0].int(s)
-		if err != nil {
-			return true, err
-		}
-		out.v.Ints[s] = n
-	}
-	return true, nil
-}
-
-func castFloatKernel(args []arg, sel []int, out *result) (bool, error) {
-	if len(args) != 1 {
-		return false, nil
-	}
-	out.start(sqltypes.KindFloat, 0)
-	for _, s := range sel {
-		if args[0].null(s) {
-			out.null(s)
-			continue
-		}
-		f, err := args[0].float(s)
-		if err != nil {
-			return true, err
-		}
-		out.v.Floats[s] = f
-	}
-	return true, nil
-}
-
-// coalesceKernel covers arguments whose cells are of one kind (NULL
-// constants aside): the first non-NULL argument's cell, typed.
-func coalesceKernel(args []arg, sel []int, out *result) (bool, error) {
-	kind := sqltypes.KindNull
-	for i := range args {
-		k, ok := args[i].kind()
-		if !ok || k != sqltypes.KindNull && kind != sqltypes.KindNull && k != kind {
-			return false, nil
-		}
-		if k != sqltypes.KindNull {
-			kind = k
-		}
-	}
-	if kind == sqltypes.KindNull {
-		kind = sqltypes.KindInt // every argument a NULL constant
-	}
-	out.start(kind, 0)
-	for _, s := range sel {
-		a := (*arg)(nil)
-		for i := range args {
-			if !args[i].null(s) {
-				a = &args[i]
-				break
-			}
-		}
-		var err error
-		switch {
-		case a == nil:
-			out.null(s)
-		case kind == sqltypes.KindFloat:
-			out.v.Floats[s], err = a.float(s)
-		case out.v.Ints != nil:
-			out.v.Ints[s], err = a.int(s)
-		default:
-			var t string
-			t, err = a.text(s)
-			out.text(s, t)
-		}
-		if err != nil {
-			return true, err
-		}
-	}
-	return true, nil
-}
-
 // arithFunc is an arithmetic operator as a function of two arguments, in
-// both forms.
+// both forms. The kernel takes its result's kind from its operands' kinds,
+// as arith does from a pair of values'.
 func arithFunc(op BinOp) Func {
+	concat := func(a []arg, s int, out *result) error {
+		l, err := a[0].text(s)
+		if err != nil {
+			return err
+		}
+		r, err := a[1].text(s)
+		out.begin(s)
+		out.v.Data = append(append(out.v.Data, l...), r...)
+		out.end(s)
+		return err
+	}
+	floats := func(a []arg, s int, out *result) error {
+		l, err := a[0].float(s)
+		if err != nil {
+			return err
+		}
+		r, err := a[1].float(s)
+		if err != nil {
+			return err
+		}
+		out.v.Floats[s], err = floatArith(op, l, r)
+		return err
+	}
+	ints := func(a []arg, s int, out *result) error {
+		l, err := a[0].int(s)
+		if err != nil {
+			return err
+		}
+		r, err := a[1].int(s)
+		if err != nil {
+			return err
+		}
+		out.v.Ints[s], err = intArith(op, l, r)
+		return err
+	}
 	return Func{
 		Eval: func(args []sqltypes.Value) (sqltypes.Value, error) { return arith(op, args[0], args[1]) },
 		vector: &kernel{eval: func(args []arg, sel []int, out *result) (bool, error) {
-			return arithKernel(op, &args[0], &args[1], sel, out)
+			lk, lok := args[0].kind()
+			rk, rok := args[1].kind()
+			switch {
+			case !lok || !rok:
+				return false, nil
+			case op == OpAdd && (lk == sqltypes.KindString || rk == sqltypes.KindString):
+				return true, rows(args, sel, out, sqltypes.KindString, concat)
+			case lk == sqltypes.KindFloat || rk == sqltypes.KindFloat:
+				return true, rows(args, sel, out, sqltypes.KindFloat, floats)
+			}
+			return true, rows(args, sel, out, sqltypes.KindInt, ints) // a NULL constant's rows are all NULL
 		}},
 	}
-}
-
-// arithKernel computes l op r by the kinds of its operands' cells, as
-// arith does a pair of values.
-func arithKernel(op BinOp, l, r *arg, sel []int, out *result) (bool, error) {
-	lk, lok := l.kind()
-	rk, rok := r.kind()
-	if !lok || !rok {
-		return false, nil
-	}
-	switch {
-	case lk == sqltypes.KindNull || rk == sqltypes.KindNull:
-		out.start(sqltypes.KindInt, 0)
-		for _, s := range sel {
-			out.null(s)
-		}
-	case op == OpAdd && (lk == sqltypes.KindString || rk == sqltypes.KindString):
-		out.start(sqltypes.KindString, l.textBytes()+r.textBytes())
-		for _, s := range sel {
-			if l.null(s) || r.null(s) {
-				out.null(s)
-				continue
-			}
-			lt, err := l.text(s)
-			if err != nil {
-				return true, err
-			}
-			rt, err := r.text(s)
-			if err != nil {
-				return true, err
-			}
-			out.begin(s)
-			out.v.Data = append(append(out.v.Data, lt...), rt...)
-			out.end(s)
-		}
-	case lk == sqltypes.KindFloat || rk == sqltypes.KindFloat:
-		out.start(sqltypes.KindFloat, 0)
-		for _, s := range sel {
-			if l.null(s) || r.null(s) {
-				out.null(s)
-				continue
-			}
-			a, err := l.float(s)
-			if err != nil {
-				return true, err
-			}
-			b, err := r.float(s)
-			if err != nil {
-				return true, err
-			}
-			if out.v.Floats[s], err = floatArith(op, a, b); err != nil {
-				return true, err
-			}
-		}
-	default:
-		out.start(sqltypes.KindInt, 0)
-		for _, s := range sel {
-			if l.null(s) || r.null(s) {
-				out.null(s)
-				continue
-			}
-			a, err := l.int(s)
-			if err != nil {
-				return true, err
-			}
-			b, err := r.int(s)
-			if err != nil {
-				return true, err
-			}
-			if out.v.Ints[s], err = intArith(op, a, b); err != nil {
-				return true, err
-			}
-		}
-	}
-	return true, nil
 }

@@ -585,16 +585,7 @@ func (m *cmpVecMask) mask(b *vec.Batch, sel []int, out []uint8) error {
 	if err != nil {
 		return err
 	}
-	ints := l.Ints != nil && r.Ints != nil && l.Kind == sqltypes.KindInt && r.Kind == sqltypes.KindInt
 	for i, s := range sel {
-		if ints {
-			if l.IsNull(s) || r.IsNull(s) {
-				out[i] = kNull
-			} else {
-				out[i] = cmpVerdict(m.op, compareInt64(l.Ints[s], r.Ints[s]))
-			}
-			continue
-		}
 		lv, err := l.Value(s)
 		if err != nil {
 			return err
