@@ -429,7 +429,7 @@ func textFunc(name string, f func(dst []byte, s string) []byte) Func {
 		return sqltypes.NewString(string(f(nil, args[0].AsString()))), nil
 	}, vector: &kernel{eval: perRow(1, 1, sqltypes.KindString, func(a []arg, s int, out *result) error {
 		t, err := a[0].text(s)
-		out.begin(s)
+		out.pad(s)
 		out.v.Data = f(out.v.Data, t)
 		out.end(s)
 		return err

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/sqltypes"
+	"repro/internal/vec"
 )
 
 func i64(v int64) sqltypes.Value   { return sqltypes.NewInt(v) }
@@ -212,6 +213,47 @@ func TestBuiltins(t *testing.T) {
 	}
 	if v := callv("COALESCE", sqltypes.Null, str("x")); v.S != "x" {
 		t.Errorf("COALESCE = %v", v)
+	}
+}
+
+// TestCharIndexEmptyNeedle pins T-SQL's answer for an empty search text,
+// 0 (never found), in the boxed form and in the kernel, beside NULL and
+// three-argument cases.
+func TestCharIndexEmptyNeedle(t *testing.T) {
+	fn := builtins["charindex"]
+	cases := []struct {
+		args []sqltypes.Value
+		want sqltypes.Value
+	}{
+		{[]sqltypes.Value{str(""), str("abc")}, i64(0)},
+		{[]sqltypes.Value{str(""), str("")}, i64(0)},
+		{[]sqltypes.Value{str(""), str("abc"), i64(2)}, i64(0)},
+		{[]sqltypes.Value{str(""), sqltypes.Null}, sqltypes.Null},
+		{[]sqltypes.Value{sqltypes.Null, str("abc")}, sqltypes.Null},
+		{[]sqltypes.Value{str("b"), str("abcb"), sqltypes.Null}, sqltypes.Null},
+		{[]sqltypes.Value{str("b"), str("abcb"), i64(3)}, i64(4)},
+		{[]sqltypes.Value{str("b"), str("abcb"), i64(-5)}, i64(2)},
+		{[]sqltypes.Value{str("b"), str("abcb"), i64(9)}, i64(0)},
+	}
+	for _, c := range cases {
+		got, err := fn.Eval(c.args)
+		if err != nil || !sameValue(got, c.want) {
+			t.Errorf("CHARINDEX%v = %v, %v; want %v", c.args, got, err, c.want)
+		}
+		// The kernel, with the haystack as a column of one cell.
+		args := []Expr{lit(c.args[0]), col(0)}
+		if len(c.args) == 3 {
+			args = append(args, lit(c.args[2]))
+		}
+		hay := vec.NewVector(sqltypes.KindString, 1)
+		hay.Append(c.args[1])
+		cols, err := CompileProjection([]Expr{&Call{Name: "CHARINDEX", Fn: fn, Args: args}}).Eval(vec.NewBatch([]*vec.Vector{hay}, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := cols[0].Value(0); err != nil || !sameValue(got, c.want) {
+			t.Errorf("compiled CHARINDEX%v = %v, %v; want %v", c.args, got, err, c.want)
+		}
 	}
 }
 

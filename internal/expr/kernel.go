@@ -200,15 +200,14 @@ func (r *result) pad(s int) {
 	}
 }
 
-// begin and end bracket text cell s, whose bytes go to the end of Data.
-func (r *result) begin(s int) { r.pad(s) }
+// end closes text cell s, whose bytes went to the end of Data after pad(s).
 func (r *result) end(s int) {
 	r.v.Offs = append(r.v.Offs, len(r.v.Data))
 	r.next = s + 1
 }
 
 func (r *result) text(s int, t string) {
-	r.begin(s)
+	r.pad(s)
 	r.v.Data = append(r.v.Data, t...)
 	r.end(s)
 }
@@ -540,7 +539,7 @@ func arithFunc(op BinOp) Func {
 			return err
 		}
 		r, err := a[1].text(s)
-		out.begin(s)
+		out.pad(s)
 		out.v.Data = append(append(out.v.Data, l...), r...)
 		out.end(s)
 		return err

@@ -9,47 +9,6 @@ import (
 	"repro/internal/vec"
 )
 
-// TestCharIndexEmptyNeedle pins T-SQL's answer for an empty search text,
-// 0 (never found), in the boxed form and in the kernel, beside NULL and
-// three-argument cases.
-func TestCharIndexEmptyNeedle(t *testing.T) {
-	fn := builtins["charindex"]
-	cases := []struct {
-		args []sqltypes.Value
-		want sqltypes.Value
-	}{
-		{[]sqltypes.Value{str(""), str("abc")}, i64(0)},
-		{[]sqltypes.Value{str(""), str("")}, i64(0)},
-		{[]sqltypes.Value{str(""), str("abc"), i64(2)}, i64(0)},
-		{[]sqltypes.Value{str(""), sqltypes.Null}, sqltypes.Null},
-		{[]sqltypes.Value{sqltypes.Null, str("abc")}, sqltypes.Null},
-		{[]sqltypes.Value{str("b"), str("abcb"), sqltypes.Null}, sqltypes.Null},
-		{[]sqltypes.Value{str("b"), str("abcb"), i64(3)}, i64(4)},
-		{[]sqltypes.Value{str("b"), str("abcb"), i64(-5)}, i64(2)},
-		{[]sqltypes.Value{str("b"), str("abcb"), i64(9)}, i64(0)},
-	}
-	for _, c := range cases {
-		got, err := fn.Eval(c.args)
-		if err != nil || !sameValue(got, c.want) {
-			t.Errorf("CHARINDEX%v = %v, %v; want %v", c.args, got, err, c.want)
-		}
-		// The kernel, with the haystack as a column of one cell.
-		args := []Expr{lit(c.args[0]), col(0)}
-		if len(c.args) == 3 {
-			args = append(args, lit(c.args[2]))
-		}
-		hay := vec.NewVector(sqltypes.KindString, 1)
-		hay.Append(c.args[1])
-		cols, err := CompileProjection([]Expr{&Call{Name: "CHARINDEX", Fn: fn, Args: args}}).Eval(vec.NewBatch([]*vec.Vector{hay}, 1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, err := cols[0].Value(0); err != nil || !sameValue(got, c.want) {
-			t.Errorf("compiled CHARINDEX%v = %v, %v; want %v", c.args, got, err, c.want)
-		}
-	}
-}
-
 // readsColumn is Query 1's short_read_seq over n reads of 36 bases, one
 // in 20 with an 'N', laid out flat, as a dictionary of n/4 distinct reads,
 // or as packed SEQUENCE cells (flat or dictionary).
