@@ -11,7 +11,8 @@
 // T-SQL stored procedure orders of magnitude slower than the compiled
 // ("CLR") chunked scan. Operators run the compiled forms instead
 // (CompileFilter, CompileProjection: typed vector kernels); Eval stays as
-// their reference, for constants and for the script ablation.
+// their reference, for constants, for an external sort's row keys and for
+// the script ablation.
 package expr
 
 import (
