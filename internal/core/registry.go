@@ -13,7 +13,7 @@ import (
 // RegisterScalar installs a scalar user-defined function — the engine's
 // counterpart of a CLR scalar UDF (paper Section 2.3.2) — in its boxed
 // form. A name that is a built-in's loses the built-in, kernel and all:
-// statements call fn, compiled through the boxed adapter.
+// statements call fn through the boxed adapter, once per row.
 func (db *Database) RegisterScalar(name string, fn expr.ScalarFunc) {
 	db.scalars.Register(name, fn)
 }

@@ -3,6 +3,7 @@ package expr
 import (
 	"bytes"
 	"fmt"
+	"unsafe"
 
 	"repro/internal/seq"
 	"repro/internal/sqltypes"
@@ -147,6 +148,7 @@ type result struct {
 	fresh bool
 	next  int        // text: rows whose offsets are written
 	hdr   vec.Vector // a scratch result's vector
+	own   []byte     // a fresh generic result's text and bytes (keep)
 }
 
 func fit[T any](s []T, n int) []T {
@@ -179,6 +181,7 @@ func (r *result) start(kind sqltypes.Kind, size int) {
 	if r.fresh {
 		r.v = new(vec.Vector)
 		*r.v = v
+		r.own = r.own[len(r.own):] // past every byte a kept value refers to
 	} else {
 		r.hdr = v
 		r.v = &r.hdr
@@ -232,7 +235,27 @@ func (r *result) value(s int, val sqltypes.Value) {
 		r.null(s)
 		return
 	}
-	r.v.Vals[s] = val
+	r.v.Vals[s] = r.keep(val)
+}
+
+// keep is val as a generic result may hold it. A boxed text or bytes value
+// may alias a scratch vector — a nested call's result, whose bytes the
+// next batch rewrites — so a fresh result, which its consumer keeps,
+// holds a copy in bytes of its own.
+func (r *result) keep(val sqltypes.Value) sqltypes.Value {
+	if !r.fresh {
+		return val
+	}
+	n := len(r.own)
+	switch val.K {
+	case sqltypes.KindString:
+		r.own = append(r.own, val.S...)
+		val.S = unsafe.String(unsafe.SliceData(r.own[n:]), len(val.S))
+	case sqltypes.KindBytes:
+		r.own = append(r.own, val.B...)
+		val.B = r.own[n:len(r.own):len(r.own)]
+	}
+	return val
 }
 
 // put copies cell i of src to row s: a flat vector of r's kind, or any
@@ -261,9 +284,12 @@ type callEval struct {
 	out   result
 	boxed []sqltypes.Value // the adapter's argument slice
 
-	// A call of one non-constant argument, args[at], runs once per entry
-	// of a dictionary vector the selection reaches (entries), and once for
-	// a NULL cell (nullRow, over nullArgs: args with args[at] NULL).
+	// A call with a kernel and one non-constant argument, args[at], runs
+	// once per entry of a dictionary vector the selection reaches
+	// (entries), and once for a NULL cell (nullRow, over nullArgs: args
+	// with args[at] NULL). A function with a kernel is a built-in, a
+	// function of its arguments alone; one registered boxed, a user's, may
+	// not be deterministic and is called once per row.
 	at       int
 	nullArgs []arg
 	dict     vec.Vector // header over the dictionary's entries
@@ -288,7 +314,7 @@ func newCallEval(fn Func, args []Expr, fresh bool) *callEval {
 		c.at = i
 		vars++
 	}
-	if vars != 1 {
+	if vars != 1 || fn.vector == nil {
 		c.at = -1
 	} else {
 		c.nullArgs = append([]arg(nil), c.args...)
@@ -314,7 +340,7 @@ func (c *callEval) eval(b *vec.Batch, sel []int) (*vec.Vector, error) {
 	}
 	c.out.n = b.Rows()
 	if c.at >= 0 && c.args[c.at].v.Codes != nil {
-		return c.out.v, c.perEntry(sel)
+		return c.perEntry(sel)
 	}
 	if err := c.run(c.args, sel, &c.out); err != nil {
 		return nil, err
@@ -355,7 +381,7 @@ func (c *callEval) adapt(args []arg, sel []int, out *result) error {
 // perEntry evaluates a call of one dictionary vector once per entry the
 // selection reaches and once for a NULL cell, and copies the results to
 // the rows.
-func (c *callEval) perEntry(sel []int) error {
+func (c *callEval) perEntry(sel []int) (*vec.Vector, error) {
 	a := &c.args[c.at]
 	v := a.v
 	nd := v.Dict.Len()
@@ -369,7 +395,7 @@ func (c *callEval) perEntry(sel []int) error {
 		}
 		code := v.Codes[s]
 		if code < 0 || int(code) >= nd {
-			return errDictCode(code, nd)
+			return nil, errDictCode(code, nd)
 		}
 		c.seen[code] = true
 	}
@@ -386,14 +412,14 @@ func (c *callEval) perEntry(sel []int) error {
 	err := c.run(c.args, c.dsel, &c.entries)
 	a.v = v
 	if err != nil {
-		return err
+		return nil, err
 	}
 	ent := c.entries.finish()
 	var null *vec.Vector
 	if hasNull {
 		c.nullRow.n = 1
 		if err := c.run(c.nullArgs, selZero, &c.nullRow); err != nil {
-			return err
+			return nil, err
 		}
 		null = c.nullRow.finish()
 	}
@@ -410,11 +436,10 @@ func (c *callEval) perEntry(sel []int) error {
 			err = out.put(s, ent, int(v.Codes[s]))
 		}
 		if err != nil {
-			return err
+			return nil, err
 		}
 	}
-	out.finish()
-	return nil
+	return out.finish(), nil
 }
 
 // cellFunc writes a kernel's result at row s, where no argument is NULL.
@@ -475,8 +500,8 @@ func searchCell(v *vec.Vector, s int, needle string, from int64) (int64, error) 
 
 // searchMask is CHARINDEX(<literal>, column) <op> <INT literal> fused:
 // over flat text cells a byte search per cell compared where it is found,
-// with no INT vector in between. Other column forms take the compiled
-// call under cmpMask.
+// with no INT vector in between. Other column forms (dictionary, packed)
+// take the compiled call under cmpMask.
 type searchMask struct {
 	col     int
 	needle  string
@@ -503,7 +528,7 @@ func (m *searchMask) mask(b *vec.Batch, sel []int, out []uint8) error {
 	if err := v.Materialize(); err != nil {
 		return err
 	}
-	if v.Offs == nil || v.Packed && m.needle != "N" {
+	if v.Offs == nil || v.Packed {
 		return m.general.mask(b, sel, out)
 	}
 	data, offs := v.Data, v.Offs
@@ -513,15 +538,9 @@ func (m *searchMask) mask(b *vec.Batch, sel []int, out []uint8) error {
 			continue
 		}
 		var pos int64
-		switch {
-		case v.Packed:
-			var err error
-			if pos, err = searchCell(v, s, m.needle, 1); err != nil {
-				return err
-			}
-		case len(m.needle) == 1: // Query 1's 'N': memchr over the cell
+		if len(m.needle) == 1 { // Query 1's 'N': memchr over the cell
 			pos = int64(bytes.IndexByte(data[offs[s]:offs[s+1]], m.needle[0]) + 1)
-		default:
+		} else {
 			pos = charIndex(v.Str(s), m.needle, 1)
 		}
 		out[i] = cmpVerdict(m.op, compareInt64(pos, m.lit))

@@ -2,6 +2,7 @@ package expr
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/seq"
@@ -132,5 +133,78 @@ func BenchmarkCharIndexFilter(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+func textColumn(cells ...string) *vec.Vector {
+	v := vec.NewVector(sqltypes.KindString, len(cells))
+	for _, c := range cells {
+		v.Append(str(c))
+	}
+	return v
+}
+
+// TestProjectionOutputsKeepTheirBytes: a projection's vectors are its
+// consumer's to keep, so a boxed result that aliases a nested call's
+// scratch bytes — COALESCE returning UPPER's cell, a user's function
+// returning its argument — is copied, and a later batch leaves the kept
+// vector as it was.
+func TestProjectionOutputsKeepTheirBytes(t *testing.T) {
+	same := Func{Eval: func(args []sqltypes.Value) (sqltypes.Value, error) { return args[0], nil }}
+	for _, e := range []Expr{
+		&Call{Name: "COALESCE", Fn: builtins["coalesce"], Args: []Expr{
+			&Call{Name: "UPPER", Fn: builtins["upper"], Args: []Expr{col(0)}}, lit(i64(0))}},
+		&Call{Name: "same", Fn: same, Args: []Expr{
+			&Call{Name: "LOWER", Fn: builtins["lower"], Args: []Expr{col(0)}}}},
+	} {
+		p := CompileProjection([]Expr{e})
+		first, err := p.Eval(vec.NewBatch([]*vec.Vector{textColumn("acgt", "ttaa", "gg")}, 3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([]string, 3)
+		for s := range want {
+			v, err := first[0].Value(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[s] = strings.Clone(v.AsString())
+		}
+		if _, err := p.Eval(vec.NewBatch([]*vec.Vector{textColumn("NNNN", "CCCC", "AA")}, 3)); err != nil {
+			t.Fatal(err)
+		}
+		for s, w := range want {
+			if v, _ := first[0].Value(s); v.AsString() != w {
+				t.Errorf("%s: the first batch's row %d reads %q after the second batch, want %q", e, s, v.AsString(), w)
+			}
+		}
+	}
+}
+
+// TestBoxedFunctionRunsPerRow: a function registered boxed may not be
+// deterministic, so over a dictionary column it is called once per row,
+// in a projection and under a filter.
+func TestBoxedFunctionRunsPerRow(t *testing.T) {
+	calls := 0
+	count := Func{Eval: func(args []sqltypes.Value) (sqltypes.Value, error) {
+		calls++
+		return sqltypes.NewInt(int64(calls)), nil
+	}}
+	dict := &vec.Vector{Kind: sqltypes.KindString, Codes: []int32{0, 1, 0, 1, 0, 1}, Dict: textColumn("A", "C")}
+	call := &Call{Name: "count", Fn: count, Args: []Expr{col(0)}}
+	b := vec.NewBatch([]*vec.Vector{dict}, 6)
+	out, err := CompileProjection([]Expr{call}).Eval(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := out[0].Value(5); calls != 6 || v.I != 6 {
+		t.Errorf("projection: %d calls, the last row reads %v; want 6 calls, 6", calls, v)
+	}
+	calls = 0
+	if err := CompileFilter(&Cmp{Op: CmpGt, L: call, R: lit(i64(0))}).Apply(b); err != nil {
+		t.Fatal(err)
+	}
+	if calls != 6 {
+		t.Errorf("filter: %d calls, want 6", calls)
 	}
 }
