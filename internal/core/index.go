@@ -11,7 +11,6 @@ import (
 	"repro/internal/btree"
 	"repro/internal/catalog"
 	"repro/internal/exec"
-	"repro/internal/expr"
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/sqlparse"
@@ -134,7 +133,7 @@ type ddlPayload struct {
 
 // indexEntryOrder sorts single-column rows of entry keys: sqltypes.Compare
 // on BYTES is bytes.Compare, the btree's order.
-var indexEntryOrder = []exec.SortKey{{Expr: &expr.Col{Idx: 0}}}
+var indexEntryOrder = []exec.SortKey{{Col: 0}}
 
 // indexSorts returns the sorts of the entries of heap rows [lo, hi), one
 // per partition of the sealed pages from the page holding row lo; the last

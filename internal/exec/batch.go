@@ -40,8 +40,8 @@ import (
 // the call (a table-valued function, and a clustered scan gathering leaves
 // into one batch, fill only the marked columns).
 //
-// Rows. An operator may work a row at a time inside — read its child
-// through a RowCursor, keep rows, emit them through a rowPacker — but rows
+// Rows. An operator may work a row at a time inside — read the rows it
+// keeps off its child's batches, emit them through a rowPacker — but rows
 // never cross an operator boundary.
 type Operator interface {
 	Open(ctx *Context) error
@@ -107,14 +107,11 @@ func (p *rowPacker) next(next func() (sqltypes.Row, bool, error)) (*vec.Batch, e
 
 // RowCursor is the one batches-to-rows adapter: it reads the batches of an
 // opened operator a row at a time. Run and Drain use it at the result
-// boundary, the row-internal operators to read their children, and the
-// side scans of a table-valued function's lookup or the engine's
-// ScanTableNoLock. The returned row is reused by the next call.
+// boundary, as do the side scans of a table-valued function's lookup and
+// the engine's ScanTableNoLock. The returned row is reused by the next
+// call.
 type RowCursor struct {
 	Op Operator
-	// needed marks the columns to materialize (nil = all); the others come
-	// back NULL without being decoded.
-	needed []bool
 
 	b   *vec.Batch
 	pos int
@@ -132,7 +129,7 @@ func (c *RowCursor) Next() (sqltypes.Row, bool, error) {
 	}
 	s := c.b.Sel[c.pos]
 	c.pos++
-	row, err := c.b.ReadRowCols(s, c.row, c.needed)
+	row, err := c.b.ReadRow(s, c.row)
 	if err != nil {
 		return nil, false, err
 	}
@@ -474,18 +471,17 @@ func (g *Gather) Close() error {
 }
 
 // TopN keeps the first N rows under the sort order; a fused Sort+Limit
-// that never holds more than 2N rows. Sort keys are evaluated as vectors
-// (dictionary columns resolve each distinct key once), and once N rows are
-// buffered, rows whose key is >= the current Nth key are rejected before
-// being materialized — stable top-N keeps the earliest row among equals, so
-// a later row with an equal key can never displace a kept one.
+// that never holds more than 2N rows. Once N rows are buffered, a row
+// whose key cells are >= the current Nth row's is rejected before the rest
+// of it is boxed — stable top-N keeps the earliest row among equals, so a
+// later row with an equal key can never displace a kept one.
 type TopN struct {
 	N     int64
 	Keys  []SortKey
 	Child Operator
 
 	kept runSorter
-	pos  int
+	rest SliceIterator // the kept rows, once Open trimmed them, still to emit
 	out  rowPacker
 }
 
@@ -494,20 +490,19 @@ type TopN struct {
 // to materialize (and a Sort or Gather child would otherwise do its full
 // work during Open).
 func (t *TopN) Open(ctx *Context) error {
-	t.kept, t.pos = runSorter{}, 0
+	t.kept, t.rest = runSorter{}, SliceIterator{}
 	t.out.reset()
 	if t.N <= 0 {
 		return nil
 	}
 	// Room for the 2N rows kept between trims, up to a batch's worth.
 	n := int(min(2*t.N, vec.DefaultBatchSize))
-	t.kept = runSorter{rows: make([]sqltypes.Row, 0, n), keys: make([]sqltypes.Row, 0, n), seqs: make([]int32, 0, n), by: t.Keys}
+	t.kept = runSorter{rows: make([]sqltypes.Row, 0, n), seqs: make([]int32, 0, n), by: t.Keys}
 	if err := t.Child.Open(ctx); err != nil {
 		return err
 	}
 	defer t.Child.Close()
-	keyProj := expr.CompileProjection(sortKeyExprs(t.Keys))
-	keyScratch := make(sqltypes.Row, len(t.Keys))
+	read := withKeyColumns(t.out.needed, t.Keys) // a kept row keeps its keys for the trims
 	var bound sqltypes.Row
 	for {
 		b, err := t.Child.NextBatch()
@@ -517,34 +512,45 @@ func (t *TopN) Open(ctx *Context) error {
 		if b == nil {
 			break
 		}
-		kcols, err := keyProj.Eval(b)
-		if err != nil {
-			return err
-		}
 		for _, s := range b.Sel {
-			for i, kc := range kcols {
-				kv, err := kc.Value(s)
+			if bound != nil {
+				c, err := compareKeyCells(b, s, bound, t.Keys)
 				if err != nil {
 					return err
 				}
-				keyScratch[i] = kv
+				if c >= 0 {
+					continue
+				}
 			}
-			if bound != nil && compareKeyRows(keyScratch, bound, t.Keys) >= 0 {
-				continue
-			}
-			row, err := b.ReadRowCols(s, nil, t.out.needed)
+			row, err := b.ReadRowCols(s, nil, read)
 			if err != nil {
 				return err
 			}
-			t.kept.add(row, keyScratch.Clone())
+			t.kept.add(row)
 			if int64(len(t.kept.rows)) >= 2*t.N {
 				t.trim()
-				bound = t.kept.keys[len(t.kept.keys)-1]
+				bound = t.kept.rows[len(t.kept.rows)-1]
 			}
 		}
 	}
 	t.trim()
+	t.rest = SliceIterator{Rows: t.kept.rows}
 	return nil
+}
+
+// compareKeyCells orders physical row s of b against row at the key
+// columns, boxing only s's key cells.
+func compareKeyCells(b *vec.Batch, s int, row sqltypes.Row, by []SortKey) (int, error) {
+	for _, k := range by {
+		v, err := b.Cols[k.Col].Value(s)
+		if err != nil {
+			return 0, err
+		}
+		if c := k.order(v, row[k.Col]); c != 0 {
+			return c, nil
+		}
+	}
+	return 0, nil
 }
 
 // trim sorts the kept rows and keeps the first N.
@@ -555,27 +561,18 @@ func (t *TopN) trim() {
 	}
 }
 
-// next emits the next kept row.
-func (t *TopN) next() (sqltypes.Row, bool, error) {
-	if t.pos >= len(t.kept.rows) {
-		return nil, false, nil
-	}
-	t.pos++
-	return t.kept.rows[t.pos-1], true, nil
-}
-
 // NextBatch packs the kept rows.
-func (t *TopN) NextBatch() (*vec.Batch, error) { return t.out.next(t.next) }
+func (t *TopN) NextBatch() (*vec.Batch, error) { return t.out.next(t.rest.Next) }
 
-// PruneColumns keeps only the marked columns of a row; the keys are read
-// off the child's vectors.
+// PruneColumns emits only the marked columns, and asks the child for them
+// and the keys'.
 func (t *TopN) PruneColumns(needed []bool) {
 	t.out.needed = needed
-	t.Child.PruneColumns(withExprColumns(needed, sortKeyExprs(t.Keys)...))
+	t.Child.PruneColumns(withKeyColumns(needed, t.Keys))
 }
 
 // Close releases buffers.
 func (t *TopN) Close() error {
-	t.kept = runSorter{}
+	t.kept, t.rest = runSorter{}, SliceIterator{}
 	return nil
 }

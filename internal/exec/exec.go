@@ -1,23 +1,25 @@
 // Package exec implements the physical query operators of the engine. There
 // is one operator interface and it exchanges batches: Open, a stream of
 // NextBatch calls, Close (batch.go states the contract). Rows exist only at
-// the two edges of a plan, each with one adapter:
+// the two edges of a plan, each with one adapter, and inside the operators
+// that still keep rows:
 //
-//   - rows in: Source packs a RowIterator — a spill file, a VALUES list —
+//   - rows in: Source packs a RowIterator — a spilled partition read back —
 //     into batches (rowPacker). No scan is one: a base-table leaf (Scan)
 //     reads batches off heap pages, clustered leaves or the pages an index
-//     points into, and a table-valued function is a TableFunc that fills
+//     points into, a table-valued function is a TableFunc that fills
 //     typed vectors itself — the leaf of a FROM-clause call is the same
-//     Scan, and CROSS APPLY (Apply) expands an outer batch at a time. The
+//     Scan, and CROSS APPLY (Apply) expands an outer batch at a time — and
+//     a SELECT without FROM is a Scan of one batch of one row. The
 //     operators whose insides still work a row at a time (Sort,
-//     MergeSorted, TopN, the aggregates' group output) emit through the
+//     MergeSorted, TopN, the aggregates' group output) read the rows they
+//     keep straight off their children's batches and emit through the
 //     same packer.
 //   - rows out: RowCursor reads an operator's batches a row at a time. Run
-//     and Drain use it at the result boundary, the row-internal operators to
-//     read their children. The engine's own pipelines are plans of these
-//     operators too: ANALYZE is a global aggregate whose state is a
-//     statistics collector, an index build is partition Sorts under one
-//     MergeSorted, and neither has a row loop of its own.
+//     and Drain use it at the result boundary. The engine's own pipelines
+//     are plans of these operators too: ANALYZE is a global aggregate whose
+//     state is a statistics collector, an index build is partition Sorts
+//     under one MergeSorted, and neither has a row loop of its own.
 //
 // Everything between the edges — scans off pages and leaves, table-valued
 // functions, Filter, Project, Limit, the Gather exchange, the lateral
@@ -57,9 +59,9 @@ type Context struct {
 	Snapshot any
 }
 
-// RowIterator is a row stream: what a spill file or a VALUES list hands to
-// a Source. A returned row may be reused by the
-// next call; an iterator need not survive a Next after its last row.
+// RowIterator is a row stream: what a spill file hands to a Source, and
+// the sorted streams a loser tree merges. A returned row may be reused by
+// the next call; an iterator need not survive a Next after its last row.
 type RowIterator interface {
 	Next() (sqltypes.Row, bool, error)
 	Close() error
@@ -73,8 +75,9 @@ type BatchIterator interface {
 	Close() error
 }
 
-// Source is the rows-in edge: it packs the rows of a RowIterator into
-// batches. The factory runs at Open time, so sources are re-openable.
+// Source is the rows-in edge: it packs the rows of a RowIterator — a
+// spilled partition read back — into batches. The factory runs at Open
+// time, so sources are re-openable.
 type Source struct {
 	Factory func(ctx *Context) (RowIterator, error)
 
@@ -145,7 +148,8 @@ func (s *Scan) Close() error {
 	return err
 }
 
-// SliceIterator serves rows from memory: VALUES lists and tests.
+// SliceIterator serves rows from memory: a Sort's sorted buffer, TopN's
+// kept rows.
 type SliceIterator struct {
 	Rows []sqltypes.Row
 	pos  int
@@ -163,11 +167,6 @@ func (s *SliceIterator) Next() (sqltypes.Row, bool, error) {
 
 // Close is a no-op.
 func (s *SliceIterator) Close() error { return nil }
-
-// NewValues returns an operator yielding the given rows.
-func NewValues(rows []sqltypes.Row) *Source {
-	return &Source{Factory: func(*Context) (RowIterator, error) { return &SliceIterator{Rows: rows}, nil }}
-}
 
 // Drain pulls every row from an operator (already opened). The rows are the
 // caller's: each is read into a slice of its own, and its cells point into

@@ -26,6 +26,11 @@ func rowsOf(vals ...[]sqltypes.Value) []sqltypes.Row {
 	return out
 }
 
+// NewValues returns an operator yielding the given rows.
+func NewValues(rows []sqltypes.Row) *Source {
+	return &Source{Factory: func(*Context) (RowIterator, error) { return &SliceIterator{Rows: rows}, nil }}
+}
+
 func run(t *testing.T, op Operator) []sqltypes.Row {
 	t.Helper()
 	rows, err := Run(&Context{DOP: 2}, op)
@@ -275,14 +280,14 @@ func TestSortAscDescAndNulls(t *testing.T) {
 		[]sqltypes.Value{i64(1), str("a")},
 		[]sqltypes.Value{i64(2), str("b")},
 	))
-	rows := run(t, &Sort{Keys: []SortKey{{Expr: col(0)}}, Child: src})
+	rows := run(t, &Sort{Keys: []SortKey{{Col: 0}}, Child: src})
 	if !rows[0][0].IsNull() || rows[1][0].I != 1 || rows[3][0].I != 3 {
 		t.Errorf("asc sort = %v", rows)
 	}
 	src2 := NewValues(rowsOf(
 		[]sqltypes.Value{i64(1)}, []sqltypes.Value{i64(3)}, []sqltypes.Value{i64(2)},
 	))
-	rows2 := run(t, &Sort{Keys: []SortKey{{Expr: col(0), Desc: true}}, Child: src2})
+	rows2 := run(t, &Sort{Keys: []SortKey{{Col: 0, Desc: true}}, Child: src2})
 	if rows2[0][0].I != 3 || rows2[2][0].I != 1 {
 		t.Errorf("desc sort = %v", rows2)
 	}
@@ -296,7 +301,7 @@ func TestSortStableMultiKey(t *testing.T) {
 		[]sqltypes.Value{str("b"), i64(0)},
 	))
 	rows := run(t, &Sort{
-		Keys:  []SortKey{{Expr: col(0)}, {Expr: col(1), Desc: true}},
+		Keys:  []SortKey{{Col: 0}, {Col: 1, Desc: true}},
 		Child: src,
 	})
 	want := rowsOf(
@@ -316,7 +321,7 @@ func TestRowNumber(t *testing.T) {
 		[]sqltypes.Value{str("high"), i64(9)},
 		[]sqltypes.Value{str("mid"), i64(5)},
 	))
-	rows := run(t, &RowNumber{Child: &Sort{Keys: []SortKey{{Expr: col(1), Desc: true}}, Child: src}})
+	rows := run(t, &RowNumber{Child: &Sort{Keys: []SortKey{{Col: 1, Desc: true}}, Child: src}})
 	if len(rows) != 3 {
 		t.Fatalf("%d rows", len(rows))
 	}
@@ -333,7 +338,7 @@ func TestTopN(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		vals = append(vals, sqltypes.Row{i64(int64((i * 37) % 100))})
 	}
-	rows := run(t, &TopN{N: 5, Keys: []SortKey{{Expr: col(0)}}, Child: NewValues(vals)})
+	rows := run(t, &TopN{N: 5, Keys: []SortKey{{Col: 0}}, Child: NewValues(vals)})
 	if len(rows) != 5 {
 		t.Fatalf("%d rows", len(rows))
 	}
@@ -355,7 +360,7 @@ func TestTopNEqualsSortThenLimit(t *testing.T) {
 	for i := range input {
 		input[i] = sqltypes.Row{i64(int64(rng.Intn(12))), i64(int64(i))}
 	}
-	for _, keys := range [][]SortKey{{{Expr: col(0)}}, {{Expr: col(0), Desc: true}}} {
+	for _, keys := range [][]SortKey{{{Col: 0}}, {{Col: 0, Desc: true}}} {
 		sorted := run(t, &Sort{Keys: keys, Child: NewValues(input)})
 		for _, n := range []int{0, 1, 7, 1500, len(input), len(input) + 9} {
 			want := sorted[:min(n, len(input))]

@@ -55,7 +55,7 @@ func runStats(t *testing.T, op Operator, stats *obs.Counters) []sqltypes.Row {
 func TestExternalSortSpillEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	input := randomSortInput(rng, 5000, 40)
-	keys := []SortKey{{Expr: col(0)}, {Expr: col(1), Desc: true}}
+	keys := []SortKey{{Col: 0}, {Col: 1, Desc: true}}
 
 	inMem := runStats(t, &Sort{Keys: keys, Child: NewValues(input)}, new(obs.Counters))
 
@@ -89,7 +89,7 @@ func TestExternalSortSpillEquivalence(t *testing.T) {
 func TestMergeSortedParallelEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	input := randomSortInput(rng, 3000, 25)
-	keys := []SortKey{{Expr: col(0)}}
+	keys := []SortKey{{Col: 0}}
 	want := runStats(t, &Sort{Keys: keys, Child: NewValues(input)}, new(obs.Counters))
 
 	for _, budget := range []int64{0, 8 << 10} {
@@ -117,7 +117,7 @@ func TestMergeSortedParallelEquivalence(t *testing.T) {
 // TestExternalSortEmptyAndSingleRun covers the edge shapes: empty input,
 // and an input that spills everything leaving an empty in-memory tail.
 func TestExternalSortEmptyAndSingleRun(t *testing.T) {
-	keys := []SortKey{{Expr: col(0)}}
+	keys := []SortKey{{Col: 0}}
 	rows := runStats(t, &Sort{Keys: keys, Child: NewValues(nil)}, new(obs.Counters))
 	if len(rows) != 0 {
 		t.Fatalf("empty input sorted to %d rows", len(rows))
@@ -149,7 +149,7 @@ func TestExternalSortEmptyAndSingleRun(t *testing.T) {
 // must fail cleanly rather than buffer unboundedly.
 func TestSortBudgetWithoutStore(t *testing.T) {
 	input := randomSortInput(rand.New(rand.NewSource(3)), 500, 10)
-	s := &Sort{Keys: []SortKey{{Expr: col(0)}}, Child: NewValues(input), MemoryBudget: 128}
+	s := &Sort{Keys: []SortKey{{Col: 0}}, Child: NewValues(input), MemoryBudget: 128}
 	if err := s.Open(&Context{DOP: 1}); err == nil {
 		s.Close()
 		t.Fatal("expected budget-without-store error")
@@ -163,7 +163,7 @@ func TestSortBudgetWithoutStore(t *testing.T) {
 func TestRowNumberSpillEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	input := randomSortInput(rng, 2000, 30)
-	keys := []SortKey{{Expr: col(0), Desc: true}}
+	keys := []SortKey{{Col: 0, Desc: true}}
 
 	inMem := runStats(t, &RowNumber{Child: &Sort{Keys: keys, Child: NewValues(input)}}, new(obs.Counters))
 	stats := new(obs.Counters)
@@ -202,7 +202,7 @@ func (f *failOnOpen) Close() error        { return nil }
 // TestTopNZeroShortCircuits: TOP 0 can produce no rows, so it must not
 // open (let alone drain) its child.
 func TestTopNZeroShortCircuits(t *testing.T) {
-	op := &TopN{N: 0, Keys: []SortKey{{Expr: col(0)}}, Child: &failOnOpen{}}
+	op := &TopN{N: 0, Keys: []SortKey{{Col: 0}}, Child: &failOnOpen{}}
 	rows, err := Run(&Context{DOP: 1}, op)
 	if err != nil {
 		t.Fatal(err)
@@ -219,7 +219,7 @@ func TestTopNStillTrims(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		input = append(input, sqltypes.Row{i64(int64(1000 - i))})
 	}
-	op := &TopN{N: 5, Keys: []SortKey{{Expr: col(0)}}, Child: NewValues(input)}
+	op := &TopN{N: 5, Keys: []SortKey{{Col: 0}}, Child: NewValues(input)}
 	if err := op.Open(&Context{DOP: 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestTopNStillTrims(t *testing.T) {
 	if len(op.kept.rows) != 5 {
 		t.Fatalf("kept %d rows, want 5", len(op.kept.rows))
 	}
-	row, ok, err := op.next()
+	row, ok, err := op.rest.Next()
 	if err != nil || !ok || row[0].I != 1 {
 		t.Fatalf("first = %v ok=%v err=%v", row, ok, err)
 	}
@@ -255,7 +255,7 @@ func TestSortOpenErrorReleasesRuns(t *testing.T) {
 	dir := t.TempDir()
 	store := storageSpillStore{storage.NewSpillManager(dir, nil)}
 	s := &Sort{
-		Keys:  []SortKey{{Expr: col(0)}},
+		Keys:  []SortKey{{Col: 0}},
 		Child: &Source{Factory: func(*Context) (RowIterator, error) { return &failAfter{n: 500}, nil }},
 		// ~1 KB budget: plenty of runs spill before the failure.
 		MemoryBudget: 1 << 10,

@@ -312,7 +312,7 @@ func someRows(n int) []sqltypes.Row {
 func TestOperatorsCloseChildrenOnError(t *testing.T) {
 	boom := fmt.Errorf("boom")
 	keys := []expr.Expr{col(0)}
-	order := []SortKey{{Expr: col(0)}}
+	order := []SortKey{{Col: 0}}
 	count := []AggSpec{{Name: "COUNT", Factory: BuiltinAggregate("count")}}
 	cases := []struct {
 		name  string

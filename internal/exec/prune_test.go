@@ -68,7 +68,7 @@ func TestJoinsForwardColumnPruning(t *testing.T) {
 func TestOperatorsForwardColumnPruning(t *testing.T) {
 	needed := []bool{false, true, false, false}
 	same, plusOwn := needed, []bool{false, true, true, false}
-	order := []SortKey{{Expr: col(2)}}
+	order := []SortKey{{Col: 2}}
 	for name, c := range map[string]struct {
 		build func(child Operator) Operator
 		want  []bool

@@ -1,9 +1,10 @@
 package exec
 
 import (
+	"slices"
 	"sort"
 
-	"repro/internal/expr"
+	"repro/internal/obs"
 	"repro/internal/sqltypes"
 	"repro/internal/vec"
 )
@@ -12,67 +13,77 @@ import (
 // per-partition sorts under a MergeSorted exchange and CREATE INDEX's
 // partition sorts are Sorts, ROW_NUMBER is a counter over one, and TopN
 // keeps its N rows with the same kernel (runSorter). extsort.go holds the
-// external sort behind Sort and the loser tree behind MergeSorted.
+// external sort behind Sort and the loser tree behind MergeSorted. Every
+// key is a column of the input rows — the planner computes a key that is
+// an expression into a column below the sort — so the family compares
+// cells and evaluates nothing.
 
-// SortKey is one ORDER BY term.
+// SortKey is one ORDER BY term: a column of the input rows.
 type SortKey struct {
-	Expr expr.Expr
+	Col  int
 	Desc bool
 }
 
-// sortKeyExprs lists the key expressions of the sort terms.
-func sortKeyExprs(keys []SortKey) []expr.Expr {
-	exprs := make([]expr.Expr, len(keys))
-	for i, k := range keys {
-		exprs[i] = k.Expr
+// order compares two cells of the key's column: negative when a sorts
+// before b.
+func (k SortKey) order(a, b sqltypes.Value) int {
+	c := sqltypes.Compare(a, b)
+	if k.Desc {
+		return -c
 	}
-	return exprs
+	return c
 }
 
-// compareKeyRows orders two precomputed key rows under the sort terms:
-// negative when a sorts before b.
+// compareKeyRows orders two rows at the key columns: negative when a
+// sorts before b.
 func compareKeyRows(a, b sqltypes.Row, by []SortKey) int {
-	for i := range by {
-		c := sqltypes.Compare(a[i], b[i])
-		if c == 0 {
-			continue
+	for _, k := range by {
+		if c := k.order(a[k.Col], b[k.Col]); c != 0 {
+			return c
 		}
-		if by[i].Desc {
-			return -c
-		}
-		return c
 	}
 	return 0
 }
 
-// runSorter is the sort kernel: rows with their precomputed keys, ordered
-// by pdqsort (sort.Sort) with each row's sequence — its position when
-// added — as the tie-break, which is the order of a stable sort at a
-// fraction of sort.Stable's element moves. Sort's run buffer and TopN's
-// kept rows are each one.
+// withKeyColumns returns needed with the key columns marked as well; nil
+// (all columns) stays nil.
+func withKeyColumns(needed []bool, keys []SortKey) []bool {
+	if needed == nil {
+		return nil
+	}
+	mark := slices.Clone(needed)
+	for _, k := range keys {
+		mark[k.Col] = true
+	}
+	return mark
+}
+
+// runSorter is the sort kernel: rows ordered at their key columns by
+// pdqsort (sort.Sort) with each row's sequence — its position when added —
+// as the tie-break, which is the order of a stable sort at a fraction of
+// sort.Stable's element moves. Sort's run buffer and TopN's kept rows are
+// each one.
 type runSorter struct {
-	rows, keys []sqltypes.Row
-	seqs       []int32
-	by         []SortKey
+	rows []sqltypes.Row
+	seqs []int32
+	by   []SortKey
 }
 
 func (s *runSorter) Len() int { return len(s.rows) }
 func (s *runSorter) Swap(i, j int) {
 	s.rows[i], s.rows[j] = s.rows[j], s.rows[i]
-	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
 	s.seqs[i], s.seqs[j] = s.seqs[j], s.seqs[i]
 }
 func (s *runSorter) Less(i, j int) bool {
-	if c := compareKeyRows(s.keys[i], s.keys[j], s.by); c != 0 {
+	if c := compareKeyRows(s.rows[i], s.rows[j], s.by); c != 0 {
 		return c < 0
 	}
 	return s.seqs[i] < s.seqs[j]
 }
 
-// add appends a row and its key.
-func (s *runSorter) add(row, key sqltypes.Row) {
+// add appends a row.
+func (s *runSorter) add(row sqltypes.Row) {
 	s.rows = append(s.rows, row)
-	s.keys = append(s.keys, key)
 	s.seqs = append(s.seqs, int32(len(s.seqs)))
 }
 
@@ -88,17 +99,16 @@ func (s *runSorter) sort() {
 // truncate keeps the first n rows: the rest are let go, the capacity kept.
 func (s *runSorter) truncate(n int) {
 	clear(s.rows[n:])
-	clear(s.keys[n:])
-	s.rows, s.keys, s.seqs = s.rows[:n], s.keys[:n], s.seqs[:n]
+	s.rows, s.seqs = s.rows[:n], s.seqs[:n]
 }
 
-// Sort emits its input ordered by the keys. It is an external merge sort:
-// rows buffer up to MemoryBudget, overflowing spans spill as sorted runs
-// through Spill, and the output streams either the buffer or a loser-tree
-// merge of the runs and the buffer. Equal keys stay in input order even
-// when runs spill (merge ties break by run index). It works a row at a time
-// inside: the child is read through a RowCursor and the sorted rows leave
-// through a rowPacker.
+// Sort emits its input ordered by the keys. It is an external merge sort
+// (extsort.go): rows buffer up to MemoryBudget, overflowing spans spill as
+// sorted runs through Spill, and the output streams either the buffer or a
+// loser-tree merge of the runs and the buffer. Equal keys stay in input
+// order even when runs spill (merge ties break by run index). It works a
+// row at a time inside: each selected row of the child's batches is read
+// into a row of its own, and the sorted rows leave through a rowPacker.
 type Sort struct {
 	Keys  []SortKey
 	Child Operator
@@ -109,8 +119,13 @@ type Sort struct {
 	// exceeded.
 	Spill SpillStore
 
-	sorter *extSorter
-	src    keyedSource // the sorted rows, with their keys (MergeSorted merges on them)
+	sink   obs.Sink
+	buf    runSorter // the rows added since the last spilled run
+	n      int       // rows added
+	bytes  int64     // the buffered rows' size
+	runs   SpillFile // every spilled run, sealed back to back; nil until the first
+	spans  []RunSpan
+	src    RowIterator // the sorted rows, once Open sorted them (MergeSorted merges them)
 	needed []bool      // child columns the consumer or the keys read; nil = all
 	out    rowPacker
 }
@@ -120,54 +135,64 @@ type Sort struct {
 // the error paths release any spilled runs here.
 func (s *Sort) Open(ctx *Context) error {
 	s.out.reset()
+	s.sink, s.buf, s.n, s.bytes, s.spans = ctx.Sink, runSorter{by: s.Keys}, 0, 0, nil
 	if err := s.Child.Open(ctx); err != nil {
 		return err
 	}
 	defer s.Child.Close()
-	es := newExtSorter(s.Keys, s.MemoryBudget, s.Spill, ctx.Sink)
-	in := RowCursor{Op: s.Child, needed: s.needed}
+	err := s.drain()
+	if err == nil {
+		s.src, err = s.finish()
+	}
+	if err != nil {
+		s.Close()
+		return err
+	}
+	s.out.last = min(s.n, vec.DefaultBatchSize) // the first batch's size
+	return nil
+}
+
+// drain adds every selected row of the child's batches.
+func (s *Sort) drain() error {
 	for {
-		row, ok, err := in.Next()
-		switch {
-		case err == nil && ok:
-			err = es.add(row)
-		case err == nil:
-			s.src, err = es.finish()
-		}
-		if err != nil {
-			es.release()
+		b, err := s.Child.NextBatch()
+		if err != nil || b == nil {
 			return err
 		}
-		if !ok {
-			s.sorter = es
-			s.out.last = min(es.n, vec.DefaultBatchSize) // the first batch's size
-			return nil
+		for _, r := range b.Sel {
+			row, err := b.ReadRowCols(r, nil, s.needed)
+			if err != nil {
+				return err
+			}
+			if err := s.add(row); err != nil {
+				return err
+			}
 		}
 	}
 }
 
 // NextBatch packs the next sorted rows.
-func (s *Sort) NextBatch() (*vec.Batch, error) { return s.out.next(s.next) }
-
-func (s *Sort) next() (sqltypes.Row, bool, error) {
-	row, _, ok, err := s.src.nextKeyed()
-	return row, ok, err
-}
+func (s *Sort) NextBatch() (*vec.Batch, error) { return s.out.next(s.src.Next) }
 
 // PruneColumns reads, keeps and emits only the marked columns and the keys'.
 func (s *Sort) PruneColumns(needed []bool) {
-	s.needed = withExprColumns(needed, sortKeyExprs(s.Keys)...)
+	s.needed = withKeyColumns(needed, s.Keys)
 	s.out.needed = needed
 	s.Child.PruneColumns(s.needed)
 }
 
-// Close releases the buffered rows and any spilled runs.
+// Close writes a merge's row count and releases the buffered rows and any
+// spilled runs.
 func (s *Sort) Close() error {
-	s.src = nil
-	if s.sorter != nil {
-		s.sorter.release()
-		s.sorter = nil
+	if s.src != nil {
+		s.src.Close()
+		s.src = nil
 	}
+	if s.runs != nil {
+		s.runs.Release()
+		s.runs = nil
+	}
+	s.buf = runSorter{}
 	return nil
 }
 

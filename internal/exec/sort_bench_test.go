@@ -16,18 +16,15 @@ func BenchmarkSortRows(b *testing.B) {
 	const n = 4096
 	rng := rand.New(rand.NewSource(1))
 	baseRows := make([]sqltypes.Row, n)
-	baseKeys := make([]sqltypes.Row, n)
 	for i := range baseRows {
 		baseRows[i] = sqltypes.Row{i64(int64(rng.Intn(512))), str(fmt.Sprintf("p-%05d", i))}
-		baseKeys[i] = sqltypes.Row{baseRows[i][0]}
 	}
-	by := []SortKey{{Expr: col(0)}}
-	s := runSorter{rows: make([]sqltypes.Row, n), keys: make([]sqltypes.Row, n), seqs: make([]int32, n), by: by}
+	by := []SortKey{{Col: 0}}
+	s := runSorter{rows: make([]sqltypes.Row, n), seqs: make([]int32, n), by: by}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		copy(s.rows, baseRows)
-		copy(s.keys, baseKeys)
 		for j := range s.seqs {
 			s.seqs[j] = int32(j)
 		}
@@ -35,8 +32,9 @@ func BenchmarkSortRows(b *testing.B) {
 	}
 }
 
-// BenchmarkTopNTrim exercises the full TopN path (clone, key eval, lazy
-// trims) whose per-trim allocations the reusable sorter removes.
+// BenchmarkTopNTrim exercises the full TopN path (key cells against the
+// bound, kept rows, lazy trims) whose per-trim allocations the reusable
+// sorter removes.
 func BenchmarkTopNTrim(b *testing.B) {
 	const n = 20000
 	rng := rand.New(rand.NewSource(2))
@@ -47,7 +45,7 @@ func BenchmarkTopNTrim(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		op := &TopN{N: 10, Keys: []SortKey{{Expr: col(0)}}, Child: NewValues(input)}
+		op := &TopN{N: 10, Keys: []SortKey{{Col: 0}}, Child: NewValues(input)}
 		rows, err := Run(&Context{DOP: 1}, op)
 		if err != nil {
 			b.Fatal(err)
@@ -76,7 +74,7 @@ func BenchmarkExternalSort(b *testing.B) {
 		}
 		return ops
 	}
-	keys := []SortKey{{Expr: col(0)}}
+	keys := []SortKey{{Col: 0}}
 	for _, cfg := range []struct {
 		name   string
 		dop    int

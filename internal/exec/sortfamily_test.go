@@ -17,6 +17,10 @@ type sortCase struct {
 	name string
 	keys []SortKey
 	ref  func(sqltypes.Row) sqltypes.Row // the key values, NULLs included
+	// computed, when set, is the key a Project appends to the input under
+	// the sort, as the planner computes a key that is not a column; the
+	// sorted rows carry it, as ref's one value.
+	computed expr.Expr
 }
 
 // refSorted is the reference every operator that orders rows is held to:
@@ -61,19 +65,26 @@ func TestSortFamilyMatchesOracle(t *testing.T) {
 		input[i] = sqltypes.Row{k1, k2, str(fmt.Sprintf("payload-%d", rng.Intn(100))), i64(int64(i))}
 	}
 	forms := []colForm{formFlat, formDict, formGeneric, formFlat}
-	src := func(rows []sqltypes.Row) Operator { return batchSources(t, batchesOf(t, rows, forms, 64), 1)[0] }
+	var c sortCase // the case the shapes below build
+	src := func(rows []sqltypes.Row) Operator {
+		op := batchSources(t, batchesOf(t, rows, forms, 64), 1)[0]
+		if c.computed != nil {
+			op = &Project{Exprs: []expr.Expr{col(0), col(1), col(2), col(3), c.computed}, Child: op, InputWidth: 4}
+		}
+		return op
+	}
 	cases := []sortCase{
-		{"k1", []SortKey{{Expr: col(0)}}, func(r sqltypes.Row) sqltypes.Row { return sqltypes.Row{r[0]} }},
-		{"k1-desc", []SortKey{{Expr: col(0), Desc: true}}, func(r sqltypes.Row) sqltypes.Row { return sqltypes.Row{r[0]} }},
-		{"k2,k1-desc", []SortKey{{Expr: col(1)}, {Expr: col(0), Desc: true}},
-			func(r sqltypes.Row) sqltypes.Row { return sqltypes.Row{r[1], r[0]} }},
-		{"k1%4", []SortKey{{Expr: &expr.Arith{Op: expr.OpMod, L: col(0), R: lit(i64(4))}}},
+		{"k1", []SortKey{{Col: 0}}, func(r sqltypes.Row) sqltypes.Row { return sqltypes.Row{r[0]} }, nil},
+		{"k1-desc", []SortKey{{Col: 0, Desc: true}}, func(r sqltypes.Row) sqltypes.Row { return sqltypes.Row{r[0]} }, nil},
+		{"k2,k1-desc", []SortKey{{Col: 1}, {Col: 0, Desc: true}},
+			func(r sqltypes.Row) sqltypes.Row { return sqltypes.Row{r[1], r[0]} }, nil},
+		{"k1%4", []SortKey{{Col: 4}},
 			func(r sqltypes.Row) sqltypes.Row {
 				if r[0].IsNull() {
 					return sqltypes.Row{sqltypes.Null}
 				}
 				return sqltypes.Row{i64(r[0].I % 4)}
-			}},
+			}, &expr.Arith{Op: expr.OpMod, L: col(0), R: lit(i64(4))}},
 	}
 	store := newTestSpillStore(t)
 	sortOf := func(keys []SortKey, child Operator, budget int64) *Sort {
@@ -127,8 +138,13 @@ func TestSortFamilyMatchesOracle(t *testing.T) {
 			}, first})
 	}
 	for _, rows := range [][]sqltypes.Row{nil, input[:1], input} {
-		for _, c := range cases {
+		for _, c = range cases {
 			sorted := refSorted(c, rows)
+			if c.computed != nil {
+				for i, r := range sorted {
+					sorted[i] = append(slices.Clone(r), c.ref(r)...)
+				}
+			}
 			for _, budget := range []int64{1, 4 << 10, 0} {
 				for _, s := range shapes {
 					got, err := Run(&Context{DOP: 2}, s.build(c.keys, rows, budget))
@@ -157,7 +173,7 @@ func TestSortFamilyMatchesOracle(t *testing.T) {
 	}
 	batches := batchesOf(t, tied, forms, 1024)
 	allocs := testing.AllocsPerRun(5, func() {
-		rows, err := Run(&Context{DOP: 1}, &TopN{N: 1, Keys: []SortKey{{Expr: col(0)}}, Child: batchSources(t, batches, 1)[0]})
+		rows, err := Run(&Context{DOP: 1}, &TopN{N: 1, Keys: []SortKey{{Col: 0}}, Child: batchSources(t, batches, 1)[0]})
 		if err != nil || len(rows) != 1 || rows[0][3].I != 0 {
 			t.Fatalf("TOP 1 over ties = %v, %v", rows, err)
 		}

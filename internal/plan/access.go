@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"repro/internal/catalog"
-	"repro/internal/exec"
 	"repro/internal/expr"
 	"repro/internal/sqlparse"
 	"repro/internal/sqltypes"
@@ -259,17 +258,17 @@ func boundStr(v *sqltypes.Value) string {
 }
 
 // sortKeysCoveredBy reports whether rel's physical ordering satisfies the
-// sort keys (ascending prefix match by output column identity), letting
+// sort terms (ascending prefix match by output column identity), letting
 // ORDER BY and ROW_NUMBER consume index- or clustered-order directly.
-func sortKeysCoveredBy(rel *relation, keys []exec.SortKey) bool {
-	if len(keys) == 0 || len(rel.ordered) < len(keys) {
+func sortKeysCoveredBy(rel *relation, terms []sortTerm) bool {
+	if len(terms) == 0 || len(rel.ordered) < len(terms) {
 		return false
 	}
-	for i, k := range keys {
-		if k.Desc {
+	for i, t := range terms {
+		if t.desc {
 			return false
 		}
-		col, ok := k.Expr.(*expr.Col)
+		col, ok := t.expr.(*expr.Col)
 		if !ok || col.Idx < 0 || col.Idx >= len(rel.cols) {
 			return false
 		}

@@ -571,10 +571,24 @@ func (pl *Planner) mergeJoinRelation(left, right *relation,
 func liveChains(ops []exec.Operator) []exec.Operator {
 	ops = slices.DeleteFunc(ops, func(op exec.Operator) bool { return op == nil })
 	if len(ops) == 0 {
-		ops = append(ops, exec.NewValues(nil))
+		ops = append(ops, &exec.Scan{Factory: func(*exec.Context, []bool) (exec.BatchIterator, error) {
+			return &oneBatch{}, nil
+		}})
 	}
 	return ops
 }
+
+// oneBatch yields its batch, if any, then the end: the one row of a SELECT
+// without FROM, or nothing for a chain a seek bound emptied.
+type oneBatch struct{ b *vec.Batch }
+
+func (o *oneBatch) NextBatch() (*vec.Batch, error) {
+	b := o.b
+	o.b = nil
+	return b, nil
+}
+
+func (o *oneBatch) Close() error { return nil }
 
 // joinOutputEstimate estimates an equi-join's output cardinality from
 // the post-filter input estimates and the join keys' NDVs (containment

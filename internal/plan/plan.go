@@ -138,19 +138,18 @@ func (n *Node) explain(sb *strings.Builder, depth int) {
 }
 
 // rowInternal names the nodes whose operator still works a row at a time
-// inside — the sort family — or packs the rows of VALUES.
+// inside: the sort family.
 var rowInternal = map[string]bool{
 	"Sort":                                true,
 	"Parallelism (Merge Gather, ordered)": true,
 	"Top N Sort":                          true,
 	"Top N Sort (per-partition)":          true,
-	"Constant Scan":                       true,
 }
 
 // vectorized is the one rule behind EXPLAIN's "vectorized" annotation: a
 // node carries it when the operator it shows computes on typed vectors —
-// base-table leaves and table-valued functions (always exec.Scan),
-// filters, projections, TOP, exchanges, the cross apply, the hash and
+// base-table leaves, table-valued functions and the constant row of a
+// SELECT without FROM (always exec.Scan), filters, projections, TOP, exchanges, the cross apply, the hash and
 // merge joins, the aggregates. Every operator exchanges batches, so what the
 // annotation leaves unmarked is the work still to be done inside operators
 // (ROADMAP item 2), not a second engine.

@@ -128,7 +128,7 @@ func (p *fakeProvider) ScanPartitionsPruned(t *catalog.Table, parts int, filters
 	var ops []exec.Operator
 	for i := 0; i < parts; i++ {
 		lo, hi := len(rows)*i/parts, len(rows)*(i+1)/parts
-		ops = append(ops, exec.NewValues(rows[lo:hi]))
+		ops = append(ops, values(rows[lo:hi]))
 	}
 	return ops, nil
 }
@@ -169,7 +169,7 @@ func (p *fakeProvider) IndexScan(t *catalog.Table, name string, lo, hi *sqltypes
 	sort.SliceStable(out, func(i, j int) bool {
 		return sqltypes.Compare(out[i][col], out[j][col]) < 0
 	})
-	return exec.NewValues(out), nil
+	return values(out), nil
 }
 
 func (p *fakeProvider) OrderedScanRange(t *catalog.Table, lo, hi *sqltypes.Value) (exec.Operator, error) {
@@ -183,7 +183,7 @@ func (p *fakeProvider) OrderedScanRange(t *catalog.Table, lo, hi *sqltypes.Value
 		}
 		out = append(out, r)
 	}
-	return exec.NewValues(out), nil
+	return values(out), nil
 }
 func (p *fakeProvider) KeyRanges(t *catalog.Table, parts int) ([][2]*sqltypes.Value, error) {
 	mid := sqltypes.NewInt(5)
@@ -201,6 +201,11 @@ func (p *fakeProvider) RowCountEstimate(t *catalog.Table) int64 {
 
 func (p *fakeProvider) Stats(t *catalog.Table) *stats.TableStats {
 	return p.tstats[strings.ToLower(t.Name)]
+}
+
+// values is a re-openable leaf over the given rows.
+func values(rows []sqltypes.Row) exec.Operator {
+	return &exec.Source{Factory: func(*exec.Context) (exec.RowIterator, error) { return &exec.SliceIterator{Rows: rows}, nil }}
 }
 
 // memSpillStore is an in-memory exec.SpillStore for planner tests.
@@ -473,8 +478,9 @@ func TestPlanPartitionedJoin(t *testing.T) {
 // TestExplainVectorizedAnnotation: one rule, by the operator a node shows.
 // Nodes that compute on typed vectors carry "vectorized" — filter, compute
 // scalar, TOP, the exchanges, the hash and merge joins, the aggregates,
-// every base-table leaf (an index scan too), a table-valued function and the
-// cross apply; the row-internal ones do not — the sort family.
+// every base-table leaf (an index scan too), a table-valued function, the
+// constant row of SELECT 1 and the cross apply; the row-internal ones do
+// not — the sort family.
 func TestExplainVectorizedAnnotation(t *testing.T) {
 	p := newFakeProvider()
 	p.rowCounts["t"] = 100_000
@@ -488,7 +494,7 @@ func TestExplainVectorizedAnnotation(t *testing.T) {
 		"Hash Match (Final Aggregate, merge partials)": true, "Hash Match (Partial Aggregate, spillable)": true,
 		"Sort": false, "Parallelism (Merge Gather, ordered)": false, "Sequence Project (ROW_NUMBER)": true,
 		"Top N Sort": false, "Top N Sort (per-partition)": false, "Merge Join (Inner Join)": true,
-		"Index Scan": true, "Constant Scan": false, "Table Scan": true, "Clustered Index Scan": true,
+		"Index Scan": true, "Constant Scan": true, "Table Scan": true, "Clustered Index Scan": true,
 		"Table-valued Function": true, "Nested Loops (Cross Apply)": true,
 	}
 	seen := map[string]bool{}

@@ -10,6 +10,7 @@ import (
 	"repro/internal/sqlparse"
 	"repro/internal/sqltypes"
 	"repro/internal/stats"
+	"repro/internal/vec"
 )
 
 // relation is an intermediate planning result: a materialized node plus
@@ -73,15 +74,16 @@ func (pl *Planner) PlanSelect(sel *sqlparse.Select) (*Node, error) {
 		if sel.Where != nil {
 			return nil, fmt.Errorf("plan: WHERE without FROM")
 		}
-		rel = &relation{
-			node: &Node{
-				Op: "Constant Scan",
-				Build: func() (exec.Operator, error) {
-					return exec.NewValues([]sqltypes.Row{{}}), nil
-				},
+		// One batch of one row and no columns: SELECT 1 computes its
+		// constants over it.
+		rel = &relation{node: &Node{
+			Op: "Constant Scan",
+			Build: func() (exec.Operator, error) {
+				return &exec.Scan{Factory: func(*exec.Context, []bool) (exec.BatchIterator, error) {
+					return &oneBatch{vec.NewBatch(nil, 1)}, nil
+				}}, nil
 			},
-		}
-		rel.node.Cols = nil
+		}}
 	}
 	// Residual WHERE that could not be pushed into any single side.
 	if len(remaining) > 0 {
@@ -145,20 +147,16 @@ func (pl *Planner) PlanSelect(sel *sqlparse.Select) (*Node, error) {
 			return nil, fmt.Errorf("plan: unsupported window function %s", windowCall.Name)
 		}
 		b := pl.postBinder(rel, grouped, subst)
-		var keys []exec.SortKey
+		var terms []sortTerm
 		for _, o := range windowCall.Over.OrderBy {
 			e, err := b.bind(o.Expr)
 			if err != nil {
 				return nil, err
 			}
-			keys = append(keys, exec.SortKey{Expr: e, Desc: o.Desc})
+			terms = append(terms, sortTerm{e, o.Desc})
 		}
-		appendAt := len(rel.cols)
-		if grouped {
-			appendAt = groupedWidth(subst)
-		}
-		rel = pl.windowRelation(rel, keys)
-		subst[exprKey(windowCall)] = appendAt
+		subst[exprKey(windowCall)] = len(rel.cols) // the sort emits the relation's columns; the number follows
+		rel = pl.windowRelation(rel, terms)
 	}
 
 	// Projection.
@@ -188,7 +186,7 @@ func (pl *Planner) PlanSelect(sel *sqlparse.Select) (*Node, error) {
 	}
 
 	// ORDER BY: bind pre-projection (aliases fall back to select items).
-	var sortKeys []exec.SortKey
+	var terms []sortTerm
 	for _, o := range sel.OrderBy {
 		e, err := b.bind(o.Expr)
 		if err != nil {
@@ -202,20 +200,20 @@ func (pl *Planner) PlanSelect(sel *sqlparse.Select) (*Node, error) {
 					}
 				}
 				if found {
-					sortKeys = append(sortKeys, exec.SortKey{Expr: e, Desc: o.Desc})
+					terms = append(terms, sortTerm{e, o.Desc})
 					continue
 				}
 			}
 			return nil, err
 		}
-		sortKeys = append(sortKeys, exec.SortKey{Expr: e, Desc: o.Desc})
+		terms = append(terms, sortTerm{e, o.Desc})
 	}
 	node := rel.node
-	if len(sortKeys) > 0 {
+	if len(terms) > 0 {
 		if sel.Top >= 0 {
-			node = pl.topNNode(sel.Top, sortKeys, rel)
+			node = pl.topNNode(sel.Top, terms, rel)
 		} else {
-			node = pl.sortNode(sortKeys, rel)
+			node = pl.sortNode(terms, rel)
 		}
 	} else if sel.Top >= 0 {
 		child := node
@@ -241,18 +239,6 @@ func limitEst(n, childEst int64) int64 {
 		return childEst
 	}
 	return n
-}
-
-// groupedWidth returns the row width of an aggregate output given its
-// substitution map (max index + 1).
-func groupedWidth(subst map[string]int) int {
-	w := 0
-	for _, idx := range subst {
-		if idx+1 > w {
-			w = idx + 1
-		}
-	}
-	return w
 }
 
 // postBinder returns a binder for expressions evaluated above the
@@ -548,12 +534,12 @@ func filterRelation(rel *relation, pred expr.Expr) *relation {
 // per-partition sorts (EXPLAIN shows the order there), or nothing when the
 // input already streams in that order (index or clustered scans). A
 // grouped input has neither partitions nor an order, so it is sorted whole.
-func (pl *Planner) windowRelation(rel *relation, keys []exec.SortKey) *relation {
+func (pl *Planner) windowRelation(rel *relation, terms []sortTerm) *relation {
 	cols := append(append([]ColMeta{}, rel.cols...), ColMeta{Name: "row_number"})
-	child := pl.sortNode(keys, rel)
+	child := pl.sortNode(terms, rel)
 	detail := ""
 	if child == rel.node {
-		detail = fmt.Sprintf("ORDER BY:[%s] (input ordered)", describeSortKeys(keys))
+		detail = fmt.Sprintf("ORDER BY:[%s] (input ordered)", describeSortTerms(terms))
 	}
 	node := &Node{
 		Op:       "Sequence Project (ROW_NUMBER)",
@@ -572,49 +558,121 @@ func (pl *Planner) windowRelation(rel *relation, keys []exec.SortKey) *relation 
 	return &relation{node: node, cols: cols, est: rel.est}
 }
 
-func describeSortKeys(keys []exec.SortKey) string {
-	parts := make([]string, len(keys))
-	for i, k := range keys {
+// sortTerm is one ORDER BY term as bound; sortColumns places it on a
+// column for the sort operators.
+type sortTerm struct {
+	expr expr.Expr
+	desc bool
+}
+
+func describeSortTerms(terms []sortTerm) string {
+	parts := make([]string, len(terms))
+	for i, t := range terms {
 		dir := "ASC"
-		if k.Desc {
+		if t.desc {
 			dir = "DESC"
 		}
-		parts[i] = k.Expr.String() + " " + dir
+		parts[i] = t.expr.String() + " " + dir
 	}
 	return strings.Join(parts, ", ")
+}
+
+// sortColumns is the sort terms placed on columns of a relation's rows: a
+// column reference is its own column, and every other term is computed
+// into a column after the relation's by exprs (the relation's columns,
+// then those terms; nil when every term is a column).
+type sortColumns struct {
+	keys  []exec.SortKey
+	exprs []expr.Expr
+	width int // the relation's columns
+}
+
+func placeSortTerms(terms []sortTerm, rel *relation) sortColumns {
+	sc := sortColumns{width: len(rel.cols)}
+	for _, t := range terms {
+		c, ok := t.expr.(*expr.Col)
+		if !ok {
+			if sc.exprs == nil {
+				for i, c := range rel.cols {
+					sc.exprs = append(sc.exprs, &expr.Col{Idx: i, Name: c.Name})
+				}
+			}
+			c = &expr.Col{Idx: len(sc.exprs)}
+			sc.exprs = append(sc.exprs, t.expr)
+		}
+		sc.keys = append(sc.keys, exec.SortKey{Col: c.Idx, Desc: t.desc})
+	}
+	return sc
+}
+
+// under returns below, or the Compute Scalar of the computed terms over
+// it. Over partition chains that node only displays: compute puts a
+// projection on each chain and profiles it there.
+func (sc sortColumns) under(below []*Node, partitioned bool) []*Node {
+	if sc.exprs == nil {
+		return below
+	}
+	n := newProjectNode(sc.exprs, make([]ColMeta, len(sc.exprs)), below[0])
+	if partitioned {
+		n.Children, n.Build, n.OwnProf = below, nil, true
+	}
+	return []*Node{n}
+}
+
+// compute appends the computed terms to a partition chain, profiled on the
+// node under displays.
+func (sc sortColumns) compute(op exec.Operator, shown *Node) exec.Operator {
+	if sc.exprs == nil {
+		return op
+	}
+	op = &exec.Project{Exprs: sc.exprs, Child: op, InputWidth: sc.width}
+	if shown.Prof != nil {
+		op = exec.InstrumentOp(op, shown.Prof)
+	}
+	return op
+}
+
+// drop takes the computed terms off a sort's output: a sort emits the
+// relation's columns, which a row number follows.
+func (sc sortColumns) drop(op exec.Operator) exec.Operator {
+	if sc.exprs == nil {
+		return op
+	}
+	return &exec.Project{Exprs: sc.exprs[:sc.width], Child: op, InputWidth: len(sc.exprs)}
 }
 
 // sortNode plans ORDER BY: an external merge sort under the sort memory
 // budget, parallelized into per-partition sorts below an order-
 // preserving merge exchange when the input is partitionable.
-func (pl *Planner) sortNode(keys []exec.SortKey, rel *relation) *Node {
+func (pl *Planner) sortNode(terms []sortTerm, rel *relation) *Node {
 	if rel.parts != nil && rel.partsN > 1 {
-		return pl.parallelSortNode(keys, rel)
+		return pl.parallelSortNode(terms, rel)
 	}
 	// Interesting order: a serial input already streaming in the requested
 	// order (index scan, clustered scan, ordered merge join) needs no sort
 	// at all.
-	if sortKeysCoveredBy(rel, keys) {
+	if sortKeysCoveredBy(rel, terms) {
 		return rel.node
 	}
-	child := rel.node
+	sc := placeSortTerms(terms, rel)
+	child := sc.under([]*Node{rel.node}, false)[0]
 	return &Node{
 		Op:       "Sort",
-		Detail:   fmt.Sprintf("ORDER BY:[%s]", describeSortKeys(keys)),
+		Detail:   fmt.Sprintf("ORDER BY:[%s]", describeSortTerms(terms)),
 		Children: []*Node{child},
-		Cols:     child.Cols,
+		Cols:     rel.node.Cols,
 		Est:      rel.est,
 		Build: func() (exec.Operator, error) {
 			c, err := buildChild(child)
 			if err != nil {
 				return nil, err
 			}
-			return &exec.Sort{
-				Keys:         keys,
+			return sc.drop(&exec.Sort{
+				Keys:         sc.keys,
 				Child:        c,
 				MemoryBudget: pl.SortMemoryBudget,
 				Spill:        pl.Provider.SpillStore(),
-			}, nil
+			}), nil
 		},
 	}
 }
@@ -624,16 +682,18 @@ func (pl *Planner) sortNode(keys []exec.SortKey, rel *relation) *Node {
 // merge exchange preserves the global order above them. Key ties break
 // by partition index, so equal keys keep table order — the same output
 // as the serial stable sort.
-func (pl *Planner) parallelSortNode(keys []exec.SortKey, rel *relation) *Node {
+func (pl *Planner) parallelSortNode(terms []sortTerm, rel *relation) *Node {
+	sc := placeSortTerms(terms, rel)
+	below := sc.under(rel.node.Children, true)
 	inner := &Node{
 		Op:       "Sort",
-		Detail:   fmt.Sprintf("ORDER BY:[%s] BUDGET:%d", describeSortKeys(keys), pl.SortMemoryBudget),
-		Children: rel.node.Children,
+		Detail:   fmt.Sprintf("ORDER BY:[%s] BUDGET:%d", describeSortTerms(terms), pl.SortMemoryBudget),
+		Children: below,
 		Cols:     rel.node.Cols,
 	}
 	return &Node{
 		Op:       "Parallelism (Merge Gather, ordered)",
-		Detail:   fmt.Sprintf("DOP %d ORDER BY:[%s]", rel.partsN, describeSortKeys(keys)),
+		Detail:   fmt.Sprintf("DOP %d ORDER BY:[%s]", rel.partsN, describeSortTerms(terms)),
 		Children: []*Node{inner},
 		Cols:     rel.node.Cols,
 		Est:      rel.est,
@@ -648,9 +708,10 @@ func (pl *Planner) parallelSortNode(keys []exec.SortKey, rel *relation) *Node {
 			}
 			sorts := make([]*exec.Sort, len(ops))
 			for i, op := range ops {
-				sorts[i] = &exec.Sort{Keys: keys, Child: op, MemoryBudget: perBudget, Spill: pl.Provider.SpillStore()}
+				sorts[i] = &exec.Sort{Keys: sc.keys, Child: sc.compute(op, below[0]), MemoryBudget: perBudget,
+					Spill: pl.Provider.SpillStore()}
 			}
-			return &exec.MergeSorted{Keys: keys, Children: sorts}, nil
+			return sc.drop(&exec.MergeSorted{Keys: sc.keys, Children: sorts}), nil
 		},
 	}
 }
@@ -661,7 +722,8 @@ func (pl *Planner) parallelSortNode(keys []exec.SortKey, rel *relation) *Node {
 // input, and the final TopN reduces those to n. Ordered inputs (merge
 // gathers off clustered scans) keep the serial TopN above the exchange
 // so key-order tie-breaking is preserved.
-func (pl *Planner) topNNode(n int64, keys []exec.SortKey, rel *relation) *Node {
+func (pl *Planner) topNNode(n int64, terms []sortTerm, rel *relation) *Node {
+	sc := placeSortTerms(terms, rel)
 	child := rel.node
 	if rel.parts != nil && rel.partsN > 1 && rel.ordered == nil && n > 0 {
 		parts := rel.parts
@@ -669,15 +731,16 @@ func (pl *Planner) topNNode(n int64, keys []exec.SortKey, rel *relation) *Node {
 		if len(below) == 0 {
 			below = []*Node{child}
 		}
+		below = sc.under(below, true)
 		return &Node{
 			Op:     "Top N Sort",
-			Detail: fmt.Sprintf("TOP %d ORDER BY:[%s] (merge partials)", n, describeSortKeys(keys)),
+			Detail: fmt.Sprintf("TOP %d ORDER BY:[%s] (merge partials)", n, describeSortTerms(terms)),
 			Children: []*Node{{
 				Op:     "Parallelism (Gather Streams)",
 				Detail: fmt.Sprintf("DOP %d", rel.partsN),
 				Children: []*Node{{
 					Op:       "Top N Sort (per-partition)",
-					Detail:   fmt.Sprintf("TOP %d ORDER BY:[%s]", n, describeSortKeys(keys)),
+					Detail:   fmt.Sprintf("TOP %d ORDER BY:[%s]", n, describeSortTerms(terms)),
 					Children: below,
 					Cols:     child.Cols,
 					Est:      limitEst(n, child.Est),
@@ -693,25 +756,26 @@ func (pl *Planner) topNNode(n int64, keys []exec.SortKey, rel *relation) *Node {
 				}
 				tops := make([]exec.Operator, len(ops))
 				for i, op := range ops {
-					tops[i] = &exec.TopN{N: n, Keys: keys, Child: op}
+					tops[i] = &exec.TopN{N: n, Keys: sc.keys, Child: sc.compute(op, below[0])}
 				}
 				g := &exec.Gather{Children: tops}
-				return &exec.TopN{N: n, Keys: keys, Child: g}, nil
+				return sc.drop(&exec.TopN{N: n, Keys: sc.keys, Child: g}), nil
 			},
 		}
 	}
+	child = sc.under([]*Node{child}, false)[0]
 	return &Node{
 		Op:       "Top N Sort",
-		Detail:   fmt.Sprintf("TOP %d ORDER BY:[%s]", n, describeSortKeys(keys)),
+		Detail:   fmt.Sprintf("TOP %d ORDER BY:[%s]", n, describeSortTerms(terms)),
 		Children: []*Node{child},
-		Cols:     child.Cols,
+		Cols:     rel.node.Cols,
 		Est:      limitEst(n, child.Est),
 		Build: func() (exec.Operator, error) {
 			c, err := buildChild(child)
 			if err != nil {
 				return nil, err
 			}
-			return &exec.TopN{N: n, Keys: keys, Child: c}, nil
+			return sc.drop(&exec.TopN{N: n, Keys: sc.keys, Child: c}), nil
 		},
 	}
 }
