@@ -327,7 +327,6 @@ func flatNumbers(args []*vec.Vector) (ints []int64, floats []float64) {
 
 type countAgg struct {
 	stateArray[countState, *countState]
-	scratch []sqltypes.Value
 }
 
 func (a *countAgg) update(gids []int32, one int32, args []*vec.Vector, rows []int) error {
@@ -338,15 +337,13 @@ func (a *countAgg) update(gids []int32, one int32, args []*vec.Vector, rows []in
 		for _, g := range gids {
 			a.states[g].n++
 		}
-	case args[0].Vals == nil: // COUNT(x): the null bitmap decides
+	default: // COUNT(x): the null bitmap decides, in every form
 		v := args[0]
 		for k, r := range rows {
 			if !v.IsNull(r) {
 				a.states[groupOf(gids, one, k)].n++
 			}
 		}
-	default:
-		return addBoxed(a, gids, one, args, rows, &a.scratch)
 	}
 	return nil
 }

@@ -215,7 +215,7 @@ func boxedKeys(v *vec.Vector, rows []int) (*vec.Vector, error) {
 		kind = sqltypes.KindNull
 		for _, r := range rows {
 			switch k := v.Vals[r].K; {
-			case v.IsNull(r) || k == sqltypes.KindNull:
+			case v.IsNull(r):
 			case kind == sqltypes.KindNull:
 				kind = k
 			case kind != k:

@@ -515,12 +515,12 @@ func joinKeys(kh *keyHasher, b *vec.Batch) (rows []int, hashes []uint64, err err
 // key never joins.
 func dropNullKeys(keys []*vec.Vector, rows []int) []int {
 	for _, c := range keys {
-		if c.Nulls == nil && c.Vals == nil {
+		if c.Nulls == nil {
 			continue
 		}
 		n := 0
 		for _, r := range rows {
-			if c.IsNull(r) || (c.Vals != nil && c.Vals[r].IsNull()) {
+			if c.IsNull(r) {
 				continue
 			}
 			rows[n] = r

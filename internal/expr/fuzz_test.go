@@ -65,8 +65,7 @@ const (
 	formFlat = iota
 	formDict
 	formLazy
-	formBoxed     // Vals, NULLs under a null bit (what rowPacker builds)
-	formBoxedBare // Vals, NULLs as NULL values without a bit
+	formBoxed // Vals, NULLs under a null bit (what rowPacker builds; vec.Vector marks every NULL so)
 	forms
 )
 
@@ -129,14 +128,12 @@ func buildVector(t testing.TB, col, form int, cells []sqltypes.Value) *vec.Vecto
 			v.Codes[i] = int32(code)
 		}
 		return v
-	case formBoxed:
-		v := vec.NewVector(sqltypes.KindNull, len(stored))
-		for _, c := range stored {
-			v.Append(c)
-		}
-		return v
 	}
-	return &vec.Vector{Kind: sqltypes.KindNull, Vals: stored}
+	v := vec.NewVector(sqltypes.KindNull, len(stored))
+	for _, c := range stored {
+		v.Append(c)
+	}
+	return v
 }
 
 // fzInput reads the fuzz bytes; past their end every draw is zero.

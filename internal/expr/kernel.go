@@ -67,11 +67,7 @@ func (a *arg) null(s int) bool {
 	if a.v == nil {
 		return a.lit.IsNull()
 	}
-	return isNullCell(a.v, s)
-}
-
-func isNullCell(v *vec.Vector, s int) bool {
-	return v.IsNull(s) || v.Vals != nil && v.Vals[s].IsNull()
+	return a.v.IsNull(s)
 }
 
 func (a *arg) value(s int) (sqltypes.Value, error) {
@@ -262,7 +258,7 @@ func (r *result) keep(val sqltypes.Value) sqltypes.Value {
 // vector when r is generic.
 func (r *result) put(s int, src *vec.Vector, i int) (err error) {
 	switch v := r.v; {
-	case isNullCell(src, i):
+	case src.IsNull(i):
 		r.null(s)
 	case v.Vals != nil:
 		v.Vals[s], err = src.Value(i)
@@ -424,7 +420,7 @@ func (c *callEval) perEntry(sel []int) (*vec.Vector, error) {
 		null = c.nullRow.finish()
 	}
 	kind := ent.Kind
-	if null != nil && !isNullCell(null, 0) && null.Kind != kind {
+	if null != nil && !null.IsNull(0) && null.Kind != kind {
 		kind = sqltypes.KindNull // COALESCE(column, <literal of another kind>), say
 	}
 	out := &c.out

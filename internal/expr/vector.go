@@ -250,7 +250,7 @@ func (m *isNullMask) mask(b *vec.Batch, sel []int, out []uint8) error {
 		return err
 	}
 	for i, s := range sel {
-		if isNullCell(v, s) != m.negate {
+		if v.IsNull(s) != m.negate {
 			out[i] = kTrue
 		} else {
 			out[i] = kFalse

@@ -15,7 +15,8 @@ import (
 // (flat, dictionary, lazy, generic), NULLs under a bitmap grown only to the
 // last NULL row, empty cells and empty vectors among them — and holds Len,
 // Value, Gather and AppendRows to the query-level values the vectors were
-// built from. One column grows across the run by AppendRows, so a source
+// built from, and every form to the one NULL rule: a cell is NULL exactly
+// when Nulls marks it. One column grows across the run by AppendRows, so a source
 // of another form or kind mid-stream turns it generic (appendBoxed)
 // without changing a value.
 
@@ -143,7 +144,8 @@ func buildForm(t testing.TB, k, form int, cells []sqltypes.Value) *vec.Vector {
 	return v
 }
 
-// sameValues holds v's Len and every Value to want.
+// sameValues holds v's Len and every Value to want, and IsNull to the
+// NULLs among them.
 func sameValues(t *testing.T, what string, v *vec.Vector, want []sqltypes.Value) {
 	t.Helper()
 	if v.Len() != len(want) {
@@ -156,6 +158,9 @@ func sameValues(t *testing.T, what string, v *vec.Vector, want []sqltypes.Value)
 		}
 		if got.K != w.K || fmt.Sprint(got) != fmt.Sprint(w) {
 			t.Fatalf("%s: Value(%d) = %v (%s), want %v (%s)", what, i, got, got.K, w, w.K)
+		}
+		if v.IsNull(i) != w.IsNull() {
+			t.Fatalf("%s: IsNull(%d) = %v for %v: every NULL cell is marked in Nulls, and only those", what, i, v.IsNull(i), w)
 		}
 	}
 }

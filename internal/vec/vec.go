@@ -40,7 +40,9 @@ const DefaultBatchSize = 1024
 //     becomes typed flat the first time a cell is read.
 //
 // Nulls, when non-nil, marks NULL rows; their array entries are
-// undefined. Packed marks a BYTES column (flat or dictionary) holding
+// undefined. Every NULL cell is marked there, in every form, the generic
+// one included (Append marks a boxed NULL), so IsNull alone answers for a
+// cell. Packed marks a BYTES column (flat or dictionary) holding
 // 2-bit packed sequences (seq.Packed wire format) whose query-level
 // representation is the unpacked string; Value unpacks lazily, so rows
 // dropped by a selection vector are never unpacked.
