@@ -210,8 +210,8 @@ func (t *loserTree) Close() error {
 // a loser tree merges their sorted streams at the key columns. Key ties
 // break by child index, so a parallel sort over a heap's sequential
 // page-range partitions emits equal keys in table order — identical to the
-// serial stable sort. The sorts and their merge are one
-// row-internal unit; rows become batches once, on the way out.
+// serial stable sort. The sorts and their merge are one row-internal unit;
+// rows become batches once, on the way out.
 type MergeSorted struct {
 	Keys     []SortKey
 	Children []*Sort
