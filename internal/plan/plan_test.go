@@ -547,6 +547,40 @@ func TestExplainVectorizedAnnotation(t *testing.T) {
 	}
 }
 
+// TestComputedSortKeysComputeBelowTheSort: an ORDER BY term that is not a
+// column is computed by a Compute Scalar right under the sort that orders
+// on it — a serial Sort or Top N Sort, each sort under a merge, each
+// per-partition Top N Sort — and a column term adds no projection.
+func TestComputedSortKeysComputeBelowTheSort(t *testing.T) {
+	for _, dop := range []int{1, 4} {
+		pl := NewPlanner(newFakeProvider(), dop)
+		pl.ParallelThreshold = 5
+		for _, c := range []struct{ sql, sort string }{
+			{"SELECT s FROM t ORDER BY a % 3, s", "Sort "},
+			{"SELECT TOP 2 s FROM t ORDER BY a % 3 DESC", "Top N Sort "},
+			{"SELECT s, ROW_NUMBER() OVER (ORDER BY a % 3) FROM t", "Sort "},
+		} {
+			text := planQuery(t, pl, c.sql).Explain()
+			if dop > 1 && !strings.Contains(text, "Parallelism") {
+				t.Fatalf("%s at DOP %d: no parallel plan:\n%s", c.sql, dop, text)
+			}
+			lines := strings.Split(text, "\n")
+			at := -1 // the lowest sort
+			for i, l := range lines {
+				if strings.HasPrefix(strings.TrimLeft(l, " |-"), c.sort) {
+					at = i
+				}
+			}
+			if at < 0 || !strings.Contains(lines[at+1], "Compute Scalar DEFINE:") || !strings.Contains(lines[at+1], "(a % 3)]") {
+				t.Errorf("%s at DOP %d: the key is not computed right under the sort:\n%s", c.sql, dop, text)
+			}
+		}
+		if text := planQuery(t, pl, "SELECT s FROM t ORDER BY a").Explain(); strings.Count(text, "Compute Scalar") != 1 {
+			t.Errorf("a column key at DOP %d added a projection:\n%s", dop, text)
+		}
+	}
+}
+
 // TestPlanPartitionedJoinBelowThreshold: a join of a few rows runs the
 // same vectorized operator as a large one, without an exchange (its
 // inputs are not partitioned, so the probe runs inline).
