@@ -101,18 +101,17 @@ func (t *TableStats) CmpSelectivity(col, op string, v sqltypes.Value) (float64, 
 		return 0, false
 	}
 	nonNull := float64(t.RowCount-c.NullCount) / float64(t.RowCount)
-	eq := c.eqFraction(v, t.RowCount)
 	switch op {
 	case "=":
-		return clampSel(eq), true
+		return clampSel(c.eqFraction(v, t.RowCount)), true
 	case "<>":
-		return clampSel(nonNull - eq), true
+		return clampSel(nonNull - c.eqFraction(v, t.RowCount)), true
 	case "<":
 		return clampSel(c.belowFraction(v, t.RowCount)), true
 	case "<=":
-		return clampSel(c.belowFraction(v, t.RowCount) + eq), true
+		return clampSel(c.belowFraction(v, t.RowCount) + c.eqFraction(v, t.RowCount)), true
 	case ">":
-		return clampSel(nonNull - c.belowFraction(v, t.RowCount) - eq), true
+		return clampSel(nonNull - c.belowFraction(v, t.RowCount) - c.eqFraction(v, t.RowCount)), true
 	case ">=":
 		return clampSel(nonNull - c.belowFraction(v, t.RowCount)), true
 	}
@@ -126,12 +125,10 @@ func (c *ColumnStats) eqFraction(v sqltypes.Value, rowCount int64) float64 {
 		return 0
 	}
 	total := float64(rowCount)
-	var mcvRows int64
 	for _, m := range c.MCVs {
 		if sqltypes.Equal(m.Value, v) {
 			return float64(m.Count) / total
 		}
-		mcvRows += m.Count
 	}
 	// Outside the recorded range the value cannot exist (min/max are exact
 	// over the scanned rows).
@@ -141,6 +138,16 @@ func (c *ColumnStats) eqFraction(v sqltypes.Value, rowCount int64) float64 {
 	if c.Max != nil && sqltypes.Compare(v, *c.Max) > 0 {
 		return 0
 	}
+	return c.otherValueRows(rowCount) / total
+}
+
+// otherValueRows estimates the rows holding one value that is not an MCV:
+// the non-MCV rows spread evenly over the non-MCV distinct values.
+func (c *ColumnStats) otherValueRows(rowCount int64) float64 {
+	var mcvRows int64
+	for _, m := range c.MCVs {
+		mcvRows += m.Count
+	}
 	otherRows := rowCount - c.NullCount - mcvRows
 	otherNDV := c.NDV - int64(len(c.MCVs))
 	if otherRows <= 0 {
@@ -148,9 +155,9 @@ func (c *ColumnStats) eqFraction(v sqltypes.Value, rowCount int64) float64 {
 	}
 	if otherNDV <= 0 {
 		// All observed values are MCVs and v is not among them.
-		return 1 / total
+		return 1
 	}
-	return float64(otherRows) / float64(otherNDV) / total
+	return float64(otherRows) / float64(otherNDV)
 }
 
 // belowFraction estimates the fraction of rows strictly less than v,
@@ -159,30 +166,127 @@ func (c *ColumnStats) belowFraction(v sqltypes.Value, rowCount int64) float64 {
 	if rowCount <= 0 {
 		return 0
 	}
-	total := float64(rowCount)
 	var below float64
 	for _, m := range c.MCVs {
 		if sqltypes.Compare(m.Value, v) < 0 {
 			below += float64(m.Count)
 		}
 	}
-	if len(c.Histogram) > 0 && c.HistRows > 0 {
-		lower := c.Min
-		for i := range c.Histogram {
-			b := &c.Histogram[i]
-			cmpU := sqltypes.Compare(b.Upper, v)
-			if cmpU < 0 {
-				below += float64(b.Rows)
-				lower = &b.Upper
-				continue
-			}
-			// v falls inside this bucket: interpolate numerically when the
-			// bounds allow it, otherwise assume half the bucket.
-			below += float64(b.Rows) * bucketFraction(lower, b.Upper, v)
-			break
+	return c.histBelow(&v, below) / float64(rowCount)
+}
+
+// histBelow adds to acc the histogram's rows strictly below v (the rows
+// the MCV list does not hold), interpolating inside the bucket v falls in;
+// a nil v is above every bucket. It never decreases as v grows over
+// sorted buckets.
+func (c *ColumnStats) histBelow(v *sqltypes.Value, acc float64) float64 {
+	if len(c.Histogram) == 0 || c.HistRows <= 0 {
+		return acc
+	}
+	lower := c.Min
+	for i := range c.Histogram {
+		b := &c.Histogram[i]
+		if v == nil || sqltypes.Compare(b.Upper, *v) < 0 {
+			acc += float64(b.Rows)
+			lower = &b.Upper
+			continue
+		}
+		// v falls inside this bucket: interpolate numerically when the
+		// bounds allow it, otherwise assume half the bucket.
+		acc += float64(b.Rows) * bucketFraction(lower, b.Upper, *v)
+		break
+	}
+	return acc
+}
+
+// RangeSelectivity estimates the fraction of rows inside one interval of
+// a column, lo <(=) col <(=) hi, where a nil bound is open: the priced
+// form of every `col op const` bound a query puts on the column, so two
+// bounds are one window rather than two independent events. ok=false when
+// the column has no stats or a bound is NULL.
+//
+// Integer bounds are made inclusive and the window is clipped to
+// [Min, Max], where every value lies. A point window [v, v] is then
+// exactly the `=` estimate and an empty one 0; any other window's rows
+// are the MCVs inside it, exactly, plus the histogram's rows between its
+// bounds, never less than one non-MCV value's share. So widening a
+// window never lowers its estimate.
+func (t *TableStats) RangeSelectivity(col string, lo *sqltypes.Value, loInc bool, hi *sqltypes.Value, hiInc bool) (float64, bool) {
+	if t == nil || t.RowCount <= 0 || (lo != nil && lo.IsNull()) || (hi != nil && hi.IsNull()) {
+		return 0, false
+	}
+	c := t.Column(col)
+	if c == nil {
+		return 0, false
+	}
+	// Integer bounds are made inclusive: x > 3 is x >= 4.
+	if lo != nil && !loInc && lo.K == sqltypes.KindInt {
+		if lo.I == math.MaxInt64 {
+			return 0, true
+		}
+		v := sqltypes.NewInt(lo.I + 1)
+		lo, loInc = &v, true
+	}
+	if hi != nil && !hiInc && hi.K == sqltypes.KindInt {
+		if hi.I == math.MinInt64 {
+			return 0, true
+		}
+		v := sqltypes.NewInt(hi.I - 1)
+		hi, hiInc = &v, true
+	}
+	if c.Min != nil && (lo == nil || sqltypes.Compare(*c.Min, *lo) > 0) {
+		lo, loInc = c.Min, true
+	}
+	if c.Max != nil && (hi == nil || sqltypes.Compare(*c.Max, *hi) < 0) {
+		hi, hiInc = c.Max, true
+	}
+	if lo != nil && hi != nil {
+		switch cmp := sqltypes.Compare(*lo, *hi); {
+		case cmp > 0, cmp == 0 && !(loInc && hiInc):
+			return 0, true
+		case cmp == 0:
+			return clampSel(c.eqFraction(*lo, t.RowCount)), true
 		}
 	}
-	return below / total
+	inside := func(v sqltypes.Value) bool {
+		if lo != nil {
+			if cmp := sqltypes.Compare(v, *lo); cmp < 0 || (cmp == 0 && !loInc) {
+				return false
+			}
+		}
+		if hi != nil {
+			if cmp := sqltypes.Compare(v, *hi); cmp > 0 || (cmp == 0 && !hiInc) {
+				return false
+			}
+		}
+		return true
+	}
+	var rows float64
+	for _, m := range c.MCVs {
+		if inside(m.Value) {
+			rows += float64(m.Count)
+		}
+	}
+	// The histogram's rows between the bounds; an integer window [lo, hi]
+	// spans hi+1-lo units, the histogram's [lo, hi+1).
+	to := hi
+	if hi != nil && hi.K == sqltypes.KindInt {
+		if hi.I == math.MaxInt64 {
+			to = nil
+		} else {
+			v := sqltypes.NewInt(hi.I + 1)
+			to = &v
+		}
+	}
+	hist := c.histBelow(to, 0)
+	if lo != nil {
+		hist -= c.histBelow(lo, 0)
+	}
+	rows += max(hist, c.otherValueRows(t.RowCount))
+	if nonNull := float64(t.RowCount - c.NullCount); rows > nonNull {
+		rows = nonNull
+	}
+	return clampSel(rows / float64(t.RowCount)), true
 }
 
 // bucketFraction estimates what fraction of a bucket's rows fall strictly
