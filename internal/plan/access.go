@@ -2,7 +2,7 @@ package plan
 
 import (
 	"math"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/catalog"
@@ -29,11 +29,37 @@ import (
 
 // sargRange is one column's combined bounds from the pushed conjuncts.
 type sargRange struct {
+	col          int
 	lo, hi       *sqltypes.Value
 	loInc, hiInc bool
-	// sel is the estimated combined selectivity of the conjuncts that
-	// produced the bounds — the index scan's matching-entry fraction.
+	// sel is the estimated fraction of rows inside the bounds, priced once
+	// for the column: the index scan's matching-entry fraction and the
+	// column's factor in the scan's row estimate.
 	sel float64
+}
+
+// sargRanges holds one sargRange per bounded column, in the order the
+// columns first appear among the conjuncts.
+type sargRanges []*sargRange
+
+// on returns the range on column col, or nil.
+func (rs sargRanges) on(col int) *sargRange {
+	for _, r := range rs {
+		if r.col == col {
+			return r
+		}
+	}
+	return nil
+}
+
+// selectivity is the fraction of rows inside every column's bounds, the
+// columns taken as independent.
+func (rs sargRanges) selectivity() float64 {
+	sel := 1.0
+	for _, r := range rs {
+		sel *= r.sel
+	}
+	return sel
 }
 
 func (r *sargRange) bounded() bool { return r.lo != nil || r.hi != nil }
@@ -55,6 +81,39 @@ func (r *sargRange) tightenHi(v sqltypes.Value, inc bool) {
 	}
 	if c := sqltypes.Compare(v, *r.hi); c < 0 || (c == 0 && !inc) {
 		r.hi, r.hiInc = &v, inc
+	}
+}
+
+// price sets sel from the bounds, priced as one interval: a point by its
+// one equality estimate, a one-sided bound by its comparison, two bounds
+// by the statistics' interval estimate, contradictory bounds as 0.
+func (r *sargRange) price(ts *stats.TableStats, col string) {
+	switch {
+	case r.lo == nil:
+		op := "<"
+		if r.hiInc {
+			op = "<="
+		}
+		r.sel = colCmpSelectivity(ts, col, op, *r.hi)
+	case r.hi == nil:
+		op := ">"
+		if r.loInc {
+			op = ">="
+		}
+		r.sel = colCmpSelectivity(ts, col, op, *r.lo)
+	default:
+		switch c := sqltypes.Compare(*r.lo, *r.hi); {
+		case c > 0 || (c == 0 && !(r.loInc && r.hiInc)):
+			r.sel = 0
+		case c == 0:
+			r.sel = colCmpSelectivity(ts, col, "=", *r.lo)
+		default:
+			s, ok := ts.RangeSelectivity(col, r.lo, r.loInc, r.hi, r.hiInc)
+			if !ok {
+				s = defaultRangeSel * defaultRangeSel
+			}
+			r.sel = s
+		}
 	}
 }
 
@@ -89,12 +148,14 @@ func sargValue(v sqltypes.Value, k sqltypes.Kind) (sqltypes.Value, bool) {
 
 // sargableRanges extracts per-column bounds from pushed conjuncts of the
 // shape `col op const` (either operand order; ops =, <, <=, >, >=).
-// Conjuncts on the same column intersect. Keys are column positions.
-func sargableRanges(sc *scope, tab *catalog.Table, ts *stats.TableStats, pushed []sqlparse.Expr) map[int]*sargRange {
-	var out map[int]*sargRange
+// Conjuncts on the same column intersect, and each column's bounds are
+// priced once (sargRange.price). It is the one place such a conjunct is
+// priced: the others come back as rest, for conjunctsSelectivity.
+func sargableRanges(sc *scope, tab *catalog.Table, ts *stats.TableStats, pushed []sqlparse.Expr) (ranges sargRanges, rest []sqlparse.Expr) {
 	for _, c := range pushed {
 		b, ok := c.(*sqlparse.Binary)
 		if !ok {
+			rest = append(rest, c)
 			continue
 		}
 		op := b.Op
@@ -104,6 +165,7 @@ func sargableRanges(sc *scope, tab *catalog.Table, ts *stats.TableStats, pushed 
 			id, lok = b.R.(*sqlparse.Ident)
 			v, rconst = constValue(b.L)
 			if !lok || !rconst {
+				rest = append(rest, c)
 				continue
 			}
 			op = flipCmp(op)
@@ -111,23 +173,23 @@ func sargableRanges(sc *scope, tab *catalog.Table, ts *stats.TableStats, pushed 
 		switch op {
 		case "=", "<", "<=", ">", ">=":
 		default:
+			rest = append(rest, c)
 			continue
 		}
 		idx, err := sc.resolve(id.Qualifier, id.Name)
 		if err != nil {
+			rest = append(rest, c)
 			continue
 		}
 		sv, ok := sargValue(v, tab.Columns[idx].Type.StorageKind())
 		if !ok {
+			rest = append(rest, c)
 			continue
 		}
-		if out == nil {
-			out = map[int]*sargRange{}
-		}
-		r := out[idx]
+		r := ranges.on(idx)
 		if r == nil {
-			r = &sargRange{sel: 1}
-			out[idx] = r
+			r = &sargRange{col: idx}
+			ranges = append(ranges, r)
 		}
 		switch op {
 		case "=":
@@ -142,28 +204,24 @@ func sargableRanges(sc *scope, tab *catalog.Table, ts *stats.TableStats, pushed 
 		case "<=":
 			r.tightenHi(sv, true)
 		}
-		r.sel *= conjunctSelectivity(ts, c)
 	}
-	return out
+	for _, r := range ranges {
+		r.price(ts, tab.Columns[r.col].Name)
+	}
+	return ranges, rest
 }
 
 // zoneFiltersFrom renders the ranges as storage zone filters (in column
 // order, so plans are deterministic). Zone-filter bounds are inclusive;
 // an exclusive bound conservatively widens to inclusive — the pages kept
 // are a superset, never fewer, so results cannot change.
-func zoneFiltersFrom(ranges map[int]*sargRange) []storage.ZoneFilter {
+func zoneFiltersFrom(ranges sargRanges) []storage.ZoneFilter {
 	if len(ranges) == 0 {
 		return nil
 	}
-	cols := make([]int, 0, len(ranges))
-	for c := range ranges {
-		cols = append(cols, c)
-	}
-	sort.Ints(cols)
-	out := make([]storage.ZoneFilter, 0, len(cols))
-	for _, c := range cols {
-		r := ranges[c]
-		f := storage.ZoneFilter{Col: c, Lo: sqltypes.Null, Hi: sqltypes.Null}
+	out := make([]storage.ZoneFilter, 0, len(ranges))
+	for _, r := range ranges {
+		f := storage.ZoneFilter{Col: r.col, Lo: sqltypes.Null, Hi: sqltypes.Null}
 		if r.lo != nil {
 			f.Lo = *r.lo
 		}
@@ -172,6 +230,7 @@ func zoneFiltersFrom(ranges map[int]*sargRange) []storage.ZoneFilter {
 		}
 		out = append(out, f)
 	}
+	slices.SortFunc(out, func(a, b storage.ZoneFilter) int { return a.Col - b.Col })
 	return out
 }
 
@@ -203,14 +262,14 @@ type indexChoice struct {
 
 // pickIndex selects the candidate index whose first-column range is
 // estimated most selective; nil when no index has a bounded range.
-func pickIndex(tab *catalog.Table, ranges map[int]*sargRange) *indexChoice {
+func pickIndex(tab *catalog.Table, ranges sargRanges) *indexChoice {
 	var best *indexChoice
 	for i := range tab.Indexes {
 		ix := &tab.Indexes[i]
 		if len(ix.Columns) == 0 {
 			continue
 		}
-		r := ranges[ix.Columns[0]]
+		r := ranges.on(ix.Columns[0])
 		if r == nil || !r.bounded() {
 			continue
 		}
@@ -221,31 +280,56 @@ func pickIndex(tab *catalog.Table, ranges map[int]*sargRange) *indexChoice {
 	return best
 }
 
-// Page-cost model constants: the assumed rows per heap page when the
-// engine reports no page statistics, the assumed index entries per leaf
-// page, and the fixed B-tree descent cost.
+// Cost-model constants, in units of one heap page read: the assumed rows
+// per heap page when the engine reports no page statistics, the assumed
+// index entries per leaf page, the fixed B-tree descent, the cost of
+// fetching one matching row through the index and of filtering one row of
+// a heap scan (see the header comment for where the last two come from).
 const (
 	costRowsPerPage    = 64
 	costEntriesPerLeaf = 64
 	costTreeDescent    = 2
+	costFetchRow       = 0.37
+	costFilterRow      = 0.01
 )
 
-// heapScanCost prices the heap alternative in pages: the surviving page
-// count when zone statistics exist, a cardinality-derived guess otherwise
-// (+1 for the unsealed tail either way).
-func heapScanCost(rawEst, kept, total int64) float64 {
+// heapRead is what the heap alternative reads: the zone-map survivors
+// plus the unsealed tail when page statistics exist, a cardinality-derived
+// guess otherwise, and the rows on those pages.
+func heapRead(rawEst, kept, total int64) (pages, rows float64) {
 	if total > 0 {
-		return float64(kept) + 1
+		pages = float64(kept) + 1
+		return pages, float64(rawEst) * pages / float64(total+1)
 	}
-	return float64(rawEst)/costRowsPerPage + 1
+	return float64(rawEst)/costRowsPerPage + 1, float64(rawEst)
 }
 
-// indexScanCost prices an index range scan returning idxRows entries:
-// descent + leaf pages + one heap page fetch per matching row (the
-// point-fetch cache collapses same-page neighbors, but random order makes
-// one-page-per-row the honest upper bound).
-func indexScanCost(idxRows int64) float64 {
-	return costTreeDescent + float64(idxRows)/costEntriesPerLeaf + float64(idxRows)
+// heapScanCost prices the heap alternative: its pages, and the pushed
+// predicate run over every row on them.
+func heapScanCost(rawEst, kept, total int64) float64 {
+	pages, rows := heapRead(rawEst, kept, total)
+	return pages + rows*costFilterRow
+}
+
+// indexScanCost prices an index range scan matching idxRows entries: the
+// descent, the leaf pages, the distinct heap pages the fetches touch and a
+// per-row fetch. The matching rows lie on pages the heap alternative
+// reads — the zone maps keep every page that may hold one — so those are
+// the pages the fetches spread over.
+func indexScanCost(idxRows, rawEst, kept, total int64) float64 {
+	pages, _ := heapRead(rawEst, kept, total)
+	k := float64(idxRows)
+	return costTreeDescent + k/costEntriesPerLeaf + pagesTouched(k, pages) + k*costFetchRow
+}
+
+// pagesTouched is Cardenas' estimate of the distinct pages k rows placed
+// at random over p pages fall on, p·(1−(1−1/p)^k), never more than
+// min(k, p).
+func pagesTouched(k, p float64) float64 {
+	if p <= 1 {
+		return min(k, p)
+	}
+	return min(p*(1-math.Pow(1-1/p, k)), k, p)
 }
 
 // boundStr formats one scan bound for EXPLAIN; open bounds print empty,

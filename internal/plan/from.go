@@ -85,28 +85,30 @@ func (pl *Planner) planNamedTable(t *sqlparse.NamedTable, conjuncts []sqlparse.E
 
 	// Post-filter cardinality: the raw row count scaled by the estimated
 	// selectivity of the pushed predicates (histograms/NDV/MCVs once
-	// ANALYZE ran, System R defaults otherwise).
+	// ANALYZE ran, System R defaults otherwise). Sargable conjuncts are
+	// priced once per column, as one interval (access.go); the rest are
+	// multiplied in.
 	ts := pl.Provider.Stats(tab)
 	rawEst := pl.Provider.RowCountEstimate(tab)
+	ranges, rest := sargableRanges(sc, tab, ts, pushed)
 	est := rawEst
 	if len(pushed) > 0 {
-		est = scaleEst(est, conjunctsSelectivity(ts, pushed))
+		est = scaleEst(est, ranges.selectivity()*conjunctsSelectivity(ts, rest))
 	}
 
 	// Access-path selection (see access.go): sargable bounds from the
 	// pushed conjuncts yield zone filters and index candidates, priced by
-	// estimated page I/O against the full scan.
+	// the pages and rows each path reads against the full scan.
 	var zoneFilters []storage.ZoneFilter
 	var idxCand *indexChoice
 	// seekLo/seekHi bound a clustered scan to [lo, hi) on the leading key
 	// column; seekSel is the share of the table inside the bound.
 	var seekLo, seekHi *sqltypes.Value
 	seek, seekSel := false, 1.0
-	ranges := sargableRanges(sc, tab, ts, pushed)
 	if !tab.Clustered {
 		zoneFilters = zoneFiltersFrom(ranges)
 		idxCand = pickIndex(tab, ranges)
-	} else if r := ranges[tab.PrimaryKey[0]]; r != nil {
+	} else if r := ranges.on(tab.PrimaryKey[0]); r != nil {
 		seekLo, seekHi = clusteredSeekBounds(r)
 		if seek = seekLo != nil || seekHi != nil; seek {
 			seekSel = r.sel
@@ -119,7 +121,7 @@ func (pl *Planner) planNamedTable(t *sqlparse.NamedTable, conjuncts []sqlparse.E
 	useIndex := false
 	if idxCand != nil {
 		idxRows := scaleEst(rawEst, idxCand.rng.sel)
-		useIndex = indexScanCost(idxRows) < heapScanCost(rawEst, keptPages, totalPages)
+		useIndex = indexScanCost(idxRows, rawEst, keptPages, totalPages) < heapScanCost(rawEst, keptPages, totalPages)
 	}
 	switch pl.ForcePath {
 	case "full":

@@ -129,18 +129,24 @@ func cmpSelectivity(ts *stats.TableStats, t *sqlparse.Binary) (float64, bool) {
 		}
 		op = flipCmp(op)
 	}
+	return colCmpSelectivity(ts, id.Name, op, v), true
+}
+
+// colCmpSelectivity estimates `col op v` from the statistics, or with
+// the default for op when they cannot price it.
+func colCmpSelectivity(ts *stats.TableStats, col, op string, v sqltypes.Value) float64 {
 	if ts != nil {
-		if s, ok := ts.CmpSelectivity(id.Name, op, v); ok {
-			return s, true
+		if s, ok := ts.CmpSelectivity(col, op, v); ok {
+			return s
 		}
 	}
 	switch op {
 	case "=":
-		return defaultEqSel, true
+		return defaultEqSel
 	case "<>":
-		return 1 - defaultEqSel, true
+		return 1 - defaultEqSel
 	default:
-		return defaultRangeSel, true
+		return defaultRangeSel
 	}
 }
 
