@@ -758,7 +758,10 @@ func (pl *Planner) topNNode(n int64, terms []sortTerm, rel *relation) *Node {
 				for i, op := range ops {
 					tops[i] = &exec.TopN{N: n, Keys: sc.keys, Child: sc.compute(op, below[0])}
 				}
-				g := &exec.Gather{Children: tops}
+				// Drained in partition order, the candidates reach the
+				// final TopN in table order, so ties at the n-th key
+				// resolve as the serial plan resolves them.
+				g := &exec.Gather{Children: tops, Ordered: true}
 				return sc.drop(&exec.TopN{N: n, Keys: sc.keys, Child: g}), nil
 			},
 		}
