@@ -66,23 +66,19 @@ func (n *Node) SpillBytes() int64 {
 // spill, Bloom, zone-map and buffer-pool activity. total is the statement's
 // end-to-end wall time, rows the count it returned.
 //
-// Display-only nodes without their own profile (synthetic exchange and
-// partial-aggregate nodes) inherit the nearest profiled ancestor's
-// counters so an actual/estimate ratio appears on every line; their
-// detail lines are suppressed (the owner already prints them).
+// Display-only nodes without their own profile (synthetic exchange,
+// partial-aggregate and per-partition nodes, whose work an ancestor's
+// operator does) print their estimate alone, as in EXPLAIN: every actual
+// count printed is the node's own.
 func (n *Node) ExplainAnalyze(total time.Duration, rows int64) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "EXPLAIN ANALYZE (total %s, %d rows returned)\n", fmtDuration(total), rows)
-	n.explainAnalyze(&sb, 0, nil)
+	n.explainAnalyze(&sb, 0)
 	return sb.String()
 }
 
-func (n *Node) explainAnalyze(sb *strings.Builder, depth int, inherited *obs.OpProfile) {
+func (n *Node) explainAnalyze(sb *strings.Builder, depth int) {
 	p := n.Prof
-	owns := p != nil
-	if p == nil {
-		p = inherited
-	}
 	sb.WriteString(strings.Repeat("   ", depth))
 	sb.WriteString("|--")
 	sb.WriteString(n.Op)
@@ -93,7 +89,7 @@ func (n *Node) explainAnalyze(sb *strings.Builder, depth int, inherited *obs.OpP
 	if p != nil {
 		actual := p.Rows.Load()
 		fmt.Fprintf(sb, " (est=%d rows, actual=%d rows, off by %s)", n.Est, actual, estRatio(n.Est, actual))
-		if batches := p.Batches.Load(); owns && batches > 0 {
+		if batches := p.Batches.Load(); batches > 0 {
 			fmt.Fprintf(sb, " batches=%d", batches)
 		}
 	} else if n.Est > 0 {
@@ -102,7 +98,7 @@ func (n *Node) explainAnalyze(sb *strings.Builder, depth int, inherited *obs.OpP
 	if n.vectorized() {
 		sb.WriteString(" vectorized")
 	}
-	if owns && p.Timed {
+	if p != nil && p.Timed {
 		cum := time.Duration(p.WallNS.Load())
 		self := cum - childWall(n, p)
 		if self < 0 {
@@ -111,7 +107,7 @@ func (n *Node) explainAnalyze(sb *strings.Builder, depth int, inherited *obs.OpP
 		fmt.Fprintf(sb, " time=%s (self %s)", fmtDuration(cum), fmtDuration(self))
 	}
 	sb.WriteString("\n")
-	if owns {
+	if p != nil {
 		pad := strings.Repeat("   ", depth+1) + "   "
 		if b, r, rows := p.Spill(); b != 0 || r != 0 || rows != 0 {
 			fmt.Fprintf(sb, "%sspill: %s in %d runs (%d rows)\n", pad, fmtBytes(b), r, rows)
@@ -127,7 +123,7 @@ func (n *Node) explainAnalyze(sb *strings.Builder, depth int, inherited *obs.OpP
 		}
 	}
 	for _, c := range n.Children {
-		c.explainAnalyze(sb, depth+1, p)
+		c.explainAnalyze(sb, depth+1)
 	}
 }
 
