@@ -177,23 +177,29 @@ func (c *ColumnStats) belowFraction(v sqltypes.Value, rowCount int64) float64 {
 
 // histBelow adds to acc the histogram's rows strictly below v (the rows
 // the MCV list does not hold), interpolating inside the bucket v falls in;
-// a nil v is above every bucket. It never decreases as v grows over
-// sorted buckets.
+// a nil v is above every bucket. The last bucket reaches up to Max: the
+// sample may have missed the largest values, the exact Max has not. It
+// never decreases as v grows over sorted buckets.
 func (c *ColumnStats) histBelow(v *sqltypes.Value, acc float64) float64 {
 	if len(c.Histogram) == 0 || c.HistRows <= 0 {
 		return acc
 	}
 	lower := c.Min
+	last := len(c.Histogram) - 1
 	for i := range c.Histogram {
 		b := &c.Histogram[i]
-		if v == nil || sqltypes.Compare(b.Upper, *v) < 0 {
+		upper := b.Upper
+		if i == last && c.Max != nil && sqltypes.Compare(*c.Max, upper) > 0 {
+			upper = *c.Max
+		}
+		if v == nil || sqltypes.Compare(upper, *v) < 0 {
 			acc += float64(b.Rows)
 			lower = &b.Upper
 			continue
 		}
 		// v falls inside this bucket: interpolate numerically when the
 		// bounds allow it, otherwise assume half the bucket.
-		acc += float64(b.Rows) * bucketFraction(lower, b.Upper, *v)
+		acc += float64(b.Rows) * bucketFraction(lower, upper, *v)
 		break
 	}
 	return acc
