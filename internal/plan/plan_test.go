@@ -985,3 +985,150 @@ func TestPlanNotOfPartiallyUnknownAnd(t *testing.T) {
 		t.Errorf("NOT over partially-unknown AND collapsed the estimate:\n%s", text)
 	}
 }
+
+// scanEst plans sql and returns the estimate on its base-table scan line.
+func scanEst(t *testing.T, pl *Planner, sql string) int64 {
+	t.Helper()
+	text := planQuery(t, pl, sql).Explain()
+	for _, l := range strings.Split(text, "\n") {
+		if i := strings.Index(l, "Scan [t]"); i >= 0 {
+			var est int64
+			if j := strings.LastIndex(l, "(est="); j >= 0 {
+				fmt.Sscanf(l[j:], "(est=%d rows)", &est)
+				return est
+			}
+		}
+	}
+	t.Fatalf("no scan estimate:\n%s", text)
+	return 0
+}
+
+// TestPlanWindowEstimates: a column's sargable conjuncts are one window,
+// priced once: two bounds are an interval, not two independent events;
+// two bounds on one side are the tighter; an equality inside a range is
+// the equality; contradictory bounds keep one row; other conjuncts still
+// multiply in.
+func TestPlanWindowEstimates(t *testing.T) {
+	p := newFakeProvider()
+	p.rowCounts["t"] = 100_000
+	p.tables["t"].Indexes = []catalog.Index{{Name: "idx_a", Columns: []int{0}}}
+	p.tstats["t"] = uniformIntStats(1, "t", "a", 100_000, 50_000)
+	pl := NewPlanner(p, 4)
+	est := func(sql string) int64 { return scanEst(t, pl, "SELECT s FROM t WHERE "+sql) }
+
+	if got := est("a >= 100 AND a <= 199"); got != 200 {
+		t.Errorf("a 100-value window: est=%d, want 200 (2 rows a value)", got)
+	}
+	if got := est("a >= 100 AND a < 200"); got != 200 {
+		t.Errorf("[100, 200): est=%d, want 200", got)
+	}
+	if got, want := est("a > 5 AND a > 7"), est("a > 7"); got != want {
+		t.Errorf("a > 5 AND a > 7: est=%d, a > 7 est=%d", got, want)
+	}
+	if got, want := est("5 < a AND a <= 9000 AND a <= 300"), est("a > 5 AND a <= 300"); got != want {
+		t.Errorf("tightened window est=%d, want %d", got, want)
+	}
+	if got, want := est("a = 5 AND a > 3"), est("a = 5"); got != want {
+		t.Errorf("a = 5 AND a > 3: est=%d, a = 5 est=%d", got, want)
+	}
+	for _, empty := range []string{"a = 5 AND a > 7", "a > 7 AND a < 3", "a > 7 AND a <= 7"} {
+		if got := est(empty); got != 1 {
+			t.Errorf("%s: est=%d, want 1 (no row passes, one kept)", empty, got)
+		}
+	}
+	// An unestimable conjunct leaves the window's estimate alone; an
+	// estimable one on another column multiplies in.
+	if got := est("a >= 100 AND a <= 199 AND s = s"); got != 200 {
+		t.Errorf("window plus unknown conjunct: est=%d, want 200", got)
+	}
+	if got := est("a >= 100 AND a <= 199 AND s LIKE 'x%'"); got != 50 {
+		t.Errorf("window plus LIKE: est=%d, want 50", got)
+	}
+	// Without statistics the bounds still form one window.
+	delete(p.tstats, "t")
+	if got, want := est("a > 7 AND a < 3"), int64(1); got != want {
+		t.Errorf("contradictory bounds without stats: est=%d, want %d", got, want)
+	}
+	if got, want := est("a >= 100 AND a <= 199"), int64(100_000/9); got != want {
+		t.Errorf("window without stats: est=%d, want %d", got, want)
+	}
+}
+
+// TestPlanIndexCostModel: an index scan is priced by the distinct heap
+// pages its fetches touch plus a cost a fetch, the heap scan by its pages
+// plus a cost a filtered row: a narrow window on a table whose zone maps
+// prune nothing takes the index, a wide one the scan, and the scan of a
+// table the zone maps prune to a few pages beats an index that would
+// fetch as many rows as those pages hold.
+func TestPlanIndexCostModel(t *testing.T) {
+	if got := pagesTouched(85, 33); got < 29 || got > 31 {
+		t.Errorf("85 fetches over 33 pages touch %.1f pages, want ~30", got)
+	}
+	if got := pagesTouched(3, 1000); got > 3 {
+		t.Errorf("3 fetches touch %.2f pages, more than 3", got)
+	}
+	if got := pagesTouched(5000, 32); got > 32 {
+		t.Errorf("5000 fetches touch %.2f pages, more than the 32 there are", got)
+	}
+	// An alignment heap: 10 000 rows on 32 pages, positions scattered.
+	if idx, heap := indexScanCost(85, 10_000, 30, 32), heapScanCost(10_000, 30, 32); idx >= heap {
+		t.Errorf("85-row window: index %.1f >= heap %.1f", idx, heap)
+	}
+	if idx, heap := indexScanCost(3000, 10_000, 32, 32), heapScanCost(10_000, 32, 32); idx <= heap {
+		t.Errorf("3000-row window: index %.1f <= heap %.1f", idx, heap)
+	}
+	// Zone maps keep 2 of 32 pages: the scan reads ~600 rows.
+	if idx, heap := indexScanCost(300, 10_000, 2, 32), heapScanCost(10_000, 2, 32); idx <= heap {
+		t.Errorf("pruned to 2 pages: index %.1f <= heap %.1f", idx, heap)
+	}
+}
+
+// planBenchProvider is the fake provider over a 10 000-row "t" with an
+// index on a, analyzed by the Collector into a 64-bucket histogram plus
+// MCVs: positions uniform over [0, 25 000), a few of them heavy.
+func planBenchProvider() *fakeProvider {
+	p := newFakeProvider()
+	p.rowCounts["t"] = 10_000
+	p.tables["t"].Indexes = []catalog.Index{{Name: "idx_a", Columns: []int{0}}}
+	c := stats.NewCollector([]string{"a", "s"}, 0, 1)
+	for i := int64(0); i < 10_000; i++ {
+		a := i * 7919 % 25_000
+		if i%50 == 0 {
+			a = i % 8 // eight heavy positions: the MCVs
+		}
+		c.Add(sqltypes.Row{sqltypes.NewInt(a), sqltypes.NewString("s")})
+	}
+	p.tstats["t"] = c.Finalize(1, "t", 0, stats.DefaultHistogramBuckets, stats.DefaultMCVs)
+	p.pageStats = func(_ *catalog.Table, filters []storage.ZoneFilter) (int64, int64) { return 30, 32 }
+	return p
+}
+
+func benchPlan(b *testing.B, sql string, want string) {
+	pl := NewPlanner(planBenchProvider(), 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		stmt, err := sqlparse.Parse(sql)
+		if err != nil {
+			b.Fatal(err)
+		}
+		node, err := pl.PlanSelect(stmt.(*sqlparse.Select))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if text := node.Explain(); i == 0 && !strings.Contains(text, want) {
+			b.Fatalf("%s plans\n%s", sql, text)
+		}
+	}
+}
+
+// BenchmarkPlanPointLookup times parsing, planning and rendering the
+// EXPLAIN of an equality on the indexed column.
+func BenchmarkPlanPointLookup(b *testing.B) {
+	benchPlan(b, "SELECT COUNT(*) FROM t WHERE a = 12345", "Index Scan [t] idx_a (12345..12345)")
+}
+
+// BenchmarkPlanRange times the same for a 200-wide window.
+func BenchmarkPlanRange(b *testing.B) {
+	benchPlan(b, "SELECT COUNT(*) FROM t WHERE a >= 12000 AND a <= 12200", "Index Scan [t] idx_a (12000..12200)")
+}
