@@ -30,7 +30,7 @@ func openTestDB(t *testing.T) *Database {
 // named counters of one reading or of the Sub of two.
 func engineCounters(db *Database) obs.Snapshot { return db.sink.Engine.Snapshot() }
 
-func mustExec(t *testing.T, db *Database, sql string) *Result {
+func mustExec(t testing.TB, db *Database, sql string) *Result {
 	t.Helper()
 	res, err := db.Exec(sql)
 	if err != nil {

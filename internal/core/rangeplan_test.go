@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"regexp"
 	"slices"
 	"strconv"
@@ -26,9 +27,13 @@ const (
 
 // openAlignHeap builds the AlignHeap-shaped table, checkpointed, indexed
 // and analyzed, and returns the sorted positions it holds.
-func openAlignHeap(t *testing.T) (*Database, []int64) {
+func openAlignHeap(t testing.TB) (*Database, []int64) {
 	t.Helper()
-	db := openTestDB(t)
+	db, err := Open(filepath.Join(t.TempDir(), "db"), Options{DOP: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
 	mustExec(t, db, `CREATE TABLE AlignHeap (a_r_id BIGINT, a_g_id INT, a_pos BIGINT, a_strand BIT, a_mapq INT)`)
 	rng := rand.New(rand.NewSource(42))
 	rows := make([]sqltypes.Row, alignRows)
@@ -156,4 +161,45 @@ func canonRows(res *Result) string {
 		fmt.Fprintf(&sb, "%v;", r)
 	}
 	return sb.String()
+}
+
+// selfTime reads the scan line's self time from an EXPLAIN ANALYZE.
+var selfTime = regexp.MustCompile(`Scan \[AlignHeap\].* \(self ([0-9.]+)(ms|s)\)`)
+
+// BenchmarkWindowAccessPaths measures what access.go's cost constants
+// are derived from: the EXPLAIN ANALYZE self time of the AlignHeap scan
+// unfiltered and under a 200-bp window, and of the index under windows
+// of 200 and 1 000 bp, warm and serial. Each reports its mean self time
+// as self-ms; run with -benchtime 3000x for the header's figures.
+func BenchmarkWindowAccessPaths(b *testing.B) {
+	db, _ := openAlignHeap(b)
+	db.SetDOP(1)
+	for _, c := range []struct{ name, path, where string }{
+		{"scan-unfiltered", "full", ""},
+		{"scan-200bp", "full", " WHERE a_pos >= 12000 AND a_pos <= 12200"},
+		{"index-200bp", "index", " WHERE a_pos >= 12000 AND a_pos <= 12200"},
+		{"index-1000bp", "index", " WHERE a_pos >= 12000 AND a_pos <= 13000"},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			db.planner.ForcePath = c.path
+			defer func() { db.planner.ForcePath = "" }()
+			total := 0.0
+			for i := 0; i < b.N; i++ {
+				res, err := db.Exec("EXPLAIN ANALYZE SELECT COUNT(*) FROM AlignHeap" + c.where)
+				if err != nil {
+					b.Fatal(err)
+				}
+				m := selfTime.FindStringSubmatch(res.Plan)
+				if m == nil {
+					b.Fatalf("no self time:\n%s", res.Plan)
+				}
+				ms, _ := strconv.ParseFloat(m[1], 64)
+				if m[2] == "s" {
+					ms *= 1000
+				}
+				total += ms
+			}
+			b.ReportMetric(total/float64(b.N), "self-ms")
+		})
+	}
 }
