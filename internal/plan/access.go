@@ -177,35 +177,7 @@ func sargValue(v sqltypes.Value, k sqltypes.Kind) (sqltypes.Value, bool) {
 // priced: the others come back as rest, for conjunctsSelectivity.
 func sargableRanges(sc *scope, tab *catalog.Table, ts *stats.TableStats, pushed []sqlparse.Expr) (ranges sargRanges, rest []sqlparse.Expr) {
 	for _, c := range pushed {
-		b, ok := c.(*sqlparse.Binary)
-		if !ok {
-			rest = append(rest, c)
-			continue
-		}
-		op := b.Op
-		id, lok := b.L.(*sqlparse.Ident)
-		v, rconst := constValue(b.R)
-		if !lok || !rconst {
-			id, lok = b.R.(*sqlparse.Ident)
-			v, rconst = constValue(b.L)
-			if !lok || !rconst {
-				rest = append(rest, c)
-				continue
-			}
-			op = flipCmp(op)
-		}
-		switch op {
-		case "=", "<", "<=", ">", ">=":
-		default:
-			rest = append(rest, c)
-			continue
-		}
-		idx, err := sc.resolve(id.Qualifier, id.Name)
-		if err != nil {
-			rest = append(rest, c)
-			continue
-		}
-		sv, ok := sargValue(v, tab.Columns[idx].Type.StorageKind())
+		idx, op, v, ok := sargConjunct(sc, tab, c)
 		if !ok {
 			rest = append(rest, c)
 			continue
@@ -217,22 +189,54 @@ func sargableRanges(sc *scope, tab *catalog.Table, ts *stats.TableStats, pushed 
 		}
 		switch op {
 		case "=":
-			r.tightenLo(sv, true)
-			r.tightenHi(sv, true)
+			r.tightenLo(v, true)
+			r.tightenHi(v, true)
 		case ">":
-			r.tightenLo(sv, false)
+			r.tightenLo(v, false)
 		case ">=":
-			r.tightenLo(sv, true)
+			r.tightenLo(v, true)
 		case "<":
-			r.tightenHi(sv, false)
+			r.tightenHi(v, false)
 		case "<=":
-			r.tightenHi(sv, true)
+			r.tightenHi(v, true)
 		}
 	}
 	for _, r := range ranges {
 		r.price(ts, tab.Columns[r.col].Name)
 	}
 	return ranges, rest
+}
+
+// sargConjunct reads a conjunct of the shape `col op const` as the
+// column's position, the operator with the column on its left, and the
+// constant in the column's storage kind; ok=false for any other shape.
+func sargConjunct(sc *scope, tab *catalog.Table, c sqlparse.Expr) (idx int, op string, v sqltypes.Value, ok bool) {
+	b, isBin := c.(*sqlparse.Binary)
+	if !isBin {
+		return 0, "", v, false
+	}
+	op = b.Op
+	id, lok := b.L.(*sqlparse.Ident)
+	v, rconst := constValue(b.R)
+	if !lok || !rconst {
+		id, lok = b.R.(*sqlparse.Ident)
+		v, rconst = constValue(b.L)
+		if !lok || !rconst {
+			return 0, "", v, false
+		}
+		op = flipCmp(op)
+	}
+	switch op {
+	case "=", "<", "<=", ">", ">=":
+	default:
+		return 0, "", v, false
+	}
+	idx, err := sc.resolve(id.Qualifier, id.Name)
+	if err != nil {
+		return 0, "", v, false
+	}
+	v, ok = sargValue(v, tab.Columns[idx].Type.StorageKind())
+	return idx, op, v, ok
 }
 
 // zoneFiltersFrom renders the ranges as storage zone filters (in column
