@@ -26,10 +26,11 @@ const (
 )
 
 // openAlignHeap builds the AlignHeap-shaped table, checkpointed, indexed
-// and analyzed, and returns the sorted positions it holds.
+// and analyzed, serial as the benchmark runs on 2 vCPUs, and returns the
+// sorted positions it holds.
 func openAlignHeap(t testing.TB) (*Database, []int64) {
 	t.Helper()
-	db, err := Open(filepath.Join(t.TempDir(), "db"), Options{DOP: 2})
+	db, err := Open(filepath.Join(t.TempDir(), "db"), Options{DOP: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +174,6 @@ var selfTime = regexp.MustCompile(`Scan \[AlignHeap\].* \(self ([0-9.]+)(ms|s)\)
 // as self-ms; run with -benchtime 3000x for the header's figures.
 func BenchmarkWindowAccessPaths(b *testing.B) {
 	db, _ := openAlignHeap(b)
-	db.SetDOP(1)
 	for _, c := range []struct{ name, path, where string }{
 		{"scan-unfiltered", "full", ""},
 		{"scan-200bp", "full", " WHERE a_pos >= 12000 AND a_pos <= 12200"},

@@ -31,21 +31,22 @@ import (
 // The two per-row constants come from EXPLAIN ANALYZE self times of
 // COUNT(*) over an alignment heap shaped like the benchmark's AlignHeap
 // (10 000 rows, 32 pages, positions scattered over 25 000 bp, so zone
-// maps keep every page), warm, serial, on a 2-vCPU Xeon VM, means of
-// 3 000 runs each (core's BenchmarkWindowAccessPaths repeats them):
+// maps keep every page), warm and serial on a 2-vCPU Xeon VM: core's
+// BenchmarkWindowAccessPaths, means of 3 000 runs (three runs of it read
+// 0.107-0.147, 0.43-0.49, 0.089-0.098 and 0.51-0.57 ms; one is quoted):
 //
-//   - a page: the unfiltered scan, 0.087 ms / 32 pages = 2.7 µs;
-//   - costFilterRow: a 200-bp window by the scan, 0.351 ms, less the
-//     unfiltered scan, over 10 000 rows = 26 ns = 0.0097 pages -> 0.01;
-//   - costFetchRow: the window by the index, 0.067 ms for 72 rows, and
-//     wider windows (143, 398, 1 244 rows: 0.137, 0.422, 1.408 ms), are
-//     0.93-1.13 µs a fetched row with its pool get = 0.34-0.42 pages ->
-//     0.37. Warm, the touched pages cost nothing beyond that; cold, each
-//     is a read, which the Cardenas term charges.
+//   - a page: the unfiltered scan, 0.107 ms / 32 pages = 3.3 µs;
+//   - costFilterRow: a 200-bp window by the scan, 0.443 ms, less the
+//     unfiltered scan, over 10 000 rows = 34 ns = 0.010 pages;
+//   - costFetchRow: the 200-bp window by the index, 0.089 ms for 72
+//     rows, and a 1 000-bp one, 0.530 ms for 398, are 1.23-1.33 µs a
+//     fetched row with its pool get = 0.37-0.40 pages -> 0.37. Warm, the
+//     touched pages cost nothing beyond that; cold, each is a read, which
+//     the Cardenas term charges.
 //
 // On that table a window takes the index while it matches fewer than
 // ~250 of the 10 000 rows; measured, the index stays the faster path up
-// to ~330 rows.
+// to ~330-360 rows.
 //
 // Page cost is deliberately separate from the output-row estimate: a
 // selective predicate shrinks the output of any path, but only an index
