@@ -30,9 +30,8 @@ type BTree struct {
 	path string
 	inj  *fault.Injector
 
-	root         int64
-	count        int64 // live keys (in-memory; durable at checkpoint)
-	durableCount int64
+	root  int64
+	count int64 // live keys (in-memory; durable at checkpoint)
 }
 
 // Open opens or creates a B+-tree at path.
@@ -66,7 +65,6 @@ func OpenFault(path string, pool *storage.BufferPool, inj *fault.Injector) (*BTr
 	}
 	t.root = int64(binary.LittleEndian.Uint64(meta[8:]))
 	t.count = int64(binary.LittleEndian.Uint64(meta[16:]))
-	t.durableCount = t.count
 	return t, nil
 }
 
@@ -85,7 +83,6 @@ func (t *BTree) initEmpty() error {
 	}
 	t.root = int64(rootID)
 	t.count = 0
-	t.durableCount = 0
 	return t.writeMeta()
 }
 
@@ -102,13 +99,6 @@ func (t *BTree) Count() int64 {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	return t.count
-}
-
-// DurableCount returns the key count persisted by the last checkpoint.
-func (t *BTree) DurableCount() int64 {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.durableCount
 }
 
 // InsertMode says what InsertSorted does with a key the tree already
@@ -704,7 +694,6 @@ func (t *BTree) Checkpoint() error {
 		return err
 	}
 	t.root = int64(binary.LittleEndian.Uint64(meta[8:]))
-	t.durableCount = t.count
 	return nil
 }
 

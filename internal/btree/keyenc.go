@@ -16,6 +16,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"unsafe"
 
 	"repro/internal/sqltypes"
 )
@@ -97,4 +98,89 @@ func DecodeIntKeyPrefix(key []byte) (int64, bool) {
 		return 0, false
 	}
 	return int64(binary.BigEndian.Uint64(key[1:]) ^ (1 << 63)), true
+}
+
+// DecodeKey is AppendKey's inverse: it decodes the first n values of an
+// encoded key, appends them to dst, and returns them with the number of
+// bytes they took. Text is copied out of key. Bytes no AppendKey call
+// writes — an unknown tag, a value cut short, a BOOL byte other than 0 or
+// 1, a 0x00 in text followed by anything but 0xFF or 0x01 — are an error.
+func DecodeKey(dst sqltypes.Row, key []byte, n int) (sqltypes.Row, int, error) {
+	at := 0
+	for i := 0; i < n; i++ {
+		if at == len(key) {
+			return dst, at, fmt.Errorf("btree: key of %d bytes holds %d values, want %d", len(key), i, n)
+		}
+		tag := key[at]
+		at++
+		switch tag {
+		case tagNull:
+			dst = append(dst, sqltypes.Null)
+		case tagBool:
+			if at == len(key) || key[at] > 1 {
+				return dst, at, fmt.Errorf("btree: bad BOOL at key byte %d", at)
+			}
+			dst = append(dst, sqltypes.NewBool(key[at] == 1))
+			at++
+		case tagInt, tagFloat:
+			if len(key)-at < 8 {
+				return dst, at, fmt.Errorf("btree: key cut short in a number at byte %d", at)
+			}
+			bits := binary.BigEndian.Uint64(key[at:])
+			at += 8
+			switch {
+			case tag == tagInt:
+				dst = append(dst, sqltypes.NewInt(int64(bits^(1<<63))))
+			case bits&(1<<63) != 0: // a positive float
+				dst = append(dst, sqltypes.NewFloat(math.Float64frombits(bits^(1<<63))))
+			default:
+				dst = append(dst, sqltypes.NewFloat(math.Float64frombits(^bits)))
+			}
+		case tagStr, tagBytes:
+			b, w, err := unescape(key[at:])
+			if err != nil {
+				return dst, at, fmt.Errorf("btree: key byte %d: %w", at, err)
+			}
+			at += w
+			if tag == tagStr {
+				dst = append(dst, sqltypes.NewString(unsafe.String(unsafe.SliceData(b), len(b)))) // b is this value's alone
+			} else {
+				dst = append(dst, sqltypes.NewBytes(b))
+			}
+		default:
+			return dst, at - 1, fmt.Errorf("btree: unknown key tag 0x%02x at byte %d", tag, at-1)
+		}
+	}
+	return dst, at, nil
+}
+
+// unescape reverses appendEscaped on the front of src: it returns a copy
+// of the value's bytes and the encoded bytes it took, terminator included.
+func unescape(src []byte) ([]byte, int, error) {
+	end, escapes := -1, 0
+	for i := 0; i+1 < len(src) && end < 0; i++ {
+		if src[i] != 0x00 {
+			continue
+		}
+		switch src[i+1] {
+		case 0x01:
+			end = i
+		case 0xFF:
+			escapes++
+			i++
+		default:
+			return nil, 0, fmt.Errorf("bad escape 0x00 0x%02x", src[i+1])
+		}
+	}
+	if end < 0 {
+		return nil, 0, fmt.Errorf("text without its terminator")
+	}
+	out := make([]byte, 0, end-escapes)
+	for i := 0; i < end; i++ {
+		out = append(out, src[i])
+		if src[i] == 0x00 {
+			i++
+		}
+	}
+	return out, end + 2, nil
 }

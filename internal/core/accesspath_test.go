@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -22,10 +24,13 @@ import (
 // rows every route must refuse to surface.
 
 // fuzzSelect runs the query under each forced access path and fails if
-// any path disagrees with the cost-based plan.
+// any path disagrees with the full scan: row for row when the query has
+// an ORDER BY (its keys must order the output completely), as a multiset
+// otherwise.
 func fuzzSelect(t *testing.T, db *Database, query string) {
 	t.Helper()
-	paths := []string{"", "full", "zonemap", "index"}
+	paths := []string{"full", "", "zonemap", "index"}
+	ordered := strings.Contains(query, " ORDER BY ")
 	var want []string
 	for i, p := range paths {
 		db.planner.ForcePath = p
@@ -34,12 +39,18 @@ func fuzzSelect(t *testing.T, db *Database, query string) {
 			t.Fatalf("path %q: %s: %v", p, query, err)
 		}
 		got := canonResult(res)
+		if ordered {
+			got = got[:0]
+			for _, r := range res.Rows {
+				got = append(got, fmt.Sprint(r))
+			}
+		}
 		if i == 0 {
 			want = got
 			continue
 		}
 		if len(got) != len(want) {
-			t.Fatalf("path %q: %s: %d rows, cost-based plan returned %d", p, query, len(got), len(want))
+			t.Fatalf("path %q: %s: %d rows, the full scan returned %d", p, query, len(got), len(want))
 		}
 		for j := range got {
 			if got[j] != want[j] {
@@ -50,9 +61,15 @@ func fuzzSelect(t *testing.T, db *Database, query string) {
 }
 
 // TestAccessPathEquivalenceFuzz seeds a table with NULLs and duplicate
-// keys, builds an index, seals zone maps, opens an in-flight transaction,
-// and sweeps randomized sargable (and some non-sargable) predicates
-// across all forced access paths at DOP 4.
+// keys, builds an index on a and one on (s, b), seals zone maps, opens an
+// in-flight transaction, and sweeps randomized sargable (and some
+// non-sargable) predicates across all forced access paths at DOP 4. Each
+// predicate runs under statements that read columns outside the index
+// (the scan fetches rows) and under covered ones that read only its key
+// columns (the scan answers from the entries): COUNT(*), the key alone, a
+// GROUP BY on it and an ORDER BY it in index order. The sweep runs again
+// after the in-flight transaction rolls back and a CHECKPOINT compacts the
+// heap and rebuilds both indexes.
 func TestAccessPathEquivalenceFuzz(t *testing.T) {
 	db, err := Open(t.TempDir(), Options{DOP: 4})
 	if err != nil {
@@ -71,13 +88,18 @@ func TestAccessPathEquivalenceFuzz(t *testing.T) {
 		if i%11 == 0 {
 			a = "NULL"
 		}
-		vals = append(vals, fmt.Sprintf("(%s, %d, 's%d')", a, rng.Intn(1000), i%7))
+		b := fmt.Sprint(rng.Intn(1000))
+		if i%13 == 0 {
+			b = "NULL" // a NULL second key column in idx_sb
+		}
+		vals = append(vals, fmt.Sprintf("(%s, %s, 's%d')", a, b, i%7))
 		if len(vals) == 50 {
 			mustExec(t, db, "INSERT INTO fz VALUES "+strings.Join(vals, ", "))
 			vals = vals[:0]
 		}
 	}
 	mustExec(t, db, `CREATE INDEX idx_a ON fz(a)`)
+	mustExec(t, db, `CREATE INDEX idx_sb ON fz(s, b)`)
 	mustExec(t, db, `CHECKPOINT`) // seal pages -> zone maps
 	mustExec(t, db, `ANALYZE`)    // stats -> selectivity estimates
 
@@ -92,53 +114,154 @@ func TestAccessPathEquivalenceFuzz(t *testing.T) {
 	if err := s.Rollback(); err != nil {
 		t.Fatal(err)
 	}
-	// An in-flight transaction held open across the whole fuzz sweep: no
+	// An in-flight transaction held open across the first sweep: no
 	// access path may see its rows.
 	inflight := db.NewSession()
 	if err := inflight.Begin(); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 40; i++ {
-		if _, err := inflight.Exec(fmt.Sprintf(`INSERT INTO fz VALUES (%d, %d, 'flight')`, i*12, i)); err != nil {
+		if _, err := inflight.Exec(fmt.Sprintf(`INSERT INTO fz VALUES (%d, %d, 's%d')`, i*12, i, i%9)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	defer inflight.Rollback()
 
-	// The index route must actually be an index scan when forced.
+	// The index route must actually be an index scan when forced, and an
+	// ORDER BY on an index's key columns must read index order, unsorted.
 	db.planner.ForcePath = "index"
-	res := mustExec(t, db, `EXPLAIN SELECT a, b, s FROM fz WHERE a = 250`)
-	if !strings.Contains(res.Plan, "Index Scan") {
-		t.Fatalf("forced index path did not plan an Index Scan:\n%s", res.Plan)
+	for _, q := range []string{
+		`SELECT a, b, s FROM fz WHERE a = 250`,
+		`SELECT s, b FROM fz WHERE s > 's2' AND s < 's5'`,
+		`SELECT a FROM fz WHERE a >= 100 AND a < 300 ORDER BY a`,
+		`SELECT s, b FROM fz WHERE s >= 's1' ORDER BY s, b`,
+	} {
+		plan := mustExec(t, db, "EXPLAIN "+q).Plan
+		if !strings.Contains(plan, "Index Scan") || strings.Contains(q, "ORDER BY") && strings.Contains(plan, "Sort") {
+			t.Fatalf("forced index path: %s does not read an index in key order:\n%s", q, plan)
+		}
 	}
 
-	for i := 0; i < 60; i++ {
-		k := rng.Intn(520) - 10 // occasionally out of range entirely
-		k2 := k + rng.Intn(80)
-		m := rng.Intn(1000)
-		var pred string
-		switch i % 6 {
-		case 0:
-			pred = fmt.Sprintf("a = %d", k)
-		case 1:
-			pred = fmt.Sprintf("a > %d AND a <= %d", k, k2)
-		case 2:
-			pred = fmt.Sprintf("a >= %d", k)
-		case 3:
-			pred = fmt.Sprintf("a < %d", k)
-		case 4:
-			pred = fmt.Sprintf("a >= %d AND a < %d AND b < %d", k, k2, m)
-		case 5:
-			// Not sargable: the index path must degrade, not misfire.
-			pred = fmt.Sprintf("a = %d OR b = %d", k, m)
+	sweep := func(t *testing.T) {
+		for i := 0; i < 60; i++ {
+			k := rng.Intn(520) - 10 // occasionally out of range entirely
+			k2 := k + rng.Intn(80)
+			m := rng.Intn(1000)
+			var pred string
+			switch i % 6 {
+			case 0:
+				pred = fmt.Sprintf("a = %d", k)
+			case 1:
+				pred = fmt.Sprintf("a > %d AND a <= %d", k, k2)
+			case 2:
+				pred = fmt.Sprintf("a >= %d", k)
+			case 3:
+				pred = fmt.Sprintf("a < %d", k)
+			case 4:
+				pred = fmt.Sprintf("a >= %d AND a < %d AND b < %d", k, k2, m)
+			case 5:
+				// Not sargable: the index path must degrade, not misfire.
+				pred = fmt.Sprintf("a = %d OR b = %d", k, m)
+			}
+			fuzzSelect(t, db, "SELECT a, b, s FROM fz WHERE "+pred)
+			if i%6 != 4 && i%6 != 5 { // covered: only a is read
+				fuzzSelect(t, db, "SELECT COUNT(*) FROM fz WHERE "+pred)
+				fuzzSelect(t, db, "SELECT a FROM fz WHERE "+pred)
+				fuzzSelect(t, db, "SELECT a, COUNT(*) FROM fz WHERE "+pred+" GROUP BY a")
+				fuzzSelect(t, db, "SELECT a FROM fz WHERE "+pred+" ORDER BY a")
+			}
 		}
-		fuzzSelect(t, db, "SELECT a, b, s FROM fz WHERE "+pred)
+		// Text and two-column keys: idx_sb, bounded on s, inclusive and
+		// exclusive, with and without a recheck on b.
+		for i := 0; i < 24; i++ {
+			lo, hi := rng.Intn(9), rng.Intn(9)
+			var pred string
+			switch i % 4 {
+			case 0:
+				pred = fmt.Sprintf("s = 's%d'", lo)
+			case 1:
+				pred = fmt.Sprintf("s > 's%d' AND s < 's%d'", lo, hi)
+			case 2:
+				pred = fmt.Sprintf("s >= 's%d' AND s <= 's%d' AND b < %d", lo, hi, rng.Intn(1000))
+			case 3:
+				pred = fmt.Sprintf("s < 's%d'", lo)
+			}
+			fuzzSelect(t, db, "SELECT a, b, s FROM fz WHERE "+pred)
+			fuzzSelect(t, db, "SELECT COUNT(*) FROM fz WHERE "+pred)
+			fuzzSelect(t, db, "SELECT s, b FROM fz WHERE "+pred)
+			fuzzSelect(t, db, "SELECT s, COUNT(*), SUM(b) FROM fz WHERE "+pred+" GROUP BY s")
+			fuzzSelect(t, db, "SELECT s, b FROM fz WHERE "+pred+" ORDER BY s, b")
+		}
+		// Aggregates and ordering over each path.
+		fuzzSelect(t, db, `SELECT s, COUNT(*), SUM(b) FROM fz WHERE a >= 100 AND a < 300 GROUP BY s`)
+		fuzzSelect(t, db, `SELECT a, b FROM fz WHERE a > 450 ORDER BY a, b, s`)
+		coveredScanFetchesNothing(t, db, `SELECT COUNT(*) FROM fz WHERE a >= 100 AND a < 300`)
+		coveredScanFetchesNothing(t, db, `SELECT s, b FROM fz WHERE s > 's1' AND s <= 's4'`)
 	}
-	// Aggregates and ordering over each path.
-	fuzzSelect(t, db, `SELECT s, COUNT(*), SUM(b) FROM fz WHERE a >= 100 AND a < 300 GROUP BY s`)
-	fuzzSelect(t, db, `SELECT a, b FROM fz WHERE a > 450 ORDER BY a, b, s`)
+	t.Run("inflight", sweep)
+	// The writer sees its own rows (s7 and s8 only it holds) through every
+	// path, covered or not.
+	for _, q := range []string{
+		`SELECT COUNT(*) FROM fz WHERE s >= 's7'`,
+		`SELECT s, b FROM fz WHERE s > 's6' ORDER BY s, b`,
+		`SELECT a, b, s FROM fz WHERE s >= 's7' ORDER BY s, b`,
+		`SELECT a FROM fz WHERE a >= 0 AND a < 480 ORDER BY a`,
+	} {
+		var want string
+		for _, p := range []string{"full", "index"} {
+			db.planner.ForcePath = p
+			res, err := inflight.Exec(q)
+			if err != nil {
+				t.Fatalf("path %q: %s: %v", p, q, err)
+			}
+			got := fmt.Sprint(res.Rows)
+			if p == "full" {
+				want = got
+			} else if got != want {
+				t.Fatalf("the writer's %s: index path %s, full scan %s", q, got, want)
+			}
+		}
+	}
+	db.planner.ForcePath = "index"
+	own, err := inflight.Exec(`SELECT COUNT(*) FROM fz WHERE s >= 's7'`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mine, others := own.Rows[0][0].I, mustExec(t, db, `SELECT COUNT(*) FROM fz WHERE s >= 's7'`).Rows[0][0].I; mine == 0 || others != 0 {
+		t.Fatalf("the writer sees %d of its rows, another session %d", mine, others)
+	}
+	if err := inflight.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, db, `CHECKPOINT`)
+	t.Run("after_rollback_and_checkpoint", sweep)
 
 	t.Run("page_sequence_tail", func(t *testing.T) { accessPathPageSequence(t) })
+}
+
+// fzIndexScan reads the Index Scan line of an EXPLAIN ANALYZE over fz: the
+// rows it returned and its pool hits and misses.
+var fzIndexScan = regexp.MustCompile(`Index Scan \[fz\].* actual=(\d+) rows.*\n\s*pool: (\d+) hits, (\d+) misses`)
+
+// coveredScanFetchesNothing runs a covered statement through the forced
+// index path under EXPLAIN ANALYZE: the scan's pool gets must be the index
+// walk's, a small fraction of its rows, where fetching makes about one a
+// row.
+func coveredScanFetchesNothing(t *testing.T, db *Database, query string) {
+	t.Helper()
+	db.planner.ForcePath = "index"
+	defer func() { db.planner.ForcePath = "" }()
+	plan := mustExec(t, db, "EXPLAIN ANALYZE "+query).Plan
+	m := fzIndexScan.FindStringSubmatch(plan)
+	if m == nil {
+		t.Fatalf("%s: no Index Scan line with pool traffic:\n%s", query, plan)
+	}
+	rows, _ := strconv.Atoi(m[1])
+	hits, _ := strconv.Atoi(m[2])
+	misses, _ := strconv.Atoi(m[3])
+	if rows < 200 || (hits+misses)*10 > rows {
+		t.Errorf("%s: %d rows in %d pool gets; a covered scan reads the index alone\n%s", query, rows, hits+misses, plan)
+	}
 }
 
 // accessPathPageSequence sweeps a DATA_COMPRESSION = PAGE table with a

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -57,13 +58,17 @@ func indexEntryKey(cols []int, stored sqltypes.Row, rowIdx int64) ([]byte, error
 	return btree.AppendKey(key, sqltypes.Row{sqltypes.NewInt(rowIdx)})
 }
 
+// entryPosLen is the length of an entry key's position suffix: one
+// encoded INT.
+const entryPosLen = 9
+
 // indexEntryRowIdx recovers the heap position from an entry key (the
 // trailing fixed-width integer).
 func indexEntryRowIdx(key []byte) (int64, bool) {
-	if len(key) < 9 {
+	if len(key) < entryPosLen {
 		return 0, false
 	}
-	return btree.DecodeIntKeyPrefix(key[len(key)-9:])
+	return btree.DecodeIntKeyPrefix(key[len(key)-entryPosLen:])
 }
 
 // openIndexes opens a heap table's catalog indexes and deletes orphan index
@@ -451,19 +456,50 @@ func indexScanBounds(lo, hi *sqltypes.Value, loInc, hiInc bool) (start, end []by
 	return start, end, nil
 }
 
-// indexScanIterator is the secondary-index scan: it walks index entries in
-// key order, keeps the heap positions the scan's snapshot can see, and
-// hands out the fetch cache's vectors with the positions found on one page
-// as the selection. A batch ends where the next position lies on another
-// page or not past the last one (a selection ascends), or at
-// vec.DefaultBatchSize. The fetch cache decodes each page once per visit.
+// indexWalk is the entry walk both index scans share: it steps the index
+// in key order and stops at the entries whose heap position the scan's
+// snapshot can see.
+type indexWalk struct {
+	it     *btree.Iterator
+	td     *tableData
+	ranges []rowRange
+	locked bool
+}
+
+// next moves to the next visible entry and returns its key and heap
+// position; ok is false past the range's last entry.
+func (w *indexWalk) next() (key []byte, idx int64, ok bool, err error) {
+	for w.it.Next() {
+		key = w.it.Key()
+		if idx, ok = indexEntryRowIdx(key); !ok {
+			return nil, 0, false, fmt.Errorf("core: malformed index entry in %s", w.td.def.Name)
+		}
+		if rowIdxVisible(w.ranges, idx) {
+			return key, idx, true, nil
+		}
+	}
+	return nil, 0, false, w.it.Err()
+}
+
+func (w *indexWalk) Close() error {
+	w.it.Close()
+	if w.locked {
+		w.td.writeMu.RUnlock()
+		w.locked = false
+	}
+	return nil
+}
+
+// indexScanIterator is the fetching secondary-index scan: it keeps the
+// heap positions the walk finds and hands out the fetch cache's vectors
+// with the positions found on one page as the selection. A batch ends
+// where the next position lies on another page or not past the last one
+// (a selection ascends), or at vec.DefaultBatchSize. The fetch cache
+// decodes each page once per visit.
 type indexScanIterator struct {
-	it      *btree.Iterator
-	td      *tableData
-	ranges  []rowRange
+	indexWalk
 	cache   *storage.HeapFetchCache
 	seqCols []int
-	locked  bool
 
 	held bool          // the cursor's position did not fit the last batch: it opens the next
 	cols []*vec.Vector // the vectors holding the cursor's position
@@ -473,29 +509,23 @@ type indexScanIterator struct {
 // advance moves the cursor to the next visible position and fetches the
 // vectors holding it.
 func (x *indexScanIterator) advance() (bool, error) {
-	for x.it.Next() {
-		idx, ok := indexEntryRowIdx(x.it.Key())
-		if !ok {
-			return false, fmt.Errorf("core: malformed index entry in %s", x.td.def.Name)
-		}
-		if !rowIdxVisible(x.ranges, idx) {
-			continue
-		}
-		cols, off, err := x.td.heap.FetchRowCached(idx, x.cache)
-		if err != nil {
-			return false, err
-		}
-		// SEQUENCE columns stay in packed storage form, as on heap pages;
-		// the mark is set once, before any batch shares the vectors.
-		for _, c := range x.seqCols {
-			if !cols[c].Packed {
-				cols[c].Packed = true
-			}
-		}
-		x.cols, x.off = cols, off
-		return true, nil
+	_, idx, ok, err := x.next()
+	if !ok {
+		return false, err
 	}
-	return false, x.it.Err()
+	cols, off, err := x.td.heap.FetchRowCached(idx, x.cache)
+	if err != nil {
+		return false, err
+	}
+	// SEQUENCE columns stay in packed storage form, as on heap pages;
+	// the mark is set once, before any batch shares the vectors.
+	for _, c := range x.seqCols {
+		if !cols[c].Packed {
+			cols[c].Packed = true
+		}
+	}
+	x.cols, x.off = cols, off
+	return true, nil
 }
 
 func (x *indexScanIterator) NextBatch() (*vec.Batch, error) {
@@ -521,21 +551,116 @@ func (x *indexScanIterator) NextBatch() (*vec.Batch, error) {
 	return b, nil
 }
 
-func (x *indexScanIterator) Close() error {
-	x.it.Close()
-	if x.locked {
-		x.td.writeMu.RUnlock()
-		x.locked = false
+// indexOnlyIterator is the covered secondary-index scan, for consumers
+// that read no column outside the index key: the entry key answers them,
+// and the heap is never touched. It decodes the read key columns of the
+// visible entries into vectors of its own, up to vec.DefaultBatchSize rows
+// a batch, grown from empty (a point lookup finds a row or two); the other
+// columns are exec.NullColumn.
+type indexOnlyIterator struct {
+	indexWalk
+	cols   []int        // the index's key columns
+	needed []bool       // the columns a consumer reads (PruneColumns)
+	intKey bool         // the key is one INT column
+	vals   sqltypes.Row // a decoded entry
+}
+
+func (x *indexOnlyIterator) NextBatch() (*vec.Batch, error) {
+	var cols []*vec.Vector
+	n := 0
+	for ; n < vec.DefaultBatchSize; n++ {
+		key, _, ok, err := x.next()
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			break
+		}
+		if cols == nil {
+			cols = x.columns()
+		}
+		if err := x.decode(cols, key[:len(key)-entryPosLen]); err != nil {
+			return nil, err
+		}
+	}
+	if n == 0 {
+		return nil, nil
+	}
+	return vec.NewBatch(cols, n), nil
+}
+
+// columns returns a new batch's columns: an empty vector for each key
+// column a consumer reads, exec.NullColumn for every other column.
+func (x *indexOnlyIterator) columns() []*vec.Vector {
+	def := x.td.def
+	cols := make([]*vec.Vector, len(def.Columns))
+	for c := range cols {
+		cols[c] = exec.NullColumn
+	}
+	for _, c := range x.cols {
+		if exec.Reads(x.needed, c) {
+			cols[c] = vec.NewVector(def.Columns[c].Type.StorageKind(), 0)
+		}
+	}
+	return cols
+}
+
+// decode appends an entry's read key values to cols; key is the entry
+// key less its position. A single INT column is read straight off the
+// bytes; any other key goes through btree.DecodeKey, and a value that is
+// not its column's kind is a malformed entry.
+func (x *indexOnlyIterator) decode(cols []*vec.Vector, key []byte) error {
+	if x.intKey && len(key) == entryPosLen {
+		if v, ok := btree.DecodeIntKeyPrefix(key); ok {
+			if out := cols[x.cols[0]]; out != exec.NullColumn {
+				out.Ints = append(out.Ints, v)
+			}
+			return nil
+		}
+	}
+	vals, n, err := btree.DecodeKey(x.vals[:0], key, len(x.cols))
+	x.vals = vals
+	if err == nil && n != len(key) {
+		err = fmt.Errorf("%d bytes past the key columns", len(key)-n)
+	}
+	for i := 0; err == nil && i < len(vals); i++ {
+		c := x.cols[i]
+		if kind := x.td.def.Columns[c].Type.StorageKind(); vals[i].K != sqltypes.KindNull && vals[i].K != kind {
+			err = fmt.Errorf("key column %d holds %s, want %s", i, vals[i].K, kind)
+		} else if cols[c] != exec.NullColumn {
+			cols[c].Append(vals[i])
+		}
+	}
+	if err != nil {
+		return fmt.Errorf("core: malformed index entry in %s: %w", x.td.def.Name, err)
 	}
 	return nil
 }
 
+// covers reports whether the index key holds every column a consumer that
+// marked needed (PruneColumns) reads: never when needed is nil (all
+// columns).
+func (ix *indexData) covers(needed []bool) bool {
+	if needed == nil {
+		return false
+	}
+	for c, r := range needed {
+		if r && !slices.Contains(ix.cols, c) {
+			return false
+		}
+	}
+	return true
+}
+
 // IndexScan returns a serial operator scanning the named secondary index
 // over [lo, hi] bounds on its first column (nil = open; loInc/hiInc select
-// inclusive bounds), emitting heap rows in index-key order. The scan holds
-// the table's write latch shared for its duration, exactly like clustered
-// scans — the btree iterator walks pages unlatched, and the tail the fetch
-// cache transposes cannot grow under it.
+// inclusive bounds), emitting heap rows in index-key order. When its
+// consumers read only index key columns (the PruneColumns mask: the
+// recheck filter's column under COUNT(*), say) the scan is index-only and
+// never fetches a row; otherwise it fetches each visible position's row.
+// The scan holds the table's write latch shared for its duration, exactly
+// like clustered scans — the btree iterator walks pages unlatched, and the
+// tail the fetch cache transposes cannot grow under it.
 func (db *Database) IndexScan(t *catalog.Table, idxName string, lo, hi *sqltypes.Value, loInc, hiInc bool) (exec.Operator, error) {
 	td := db.tables[t.ID]
 	if td == nil || td.heap == nil {
@@ -556,7 +681,8 @@ func (db *Database) IndexScan(t *catalog.Table, idxName string, lo, hi *sqltypes
 		return nil, err
 	}
 	seqCols := sequenceColumns(td.def)
-	return &exec.Scan{Factory: func(ctx *exec.Context, _ []bool) (exec.BatchIterator, error) {
+	intKey := len(ix.cols) == 1 && td.def.Columns[ix.cols[0]].Type.StorageKind() == sqltypes.KindInt
+	return &exec.Scan{Factory: func(ctx *exec.Context, needed []bool) (exec.BatchIterator, error) {
 		snap, _ := ctx.Snapshot.(*Snapshot)
 		td.writeMu.RLock()
 		it, err := ix.tree.SeekT(startKey, endKey, ctx.Sink)
@@ -564,13 +690,10 @@ func (db *Database) IndexScan(t *catalog.Table, idxName string, lo, hi *sqltypes
 			td.writeMu.RUnlock()
 			return nil, err
 		}
-		return &indexScanIterator{
-			it:      it,
-			td:      td,
-			ranges:  td.versions.visibleRanges(snap),
-			cache:   storage.NewHeapFetchCache(ctx.Sink),
-			seqCols: seqCols,
-			locked:  true,
-		}, nil
+		walk := indexWalk{it: it, td: td, ranges: td.versions.visibleRanges(snap), locked: true}
+		if ix.covers(needed) {
+			return &indexOnlyIterator{indexWalk: walk, cols: ix.cols, needed: needed, intKey: intKey}, nil
+		}
+		return &indexScanIterator{indexWalk: walk, cache: storage.NewHeapFetchCache(ctx.Sink), seqCols: seqCols}, nil
 	}}, nil
 }

@@ -107,6 +107,51 @@ func TestGenomicWindowTakesIndex(t *testing.T) {
 	}
 }
 
+// indexScanTraffic reads the Index Scan line of an EXPLAIN ANALYZE: the
+// rows it returned, its batches, and its pool hits and misses.
+var indexScanTraffic = regexp.MustCompile(`Index Scan \[AlignHeap\].* actual=(\d+) rows.* batches=(\d+) .*\n\s*pool: (\d+) hits, (\d+) misses`)
+
+// TestCoveredWindowReadsOnlyTheIndex: COUNT(*) over a 200-bp window reads
+// nothing but the index's key column, so the scan answers it from the
+// entries: one batch, and the pool gets of the descent and the leaves the
+// window spans (fetching its 72 rows took 69 batches and 72 gets).
+// SUM(a_mapq) over the same window reads a column outside the key and
+// still fetches a page for nearly every row. No clock is read.
+func TestCoveredWindowReadsOnlyTheIndex(t *testing.T) {
+	db, pos := openAlignHeap(t)
+	const lo, hi = 12000, 12200
+	want := 0
+	for _, p := range pos {
+		if p >= lo && p <= hi {
+			want++
+		}
+	}
+	for _, c := range []struct {
+		agg     string
+		covered bool
+	}{{"COUNT(*)", true}, {"SUM(a_mapq)", false}} {
+		plan := mustExec(t, db, fmt.Sprintf("EXPLAIN ANALYZE SELECT %s FROM AlignHeap WHERE a_pos >= %d AND a_pos <= %d", c.agg, lo, hi)).Plan
+		m := indexScanTraffic.FindStringSubmatch(plan)
+		if m == nil {
+			t.Fatalf("%s: no Index Scan line with batches and pool traffic:\n%s", c.agg, plan)
+		}
+		n := make([]int, 4)
+		for i := range n {
+			n[i], _ = strconv.Atoi(m[i+1])
+		}
+		rows, batches, gets := n[0], n[1], n[2]+n[3]
+		if rows != want {
+			t.Fatalf("%s: the index scan returned %d rows, want %d", c.agg, rows, want)
+		}
+		if c.covered && (batches != 1 || gets > 4) {
+			t.Errorf("%s: %d batches and %d pool gets; an index-only window is one batch and at most 4 gets\n%s", c.agg, batches, gets, plan)
+		}
+		if !c.covered && gets <= 4 {
+			t.Errorf("%s reads a_mapq, outside the index, yet the scan made %d pool gets: it did not fetch\n%s", c.agg, gets, plan)
+		}
+	}
+}
+
 // TestPointLookupPlanUnchanged pins the EXPLAIN of an equality on the
 // indexed position, as the planner printed it when each conjunct was
 // priced on its own: an equality keeps its single estimate, and its plan.
@@ -169,23 +214,27 @@ var selfTime = regexp.MustCompile(`Scan \[AlignHeap\].* \(self ([0-9.]+)(ms|s)\)
 
 // BenchmarkWindowAccessPaths measures what access.go's cost constants
 // are derived from: the EXPLAIN ANALYZE self time of the AlignHeap scan
-// unfiltered and under a 200-bp window, and of the index under windows
-// of 200 and 1 000 bp, warm and serial. Each reports its mean self time
-// as self-ms; run with -benchtime 3000x for the header's figures.
+// unfiltered and under a 200-bp window (COUNT(*)), and of the fetching
+// index scan under windows of 200 and 1 000 bp (SUM(a_mapq), which reads
+// a column outside the index), warm and serial. index-only-200bp is
+// COUNT(*) through the index, which reads the entries alone. Each reports
+// its mean self time as self-ms; run with -benchtime 3000x for the
+// header's figures.
 func BenchmarkWindowAccessPaths(b *testing.B) {
 	db, _ := openAlignHeap(b)
-	for _, c := range []struct{ name, path, where string }{
-		{"scan-unfiltered", "full", ""},
-		{"scan-200bp", "full", " WHERE a_pos >= 12000 AND a_pos <= 12200"},
-		{"index-200bp", "index", " WHERE a_pos >= 12000 AND a_pos <= 12200"},
-		{"index-1000bp", "index", " WHERE a_pos >= 12000 AND a_pos <= 13000"},
+	for _, c := range []struct{ name, path, agg, where string }{
+		{"scan-unfiltered", "full", "COUNT(*)", ""},
+		{"scan-200bp", "full", "COUNT(*)", " WHERE a_pos >= 12000 AND a_pos <= 12200"},
+		{"index-200bp", "index", "SUM(a_mapq)", " WHERE a_pos >= 12000 AND a_pos <= 12200"},
+		{"index-1000bp", "index", "SUM(a_mapq)", " WHERE a_pos >= 12000 AND a_pos <= 13000"},
+		{"index-only-200bp", "index", "COUNT(*)", " WHERE a_pos >= 12000 AND a_pos <= 12200"},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			db.planner.ForcePath = c.path
 			defer func() { db.planner.ForcePath = "" }()
 			total := 0.0
 			for i := 0; i < b.N; i++ {
-				res, err := db.Exec("EXPLAIN ANALYZE SELECT COUNT(*) FROM AlignHeap" + c.where)
+				res, err := db.Exec("EXPLAIN ANALYZE SELECT " + c.agg + " FROM AlignHeap" + c.where)
 				if err != nil {
 					b.Fatal(err)
 				}

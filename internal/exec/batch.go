@@ -36,9 +36,11 @@ import (
 // columns it reads (PruneColumns; never called, or nil, means all). The
 // operator adds the columns its own expressions read and passes the call
 // down. Unmarked columns may arrive as NullColumn; a lazily decoded scan
-// column simply stays encoded, which is why the heap and index scans ignore
-// the call (a table-valued function, and a clustered scan gathering leaves
-// into one batch, fill only the marked columns).
+// column simply stays encoded, which is why the heap scan, and an index
+// scan that fetches rows, ignore the call. A table-valued function, and a
+// clustered scan gathering leaves into one batch, fill only the marked
+// columns, and an index scan whose marked columns are all in its key
+// fetches nothing: it decodes them from the index entries.
 //
 // Rows. An operator may work a row at a time inside — read the rows it
 // keeps off its child's batches, emit them through a rowPacker — but rows

@@ -6,9 +6,10 @@
 //
 //   - rows in: Source packs a RowIterator — a spilled partition read back —
 //     into batches (rowPacker). No scan is one: a base-table leaf (Scan)
-//     reads batches off heap pages, clustered leaves or the pages an index
-//     points into, a table-valued function is a TableFunc that fills
-//     typed vectors itself — the leaf of a FROM-clause call is the same
+//     reads batches off heap pages, clustered leaves, the pages an index
+//     points into or, when they hold every column read, the index entries;
+//     a table-valued function is a TableFunc that fills typed vectors
+//     itself — the leaf of a FROM-clause call is the same
 //     Scan, and CROSS APPLY (Apply) expands an outer batch at a time — and
 //     a SELECT without FROM is a Scan of one batch of one row. The
 //     operators whose insides still work a row at a time (Sort,
@@ -113,13 +114,16 @@ func (s *Source) Close() error {
 }
 
 // Scan is the one leaf whose iterator delivers batches itself: heap pages,
-// clustered leaves and the heap pages an index scan fetches, decoded a
-// column at a time, and the batches of a table-valued function.
+// clustered leaves, the heap pages an index scan fetches or the index
+// entries themselves, decoded a column at a time, and the batches of a
+// table-valued function.
 type Scan struct {
 	// Factory opens the iterator; needed is what PruneColumns was told. A
 	// table-valued function fills only the marked columns, and so does the
-	// clustered scan when it gathers leaves into a batch; the heap and index
-	// scans ignore it, as a scanned column is decoded when first read.
+	// clustered scan when it gathers leaves into a batch; an index scan
+	// whose marked columns are all index key columns reads the entries
+	// alone and fetches no row. The heap scan, and an index scan that
+	// fetches, ignore it, as a scanned column is decoded when first read.
 	Factory func(ctx *Context, needed []bool) (BatchIterator, error)
 
 	needed []bool

@@ -237,13 +237,6 @@ func (h *Heap) RowCount() int64 {
 	return h.rowCount
 }
 
-// DurableRows returns the row count persisted by the last checkpoint.
-func (h *Heap) DurableRows() int64 {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	return h.durableRows
-}
-
 // Append adds a row at the end of the heap.
 func (h *Heap) Append(row sqltypes.Row) error {
 	h.mu.Lock()
