@@ -608,7 +608,12 @@ func (x *indexOnlyIterator) columns() []*vec.Vector {
 // decode appends an entry's read key values to cols; key is the entry
 // key less its position. A single INT column is read straight off the
 // bytes; any other key goes through btree.DecodeKey, and a value that is
-// not its column's kind is a malformed entry.
+// not its column's kind is a malformed entry. The INT shortcut is
+// measured: with every key through DecodeKey, the 200-bp window's
+// COUNT(*) scan took a median 15.4 vs 11.6 us self time
+// (BenchmarkWindowAccessPaths/index-only-200bp, 3 000x, -cpu 1,
+// 10 alternating runs on a 2-vCPU Xeon, 8 of 10 won by the shortcut) and
+// one more allocation.
 func (x *indexOnlyIterator) decode(cols []*vec.Vector, key []byte) error {
 	if x.intKey && len(key) == entryPosLen {
 		if v, ok := btree.DecodeIntKeyPrefix(key); ok {
